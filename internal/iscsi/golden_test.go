@@ -1,0 +1,265 @@
+package iscsi
+
+import (
+	"bufio"
+	"bytes"
+	"encoding/hex"
+	"fmt"
+	"os"
+	"path/filepath"
+	"sort"
+	"strings"
+	"testing"
+)
+
+// goldenSink accepts every replication push verb and answers OK, so a
+// golden-bytes session can drive each initiator send path end to end.
+type goldenSink struct {
+	replicaSink
+}
+
+func (s *goldenSink) HandleReplicaStream(mode, shard uint8, vol uint16, seq, lba, hash uint64, frame []byte) Status {
+	return StatusOK
+}
+
+func (s *goldenSink) HandleReplicaBatch(mode uint8, entries []BatchEntry) []Status {
+	return make([]Status, len(entries))
+}
+
+func (s *goldenSink) HandleReplicaBatchStream(mode, shard uint8, vol uint16, entries []BatchEntry) []Status {
+	return make([]Status, len(entries))
+}
+
+func (s *goldenSink) HandleReplicaStripe(mode, shard uint8, vol uint16, hdr StripeHeader, entries []BatchEntry) []Status {
+	return make([]Status, len(entries))
+}
+
+func (s *goldenSink) HandleReplicaByRef(mode, shard uint8, vol uint16, entries []BatchEntry) []Status {
+	return make([]Status, len(entries))
+}
+
+// goldenEntries builds n deterministic entries with frames of varied
+// lengths (one empty-frame-free run for by-value verbs). With mixed
+// set, every even entry ships by reference (nil frame), as a v7 push
+// mixes them.
+func goldenEntries(n int, mixed bool) []BatchEntry {
+	entries := make([]BatchEntry, n)
+	for k := range entries {
+		frame := make([]byte, 3+5*k)
+		for j := range frame {
+			frame[j] = byte(0x11*(k+1) + j)
+		}
+		if mixed && k%2 == 0 {
+			frame = nil
+		}
+		entries[k] = BatchEntry{
+			Seq:   uint64(100 + k),
+			LBA:   uint64(7*k + 1),
+			Hash:  0xC0FFEE0000000000 | uint64(k+1),
+			Frame: frame,
+		}
+	}
+	return entries
+}
+
+const goldenFile = "testdata/wire_golden.hex"
+
+func readGolden(t *testing.T) map[string]string {
+	t.Helper()
+	f, err := os.Open(goldenFile)
+	if err != nil {
+		t.Fatalf("open fixtures (regenerate with PRINS_UPDATE_GOLDEN=1): %v", err)
+	}
+	defer f.Close()
+	out := make(map[string]string)
+	sc := bufio.NewScanner(f)
+	sc.Buffer(nil, 1<<20)
+	for sc.Scan() {
+		name, hx, ok := strings.Cut(sc.Text(), " ")
+		if ok {
+			out[name] = hx
+		}
+	}
+	if err := sc.Err(); err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// TestWireGolden pins the bytes every replication push verb puts on the
+// connection: for OpReplicaWrite (untagged v3, tagged v5, and the
+// zero-copy framed send), OpReplicaWriteBatch (untagged v4, tagged v5),
+// OpReplicaWriteStripe (v6) and OpReplicaWriteByRef (v7, mixed by-ref
+// and by-value entries), each with 1, 2 and 7 entries, the initiator's
+// send must equal both a contiguously built PDU written with
+// PDU.WriteTo over the Encode* segment and the committed hex fixture.
+// The fixtures are the wire contract: a refactor of the send paths must
+// leave testdata/wire_golden.hex untouched.
+func TestWireGolden(t *testing.T) {
+	const (
+		mode  = 3
+		shard = 2
+		vol   = 9
+		// The login round trip consumed ITT 1 on every fresh session.
+		firstITT = 2
+	)
+	shdr := StripeHeader{K: 2, N: 4, Idx: 3}
+
+	type verb struct {
+		name string
+		// send pushes entries through the initiator path under test.
+		send func(init *Initiator, entries []BatchEntry) error
+		// want builds the reference PDUs for the same push.
+		want  func(entries []BatchEntry) ([]*PDU, error)
+		mixed bool
+	}
+	single := func(s uint8, v uint16) func([]BatchEntry) ([]*PDU, error) {
+		return func(entries []BatchEntry) ([]*PDU, error) {
+			var pdus []*PDU
+			for k, e := range entries {
+				pdus = append(pdus, &PDU{Op: OpReplicaWrite, Mode: mode, Shard: s, Vol: v,
+					ITT: uint32(firstITT + k), Seq: e.Seq, LBA: e.LBA, Hash: e.Hash, Data: e.Frame})
+			}
+			return pdus, nil
+		}
+	}
+	// list builds the one entry-list PDU a multi-entry push sends; a
+	// batch of one degrades to the plain OpReplicaWrite PDU.
+	list := func(op Opcode, s uint8, v uint16, oneIsSingle bool, encode func([]BatchEntry) ([]byte, error)) func([]BatchEntry) ([]*PDU, error) {
+		return func(entries []BatchEntry) ([]*PDU, error) {
+			if oneIsSingle && len(entries) == 1 {
+				return single(s, v)(entries)
+			}
+			data, err := encode(entries)
+			if err != nil {
+				return nil, err
+			}
+			return []*PDU{{Op: op, Mode: mode, Shard: s, Vol: v, ITT: firstITT, Data: data}}, nil
+		}
+	}
+	statusesOK := func(st []Status, err error) error {
+		if err != nil {
+			return err
+		}
+		for k, s := range st {
+			if s != StatusOK {
+				return fmt.Errorf("entry %d: %v", k, s)
+			}
+		}
+		return nil
+	}
+	verbs := []verb{
+		{name: "write-v3",
+			send: func(init *Initiator, entries []BatchEntry) error {
+				for _, e := range entries {
+					if err := init.ReplicaWrite(mode, e.Seq, e.LBA, e.Hash, e.Frame); err != nil {
+						return err
+					}
+				}
+				return nil
+			},
+			want: single(0, 0)},
+		{name: "write-stream-v5",
+			send: func(init *Initiator, entries []BatchEntry) error {
+				for _, e := range entries {
+					if err := init.ReplicaWriteStream(mode, shard, vol, e.Seq, e.LBA, e.Hash, e.Frame); err != nil {
+						return err
+					}
+				}
+				return nil
+			},
+			want: single(shard, vol)},
+		{name: "write-framed-v5",
+			send: func(init *Initiator, entries []BatchEntry) error {
+				for _, e := range entries {
+					pdu := append(make([]byte, FrameHeadroom), e.Frame...)
+					if err := init.ReplicaWriteFramed(mode, shard, vol, e.Seq, e.LBA, e.Hash, pdu); err != nil {
+						return err
+					}
+				}
+				return nil
+			},
+			want: single(shard, vol)},
+		{name: "batch-v4",
+			send: func(init *Initiator, entries []BatchEntry) error {
+				return statusesOK(init.ReplicaWriteBatch(mode, entries))
+			},
+			want: list(OpReplicaWriteBatch, 0, 0, true, EncodeBatch)},
+		{name: "batch-stream-v5",
+			send: func(init *Initiator, entries []BatchEntry) error {
+				return statusesOK(init.ReplicaWriteBatchStream(mode, shard, vol, entries))
+			},
+			want: list(OpReplicaWriteBatch, shard, vol, true, EncodeBatch)},
+		{name: "stripe-v6",
+			send: func(init *Initiator, entries []BatchEntry) error {
+				return statusesOK(init.ReplicaWriteStripe(mode, shard, vol, shdr, entries))
+			},
+			want: list(OpReplicaWriteStripe, shard, vol, false, func(entries []BatchEntry) ([]byte, error) {
+				return EncodeStripe(shdr, entries)
+			})},
+		{name: "byref-v7", mixed: true,
+			send: func(init *Initiator, entries []BatchEntry) error {
+				return statusesOK(init.ReplicaWriteByRef(mode, shard, vol, entries))
+			},
+			want: list(OpReplicaWriteByRef, shard, vol, false, EncodeByRef)},
+	}
+
+	update := os.Getenv("PRINS_UPDATE_GOLDEN") != ""
+	var golden map[string]string
+	if !update {
+		golden = readGolden(t)
+	}
+	got := make(map[string]string)
+	for _, v := range verbs {
+		for _, n := range []int{1, 2, 7} {
+			name := fmt.Sprintf("%s/%d", v.name, n)
+			t.Run(name, func(t *testing.T) {
+				entries := goldenEntries(n, v.mixed)
+				init, rec := startRecordedPair(t, &goldenSink{})
+				if err := v.send(init, entries); err != nil {
+					t.Fatal(err)
+				}
+				sent := rec.take()
+
+				pdus, err := v.want(entries)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var ref bytes.Buffer
+				for _, p := range pdus {
+					if _, err := p.WriteTo(&ref); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if !bytes.Equal(sent, ref.Bytes()) {
+					t.Errorf("initiator bytes differ from the contiguously built PDU:\n sent %x\n want %x", sent, ref.Bytes())
+				}
+				got[name] = hex.EncodeToString(sent)
+				if !update && got[name] != golden[name] {
+					t.Errorf("wire bytes differ from %s:\n sent %s\n want %s", goldenFile, got[name], golden[name])
+				}
+			})
+		}
+	}
+	if !update {
+		if len(golden) != len(got) {
+			t.Errorf("%s holds %d cases, the test ran %d", goldenFile, len(golden), len(got))
+		}
+		return
+	}
+	names := make([]string, 0, len(got))
+	for name := range got {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	var out bytes.Buffer
+	for _, name := range names {
+		fmt.Fprintf(&out, "%s %s\n", name, got[name])
+	}
+	if err := os.MkdirAll(filepath.Dir(goldenFile), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(goldenFile, out.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
