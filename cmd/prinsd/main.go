@@ -61,7 +61,6 @@ func run(args []string) error {
 		retryTimeout  = fs.Duration("retry-timeout", 10*time.Second, "per-attempt replication timeout (0 = none)")
 		retryBackoff  = fs.Duration("retry-backoff", 250*time.Millisecond, "base backoff between push attempts, doubled with jitter")
 		degraded      = fs.Bool("degraded", true, "keep serving writes locally when a replica is down (recover with resync)")
-		noVerify      = fs.Bool("no-verify", false, "disable content-hash verification of replica applies")
 		journalPath   = fs.String("journal", "", "replica role: crash-safe apply journal file (empty = no journal)")
 		scrubEvery    = fs.Duration("scrub-interval", 0, "primary role: background scrub pass interval per replica (0 = off)")
 		scrubPause    = fs.Duration("scrub-pause", 2*time.Millisecond, "pause between scrub hash batches (rate limit)")
@@ -118,7 +117,6 @@ func run(args []string) error {
 				RetryTimeout:  *retryTimeout,
 				RetryBackoff:  *retryBackoff,
 				AllowDegraded: *degraded,
-				DisableVerify: *noVerify,
 				DedupeEntries: *dedupe,
 				BatchFrames:   *batchFrames,
 				BatchBytes:    *batchBytes,
@@ -190,7 +188,6 @@ func run(args []string) error {
 			RetryTimeout:  *retryTimeout,
 			RetryBackoff:  *retryBackoff,
 			AllowDegraded: *degraded,
-			DisableVerify: *noVerify,
 			DedupeEntries: *dedupe,
 			BatchFrames:   *batchFrames,
 			BatchBytes:    *batchBytes,

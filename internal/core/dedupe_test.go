@@ -379,8 +379,7 @@ func TestDedupeSavedWireMixedStatuses(t *testing.T) {
 }
 
 // TestDedupeIndexGating: the primary-side index only exists where the
-// fast path can work — a by-ref-capable client with verification on,
-// outside group mode.
+// fast path can work — a by-ref-capable client, outside group mode.
 func TestDedupeIndexGating(t *testing.T) {
 	newStore := func() block.Store {
 		s, err := block.NewMem(512, 16)
@@ -407,9 +406,6 @@ func TestDedupeIndexGating(t *testing.T) {
 	}
 	if e := attach(Config{Mode: ModePRINS}, loop()); e.ReplicaDedupe(0) != nil {
 		t.Error("DedupeEntries 0 must disable the index")
-	}
-	if e := attach(Config{Mode: ModePRINS, DedupeEntries: 64, DisableVerify: true}, loop()); e.ReplicaDedupe(0) != nil {
-		t.Error("DisableVerify leaves no content hashes to index")
 	}
 	if e := attach(Config{Mode: ModePRINS, DedupeEntries: 64},
 		&singleOnlyClient{inner: loop()}); e.ReplicaDedupe(0) != nil {

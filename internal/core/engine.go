@@ -191,13 +191,6 @@ type Config struct {
 	// that crosses the line still rides along). Zero means the default
 	// (1 MiB).
 	BatchBytes int
-	// DisableVerify turns off content-hash verification of replica
-	// applies. By default every shipped frame carries the hash of the
-	// decoded new block and the replica refuses (StatusDiverged) an
-	// apply whose recovered block does not match — which in ModePRINS
-	// catches a replica whose pre-image has silently diverged before
-	// the bad XOR lands. Disabling restores the unverified wire cost.
-	DisableVerify bool
 	// Shards splits the device into that many contiguous LBA ranges,
 	// each with its own write lock, sequence space, dirty maps, and
 	// per-replica ship pipelines, so writers on different shards never
@@ -243,11 +236,10 @@ type Config struct {
 	// instead of the parity frame (wire protocol v7); a replica-side
 	// miss falls back to re-shipping the frame, so correctness never
 	// depends on the index. Zero (the default) disables the fast path
-	// entirely; the index is advisory and ineffective when verification
-	// is off (DisableVerify — no content hashes to address by), when
-	// batching is disabled (BatchFrames: 1), or in GroupMode (unit
-	// frames are replica-specific stripes, not content-addressable
-	// blocks). Negative selects the default bound (dedupe.DefaultEntries).
+	// entirely; the index is advisory and ineffective when batching is
+	// disabled (BatchFrames: 1) or in GroupMode (unit frames are
+	// replica-specific stripes, not content-addressable blocks).
+	// Negative selects the default bound (dedupe.DefaultEntries).
 	DedupeEntries int
 	// FlushFrames caps how many queued writes one group-commit flush
 	// drains per shard-lock pass (a larger backlog commits in
@@ -331,12 +323,13 @@ var ErrStripeClient = errors.New("core: GroupMode engine requires a stripe-capab
 // N attached replicas, or an attach beyond the group size.
 var ErrGroupReplicas = errors.New("core: GroupMode engine requires exactly n attached replicas")
 
-// errUnitDropped reports a stripe unit elided because its replica is
-// degraded. Unlike a mirror-mode drop — where the block still lands
-// whole on every healthy replica — a dropped unit is redundancy the
-// group genuinely lost, so a synchronous writer counts it against the
-// quorum instead of treating it as delivered.
-var errUnitDropped = errors.New("core: stripe unit dropped (replica degraded)")
+// errDropped marks a frame elided because its replica is degraded. A
+// mirror-mode drop settles its write nil — the block still lands whole
+// on every healthy replica — but a dropped stripe unit is redundancy
+// the group genuinely lost, so a synchronous GroupMode writer gets this
+// error and counts it against the quorum instead of treating the unit
+// as delivered.
+var errDropped = errors.New("core: frame dropped (replica degraded)")
 
 // shard is one contiguous LBA range's independent write path: its own
 // lock (write order = seq order within the shard), sequence space,
@@ -349,15 +342,18 @@ type shard struct {
 	fpBuf  []byte
 	pipes  []*pipe // one per replica, attach order
 
-	// GroupMode scratch (Config.Group set), guarded by mu like the
-	// other per-shard buffers: the n unit slices a striped write RS-
-	// encodes its payload into, a second bank for the new-data units a
-	// PRINS stripe hashes (the shipped payload is RS of the delta, but
-	// the replica verifies the unit it recovers), and the per-unit
-	// frame pointers of the write in flight.
+	// frames and hashes are the write in flight's frame and content hash
+	// per pipe, parallel to pipes (see encodeFrames); guarded by mu like
+	// the other per-shard buffers.
+	frames []*frameBuf
+	hashes []uint64
+
+	// GroupMode scratch (Config.Group set): the n unit slices a striped
+	// write RS-encodes its payload into, and a second bank for the
+	// new-data units a PRINS stripe hashes (the shipped payload is RS of
+	// the delta, but the replica verifies the unit it recovers).
 	gUnits [][]byte
 	gNew   [][]byte
-	gFrame []*frameBuf
 
 	// Group-commit state (Config.FlushWindow > 0). Writers append to
 	// gcQueue under gcMu; the first writer of a window becomes the
@@ -377,7 +373,7 @@ type shard struct {
 }
 
 // gcReq is one writer's slot in a shard's group-commit queue. The
-// leader fills err/ack/n during the commit pass and closes done; the
+// leader fills err/ack during the commit pass and closes done; the
 // owning writer then collects its own acks outside every lock, exactly
 // like the ungrouped path.
 type gcReq struct {
@@ -386,7 +382,6 @@ type gcReq struct {
 	done chan struct{}
 	err  error
 	ack  chan error
-	n    int // acks to await (sync mode)
 }
 
 // Engine is the primary-side PRINS engine. It wraps the local block
@@ -484,7 +479,6 @@ func NewEngine(local block.Store, cfg Config) (*Engine, error) {
 				s.gUnits[j] = make([]byte, u)
 				s.gNew[j] = make([]byte, u)
 			}
-			s.gFrame = make([]*frameBuf, cfg.Group.N)
 		}
 		e.shards[i] = s
 	}
@@ -579,7 +573,7 @@ func (e *Engine) AttachReplica(rc ReplicaClient) error {
 		// fallback re-ship needs the batch extension too) and addresses
 		// whole-block content hashes, which GroupMode's unit frames are
 		// not; outside those conditions the index would only go stale.
-		if e.cfg.DedupeEntries != 0 && e.rsCodec == nil && !e.cfg.DisableVerify {
+		if e.cfg.DedupeEntries != 0 && e.rsCodec == nil {
 			rs.dedupe = dedupe.New(e.cfg.DedupeEntries)
 		}
 	}
@@ -592,9 +586,16 @@ func (e *Engine) AttachReplica(rc ReplicaClient) error {
 			queue: make(chan repMsg, e.cfg.QueueDepth),
 			dirty: newDirtyMap(),
 		}
+		canBatch := rs.batch != nil
+		if e.tagged(p) {
+			canBatch = rs.sbatch != nil
+		}
+		p.batches = e.rsCodec != nil || (e.cfg.BatchFrames > 1 && canBatch)
 		rs.pipes[i] = p
 		s.mu.Lock()
 		s.pipes = append(s.pipes, p)
+		s.frames = append(s.frames, nil)
+		s.hashes = append(s.hashes, 0)
 		s.mu.Unlock()
 		e.shippers.Add(1)
 		go e.shipper(p)
@@ -752,79 +753,104 @@ func (e *Engine) NumBlocks() uint64 { return e.local.NumBlocks() }
 // pipeline of that shard — frames must enter each queue in sequence
 // order, or two racing writers could deliver same-LBA updates to a
 // replica out of order — but never a network round trip, and never
-// another shard's writes. A full queue blocks the enqueue, which then
-// (deliberately) throttles that shard's writers: the paper's bounded
-// queue, now one per (shard, replica). In synchronous mode the write
-// then waits, outside the lock, for every replica's ack, so concurrent
+// another shard's writes (see commit). In synchronous mode the write
+// then waits, outside the lock, for its replicas' acks, so concurrent
 // writers overlap their fan-out waits instead of serializing WAN round
-// trips behind a lock.
+// trips behind a lock. With group commit on (Config.FlushWindow) the
+// lock pass is the leader's, shared with every write queued meanwhile.
 func (e *Engine) WriteBlock(lba uint64, data []byte) error {
 	s := e.shardOf(lba)
-	if e.rsCodec != nil {
-		return e.writeStriped(s, lba, data)
-	}
 	if e.cfg.FlushWindow > 0 {
 		return e.writeGrouped(s, lba, data)
 	}
 	s.mu.Lock()
-	if e.closed.Load() {
-		s.mu.Unlock()
-		return ErrEngineClosed
-	}
-
-	fb, err := e.applyLocal(s, lba, data)
+	ack, err := e.commit(s, lba, data)
+	s.mu.Unlock()
 	if err != nil {
-		s.mu.Unlock()
 		return err
 	}
-	if fb == nil { // unchanged block elided
-		s.mu.Unlock()
-		return nil
+	return e.await(ack, lba)
+}
+
+// commit is how one write is committed under the shard lock: the local
+// apply, the encode into the frame(s) each replica ships, the write's
+// slot in the shard's seq space, and the fan-out onto every pipe of
+// the shard. It returns the channel the write's acks arrive on — nil
+// in async mode, and when nothing was enqueued (an elided unchanged
+// block, or no replica attached). Called with s.mu held.
+//
+// A full queue blocks the enqueue, which then (deliberately) throttles
+// that shard's writers: the paper's bounded queue, now one per (shard,
+// replica).
+func (e *Engine) commit(s *shard, lba uint64, data []byte) (chan error, error) {
+	if e.closed.Load() {
+		return nil, ErrEngineClosed
+	}
+	n := len(s.pipes)
+	if e.rsCodec != nil && n != e.cfg.Group.N {
+		return nil, fmt.Errorf("%w: have %d, group is n=%d", ErrGroupReplicas, n, e.cfg.Group.N)
+	}
+	src, err := e.localApply(s, lba, data)
+	if err != nil || src == nil || n == 0 {
+		return nil, err
+	}
+	if err := e.encodeFrames(s, src, data); err != nil {
+		return nil, err
 	}
 	s.seq++
-	seq := s.seq
-	var hash uint64
-	if !e.cfg.DisableVerify {
-		// The decoded new block at the replica must equal data in every
-		// mode (PRINS recovers it as P' XOR A_old), so the hash of data
-		// is the contract the replica verifies before writing in place.
-		hash = iscsi.HashBlock(data)
-	}
-
-	n := len(s.pipes)
-	if n == 0 {
-		s.mu.Unlock()
-		framePool.Put(fb)
-		return nil
-	}
-	fb.refs.Store(int32(n))
 	var ack chan error
 	if !e.cfg.Async {
 		ack = make(chan error, n)
 	}
-	enqueued := 0
-	for _, p := range s.pipes {
+	for i, p := range s.pipes {
 		p.rs.pending.Add(1)
 		//lint:ignore hold-blocking bounded backpressure: a full replication queue must stall writers on this shard
 		select {
-		case p.queue <- repMsg{seq: seq, lba: lba, hash: hash, frame: fb, ack: ack}:
-			enqueued++
+		case p.queue <- repMsg{seq: s.seq, lba: lba, hash: s.hashes[i], frame: s.frames[i], ack: ack}:
 		case <-e.done:
 			p.rs.pending.Done()
-			fb.release(int32(n - enqueued))
-			s.mu.Unlock()
-			return ErrEngineClosed
+			for _, fb := range s.frames[i:] {
+				fb.release(1)
+			}
+			return nil, ErrEngineClosed
 		}
 	}
-	s.mu.Unlock()
+	return ack, nil
+}
 
-	if ack == nil {
-		return nil
+// await collects a synchronous write's acks, outside every lock. A
+// mirrored write needs all n of them and reports the first error once
+// every replica has settled. A GroupMode write waits at the quorum, not
+// the fan-out — a mirror is the k = n group: it succeeds once any k
+// units acknowledge durably applied, and fails as soon as more than n-k
+// units are lost (dropped, diverged, or undeliverable), at which point
+// no k-survivor subset can ever reconstruct this write. Units that
+// settle after the quorum returned land in the buffered channel and are
+// collected with it; their delivery state already lives in the dirty
+// maps, lag gauges and degraded flags, exactly like mirror-mode
+// stragglers.
+func (e *Engine) await(ack <-chan error, lba uint64) error {
+	n := cap(ack) // zero for the nil channel of a write with nothing to wait for
+	unit := e.rsCodec != nil
+	k := n
+	if unit {
+		k = e.cfg.Group.K
 	}
 	var firstErr error
+	oks, fails := 0, 0
 	for i := 0; i < n; i++ {
-		if err := <-ack; err != nil && firstErr == nil {
+		err := <-ack
+		if err == nil {
+			if oks++; oks >= k {
+				return nil
+			}
+			continue
+		}
+		if firstErr == nil {
 			firstErr = err
+		}
+		if fails++; unit && fails > n-k {
+			return fmt.Errorf("core: stripe quorum %d/%d lost at lba %d: %w", k, n, lba, firstErr)
 		}
 	}
 	return firstErr
@@ -844,219 +870,85 @@ func (e *Engine) GroupUnitSize() int {
 	return e.rsCodec.UnitSize(e.local.BlockSize())
 }
 
-// unitCodecs returns the candidate codecs for stripe unit frames,
-// mirroring applyLocal's per-mode framing: raw for Traditional, flate
-// for Compressed, the configured parity codecs for PRINS (where a
-// quiet region of the delta stripes into near-zero units that ZRL
-// collapses).
-func (e *Engine) unitCodecs() []xcode.Codec {
-	switch e.cfg.Mode {
-	case ModeTraditional:
-		return unitRawCodecs
-	case ModeCompressed:
-		return unitFlateCodecs
-	default:
-		return e.cfg.Codecs
-	}
-}
-
 var (
-	unitRawCodecs   = []xcode.Codec{xcode.CodecRaw}
-	unitFlateCodecs = []xcode.Codec{xcode.CodecFlate}
+	rawCodecs   = []xcode.Codec{xcode.CodecRaw}
+	flateCodecs = []xcode.Codec{xcode.CodecFlate}
 )
 
-// holdUnitFrame takes ownership of an encoded unit frame into the
-// shard's group scratch slot i. The caller must, before releasing
+// hold takes ownership of the frame pipe i ships for the write in
+// flight, with its content hash. The caller must, before releasing
 // s.mu, either enqueue every held frame to its pipe or release it.
-func (s *shard) holdUnitFrame(i int, fb *frameBuf) { s.gFrame[i] = fb }
+func (s *shard) hold(i int, fb *frameBuf, hash uint64) { s.frames[i], s.hashes[i] = fb, hash }
 
-// writeStriped is the GroupMode write path: the local apply is the
-// same as mirroring, but what ships is n unit frames — the block (or
-// its PRINS delta) RS-striped k-of-n — one to each replica's pipeline,
-// each in its own refcounted buffer since every unit's bytes differ.
-// A synchronous write then waits at the quorum, not the fan-out: it
-// succeeds once any k units acknowledge durably applied, and fails
-// only when more than n-k units failed — at which point no k-survivor
-// subset can ever reconstruct this write. Units that settle after the
-// quorum returned surface through the usual channels (dirty maps, lag
-// gauges, degraded flags), exactly like mirror-mode stragglers.
-func (e *Engine) writeStriped(s *shard, lba uint64, data []byte) error {
-	k, n := e.cfg.Group.K, e.cfg.Group.N
-	s.mu.Lock()
-	if e.closed.Load() {
-		s.mu.Unlock()
-		return ErrEngineClosed
-	}
-	if len(s.pipes) != n {
-		s.mu.Unlock()
-		return fmt.Errorf("%w: have %d, group is n=%d", ErrGroupReplicas, len(s.pipes), n)
-	}
-	src, err := e.stripeSource(s, lba, data)
-	if err != nil {
-		s.mu.Unlock()
-		return err
-	}
-	if src == nil { // unchanged block elided
-		s.mu.Unlock()
-		return nil
-	}
+// encodeFrames turns the bytes one write replicates (src, see
+// localApply) into the frame and content hash each of the shard's pipes
+// ships, left in s.frames and s.hashes. Mirroring, every pipe shares
+// one frame under n references — the last pipeline to finish with it
+// returns it to the pool. In GroupMode pipe i gets its own single-owner
+// frame of unit i of the k-of-n RS stripe of src, since every unit's
+// bytes differ. On error no frame is held. Called with s.mu held.
+//
+// The hash is the contract the replica verifies before writing in
+// place: the decoded new block must equal data in every mode (PRINS
+// recovers it as P' XOR A_old), so a mirror hashes data. A unit replica
+// verifies the NEW unit it recovers; for PRINS the shipped payload is
+// RS of the delta, and by linearity the new unit is RS of the new data
+// — encode it once more just for the hashes.
+func (e *Engine) encodeFrames(s *shard, src, data []byte) error {
 	start := time.Now()
-	if err := e.rsCodec.EncodeInto(s.gUnits, src); err != nil {
-		s.mu.Unlock()
-		return fmt.Errorf("core: stripe encode: %w", err)
-	}
-	// The replica verifies the NEW unit it recovers. For PRINS the
-	// shipped payload is RS of the delta, and by linearity the new unit
-	// is RS of the new data — encode it once more just for the hashes.
-	// Trad/Compressed ship the new units themselves.
-	hashUnits := s.gUnits
-	if !e.cfg.DisableVerify && e.cfg.Mode == ModePRINS {
-		if err := e.rsCodec.EncodeInto(s.gNew, data); err != nil {
-			s.mu.Unlock()
+	unit := e.rsCodec != nil
+	hashed := s.gUnits
+	if unit {
+		if err := e.rsCodec.EncodeInto(s.gUnits, src); err != nil {
 			return fmt.Errorf("core: stripe encode: %w", err)
 		}
-		hashUnits = s.gNew
-	}
-	codecs := e.unitCodecs()
-	for i := 0; i < n; i++ {
-		fb := getFrame()
-		buf, encErr := xcode.AppendEncodeBest(fb.buf, s.gUnits[i], codecs...)
-		if encErr != nil {
-			framePool.Put(fb)
-			for j := 0; j < i; j++ {
-				s.gFrame[j].release(1)
+		if e.cfg.Mode == ModePRINS {
+			if err := e.rsCodec.EncodeInto(s.gNew, data); err != nil {
+				return fmt.Errorf("core: stripe encode: %w", err)
 			}
-			s.mu.Unlock()
-			return fmt.Errorf("core: encode unit %d: %w", i, encErr)
-		}
-		fb.buf = buf
-		fb.refs.Store(1) // each unit frame is owned by exactly one pipe
-		s.holdUnitFrame(i, fb)
-	}
-	e.shardM.AddEncodeTime(int(s.id), time.Since(start))
-	s.seq++
-	seq := s.seq
-
-	var ack chan error
-	if !e.cfg.Async {
-		ack = make(chan error, n)
-	}
-	for i, p := range s.pipes {
-		var hash uint64
-		if !e.cfg.DisableVerify {
-			hash = iscsi.HashBlock(hashUnits[i])
-		}
-		p.rs.pending.Add(1)
-		//lint:ignore hold-blocking bounded backpressure: a full replication queue must stall writers on this shard
-		select {
-		case p.queue <- repMsg{seq: seq, lba: lba, hash: hash, frame: s.gFrame[i], ack: ack, unit: true}:
-		case <-e.done:
-			p.rs.pending.Done()
-			for j := i; j < n; j++ {
-				s.gFrame[j].release(1)
-			}
-			s.mu.Unlock()
-			return ErrEngineClosed
+			hashed = s.gNew
 		}
 	}
-	s.mu.Unlock()
-
-	if ack == nil {
-		return nil
+	// PRINS frames take the smallest of the configured parity codecs (a
+	// quiet region of the delta stripes into near-zero units that ZRL
+	// collapses); the other modes frame raw or deflated.
+	codecs := e.cfg.Codecs
+	switch e.cfg.Mode {
+	case ModeTraditional:
+		codecs = rawCodecs
+	case ModeCompressed:
+		codecs = flateCodecs
 	}
-	// Quorum commit: success at the k-th durable unit; failure once
-	// more than n-k units are lost (dropped, diverged, or undeliverable
-	// — see finishUnit for why those settle as errors here). Acks that
-	// arrive after this returns land in the buffered channel and are
-	// collected with it; their delivery state already lives in the
-	// dirty maps and lag gauges.
-	var firstErr error
-	oks, fails := 0, 0
-	for i := 0; i < n; i++ {
-		err := <-ack
-		if err == nil {
-			if oks++; oks >= k {
-				return nil
-			}
+	for i := range s.pipes {
+		if i > 0 && !unit {
+			s.hold(i, s.frames[0], s.hashes[0])
 			continue
 		}
-		if firstErr == nil {
-			firstErr = err
+		payload, verify, refs := src, data, int32(len(s.pipes))
+		if unit {
+			payload, verify, refs = s.gUnits[i], hashed[i], 1
 		}
-		if fails++; fails > n-k {
-			return fmt.Errorf("core: stripe quorum %d/%d lost at lba %d: %w", k, n, lba, firstErr)
-		}
-	}
-	return firstErr // unreachable: a branch above always returns first
-}
-
-// stripeSource performs the local apply of a GroupMode write and
-// returns the byte source the stripe units code over — the forward
-// parity in ModePRINS, the new data otherwise — or nil when the write
-// is elided (SkipUnchanged and nothing changed). Called with s.mu
-// held; the returned slice aliases shard scratch (or the caller's
-// data) and is valid until the lock is released.
-func (e *Engine) stripeSource(s *shard, lba uint64, data []byte) ([]byte, error) {
-	bs := e.local.BlockSize()
-	if len(data) != bs {
-		return nil, fmt.Errorf("%w: %d != %d", block.ErrBadBufSize, len(data), bs)
-	}
-	e.shardM.AddWrite(int(s.id), bs)
-	switch e.cfg.Mode {
-	case ModeTraditional, ModeCompressed:
-		if err := e.local.WriteBlock(lba, data); err != nil {
-			return nil, err
-		}
-		return data, nil
-
-	case ModePRINS:
-		start := time.Now()
-		fp := s.fpBuf
-		nz := -1
-		wantNZ := e.cfg.RecordDensity || e.cfg.SkipUnchanged
-		if e.pw != nil {
-			// RAID fast path, exactly as in applyLocal: copy the shared
-			// parity result into shard scratch under pwMu.
-			e.pwMu.Lock()
-			res, err := e.pw.WriteBlockWithParity(lba, data)
-			if err != nil {
-				e.pwMu.Unlock()
-				return nil, err
-			}
-			copy(fp, res)
-			e.pwMu.Unlock()
-			if wantNZ {
-				nz = parity.NonZeroBytes(fp)
-			}
+		fb := getFrame()
+		var err error
+		if unit || e.cfg.Mode == ModePRINS {
+			fb.buf, err = xcode.AppendEncodeBest(fb.buf, payload, codecs...)
 		} else {
-			if err := e.local.ReadBlock(lba, s.oldBuf); err != nil {
-				return nil, fmt.Errorf("core: read pre-image: %w", err)
-			}
-			if wantNZ {
-				var err error
-				if nz, err = parity.XORCountNonZero(fp, data, s.oldBuf); err != nil {
-					return nil, err
-				}
-			} else if err := parity.ForwardInto(fp, data, s.oldBuf); err != nil {
-				return nil, err
-			}
-			if err := e.local.WriteBlock(lba, data); err != nil {
-				return nil, err
-			}
+			// A whole-block frame ships in exactly its mode's codec, with
+			// no raw floor.
+			fb.buf, err = xcode.AppendEncode(fb.buf, codecs[0], payload)
 		}
-		if e.cfg.RecordDensity {
-			e.density.Record(parity.Density{ChangedBytes: nz, BlockBytes: bs})
+		if err != nil {
+			framePool.Put(fb)
+			for _, held := range s.frames[:i] {
+				held.release(1)
+			}
+			return fmt.Errorf("core: encode: %w", err)
 		}
-		e.shardM.AddEncodeTime(int(s.id), time.Since(start))
-		if e.cfg.SkipUnchanged && nz == 0 {
-			e.shardM.AddSkipped(int(s.id))
-			return nil, nil
-		}
-		return fp, nil
-
-	default:
-		return nil, fmt.Errorf("core: invalid mode %d", uint8(e.cfg.Mode))
+		fb.refs.Store(refs)
+		s.hold(i, fb, iscsi.HashBlock(verify))
 	}
+	e.shardM.AddEncodeTime(int(s.id), time.Since(start))
+	return nil
 }
 
 // writeGrouped is the group-commit write path (Config.FlushWindow >
@@ -1116,106 +1008,38 @@ func (e *Engine) writeGrouped(s *shard, lba uint64, data []byte) error {
 	if req.err != nil {
 		return req.err
 	}
-	var firstErr error
-	for i := 0; i < req.n; i++ {
-		if err := <-req.ack; err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	return firstErr
+	return e.await(req.ack, lba)
 }
 
 // commitGroup commits one drained group-commit batch in chunks of at
-// most FlushFrames, so the shard lock is never held across an
-// unbounded backlog.
+// most FlushFrames, so the shard lock is never held across an unbounded
+// backlog. Each chunk takes a single s.mu acquisition: every request's
+// local apply, its slot in the shard's contiguous seq range, and its
+// fan-out onto the shard's pipelines happen in one critical section.
+// Requests are settled (done closed) only after the lock is released.
 func (e *Engine) commitGroup(s *shard, batch []*gcReq) {
 	e.traffic.AddGroupCommit(len(batch))
 	for len(batch) > 0 {
-		chunk := batch
-		if len(chunk) > e.cfg.FlushFrames {
-			chunk = batch[:e.cfg.FlushFrames]
-		}
+		chunk := batch[:min(len(batch), e.cfg.FlushFrames)]
 		batch = batch[len(chunk):]
-		e.commitChunk(s, chunk)
-	}
-}
-
-// commitChunk applies and enqueues one chunk of grouped writes under a
-// single s.mu acquisition: every request's local apply, its slot in
-// the shard's contiguous seq range, and its fan-out onto the shard's
-// pipelines happen in one critical section. Requests are settled
-// (done closed) only after the lock is released.
-func (e *Engine) commitChunk(s *shard, chunk []*gcReq) {
-	s.mu.Lock()
-	if e.closed.Load() {
+		s.mu.Lock()
+		for _, r := range chunk {
+			r.ack, r.err = e.commit(s, r.lba, r.data)
+		}
 		s.mu.Unlock()
 		for _, r := range chunk {
-			r.err = ErrEngineClosed
 			close(r.done)
 		}
-		return
-	}
-	n := len(s.pipes)
-	closing := false
-	for _, r := range chunk {
-		if closing {
-			r.err = ErrEngineClosed
-			continue
-		}
-		fb, err := e.applyLocal(s, r.lba, r.data)
-		if err != nil {
-			r.err = err
-			continue
-		}
-		if fb == nil { // unchanged block elided
-			continue
-		}
-		s.seq++
-		seq := s.seq
-		var hash uint64
-		if !e.cfg.DisableVerify {
-			hash = iscsi.HashBlock(r.data)
-		}
-		if n == 0 {
-			framePool.Put(fb)
-			continue
-		}
-		fb.refs.Store(int32(n))
-		if !e.cfg.Async {
-			r.ack = make(chan error, n)
-			r.n = n
-		}
-		enqueued := 0
-		for _, p := range s.pipes {
-			p.rs.pending.Add(1)
-			//lint:ignore hold-blocking bounded backpressure: a full replication queue must stall writers on this shard
-			select {
-			case p.queue <- repMsg{seq: seq, lba: r.lba, hash: hash, frame: fb, ack: r.ack}:
-				enqueued++
-			case <-e.done:
-				p.rs.pending.Done()
-				fb.release(int32(n - enqueued))
-				r.err = ErrEngineClosed
-				r.ack = nil
-				r.n = 0
-				closing = true
-			}
-			if closing {
-				break
-			}
-		}
-	}
-	s.mu.Unlock()
-	for _, r := range chunk {
-		close(r.done)
 	}
 }
 
-// applyLocal performs the local write and produces the encoded frame
-// to replicate in a pooled buffer, or nil if the write needs no
-// replication. Called with s.mu held; scratch buffers are the shard's
-// own.
-func (e *Engine) applyLocal(s *shard, lba uint64, data []byte) (*frameBuf, error) {
+// localApply performs the local write and returns the bytes the write
+// replicates — the forward parity P' = A_new XOR A_old in ModePRINS,
+// the new data otherwise — or nil when the write needs no replication
+// (SkipUnchanged and nothing changed). Called with s.mu held; the
+// returned slice aliases shard scratch (or the caller's data) and is
+// valid until the lock is released.
+func (e *Engine) localApply(s *shard, lba uint64, data []byte) ([]byte, error) {
 	bs := e.local.BlockSize()
 	if len(data) != bs {
 		return nil, fmt.Errorf("%w: %d != %d", block.ErrBadBufSize, len(data), bs)
@@ -1224,90 +1048,60 @@ func (e *Engine) applyLocal(s *shard, lba uint64, data []byte) (*frameBuf, error
 	// Traffic folds the banks into its totals on Snapshot, so the write
 	// path never touches a cache line shared with another shard.
 	e.shardM.AddWrite(int(s.id), bs)
+	if e.cfg.Mode != ModePRINS {
+		return data, e.local.WriteBlock(lba, data)
+	}
 
-	switch e.cfg.Mode {
-	case ModeTraditional, ModeCompressed:
+	start := time.Now()
+	fp := s.fpBuf
+	// nz is the parity's non-zero byte count when a consumer needs it
+	// (density recording or skip detection); -1 otherwise.
+	nz := -1
+	wantNZ := e.cfg.RecordDensity || e.cfg.SkipUnchanged
+	if e.pw != nil {
+		// RAID fast path: the array hands us P' it computed anyway. The
+		// array's parity buffer is shared, so the call serializes across
+		// shards and the result is copied into the shard's own scratch
+		// before the lock is released.
+		e.pwMu.Lock()
+		res, err := e.pw.WriteBlockWithParity(lba, data)
+		if err != nil {
+			e.pwMu.Unlock()
+			return nil, err
+		}
+		copy(fp, res)
+		e.pwMu.Unlock()
+		if wantNZ {
+			nz = parity.NonZeroBytes(fp)
+		}
+	} else {
+		if err := e.local.ReadBlock(lba, s.oldBuf); err != nil {
+			return nil, fmt.Errorf("core: read pre-image: %w", err)
+		}
+		if wantNZ {
+			// Fused kernel: the XOR and the non-zero scan share one pass
+			// over the block, so density recording and skip-unchanged
+			// detection cost no second walk.
+			var err error
+			if nz, err = parity.XORCountNonZero(fp, data, s.oldBuf); err != nil {
+				return nil, err
+			}
+		} else if err := parity.ForwardInto(fp, data, s.oldBuf); err != nil {
+			return nil, err
+		}
 		if err := e.local.WriteBlock(lba, data); err != nil {
 			return nil, err
 		}
-		start := time.Now()
-		codec := xcode.CodecRaw
-		if e.cfg.Mode == ModeCompressed {
-			codec = xcode.CodecFlate
-		}
-		fb := getFrame()
-		buf, err := xcode.AppendEncode(fb.buf, codec, data)
-		e.shardM.AddEncodeTime(int(s.id), time.Since(start))
-		if err != nil {
-			framePool.Put(fb)
-			return nil, fmt.Errorf("core: encode: %w", err)
-		}
-		fb.buf = buf
-		return fb, nil
-
-	case ModePRINS:
-		start := time.Now()
-		fp := s.fpBuf
-		// nz is the parity's non-zero byte count when a consumer needs
-		// it (density recording or skip detection); -1 otherwise.
-		nz := -1
-		wantNZ := e.cfg.RecordDensity || e.cfg.SkipUnchanged
-		if e.pw != nil {
-			// RAID fast path: the array hands us P' it computed anyway.
-			// The array's parity buffer is shared, so the call serializes
-			// across shards and the result is copied into the shard's own
-			// scratch before the lock is released.
-			e.pwMu.Lock()
-			res, err := e.pw.WriteBlockWithParity(lba, data)
-			if err != nil {
-				e.pwMu.Unlock()
-				return nil, err
-			}
-			copy(fp, res)
-			e.pwMu.Unlock()
-			if wantNZ {
-				nz = parity.NonZeroBytes(fp)
-			}
-		} else {
-			if err := e.local.ReadBlock(lba, s.oldBuf); err != nil {
-				return nil, fmt.Errorf("core: read pre-image: %w", err)
-			}
-			if wantNZ {
-				// Fused kernel: the XOR and the non-zero scan share one
-				// pass over the block, so density recording and
-				// skip-unchanged detection cost no second walk.
-				var err error
-				if nz, err = parity.XORCountNonZero(fp, data, s.oldBuf); err != nil {
-					return nil, err
-				}
-			} else if err := parity.ForwardInto(fp, data, s.oldBuf); err != nil {
-				return nil, err
-			}
-			if err := e.local.WriteBlock(lba, data); err != nil {
-				return nil, err
-			}
-		}
-		if e.cfg.RecordDensity {
-			e.density.Record(parity.Density{ChangedBytes: nz, BlockBytes: bs})
-		}
-		if e.cfg.SkipUnchanged && nz == 0 {
-			e.shardM.AddSkipped(int(s.id))
-			e.shardM.AddEncodeTime(int(s.id), time.Since(start))
-			return nil, nil
-		}
-		fb := getFrame()
-		buf, err := xcode.AppendEncodeBest(fb.buf, fp, e.cfg.Codecs...)
-		e.shardM.AddEncodeTime(int(s.id), time.Since(start))
-		if err != nil {
-			framePool.Put(fb)
-			return nil, fmt.Errorf("core: encode parity: %w", err)
-		}
-		fb.buf = buf
-		return fb, nil
-
-	default:
-		return nil, fmt.Errorf("core: invalid mode %d", uint8(e.cfg.Mode))
 	}
+	if e.cfg.RecordDensity {
+		e.density.Record(parity.Density{ChangedBytes: nz, BlockBytes: bs})
+	}
+	e.shardM.AddEncodeTime(int(s.id), time.Since(start))
+	if e.cfg.SkipUnchanged && nz == 0 {
+		e.shardM.AddSkipped(int(s.id))
+		return nil, nil
+	}
+	return fp, nil
 }
 
 // Drain blocks until every replica pipeline has shipped its queued
@@ -1389,16 +1183,21 @@ func (e *Engine) HandleReplica(uint8, uint64, uint64, uint64, []byte) iscsi.Stat
 	return iscsi.StatusBadRequest
 }
 
-// statusOf maps an apply/store error to its wire status. The typed
-// replica-apply failures (diverged, decode, store) travel as distinct
-// statuses so the initiator can rebuild the same sentinel on its side
-// and the primary can tell detected corruption from transport loss.
+// statusOf maps an apply/store error (nil: StatusOK) to its wire
+// status. The typed replica-apply failures (diverged, decode, store,
+// ref-miss) travel as distinct statuses so the initiator can rebuild
+// the same sentinel on its side and the primary can tell detected
+// corruption from transport loss.
 func statusOf(err error) iscsi.Status {
 	switch {
+	case err == nil:
+		return iscsi.StatusOK
 	case errors.Is(err, iscsi.ErrDiverged):
 		return iscsi.StatusDiverged
 	case errors.Is(err, iscsi.ErrReplicaDecode):
 		return iscsi.StatusDecodeError
+	case errors.Is(err, iscsi.ErrRefMiss):
+		return iscsi.StatusRefMiss
 	case errors.Is(err, block.ErrOutOfRange):
 		return iscsi.StatusOutOfRange
 	case errors.Is(err, block.ErrBadBufSize):

@@ -1,9 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -42,12 +43,6 @@ type repMsg struct {
 	// ack receives the delivery result in synchronous mode; nil in
 	// async mode, where errors stick to the replica until Drain.
 	ack chan<- error
-	// unit marks a GroupMode stripe unit: the frame is this replica's
-	// RS unit of the write, not the whole block, and settlement feeds
-	// a quorum count instead of an all-replicas wait — so a dropped or
-	// diverged unit must settle as an error (redundancy the group
-	// lost), where a mirror-mode drop settles nil. See finishUnit.
-	unit bool
 }
 
 // replicaState is one attached replica's shared delivery health and
@@ -137,6 +132,17 @@ type pipe struct {
 	shard *shard
 	queue chan repMsg
 	dirty *dirtyMap
+	// batches reports whether this pipe ships its drained backlog as
+	// entry-list pushes: always in GroupMode (the stripe PDU is
+	// inherently batched; one entry is just a batch of one), otherwise
+	// when BatchFrames allows it (1 disables batching everywhere) and
+	// the client has the batching extension this pipe's framing needs —
+	// stream-batch when tagged, plain batch when not. Fixed at attach.
+	batches bool
+	// run is the shipper's drain buffer, reused from one delivery to the
+	// next so a run of one costs no allocation; only the pipe's own
+	// shipper goroutine touches it.
+	run []repMsg
 }
 
 // markDirty records lba as not-known-held by this pipe's replica and
@@ -207,12 +213,12 @@ func (e *Engine) shipper(p *pipe) {
 	for {
 		select {
 		case msg := <-p.queue:
-			e.deliver(p, msg)
+			e.process(p, e.drain(p, msg))
 		case <-e.done:
 			for {
 				select {
 				case msg := <-p.queue:
-					e.deliver(p, msg)
+					e.process(p, e.drain(p, msg))
 				default:
 					return
 				}
@@ -221,44 +227,314 @@ func (e *Engine) shipper(p *pipe) {
 	}
 }
 
-// batcher returns the batching client a pipe's drained backlog ships
-// through, or nil when this pipe must ship frame by frame: tagged
-// pipes need the stream-batch extension, untagged pipes the plain one,
-// and BatchFrames: 1 disables batching everywhere.
-func (e *Engine) batcher(p *pipe) bool {
-	if e.cfg.BatchFrames <= 1 {
-		return false
+// drain opportunistically drains p's queue behind first, up to the
+// configured frame/byte caps, without ever blocking: batches form only
+// from backlog already sitting in the queue, so an idle pipeline keeps
+// single-write latency while a pipeline behind a slow link amortizes
+// its round trips over everything that queued up meanwhile. A pipe
+// that does not batch delivers frame by frame.
+func (e *Engine) drain(p *pipe, first repMsg) []repMsg {
+	p.run = append(p.run[:0], first)
+	bytes := len(first.frame.frame())
+	for p.batches && len(p.run) < e.cfg.BatchFrames && bytes < e.cfg.BatchBytes {
+		select {
+		case msg := <-p.queue:
+			p.run = append(p.run, msg)
+			bytes += len(msg.frame.frame())
+		default:
+			return p.run
+		}
 	}
-	if e.tagged(p) {
-		return p.rs.sbatch != nil
-	}
-	return p.rs.batch != nil
+	return p.run
 }
 
-// deliver routes one dequeued message: the batching path drains the
-// queue behind it into one wire PDU; clients without batching support
-// keep the original single-frame path.
-func (e *Engine) deliver(p *pipe, msg repMsg) {
+// batchGroup is one wire entry of a drained run plus the queued
+// messages it settles: more than one when same-LBA parities were
+// XOR-merged into a single frame.
+type batchGroup struct {
+	entry iscsi.BatchEntry
+	msgs  []repMsg
+	// ref: the entry's first attempt shipped as a content reference.
+	// reshipped: the entry sat in a by-ref push's refused REF-MISS
+	// suffix and was re-shipped by value.
+	ref, reshipped bool
+	// err is the entry's delivery outcome, then its messages'
+	// settlement: nil delivered, wrapping iscsi.ErrDiverged refused by
+	// the replica's hash check, anything else not delivered.
+	err error
+}
+
+// plainGroups appends one group per message, unmerged. Each group's
+// msgs aliases its slot of the run (capped, so a later merge appends
+// into fresh memory instead of over the neighbour).
+func plainGroups(groups []batchGroup, msgs []repMsg) []batchGroup {
+	for i := range msgs {
+		groups = append(groups, singleGroup(msgs[i:i+1:i+1]))
+	}
+	return groups
+}
+
+func singleGroup(one []repMsg) batchGroup {
+	m := &one[0]
+	return batchGroup{
+		entry: iscsi.BatchEntry{Seq: m.seq, LBA: m.lba, Hash: m.hash, Frame: m.frame.frame()},
+		msgs:  one,
+	}
+}
+
+// process is the one ship-settle path: it delivers one drained run of
+// queued messages to the pipe's replica in (at most) one round trip —
+// dropping it if the replica is degraded — then accounts, then reports
+// every message's own outcome: to the waiting writer in sync mode, to
+// the sticky per-replica error in async mode.
+//
+// A run of one frame on a pipe without a dedupe index (and every run
+// on a pipe that does not batch) takes the plain replica-write op: on
+// the wire the v3 OpReplicaWrite PDU or its stream-tagged v5 form,
+// byte-identical to pre-batching shipping. Otherwise same-LBA PRINS
+// parities coalesce and the entries ship as one list, each settling on
+// its own status — one diverged block marks its LBA dirty without
+// failing its batch-mates. With a dedupe index even a run of one goes
+// through the entry path: a consult hit turns the whole frame into a
+// 28-byte reference (wire protocol v7), which dwarfs what the
+// single-frame fast path saves. Per v7, the first reference the replica
+// cannot resolve refuses the entire remaining suffix with
+// StatusRefMiss — entries applied ahead of it keep their own statuses —
+// and the refused suffix is transparently re-shipped by value as one
+// ordinary batch (replica seq-dedupe makes the overlap safe, and the
+// queued frames were retained exactly for this).
+//
+// An entry's outcome is one of three. Delivered: traffic is counted
+// only then, so PayloadBytes/WireBytes measure what the replica
+// actually acknowledged, and the dedupe index learns the replica holds
+// the content. Diverged: detected corruption at one block, not a
+// transport failure — retrying the same frame cannot help and degrading
+// the whole replica would be overkill — so the LBA lands in the pipe's
+// dirty map for a ranged resync and the write stays successful. Not
+// delivered (transport failure past the retry budget, or any other
+// refusal): the LBA is dirty-mapped, and either the replica degrades
+// (AllowDegraded: the frames count as dropped and the writes stay
+// successful) or the error is the settlement. DirtyRanges therefore
+// always names exactly what recovery must re-ship.
+//
+// A GroupMode pipe carries stripe units: the same path (RS is linear
+// over XOR, so the XOR of two writes' delta units is the delta unit of
+// the combined delta, and units coalesce exactly like whole-block
+// parities), except that a synchronous writer counts settlements
+// toward a quorum, so a unit that was dropped or refused as diverged —
+// redundancy the group genuinely lost — settles as an error instead of
+// masquerading as delivered. In async mode those outcomes settle nil
+// exactly like mirroring: the dirty maps and lag gauges carry the
+// signal, and AllowDegraded's contract (writes keep succeeding; heal
+// via Drain → repair → ClearDegraded) holds for groups too.
+//
+// Every counter is booked before any message is finished: finish drops
+// the replica's pending count (so Drain returns and a caller reads the
+// counters) and releases the pooled frame the accounting reads the
+// length of.
+func (e *Engine) process(p *pipe, msgs []repMsg) {
+	rs := p.rs
+	unit := e.rsCodec != nil
+	if p.batches {
+		e.traffic.ObserveBatch(len(msgs))
+	}
+	degraded := rs.degraded.Load()
+	single := !p.batches || (!unit && len(msgs) == 1 && rs.dedupe == nil)
+
+	var one [1]batchGroup
+	groups := one[:0] // a run of one stays off the heap
+	if len(msgs) > 1 {
+		groups = make([]batchGroup, 0, len(msgs))
+	}
+	if degraded || single || e.cfg.Mode != ModePRINS {
+		groups = plainGroups(groups, msgs)
+	} else {
+		groups = e.coalesce(groups, msgs)
+		if merged := int64(len(msgs) - len(groups)); merged > 0 {
+			rs.m.AddCoalesced(merged)
+			e.traffic.AddCoalesced(merged)
+		}
+	}
+
+	// Deliver. wire is the modelled cost of what went out; listed says
+	// a status vector came back, so the run is booked as a batch.
+	var wire int64
+	listed, refs := false, false
+	switch {
+	case degraded:
+		for k := range groups {
+			groups[k].err = errDropped
+		}
+	case single:
+		m := &msgs[0]
+		if _, err := e.push(p, m, nil, false); err != nil {
+			groups[0].err = fmt.Errorf("core: replicate seq %d lba %d: %w", m.seq, m.lba, err)
+		}
+	default:
+		entries := make([]iscsi.BatchEntry, len(groups))
+		for k := range groups {
+			entries[k] = groups[k].entry
+			// Consult the dedupe index: content the replica is believed
+			// to already hold ships by reference. A zero hash (unverified
+			// push) never hits: there is nothing to address it by.
+			if h := entries[k].Hash; rs.dedupe != nil && rs.byref != nil && h != 0 && rs.dedupe.Contains(h) {
+				groups[k].ref, refs = true, true
+				entries[k].Frame = nil
+			}
+		}
+		statuses, err := e.push(p, nil, entries, refs)
+		listed = err == nil
+		wire = int64(wan.WireBytesDiscrete(e.listWireLen(entries)))
+		missAt := len(groups)
+		for k, st := range statuses {
+			if st == iscsi.StatusRefMiss {
+				missAt = k
+				break
+			}
+		}
+		var fberr error
+		if missAt < len(groups) {
+			// Everything from the first refusal was refused unapplied and
+			// re-ships by value. Only that first refusal is a genuine miss
+			// verdict — the rest of the suffix is refused unexamined to
+			// keep the replica's seq cursor honest — so only its hash is
+			// provably stale.
+			if groups[missAt].ref {
+				rs.dedupe.ForgetHash(entries[missAt].Hash)
+			}
+			for k := missAt; k < len(groups); k++ {
+				groups[k].reshipped = true
+				entries[k].Frame = groups[k].entry.Frame
+			}
+			fstat, ferr := e.push(p, nil, entries[missAt:], false)
+			if ferr != nil {
+				fberr = fmt.Errorf("core: by-ref fallback batch of %d: %w", len(groups)-missAt, ferr)
+			} else {
+				copy(statuses[missAt:], fstat)
+				wire += int64(wan.WireBytesDiscrete(e.listWireLen(entries[missAt:])))
+			}
+		}
+		for k := range groups {
+			g := &groups[k]
+			switch {
+			case err != nil:
+				// Transport-level failure: the replica acknowledged nothing.
+				g.err = fmt.Errorf("core: replicate batch of %d: %w", len(entries), err)
+			case k >= missAt && fberr != nil:
+				g.err = fberr
+			case statuses[k] != iscsi.StatusOK:
+				g.err = fmt.Errorf("core: replicate seq %d lba %d: %w",
+					g.entry.Seq, g.entry.LBA, iscsi.ReplicaStatusErr(g.entry.LBA, statuses[k]))
+			}
+		}
+	}
+
+	// Settle each entry on its own outcome. okMsgs counts settled source
+	// messages, not wire entries, so Replicated keeps the "logical
+	// pushes delivered" meaning the Replicated+Dropped accounting
+	// identity depends on. unbatchedOK is what shipping each DELIVERED
+	// original frame as its own PDU would have cost, coalescing elisions
+	// included — a coalesced-then-refused entry saved nothing, since its
+	// frames were never shipped at all. Dedupe savings are delivered-only
+	// too: an entry must finally land before its elided frame counts as
+	// saved, and the overhead of failed reference attempts is charged
+	// against the saving, so a miss storm reads negative rather than
+	// flattering.
+	var okMsgs int
+	var payload, unbatchedOK, dHits, dMisses, dSaved int64
+	for k := range groups {
+		g := &groups[k]
+		if g.ref && g.reshipped {
+			dMisses++
+		}
+		switch {
+		case g.err == nil:
+			okMsgs += len(g.msgs)
+			frameCost := int64(len(g.entry.Frame))
+			switch {
+			case g.ref && !g.reshipped:
+				// Delivered as a reference: the frame stayed home.
+				dHits++
+				dSaved += frameCost
+			case g.ref:
+				// Fallback re-ship: the first attempt's reference was
+				// pure overhead.
+				payload += frameCost
+				dSaved -= iscsi.BatchEntryOverhead
+			case g.reshipped:
+				// A by-value entry dragged into the refused suffix: its
+				// whole first attempt was overhead.
+				payload += frameCost
+				dSaved -= iscsi.BatchEntryOverhead + frameCost
+			default:
+				payload += frameCost
+			}
+			if rs.dedupe != nil {
+				// The replica acknowledged holding this content at this
+				// LBA: future ships of the same content can go by-ref.
+				rs.dedupe.Put(g.entry.LBA, g.entry.Hash)
+			}
+			for _, m := range g.msgs {
+				unbatchedOK += int64(wan.WireBytesDiscrete(len(m.frame.frame())))
+			}
+		case errors.Is(g.err, iscsi.ErrDiverged):
+			p.markDirty(g.entry.LBA)
+			rs.m.AddDiverged()
+			e.traffic.AddDiverged()
+			if !unit || e.cfg.Async {
+				g.err = nil
+			}
+		default:
+			p.markDirty(g.entry.LBA)
+			if !degraded && !e.cfg.AllowDegraded {
+				break
+			}
+			if !degraded {
+				rs.degrade()
+			}
+			for _, m := range g.msgs {
+				e.dropFrame(p, m.lba)
+			}
+			g.err = nil
+			if unit && !e.cfg.Async {
+				g.err = errDropped
+			}
+		}
+	}
+
+	// Batch wire accounting covers every entry the replica processed
+	// (matching the single-frame convention of modelling the data
+	// segment, not the PDU header).
+	switch {
+	case listed:
+		rs.m.AddBatch(okMsgs, payload, wire, unbatchedOK-wire)
+		e.traffic.AddBatch(okMsgs, payload, wire, unbatchedOK-wire)
+		if refs {
+			rs.m.AddDedupe(dHits, dMisses, dSaved)
+			e.traffic.AddDedupe(dHits, dMisses, dSaved)
+		}
+		e.shardM.AddShipped(int(p.shard.id), int64(okMsgs))
+	case single && okMsgs == 1: // the plain replica-write op, delivered
+		rs.m.AddShipped(int(payload), int(unbatchedOK))
+		e.traffic.AddReplicated(int(payload), int(unbatchedOK))
+		e.shardM.AddShipped(int(p.shard.id), 1)
+	}
+
+	for k := range groups {
+		for _, m := range groups[k].msgs {
+			e.finish(rs, m, groups[k].err)
+		}
+	}
+}
+
+// listWireLen returns the modelled data-segment bytes of one entry-list
+// push on this engine's verb: the stripe push carries the group header
+// ahead of the list.
+func (e *Engine) listWireLen(entries []iscsi.BatchEntry) int {
 	if e.rsCodec != nil {
-		// GroupMode: everything queued is a stripe unit, and the stripe
-		// PDU is inherently batched (one entry is just a batch of one),
-		// so the backlog drains through the stripe path regardless of
-		// the batching knobs' mirror-mode meaning.
-		e.processStripe(p, e.drainBatch(p, msg))
-		return
+		return iscsi.StripeWireLen(entries)
 	}
-	if !e.batcher(p) {
-		e.process(p, msg)
-		return
-	}
-	e.processBatch(p, e.drainBatch(p, msg))
-}
-
-// process handles one queued frame for one replica: deliver (or drop
-// if degraded), account, then report — to the waiting writer in sync
-// mode, to the sticky per-replica error in async mode.
-func (e *Engine) process(p *pipe, msg repMsg) {
-	e.finish(p.rs, msg, e.shipTo(p, msg.seq, msg.lba, msg.hash, msg.frame))
+	return iscsi.BatchWireLen(entries)
 }
 
 // finish settles one queued message exactly once: report the delivery
@@ -275,369 +551,55 @@ func (e *Engine) finish(rs *replicaState, msg repMsg, err error) {
 	rs.pending.Done()
 }
 
-// drainBatch opportunistically drains p's queue behind first, up to
-// the configured frame/byte caps, without ever blocking: batches form
-// only from backlog already sitting in the queue, so an idle pipeline
-// keeps single-write latency while a pipeline behind a slow link
-// amortizes its round trips over everything that queued up meanwhile.
-func (e *Engine) drainBatch(p *pipe, first repMsg) []repMsg {
-	msgs := []repMsg{first}
-	bytes := len(first.frame.frame())
-	for len(msgs) < e.cfg.BatchFrames && bytes < e.cfg.BatchBytes {
-		select {
-		case msg := <-p.queue:
-			msgs = append(msgs, msg)
-			bytes += len(msg.frame.frame())
-		default:
-			return msgs
-		}
-	}
-	return msgs
-}
-
-// batchGroup is one wire entry of a drained batch plus the queued
-// messages it settles: more than one when same-LBA parities were
-// XOR-merged into a single frame.
-type batchGroup struct {
-	entry iscsi.BatchEntry
-	msgs  []repMsg
-}
-
-func singleGroup(m repMsg) batchGroup {
-	return batchGroup{
-		entry: iscsi.BatchEntry{Seq: m.seq, LBA: m.lba, Hash: m.hash, Frame: m.frame.frame()},
-		msgs:  []repMsg{m},
-	}
-}
-
-func plainGroups(msgs []repMsg) []batchGroup {
-	groups := make([]batchGroup, 0, len(msgs))
-	for _, m := range msgs {
-		groups = append(groups, singleGroup(m))
-	}
-	return groups
-}
-
-// processBatch delivers one drained batch: coalesce same-LBA PRINS
-// parities, ship the entries in one round trip, then settle every
-// message from its own entry's status — one diverged block marks its
-// LBA dirty without failing its batch-mates. A batch of one takes the
-// plain single-frame path, which on the wire is the v3 OpReplicaWrite
-// PDU (or its stream-tagged v5 form), byte-identical to pre-batching
-// shipping for untagged pipes.
-func (e *Engine) processBatch(p *pipe, msgs []repMsg) {
-	rs := p.rs
-	e.traffic.ObserveBatch(len(msgs))
-	// With dedupe on, even a batch of one goes through the entry path:
-	// a consult hit turns the whole frame into a 28-byte reference,
-	// which dwarfs what the single-frame fast path saves.
-	if len(msgs) == 1 && rs.dedupe == nil {
-		e.process(p, msgs[0])
-		return
-	}
-	if rs.degraded.Load() {
-		for _, m := range msgs {
-			e.dropFrame(p, m.lba)
-			e.finish(rs, m, nil)
-		}
-		return
-	}
-
-	groups := e.coalesce(msgs)
-	if merged := int64(len(msgs) - len(groups)); merged > 0 {
-		rs.m.AddCoalesced(merged)
-		e.traffic.AddCoalesced(merged)
-	}
-	entries := make([]iscsi.BatchEntry, len(groups))
-	for k, g := range groups {
-		entries[k] = g.entry
-	}
-
-	// Consult the dedupe index: entries whose content the replica is
-	// believed to already hold ship by reference (wire protocol v7).
-	if hits := e.byrefHits(rs, entries); len(hits) > 0 {
-		e.processByRef(p, groups, entries, hits)
-		return
-	}
-
-	statuses, err := e.shipBatch(p, entries)
-	if err != nil {
-		// Transport-level failure: the replica acknowledged nothing.
-		for _, g := range groups {
-			p.markDirty(g.entry.LBA)
-		}
-		if e.cfg.AllowDegraded {
-			rs.degrade()
-			for _, m := range msgs {
-				e.dropFrame(p, m.lba)
-				e.finish(rs, m, nil)
-			}
-			return
-		}
-		werr := fmt.Errorf("core: replicate batch of %d: %w", len(entries), err)
-		for _, m := range msgs {
-			e.finish(rs, m, werr)
-		}
-		return
-	}
-
-	// The round trip succeeded; settle each entry on its own status.
-	// okMsgs counts settled source messages, not wire entries, so
-	// Replicated keeps the "logical pushes delivered" meaning the
-	// Replicated+Dropped accounting identity depends on.
-	var okMsgs int
-	var payload, unbatchedOK int64
-	for k, g := range groups {
-		switch statuses[k] {
-		case iscsi.StatusOK:
-			okMsgs += len(g.msgs)
-			payload += int64(len(g.entry.Frame))
-			if rs.dedupe != nil {
-				// The replica acknowledged holding this content at this
-				// LBA: future ships of the same content can go by-ref.
-				rs.dedupe.Put(g.entry.LBA, g.entry.Hash)
-			}
-			for _, m := range g.msgs {
-				// The per-frame wire size must be read before this message
-				// settles: finish releases the pooled frame, and a released
-				// frameBuf may be concurrently reused by a writer's
-				// getFrame. Only delivered messages count toward the
-				// savings baseline — a coalesced-then-refused entry saved
-				// nothing, since its frames were never shipped at all.
-				unbatchedOK += int64(wan.WireBytesDiscrete(len(m.frame.frame())))
-				e.finish(rs, m, nil)
-			}
-		case iscsi.StatusDiverged:
-			// Detected corruption at one block: dirty-map it for a ranged
-			// resync; the write stays successful (see shipTo).
-			p.markDirty(g.entry.LBA)
-			rs.m.AddDiverged()
-			e.traffic.AddDiverged()
-			for _, m := range g.msgs {
-				e.finish(rs, m, nil)
-			}
-		default:
-			p.markDirty(g.entry.LBA)
-			if e.cfg.AllowDegraded {
-				rs.degrade()
-				for _, m := range g.msgs {
-					e.dropFrame(p, m.lba)
-					e.finish(rs, m, nil)
-				}
-				continue
-			}
-			werr := fmt.Errorf("core: replicate seq %d lba %d: %w",
-				g.entry.Seq, g.entry.LBA, iscsi.ReplicaStatusErr(g.entry.LBA, statuses[k]))
-			for _, m := range g.msgs {
-				e.finish(rs, m, werr)
-			}
-		}
-	}
-
-	// Batch wire accounting covers every entry the replica processed
-	// (matching the single-frame convention of modelling the data
-	// segment, not the PDU header); saved is measured against shipping
-	// each DELIVERED original frame as its own PDU, coalescing elisions
-	// included. Refused entries' frames are excluded from the baseline:
-	// counting a coalesced-then-failed entry's frames as savings would
-	// credit wire bytes that were never going to be shipped.
-	wire := int64(wan.WireBytesDiscrete(iscsi.BatchWireLen(entries)))
-	rs.m.AddBatch(okMsgs, payload, wire, unbatchedOK-wire)
-	e.traffic.AddBatch(okMsgs, payload, wire, unbatchedOK-wire)
-	e.shardM.AddShipped(int(p.shard.id), int64(okMsgs))
-}
-
-// byrefHits returns the indices of batch entries whose content hash
-// the replica's dedupe index already names — the entries to ship as
-// 28-byte references instead of frames. nil when the fast path is off
-// for this replica. A zero hash (unverified push) never hits: there is
-// nothing the replica could address the content by.
-func (e *Engine) byrefHits(rs *replicaState, entries []iscsi.BatchEntry) []int {
-	if rs.dedupe == nil || rs.byref == nil {
-		return nil
-	}
-	var hits []int
-	for k := range entries {
-		if entries[k].Hash != 0 && rs.dedupe.Contains(entries[k].Hash) {
-			hits = append(hits, k)
-		}
-	}
-	return hits
-}
-
-// processByRef delivers one drained batch through the dedupe fast
-// path: the hit entries ship as references (wire protocol v7), mixed
-// in seq order with the by-value entries. Per the v7 protocol, the
-// first reference the replica cannot resolve refuses the entire
-// remaining suffix with StatusRefMiss — entries applied ahead of it
-// keep their own statuses — and the primary transparently re-ships the
-// refused suffix by value as one ordinary batch (replica seq-dedupe
-// makes the overlap safe, and the queued frames were retained exactly
-// for this). Settlement then mirrors processBatch entry by entry.
+// push performs the delivery attempts for one wire push under the
+// retry policy — the only retry loop — and picks the verb. one, when
+// set, ships a single frame as the plain replica-write op: through the
+// stream client on a tagged pipe, so the frame lands on this pipe's
+// (vol, shard) dedupe cursor, and zero-copy when the client supports
+// framed sends and this pipeline holds the pooled buffer exclusively
+// (refs == 1: every other replica's shipper already released its
+// reference, and the pool cannot reuse the buffer while we still hold
+// ours) — the client stamps the header into the buffer's headroom and
+// writes it whole; the bytes on the wire are identical either way.
+// Otherwise entries ship as one list: a stripe in GroupMode, a by-ref
+// push when refs says some entry is a reference, else a batch (stream-
+// batch on a tagged pipe).
 //
-// Dedupe savings are accounted delivered-only: an entry must finally
-// land (StatusOK) before its elided frame counts as saved, and the
-// overhead of failed reference attempts is charged against the
-// saving, so a miss storm reads negative rather than flattering.
-func (e *Engine) processByRef(p *pipe, groups []batchGroup, entries []iscsi.BatchEntry, hits []int) {
-	rs := p.rs
-	byref := make([]bool, len(entries))
-	wireEntries := make([]iscsi.BatchEntry, len(entries))
-	copy(wireEntries, entries)
-	for _, k := range hits {
-		byref[k] = true
-		wireEntries[k].Frame = nil
+// Transport failures retry the whole push — entries the replica
+// already applied dedupe by seq on the stream cursor and come back
+// StatusOK, so redelivery cannot double-XOR — while per-entry refusals
+// ride the returned status vector and are never retried here. A
+// diverged refusal of a single frame short-circuits the loop the same
+// way: the replica verified the frame against its own block and said
+// no — redelivering the identical frame is deterministic failure, not
+// transient loss.
+func (e *Engine) push(p *pipe, one *repMsg, entries []iscsi.BatchEntry, refs bool) (statuses []iscsi.Status, err error) {
+	rs, mode := p.rs, uint8(e.cfg.Mode)
+	var shard uint8
+	var vol uint16
+	if e.tagged(p) {
+		shard, vol = p.shard.id, e.cfg.Volume
 	}
-
-	statuses, err := e.shipByRef(p, wireEntries)
-	if err != nil {
-		// Transport-level failure: the replica acknowledged nothing.
-		for _, g := range groups {
-			p.markDirty(g.entry.LBA)
-		}
-		if e.cfg.AllowDegraded {
-			rs.degrade()
-			for _, g := range groups {
-				for _, m := range g.msgs {
-					e.dropFrame(p, m.lba)
-					e.finish(rs, m, nil)
-				}
-			}
-			return
-		}
-		werr := fmt.Errorf("core: replicate by-ref batch of %d: %w", len(entries), err)
-		for _, g := range groups {
-			for _, m := range g.msgs {
-				e.finish(rs, m, werr)
-			}
-		}
-		return
-	}
-
-	// Find where the replica started refusing references; everything
-	// from there was refused unapplied and re-ships by value.
-	missAt := len(entries)
-	for k, st := range statuses {
-		if st == iscsi.StatusRefMiss {
-			missAt = k
-			break
-		}
-	}
-	wire := int64(wan.WireBytesDiscrete(iscsi.ByRefWireLen(wireEntries)))
-	var fberr error
-	if missAt < len(entries) {
-		if byref[missAt] {
-			// Only the first refusal is a genuine miss verdict — the rest
-			// of the suffix is refused unexamined to keep the replica's
-			// seq cursor honest — so only its hash is provably stale.
-			rs.dedupe.ForgetHash(entries[missAt].Hash)
-		}
-		fstat, ferr := e.shipBatch(p, entries[missAt:])
-		if ferr != nil {
-			fberr = fmt.Errorf("core: by-ref fallback batch of %d: %w", len(entries)-missAt, ferr)
-		} else {
-			copy(statuses[missAt:], fstat)
-			wire += int64(wan.WireBytesDiscrete(iscsi.BatchWireLen(entries[missAt:])))
-		}
-	}
-
-	var okMsgs int
-	var payload, unbatchedOK int64
-	var dHits, dMisses, dSaved int64
-	for k, g := range groups {
-		if k >= missAt {
-			if byref[k] {
-				dMisses++
-			}
-			if fberr != nil {
-				// The fallback round trip itself failed: these entries
-				// were never delivered. Same handling as a failed batch.
-				p.markDirty(g.entry.LBA)
-				if e.cfg.AllowDegraded {
-					rs.degrade()
-					for _, m := range g.msgs {
-						e.dropFrame(p, m.lba)
-						e.finish(rs, m, nil)
-					}
-				} else {
-					for _, m := range g.msgs {
-						e.finish(rs, m, fberr)
-					}
-				}
-				continue
-			}
-		}
-		switch statuses[k] {
-		case iscsi.StatusOK:
-			okMsgs += len(g.msgs)
-			frameCost := int64(len(entries[k].Frame))
-			if byref[k] && k < missAt {
-				// Delivered as a reference: the frame stayed home.
-				dHits++
-				dSaved += frameCost
-			} else {
-				payload += frameCost
-				if k >= missAt {
-					// Fallback re-ship: the first attempt's bytes for this
-					// entry — the reference, or the whole frame for a
-					// by-value suffix entry — were pure overhead.
-					if byref[k] {
-						dSaved -= iscsi.BatchEntryOverhead
-					} else {
-						dSaved -= iscsi.BatchEntryOverhead + frameCost
-					}
-				}
-			}
-			if rs.dedupe != nil {
-				rs.dedupe.Put(entries[k].LBA, entries[k].Hash)
-			}
-			for _, m := range g.msgs {
-				// Read before finish releases the pooled frame (see
-				// processBatch); delivered messages only.
-				unbatchedOK += int64(wan.WireBytesDiscrete(len(m.frame.frame())))
-				e.finish(rs, m, nil)
-			}
-		case iscsi.StatusDiverged:
-			p.markDirty(g.entry.LBA)
-			rs.m.AddDiverged()
-			e.traffic.AddDiverged()
-			for _, m := range g.msgs {
-				e.finish(rs, m, nil)
-			}
-		default:
-			p.markDirty(g.entry.LBA)
-			if e.cfg.AllowDegraded {
-				rs.degrade()
-				for _, m := range g.msgs {
-					e.dropFrame(p, m.lba)
-					e.finish(rs, m, nil)
-				}
-				continue
-			}
-			werr := fmt.Errorf("core: replicate seq %d lba %d: %w",
-				g.entry.Seq, g.entry.LBA, iscsi.ReplicaStatusErr(g.entry.LBA, statuses[k]))
-			for _, m := range g.msgs {
-				e.finish(rs, m, werr)
-			}
-		}
-	}
-
-	rs.m.AddBatch(okMsgs, payload, wire, unbatchedOK-wire)
-	e.traffic.AddBatch(okMsgs, payload, wire, unbatchedOK-wire)
-	rs.m.AddDedupe(dHits, dMisses, dSaved)
-	e.traffic.AddDedupe(dHits, dMisses, dSaved)
-	e.shardM.AddShipped(int(p.shard.id), int64(okMsgs))
-}
-
-// shipByRef performs the delivery attempts for one by-ref push under
-// the retry policy — the same transport-retry/status-vector split as
-// shipBatch. Redelivery is safe: entries the replica already applied
-// dedupe by seq on the pipe's (vol, shard) stream cursor.
-func (e *Engine) shipByRef(p *pipe, entries []iscsi.BatchEntry) ([]iscsi.Status, error) {
-	rs := p.rs
+	tagged := shard != 0 || vol != 0
 	for attempt := 1; ; attempt++ {
-		statuses, err := rs.byref.ReplicaWriteByRef(uint8(e.cfg.Mode), p.shard.id, e.cfg.Volume, entries)
-		if err == nil || attempt >= e.retry.Attempts {
+		switch {
+		case one != nil && rs.framed != nil && one.frame.refs.Load() == 1:
+			err = rs.framed.ReplicaWriteFramed(mode, shard, vol, one.seq, one.lba, one.hash, one.frame.buf)
+		case one != nil && tagged:
+			err = rs.stream.ReplicaWriteStream(mode, shard, vol, one.seq, one.lba, one.hash, one.frame.frame())
+		case one != nil:
+			err = rs.client.ReplicaWrite(mode, one.seq, one.lba, one.hash, one.frame.frame())
+		case e.rsCodec != nil:
+			hdr := iscsi.StripeHeader{K: uint8(e.cfg.Group.K), N: uint8(e.cfg.Group.N), Idx: rs.unitIdx}
+			statuses, err = rs.stripeC.ReplicaWriteStripe(mode, shard, vol, hdr, entries)
+		case refs:
+			statuses, err = rs.byref.ReplicaWriteByRef(mode, shard, vol, entries)
+		case tagged:
+			statuses, err = rs.sbatch.ReplicaWriteBatchStream(mode, shard, vol, entries)
+		default:
+			statuses, err = rs.batch.ReplicaWriteBatch(mode, entries)
+		}
+		if err == nil || errors.Is(err, iscsi.ErrDiverged) || attempt >= e.retry.Attempts {
 			return statuses, err
 		}
 		rs.m.AddRetry()
@@ -648,169 +610,27 @@ func (e *Engine) shipByRef(p *pipe, entries []iscsi.BatchEntry) ([]iscsi.Status,
 	}
 }
 
-// finishUnit settles one stripe-unit message. In synchronous mode the
-// error reaches the writer's quorum count verbatim: a unit that was
-// dropped (degraded replica) or refused as diverged is redundancy the
-// group genuinely lost, so unlike a mirror-mode drop it must count
-// against the quorum, not masquerade as delivered. In async mode those
-// same outcomes settle nil exactly like mirroring — the dirty maps and
-// lag gauges carry the signal, and AllowDegraded's contract (writes
-// keep succeeding; heal via Drain → repair → ClearDegraded) holds for
-// groups too.
-func (e *Engine) finishUnit(rs *replicaState, m repMsg, err error) {
-	if m.ack == nil {
-		err = nil
-	}
-	e.finish(rs, m, err)
-}
-
-// processStripe delivers one drained run of stripe-unit messages as a
-// single OpReplicaWriteStripe round trip — the group geometry plus one
-// entry per write, each entry's frame being this replica's unit.
-// Same-LBA PRINS units coalesce exactly like whole-block parities: RS
-// is linear over XOR, so the XOR of two writes' delta units is the
-// delta unit of the combined delta. Settlement mirrors processBatch
-// except for the unit semantics (see finishUnit): one diverged or
-// failed entry feeds its own writes' quorum counts without failing its
-// batch-mates.
-func (e *Engine) processStripe(p *pipe, msgs []repMsg) {
-	rs := p.rs
-	e.traffic.ObserveBatch(len(msgs))
-	if rs.degraded.Load() {
-		for _, m := range msgs {
-			e.dropFrame(p, m.lba)
-			e.finishUnit(rs, m, errUnitDropped)
-		}
-		return
-	}
-
-	groups := e.coalesce(msgs)
-	if merged := int64(len(msgs) - len(groups)); merged > 0 {
-		rs.m.AddCoalesced(merged)
-		e.traffic.AddCoalesced(merged)
-	}
-	entries := make([]iscsi.BatchEntry, len(groups))
-	for k, g := range groups {
-		entries[k] = g.entry
-	}
-
-	statuses, err := e.shipStripe(p, entries)
-	if err != nil {
-		// Transport-level failure: the replica acknowledged nothing.
-		for _, g := range groups {
-			p.markDirty(g.entry.LBA)
-		}
-		if e.cfg.AllowDegraded {
-			rs.degrade()
-			for _, m := range msgs {
-				e.dropFrame(p, m.lba)
-				e.finishUnit(rs, m, errUnitDropped)
-			}
-			return
-		}
-		werr := fmt.Errorf("core: replicate stripe of %d: %w", len(entries), err)
-		for _, m := range msgs {
-			e.finish(rs, m, werr)
-		}
-		return
-	}
-
-	var okMsgs int
-	var payload, unbatchedOK int64
-	for k, g := range groups {
-		switch statuses[k] {
-		case iscsi.StatusOK:
-			okMsgs += len(g.msgs)
-			payload += int64(len(g.entry.Frame))
-			for _, m := range g.msgs {
-				// The per-frame wire size must be read before this message
-				// settles: finish releases the pooled frame, and a released
-				// frameBuf may be concurrently reused by a writer's
-				// getFrame.
-				unbatchedOK += int64(wan.WireBytesDiscrete(len(m.frame.frame())))
-				e.finish(rs, m, nil)
-			}
-		case iscsi.StatusDiverged:
-			// The replica's recovered unit failed its hash: that unit is
-			// not durable, so the writer's quorum must not count it.
-			// Recovery is the same as mirroring — the LBA is dirty-mapped
-			// and a ranged repair re-derives the unit.
-			p.markDirty(g.entry.LBA)
-			rs.m.AddDiverged()
-			e.traffic.AddDiverged()
-			for _, m := range g.msgs {
-				e.finishUnit(rs, m, fmt.Errorf("core: stripe unit %d seq %d lba %d: %w",
-					rs.unitIdx, m.seq, m.lba, iscsi.ErrDiverged))
-			}
-		default:
-			p.markDirty(g.entry.LBA)
-			if e.cfg.AllowDegraded {
-				rs.degrade()
-				for _, m := range g.msgs {
-					e.dropFrame(p, m.lba)
-					e.finishUnit(rs, m, errUnitDropped)
-				}
-				continue
-			}
-			werr := fmt.Errorf("core: replicate stripe seq %d lba %d: %w",
-				g.entry.Seq, g.entry.LBA, iscsi.ReplicaStatusErr(g.entry.LBA, statuses[k]))
-			for _, m := range g.msgs {
-				e.finish(rs, m, werr)
-			}
-		}
-	}
-
-	wire := int64(wan.WireBytesDiscrete(iscsi.StripeWireLen(entries)))
-	rs.m.AddBatch(okMsgs, payload, wire, unbatchedOK-wire)
-	e.traffic.AddBatch(okMsgs, payload, wire, unbatchedOK-wire)
-	e.shardM.AddShipped(int(p.shard.id), int64(okMsgs))
-}
-
-// shipStripe performs the delivery attempts for one stripe push under
-// the retry policy — the same transport-retry/status-vector split as
-// shipBatch, with the group geometry riding every attempt. Redelivery
-// is safe: entries the replica already applied dedupe by seq on the
-// pipe's (vol, shard) stream cursor.
-func (e *Engine) shipStripe(p *pipe, entries []iscsi.BatchEntry) ([]iscsi.Status, error) {
-	rs := p.rs
-	hdr := iscsi.StripeHeader{K: uint8(e.cfg.Group.K), N: uint8(e.cfg.Group.N), Idx: rs.unitIdx}
-	for attempt := 1; ; attempt++ {
-		statuses, err := rs.stripeC.ReplicaWriteStripe(uint8(e.cfg.Mode), p.shard.id, e.cfg.Volume, hdr, entries)
-		if err == nil || attempt >= e.retry.Attempts {
-			return statuses, err
-		}
-		rs.m.AddRetry()
-		e.traffic.AddRetry()
-		if d := e.retry.backoff(attempt); d > 0 {
-			e.retry.Sleep(d)
-		}
-	}
-}
-
-// coalesce folds a drained batch into wire entries. In ModePRINS,
-// same-LBA parities XOR-merge into one frame — P'1 xor P'2 is the
-// combined delta of back-to-back writes — and the merged entry keeps
-// the LAST message's seq and hash: the hash describes the block after
-// the newest write, and the newest seq keeps the replica's dedupe
-// monotonic. Entries are then sorted by seq, because a merged entry
-// carries a later seq than frames queued after its first appearance;
-// shipping in first-appearance order could put that higher seq ahead
-// of a lower one and trip the replica's dedupe into silently dropping
-// a batch-mate. Other modes ship one entry per message unmerged (a
-// whole-block frame already supersedes its predecessors, and dropping
-// one would skip its ack).
-func (e *Engine) coalesce(msgs []repMsg) []batchGroup {
-	if e.cfg.Mode != ModePRINS {
-		return plainGroups(msgs)
-	}
-	groups := make([]batchGroup, 0, len(msgs))
+// coalesce folds a drained ModePRINS run into wire entries, appended to
+// groups. Same-LBA parities XOR-merge into one frame — P'1 xor P'2 is
+// the combined delta of back-to-back writes — and the merged entry
+// keeps the LAST message's seq and hash: the hash describes the block
+// after the newest write, and the newest seq keeps the replica's
+// dedupe monotonic. Entries are then sorted by seq, because a merged
+// entry carries a later seq than frames queued after its first
+// appearance; shipping in first-appearance order could put that higher
+// seq ahead of a lower one and trip the replica's dedupe into silently
+// dropping a batch-mate. (Other modes ship one entry per message
+// unmerged: a whole-block frame already supersedes its predecessors,
+// and dropping one would skip its ack.)
+func (e *Engine) coalesce(groups []batchGroup, msgs []repMsg) []batchGroup {
 	idx := make(map[uint64]int, len(msgs)) // lba -> open group index
 	parities := make(map[int][]byte)       // group index -> decoded XOR accumulator
-	for _, m := range msgs {
+	for i := range msgs {
+		m := &msgs[i]
 		gi, seen := idx[m.lba]
 		if !seen {
 			idx[m.lba] = len(groups)
-			groups = append(groups, singleGroup(m))
+			groups = append(groups, singleGroup(msgs[i:i+1:i+1]))
 			continue
 		}
 		acc := parities[gi]
@@ -821,7 +641,7 @@ func (e *Engine) coalesce(msgs []repMsg) []batchGroup {
 				// ourselves); ship this message as its own entry — the
 				// replica applies same-LBA entries in seq order regardless.
 				idx[m.lba] = len(groups)
-				groups = append(groups, singleGroup(m))
+				groups = append(groups, singleGroup(msgs[i:i+1:i+1]))
 				continue
 			}
 			acc = dec
@@ -829,143 +649,25 @@ func (e *Engine) coalesce(msgs []repMsg) []batchGroup {
 		add, err := xcode.Decode(m.frame.frame())
 		if err != nil || len(add) != len(acc) || parity.XORInPlace(acc, add) != nil {
 			idx[m.lba] = len(groups)
-			groups = append(groups, singleGroup(m))
+			groups = append(groups, singleGroup(msgs[i:i+1:i+1]))
 			continue
 		}
 		parities[gi] = acc
 		g := &groups[gi]
 		g.entry.Seq, g.entry.Hash = m.seq, m.hash
-		g.msgs = append(g.msgs, m)
+		g.msgs = append(g.msgs, *m)
 	}
 	for gi, acc := range parities {
 		frame, err := xcode.EncodeBest(acc, e.cfg.Codecs...)
 		if err != nil {
 			// Cannot happen with a validated config; rather than ship a
 			// wrong frame, fall back to the uncoalesced batch.
-			return plainGroups(msgs)
+			return plainGroups(groups[:0], msgs)
 		}
 		groups[gi].entry.Frame = frame
 	}
-	sort.Slice(groups, func(a, b int) bool { return groups[a].entry.Seq < groups[b].entry.Seq })
+	slices.SortFunc(groups, func(a, b batchGroup) int { return cmp.Compare(a.entry.Seq, b.entry.Seq) })
 	return groups
-}
-
-// shipBatch performs the delivery attempts for one batch. Transport
-// failures retry the whole batch under the retry policy — entries the
-// replica already applied dedupe by seq and come back StatusOK, so
-// redelivery cannot double-XOR — while per-entry refusals ride the
-// returned status vector and are never retried here (a diverged entry
-// is deterministic corruption, not transient loss). Tagged pipes ship
-// through the stream-batch client so the whole batch lands on this
-// pipe's (vol, shard) dedupe cursor.
-func (e *Engine) shipBatch(p *pipe, entries []iscsi.BatchEntry) ([]iscsi.Status, error) {
-	rs := p.rs
-	tagged := e.tagged(p)
-	for attempt := 1; ; attempt++ {
-		var statuses []iscsi.Status
-		var err error
-		if tagged {
-			statuses, err = rs.sbatch.ReplicaWriteBatchStream(uint8(e.cfg.Mode), p.shard.id, e.cfg.Volume, entries)
-		} else {
-			statuses, err = rs.batch.ReplicaWriteBatch(uint8(e.cfg.Mode), entries)
-		}
-		if err == nil || attempt >= e.retry.Attempts {
-			return statuses, err
-		}
-		rs.m.AddRetry()
-		e.traffic.AddRetry()
-		if d := e.retry.backoff(attempt); d > 0 {
-			e.retry.Sleep(d)
-		}
-	}
-}
-
-// shipTo delivers one frame to one replica under the retry policy. A
-// delivery that fails past the retry budget either degrades the
-// replica (AllowDegraded: the frame counts as dropped and the write
-// stays successful) or is returned as the delivery error. A replica
-// that refuses the apply as diverged is handled separately: the write
-// stays successful, the LBA lands in the pipe's dirty map, and a
-// ranged resync repairs it — divergence is detected corruption, not a
-// transport failure, so retrying the same frame cannot help and
-// degrading the whole replica would be overkill for one bad block.
-// Every other failed or dropped frame also marks its LBA dirty, so
-// DirtyRanges always names exactly what recovery must re-ship.
-// Traffic is counted only on successful delivery, so
-// PayloadBytes/WireBytes measure what the replica actually
-// acknowledged.
-func (e *Engine) shipTo(p *pipe, seq, lba, hash uint64, fb *frameBuf) error {
-	rs := p.rs
-	if rs.degraded.Load() {
-		e.dropFrame(p, lba)
-		return nil
-	}
-	frame := fb.frame()
-	if err := e.shipOne(p, seq, lba, hash, fb); err != nil {
-		if errors.Is(err, iscsi.ErrDiverged) {
-			p.markDirty(lba)
-			rs.m.AddDiverged()
-			e.traffic.AddDiverged()
-			return nil
-		}
-		p.markDirty(lba)
-		if e.cfg.AllowDegraded {
-			rs.degrade()
-			e.dropFrame(p, lba)
-			return nil
-		}
-		return fmt.Errorf("core: replicate seq %d lba %d: %w", seq, lba, err)
-	}
-	if rs.dedupe != nil {
-		rs.dedupe.Put(lba, hash)
-	}
-	wire := wan.WireBytesDiscrete(len(frame))
-	rs.m.AddShipped(len(frame), wire)
-	e.traffic.AddReplicated(len(frame), wire)
-	e.shardM.AddShipped(int(p.shard.id), 1)
-	return nil
-}
-
-// shipOne performs the delivery attempts for one frame to one replica.
-// A diverged refusal short-circuits the retry loop: the replica
-// verified the frame against its own block and said no — redelivering
-// the identical frame is deterministic failure, not transient loss.
-// Tagged pipes ship through the stream client so the frame lands on
-// this pipe's (vol, shard) dedupe cursor.
-//
-// When the client supports framed sends and this pipeline holds the
-// pooled buffer exclusively (refs == 1: every other replica's shipper
-// already released its reference, and the pool cannot reuse the buffer
-// while we still hold ours), the pre-assembled PDU ships zero-copy —
-// the client stamps the header into the buffer's headroom and writes
-// it whole. The bytes on the wire are identical either way.
-func (e *Engine) shipOne(p *pipe, seq, lba, hash uint64, fb *frameBuf) error {
-	rs := p.rs
-	tagged := e.tagged(p)
-	var shardID uint8
-	var vol uint16
-	if tagged {
-		shardID, vol = p.shard.id, e.cfg.Volume
-	}
-	var err error
-	for attempt := 1; ; attempt++ {
-		switch {
-		case rs.framed != nil && fb.refs.Load() == 1:
-			err = rs.framed.ReplicaWriteFramed(uint8(e.cfg.Mode), shardID, vol, seq, lba, hash, fb.buf)
-		case tagged:
-			err = rs.stream.ReplicaWriteStream(uint8(e.cfg.Mode), shardID, vol, seq, lba, hash, fb.frame())
-		default:
-			err = rs.client.ReplicaWrite(uint8(e.cfg.Mode), seq, lba, hash, fb.frame())
-		}
-		if err == nil || errors.Is(err, iscsi.ErrDiverged) || attempt >= e.retry.Attempts {
-			return err
-		}
-		rs.m.AddRetry()
-		e.traffic.AddRetry()
-		if d := e.retry.backoff(attempt); d > 0 {
-			e.retry.Sleep(d)
-		}
-	}
 }
 
 // dropFrame accounts one frame elided because the pipe's replica is

@@ -1,8 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -33,7 +34,6 @@ type replicaStream struct {
 	mu      sync.Mutex
 	lastSeq uint64
 	oldBuf  []byte
-	newBuf  []byte
 }
 
 // ReplicaEngine is the replica-side PRINS engine: it receives encoded
@@ -191,10 +191,7 @@ func (r *ReplicaEngine) stream(shard uint8, vol uint16) *replicaStream {
 	defer r.streamsMu.Unlock()
 	st, ok := r.streams[key]
 	if !ok {
-		st = &replicaStream{
-			oldBuf: make([]byte, r.store.BlockSize()),
-			newBuf: make([]byte, r.store.BlockSize()),
-		}
+		st = &replicaStream{oldBuf: make([]byte, r.store.BlockSize())}
 		r.streams[key] = st
 	}
 	return st
@@ -270,31 +267,108 @@ func (r *ReplicaEngine) StreamLastSeq(shard uint8, vol uint16) uint64 {
 // Store returns the underlying replica store (read-only use expected).
 func (r *ReplicaEngine) Store() block.Store { return r.store }
 
-// Apply decodes one replication frame, verifies the recovered block
-// against the shipped content hash (when non-zero), and applies it to
-// the replica store against the default stream — through the
-// crash-safe journal when one is attached. See ApplyStream.
+// Apply applies one replication frame against the default stream. See
+// ApplyStream.
 func (r *ReplicaEngine) Apply(mode Mode, seq, lba, hash uint64, frame []byte) error {
 	return r.ApplyStream(mode, 0, 0, seq, lba, hash, frame)
 }
 
 // ApplyStream applies one replication frame against the (vol, shard)
-// stream's sequence space.
-//
-// Deliveries are deduplicated by sequence number per stream: the
-// primary ships each stream's frames in seq order, so a frame at or
-// below the stream's lastSeq is a retried delivery whose first copy
-// already landed (the ack was lost, not the push). It is acknowledged
-// without being re-applied — essential in ModePRINS, where XOR-ing the
-// same parity twice would corrupt the block rather than no-op.
-//
-// A hash mismatch returns an error wrapping iscsi.ErrDiverged without
-// touching the store: in ModePRINS it means the replica's pre-image
-// already differs from what the primary XORed against, so writing the
-// recovered block would replace silent corruption with fresh silent
-// corruption. The primary marks the LBA dirty and repairs it with a
-// ranged resync instead.
+// stream's sequence space — a push of one entry; see applyGroup for
+// what an apply does. The error wraps the failure class
+// (iscsi.ErrDiverged, iscsi.ErrReplicaDecode, iscsi.ErrReplicaStore,
+// block.ErrBadBufSize, block.ErrOutOfRange) that statusOf maps onto
+// the wire.
 func (r *ReplicaEngine) ApplyStream(mode Mode, shard uint8, vol uint16, seq, lba, hash uint64, frame []byte) error {
+	entries := [1]iscsi.BatchEntry{{Seq: seq, LBA: lba, Hash: hash, Frame: frame}}
+	var errs [1]error
+	r.applyGroup(mode, shard, vol, entries[:], errs[:], false)
+	return errs[0]
+}
+
+// ApplyBatchStream applies a batched push against the (vol, shard)
+// stream and returns one status per entry, in the caller's order: one
+// refused entry (diverged, decode, store) reports its own status
+// without failing its batch-mates. See applyGroup.
+func (r *ReplicaEngine) ApplyBatchStream(mode Mode, shard uint8, vol uint16, entries []iscsi.BatchEntry) []iscsi.Status {
+	return r.applyStatuses(mode, shard, vol, entries, false)
+}
+
+// applyStatuses is applyGroup at the wire boundary: statuses for
+// errors. refs marks a proto-v7 push, where an entry without a frame is
+// a content reference.
+func (r *ReplicaEngine) applyStatuses(mode Mode, shard uint8, vol uint16, entries []iscsi.BatchEntry, refs bool) []iscsi.Status {
+	errs := make([]error, len(entries))
+	r.applyGroup(mode, shard, vol, entries, errs, refs)
+	statuses := make([]iscsi.Status, len(entries))
+	for k, err := range errs {
+		statuses[k] = statusOf(err)
+	}
+	return statuses
+}
+
+// refuseAll answers every entry of a push the replica will not look at
+// with the same status.
+func refuseAll(n int, st iscsi.Status) []iscsi.Status {
+	statuses := make([]iscsi.Status, n)
+	for i := range statuses {
+		statuses[i] = st
+	}
+	return statuses
+}
+
+// staged is one entry of a push that passed staging: the full new block
+// it leaves at entries[k].LBA, recovered and verified but not yet
+// written.
+type staged struct {
+	k     int // index into the push's entries
+	block []byte
+}
+
+// applyGroup is the replica's one apply path: it applies a push of
+// entries against the (vol, shard) stream and reports each entry's
+// outcome in errs, index for index (nil: applied, or acknowledged as a
+// duplicate). A single write is a push of one, which costs no sort, no
+// map and no per-call slice. The push becomes durable as one unit:
+//
+//  1. Stage, in ascending seq order (the primary ships seq-sorted
+//     already, so the stable re-sort is normally a no-op). Dedupe
+//     against the stream cursor: the primary ships each stream's frames
+//     in seq order, so an entry at or below the cursor is a redelivery
+//     whose first copy already landed (the ack was lost, not the push)
+//     and is acknowledged without being re-applied — essential in
+//     ModePRINS, where XOR-ing the same parity twice would corrupt the
+//     block rather than no-op. Then recover the full new block (see
+//     stage) or, for a by-ref entry, materialize it from the content
+//     index. Refused entries get their error here and drop out; nothing
+//     has touched the store or the journal yet.
+//  2. One journal Begin covers every surviving entry — the single-slot
+//     record for one, a group record (one CRC pass, one sync) for more.
+//  3. In-place store writes in seq order.
+//  4. One journal Commit clears the intent.
+//
+// Crash safety is all-commit-or-all-replay: after the Begin, a crash
+// (or store failure) anywhere before Commit leaves the whole push
+// journaled, and the next apply — or restart — replays every entry as
+// an idempotent whole-block rewrite, so the store can never be left
+// holding a torn block or a torn suffix of the push.
+//
+// The by-ref rule is ref-miss poisoning: the first entry whose hash the
+// index cannot verifiably resolve is refused with iscsi.ErrRefMiss —
+// and so is every later entry of the push, because the initiator
+// re-ships the refused suffix with the SAME sequence numbers and the
+// stream cursor must not have advanced past them, or seq-dedupe would
+// silently drop the repair.
+func (r *ReplicaEngine) applyGroup(mode Mode, shard uint8, vol uint16, entries []iscsi.BatchEntry, errs []error, refs bool) {
+	failAll := func(err error) {
+		for k := range errs {
+			errs[k] = err
+		}
+	}
+	if !mode.Valid() {
+		failAll(fmt.Errorf("core: replica: invalid mode %d", uint8(mode)))
+		return
+	}
 	if r.jrnl != nil {
 		// The single-slot journal serializes journaled applies; taking
 		// jmu before the stream lock also lets replay lock any stream.
@@ -302,326 +376,189 @@ func (r *ReplicaEngine) ApplyStream(mode Mode, shard uint8, vol uint16, seq, lba
 		defer r.jmu.Unlock()
 		if r.replay {
 			if err := r.replayJournal(); err != nil {
-				return err
+				failAll(err)
+				return
 			}
 		}
 	}
-
 	st := r.stream(shard, vol)
 	st.mu.Lock()
 	defer st.mu.Unlock()
-
-	if seq != 0 && seq <= st.lastSeq {
-		r.traffic.AddDuplicate()
-		return nil
-	}
-
 	start := time.Now()
-	payload, err := xcode.Decode(frame)
-	if err != nil {
-		return fmt.Errorf("core: replica decode seq %d: %w: %w",
-			seq, iscsi.ErrReplicaDecode, err)
-	}
-	if len(payload) != r.store.BlockSize() {
-		return fmt.Errorf("%w: frame decodes to %d bytes, block size %d",
-			block.ErrBadBufSize, len(payload), r.store.BlockSize())
-	}
+	defer func() { r.traffic.AddDecodeTime(time.Since(start)) }()
 
-	newBlock := payload
-	switch mode {
-	case ModeTraditional, ModeCompressed:
-	case ModePRINS:
-		if err := r.store.ReadBlock(lba, st.oldBuf); err != nil {
-			return fmt.Errorf("core: replica read old seq %d: %w", seq, err)
-		}
-		if err := parity.BackwardInto(st.newBuf, payload, st.oldBuf); err != nil {
-			return err
-		}
-		newBlock = st.newBuf
-	default:
-		return fmt.Errorf("core: replica: invalid mode %d", uint8(mode))
-	}
-
-	if hash != 0 {
-		if got := iscsi.HashBlock(newBlock); got != hash {
-			r.traffic.AddDiverged()
-			return fmt.Errorf("core: replica apply seq %d lba %d: %w: hash %016x, primary sent %016x",
-				seq, lba, iscsi.ErrDiverged, got, hash)
-		}
-	}
-
-	if r.jrnl != nil {
-		if err := r.jrnl.BeginStream(shard, vol, seq, lba, hash, newBlock); err != nil {
-			return fmt.Errorf("core: replica seq %d: %w: %w", seq, iscsi.ErrReplicaStore, err)
-		}
-	}
-	if err := r.store.WriteBlock(lba, newBlock); err != nil {
-		if r.jrnl != nil {
-			// The intent stays journaled; the next apply (or restart)
-			// replays it before doing anything else.
-			r.replay = true
-		}
-		return fmt.Errorf("core: replica write seq %d: %w: %w",
-			seq, iscsi.ErrReplicaStore, err)
-	}
-	if r.jrnl != nil {
-		if err := r.jrnl.Commit(); err != nil {
-			r.replay = true
-			return fmt.Errorf("core: replica seq %d: %w: %w", seq, iscsi.ErrReplicaStore, err)
-		}
-	}
-
-	r.traffic.AddDecodeTime(time.Since(start))
-	r.traffic.AddReplicaWrite()
-	r.indexApply(lba, hash)
-	if seq > st.lastSeq {
-		st.lastSeq = seq
-	}
-	return nil
-}
-
-// ApplyBatch applies a batched push against the default stream. See
-// ApplyBatchStream.
-func (r *ReplicaEngine) ApplyBatch(mode Mode, entries []iscsi.BatchEntry) []iscsi.Status {
-	return r.ApplyBatchStream(mode, 0, 0, entries)
-}
-
-// ApplyBatchStream applies a batched push against the (vol, shard)
-// stream and returns one status per entry, in the caller's order.
-// Entries apply in ascending seq order (the primary ships batches
-// seq-sorted already, so the stable re-sort is normally a no-op) with
-// exactly the semantics of walking ApplyStream per entry: each entry
-// dedupes by seq like a retried single push — when a connection drops
-// mid-batch and the whole batch is redelivered, the already-applied
-// prefix is acknowledged instead of double-XORed — and one refused
-// entry (diverged, decode, store) reports its own status without
-// failing its batch-mates.
-//
-// A multi-entry batch applies as one group: the journal lock and the
-// stream lock are each taken once for the whole batch, and a journaled
-// engine persists one group intent record (single write + sync + CRC
-// pass) instead of a Begin/Commit pair per entry. See
-// applyBatchGrouped for the crash-safety contract.
-func (r *ReplicaEngine) ApplyBatchStream(mode Mode, shard uint8, vol uint16, entries []iscsi.BatchEntry) []iscsi.Status {
-	if len(entries) > 1 {
-		return r.applyBatchGrouped(mode, shard, vol, entries)
-	}
-	statuses := make([]iscsi.Status, len(entries))
-	for k := range entries {
-		e := entries[k]
-		if err := r.ApplyStream(mode, shard, vol, e.Seq, e.LBA, e.Hash, e.Frame); err != nil {
-			statuses[k] = statusOf(err)
-		} else {
-			statuses[k] = iscsi.StatusOK
-		}
-	}
-	return statuses
-}
-
-// applyBatchGrouped is the group-commit apply path for a multi-entry
-// batch. It stages every entry in memory first, then makes the batch
-// durable as one unit:
-//
-//  1. In seq order: dedupe against the stream cursor, decode, recover
-//     the full new block (a staged same-LBA predecessor in the same
-//     batch serves as the PRINS pre-image, exactly as if it had
-//     already landed), and verify the content hash. Refused entries
-//     get their status here and drop out; nothing has touched the
-//     store or journal yet.
-//  2. One journal Begin covers every surviving entry — a single group
-//     record with one CRC pass and one sync.
-//  3. In-place store writes in seq order.
-//  4. One journal Commit clears the group.
-//
-// Crash safety is all-commit-or-all-replay: after the group Begin, a
-// crash (or store failure) anywhere before Commit leaves the whole
-// group journaled, and the next apply — or restart — replays every
-// entry as an idempotent whole-block rewrite, so the store can never
-// be left holding a torn suffix of the batch.
-func (r *ReplicaEngine) applyBatchGrouped(mode Mode, shard uint8, vol uint16, entries []iscsi.BatchEntry) []iscsi.Status {
-	statuses := make([]iscsi.Status, len(entries))
-	fail := func(s iscsi.Status) []iscsi.Status {
-		for i := range statuses {
-			statuses[i] = s
-		}
-		return statuses
-	}
-
-	order := make([]int, len(entries))
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(a, b int) bool {
-		return entries[order[a]].Seq < entries[order[b]].Seq
-	})
-
-	if r.jrnl != nil {
-		r.jmu.Lock()
-		defer r.jmu.Unlock()
-		if r.replay {
-			if err := r.replayJournal(); err != nil {
-				return fail(statusOf(err))
-			}
-		}
-	}
-
-	st := r.stream(shard, vol)
-	st.mu.Lock()
-	defer st.mu.Unlock()
-
-	start := time.Now()
-	bs := r.store.BlockSize()
-
-	// Phase 1: stage. cursor advances past staged seqs so an in-batch
+	// Phase 1: stage. cursor advances past staged seqs so an in-push
 	// duplicate dedupes exactly as it would against an applied single
-	// push; st.lastSeq itself only moves once the batch is durable.
-	type stagedEntry struct {
-		k     int // index into entries/statuses
-		seq   uint64
-		lba   uint64
-		block []byte
+	// push; st.lastSeq itself only moves once the push is durable.
+	// pendingNew serves a staged same-LBA predecessor as the PRINS
+	// pre-image, exactly as if it had already landed.
+	var order []int
+	var pendingNew map[uint64][]byte
+	var one [1]staged
+	pass := one[:0] // a push of one stays off the heap
+	if len(entries) > 1 {
+		order = make([]int, len(entries))
+		for i := range order {
+			order[i] = i
+		}
+		slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(entries[a].Seq, entries[b].Seq) })
+		pendingNew = make(map[uint64][]byte)
+		pass = make([]staged, 0, len(entries))
 	}
-	var pass []stagedEntry
-	pendingNew := make(map[uint64][]byte)
 	cursor := st.lastSeq
-	for _, k := range order {
-		e := entries[k]
+	for i := range entries {
+		k := i
+		if order != nil {
+			k = order[i]
+		}
+		e := &entries[k]
 		if e.Seq != 0 && e.Seq <= cursor {
 			r.traffic.AddDuplicate()
-			statuses[k] = iscsi.StatusOK
 			continue
 		}
-		payload, err := xcode.Decode(e.Frame)
-		if err != nil {
-			statuses[k] = iscsi.StatusDecodeError
-			continue
-		}
-		if len(payload) != bs {
-			statuses[k] = iscsi.StatusBadRequest
-			continue
-		}
-		newBlock := payload
-		switch mode {
-		case ModeTraditional, ModeCompressed:
-		case ModePRINS:
-			pre := pendingNew[e.LBA]
-			if pre == nil {
-				if err := r.store.ReadBlock(e.LBA, st.oldBuf); err != nil {
-					statuses[k] = statusOf(err)
-					continue
+		var newBlock []byte
+		if refs && e.ByRef() {
+			newBlock = make([]byte, r.store.BlockSize())
+			if !r.resolveRef(e.Hash, newBlock) {
+				r.traffic.AddDedupeMiss()
+				miss := fmt.Errorf("core: replica seq %d lba %d: %w", e.Seq, e.LBA, iscsi.ErrRefMiss)
+				errs[k] = miss
+				if order != nil {
+					for _, rest := range order[i+1:] {
+						errs[rest] = miss
+					}
 				}
-				pre = st.oldBuf
+				break
 			}
-			// Decode never aliases its input, so the backward XOR can
-			// fold the pre-image into the decoded parity in place.
-			if err := parity.XORInPlace(newBlock, pre); err != nil {
-				statuses[k] = statusOf(err)
-				continue
-			}
-		default:
-			return fail(iscsi.StatusError)
-		}
-		if e.Hash != 0 {
-			if got := iscsi.HashBlock(newBlock); got != e.Hash {
-				r.traffic.AddDiverged()
-				statuses[k] = iscsi.StatusDiverged
-				continue
-			}
+			r.traffic.AddDedupeHit()
+		} else if newBlock, errs[k] = r.stage(mode, st, e, pendingNew[e.LBA]); errs[k] != nil {
+			continue
 		}
 		if e.Seq > cursor {
 			cursor = e.Seq
 		}
-		pendingNew[e.LBA] = newBlock
-		pass = append(pass, stagedEntry{k: k, seq: e.Seq, lba: e.LBA, block: newBlock})
+		if pendingNew != nil {
+			pendingNew[e.LBA] = newBlock
+		}
+		pass = append(pass, staged{k: k, block: newBlock})
 	}
 	if len(pass) == 0 {
-		r.traffic.AddDecodeTime(time.Since(start))
-		return statuses
+		return
+	}
+	storeFail := func(failed []staged, what string, err error) {
+		werr := fmt.Errorf("core: replica %s seq %d: %w: %w", what, entries[failed[0].k].Seq, iscsi.ErrReplicaStore, err)
+		for _, p := range failed {
+			errs[p.k] = werr
+		}
 	}
 
-	// Phase 2: one group intent for the whole batch.
+	// Phase 2: one intent for the whole push. A failed Begin never
+	// landed (a torn one is discarded by replay), so nothing was
+	// written: fail the survivors with no replay owed.
 	if r.jrnl != nil {
-		jes := make([]journal.Entry, len(pass))
-		for i, p := range pass {
-			jes[i] = journal.Entry{
-				Seq: p.seq, LBA: p.lba, Hash: entries[p.k].Hash,
-				Shard: shard, Vol: vol, Block: p.block,
+		var err error
+		if len(pass) == 1 {
+			e := &entries[pass[0].k]
+			err = r.jrnl.BeginStream(shard, vol, e.Seq, e.LBA, e.Hash, pass[0].block)
+		} else {
+			jes := make([]journal.Entry, len(pass))
+			for i, p := range pass {
+				e := &entries[p.k]
+				jes[i] = journal.Entry{Seq: e.Seq, LBA: e.LBA, Hash: e.Hash, Shard: shard, Vol: vol, Block: p.block}
 			}
+			err = r.jrnl.BeginGroupStream(shard, vol, jes)
 		}
-		if err := r.jrnl.BeginGroupStream(shard, vol, jes); err != nil {
-			// The intent never landed (a torn Begin is discarded by
-			// replay), so nothing was written: fail the survivors with no
-			// replay owed.
-			for _, p := range pass {
-				statuses[p.k] = iscsi.StatusStoreError
-			}
-			r.traffic.AddDecodeTime(time.Since(start))
-			return statuses
+		if err != nil {
+			storeFail(pass, "journal", err)
+			return
 		}
 	}
 
 	// Phase 3: in-place writes, seq order.
-	var maxApplied uint64
-	journalTorn := false
 	for i, p := range pass {
-		if err := r.store.WriteBlock(p.lba, p.block); err != nil {
-			werr := fmt.Errorf("%w: %w", iscsi.ErrReplicaStore, err)
-			if r.jrnl != nil {
-				// The group intent stays journaled: the written prefix is
-				// durable, and every entry — this one included — is
-				// replayed before the next apply touches the store.
-				r.replay = true
-				journalTorn = true
-				for _, q := range pass[i:] {
-					statuses[q.k] = statusOf(werr)
-				}
-				break
+		if err := r.store.WriteBlock(entries[p.k].LBA, p.block); err != nil {
+			if r.jrnl == nil {
+				// Unjournaled applies keep per-entry independence: each
+				// staged block is a full rewrite, so a failed push-mate
+				// cannot corrupt a later one.
+				storeFail(pass[i:i+1], "write", err)
+				continue
 			}
-			// Unjournaled applies keep per-entry independence: each
-			// staged block is a full rewrite, so a failed batch-mate
-			// cannot corrupt a later one.
-			statuses[p.k] = statusOf(werr)
-			continue
-		}
-		statuses[p.k] = iscsi.StatusOK
-		if p.seq > maxApplied {
-			maxApplied = p.seq
+			// The intent stays journaled: the written prefix is durable,
+			// and every entry — this one included — is replayed before
+			// the next apply touches the store. Counters and the cursor
+			// advance then; counting the written prefix here would
+			// double-count it.
+			r.replay = true
+			storeFail(pass[i:], "write", err)
+			return
 		}
 	}
 
-	if journalTorn {
-		// Counters and the cursor advance when replay makes the group
-		// durable — counting the written prefix here would double-count
-		// it against the replay.
-		r.traffic.AddDecodeTime(time.Since(start))
-		return statuses
-	}
-
-	// Phase 4: one Commit clears the group.
+	// Phase 4: one Commit clears the intent. If it fails the intent
+	// stays; replay rewrites the push and advances the cursor, after
+	// which redelivery dedupes.
 	if r.jrnl != nil {
 		if err := r.jrnl.Commit(); err != nil {
-			// The intent stays; replay rewrites the group and advances the
-			// cursor, after which redelivery dedupes.
 			r.replay = true
-			for _, p := range pass {
-				statuses[p.k] = iscsi.StatusStoreError
-			}
-			r.traffic.AddDecodeTime(time.Since(start))
-			return statuses
+			storeFail(pass, "journal commit", err)
+			return
 		}
 	}
-
 	for _, p := range pass {
-		if statuses[p.k] == iscsi.StatusOK {
-			r.traffic.AddReplicaWrite()
-			r.indexApply(p.lba, entries[p.k].Hash)
+		if errs[p.k] != nil {
+			continue
+		}
+		e := &entries[p.k]
+		r.traffic.AddReplicaWrite()
+		r.indexApply(e.LBA, e.Hash)
+		if e.Seq > st.lastSeq {
+			st.lastSeq = e.Seq
 		}
 	}
-	if maxApplied > st.lastSeq {
-		st.lastSeq = maxApplied
+}
+
+// stage recovers and verifies the full new block a by-value entry
+// leaves at its LBA, without touching the store. pre, when non-nil, is
+// the block a same-LBA predecessor of the same push staged; otherwise a
+// ModePRINS entry's pre-image is read from the store — the backward
+// parity computation A_new = P' XOR A_old. Called with st.mu held.
+//
+// A hash mismatch returns an error wrapping iscsi.ErrDiverged: in
+// ModePRINS it means the replica's pre-image already differs from what
+// the primary XORed against, so writing the recovered block would
+// replace silent corruption with fresh silent corruption. The primary
+// marks the LBA dirty and repairs it with a ranged resync instead.
+func (r *ReplicaEngine) stage(mode Mode, st *replicaStream, e *iscsi.BatchEntry, pre []byte) ([]byte, error) {
+	newBlock, err := xcode.Decode(e.Frame)
+	if err != nil {
+		return nil, fmt.Errorf("core: replica decode seq %d: %w: %w", e.Seq, iscsi.ErrReplicaDecode, err)
 	}
-	r.traffic.AddDecodeTime(time.Since(start))
-	return statuses
+	if len(newBlock) != r.store.BlockSize() {
+		return nil, fmt.Errorf("%w: frame decodes to %d bytes, block size %d",
+			block.ErrBadBufSize, len(newBlock), r.store.BlockSize())
+	}
+	if mode == ModePRINS {
+		if pre == nil {
+			if err := r.store.ReadBlock(e.LBA, st.oldBuf); err != nil {
+				return nil, fmt.Errorf("core: replica read old seq %d: %w", e.Seq, err)
+			}
+			pre = st.oldBuf
+		}
+		// Decode never aliases its input, so the backward XOR can fold
+		// the pre-image into the decoded parity in place.
+		if err := parity.XORInPlace(newBlock, pre); err != nil {
+			return nil, err
+		}
+	}
+	if e.Hash != 0 {
+		if got := iscsi.HashBlock(newBlock); got != e.Hash {
+			r.traffic.AddDiverged()
+			return nil, fmt.Errorf("core: replica apply seq %d lba %d: %w: hash %016x, primary sent %016x",
+				e.Seq, e.LBA, iscsi.ErrDiverged, got, e.Hash)
+		}
+	}
+	return newBlock, nil
 }
 
 // SetGroupUnit declares this replica a member of a k-of-n replica
@@ -648,36 +585,32 @@ func (r *ReplicaEngine) GroupUnit() (iscsi.StripeHeader, bool) {
 // HandleReplicaStripe implements iscsi.StripeBackend: the wire entry
 // point for k-of-n stripe pushes. After the geometry gate, a stripe
 // push is exactly a batched push of unit-sized frames — same per-
-// stream seq-dedupe, same group journaling, same per-entry statuses —
-// so it delegates to ApplyBatchStream and inherits its crash-safety
-// contract (the intent journal guards each unit apply).
+// stream seq-dedupe, same group journaling, same per-entry statuses.
 func (r *ReplicaEngine) HandleReplicaStripe(mode, shard uint8, vol uint16, hdr iscsi.StripeHeader, entries []iscsi.BatchEntry) []iscsi.Status {
 	if !r.inGroup || hdr != r.gHdr {
-		statuses := make([]iscsi.Status, len(entries))
-		for i := range statuses {
-			statuses[i] = iscsi.StatusBadRequest
-		}
-		return statuses
+		return refuseAll(len(entries), iscsi.StatusBadRequest)
 	}
-	return r.ApplyBatchStream(Mode(mode), shard, vol, entries)
+	return r.applyStatuses(Mode(mode), shard, vol, entries, false)
 }
 
 // HandleReplicaBatch implements iscsi.BatchBackend: the wire entry
 // point for untagged batched pushes from the primary's engine.
 func (r *ReplicaEngine) HandleReplicaBatch(mode uint8, entries []iscsi.BatchEntry) []iscsi.Status {
-	return r.ApplyBatch(Mode(mode), entries)
+	return r.applyStatuses(Mode(mode), 0, 0, entries, false)
 }
 
 // HandleReplicaBatchStream implements iscsi.StreamBatchBackend: the
 // wire entry point for stream-tagged batched pushes.
 func (r *ReplicaEngine) HandleReplicaBatchStream(mode, shard uint8, vol uint16, entries []iscsi.BatchEntry) []iscsi.Status {
-	return r.ApplyBatchStream(Mode(mode), shard, vol, entries)
+	return r.applyStatuses(Mode(mode), shard, vol, entries, false)
 }
 
 // HandleReplicaByRef implements iscsi.ByRefBackend: the wire entry
-// point for content-addressed (proto v7) pushes.
+// point for content-addressed (proto v7) pushes. A by-ref entry (nil
+// frame) is materialized by verified local copy via the content index;
+// a by-value entry applies exactly like its batch counterpart.
 func (r *ReplicaEngine) HandleReplicaByRef(mode, shard uint8, vol uint16, entries []iscsi.BatchEntry) []iscsi.Status {
-	return r.ApplyByRefStream(Mode(mode), shard, vol, entries)
+	return r.applyStatuses(Mode(mode), shard, vol, entries, true)
 }
 
 // resolveRef materializes the block whose content hash is hash into
@@ -709,203 +642,6 @@ func (r *ReplicaEngine) resolveRef(hash uint64, dst []byte) bool {
 		return true
 	}
 	return false
-}
-
-// ApplyByRefStream applies a mixed by-ref/by-value push (proto v7)
-// against the (vol, shard) stream and returns one status per entry,
-// in the caller's order. A by-ref entry (nil frame) is materialized by
-// verified local copy via the content index; a by-value entry applies
-// exactly like its batch counterpart, including same-LBA pre-image
-// chaining against blocks staged earlier in the push.
-//
-// The whole push is journaled and committed as one group, like
-// applyBatchGrouped. The extra rule is ref-miss poisoning: the first
-// entry whose hash the index cannot verifiably resolve is refused with
-// StatusRefMiss — and so is every later entry of the push, applied or
-// not, because the initiator re-ships the refused suffix with the SAME
-// sequence numbers and the stream cursor must not have advanced past
-// them, or seq-dedupe would silently drop the repair.
-func (r *ReplicaEngine) ApplyByRefStream(mode Mode, shard uint8, vol uint16, entries []iscsi.BatchEntry) []iscsi.Status {
-	statuses := make([]iscsi.Status, len(entries))
-	fail := func(s iscsi.Status) []iscsi.Status {
-		for i := range statuses {
-			statuses[i] = s
-		}
-		return statuses
-	}
-	switch mode {
-	case ModeTraditional, ModeCompressed, ModePRINS:
-	default:
-		return fail(iscsi.StatusError)
-	}
-
-	order := make([]int, len(entries))
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(a, b int) bool {
-		return entries[order[a]].Seq < entries[order[b]].Seq
-	})
-
-	if r.jrnl != nil {
-		r.jmu.Lock()
-		defer r.jmu.Unlock()
-		if r.replay {
-			if err := r.replayJournal(); err != nil {
-				return fail(statusOf(err))
-			}
-		}
-	}
-
-	st := r.stream(shard, vol)
-	st.mu.Lock()
-	defer st.mu.Unlock()
-
-	start := time.Now()
-	bs := r.store.BlockSize()
-
-	type stagedEntry struct {
-		k     int
-		seq   uint64
-		lba   uint64
-		block []byte
-	}
-	var pass []stagedEntry
-	pendingNew := make(map[uint64][]byte)
-	cursor := st.lastSeq
-	for oi, k := range order {
-		e := entries[k]
-		if e.Seq != 0 && e.Seq <= cursor {
-			r.traffic.AddDuplicate()
-			statuses[k] = iscsi.StatusOK
-			continue
-		}
-		var newBlock []byte
-		if e.ByRef() {
-			newBlock = make([]byte, bs)
-			if !r.resolveRef(e.Hash, newBlock) {
-				// Poison the suffix: refuse this entry and every later one
-				// so the stream cursor stays behind their seqs and the
-				// initiator's by-value re-ship is not deduped away.
-				r.traffic.AddDedupeMiss()
-				for _, rest := range order[oi:] {
-					statuses[rest] = iscsi.StatusRefMiss
-				}
-				break
-			}
-			r.traffic.AddDedupeHit()
-		} else {
-			payload, err := xcode.Decode(e.Frame)
-			if err != nil {
-				statuses[k] = iscsi.StatusDecodeError
-				continue
-			}
-			if len(payload) != bs {
-				statuses[k] = iscsi.StatusBadRequest
-				continue
-			}
-			newBlock = payload
-			if mode == ModePRINS {
-				pre := pendingNew[e.LBA]
-				if pre == nil {
-					if err := r.store.ReadBlock(e.LBA, st.oldBuf); err != nil {
-						statuses[k] = statusOf(err)
-						continue
-					}
-					pre = st.oldBuf
-				}
-				if err := parity.XORInPlace(newBlock, pre); err != nil {
-					statuses[k] = statusOf(err)
-					continue
-				}
-			}
-			if e.Hash != 0 {
-				if got := iscsi.HashBlock(newBlock); got != e.Hash {
-					r.traffic.AddDiverged()
-					statuses[k] = iscsi.StatusDiverged
-					continue
-				}
-			}
-		}
-		if e.Seq > cursor {
-			cursor = e.Seq
-		}
-		pendingNew[e.LBA] = newBlock
-		pass = append(pass, stagedEntry{k: k, seq: e.Seq, lba: e.LBA, block: newBlock})
-	}
-	if len(pass) == 0 {
-		r.traffic.AddDecodeTime(time.Since(start))
-		return statuses
-	}
-
-	// One group intent covers the whole push — a by-ref apply is exactly
-	// as torn-write-safe as a batched frame apply.
-	if r.jrnl != nil {
-		jes := make([]journal.Entry, len(pass))
-		for i, p := range pass {
-			jes[i] = journal.Entry{
-				Seq: p.seq, LBA: p.lba, Hash: entries[p.k].Hash,
-				Shard: shard, Vol: vol, Block: p.block,
-			}
-		}
-		if err := r.jrnl.BeginGroupStream(shard, vol, jes); err != nil {
-			for _, p := range pass {
-				statuses[p.k] = iscsi.StatusStoreError
-			}
-			r.traffic.AddDecodeTime(time.Since(start))
-			return statuses
-		}
-	}
-
-	var maxApplied uint64
-	journalTorn := false
-	for i, p := range pass {
-		if err := r.store.WriteBlock(p.lba, p.block); err != nil {
-			werr := fmt.Errorf("%w: %w", iscsi.ErrReplicaStore, err)
-			if r.jrnl != nil {
-				r.replay = true
-				journalTorn = true
-				for _, q := range pass[i:] {
-					statuses[q.k] = statusOf(werr)
-				}
-				break
-			}
-			statuses[p.k] = statusOf(werr)
-			continue
-		}
-		statuses[p.k] = iscsi.StatusOK
-		if p.seq > maxApplied {
-			maxApplied = p.seq
-		}
-	}
-
-	if journalTorn {
-		r.traffic.AddDecodeTime(time.Since(start))
-		return statuses
-	}
-
-	if r.jrnl != nil {
-		if err := r.jrnl.Commit(); err != nil {
-			r.replay = true
-			for _, p := range pass {
-				statuses[p.k] = iscsi.StatusStoreError
-			}
-			r.traffic.AddDecodeTime(time.Since(start))
-			return statuses
-		}
-	}
-
-	for _, p := range pass {
-		if statuses[p.k] == iscsi.StatusOK {
-			r.traffic.AddReplicaWrite()
-			r.indexApply(p.lba, entries[p.k].Hash)
-		}
-	}
-	if maxApplied > st.lastSeq {
-		st.lastSeq = maxApplied
-	}
-	r.traffic.AddDecodeTime(time.Since(start))
-	return statuses
 }
 
 // Geometry implements iscsi.Backend.
@@ -953,19 +689,13 @@ func (r *ReplicaEngine) HandleWrite(lba uint64, data []byte) iscsi.Status {
 // HandleReplica implements iscsi.Backend: the wire entry point for
 // untagged pushes from the primary's engine.
 func (r *ReplicaEngine) HandleReplica(mode uint8, seq, lba, hash uint64, frame []byte) iscsi.Status {
-	if err := r.Apply(Mode(mode), seq, lba, hash, frame); err != nil {
-		return statusOf(err)
-	}
-	return iscsi.StatusOK
+	return statusOf(r.ApplyStream(Mode(mode), 0, 0, seq, lba, hash, frame))
 }
 
 // HandleReplicaStream implements iscsi.StreamBackend: the wire entry
 // point for stream-tagged pushes.
 func (r *ReplicaEngine) HandleReplicaStream(mode, shard uint8, vol uint16, seq, lba, hash uint64, frame []byte) iscsi.Status {
-	if err := r.ApplyStream(Mode(mode), shard, vol, seq, lba, hash, frame); err != nil {
-		return statusOf(err)
-	}
-	return iscsi.StatusOK
+	return statusOf(r.ApplyStream(Mode(mode), shard, vol, seq, lba, hash, frame))
 }
 
 // Loopback adapts a ReplicaEngine into a ReplicaClient, replicating
@@ -984,12 +714,12 @@ var _ ByRefReplicaClient = (*Loopback)(nil)
 
 // ReplicaWrite implements ReplicaClient.
 func (l *Loopback) ReplicaWrite(mode uint8, seq, lba, hash uint64, frame []byte) error {
-	return l.Replica.Apply(Mode(mode), seq, lba, hash, frame)
+	return l.Replica.ApplyStream(Mode(mode), 0, 0, seq, lba, hash, frame)
 }
 
 // ReplicaWriteBatch implements BatchReplicaClient.
 func (l *Loopback) ReplicaWriteBatch(mode uint8, entries []iscsi.BatchEntry) ([]iscsi.Status, error) {
-	return l.Replica.ApplyBatch(Mode(mode), entries), nil
+	return l.Replica.HandleReplicaBatch(mode, entries), nil
 }
 
 // ReplicaWriteStream implements StreamReplicaClient.
@@ -999,7 +729,7 @@ func (l *Loopback) ReplicaWriteStream(mode, shard uint8, vol uint16, seq, lba, h
 
 // ReplicaWriteBatchStream implements StreamReplicaClient.
 func (l *Loopback) ReplicaWriteBatchStream(mode, shard uint8, vol uint16, entries []iscsi.BatchEntry) ([]iscsi.Status, error) {
-	return l.Replica.ApplyBatchStream(Mode(mode), shard, vol, entries), nil
+	return l.Replica.HandleReplicaBatchStream(mode, shard, vol, entries), nil
 }
 
 // ReplicaWriteStripe implements StripeReplicaClient.
@@ -1009,5 +739,5 @@ func (l *Loopback) ReplicaWriteStripe(mode, shard uint8, vol uint16, hdr iscsi.S
 
 // ReplicaWriteByRef implements ByRefReplicaClient.
 func (l *Loopback) ReplicaWriteByRef(mode, shard uint8, vol uint16, entries []iscsi.BatchEntry) ([]iscsi.Status, error) {
-	return l.Replica.ApplyByRefStream(Mode(mode), shard, vol, entries), nil
+	return l.Replica.HandleReplicaByRef(mode, shard, vol, entries), nil
 }

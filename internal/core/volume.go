@@ -313,11 +313,7 @@ func (s *ReplicaSet) HandleReplicaBatch(mode uint8, entries []iscsi.BatchEntry) 
 func (s *ReplicaSet) HandleReplicaBatchStream(mode, shard uint8, vol uint16, entries []iscsi.BatchEntry) []iscsi.Status {
 	re := s.Volume(vol)
 	if re == nil {
-		statuses := make([]iscsi.Status, len(entries))
-		for i := range statuses {
-			statuses[i] = iscsi.StatusBadRequest
-		}
-		return statuses
+		return refuseAll(len(entries), iscsi.StatusBadRequest)
 	}
 	return re.HandleReplicaBatchStream(mode, shard, vol, entries)
 }

@@ -6,7 +6,6 @@ import (
 	"hash/crc32"
 	"io"
 	"net"
-	"time"
 )
 
 // Batch wire format (proto v4). The data segment of an
@@ -65,28 +64,33 @@ type StreamBatchBackend interface {
 	HandleReplicaBatchStream(mode, shard uint8, vol uint16, entries []BatchEntry) []Status
 }
 
-// batchDataLen validates entries against the protocol bounds and
-// returns the batch's data-segment length.
-func batchDataLen(entries []BatchEntry) (int, error) {
+// entryListLen validates an entry list against the protocol bounds and
+// returns its data-segment length, prefix (the stripe group header,
+// when there is one) included. With refs set the list is a by-ref
+// push, where an entry without a frame must carry a nonzero content
+// hash — the hash is the only thing the replica can materialize from.
+func entryListLen(prefixLen int, entries []BatchEntry, refs bool) (int, error) {
 	if len(entries) == 0 {
 		return 0, fmt.Errorf("iscsi: empty replica batch")
 	}
 	if len(entries) > MaxBatchFrames {
 		return 0, fmt.Errorf("%w: batch of %d entries", ErrTooLarge, len(entries))
 	}
-	n := batchCountLen
-	for _, e := range entries {
-		n += batchEntryLen + len(e.Frame)
-	}
+	n := prefixLen + BatchWireLen(entries)
 	if n > MaxDataSegment {
 		return 0, fmt.Errorf("%w: batch of %d bytes", ErrTooLarge, n)
+	}
+	for k := range entries {
+		if refs && entries[k].ByRef() && entries[k].Hash == 0 {
+			return 0, fmt.Errorf("%w: by-ref entry %d without content hash", ErrBadFrame, k)
+		}
 	}
 	return n, nil
 }
 
 // BatchWireLen returns the data-segment bytes a batch of entries
 // occupies on the wire (header PDU excluded); used for modelled wire
-// accounting. It assumes entries already passed batchDataLen bounds.
+// accounting.
 func BatchWireLen(entries []BatchEntry) int {
 	n := batchCountLen
 	for _, e := range entries {
@@ -95,13 +99,15 @@ func BatchWireLen(entries []BatchEntry) int {
 	return n
 }
 
-// batchMeta builds the contiguous count prefix plus every fixed-size
-// entry header. Frames are not copied in; the vectored writer
-// interleaves them from the caller's buffers.
-func batchMeta(entries []BatchEntry) []byte {
-	meta := make([]byte, batchCountLen+batchEntryLen*len(entries))
-	binary.BigEndian.PutUint32(meta, uint32(len(entries)))
-	off := batchCountLen
+// entryListMeta builds everything of an entry list's data segment but
+// the frames, contiguously: prefix, count, and every fixed-size entry
+// header. Entry k's header starts at len(prefix) + batchCountLen +
+// k*batchEntryLen; the frames interleave from the caller's buffers.
+func entryListMeta(prefix []byte, entries []BatchEntry) []byte {
+	meta := make([]byte, len(prefix)+batchCountLen+batchEntryLen*len(entries))
+	off := copy(meta, prefix)
+	binary.BigEndian.PutUint32(meta[off:], uint32(len(entries)))
+	off += batchCountLen
 	for _, e := range entries {
 		binary.BigEndian.PutUint64(meta[off:], e.Seq)
 		binary.BigEndian.PutUint64(meta[off+8:], e.LBA)
@@ -112,36 +118,49 @@ func batchMeta(entries []BatchEntry) []byte {
 	return meta
 }
 
-// EncodeBatch assembles the contiguous data segment for a batch.
-// The initiator's send path does not use it (it writes the pieces
-// vectored, without assembling a copy); it serves tests, fuzz seeds,
-// and callers that need the segment as one buffer.
-func EncodeBatch(entries []BatchEntry) ([]byte, error) {
-	dataLen, err := batchDataLen(entries)
+// entryListBufs lays an entry list's data segment out in wire order
+// without copying a frame: meta (see entryListMeta) is cut at the entry
+// header boundaries and the caller's frames slot in between. The first
+// piece carries the prefix and the count with entry 0's header.
+func entryListBufs(bufs net.Buffers, meta []byte, entries []BatchEntry) net.Buffers {
+	start, end := 0, len(meta)-batchEntryLen*(len(entries)-1)
+	for _, e := range entries {
+		bufs = append(bufs, meta[start:end])
+		if len(e.Frame) > 0 {
+			bufs = append(bufs, e.Frame)
+		}
+		start, end = end, end+batchEntryLen
+	}
+	return bufs
+}
+
+// encodeEntryList assembles the contiguous data segment of an entry
+// list. The initiator's send path does not use it (it writes the same
+// pieces vectored, without assembling a copy); it serves tests, fuzz
+// seeds, and callers that need the segment as one buffer.
+func encodeEntryList(prefix []byte, entries []BatchEntry, refs bool) ([]byte, error) {
+	dataLen, err := entryListLen(len(prefix), entries, refs)
 	if err != nil {
 		return nil, err
 	}
 	buf := make([]byte, 0, dataLen)
-	meta := batchMeta(entries)
-	buf = append(buf, meta[:batchCountLen]...)
-	off := batchCountLen
-	for _, e := range entries {
-		buf = append(buf, meta[off:off+batchEntryLen]...)
-		off += batchEntryLen
-		buf = append(buf, e.Frame...)
+	for _, piece := range entryListBufs(nil, entryListMeta(prefix, entries), entries) {
+		buf = append(buf, piece...)
 	}
 	return buf, nil
 }
 
-// DecodeBatch parses the data segment of an OpReplicaWriteBatch PDU.
-// Frames alias data (no copies); the caller owns data until the
-// entries are consumed. Decoding is strict and bounded: the declared
-// count must be in (0, MaxBatchFrames] and plausible for the buffer
-// size before anything is allocated, every entry must be fully
-// present, and trailing bytes are rejected. Truncation reports
-// ErrShortFrame and structural violations report ErrBadFrame —
-// hostile input never panics or over-allocates.
-func DecodeBatch(data []byte) ([]BatchEntry, error) {
+// decodeEntryList parses the count-prefixed entry sequence every
+// entry-list opcode carries. Frames alias data (no copies); the caller
+// owns data until the entries are consumed. Decoding is strict and
+// bounded: the declared count must be in (0, MaxBatchFrames] and
+// plausible for the buffer size before anything is allocated, every
+// entry must be fully present, trailing bytes are rejected, and with
+// refs set (a by-ref push) an entry without a frame must name a nonzero
+// content hash. Truncation reports ErrShortFrame and structural
+// violations report ErrBadFrame — hostile input never panics or
+// over-allocates.
+func decodeEntryList(data []byte, refs bool) ([]BatchEntry, error) {
 	if len(data) < batchCountLen {
 		return nil, fmt.Errorf("%w: batch segment of %d bytes", ErrShortFrame, len(data))
 	}
@@ -165,6 +184,9 @@ func DecodeBatch(data []byte) ([]BatchEntry, error) {
 		}
 		frameLen := binary.BigEndian.Uint32(data[off+24:])
 		off += batchEntryLen
+		if refs && frameLen == 0 && e.Hash == 0 {
+			return nil, fmt.Errorf("%w: by-ref entry %d without content hash", ErrBadFrame, k)
+		}
 		if uint64(frameLen) > uint64(len(data)-off) {
 			return nil, fmt.Errorf("%w: batch entry %d frame of %d bytes", ErrShortFrame, k, frameLen)
 		}
@@ -177,6 +199,15 @@ func DecodeBatch(data []byte) ([]BatchEntry, error) {
 	}
 	return entries, nil
 }
+
+// EncodeBatch assembles the contiguous data segment for a batch.
+func EncodeBatch(entries []BatchEntry) ([]byte, error) {
+	return encodeEntryList(nil, entries, false)
+}
+
+// DecodeBatch parses the data segment of an OpReplicaWriteBatch PDU
+// (see decodeEntryList for the bounds it enforces).
+func DecodeBatch(data []byte) ([]BatchEntry, error) { return decodeEntryList(data, false) }
 
 // EncodeBatchStatuses packs a batch response's per-entry status
 // vector: one status byte per entry, in entry order.
@@ -217,69 +248,66 @@ type buffersWriter interface {
 	WriteBuffers(bufs net.Buffers) (int64, error)
 }
 
-// writeBatchPDU encodes and sends one OpReplicaWriteBatch without
-// assembling a contiguous copy of the payload: the header, the entry
-// metadata, and the caller's frames go out as one vectored write. The
-// digest streams over the pieces in wire order, so the bytes are
-// indistinguishable from a contiguously-built PDU. A nonzero
-// (shard, vol) stream tag stamps the v5 framing.
-func writeBatchPDU(w io.Writer, mode, shard uint8, vol uint16, itt uint32, entries []BatchEntry) (int64, error) {
-	dataLen, err := batchDataLen(entries)
+// writeEntryListPDU encodes and sends one entry-list PDU — p names the
+// opcode, mode, stream tag and task tag; OpReplicaWriteBatch,
+// OpReplicaWriteStripe (prefix = the group header) and
+// OpReplicaWriteByRef all serialize here — without assembling a
+// contiguous copy of the payload: the header, the entry metadata, and
+// the caller's frames go out as one vectored write. The digest streams
+// over the pieces in wire order, so the bytes are indistinguishable
+// from a contiguously-built PDU.
+func writeEntryListPDU(w io.Writer, p *PDU, prefix []byte, entries []BatchEntry) (int64, error) {
+	dataLen, err := entryListLen(len(prefix), entries, p.Op == OpReplicaWriteByRef)
 	if err != nil {
 		return 0, err
 	}
-	meta := batchMeta(entries)
-
 	var hdr [headerLen]byte
-	hdr[0] = protoMagic
-	hdr[1] = protoVersion // the one v4 opcode
-	if shard != 0 || vol != 0 {
-		hdr[1] = streamVersion
-	}
-	hdr[2] = byte(OpReplicaWriteBatch)
-	hdr[4] = mode
-	hdr[5] = shard
-	binary.BigEndian.PutUint16(hdr[6:], vol)
-	binary.BigEndian.PutUint32(hdr[8:], itt)
-	binary.BigEndian.PutUint32(hdr[24:], uint32(dataLen))
+	p.putHeader(hdr[:], dataLen)
+	bufs := make(net.Buffers, 1, 1+2*len(entries))
+	bufs[0] = hdr[:]
+	bufs = entryListBufs(bufs, entryListMeta(prefix, entries), entries)
 
 	crc := crc32.New(castagnoli)
-	crc.Write(hdr[:]) // digest field still zero here, as digest() requires
-	crc.Write(meta[:batchCountLen])
-	for k, e := range entries {
-		start := batchCountLen + k*batchEntryLen
-		crc.Write(meta[start : start+batchEntryLen])
-		crc.Write(e.Frame)
+	for _, piece := range bufs { // putHeader left the digest field zero, as digest() requires
+		crc.Write(piece)
 	}
 	binary.BigEndian.PutUint32(hdr[44:], crc.Sum32())
 
-	bufs := make(net.Buffers, 0, 1+2*len(entries))
-	bufs = append(bufs, hdr[:])
-	for k, e := range entries {
-		start := batchCountLen + k*batchEntryLen
-		if k == 0 {
-			start = 0 // the count prefix rides with the first entry header
-		}
-		bufs = append(bufs, meta[start:batchCountLen+(k+1)*batchEntryLen])
-		if len(e.Frame) > 0 {
-			bufs = append(bufs, e.Frame)
-		}
-	}
 	if bw, ok := w.(buffersWriter); ok {
 		return bw.WriteBuffers(bufs)
 	}
 	return bufs.WriteTo(w)
 }
 
-// ReplicaWriteBatch pushes several replication frames in one round
-// trip and returns one status per entry, in entry order. A transport
-// or protocol failure returns an error and no statuses; per-entry
-// apply failures (diverged, decode, store) come back in the vector —
-// convert them with ReplicaStatusErr. A batch of one is sent as a
-// plain v3 OpReplicaWrite, byte-identical to unbatched shipping, so
-// un-upgraded replicas interoperate; like every request, a batch is
-// retried once over a fresh session when reconnection is armed
+// pushEntryList sends one entry-list PDU (see writeEntryListPDU) and
+// returns the per-entry status vector of its response. A transport or
+// protocol failure returns an error and no statuses; per-entry apply
+// failures (diverged, decode, store, ref-miss) come back in the vector
+// — convert them with ReplicaStatusErr. Like every request, the push
+// is retried once over a fresh session when reconnection is armed
 // (replica seq-dedupe makes redelivery safe).
+func (i *Initiator) pushEntryList(p PDU, prefix []byte, entries []BatchEntry) ([]Status, error) {
+	if len(entries) == 0 {
+		return nil, fmt.Errorf("iscsi: empty %v push", p.Op)
+	}
+	resp, err := i.exchange(nil, func(conn net.Conn, itt uint32) (int64, error) {
+		p.ITT = itt
+		return writeEntryListPDU(conn, &p, prefix, entries)
+	})
+	if err != nil {
+		return nil, err
+	}
+	if resp.Status != StatusOK {
+		return nil, fmt.Errorf("%w: %v of %d: %v", ErrStatus, p.Op, len(entries), resp.Status)
+	}
+	return DecodeBatchStatuses(resp.Data, len(entries))
+}
+
+// ReplicaWriteBatch pushes several replication frames in one round
+// trip and returns one status per entry, in entry order (see
+// pushEntryList). A batch of one is sent as a plain v3 OpReplicaWrite,
+// byte-identical to unbatched shipping, so un-upgraded replicas
+// interoperate.
 func (i *Initiator) ReplicaWriteBatch(mode uint8, entries []BatchEntry) ([]Status, error) {
 	return i.ReplicaWriteBatchStream(mode, 0, 0, entries)
 }
@@ -290,9 +318,6 @@ func (i *Initiator) ReplicaWriteBatch(mode uint8, entries []BatchEntry) ([]Statu
 // can interleave per-shard batches over one session. A zero tag is
 // byte-identical to ReplicaWriteBatch.
 func (i *Initiator) ReplicaWriteBatchStream(mode, shard uint8, vol uint16, entries []BatchEntry) ([]Status, error) {
-	if len(entries) == 0 {
-		return nil, fmt.Errorf("iscsi: empty replica batch")
-	}
 	if len(entries) == 1 {
 		e := entries[0]
 		resp, err := i.roundTrip(&PDU{Op: OpReplicaWrite, Mode: mode, Shard: shard, Vol: vol, Seq: e.Seq, LBA: e.LBA, Hash: e.Hash, Data: e.Frame})
@@ -301,57 +326,5 @@ func (i *Initiator) ReplicaWriteBatchStream(mode, shard uint8, vol uint16, entri
 		}
 		return []Status{resp.Status}, nil
 	}
-
-	i.mu.Lock()
-	defer i.mu.Unlock()
-
-	//lint:ignore hold-blocking i.mu serializes the session to one in-flight batch; wire I/O under it is the session model
-	resp, err := i.doBatch(mode, shard, vol, entries)
-	if err != nil && i.redial != nil {
-		//lint:ignore hold-blocking reconnect reuses the same single-command session lock
-		if rerr := i.reconnectLocked(); rerr != nil {
-			return nil, fmt.Errorf("iscsi: reconnect after %v: %w", err, rerr)
-		}
-		//lint:ignore hold-blocking retry of the serialized batch after reconnect
-		resp, err = i.doBatch(mode, shard, vol, entries)
-	}
-	if err != nil {
-		return nil, err
-	}
-	if resp.Status != StatusOK {
-		return nil, fmt.Errorf("%w: replica-write-batch of %d: %v", ErrStatus, len(entries), resp.Status)
-	}
-	return DecodeBatchStatuses(resp.Data, len(entries))
-}
-
-// doBatch performs one tagged batch request/response on the current
-// connection via the vectored writer. Called with i.mu held.
-func (i *Initiator) doBatch(mode, shard uint8, vol uint16, entries []BatchEntry) (*PDU, error) {
-	conn := i.currentConn()
-	if conn == nil {
-		return nil, net.ErrClosed
-	}
-	i.itt++
-	itt := i.itt
-
-	if i.timeout > 0 {
-		if err := conn.SetDeadline(time.Now().Add(i.timeout)); err != nil {
-			return nil, fmt.Errorf("iscsi: set deadline: %w", err)
-		}
-		defer conn.SetDeadline(time.Time{}) //nolint:errcheck // best-effort clear
-	}
-
-	n, err := writeBatchPDU(conn, mode, shard, vol, itt, entries)
-	i.wireSent += n
-	if err != nil {
-		return nil, err
-	}
-	resp, err := ReadPDU(conn)
-	if err != nil {
-		return nil, err
-	}
-	if resp.ITT != itt {
-		return nil, fmt.Errorf("iscsi: response tag %d for request %d", resp.ITT, itt)
-	}
-	return resp, nil
+	return i.pushEntryList(PDU{Op: OpReplicaWriteBatch, Mode: mode, Shard: shard, Vol: vol}, nil, entries)
 }

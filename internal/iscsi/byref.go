@@ -1,14 +1,5 @@
 package iscsi
 
-import (
-	"encoding/binary"
-	"fmt"
-	"hash/crc32"
-	"io"
-	"net"
-	"time"
-)
-
 // By-ref wire format (proto v7). The data segment of an
 // OpReplicaWriteByRef PDU carries the same count-prefixed entry
 // sequence an OpReplicaWriteBatch does, except an entry with a zero
@@ -54,23 +45,6 @@ type ByRefBackend interface {
 	HandleReplicaByRef(mode, shard uint8, vol uint16, entries []BatchEntry) []Status
 }
 
-// byRefDataLen validates entries against the protocol bounds and
-// returns the segment's data length. Unlike a plain batch, a by-ref
-// entry (zero frameLen) must carry a nonzero content hash — the hash
-// is the only thing the replica can materialize from.
-func byRefDataLen(entries []BatchEntry) (int, error) {
-	n, err := batchDataLen(entries)
-	if err != nil {
-		return 0, err
-	}
-	for k := range entries {
-		if entries[k].ByRef() && entries[k].Hash == 0 {
-			return 0, fmt.Errorf("%w: by-ref entry %d without content hash", ErrBadFrame, k)
-		}
-	}
-	return n, nil
-}
-
 // ByRefWireLen returns the data-segment bytes a by-ref batch of
 // entries occupies on the wire (PDU header excluded); used for
 // modelled wire accounting. A pure by-ref entry costs batchEntryLen
@@ -80,176 +54,20 @@ func ByRefWireLen(entries []BatchEntry) int {
 }
 
 // EncodeByRef assembles the contiguous data segment for a by-ref
-// push. The initiator's send path writes the pieces vectored instead;
-// this serves tests, fuzz seeds, and loopback paths.
+// push; every by-ref entry must carry a nonzero content hash.
 func EncodeByRef(entries []BatchEntry) ([]byte, error) {
-	if _, err := byRefDataLen(entries); err != nil {
-		return nil, err
-	}
-	return EncodeBatch(entries)
+	return encodeEntryList(nil, entries, true)
 }
 
-// DecodeByRef parses the data segment of an OpReplicaWriteByRef PDU.
-// Frames alias data; the caller owns data until the entries are
-// consumed. Decoding is strict and bounded exactly like DecodeBatch:
-// the declared count must be in (0, MaxBatchFrames] and plausible for
-// the buffer size before anything is allocated, every entry fully
-// present, no trailing bytes, and every by-ref entry (zero frameLen)
-// must name a nonzero content hash. Truncation reports ErrShortFrame
-// and structural violations report ErrBadFrame — hostile input never
-// panics or over-allocates.
-func DecodeByRef(data []byte) ([]BatchEntry, error) {
-	if len(data) < batchCountLen {
-		return nil, fmt.Errorf("%w: by-ref segment of %d bytes", ErrShortFrame, len(data))
-	}
-	count := binary.BigEndian.Uint32(data)
-	if count == 0 || count > MaxBatchFrames {
-		return nil, fmt.Errorf("%w: by-ref count %d", ErrBadFrame, count)
-	}
-	if uint64(len(data)-batchCountLen) < uint64(count)*batchEntryLen {
-		return nil, fmt.Errorf("%w: %d entries cannot fit in %d bytes", ErrShortFrame, count, len(data))
-	}
-	entries := make([]BatchEntry, 0, count)
-	off := batchCountLen
-	for k := uint32(0); k < count; k++ {
-		if len(data)-off < batchEntryLen {
-			return nil, fmt.Errorf("%w: by-ref entry %d header", ErrShortFrame, k)
-		}
-		e := BatchEntry{
-			Seq:  binary.BigEndian.Uint64(data[off:]),
-			LBA:  binary.BigEndian.Uint64(data[off+8:]),
-			Hash: binary.BigEndian.Uint64(data[off+16:]),
-		}
-		frameLen := binary.BigEndian.Uint32(data[off+24:])
-		off += batchEntryLen
-		if frameLen == 0 && e.Hash == 0 {
-			return nil, fmt.Errorf("%w: by-ref entry %d without content hash", ErrBadFrame, k)
-		}
-		if uint64(frameLen) > uint64(len(data)-off) {
-			return nil, fmt.Errorf("%w: by-ref entry %d frame of %d bytes", ErrShortFrame, k, frameLen)
-		}
-		e.Frame = data[off : off+int(frameLen)]
-		off += int(frameLen)
-		entries = append(entries, e)
-	}
-	if off != len(data) {
-		return nil, fmt.Errorf("%w: %d trailing bytes after by-ref batch", ErrBadFrame, len(data)-off)
-	}
-	return entries, nil
-}
-
-// writeByRefPDU encodes and sends one OpReplicaWriteByRef without
-// assembling a contiguous payload copy: header, entry metadata, and
-// any by-value frames go out as one vectored write with a streamed
-// digest, indistinguishable from a contiguously-built PDU.
-func writeByRefPDU(w io.Writer, mode, shard uint8, vol uint16, itt uint32, entries []BatchEntry) (int64, error) {
-	dataLen, err := byRefDataLen(entries)
-	if err != nil {
-		return 0, err
-	}
-	meta := batchMeta(entries)
-
-	var hdr [headerLen]byte
-	hdr[0] = protoMagic
-	hdr[1] = dedupeVersion
-	hdr[2] = byte(OpReplicaWriteByRef)
-	hdr[4] = mode
-	hdr[5] = shard
-	binary.BigEndian.PutUint16(hdr[6:], vol)
-	binary.BigEndian.PutUint32(hdr[8:], itt)
-	binary.BigEndian.PutUint32(hdr[24:], uint32(dataLen))
-
-	crc := crc32.New(castagnoli)
-	crc.Write(hdr[:]) // digest field still zero here, as digest() requires
-	crc.Write(meta[:batchCountLen])
-	for k, e := range entries {
-		start := batchCountLen + k*batchEntryLen
-		crc.Write(meta[start : start+batchEntryLen])
-		crc.Write(e.Frame)
-	}
-	binary.BigEndian.PutUint32(hdr[44:], crc.Sum32())
-
-	bufs := make(net.Buffers, 0, 1+2*len(entries))
-	bufs = append(bufs, hdr[:])
-	for k, e := range entries {
-		start := batchCountLen + k*batchEntryLen
-		if k == 0 {
-			start = 0 // the count prefix rides with the first entry header
-		}
-		bufs = append(bufs, meta[start:batchCountLen+(k+1)*batchEntryLen])
-		if len(e.Frame) > 0 {
-			bufs = append(bufs, e.Frame)
-		}
-	}
-	if bw, ok := w.(buffersWriter); ok {
-		return bw.WriteBuffers(bufs)
-	}
-	return bufs.WriteTo(w)
-}
+// DecodeByRef parses the data segment of an OpReplicaWriteByRef PDU:
+// DecodeBatch's bounds, plus every by-ref entry (zero frameLen) must
+// name a nonzero content hash (see decodeEntryList).
+func DecodeByRef(data []byte) ([]BatchEntry, error) { return decodeEntryList(data, true) }
 
 // ReplicaWriteByRef pushes a mixed by-ref/by-value batch for the
 // (vol, shard) replication stream in one round trip and returns one
-// status per entry, in entry order. A transport or protocol failure
-// returns an error and no statuses; per-entry outcomes — including
-// StatusRefMiss for unresolvable references — ride the vector
-// (convert them with ReplicaStatusErr). Like every request, the push
-// is retried over a fresh session when reconnection is armed —
-// replica seq-dedupe makes redelivery safe.
+// status per entry, in entry order (see pushEntryList); StatusRefMiss
+// marks references the replica could not resolve.
 func (i *Initiator) ReplicaWriteByRef(mode, shard uint8, vol uint16, entries []BatchEntry) ([]Status, error) {
-	if len(entries) == 0 {
-		return nil, fmt.Errorf("iscsi: empty by-ref push")
-	}
-
-	i.mu.Lock()
-	defer i.mu.Unlock()
-
-	//lint:ignore hold-blocking i.mu serializes the session to one in-flight push; wire I/O under it is the session model
-	resp, err := i.doByRef(mode, shard, vol, entries)
-	if err != nil && i.redial != nil {
-		//lint:ignore hold-blocking reconnect reuses the same single-command session lock
-		if rerr := i.reconnectLocked(); rerr != nil {
-			return nil, fmt.Errorf("iscsi: reconnect after %v: %w", err, rerr)
-		}
-		//lint:ignore hold-blocking retry of the serialized push after reconnect
-		resp, err = i.doByRef(mode, shard, vol, entries)
-	}
-	if err != nil {
-		return nil, err
-	}
-	if resp.Status != StatusOK {
-		return nil, fmt.Errorf("%w: replica-write-byref of %d: %v", ErrStatus, len(entries), resp.Status)
-	}
-	return DecodeBatchStatuses(resp.Data, len(entries))
-}
-
-// doByRef performs one by-ref request/response on the current
-// connection via the vectored writer. Called with i.mu held.
-func (i *Initiator) doByRef(mode, shard uint8, vol uint16, entries []BatchEntry) (*PDU, error) {
-	conn := i.currentConn()
-	if conn == nil {
-		return nil, net.ErrClosed
-	}
-	i.itt++
-	itt := i.itt
-
-	if i.timeout > 0 {
-		if err := conn.SetDeadline(time.Now().Add(i.timeout)); err != nil {
-			return nil, fmt.Errorf("iscsi: set deadline: %w", err)
-		}
-		defer conn.SetDeadline(time.Time{}) //nolint:errcheck // best-effort clear
-	}
-
-	n, err := writeByRefPDU(conn, mode, shard, vol, itt, entries)
-	i.wireSent += n
-	if err != nil {
-		return nil, err
-	}
-	resp, err := ReadPDU(conn)
-	if err != nil {
-		return nil, err
-	}
-	if resp.ITT != itt {
-		return nil, fmt.Errorf("iscsi: response tag %d for request %d", resp.ITT, itt)
-	}
-	return resp, nil
+	return i.pushEntryList(PDU{Op: OpReplicaWriteByRef, Mode: mode, Shard: shard, Vol: vol}, nil, entries)
 }

@@ -203,8 +203,6 @@ func (i *Initiator) Reconnects() int64 {
 }
 
 // roundTrip sends one request and reads its response, serialized.
-// With reconnection armed, a transport failure triggers one
-// redial + re-login + resend before giving up.
 func (i *Initiator) roundTrip(req *PDU) (*PDU, error) {
 	return i.roundTripInto(req, nil)
 }
@@ -212,11 +210,29 @@ func (i *Initiator) roundTrip(req *PDU) (*PDU, error) {
 // roundTripInto is roundTrip with a caller-supplied destination buffer
 // for the response data segment (see ReadPDUInto).
 func (i *Initiator) roundTripInto(req *PDU, dst []byte) (*PDU, error) {
+	return i.exchange(dst, req.writeTagged)
+}
+
+// writeTagged stamps the task tag and writes the PDU: the send step of
+// a request that is one contiguously built PDU.
+func (p *PDU) writeTagged(conn net.Conn, itt uint32) (int64, error) {
+	p.ITT = itt
+	return p.WriteTo(conn)
+}
+
+// exchange is the one request/response round trip every command takes:
+// send writes the request under a fresh task tag, and the response is
+// read into dst when its data segment is exactly len(dst) bytes. The
+// session lock is held throughout, so one command is outstanding at a
+// time. With reconnection armed, a transport failure triggers one
+// redial + re-login + resend before giving up; send runs again with a
+// new tag, so it must re-stamp whatever it derived from the old one.
+func (i *Initiator) exchange(dst []byte, send func(conn net.Conn, itt uint32) (int64, error)) (*PDU, error) {
 	i.mu.Lock()
 	defer i.mu.Unlock()
 
 	//lint:ignore hold-blocking i.mu serializes the session to one in-flight command; wire I/O under it is the session model
-	resp, err := i.doInto(req, dst)
+	resp, err := i.do(dst, send)
 	if err == nil || i.redial == nil {
 		return resp, err
 	}
@@ -225,7 +241,7 @@ func (i *Initiator) roundTripInto(req *PDU, dst []byte) (*PDU, error) {
 		return nil, fmt.Errorf("iscsi: reconnect after %v: %w", err, rerr)
 	}
 	//lint:ignore hold-blocking retry of the serialized command after reconnect
-	return i.doInto(req, dst)
+	return i.do(dst, send)
 }
 
 // currentConn returns the live connection, or nil after Close.
@@ -238,23 +254,15 @@ func (i *Initiator) currentConn() net.Conn {
 	return i.conn
 }
 
-// do performs one tagged request/response on the current connection.
-// Called with i.mu held.
-func (i *Initiator) do(req *PDU) (*PDU, error) {
-	return i.doInto(req, nil)
-}
-
-// doInto is do with a caller-supplied destination for the response
-// data segment: when the response carries exactly len(dst) bytes they
-// are read directly into dst (resp.Data aliases it), eliminating the
-// staging allocation on the block read path. Called with i.mu held.
-func (i *Initiator) doInto(req *PDU, dst []byte) (*PDU, error) {
+// do performs one tagged request/response on the current connection
+// (see exchange). Called with i.mu held.
+func (i *Initiator) do(dst []byte, send func(conn net.Conn, itt uint32) (int64, error)) (*PDU, error) {
 	conn := i.currentConn()
 	if conn == nil {
 		return nil, net.ErrClosed
 	}
 	i.itt++
-	req.ITT = i.itt
+	itt := i.itt
 
 	if i.timeout > 0 {
 		if err := conn.SetDeadline(time.Now().Add(i.timeout)); err != nil {
@@ -263,7 +271,7 @@ func (i *Initiator) doInto(req *PDU, dst []byte) (*PDU, error) {
 		defer conn.SetDeadline(time.Time{}) //nolint:errcheck // best-effort clear
 	}
 
-	n, err := req.WriteTo(conn)
+	n, err := send(conn, itt)
 	i.wireSent += n
 	if err != nil {
 		return nil, err
@@ -272,8 +280,8 @@ func (i *Initiator) doInto(req *PDU, dst []byte) (*PDU, error) {
 	if err != nil {
 		return nil, err
 	}
-	if resp.ITT != req.ITT {
-		return nil, fmt.Errorf("iscsi: response tag %d for request %d", resp.ITT, req.ITT)
+	if resp.ITT != itt {
+		return nil, fmt.Errorf("iscsi: response tag %d for request %d", resp.ITT, itt)
 	}
 	return resp, nil
 }
@@ -324,7 +332,8 @@ func (i *Initiator) reconnectOnceLocked() error {
 	i.conn = conn
 	i.connMu.Unlock()
 
-	resp, err := i.do(&PDU{Op: OpLoginReq, Data: encodeLoginReq(i.redialTarget)})
+	login := PDU{Op: OpLoginReq, Data: encodeLoginReq(i.redialTarget)}
+	resp, err := i.do(nil, login.writeTagged)
 	if err != nil {
 		return err
 	}
@@ -443,19 +452,13 @@ func (i *Initiator) ReplicaWriteStream(mode, shard uint8, vol uint16, seq, lba, 
 // modified (its first FrameHeadroom bytes are overwritten), so the
 // caller must hold exclusive ownership of the buffer for the call.
 func (i *Initiator) ReplicaWriteFramed(mode, shard uint8, vol uint16, seq, lba, hash uint64, pdu []byte) error {
-	i.mu.Lock()
-	defer i.mu.Unlock()
-
-	//lint:ignore hold-blocking i.mu serializes the session to one in-flight command; wire I/O under it is the session model
-	resp, err := i.doFramed(mode, shard, vol, seq, lba, hash, pdu)
-	if err != nil && i.redial != nil {
-		//lint:ignore hold-blocking reconnect reuses the same single-command session lock
-		if rerr := i.reconnectLocked(); rerr != nil {
-			return fmt.Errorf("iscsi: reconnect after %v: %w", err, rerr)
+	resp, err := i.exchange(nil, func(conn net.Conn, itt uint32) (int64, error) {
+		if err := StampReplicaHeader(pdu, mode, shard, vol, itt, seq, lba, hash); err != nil {
+			return 0, err
 		}
-		//lint:ignore hold-blocking retry of the serialized command after reconnect
-		resp, err = i.doFramed(mode, shard, vol, seq, lba, hash, pdu)
-	}
+		n, err := conn.Write(pdu)
+		return int64(n), err
+	})
 	if err != nil {
 		return err
 	}
@@ -463,43 +466,6 @@ func (i *Initiator) ReplicaWriteFramed(mode, shard uint8, vol uint16, seq, lba, 
 		return statusErr("replica-write", lba, resp.Status)
 	}
 	return nil
-}
-
-// doFramed stamps the in-place replica-write header (fresh ITT each
-// attempt, so a reconnect retry re-tags and re-digests correctly) and
-// sends the pre-assembled PDU as a single write. Called with i.mu
-// held.
-func (i *Initiator) doFramed(mode, shard uint8, vol uint16, seq, lba, hash uint64, pdu []byte) (*PDU, error) {
-	conn := i.currentConn()
-	if conn == nil {
-		return nil, net.ErrClosed
-	}
-	i.itt++
-	itt := i.itt
-	if err := StampReplicaHeader(pdu, mode, shard, vol, itt, seq, lba, hash); err != nil {
-		return nil, err
-	}
-
-	if i.timeout > 0 {
-		if err := conn.SetDeadline(time.Now().Add(i.timeout)); err != nil {
-			return nil, fmt.Errorf("iscsi: set deadline: %w", err)
-		}
-		defer conn.SetDeadline(time.Time{}) //nolint:errcheck // best-effort clear
-	}
-
-	n, err := conn.Write(pdu)
-	i.wireSent += int64(n)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := ReadPDU(conn)
-	if err != nil {
-		return nil, err
-	}
-	if resp.ITT != itt {
-		return nil, fmt.Errorf("iscsi: response tag %d for request %d", resp.ITT, itt)
-	}
-	return resp, nil
 }
 
 // Ping sends a NOP and returns the round-trip time.

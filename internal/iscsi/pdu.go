@@ -313,12 +313,12 @@ type PDU struct {
 	Data   []byte
 }
 
-// WriteTo encodes and writes the PDU to w as one header + data stream.
-func (p *PDU) WriteTo(w io.Writer) (int64, error) {
-	if len(p.Data) > MaxDataSegment {
-		return 0, fmt.Errorf("%w: %d bytes", ErrTooLarge, len(p.Data))
-	}
-	var hdr [headerLen]byte
+// putHeader encodes the PDU's header fields into hdr (headerLen bytes)
+// for a data segment of dataLen bytes, leaving the digest field zero
+// for the caller to stamp. Every send path frames its header here, so
+// the version byte has one rule: v3 unless the opcode or a nonzero
+// stream tag says otherwise.
+func (p *PDU) putHeader(hdr []byte, dataLen int) {
 	hdr[0] = protoMagic
 	hdr[1] = baseVersion
 	if p.Op == OpReplicaWriteBatch {
@@ -341,9 +341,19 @@ func (p *PDU) WriteTo(w io.Writer) (int64, error) {
 	binary.BigEndian.PutUint32(hdr[8:], p.ITT)
 	binary.BigEndian.PutUint64(hdr[12:], p.LBA)
 	binary.BigEndian.PutUint32(hdr[20:], p.Blocks)
-	binary.BigEndian.PutUint32(hdr[24:], uint32(len(p.Data)))
+	binary.BigEndian.PutUint32(hdr[24:], uint32(dataLen))
 	binary.BigEndian.PutUint64(hdr[28:], p.Seq)
 	binary.BigEndian.PutUint64(hdr[36:], p.Hash)
+	binary.BigEndian.PutUint32(hdr[44:], 0)
+}
+
+// WriteTo encodes and writes the PDU to w as one header + data stream.
+func (p *PDU) WriteTo(w io.Writer) (int64, error) {
+	if len(p.Data) > MaxDataSegment {
+		return 0, fmt.Errorf("%w: %d bytes", ErrTooLarge, len(p.Data))
+	}
+	var hdr [headerLen]byte
+	p.putHeader(hdr[:], len(p.Data))
 	binary.BigEndian.PutUint32(hdr[44:], digest(hdr[:], p.Data))
 
 	if len(p.Data) == 0 {
@@ -387,27 +397,9 @@ func StampReplicaHeader(pdu []byte, mode, shard uint8, vol uint16, itt uint32, s
 	if dataLen > MaxDataSegment {
 		return fmt.Errorf("%w: %d bytes", ErrTooLarge, dataLen)
 	}
-	hdr := pdu[:FrameHeadroom]
-	hdr[0] = protoMagic
-	hdr[1] = baseVersion
-	if shard != 0 || vol != 0 {
-		hdr[1] = streamVersion
-	}
-	hdr[2] = byte(OpReplicaWrite)
-	hdr[3] = 0
-	hdr[4] = mode
-	hdr[5] = shard
-	binary.BigEndian.PutUint16(hdr[6:], vol)
-	binary.BigEndian.PutUint32(hdr[8:], itt)
-	binary.BigEndian.PutUint64(hdr[12:], lba)
-	binary.BigEndian.PutUint32(hdr[20:], 0)
-	binary.BigEndian.PutUint32(hdr[24:], uint32(dataLen))
-	binary.BigEndian.PutUint64(hdr[28:], seq)
-	binary.BigEndian.PutUint64(hdr[36:], hash)
-	// Digest with the field zeroed, then stamp — one streamed CRC over
-	// header+data, matching digest().
-	hdr[44], hdr[45], hdr[46], hdr[47] = 0, 0, 0, 0
-	binary.BigEndian.PutUint32(hdr[44:], crc32.Checksum(pdu, castagnoli))
+	p := PDU{Op: OpReplicaWrite, Mode: mode, Shard: shard, Vol: vol, ITT: itt, Seq: seq, LBA: lba, Hash: hash}
+	p.putHeader(pdu[:FrameHeadroom], dataLen)
+	binary.BigEndian.PutUint32(pdu[44:], crc32.Checksum(pdu, castagnoli))
 	return nil
 }
 

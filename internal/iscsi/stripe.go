@@ -1,13 +1,6 @@
 package iscsi
 
-import (
-	"encoding/binary"
-	"fmt"
-	"hash/crc32"
-	"io"
-	"net"
-	"time"
-)
+import "fmt"
 
 // Stripe wire format (proto v6). The data segment of an
 // OpReplicaWriteStripe PDU is a replica-group prefix followed by the
@@ -62,22 +55,6 @@ type ChainBackend interface {
 	HandleRepairChain(req []byte) ([]byte, Status)
 }
 
-// stripeDataLen validates entries against the protocol bounds and
-// returns the stripe segment's data length.
-func stripeDataLen(hdr StripeHeader, entries []BatchEntry) (int, error) {
-	if !hdr.valid() {
-		return 0, fmt.Errorf("%w: stripe group k=%d n=%d idx=%d", ErrBadFrame, hdr.K, hdr.N, hdr.Idx)
-	}
-	n, err := batchDataLen(entries)
-	if err != nil {
-		return 0, err
-	}
-	if n+stripePrefixLen > MaxDataSegment {
-		return 0, fmt.Errorf("%w: stripe of %d bytes", ErrTooLarge, n+stripePrefixLen)
-	}
-	return n + stripePrefixLen, nil
-}
-
 // StripeWireLen returns the data-segment bytes a stripe of entries
 // occupies on the wire (PDU header excluded); used for modelled wire
 // accounting.
@@ -85,20 +62,23 @@ func StripeWireLen(entries []BatchEntry) int {
 	return stripePrefixLen + BatchWireLen(entries)
 }
 
-// EncodeStripe assembles the contiguous data segment for a stripe
-// push. The initiator's send path writes the pieces vectored instead;
-// this serves tests, fuzz seeds, and loopback paths.
-func EncodeStripe(hdr StripeHeader, entries []BatchEntry) ([]byte, error) {
-	if _, err := stripeDataLen(hdr, entries); err != nil {
-		return nil, err
+// prefix returns the {k, n, idx, reserved} group prefix of a stripe
+// segment, or ErrBadFrame for a structurally invalid geometry.
+func (h StripeHeader) prefix() ([]byte, error) {
+	if !h.valid() {
+		return nil, fmt.Errorf("%w: stripe group k=%d n=%d idx=%d", ErrBadFrame, h.K, h.N, h.Idx)
 	}
-	body, err := EncodeBatch(entries)
+	return []byte{h.K, h.N, h.Idx, 0}, nil
+}
+
+// EncodeStripe assembles the contiguous data segment for a stripe
+// push.
+func EncodeStripe(hdr StripeHeader, entries []BatchEntry) ([]byte, error) {
+	prefix, err := hdr.prefix()
 	if err != nil {
 		return nil, err
 	}
-	buf := make([]byte, 0, stripePrefixLen+len(body))
-	buf = append(buf, hdr.K, hdr.N, hdr.Idx, 0)
-	return append(buf, body...), nil
+	return encodeEntryList(prefix, entries, false)
 }
 
 // DecodeStripe parses the data segment of an OpReplicaWriteStripe PDU.
@@ -117,136 +97,22 @@ func DecodeStripe(data []byte) (StripeHeader, []BatchEntry, error) {
 	if data[3] != 0 {
 		return hdr, nil, fmt.Errorf("%w: stripe reserved byte 0x%02x", ErrBadFrame, data[3])
 	}
-	if !hdr.valid() {
-		return hdr, nil, fmt.Errorf("%w: stripe group k=%d n=%d idx=%d", ErrBadFrame, hdr.K, hdr.N, hdr.Idx)
-	}
-	entries, err := DecodeBatch(data[stripePrefixLen:])
-	if err != nil {
+	if _, err := hdr.prefix(); err != nil {
 		return hdr, nil, err
 	}
-	return hdr, entries, nil
-}
-
-// writeStripePDU encodes and sends one OpReplicaWriteStripe without
-// assembling a contiguous payload copy: header, group prefix + entry
-// metadata, and the caller's unit frames go out as one vectored write
-// with a streamed digest, indistinguishable from a contiguously-built
-// PDU.
-func writeStripePDU(w io.Writer, mode, shard uint8, vol uint16, itt uint32, shdr StripeHeader, entries []BatchEntry) (int64, error) {
-	dataLen, err := stripeDataLen(shdr, entries)
-	if err != nil {
-		return 0, err
-	}
-	// meta is the group prefix, the count, and every fixed-size entry
-	// header in one contiguous buffer; frames interleave from the
-	// caller's own buffers.
-	bm := batchMeta(entries)
-	meta := make([]byte, 0, stripePrefixLen+len(bm))
-	meta = append(meta, shdr.K, shdr.N, shdr.Idx, 0)
-	meta = append(meta, bm...)
-
-	var hdr [headerLen]byte
-	hdr[0] = protoMagic
-	hdr[1] = stripeVersion
-	hdr[2] = byte(OpReplicaWriteStripe)
-	hdr[4] = mode
-	hdr[5] = shard
-	binary.BigEndian.PutUint16(hdr[6:], vol)
-	binary.BigEndian.PutUint32(hdr[8:], itt)
-	binary.BigEndian.PutUint32(hdr[24:], uint32(dataLen))
-
-	crc := crc32.New(castagnoli)
-	crc.Write(hdr[:]) // digest field still zero here, as digest() requires
-	crc.Write(meta[:stripePrefixLen+batchCountLen])
-	for k, e := range entries {
-		start := stripePrefixLen + batchCountLen + k*batchEntryLen
-		crc.Write(meta[start : start+batchEntryLen])
-		crc.Write(e.Frame)
-	}
-	binary.BigEndian.PutUint32(hdr[44:], crc.Sum32())
-
-	bufs := make(net.Buffers, 0, 1+2*len(entries))
-	bufs = append(bufs, hdr[:])
-	for k, e := range entries {
-		start := stripePrefixLen + batchCountLen + k*batchEntryLen
-		if k == 0 {
-			start = 0 // the group prefix and count ride with the first entry header
-		}
-		bufs = append(bufs, meta[start:stripePrefixLen+batchCountLen+(k+1)*batchEntryLen])
-		if len(e.Frame) > 0 {
-			bufs = append(bufs, e.Frame)
-		}
-	}
-	if bw, ok := w.(buffersWriter); ok {
-		return bw.WriteBuffers(bufs)
-	}
-	return bufs.WriteTo(w)
+	entries, err := DecodeBatch(data[stripePrefixLen:])
+	return hdr, entries, err
 }
 
 // ReplicaWriteStripe pushes stripe units for a k-of-n replica group in
-// one round trip and returns one status per entry, in entry order. A
-// transport or protocol failure returns an error and no statuses;
-// per-entry apply failures ride the vector (convert them with
-// ReplicaStatusErr). Like every request, the stripe is retried over a
-// fresh session when reconnection is armed — replica seq-dedupe makes
-// redelivery safe.
+// one round trip and returns one status per entry, in entry order (see
+// pushEntryList).
 func (i *Initiator) ReplicaWriteStripe(mode, shard uint8, vol uint16, shdr StripeHeader, entries []BatchEntry) ([]Status, error) {
-	if len(entries) == 0 {
-		return nil, fmt.Errorf("iscsi: empty stripe push")
-	}
-
-	i.mu.Lock()
-	defer i.mu.Unlock()
-
-	//lint:ignore hold-blocking i.mu serializes the session to one in-flight stripe; wire I/O under it is the session model
-	resp, err := i.doStripe(mode, shard, vol, shdr, entries)
-	if err != nil && i.redial != nil {
-		//lint:ignore hold-blocking reconnect reuses the same single-command session lock
-		if rerr := i.reconnectLocked(); rerr != nil {
-			return nil, fmt.Errorf("iscsi: reconnect after %v: %w", err, rerr)
-		}
-		//lint:ignore hold-blocking retry of the serialized stripe after reconnect
-		resp, err = i.doStripe(mode, shard, vol, shdr, entries)
-	}
+	prefix, err := shdr.prefix()
 	if err != nil {
 		return nil, err
 	}
-	if resp.Status != StatusOK {
-		return nil, fmt.Errorf("%w: replica-write-stripe of %d: %v", ErrStatus, len(entries), resp.Status)
-	}
-	return DecodeBatchStatuses(resp.Data, len(entries))
-}
-
-// doStripe performs one stripe request/response on the current
-// connection via the vectored writer. Called with i.mu held.
-func (i *Initiator) doStripe(mode, shard uint8, vol uint16, shdr StripeHeader, entries []BatchEntry) (*PDU, error) {
-	conn := i.currentConn()
-	if conn == nil {
-		return nil, net.ErrClosed
-	}
-	i.itt++
-	itt := i.itt
-
-	if i.timeout > 0 {
-		if err := conn.SetDeadline(time.Now().Add(i.timeout)); err != nil {
-			return nil, fmt.Errorf("iscsi: set deadline: %w", err)
-		}
-		defer conn.SetDeadline(time.Time{}) //nolint:errcheck // best-effort clear
-	}
-
-	n, err := writeStripePDU(conn, mode, shard, vol, itt, shdr, entries)
-	i.wireSent += n
-	if err != nil {
-		return nil, err
-	}
-	resp, err := ReadPDU(conn)
-	if err != nil {
-		return nil, err
-	}
-	if resp.ITT != itt {
-		return nil, fmt.Errorf("iscsi: response tag %d for request %d", resp.ITT, itt)
-	}
-	return resp, nil
+	return i.pushEntryList(PDU{Op: OpReplicaWriteStripe, Mode: mode, Shard: shard, Vol: vol}, prefix, entries)
 }
 
 // RepairChain sends one pipelined-repair hop request (an opaque

@@ -267,6 +267,37 @@ func applyBatch(backend Backend, mode, shard uint8, vol uint16, entries []BatchE
 	return statuses
 }
 
+// applyEntryList decodes an entry-list push and hands it to the
+// backend extension its opcode needs. It reports false — the PDU is
+// refused with StatusBadRequest — for a malformed segment, and for a
+// stripe or by-ref push at a backend without the extension: a stripe
+// unit stored as if it were a block, or a reference no content index
+// can materialize, must be refused rather than guessed at.
+func applyEntryList(backend Backend, pdu *PDU) ([]Status, bool) {
+	switch pdu.Op {
+	case OpReplicaWriteStripe:
+		shdr, entries, err := DecodeStripe(pdu.Data)
+		sb, ok := backend.(StripeBackend)
+		if err != nil || !ok {
+			return nil, false
+		}
+		return sb.HandleReplicaStripe(pdu.Mode, pdu.Shard, pdu.Vol, shdr, entries), true
+	case OpReplicaWriteByRef:
+		entries, err := DecodeByRef(pdu.Data)
+		brb, ok := backend.(ByRefBackend)
+		if err != nil || !ok {
+			return nil, false
+		}
+		return brb.HandleReplicaByRef(pdu.Mode, pdu.Shard, pdu.Vol, entries), true
+	default:
+		entries, err := DecodeBatch(pdu.Data)
+		if err != nil {
+			return nil, false
+		}
+		return applyBatch(backend, pdu.Mode, pdu.Shard, pdu.Vol, entries), true
+	}
+}
+
 // ServeConn runs one session on conn until logout, EOF, a protocol
 // error, or target shutdown. It owns conn and closes it on return.
 func (t *Target) ServeConn(conn net.Conn) {
@@ -351,61 +382,19 @@ func (t *Target) ServeConn(conn net.Conn) {
 			}
 			resp.Status = applyReplica(backend, pdu.Mode, pdu.Shard, pdu.Vol, pdu.Seq, pdu.LBA, pdu.Hash, pdu.Data)
 
-		case OpReplicaWriteBatch:
+		case OpReplicaWriteBatch, OpReplicaWriteStripe, OpReplicaWriteByRef:
 			resp.Op = OpResp
 			if backend == nil {
 				resp.Status = StatusNotLoggedIn
 				break
 			}
-			entries, err := DecodeBatch(pdu.Data)
-			if err != nil {
-				resp.Status = StatusBadRequest
-				break
-			}
-			resp.Status = StatusOK
-			resp.Data = EncodeBatchStatuses(applyBatch(backend, pdu.Mode, pdu.Shard, pdu.Vol, entries))
-
-		case OpReplicaWriteStripe:
-			resp.Op = OpResp
-			if backend == nil {
-				resp.Status = StatusNotLoggedIn
-				break
-			}
-			shdr, entries, err := DecodeStripe(pdu.Data)
-			if err != nil {
-				resp.Status = StatusBadRequest
-				break
-			}
-			sb, ok := backend.(StripeBackend)
+			statuses, ok := applyEntryList(backend, pdu)
 			if !ok {
-				// A stripe unit pushed at a whole-block replica would be
-				// stored as if it were a block: refuse rather than corrupt.
 				resp.Status = StatusBadRequest
 				break
 			}
 			resp.Status = StatusOK
-			resp.Data = EncodeBatchStatuses(sb.HandleReplicaStripe(pdu.Mode, pdu.Shard, pdu.Vol, shdr, entries))
-
-		case OpReplicaWriteByRef:
-			resp.Op = OpResp
-			if backend == nil {
-				resp.Status = StatusNotLoggedIn
-				break
-			}
-			entries, err := DecodeByRef(pdu.Data)
-			if err != nil {
-				resp.Status = StatusBadRequest
-				break
-			}
-			brb, ok := backend.(ByRefBackend)
-			if !ok {
-				// A by-ref push at a replica without a content index can
-				// not be materialized: refuse the PDU rather than guess.
-				resp.Status = StatusBadRequest
-				break
-			}
-			resp.Status = StatusOK
-			resp.Data = EncodeBatchStatuses(brb.HandleReplicaByRef(pdu.Mode, pdu.Shard, pdu.Vol, entries))
+			resp.Data = EncodeBatchStatuses(statuses)
 
 		case OpRepairChain:
 			resp.Op = OpResp

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"prins/internal/block"
+	"prins/internal/iscsi"
 	"prins/internal/minidb"
 )
 
@@ -261,5 +262,67 @@ func TestNURandSkew(t *testing.T) {
 func TestTxTypeString(t *testing.T) {
 	if TxNewOrder.String() != "NEW-ORDER" || TxType(99).String() != "TX(99)" {
 		t.Error("TxType strings wrong")
+	}
+}
+
+// TestDeviceWritesDeterministic: a seeded run is a function of its seed
+// down to the device — the same transactions over a small buffer pool
+// (the stock-level transaction's stock reads hit and miss it, and so
+// decide which dirty pages are evicted next) must issue the identical
+// sequence of device writes, LBA and content. No
+// checkpoint falls inside the run: data pages reach the device through
+// evictions only, whose order is the transactions' access order (a
+// checkpoint flushes the pool in the pager's own order).
+func TestDeviceWritesDeterministic(t *testing.T) {
+	type write struct {
+		lba  uint64
+		hash uint64
+	}
+	scale := testScale()
+	scale.Items = 200 // stock about fills the 16-page pool
+	run := func() []write {
+		mem, err := block.NewMem(4096, 16384)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var log []write
+		store := block.NewObserved(mem, func(lba uint64, _, data []byte) {
+			log = append(log, write{lba, iscsi.HashBlock(data)})
+		})
+		db, err := minidb.Create(store, minidb.DBConfig{CacheBytes: 16 * 4096, WALPages: 16, CheckpointEvery: 1 << 30})
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, err := Load(db, scale, 42)
+		if err != nil {
+			t.Fatal(err)
+		}
+		log = log[:0] // the load is not under test
+		for i := 0; i < 60; i++ {
+			typ := c.NextType()
+			if i%3 == 2 {
+				typ = TxStockLevel
+			}
+			if err := c.RunOne(typ); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return log
+	}
+	first := run()
+	if len(first) == 0 {
+		t.Fatal("the run wrote nothing: the pool is not small enough to evict")
+	}
+	for rep := 0; rep < 3; rep++ {
+		again := run()
+		if len(again) != len(first) {
+			t.Fatalf("repetition %d issued %d device writes, the first run %d", rep, len(again), len(first))
+		}
+		for i := range first {
+			if again[i] != first[i] {
+				t.Fatalf("repetition %d, device write %d: lba %d hash %x, the first run lba %d hash %x",
+					rep, i, again[i].lba, again[i].hash, first[i].lba, first[i].hash)
+			}
+		}
 	}
 }

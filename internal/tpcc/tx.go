@@ -329,17 +329,24 @@ func (c *Client) stockLevelTx() error {
 	if lowOID < 1 {
 		lowOID = 1
 	}
+	// Stock rows are read in first-seen scan order, not map order: the
+	// reads go through the buffer pool, so their order decides which
+	// pages are evicted and with it the device I/O of a seeded run.
 	seen := make(map[int64]bool)
+	var items []int64
 	err = c.orderLine.ScanRange(minidb.Key(w, d, lowOID), minidb.Key(w, d, nextOID),
 		func(r minidb.Row) (bool, error) {
-			seen[r[4].I] = true
+			if item := r[4].I; !seen[item] {
+				seen[item] = true
+				items = append(items, item)
+			}
 			return true, nil
 		})
 	if err != nil {
 		return err
 	}
 	low := 0
-	for item := range seen {
+	for _, item := range items {
 		srow, err := c.stock.Get(minidb.Key(w, item))
 		if err != nil {
 			return err

@@ -143,12 +143,6 @@ type Config struct {
 	// replica, then ClearDegraded. When false (default), a failed push
 	// fails the write (sync) or surfaces on Drain (async).
 	AllowDegraded bool
-	// DisableVerify turns off end-to-end verification of replica
-	// applies. By default every push carries the content hash of the
-	// new block and a replica refuses an apply whose recovered block
-	// does not match; the primary marks the block dirty and repairs it
-	// with an incremental resync (see DirtyRanges).
-	DisableVerify bool
 
 	// DedupeEntries enables content-addressed dedupe on the ship path
 	// (wire protocol v7): the primary tracks which (lba, content hash)
@@ -160,9 +154,8 @@ type Config struct {
 	// the frame by value, so dedupe never affects correctness, only
 	// bytes. DedupeEntries bounds the per-replica index (LRU beyond it);
 	// zero disables dedupe, negative selects a default bound. Dedupe is
-	// ineffective with DisableVerify (no content hashes to track), with
-	// BatchFrames: 1 (by-ref rides the batch path), and in group mode
-	// (stripe units are not whole blocks).
+	// ineffective with BatchFrames: 1 (by-ref rides the batch path) and
+	// in group mode (stripe units are not whole blocks).
 	DedupeEntries int
 
 	// GroupK and GroupN (both set) turn the replica set into an
@@ -275,7 +268,6 @@ func NewPrimary(local Store, cfg Config) (*Primary, error) {
 			Backoff:  cfg.RetryBackoff,
 		},
 		AllowDegraded: cfg.AllowDegraded,
-		DisableVerify: cfg.DisableVerify,
 		DedupeEntries: cfg.DedupeEntries,
 		BatchFrames:   cfg.BatchFrames,
 		BatchBytes:    cfg.BatchBytes,

@@ -124,7 +124,6 @@ func NewVolumeManager(cfg Config) (*VolumeManager, error) {
 			Backoff:  cfg.RetryBackoff,
 		},
 		AllowDegraded: cfg.AllowDegraded,
-		DisableVerify: cfg.DisableVerify,
 		BatchFrames:   cfg.BatchFrames,
 		BatchBytes:    cfg.BatchBytes,
 		Shards:        cfg.Shards,
