@@ -939,14 +939,18 @@ func BenchmarkHotpathEncode(b *testing.B) {
 
 // BenchmarkHotpathSyncShip measures synchronous replication throughput
 // of 8 concurrent writers through a real initiator/target session over
-// a metro-latency shaped link, with group commit off versus on.
-// Ungrouped, every writer takes the shard lock, applies, and enqueues
-// its own message, and the staggered arrivals split across wire
-// pushes; grouped, a queue-full of same-shard writes commits under
-// one lock pass (the early-flush trigger fires at FlushFrames, so the
-// window never idles a saturated shard) and drains to the replica as
-// one aligned wire batch per group. This is the writes/s figure the
-// CI regression guard tracks (BENCH_hotpath.json).
+// a metro-latency shaped link, with group commit off versus on, and
+// ungrouped over four shards. Ungrouped, every writer takes the shard
+// lock, applies, and enqueues its own message, and the staggered
+// arrivals split across wire pushes; grouped, a queue-full of
+// same-shard writes commits under one lock pass (the early-flush
+// trigger fires at FlushFrames, so the window never idles a saturated
+// shard) and drains to the replica as one aligned wire batch per
+// group. The first two arms are one shard — one push in flight, the
+// link's round trip bounds them; the shards-4 arm is the multiplexed
+// session's witness, four pushes overlapping on the same link. This is
+// the writes/s figure the CI regression guard tracks
+// (BENCH_hotpath.json).
 func BenchmarkHotpathSyncShip(b *testing.B) {
 	const (
 		blockSize = 8 << 10
@@ -954,15 +958,15 @@ func BenchmarkHotpathSyncShip(b *testing.B) {
 		latency   = 500 * time.Microsecond
 		writers   = 8
 	)
-	for _, grouped := range []bool{false, true} {
-		name := "group-off"
+	for _, arm := range []string{"group-off", "group-on", "shards-4"} {
+		name := arm
 		cfg := core.Config{
 			Mode:        core.ModePRINS,
 			QueueDepth:  256,
 			BatchFrames: 64,
 		}
-		if grouped {
-			name = "group-on"
+		switch arm {
+		case "group-on":
 			// Window >= the link round trip: in-flight writers' acks
 			// return inside the window, so their next writes rejoin
 			// the forming group instead of phase-splitting into
@@ -970,6 +974,11 @@ func BenchmarkHotpathSyncShip(b *testing.B) {
 			// the moment all writers have queued.
 			cfg.FlushWindow = 4 * latency
 			cfg.FlushFrames = writers
+		case "shards-4":
+			// Four ship pipelines over the one session: their round
+			// trips overlap on the link instead of queueing behind each
+			// other, so this arm runs at a multiple of group-off.
+			cfg.Shards = 4
 		}
 		b.Run(name, func(b *testing.B) {
 			sink, err := block.NewMem(blockSize, numBlocks)

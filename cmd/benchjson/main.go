@@ -31,6 +31,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"runtime"
 	"strconv"
 	"strings"
 )
@@ -57,7 +58,7 @@ func main() {
 	lower := flag.Bool("lower", false, "treat the metric as lower-is-better (guard against rises)")
 	flag.Parse()
 
-	report, err := parse(os.Stdin, os.Stdout)
+	report, err := parse(os.Stdin, os.Stdout, runtime.GOMAXPROCS(0))
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "benchjson:", err)
 		os.Exit(1)
@@ -147,8 +148,10 @@ func guard(fresh *Report, baselinePath, metric string, maxRegress float64, lower
 
 // parse reads `go test -bench` output from r, echoing every line to
 // echo, and returns the structured report. Unrecognized lines (PASS,
-// ok, test log output) are passed through and otherwise ignored.
-func parse(r io.Reader, echo io.Writer) (*Report, error) {
+// ok, test log output) are passed through and otherwise ignored. procs
+// is the GOMAXPROCS the benchmarks ran under (see parseBenchLine); at
+// the end of a `go test | benchjson` pipe it is this process's own.
+func parse(r io.Reader, echo io.Writer, procs int) (*Report, error) {
 	report := &Report{Benchmarks: []Benchmark{}}
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 64<<10), 1<<20)
@@ -164,7 +167,7 @@ func parse(r io.Reader, echo io.Writer) (*Report, error) {
 			}
 			continue
 		}
-		if b, ok := parseBenchLine(line); ok {
+		if b, ok := parseBenchLine(line, procs); ok {
 			report.Benchmarks = append(report.Benchmarks, b)
 		}
 	}
@@ -186,8 +189,13 @@ func parseEnvLine(line string) (map[string]string, bool) {
 //
 //	BenchmarkBatchShip/frames-64-8   300   67433 ns/op   61.78 frames/batch
 //
-// i.e. name, iteration count, then value/unit pairs.
-func parseBenchLine(line string) (Benchmark, bool) {
+// i.e. name, iteration count, then value/unit pairs. `go test` appends
+// "-<GOMAXPROCS>" to every name unless GOMAXPROCS is 1; that suffix is
+// stripped, so a name is the same on every host and matches the
+// committed BENCH_*.json. Only the suffix procs itself produces is
+// removed: at procs 1 "shards-4" is a sub-benchmark name, at procs 4
+// the same benchmark arrives as "shards-4-4".
+func parseBenchLine(line string, procs int) (Benchmark, bool) {
 	fields := strings.Fields(line)
 	if len(fields) < 4 || !strings.HasPrefix(fields[0], "Benchmark") {
 		return Benchmark{}, false
@@ -196,7 +204,11 @@ func parseBenchLine(line string) (Benchmark, bool) {
 	if err != nil {
 		return Benchmark{}, false
 	}
-	b := Benchmark{Name: fields[0], Iterations: iters, Metrics: map[string]float64{}}
+	name := fields[0]
+	if procs > 1 {
+		name = strings.TrimSuffix(name, "-"+strconv.Itoa(procs))
+	}
+	b := Benchmark{Name: name, Iterations: iters, Metrics: map[string]float64{}}
 	for i := 2; i+1 < len(fields); i += 2 {
 		v, err := strconv.ParseFloat(fields[i], 64)
 		if err != nil {

@@ -22,7 +22,7 @@ ok  	prins	1.936s
 
 func TestParse(t *testing.T) {
 	var echo bytes.Buffer
-	report, err := parse(strings.NewReader(sample), &echo)
+	report, err := parse(strings.NewReader(sample), &echo, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +43,7 @@ func TestParse(t *testing.T) {
 		t.Fatalf("parsed %d benchmarks, want 2", len(report.Benchmarks))
 	}
 	b := report.Benchmarks[1]
-	if b.Name != "BenchmarkBatchShip/frames-64-8" {
+	if b.Name != "BenchmarkBatchShip/frames-64" {
 		t.Errorf("name = %q", b.Name)
 	}
 	if b.Iterations != 300 {
@@ -58,6 +58,30 @@ func TestParse(t *testing.T) {
 	}
 }
 
+// TestParseStripsProcsSuffix: the "-<GOMAXPROCS>" go test appends to a
+// name comes off — and only that: a sub-benchmark's own numeric tail
+// stays, whatever GOMAXPROCS the run had.
+func TestParseStripsProcsSuffix(t *testing.T) {
+	for _, tc := range []struct {
+		line  string
+		procs int
+		want  string
+	}{
+		{"BenchmarkHotpathSyncShip/group-off 500 373198 ns/op", 1, "BenchmarkHotpathSyncShip/group-off"},
+		{"BenchmarkHotpathSyncShip/shards-4 500 373198 ns/op", 1, "BenchmarkHotpathSyncShip/shards-4"},
+		{"BenchmarkHotpathSyncShip/group-off-2 500 373198 ns/op", 2, "BenchmarkHotpathSyncShip/group-off"},
+		{"BenchmarkHotpathSyncShip/shards-4-2 500 373198 ns/op", 2, "BenchmarkHotpathSyncShip/shards-4"},
+		{"BenchmarkHotpathSyncShip/shards-4-4 500 373198 ns/op", 4, "BenchmarkHotpathSyncShip/shards-4"},
+		{"BenchmarkGroupRepair-16 100 5 ns/op 1234 wireB", 16, "BenchmarkGroupRepair"},
+		{"BenchmarkHotpathShards/shards-16-16 100 5 ns/op", 16, "BenchmarkHotpathShards/shards-16"},
+	} {
+		b, ok := parseBenchLine(tc.line, tc.procs)
+		if !ok || b.Name != tc.want {
+			t.Errorf("parseBenchLine(%q, %d) = %q, %v; want %q", tc.line, tc.procs, b.Name, ok, tc.want)
+		}
+	}
+}
+
 func TestParseIgnoresMalformedLines(t *testing.T) {
 	in := strings.Join([]string{
 		"BenchmarkNoIterations",           // too few fields
@@ -67,7 +91,7 @@ func TestParseIgnoresMalformedLines(t *testing.T) {
 		"BenchmarkGood 10 5 ns/op",        // valid
 		"",
 	}, "\n")
-	report, err := parse(strings.NewReader(in), &bytes.Buffer{})
+	report, err := parse(strings.NewReader(in), &bytes.Buffer{}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -23,7 +23,10 @@ import (
 // Isolation property: volumes share sessions, not fate. Each volume's
 // engine keeps its own replicaState per attached client, so a volume
 // whose pushes fail (and degrade, under AllowDegraded) does not stall
-// or degrade another volume multiplexed over the same session.
+// or degrade another volume multiplexed over the same session. Nor do
+// they share round trips: iscsi.Initiator keeps one push in flight per
+// (volume, shard) stream, not per connection, so one volume's push
+// never waits out another volume's link delay.
 
 // VolumeManager multiplexes many logical volumes — one sharded Engine
 // each — over a shared set of replica clients. Volume ids are 1..65535:

@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
-	"io"
 	"net"
 )
 
@@ -240,59 +239,47 @@ func ReplicaStatusErr(lba uint64, st Status) error {
 	return statusErr("replica-write", lba, st)
 }
 
-// buffersWriter is implemented by connections that can deliver a
-// vectored batch as one shaped send (wan.ShapedConn charges its
-// one-way latency once per call); plain conns fall back to
-// net.Buffers.WriteTo, which uses writev on TCP.
-type buffersWriter interface {
-	WriteBuffers(bufs net.Buffers) (int64, error)
-}
-
-// writeEntryListPDU encodes and sends one entry-list PDU — p names the
+// entryListPDU frames one entry-list PDU for the wire — p names the
 // opcode, mode, stream tag and task tag; OpReplicaWriteBatch,
 // OpReplicaWriteStripe (prefix = the group header) and
-// OpReplicaWriteByRef all serialize here — without assembling a
-// contiguous copy of the payload: the header, the entry metadata, and
-// the caller's frames go out as one vectored write. The digest streams
-// over the pieces in wire order, so the bytes are indistinguishable
-// from a contiguously-built PDU.
-func writeEntryListPDU(w io.Writer, p *PDU, prefix []byte, entries []BatchEntry) (int64, error) {
+// OpReplicaWriteByRef all frame here — without assembling a contiguous
+// copy of the payload: the header, the entry metadata, and the caller's
+// frames are returned as pieces in wire order. The digest streams over
+// the pieces, so the bytes are indistinguishable from a
+// contiguously-built PDU.
+func entryListPDU(p *PDU, prefix []byte, entries []BatchEntry) (net.Buffers, error) {
 	dataLen, err := entryListLen(len(prefix), entries, p.Op == OpReplicaWriteByRef)
 	if err != nil {
-		return 0, err
+		return nil, err
 	}
-	var hdr [headerLen]byte
-	p.putHeader(hdr[:], dataLen)
+	hdr := make([]byte, headerLen)
+	p.putHeader(hdr, dataLen)
 	bufs := make(net.Buffers, 1, 1+2*len(entries))
-	bufs[0] = hdr[:]
+	bufs[0] = hdr
 	bufs = entryListBufs(bufs, entryListMeta(prefix, entries), entries)
 
-	crc := crc32.New(castagnoli)
+	crc := uint32(0)
 	for _, piece := range bufs { // putHeader left the digest field zero, as digest() requires
-		crc.Write(piece)
+		crc = crc32.Update(crc, castagnoli, piece)
 	}
-	binary.BigEndian.PutUint32(hdr[44:], crc.Sum32())
-
-	if bw, ok := w.(buffersWriter); ok {
-		return bw.WriteBuffers(bufs)
-	}
-	return bufs.WriteTo(w)
+	binary.BigEndian.PutUint32(hdr[44:], crc)
+	return bufs, nil
 }
 
-// pushEntryList sends one entry-list PDU (see writeEntryListPDU) and
+// pushEntryList sends one entry-list PDU (see entryListPDU) and
 // returns the per-entry status vector of its response. A transport or
 // protocol failure returns an error and no statuses; per-entry apply
 // failures (diverged, decode, store, ref-miss) come back in the vector
 // — convert them with ReplicaStatusErr. Like every request, the push
-// is retried once over a fresh session when reconnection is armed
+// is resent once over a fresh session when reconnection is armed
 // (replica seq-dedupe makes redelivery safe).
 func (i *Initiator) pushEntryList(p PDU, prefix []byte, entries []BatchEntry) ([]Status, error) {
 	if len(entries) == 0 {
 		return nil, fmt.Errorf("iscsi: empty %v push", p.Op)
 	}
-	resp, err := i.exchange(nil, func(conn net.Conn, itt uint32) (int64, error) {
+	resp, err := i.exchange(nil, func(itt uint32) (net.Buffers, error) {
 		p.ITT = itt
-		return writeEntryListPDU(conn, &p, prefix, entries)
+		return entryListPDU(&p, prefix, entries)
 	})
 	if err != nil {
 		return nil, err

@@ -6,8 +6,8 @@ import (
 	"hash/fnv"
 )
 
-// maxHashBatch bounds one OpHashCmd request so a target never buffers
-// more than ~16MB of block data to answer it.
+// maxHashBatch bounds one OpHashCmd request: the blocks a target reads
+// (one at a time) and the 32 KiB of hashes it answers with.
 const maxHashBatch = 4096
 
 // HashSize is the bytes per block hash on the wire.
@@ -22,22 +22,11 @@ func HashBlock(data []byte) uint64 {
 	return h.Sum64()
 }
 
-// HashBlocks hashes consecutive blockSize-sized blocks of data and
-// returns the concatenated big-endian hashes.
-func HashBlocks(data []byte, blockSize int) []byte {
-	n := len(data) / blockSize
-	out := make([]byte, n*HashSize)
-	for i := 0; i < n; i++ {
-		h := HashBlock(data[i*blockSize : (i+1)*blockSize])
-		binary.BigEndian.PutUint64(out[i*HashSize:], h)
-	}
-	return out
-}
-
-// DecodeHashes parses a HashBlocks payload. The payload must be an
-// exact multiple of HashSize: a trailing partial hash means the frame
-// was truncated, and silently dropping it would let a delta resync
-// skip the very blocks it needed to compare.
+// DecodeHashes parses an OpHashCmd response: consecutive big-endian
+// block hashes (see HashBlock). The payload must be an exact multiple
+// of HashSize: a trailing partial hash means the frame was truncated,
+// and silently dropping it would let a delta resync skip the very
+// blocks it needed to compare.
 func DecodeHashes(data []byte) ([]uint64, error) {
 	if len(data)%HashSize != 0 {
 		return nil, fmt.Errorf("%w: hash payload of %d bytes is not a multiple of %d",

@@ -401,7 +401,7 @@ func TestRequestTimeout(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ln.Close()
-	done := make(chan struct{})
+	done, release := make(chan struct{}), make(chan struct{})
 	go func() {
 		defer close(done)
 		conn, err := ln.Accept()
@@ -409,7 +409,7 @@ func TestRequestTimeout(t *testing.T) {
 			return
 		}
 		defer conn.Close()
-		<-done2 // hold the connection open, silent
+		<-release // hold the connection open, silent
 	}()
 
 	init, err := Dial(ln.Addr().String())
@@ -431,12 +431,9 @@ func TestRequestTimeout(t *testing.T) {
 	if !errors.As(err, &nerr) || !nerr.Timeout() {
 		t.Errorf("err = %v, want a net timeout", err)
 	}
-	close(done2)
+	close(release)
 	<-done
 }
-
-// done2 releases the silent server in TestRequestTimeout.
-var done2 = make(chan struct{})
 
 // TestInitiatorReconnect: with reconnection armed, a severed transport
 // is transparently replaced — redial, re-login, retry — and the failed

@@ -7,12 +7,13 @@
 // PRINS-engine inside the iSCSI target with a second initiator for
 // inter-node traffic.
 //
-// The wire protocol is a simplification of RFC 3720: fixed 40-byte
-// basic header segment followed by an optional data segment, one
-// outstanding task per connection phase handled synchronously. It is
-// not interoperable with real iSCSI but preserves its shape — login
-// with target-name validation, tagged tasks, status codes, and block
-// addressing by LBA.
+// The wire protocol is a simplification of RFC 3720: fixed 48-byte
+// basic header segment followed by an optional data segment. The
+// initiator keeps any number of tagged tasks in flight on a session and
+// matches responses by tag; the target reads, serves and answers one
+// PDU at a time, in arrival order. It is not interoperable with real
+// iSCSI but preserves its shape — login with target-name validation,
+// tagged tasks, status codes, and block addressing by LBA.
 package iscsi
 
 import (
@@ -347,39 +348,77 @@ func (p *PDU) putHeader(hdr []byte, dataLen int) {
 	binary.BigEndian.PutUint32(hdr[44:], 0)
 }
 
-// WriteTo encodes and writes the PDU to w as one header + data stream.
-func (p *PDU) WriteTo(w io.Writer) (int64, error) {
+// buffers frames the PDU for the wire: the header (digest stamped) and,
+// when there is one, the data segment, in wire order. The data segment
+// is the caller's slice, not a copy.
+func (p *PDU) buffers() (net.Buffers, error) {
 	if len(p.Data) > MaxDataSegment {
-		return 0, fmt.Errorf("%w: %d bytes", ErrTooLarge, len(p.Data))
+		return nil, fmt.Errorf("%w: %d bytes", ErrTooLarge, len(p.Data))
 	}
-	var hdr [headerLen]byte
-	p.putHeader(hdr[:], len(p.Data))
-	binary.BigEndian.PutUint32(hdr[44:], digest(hdr[:], p.Data))
-
+	hdr := make([]byte, headerLen)
+	p.putHeader(hdr, len(p.Data))
+	binary.BigEndian.PutUint32(hdr[44:], digest(hdr, p.Data))
 	if len(p.Data) == 0 {
-		n, err := w.Write(hdr[:])
-		if err != nil {
-			return int64(n), fmt.Errorf("iscsi: write header: %w", err)
-		}
-		return int64(n), nil
+		return net.Buffers{hdr}, nil
 	}
-	// Header and data go out as one vectored send: a shaped link
-	// (wan.ShapedConn) charges its one-way latency once per call, so
-	// splitting them into two Writes would double the modelled latency
-	// of every data-carrying PDU.
-	bufs := net.Buffers{hdr[:], p.Data}
-	if bw, ok := w.(buffersWriter); ok {
-		n, err := bw.WriteBuffers(bufs)
-		if err != nil {
-			return n, fmt.Errorf("iscsi: write pdu: %w", err)
-		}
-		return n, nil
+	return net.Buffers{hdr, p.Data}, nil
+}
+
+// WriteTo encodes and writes the PDU to w in one call (see writeOnce).
+func (p *PDU) WriteTo(w io.Writer) (int64, error) {
+	bufs, err := p.buffers()
+	if err != nil {
+		return 0, err
 	}
-	n, err := bufs.WriteTo(w)
+	n, err := writeOnce(w, bufs)
 	if err != nil {
 		return n, fmt.Errorf("iscsi: write pdu: %w", err)
 	}
 	return n, nil
+}
+
+// buffersWriter is implemented by connections that deliver a vectored
+// PDU as one operation: wan.ShapedConn charges its one-way latency once
+// per call and hands the pieces to the socket as one writev.
+type buffersWriter interface {
+	WriteBuffers(bufs net.Buffers) (int64, error)
+}
+
+// writeOnce hands one PDU's pieces to w in exactly one call, which is
+// what keeps PDUs whole on a session several goroutines send on with no
+// lock around the write (a shaped link sleeps its latency inside the
+// call, so a send lock would turn the link back into a FIFO server):
+// every conn in use serializes concurrent calls internally — a TCP
+// socket's write and writev hold the fd write lock until every byte is
+// queued, net.Pipe holds its write mutex for the whole slice — so a PDU
+// that leaves in one call cannot interleave with another. One call also
+// charges a shaped link's latency once per PDU rather than once per
+// piece. A buffersWriter takes the pieces vectored and answers for
+// their atomicity itself; a TCP socket takes them as one writev; on
+// anything else net.Buffers.WriteTo would degrade to one Write per
+// piece, so the pieces are flattened into one contiguous Write. bufs is
+// consumed.
+func writeOnce(w io.Writer, bufs net.Buffers) (int64, error) {
+	if len(bufs) == 1 {
+		n, err := w.Write(bufs[0])
+		return int64(n), err
+	}
+	switch c := w.(type) {
+	case buffersWriter:
+		return c.WriteBuffers(bufs)
+	case *net.TCPConn:
+		return bufs.WriteTo(c)
+	}
+	size := 0
+	for _, b := range bufs {
+		size += len(b)
+	}
+	flat := make([]byte, 0, size)
+	for _, b := range bufs {
+		flat = append(flat, b...)
+	}
+	n, err := w.Write(flat)
+	return int64(n), err
 }
 
 // StampReplicaHeader writes a complete OpReplicaWrite header into the
@@ -415,25 +454,39 @@ func ReadPDU(r io.Reader) (*PDU, error) { return ReadPDUInto(r, nil) }
 // length (including zero) falls back to allocating, so error responses
 // and mismatched geometries still decode.
 func ReadPDUInto(r io.Reader, dst []byte) (*PDU, error) {
-	var hdr [headerLen]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	hdr := make([]byte, headerLen)
+	p := new(PDU)
+	if err := p.readHeader(r, hdr); err != nil {
+		return nil, err
+	}
+	if err := p.readData(r, hdr, dst); err != nil {
+		return nil, err
+	}
+	return p, nil
+}
+
+// readHeader reads one PDU header from r into hdr (headerLen bytes) and
+// decodes its fields into p. The data segment, if any, is still on the
+// stream: readData must follow. A clean end of stream before any header
+// byte is io.EOF.
+func (p *PDU) readHeader(r io.Reader, hdr []byte) error {
+	if _, err := io.ReadFull(r, hdr); err != nil {
 		if errors.Is(err, io.EOF) {
-			return nil, io.EOF
+			return io.EOF
 		}
-		return nil, fmt.Errorf("iscsi: read header: %w", err)
+		return fmt.Errorf("iscsi: read header: %w", err)
 	}
 	if hdr[0] != protoMagic {
-		return nil, fmt.Errorf("%w: 0x%02x", ErrBadMagic, hdr[0])
+		return fmt.Errorf("%w: 0x%02x", ErrBadMagic, hdr[0])
 	}
 	if hdr[1] != baseVersion && hdr[1] != protoVersion && hdr[1] != streamVersion &&
 		hdr[1] != stripeVersion && hdr[1] != dedupeVersion {
-		return nil, fmt.Errorf("%w: %d", ErrBadVersion, hdr[1])
+		return fmt.Errorf("%w: %d", ErrBadVersion, hdr[1])
 	}
-	dataLen := binary.BigEndian.Uint32(hdr[24:])
-	if dataLen > MaxDataSegment {
-		return nil, fmt.Errorf("%w: %d bytes", ErrTooLarge, dataLen)
+	if dataLen := binary.BigEndian.Uint32(hdr[24:]); dataLen > MaxDataSegment {
+		return fmt.Errorf("%w: %d bytes", ErrTooLarge, dataLen)
 	}
-	p := &PDU{
+	*p = PDU{
 		Op:     Opcode(hdr[2]),
 		Status: Status(hdr[3]),
 		Mode:   hdr[4],
@@ -445,21 +498,28 @@ func ReadPDUInto(r io.Reader, dst []byte) (*PDU, error) {
 		Seq:    binary.BigEndian.Uint64(hdr[28:]),
 		Hash:   binary.BigEndian.Uint64(hdr[36:]),
 	}
-	if dataLen > 0 {
+	return nil
+}
+
+// readData reads the data segment that follows the header readHeader
+// decoded into hdr — into dst when the lengths match exactly (see
+// ReadPDUInto) — and verifies the digest over both.
+func (p *PDU) readData(r io.Reader, hdr, dst []byte) error {
+	if dataLen := binary.BigEndian.Uint32(hdr[24:]); dataLen > 0 {
 		if int(dataLen) == len(dst) {
 			p.Data = dst
 		} else {
 			p.Data = make([]byte, dataLen)
 		}
 		if _, err := io.ReadFull(r, p.Data); err != nil {
-			return nil, fmt.Errorf("iscsi: read data segment: %w", err)
+			return fmt.Errorf("iscsi: read data segment: %w", err)
 		}
 	}
 	want := binary.BigEndian.Uint32(hdr[44:])
-	if got := digest(hdr[:], p.Data); got != want {
-		return nil, fmt.Errorf("%w: got %08x, want %08x", ErrBadDigest, got, want)
+	if got := digest(hdr, p.Data); got != want {
+		return fmt.Errorf("%w: got %08x, want %08x", ErrBadDigest, got, want)
 	}
-	return p, nil
+	return nil
 }
 
 // digest computes the PDU's CRC-32C over the header (with the digest

@@ -163,11 +163,11 @@ func TestStripeRefusedByPlainBackend(t *testing.T) {
 	}
 }
 
-// TestReconnectBackoffSchedule drives reconnectLocked with a failing
-// dialer under injected clock hooks: the first reconnect of a streak
-// is immediate, consecutive failures back off exponentially to the
-// cap, and a successful cycle resets the streak. Deterministic — the
-// jitter hook is the identity and the sleeper only records.
+// TestReconnectBackoffSchedule drives reconnect on a failed session
+// with a failing dialer under injected clock hooks: the first reconnect
+// of a streak is immediate, consecutive failures back off exponentially
+// to the cap, and a successful cycle resets the streak. Deterministic —
+// the jitter hook is the identity and the sleeper only records.
 func TestReconnectBackoffSchedule(t *testing.T) {
 	store, err := block.NewMem(512, 8)
 	if err != nil {
@@ -199,14 +199,13 @@ func TestReconnectBackoffSchedule(t *testing.T) {
 	init.rbJitter = func(d time.Duration) time.Duration { return d }
 	init.rbSleep = func(d time.Duration) { slept = append(slept, d) }
 
-	init.mu.Lock()
+	down := init.sess
+	init.fail(down, errors.New("synthetic session failure"))
 	for n := 0; n < 6; n++ {
-		if err := init.reconnectLocked(); err == nil {
-			init.mu.Unlock()
+		if _, err := init.reconnect(down); err == nil {
 			t.Fatal("reconnect unexpectedly succeeded")
 		}
 	}
-	init.mu.Unlock()
 
 	// First attempt immediate, then 10, 20, 40, 80 (cap), 80 (cap).
 	want := []time.Duration{
@@ -225,22 +224,18 @@ func TestReconnectBackoffSchedule(t *testing.T) {
 	// A successful reconnect resets the streak: the next failure's first
 	// attempt is immediate again.
 	fail = false
-	init.mu.Lock()
-	if err := init.reconnectLocked(); err != nil {
-		init.mu.Unlock()
+	down, err = init.reconnect(down)
+	if err != nil {
 		t.Fatalf("healing reconnect: %v", err)
 	}
 	fail = true
 	slept = nil
-	if err := init.reconnectLocked(); err == nil {
-		init.mu.Unlock()
-		t.Fatal("reconnect unexpectedly succeeded")
+	init.fail(down, errors.New("synthetic session failure"))
+	for n := 0; n < 2; n++ {
+		if _, err := init.reconnect(down); err == nil {
+			t.Fatal("reconnect unexpectedly succeeded")
+		}
 	}
-	if err := init.reconnectLocked(); err == nil {
-		init.mu.Unlock()
-		t.Fatal("reconnect unexpectedly succeeded")
-	}
-	init.mu.Unlock()
 	// Note the post-reset sleep before the cap-but-one attempt: the
 	// first retry after success slept 0 (recorded nothing), the second
 	// slept base again.

@@ -1,6 +1,7 @@
 package iscsi
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -423,11 +424,20 @@ func (t *Target) ServeConn(conn net.Conn) {
 				resp.Status = StatusBadRequest
 				break
 			}
-			data, st := backend.HandleRead(pdu.LBA, pdu.Blocks)
-			resp.Status = st
-			if st == StatusOK {
-				bs, _ := backend.Geometry()
-				resp.Data = HashBlocks(data, bs)
+			// One block at a time: materializing the whole range first
+			// costs a blocks x blockSize buffer per request (MiBs), which
+			// a resync pass turns into a device-sized burst of large
+			// garbage on top of whatever the heap holds.
+			hashes := make([]byte, 0, int(pdu.Blocks)*HashSize)
+			for k := uint32(0); k < pdu.Blocks && resp.Status == StatusOK; k++ {
+				data, st := backend.HandleRead(pdu.LBA+uint64(k), 1)
+				resp.Status = st
+				if st == StatusOK {
+					hashes = binary.BigEndian.AppendUint64(hashes, HashBlock(data))
+				}
+			}
+			if resp.Status == StatusOK {
+				resp.Data = hashes
 			}
 
 		default:

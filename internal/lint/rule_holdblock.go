@@ -17,9 +17,9 @@ import (
 // Disk I/O (package os and the module's block.Store implementations)
 // is deliberately not in the blocking set: synchronous store access
 // under the shard lock is the engine's write path, not a hazard.
-// Deliberate blocking-under-lock designs (bounded backpressure
-// queues, one-command-at-a-time session locks) are suppressed with a
-// reasoned //lint:ignore hold-blocking.
+// Deliberate blocking-under-lock designs (bounded backpressure queues,
+// a heal that must exclude pushes) are suppressed with a reasoned
+// //lint:ignore hold-blocking.
 type holdBlockingRule struct{}
 
 func (holdBlockingRule) Name() string { return "hold-blocking" }

@@ -14,6 +14,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 
 	"prins/internal/block"
@@ -392,11 +393,19 @@ func (p *Pager) Flush() error {
 	return p.flushLocked()
 }
 
+// flushLocked writes every dirty page back in ascending page order —
+// not map order — so the device write sequence of a checkpoint is a
+// function of the workload alone.
 func (p *Pager) flushLocked() error {
+	var dirty []PageID
 	for id, f := range p.frames {
-		if !f.dirty {
-			continue
+		if f.dirty {
+			dirty = append(dirty, id)
 		}
+	}
+	slices.Sort(dirty)
+	for _, id := range dirty {
+		f := p.frames[id]
 		if err := p.store.WriteBlock(uint64(id), f.data); err != nil {
 			return fmt.Errorf("minidb: flush page %d: %w", id, err)
 		}

@@ -88,6 +88,15 @@ func (c *ResilientClient) ReplicaWriteStream(mode, shard uint8, vol uint16, seq,
 // reconnect + full resync (after which the push is redundant — see
 // ReplicaWrite).
 func (c *ResilientClient) push(lba uint64, send func(*iscsi.Initiator) error) error {
+	// Closing an initiator joins its reader goroutine, so the sessions
+	// this push gives up on are closed after c.mu is released (deferred
+	// first, run last).
+	var dead []*iscsi.Initiator
+	defer func() {
+		for _, conn := range dead {
+			_ = conn.Close()
+		}
+	}()
 	c.mu.Lock()
 	defer c.mu.Unlock()
 
@@ -105,7 +114,7 @@ func (c *ResilientClient) push(lba uint64, send func(*iscsi.Initiator) error) er
 			}
 			// Repair failed; fall through to reconnect + full resync.
 		}
-		_ = c.conn.Close()
+		dead = append(dead, c.conn)
 		c.conn = nil
 	}
 
@@ -124,7 +133,7 @@ func (c *ResilientClient) push(lba uint64, send func(*iscsi.Initiator) error) er
 	//lint:ignore hold-blocking the full resync runs under the session lock for the same reason
 	stats, err := Run(c.local, conn, Config{})
 	if err != nil {
-		_ = conn.Close()
+		dead = append(dead, conn)
 		return fmt.Errorf("resync: heal after reconnect: %w", err)
 	}
 	c.repaired += int64(stats.BlocksRepaired)
@@ -149,11 +158,11 @@ func (c *ResilientClient) Repaired() int64 {
 // Close severs the session.
 func (c *ResilientClient) Close() error {
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.conn == nil {
+	conn := c.conn
+	c.conn = nil
+	c.mu.Unlock()
+	if conn == nil {
 		return nil
 	}
-	err := c.conn.Close()
-	c.conn = nil
-	return err
+	return conn.Close()
 }

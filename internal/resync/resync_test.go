@@ -1,6 +1,7 @@
 package resync
 
 import (
+	"encoding/binary"
 	"errors"
 	"math/rand"
 	"net"
@@ -144,7 +145,9 @@ func TestHashHelpers(t *testing.T) {
 		t.Error("distinct blocks hashed equal")
 	}
 	data := append(append([]byte(nil), a[:16]...), b[:16]...)
-	hashes, err := iscsi.DecodeHashes(iscsi.HashBlocks(data, 16))
+	payload := binary.BigEndian.AppendUint64(nil, iscsi.HashBlock(data[:16]))
+	payload = binary.BigEndian.AppendUint64(payload, iscsi.HashBlock(data[16:]))
+	hashes, err := iscsi.DecodeHashes(payload)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -269,10 +269,10 @@ func TestTxTypeString(t *testing.T) {
 // down to the device — the same transactions over a small buffer pool
 // (the stock-level transaction's stock reads hit and miss it, and so
 // decide which dirty pages are evicted next) must issue the identical
-// sequence of device writes, LBA and content. No
-// checkpoint falls inside the run: data pages reach the device through
-// evictions only, whose order is the transactions' access order (a
-// checkpoint flushes the pool in the pager's own order).
+// sequence of device writes, LBA and content. Without a checkpoint in
+// the run, data pages reach the device through evictions only, whose
+// order is the transactions' access order; with checkpoints, each one
+// flushes the pool's dirty pages in ascending page order.
 func TestDeviceWritesDeterministic(t *testing.T) {
 	type write struct {
 		lba  uint64
@@ -280,7 +280,7 @@ func TestDeviceWritesDeterministic(t *testing.T) {
 	}
 	scale := testScale()
 	scale.Items = 200 // stock about fills the 16-page pool
-	run := func() []write {
+	run := func(t *testing.T, checkpointEvery int) []write {
 		mem, err := block.NewMem(4096, 16384)
 		if err != nil {
 			t.Fatal(err)
@@ -289,7 +289,7 @@ func TestDeviceWritesDeterministic(t *testing.T) {
 		store := block.NewObserved(mem, func(lba uint64, _, data []byte) {
 			log = append(log, write{lba, iscsi.HashBlock(data)})
 		})
-		db, err := minidb.Create(store, minidb.DBConfig{CacheBytes: 16 * 4096, WALPages: 16, CheckpointEvery: 1 << 30})
+		db, err := minidb.Create(store, minidb.DBConfig{CacheBytes: 16 * 4096, WALPages: 16, CheckpointEvery: checkpointEvery})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -309,20 +309,30 @@ func TestDeviceWritesDeterministic(t *testing.T) {
 		}
 		return log
 	}
-	first := run()
-	if len(first) == 0 {
-		t.Fatal("the run wrote nothing: the pool is not small enough to evict")
-	}
-	for rep := 0; rep < 3; rep++ {
-		again := run()
-		if len(again) != len(first) {
-			t.Fatalf("repetition %d issued %d device writes, the first run %d", rep, len(again), len(first))
-		}
-		for i := range first {
-			if again[i] != first[i] {
-				t.Fatalf("repetition %d, device write %d: lba %d hash %x, the first run lba %d hash %x",
-					rep, i, again[i].lba, again[i].hash, first[i].lba, first[i].hash)
+	for _, tc := range []struct {
+		name            string
+		checkpointEvery int
+	}{
+		{"evictions-only", 1 << 30},
+		{"checkpoints", 8},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			first := run(t, tc.checkpointEvery)
+			if len(first) == 0 {
+				t.Fatal("the run wrote nothing: the pool is not small enough to evict")
 			}
-		}
+			for rep := 0; rep < 3; rep++ {
+				again := run(t, tc.checkpointEvery)
+				if len(again) != len(first) {
+					t.Fatalf("repetition %d issued %d device writes, the first run %d", rep, len(again), len(first))
+				}
+				for i := range first {
+					if again[i] != first[i] {
+						t.Fatalf("repetition %d, device write %d: lba %d hash %x, the first run lba %d hash %x",
+							rep, i, again[i].lba, again[i].hash, first[i].lba, first[i].hash)
+					}
+				}
+			}
+		})
 	}
 }
