@@ -937,6 +937,67 @@ func BenchmarkHotpathEncode(b *testing.B) {
 	b.ReportMetric(float64(frameLen), "frameB")
 }
 
+// BenchmarkHotpathHash is the block hash alone (iscsi.HashBlock, paid
+// once per write on the primary and once in the replica's verified
+// apply, and all a resync audit does) at the sector, page and block
+// sizes in use.
+func BenchmarkHotpathHash(b *testing.B) {
+	rng := rand.New(rand.NewSource(15))
+	for _, arm := range []struct {
+		name string
+		size int
+	}{{"512B", 512}, {"4KB", 4 << 10}, {"8KB", 8 << 10}} {
+		block := make([]byte, arm.size)
+		rng.Read(block)
+		b.Run(arm.name, func(b *testing.B) {
+			b.SetBytes(int64(arm.size))
+			var sum uint64
+			for i := 0; i < b.N; i++ {
+				sum += iscsi.HashBlock(block)
+			}
+			hotpathSink = sum
+		})
+	}
+}
+
+// BenchmarkHotpathZRL is the parity encode alone, as the engine calls
+// it (AppendEncodeBest with the ZRL candidate into a reused buffer), on
+// the two shapes a write produces: sparse10, the parity of a 10%
+// clustered page update, and dense, the parity of a full-block
+// overwrite with incompressible data, where ZRL finds no runs and the
+// raw floor ships the block.
+func BenchmarkHotpathZRL(b *testing.B) {
+	const blockSize = 8 << 10
+	oldData, newData := hotpathBlocks(blockSize)
+	sparse := make([]byte, blockSize)
+	if err := parity.ForwardInto(sparse, newData, oldData); err != nil {
+		b.Fatal(err)
+	}
+	dense := make([]byte, blockSize)
+	rand.New(rand.NewSource(16)).Read(dense)
+	for _, in := range []struct {
+		name   string
+		parity []byte
+	}{{"sparse10", sparse}, {"dense", dense}} {
+		b.Run(in.name, func(b *testing.B) {
+			buf := make([]byte, 0, 4*blockSize)
+			b.SetBytes(blockSize)
+			var frameLen int
+			for i := 0; i < b.N; i++ {
+				frame, err := xcode.AppendEncodeBest(buf, in.parity, xcode.CodecZRL)
+				if err != nil {
+					b.Fatal(err)
+				}
+				frameLen = len(frame)
+			}
+			b.ReportMetric(float64(frameLen), "frameB")
+		})
+	}
+}
+
+// hotpathSink keeps the kernel benchmarks' results observable.
+var hotpathSink uint64
+
 // BenchmarkHotpathSyncShip measures synchronous replication throughput
 // of 8 concurrent writers through a real initiator/target session over
 // a metro-latency shaped link, with group commit off versus on, and

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -82,6 +83,43 @@ func TestParseStripsProcsSuffix(t *testing.T) {
 	}
 }
 
+// TestParseFoldsRepeats: the N lines `go test -count=N` prints for one
+// benchmark become one entry — median per metric (mean of the middle
+// two when N is even), min and max beside it, first-seen order kept —
+// and a benchmark that ran once keeps the plain single-line shape.
+func TestParseFoldsRepeats(t *testing.T) {
+	in := strings.Join([]string{
+		"BenchmarkHotpathHash/8KB-2 2000 800 ns/op 10240 MB/s",
+		"BenchmarkHotpathZRL/dense 2000 1700 ns/op 4800 MB/s",
+		"BenchmarkHotpathHash/8KB-2 2000 1000 ns/op 8192 MB/s",
+		"BenchmarkHotpathHash/8KB-2 2000 790 ns/op 10370 MB/s",
+		"BenchmarkHotpathEven-2 10 4 ns/op",
+		"BenchmarkHotpathEven-2 10 1 ns/op",
+		"BenchmarkHotpathEven-2 10 2 ns/op",
+		"BenchmarkHotpathEven-2 10 8 ns/op",
+		"",
+	}, "\n")
+	report, err := parse(strings.NewReader(in), &bytes.Buffer{}, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []Benchmark{
+		{Name: "BenchmarkHotpathHash/8KB", Iterations: 2000, Runs: 3,
+			Metrics: map[string]float64{"ns/op": 800, "MB/s": 10240},
+			Min:     map[string]float64{"ns/op": 790, "MB/s": 8192},
+			Max:     map[string]float64{"ns/op": 1000, "MB/s": 10370}},
+		{Name: "BenchmarkHotpathZRL/dense", Iterations: 2000,
+			Metrics: map[string]float64{"ns/op": 1700, "MB/s": 4800}},
+		{Name: "BenchmarkHotpathEven", Iterations: 10, Runs: 4,
+			Metrics: map[string]float64{"ns/op": 3},
+			Min:     map[string]float64{"ns/op": 1},
+			Max:     map[string]float64{"ns/op": 8}},
+	}
+	if !reflect.DeepEqual(report.Benchmarks, want) {
+		t.Errorf("folded benchmarks\n got %+v\nwant %+v", report.Benchmarks, want)
+	}
+}
+
 func TestParseIgnoresMalformedLines(t *testing.T) {
 	in := strings.Join([]string{
 		"BenchmarkNoIterations",           // too few fields
@@ -145,6 +183,41 @@ func TestGuard(t *testing.T) {
 	// Nothing to compare is an error, not a silent pass.
 	if err := guard(fresh, path, "no-such-metric", 10, false, &bytes.Buffer{}); err == nil {
 		t.Error("guard with no shared metric passed silently")
+	}
+}
+
+// TestGuardComparesBestRepeat: of a fresh benchmark's folded repeats
+// the guard reads the best one — Max, or Min under -lower — and holds
+// it against the baseline's median, so a burst that slows three of five
+// repeats does not fail it and a slowdown of every repeat does.
+func TestGuardComparesBestRepeat(t *testing.T) {
+	folded := func(median, min, max float64) *Report {
+		return &Report{Benchmarks: []Benchmark{{
+			Name: "BenchmarkHotpathHash/8KB", Iterations: 100, Runs: 5,
+			Metrics: map[string]float64{"MB/s": median, "ns/op": 8192e3 / median},
+			Min:     map[string]float64{"MB/s": min, "ns/op": 8192e3 / max},
+			Max:     map[string]float64{"MB/s": max, "ns/op": 8192e3 / min},
+		}}}
+	}
+	enc, err := json.Marshal(folded(10800, 10400, 11000))
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "base.json")
+	if err := os.WriteFile(path, enc, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, lower := range []bool{false, true} {
+		metric := "MB/s"
+		if lower {
+			metric = "ns/op"
+		}
+		if err := guard(folded(8000, 7000, 10900), path, metric, 10, lower, &bytes.Buffer{}); err != nil {
+			t.Errorf("%s: noisy median with an intact best repeat failed: %v", metric, err)
+		}
+		if err := guard(folded(8000, 7000, 8100), path, metric, 10, lower, &bytes.Buffer{}); err == nil {
+			t.Errorf("%s: every repeat 25%% slower passed", metric)
+		}
 	}
 }
 

@@ -321,9 +321,9 @@ func TestDedupeSavedWireMixedStatuses(t *testing.T) {
 		lba  uint64
 		data []byte
 	}{
-		{1, contentX},        // A: delivered by reference
+		{1, contentX},         // A: delivered by reference
 		{2, fillBlock(bs, 4)}, // B: by value, lands on the first attempt
-		{3, contentZ},        // C: reference refused -> fallback
+		{3, contentZ},         // C: reference refused -> fallback
 		{4, fillBlock(bs, 5)}, // D: by value, dragged into the fallback
 	} {
 		if err := e.WriteBlock(w.lba, w.data); err != nil {

@@ -238,9 +238,15 @@ func (x *Index) touch(n *node) {
 // (lba, hash) pairs so a restarted node can warm its index without
 // rescanning the device:
 //
-//	off 0: magic "PDX1" (4)
+//	off 0: magic "PDX2" (4)
 //	off 4: count (uint32)
 //	then, per record: lba (uint64), hash (uint64)
+//
+// The magic names the hash function as well as the layout: "PDX1"
+// snapshots hold 64-bit FNV-1a hashes, which no block hashes to any
+// more (iscsi.HashBlock is XXH64), so DecodeSnapshot refuses them with
+// ErrBadSnapshot and the caller warms the index by scanning the device
+// instead of loading entries that can never hit.
 const (
 	snapHdrLen   = 8
 	snapEntryLen = 16
@@ -249,7 +255,7 @@ const (
 	MaxSnapshotEntries = 1 << 22
 )
 
-var snapMagic = [4]byte{'P', 'D', 'X', '1'}
+var snapMagic = [4]byte{'P', 'D', 'X', '2'}
 
 // Snapshot decode errors.
 var (

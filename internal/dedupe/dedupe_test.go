@@ -218,6 +218,9 @@ func TestDecodeSnapshotHostile(t *testing.T) {
 		{"nil", nil, ErrShortSnapshot},
 		{"short header", valid[:snapHdrLen-1], ErrShortSnapshot},
 		{"bad magic", append([]byte("XXXX"), valid[4:]...), ErrBadSnapshot},
+		// A well-formed snapshot of the FNV-1a era: its hashes can
+		// never hit, so it is refused, not loaded.
+		{"PDX1 snapshot", append([]byte("PDX1"), valid[4:]...), ErrBadSnapshot},
 		{"count over cap", countOf(MaxSnapshotEntries + 1), ErrBadSnapshot},
 		{"huge count tiny buffer", countOf(MaxSnapshotEntries), ErrShortSnapshot},
 		{"count without records", countOf(2), ErrShortSnapshot},
@@ -245,8 +248,9 @@ func FuzzDecodeSnapshot(f *testing.F) {
 	x.Put(2, 0xBB)
 	f.Add(x.EncodeSnapshot())
 	f.Add([]byte{})
-	f.Add([]byte("PDX1"))
-	f.Add(append([]byte("PDX1"), 0xFF, 0xFF, 0xFF, 0xFF))
+	f.Add(snapMagic[:])
+	f.Add(append(snapMagic[:], 0xFF, 0xFF, 0xFF, 0xFF))
+	f.Add(append([]byte("PDX1"), x.EncodeSnapshot()[4:]...))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		recs, err := DecodeSnapshot(data)
 		if err != nil {

@@ -88,15 +88,15 @@ func FuzzDecodeStripe(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(seed)
-	f.Add(seed[:len(seed)-3])                 // truncated frame
-	f.Add(append([]byte(nil), seed[:5]...))   // truncated count
-	f.Add([]byte{})                           // no prefix
-	f.Add([]byte{2, 4, 3, 1, 0, 0, 0, 1})     // nonzero reserved byte
-	f.Add([]byte{0, 4, 1, 0, 0, 0, 0, 1})     // k=0
-	f.Add([]byte{5, 4, 1, 0, 0, 0, 0, 1})     // k>n
-	f.Add([]byte{2, 4, 4, 0, 0, 0, 0, 1})     // idx>=n
-	f.Add([]byte{2, 4, 0, 0, 0, 0, 0, 0})     // zero entry count
-	f.Add(append(seed, 0xAB))                 // trailing byte
+	f.Add(seed[:len(seed)-3])                     // truncated frame
+	f.Add(append([]byte(nil), seed[:5]...))       // truncated count
+	f.Add([]byte{})                               // no prefix
+	f.Add([]byte{2, 4, 3, 1, 0, 0, 0, 1})         // nonzero reserved byte
+	f.Add([]byte{0, 4, 1, 0, 0, 0, 0, 1})         // k=0
+	f.Add([]byte{5, 4, 1, 0, 0, 0, 0, 1})         // k>n
+	f.Add([]byte{2, 4, 4, 0, 0, 0, 0, 1})         // idx>=n
+	f.Add([]byte{2, 4, 0, 0, 0, 0, 0, 0})         // zero entry count
+	f.Add(append(seed, 0xAB))                     // trailing byte
 	f.Add([]byte{2, 4, 1, 0, 255, 255, 255, 255}) // absurd count, tiny buffer
 	f.Fuzz(func(t *testing.T, data []byte) {
 		hdr, entries, err := DecodeStripe(data)

@@ -49,7 +49,7 @@ func XORInPlace(dst, src []byte) error {
 
 // xorWords is the internal kernel: 8-byte wide XOR with a byte-wise
 // tail. binary.LittleEndian.Uint64 compiles to a single load on
-// little-endian machines, so this runs at memory bandwidth.
+// little-endian machines.
 func xorWords(dst, a, b []byte) {
 	n := len(a)
 	i := 0
@@ -58,15 +58,6 @@ func xorWords(dst, a, b []byte) {
 			binary.LittleEndian.Uint64(a[i:])^binary.LittleEndian.Uint64(b[i:]))
 	}
 	for ; i < n; i++ {
-		dst[i] = a[i] ^ b[i]
-	}
-}
-
-// xorBytewise is a reference kernel kept for benchmarking the word-wide
-// implementation against (DESIGN.md ablation 4) and for verifying the
-// optimized kernel in tests.
-func xorBytewise(dst, a, b []byte) {
-	for i := range a {
 		dst[i] = a[i] ^ b[i]
 	}
 }
@@ -119,26 +110,24 @@ func IsZero(p []byte) bool {
 // NonZeroBytes counts the bytes of p that are non-zero. For a parity
 // block this is the number of byte positions at which the write changed
 // the block. It runs on every write when density recording is on, so
-// like the XOR kernel it walks the block 8 bytes at a time: an all-zero
-// word — the overwhelmingly common case for sparse parity — costs one
-// load and one compare, and only the occasional non-zero word pays the
-// per-byte count.
+// like the XOR kernel it walks the block 8 bytes at a time, and it
+// counts every word the same branch-free way (nonZeroByteMask +
+// popcount), four words per step: the cost is the same on an all-zero
+// block and on an incompressible one, and there is no branch for dense
+// parity to mispredict.
 func NonZeroBytes(p []byte) int {
 	count := 0
-	n := len(p)
-	i := 0
-	for ; i+wordSize <= n; i += wordSize {
-		if binary.LittleEndian.Uint64(p[i:]) == 0 {
-			continue
-		}
-		for j := i; j < i+wordSize; j++ {
-			if p[j] != 0 {
-				count++
-			}
-		}
+	for ; len(p) >= 4*wordSize; p = p[4*wordSize:] {
+		count += bits.OnesCount64(nonZeroByteMask(binary.LittleEndian.Uint64(p[0:]))) +
+			bits.OnesCount64(nonZeroByteMask(binary.LittleEndian.Uint64(p[8:]))) +
+			bits.OnesCount64(nonZeroByteMask(binary.LittleEndian.Uint64(p[16:]))) +
+			bits.OnesCount64(nonZeroByteMask(binary.LittleEndian.Uint64(p[24:])))
 	}
-	for ; i < n; i++ {
-		if p[i] != 0 {
+	for ; len(p) >= wordSize; p = p[wordSize:] {
+		count += bits.OnesCount64(nonZeroByteMask(binary.LittleEndian.Uint64(p)))
+	}
+	for _, v := range p {
+		if v != 0 {
 			count++
 		}
 	}
@@ -151,10 +140,9 @@ func NonZeroBytes(p []byte) int {
 // NonZeroBytes would otherwise perform as a second walk: the word is
 // already in a register after the XOR, so counting its non-zero bytes
 // costs a handful of ALU ops instead of a second memory sweep. dst may
-// alias a or b. The loop is unrolled two words at a time; an all-zero
-// word — the common case for sparse parity — short-circuits, and
-// non-zero words are counted branch-free with a SWAR zero-byte mask
-// and math/bits.OnesCount64.
+// alias a or b. Every word is counted branch-free (nonZeroByteMask +
+// math/bits.OnesCount64), four words per step, so sparse and dense
+// parity cost the same.
 func XORCountNonZero(dst, a, b []byte) (int, error) {
 	if len(a) != len(b) || len(dst) != len(a) {
 		return 0, fmt.Errorf("%w: dst=%d a=%d b=%d", ErrLengthMismatch, len(dst), len(a), len(b))
@@ -162,24 +150,23 @@ func XORCountNonZero(dst, a, b []byte) (int, error) {
 	count := 0
 	n := len(a)
 	i := 0
-	for ; i+2*wordSize <= n; i += 2 * wordSize {
-		w0 := binary.LittleEndian.Uint64(a[i:]) ^ binary.LittleEndian.Uint64(b[i:])
-		w1 := binary.LittleEndian.Uint64(a[i+wordSize:]) ^ binary.LittleEndian.Uint64(b[i+wordSize:])
-		binary.LittleEndian.PutUint64(dst[i:], w0)
-		binary.LittleEndian.PutUint64(dst[i+wordSize:], w1)
-		if w0 != 0 {
-			count += bits.OnesCount64(nonZeroByteMask(w0))
-		}
-		if w1 != 0 {
-			count += bits.OnesCount64(nonZeroByteMask(w1))
-		}
+	for ; i+4*wordSize <= n; i += 4 * wordSize {
+		a4, b4, d4 := a[i:i+4*wordSize], b[i:i+4*wordSize], dst[i:i+4*wordSize]
+		w0 := binary.LittleEndian.Uint64(a4[0:]) ^ binary.LittleEndian.Uint64(b4[0:])
+		w1 := binary.LittleEndian.Uint64(a4[8:]) ^ binary.LittleEndian.Uint64(b4[8:])
+		w2 := binary.LittleEndian.Uint64(a4[16:]) ^ binary.LittleEndian.Uint64(b4[16:])
+		w3 := binary.LittleEndian.Uint64(a4[24:]) ^ binary.LittleEndian.Uint64(b4[24:])
+		binary.LittleEndian.PutUint64(d4[0:], w0)
+		binary.LittleEndian.PutUint64(d4[8:], w1)
+		binary.LittleEndian.PutUint64(d4[16:], w2)
+		binary.LittleEndian.PutUint64(d4[24:], w3)
+		count += bits.OnesCount64(nonZeroByteMask(w0)) + bits.OnesCount64(nonZeroByteMask(w1)) +
+			bits.OnesCount64(nonZeroByteMask(w2)) + bits.OnesCount64(nonZeroByteMask(w3))
 	}
 	for ; i+wordSize <= n; i += wordSize {
 		w := binary.LittleEndian.Uint64(a[i:]) ^ binary.LittleEndian.Uint64(b[i:])
 		binary.LittleEndian.PutUint64(dst[i:], w)
-		if w != 0 {
-			count += bits.OnesCount64(nonZeroByteMask(w))
-		}
+		count += bits.OnesCount64(nonZeroByteMask(w))
 	}
 	for ; i < n; i++ {
 		v := a[i] ^ b[i]
@@ -203,16 +190,4 @@ func nonZeroByteMask(w uint64) uint64 {
 		highs = 0x8080808080808080
 	)
 	return (w | ((w | highs) - lows)) & highs
-}
-
-// nonZeroBytesBytewise is the reference kernel kept as the test oracle
-// for the word-wide NonZeroBytes (mirrors xorBytewise).
-func nonZeroBytesBytewise(p []byte) int {
-	count := 0
-	for _, v := range p {
-		if v != 0 {
-			count++
-		}
-	}
-	return count
 }

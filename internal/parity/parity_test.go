@@ -185,8 +185,8 @@ func TestNonZeroBytes(t *testing.T) {
 
 // TestNonZeroBytesMatchesBytewise cross-checks the word-wide counter
 // against the byte-wise oracle (mirrors TestKernelsAgree for the XOR
-// kernels): word-boundary sizes, unaligned tails, and the densities the
-// skip-zero-words fast path is tuned for.
+// kernels): word-boundary sizes, unaligned tails, zero, sparse and
+// dense blocks.
 func TestNonZeroBytesMatchesBytewise(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	for _, n := range []int{0, 1, 7, 8, 9, 63, 64, 65, 4096, 4099} {
@@ -221,7 +221,7 @@ func TestNonZeroBytesMatchesBytewise(t *testing.T) {
 var benchCount int
 
 // BenchmarkNonZeroBytes is the ablation for the word-wide counting
-// kernel (DESIGN.md): the skip-zero-words fast path against the
+// kernel (DESIGN.md): the branch-free word kernel against the
 // byte-wise oracle, on sparse (10%, clustered) and dense blocks.
 func BenchmarkNonZeroBytes(b *testing.B) {
 	rng := rand.New(rand.NewSource(8))
@@ -335,7 +335,7 @@ func TestStripeParityLengthMismatch(t *testing.T) {
 // kernel against the two reference kernels composed: the result bytes
 // must equal the byte-wise XOR and the count must equal the byte-wise
 // scan of that result, across word boundaries, unaligned tails, and
-// the sparse densities the zero-word fast path targets.
+// sparse and dense parity.
 func TestXORCountNonZeroMatchesOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for _, n := range []int{0, 1, 7, 8, 9, 15, 16, 17, 63, 64, 65, 4096, 4099} {
@@ -423,4 +423,87 @@ func BenchmarkXORCountNonZero(b *testing.B) {
 			benchCount = NonZeroBytes(dst)
 		}
 	})
+}
+
+// xorBytewise is the reference XOR kernel: the oracle for the word-wide
+// kernels and the baseline of the DESIGN.md ablation 4 benchmark.
+func xorBytewise(dst, a, b []byte) {
+	for i := range a {
+		dst[i] = a[i] ^ b[i]
+	}
+}
+
+// nonZeroBytesBytewise is the reference count kernel: the oracle for
+// NonZeroBytes and XORCountNonZero and the baseline arm of
+// BenchmarkNonZeroBytes.
+func nonZeroBytesBytewise(p []byte) int {
+	count := 0
+	for _, v := range p {
+		if v != 0 {
+			count++
+		}
+	}
+	return count
+}
+
+// TestCountKernelsMatchBytewise runs the branch-free count kernels over
+// the table the ZRL encoder's differential test uses (internal/xcode
+// TestZRLEncodeMatchesBytewise): zero gaps of 1..5 bytes in a non-zero
+// block and literals of 1..5 bytes in a zero block, at every offset —
+// block start, every offset mod 8, across word and 4-word-step
+// boundaries, touching the end — for lengths on and around the word
+// size. nonZeroByteMask must count each lane exactly whatever its
+// neighbours hold.
+func TestCountKernelsMatchBytewise(t *testing.T) {
+	rng := rand.New(rand.NewSource(15))
+	check := func(pattern, base []byte, what string) {
+		t.Helper()
+		want := nonZeroBytesBytewise(pattern)
+		if got := NonZeroBytes(pattern); got != want {
+			t.Fatalf("%s: NonZeroBytes = %d, oracle = %d", what, got, want)
+		}
+		// base XOR (base XOR pattern) == pattern.
+		other := make([]byte, len(pattern))
+		xorBytewise(other, base, pattern)
+		dst := make([]byte, len(pattern))
+		got, err := XORCountNonZero(dst, base, other)
+		if err != nil || got != want || !bytes.Equal(dst, pattern) {
+			t.Fatalf("%s: XORCountNonZero = %d (err %v), oracle = %d", what, got, err, want)
+		}
+	}
+	for _, n := range []int{0, 1, 7, 8, 9, 511, 512, 8192} {
+		full := make([]byte, n)
+		for i := range full {
+			full[i] = byte(1 + rng.Intn(255))
+		}
+		base := make([]byte, n)
+		rng.Read(base)
+		check(full, base, fmt.Sprintf("n=%d no zeros", n))
+		check(make([]byte, n), base, fmt.Sprintf("n=%d all zeros", n))
+
+		block := make([]byte, n)
+		for off := 0; off < n; off++ {
+			if n > 512 && off >= 40 && (off < 4076 || off >= 4116) && off < n-40 {
+				continue
+			}
+			for gap := 1; gap <= 5 && off+gap <= n; gap++ {
+				copy(block, full)
+				clear(block[off : off+gap])
+				check(block, base, fmt.Sprintf("n=%d gap=%d at %d", n, gap, off))
+
+				clear(block)
+				copy(block[off:off+gap], full[off:])
+				check(block, base, fmt.Sprintf("n=%d literal=%d at %d", n, gap, off))
+			}
+		}
+	}
+	// Lanes whose value borrows in the haszero formulation: 0x01 and
+	// 0x80 next to zero lanes, in every lane position.
+	for lane := 0; lane < 8; lane++ {
+		for _, v := range []byte{0x01, 0x80, 0xFF} {
+			block := make([]byte, 16)
+			block[lane], block[8+(lane+1)%8] = v, v
+			check(block, make([]byte, 16), fmt.Sprintf("value %#x in lane %d", v, lane))
+		}
+	}
 }

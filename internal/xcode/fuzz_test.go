@@ -46,3 +46,17 @@ func FuzzRoundTrip(f *testing.F) {
 		}
 	})
 }
+
+// FuzzZRLEncode is the differential fuzzer for the word-wide ZRL
+// encoder: on any input its stream equals the bytewise oracle's and
+// decodes back to the input.
+func FuzzZRLEncode(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{0})
+	f.Add([]byte("\x01\x00\x00\x00\x02\x00\x00\x00\x00\x03\x00"))
+	f.Add(append(bytes.Repeat([]byte{7}, 13), 0, 0, 0))
+	f.Add(bytes.Repeat([]byte{0, 0, 0, 0, 0, 0, 0, 9}, 5))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		checkZRLAgainstBytewise(t, data, "fuzz input")
+	})
+}

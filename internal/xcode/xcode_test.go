@@ -2,7 +2,9 @@ package xcode
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -371,5 +373,122 @@ func TestCodecString(t *testing.T) {
 		if got := tt.c.String(); got != tt.want {
 			t.Errorf("Codec(%d).String() = %q, want %q", tt.c, got, tt.want)
 		}
+	}
+}
+
+// zrlAppendBytewise is the byte-at-a-time ZRL encoder the word-wide
+// zrlAppend replaced, kept as its oracle: the two must emit identical
+// streams, gap-merge look-ahead included.
+func zrlAppendBytewise(out, block []byte) []byte {
+	var tmp [binary.MaxVarintLen64]byte
+
+	i := 0
+	n := len(block)
+	for i < n {
+		// Count the zero run.
+		start := i
+		for i < n && block[i] == 0 {
+			i++
+		}
+		skip := i - start
+
+		// Count the literal run, absorbing zero gaps of 1-3 bytes that
+		// a non-zero byte follows.
+		litStart := i
+		for i < n && block[i] != 0 {
+			i++
+			if i < n && block[i] == 0 {
+				j := i
+				for j < n && block[j] == 0 && j-i < 4 {
+					j++
+				}
+				if j < n && block[j] != 0 && j-i < 4 {
+					i = j
+				}
+			}
+		}
+		lit := block[litStart:i]
+
+		out = append(out, tmp[:binary.PutUvarint(tmp[:], uint64(skip))]...)
+		out = append(out, tmp[:binary.PutUvarint(tmp[:], uint64(len(lit)))]...)
+		out = append(out, lit...)
+	}
+	if len(block) == 0 {
+		out = append(out, 0, 0)
+	}
+	return out
+}
+
+// checkZRLAgainstBytewise asserts the two properties the word-wide
+// encoder must keep: the stream equals the bytewise oracle's, and it
+// decodes back to the block.
+func checkZRLAgainstBytewise(t *testing.T, block []byte, what string) {
+	t.Helper()
+	got := zrlAppend(nil, block)
+	if want := zrlAppendBytewise(nil, block); !bytes.Equal(got, want) {
+		t.Fatalf("%s: stream differs from bytewise oracle\n got %x\nwant %x", what, got, want)
+	}
+	back, err := zrlDecode(got, len(block))
+	if err != nil || !bytes.Equal(back, block) {
+		t.Fatalf("%s: decode(encode) != block: %v", what, err)
+	}
+}
+
+// TestZRLEncodeMatchesBytewise walks zero gaps of 1..5 bytes (3 merges,
+// 4 does not) across every offset of blocks whose lengths sit on and
+// around the word size: at the block start, at every offset mod 8,
+// straddling word boundaries, and touching the end of the block, where
+// a short gap is NOT absorbed. A second gap close behind the first
+// covers back-to-back absorption, and the inverse pattern (short
+// literals in a zero block) covers the zero-run scan.
+func TestZRLEncodeMatchesBytewise(t *testing.T) {
+	rng := rand.New(rand.NewSource(15))
+	for _, n := range []int{0, 1, 7, 8, 9, 511, 512, 8192} {
+		full := make([]byte, n)
+		for i := range full {
+			full[i] = byte(1 + rng.Intn(255))
+		}
+		checkZRLAgainstBytewise(t, full, fmt.Sprintf("n=%d no zeros", n))
+		checkZRLAgainstBytewise(t, make([]byte, n), fmt.Sprintf("n=%d all zeros", n))
+
+		// Every offset for the small blocks; for 8 KiB the start, a
+		// stretch across the middle and the last words.
+		var offsets []int
+		for off := 0; off < n; off++ {
+			if n <= 512 || off < 24 || (off >= 4084 && off < 4108) || off >= n-24 {
+				offsets = append(offsets, off)
+			}
+		}
+		block := make([]byte, n)
+		for _, off := range offsets {
+			for gap := 1; gap <= 5 && off+gap <= n; gap++ {
+				copy(block, full)
+				clear(block[off : off+gap])
+				checkZRLAgainstBytewise(t, block, fmt.Sprintf("n=%d gap=%d at %d", n, gap, off))
+
+				// A second gap 1 or 2 literal bytes behind the first.
+				for lit := 1; lit <= 2; lit++ {
+					for gap2 := 1; gap2 <= 5 && off+gap+lit+gap2 <= n; gap2++ {
+						copy(block, full)
+						clear(block[off : off+gap])
+						clear(block[off+gap+lit : off+gap+lit+gap2])
+						checkZRLAgainstBytewise(t, block,
+							fmt.Sprintf("n=%d gaps %d,%d at %d,%d", n, gap, gap2, off, off+gap+lit))
+					}
+				}
+
+				// The inverse: a literal of gap bytes in a zero block.
+				clear(block)
+				copy(block[off:off+gap], full[off:])
+				checkZRLAgainstBytewise(t, block, fmt.Sprintf("n=%d literal=%d at %d", n, gap, off))
+			}
+		}
+	}
+
+	// The shapes the replication path feeds it.
+	for i := 0; i < 64; i++ {
+		checkZRLAgainstBytewise(t, sparseBlock(rng, 8192, 0.10), "sparse 10%")
+		checkZRLAgainstBytewise(t, randBlock(rng, 8192), "incompressible")
+		checkZRLAgainstBytewise(t, randBlock(rng, 1+rng.Intn(100)), "short random")
 	}
 }

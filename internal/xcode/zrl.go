@@ -3,6 +3,7 @@ package xcode
 import (
 	"encoding/binary"
 	"fmt"
+	"math/bits"
 )
 
 // Zero-run-length coding for sparse parity blocks.
@@ -24,15 +25,31 @@ func zrlEncode(block []byte) []byte {
 	return zrlAppend(make([]byte, 0, len(block)/4+16), block)
 }
 
-// zrlAppend appends the ZRL stream for block to out.
+// zrlAppend appends the ZRL stream for block to out. It reads the block
+// a 64-bit word at a time: a zero run costs one compare per eight
+// bytes, and a literal run costs one SWAR has-zero-byte test per eight
+// bytes, so an incompressible block is scanned in about n/8 steps. Only
+// a word that holds a zero byte drops to byte steps, for the gap-merge
+// decision below.
 func zrlAppend(out, block []byte) []byte {
-	var tmp [binary.MaxVarintLen64]byte
-
+	const (
+		lows  = 0x0101010101010101
+		highs = 0x8080808080808080
+	)
 	i := 0
 	n := len(block)
 	for i < n {
-		// Count the zero run.
+		// Count the zero run. The word that ends it names its first
+		// non-zero byte, so the byte loop only ever walks the tail.
 		start := i
+		for i+8 <= n {
+			w := binary.LittleEndian.Uint64(block[i:])
+			if w != 0 {
+				i += bits.TrailingZeros64(w) >> 3
+				break
+			}
+			i += 8
+		}
 		for i < n && block[i] == 0 {
 			i++
 		}
@@ -42,23 +59,44 @@ func zrlAppend(out, block []byte) []byte {
 		// interior zero gap is cheaper than starting a new segment
 		// (two varints); merge gaps shorter than 4 bytes.
 		litStart := i
-		for i < n && block[i] != 0 {
-			i++
-			// Look ahead: absorb zero gaps of 1-3 bytes into the literal.
-			if i < n && block[i] == 0 {
-				j := i
-				for j < n && block[j] == 0 && j-i < 4 {
-					j++
+		for i < n {
+			// Advance i to the next zero byte. (w-lows)&^w&highs has
+			// bit 7 set in the lowest zero byte of w (higher lanes can
+			// be false positives through the borrow, the lowest set
+			// lane cannot), and is 0 when w has no zero byte.
+			if i+8 <= n {
+				w := binary.LittleEndian.Uint64(block[i:])
+				z := (w - lows) &^ w & highs
+				if z == 0 {
+					i += 8
+					continue
 				}
-				if j < n && block[j] != 0 && j-i < 4 {
-					i = j
+				i += bits.TrailingZeros64(z) >> 3
+			} else {
+				for i < n && block[i] != 0 {
+					i++
+				}
+				if i == n {
+					break
 				}
 			}
+			// block[i] == 0. Look ahead: absorb a zero gap of 1-3 bytes
+			// into the literal if a non-zero byte follows it; a longer
+			// gap, or one that runs to the end of the block, ends the
+			// literal here.
+			j := i + 1
+			for j < n && block[j] == 0 && j-i < 4 {
+				j++
+			}
+			if j == n || block[j] == 0 || j-i == 4 {
+				break
+			}
+			i = j
 		}
 		lit := block[litStart:i]
 
-		out = append(out, tmp[:binary.PutUvarint(tmp[:], uint64(skip))]...)
-		out = append(out, tmp[:binary.PutUvarint(tmp[:], uint64(len(lit)))]...)
+		out = binary.AppendUvarint(out, uint64(skip))
+		out = binary.AppendUvarint(out, uint64(len(lit)))
 		out = append(out, lit...)
 	}
 	if len(block) == 0 {
