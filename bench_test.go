@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"math/rand"
 	"net"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -557,6 +558,45 @@ func (s *slowStore) WriteBlock(lba uint64, data []byte) error {
 	return s.Store.WriteBlock(lba, data)
 }
 
+// runWriters times b.N block writes to random LBAs of engine issued by
+// exactly n closed-loop writer goroutines, which share b.N through a
+// countdown; dirty changes the writer's block before each write. It
+// fails the benchmark on the first write error. Not b.RunParallel:
+// that starts SetParallelism x GOMAXPROCS goroutines, so "8 writers"
+// was 8 on one CPU and 16 on two, and the same arm measured a
+// different population on every box.
+func runWriters(b *testing.B, engine *core.Engine, n int, dirty func(rng *rand.Rand, buf []byte)) {
+	b.Helper()
+	var left atomic.Int64
+	left.Store(int64(b.N))
+	var wg sync.WaitGroup
+	errs := make(chan error, n)
+	b.ResetTimer()
+	for w := 1; w <= n; w++ {
+		wg.Add(1)
+		go func(seed int64) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(seed))
+			buf := make([]byte, engine.BlockSize())
+			rng.Read(buf)
+			for left.Add(-1) >= 0 {
+				dirty(rng, buf)
+				if err := engine.WriteBlock(uint64(rng.Intn(int(engine.NumBlocks()))), buf); err != nil {
+					errs <- err
+					return
+				}
+			}
+		}(int64(w))
+	}
+	wg.Wait()
+	b.StopTimer()
+	select {
+	case err := <-errs:
+		b.Fatal(err)
+	default:
+	}
+}
+
 // BenchmarkShardScaling measures aggregate write throughput of 8
 // concurrent writers against a 1ms-write store as the engine's shard
 // count grows 1 -> 8. One shard serializes every writer behind one
@@ -600,28 +640,7 @@ func BenchmarkShardScaling(b *testing.B) {
 				b.Fatal(err)
 			}
 
-			var seed, writeErr atomic.Int64
-			var firstErr atomic.Value
-			b.SetParallelism(writers) // writers goroutines even at GOMAXPROCS=1
-			b.ResetTimer()
-			b.RunParallel(func(pb *testing.PB) {
-				rng := rand.New(rand.NewSource(seed.Add(1)))
-				buf := make([]byte, blockSize)
-				rng.Read(buf)
-				for pb.Next() {
-					buf[0] = byte(rng.Intn(256))
-					if err := engine.WriteBlock(uint64(rng.Intn(numBlocks)), buf); err != nil {
-						if writeErr.Add(1) == 1 {
-							firstErr.Store(err)
-						}
-						return
-					}
-				}
-			})
-			b.StopTimer()
-			if err, _ := firstErr.Load().(error); err != nil {
-				b.Fatal(err)
-			}
+			runWriters(b, engine, writers, func(rng *rand.Rand, buf []byte) { buf[0] = byte(rng.Intn(256)) })
 			if err := engine.Drain(); err != nil {
 				b.Fatal(err)
 			}
@@ -999,19 +1018,21 @@ func BenchmarkHotpathZRL(b *testing.B) {
 var hotpathSink uint64
 
 // BenchmarkHotpathSyncShip measures synchronous replication throughput
-// of 8 concurrent writers through a real initiator/target session over
+// of 8 closed-loop writers through a real initiator/target session over
 // a metro-latency shaped link, with group commit off versus on, and
 // ungrouped over four shards. Ungrouped, every writer takes the shard
-// lock, applies, and enqueues its own message, and the staggered
-// arrivals split across wire pushes; grouped, a queue-full of
-// same-shard writes commits under one lock pass (the early-flush
-// trigger fires at FlushFrames, so the window never idles a saturated
-// shard) and drains to the replica as one aligned wire batch per
-// group. The first two arms are one shard — one push in flight, the
-// link's round trip bounds them; the shards-4 arm is the multiplexed
-// session's witness, four pushes overlapping on the same link. This is
-// the writes/s figure the CI regression guard tracks
-// (BENCH_hotpath.json).
+// lock, applies, and enqueues its own message, and the pipe's ship
+// window keeps up to eight of those pushes in flight on the multiplexed
+// session, so the writers' round trips overlap; a write waits only
+// when a push still in flight carries its LBA (admitwaits/write: about
+// one write in forty at 8 writers over 256 blocks). Grouped, a
+// queue-full of same-shard writes commits under one lock pass (the
+// early-flush trigger fires at FlushFrames, so the window never idles a
+// saturated shard) and drains to the replica as one aligned wire batch
+// per group. With the window all three arms run at the link's pace for
+// eight writers — the shards-4 arm, which used to be the only one with
+// overlapping pushes, is no longer ahead. This is the writes/s figure
+// the CI regression guard tracks (BENCH_hotpath.json).
 func BenchmarkHotpathSyncShip(b *testing.B) {
 	const (
 		blockSize = 8 << 10
@@ -1036,9 +1057,10 @@ func BenchmarkHotpathSyncShip(b *testing.B) {
 			cfg.FlushWindow = 4 * latency
 			cfg.FlushFrames = writers
 		case "shards-4":
-			// Four ship pipelines over the one session: their round
-			// trips overlap on the link instead of queueing behind each
-			// other, so this arm runs at a multiple of group-off.
+			// Four ship pipelines over the one session. Before the ship
+			// window this was the only arm whose round trips overlapped
+			// (1.17-1.22x group-off); now it checks that sharding a
+			// windowed pipe costs nothing.
 			cfg.Shards = 4
 		}
 		b.Run(name, func(b *testing.B) {
@@ -1076,29 +1098,9 @@ func BenchmarkHotpathSyncShip(b *testing.B) {
 				b.Fatal(err)
 			}
 
-			var seed, writeErr atomic.Int64
-			var firstErr atomic.Value
-			b.SetParallelism(writers)
-			b.ResetTimer()
-			b.RunParallel(func(pb *testing.PB) {
-				rng := rand.New(rand.NewSource(seed.Add(1)))
-				buf := make([]byte, blockSize)
-				rng.Read(buf)
-				for pb.Next() {
-					buf[rng.Intn(blockSize)] = byte(rng.Intn(256))
-					if err := engine.WriteBlock(uint64(rng.Intn(numBlocks)), buf); err != nil {
-						if writeErr.Add(1) == 1 {
-							firstErr.Store(err)
-						}
-						return
-					}
-				}
-			})
-			b.StopTimer()
-			if err, _ := firstErr.Load().(error); err != nil {
-				b.Fatal(err)
-			}
+			runWriters(b, engine, writers, func(rng *rand.Rand, buf []byte) { buf[rng.Intn(len(buf))] = byte(rng.Intn(256)) })
 			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "writes/s")
+			b.ReportMetric(float64(engine.ReplicaStats()[0].Metrics.AdmitWaits)/float64(b.N), "admitwaits/write")
 			if s := engine.Traffic().Snapshot(); s.GroupCommits > 0 {
 				b.ReportMetric(float64(s.GroupedWrites)/float64(s.GroupCommits), "writes/group")
 			}
@@ -1142,28 +1144,7 @@ func BenchmarkHotpathShards(b *testing.B) {
 				b.Fatal(err)
 			}
 
-			var seed, writeErr atomic.Int64
-			var firstErr atomic.Value
-			b.SetParallelism(writers)
-			b.ResetTimer()
-			b.RunParallel(func(pb *testing.PB) {
-				rng := rand.New(rand.NewSource(seed.Add(1)))
-				buf := make([]byte, blockSize)
-				rng.Read(buf)
-				for pb.Next() {
-					buf[rng.Intn(blockSize)] = byte(rng.Intn(256))
-					if err := engine.WriteBlock(uint64(rng.Intn(numBlocks)), buf); err != nil {
-						if writeErr.Add(1) == 1 {
-							firstErr.Store(err)
-						}
-						return
-					}
-				}
-			})
-			b.StopTimer()
-			if err, _ := firstErr.Load().(error); err != nil {
-				b.Fatal(err)
-			}
+			runWriters(b, engine, writers, func(rng *rand.Rand, buf []byte) { buf[rng.Intn(len(buf))] = byte(rng.Intn(256)) })
 			if err := engine.Drain(); err != nil {
 				b.Fatal(err)
 			}

@@ -31,6 +31,12 @@
 // busy neighbour slows a CPU-bound run in bursts that can cover most of
 // five back-to-back repeats, so the guard fails only when even the best
 // repeat is below the committed typical value by more than the budget.
+//
+// Every entry records the GOMAXPROCS it ran under (the "-N" suffix
+// stripped from its name), and the guard refuses to compare two entries
+// that disagree: a benchmark with parallel writers is a different
+// experiment on a different number of CPUs, and a baseline from one
+// held against a run on another passes or fails for free.
 package main
 
 import (
@@ -50,8 +56,11 @@ import (
 // output, or the fold of its Runs repeated lines (Metrics the medians,
 // Min and Max the extremes; all three absent for a single line).
 type Benchmark struct {
-	Name       string             `json:"name"`
-	Iterations int64              `json:"iterations"`
+	Name       string `json:"name"`
+	Iterations int64  `json:"iterations"`
+	// GOMAXPROCS is what the benchmark ran under; zero in reports
+	// written before the field existed.
+	GOMAXPROCS int                `json:"gomaxprocs,omitempty"`
 	Metrics    map[string]float64 `json:"metrics"`
 	Runs       int                `json:"runs,omitempty"`
 	Min        map[string]float64 `json:"min,omitempty"`
@@ -112,7 +121,8 @@ func main() {
 // fallen below it for higher-is-better metrics, risen above it when
 // lower is set (wire bytes, latencies). A repeated fresh benchmark is
 // judged by its best repeat (see Benchmark.best), the baseline by its
-// recorded median.
+// recorded median. Entries recorded under different GOMAXPROCS are not
+// comparable, and finding one is an error rather than a skipped row.
 func guard(fresh *Report, baselinePath, metric string, maxRegress float64, lower bool, w io.Writer) error {
 	raw, err := os.ReadFile(baselinePath)
 	if err != nil {
@@ -122,23 +132,29 @@ func guard(fresh *Report, baselinePath, metric string, maxRegress float64, lower
 	if err := json.Unmarshal(raw, &base); err != nil {
 		return fmt.Errorf("parsing baseline %s: %w", baselinePath, err)
 	}
-	baseBy := map[string]float64{}
+	baseBy := map[string]Benchmark{}
 	for _, b := range base.Benchmarks {
 		if v, ok := b.Metrics[metric]; ok && v > 0 {
-			baseBy[b.Name] = v
+			baseBy[b.Name] = b
 		}
 	}
 	compared := 0
-	var failures []string
+	var failures, mismatched []string
 	for _, b := range fresh.Benchmarks {
 		got, ok := b.best(metric, lower)
 		if !ok {
 			continue
 		}
-		want, ok := baseBy[b.Name]
+		bb, ok := baseBy[b.Name]
 		if !ok {
 			continue
 		}
+		if bb.GOMAXPROCS != 0 && b.GOMAXPROCS != 0 && bb.GOMAXPROCS != b.GOMAXPROCS {
+			mismatched = append(mismatched, fmt.Sprintf("%s: baseline recorded at GOMAXPROCS=%d, this run is at GOMAXPROCS=%d",
+				b.Name, bb.GOMAXPROCS, b.GOMAXPROCS))
+			continue
+		}
+		want := bb.Metrics[metric]
 		compared++
 		dropPct := (want - got) / want * 100
 		direction := "below"
@@ -153,6 +169,10 @@ func guard(fresh *Report, baselinePath, metric string, maxRegress float64, lower
 				fmt.Sprintf("%s: %s %.1f is %.1f%% %s baseline %.1f (max %.0f%%)",
 					b.Name, metric, got, dropPct, direction, want, maxRegress))
 		}
+	}
+	if len(mismatched) > 0 {
+		return fmt.Errorf("not comparable with %s (re-record it on this box, or run the guard under the baseline's GOMAXPROCS):\n  %s",
+			baselinePath, strings.Join(mismatched, "\n  "))
 	}
 	if compared == 0 {
 		return fmt.Errorf("guard compared no benchmarks: no shared %q metric with %s", metric, baselinePath)
@@ -222,7 +242,7 @@ func fold(lines []Benchmark) Benchmark {
 		return lines[0]
 	}
 	b := Benchmark{
-		Name: lines[0].Name, Iterations: lines[0].Iterations, Runs: len(lines),
+		Name: lines[0].Name, Iterations: lines[0].Iterations, GOMAXPROCS: lines[0].GOMAXPROCS, Runs: len(lines),
 		Metrics: map[string]float64{}, Min: map[string]float64{}, Max: map[string]float64{},
 	}
 	values := map[string][]float64{}
@@ -263,7 +283,8 @@ func parseEnvLine(line string) (map[string]string, bool) {
 // stripped, so a name is the same on every host and matches the
 // committed BENCH_*.json. Only the suffix procs itself produces is
 // removed: at procs 1 "shards-4" is a sub-benchmark name, at procs 4
-// the same benchmark arrives as "shards-4-4".
+// the same benchmark arrives as "shards-4-4". What was removed stays on
+// record as the entry's GOMAXPROCS.
 func parseBenchLine(line string, procs int) (Benchmark, bool) {
 	fields := strings.Fields(line)
 	if len(fields) < 4 || !strings.HasPrefix(fields[0], "Benchmark") {
@@ -277,7 +298,7 @@ func parseBenchLine(line string, procs int) (Benchmark, bool) {
 	if procs > 1 {
 		name = strings.TrimSuffix(name, "-"+strconv.Itoa(procs))
 	}
-	b := Benchmark{Name: name, Iterations: iters, Metrics: map[string]float64{}}
+	b := Benchmark{Name: name, Iterations: iters, GOMAXPROCS: procs, Metrics: map[string]float64{}}
 	for i := 2; i+1 < len(fields); i += 2 {
 		v, err := strconv.ParseFloat(fields[i], 64)
 		if err != nil {

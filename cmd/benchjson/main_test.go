@@ -104,19 +104,88 @@ func TestParseFoldsRepeats(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := []Benchmark{
-		{Name: "BenchmarkHotpathHash/8KB", Iterations: 2000, Runs: 3,
+		{Name: "BenchmarkHotpathHash/8KB", Iterations: 2000, GOMAXPROCS: 2, Runs: 3,
 			Metrics: map[string]float64{"ns/op": 800, "MB/s": 10240},
 			Min:     map[string]float64{"ns/op": 790, "MB/s": 8192},
 			Max:     map[string]float64{"ns/op": 1000, "MB/s": 10370}},
-		{Name: "BenchmarkHotpathZRL/dense", Iterations: 2000,
+		{Name: "BenchmarkHotpathZRL/dense", Iterations: 2000, GOMAXPROCS: 2,
 			Metrics: map[string]float64{"ns/op": 1700, "MB/s": 4800}},
-		{Name: "BenchmarkHotpathEven", Iterations: 10, Runs: 4,
+		{Name: "BenchmarkHotpathEven", Iterations: 10, GOMAXPROCS: 2, Runs: 4,
 			Metrics: map[string]float64{"ns/op": 3},
 			Min:     map[string]float64{"ns/op": 1},
 			Max:     map[string]float64{"ns/op": 8}},
 	}
 	if !reflect.DeepEqual(report.Benchmarks, want) {
 		t.Errorf("folded benchmarks\n got %+v\nwant %+v", report.Benchmarks, want)
+	}
+}
+
+// TestParseRecordsGOMAXPROCS: every entry carries the GOMAXPROCS whose
+// suffix was stripped from its name — 1 included, where there is no
+// suffix — and it survives the fold and the JSON round trip.
+func TestParseRecordsGOMAXPROCS(t *testing.T) {
+	for _, tc := range []struct {
+		in    string
+		procs int
+	}{
+		{"BenchmarkHotpathSyncShip/shards-4 2000 285781 ns/op 3499 writes/s\n", 1},
+		{"BenchmarkHotpathSyncShip/shards-4-2 2000 110000 ns/op 9028 writes/s\n", 2},
+		{"BenchmarkHotpathHash/8KB-2 100 800 ns/op\nBenchmarkHotpathHash/8KB-2 100 900 ns/op\n", 2},
+	} {
+		report, err := parse(strings.NewReader(tc.in), &bytes.Buffer{}, tc.procs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		enc, err := json.Marshal(report)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var back Report
+		if err := json.Unmarshal(enc, &back); err != nil {
+			t.Fatal(err)
+		}
+		if len(back.Benchmarks) != 1 || back.Benchmarks[0].GOMAXPROCS != tc.procs {
+			t.Errorf("parse(%q, %d) round-tripped to %+v, want one entry at gomaxprocs %d", tc.in, tc.procs, back.Benchmarks, tc.procs)
+		}
+	}
+}
+
+// TestGuardRefusesMixedGOMAXPROCS: a baseline recorded under another
+// GOMAXPROCS is not compared, however the numbers read; a baseline
+// from before the field existed still is.
+func TestGuardRefusesMixedGOMAXPROCS(t *testing.T) {
+	baseline := func(procs int) string {
+		enc, err := json.Marshal(&Report{Benchmarks: []Benchmark{{
+			Name: "BenchmarkHotpathSyncShip/group-off", Iterations: 2000, GOMAXPROCS: procs,
+			Metrics: map[string]float64{"writes/s": 2680},
+		}}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(t.TempDir(), "base.json")
+		if err := os.WriteFile(path, enc, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	fresh := &Report{Benchmarks: []Benchmark{{
+		Name: "BenchmarkHotpathSyncShip/group-off", Iterations: 2000, GOMAXPROCS: 2,
+		Metrics: map[string]float64{"writes/s": 5439},
+	}}}
+	err := guard(fresh, baseline(1), "writes/s", 10, false, &bytes.Buffer{})
+	if err == nil {
+		t.Fatal("a GOMAXPROCS=1 baseline was compared with a GOMAXPROCS=2 run")
+	}
+	for _, want := range []string{"BenchmarkHotpathSyncShip/group-off", "GOMAXPROCS=1", "GOMAXPROCS=2"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("refusal %q does not mention %s", err, want)
+		}
+	}
+	if err := guard(fresh, baseline(2), "writes/s", 10, false, &bytes.Buffer{}); err != nil {
+		t.Errorf("same GOMAXPROCS refused: %v", err)
+	}
+	if err := guard(fresh, baseline(0), "writes/s", 10, false, &bytes.Buffer{}); err != nil {
+		t.Errorf("baseline without the field refused: %v", err)
 	}
 }
 

@@ -42,7 +42,7 @@ var _ BatchReplicaClient = (*iscsi.Initiator)(nil)
 // ReplicaClient: a push carries the (vol, shard) replication stream it
 // belongs to, and the replica dedupes per stream. A sharded or
 // multi-volume engine requires it — interleaving independent per-shard
-// seq spaces into a replica's single dedupe cursor would silently drop
+// seq spaces into a replica's single dedupe window would silently drop
 // frames — so AttachReplica refuses plain clients when the engine has
 // more than one shard or a nonzero volume id.
 type StreamReplicaClient interface {
@@ -393,7 +393,7 @@ type gcReq struct {
 // per-replica ship pipelines (see pipeline.go), so writers on
 // different shards proceed in parallel end to end. An LBA always maps
 // to the same shard, preserving same-LBA ordering; the replica keeps
-// one dedupe cursor per shard stream, so cross-shard interleaving on
+// one dedupe window per shard stream, so cross-shard interleaving on
 // the wire is harmless.
 //
 // Engine implements block.Store, so a filesystem, database pager, or
@@ -421,7 +421,7 @@ type Engine struct {
 
 	closed   atomic.Bool
 	done     chan struct{}  // closed once, after Close has quiesced
-	shippers sync.WaitGroup // one per (shard, replica) pipeline
+	shippers sync.WaitGroup // every shipper of every (shard, replica) pipeline
 }
 
 var _ block.Store = (*Engine)(nil)
@@ -525,11 +525,12 @@ func (e *Engine) ShardRange(s int) block.Range {
 func (e *Engine) ShardStats() []metrics.ShardSnapshot { return e.shardM.Snapshot() }
 
 // AttachReplica adds a replication destination and starts one ship
-// pipeline per shard for it. Not safe to call concurrently with
+// pipeline per shard for it (one shipper goroutine on an async engine,
+// shipWindow of them on a sync one). Not safe to call concurrently with
 // writes; attach replicas before serving I/O. When the engine is
 // sharded or volume-tagged the client must implement
 // StreamReplicaClient — per-shard seq spaces folded into a replica's
-// single dedupe cursor would silently drop frames — so plain clients
+// single dedupe window would silently drop frames — so plain clients
 // are refused with ErrStreamClient. When the retry policy carries a
 // per-attempt timeout and the client supports request deadlines, the
 // timeout is installed here.
@@ -581,10 +582,16 @@ func (e *Engine) AttachReplica(rc ReplicaClient) error {
 	rs.pipes = make([]*pipe, len(e.shards))
 	for i, s := range e.shards {
 		p := &pipe{
-			rs:    rs,
-			shard: s,
-			queue: make(chan repMsg, e.cfg.QueueDepth),
-			dirty: newDirtyMap(),
+			rs:     rs,
+			shard:  s,
+			queue:  make(chan repMsg, e.cfg.QueueDepth),
+			dirty:  newDirtyMap(),
+			baton:  make(chan struct{}, 1),
+			landed: make(chan struct{}, 1),
+		}
+		select {
+		case p.baton <- struct{}{}: // the empty slot takes the token; a bare send reads as blocking to prinslint
+		default:
 		}
 		canBatch := rs.batch != nil
 		if e.tagged(p) {
@@ -597,8 +604,16 @@ func (e *Engine) AttachReplica(rc ReplicaClient) error {
 		s.frames = append(s.frames, nil)
 		s.hashes = append(s.hashes, 0)
 		s.mu.Unlock()
-		e.shippers.Add(1)
-		go e.shipper(p)
+		// One run in flight per async pipe, shipWindow per sync pipe: see
+		// pipe for why the mode decides.
+		window := 1
+		if !e.cfg.Async {
+			window = shipWindow
+		}
+		e.shippers.Add(window)
+		for range window {
+			go e.shipper(p)
+		}
 	}
 	return nil
 }

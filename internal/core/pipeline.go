@@ -18,16 +18,23 @@ import (
 
 // Per-(shard, replica) ship pipelines.
 //
-// Every attached replica owns one bounded FIFO queue per shard, each
-// drained by its own shipper goroutine, so delivery to one replica
-// never waits on another replica's round trips — fan-out latency is
-// the slowest replica, not the sum — and one shard's backlog never
-// blocks another shard's pipeline to the same replica. The write path
-// enqueues onto every pipe of the owning shard while holding that
-// shard's lock (frames enter each queue in per-shard sequence order,
-// which the replica's per-stream seq-dedupe relies on) but never
+// Every attached replica owns one bounded FIFO queue per shard, drained
+// by that pipe's own shippers, so delivery to one replica never waits
+// on another replica's round trips — fan-out latency is the slowest
+// replica, not the sum — and one shard's backlog never blocks another
+// shard's pipeline to the same replica. The write path enqueues onto
+// every pipe of the owning shard while holding that shard's lock, so
+// frames enter each queue in per-shard sequence order, but never
 // performs network I/O under the lock: synchronous writes wait for
 // per-write acks after the lock is released.
+//
+// A pipe takes runs off its queue in that order and admits them to its
+// ship window one at a time (see pipe and admit). An async pipe's
+// window is one run: the replica receives the stream in seq order, one
+// push after the other. A sync pipe's window is shipWindow runs whose
+// round trips overlap on the multiplexed session and land in any order,
+// which the replica's per-stream seq window dedupes and the same-LBA
+// admission rule keeps correct.
 //
 // Degraded state, retry accounting, and sticky async errors live on
 // the replica (shared across its pipes — a dead session is dead for
@@ -124,9 +131,31 @@ func (rs *replicaState) degrade() {
 	}
 }
 
+// shipWindow is how many runs a synchronous pipe keeps in flight at
+// once. A constant, not a knob: a shard with fewer concurrent writers
+// never fills it, and one with more batches the excess into the runs it
+// does ship.
+const shipWindow = 8
+
 // pipe is one (shard, replica) ship pipeline: the shard's frames to
 // that replica flow through its queue in seq order, and the blocks the
 // replica is missing from that shard accumulate in its dirty map.
+//
+// The pipe's shippers (see shipper) share one body and pass a baton:
+// its holder alone receives from queue, drains a run and admits it to
+// the ship window, so runs are admitted in seq order; delivery happens
+// after the baton has moved on. How many shippers a pipe has is how
+// many runs it may have in flight, and that is the engine's mode, for
+// two reasons (DESIGN.md, "Ordering on a stream", has the argument in
+// full). Correctness: an async WriteBlock returns before its push, so
+// the order of the stream is all that keeps the replica a prefix of
+// what the application wrote, and an async pipe therefore has one
+// shipper, for which both admission rules are vacuous; a sync writer's
+// order is carried by its acks, and writes un-acked at the same time
+// have no order the application can observe, so a sync pipe has
+// shipWindow of them. Efficiency: one outstanding push is what lets an
+// async pipe's backlog build into full batches and coalesce same-LBA
+// parities.
 type pipe struct {
 	rs    *replicaState
 	shard *shard
@@ -139,10 +168,21 @@ type pipe struct {
 	// the client has the batching extension this pipe's framing needs —
 	// stream-batch when tagged, plain batch when not. Fixed at attach.
 	batches bool
-	// run is the shipper's drain buffer, reused from one delivery to the
-	// next so a run of one costs no allocation; only the pipe's own
-	// shipper goroutine touches it.
-	run []repMsg
+
+	// baton is a one-slot token: the shipper that holds it is the only
+	// receiver from queue. landed is a one-slot signal that some run
+	// left the window; only the baton holder waits on it, so one slot
+	// cannot lose a wake-up (the holder re-checks after every token, and
+	// a lander sends after it has removed its run).
+	baton  chan struct{}
+	landed chan struct{}
+	// fly is the ship window: the runs admitted and not yet landed, in
+	// no particular order. Each is its shipper's own run buffer, which
+	// that shipper does not write again until it has removed it here;
+	// the admitting shipper reads seqs and LBAs only. flyMu is never
+	// held across a wait.
+	flyMu sync.Mutex
+	fly   [][]repMsg
 }
 
 // markDirty records lba as not-known-held by this pipe's replica and
@@ -158,7 +198,7 @@ func (p *pipe) markDirty(lba uint64) {
 // tagged reports whether this pipe's wire frames carry a stream tag.
 // Shard 0 of a volume-0 engine ships untagged, byte-identical to the
 // pre-sharding wire format — which is consistent, because the replica
-// folds the untagged stream and stream (0,0) into the same cursor.
+// folds the untagged stream and stream (0,0) into the same window.
 func (e *Engine) tagged(p *pipe) bool {
 	return p.shard.id != 0 || e.cfg.Volume != 0
 }
@@ -205,47 +245,127 @@ func (fb *frameBuf) release(n int32) {
 	}
 }
 
-// shipper is one pipe's pipeline worker: it drains the queue in FIFO
-// (= per-shard sequence) order until the engine closes, then finishes
-// whatever is still queued and exits.
+// shipper is the body every shipper of a pipe runs: take the baton,
+// take the next run off the queue (FIFO = per-shard sequence order),
+// admit it to the ship window, pass the baton on, and only then deliver
+// — so the pipe's other shippers admit and deliver the following runs
+// while this one's round trip is in flight. Close settles every queued
+// frame before it closes done, so a shipper that sees done closed has
+// nothing left to ship.
 func (e *Engine) shipper(p *pipe) {
 	defer e.shippers.Done()
+	var run []repMsg // reused from one delivery to the next: a run of one costs no allocation
 	for {
 		select {
-		case msg := <-p.queue:
-			e.process(p, e.drain(p, msg))
+		case <-p.baton:
 		case <-e.done:
-			for {
-				select {
-				case msg := <-p.queue:
-					e.process(p, e.drain(p, msg))
-				default:
-					return
+			return
+		}
+		select {
+		case first := <-p.queue:
+			run = e.drain(p, run[:0], first)
+		case <-e.done:
+			return
+		}
+		p.admit(run)
+		p.baton <- struct{}{}
+		e.process(p, run)
+		p.land(run)
+	}
+}
+
+// drain opportunistically drains p's queue behind first into run, up to
+// the configured frame/byte caps, without ever blocking: batches form
+// only from backlog already sitting in the queue, so an idle pipeline
+// keeps single-write latency while a pipeline behind a slow link
+// amortizes its round trips over everything that queued up meanwhile.
+// A pipe that does not batch delivers frame by frame.
+func (e *Engine) drain(p *pipe, run []repMsg, first repMsg) []repMsg {
+	run = append(run, first)
+	bytes := len(first.frame.frame())
+	for p.batches && len(run) < e.cfg.BatchFrames && bytes < e.cfg.BatchBytes {
+		select {
+		case msg := <-p.queue:
+			run = append(run, msg)
+			bytes += len(msg.frame.frame())
+		default:
+			return run
+		}
+	}
+	return run
+}
+
+// admit adds run to p's ship window, first waiting out every in-flight
+// run it must not overlap. Called by the baton holder only, so runs are
+// admitted in seq order. With one shipper nothing is ever in flight
+// here and admit never waits.
+func (p *pipe) admit(run []repMsg) {
+	waited := false
+	for {
+		p.flyMu.Lock()
+		ok := p.admissible(run)
+		if ok {
+			p.fly = append(p.fly, run)
+		}
+		p.flyMu.Unlock()
+		if ok {
+			return
+		}
+		if !waited {
+			waited = true
+			p.rs.m.AddAdmitWait() // counted when the wait begins, so a stalled window shows while it is stalled
+		}
+		<-p.landed
+	}
+}
+
+// admissible reports whether run may ship beside the runs in flight.
+// Two rules, both about pushes that leave the session in any order
+// (each sleeps out the link on its own goroutine, and a real socket
+// orders them no better). Same LBA: two PRINS parities for one block
+// applied out of order fail the replica's hash check as diverged, and a
+// whole-block frame applied late silently undoes its successor, so a
+// run waits for every in-flight run that carries one of its LBAs. Span:
+// a push stuck in its retry loop must still find its seqs inside the
+// replica's window when it finally lands — aged out, they would be
+// acknowledged as duplicates without ever having been applied — so a
+// run whose last seq is half that window or more past the oldest
+// in-flight seq waits. A sync engine has at most one frame per writer
+// queued or in flight on a pipe, which bounds the scan. Called with
+// p.flyMu held.
+func (p *pipe) admissible(run []repMsg) bool {
+	last := run[len(run)-1].seq
+	for _, f := range p.fly {
+		if last-f[0].seq >= seqWindowSize/2 {
+			return false
+		}
+		for i := range f {
+			for j := range run {
+				if f[i].lba == run[j].lba {
+					return false
 				}
 			}
 		}
 	}
+	return true
 }
 
-// drain opportunistically drains p's queue behind first, up to the
-// configured frame/byte caps, without ever blocking: batches form only
-// from backlog already sitting in the queue, so an idle pipeline keeps
-// single-write latency while a pipeline behind a slow link amortizes
-// its round trips over everything that queued up meanwhile. A pipe
-// that does not batch delivers frame by frame.
-func (e *Engine) drain(p *pipe, first repMsg) []repMsg {
-	p.run = append(p.run[:0], first)
-	bytes := len(first.frame.frame())
-	for p.batches && len(p.run) < e.cfg.BatchFrames && bytes < e.cfg.BatchBytes {
-		select {
-		case msg := <-p.queue:
-			p.run = append(p.run, msg)
-			bytes += len(msg.frame.frame())
-		default:
-			return p.run
+// land removes run from p's ship window once process has settled it,
+// and wakes the admitting shipper if it is waiting.
+func (p *pipe) land(run []repMsg) {
+	p.flyMu.Lock()
+	for i, f := range p.fly {
+		if &f[0] == &run[0] {
+			p.fly[i] = p.fly[len(p.fly)-1]
+			p.fly = p.fly[:len(p.fly)-1]
+			break
 		}
 	}
-	return p.run
+	p.flyMu.Unlock()
+	select {
+	case p.landed <- struct{}{}:
+	default:
+	}
 }
 
 // batchGroup is one wire entry of a drained run plus the queued
@@ -396,9 +516,9 @@ func (e *Engine) process(p *pipe, msgs []repMsg) {
 		if missAt < len(groups) {
 			// Everything from the first refusal was refused unapplied and
 			// re-ships by value. Only that first refusal is a genuine miss
-			// verdict — the rest of the suffix is refused unexamined to
-			// keep the replica's seq cursor honest — so only its hash is
-			// provably stale.
+			// verdict — the rest of the suffix is refused unexamined, so
+			// the whole repair is one push — so only its hash is provably
+			// stale.
 			if groups[missAt].ref {
 				rs.dedupe.ForgetHash(entries[missAt].Hash)
 			}
@@ -555,7 +675,7 @@ func (e *Engine) finish(rs *replicaState, msg repMsg, err error) {
 // retry policy — the only retry loop — and picks the verb. one, when
 // set, ships a single frame as the plain replica-write op: through the
 // stream client on a tagged pipe, so the frame lands on this pipe's
-// (vol, shard) dedupe cursor, and zero-copy when the client supports
+// (vol, shard) dedupe window, and zero-copy when the client supports
 // framed sends and this pipeline holds the pooled buffer exclusively
 // (refs == 1: every other replica's shipper already released its
 // reference, and the pool cannot reuse the buffer while we still hold
@@ -566,7 +686,7 @@ func (e *Engine) finish(rs *replicaState, msg repMsg, err error) {
 // batch on a tagged pipe).
 //
 // Transport failures retry the whole push — entries the replica
-// already applied dedupe by seq on the stream cursor and come back
+// already applied dedupe by seq in the stream's window and come back
 // StatusOK, so redelivery cannot double-XOR — while per-entry refusals
 // ride the returned status vector and are never retried here. A
 // diverged refusal of a single frame short-circuits the loop the same

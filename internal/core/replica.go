@@ -23,17 +23,82 @@ func streamKey(shard uint8, vol uint16) uint32 {
 	return uint32(vol)<<8 | uint32(shard)
 }
 
+// seqWindowSize is how many sequence numbers at and below the highest
+// applied one a stream remembers one by one. It bounds how far apart
+// the seqs a primary keeps in flight on one stream may lie: the ship
+// window admits a run only while every in-flight seq stays within half
+// of it (see admit in pipeline.go).
+const seqWindowSize = 1024
+
+// seqWindow is a stream's sliding anti-replay window, the RFC 4303
+// section 3.4.3 shape: the highest seq applied, and one bit per seq in
+// (max-seqWindowSize, max] saying whether that seq was applied. A
+// synchronous primary keeps several pushes of one stream in flight and
+// they arrive in any order, so "at or below the highest seq" no longer
+// means "already applied"; only a set bit, or a seq that fell out of
+// the window, does. Seq 0 is the unsequenced push: never seen, never
+// marked. The bitmap is circular (seq s lives at bit s mod
+// seqWindowSize), so sliding clears the slots the new seqs take over
+// instead of shifting words.
+type seqWindow struct {
+	max  uint64
+	bits [seqWindowSize / 64]uint64
+}
+
+// slot returns the bitmap word and mask seq lives at.
+func (w *seqWindow) slot(seq uint64) (*uint64, uint64) {
+	return &w.bits[seq%seqWindowSize/64], 1 << (seq % 64)
+}
+
+// seen reports whether seq must be acknowledged as a duplicate: applied
+// and still in the window, or so far below max that it can only be one.
+func (w *seqWindow) seen(seq uint64) bool {
+	if seq == 0 || seq > w.max {
+		return false
+	}
+	if w.max-seq >= seqWindowSize {
+		return true
+	}
+	word, mask := w.slot(seq)
+	return *word&mask != 0
+}
+
+// mark records seq as applied, sliding the window up to it when it is
+// the new maximum.
+func (w *seqWindow) mark(seq uint64) {
+	if seq == 0 || (seq <= w.max && w.max-seq >= seqWindowSize) {
+		return
+	}
+	if seq > w.max {
+		// The slots the window slides over still hold the bits of seqs
+		// a whole window older.
+		if seq-w.max >= seqWindowSize {
+			w.bits = [seqWindowSize / 64]uint64{}
+		} else {
+			for s := w.max + 1; s < seq; s++ {
+				word, mask := w.slot(s)
+				*word &^= mask
+			}
+		}
+		w.max = seq
+	}
+	word, mask := w.slot(seq)
+	*word |= mask
+}
+
 // replicaStream is one (vol, shard) replication stream's apply state:
-// its own dedupe cursor and scratch buffers, behind its own lock, so
+// its own dedupe window and scratch buffers, behind its own lock, so
 // streams with disjoint LBA ranges apply concurrently. The merge-layer
-// ordering rule: order is guaranteed within a stream (the primary
-// ships each shard's frames in seq order over its own pipeline) and
-// undefined across streams, which is safe because shards own disjoint
-// LBA ranges.
+// ordering rule: within a stream the primary never has two pushes
+// carrying the same LBA in flight at once, so pushes that overlap in
+// time commute (DESIGN.md, "Ordering on a stream", says what that
+// promises the application in sync and in async mode); order across
+// streams is undefined, which is safe because shards own disjoint LBA
+// ranges.
 type replicaStream struct {
-	mu      sync.Mutex
-	lastSeq uint64
-	oldBuf  []byte
+	mu     sync.Mutex
+	win    seqWindow
+	oldBuf []byte
 }
 
 // ReplicaEngine is the replica-side PRINS engine: it receives encoded
@@ -44,7 +109,7 @@ type replicaStream struct {
 // an initial sync.
 //
 // A sharded primary ships one seq stream per (vol, shard); the engine
-// keeps an independent dedupe cursor per stream (the merge layer), so
+// keeps an independent dedupe window per stream (the merge layer), so
 // interleaved streams over one session never trip each other's
 // seq-dedupe. Untagged pushes apply against the zero stream, which is
 // exactly the pre-sharding behaviour.
@@ -200,7 +265,8 @@ func (r *ReplicaEngine) stream(shard uint8, vol uint16) *replicaStream {
 // replayJournal redoes the journaled intent, if any — one entry for a
 // single-slot record, every entry of a group record. Called with r.jmu
 // held (or before the engine is shared) and no stream lock held — each
-// entry's stream cursor is advanced under that stream's own lock.
+// entry's seq is marked in its stream's window under that stream's own
+// lock.
 // Replay is an idempotent whole-block rewrite, so replaying an intent
 // whose store writes had in fact completed (in full or in part) is
 // harmless.
@@ -231,16 +297,14 @@ func (r *ReplicaEngine) replayJournal() error {
 		r.replay = true
 		return fmt.Errorf("core: replica journal replay: %w", err)
 	}
-	// The journaled seqs were applied; advancing each stream's lastSeq
-	// makes the primary's redelivery of them dedupe instead of
+	// The journaled seqs were applied; marking them in each stream's
+	// window makes the primary's redelivery of them dedupe instead of
 	// double-XORing.
 	for i := range entries {
 		e := &entries[i]
 		st := r.stream(e.Shard, e.Vol)
 		st.mu.Lock()
-		if e.Seq > st.lastSeq {
-			st.lastSeq = e.Seq
-		}
+		st.win.mark(e.Seq)
 		st.mu.Unlock()
 		r.traffic.AddReplicaWrite()
 		r.indexApply(e.LBA, e.Hash)
@@ -261,7 +325,7 @@ func (r *ReplicaEngine) StreamLastSeq(shard uint8, vol uint16) uint64 {
 	st := r.stream(shard, vol)
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	return st.lastSeq
+	return st.win.max
 }
 
 // Store returns the underlying replica store (read-only use expected).
@@ -333,12 +397,14 @@ type staged struct {
 //
 //  1. Stage, in ascending seq order (the primary ships seq-sorted
 //     already, so the stable re-sort is normally a no-op). Dedupe
-//     against the stream cursor: the primary ships each stream's frames
-//     in seq order, so an entry at or below the cursor is a redelivery
-//     whose first copy already landed (the ack was lost, not the push)
-//     and is acknowledged without being re-applied — essential in
-//     ModePRINS, where XOR-ing the same parity twice would corrupt the
-//     block rather than no-op. Then recover the full new block (see
+//     against the stream's window: an entry whose seq is marked there
+//     (or has aged out of it) is a redelivery whose first copy already
+//     landed (the ack was lost, not the push) and is acknowledged
+//     without being re-applied — essential in ModePRINS, where XOR-ing
+//     the same parity twice would corrupt the block rather than no-op.
+//     A seq below the stream's highest that is NOT marked is new: a
+//     synchronous primary keeps several pushes of a stream in flight
+//     and they land in any order. Then recover the full new block (see
 //     stage) or, for a by-ref entry, materialize it from the content
 //     index. Refused entries get their error here and drop out; nothing
 //     has touched the store or the journal yet.
@@ -355,10 +421,10 @@ type staged struct {
 //
 // The by-ref rule is ref-miss poisoning: the first entry whose hash the
 // index cannot verifiably resolve is refused with iscsi.ErrRefMiss —
-// and so is every later entry of the push, because the initiator
-// re-ships the refused suffix with the SAME sequence numbers and the
-// stream cursor must not have advanced past them, or seq-dedupe would
-// silently drop the repair.
+// and so is every later entry of the push: the initiator re-ships the
+// refused suffix as one by-value push with the SAME sequence numbers.
+// Those seqs were never marked, so the repair reads as new however far
+// other pushes have moved the window's maximum meanwhile.
 func (r *ReplicaEngine) applyGroup(mode Mode, shard uint8, vol uint16, entries []iscsi.BatchEntry, errs []error, refs bool) {
 	failAll := func(err error) {
 		for k := range errs {
@@ -387,11 +453,12 @@ func (r *ReplicaEngine) applyGroup(mode Mode, shard uint8, vol uint16, entries [
 	start := time.Now()
 	defer func() { r.traffic.AddDecodeTime(time.Since(start)) }()
 
-	// Phase 1: stage. cursor advances past staged seqs so an in-push
-	// duplicate dedupes exactly as it would against an applied single
-	// push; st.lastSeq itself only moves once the push is durable.
-	// pendingNew serves a staged same-LBA predecessor as the PRINS
-	// pre-image, exactly as if it had already landed.
+	// Phase 1: stage. Entries stage in ascending seq, so an in-push
+	// duplicate sits right behind its first copy: prev, the seq staged
+	// last, dedupes it exactly as the window would had that copy been a
+	// push of its own; the window itself is only marked once the push
+	// is durable. pendingNew serves a staged same-LBA predecessor as
+	// the PRINS pre-image, exactly as if it had already landed.
 	var order []int
 	var pendingNew map[uint64][]byte
 	var one [1]staged
@@ -405,14 +472,14 @@ func (r *ReplicaEngine) applyGroup(mode Mode, shard uint8, vol uint16, entries [
 		pendingNew = make(map[uint64][]byte)
 		pass = make([]staged, 0, len(entries))
 	}
-	cursor := st.lastSeq
+	var prev uint64
 	for i := range entries {
 		k := i
 		if order != nil {
 			k = order[i]
 		}
 		e := &entries[k]
-		if e.Seq != 0 && e.Seq <= cursor {
+		if e.Seq != 0 && (e.Seq == prev || st.win.seen(e.Seq)) {
 			r.traffic.AddDuplicate()
 			continue
 		}
@@ -434,9 +501,7 @@ func (r *ReplicaEngine) applyGroup(mode Mode, shard uint8, vol uint16, entries [
 		} else if newBlock, errs[k] = r.stage(mode, st, e, pendingNew[e.LBA]); errs[k] != nil {
 			continue
 		}
-		if e.Seq > cursor {
-			cursor = e.Seq
-		}
+		prev = e.Seq
 		if pendingNew != nil {
 			pendingNew[e.LBA] = newBlock
 		}
@@ -486,7 +551,7 @@ func (r *ReplicaEngine) applyGroup(mode Mode, shard uint8, vol uint16, entries [
 			}
 			// The intent stays journaled: the written prefix is durable,
 			// and every entry — this one included — is replayed before
-			// the next apply touches the store. Counters and the cursor
+			// the next apply touches the store. Counters and the window
 			// advance then; counting the written prefix here would
 			// double-count it.
 			r.replay = true
@@ -496,8 +561,8 @@ func (r *ReplicaEngine) applyGroup(mode Mode, shard uint8, vol uint16, entries [
 	}
 
 	// Phase 4: one Commit clears the intent. If it fails the intent
-	// stays; replay rewrites the push and advances the cursor, after
-	// which redelivery dedupes.
+	// stays; replay rewrites the push and marks its seqs, after which
+	// redelivery dedupes.
 	if r.jrnl != nil {
 		if err := r.jrnl.Commit(); err != nil {
 			r.replay = true
@@ -512,9 +577,7 @@ func (r *ReplicaEngine) applyGroup(mode Mode, shard uint8, vol uint16, entries [
 		e := &entries[p.k]
 		r.traffic.AddReplicaWrite()
 		r.indexApply(e.LBA, e.Hash)
-		if e.Seq > st.lastSeq {
-			st.lastSeq = e.Seq
-		}
+		st.win.mark(e.Seq)
 	}
 }
 

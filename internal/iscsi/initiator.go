@@ -24,9 +24,12 @@ import (
 // concurrent commands overlap, not a server they queue behind — one
 // initiator is all the parallelism a peer needs. The session orders
 // nothing across commands: a caller that needs two commands applied in
-// order (a replication stream's seq order) waits for the first response
-// before sending the second, which is what each (replica, shard) ship
-// pipeline does. The connection must keep concurrent Write calls whole
+// order waits for the first response before sending the second. An
+// async (replica, shard) ship pipeline does that for every push, since
+// its stream's seq order is all the ordering its writes have; a sync
+// one only for pushes that touch the same block, and overlaps the rest
+// (core's pipe, and DESIGN.md "Ordering on a stream"). The connection
+// must keep concurrent Write calls whole
 // (every net.Conn in this repo does) and, if it offers WriteBuffers,
 // vectored calls too (wan.ShapedConn does over a TCP socket).
 //

@@ -349,6 +349,7 @@ type Replica struct {
 	dedupeHits   atomic.Int64 // pushes this replica accepted by content reference
 	dedupeMisses atomic.Int64 // by-ref pushes this replica refused (ref miss)
 	dedupeSaved  atomic.Int64 // wire bytes dedupe saved shipping to this replica
+	admitWaits   atomic.Int64 // runs whose admission to the ship window had to wait
 }
 
 // AddDedupe records the dedupe outcome of one push to this replica:
@@ -387,6 +388,11 @@ func (r *Replica) AddCoalesced(n int64) { r.coalesced.Add(n) }
 
 // AddRetry records one re-delivery attempt to this replica.
 func (r *Replica) AddRetry() { r.retries.Add(1) }
+
+// AddAdmitWait records one run that could not join a pipe's ship window
+// at once: a run still in flight carried one of its LBAs, or the window
+// had reached its sequence span.
+func (r *Replica) AddAdmitWait() { r.admitWaits.Add(1) }
 
 // AddDropped records one frame not delivered because this replica was
 // degraded, advances the replica's lag gauge, and returns the new lag —
@@ -427,6 +433,11 @@ type ReplicaSnapshot struct {
 	DedupeHits      int64
 	DedupeMisses    int64
 	DedupeSavedWire int64
+	// AdmitWaits counts runs that waited for an in-flight run to land
+	// before they could ship: what keeping same-LBA parities in order,
+	// and every in-flight seq inside the replica's dedupe window, costs
+	// a synchronous pipeline. Always zero on an async engine.
+	AdmitWaits int64
 }
 
 // Snapshot returns the current per-replica counter values.
@@ -446,6 +457,8 @@ func (r *Replica) Snapshot() ReplicaSnapshot {
 		DedupeHits:      r.dedupeHits.Load(),
 		DedupeMisses:    r.dedupeMisses.Load(),
 		DedupeSavedWire: r.dedupeSaved.Load(),
+
+		AdmitWaits: r.admitWaits.Load(),
 	}
 }
 

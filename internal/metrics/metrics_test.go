@@ -101,6 +101,7 @@ func TestReplicaCounters(t *testing.T) {
 	r.AddShipped(400, 512)
 	r.AddShipped(600, 712)
 	r.AddRetry()
+	r.AddAdmitWait()
 	if lag := r.AddDropped(); lag != 1 {
 		t.Errorf("AddDropped returned lag %d, want 1", lag)
 	}
@@ -112,7 +113,7 @@ func TestReplicaCounters(t *testing.T) {
 	if s.Shipped != 2 || s.PayloadBytes != 1000 || s.WireBytes != 1224 {
 		t.Errorf("delivery counters wrong: %+v", s)
 	}
-	if s.Retries != 1 || s.Dropped != 2 || s.Lag != 2 {
+	if s.Retries != 1 || s.Dropped != 2 || s.Lag != 2 || s.AdmitWaits != 1 {
 		t.Errorf("fault counters wrong: %+v", s)
 	}
 
