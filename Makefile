@@ -45,7 +45,7 @@ DEDUPETIME ?= 20x
 KERNELTIME ?= 100000x
 HOTKERNELS = HotpathEncode|HotpathHash|HotpathZRL
 bench-json:
-	$(GO) test -run='^$$' -bench='BatchShip|AblationCoalesce' -benchtime=$(BENCHTIME) . \
+	$(GO) test -run='^$$' -bench='BatchShip|AblationCoalesce|AblationSqueeze' -benchtime=$(BENCHTIME) . \
 		| $(GO) run ./cmd/benchjson -out BENCH_batch.json
 	$(GO) test -run='^$$' -bench='NonZeroBytes' -benchtime=$(KERNELTIME) -count=5 ./internal/parity \
 		| $(GO) run ./cmd/benchjson -out BENCH_nonzero.json
@@ -72,6 +72,11 @@ bench-json:
 #     must not rise more than REGRESS percent above BENCH_repair.json.
 #   - dedupe: the by-ref wire-savings ratio (savedx) must not fall more
 #     than REGRESS percent below BENCH_dedupe.json.
+#   - squeeze: the mean frame a squeezing shipper puts on the wire
+#     (frameB of AblationSqueeze, lower is better) must not rise more
+#     than 1 percent above BENCH_batch.json. It is a count over a seeded
+#     corpus, the same on every host, so the tolerance only has to cover
+#     the four digits `go test` prints.
 REGRESS ?= 10
 bench-guard:
 	$(GO) test -run='^$$' -bench='HotpathSyncShip' -benchtime=$(HOTTIME) -count=$(HOTCOUNT) . \
@@ -86,18 +91,23 @@ bench-guard:
 	$(GO) test -run='^$$' -bench='Dedupe' -benchtime=$(DEDUPETIME) . \
 		| $(GO) run ./cmd/benchjson -baseline BENCH_dedupe.json \
 			-metric savedx -max-regress $(REGRESS)
+	$(GO) test -run='^$$' -bench='AblationSqueeze' -benchtime=$(BENCHTIME) . \
+		| $(GO) run ./cmd/benchjson -baseline BENCH_batch.json \
+			-metric frameB -lower -max-regress 1
 
 # The sharded-engine and multi-volume concurrency battery, repeated
 # under the race detector: cross-shard parallel writers, same-LBA
 # ordering, randomized crash/heal invariants, mid-batch chaos, volume
 # lifecycle and shared-session isolation, the multiplexed replica
 # session (out-of-order responses, whole PDUs under concurrent senders,
-# reset/timeout/Close with commands in flight), and the ship window
+# reset/timeout/Close with commands in flight), the ship window
 # (overlapping pushes landed out of order, the same-LBA and span
-# admission rules, the replica's sliding seq window).
+# admission rules, the replica's sliding seq window), and the shipper's
+# squeeze (the gate on synthetic links, a squeezed run through coalesce
+# and a refused reference, TPC-C over a shaped T1 link).
 STRESSCOUNT ?= 3
 stress:
-	$(GO) test -race -count=$(STRESSCOUNT) -run 'Shard|Volume|Group|Session|Window' ./internal/core ./internal/iscsi .
+	$(GO) test -race -count=$(STRESSCOUNT) -run 'Shard|Volume|Group|Session|Window|Squeeze' ./internal/core ./internal/iscsi ./internal/xcode .
 
 # Short fuzz passes over the wire-facing decoders and the ZRL encoder
 # (differential against its bytewise oracle), seeded from the

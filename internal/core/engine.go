@@ -598,6 +598,9 @@ func (e *Engine) AttachReplica(rc ReplicaClient) error {
 			canBatch = rs.sbatch != nil
 		}
 		p.batches = e.rsCodec != nil || (e.cfg.BatchFrames > 1 && canBatch)
+		if e.cfg.Async {
+			p.sq = new(squeezer)
+		}
 		rs.pipes[i] = p
 		s.mu.Lock()
 		s.pipes = append(s.pipes, p)

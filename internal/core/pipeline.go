@@ -168,6 +168,12 @@ type pipe struct {
 	// the client has the batching extension this pipe's framing needs —
 	// stream-batch when tagged, plain batch when not. Fixed at attach.
 	batches bool
+	// sq squeezes this pipe's backlog runs (see squeeze.go). Set on an
+	// async pipe only, whose one shipper is its sole user: a sync pipe
+	// has at most one frame per writer queued, so it seldom has a backlog
+	// to squeeze, and its shipWindow overlapping pushes share the link, so
+	// no one push's duration is the pipe's goodput.
+	sq *squeezer
 
 	// baton is a one-slot token: the shipper that holds it is the only
 	// receiver from queue. landed is a one-slot signal that some run
@@ -261,15 +267,16 @@ func (e *Engine) shipper(p *pipe) {
 		case <-e.done:
 			return
 		}
+		var backlog bool
 		select {
 		case first := <-p.queue:
-			run = e.drain(p, run[:0], first)
+			run, backlog = e.drain(p, run[:0], first)
 		case <-e.done:
 			return
 		}
 		p.admit(run)
 		p.baton <- struct{}{}
-		e.process(p, run)
+		e.process(p, run, backlog)
 		p.land(run)
 	}
 }
@@ -279,20 +286,25 @@ func (e *Engine) shipper(p *pipe) {
 // only from backlog already sitting in the queue, so an idle pipeline
 // keeps single-write latency while a pipeline behind a slow link
 // amortizes its round trips over everything that queued up meanwhile.
-// A pipe that does not batch delivers frame by frame.
-func (e *Engine) drain(p *pipe, run []repMsg, first repMsg) []repMsg {
+// A pipe that does not batch delivers frame by frame. backlog reports
+// that the run stopped at a cap, not at an empty queue: the pipe is
+// behind, which is when squeezing its bytes can pay.
+func (e *Engine) drain(p *pipe, run []repMsg, first repMsg) (_ []repMsg, backlog bool) {
 	run = append(run, first)
+	if !p.batches {
+		return run, false
+	}
 	bytes := len(first.frame.frame())
-	for p.batches && len(run) < e.cfg.BatchFrames && bytes < e.cfg.BatchBytes {
+	for len(run) < e.cfg.BatchFrames && bytes < e.cfg.BatchBytes {
 		select {
 		case msg := <-p.queue:
 			run = append(run, msg)
 			bytes += len(msg.frame.frame())
 		default:
-			return run
+			return run, false
 		}
 	}
-	return run
+	return run, true
 }
 
 // admit adds run to p's ship window, first waiting out every in-flight
@@ -378,6 +390,9 @@ type batchGroup struct {
 	// reshipped: the entry sat in a by-ref push's refused REF-MISS
 	// suffix and was re-shipped by value.
 	ref, reshipped bool
+	// squeezed is how many bytes the shipper's squeeze took off the
+	// entry's frame; 0 when it shipped as encoded.
+	squeezed int
 	// err is the entry's delivery outcome, then its messages'
 	// settlement: nil delivered, wrapping iscsi.ErrDiverged refused by
 	// the replica's hash check, anything else not delivered.
@@ -448,11 +463,16 @@ func singleGroup(one []repMsg) batchGroup {
 // signal, and AllowDegraded's contract (writes keep succeeding; heal
 // via Drain → repair → ClearDegraded) holds for groups too.
 //
+// On an async pipe, a run that came off a backlog may have its by-value
+// entries squeezed before the push, and is timed for the pipe's gate
+// (squeeze.go): the entry then ships, and is accounted as, the smaller
+// frame, including in a refused suffix's re-ship.
+//
 // Every counter is booked before any message is finished: finish drops
 // the replica's pending count (so Drain returns and a caller reads the
 // counters) and releases the pooled frame the accounting reads the
 // length of.
-func (e *Engine) process(p *pipe, msgs []repMsg) {
+func (e *Engine) process(p *pipe, msgs []repMsg, backlog bool) {
 	rs := p.rs
 	unit := e.rsCodec != nil
 	if p.batches {
@@ -487,7 +507,7 @@ func (e *Engine) process(p *pipe, msgs []repMsg) {
 		}
 	case single:
 		m := &msgs[0]
-		if _, err := e.push(p, m, nil, false); err != nil {
+		if _, _, err := e.push(p, m, nil, false); err != nil {
 			groups[0].err = fmt.Errorf("core: replicate seq %d lba %d: %w", m.seq, m.lba, err)
 		}
 	default:
@@ -502,7 +522,13 @@ func (e *Engine) process(p *pipe, msgs []repMsg) {
 				entries[k].Frame = nil
 			}
 		}
-		statuses, err := e.push(p, nil, entries, refs)
+		// A backlog run on an async pipe is the gate's: squeezed or not
+		// as it says, and timed from here to the acknowledgement.
+		var sr squeezeRun
+		if backlog && p.sq != nil {
+			sr = p.sq.begin(entries, groups, e.listWireLen(entries))
+		}
+		statuses, tries, err := e.push(p, nil, entries, refs)
 		listed = err == nil
 		wire = int64(wan.WireBytesDiscrete(e.listWireLen(entries)))
 		missAt := len(groups)
@@ -511,6 +537,13 @@ func (e *Engine) process(p *pipe, msgs []repMsg) {
 				missAt = k
 				break
 			}
+		}
+		// Only a push that went through whole on its first attempt says
+		// anything about the link: a retry's backoff, a failure's timeout
+		// and a refused suffix's second push are not what squeezing
+		// changes.
+		if sr.end(err == nil && tries == 1 && missAt == len(groups)) {
+			rs.m.AddSqueezeSwitch()
 		}
 		var fberr error
 		if missAt < len(groups) {
@@ -526,7 +559,7 @@ func (e *Engine) process(p *pipe, msgs []repMsg) {
 				groups[k].reshipped = true
 				entries[k].Frame = groups[k].entry.Frame
 			}
-			fstat, ferr := e.push(p, nil, entries[missAt:], false)
+			fstat, _, ferr := e.push(p, nil, entries[missAt:], false)
 			if ferr != nil {
 				fberr = fmt.Errorf("core: by-ref fallback batch of %d: %w", len(groups)-missAt, ferr)
 			} else {
@@ -561,7 +594,7 @@ func (e *Engine) process(p *pipe, msgs []repMsg) {
 	// against the saving, so a miss storm reads negative rather than
 	// flattering.
 	var okMsgs int
-	var payload, unbatchedOK, dHits, dMisses, dSaved int64
+	var payload, unbatchedOK, dHits, dMisses, dSaved, squeezed, sqSaved int64
 	for k := range groups {
 		g := &groups[k]
 		if g.ref && g.reshipped {
@@ -570,7 +603,11 @@ func (e *Engine) process(p *pipe, msgs []repMsg) {
 		switch {
 		case g.err == nil:
 			okMsgs += len(g.msgs)
-			frameCost := int64(len(g.entry.Frame))
+			frameCost := int64(len(g.entry.Frame)) // the squeezed frame, where one shipped
+			if g.squeezed > 0 {
+				squeezed++
+				sqSaved += int64(g.squeezed)
+			}
 			switch {
 			case g.ref && !g.reshipped:
 				// Delivered as a reference: the frame stayed home.
@@ -627,8 +664,13 @@ func (e *Engine) process(p *pipe, msgs []repMsg) {
 	// segment, not the PDU header).
 	switch {
 	case listed:
-		rs.m.AddBatch(okMsgs, payload, wire, unbatchedOK-wire)
-		e.traffic.AddBatch(okMsgs, payload, wire, unbatchedOK-wire)
+		// What the squeeze took off the frames is its own saving, not
+		// batching's.
+		rs.m.AddBatch(okMsgs, payload, wire, unbatchedOK-wire-sqSaved)
+		e.traffic.AddBatch(okMsgs, payload, wire, unbatchedOK-wire-sqSaved)
+		if squeezed > 0 {
+			rs.m.AddSqueezed(squeezed, sqSaved)
+		}
 		if refs {
 			rs.m.AddDedupe(dHits, dMisses, dSaved)
 			e.traffic.AddDedupe(dHits, dMisses, dSaved)
@@ -692,8 +734,8 @@ func (e *Engine) finish(rs *replicaState, msg repMsg, err error) {
 // diverged refusal of a single frame short-circuits the loop the same
 // way: the replica verified the frame against its own block and said
 // no — redelivering the identical frame is deterministic failure, not
-// transient loss.
-func (e *Engine) push(p *pipe, one *repMsg, entries []iscsi.BatchEntry, refs bool) (statuses []iscsi.Status, err error) {
+// transient loss. tries is how many attempts the push took.
+func (e *Engine) push(p *pipe, one *repMsg, entries []iscsi.BatchEntry, refs bool) (statuses []iscsi.Status, tries int, err error) {
 	rs, mode := p.rs, uint8(e.cfg.Mode)
 	var shard uint8
 	var vol uint16
@@ -720,7 +762,7 @@ func (e *Engine) push(p *pipe, one *repMsg, entries []iscsi.BatchEntry, refs boo
 			statuses, err = rs.batch.ReplicaWriteBatch(mode, entries)
 		}
 		if err == nil || errors.Is(err, iscsi.ErrDiverged) || attempt >= e.retry.Attempts {
-			return statuses, err
+			return statuses, attempt, err
 		}
 		rs.m.AddRetry()
 		e.traffic.AddRetry()

@@ -350,6 +350,9 @@ type Replica struct {
 	dedupeMisses atomic.Int64 // by-ref pushes this replica refused (ref miss)
 	dedupeSaved  atomic.Int64 // wire bytes dedupe saved shipping to this replica
 	admitWaits   atomic.Int64 // runs whose admission to the ship window had to wait
+	squeezed     atomic.Int64 // entries delivered transcoded ZRL -> ZRL+DEFLATE by the shipper
+	squeezeSaved atomic.Int64 // frame bytes that transcoding took off them
+	squeezeFlips atomic.Int64 // times a pipe's gate turned squeezing on or off
 }
 
 // AddDedupe records the dedupe outcome of one push to this replica:
@@ -393,6 +396,19 @@ func (r *Replica) AddRetry() { r.retries.Add(1) }
 // at once: a run still in flight carried one of its LBAs, or the window
 // had reached its sequence span.
 func (r *Replica) AddAdmitWait() { r.admitWaits.Add(1) }
+
+// AddSqueezed records n entries delivered to this replica as frames the
+// shipper squeezed (see core's squeeze.go), saved bytes smaller in all
+// than as encoded. PayloadBytes and WireBytes already count the squeezed
+// frames — they are what the replica acknowledged — and BatchSavedWire
+// excludes this saving.
+func (r *Replica) AddSqueezed(n, saved int64) {
+	r.squeezed.Add(n)
+	r.squeezeSaved.Add(saved)
+}
+
+// AddSqueezeSwitch records one pipe's gate changing its mind.
+func (r *Replica) AddSqueezeSwitch() { r.squeezeFlips.Add(1) }
 
 // AddDropped records one frame not delivered because this replica was
 // degraded, advances the replica's lag gauge, and returns the new lag —
@@ -438,6 +454,15 @@ type ReplicaSnapshot struct {
 	// and every in-flight seq inside the replica's dedupe window, costs
 	// a synchronous pipeline. Always zero on an async engine.
 	AdmitWaits int64
+	// Squeezed counts entries this replica acknowledged as frames the
+	// shipper transcoded from ZRL to ZRL+DEFLATE on a backlogged async
+	// pipe, SqueezeSavedWire the frame bytes that took off the wire, and
+	// SqueezeSwitches how often a pipe's gate turned squeezing on or off
+	// (a handful over a pipe's life is the gate learning its link; a
+	// steady climb is a gate flapping).
+	Squeezed         int64
+	SqueezeSavedWire int64
+	SqueezeSwitches  int64
 }
 
 // Snapshot returns the current per-replica counter values.
@@ -459,6 +484,10 @@ func (r *Replica) Snapshot() ReplicaSnapshot {
 		DedupeSavedWire: r.dedupeSaved.Load(),
 
 		AdmitWaits: r.admitWaits.Load(),
+
+		Squeezed:         r.squeezed.Load(),
+		SqueezeSavedWire: r.squeezeSaved.Load(),
+		SqueezeSwitches:  r.squeezeFlips.Load(),
 	}
 }
 

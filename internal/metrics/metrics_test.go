@@ -102,6 +102,9 @@ func TestReplicaCounters(t *testing.T) {
 	r.AddShipped(600, 712)
 	r.AddRetry()
 	r.AddAdmitWait()
+	r.AddSqueezed(3, 450)
+	r.AddSqueezed(2, 250)
+	r.AddSqueezeSwitch()
 	if lag := r.AddDropped(); lag != 1 {
 		t.Errorf("AddDropped returned lag %d, want 1", lag)
 	}
@@ -115,6 +118,9 @@ func TestReplicaCounters(t *testing.T) {
 	}
 	if s.Retries != 1 || s.Dropped != 2 || s.Lag != 2 || s.AdmitWaits != 1 {
 		t.Errorf("fault counters wrong: %+v", s)
+	}
+	if s.Squeezed != 5 || s.SqueezeSavedWire != 700 || s.SqueezeSwitches != 1 {
+		t.Errorf("squeeze counters wrong: %+v", s)
 	}
 
 	r.ResetLag()

@@ -13,6 +13,15 @@ func FuzzDecode(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{byte(CodecRaw), 0, 0, 0, 4, 1, 2, 3, 4})
 	f.Add([]byte{byte(CodecFlate), 0, 0, 0, 16, 0xde, 0xad})
+	// Frames as a squeezing shipper puts them on the wire: transcoded
+	// from the ZRL frame, not encoded from the block.
+	var d Deflater
+	for _, n := range []int{40, 600, 2000} {
+		zrl, _ := Encode(CodecZRL, proseParity(4096, n))
+		if squeezed, ok := d.AppendSqueezed(nil, zrl); ok {
+			f.Add(squeezed)
+		}
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		out, err := Decode(data)
 		if err == nil && len(out) > MaxBlockLen {
@@ -22,14 +31,35 @@ func FuzzDecode(f *testing.F) {
 }
 
 // FuzzRoundTrip checks that every input encodes and decodes back to
-// itself under every codec.
+// itself under every codec, and that its ZRL frame, when the shipper's
+// squeeze keeps the transcoded form, got smaller and still decodes to
+// the input.
 func FuzzRoundTrip(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte("hello world"))
 	f.Add(bytes.Repeat([]byte{0}, 512))
+	f.Add(proseParity(4096, 600)) // a frame the squeeze keeps
+	f.Add(proseParity(512, 40))   // and one too small for it to
+	var d Deflater
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > MaxBlockLen {
 			return
+		}
+		zrl, err := Encode(CodecZRL, data)
+		if err != nil {
+			t.Fatalf("zrl encode: %v", err)
+		}
+		if squeezed, ok := d.AppendSqueezed(nil, zrl); ok {
+			if len(squeezed) >= len(zrl) {
+				t.Fatalf("squeeze kept %d bytes for a %d-byte frame", len(squeezed), len(zrl))
+			}
+			got, err := Decode(squeezed)
+			if err != nil {
+				t.Fatalf("squeezed decode: %v", err)
+			}
+			if !bytes.Equal(got, data) {
+				t.Fatal("squeezed round trip mismatch")
+			}
 		}
 		for _, c := range []Codec{CodecRaw, CodecZRL, CodecFlate, CodecZRLFlate} {
 			frame, err := Encode(c, data)

@@ -32,7 +32,9 @@ const (
 	// CodecFlate DEFLATE-compresses the payload (compression baseline).
 	CodecFlate
 	// CodecZRLFlate applies ZRL then DEFLATE, squeezing residual
-	// redundancy out of the changed bytes themselves.
+	// redundancy out of the changed bytes themselves. Encode produces
+	// it from a block, Deflater.AppendSqueezed from a CodecZRL frame;
+	// the two are the same bytes.
 	CodecZRLFlate
 )
 
@@ -96,18 +98,15 @@ func AppendEncode(dst []byte, c Codec, block []byte) ([]byte, error) {
 		dst = append(dst, block...)
 	case CodecZRL:
 		dst = zrlAppend(dst, block)
-	case CodecFlate:
-		body, err := flateEncode(block)
-		if err != nil {
+	case CodecFlate, CodecZRLFlate:
+		src := block
+		if c == CodecZRLFlate {
+			src = zrlEncode(block)
+		}
+		var err error
+		if dst, err = appendDeflate(dst, src); err != nil {
 			return nil, err
 		}
-		dst = append(dst, body...)
-	case CodecZRLFlate:
-		body, err := flateEncode(zrlEncode(block))
-		if err != nil {
-			return nil, err
-		}
-		dst = append(dst, body...)
 	default:
 		return nil, fmt.Errorf("%w: %d", ErrUnknownCode, uint8(c))
 	}
@@ -120,8 +119,8 @@ func AppendEncode(dst []byte, c Codec, block []byte) ([]byte, error) {
 // CodecRaw is always considered as a floor, because every candidate
 // codec can expand on dense, high-entropy input (ZRL's worst case is
 // ~3x) and shipping a frame larger than the block itself defeats the
-// point of encoding. PRINS uses this opportunistically when CPU budget
-// allows; ZRL alone is the fast path.
+// point of encoding. The engine's write path passes ZRL alone; the
+// second stage, where it pays, is the shipper's (Deflater.AppendSqueezed).
 func EncodeBest(block []byte, candidates ...Codec) ([]byte, error) {
 	return AppendEncodeBest(nil, block, candidates...)
 }
@@ -173,15 +172,20 @@ func Decode(frame []byte) ([]byte, error) {
 	case CodecZRL:
 		out, err = zrlDecode(body, decodedLen)
 	case CodecFlate:
-		out, err = flateDecode(body, decodedLen)
+		f := getInflater()
+		out, err = f.inflate(nil, body, decodedLen)
+		inflaterPool.Put(f)
 	case CodecZRLFlate:
-		var mid []byte
 		// Inner ZRL stream length is unknown until inflated; bound it
-		// by the worst-case ZRL expansion of the block.
-		mid, err = flateDecode(body, zrlMaxEncodedLen(decodedLen))
-		if err == nil {
+		// by the worst-case ZRL expansion of the block. The stream lands
+		// in the inflater's own scratch, which zrlDecode copies out of.
+		f := getInflater()
+		var mid []byte
+		if mid, err = f.inflate(f.mid[:0], body, zrlMaxEncodedLen(decodedLen)); err == nil {
+			f.mid = mid
 			out, err = zrlDecode(mid, decodedLen)
 		}
+		inflaterPool.Put(f)
 	default:
 		return nil, fmt.Errorf("%w: %d", ErrUnknownCode, uint8(c))
 	}

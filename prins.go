@@ -13,7 +13,6 @@ import (
 	"prins/internal/parity"
 	"prins/internal/repair"
 	"prins/internal/resync"
-	"prins/internal/xcode"
 )
 
 // Store is a fixed-geometry block device addressed by logical block
@@ -61,7 +60,11 @@ const (
 	ModeTraditional = Mode(core.ModeTraditional)
 	// ModeCompressed ships each changed block DEFLATE-compressed.
 	ModeCompressed = Mode(core.ModeCompressed)
-	// ModePRINS ships the zero-run-length-encoded forward parity.
+	// ModePRINS ships the zero-run-length-encoded forward parity. There
+	// is no compression option on top: an Async primary's ship pipeline
+	// adds DEFLATE to the frames of a backlog by itself, for as long as
+	// its own measured goodput says the link, not the CPU, is what it is
+	// waiting for (DESIGN.md section 4, "Squeezing a backlog").
 	ModePRINS = Mode(core.ModePRINS)
 )
 
@@ -86,9 +89,6 @@ type Config struct {
 	SkipUnchanged bool
 	// RecordDensity tracks per-write change density (PRINS mode only).
 	RecordDensity bool
-	// AggressiveEncoding additionally tries DEFLATE over the parity and
-	// ships whichever frame is smaller, trading CPU for bytes.
-	AggressiveEncoding bool
 
 	// Shards splits the device into that many contiguous LBA ranges,
 	// each with its own write lock, sequence space, dirty maps, and
@@ -251,13 +251,8 @@ var _ Store = (*Primary)(nil)
 
 // NewPrimary wraps local with a replication engine.
 func NewPrimary(local Store, cfg Config) (*Primary, error) {
-	codecs := []xcode.Codec{xcode.CodecZRL}
-	if cfg.AggressiveEncoding {
-		codecs = append(codecs, xcode.CodecZRLFlate)
-	}
 	engine, err := core.NewEngine(local, core.Config{
 		Mode:          core.Mode(cfg.Mode),
-		Codecs:        codecs,
 		Async:         cfg.Async,
 		QueueDepth:    cfg.QueueDepth,
 		SkipUnchanged: cfg.SkipUnchanged,

@@ -7,7 +7,6 @@ import (
 
 	"prins/internal/core"
 	"prins/internal/iscsi"
-	"prins/internal/xcode"
 )
 
 // Multi-volume façade.
@@ -107,13 +106,8 @@ type VolumeManager struct {
 // ids are 1..65535 (0 is the wire's untagged default and stays
 // reserved for standalone primaries).
 func NewVolumeManager(cfg Config) (*VolumeManager, error) {
-	codecs := []xcode.Codec{xcode.CodecZRL}
-	if cfg.AggressiveEncoding {
-		codecs = append(codecs, xcode.CodecZRLFlate)
-	}
 	ccfg := core.Config{
 		Mode:          core.Mode(cfg.Mode),
-		Codecs:        codecs,
 		Async:         cfg.Async,
 		QueueDepth:    cfg.QueueDepth,
 		SkipUnchanged: cfg.SkipUnchanged,
