@@ -54,7 +54,8 @@ bench-json:
 	{ $(GO) test -run='^$$' -bench='HotpathSyncShip' -benchtime=$(HOTTIME) -count=$(HOTCOUNT) . && \
 	  $(GO) test -run='^$$' -bench='$(HOTKERNELS)|HotpathShards' -benchtime=$(KERNELTIME) -count=5 . ; } \
 		| $(GO) run ./cmd/benchjson -out BENCH_hotpath.json
-	$(GO) test -run='^$$' -bench='GroupRepair' -benchtime=$(BENCHTIME) . \
+	{ $(GO) test -run='^$$' -bench='GroupRepair' -benchtime=$(BENCHTIME) . && \
+	  $(GO) test -run='^$$' -bench='Resync/t3-ranges' -benchtime=$(BENCHTIME) -count=5 . ; } \
 		| $(GO) run ./cmd/benchjson -out BENCH_repair.json
 	$(GO) test -run='^$$' -bench='Dedupe' -benchtime=$(DEDUPETIME) . \
 		| $(GO) run ./cmd/benchjson -out BENCH_dedupe.json
@@ -70,6 +71,13 @@ bench-json:
 #     CPU-bound guard.
 #   - repair: chain-repair wire bytes (lower is better, hence -lower)
 #     must not rise more than REGRESS percent above BENCH_repair.json.
+#   - resync: the wall time of a ranged resync behind a shaped T3 link
+#     (repair-ms of Resync/t3-ranges, lower is better; best of five
+#     against the baseline's median) must not rise more than REGRESS
+#     percent above BENCH_repair.json. Of its ~19 ms, 12 are the token
+#     bucket passing 55 KiB and 4 are two link latencies, both sleeps, so
+#     repeats agree within 3 percent; one more serialized round trip is
+#     2 ms, 11 percent, and fails the guard.
 #   - dedupe: the by-ref wire-savings ratio (savedx) must not fall more
 #     than REGRESS percent below BENCH_dedupe.json.
 #   - squeeze: the mean frame a squeezing shipper puts on the wire
@@ -88,6 +96,9 @@ bench-guard:
 	$(GO) test -run='^$$' -bench='GroupRepair' -benchtime=$(BENCHTIME) . \
 		| $(GO) run ./cmd/benchjson -baseline BENCH_repair.json \
 			-metric wireB -lower -max-regress $(REGRESS)
+	$(GO) test -run='^$$' -bench='Resync/t3-ranges' -benchtime=$(BENCHTIME) -count=5 . \
+		| $(GO) run ./cmd/benchjson -baseline BENCH_repair.json \
+			-metric repair-ms -lower -max-regress $(REGRESS)
 	$(GO) test -run='^$$' -bench='Dedupe' -benchtime=$(DEDUPETIME) . \
 		| $(GO) run ./cmd/benchjson -baseline BENCH_dedupe.json \
 			-metric savedx -max-regress $(REGRESS)
@@ -104,10 +115,13 @@ bench-guard:
 # (overlapping pushes landed out of order, the same-LBA and span
 # admission rules, the replica's sliding seq window), and the shipper's
 # squeeze (the gate on synthetic links, a squeezed run through coalesce
-# and a refused reference, TPC-C over a shaped T1 link).
+# and a refused reference, TPC-C over a shaped T1 link), and the
+# pipelined resync (the differential test against the serial oracle,
+# cancel, reset and Stop with a window of writes in flight, the window
+# bounds, one redial for a window of fetches).
 STRESSCOUNT ?= 3
 stress:
-	$(GO) test -race -count=$(STRESSCOUNT) -run 'Shard|Volume|Group|Session|Window|Squeeze' ./internal/core ./internal/iscsi ./internal/xcode .
+	$(GO) test -race -count=$(STRESSCOUNT) -run 'Shard|Volume|Group|Session|Window|Squeeze|Resync' ./internal/core ./internal/iscsi ./internal/xcode ./internal/resync .
 
 # Short fuzz passes over the wire-facing decoders and the ZRL encoder
 # (differential against its bytewise oracle), seeded from the

@@ -688,9 +688,22 @@ func BenchmarkReplicaApply(b *testing.B) {
 	}
 }
 
-// BenchmarkResync measures hash-based delta repair of a replica with
-// 5% divergence versus the full-copy alternative.
+// BenchmarkResync measures hash-based delta repair. The loopback-5pct
+// arm is the wire cost of repairing a replica with 5% divergence versus
+// the full-copy alternative. The t3-ranges arm is the recovery time the
+// end-to-end benchmark's outage workload pays: a 512 B x 16384 device
+// behind a shaped T3 link, ~110 dirty blocks in five runs inside five
+// dirty ranges, as a tar outage leaves them. It reports repair-ms (wall
+// time of one ranged resync; `make bench-guard` holds it) and
+// blocks/write (the run length the pipeline shipped). repair-ms is the
+// mirror-side figure a chain repair's own repair-ms has to beat before
+// ROADMAP item 4 can call the chain faster on wall-clock time.
 func BenchmarkResync(b *testing.B) {
+	b.Run("loopback-5pct", benchResyncLoopback)
+	b.Run("t3-ranges", benchResyncT3Ranges)
+}
+
+func benchResyncLoopback(b *testing.B) {
 	const (
 		blockSize = 8 << 10
 		numBlocks = 256
@@ -753,6 +766,80 @@ func BenchmarkResync(b *testing.B) {
 		}
 		b.StartTimer()
 	}
+}
+
+func benchResyncT3Ranges(b *testing.B) {
+	const (
+		blockSize = 512
+		numBlocks = 16384
+		runLen    = 22 // five of them: 110 blocks, 55 KiB
+	)
+	local, err := block.NewMem(blockSize, numBlocks)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(3))
+	buf := make([]byte, blockSize)
+	for lba := uint64(0); lba < numBlocks; lba++ {
+		rng.Read(buf)
+		if err := local.WriteBlock(lba, buf); err != nil {
+			b.Fatal(err)
+		}
+	}
+	replicaStore, err := block.NewMem(blockSize, numBlocks)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := block.Copy(replicaStore, local); err != nil {
+		b.Fatal(err)
+	}
+	// Each dirty range is wider than the run inside it: the primary
+	// marks what it wrote, and part of that reached the replica.
+	var ranges []block.Range
+	for i := uint64(0); i < 5; i++ {
+		ranges = append(ranges, block.Range{Start: 1000 + i*3000, Count: 3 * runLen})
+	}
+
+	target := iscsi.NewTarget()
+	target.Export("r", &iscsi.StoreBackend{Store: replicaStore})
+	addr, err := target.Listen("127.0.0.1:0")
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer target.Close()
+	conn, err := net.Dial("tcp", addr.String())
+	if err != nil {
+		b.Fatal(err)
+	}
+	remote := iscsi.NewInitiator(wan.Shape(conn, wan.T3Link()))
+	defer remote.Close()
+	if err := remote.Login("r"); err != nil {
+		b.Fatal(err)
+	}
+
+	var stats resync.Stats
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		for _, r := range ranges {
+			for lba := r.Start + runLen; lba < r.Start+2*runLen; lba++ {
+				rng.Read(buf)
+				if err := replicaStore.WriteBlock(lba, buf); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+		b.StartTimer()
+		if stats, err = resync.RunRanges(local, remote, resync.Config{}, ranges...); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	if stats.BlocksRepaired != 5*runLen {
+		b.Fatalf("repaired %d blocks, want %d", stats.BlocksRepaired, 5*runLen)
+	}
+	b.ReportMetric(b.Elapsed().Seconds()*1e3/float64(b.N), "repair-ms")
+	b.ReportMetric(float64(stats.BlocksRepaired)/float64(stats.RepairWrites), "blocks/write")
 }
 
 // BenchmarkCDPAppend measures the journaling cost per protected write

@@ -109,13 +109,14 @@ func run(args []string) error {
 		if i <= 0 || i == len(*against)-1 {
 			return fmt.Errorf("bad -against %q", *against)
 		}
+		start := time.Now()
 		stats, err := prins.Resync(dev, (*against)[:i], (*against)[i+1:], false)
 		if err != nil {
 			return err
 		}
-		fmt.Printf("scanned %d blocks, repaired %d (hashes %dB, data %dB, wire ~%dB)\n",
-			stats.BlocksScanned, stats.BlocksRepaired,
-			stats.HashBytes, stats.DataBytes, stats.WireBytes)
+		fmt.Printf("scanned %d blocks in %d hash fetches, repaired %d in %d writes (hashes %dB, data %dB, wire ~%dB) in %v\n",
+			stats.BlocksScanned, stats.HashFetches, stats.BlocksRepaired, stats.RepairWrites,
+			stats.HashBytes, stats.DataBytes, stats.WireBytes, time.Since(start).Round(time.Millisecond))
 		return dev.Logout()
 
 	case "verify":

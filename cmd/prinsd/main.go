@@ -63,7 +63,7 @@ func run(args []string) error {
 		degraded      = fs.Bool("degraded", true, "keep serving writes locally when a replica is down (recover with resync)")
 		journalPath   = fs.String("journal", "", "replica role: crash-safe apply journal file (empty = no journal)")
 		scrubEvery    = fs.Duration("scrub-interval", 0, "primary role: background scrub pass interval per replica (0 = off)")
-		scrubPause    = fs.Duration("scrub-pause", 2*time.Millisecond, "pause between scrub hash batches (rate limit)")
+		scrubPause    = fs.Duration("scrub-pause", 2*time.Millisecond, "pause between scrub hash batches (rate limit; 0 = each pass is one pipelined resync)")
 
 		dedupe     = fs.Int("dedupe", 0, "primary role: enable ship-by-reference dedupe with this many index entries per replica (0 = off, negative = default bound); replica role: resize its content index (0 = keep the default, negative = disable)")
 		dedupeWarm = fs.Bool("dedupe-warm", false, "replica role: scan the device into the content index at startup so by-ref pushes resolve immediately after a restart")

@@ -19,6 +19,12 @@ type ResyncStats struct {
 	DataBytes int64
 	// WireBytes is the modelled total on-the-wire cost.
 	WireBytes int64
+	// HashFetches is how many hash commands the replica answered.
+	HashFetches int64
+	// RepairWrites is how many repair writes the replica acknowledged,
+	// each one run of contiguous differing blocks: BlocksRepaired /
+	// RepairWrites is the mean run length.
+	RepairWrites int64
 }
 
 // Resync repairs a diverged replica by comparing per-block content
@@ -70,6 +76,8 @@ func resyncStats(s resync.Stats) ResyncStats {
 		HashBytes:      s.HashBytes,
 		DataBytes:      s.DataBytes,
 		WireBytes:      s.WireBytes,
+		HashFetches:    s.HashFetches,
+		RepairWrites:   s.RepairWrites,
 	}
 }
 

@@ -127,22 +127,3 @@ func (i *Initiator) RepairChain(req []byte) ([]byte, error) {
 	}
 	return resp.Data, nil
 }
-
-// WriteBlocks writes count consecutive blocks at lba in one round
-// trip; data must be a whole number of blocks. The repair chain's
-// terminal hop uses it to land a rebuilt run on the replacement
-// replica without a round trip per block.
-func (i *Initiator) WriteBlocks(lba uint64, data []byte) error {
-	bs := i.BlockSize()
-	if bs <= 0 || len(data) == 0 || len(data)%bs != 0 {
-		return fmt.Errorf("iscsi: write-blocks payload of %d bytes, block size %d", len(data), bs)
-	}
-	resp, err := i.roundTrip(&PDU{Op: OpWriteCmd, LBA: lba, Data: data})
-	if err != nil {
-		return err
-	}
-	if resp.Status != StatusOK {
-		return statusErr("write", lba, resp.Status)
-	}
-	return nil
-}

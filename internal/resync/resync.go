@@ -5,6 +5,33 @@
 // paper discusses as related work, and it is how a PRINS deployment
 // re-establishes the A_old precondition after a replica has been
 // offline past its replication stream.
+//
+// A run is one three-stage pipeline over the multiplexed replica
+// session (iscsi.Initiator overlaps any number of commands), so it
+// moves at the link's pace rather than at one round trip per step:
+//
+//  1. Hash fetches. The normalized ranges are cut into Config.Batch
+//     sized ReadHashes commands and hashWindow of them are kept in
+//     flight, so the replica hashes the batches ahead while the primary
+//     hashes the current one and the link's latency is paid once per
+//     window, not once per batch.
+//  2. Compare. One goroutine — the caller's, and the only one that
+//     touches Stats or calls Config.Learn — hashes the local blocks in
+//     LBA order and gathers contiguous differing blocks into runs of at
+//     most maxRunBytes. A run holds copies made at compare time, so the
+//     compare buffer is free for the next block while the run is on the
+//     wire.
+//  3. Repair. Each run goes out as one multi-block write
+//     (Initiator.WriteBlocks) and up to repairWindowRuns of them,
+//     repairWindowBytes in all, overlap their round trips. Runs need no
+//     ordering among themselves: they cover disjoint LBAs and each
+//     write replaces whole blocks. A block is counted and learned only
+//     once its run's write is acknowledged.
+//
+// The first error or a cancel stops both issuing stages; the run then
+// waits out what is in flight and returns Stats for exactly the
+// acknowledged work. Whatever a failed run did land is whole blocks of
+// authoritative content, so a rerun over the same ranges converges.
 package resync
 
 import (
@@ -28,6 +55,12 @@ type Stats struct {
 	DataBytes int64
 	// WireBytes models the total on-the-wire cost (paper packet model).
 	WireBytes int64
+	// HashFetches is how many hash commands the replica answered.
+	HashFetches int64
+	// RepairWrites is how many repair writes the replica acknowledged;
+	// each carries one run of contiguous differing blocks, so
+	// BlocksRepaired / RepairWrites is the mean run length.
+	RepairWrites int64
 }
 
 // FullCopyBytes returns what a naive full resync would have shipped.
@@ -37,22 +70,25 @@ func (s Stats) FullCopyBytes(blockSize int) int64 {
 
 // Config tunes a resync run.
 type Config struct {
-	// Batch is the number of blocks hashed per round trip (default
+	// Batch is the number of blocks hashed per hash command (default
 	// 256).
 	Batch uint32
 	// DryRun compares and counts but repairs nothing.
 	DryRun bool
-	// Cancel, when non-nil, aborts the run between batches: Run and
-	// RunRanges return ErrCanceled with Stats counting exactly the
-	// work completed so far. A nil channel never cancels.
+	// Cancel, when non-nil, aborts the run between batches: nothing more
+	// is issued, what is in flight is waited out, and Run and RunRanges
+	// return ErrCanceled with Stats counting exactly the work completed
+	// so far. A nil channel never cancels.
 	Cancel <-chan struct{}
 	// Learn, when non-nil, is invoked with (lba, content hash) for
 	// every block the replica provably holds after the scan: blocks
-	// whose hashes already matched, and blocks the run repaired. The
-	// primary engine feeds this into its per-replica dedupe index
-	// (Engine.ReplicaDedupe), so a resync warms the ship-by-reference
-	// fast path as a free side effect of the comparison it does anyway.
-	// Repairs elided by DryRun are not learned.
+	// whose hashes already matched, and blocks the run repaired, once
+	// the repair is acknowledged. Every call comes from the goroutine
+	// that called Run, one at a time. The primary engine feeds this
+	// into its per-replica dedupe index (Engine.ReplicaDedupe), so a
+	// resync warms the ship-by-reference fast path as a free side effect
+	// of the comparison it does anyway. Repairs elided by DryRun are not
+	// learned.
 	Learn func(lba, hash uint64)
 }
 
@@ -70,9 +106,41 @@ func (c Config) withDefaults() Config {
 var ErrGeometry = errors.New("resync: geometry mismatch")
 
 // ErrCanceled reports a run aborted through Config.Cancel. The Stats
-// returned alongside it are consistent: they count exactly the batches
-// completed before the abort.
+// returned alongside it are consistent: they count exactly the blocks
+// compared, and the hash fetches and repair writes acknowledged, before
+// the run returned.
 var ErrCanceled = errors.New("resync: canceled")
+
+// The pipeline's two windows. They are constants, not Config fields:
+// the links this repo models differ by 29x in rate (T1 154.4 KB/s, T3
+// 4473.6 KB/s) and one setting serves both, and a knob nobody has a
+// second value for is a configuration nobody tests.
+const (
+	// hashWindow is how many hash fetches are in flight, the one the
+	// comparer waits on included. A fetch is a bare header out and
+	// Batch x 8 B back (2 KiB by default, 32 KiB at the Batch cap), so
+	// the window holds at most 256 KiB of hashes; eight deep, a
+	// whole-device audit pays the link's latency once per 2048 blocks.
+	hashWindow = 8
+
+	// maxRunBytes caps one repair write (a single block larger than the
+	// cap still ships, alone): far under iscsi.MaxDataSegment, and small
+	// enough that several runs fit the byte window and a long divergent
+	// stretch starts leaving while it is still being compared.
+	maxRunBytes = 64 << 10
+
+	// repairWindowBytes and repairWindowRuns bound the repair writes in
+	// flight. The link carries a bandwidth-delay product of data per
+	// round trip — T3 x 4 ms = 18 KB — so 256 KiB is some fourteen of
+	// those and keeps a T3 full even when acknowledgements come back in
+	// bursts, while on a T1 it is 1.7 s of line time: the last write
+	// issued is acknowledged well inside the 10 s default request
+	// timeout. The run count covers isolated small blocks, where bytes
+	// never bind: 32 writes of one 512 B block are one T3
+	// bandwidth-delay product.
+	repairWindowBytes = 256 << 10
+	repairWindowRuns  = 32
+)
 
 // Run compares local against the whole remote device and repairs
 // remote blocks that differ. local is the source of truth.
@@ -86,68 +154,261 @@ func Run(local block.Store, remote *iscsi.Initiator, cfg Config) (Stats, error) 
 // knows are suspect, instead of the whole device. Ranges are
 // normalized (sorted, merged, clamped to the device) first; an empty
 // set is a successful no-op.
-func RunRanges(local block.Store, remote *iscsi.Initiator, cfg Config, ranges ...block.Range) (stats Stats, err error) {
-	cfg = cfg.withDefaults()
-	defer func() {
-		stats.WireBytes = int64(wan.WireBytesDiscrete(int(stats.HashBytes))) +
-			int64(wan.WireBytesDiscrete(int(stats.DataBytes)))
-	}()
+func RunRanges(local block.Store, remote *iscsi.Initiator, cfg Config, ranges ...block.Range) (Stats, error) {
+	return runRanges(local, remote, cfg, nil, ranges)
+}
 
+// runRanges is RunRanges with a second cancel channel beside
+// cfg.Cancel: the Scrubber's stop.
+func runRanges(local block.Store, remote *iscsi.Initiator, cfg Config, stop <-chan struct{}, ranges []block.Range) (Stats, error) {
 	if remote.BlockSize() != local.BlockSize() || remote.NumBlocks() < local.NumBlocks() {
-		return stats, fmt.Errorf("%w: local %dx%d, remote %dx%d", ErrGeometry,
+		return Stats{}, fmt.Errorf("%w: local %dx%d, remote %dx%d", ErrGeometry,
 			local.NumBlocks(), local.BlockSize(), remote.NumBlocks(), remote.BlockSize())
 	}
+	p := pipeline{
+		local:  local,
+		remote: remote,
+		cfg:    cfg.withDefaults(),
+		stop:   stop,
+		todo:   block.NormalizeRanges(ranges, local.NumBlocks()),
+		acks:   make(chan *run, repairWindowRuns), // every write in flight can complete without blocking
+	}
+	err := p.compare()
 
-	bs := local.BlockSize()
-	buf := make([]byte, bs)
-	for _, r := range block.NormalizeRanges(ranges, local.NumBlocks()) {
-		for base := r.Start; base < r.End(); base += uint64(cfg.Batch) {
-			select {
-			case <-cfg.Cancel:
-				return stats, ErrCanceled
+	// Whatever ended the comparison, wait out what is in flight: no
+	// goroutine outlives the run, and the stats count every command the
+	// replica did answer. The first error is the one reported.
+	for _, f := range p.fetches {
+		_, _ = p.await(f) // counted if it succeeded; an error after the first adds nothing
+	}
+	for p.flying > 0 {
+		if aerr := p.settle(<-p.acks); err == nil {
+			err = aerr
+		}
+	}
+	p.stats.WireBytes = int64(wan.WireBytesDiscrete(int(p.stats.HashBytes))) +
+		int64(wan.WireBytesDiscrete(int(p.stats.DataBytes)))
+	return p.stats, err
+}
+
+// canceled reports whether either channel has fired; a nil channel
+// never does.
+func canceled(cancel, stop <-chan struct{}) bool {
+	select {
+	case <-cancel:
+		return true
+	case <-stop:
+		return true
+	default:
+		return false
+	}
+}
+
+// pipeline is the state of one run. Everything in it belongs to the
+// comparer goroutine; a fetch or a run is handed to the goroutine that
+// performs its command and comes back through its done channel or acks.
+type pipeline struct {
+	local  block.Store
+	remote *iscsi.Initiator
+	cfg    Config
+	stop   <-chan struct{}
+	stats  Stats
+
+	todo    []block.Range // normalized ranges not yet cut into fetches
+	fetches []*hashFetch  // in flight, oldest first; at most hashWindow
+
+	open *run   // the differing run being gathered, not yet issued
+	free []*run // acknowledged runs, kept for their buffers
+
+	acks        chan *run // completed repair writes
+	flying      int       // repair writes in flight
+	flyingBytes int
+}
+
+// hashFetch is one ReadHashes command; hashes and err are the
+// fetcher's until done is closed.
+type hashFetch struct {
+	base   uint64
+	count  uint32
+	hashes []uint64
+	err    error
+	done   chan struct{}
+}
+
+// run is one repair write: the differing blocks [lba, lba+len(hashes)),
+// copied out of the compare buffer, and their content hashes.
+type run struct {
+	lba    uint64
+	data   []byte
+	hashes []uint64
+	err    error
+}
+
+// takes reports whether the block of n bytes at lba extends the run:
+// it is the next LBA and fits under the cap.
+func (r *run) takes(lba uint64, n int) bool {
+	return lba == r.lba+uint64(len(r.hashes)) && len(r.data)+n <= maxRunBytes
+}
+
+// compare is stages one and two: keep the hash window full, compare
+// each batch in order, gather and issue the differing runs. It returns
+// with fetches and repair writes possibly still in flight.
+func (p *pipeline) compare() error {
+	buf := make([]byte, p.local.BlockSize())
+	for {
+		if err := p.reap(); err != nil {
+			return err
+		}
+		if len(p.fetches) == 0 && len(p.todo) == 0 {
+			return p.issue()
+		}
+		if canceled(p.cfg.Cancel, p.stop) {
+			return ErrCanceled
+		}
+		p.fetchAhead()
+		f := p.fetches[0]
+		p.fetches = p.fetches[1:]
+		remoteHashes, err := p.await(f)
+		if err != nil {
+			return err
+		}
+
+		for i, remoteHash := range remoteHashes {
+			lba := f.base + uint64(i)
+			if err := p.local.ReadBlock(lba, buf); err != nil {
+				return fmt.Errorf("resync: local read %d: %w", lba, err)
+			}
+			p.stats.BlocksScanned++
+			localHash := iscsi.HashBlock(buf)
+			differs := localHash != remoteHash
+
+			// A run is contiguous differing blocks only: a matching
+			// block, a gap between ranges or the size cap ends it.
+			if p.open != nil && !(differs && p.open.takes(lba, len(buf))) {
+				if err := p.issue(); err != nil {
+					return err
+				}
+			}
+			switch {
+			case !differs:
+				p.learn(lba, localHash)
+			case p.cfg.DryRun:
+				p.stats.BlocksRepaired++
 			default:
-			}
-			count := uint32(cfg.Batch)
-			if left := r.End() - base; left < uint64(count) {
-				count = uint32(left)
-			}
-			remoteHashes, err := remote.ReadHashes(base, count)
-			if err != nil {
-				return stats, fmt.Errorf("resync: fetch hashes at %d: %w", base, err)
-			}
-			if len(remoteHashes) != int(count) {
-				return stats, fmt.Errorf("resync: got %d hashes for %d blocks", len(remoteHashes), count)
-			}
-			stats.HashBytes += int64(count) * iscsi.HashSize
-
-			for i := uint32(0); i < count; i++ {
-				lba := base + uint64(i)
-				if err := local.ReadBlock(lba, buf); err != nil {
-					return stats, fmt.Errorf("resync: local read %d: %w", lba, err)
+				if p.open == nil {
+					p.open = p.newRun(lba)
 				}
-				stats.BlocksScanned++
-				localHash := iscsi.HashBlock(buf)
-				if localHash == remoteHashes[i] {
-					if cfg.Learn != nil {
-						cfg.Learn(lba, localHash)
-					}
-					continue
-				}
-				stats.BlocksRepaired++
-				if cfg.DryRun {
-					continue
-				}
-				if err := remote.WriteBlock(lba, buf); err != nil {
-					return stats, fmt.Errorf("resync: repair %d: %w", lba, err)
-				}
-				stats.DataBytes += int64(bs)
-				if cfg.Learn != nil {
-					cfg.Learn(lba, localHash)
-				}
+				// A copy, not buf itself: buf holds the next block long
+				// before this run's write has left.
+				p.open.data = append(p.open.data, buf...)
+				p.open.hashes = append(p.open.hashes, localHash)
 			}
 		}
 	}
-	return stats, nil
+}
+
+// fetchAhead tops the hash window up from the ranges still to scan.
+func (p *pipeline) fetchAhead() {
+	for len(p.fetches) < hashWindow && len(p.todo) > 0 {
+		r := &p.todo[0]
+		f := &hashFetch{base: r.Start, count: uint32(min(r.Count, uint64(p.cfg.Batch))), done: make(chan struct{})}
+		r.Start += uint64(f.count)
+		r.Count -= uint64(f.count)
+		if r.Count == 0 {
+			p.todo = p.todo[1:]
+		}
+		p.fetches = append(p.fetches, f)
+		go func() {
+			f.hashes, f.err = p.remote.ReadHashes(f.base, f.count)
+			close(f.done)
+		}()
+	}
+}
+
+// await waits for a fetch and books it.
+func (p *pipeline) await(f *hashFetch) ([]uint64, error) {
+	<-f.done
+	if f.err != nil {
+		return nil, fmt.Errorf("resync: fetch hashes at %d: %w", f.base, f.err)
+	}
+	p.stats.HashFetches++
+	p.stats.HashBytes += int64(f.count) * iscsi.HashSize
+	return f.hashes, nil
+}
+
+// newRun starts a run at lba, on an acknowledged run's buffers when
+// there is one: a long repair allocates a window's worth of runs, not
+// a device's.
+func (p *pipeline) newRun(lba uint64) *run {
+	if n := len(p.free); n > 0 {
+		r := p.free[n-1]
+		p.free = p.free[:n-1]
+		r.lba, r.data, r.hashes = lba, r.data[:0], r.hashes[:0]
+		return r
+	}
+	return &run{lba: lba}
+}
+
+// issue is stage three's sending half: it puts the open run, if any, on
+// the wire, first waiting for acknowledgements until both windows have
+// room for it. A run larger than the byte window goes alone.
+func (p *pipeline) issue() error {
+	r := p.open
+	if r == nil {
+		return nil
+	}
+	p.open = nil
+	for p.flying > 0 && (p.flying == repairWindowRuns || p.flyingBytes+len(r.data) > repairWindowBytes) {
+		if err := p.settle(<-p.acks); err != nil {
+			return err
+		}
+	}
+	p.flying++
+	p.flyingBytes += len(r.data)
+	go func() {
+		r.err = p.remote.WriteBlocks(r.lba, r.data)
+		p.acks <- r
+	}()
+	return nil
+}
+
+// reap settles the repair writes that have completed, without waiting.
+func (p *pipeline) reap() error {
+	for {
+		select {
+		case r := <-p.acks:
+			if err := p.settle(r); err != nil {
+				return err
+			}
+		default:
+			return nil
+		}
+	}
+}
+
+// settle is stage three's receiving half: an acknowledged run is
+// counted and learned — the replica now provably holds those blocks —
+// and a failed one is neither.
+func (p *pipeline) settle(r *run) error {
+	p.flying--
+	p.flyingBytes -= len(r.data)
+	if r.err != nil {
+		return fmt.Errorf("resync: repair %d+%d: %w", r.lba, len(r.hashes), r.err)
+	}
+	p.stats.RepairWrites++
+	p.stats.BlocksRepaired += uint64(len(r.hashes))
+	p.stats.DataBytes += int64(len(r.data))
+	for i, h := range r.hashes {
+		p.learn(r.lba+uint64(i), h)
+	}
+	p.free = append(p.free, r)
+	return nil
+}
+
+func (p *pipeline) learn(lba, hash uint64) {
+	if p.cfg.Learn != nil {
+		p.cfg.Learn(lba, hash)
+	}
 }
 
 // RunAddr dials the replica exporting exportName at addr, runs a delta

@@ -11,16 +11,17 @@ import (
 )
 
 // Scrubber continuously audits a replica against the authoritative
-// local store: it walks the device in ReadHashes batches, compares
-// content hashes, and rewrites any block that differs — catching the
-// divergence the write path's verified apply cannot see (bit rot,
-// torn writes on un-journaled replicas, blocks diverged while no
-// write touched them). It is the proactive counterpart of the
-// reactive dirty-range repair.
+// local store: it walks the device comparing content hashes and
+// rewrites any block that differs — catching the divergence the write
+// path's verified apply cannot see (bit rot, torn writes on
+// un-journaled replicas, blocks diverged while no write touched them).
+// It is the proactive counterpart of the reactive dirty-range repair.
 //
-// Scrubbing is rate limited: the configured pause is slept between
-// batches so a scrub pass trickles along under live replication
-// instead of monopolizing the session.
+// Scrubbing is rate limited: with a pause configured, a pass is one
+// hash batch at a time with the pause slept between them, so it
+// trickles along under live replication instead of monopolizing the
+// session. Without one a pass is a single pipelined run over the device
+// (see RunRanges).
 type Scrubber struct {
 	local  block.Store
 	remote *iscsi.Initiator
@@ -56,9 +57,9 @@ func NewScrubber(local block.Store, remote *iscsi.Initiator, cfg Config, pause t
 func (s *Scrubber) Metrics() metrics.ScrubSnapshot { return s.m.Snapshot() }
 
 // Pass runs one full scrub of the device, repairing every diverged
-// block, and records the work in the scrub counters. It honours
-// cfg.Cancel (and Stop, while running in the background) between
-// batches.
+// block, and records the work in the scrub counters. cfg.Cancel (and
+// Stop, while running in the background) ends it within one window:
+// nothing more is issued and what is in flight is waited out.
 func (s *Scrubber) Pass() (Stats, error) {
 	// Capture the stop channel ONCE: Stop nils s.stop before closing
 	// it, so re-reading it mid-pass would miss the close and let an
@@ -76,34 +77,28 @@ func (s *Scrubber) Pass() (Stats, error) {
 // is nilling s.stop still observes the close.
 func (s *Scrubber) pass(stop <-chan struct{}) (Stats, error) {
 	cfg := s.cfg.withDefaults()
-	// Thread cancellation into the inner runs too, so a batch aborts
-	// at RunRanges' own checkpoints as well as at ours.
-	inner := cfg.Cancel
-	if inner == nil {
-		inner = stop
+	total := s.local.NumBlocks()
+	// Rate limiting is the point of a pause, so a paused pass hands the
+	// pipeline one batch at a time and nothing is fetched ahead;
+	// otherwise the whole device is one step.
+	step := total
+	if s.pause > 0 {
+		step = uint64(cfg.Batch)
 	}
 	var stats Stats
-	total := s.local.NumBlocks()
-
-	for base := uint64(0); base < total; base += uint64(cfg.Batch) {
-		if s.canceled(cfg.Cancel, stop) {
-			return stats, ErrCanceled
-		}
-		count := uint32(cfg.Batch)
-		if left := total - base; left < uint64(count) {
-			count = uint32(left)
-		}
-		batch, err := RunRanges(s.local, s.remote, Config{Batch: cfg.Batch, DryRun: cfg.DryRun, Cancel: inner},
-			block.Range{Start: base, Count: uint64(count)})
-		stats.BlocksScanned += batch.BlocksScanned
-		stats.BlocksRepaired += batch.BlocksRepaired
-		stats.HashBytes += batch.HashBytes
-		stats.DataBytes += batch.DataBytes
-		stats.WireBytes += batch.WireBytes
-		s.m.AddScanned(int64(batch.BlocksScanned))
-		s.m.AddDiverged(int64(batch.BlocksRepaired))
+	for base := uint64(0); base < total; base += step {
+		part, err := runRanges(s.local, s.remote, cfg, stop, []block.Range{{Start: base, Count: step}})
+		stats.BlocksScanned += part.BlocksScanned
+		stats.BlocksRepaired += part.BlocksRepaired
+		stats.HashBytes += part.HashBytes
+		stats.DataBytes += part.DataBytes
+		stats.WireBytes += part.WireBytes
+		stats.HashFetches += part.HashFetches
+		stats.RepairWrites += part.RepairWrites
+		s.m.AddScanned(int64(part.BlocksScanned))
+		s.m.AddDiverged(int64(part.BlocksRepaired))
 		if !cfg.DryRun {
-			s.m.AddRepaired(int64(batch.BlocksRepaired))
+			s.m.AddRepaired(int64(part.BlocksRepaired))
 		}
 		if err != nil {
 			return stats, err
@@ -114,24 +109,6 @@ func (s *Scrubber) pass(stop <-chan struct{}) (Stats, error) {
 	}
 	s.m.AddPass()
 	return stats, nil
-}
-
-// canceled reports whether cfg.Cancel or the pass's captured stop
-// channel fired.
-func (s *Scrubber) canceled(cancel, stop <-chan struct{}) bool {
-	select {
-	case <-cancel:
-		return true
-	default:
-	}
-	if stop != nil {
-		select {
-		case <-stop:
-			return true
-		default:
-		}
-	}
-	return false
 }
 
 // Start launches the background scrub loop: one Pass every interval
