@@ -43,7 +43,7 @@ DEDUPETIME ?= 20x
 # percent on a quiet host, and the best of five within a few percent
 # even while a neighbour is busy, which is what the guard compares.
 KERNELTIME ?= 100000x
-HOTKERNELS = HotpathEncode|HotpathHash|HotpathZRL
+HOTKERNELS = HotpathEncode|HotpathHash|HotpathZRL|HotpathXOR|HotpathApply
 bench-json:
 	$(GO) test -run='^$$' -bench='BatchShip|AblationCoalesce|AblationSqueeze' -benchtime=$(BENCHTIME) . \
 		| $(GO) run ./cmd/benchjson -out BENCH_batch.json
@@ -65,10 +65,10 @@ bench-json:
 #     the committed BENCH_hotpath.json (best of five runs against the
 #     baseline's median). Only the SyncShip benches are compared; the
 #     CPU-bound shard benches swing too much run to run.
-#   - kernels: MB/s of the single-goroutine encode, hash and ZRL
-#     benches (best of five runs against the baseline's median) must
-#     not fall more than REGRESS percent below BENCH_hotpath.json — the
-#     CPU-bound guard.
+#   - kernels: MB/s of the single-goroutine encode, hash, ZRL, XOR and
+#     replica-apply benches (best of five runs against the baseline's
+#     median) must not fall more than REGRESS percent below
+#     BENCH_hotpath.json — the CPU-bound guard.
 #   - repair: chain-repair wire bytes (lower is better, hence -lower)
 #     must not rise more than REGRESS percent above BENCH_repair.json.
 #   - resync: the wall time of a ranged resync behind a shaped T3 link
@@ -123,8 +123,9 @@ STRESSCOUNT ?= 3
 stress:
 	$(GO) test -race -count=$(STRESSCOUNT) -run 'Shard|Volume|Group|Session|Window|Squeeze|Resync' ./internal/core ./internal/iscsi ./internal/xcode ./internal/resync .
 
-# Short fuzz passes over the wire-facing decoders and the ZRL encoder
-# (differential against its bytewise oracle), seeded from the
+# Short fuzz passes over the wire-facing decoders, the frame walker's
+# decode-into and XOR-into forms (differential against Decode) and the
+# ZRL encoder (differential against its bytewise oracle), seeded from the
 # checked-in corpora (regenerate with PRINS_REGEN_CORPUS=1 go test
 # -run TestRegenerateFuzzCorpus ./internal/core).
 fuzz:
@@ -134,6 +135,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz='^FuzzDecodeByRef$$' -fuzztime=$(FUZZTIME) ./internal/iscsi
 	$(GO) test -run='^$$' -fuzz='^FuzzDecodeSnapshot$$' -fuzztime=$(FUZZTIME) ./internal/dedupe
 	$(GO) test -run='^$$' -fuzz='^FuzzDecode$$' -fuzztime=$(FUZZTIME) ./internal/xcode
+	$(GO) test -run='^$$' -fuzz='^FuzzDecodeInto$$' -fuzztime=$(FUZZTIME) ./internal/xcode
 	$(GO) test -run='^$$' -fuzz='^FuzzZRLEncode$$' -fuzztime=$(FUZZTIME) ./internal/xcode
 
 # The fault-injection suites under the race detector: connection and

@@ -185,27 +185,6 @@ func BenchmarkChangeDensity(b *testing.B) {
 
 // --- ablation and micro benchmarks (DESIGN.md section 5) ---
 
-// BenchmarkXOR compares the word-wide XOR kernel against a byte-wise
-// loop (ablation 4).
-func BenchmarkXOR(b *testing.B) {
-	for _, size := range []int{4 << 10, 64 << 10} {
-		a := make([]byte, size)
-		c := make([]byte, size)
-		dst := make([]byte, size)
-		rand.New(rand.NewSource(1)).Read(a)
-		rand.New(rand.NewSource(2)).Read(c)
-
-		b.Run(fmt.Sprintf("words-%dKB", size>>10), func(b *testing.B) {
-			b.SetBytes(int64(size))
-			for i := 0; i < b.N; i++ {
-				if err := parity.XOR(dst, a, c); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkAblationCodec compares the parity encodings on a 10%-dense
 // 8KB parity block (ablation 1).
 func BenchmarkAblationCodec(b *testing.B) {
@@ -1029,7 +1008,7 @@ func BenchmarkAblationSqueeze(b *testing.B) {
 // --- hot path: group commit + zero-copy encode (DESIGN.md section 4) ---
 
 // hotpathEncode is the primary's per-write encode work exactly as the
-// pipeline composes it: fused XOR+density kernel into a scratch parity
+// pipeline composes it: XOR+density kernel into a scratch parity
 // block, ZRL append-encode into a pooled frame buffer with header
 // headroom, header stamped in place over the finished frame. Returns
 // the full framed PDU (headroom + frame) for wire-length accounting.
@@ -1090,7 +1069,7 @@ func TestEncodePathZeroAllocs(t *testing.T) {
 }
 
 // BenchmarkHotpathEncode measures the per-write CPU cost of the
-// zero-copy encode path (fused parity kernel, block hash, ZRL encode,
+// zero-copy encode path (parity kernel, block hash, ZRL encode,
 // in-place header stamp) with allocation reporting; allocs/op must
 // read 0 (asserted by TestEncodePathZeroAllocs).
 func BenchmarkHotpathEncode(b *testing.B) {
@@ -1173,6 +1152,68 @@ func BenchmarkHotpathZRL(b *testing.B) {
 			}
 			b.ReportMetric(float64(frameLen), "frameB")
 		})
+	}
+}
+
+// BenchmarkHotpathXOR is the parity kernel alone (parity.XOR, which is
+// crypto/subtle.XORBytes): the primary's forward parity and, through
+// xcode.XORInto, the replica's backward one, at the page and block sizes
+// in use.
+func BenchmarkHotpathXOR(b *testing.B) {
+	rng := rand.New(rand.NewSource(17))
+	for _, arm := range []struct {
+		name string
+		size int
+	}{{"4KB", 4 << 10}, {"8KB", 8 << 10}} {
+		x, y, dst := make([]byte, arm.size), make([]byte, arm.size), make([]byte, arm.size)
+		rng.Read(x)
+		rng.Read(y)
+		b.Run(arm.name, func(b *testing.B) {
+			b.SetBytes(int64(arm.size))
+			for i := 0; i < b.N; i++ {
+				if err := parity.XOR(dst, x, y); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkHotpathApply is the replica's whole per-entry work on a warm
+// stream: one verified, un-journaled apply of an 8 KiB PRINS entry whose
+// ZRL frame carries a 10% change — pre-image read into the staging slot,
+// frame folded into it, block hashed and checked, store write, content
+// index update. The parity toggles the block between two images, so
+// every apply verifies. allocs/op must read 0.
+func BenchmarkHotpathApply(b *testing.B) {
+	const blockSize = 8 << 10
+	oldData, newData := hotpathBlocks(blockSize)
+	fp := make([]byte, blockSize)
+	if err := parity.ForwardInto(fp, newData, oldData); err != nil {
+		b.Fatal(err)
+	}
+	frame, err := xcode.EncodeBest(fp, xcode.CodecZRL)
+	if err != nil {
+		b.Fatal(err)
+	}
+	store, err := block.NewMem(blockSize, 8)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := store.WriteBlock(3, oldData); err != nil {
+		b.Fatal(err)
+	}
+	replica := core.NewReplicaEngine(store)
+	hashes := [2]uint64{iscsi.HashBlock(oldData), iscsi.HashBlock(newData)}
+
+	b.SetBytes(blockSize)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		seq := uint64(i + 1) // odd seqs land newData, even seqs oldData
+		if err := replica.Apply(core.ModePRINS, seq, 3, hashes[seq%2], frame); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

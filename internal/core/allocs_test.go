@@ -1,6 +1,9 @@
 package core
 
 import (
+	"encoding/binary"
+	"errors"
+	"math/rand"
 	"testing"
 
 	"prins/internal/block"
@@ -14,8 +17,9 @@ import (
 // paths cost: a replica apply of one entry and one async write through
 // a Loopback. A single write is the batch of one and a single apply is
 // the group of one, so folding them into the batch code must not add
-// per-call slices, maps or sorts. The ceilings are the values measured
-// on the per-path code those cases had before the collapse.
+// per-call slices, maps or sorts — and, since the replica stages into
+// its stream's slots and the journal assembles its record in its own
+// buffer, no per-call buffer either: the ceilings are zero.
 func TestBatchOfOneAllocs(t *testing.T) {
 	const bs, nb = 4096, 16
 	// Two images of one block that differ in a 10% region, so the PRINS
@@ -117,10 +121,110 @@ func TestBatchOfOneAllocs(t *testing.T) {
 	})
 }
 
-// Ceilings for TestBatchOfOneAllocs, measured at the commit before the
-// push paths were collapsed.
+// Ceilings for TestBatchOfOneAllocs.
 const (
-	applyAllocs          float64 = 4
-	applyJournaledAllocs float64 = 6
-	writeAllocs          float64 = 4 // all four are the replica apply's
+	applyAllocs          float64 = 0
+	applyJournaledAllocs float64 = 0
+	writeAllocs          float64 = 0
 )
+
+// TestBatchSteadyStateAllocs pins what a batched push costs once its
+// stream is warm: the status vector it returns and nothing else, for a
+// 32-entry batch that mixes sparse (ZRL) and dense (raw-floored)
+// parities and carries two same-LBA predecessors, journaled or not.
+func TestBatchSteadyStateAllocs(t *testing.T) {
+	const bs, nb, n = 4096, 64, 32
+	rng := rand.New(rand.NewSource(5))
+	for _, journaled := range []bool{false, true} {
+		store, err := block.NewMem(bs, nb)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep := NewReplicaEngine(store)
+		if journaled {
+			if rep, err = NewReplicaEngineJournaled(store, journal.NewMem()); err != nil {
+				t.Fatal(err)
+			}
+		}
+		// Entry i toggles block lba(i) by a fixed parity, so the same
+		// frames apply again and again; entries 30 and 31 revisit the
+		// LBAs of 0 and 1 inside the push. Unverified (hash 0): the
+		// verified path is TestBatchOfOneAllocs' and the benchmark's.
+		entries := make([]iscsi.BatchEntry, n)
+		var codecs [3]int
+		for i := range entries {
+			fp := make([]byte, bs)
+			if i%2 == 0 {
+				rng.Read(fp[100 : 100+bs/10])
+			} else {
+				rng.Read(fp)
+			}
+			frame, err := xcode.EncodeBest(fp, xcode.CodecZRL)
+			if err != nil {
+				t.Fatal(err)
+			}
+			entries[i] = iscsi.BatchEntry{LBA: uint64(i % 30), Frame: frame}
+			codecs[frame[0]]++
+		}
+		if codecs[xcode.CodecRaw] == 0 || codecs[xcode.CodecZRL] == 0 {
+			t.Fatalf("batch is not mixed: %v", codecs)
+		}
+		var seq uint64
+		push := func() {
+			for i := range entries {
+				seq++
+				entries[i].Seq = seq
+			}
+			for k, st := range rep.HandleReplicaBatchStream(uint8(ModePRINS), 1, 0, entries) {
+				if st != iscsi.StatusOK {
+					t.Fatalf("entry %d: %v", k, st)
+				}
+			}
+		}
+		push() // warm-up: slots, order, map, journal record
+		if got := testing.AllocsPerRun(50, push); got > 1 {
+			t.Errorf("journaled=%v: a warm 32-entry push allocates %.1f times, want 1 (the status vector)", journaled, got)
+		}
+	}
+}
+
+// TestHostileFrameLength is the amplification regression test: a
+// five-byte ZRL frame is valid by the trailing-zeros contract and may
+// declare any length up to xcode.MaxBlockLen, so the replica must
+// refuse it on the declared length, before it takes or zeroes a buffer
+// of that size. A batch of 64 is refused entry by entry, for no more
+// than a steady-state push costs.
+func TestHostileFrameLength(t *testing.T) {
+	store, err := block.NewMem(4096, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep := NewReplicaEngine(store)
+	hostile := []byte{byte(xcode.CodecZRL), 0, 0, 0, 0}
+	binary.BigEndian.PutUint32(hostile[1:], xcode.MaxBlockLen)
+	if n, err := xcode.DecodedLen(hostile); err != nil || n != xcode.MaxBlockLen {
+		t.Fatalf("the hostile frame must parse: len %d, err %v", n, err)
+	}
+	entries := make([]iscsi.BatchEntry, 64)
+	for i := range entries {
+		entries[i] = iscsi.BatchEntry{Seq: uint64(i + 1), LBA: uint64(i % 16), Frame: hostile}
+	}
+	want := statusOf(block.ErrBadBufSize)
+	push := func() {
+		for k, st := range rep.HandleReplicaBatchStream(uint8(ModePRINS), 0, 0, entries) {
+			if st != want {
+				t.Fatalf("entry %d: status %v, want %v", k, st, want)
+			}
+		}
+	}
+	push()
+	if got := testing.AllocsPerRun(20, push); got > 1 {
+		t.Errorf("refusing 64 hostile frames allocates %.1f times, want 1 (the status vector)", got)
+	}
+	if err := rep.Apply(ModePRINS, 1, 0, 0, hostile); !errors.Is(err, block.ErrBadBufSize) {
+		t.Errorf("single apply: %v, want block.ErrBadBufSize", err)
+	}
+	if got := rep.Traffic().Snapshot().ReplicaWrites; got != 0 {
+		t.Errorf("%d hostile entries applied", got)
+	}
+}

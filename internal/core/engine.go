@@ -1097,9 +1097,9 @@ func (e *Engine) localApply(s *shard, lba uint64, data []byte) ([]byte, error) {
 			return nil, fmt.Errorf("core: read pre-image: %w", err)
 		}
 		if wantNZ {
-			// Fused kernel: the XOR and the non-zero scan share one pass
-			// over the block, so density recording and skip-unchanged
-			// detection cost no second walk.
+			// The XOR, then the non-zero scan over the parity it left in
+			// L1: density recording and skip-unchanged detection cost one
+			// branch-free count on top of the vector-width XOR.
 			var err error
 			if nz, err = parity.XORCountNonZero(fp, data, s.oldBuf); err != nil {
 				return nil, err

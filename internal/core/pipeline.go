@@ -11,7 +11,6 @@ import (
 	"prins/internal/dedupe"
 	"prins/internal/iscsi"
 	"prins/internal/metrics"
-	"prins/internal/parity"
 	"prins/internal/wan"
 	"prins/internal/xcode"
 )
@@ -795,24 +794,21 @@ func (e *Engine) coalesce(groups []batchGroup, msgs []repMsg) []batchGroup {
 			groups = append(groups, singleGroup(msgs[i:i+1:i+1]))
 			continue
 		}
-		acc := parities[gi]
+		// Fold this parity into the group's accumulator: zero runs
+		// skipped, only the changed bytes touched. A frame that will not
+		// decode or fold (cannot happen for frames we encoded ourselves)
+		// may leave the accumulator half-folded, so the whole run ships
+		// uncoalesced — the replica applies same-LBA entries in seq order
+		// regardless.
+		acc, err := parities[gi], error(nil)
 		if acc == nil {
-			dec, err := xcode.Decode(groups[gi].entry.Frame)
-			if err != nil {
-				// Unmergeable frame (cannot happen for frames we encoded
-				// ourselves); ship this message as its own entry — the
-				// replica applies same-LBA entries in seq order regardless.
-				idx[m.lba] = len(groups)
-				groups = append(groups, singleGroup(msgs[i:i+1:i+1]))
-				continue
-			}
-			acc = dec
+			acc, err = xcode.Decode(groups[gi].entry.Frame)
 		}
-		add, err := xcode.Decode(m.frame.frame())
-		if err != nil || len(add) != len(acc) || parity.XORInPlace(acc, add) != nil {
-			idx[m.lba] = len(groups)
-			groups = append(groups, singleGroup(msgs[i:i+1:i+1]))
-			continue
+		if err == nil {
+			err = xcode.XORInto(acc, m.frame.frame())
+		}
+		if err != nil {
+			return plainGroups(groups[:0], msgs)
 		}
 		parities[gi] = acc
 		g := &groups[gi]

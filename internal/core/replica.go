@@ -87,7 +87,7 @@ func (w *seqWindow) mark(seq uint64) {
 }
 
 // replicaStream is one (vol, shard) replication stream's apply state:
-// its own dedupe window and scratch buffers, behind its own lock, so
+// its own dedupe window and staging scratch, behind its own lock, so
 // streams with disjoint LBA ranges apply concurrently. The merge-layer
 // ordering rule: within a stream the primary never has two pushes
 // carrying the same LBA in flight at once, so pushes that overlap in
@@ -96,9 +96,30 @@ func (w *seqWindow) mark(seq uint64) {
 // streams is undefined, which is safe because shards own disjoint LBA
 // ranges.
 type replicaStream struct {
-	mu     sync.Mutex
-	win    seqWindow
-	oldBuf []byte
+	mu  sync.Mutex
+	win seqWindow
+
+	// One push's staging scratch, reused from push to push so a
+	// steady-state apply allocates nothing. All of it is guarded by mu,
+	// starts nil and grows to what the largest push so far needed.
+	// slots[i] is the block-sized buffer the i-th surviving entry of the
+	// push in progress is recovered into; nothing reads a slot once the
+	// push that filled it has returned.
+	slots      [][]byte
+	order      []int
+	pass       []staged
+	pendingNew map[uint64]int // lba -> index into pass of its newest staged block
+	jes        []journal.Entry
+}
+
+// stagingSlot returns staging slot i, a buffer of one block, allocating
+// it on first use. Slots are handed out in order, so i is at most
+// len(slots).
+func (st *replicaStream) stagingSlot(i, blockSize int) []byte {
+	if i == len(st.slots) {
+		st.slots = append(st.slots, make([]byte, blockSize))
+	}
+	return st.slots[i]
 }
 
 // ReplicaEngine is the replica-side PRINS engine: it receives encoded
@@ -256,7 +277,7 @@ func (r *ReplicaEngine) stream(shard uint8, vol uint16) *replicaStream {
 	defer r.streamsMu.Unlock()
 	st, ok := r.streams[key]
 	if !ok {
-		st = &replicaStream{oldBuf: make([]byte, r.store.BlockSize())}
+		st = new(replicaStream)
 		r.streams[key] = st
 	}
 	return st
@@ -345,9 +366,9 @@ func (r *ReplicaEngine) Apply(mode Mode, seq, lba, hash uint64, frame []byte) er
 // the wire.
 func (r *ReplicaEngine) ApplyStream(mode Mode, shard uint8, vol uint16, seq, lba, hash uint64, frame []byte) error {
 	entries := [1]iscsi.BatchEntry{{Seq: seq, LBA: lba, Hash: hash, Frame: frame}}
-	var errs [1]error
-	r.applyGroup(mode, shard, vol, entries[:], errs[:], false)
-	return errs[0]
+	var failed error
+	r.applyGroup(mode, shard, vol, entries[:], false, func(_ int, err error) { failed = err })
+	return failed
 }
 
 // ApplyBatchStream applies a batched push against the (vol, shard)
@@ -360,14 +381,11 @@ func (r *ReplicaEngine) ApplyBatchStream(mode Mode, shard uint8, vol uint16, ent
 
 // applyStatuses is applyGroup at the wire boundary: statuses for
 // errors. refs marks a proto-v7 push, where an entry without a frame is
-// a content reference.
+// a content reference. The status vector is the one allocation of a
+// steady-state push.
 func (r *ReplicaEngine) applyStatuses(mode Mode, shard uint8, vol uint16, entries []iscsi.BatchEntry, refs bool) []iscsi.Status {
-	errs := make([]error, len(entries))
-	r.applyGroup(mode, shard, vol, entries, errs, refs)
-	statuses := make([]iscsi.Status, len(entries))
-	for k, err := range errs {
-		statuses[k] = statusOf(err)
-	}
+	statuses := make([]iscsi.Status, len(entries)) // StatusOK until an entry fails
+	r.applyGroup(mode, shard, vol, entries, refs, func(k int, err error) { statuses[k] = statusOf(err) })
 	return statuses
 }
 
@@ -382,18 +400,21 @@ func refuseAll(n int, st iscsi.Status) []iscsi.Status {
 }
 
 // staged is one entry of a push that passed staging: the full new block
-// it leaves at entries[k].LBA, recovered and verified but not yet
-// written.
+// it leaves at entries[k].LBA, recovered and verified in one of the
+// stream's staging slots but not yet written. block is nil once the
+// entry's own store write has failed.
 type staged struct {
 	k     int // index into the push's entries
 	block []byte
 }
 
 // applyGroup is the replica's one apply path: it applies a push of
-// entries against the (vol, shard) stream and reports each entry's
-// outcome in errs, index for index (nil: applied, or acknowledged as a
-// duplicate). A single write is a push of one, which costs no sort, no
-// map and no per-call slice. The push becomes durable as one unit:
+// entries against the (vol, shard) stream and reports each refused or
+// failed entry to fail, by its index (an entry fail never hears of was
+// applied, or acknowledged as a duplicate). A single write is a push of
+// one, which costs no sort and no map, and a steady-state push of any
+// size allocates nothing: its scratch is the stream's. The push becomes
+// durable as one unit:
 //
 //  1. Stage, in ascending seq order (the primary ships seq-sorted
 //     already, so the stable re-sort is normally a no-op). Dedupe
@@ -406,8 +427,9 @@ type staged struct {
 //     synchronous primary keeps several pushes of a stream in flight
 //     and they land in any order. Then recover the full new block (see
 //     stage) or, for a by-ref entry, materialize it from the content
-//     index. Refused entries get their error here and drop out; nothing
-//     has touched the store or the journal yet.
+//     index, into the stream's next staging slot. Refused entries are
+//     reported here and drop out, and their slot is reused; nothing has
+//     touched the store or the journal yet.
 //  2. One journal Begin covers every surviving entry — the single-slot
 //     record for one, a group record (one CRC pass, one sync) for more.
 //  3. In-place store writes in seq order.
@@ -425,10 +447,14 @@ type staged struct {
 // refused suffix as one by-value push with the SAME sequence numbers.
 // Those seqs were never marked, so the repair reads as new however far
 // other pushes have moved the window's maximum meanwhile.
-func (r *ReplicaEngine) applyGroup(mode Mode, shard uint8, vol uint16, entries []iscsi.BatchEntry, errs []error, refs bool) {
+//
+// Nothing of entries — the slice or a Frame — is referenced once
+// applyGroup has returned: a staged block is a copy in a slot, and the
+// journal and the store copy what they are given.
+func (r *ReplicaEngine) applyGroup(mode Mode, shard uint8, vol uint16, entries []iscsi.BatchEntry, refs bool, fail func(k int, err error)) {
 	failAll := func(err error) {
-		for k := range errs {
-			errs[k] = err
+		for k := range entries {
+			fail(k, err)
 		}
 	}
 	if !mode.Valid() {
@@ -460,18 +486,19 @@ func (r *ReplicaEngine) applyGroup(mode Mode, shard uint8, vol uint16, entries [
 	// is durable. pendingNew serves a staged same-LBA predecessor as
 	// the PRINS pre-image, exactly as if it had already landed.
 	var order []int
-	var pendingNew map[uint64][]byte
-	var one [1]staged
-	pass := one[:0] // a push of one stays off the heap
 	if len(entries) > 1 {
-		order = make([]int, len(entries))
-		for i := range order {
-			order[i] = i
+		order = st.order[:0]
+		for i := range entries {
+			order = append(order, i)
 		}
+		st.order = order
 		slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(entries[a].Seq, entries[b].Seq) })
-		pendingNew = make(map[uint64][]byte)
-		pass = make([]staged, 0, len(entries))
+		if st.pendingNew == nil {
+			st.pendingNew = make(map[uint64]int)
+		}
 	}
+	clear(st.pendingNew) // the previous push's
+	pass := st.pass[:0]
 	var prev uint64
 	for i := range entries {
 		k := i
@@ -485,35 +512,44 @@ func (r *ReplicaEngine) applyGroup(mode Mode, shard uint8, vol uint16, entries [
 		}
 		var newBlock []byte
 		if refs && e.ByRef() {
-			newBlock = make([]byte, r.store.BlockSize())
+			newBlock = st.stagingSlot(len(pass), r.store.BlockSize())
 			if !r.resolveRef(e.Hash, newBlock) {
 				r.traffic.AddDedupeMiss()
 				miss := fmt.Errorf("core: replica seq %d lba %d: %w", e.Seq, e.LBA, iscsi.ErrRefMiss)
-				errs[k] = miss
+				fail(k, miss)
 				if order != nil {
 					for _, rest := range order[i+1:] {
-						errs[rest] = miss
+						fail(rest, miss)
 					}
 				}
 				break
 			}
 			r.traffic.AddDedupeHit()
-		} else if newBlock, errs[k] = r.stage(mode, st, e, pendingNew[e.LBA]); errs[k] != nil {
-			continue
+		} else {
+			var pre []byte
+			if p, ok := st.pendingNew[e.LBA]; ok {
+				pre = pass[p].block
+			}
+			var err error
+			if newBlock, err = r.stage(mode, st, e, len(pass), pre); err != nil {
+				fail(k, err)
+				continue
+			}
 		}
 		prev = e.Seq
-		if pendingNew != nil {
-			pendingNew[e.LBA] = newBlock
+		if order != nil {
+			st.pendingNew[e.LBA] = len(pass)
 		}
 		pass = append(pass, staged{k: k, block: newBlock})
 	}
+	st.pass = pass // keep what it grew to
 	if len(pass) == 0 {
 		return
 	}
 	storeFail := func(failed []staged, what string, err error) {
 		werr := fmt.Errorf("core: replica %s seq %d: %w: %w", what, entries[failed[0].k].Seq, iscsi.ErrReplicaStore, err)
 		for _, p := range failed {
-			errs[p.k] = werr
+			fail(p.k, werr)
 		}
 	}
 
@@ -526,11 +562,12 @@ func (r *ReplicaEngine) applyGroup(mode Mode, shard uint8, vol uint16, entries [
 			e := &entries[pass[0].k]
 			err = r.jrnl.BeginStream(shard, vol, e.Seq, e.LBA, e.Hash, pass[0].block)
 		} else {
-			jes := make([]journal.Entry, len(pass))
-			for i, p := range pass {
+			jes := st.jes[:0]
+			for _, p := range pass {
 				e := &entries[p.k]
-				jes[i] = journal.Entry{Seq: e.Seq, LBA: e.LBA, Hash: e.Hash, Shard: shard, Vol: vol, Block: p.block}
+				jes = append(jes, journal.Entry{Seq: e.Seq, LBA: e.LBA, Hash: e.Hash, Shard: shard, Vol: vol, Block: p.block})
 			}
+			st.jes = jes
 			err = r.jrnl.BeginGroupStream(shard, vol, jes)
 		}
 		if err != nil {
@@ -547,6 +584,7 @@ func (r *ReplicaEngine) applyGroup(mode Mode, shard uint8, vol uint16, entries [
 				// staged block is a full rewrite, so a failed push-mate
 				// cannot corrupt a later one.
 				storeFail(pass[i:i+1], "write", err)
+				pass[i].block = nil
 				continue
 			}
 			// The intent stays journaled: the written prefix is durable,
@@ -571,7 +609,7 @@ func (r *ReplicaEngine) applyGroup(mode Mode, shard uint8, vol uint16, entries [
 		}
 	}
 	for _, p := range pass {
-		if errs[p.k] != nil {
+		if p.block == nil {
 			continue
 		}
 		e := &entries[p.k]
@@ -581,38 +619,48 @@ func (r *ReplicaEngine) applyGroup(mode Mode, shard uint8, vol uint16, entries [
 	}
 }
 
+// errFrameSize refuses a frame whose declared length is not the block
+// size. It is one value, not a formatted one: a hostile batch of such
+// frames is refused entry by entry without allocating.
+var errFrameSize = fmt.Errorf("core: replica: frame's declared length is not the block size: %w", block.ErrBadBufSize)
+
 // stage recovers and verifies the full new block a by-value entry
-// leaves at its LBA, without touching the store. pre, when non-nil, is
-// the block a same-LBA predecessor of the same push staged; otherwise a
-// ModePRINS entry's pre-image is read from the store — the backward
-// parity computation A_new = P' XOR A_old. Called with st.mu held.
+// leaves at its LBA into the stream's staging slot slot, without
+// touching the store, and returns it. The frame's declared length is
+// checked against the block size before a slot is taken or a byte is
+// decoded: the length field of a five-byte frame may claim anything up
+// to xcode.MaxBlockLen. A ModePRINS entry's pre-image — pre, the block a
+// same-LBA predecessor of the same push staged, or else the store's — is
+// read straight into the slot and the frame folded into it: the
+// backward parity computation A_new = P' XOR A_old, at a cost
+// proportional to the bytes the write changed. Called with st.mu held.
 //
 // A hash mismatch returns an error wrapping iscsi.ErrDiverged: in
 // ModePRINS it means the replica's pre-image already differs from what
 // the primary XORed against, so writing the recovered block would
 // replace silent corruption with fresh silent corruption. The primary
 // marks the LBA dirty and repairs it with a ranged resync instead.
-func (r *ReplicaEngine) stage(mode Mode, st *replicaStream, e *iscsi.BatchEntry, pre []byte) ([]byte, error) {
-	newBlock, err := xcode.Decode(e.Frame)
+func (r *ReplicaEngine) stage(mode Mode, st *replicaStream, e *iscsi.BatchEntry, slot int, pre []byte) ([]byte, error) {
+	n, err := xcode.DecodedLen(e.Frame)
 	if err != nil {
 		return nil, fmt.Errorf("core: replica decode seq %d: %w: %w", e.Seq, iscsi.ErrReplicaDecode, err)
 	}
-	if len(newBlock) != r.store.BlockSize() {
-		return nil, fmt.Errorf("%w: frame decodes to %d bytes, block size %d",
-			block.ErrBadBufSize, len(newBlock), r.store.BlockSize())
+	if n != r.store.BlockSize() {
+		return nil, errFrameSize
 	}
+	newBlock := st.stagingSlot(slot, n)
 	if mode == ModePRINS {
-		if pre == nil {
-			if err := r.store.ReadBlock(e.LBA, st.oldBuf); err != nil {
-				return nil, fmt.Errorf("core: replica read old seq %d: %w", e.Seq, err)
-			}
-			pre = st.oldBuf
+		if pre != nil {
+			copy(newBlock, pre)
+		} else if err := r.store.ReadBlock(e.LBA, newBlock); err != nil {
+			return nil, fmt.Errorf("core: replica read old seq %d: %w", e.Seq, err)
 		}
-		// Decode never aliases its input, so the backward XOR can fold
-		// the pre-image into the decoded parity in place.
-		if err := parity.XORInPlace(newBlock, pre); err != nil {
-			return nil, err
-		}
+		err = xcode.XORInto(newBlock, e.Frame)
+	} else {
+		err = xcode.DecodeInto(newBlock, e.Frame)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("core: replica decode seq %d: %w: %w", e.Seq, iscsi.ErrReplicaDecode, err)
 	}
 	if e.Hash != 0 {
 		if got := iscsi.HashBlock(newBlock); got != e.Hash {

@@ -15,9 +15,9 @@
 // The index is bounded: it tracks at most max LBAs and evicts the
 // least recently touched one when full, so memory stays O(max)
 // regardless of device size. It is refcounted by construction — the
-// hash map holds the set of LBAs currently mapped to each hash, so a
-// hash stays resolvable exactly while at least one tracked LBA holds
-// its content. Correctness never depends on the index: a wrong primary
+// LBAs currently mapped to one hash form a ring the hash map points
+// into, so a hash stays resolvable exactly while at least one tracked
+// LBA holds its content. Correctness never depends on the index: a wrong primary
 // entry costs a StatusRefMiss round trip and a by-value re-ship; a
 // wrong replica entry is caught by hashing the candidate block before
 // the copy.
@@ -30,11 +30,16 @@ import (
 	"sync"
 )
 
-// node is one tracked (lba, hash) pair on the intrusive LRU list.
+// node is one tracked (lba, hash) pair: on the intrusive LRU list, and
+// on the ring of the nodes that share its hash (a node alone on its ring
+// is its own neighbour). Both are links in the node, so a Put that finds
+// the LBA tracked, or evicts to make room, relinks a node it already
+// has and allocates nothing.
 type node struct {
-	lba        uint64
-	hash       uint64
-	prev, next *node
+	lba          uint64
+	hash         uint64
+	prev, next   *node // LRU list
+	hprev, hnext *node // same-hash ring
 }
 
 // Index is a bounded, mutex-guarded map lba -> hash with a reverse
@@ -44,7 +49,7 @@ type Index struct {
 	mu     sync.Mutex
 	max    int
 	byLBA  map[uint64]*node
-	byHash map[uint64]map[uint64]*node // hash -> lba -> node
+	byHash map[uint64]*node // hash -> some node of the hash's ring
 	// head is most recently used, tail least.
 	head, tail *node
 
@@ -65,7 +70,7 @@ func New(max int) *Index {
 	return &Index{
 		max:    max,
 		byLBA:  make(map[uint64]*node),
-		byHash: make(map[uint64]map[uint64]*node),
+		byHash: make(map[uint64]*node),
 	}
 }
 
@@ -81,24 +86,28 @@ func (x *Index) Put(lba, hash uint64) {
 	}
 	x.mu.Lock()
 	defer x.mu.Unlock()
-	if n, ok := x.byLBA[lba]; ok {
-		if n.hash == hash {
-			x.touch(n)
-			return
+	n := x.byLBA[lba]
+	switch {
+	case n != nil && n.hash == hash:
+		x.touch(n)
+		return
+	case n != nil:
+		// The LBA changed content: the node moves rings and to the front.
+		x.unring(n)
+		x.unlink(n)
+	default:
+		for len(x.byLBA) >= x.max && x.tail != nil {
+			n = x.tail // the node evicted last is the one reused
+			x.dropLocked(n)
 		}
-		x.dropLocked(n)
+		if n == nil {
+			n = new(node)
+		}
+		n.lba = lba
+		x.byLBA[lba] = n
 	}
-	for len(x.byLBA) >= x.max && x.tail != nil {
-		x.dropLocked(x.tail)
-	}
-	n := &node{lba: lba, hash: hash}
-	x.byLBA[lba] = n
-	set, ok := x.byHash[hash]
-	if !ok {
-		set = make(map[uint64]*node, 1)
-		x.byHash[hash] = set
-	}
-	set[lba] = n
+	n.hash = hash
+	x.ring(n)
 	x.pushFront(n)
 }
 
@@ -119,7 +128,7 @@ func (x *Index) Forget(lba uint64) {
 func (x *Index) ForgetHash(hash uint64) {
 	x.mu.Lock()
 	defer x.mu.Unlock()
-	for _, n := range x.byHash[hash] {
+	for n := x.byHash[hash]; n != nil; n = x.byHash[hash] {
 		x.dropLocked(n)
 	}
 }
@@ -132,7 +141,7 @@ func (x *Index) Contains(hash uint64) bool {
 	}
 	x.mu.Lock()
 	defer x.mu.Unlock()
-	if set, ok := x.byHash[hash]; ok && len(set) > 0 {
+	if x.byHash[hash] != nil {
 		x.hits++
 		return true
 	}
@@ -150,18 +159,27 @@ func (x *Index) Lookup(hash uint64) (lba uint64, ok bool) {
 	}
 	x.mu.Lock()
 	defer x.mu.Unlock()
-	for l, n := range x.byHash[hash] {
-		x.touch(n)
-		return l, true
+	n := x.byHash[hash]
+	if n == nil {
+		return 0, false
 	}
-	return 0, false
+	x.touch(n)
+	return n.lba, true
 }
 
 // Refs returns how many tracked LBAs currently map to hash.
 func (x *Index) Refs(hash uint64) int {
 	x.mu.Lock()
 	defer x.mu.Unlock()
-	return len(x.byHash[hash])
+	first := x.byHash[hash]
+	if first == nil {
+		return 0
+	}
+	refs := 1
+	for n := first.hnext; n != first; n = n.hnext {
+		refs++
+	}
+	return refs
 }
 
 // Len returns how many LBAs the index currently tracks.
@@ -185,20 +203,44 @@ func (x *Index) Reset() {
 	x.mu.Lock()
 	defer x.mu.Unlock()
 	x.byLBA = make(map[uint64]*node)
-	x.byHash = make(map[uint64]map[uint64]*node)
+	x.byHash = make(map[uint64]*node)
 	x.head, x.tail = nil, nil
 }
 
-// dropLocked unlinks n from both maps and the LRU list.
+// dropLocked unlinks n from both maps, its ring and the LRU list.
 func (x *Index) dropLocked(n *node) {
 	delete(x.byLBA, n.lba)
-	if set, ok := x.byHash[n.hash]; ok {
-		delete(set, n.lba)
-		if len(set) == 0 {
-			delete(x.byHash, n.hash)
-		}
-	}
+	x.unring(n)
 	x.unlink(n)
+}
+
+// ring links n into the ring of n.hash, which it starts if the hash is
+// new.
+func (x *Index) ring(n *node) {
+	first := x.byHash[n.hash]
+	if first == nil {
+		n.hprev, n.hnext = n, n
+		x.byHash[n.hash] = n
+		return
+	}
+	n.hprev, n.hnext = first, first.hnext
+	first.hnext.hprev = n
+	first.hnext = n
+}
+
+// unring takes n off the ring of n.hash; the hash stops resolving when n
+// was the ring's last node.
+func (x *Index) unring(n *node) {
+	switch {
+	case n.hnext == n:
+		delete(x.byHash, n.hash)
+	case x.byHash[n.hash] == n:
+		x.byHash[n.hash] = n.hnext
+		fallthrough
+	default:
+		n.hprev.hnext, n.hnext.hprev = n.hnext, n.hprev
+	}
+	n.hprev, n.hnext = nil, nil
 }
 
 func (x *Index) unlink(n *node) {

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -288,5 +290,115 @@ func TestEncodeSnapshotFormat(t *testing.T) {
 	}
 	if binary.BigEndian.Uint64(snap[8:]) != 0x1122 || binary.BigEndian.Uint64(snap[16:]) != 0x3344 {
 		t.Error("snapshot record bytes wrong")
+	}
+}
+
+// TestPutSteadyStateAllocs pins that a warm index allocates nothing on
+// Put: an LBA that changes hash moves its node between rings, an
+// eviction's node is reused for the LBA that caused it, and LBAs that
+// share a hash sit on one ring rather than in a per-hash map.
+func TestPutSteadyStateAllocs(t *testing.T) {
+	x := New(64)
+	var n uint64
+	if got := testing.AllocsPerRun(200, func() {
+		n++
+		x.Put(7, 0xA0+n%2) // one LBA alternating between two hashes
+	}); got != 0 {
+		t.Errorf("alternating hashes on one LBA: %.1f allocs per Put, want 0", got)
+	}
+	if x.Len() != 1 || x.Refs(0xA0)+x.Refs(0xA1) != 1 {
+		t.Errorf("Len %d, Refs %d+%d after alternating: want one entry", x.Len(), x.Refs(0xA0), x.Refs(0xA1))
+	}
+
+	for lba := uint64(0); lba < 64; lba++ {
+		x.Put(lba, 0xBEEF) // fill to the bound, every LBA on one ring
+	}
+	if got := testing.AllocsPerRun(200, func() {
+		n++
+		x.Put(n%64, 0xBEEF)   // touch
+		x.Put(1000+n, 0xBEEF) // evict the least recently used, same ring
+	}); got != 0 {
+		t.Errorf("64 LBAs sharing one hash: %.1f allocs per run, want 0", got)
+	}
+	if x.Len() != 64 || x.Refs(0xBEEF) != 64 {
+		t.Errorf("Len %d, Refs %d: want 64, 64", x.Len(), x.Refs(0xBEEF))
+	}
+}
+
+// modelIndex is the index's observable contract, written the slow way:
+// the (lba, hash) pairs in LRU order, most recent first. The hash rings
+// and node reuse must not change a single answer or the eviction order.
+type modelIndex struct {
+	max   int
+	pairs []Record
+}
+
+func (m *modelIndex) find(lba uint64) int {
+	return slices.IndexFunc(m.pairs, func(r Record) bool { return r.LBA == lba })
+}
+
+func (m *modelIndex) forget(lba uint64) {
+	if i := m.find(lba); i >= 0 {
+		m.pairs = slices.Delete(m.pairs, i, i+1)
+	}
+}
+
+func (m *modelIndex) put(lba, hash uint64) {
+	if i := m.find(lba); i < 0 && hash != 0 && len(m.pairs) >= m.max {
+		m.pairs = m.pairs[:len(m.pairs)-1] // a new LBA evicts the least recently used
+	}
+	m.forget(lba)
+	if hash != 0 {
+		m.pairs = slices.Insert(m.pairs, 0, Record{LBA: lba, Hash: hash})
+	}
+}
+
+func (m *modelIndex) refs(hash uint64) (n int) {
+	for _, r := range m.pairs {
+		if r.Hash == hash {
+			n++
+		}
+	}
+	return n
+}
+
+func TestIndexMatchesModel(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	x, m := New(8), &modelIndex{max: 8}
+	for step := 0; step < 20000; step++ {
+		lba, hash := uint64(rng.Intn(24)), uint64(rng.Intn(6)) // hash 0 forgets
+		switch op := rng.Intn(10); {
+		case op < 6:
+			x.Put(lba, hash)
+			m.put(lba, hash)
+		case op == 6:
+			x.Forget(lba)
+			m.forget(lba)
+		case op == 7:
+			x.ForgetHash(hash)
+			m.pairs = slices.DeleteFunc(m.pairs, func(r Record) bool { return r.Hash == hash })
+		default:
+			// Lookup may resolve to any holder; the one it names moves
+			// to the front.
+			got, ok := x.Lookup(hash)
+			if ok != (m.refs(hash) > 0) {
+				t.Fatalf("step %d: Lookup(%d) ok=%v, model holds %d", step, hash, ok, m.refs(hash))
+			}
+			if ok {
+				if i := m.find(got); i < 0 || m.pairs[i].Hash != hash {
+					t.Fatalf("step %d: Lookup(%d) named lba %d, which does not hold it", step, hash, got)
+				}
+				m.put(got, hash)
+			}
+		}
+		if x.Len() != len(m.pairs) || x.Refs(hash) != m.refs(hash) || x.Contains(hash) != (m.refs(hash) > 0) {
+			t.Fatalf("step %d: Len %d Refs(%d) %d, model %d %d", step, x.Len(), hash, x.Refs(hash), len(m.pairs), m.refs(hash))
+		}
+		if step%64 == 0 { // the snapshot is the LRU list, most recent first
+			recs, err := DecodeSnapshot(x.EncodeSnapshot())
+			if err != nil || !slices.Equal(recs, m.pairs) {
+				t.Fatalf("step %d: LRU order %v (err %v), model %v", step, recs, err, m.pairs)
+			}
+		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"net"
+	"slices"
 )
 
 // Batch wire format (proto v4). The data segment of an
@@ -150,7 +151,9 @@ func encodeEntryList(prefix []byte, entries []BatchEntry, refs bool) ([]byte, er
 }
 
 // decodeEntryList parses the count-prefixed entry sequence every
-// entry-list opcode carries. Frames alias data (no copies); the caller
+// entry-list opcode carries, into entries' backing array when it has
+// room (a session reuses one from PDU to PDU; nil allocates). Frames
+// alias data (no copies); the caller
 // owns data until the entries are consumed. Decoding is strict and
 // bounded: the declared count must be in (0, MaxBatchFrames] and
 // plausible for the buffer size before anything is allocated, every
@@ -159,7 +162,7 @@ func encodeEntryList(prefix []byte, entries []BatchEntry, refs bool) ([]byte, er
 // content hash. Truncation reports ErrShortFrame and structural
 // violations report ErrBadFrame — hostile input never panics or
 // over-allocates.
-func decodeEntryList(data []byte, refs bool) ([]BatchEntry, error) {
+func decodeEntryList(entries []BatchEntry, data []byte, refs bool) ([]BatchEntry, error) {
 	if len(data) < batchCountLen {
 		return nil, fmt.Errorf("%w: batch segment of %d bytes", ErrShortFrame, len(data))
 	}
@@ -170,7 +173,7 @@ func decodeEntryList(data []byte, refs bool) ([]BatchEntry, error) {
 	if uint64(len(data)-batchCountLen) < uint64(count)*batchEntryLen {
 		return nil, fmt.Errorf("%w: %d entries cannot fit in %d bytes", ErrShortFrame, count, len(data))
 	}
-	entries := make([]BatchEntry, 0, count)
+	entries = slices.Grow(entries[:0], int(count))
 	off := batchCountLen
 	for k := uint32(0); k < count; k++ {
 		if len(data)-off < batchEntryLen {
@@ -206,7 +209,7 @@ func EncodeBatch(entries []BatchEntry) ([]byte, error) {
 
 // DecodeBatch parses the data segment of an OpReplicaWriteBatch PDU
 // (see decodeEntryList for the bounds it enforces).
-func DecodeBatch(data []byte) ([]BatchEntry, error) { return decodeEntryList(data, false) }
+func DecodeBatch(data []byte) ([]BatchEntry, error) { return decodeEntryList(nil, data, false) }
 
 // EncodeBatchStatuses packs a batch response's per-entry status
 // vector: one status byte per entry, in entry order.

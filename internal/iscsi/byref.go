@@ -62,7 +62,7 @@ func EncodeByRef(entries []BatchEntry) ([]byte, error) {
 // DecodeByRef parses the data segment of an OpReplicaWriteByRef PDU:
 // DecodeBatch's bounds, plus every by-ref entry (zero frameLen) must
 // name a nonzero content hash (see decodeEntryList).
-func DecodeByRef(data []byte) ([]BatchEntry, error) { return decodeEntryList(data, true) }
+func DecodeByRef(data []byte) ([]BatchEntry, error) { return decodeEntryList(nil, data, true) }
 
 // ReplicaWriteByRef pushes a mixed by-ref/by-value batch for the
 // (vol, shard) replication stream in one round trip and returns one

@@ -516,22 +516,19 @@ func (p *PDU) readData(r io.Reader, hdr, dst []byte) error {
 		}
 	}
 	want := binary.BigEndian.Uint32(hdr[44:])
+	clear(hdr[44:headerLen]) // hdr is the reader's scratch, done with once the fields are decoded
 	if got := digest(hdr, p.Data); got != want {
 		return fmt.Errorf("%w: got %08x, want %08x", ErrBadDigest, got, want)
 	}
 	return nil
 }
 
-// digest computes the PDU's CRC-32C over the header (with the digest
-// field zeroed) and the data segment. The scratch header copy stays on
-// the stack and the CRC streams via Checksum/Update — no hash.Hash
-// allocation on the per-PDU path.
+// digest computes the PDU's CRC-32C over hdr, whose digest field the
+// caller has zeroed (putHeader leaves it so; readData clears it), and
+// the data segment. The CRC streams via Checksum/Update — no hash.Hash
+// and no scratch copy of the header on the per-PDU path.
 func digest(hdr, data []byte) uint32 {
-	var scratch [headerLen]byte
-	copy(scratch[:], hdr)
-	scratch[44], scratch[45], scratch[46], scratch[47] = 0, 0, 0, 0
-	crc := crc32.Checksum(scratch[:], castagnoli)
-	return crc32.Update(crc, castagnoli, data)
+	return crc32.Update(crc32.Checksum(hdr, castagnoli), castagnoli, data)
 }
 
 // castagnoli is the CRC-32C table iSCSI digests use.

@@ -89,6 +89,17 @@ func EncodeStripe(hdr StripeHeader, entries []BatchEntry) ([]byte, error) {
 // Truncation reports ErrShortFrame and structural violations report
 // ErrBadFrame — hostile input never panics or over-allocates.
 func DecodeStripe(data []byte) (StripeHeader, []BatchEntry, error) {
+	hdr, list, err := splitStripe(data)
+	if err != nil {
+		return hdr, nil, err
+	}
+	entries, err := DecodeBatch(list)
+	return hdr, entries, err
+}
+
+// splitStripe validates a stripe segment's group prefix and returns it
+// with the entry list that follows.
+func splitStripe(data []byte) (StripeHeader, []byte, error) {
 	var hdr StripeHeader
 	if len(data) < stripePrefixLen {
 		return hdr, nil, fmt.Errorf("%w: stripe segment of %d bytes", ErrShortFrame, len(data))
@@ -100,8 +111,7 @@ func DecodeStripe(data []byte) (StripeHeader, []BatchEntry, error) {
 	if _, err := hdr.prefix(); err != nil {
 		return hdr, nil, err
 	}
-	entries, err := DecodeBatch(data[stripePrefixLen:])
-	return hdr, entries, err
+	return hdr, data[stripePrefixLen:], nil
 }
 
 // ReplicaWriteStripe pushes stripe units for a k-of-n replica group in

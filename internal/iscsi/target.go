@@ -15,6 +15,13 @@ import (
 // a replication sink. The PRINS engine implements Backend on the
 // primary (intercepting writes) and on replicas (applying pushes); a
 // plain StoreBackend serves an unreplicated device.
+//
+// Buffer lifetime: every []byte and []BatchEntry a target hands a
+// Backend method (this interface's and its extensions': data, frame,
+// entries, entries[i].Frame, a repair-chain request) is the session's
+// own request storage, which the next PDU of the session overwrites. A
+// Backend must not retain any of it, or a slice of it, after the method
+// returns; what it needs later it copies.
 type Backend interface {
 	// Geometry returns the device shape advertised at login.
 	Geometry() (blockSize int, numBlocks uint64)
@@ -268,33 +275,66 @@ func applyBatch(backend Backend, mode, shard uint8, vol uint16, entries []BatchE
 	return statuses
 }
 
-// applyEntryList decodes an entry-list push and hands it to the
-// backend extension its opcode needs. It reports false — the PDU is
+// request is a session's request storage: ServeConn reads every PDU of
+// the session into the same header, PDU and data-segment buffer, and
+// decodes every entry list into the same entries, so a steady stream of
+// pushes allocates nothing on the way in. All of it starts empty and
+// grows to the largest request the session has carried; none of it
+// outlives the handling of the PDU it holds (see Backend).
+type request struct {
+	hdr     [headerLen]byte
+	pdu     PDU
+	seg     []byte
+	entries []BatchEntry
+}
+
+// read reads the session's next PDU from r; rq.pdu holds it, its Data
+// in rq.seg. Errors are readHeader's and readData's.
+func (rq *request) read(r io.Reader) error {
+	if err := rq.pdu.readHeader(r, rq.hdr[:]); err != nil {
+		return err
+	}
+	n := int(binary.BigEndian.Uint32(rq.hdr[24:])) // readHeader bounded it by MaxDataSegment
+	if cap(rq.seg) < n {
+		rq.seg = make([]byte, n+n/4) // a little over, so slightly larger batches do not each reallocate
+	}
+	return rq.pdu.readData(r, rq.hdr[:], rq.seg[:n])
+}
+
+// applyEntryList decodes the entry-list push rq holds and hands it to
+// the backend extension its opcode needs. It reports false — the PDU is
 // refused with StatusBadRequest — for a malformed segment, and for a
 // stripe or by-ref push at a backend without the extension: a stripe
 // unit stored as if it were a block, or a reference no content index
 // can materialize, must be refused rather than guessed at.
-func applyEntryList(backend Backend, pdu *PDU) ([]Status, bool) {
+func (rq *request) applyEntryList(backend Backend) ([]Status, bool) {
+	pdu, data := &rq.pdu, rq.pdu.Data
+	var shdr StripeHeader
+	if pdu.Op == OpReplicaWriteStripe {
+		var err error
+		if shdr, data, err = splitStripe(data); err != nil {
+			return nil, false
+		}
+	}
+	entries, err := decodeEntryList(rq.entries, data, pdu.Op == OpReplicaWriteByRef)
+	if err != nil {
+		return nil, false
+	}
+	rq.entries = entries
 	switch pdu.Op {
 	case OpReplicaWriteStripe:
-		shdr, entries, err := DecodeStripe(pdu.Data)
 		sb, ok := backend.(StripeBackend)
-		if err != nil || !ok {
+		if !ok {
 			return nil, false
 		}
 		return sb.HandleReplicaStripe(pdu.Mode, pdu.Shard, pdu.Vol, shdr, entries), true
 	case OpReplicaWriteByRef:
-		entries, err := DecodeByRef(pdu.Data)
 		brb, ok := backend.(ByRefBackend)
-		if err != nil || !ok {
+		if !ok {
 			return nil, false
 		}
 		return brb.HandleReplicaByRef(pdu.Mode, pdu.Shard, pdu.Vol, entries), true
 	default:
-		entries, err := DecodeBatch(pdu.Data)
-		if err != nil {
-			return nil, false
-		}
 		return applyBatch(backend, pdu.Mode, pdu.Shard, pdu.Vol, entries), true
 	}
 }
@@ -308,10 +348,11 @@ func (t *Target) ServeConn(conn net.Conn) {
 	}
 	defer t.untrack(conn)
 	var backend Backend
+	rq := new(request)
+	pdu := &rq.pdu
 
 	for {
-		pdu, err := ReadPDU(conn)
-		if err != nil {
+		if err := rq.read(conn); err != nil {
 			if !errors.Is(err, io.EOF) {
 				t.logf("iscsi target: session %v: %v", conn.RemoteAddr(), err)
 			}
@@ -389,7 +430,7 @@ func (t *Target) ServeConn(conn net.Conn) {
 				resp.Status = StatusNotLoggedIn
 				break
 			}
-			statuses, ok := applyEntryList(backend, pdu)
+			statuses, ok := rq.applyEntryList(backend)
 			if !ok {
 				resp.Status = StatusBadRequest
 				break

@@ -87,6 +87,9 @@ var journalMagic = [4]byte{'P', 'J', 'N', '1'}
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
+// clearedState is the one byte Commit writes over a record's state.
+var clearedState = []byte{stateEmpty}
+
 // ErrCorrupt reports a journal whose intent entry failed validation in
 // a way that cannot be a clean torn Begin (e.g. payload shorter than
 // the header promises with a valid header CRC).
@@ -110,6 +113,20 @@ type Entry struct {
 type Journal struct {
 	mu sync.Mutex
 	b  Backing
+	// rec is the buffer Begin assembles its record in, reused from one
+	// intent to the next (the Backing copies or writes it out before
+	// WriteAt returns). Guarded by mu; it starts nil and grows to the
+	// largest record written.
+	rec []byte
+}
+
+// record returns the journal's record buffer resized to n bytes, every
+// one of which the caller overwrites. Called with j.mu held.
+func (j *Journal) record(n int) []byte {
+	if cap(j.rec) < n {
+		j.rec = make([]byte, n)
+	}
+	return j.rec[:n]
 }
 
 // New wraps an existing backing.
@@ -143,7 +160,7 @@ func (j *Journal) BeginStream(shard uint8, vol uint16, seq, lba, hash uint64, bl
 	j.mu.Lock()
 	defer j.mu.Unlock()
 
-	buf := make([]byte, hdrLen+len(block))
+	buf := j.record(hdrLen + len(block))
 	copy(buf[0:4], journalMagic[:])
 	buf[4] = stateIntent
 	buf[5] = shard
@@ -182,7 +199,7 @@ func (j *Journal) BeginGroupStream(shard uint8, vol uint16, entries []Entry) err
 	for i := range entries {
 		bodyLen += groupEntryLen + len(entries[i].Block)
 	}
-	buf := make([]byte, groupHdrLen+bodyLen)
+	buf := j.record(groupHdrLen + bodyLen)
 	copy(buf[0:4], journalMagic[:])
 	buf[4] = stateGroup
 	buf[5] = shard
@@ -216,7 +233,7 @@ func (j *Journal) BeginGroupStream(shard uint8, vol uint16, entries []Entry) err
 func (j *Journal) Commit() error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if _, err := j.b.WriteAt([]byte{stateEmpty}, 4); err != nil {
+	if _, err := j.b.WriteAt(clearedState, 4); err != nil {
 		return fmt.Errorf("journal: clear intent: %w", err)
 	}
 	if err := j.b.Sync(); err != nil {

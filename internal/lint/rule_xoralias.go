@@ -13,8 +13,8 @@ import (
 // p aliasing new destroys the new data the caller still has to write
 // locally, and BackwardInto(dst, p', old) with dst aliasing old makes
 // the recovered block depend on kernel traversal order. (parity.XOR
-// itself documents that dst may alias an operand; the higher-level
-// kernels must not be called that way.)
+// itself documents that dst may alias an operand, exactly or not at
+// all; the higher-level kernels must not be called that way.)
 //
 // Second, functions inside a parity package must never retain a caller
 // buffer: storing a []byte parameter into a struct field or package

@@ -8,6 +8,7 @@
 package parity
 
 import (
+	"crypto/subtle"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -21,14 +22,14 @@ var ErrLengthMismatch = errors.New("parity: operand length mismatch")
 const wordSize = 8
 
 // XOR computes dst = a XOR b. All three slices must have the same
-// length; dst may alias a or b. It processes 8 bytes per step on the
-// aligned middle of the block and falls back to byte operations on the
-// tail, which for power-of-two block sizes never happens.
+// length; dst may alias a or b exactly or not at all (a dst that
+// overlaps an operand at any other offset panics). The kernel is
+// crypto/subtle.XORBytes, which runs at the hardware's vector width.
 func XOR(dst, a, b []byte) error {
 	if len(a) != len(b) || len(dst) != len(a) {
 		return fmt.Errorf("%w: dst=%d a=%d b=%d", ErrLengthMismatch, len(dst), len(a), len(b))
 	}
-	xorWords(dst, a, b)
+	subtle.XORBytes(dst, a, b)
 	return nil
 }
 
@@ -38,28 +39,13 @@ func XORBytes(a, b []byte) ([]byte, error) {
 		return nil, fmt.Errorf("%w: a=%d b=%d", ErrLengthMismatch, len(a), len(b))
 	}
 	dst := make([]byte, len(a))
-	xorWords(dst, a, b)
+	subtle.XORBytes(dst, a, b)
 	return dst, nil
 }
 
 // XORInPlace computes dst ^= src.
 func XORInPlace(dst, src []byte) error {
 	return XOR(dst, dst, src)
-}
-
-// xorWords is the internal kernel: 8-byte wide XOR with a byte-wise
-// tail. binary.LittleEndian.Uint64 compiles to a single load on
-// little-endian machines.
-func xorWords(dst, a, b []byte) {
-	n := len(a)
-	i := 0
-	for ; i+wordSize <= n; i += wordSize {
-		binary.LittleEndian.PutUint64(dst[i:],
-			binary.LittleEndian.Uint64(a[i:])^binary.LittleEndian.Uint64(b[i:]))
-	}
-	for ; i < n; i++ {
-		dst[i] = a[i] ^ b[i]
-	}
 }
 
 // Forward computes the forward parity P' = newData XOR oldData that
@@ -110,11 +96,10 @@ func IsZero(p []byte) bool {
 // NonZeroBytes counts the bytes of p that are non-zero. For a parity
 // block this is the number of byte positions at which the write changed
 // the block. It runs on every write when density recording is on, so
-// like the XOR kernel it walks the block 8 bytes at a time, and it
-// counts every word the same branch-free way (nonZeroByteMask +
-// popcount), four words per step: the cost is the same on an all-zero
-// block and on an incompressible one, and there is no branch for dense
-// parity to mispredict.
+// it walks the block 8 bytes at a time and counts every word the same
+// branch-free way (nonZeroByteMask + popcount), four words per step:
+// the cost is the same on an all-zero block and on an incompressible
+// one, and there is no branch for dense parity to mispredict.
 func NonZeroBytes(p []byte) int {
 	count := 0
 	for ; len(p) >= 4*wordSize; p = p[4*wordSize:] {
@@ -135,47 +120,16 @@ func NonZeroBytes(p []byte) int {
 }
 
 // XORCountNonZero computes dst = a XOR b and returns the number of
-// non-zero bytes in the result, in a single pass over the block. It
-// fuses the forward-parity XOR (Eq. 1) with the density scan that
-// NonZeroBytes would otherwise perform as a second walk: the word is
-// already in a register after the XOR, so counting its non-zero bytes
-// costs a handful of ALU ops instead of a second memory sweep. dst may
-// alias a or b. Every word is counted branch-free (nonZeroByteMask +
-// math/bits.OnesCount64), four words per step, so sparse and dense
-// parity cost the same.
+// non-zero bytes in the result: the forward-parity XOR (Eq. 1) followed
+// by the density scan, as two passes over a block that is still in L1
+// for the second: the vector-width XOR plus the branch-free count
+// (519 ns per 4 KiB) beats one fused 8-byte pass (704 ns), which cannot
+// use the wide kernel. dst may alias a or b exactly or not at all.
 func XORCountNonZero(dst, a, b []byte) (int, error) {
-	if len(a) != len(b) || len(dst) != len(a) {
-		return 0, fmt.Errorf("%w: dst=%d a=%d b=%d", ErrLengthMismatch, len(dst), len(a), len(b))
+	if err := XOR(dst, a, b); err != nil {
+		return 0, err
 	}
-	count := 0
-	n := len(a)
-	i := 0
-	for ; i+4*wordSize <= n; i += 4 * wordSize {
-		a4, b4, d4 := a[i:i+4*wordSize], b[i:i+4*wordSize], dst[i:i+4*wordSize]
-		w0 := binary.LittleEndian.Uint64(a4[0:]) ^ binary.LittleEndian.Uint64(b4[0:])
-		w1 := binary.LittleEndian.Uint64(a4[8:]) ^ binary.LittleEndian.Uint64(b4[8:])
-		w2 := binary.LittleEndian.Uint64(a4[16:]) ^ binary.LittleEndian.Uint64(b4[16:])
-		w3 := binary.LittleEndian.Uint64(a4[24:]) ^ binary.LittleEndian.Uint64(b4[24:])
-		binary.LittleEndian.PutUint64(d4[0:], w0)
-		binary.LittleEndian.PutUint64(d4[8:], w1)
-		binary.LittleEndian.PutUint64(d4[16:], w2)
-		binary.LittleEndian.PutUint64(d4[24:], w3)
-		count += bits.OnesCount64(nonZeroByteMask(w0)) + bits.OnesCount64(nonZeroByteMask(w1)) +
-			bits.OnesCount64(nonZeroByteMask(w2)) + bits.OnesCount64(nonZeroByteMask(w3))
-	}
-	for ; i+wordSize <= n; i += wordSize {
-		w := binary.LittleEndian.Uint64(a[i:]) ^ binary.LittleEndian.Uint64(b[i:])
-		binary.LittleEndian.PutUint64(dst[i:], w)
-		count += bits.OnesCount64(nonZeroByteMask(w))
-	}
-	for ; i < n; i++ {
-		v := a[i] ^ b[i]
-		dst[i] = v
-		if v != 0 {
-			count++
-		}
-	}
-	return count, nil
+	return NonZeroBytes(dst), nil
 }
 
 // nonZeroByteMask returns a word with bit 7 set in every byte lane of

@@ -71,18 +71,40 @@ func TestXORAliasing(t *testing.T) {
 
 func TestKernelsAgree(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	for _, n := range []int{0, 1, 7, 8, 9, 63, 64, 65, 4096, 4099} {
+	lengths := []int{511, 512, 513, 4096, 8192}
+	for n := 0; n <= 97; n++ {
+		lengths = append(lengths, n)
+	}
+	for _, n := range lengths {
 		a := make([]byte, n)
 		b := make([]byte, n)
 		rng.Read(a)
 		rng.Read(b)
-		fast := make([]byte, n)
-		slow := make([]byte, n)
-		xorWords(fast, a, b)
-		xorBytewise(slow, a, b)
-		if !bytes.Equal(fast, slow) {
-			t.Errorf("kernels disagree at n=%d", n)
+		want := make([]byte, n)
+		xorBytewise(want, a, b)
+
+		// dst fresh, dst == a, dst == b: the only aliasings XOR allows.
+		fresh, overA, overB := make([]byte, n), bytes.Clone(a), bytes.Clone(b)
+		for what, args := range map[string][3][]byte{
+			"fresh dst": {fresh, a, b}, "dst == a": {overA, overA, b}, "dst == b": {overB, a, overB},
+		} {
+			if err := XOR(args[0], args[1], args[2]); err != nil || !bytes.Equal(args[0], want) {
+				t.Errorf("n=%d %s: XOR disagrees with the bytewise oracle (err %v)", n, what, err)
+			}
 		}
+		inPlace := bytes.Clone(a)
+		if err := XORInPlace(inPlace, b); err != nil || !bytes.Equal(inPlace, want) {
+			t.Errorf("n=%d: XORInPlace disagrees with the bytewise oracle (err %v)", n, err)
+		}
+	}
+
+	a, b, dst := make([]byte, 4096), make([]byte, 4096), make([]byte, 4096)
+	if got := testing.AllocsPerRun(100, func() {
+		_ = XOR(dst, a, b)
+		_ = XORInPlace(dst, a)
+		_, _ = XORCountNonZero(dst, a, b)
+	}); got != 0 {
+		t.Errorf("XOR kernels allocate: %.1f allocs per run, want 0", got)
 	}
 }
 
@@ -398,8 +420,8 @@ func TestXORCountNonZeroLengthMismatch(t *testing.T) {
 	}
 }
 
-// BenchmarkXORCountNonZero pins the fused kernel against the two-pass
-// ForwardInto+NonZeroBytes composition it replaces on the encode path.
+// BenchmarkXORCountNonZero times the encode path's XOR + density count
+// on a 10%-changed 4 KiB block.
 func BenchmarkXORCountNonZero(b *testing.B) {
 	rng := rand.New(rand.NewSource(13))
 	const size = 4 << 10
@@ -410,23 +432,14 @@ func BenchmarkXORCountNonZero(b *testing.B) {
 		newData[rng.Intn(size)] ^= byte(1 + rng.Intn(255))
 	}
 	dst := make([]byte, size)
-	b.Run("fused", func(b *testing.B) {
-		b.SetBytes(size)
-		for i := 0; i < b.N; i++ {
-			benchCount, _ = XORCountNonZero(dst, newData, oldData)
-		}
-	})
-	b.Run("two-pass", func(b *testing.B) {
-		b.SetBytes(size)
-		for i := 0; i < b.N; i++ {
-			_ = ForwardInto(dst, newData, oldData)
-			benchCount = NonZeroBytes(dst)
-		}
-	})
+	b.SetBytes(size)
+	for i := 0; i < b.N; i++ {
+		benchCount, _ = XORCountNonZero(dst, newData, oldData)
+	}
 }
 
-// xorBytewise is the reference XOR kernel: the oracle for the word-wide
-// kernels and the baseline of the DESIGN.md ablation 4 benchmark.
+// xorBytewise is the reference XOR kernel: the oracle for XOR and the
+// count kernels.
 func xorBytewise(dst, a, b []byte) {
 	for i := range a {
 		dst[i] = a[i] ^ b[i]

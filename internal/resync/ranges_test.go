@@ -83,7 +83,7 @@ func TestRunRangesScansOnlyNamedRanges(t *testing.T) {
 }
 
 // cancelStore closes a cancel channel once n blocks have been read —
-// deterministically aborting a resync between specific batches.
+// deterministically aborting a resync at a specific block.
 type cancelStore struct {
 	block.Store
 	after  int
@@ -125,8 +125,32 @@ func TestResyncCancel(t *testing.T) {
 		t.Errorf("pre-canceled run did work: %+v", stats)
 	}
 
-	// Cancel fired during the first batch: the run stops at the next
-	// batch boundary with stats counting exactly the completed work.
+	// Cancel fired in the middle of the first batch: the run stops at the
+	// next block, not at the batch boundary, with stats counting exactly
+	// the completed work. After 6 reads the run holding lba 5 is still
+	// being gathered and is dropped; after 10 it has been issued (lba 6
+	// matched and closed it) and is waited out.
+	for _, tc := range []struct{ after, repaired int }{{6, 0}, {10, 1}} {
+		cancel := make(chan struct{})
+		gated := &cancelStore{Store: local, after: tc.after, cancel: cancel}
+		stats, err = Run(gated, remote, Config{Batch: batch, Cancel: cancel})
+		if !errors.Is(err, ErrCanceled) {
+			t.Fatalf("cancel after %d reads: err = %v, want ErrCanceled", tc.after, err)
+		}
+		if stats.BlocksScanned != uint64(tc.after) {
+			t.Errorf("cancel after %d reads: scanned %d blocks, want no block compared after the cancel fired", tc.after, stats.BlocksScanned)
+		}
+		if stats.BlocksRepaired != uint64(tc.repaired) || stats.RepairWrites != int64(tc.repaired) ||
+			stats.DataBytes != int64(tc.repaired*bs) || stats.HashFetches == 0 {
+			t.Errorf("cancel after %d reads: inconsistent stats %+v", tc.after, stats)
+		}
+	}
+	if err := replica.WriteBlock(5, make([]byte, bs)); err != nil { // diverge lba 5 again for the next case
+		t.Fatal(err)
+	}
+
+	// Cancel fired on the last block of the first batch: the run stops
+	// before the second.
 	cancel := make(chan struct{})
 	gated := &cancelStore{Store: local, after: batch, cancel: cancel}
 	stats, err = Run(gated, remote, Config{Batch: batch, Cancel: cancel})

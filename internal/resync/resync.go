@@ -75,10 +75,13 @@ type Config struct {
 	Batch uint32
 	// DryRun compares and counts but repairs nothing.
 	DryRun bool
-	// Cancel, when non-nil, aborts the run between batches: nothing more
-	// is issued, what is in flight is waited out, and Run and RunRanges
-	// return ErrCanceled with Stats counting exactly the work completed
-	// so far. A nil channel never cancels.
+	// Cancel, when non-nil, aborts the run between two blocks of the
+	// comparison (it is polled per block, not per Batch: a batch of 4096
+	// large blocks is a long time to ignore a cancel): nothing more is
+	// issued — a differing run still being gathered included — what is
+	// in flight is waited out, and Run and RunRanges return ErrCanceled
+	// with Stats counting exactly the work completed so far. A nil
+	// channel never cancels.
 	Cancel <-chan struct{}
 	// Learn, when non-nil, is invoked with (lba, content hash) for
 	// every block the replica provably holds after the scan: blocks
@@ -274,6 +277,9 @@ func (p *pipeline) compare() error {
 		}
 
 		for i, remoteHash := range remoteHashes {
+			if canceled(p.cfg.Cancel, p.stop) {
+				return ErrCanceled
+			}
 			lba := f.base + uint64(i)
 			if err := p.local.ReadBlock(lba, buf); err != nil {
 				return fmt.Errorf("resync: local read %d: %w", lba, err)

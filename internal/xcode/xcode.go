@@ -14,6 +14,7 @@
 package xcode
 
 import (
+	"crypto/subtle"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -154,48 +155,93 @@ func AppendEncodeBest(dst []byte, block []byte, candidates ...Codec) ([]byte, er
 }
 
 // Decode decodes a frame produced by Encode, returning the original
-// block. Corrupt or truncated frames yield ErrBadFrame; unregistered
-// codec bytes yield ErrUnknownCode.
+// block in a fresh buffer. Corrupt or truncated frames yield
+// ErrBadFrame; unregistered codec bytes yield ErrUnknownCode. The buffer
+// is sized by the frame's declared length before the body is looked at:
+// a caller facing untrusted frames checks DecodedLen against the length
+// it expects first, or uses DecodeInto.
 func Decode(frame []byte) ([]byte, error) {
 	c, decodedLen, body, err := splitFrame(frame)
 	if err != nil {
 		return nil, err
 	}
-	var out []byte
-	switch c {
-	case CodecRaw:
-		if len(body) != decodedLen {
-			return nil, fmt.Errorf("%w: raw body %d != declared %d", ErrBadFrame, len(body), decodedLen)
-		}
-		out = make([]byte, decodedLen)
-		copy(out, body)
-	case CodecZRL:
-		out, err = zrlDecode(body, decodedLen)
-	case CodecFlate:
-		f := getInflater()
-		out, err = f.inflate(nil, body, decodedLen)
-		inflaterPool.Put(f)
-	case CodecZRLFlate:
-		// Inner ZRL stream length is unknown until inflated; bound it
-		// by the worst-case ZRL expansion of the block. The stream lands
-		// in the inflater's own scratch, which zrlDecode copies out of.
-		f := getInflater()
-		var mid []byte
-		if mid, err = f.inflate(f.mid[:0], body, zrlMaxEncodedLen(decodedLen)); err == nil {
-			f.mid = mid
-			out, err = zrlDecode(mid, decodedLen)
-		}
-		inflaterPool.Put(f)
-	default:
-		return nil, fmt.Errorf("%w: %d", ErrUnknownCode, uint8(c))
-	}
-	if err != nil {
+	out := make([]byte, decodedLen)
+	if err := decodeBody(out, c, body, false); err != nil {
 		return nil, err
 	}
-	if len(out) != decodedLen {
-		return nil, fmt.Errorf("%w: decoded %d bytes, declared %d", ErrBadFrame, len(out), decodedLen)
-	}
 	return out, nil
+}
+
+// DecodeInto decodes frame into dst, which must be exactly as long as
+// the frame's declared length and may hold anything. It allocates
+// nothing. On error dst holds garbage.
+func DecodeInto(dst, frame []byte) error { return decodeFrame(dst, frame, false) }
+
+// XORInto folds the block frame decodes to into dst: dst ^= Decode(frame),
+// without materializing the block. For a ZRL parity frame that is the
+// replica's backward computation A_new = P' XOR A_old at a cost
+// proportional to the changed bytes — zero runs are skipped, only
+// literal bytes are touched. dst must be exactly as long as the frame's
+// declared length. It allocates nothing. On error dst holds garbage.
+func XORInto(dst, frame []byte) error { return decodeFrame(dst, frame, true) }
+
+// decodeFrame is DecodeInto (xor false) and XORInto (xor true).
+func decodeFrame(dst, frame []byte, xor bool) error {
+	c, decodedLen, body, err := splitFrame(frame)
+	if err != nil {
+		return err
+	}
+	if len(dst) != decodedLen {
+		return fmt.Errorf("%w: frame declares %d bytes, buffer holds %d", ErrBadFrame, decodedLen, len(dst))
+	}
+	return decodeBody(dst, c, body, xor)
+}
+
+// decodeBody is the one frame-body decoder: it writes the block a
+// codec-c body decodes to over dst, or XORs it into dst, where len(dst)
+// is the frame's declared length. The flate codecs inflate into a
+// pooled inflater's scratch and go on from there.
+func decodeBody(dst []byte, c Codec, body []byte, xor bool) error {
+	switch c {
+	case CodecRaw:
+		return putBlock(dst, body, xor)
+	case CodecZRL:
+		return zrlWalk(dst, body, xor)
+	case CodecFlate, CodecZRLFlate:
+		// A CodecZRLFlate frame's inner ZRL stream length is unknown
+		// until inflated; bound it by the worst-case ZRL expansion of
+		// the block.
+		maxLen := len(dst)
+		if c == CodecZRLFlate {
+			maxLen = zrlMaxEncodedLen(len(dst))
+		}
+		f := getInflater()
+		defer inflaterPool.Put(f)
+		mid, err := f.inflate(f.mid[:0], body, maxLen)
+		if err != nil {
+			return err
+		}
+		f.mid = mid
+		if c == CodecZRLFlate {
+			return zrlWalk(dst, mid, xor)
+		}
+		return putBlock(dst, mid, xor)
+	default:
+		return fmt.Errorf("%w: %d", ErrUnknownCode, uint8(c))
+	}
+}
+
+// putBlock lands a whole decoded block: dst = block, or dst ^= block.
+func putBlock(dst, block []byte, xor bool) error {
+	if len(block) != len(dst) {
+		return fmt.Errorf("%w: body decodes to %d bytes, declared %d", ErrBadFrame, len(block), len(dst))
+	}
+	if xor {
+		subtle.XORBytes(dst, dst, block)
+	} else {
+		copy(dst, block)
+	}
+	return nil
 }
 
 // FrameCodec returns the codec identifier of a frame without decoding

@@ -166,7 +166,7 @@ func TestZRLDecodeRejectsOverruns(t *testing.T) {
 }
 
 // TestZRLEarlyEndingStream pins the trailing-zeros contract documented
-// on zrlDecode: a stream may stop accounting for the block before
+// on zrlWalk: a stream may stop accounting for the block before
 // decodedLen, and the unaccounted tail decodes as zeros. The encoder
 // always emits an explicit trailing zero-run segment, but the decoder
 // must accept the shorter form.
@@ -417,6 +417,15 @@ func zrlAppendBytewise(out, block []byte) []byte {
 		out = append(out, 0, 0)
 	}
 	return out
+}
+
+// zrlDecode decodes a ZRL stream into a fresh block of decodedLen bytes.
+func zrlDecode(stream []byte, decodedLen int) ([]byte, error) {
+	out := make([]byte, decodedLen)
+	if err := zrlWalk(out, stream, false); err != nil {
+		return nil, err
+	}
+	return out, nil
 }
 
 // checkZRLAgainstBytewise asserts the two properties the word-wide

@@ -1,6 +1,7 @@
 package xcode
 
 import (
+	"crypto/subtle"
 	"encoding/binary"
 	"fmt"
 	"math/bits"
@@ -106,43 +107,54 @@ func zrlAppend(out, block []byte) []byte {
 	return out
 }
 
-// zrlDecode decodes a ZRL stream into exactly decodedLen bytes.
-func zrlDecode(stream []byte, decodedLen int) ([]byte, error) {
-	if decodedLen < 0 || decodedLen > MaxBlockLen {
-		return nil, fmt.Errorf("%w: zrl decoded length %d", ErrTooLarge, decodedLen)
-	}
-	out := make([]byte, decodedLen)
+// zrlWalk is the one ZRL stream decoder. It walks stream over dst, the
+// whole decoded block: with xor false it writes the block (zero runs
+// cleared, literals copied), with xor true it XORs the block into dst,
+// which leaves zero runs alone and touches literal bytes only. A
+// segment that would overrun dst or the stream is ErrBadFrame; dst then
+// holds garbage.
+func zrlWalk(dst, stream []byte, xor bool) error {
 	pos := 0
 	i := 0
 	for i < len(stream) {
 		skip, n1 := binary.Uvarint(stream[i:])
 		if n1 <= 0 {
-			return nil, fmt.Errorf("%w: bad zrl skip varint at %d", ErrBadFrame, i)
+			return fmt.Errorf("%w: bad zrl skip varint at %d", ErrBadFrame, i)
 		}
 		i += n1
 		litLen, n2 := binary.Uvarint(stream[i:])
 		if n2 <= 0 {
-			return nil, fmt.Errorf("%w: bad zrl literal varint at %d", ErrBadFrame, i)
+			return fmt.Errorf("%w: bad zrl literal varint at %d", ErrBadFrame, i)
 		}
 		i += n2
 
-		if skip > uint64(decodedLen-pos) {
-			return nil, fmt.Errorf("%w: zrl skip overruns block", ErrBadFrame)
+		if skip > uint64(len(dst)-pos) {
+			return fmt.Errorf("%w: zrl skip overruns block", ErrBadFrame)
 		}
-		pos += int(skip) // zeros are already there
+		if !xor {
+			clear(dst[pos : pos+int(skip)])
+		}
+		pos += int(skip)
 
-		if litLen > uint64(len(stream)-i) || litLen > uint64(decodedLen-pos) {
-			return nil, fmt.Errorf("%w: zrl literal overruns", ErrBadFrame)
+		if litLen > uint64(len(stream)-i) || litLen > uint64(len(dst)-pos) {
+			return fmt.Errorf("%w: zrl literal overruns", ErrBadFrame)
 		}
-		copy(out[pos:], stream[i:i+int(litLen)])
+		lit, at := stream[i:i+int(litLen)], dst[pos:pos+int(litLen)]
+		if xor {
+			subtle.XORBytes(at, at, lit)
+		} else {
+			copy(at, lit)
+		}
 		pos += int(litLen)
 		i += int(litLen)
 	}
-	// Trailing-zeros contract: a stream may end with pos < decodedLen,
-	// and the remaining bytes are implied zeros — out was allocated
-	// zeroed, so there is nothing to do. Streams that would overrun
-	// decodedLen were rejected above, so pos never exceeds it.
-	return out, nil
+	// Trailing-zeros contract: a stream may end with pos < len(dst), and
+	// the remaining bytes are implied zeros. Streams that would overrun
+	// dst were rejected above, so pos never exceeds it.
+	if !xor {
+		clear(dst[pos:])
+	}
+	return nil
 }
 
 // zrlMaxEncodedLen bounds the encoded size of a block of length n.
