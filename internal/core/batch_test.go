@@ -231,7 +231,7 @@ func TestBatchMixedResultMarksOnlyDivergedDirty(t *testing.T) {
 		t.Errorf("Diverged = %d, want 1", s.Diverged)
 	}
 
-	// The batch-mates landed; only the refused block differs.
+	// The batch-mates were applied; only the refused block differs.
 	buf := make([]byte, bs)
 	want := make([]byte, bs)
 	for _, lba := range []uint64{0, 6, 8} {

@@ -143,10 +143,6 @@ func (g GroupConfig) enabled() bool { return g.N > 0 }
 type Config struct {
 	// Mode selects the replication technique. Required.
 	Mode Mode
-	// Codecs are the candidate codecs for ModePRINS parity encoding;
-	// the smallest frame wins (never larger than raw framing — see
-	// xcode.EncodeBest). Defaults to ZRL only (the fast path).
-	Codecs []xcode.Codec
 	// Async, when true, returns from a write as soon as the frame is
 	// enqueued on every replica's pipeline; delivery errors surface on
 	// Drain. When false every write blocks until all replicas
@@ -252,9 +248,6 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if len(c.Codecs) == 0 {
-		c.Codecs = []xcode.Codec{xcode.CodecZRL}
-	}
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = 256
 	}
@@ -288,11 +281,6 @@ func (c Config) withDefaults() Config {
 func (c Config) Validate() error {
 	if !c.Mode.Valid() {
 		return fmt.Errorf("core: invalid mode %d", uint8(c.Mode))
-	}
-	for _, cc := range c.Codecs {
-		if !cc.Valid() {
-			return fmt.Errorf("core: invalid codec %d", uint8(cc))
-		}
 	}
 	if c.Shards > MaxShards {
 		return fmt.Errorf("core: %d shards exceeds the maximum %d", c.Shards, MaxShards)
@@ -421,7 +409,7 @@ type Engine struct {
 
 	closed   atomic.Bool
 	done     chan struct{}  // closed once, after Close has quiesced
-	shippers sync.WaitGroup // every shipper of every (shard, replica) pipeline
+	shippers sync.WaitGroup // the shipper of every (shard, replica) pipeline
 }
 
 var _ block.Store = (*Engine)(nil)
@@ -525,8 +513,9 @@ func (e *Engine) ShardRange(s int) block.Range {
 func (e *Engine) ShardStats() []metrics.ShardSnapshot { return e.shardM.Snapshot() }
 
 // AttachReplica adds a replication destination and starts one ship
-// pipeline per shard for it (one shipper goroutine on an async engine,
-// shipWindow of them on a sync one). Not safe to call concurrently with
+// pipeline per shard for it, each drained by one shipper goroutine whose
+// window keeps one push in flight on an async engine and shipWindow on a
+// sync one. Not safe to call concurrently with
 // writes; attach replicas before serving I/O. When the engine is
 // sharded or volume-tagged the client must implement
 // StreamReplicaClient — per-shard seq spaces folded into a replica's
@@ -582,16 +571,10 @@ func (e *Engine) AttachReplica(rc ReplicaClient) error {
 	rs.pipes = make([]*pipe, len(e.shards))
 	for i, s := range e.shards {
 		p := &pipe{
-			rs:     rs,
-			shard:  s,
-			queue:  make(chan repMsg, e.cfg.QueueDepth),
-			dirty:  newDirtyMap(),
-			baton:  make(chan struct{}, 1),
-			landed: make(chan struct{}, 1),
-		}
-		select {
-		case p.baton <- struct{}{}: // the empty slot takes the token; a bare send reads as blocking to prinslint
-		default:
+			rs:    rs,
+			shard: s,
+			queue: make(chan repMsg, e.cfg.QueueDepth),
+			dirty: newDirtyMap(),
 		}
 		canBatch := rs.batch != nil
 		if e.tagged(p) {
@@ -607,16 +590,8 @@ func (e *Engine) AttachReplica(rc ReplicaClient) error {
 		s.frames = append(s.frames, nil)
 		s.hashes = append(s.hashes, 0)
 		s.mu.Unlock()
-		// One run in flight per async pipe, shipWindow per sync pipe: see
-		// pipe for why the mode decides.
-		window := 1
-		if !e.cfg.Async {
-			window = shipWindow
-		}
-		e.shippers.Add(window)
-		for range window {
-			go e.shipper(p)
-		}
+		e.shippers.Add(1)
+		go e.shipper(p)
 	}
 	return nil
 }
@@ -888,11 +863,6 @@ func (e *Engine) GroupUnitSize() int {
 	return e.rsCodec.UnitSize(e.local.BlockSize())
 }
 
-var (
-	rawCodecs   = []xcode.Codec{xcode.CodecRaw}
-	flateCodecs = []xcode.Codec{xcode.CodecFlate}
-)
-
 // hold takes ownership of the frame pipe i ships for the write in
 // flight, with its content hash. The caller must, before releasing
 // s.mu, either enqueue every held frame to its pipe or release it.
@@ -927,15 +897,15 @@ func (e *Engine) encodeFrames(s *shard, src, data []byte) error {
 			hashed = s.gNew
 		}
 	}
-	// PRINS frames take the smallest of the configured parity codecs (a
-	// quiet region of the delta stripes into near-zero units that ZRL
-	// collapses); the other modes frame raw or deflated.
-	codecs := e.cfg.Codecs
+	// PRINS frames are ZRL (a quiet region of the delta stripes into
+	// near-zero units that ZRL collapses); the other modes frame raw or
+	// deflated.
+	codec := xcode.CodecZRL
 	switch e.cfg.Mode {
 	case ModeTraditional:
-		codecs = rawCodecs
+		codec = xcode.CodecRaw
 	case ModeCompressed:
-		codecs = flateCodecs
+		codec = xcode.CodecFlate
 	}
 	for i := range s.pipes {
 		if i > 0 && !unit {
@@ -949,11 +919,11 @@ func (e *Engine) encodeFrames(s *shard, src, data []byte) error {
 		fb := getFrame()
 		var err error
 		if unit || e.cfg.Mode == ModePRINS {
-			fb.buf, err = xcode.AppendEncodeBest(fb.buf, payload, codecs...)
+			fb.buf, err = xcode.AppendEncodeBest(fb.buf, payload, codec)
 		} else {
 			// A whole-block frame ships in exactly its mode's codec, with
 			// no raw floor.
-			fb.buf, err = xcode.AppendEncode(fb.buf, codecs[0], payload)
+			fb.buf, err = xcode.AppendEncode(fb.buf, codec, payload)
 		}
 		if err != nil {
 			framePool.Put(fb)

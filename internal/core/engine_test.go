@@ -30,9 +30,6 @@ func TestConfigValidate(t *testing.T) {
 	if err := (Config{}).Validate(); err == nil {
 		t.Error("zero config should be invalid (no mode)")
 	}
-	if err := (Config{Mode: ModePRINS, Codecs: []xcode.Codec{xcode.Codec(99)}}).Validate(); err == nil {
-		t.Error("bad codec should be invalid")
-	}
 	if err := (Config{Mode: ModePRINS}).Validate(); err != nil {
 		t.Errorf("valid config rejected: %v", err)
 	}

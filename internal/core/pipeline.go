@@ -12,13 +12,14 @@ import (
 	"prins/internal/iscsi"
 	"prins/internal/metrics"
 	"prins/internal/wan"
+	"prins/internal/window"
 	"prins/internal/xcode"
 )
 
 // Per-(shard, replica) ship pipelines.
 //
 // Every attached replica owns one bounded FIFO queue per shard, drained
-// by that pipe's own shippers, so delivery to one replica never waits
+// by that pipe's own shipper, so delivery to one replica never waits
 // on another replica's round trips — fan-out latency is the slowest
 // replica, not the sum — and one shard's backlog never blocks another
 // shard's pipeline to the same replica. The write path enqueues onto
@@ -28,7 +29,7 @@ import (
 // per-write acks after the lock is released.
 //
 // A pipe takes runs off its queue in that order and admits them to its
-// ship window one at a time (see pipe and admit). An async pipe's
+// ship window one at a time (see pipe and shipper). An async pipe's
 // window is one run: the replica receives the stream in seq order, one
 // push after the other. A sync pipe's window is shipWindow runs whose
 // round trips overlap on the multiplexed session and land in any order,
@@ -140,19 +141,18 @@ const shipWindow = 8
 // that replica flow through its queue in seq order, and the blocks the
 // replica is missing from that shard accumulate in its dirty map.
 //
-// The pipe's shippers (see shipper) share one body and pass a baton:
-// its holder alone receives from queue, drains a run and admits it to
-// the ship window, so runs are admitted in seq order; delivery happens
-// after the baton has moved on. How many shippers a pipe has is how
-// many runs it may have in flight, and that is the engine's mode, for
-// two reasons (DESIGN.md, "Ordering on a stream", has the argument in
-// full). Correctness: an async WriteBlock returns before its push, so
-// the order of the stream is all that keeps the replica a prefix of
-// what the application wrote, and an async pipe therefore has one
-// shipper, for which both admission rules are vacuous; a sync writer's
-// order is carried by its acks, and writes un-acked at the same time
-// have no order the application can observe, so a sync pipe has
-// shipWindow of them. Efficiency: one outstanding push is what lets an
+// A pipe has one shipper goroutine (see shipper), which owns the pipe's
+// ship window: it takes runs off the queue in seq order, admits each
+// past the rules in admissible, and issues its delivery on the window.
+// How many deliveries the window overlaps is the engine's mode, for two
+// reasons (DESIGN.md, "Ordering on a stream", has the argument in full).
+// Correctness: an async WriteBlock returns before its push, so the order
+// of the stream is all that keeps the replica a prefix of what the
+// application wrote, and an async pipe's window is therefore one push,
+// for which both admission rules are vacuous; a sync writer's order is
+// carried by its acks, and writes un-acked at the same time have no
+// order the application can observe, so a sync pipe's window is
+// shipWindow pushes. Efficiency: one outstanding push is what lets an
 // async pipe's backlog build into full batches and coalesce same-LBA
 // parities.
 type pipe struct {
@@ -168,26 +168,12 @@ type pipe struct {
 	// stream-batch when tagged, plain batch when not. Fixed at attach.
 	batches bool
 	// sq squeezes this pipe's backlog runs (see squeeze.go). Set on an
-	// async pipe only, whose one shipper is its sole user: a sync pipe
-	// has at most one frame per writer queued, so it seldom has a backlog
-	// to squeeze, and its shipWindow overlapping pushes share the link, so
-	// no one push's duration is the pipe's goodput.
+	// async pipe only, whose shipper runs its one push itself and is sq's
+	// sole user: a sync pipe has at most one frame per writer queued, so
+	// it seldom has a backlog to squeeze, and its shipWindow overlapping
+	// pushes share the link, so no one push's duration is the pipe's
+	// goodput.
 	sq *squeezer
-
-	// baton is a one-slot token: the shipper that holds it is the only
-	// receiver from queue. landed is a one-slot signal that some run
-	// left the window; only the baton holder waits on it, so one slot
-	// cannot lose a wake-up (the holder re-checks after every token, and
-	// a lander sends after it has removed its run).
-	baton  chan struct{}
-	landed chan struct{}
-	// fly is the ship window: the runs admitted and not yet landed, in
-	// no particular order. Each is its shipper's own run buffer, which
-	// that shipper does not write again until it has removed it here;
-	// the admitting shipper reads seqs and LBAs only. flyMu is never
-	// held across a wait.
-	flyMu sync.Mutex
-	fly   [][]repMsg
 }
 
 // markDirty records lba as not-known-held by this pipe's replica and
@@ -250,34 +236,51 @@ func (fb *frameBuf) release(n int32) {
 	}
 }
 
-// shipper is the body every shipper of a pipe runs: take the baton,
-// take the next run off the queue (FIFO = per-shard sequence order),
-// admit it to the ship window, pass the baton on, and only then deliver
-// — so the pipe's other shippers admit and deliver the following runs
-// while this one's round trip is in flight. Close settles every queued
-// frame before it closes done, so a shipper that sees done closed has
-// nothing left to ship.
+// shipper is a pipe's one goroutine: it takes the next run off the
+// queue (FIFO = per-shard sequence order), admits it to the ship window
+// and issues it there, so the pipe's runs are admitted in seq order and
+// their deliveries overlap as far as the window allows. Close settles
+// every queued frame before it closes done, so a shipper that sees done
+// closed has nothing left to ship.
 func (e *Engine) shipper(p *pipe) {
 	defer e.shippers.Done()
-	var run []repMsg // reused from one delivery to the next: a run of one costs no allocation
-	for {
-		select {
-		case <-p.baton:
-		case <-e.done:
-			return
-		}
-		var backlog bool
-		select {
-		case first := <-p.queue:
-			run, backlog = e.drain(p, run[:0], first)
-		case <-e.done:
-			return
-		}
-		p.admit(run)
-		p.baton <- struct{}{}
-		e.process(p, run, backlog)
-		p.land(run)
+	calls := shipWindow
+	if e.cfg.Async {
+		calls = 1
 	}
+	// spare is a settled run's buffer, so that a run of one costs no
+	// allocation: a window of one hands its buffer back every time.
+	var spare []repMsg
+	w := window.New(calls, 0, func(r shipRun) { e.process(p, r.msgs, r.backlog) },
+		func(r shipRun) { spare = r.msgs[:0] })
+	defer w.Drain()
+	for {
+		var first repMsg
+		select {
+		case first = <-p.queue:
+		case <-e.done:
+			return
+		}
+		// Settle what has finished before draining: an async pipe's one
+		// push ran inline and has settled by now, so its backlog is
+		// drained behind it, which is what fills its batches.
+		w.Poll()
+		run, backlog := e.drain(p, spare, first)
+		spare = nil
+		if !p.admissible(w, run) {
+			p.rs.m.AddAdmitWait() // counted when the wait begins, so a stalled window shows while it is stalled
+			for !p.admissible(w, run) {
+				w.Wait()
+			}
+		}
+		w.Go(shipRun{run, backlog}, 0)
+	}
+}
+
+// shipRun is one drained run on its way through the ship window.
+type shipRun struct {
+	msgs    []repMsg
+	backlog bool
 }
 
 // drain opportunistically drains p's queue behind first into run, up to
@@ -306,30 +309,6 @@ func (e *Engine) drain(p *pipe, run []repMsg, first repMsg) (_ []repMsg, backlog
 	return run, true
 }
 
-// admit adds run to p's ship window, first waiting out every in-flight
-// run it must not overlap. Called by the baton holder only, so runs are
-// admitted in seq order. With one shipper nothing is ever in flight
-// here and admit never waits.
-func (p *pipe) admit(run []repMsg) {
-	waited := false
-	for {
-		p.flyMu.Lock()
-		ok := p.admissible(run)
-		if ok {
-			p.fly = append(p.fly, run)
-		}
-		p.flyMu.Unlock()
-		if ok {
-			return
-		}
-		if !waited {
-			waited = true
-			p.rs.m.AddAdmitWait() // counted when the wait begins, so a stalled window shows while it is stalled
-		}
-		<-p.landed
-	}
-}
-
 // admissible reports whether run may ship beside the runs in flight.
 // Two rules, both about pushes that leave the session in any order
 // (each sleeps out the link on its own goroutine, and a real socket
@@ -342,11 +321,12 @@ func (p *pipe) admit(run []repMsg) {
 // acknowledged as duplicates without ever having been applied — so a
 // run whose last seq is half that window or more past the oldest
 // in-flight seq waits. A sync engine has at most one frame per writer
-// queued or in flight on a pipe, which bounds the scan. Called with
-// p.flyMu held.
-func (p *pipe) admissible(run []repMsg) bool {
+// queued or in flight on a pipe, which bounds the scan. With a window
+// of one nothing is in flight here and run is always admissible.
+func (p *pipe) admissible(w *window.Window[shipRun], run []repMsg) bool {
 	last := run[len(run)-1].seq
-	for _, f := range p.fly {
+	for k := range w.Len() {
+		f := w.At(k).msgs
 		if last-f[0].seq >= seqWindowSize/2 {
 			return false
 		}
@@ -359,24 +339,6 @@ func (p *pipe) admissible(run []repMsg) bool {
 		}
 	}
 	return true
-}
-
-// land removes run from p's ship window once process has settled it,
-// and wakes the admitting shipper if it is waiting.
-func (p *pipe) land(run []repMsg) {
-	p.flyMu.Lock()
-	for i, f := range p.fly {
-		if &f[0] == &run[0] {
-			p.fly[i] = p.fly[len(p.fly)-1]
-			p.fly = p.fly[:len(p.fly)-1]
-			break
-		}
-	}
-	p.flyMu.Unlock()
-	select {
-	case p.landed <- struct{}{}:
-	default:
-	}
 }
 
 // batchGroup is one wire entry of a drained run plus the queued
@@ -816,9 +778,9 @@ func (e *Engine) coalesce(groups []batchGroup, msgs []repMsg) []batchGroup {
 		g.msgs = append(g.msgs, *m)
 	}
 	for gi, acc := range parities {
-		frame, err := xcode.EncodeBest(acc, e.cfg.Codecs...)
+		frame, err := xcode.EncodeBest(acc, xcode.CodecZRL)
 		if err != nil {
-			// Cannot happen with a validated config; rather than ship a
+			// Cannot happen for a block we decoded; rather than ship a
 			// wrong frame, fall back to the uncoalesced batch.
 			return plainGroups(groups[:0], msgs)
 		}

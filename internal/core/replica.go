@@ -167,7 +167,7 @@ type ReplicaEngine struct {
 	//lint:lockorder core.ReplicaEngine.jmu < core.replicaStream.mu per-stream state is updated inside the journaled apply
 	jrnl *journal.Journal
 	jmu  sync.Mutex
-	// replay is set when a Begin landed but the store write or Commit
+	// replay is set when a Begin was recorded but the store write or Commit
 	// did not; the next Apply replays the journal before proceeding.
 	// Guarded by jmu.
 	replay bool
@@ -419,8 +419,8 @@ type staged struct {
 //  1. Stage, in ascending seq order (the primary ships seq-sorted
 //     already, so the stable re-sort is normally a no-op). Dedupe
 //     against the stream's window: an entry whose seq is marked there
-//     (or has aged out of it) is a redelivery whose first copy already
-//     landed (the ack was lost, not the push) and is acknowledged
+//     (or has aged out of it) is a redelivery whose first copy was
+//     already applied (the ack was lost, not the push) and is acknowledged
 //     without being re-applied — essential in ModePRINS, where XOR-ing
 //     the same parity twice would corrupt the block rather than no-op.
 //     A seq below the stream's highest that is NOT marked is new: a
@@ -484,7 +484,7 @@ func (r *ReplicaEngine) applyGroup(mode Mode, shard uint8, vol uint16, entries [
 	// last, dedupes it exactly as the window would had that copy been a
 	// push of its own; the window itself is only marked once the push
 	// is durable. pendingNew serves a staged same-LBA predecessor as
-	// the PRINS pre-image, exactly as if it had already landed.
+	// the PRINS pre-image, exactly as if it had already been applied.
 	var order []int
 	if len(entries) > 1 {
 		order = st.order[:0]
@@ -554,7 +554,7 @@ func (r *ReplicaEngine) applyGroup(mode Mode, shard uint8, vol uint16, entries [
 	}
 
 	// Phase 2: one intent for the whole push. A failed Begin never
-	// landed (a torn one is discarded by replay), so nothing was
+	// reached the journal (a torn one is discarded by replay), so nothing was
 	// written: fail the survivors with no replay owed.
 	if r.jrnl != nil {
 		var err error

@@ -406,7 +406,7 @@ func TestSqueezeRefMissAndCoalesce(t *testing.T) {
 		t.Errorf("Squeezed = %d, want 5 (lba 1, 2, 5, 6, 7)", m.Squeezed)
 	}
 	// PayloadBytes is what the replica acknowledged: the warm-up frame,
-	// then each entry of the run in the form that finally landed.
+	// then each entry of the run in the form that finally arrived.
 	payload := int64(len(g.batches[0][0].Frame))
 	for _, be := range g.byrefs[0][:3] {
 		payload += int64(len(be.Frame))

@@ -310,7 +310,7 @@ func TestReplicaSetRouting(t *testing.T) {
 	if st := set.HandleReplicaStream(uint8(ModeTraditional), 0, 9, 1, 5, 0, frame); st == iscsi.StatusOK {
 		t.Fatal("push to unknown volume accepted")
 	}
-	// The push landed on volume 1 only.
+	// The push reached volume 1 only.
 	buf := make([]byte, 512)
 	if err := s1.ReadBlock(5, buf); err != nil || buf[0] != 0x11 {
 		t.Fatalf("volume 1 block 5 = %x (err %v), want 0x11", buf[0], err)

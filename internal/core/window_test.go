@@ -647,20 +647,67 @@ func TestShipWindowSpan(t *testing.T) {
 	mustEqual(t, "replica", primary, replicaStore)
 }
 
-// TestShipWindowShippers: an async pipe runs exactly one shipper — its
-// stream must reach the replica in order, so nothing may overlap — and
-// never waits at admission; a sync pipe runs shipWindow of them; and
-// Drain and Close return with all of them parked, leaving no goroutine
-// behind.
+// flightClient counts the pushes inside it per shard. Each push waits
+// a bounded number of scheduler yields for more company than the ship
+// window allows before it goes on, so whatever overlap the engine
+// allows is reached, and any it should not is seen, without a sleep.
+type flightClient struct {
+	*Loopback
+	inside, peak [2]atomic.Int32
+}
+
+func (c *flightClient) enter(shard uint8) func() {
+	n := c.inside[shard].Add(1)
+	for {
+		old := c.peak[shard].Load()
+		if n <= old || c.peak[shard].CompareAndSwap(old, n) {
+			break
+		}
+	}
+	for i := 0; i < 50 && c.inside[shard].Load() <= shipWindow; i++ {
+		runtime.Gosched()
+	}
+	return func() { c.inside[shard].Add(-1) }
+}
+
+func (c *flightClient) ReplicaWrite(mode uint8, seq, lba, hash uint64, frame []byte) error {
+	defer c.enter(0)()
+	return c.Loopback.ReplicaWrite(mode, seq, lba, hash, frame)
+}
+
+func (c *flightClient) ReplicaWriteBatch(mode uint8, entries []iscsi.BatchEntry) ([]iscsi.Status, error) {
+	defer c.enter(0)()
+	return c.Loopback.ReplicaWriteBatch(mode, entries)
+}
+
+func (c *flightClient) ReplicaWriteStream(mode, shard uint8, vol uint16, seq, lba, hash uint64, frame []byte) error {
+	defer c.enter(shard)()
+	return c.Loopback.ReplicaWriteStream(mode, shard, vol, seq, lba, hash, frame)
+}
+
+func (c *flightClient) ReplicaWriteBatchStream(mode, shard uint8, vol uint16, entries []iscsi.BatchEntry) ([]iscsi.Status, error) {
+	defer c.enter(shard)()
+	return c.Loopback.ReplicaWriteBatchStream(mode, shard, vol, entries)
+}
+
+// TestShipWindowShippers: attach starts one shipper per pipe in either
+// mode; the pipe's window decides how many pushes are in flight — one
+// on an async pipe, whose stream must reach the replica in order and
+// which never waits at admission, more than one and never more than
+// shipWindow on a sync pipe under a same-LBA burst — and Close leaves
+// no goroutine behind.
 func TestShipWindowShippers(t *testing.T) {
-	const shards = 2
+	const (
+		shards  = 2
+		lbas    = 32 // 16 a shard: the LBA rule alone would allow more than shipWindow
+		writers = 32
+	)
 	for _, tc := range []struct {
 		name  string
 		async bool
-		want  int
 	}{
-		{"async", true, shards},
-		{"sync", false, shards * shipWindow},
+		{"async", true},
+		{"sync", false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			// Goroutines of earlier tests may still be exiting: count
@@ -672,27 +719,28 @@ func TestShipWindowShippers(t *testing.T) {
 					base, i = n, 0
 				}
 			}
-			primary, _ := block.NewMem(512, 16)
-			replicaStore, _ := block.NewMem(512, 16)
+			primary, _ := block.NewMem(512, lbas)
+			replicaStore, _ := block.NewMem(512, lbas)
 			e, err := NewEngine(primary, Config{Mode: ModePRINS, Async: tc.async, Shards: shards})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := e.AttachReplica(&Loopback{Replica: NewReplicaEngine(replicaStore)}); err != nil {
+			client := &flightClient{Loopback: &Loopback{Replica: NewReplicaEngine(replicaStore)}}
+			if err := e.AttachReplica(client); err != nil {
 				t.Fatal(err)
 			}
-			if got := runtime.NumGoroutine() - base; got != tc.want {
-				t.Errorf("attach started %d goroutines, want %d", got, tc.want)
+			if got := runtime.NumGoroutine() - base; got != shards {
+				t.Errorf("attach started %d goroutines, want one per pipe (%d)", got, shards)
 			}
-			// Same-LBA traffic from several writers: the hazard the
-			// admission guard exists for, which one shipper cannot have.
+			// A burst from more writers than the window, several on each
+			// LBA: the hazard the admission rules exist for.
 			var wg sync.WaitGroup
-			for w := 0; w < 4; w++ {
+			for w := 0; w < writers; w++ {
 				wg.Add(1)
 				go func(w int) {
 					defer wg.Done()
-					for i := 0; i < 200; i++ {
-						if err := e.WriteBlock(uint64(i%4), fillBlock(512, byte(w*50+i%50+1))); err != nil {
+					for i := 0; i < 100; i++ {
+						if err := e.WriteBlock(uint64(w*5+i)%lbas, fillBlock(512, byte(w*7+i%50+1))); err != nil {
 							t.Errorf("write: %v", err)
 							return
 						}
@@ -703,9 +751,20 @@ func TestShipWindowShippers(t *testing.T) {
 			if err := e.Drain(); err != nil {
 				t.Fatal(err)
 			}
-			if waits := e.ReplicaStats()[0].Metrics.AdmitWaits; tc.async && waits != 0 {
+			for sh := range client.peak {
+				peak := int(client.peak[sh].Load())
+				switch {
+				case tc.async && peak != 1:
+					t.Errorf("shard %d: %d pushes in flight on an async pipe, want 1", sh, peak)
+				case !tc.async && (peak < 2 || peak > shipWindow):
+					t.Errorf("shard %d: at most %d pushes in flight on a sync pipe, want 2..%d", sh, peak, shipWindow)
+				}
+			}
+			waits := e.ReplicaStats()[0].Metrics.AdmitWaits
+			if tc.async && waits != 0 {
 				t.Errorf("AdmitWaits = %d on an async engine, want 0", waits)
 			}
+			t.Logf("peak pushes in flight per shard %d, %d; admit waits %d", client.peak[0].Load(), client.peak[1].Load(), waits)
 			mustEqual(t, "replica", primary, replicaStore)
 			if err := e.Close(); err != nil {
 				t.Fatal(err)

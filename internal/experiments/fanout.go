@@ -7,7 +7,6 @@ import (
 	"prins/internal/core"
 	"prins/internal/metrics"
 	"prins/internal/tpcc"
-	"prins/internal/xcode"
 )
 
 // FanoutCell is the traffic of one (mode, replicas) combination.
@@ -63,8 +62,7 @@ func measureFanoutCell(w Workload, mode core.Mode, blockSize, replicas int) (met
 	}
 
 	engine, err := core.NewEngine(primary, core.Config{
-		Mode:   mode,
-		Codecs: []xcode.Codec{xcode.CodecZRL},
+		Mode: mode,
 	})
 	if err != nil {
 		return zero, err

@@ -10,7 +10,6 @@ import (
 	"prins/internal/raid"
 	"prins/internal/tpcc"
 	"prins/internal/tpcw"
-	"prins/internal/xcode"
 )
 
 // OverheadResult quantifies the paper's Section 4 overhead claim. The
@@ -84,8 +83,7 @@ func MeasureOverhead(blockSize, writes int, deviceLatency time.Duration) (*Overh
 		}
 		replica := core.NewReplicaEngine(slow(sink))
 		engine, err := core.NewEngine(local, core.Config{
-			Mode:   mode,
-			Codecs: []xcode.Codec{xcode.CodecZRL},
+			Mode: mode,
 		})
 		if err != nil {
 			return nil, nil, err

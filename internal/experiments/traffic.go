@@ -11,7 +11,6 @@ import (
 	"prins/internal/parity"
 	"prins/internal/tpcc"
 	"prins/internal/tpcw"
-	"prins/internal/xcode"
 )
 
 // Workload prepares state on a plain store and then runs against a
@@ -62,7 +61,6 @@ func MeasureCell(w Workload, mode core.Mode, blockSize int) (metrics.Snapshot, *
 	replica := core.NewReplicaEngine(replicaStore)
 	engine, err := core.NewEngine(primary, core.Config{
 		Mode:          mode,
-		Codecs:        []xcode.Codec{xcode.CodecZRL},
 		RecordDensity: mode == core.ModePRINS,
 	})
 	if err != nil {

@@ -541,19 +541,19 @@ func (s ScrubSnapshot) String() string {
 // Repair accumulates pipelined-repair statistics: how many chain
 // rounds ran, how many blocks were rebuilt, and — the first-class
 // figure — how many bytes actually crossed the wire to do it, split
-// into the chain's hop traffic and the rebuilt bytes landed on the
+// into the chain's hop traffic and the rebuilt bytes written to the
 // replacement. The zero value is ready to use and all methods are safe
 // for concurrent use.
 type Repair struct {
 	chains    atomic.Int64 // chain rounds completed
 	blocks    atomic.Int64 // blocks rebuilt on the replacement replica
 	wireBytes atomic.Int64 // measured bytes on the wire, all hops + sink
-	ingest    atomic.Int64 // rebuilt unit bytes landed on the replacement
+	ingest    atomic.Int64 // rebuilt unit bytes written to the replacement
 }
 
 // AddChain records one completed chain round that rebuilt blocks
 // blocks with wireBytes measured bytes on the wire, ingestBytes of
-// which landed on the replacement replica as rebuilt units.
+// which were written to the replacement replica as rebuilt units.
 func (r *Repair) AddChain(blocks, wireBytes, ingestBytes int64) {
 	r.chains.Add(1)
 	r.blocks.Add(blocks)

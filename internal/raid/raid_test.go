@@ -128,7 +128,7 @@ func TestWriteBlockWithParity(t *testing.T) {
 		t.Error("forward parity from RAID write path is wrong")
 	}
 
-	// And the write itself landed.
+	// And the write itself reached the array.
 	got := make([]byte, 128)
 	if err := a.ReadBlock(5, got); err != nil {
 		t.Fatal(err)

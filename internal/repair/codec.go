@@ -29,7 +29,7 @@ import (
 //
 //	off 0:  magic "PRR1"
 //	off 4:  wire   (uint64)  measured bytes sent downstream of this hop
-//	off 12: blocks (uint32)  unit blocks landed on the replacement
+//	off 12: blocks (uint32)  unit blocks written to the replacement
 //
 // Decoding is strict and bounded: unknown magic, oversized strings,
 // truncation, or a partial whose length matches neither legal shape

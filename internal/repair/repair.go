@@ -79,7 +79,7 @@ func (n *Node) dial(addr, export string) (*iscsi.Initiator, error) {
 // folds coeff·(this node's unit bytes) into the request's partial sums
 // and either forwards the grown request to the next survivor or, at
 // the chain's tail, writes the finished units to the replacement
-// replica. The response reports blocks landed plus measured bytes this
+// replica. The response reports blocks written plus measured bytes this
 // hop and everything downstream of it sent, so the coordinator gets
 // end-to-end wire accounting from one round trip.
 func (n *Node) HandleRepairChain(req []byte) ([]byte, iscsi.Status) {

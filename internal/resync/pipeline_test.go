@@ -66,7 +66,7 @@ func runRangesSerial(local block.Store, remote *iscsi.Initiator, cfg Config, ran
 }
 
 // gateBackend is a StoreBackend that records the repair writes it has
-// landed and parks the first one until released: the target serves a
+// applied and parks the first one until released: the target serves a
 // session one command at a time, so while that write is parked nothing
 // behind it is answered and whatever the primary sends stays in flight.
 type gateBackend struct {
@@ -108,9 +108,9 @@ func (b *gateBackend) HandleWrite(lba uint64, data []byte) iscsi.Status {
 	return st
 }
 
-// landed returns the repair writes the backend has applied, and the
+// applied returns the repair writes the backend has applied, and the
 // blocks they carried.
-func (b *gateBackend) landed() (writes int, blocks uint64) {
+func (b *gateBackend) applied() (writes int, blocks uint64) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return b.writes, b.blocks
@@ -144,21 +144,30 @@ func session(t *testing.T, backend iscsi.Backend, wrap func(net.Conn) net.Conn) 
 }
 
 // parkedIn reports whether some goroutine is blocked on a channel
-// receive inside the named function. It is how a test tells "the
-// comparer is waiting for window room" from "the comparer has not got
-// there yet" without timing anything: the first is a state the correct
-// pipeline reaches and stays in, so polling for it terminates.
-func parkedIn(fn string) bool {
+// receive with every named function on its stack. It is how a test
+// tells "the comparer is waiting for window room" from "the comparer
+// has not got there yet" without timing anything: the first is a state
+// the correct pipeline reaches and stays in, so polling for it
+// terminates.
+func parkedIn(fns ...string) bool {
 	buf := make([]byte, 1<<20)
 	buf = buf[:runtime.Stack(buf, true)]
 	for _, g := range bytes.Split(buf, []byte("\n\n")) {
 		header, _, _ := bytes.Cut(g, []byte("\n"))
-		if bytes.Contains(header, []byte("chan receive")) && bytes.Contains(g, []byte(fn)) {
+		all := bytes.Contains(header, []byte("chan receive"))
+		for _, fn := range fns {
+			all = all && bytes.Contains(g, []byte(fn))
+		}
+		if all {
 			return true
 		}
 	}
 	return false
 }
+
+// roomWait is where the comparer waits for room in the repair window:
+// settling a write in issue.
+var roomWait = []string{"window.(*Window[...]).Wait", "resync.(*pipeline).issue"}
 
 // eventually polls cond until it holds, failing the test after a
 // generous deadline.
@@ -425,7 +434,7 @@ func TestResyncRepairWindowBounded(t *testing.T) {
 		if sent > bound {
 			t.Fatalf("%d bytes offered to the connection with nothing acknowledged, bound %d", sent, bound)
 		}
-		return sent >= repairWindowBytes && parkedIn("resync.(*pipeline).issue")
+		return sent >= repairWindowBytes && parkedIn(roomWait...)
 	})
 
 	backend.release()
@@ -468,12 +477,12 @@ func TestResyncCancelWithWritesInFlight(t *testing.T) {
 		t.Fatalf("err = %v, want ErrCanceled", r.err)
 	}
 	settleGoroutines(t, baseline)
-	writes, blocks := backend.landed()
+	writes, blocks := backend.applied()
 	if r.stats.BlocksRepaired != blocks || r.stats.RepairWrites != int64(writes) || r.stats.DataBytes != int64(blocks)*parkBS {
-		t.Errorf("stats %+v, but the replica landed %d blocks in %d writes", r.stats, blocks, writes)
+		t.Errorf("stats %+v, but the replica applied %d blocks in %d writes", r.stats, blocks, writes)
 	}
 	if blocks == 0 || blocks >= parkNB/2 {
-		t.Errorf("canceled run landed %d of %d blocks; want the window's worth and the batch's, not the device", blocks, parkNB)
+		t.Errorf("canceled run applied %d of %d blocks; want the window's worth and the batch's, not the device", blocks, parkNB)
 	}
 
 	again, err := Run(local, remote, Config{})
@@ -515,7 +524,7 @@ func TestResyncResetWithWindowInFlight(t *testing.T) {
 
 	done := runAsync(func() (Stats, error) { return Run(local, remote, Config{Batch: parkNB}) })
 	<-backend.parked
-	eventually(t, "the comparer to fill the repair window", func() bool { return parkedIn("resync.(*pipeline).issue") })
+	eventually(t, "the comparer to fill the repair window", func() bool { return parkedIn(roomWait...) })
 	backend.release()
 
 	r := waitResult(t, done)
@@ -528,15 +537,15 @@ func TestResyncResetWithWindowInFlight(t *testing.T) {
 	// The target may still be landing writes it had read before the
 	// reset; its session goroutine has exited by now (settleGoroutines),
 	// so the count is final.
-	writes, blocks := backend.landed()
+	writes, blocks := backend.applied()
 	if r.stats.BlocksRepaired > blocks || r.stats.RepairWrites > int64(writes) {
-		t.Errorf("stats %+v count more than the replica landed (%d blocks, %d writes)", r.stats, blocks, writes)
+		t.Errorf("stats %+v count more than the replica applied (%d blocks, %d writes)", r.stats, blocks, writes)
 	}
 	if r.stats.BlocksRepaired != uint64(r.stats.RepairWrites)*parkRunBlocks || r.stats.DataBytes != int64(r.stats.BlocksRepaired)*parkBS {
 		t.Errorf("stats disagree with themselves: %+v", r.stats)
 	}
 	if blocks == 0 || blocks >= parkNB {
-		t.Errorf("replica landed %d of %d blocks around the reset", blocks, parkNB)
+		t.Errorf("replica applied %d of %d blocks around the reset", blocks, parkNB)
 	}
 
 	again, err := Run(local, session(t, backend, nil), Config{})
@@ -613,9 +622,9 @@ func TestScrubberStopWithWritesInFlight(t *testing.T) {
 	if !errors.Is(r.err, ErrCanceled) {
 		t.Fatalf("err = %v, want ErrCanceled", r.err)
 	}
-	_, blocks := backend.landed()
+	_, blocks := backend.applied()
 	if r.stats.BlocksRepaired != blocks || blocks == 0 || blocks >= parkNB/2 {
-		t.Errorf("stopped pass reports %d repaired, replica landed %d of %d", r.stats.BlocksRepaired, blocks, parkNB)
+		t.Errorf("stopped pass reports %d repaired, replica applied %d of %d", r.stats.BlocksRepaired, blocks, parkNB)
 	}
 	m := s.Metrics()
 	if m.Passes != 0 || m.Repaired != int64(blocks) || m.Scanned != int64(r.stats.BlocksScanned) {

@@ -8,29 +8,32 @@
 //
 // A run is one three-stage pipeline over the multiplexed replica
 // session (iscsi.Initiator overlaps any number of commands), so it
-// moves at the link's pace rather than at one round trip per step:
+// moves at the link's pace rather than at one round trip per step. The
+// caller's goroutine — the comparer — drives it, and the two stages
+// that talk to the replica are each a window.Window of calls it issues
+// and settles:
 //
 //  1. Hash fetches. The normalized ranges are cut into Config.Batch
-//     sized ReadHashes commands and hashWindow of them are kept in
-//     flight, so the replica hashes the batches ahead while the primary
-//     hashes the current one and the link's latency is paid once per
-//     window, not once per batch.
-//  2. Compare. One goroutine — the caller's, and the only one that
-//     touches Stats or calls Config.Learn — hashes the local blocks in
-//     LBA order and gathers contiguous differing blocks into runs of at
-//     most maxRunBytes. A run holds copies made at compare time, so the
+//     sized ReadHashes commands issued on a window of hashWindow and
+//     compared in issue order, so the replica hashes the batches ahead while
+//     the primary hashes the current one and the link's latency is paid
+//     once per window, not once per batch.
+//  2. Compare. The comparer — the only goroutine that touches Stats or
+//     calls Config.Learn — hashes the local blocks in LBA order and
+//     gathers contiguous differing blocks into runs of at most
+//     maxRunBytes. A run holds copies made at compare time, so the
 //     compare buffer is free for the next block while the run is on the
 //     wire.
 //  3. Repair. Each run goes out as one multi-block write
-//     (Initiator.WriteBlocks) and up to repairWindowRuns of them,
-//     repairWindowBytes in all, overlap their round trips. Runs need no
+//     (Initiator.WriteBlocks) on a window of repairWindowRuns runs and
+//     repairWindowBytes bytes, settled in any order. Runs need no
 //     ordering among themselves: they cover disjoint LBAs and each
 //     write replaces whole blocks. A block is counted and learned only
-//     once its run's write is acknowledged.
+//     once the comparer settles its run's acknowledged write.
 //
 // The first error or a cancel stops both issuing stages; the run then
-// waits out what is in flight and returns Stats for exactly the
-// acknowledged work. Whatever a failed run did land is whole blocks of
+// drains both windows and returns Stats for exactly the acknowledged
+// work. Whatever a failed run did land is whole blocks of
 // authoritative content, so a rerun over the same ranges converges.
 package resync
 
@@ -41,6 +44,7 @@ import (
 	"prins/internal/block"
 	"prins/internal/iscsi"
 	"prins/internal/wan"
+	"prins/internal/window"
 )
 
 // Stats reports what a resync did.
@@ -168,26 +172,27 @@ func runRanges(local block.Store, remote *iscsi.Initiator, cfg Config, stop <-ch
 		return Stats{}, fmt.Errorf("%w: local %dx%d, remote %dx%d", ErrGeometry,
 			local.NumBlocks(), local.BlockSize(), remote.NumBlocks(), remote.BlockSize())
 	}
-	p := pipeline{
-		local:  local,
-		remote: remote,
-		cfg:    cfg.withDefaults(),
-		stop:   stop,
-		todo:   block.NormalizeRanges(ranges, local.NumBlocks()),
-		acks:   make(chan *run, repairWindowRuns), // every write in flight can complete without blocking
+	p := &pipeline{
+		local: local,
+		cfg:   cfg.withDefaults(),
+		stop:  stop,
+		todo:  block.NormalizeRanges(ranges, local.NumBlocks()),
 	}
+	p.fetches = window.New(hashWindow, 0, func(f *hashFetch) {
+		f.hashes, f.err = remote.ReadHashes(f.base, f.count)
+	}, p.fetched)
+	p.repairs = window.New(repairWindowRuns, repairWindowBytes, func(r *run) {
+		r.err = remote.WriteBlocks(r.lba, r.data)
+	}, p.settle)
 	err := p.compare()
 
-	// Whatever ended the comparison, wait out what is in flight: no
-	// goroutine outlives the run, and the stats count every command the
-	// replica did answer. The first error is the one reported.
-	for _, f := range p.fetches {
-		_, _ = p.await(f) // counted if it succeeded; an error after the first adds nothing
-	}
-	for p.flying > 0 {
-		if aerr := p.settle(<-p.acks); err == nil {
-			err = aerr
-		}
+	// Whatever ended the comparison, drain both windows: no goroutine
+	// outlives the run, and the stats count every command the replica did
+	// answer. The first error is the one reported.
+	p.fetches.Drain()
+	p.repairs.Drain()
+	if err == nil {
+		err = p.err
 	}
 	p.stats.WireBytes = int64(wan.WireBytesDiscrete(int(p.stats.HashBytes))) +
 		int64(wan.WireBytesDiscrete(int(p.stats.DataBytes)))
@@ -208,34 +213,32 @@ func canceled(cancel, stop <-chan struct{}) bool {
 }
 
 // pipeline is the state of one run. Everything in it belongs to the
-// comparer goroutine; a fetch or a run is handed to the goroutine that
-// performs its command and comes back through its done channel or acks.
+// comparer goroutine; a fetch or a run is the command's while it is in
+// its window.
 type pipeline struct {
-	local  block.Store
-	remote *iscsi.Initiator
-	cfg    Config
-	stop   <-chan struct{}
-	stats  Stats
+	local block.Store
+	cfg   Config
+	stop  <-chan struct{}
+	stats Stats
+	err   error // the first repair write that failed
 
 	todo    []block.Range // normalized ranges not yet cut into fetches
-	fetches []*hashFetch  // in flight, oldest first; at most hashWindow
+	fetches *window.Window[*hashFetch]
+	ahead   []*hashFetch // issued and not yet compared, oldest first; at most hashWindow
 
-	open *run   // the differing run being gathered, not yet issued
-	free []*run // acknowledged runs, kept for their buffers
-
-	acks        chan *run // completed repair writes
-	flying      int       // repair writes in flight
-	flyingBytes int
+	open    *run   // the differing run being gathered, not yet issued
+	free    []*run // acknowledged runs, kept for their buffers
+	repairs *window.Window[*run]
 }
 
-// hashFetch is one ReadHashes command; hashes and err are the
-// fetcher's until done is closed.
+// hashFetch is one ReadHashes command. settled is the comparer's, set
+// when the window hands the fetch back.
 type hashFetch struct {
-	base   uint64
-	count  uint32
-	hashes []uint64
-	err    error
-	done   chan struct{}
+	base    uint64
+	count   uint32
+	hashes  []uint64
+	err     error
+	settled bool
 }
 
 // run is one repair write: the differing blocks [lba, lba+len(hashes)),
@@ -259,24 +262,23 @@ func (r *run) takes(lba uint64, n int) bool {
 func (p *pipeline) compare() error {
 	buf := make([]byte, p.local.BlockSize())
 	for {
-		if err := p.reap(); err != nil {
-			return err
-		}
-		if len(p.fetches) == 0 && len(p.todo) == 0 {
+		if len(p.ahead) == 0 && len(p.todo) == 0 {
 			return p.issue()
 		}
 		if canceled(p.cfg.Cancel, p.stop) {
 			return ErrCanceled
 		}
 		p.fetchAhead()
-		f := p.fetches[0]
-		p.fetches = p.fetches[1:]
-		remoteHashes, err := p.await(f)
-		if err != nil {
-			return err
+		f := p.ahead[0] // batches are compared in issue order
+		p.ahead = p.ahead[1:]
+		for !f.settled {
+			p.fetches.Wait()
+		}
+		if f.err != nil {
+			return fmt.Errorf("resync: fetch hashes at %d: %w", f.base, f.err)
 		}
 
-		for i, remoteHash := range remoteHashes {
+		for i, remoteHash := range f.hashes {
 			if canceled(p.cfg.Cancel, p.stop) {
 				return ErrCanceled
 			}
@@ -315,31 +317,26 @@ func (p *pipeline) compare() error {
 
 // fetchAhead tops the hash window up from the ranges still to scan.
 func (p *pipeline) fetchAhead() {
-	for len(p.fetches) < hashWindow && len(p.todo) > 0 {
+	for len(p.ahead) < hashWindow && len(p.todo) > 0 {
 		r := &p.todo[0]
-		f := &hashFetch{base: r.Start, count: uint32(min(r.Count, uint64(p.cfg.Batch))), done: make(chan struct{})}
+		f := &hashFetch{base: r.Start, count: uint32(min(r.Count, uint64(p.cfg.Batch)))}
 		r.Start += uint64(f.count)
 		r.Count -= uint64(f.count)
 		if r.Count == 0 {
 			p.todo = p.todo[1:]
 		}
-		p.fetches = append(p.fetches, f)
-		go func() {
-			f.hashes, f.err = p.remote.ReadHashes(f.base, f.count)
-			close(f.done)
-		}()
+		p.ahead = append(p.ahead, f)
+		p.fetches.Go(f, 0)
 	}
 }
 
-// await waits for a fetch and books it.
-func (p *pipeline) await(f *hashFetch) ([]uint64, error) {
-	<-f.done
-	if f.err != nil {
-		return nil, fmt.Errorf("resync: fetch hashes at %d: %w", f.base, f.err)
+// fetched settles a fetch: it is counted if the replica answered it.
+func (p *pipeline) fetched(f *hashFetch) {
+	f.settled = true
+	if f.err == nil {
+		p.stats.HashFetches++
+		p.stats.HashBytes += int64(f.count) * iscsi.HashSize
 	}
-	p.stats.HashFetches++
-	p.stats.HashBytes += int64(f.count) * iscsi.HashSize
-	return f.hashes, nil
 }
 
 // newRun starts a run at lba, on an acknowledged run's buffers when
@@ -356,7 +353,7 @@ func (p *pipeline) newRun(lba uint64) *run {
 }
 
 // issue is stage three's sending half: it puts the open run, if any, on
-// the wire, first waiting for acknowledgements until both windows have
+// the wire, first settling acknowledged writes until the window has
 // room for it. A run larger than the byte window goes alone.
 func (p *pipeline) issue() error {
 	r := p.open
@@ -364,42 +361,25 @@ func (p *pipeline) issue() error {
 		return nil
 	}
 	p.open = nil
-	for p.flying > 0 && (p.flying == repairWindowRuns || p.flyingBytes+len(r.data) > repairWindowBytes) {
-		if err := p.settle(<-p.acks); err != nil {
-			return err
-		}
+	for p.err == nil && !p.repairs.Room(len(r.data)) {
+		p.repairs.Wait()
 	}
-	p.flying++
-	p.flyingBytes += len(r.data)
-	go func() {
-		r.err = p.remote.WriteBlocks(r.lba, r.data)
-		p.acks <- r
-	}()
+	if p.err != nil {
+		return p.err
+	}
+	p.repairs.Go(r, len(r.data))
 	return nil
-}
-
-// reap settles the repair writes that have completed, without waiting.
-func (p *pipeline) reap() error {
-	for {
-		select {
-		case r := <-p.acks:
-			if err := p.settle(r); err != nil {
-				return err
-			}
-		default:
-			return nil
-		}
-	}
 }
 
 // settle is stage three's receiving half: an acknowledged run is
 // counted and learned — the replica now provably holds those blocks —
-// and a failed one is neither.
-func (p *pipeline) settle(r *run) error {
-	p.flying--
-	p.flyingBytes -= len(r.data)
+// and a failed one is neither, and the first failure is kept in p.err.
+func (p *pipeline) settle(r *run) {
 	if r.err != nil {
-		return fmt.Errorf("resync: repair %d+%d: %w", r.lba, len(r.hashes), r.err)
+		if p.err == nil {
+			p.err = fmt.Errorf("resync: repair %d+%d: %w", r.lba, len(r.hashes), r.err)
+		}
+		return
 	}
 	p.stats.RepairWrites++
 	p.stats.BlocksRepaired += uint64(len(r.hashes))
@@ -408,7 +388,6 @@ func (p *pipeline) settle(r *run) error {
 		p.learn(r.lba+uint64(i), h)
 	}
 	p.free = append(p.free, r)
-	return nil
 }
 
 func (p *pipeline) learn(lba, hash uint64) {

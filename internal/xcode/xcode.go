@@ -165,8 +165,10 @@ func Decode(frame []byte) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
+	// XOR into the zeroed buffer: the one pass skips zero runs instead of
+	// clearing them a second time.
 	out := make([]byte, decodedLen)
-	if err := decodeBody(out, c, body, false); err != nil {
+	if err := decodeBody(out, c, body, true); err != nil {
 		return nil, err
 	}
 	return out, nil
