@@ -1005,7 +1005,7 @@ func BenchmarkAblationSqueeze(b *testing.B) {
 	}
 }
 
-// --- hot path: group commit + zero-copy encode (DESIGN.md section 4) ---
+// --- hot path: zero-copy encode (DESIGN.md section 4) ---
 
 // hotpathEncode is the primary's per-write encode work exactly as the
 // pipeline composes it: XOR+density kernel into a scratch parity
@@ -1222,20 +1222,15 @@ var hotpathSink uint64
 
 // BenchmarkHotpathSyncShip measures synchronous replication throughput
 // of 8 closed-loop writers through a real initiator/target session over
-// a metro-latency shaped link, with group commit off versus on, and
-// ungrouped over four shards. Ungrouped, every writer takes the shard
-// lock, applies, and enqueues its own message, and the pipe's ship
-// window keeps up to eight of those pushes in flight on the multiplexed
-// session, so the writers' round trips overlap; a write waits only
-// when a push still in flight carries its LBA (admitwaits/write: about
-// one write in forty at 8 writers over 256 blocks). Grouped, a
-// queue-full of same-shard writes commits under one lock pass (the
-// early-flush trigger fires at FlushFrames, so the window never idles a
-// saturated shard) and drains to the replica as one aligned wire batch
-// per group. With the window all three arms run at the link's pace for
-// eight writers — the shards-4 arm, which used to be the only one with
-// overlapping pushes, is no longer ahead. This is the writes/s figure
-// the CI regression guard tracks (BENCH_hotpath.json).
+// a metro-latency shaped link, on one shard and on four. Every writer
+// takes its shard lock, applies, and enqueues its own message, and the
+// pipe's ship window keeps up to eight of those pushes in flight on the
+// multiplexed session, so the writers' round trips overlap; a write
+// waits only when a push still in flight carries its LBA
+// (admitwaits/write: about one write in forty at 8 writers over 256
+// blocks). Both arms run at the link's pace for eight writers. This is
+// the writes/s figure the CI regression guard tracks
+// (BENCH_hotpath.json).
 func BenchmarkHotpathSyncShip(b *testing.B) {
 	const (
 		blockSize = 8 << 10
@@ -1243,30 +1238,20 @@ func BenchmarkHotpathSyncShip(b *testing.B) {
 		latency   = 500 * time.Microsecond
 		writers   = 8
 	)
-	for _, arm := range []string{"group-off", "group-on", "shards-4"} {
-		name := arm
+	for _, arm := range []string{"one-shard", "shards-4"} {
 		cfg := core.Config{
 			Mode:        core.ModePRINS,
 			QueueDepth:  256,
 			BatchFrames: 64,
 		}
-		switch arm {
-		case "group-on":
-			// Window >= the link round trip: in-flight writers' acks
-			// return inside the window, so their next writes rejoin
-			// the forming group instead of phase-splitting into
-			// half-size groups. The early-flush trigger still commits
-			// the moment all writers have queued.
-			cfg.FlushWindow = 4 * latency
-			cfg.FlushFrames = writers
-		case "shards-4":
+		if arm == "shards-4" {
 			// Four ship pipelines over the one session. Before the ship
 			// window this was the only arm whose round trips overlapped
-			// (1.17-1.22x group-off); now it checks that sharding a
+			// (1.17-1.22x one shard); now it checks that sharding a
 			// windowed pipe costs nothing.
 			cfg.Shards = 4
 		}
-		b.Run(name, func(b *testing.B) {
+		b.Run(arm, func(b *testing.B) {
 			sink, err := block.NewMem(blockSize, numBlocks)
 			if err != nil {
 				b.Fatal(err)
@@ -1304,9 +1289,6 @@ func BenchmarkHotpathSyncShip(b *testing.B) {
 			runWriters(b, engine, writers, func(rng *rand.Rand, buf []byte) { buf[rng.Intn(len(buf))] = byte(rng.Intn(256)) })
 			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "writes/s")
 			b.ReportMetric(float64(engine.ReplicaStats()[0].Metrics.AdmitWaits)/float64(b.N), "admitwaits/write")
-			if s := engine.Traffic().Snapshot(); s.GroupCommits > 0 {
-				b.ReportMetric(float64(s.GroupedWrites)/float64(s.GroupCommits), "writes/group")
-			}
 		})
 	}
 }

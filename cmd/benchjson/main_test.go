@@ -68,9 +68,9 @@ func TestParseStripsProcsSuffix(t *testing.T) {
 		procs int
 		want  string
 	}{
-		{"BenchmarkHotpathSyncShip/group-off 500 373198 ns/op", 1, "BenchmarkHotpathSyncShip/group-off"},
+		{"BenchmarkHotpathSyncShip/one-shard 500 373198 ns/op", 1, "BenchmarkHotpathSyncShip/one-shard"},
 		{"BenchmarkHotpathSyncShip/shards-4 500 373198 ns/op", 1, "BenchmarkHotpathSyncShip/shards-4"},
-		{"BenchmarkHotpathSyncShip/group-off-2 500 373198 ns/op", 2, "BenchmarkHotpathSyncShip/group-off"},
+		{"BenchmarkHotpathSyncShip/one-shard-2 500 373198 ns/op", 2, "BenchmarkHotpathSyncShip/one-shard"},
 		{"BenchmarkHotpathSyncShip/shards-4-2 500 373198 ns/op", 2, "BenchmarkHotpathSyncShip/shards-4"},
 		{"BenchmarkHotpathSyncShip/shards-4-4 500 373198 ns/op", 4, "BenchmarkHotpathSyncShip/shards-4"},
 		{"BenchmarkGroupRepair-16 100 5 ns/op 1234 wireB", 16, "BenchmarkGroupRepair"},
@@ -156,7 +156,7 @@ func TestParseRecordsGOMAXPROCS(t *testing.T) {
 func TestGuardRefusesMixedGOMAXPROCS(t *testing.T) {
 	baseline := func(procs int) string {
 		enc, err := json.Marshal(&Report{Benchmarks: []Benchmark{{
-			Name: "BenchmarkHotpathSyncShip/group-off", Iterations: 2000, GOMAXPROCS: procs,
+			Name: "BenchmarkHotpathSyncShip/one-shard", Iterations: 2000, GOMAXPROCS: procs,
 			Metrics: map[string]float64{"writes/s": 2680},
 		}}})
 		if err != nil {
@@ -169,14 +169,14 @@ func TestGuardRefusesMixedGOMAXPROCS(t *testing.T) {
 		return path
 	}
 	fresh := &Report{Benchmarks: []Benchmark{{
-		Name: "BenchmarkHotpathSyncShip/group-off", Iterations: 2000, GOMAXPROCS: 2,
+		Name: "BenchmarkHotpathSyncShip/one-shard", Iterations: 2000, GOMAXPROCS: 2,
 		Metrics: map[string]float64{"writes/s": 5439},
 	}}}
 	err := guard(fresh, baseline(1), "writes/s", 10, false, &bytes.Buffer{})
 	if err == nil {
 		t.Fatal("a GOMAXPROCS=1 baseline was compared with a GOMAXPROCS=2 run")
 	}
-	for _, want := range []string{"BenchmarkHotpathSyncShip/group-off", "GOMAXPROCS=1", "GOMAXPROCS=2"} {
+	for _, want := range []string{"BenchmarkHotpathSyncShip/one-shard", "GOMAXPROCS=1", "GOMAXPROCS=2"} {
 		if !strings.Contains(err.Error(), want) {
 			t.Errorf("refusal %q does not mention %s", err, want)
 		}

@@ -54,9 +54,6 @@ func run(args []string) error {
 
 		queueDepth    = fs.Int("queue-depth", 256, "ship queue depth per replica")
 		batchFrames   = fs.Int("batch-frames", 32, "max frames drained into one batched push (1 = no batching)")
-		batchBytes    = fs.Int("batch-bytes", 1<<20, "soft cap on batched frame payload bytes per push")
-		flushWindow   = fs.Duration("flush-window", 0, "group-commit flush window: same-shard writes arriving within it commit as one unit (0 = per-write commit)")
-		flushFrames   = fs.Int("flush-frames", 64, "grouped writes per flush pass; a queue filling to this commits before the window elapses")
 		retryAttempts = fs.Int("retry-attempts", 3, "replication push attempts before giving up on a replica")
 		retryTimeout  = fs.Duration("retry-timeout", 10*time.Second, "per-attempt replication timeout (0 = none)")
 		retryBackoff  = fs.Duration("retry-backoff", 250*time.Millisecond, "base backoff between push attempts, doubled with jitter")
@@ -119,10 +116,7 @@ func run(args []string) error {
 				AllowDegraded: *degraded,
 				DedupeEntries: *dedupe,
 				BatchFrames:   *batchFrames,
-				BatchBytes:    *batchBytes,
 				Shards:        *shards,
-				FlushWindow:   *flushWindow,
-				FlushFrames:   *flushFrames,
 			},
 		})
 	}
@@ -190,10 +184,7 @@ func run(args []string) error {
 			AllowDegraded: *degraded,
 			DedupeEntries: *dedupe,
 			BatchFrames:   *batchFrames,
-			BatchBytes:    *batchBytes,
 			Shards:        *shards,
-			FlushWindow:   *flushWindow,
-			FlushFrames:   *flushFrames,
 			GroupK:        groupK,
 			GroupN:        groupN,
 		})
@@ -410,6 +401,10 @@ func runVolumes(o volumeOpts) error {
 						}
 						log.Printf("prinsd: vol%d%s writes=%d shipped=%s saved=%.1fx",
 							id, state, s.Writes, formatBytes(s.PayloadBytes), s.SavingsVsRaw)
+						if s.DedupeHits+s.DedupeMisses > 0 {
+							log.Printf("prinsd: vol%d dedupe hits=%d misses=%d saved=%s",
+								id, s.DedupeHits, s.DedupeMisses, formatBytes(s.DedupeSavedWireBytes))
+						}
 					}
 				case <-o.stop:
 					return vm.Drain()

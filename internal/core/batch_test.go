@@ -400,20 +400,18 @@ func TestChaosBatchConnResetMidBatch(t *testing.T) {
 }
 
 // TestBatchConfigDefaults pins the knob clamping: zero selects the
-// defaults, negatives disable, and the wire cap bounds the top.
+// default, negatives disable, and the wire cap bounds the top.
 func TestBatchConfigDefaults(t *testing.T) {
 	for _, tt := range []struct {
-		in         Config
-		frames, by int
+		in     Config
+		frames int
 	}{
-		{Config{Mode: ModePRINS}, 32, 1 << 20},
-		{Config{Mode: ModePRINS, BatchFrames: -3, BatchBytes: -1}, 1, 1 << 20},
-		{Config{Mode: ModePRINS, BatchFrames: 1 << 20, BatchBytes: 64}, iscsi.MaxBatchFrames, 64},
+		{Config{Mode: ModePRINS}, 32},
+		{Config{Mode: ModePRINS, BatchFrames: -3}, 1},
+		{Config{Mode: ModePRINS, BatchFrames: 1 << 20}, iscsi.MaxBatchFrames},
 	} {
-		got := tt.in.withDefaults()
-		if got.BatchFrames != tt.frames || got.BatchBytes != tt.by {
-			t.Errorf("withDefaults(%+v): BatchFrames %d BatchBytes %d, want %d %d",
-				tt.in, got.BatchFrames, got.BatchBytes, tt.frames, tt.by)
+		if got := tt.in.withDefaults(); got.BatchFrames != tt.frames {
+			t.Errorf("withDefaults(%+v): BatchFrames %d, want %d", tt.in, got.BatchFrames, tt.frames)
 		}
 	}
 }

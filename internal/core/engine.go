@@ -182,11 +182,6 @@ type Config struct {
 	// to the pre-batching wire format). Ignored for replica clients
 	// that do not implement BatchReplicaClient.
 	BatchFrames int
-	// BatchBytes soft-caps the encoded payload bytes of one batch:
-	// draining stops once the accumulated frames reach it (the frame
-	// that crosses the line still rides along). Zero means the default
-	// (1 MiB).
-	BatchBytes int
 	// Shards splits the device into that many contiguous LBA ranges,
 	// each with its own write lock, sequence space, dirty maps, and
 	// per-replica ship pipelines, so writers on different shards never
@@ -204,24 +199,9 @@ type Config struct {
 	// untagged and wire-compatible with pre-sharding peers; nonzero
 	// requires stream-capable replica clients.
 	Volume uint16
-	// FlushWindow enables primary-side group commit: writers landing on
-	// the same shard within the window are drained as one unit — a
-	// single shard-lock pass covers every queued write's local apply,
-	// seq allocation, and pipeline enqueue, amortizing the fixed
-	// per-write costs over the group. The first writer to arrive leads:
-	// it waits (no locks held) until the window elapses or the queue
-	// fills a whole FlushFrames chunk — whichever comes first — then
-	// commits the whole queue; followers just wait for their result.
-	// The window is a latency deadline, not a mandatory delay: a
-	// saturated shard groups at arrival speed. Per-write latency is
-	// bounded by the window plus the commit itself. Zero (the default)
-	// disables group commit and keeps the per-write path.
-	FlushWindow time.Duration
 	// Group, when set (N > 0), runs the engine in GroupMode: writes are
 	// RS-striped K-of-N across the replica set with quorum commit and
-	// unit-sized replica stores. See GroupConfig. Incompatible with
-	// FlushWindow (group commit batches whole-block frames; a striped
-	// write already fans out per unit).
+	// unit-sized replica stores. See GroupConfig.
 	Group GroupConfig
 	// DedupeEntries enables the content-addressed ship-by-reference
 	// fast path and bounds the per-replica index backing it: for each
@@ -237,14 +217,6 @@ type Config struct {
 	// replica-specific stripes, not content-addressable blocks).
 	// Negative selects the default bound (dedupe.DefaultEntries).
 	DedupeEntries int
-	// FlushFrames caps how many queued writes one group-commit flush
-	// drains per shard-lock pass (a larger backlog commits in
-	// successive passes, so the lock is never held for an unbounded
-	// batch) and doubles as the early-flush trigger: a queue that
-	// fills to FlushFrames commits without waiting out the window.
-	// Zero means the default (64), capped at iscsi.MaxBatchFrames.
-	// Ignored unless FlushWindow is set.
-	FlushFrames int
 }
 
 func (c Config) withDefaults() Config {
@@ -260,19 +232,8 @@ func (c Config) withDefaults() Config {
 	if c.BatchFrames > iscsi.MaxBatchFrames {
 		c.BatchFrames = iscsi.MaxBatchFrames
 	}
-	if c.BatchBytes <= 0 {
-		c.BatchBytes = 1 << 20
-	}
 	if c.Shards < 1 {
 		c.Shards = 1
-	}
-	if c.FlushWindow > 0 {
-		if c.FlushFrames <= 0 {
-			c.FlushFrames = 64
-		}
-		if c.FlushFrames > iscsi.MaxBatchFrames {
-			c.FlushFrames = iscsi.MaxBatchFrames
-		}
 	}
 	return c
 }
@@ -285,13 +246,8 @@ func (c Config) Validate() error {
 	if c.Shards > MaxShards {
 		return fmt.Errorf("core: %d shards exceeds the maximum %d", c.Shards, MaxShards)
 	}
-	if c.Group.enabled() {
-		if c.Group.K < 1 || c.Group.K > c.Group.N || c.Group.N > parity.MaxGroupUnits {
-			return fmt.Errorf("core: invalid replica group k=%d n=%d", c.Group.K, c.Group.N)
-		}
-		if c.FlushWindow > 0 {
-			return fmt.Errorf("core: GroupMode is incompatible with FlushWindow group commit")
-		}
+	if c.Group.enabled() && (c.Group.K < 1 || c.Group.K > c.Group.N || c.Group.N > parity.MaxGroupUnits) {
+		return fmt.Errorf("core: invalid replica group k=%d n=%d", c.Group.K, c.Group.N)
 	}
 	return nil
 }
@@ -342,34 +298,6 @@ type shard struct {
 	// the delta, but the replica verifies the unit it recovers).
 	gUnits [][]byte
 	gNew   [][]byte
-
-	// Group-commit state (Config.FlushWindow > 0). Writers append to
-	// gcQueue under gcMu; the first writer of a window becomes the
-	// leader, waits out the flush window with no locks held, then
-	// commits the whole queue under a single s.mu pass. gcMu is a leaf
-	// lock: never acquired with s.mu held. gcWake carries the early
-	// flush signal: the follower whose arrival fills the queue to
-	// FlushFrames nudges the leader instead of letting it sleep out
-	// the rest of the window — the window is a latency deadline, not a
-	// mandatory wait, so a saturated shard groups at arrival speed. A
-	// stale token (leader already woken by the timer) at worst wakes
-	// the next leader into a smaller group, which is always safe.
-	gcMu     sync.Mutex
-	gcQueue  []*gcReq
-	gcLeader bool
-	gcWake   chan struct{}
-}
-
-// gcReq is one writer's slot in a shard's group-commit queue. The
-// leader fills err/ack during the commit pass and closes done; the
-// owning writer then collects its own acks outside every lock, exactly
-// like the ungrouped path.
-type gcReq struct {
-	lba  uint64
-	data []byte
-	done chan struct{}
-	err  error
-	ack  chan error
 }
 
 // Engine is the primary-side PRINS engine. It wraps the local block
@@ -457,7 +385,6 @@ func NewEngine(local block.Store, cfg Config) (*Engine, error) {
 			id:     uint8(i),
 			oldBuf: make([]byte, local.BlockSize()),
 			fpBuf:  make([]byte, local.BlockSize()),
-			gcWake: make(chan struct{}, 1),
 		}
 		if e.rsCodec != nil {
 			u := e.rsCodec.UnitSize(local.BlockSize())
@@ -749,13 +676,9 @@ func (e *Engine) NumBlocks() uint64 { return e.local.NumBlocks() }
 // another shard's writes (see commit). In synchronous mode the write
 // then waits, outside the lock, for its replicas' acks, so concurrent
 // writers overlap their fan-out waits instead of serializing WAN round
-// trips behind a lock. With group commit on (Config.FlushWindow) the
-// lock pass is the leader's, shared with every write queued meanwhile.
+// trips behind a lock.
 func (e *Engine) WriteBlock(lba uint64, data []byte) error {
 	s := e.shardOf(lba)
-	if e.cfg.FlushWindow > 0 {
-		return e.writeGrouped(s, lba, data)
-	}
 	s.mu.Lock()
 	ack, err := e.commit(s, lba, data)
 	s.mu.Unlock()
@@ -937,88 +860,6 @@ func (e *Engine) encodeFrames(s *shard, src, data []byte) error {
 	}
 	e.shardM.AddEncodeTime(int(s.id), time.Since(start))
 	return nil
-}
-
-// writeGrouped is the group-commit write path (Config.FlushWindow >
-// 0). The writer queues its request on the shard; the first writer of
-// a window becomes the leader, waits — at most one flush window, less
-// if the queue fills a whole chunk first — with no locks held, then
-// commits everything queued meanwhile under a single shard-lock pass:
-// one lock acquisition, one contiguous seq range, one metrics pass
-// for the whole group instead of one per write.
-// Followers block until the leader settles their request, then await
-// their own replica acks exactly like the ungrouped path, so sync-mode
-// semantics (write returns once every replica acknowledged) are
-// preserved.
-func (e *Engine) writeGrouped(s *shard, lba uint64, data []byte) error {
-	req := &gcReq{lba: lba, data: data, done: make(chan struct{})}
-	s.gcMu.Lock()
-	if e.closed.Load() {
-		s.gcMu.Unlock()
-		return ErrEngineClosed
-	}
-	s.gcQueue = append(s.gcQueue, req)
-	leader := !s.gcLeader
-	if leader {
-		s.gcLeader = true
-	} else if len(s.gcQueue) >= e.cfg.FlushFrames {
-		// The queue just filled a whole flush chunk: wake the leader
-		// now rather than letting it sleep out the rest of the window.
-		select {
-		case s.gcWake <- struct{}{}:
-		default:
-		}
-	}
-	s.gcMu.Unlock()
-
-	if leader {
-		timer := time.NewTimer(e.cfg.FlushWindow)
-		select {
-		case <-timer.C:
-		case <-s.gcWake:
-			timer.Stop()
-		}
-		s.gcMu.Lock()
-		batch := s.gcQueue
-		s.gcQueue = nil
-		s.gcLeader = false
-		// Drop any wake token that raced with the timer so it cannot
-		// cut the next window short.
-		select {
-		case <-s.gcWake:
-		default:
-		}
-		s.gcMu.Unlock()
-		e.commitGroup(s, batch)
-	}
-
-	<-req.done
-	if req.err != nil {
-		return req.err
-	}
-	return e.await(req.ack, lba)
-}
-
-// commitGroup commits one drained group-commit batch in chunks of at
-// most FlushFrames, so the shard lock is never held across an unbounded
-// backlog. Each chunk takes a single s.mu acquisition: every request's
-// local apply, its slot in the shard's contiguous seq range, and its
-// fan-out onto the shard's pipelines happen in one critical section.
-// Requests are settled (done closed) only after the lock is released.
-func (e *Engine) commitGroup(s *shard, batch []*gcReq) {
-	e.traffic.AddGroupCommit(len(batch))
-	for len(batch) > 0 {
-		chunk := batch[:min(len(batch), e.cfg.FlushFrames)]
-		batch = batch[len(chunk):]
-		s.mu.Lock()
-		for _, r := range chunk {
-			r.ack, r.err = e.commit(s, r.lba, r.data)
-		}
-		s.mu.Unlock()
-		for _, r := range chunk {
-			close(r.done)
-		}
-	}
 }
 
 // localApply performs the local write and returns the bytes the write

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"testing"
-	"time"
 
 	"prins/internal/block"
 	"prins/internal/iscsi"
@@ -356,7 +355,6 @@ func TestGroupConfigValidation(t *testing.T) {
 		{Mode: ModePRINS, Group: GroupConfig{K: 0, N: 2}},
 		{Mode: ModePRINS, Group: GroupConfig{K: 3, N: 2}},
 		{Mode: ModePRINS, Group: GroupConfig{K: 1, N: 300}},
-		{Mode: ModePRINS, Group: GroupConfig{K: 1, N: 2}, FlushWindow: time.Millisecond},
 	}
 	for i, cfg := range bad {
 		if err := cfg.Validate(); err == nil {

@@ -137,6 +137,12 @@ func (rs *replicaState) degrade() {
 // does ship.
 const shipWindow = 8
 
+// batchBytes soft-caps the encoded payload bytes of one drained run:
+// draining stops once the run's frames reach it (the frame that crosses
+// the line still rides along). A constant, not a knob: at the default
+// BatchFrames it binds only on runs of frames averaging over 32 KiB.
+const batchBytes = 1 << 20
+
 // pipe is one (shard, replica) ship pipeline: the shard's frames to
 // that replica flow through its queue in seq order, and the blocks the
 // replica is missing from that shard accumulate in its dirty map.
@@ -284,10 +290,11 @@ type shipRun struct {
 }
 
 // drain opportunistically drains p's queue behind first into run, up to
-// the configured frame/byte caps, without ever blocking: batches form
-// only from backlog already sitting in the queue, so an idle pipeline
-// keeps single-write latency while a pipeline behind a slow link
-// amortizes its round trips over everything that queued up meanwhile.
+// Config.BatchFrames frames and batchBytes bytes, without ever blocking:
+// batches form only from backlog already sitting in the queue, so an
+// idle pipeline keeps single-write latency while a pipeline behind a
+// slow link amortizes its round trips over everything that queued up
+// meanwhile.
 // A pipe that does not batch delivers frame by frame. backlog reports
 // that the run stopped at a cap, not at an empty queue: the pipe is
 // behind, which is when squeezing its bytes can pay.
@@ -297,7 +304,7 @@ func (e *Engine) drain(p *pipe, run []repMsg, first repMsg) (_ []repMsg, backlog
 		return run, false
 	}
 	bytes := len(first.frame.frame())
-	for len(run) < e.cfg.BatchFrames && bytes < e.cfg.BatchBytes {
+	for len(run) < e.cfg.BatchFrames && bytes < batchBytes {
 		select {
 		case msg := <-p.queue:
 			run = append(run, msg)

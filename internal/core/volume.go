@@ -208,6 +208,7 @@ var _ iscsi.Backend = (*ReplicaSet)(nil)
 var _ iscsi.BatchBackend = (*ReplicaSet)(nil)
 var _ iscsi.StreamBackend = (*ReplicaSet)(nil)
 var _ iscsi.StreamBatchBackend = (*ReplicaSet)(nil)
+var _ iscsi.ByRefBackend = (*ReplicaSet)(nil)
 
 // NewReplicaSet returns an empty set; add volumes before serving.
 func NewReplicaSet() *ReplicaSet {
@@ -319,4 +320,15 @@ func (s *ReplicaSet) HandleReplicaBatchStream(mode, shard uint8, vol uint16, ent
 		return refuseAll(len(entries), iscsi.StatusBadRequest)
 	}
 	return re.HandleReplicaBatchStream(mode, shard, vol, entries)
+}
+
+// HandleReplicaByRef implements iscsi.ByRefBackend, routing by the wire
+// tag's volume id: a reference resolves against its own volume's
+// content index, never another volume's.
+func (s *ReplicaSet) HandleReplicaByRef(mode, shard uint8, vol uint16, entries []iscsi.BatchEntry) []iscsi.Status {
+	re := s.Volume(vol)
+	if re == nil {
+		return refuseAll(len(entries), iscsi.StatusBadRequest)
+	}
+	return re.HandleReplicaByRef(mode, shard, vol, entries)
 }

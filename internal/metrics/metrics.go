@@ -33,9 +33,6 @@ type Traffic struct {
 	coalesced     atomic.Int64 // frames XOR-merged away inside batches
 	batchSaved    atomic.Int64 // modelled wire bytes saved vs single-frame shipping
 
-	groupCommits  atomic.Int64 // group-commit flushes on the primary
-	groupedWrites atomic.Int64 // writes that rode a group commit
-
 	dedupeHits   atomic.Int64 // pushes shipped (or applied) by content reference
 	dedupeMisses atomic.Int64 // by-ref pushes refused (ref miss) and fallen back
 	dedupeSaved  atomic.Int64 // modelled wire bytes saved by shipping by reference
@@ -147,38 +144,18 @@ func (t *Traffic) AddBatch(frames int, payloadBytes, wireBytes, saved int64) {
 // same-LBA parities combined into one wire frame).
 func (t *Traffic) AddCoalesced(n int64) { t.coalesced.Add(n) }
 
-// AddGroupCommit records one group-commit flush that drained n queued
-// writes under a single shard-lock pass.
-func (t *Traffic) AddGroupCommit(n int) {
-	t.groupCommits.Add(1)
-	t.groupedWrites.Add(int64(n))
-}
-
 // AddDedupeHit records one push shipped (primary) or materialized
 // (replica) by content reference instead of a frame.
 func (t *Traffic) AddDedupeHit() { t.dedupeHits.Add(1) }
-
-// AddDedupeHits records n by-ref pushes at once.
-func (t *Traffic) AddDedupeHits(n int64) { t.dedupeHits.Add(n) }
 
 // AddDedupeMiss records one by-ref push the replica could not resolve
 // (StatusRefMiss) — on the primary, the entry was re-shipped by value.
 func (t *Traffic) AddDedupeMiss() { t.dedupeMisses.Add(1) }
 
-// AddDedupeMisses records n ref misses at once.
-func (t *Traffic) AddDedupeMisses(n int64) { t.dedupeMisses.Add(n) }
-
-// AddDedupeSavedWire records modelled wire bytes saved by shipping
-// delivered entries by reference: what the entries' frames would have
-// cost on the wire minus what the by-ref push (and any fallback
-// re-ship of refused entries) actually cost. Only delivered entries
-// are credited; a miss storm can drive the value negative (the 28-byte
-// references were pure overhead) and it is recorded as-is so the gauge
-// stays honest.
-func (t *Traffic) AddDedupeSavedWire(saved int64) { t.dedupeSaved.Add(saved) }
-
 // AddDedupe records the dedupe outcome of one primary push in one
-// call; see Replica.AddDedupe for the field semantics.
+// call; see Replica.AddDedupe for the field semantics (saved is the
+// modelled wire bytes the references saved net of fallback re-ships,
+// and may be negative).
 func (t *Traffic) AddDedupe(hits, misses, saved int64) {
 	t.dedupeHits.Add(hits)
 	t.dedupeMisses.Add(misses)
@@ -217,10 +194,6 @@ type Snapshot struct {
 	// BatchSavedWire is the modelled wire bytes batching saved versus
 	// single-frame shipping.
 	BatchSavedWire int64
-	// GroupCommits counts group-commit flushes on the primary;
-	// GroupedWrites counts the writes they drained.
-	GroupCommits  int64
-	GroupedWrites int64
 	// DedupeHits counts pushes shipped/applied by content reference,
 	// DedupeMisses the by-ref pushes that missed and fell back, and
 	// DedupeSavedWire the modelled wire bytes the references saved.
@@ -251,8 +224,6 @@ func (t *Traffic) Snapshot() Snapshot {
 		Batches:        t.batches.Load(),
 		Coalesced:      t.coalesced.Load(),
 		BatchSavedWire: t.batchSaved.Load(),
-		GroupCommits:   t.groupCommits.Load(),
-		GroupedWrites:  t.groupedWrites.Load(),
 
 		DedupeHits:      t.dedupeHits.Load(),
 		DedupeMisses:    t.dedupeMisses.Load(),
@@ -291,8 +262,6 @@ func (t *Traffic) Reset() {
 	t.batches.Store(0)
 	t.coalesced.Store(0)
 	t.batchSaved.Store(0)
-	t.groupCommits.Store(0)
-	t.groupedWrites.Store(0)
 	t.dedupeHits.Store(0)
 	t.dedupeMisses.Store(0)
 	t.dedupeSaved.Store(0)

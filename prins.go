@@ -107,26 +107,6 @@ type Config struct {
 	// every write immediately. Zero selects the default (32); 1 disables
 	// batching entirely and every frame ships as a single-frame push.
 	BatchFrames int
-	// BatchBytes soft-caps the encoded payload of one batch: draining
-	// stops once the batch reaches this many frame bytes. Zero selects
-	// the default (1 MiB).
-	BatchBytes int
-
-	// FlushWindow enables primary-side group commit: writers landing on
-	// the same shard are drained as one unit — one shard-lock pass
-	// covers every queued write's local apply, sequence allocation, and
-	// pipeline enqueue. The first writer of a window leads; it waits
-	// until the window elapses or the queue fills a whole FlushFrames
-	// chunk, whichever comes first, then commits the group. Per-write
-	// latency is bounded by the window plus the commit. Zero (the
-	// default) keeps the per-write path.
-	FlushWindow time.Duration
-	// FlushFrames caps how many grouped writes one flush commits per
-	// shard-lock pass and doubles as the early-flush trigger (a queue
-	// that fills to FlushFrames commits without waiting out the
-	// window). Zero selects the default (64). Ignored unless
-	// FlushWindow is set.
-	FlushFrames int
 
 	// RetryAttempts is how many times a replication push is tried before
 	// the engine gives up on it (default 1 = no retry).
@@ -169,8 +149,8 @@ type Config struct {
 	// survives GroupN-GroupK replica losses: reads reconstruct from
 	// any GroupK survivors and a lost unit is rebuilt with a
 	// bandwidth-efficient pipelined repair chain (internal/repair).
-	// Zero GroupN keeps classic full-copy mirroring. Incompatible with
-	// FlushWindow.
+	// Zero GroupN keeps classic full-copy mirroring. A VolumeManager
+	// mirrors only and refuses a group.
 	GroupK int
 	GroupN int
 }
@@ -251,7 +231,16 @@ var _ Store = (*Primary)(nil)
 
 // NewPrimary wraps local with a replication engine.
 func NewPrimary(local Store, cfg Config) (*Primary, error) {
-	engine, err := core.NewEngine(local, core.Config{
+	engine, err := core.NewEngine(local, coreConfig(cfg))
+	if err != nil {
+		return nil, err
+	}
+	return &Primary{engine: engine}, nil
+}
+
+// coreConfig is the one translation of a Config into the engine's.
+func coreConfig(cfg Config) core.Config {
+	return core.Config{
 		Mode:          core.Mode(cfg.Mode),
 		Async:         cfg.Async,
 		QueueDepth:    cfg.QueueDepth,
@@ -265,16 +254,9 @@ func NewPrimary(local Store, cfg Config) (*Primary, error) {
 		AllowDegraded: cfg.AllowDegraded,
 		DedupeEntries: cfg.DedupeEntries,
 		BatchFrames:   cfg.BatchFrames,
-		BatchBytes:    cfg.BatchBytes,
 		Shards:        cfg.Shards,
-		FlushWindow:   cfg.FlushWindow,
-		FlushFrames:   cfg.FlushFrames,
 		Group:         core.GroupConfig{K: cfg.GroupK, N: cfg.GroupN},
-	})
-	if err != nil {
-		return nil, err
 	}
-	return &Primary{engine: engine}, nil
 }
 
 // AttachReplicaAddr connects to a replica node serving exportName at
@@ -689,8 +671,12 @@ func (p *Primary) ReplicaStats() []ReplicaStat {
 }
 
 // Stats snapshots the replication counters.
-func (p *Primary) Stats() Stats {
-	s := p.engine.Traffic().Snapshot()
+func (p *Primary) Stats() Stats { return engineStats(p.engine) }
+
+// engineStats snapshots one engine's replication counters; a Primary
+// and a Volume report the same set.
+func engineStats(e *core.Engine) Stats {
+	s := e.Traffic().Snapshot()
 	return Stats{
 		Writes:              s.Writes,
 		Replicated:          s.Replicated,
@@ -701,7 +687,7 @@ func (p *Primary) Stats() Stats {
 		EncodeTime:          s.EncodeTime,
 		MeanPayload:         s.MeanPayload(),
 		SavingsVsRaw:        s.SavingsVsRaw(),
-		MeanChangedFraction: p.engine.Density().Mean(),
+		MeanChangedFraction: e.Density().Mean(),
 		Retries:             s.Retries,
 		Dropped:             s.Dropped,
 		Diverged:            s.Diverged,

@@ -1,6 +1,7 @@
 package prins
 
 import (
+	"errors"
 	"fmt"
 	"net"
 	"strconv"
@@ -59,26 +60,7 @@ func (v *Volume) Drain() error { return v.eng.Drain() }
 func (v *Volume) Degraded() bool { return v.eng.Degraded() }
 
 // Stats snapshots this volume's replication counters.
-func (v *Volume) Stats() Stats {
-	s := v.eng.Traffic().Snapshot()
-	return Stats{
-		Writes:              s.Writes,
-		Replicated:          s.Replicated,
-		Skipped:             s.Skipped,
-		PayloadBytes:        s.PayloadBytes,
-		WireBytes:           s.WireBytes,
-		RawBytes:            s.RawBytes,
-		EncodeTime:          s.EncodeTime,
-		MeanPayload:         s.MeanPayload(),
-		SavingsVsRaw:        s.SavingsVsRaw(),
-		Retries:             s.Retries,
-		Dropped:             s.Dropped,
-		Diverged:            s.Diverged,
-		Batches:             s.Batches,
-		CoalescedFrames:     s.Coalesced,
-		BatchSavedWireBytes: s.BatchSavedWire,
-	}
-}
+func (v *Volume) Stats() Stats { return engineStats(v.eng) }
 
 // ShardStats reports this volume's per-shard counters.
 func (v *Volume) ShardStats() []ShardStat {
@@ -95,7 +77,6 @@ func (v *Volume) ShardStats() []ShardStat {
 // the manager's Config (Shards included); AttachReplicaAddr opens one
 // session shared by all volumes, present and future.
 type VolumeManager struct {
-	cfg    core.Config
 	vm     *core.VolumeManager
 	target *iscsi.Target
 	conns  []*iscsi.Initiator
@@ -104,29 +85,17 @@ type VolumeManager struct {
 
 // NewVolumeManager validates cfg and returns an empty manager. Volume
 // ids are 1..65535 (0 is the wire's untagged default and stays
-// reserved for standalone primaries).
+// reserved for standalone primaries). Volumes mirror: a cfg with GroupN
+// set is refused rather than silently ignored.
 func NewVolumeManager(cfg Config) (*VolumeManager, error) {
-	ccfg := core.Config{
-		Mode:          core.Mode(cfg.Mode),
-		Async:         cfg.Async,
-		QueueDepth:    cfg.QueueDepth,
-		SkipUnchanged: cfg.SkipUnchanged,
-		RecordDensity: cfg.RecordDensity,
-		Retry: core.RetryPolicy{
-			Attempts: cfg.RetryAttempts,
-			Timeout:  cfg.RetryTimeout,
-			Backoff:  cfg.RetryBackoff,
-		},
-		AllowDegraded: cfg.AllowDegraded,
-		BatchFrames:   cfg.BatchFrames,
-		BatchBytes:    cfg.BatchBytes,
-		Shards:        cfg.Shards,
+	if cfg.GroupN > 0 {
+		return nil, errors.New("prins: a volume manager mirrors; GroupK/GroupN do not apply")
 	}
-	vm, err := core.NewVolumeManager(ccfg)
+	vm, err := core.NewVolumeManager(coreConfig(cfg))
 	if err != nil {
 		return nil, err
 	}
-	return &VolumeManager{cfg: ccfg, vm: vm, vols: make(map[uint16]*Volume)}, nil
+	return &VolumeManager{vm: vm, vols: make(map[uint16]*Volume)}, nil
 }
 
 // AddVolume creates volume id over local and starts replicating it

@@ -260,3 +260,75 @@ func TestVolumesSharedSessionIsolation(t *testing.T) {
 		t.Fatal("volume 2 degraded during continued traffic")
 	}
 }
+
+// TestVolumesDedupeOverTCP: a volume manager honours DedupeEntries. The
+// same content written to a second LBA of a volume ships by reference
+// over the shared session, the replica materializes it from its own
+// copy, and the volume's Stats report the hit and the change density
+// exactly as a Primary's would.
+func TestVolumesDedupeOverTCP(t *testing.T) {
+	const (
+		blockSize = 512
+		numBlocks = 16
+	)
+	rv := prins.NewReplicaVolumes()
+	replicaStore, _ := prins.NewMemStore(blockSize, numBlocks)
+	if err := rv.AddVolume(1, prins.NewReplica(replicaStore)); err != nil {
+		t.Fatal(err)
+	}
+	rAddr, err := rv.Serve("127.0.0.1:0", "vols")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rv.Close()
+
+	vm, err := prins.NewVolumeManager(prins.Config{
+		Mode:          prins.ModePRINS,
+		Async:         true,
+		RecordDensity: true,
+		DedupeEntries: 64,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer vm.Close()
+	local, _ := prins.NewMemStore(blockSize, numBlocks)
+	v, err := vm.AddVolume(1, local)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := vm.AttachReplicaAddr(rAddr.String(), "vols"); err != nil {
+		t.Fatal(err)
+	}
+
+	content := make([]byte, blockSize)
+	rand.New(rand.NewSource(5)).Read(content)
+	for _, lba := range []uint64{3, 9} {
+		if err := v.WriteBlock(lba, content); err != nil {
+			t.Fatal(err)
+		}
+		// Drain between the two: the primary indexes the content only
+		// once the replica has acknowledged holding it.
+		if err := v.Drain(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if eq, err := prins.Equal(local, replicaStore); err != nil || !eq {
+		t.Fatalf("replica diverged (equal=%v, err=%v)", eq, err)
+	}
+	s := v.Stats()
+	if s.DedupeHits == 0 {
+		t.Errorf("DedupeHits = 0, want the second write shipped by reference (stats %+v)", s)
+	}
+	if s.MeanChangedFraction == 0 {
+		t.Error("MeanChangedFraction = 0 with RecordDensity set")
+	}
+}
+
+// TestVolumeManagerRefusesGroup: volumes mirror, so a group shape in the
+// config is an error, not silently dropped.
+func TestVolumeManagerRefusesGroup(t *testing.T) {
+	if _, err := prins.NewVolumeManager(prins.Config{Mode: prins.ModePRINS, GroupK: 2, GroupN: 3}); err == nil {
+		t.Fatal("NewVolumeManager accepted GroupK/GroupN")
+	}
+}
