@@ -19,40 +19,34 @@ race:
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
-# Machine-readable reports for the replication benches: runs the
-# batching/coalescing/counting/sharding/repair benchmarks and converts the
-# output to BENCH_*.json via cmd/benchjson. CI smoke-runs this with
-# BENCHTIME=1x SHARDTIME=50x; use the defaults for numbers worth
-# comparing. The shard-scaling bench gets its own iteration count
+# Records of the replication benches: runs the squeeze, counting,
+# sharding, hot-path, repair and dedupe benchmarks and converts the
+# output to BENCH_*.json via cmd/benchjson. The files are records of one
+# host's run, not baselines: nothing compares against them (`make
+# bench-guard` compares against the parent commit instead). CI
+# smoke-runs this with BENCHTIME=1x SHARDTIME=50x HOTTIME=1x
+# KERNELTIME=1x. The shard-scaling bench gets its own iteration count
 # because each op is a deliberate 1ms I/O sleep — 100x would be all
-# startup noise, and the default 1000x still finishes in seconds.
+# startup noise, and the default 1000x still finishes in seconds. The
+# sync-ship arms run eight writers, their shippers and the target on a
+# shared box, so they and the CPU-bound kernels (50 ns to 3 us per op,
+# no sleep in the loop) run five times and benchjson records the median
+# with min and max.
 BENCHTIME ?= 100x
 SHARDTIME ?= 1000x
-# 2000x, five times: with a ship window per pipe the SyncShip arms run
-# eight writers, their shippers and the target on this box's two CPUs,
-# and single 2000x runs of one arm read 4300-5200 writes/s. The report
-# keeps the median of five; the guard holds the best of five against it
-# (see cmd/benchjson), as for the kernels.
 HOTTIME ?= 2000x
-HOTCOUNT ?= 5
 DEDUPETIME ?= 20x
-# The CPU-bound kernel benches (50 ns to 50 us per op, no sleep in the
-# loop) run KERNELTIME iterations five times; benchjson records the
-# median with min and max. At 2000x a 512-byte hash is a 0.1 ms
-# measurement; at 100000x the medians of five repeat within a few
-# percent on a quiet host, and the best of five within a few percent
-# even while a neighbour is busy, which is what the guard compares.
 KERNELTIME ?= 100000x
 HOTKERNELS = HotpathEncode|HotpathHash|HotpathZRL|HotpathXOR|HotpathApply
 bench-json:
-	$(GO) test -run='^$$' -bench='BatchShip|AblationCoalesce|AblationSqueeze' -benchtime=$(BENCHTIME) . \
+	$(GO) test -run='^$$' -bench='AblationSqueeze' -benchtime=$(BENCHTIME) . \
 		| $(GO) run ./cmd/benchjson -out BENCH_batch.json
 	$(GO) test -run='^$$' -bench='NonZeroBytes' -benchtime=$(KERNELTIME) -count=5 ./internal/parity \
 		| $(GO) run ./cmd/benchjson -out BENCH_nonzero.json
 	$(GO) test -run='^$$' -bench='ShardScaling' -benchtime=$(SHARDTIME) . \
 		| $(GO) run ./cmd/benchjson -out BENCH_shard.json
-	{ $(GO) test -run='^$$' -bench='HotpathSyncShip' -benchtime=$(HOTTIME) -count=$(HOTCOUNT) . && \
-	  $(GO) test -run='^$$' -bench='$(HOTKERNELS)|HotpathShards' -benchtime=$(KERNELTIME) -count=5 . ; } \
+	{ $(GO) test -run='^$$' -bench='HotpathSyncShip' -benchtime=$(HOTTIME) -count=5 . && \
+	  $(GO) test -run='^$$' -bench='$(HOTKERNELS)' -benchtime=$(KERNELTIME) -count=5 . ; } \
 		| $(GO) run ./cmd/benchjson -out BENCH_hotpath.json
 	{ $(GO) test -run='^$$' -bench='GroupRepair' -benchtime=$(BENCHTIME) . && \
 	  $(GO) test -run='^$$' -bench='Resync/t3-ranges' -benchtime=$(BENCHTIME) -count=5 . ; } \
@@ -60,51 +54,39 @@ bench-json:
 	$(GO) test -run='^$$' -bench='Dedupe' -benchtime=$(DEDUPETIME) . \
 		| $(GO) run ./cmd/benchjson -out BENCH_dedupe.json
 
-# Performance regression guards (see cmd/benchjson guard mode):
-#   - hotpath: writes/s must not fall more than REGRESS percent below
-#     the committed BENCH_hotpath.json (best of five runs against the
-#     baseline's median). Only the SyncShip benches are compared; the
-#     CPU-bound shard benches swing too much run to run.
-#   - kernels: MB/s of the single-goroutine encode, hash, ZRL, XOR and
-#     replica-apply benches (best of five runs against the baseline's
-#     median) must not fall more than REGRESS percent below
-#     BENCH_hotpath.json — the CPU-bound guard.
-#   - repair: chain-repair wire bytes (lower is better, hence -lower)
-#     must not rise more than REGRESS percent above BENCH_repair.json.
-#   - resync: the wall time of a ranged resync behind a shaped T3 link
-#     (repair-ms of Resync/t3-ranges, lower is better; best of five
-#     against the baseline's median) must not rise more than REGRESS
-#     percent above BENCH_repair.json. Of its ~19 ms, 12 are the token
-#     bucket passing 55 KiB and 4 are two link latencies, both sleeps, so
-#     repeats agree within 3 percent; one more serialized round trip is
-#     2 ms, 11 percent, and fails the guard.
-#   - dedupe: the by-ref wire-savings ratio (savedx) must not fall more
-#     than REGRESS percent below BENCH_dedupe.json.
-#   - squeeze: the mean frame a squeezing shipper puts on the wire
-#     (frameB of AblationSqueeze, lower is better) must not rise more
-#     than 1 percent above BENCH_batch.json. It is a count over a seeded
-#     corpus, the same on every host, so the tolerance only has to cover
-#     the four digits `go test` prints.
-REGRESS ?= 10
+# The performance regression guard: an A/B of the working tree against
+# its parent commit — HEAD when the tree has uncommitted changes, HEAD~1
+# otherwise — judged by bench/compare.go's rule (cmd/benchjson
+# -compare). It builds both root test binaries, the parent's from a
+# `git archive` export in a temporary directory, and times the arms
+# whose speed is the point — the kernels' MB/s, HotpathSyncShip
+# writes/s and Resync/t3-ranges repair-ms — in twenty pairs of single
+# 50 ms runs. The two sides alternate arm by arm, the side that goes
+# first swapping every pair, so a busy neighbour on a shared host slows
+# both sides' samples of an arm alike. An arm whose change median is
+# more than 10% worse than the parent's is a REGRESSION and fails the
+# target; one whose parent runs spread wider than that (inter-quartile
+# range over 10% of the median) is reported unresolved and passes,
+# since the runs cannot tell a 10% shift from their own noise. Counts —
+# frame sizes, repair wire bytes, dedupe savings — do not depend on
+# timing and are tests, not guards.
 bench-guard:
-	$(GO) test -run='^$$' -bench='HotpathSyncShip' -benchtime=$(HOTTIME) -count=$(HOTCOUNT) . \
-		| $(GO) run ./cmd/benchjson -baseline BENCH_hotpath.json \
-			-metric writes/s -max-regress $(REGRESS)
-	$(GO) test -run='^$$' -bench='$(HOTKERNELS)' -benchtime=$(KERNELTIME) -count=5 . \
-		| $(GO) run ./cmd/benchjson -baseline BENCH_hotpath.json \
-			-metric MB/s -max-regress $(REGRESS)
-	$(GO) test -run='^$$' -bench='GroupRepair' -benchtime=$(BENCHTIME) . \
-		| $(GO) run ./cmd/benchjson -baseline BENCH_repair.json \
-			-metric wireB -lower -max-regress $(REGRESS)
-	$(GO) test -run='^$$' -bench='Resync/t3-ranges' -benchtime=$(BENCHTIME) -count=5 . \
-		| $(GO) run ./cmd/benchjson -baseline BENCH_repair.json \
-			-metric repair-ms -lower -max-regress $(REGRESS)
-	$(GO) test -run='^$$' -bench='Dedupe' -benchtime=$(DEDUPETIME) . \
-		| $(GO) run ./cmd/benchjson -baseline BENCH_dedupe.json \
-			-metric savedx -max-regress $(REGRESS)
-	$(GO) test -run='^$$' -bench='AblationSqueeze' -benchtime=$(BENCHTIME) . \
-		| $(GO) run ./cmd/benchjson -baseline BENCH_batch.json \
-			-metric frameB -lower -max-regress 1
+	@set -e; tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
+	if [ -n "$$(git status --porcelain)" ]; then parent=HEAD; else parent=HEAD~1; fi; \
+	echo "bench-guard: the working tree against $$parent ($$(git rev-parse --short $$parent))"; \
+	mkdir "$$tmp/parent"; git archive "$$parent" | tar -x -C "$$tmp/parent"; \
+	(cd "$$tmp/parent" && $(GO) test -c -trimpath -o "$$tmp/parent.test" .); \
+	$(GO) test -c -trimpath -o "$$tmp/change.test" .; \
+	for pair in $$(seq 20); do \
+		order="parent change"; [ $$((pair % 2)) = 1 ] || order="change parent"; \
+		for arm in $(subst |, ,$(HOTKERNELS)) HotpathSyncShip Resync/t3-ranges; do \
+			for side in $$order; do \
+				"$$tmp/$$side.test" -test.run='^$$' -test.bench="$$arm" -test.benchtime=50ms \
+					-test.timeout=1m >> "$$tmp/$$side.txt"; \
+			done; \
+		done; \
+	done; \
+	$(GO) run ./cmd/benchjson -compare "$$tmp/parent.txt" "$$tmp/change.txt"
 
 # The sharded-engine and multi-volume concurrency battery, repeated
 # under the race detector: cross-shard parallel writers, same-LBA

@@ -1,8 +1,8 @@
-// Benchmarks regenerating the paper's evaluation. One Benchmark per
-// table/figure (see DESIGN.md's experiment index) plus the ablation
-// benches for the design choices called out there. Figures print their
-// headline ratios as custom benchmark metrics so `go test -bench=.`
-// output doubles as a compact reproduction report.
+// The root benchmarks: the ablation and micro benches for the design
+// choices DESIGN.md calls out, the hot-path arms `make bench-guard`
+// times against the parent commit, and the measurements `make
+// bench-json` records. The paper's figures are `make repro`'s
+// (cmd/prinsbench), not benchmarks (see DESIGN.md's experiment index).
 package prins_test
 
 import (
@@ -17,7 +17,6 @@ import (
 	"prins/internal/block"
 	"prins/internal/cdp"
 	"prins/internal/core"
-	"prins/internal/experiments"
 	"prins/internal/iscsi"
 	"prins/internal/minidb"
 	"prins/internal/parity"
@@ -27,163 +26,6 @@ import (
 	"prins/internal/wan"
 	"prins/internal/xcode"
 )
-
-// reportTraffic extracts the paper's headline ratios from a traffic
-// figure: savings at 8KB and 64KB blocks.
-func reportTraffic(b *testing.B, fig *experiments.TrafficFigure) {
-	b.Helper()
-	pick := func(mode core.Mode, bs int) float64 {
-		for _, c := range fig.Cells {
-			if c.Mode == mode && c.BlockSize == bs {
-				return float64(c.Snapshot.PayloadBytes)
-			}
-		}
-		b.Fatalf("missing cell %v/%d", mode, bs)
-		return 0
-	}
-	for _, bs := range []int{8 << 10, 64 << 10} {
-		trad := pick(core.ModeTraditional, bs)
-		prins := pick(core.ModePRINS, bs)
-		if prins > 0 {
-			b.ReportMetric(trad/prins, fmt.Sprintf("trad/prins@%dKB", bs>>10))
-		}
-	}
-}
-
-// BenchmarkFig4TPCCOracle regenerates Figure 4 (TPC-C, Oracle config).
-func BenchmarkFig4TPCCOracle(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		fig, err := experiments.Fig4TPCCOracle(1)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			reportTraffic(b, fig)
-		}
-	}
-}
-
-// BenchmarkFig5TPCCPostgres regenerates Figure 5 (TPC-C, Postgres
-// config).
-func BenchmarkFig5TPCCPostgres(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		fig, err := experiments.Fig5TPCCPostgres(1)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			reportTraffic(b, fig)
-		}
-	}
-}
-
-// BenchmarkFig6TPCW regenerates Figure 6 (TPC-W).
-func BenchmarkFig6TPCW(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		fig, err := experiments.Fig6TPCW(1)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			reportTraffic(b, fig)
-		}
-	}
-}
-
-// BenchmarkFig7Ext2Micro regenerates Figure 7 (tar micro-benchmark).
-func BenchmarkFig7Ext2Micro(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		fig, err := experiments.Fig7Ext2Micro(1)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			reportTraffic(b, fig)
-		}
-	}
-}
-
-// BenchmarkFig8QueueT1 regenerates Figure 8 (closed network, T1).
-func BenchmarkFig8QueueT1(b *testing.B) {
-	params := experiments.DefaultModelParams()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		fig, err := experiments.Fig8ResponseT1(params)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			last := fig.Points[len(fig.Points)-1]
-			b.ReportMetric(last.Response[core.ModeTraditional].Seconds(), "tradResp@100")
-			b.ReportMetric(last.Response[core.ModePRINS].Seconds(), "prinsResp@100")
-		}
-	}
-}
-
-// BenchmarkFig9QueueT3 regenerates Figure 9 (closed network, T3).
-func BenchmarkFig9QueueT3(b *testing.B) {
-	params := experiments.DefaultModelParams()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		fig, err := experiments.Fig9ResponseT3(params)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			last := fig.Points[len(fig.Points)-1]
-			b.ReportMetric(last.Response[core.ModeTraditional].Seconds(), "tradResp@100")
-			b.ReportMetric(last.Response[core.ModePRINS].Seconds(), "prinsResp@100")
-		}
-	}
-}
-
-// BenchmarkFig10MM1 regenerates Figure 10 (router saturation).
-func BenchmarkFig10MM1(b *testing.B) {
-	params := experiments.DefaultModelParams()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Fig10MM1(params); err != nil {
-			b.Fatal(err)
-		}
-	}
-	for mode, payload := range params.MeanPayload {
-		q := queueing.MM1{Service: wan.RouterServiceTime(int(payload), wan.T1)}
-		b.ReportMetric(q.SaturationRate(), mode.String()+"SatRate")
-	}
-}
-
-// BenchmarkOverhead regenerates the Section 4 overhead measurement
-// (paper: <10% without RAID, ~0 with RAID).
-func BenchmarkOverhead(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.MeasureOverhead(8<<10, 200, 200*time.Microsecond)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			b.ReportMetric(res.OverheadVsTraditionalPct(), "overheadVsTrad%")
-			b.ReportMetric(res.RAIDOverheadPct(), "raidOverhead%")
-		}
-	}
-}
-
-// BenchmarkChangeDensity regenerates the Sections 1-2 observation that
-// 5-20% of a block changes per write.
-func BenchmarkChangeDensity(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.MeasureDensity(1)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			for _, r := range res {
-				b.ReportMetric(r.Mean*100, r.Workload+"-mean%")
-			}
-		}
-	}
-}
-
-// --- ablation and micro benchmarks (DESIGN.md section 5) ---
 
 // BenchmarkAblationCodec compares the parity encodings on a 10%-dense
 // 8KB parity block (ablation 1).
@@ -339,191 +181,6 @@ func BenchmarkFanoutLatency(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationCoalesce quantifies what same-LBA write coalescing
-// would add on top of PRINS (ablation 5): parities of back-to-back
-// writes to one block XOR together, so a coalescing window ships one
-// merged parity instead of several.
-func BenchmarkAblationCoalesce(b *testing.B) {
-	const (
-		blockSize = 8 << 10
-		numBlocks = 32 // small working set => frequent re-writes
-		window    = 8
-	)
-	rng := rand.New(rand.NewSource(5))
-
-	// Build a write stream over a hot working set.
-	type write struct {
-		lba uint64
-		fp  []byte
-	}
-	mkStream := func(n int) []write {
-		blocks := make([][]byte, numBlocks)
-		for i := range blocks {
-			blocks[i] = make([]byte, blockSize)
-			rng.Read(blocks[i])
-		}
-		stream := make([]write, 0, n)
-		for i := 0; i < n; i++ {
-			lba := uint64(rng.Intn(numBlocks))
-			old := blocks[lba]
-			newData := append([]byte(nil), old...)
-			off := rng.Intn(blockSize * 9 / 10)
-			rng.Read(newData[off : off+blockSize/10])
-			fp, err := parity.Forward(newData, old)
-			if err != nil {
-				b.Fatal(err)
-			}
-			blocks[lba] = newData
-			stream = append(stream, write{lba: lba, fp: fp})
-		}
-		return stream
-	}
-	stream := mkStream(512)
-
-	encodeAll := func(ws []write) int64 {
-		var total int64
-		for _, w := range ws {
-			frame, err := xcode.Encode(xcode.CodecZRL, w.fp)
-			if err != nil {
-				b.Fatal(err)
-			}
-			total += int64(len(frame))
-		}
-		return total
-	}
-
-	coalesce := func(ws []write) []write {
-		var out []write
-		for start := 0; start < len(ws); start += window {
-			end := start + window
-			if end > len(ws) {
-				end = len(ws)
-			}
-			merged := make(map[uint64][]byte)
-			var order []uint64
-			for _, w := range ws[start:end] {
-				if acc, ok := merged[w.lba]; ok {
-					if err := parity.XORInPlace(acc, w.fp); err != nil {
-						b.Fatal(err)
-					}
-				} else {
-					merged[w.lba] = append([]byte(nil), w.fp...)
-					order = append(order, w.lba)
-				}
-			}
-			for _, lba := range order {
-				out = append(out, write{lba: lba, fp: merged[lba]})
-			}
-		}
-		return out
-	}
-
-	b.Run("no-coalesce", func(b *testing.B) {
-		var bytesOut int64
-		for i := 0; i < b.N; i++ {
-			bytesOut = encodeAll(stream)
-		}
-		b.ReportMetric(float64(bytesOut)/float64(len(stream)), "B/write")
-	})
-	b.Run("window-8", func(b *testing.B) {
-		var bytesOut int64
-		var msgs int
-		for i := 0; i < b.N; i++ {
-			merged := coalesce(stream)
-			bytesOut = encodeAll(merged)
-			msgs = len(merged)
-		}
-		b.ReportMetric(float64(bytesOut)/float64(len(stream)), "B/write")
-		b.ReportMetric(float64(msgs), "messages")
-	})
-}
-
-// BenchmarkBatchShip measures async PRINS replication through a real
-// initiator/target session over a latency-shaped link, with wire
-// batching off (frames-1) versus on (frames-64). Each unbatched push
-// pays the link latency per PDU, a batch pays it once for the whole
-// drained backlog, so the batched variant should finish the same write
-// stream at least 2x faster.
-func BenchmarkBatchShip(b *testing.B) {
-	const (
-		blockSize = 8 << 10
-		numBlocks = 256
-		latency   = 500 * time.Microsecond
-	)
-	for _, frames := range []int{1, 64} {
-		b.Run(fmt.Sprintf("frames-%d", frames), func(b *testing.B) {
-			sink, err := block.NewMem(blockSize, numBlocks)
-			if err != nil {
-				b.Fatal(err)
-			}
-			target := iscsi.NewTarget()
-			target.Export("replica", core.NewReplicaEngine(sink))
-			addr, err := target.Listen("127.0.0.1:0")
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer target.Close()
-			raw, err := net.Dial("tcp", addr.String())
-			if err != nil {
-				b.Fatal(err)
-			}
-			client := iscsi.NewInitiator(wan.Shape(raw, wan.LinkConfig{Latency: latency}))
-			defer client.Close()
-			if err := client.Login("replica"); err != nil {
-				b.Fatal(err)
-			}
-
-			primary, err := block.NewMem(blockSize, numBlocks)
-			if err != nil {
-				b.Fatal(err)
-			}
-			engine, err := core.NewEngine(primary, core.Config{
-				Mode:        core.ModePRINS,
-				Async:       true,
-				QueueDepth:  256,
-				BatchFrames: frames,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer engine.Close()
-			engine.AttachReplica(client)
-
-			rng := rand.New(rand.NewSource(1))
-			buf := make([]byte, blockSize)
-			rng.Read(buf)
-			for lba := uint64(0); lba < numBlocks; lba++ {
-				if err := engine.WriteBlock(lba, buf); err != nil {
-					b.Fatal(err)
-				}
-			}
-			if err := engine.Drain(); err != nil {
-				b.Fatal(err)
-			}
-
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				lba := uint64(rng.Intn(numBlocks))
-				off := rng.Intn(blockSize * 9 / 10)
-				for j := 0; j < blockSize/20; j++ {
-					buf[off+j] = byte(rng.Intn(256))
-				}
-				if err := engine.WriteBlock(lba, buf); err != nil {
-					b.Fatal(err)
-				}
-			}
-			if err := engine.Drain(); err != nil {
-				b.Fatal(err)
-			}
-			b.StopTimer()
-			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "writes/s")
-			if s := engine.Traffic().Snapshot(); frames > 1 && s.Batches > 0 {
-				b.ReportMetric(float64(s.Replicated)/float64(s.Batches), "frames/batch")
-			}
-		})
-	}
-}
-
 // slowStore wraps a block store with a fixed write latency, standing in
 // for a real disk. The sleep sits inside the engine's per-shard
 // critical section, so it overlaps across shards (even on one CPU) but
@@ -537,6 +194,30 @@ type slowStore struct {
 func (s *slowStore) WriteBlock(lba uint64, data []byte) error {
 	time.Sleep(s.delay)
 	return s.Store.WriteBlock(lba, data)
+}
+
+// dialReplica serves backend on loopback TCP and returns a logged-in
+// session to it over a link shaped by link (the zero LinkConfig passes
+// bytes straight through). Session and target close when tb's run ends.
+func dialReplica(tb testing.TB, backend iscsi.Backend, link wan.LinkConfig) *iscsi.Initiator {
+	tb.Helper()
+	target := iscsi.NewTarget()
+	target.Export("r", backend)
+	addr, err := target.Listen("127.0.0.1:0")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(func() { target.Close() })
+	conn, err := net.Dial("tcp", addr.String())
+	if err != nil {
+		tb.Fatal(err)
+	}
+	client := iscsi.NewInitiator(wan.Shape(conn, link))
+	tb.Cleanup(func() { client.Close() })
+	if err := client.Login("r"); err != nil {
+		tb.Fatal(err)
+	}
+	return client
 }
 
 // runWriters times b.N block writes to random LBAs of engine issued by
@@ -638,42 +319,13 @@ func BenchmarkShardScaling(b *testing.B) {
 	}
 }
 
-// BenchmarkReplicaApply measures the replica-side decode + backward
-// parity + in-place write path.
-func BenchmarkReplicaApply(b *testing.B) {
-	const blockSize = 8 << 10
-	sink, err := block.NewMem(blockSize, 64)
-	if err != nil {
-		b.Fatal(err)
-	}
-	replica := core.NewReplicaEngine(sink)
-
-	// A representative 10%-dense parity frame.
-	rng := rand.New(rand.NewSource(9))
-	fp := make([]byte, blockSize)
-	off := rng.Intn(blockSize * 9 / 10)
-	rng.Read(fp[off : off+blockSize/10])
-	frame, err := xcode.Encode(xcode.CodecZRL, fp)
-	if err != nil {
-		b.Fatal(err)
-	}
-
-	b.SetBytes(blockSize)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := replica.Apply(core.ModePRINS, uint64(i+1), uint64(i%64), 0, frame); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkResync measures hash-based delta repair. The loopback-5pct
 // arm is the wire cost of repairing a replica with 5% divergence versus
 // the full-copy alternative. The t3-ranges arm is the recovery time the
 // end-to-end benchmark's outage workload pays: a 512 B x 16384 device
 // behind a shaped T3 link, ~110 dirty blocks in five runs inside five
 // dirty ranges, as a tar outage leaves them. It reports repair-ms (wall
-// time of one ranged resync; `make bench-guard` holds it) and
+// time of one ranged resync, which `make bench-guard` times) and
 // blocks/write (the run length the pipeline shipped). repair-ms is the
 // mirror-side figure a chain repair's own repair-ms has to beat before
 // ROADMAP item 4 can call the chain faster on wall-clock time.
@@ -700,13 +352,15 @@ func benchResyncLoopback(b *testing.B) {
 		}
 	}
 
+	replicaStore, err := block.NewMem(blockSize, numBlocks)
+	if err != nil {
+		b.Fatal(err)
+	}
+	remote := dialReplica(b, &iscsi.StoreBackend{Store: replicaStore}, wan.LinkConfig{})
+
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		replicaStore, err := block.NewMem(blockSize, numBlocks)
-		if err != nil {
-			b.Fatal(err)
-		}
 		if err := block.Copy(replicaStore, local); err != nil {
 			b.Fatal(err)
 		}
@@ -716,19 +370,6 @@ func benchResyncLoopback(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
-		target := iscsi.NewTarget()
-		target.Export("r", &iscsi.StoreBackend{Store: replicaStore})
-		addr, err := target.Listen("127.0.0.1:0")
-		if err != nil {
-			b.Fatal(err)
-		}
-		remote, err := iscsi.Dial(addr.String())
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := remote.Login("r"); err != nil {
-			b.Fatal(err)
-		}
 		b.StartTimer()
 
 		stats, err := resync.Run(local, remote, resync.Config{})
@@ -737,8 +378,6 @@ func benchResyncLoopback(b *testing.B) {
 		}
 
 		b.StopTimer()
-		remote.Close()
-		target.Close()
 		if i == 0 {
 			b.ReportMetric(float64(stats.WireBytes), "wireB")
 			b.ReportMetric(float64(stats.FullCopyBytes(blockSize)), "fullCopyB")
@@ -779,22 +418,7 @@ func benchResyncT3Ranges(b *testing.B) {
 		ranges = append(ranges, block.Range{Start: 1000 + i*3000, Count: 3 * runLen})
 	}
 
-	target := iscsi.NewTarget()
-	target.Export("r", &iscsi.StoreBackend{Store: replicaStore})
-	addr, err := target.Listen("127.0.0.1:0")
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer target.Close()
-	conn, err := net.Dial("tcp", addr.String())
-	if err != nil {
-		b.Fatal(err)
-	}
-	remote := iscsi.NewInitiator(wan.Shape(conn, wan.T3Link()))
-	defer remote.Close()
-	if err := remote.Login("r"); err != nil {
-		b.Fatal(err)
-	}
+	remote := dialReplica(b, &iscsi.StoreBackend{Store: replicaStore}, wan.T3Link())
 
 	var stats resync.Stats
 	b.ResetTimer()
@@ -936,18 +560,21 @@ func tpccParities(tb testing.TB, seed int64, txns int) [][]byte {
 	return parities
 }
 
-// BenchmarkAblationSqueeze prices the second encoding stage where it
-// now runs. zrl is the write path: one parity encoded ZRL-only under
-// the shard lock. squeeze is what a backlogged pipe's shipper adds on
-// top: the finished ZRL frame transcoded to ZRL+DEFLATE and kept only
-// when smaller. frameB is the mean frame that ships, over the whole
-// corpus (a count: it does not depend on b.N or the host); ns/frame is
-// the stage's own cost. Two corpora: the parities of TPC-C on minidb,
-// where the changed bytes are rows and log records and DEFLATE takes
-// about 30% off, and clustered runs of random bytes, where it can take
-// nothing and the squeeze is pure cost — the pipe's gate, not this
-// bench, decides which of the two a live pipe is looking at.
-func BenchmarkAblationSqueeze(b *testing.B) {
+// squeezeCorpus is one corpus of BenchmarkAblationSqueeze: its
+// parities, their ZRL frames, and the bytes each stage ships for the
+// whole corpus — zrlB the ZRL frames, squeezedB what the squeeze keeps
+// of them (a frame DEFLATE does not shrink ships as it is).
+type squeezeCorpus struct {
+	name             string
+	parities, frames [][]byte
+	zrlB, squeezedB  int64
+}
+
+// squeezeCorpora builds the two corpora: the parities of TPC-C on
+// minidb, where the changed bytes are rows and log records and DEFLATE
+// takes about 30% off, and clustered runs of random bytes, where it can
+// take nothing and the squeeze is pure cost.
+func squeezeCorpora(tb testing.TB) []squeezeCorpus {
 	rng := rand.New(rand.NewSource(17))
 	random := make([][]byte, 64)
 	for i := range random {
@@ -960,58 +587,90 @@ func BenchmarkAblationSqueeze(b *testing.B) {
 		}
 		random[i] = fp
 	}
-	for _, corpus := range []struct {
-		name     string
-		parities [][]byte
-	}{
-		{"tpcc", tpccParities(b, 17, 700)},
-		{"incompressible", random},
-	} {
-		frames := make([][]byte, len(corpus.parities))
-		var zrlB, squeezedB int64
-		var d xcode.Deflater
-		for i, fp := range corpus.parities {
+	corpora := []squeezeCorpus{
+		{name: "tpcc", parities: tpccParities(tb, 17, 700)},
+		{name: "incompressible", parities: random},
+	}
+	var d xcode.Deflater
+	for c := range corpora {
+		corpus := &corpora[c]
+		for _, fp := range corpus.parities {
 			frame, err := xcode.EncodeBest(fp, xcode.CodecZRL)
 			if err != nil {
-				b.Fatal(err)
+				tb.Fatal(err)
 			}
-			frames[i] = frame
-			zrlB += int64(len(frame))
+			corpus.frames = append(corpus.frames, frame)
+			corpus.zrlB += int64(len(frame))
 			if out, ok := d.AppendSqueezed(nil, frame); ok {
 				frame = out
 			}
-			squeezedB += int64(len(frame))
+			corpus.squeezedB += int64(len(frame))
 		}
-		n := float64(len(frames))
+	}
+	return corpora
+}
+
+// TestSqueezeFrameCeiling holds the mean frame each stage of
+// BenchmarkAblationSqueeze ships to what it was when written (465.65
+// and 321.15 bytes on TPC-C, 868.63 on the incompressible corpus). Both
+// are counts over seeded corpora, the same on every run and every host.
+func TestSqueezeFrameCeiling(t *testing.T) {
+	ceilings := map[string]struct{ zrl, squeezed float64 }{
+		"tpcc":           {465.7, 321.2},
+		"incompressible": {868.7, 868.7},
+	}
+	for _, c := range squeezeCorpora(t) {
+		n, want := float64(len(c.frames)), ceilings[c.name]
+		if got := float64(c.zrlB) / n; got > want.zrl {
+			t.Errorf("%s: ZRL frames average %.2f bytes, ceiling %.1f", c.name, got, want.zrl)
+		}
+		if got := float64(c.squeezedB) / n; got > want.squeezed {
+			t.Errorf("%s: squeezed frames average %.2f bytes, ceiling %.1f", c.name, got, want.squeezed)
+		}
+	}
+}
+
+// BenchmarkAblationSqueeze prices the second encoding stage where it
+// now runs. zrl is the write path: one parity encoded ZRL-only under
+// the shard lock. squeeze is what a backlogged pipe's shipper adds on
+// top: the finished ZRL frame transcoded to ZRL+DEFLATE and kept only
+// when smaller. frameB is the mean frame that ships, over the whole
+// corpus (a count, held by TestSqueezeFrameCeiling); ns/frame is the
+// stage's own cost. On the incompressible corpus the squeeze is pure
+// cost — the pipe's gate, not this bench, decides which of the two a
+// live pipe is looking at.
+func BenchmarkAblationSqueeze(b *testing.B) {
+	for _, corpus := range squeezeCorpora(b) {
+		n := float64(len(corpus.frames))
 		b.Run(corpus.name+"/zrl", func(b *testing.B) {
 			var buf []byte
 			for i := 0; i < b.N; i++ {
 				var err error
-				if buf, err = xcode.AppendEncodeBest(buf[:0], corpus.parities[i%len(frames)], xcode.CodecZRL); err != nil {
+				if buf, err = xcode.AppendEncodeBest(buf[:0], corpus.parities[i%len(corpus.frames)], xcode.CodecZRL); err != nil {
 					b.Fatal(err)
 				}
 			}
-			b.ReportMetric(float64(zrlB)/n, "frameB")
+			b.ReportMetric(float64(corpus.zrlB)/n, "frameB")
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/frame")
 		})
 		b.Run(corpus.name+"/squeeze", func(b *testing.B) {
-			var arena []byte
+			var d xcode.Deflater
+			arena, _ := d.AppendSqueezed(nil, corpus.frames[0]) // warm the compressor
+			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				arena, _ = d.AppendSqueezed(arena[:0], frames[i%len(frames)])
+				arena, _ = d.AppendSqueezed(arena[:0], corpus.frames[i%len(corpus.frames)])
 			}
-			b.ReportMetric(float64(squeezedB)/n, "frameB")
+			b.ReportMetric(float64(corpus.squeezedB)/n, "frameB")
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/frame")
 		})
 	}
 }
 
-// --- hot path: zero-copy encode (DESIGN.md section 4) ---
-
 // hotpathEncode is the primary's per-write encode work exactly as the
-// pipeline composes it: XOR+density kernel into a scratch parity
-// block, ZRL append-encode into a pooled frame buffer with header
-// headroom, header stamped in place over the finished frame. Returns
-// the full framed PDU (headroom + frame) for wire-length accounting.
+// pipeline composes it (DESIGN.md section 4): XOR+density kernel into a
+// scratch parity block, ZRL append-encode into a pooled frame buffer
+// with header headroom, header stamped in place over the finished
+// frame. Returns the framed PDU (headroom + frame) for wire accounting.
 func hotpathEncode(fp, newData, oldData, buf []byte, seq uint64) ([]byte, error) {
 	if _, err := parity.XORCountNonZero(fp, newData, oldData); err != nil {
 		return nil, err
@@ -1228,9 +887,8 @@ var hotpathSink uint64
 // multiplexed session, so the writers' round trips overlap; a write
 // waits only when a push still in flight carries its LBA
 // (admitwaits/write: about one write in forty at 8 writers over 256
-// blocks). Both arms run at the link's pace for eight writers. This is
-// the writes/s figure the CI regression guard tracks
-// (BENCH_hotpath.json).
+// blocks). Both arms run at the link's pace for eight writers, and
+// `make bench-guard` times their writes/s against the parent commit.
 func BenchmarkHotpathSyncShip(b *testing.B) {
 	const (
 		blockSize = 8 << 10
@@ -1256,22 +914,7 @@ func BenchmarkHotpathSyncShip(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			target := iscsi.NewTarget()
-			target.Export("replica", core.NewReplicaEngine(sink))
-			addr, err := target.Listen("127.0.0.1:0")
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer target.Close()
-			raw, err := net.Dial("tcp", addr.String())
-			if err != nil {
-				b.Fatal(err)
-			}
-			client := iscsi.NewInitiator(wan.Shape(raw, wan.LinkConfig{Latency: latency}))
-			defer client.Close()
-			if err := client.Login("replica"); err != nil {
-				b.Fatal(err)
-			}
+			client := dialReplica(b, core.NewReplicaEngine(sink), wan.LinkConfig{Latency: latency})
 
 			primary, err := block.NewMem(blockSize, numBlocks)
 			if err != nil {
@@ -1289,51 +932,6 @@ func BenchmarkHotpathSyncShip(b *testing.B) {
 			runWriters(b, engine, writers, func(rng *rand.Rand, buf []byte) { buf[rng.Intn(len(buf))] = byte(rng.Intn(256)) })
 			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "writes/s")
 			b.ReportMetric(float64(engine.ReplicaStats()[0].Metrics.AdmitWaits)/float64(b.N), "admitwaits/write")
-		})
-	}
-}
-
-// BenchmarkHotpathShards measures the pure CPU hot path — fused
-// parity kernel, zero-copy encode, sharded metrics banks — under 8
-// concurrent writers as the shard count grows 1 -> 8: one shard
-// serializes every encode behind one lock, N shards let encodes
-// overlap while the per-shard counter banks keep the metrics
-// cachelines from bouncing between them.
-func BenchmarkHotpathShards(b *testing.B) {
-	const (
-		blockSize = 4 << 10
-		numBlocks = 1 << 10
-		writers   = 8
-	)
-	for _, shards := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("shards-%d", shards), func(b *testing.B) {
-			mem, err := block.NewMem(blockSize, numBlocks)
-			if err != nil {
-				b.Fatal(err)
-			}
-			sink, err := block.NewMem(blockSize, numBlocks)
-			if err != nil {
-				b.Fatal(err)
-			}
-			engine, err := core.NewEngine(mem, core.Config{
-				Mode:       core.ModePRINS,
-				Async:      true,
-				QueueDepth: 256,
-				Shards:     shards,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer engine.Close()
-			if err := engine.AttachReplica(&core.Loopback{Replica: core.NewReplicaEngine(sink)}); err != nil {
-				b.Fatal(err)
-			}
-
-			runWriters(b, engine, writers, func(rng *rand.Rand, buf []byte) { buf[rng.Intn(len(buf))] = byte(rng.Intn(256)) })
-			if err := engine.Drain(); err != nil {
-				b.Fatal(err)
-			}
-			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "writes/s")
 		})
 	}
 }

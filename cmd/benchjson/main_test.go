@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -150,45 +151,6 @@ func TestParseRecordsGOMAXPROCS(t *testing.T) {
 	}
 }
 
-// TestGuardRefusesMixedGOMAXPROCS: a baseline recorded under another
-// GOMAXPROCS is not compared, however the numbers read; a baseline
-// from before the field existed still is.
-func TestGuardRefusesMixedGOMAXPROCS(t *testing.T) {
-	baseline := func(procs int) string {
-		enc, err := json.Marshal(&Report{Benchmarks: []Benchmark{{
-			Name: "BenchmarkHotpathSyncShip/one-shard", Iterations: 2000, GOMAXPROCS: procs,
-			Metrics: map[string]float64{"writes/s": 2680},
-		}}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		path := filepath.Join(t.TempDir(), "base.json")
-		if err := os.WriteFile(path, enc, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return path
-	}
-	fresh := &Report{Benchmarks: []Benchmark{{
-		Name: "BenchmarkHotpathSyncShip/one-shard", Iterations: 2000, GOMAXPROCS: 2,
-		Metrics: map[string]float64{"writes/s": 5439},
-	}}}
-	err := guard(fresh, baseline(1), "writes/s", 10, false, &bytes.Buffer{})
-	if err == nil {
-		t.Fatal("a GOMAXPROCS=1 baseline was compared with a GOMAXPROCS=2 run")
-	}
-	for _, want := range []string{"BenchmarkHotpathSyncShip/one-shard", "GOMAXPROCS=1", "GOMAXPROCS=2"} {
-		if !strings.Contains(err.Error(), want) {
-			t.Errorf("refusal %q does not mention %s", err, want)
-		}
-	}
-	if err := guard(fresh, baseline(2), "writes/s", 10, false, &bytes.Buffer{}); err != nil {
-		t.Errorf("same GOMAXPROCS refused: %v", err)
-	}
-	if err := guard(fresh, baseline(0), "writes/s", 10, false, &bytes.Buffer{}); err != nil {
-		t.Errorf("baseline without the field refused: %v", err)
-	}
-}
-
 func TestParseIgnoresMalformedLines(t *testing.T) {
 	in := strings.Join([]string{
 		"BenchmarkNoIterations",           // too few fields
@@ -207,131 +169,203 @@ func TestParseIgnoresMalformedLines(t *testing.T) {
 	}
 }
 
-func TestGuard(t *testing.T) {
-	writeBaseline := func(t *testing.T, writesPerSec float64) string {
-		t.Helper()
-		base := &Report{Benchmarks: []Benchmark{
-			{Name: "BenchmarkHotpathSyncShip/group-on-8", Iterations: 100,
-				Metrics: map[string]float64{"writes/s": writesPerSec, "ns/op": 1}},
-			{Name: "BenchmarkOther", Iterations: 10,
-				Metrics: map[string]float64{"ns/op": 5}},
-		}}
-		enc, err := json.Marshal(base)
-		if err != nil {
-			t.Fatal(err)
+// TestQuartilesLikePython pins quartiles and median to Python's
+// statistics.quantiles(v, n=4) and statistics.median, as bench/'s
+// copy of them is pinned, so both places compute the same spread.
+func TestQuartilesLikePython(t *testing.T) {
+	for _, tc := range []struct {
+		v         []float64
+		q1, m, q3 float64
+	}{
+		{[]float64{12, 3, 7, 9, 1, 15, 8, 4, 10, 6}, 3.75, 7.5, 10.5},
+		{[]float64{5, 1, 4, 2, 3}, 1.5, 3, 4.5},
+	} {
+		q1, q3 := quartiles(tc.v)
+		if m := median(tc.v); q1 != tc.q1 || m != tc.m || q3 != tc.q3 {
+			t.Errorf("quartiles, median of %v = %v, %v, %v; want %v, %v, %v", tc.v, q1, m, q3, tc.q1, tc.m, tc.q3)
 		}
-		path := filepath.Join(t.TempDir(), "base.json")
-		if err := os.WriteFile(path, enc, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return path
-	}
-	fresh := &Report{Benchmarks: []Benchmark{
-		{Name: "BenchmarkHotpathSyncShip/group-on-8", Iterations: 100,
-			Metrics: map[string]float64{"writes/s": 900}},
-	}}
-
-	// 900 vs baseline 950 is a 5.3% drop: inside a 10% budget,
-	// outside a 2% budget.
-	path := writeBaseline(t, 950)
-	if err := guard(fresh, path, "writes/s", 10, false, &bytes.Buffer{}); err != nil {
-		t.Errorf("5%% drop failed a 10%% guard: %v", err)
-	}
-	err := guard(fresh, path, "writes/s", 2, false, &bytes.Buffer{})
-	if err == nil {
-		t.Error("5% drop passed a 2% guard")
-	} else if !strings.Contains(err.Error(), "BenchmarkHotpathSyncShip/group-on-8") {
-		t.Errorf("guard error does not name the regressed benchmark: %v", err)
-	}
-
-	// Improvements never fail.
-	if err := guard(fresh, writeBaseline(t, 100), "writes/s", 10, false, &bytes.Buffer{}); err != nil {
-		t.Errorf("improvement failed the guard: %v", err)
-	}
-
-	// Nothing to compare is an error, not a silent pass.
-	if err := guard(fresh, path, "no-such-metric", 10, false, &bytes.Buffer{}); err == nil {
-		t.Error("guard with no shared metric passed silently")
 	}
 }
 
-// TestGuardComparesBestRepeat: of a fresh benchmark's folded repeats
-// the guard reads the best one — Max, or Min under -lower — and holds
-// it against the baseline's median, so a burst that slows three of five
-// repeats does not fail it and a slowdown of every repeat does.
-func TestGuardComparesBestRepeat(t *testing.T) {
-	folded := func(median, min, max float64) *Report {
-		return &Report{Benchmarks: []Benchmark{{
-			Name: "BenchmarkHotpathHash/8KB", Iterations: 100, Runs: 5,
-			Metrics: map[string]float64{"MB/s": median, "ns/op": 8192e3 / median},
-			Min:     map[string]float64{"MB/s": min, "ns/op": 8192e3 / max},
-			Max:     map[string]float64{"MB/s": max, "ns/op": 8192e3 / min},
-		}}}
+// runLines renders one `go test -bench` result line per value, as a
+// run at GOMAXPROCS 2 prints name reporting that value of unit.
+func runLines(name, unit string, vs ...float64) []string {
+	var lines []string
+	for _, v := range vs {
+		lines = append(lines, fmt.Sprintf("%s-2 \t 100 \t 12345 ns/op \t %g %s", name, v, unit))
 	}
-	enc, err := json.Marshal(folded(10800, 10400, 11000))
+	return lines
+}
+
+// sideFile writes one side's output — a header, then lines — to a file
+// and returns its path.
+func sideFile(t *testing.T, lines ...[]string) string {
+	t.Helper()
+	text := "goos: linux\ngoarch: amd64\npkg: prins\n"
+	for _, l := range lines {
+		text += strings.Join(l, "\n") + "\n"
+	}
+	path := filepath.Join(t.TempDir(), "side.txt")
+	if err := os.WriteFile(path, []byte(text+"PASS\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+// compareText runs -compare on the two sides and returns its table.
+func compareText(t *testing.T, parent, change string) (string, error) {
+	t.Helper()
+	var out bytes.Buffer
+	err := compareFiles(parent, change, &out)
+	return out.String(), err
+}
+
+// verdictOf returns what the table says of name's unit: the verdict
+// column of its row, or the rest of the row for a benchmark with no
+// metric column (unit "").
+func verdictOf(t *testing.T, table, name, unit string) string {
+	t.Helper()
+	for _, row := range strings.Split(table, "\n") {
+		f := strings.Fields(row)
+		switch {
+		case len(f) > 7 && f[0] == name && f[1] == unit:
+			return strings.Join(f[7:], " ")
+		case len(f) > 1 && f[0] == name && unit == "":
+			return strings.Join(f[1:], " ")
+		}
+	}
+	t.Fatalf("no %s %s row in\n%s", name, unit, table)
+	return ""
+}
+
+const ship = "BenchmarkHotpathSyncShip/one-shard"
+
+// parentRuns is a steady parent: a 2% inter-quartile range around 1000.
+var parentRuns = runLines(ship, "writes/s", 1000, 990, 1010, 1005, 995, 1020, 980, 1000)
+
+// TestCompareRegression: a change median more than 10% below a steady
+// parent is a REGRESSION and an error; 4% below is within the bound.
+func TestCompareRegression(t *testing.T) {
+	table, err := compareText(t, sideFile(t, parentRuns), sideFile(t, runLines(ship, "writes/s", 860, 870, 850, 880, 865, 855, 875, 860)))
+	if err == nil {
+		t.Error("a 14% drop passed")
+	}
+	if v := verdictOf(t, table, ship, "writes/s"); v != "REGRESSION" {
+		t.Errorf("14%% drop reads %q, want REGRESSION", v)
+	}
+	table, err = compareText(t, sideFile(t, parentRuns), sideFile(t, runLines(ship, "writes/s", 960, 950, 970, 965, 955, 960, 962, 958)))
 	if err != nil {
-		t.Fatal(err)
+		t.Errorf("a 4%% drop failed: %v", err)
 	}
-	path := filepath.Join(t.TempDir(), "base.json")
-	if err := os.WriteFile(path, enc, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	for _, lower := range []bool{false, true} {
-		metric := "MB/s"
-		if lower {
-			metric = "ns/op"
-		}
-		if err := guard(folded(8000, 7000, 10900), path, metric, 10, lower, &bytes.Buffer{}); err != nil {
-			t.Errorf("%s: noisy median with an intact best repeat failed: %v", metric, err)
-		}
-		if err := guard(folded(8000, 7000, 8100), path, metric, 10, lower, &bytes.Buffer{}); err == nil {
-			t.Errorf("%s: every repeat 25%% slower passed", metric)
-		}
+	if v := verdictOf(t, table, ship, "writes/s"); v != "within bound" {
+		t.Errorf("4%% drop reads %q, want within bound", v)
 	}
 }
 
-func TestGuardLowerIsBetter(t *testing.T) {
-	writeBaseline := func(t *testing.T, wireB float64) string {
-		t.Helper()
-		base := &Report{Benchmarks: []Benchmark{
-			{Name: "BenchmarkGroupRepair", Iterations: 100,
-				Metrics: map[string]float64{"wireB": wireB, "ns/op": 1}},
-		}}
-		enc, err := json.Marshal(base)
-		if err != nil {
-			t.Fatal(err)
-		}
-		path := filepath.Join(t.TempDir(), "base.json")
-		if err := os.WriteFile(path, enc, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return path
+// TestCompareUnresolved: when the parent's own runs spread wider than
+// the bound, even a large drop is reported unresolved, and passes.
+func TestCompareUnresolved(t *testing.T) {
+	noisy := runLines(ship, "writes/s", 1000, 700, 1300, 800, 1200, 900, 1100, 1000)
+	table, err := compareText(t, sideFile(t, noisy), sideFile(t, runLines(ship, "writes/s", 600, 620, 610, 590, 605, 615, 600, 595)))
+	if err != nil {
+		t.Errorf("an unresolved arm failed: %v", err)
 	}
-	fresh := &Report{Benchmarks: []Benchmark{
-		{Name: "BenchmarkGroupRepair", Iterations: 100,
-			Metrics: map[string]float64{"wireB": 1050}},
-	}}
+	if v := verdictOf(t, table, ship, "writes/s"); !strings.HasPrefix(v, "unresolved") {
+		t.Errorf("a drop against a noisy parent reads %q, want unresolved", v)
+	}
+}
 
-	// 1050 vs baseline 1000 is a 5% rise: inside a 10% budget, outside
-	// a 2% budget — but only when the guard knows lower is better.
-	path := writeBaseline(t, 1000)
-	if err := guard(fresh, path, "wireB", 10, true, &bytes.Buffer{}); err != nil {
-		t.Errorf("5%% rise failed a 10%% lower-is-better guard: %v", err)
+// TestCompareBetter: a change more than 10% better reads better and
+// passes.
+func TestCompareBetter(t *testing.T) {
+	table, err := compareText(t, sideFile(t, parentRuns), sideFile(t, runLines(ship, "writes/s", 1200, 1210, 1190, 1205, 1195, 1200, 1202, 1198)))
+	if err != nil {
+		t.Errorf("an improvement failed: %v", err)
 	}
-	err := guard(fresh, path, "wireB", 2, true, &bytes.Buffer{})
-	if err == nil {
-		t.Error("5% rise passed a 2% lower-is-better guard")
-	} else if !strings.Contains(err.Error(), "above baseline") {
-		t.Errorf("guard error does not report the rise direction: %v", err)
+	if v := verdictOf(t, table, ship, "writes/s"); v != "better" {
+		t.Errorf("a 20%% gain reads %q, want better", v)
 	}
+}
 
-	// A drop is an improvement under -lower and never fails.
-	if err := guard(fresh, writeBaseline(t, 5000), "wireB", 10, true, &bytes.Buffer{}); err != nil {
-		t.Errorf("improvement failed the lower-is-better guard: %v", err)
+// TestCompareOneSidedArm: an arm only one side ran is reported, not
+// judged and not failed; but two sides that share no judged arm have
+// compared nothing, which is an error.
+func TestCompareOneSidedArm(t *testing.T) {
+	gone := runLines("BenchmarkHotpathShards/shards-1", "writes/s", 250000, 260000)
+	added := runLines("BenchmarkHotpathNew", "MB/s", 9000, 9100)
+	table, err := compareText(t, sideFile(t, parentRuns, gone), sideFile(t, parentRuns, added))
+	if err != nil {
+		t.Errorf("a one-sided arm failed the comparison: %v", err)
 	}
-	// Without -lower the same rise would (wrongly) read as a pass —
-	// pin that the flag, not the metric name, decides direction.
-	if err := guard(fresh, path, "wireB", 2, false, &bytes.Buffer{}); err != nil {
-		t.Errorf("higher-is-better guard failed on a rise: %v", err)
+	if v := verdictOf(t, table, "BenchmarkHotpathShards/shards-1", ""); v != "only in the parent, not judged" {
+		t.Errorf("an arm the change dropped reads %q", v)
+	}
+	if v := verdictOf(t, table, "BenchmarkHotpathNew", ""); v != "only in the change, not judged" {
+		t.Errorf("an arm the change added reads %q", v)
+	}
+	if _, err := compareText(t, sideFile(t, gone), sideFile(t, added)); err == nil || !strings.Contains(err.Error(), "compared nothing") {
+		t.Errorf("sides with no shared arm: err = %v, want compared nothing", err)
+	}
+}
+
+// TestCompareRefusesMixedGOMAXPROCS: each file's GOMAXPROCS comes from
+// its own name suffixes, and a benchmark whose two sides ran under
+// different GOMAXPROCS is not compared, however the numbers read.
+func TestCompareRefusesMixedGOMAXPROCS(t *testing.T) {
+	at := func(procs int) string {
+		suffix := ""
+		if procs > 1 {
+			suffix = fmt.Sprintf("-%d", procs)
+		}
+		var lines []string
+		for _, arm := range []string{"one-shard", "shards-4"} {
+			lines = append(lines, fmt.Sprintf("BenchmarkHotpathSyncShip/%s%s 2000 160000 ns/op 6200 writes/s", arm, suffix))
+		}
+		return sideFile(t, lines)
+	}
+	for _, tc := range []struct{ parent, change int }{{2, 4}, {1, 2}} {
+		_, err := compareText(t, at(tc.parent), at(tc.change))
+		if err == nil {
+			t.Errorf("GOMAXPROCS=%d parent compared with GOMAXPROCS=%d change", tc.parent, tc.change)
+			continue
+		}
+		for _, want := range []string{"not comparable", fmt.Sprintf("GOMAXPROCS=%d", tc.parent), fmt.Sprintf("GOMAXPROCS=%d", tc.change)} {
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("refusal %q does not mention %s", err, want)
+			}
+		}
+	}
+	if _, err := compareText(t, at(4), at(4)); err != nil {
+		t.Errorf("same GOMAXPROCS refused: %v", err)
+	}
+}
+
+// TestCompareMixedDirections: one input holds a higher-is-better metric
+// (MB/s) and a lower-is-better one (repair-ms); each is judged in its
+// own direction, and the unjudged ns/op beside them is not judged at
+// all.
+func TestCompareMixedDirections(t *testing.T) {
+	const kernel, resync = "BenchmarkHotpathZRL/sparse10", "BenchmarkResync/t3-ranges"
+	parent := sideFile(t,
+		runLines(kernel, "MB/s", 7900, 7950, 7850, 7920, 7880),
+		runLines(resync, "repair-ms", 18.0, 18.1, 17.9, 18.0, 18.2))
+	// MB/s up 20% is better; repair-ms up 20% is worse.
+	change := sideFile(t,
+		runLines(kernel, "MB/s", 9500, 9550, 9450, 9520, 9480),
+		runLines(resync, "repair-ms", 21.6, 21.7, 21.5, 21.6, 21.8))
+	table, err := compareText(t, parent, change)
+	if err == nil || !strings.Contains(err.Error(), "1 regression") {
+		t.Errorf("err = %v, want exactly one regression", err)
+	}
+	if v := verdictOf(t, table, kernel, "MB/s"); v != "better" {
+		t.Errorf("MB/s up 20%% reads %q, want better", v)
+	}
+	if v := verdictOf(t, table, resync, "repair-ms"); v != "REGRESSION" {
+		t.Errorf("repair-ms up 20%% reads %q, want REGRESSION", v)
+	}
+	for _, row := range strings.Split(table, "\n") {
+		if f := strings.Fields(row); len(f) > 1 && f[1] == "ns/op" {
+			t.Errorf("ns/op was judged: %s", row)
+		}
 	}
 }

@@ -213,7 +213,7 @@ func TestMeasureOverhead(t *testing.T) {
 	// traditional replication. The bound here is deliberately loose:
 	// short timed runs are noisy and the race detector slows compute
 	// ~10x while leaving the simulated device time unchanged. The tight
-	// measurement lives in `prinsbench overhead` / BenchmarkOverhead.
+	// measurement lives in `prinsbench overhead`.
 	if pct := res.OverheadVsTraditionalPct(); pct > 60 {
 		t.Errorf("overhead vs traditional = %.1f%%, want small on a realistic device", pct)
 	}
