@@ -124,7 +124,8 @@ fuzz:
 # The fault-injection suites under the race detector: connection and
 # store chaos, torn-write journal recovery, divergence detection and
 # dirty-range repair, resync cancellation, scrubbing, and the group
-# replica-kill / chain-repair drill.
+# drill that kills two unit replicas mid-workload and rebuilds them by
+# resync from the primary.
 chaos:
 	$(GO) test -race -run 'Chaos|Torn|Diverged|Journal|Resync|Scrub|Fault' \
 		./internal/core ./internal/faults ./internal/journal ./internal/resync .

@@ -326,9 +326,8 @@ func BenchmarkShardScaling(b *testing.B) {
 // behind a shaped T3 link, ~110 dirty blocks in five runs inside five
 // dirty ranges, as a tar outage leaves them. It reports repair-ms (wall
 // time of one ranged resync, which `make bench-guard` times) and
-// blocks/write (the run length the pipeline shipped). repair-ms is the
-// mirror-side figure a chain repair's own repair-ms has to beat before
-// ROADMAP item 4 can call the chain faster on wall-clock time.
+// blocks/write (the run length the pipeline shipped). A group unit is
+// rebuilt by the same pipeline (BenchmarkGroupRepair).
 func BenchmarkResync(b *testing.B) {
 	b.Run("loopback-5pct", benchResyncLoopback)
 	b.Run("t3-ranges", benchResyncT3Ranges)

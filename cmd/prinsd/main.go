@@ -21,7 +21,6 @@ import (
 	"log"
 	"os"
 	"os/signal"
-	"strconv"
 	"strings"
 	"syscall"
 	"time"
@@ -68,9 +67,9 @@ func run(args []string) error {
 		group     = fs.String("group", "", "erasure-coded replica group shape k,n: writes stripe k-of-n across the replicas and commit on a k quorum (empty = mirror full copies)")
 		groupUnit = fs.Int("group-unit", -1, "replica role with -group: this replica's stripe-unit index in [0,n); its device must be unit-sized")
 
-		repairChain = fs.String("repair-chain", "", "one-shot pipelined repair then exit: comma-separated k survivor endpoints host:port/export@unit, chained in order (requires -group, -size, -repair-lost, -repair-sink)")
-		repairLost  = fs.Int("repair-lost", -1, "unit index to rebuild with -repair-chain")
-		repairSink  = fs.String("repair-sink", "", "replacement replica endpoint host:port/export for -repair-chain")
+		repairFrom = fs.String("repair-from", "", "one-shot group-unit rebuild then exit: resync the unit from the primary's served logical export host:port/export (requires -group, -repair-lost, -repair-sink)")
+		repairLost = fs.Int("repair-lost", -1, "unit index to rebuild with -repair-from")
+		repairSink = fs.String("repair-sink", "", "group replica endpoint host:port/export to rebuild with -repair-from")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -88,8 +87,8 @@ func run(args []string) error {
 		return fmt.Errorf("-group does not combine with -volumes %d", *volumes)
 	}
 
-	if *repairChain != "" {
-		return runRepairChain(groupK, groupN, *repairLost, *size, *repairChain, *repairSink)
+	if *repairFrom != "" {
+		return runRepair(groupK, groupN, *repairLost, *repairFrom, *repairSink)
 	}
 
 	stop := make(chan os.Signal, 1)
@@ -146,7 +145,7 @@ func run(args []string) error {
 			if err := replica.SetGroupUnit(groupK, groupN, *groupUnit); err != nil {
 				return err
 			}
-			log.Printf("prinsd: group unit %d of %d-of-%d (chain-repair capable)", *groupUnit, groupK, groupN)
+			log.Printf("prinsd: group unit %d of %d-of-%d", *groupUnit, groupK, groupN)
 		}
 		if *dedupe != 0 {
 			replica.SetDedupe(*dedupe)
@@ -456,46 +455,33 @@ func parseGroup(s string) (k, n int, err error) {
 	return k, n, nil
 }
 
-// runRepairChain drives one pipelined rebuild of a lost stripe unit
-// through the listed survivors and exits.
-func runRepairChain(k, n, lost int, size uint64, survivorList, sink string) error {
+// runRepair rebuilds stripe unit lost onto the group replica at sink
+// with a resync from the primary's logical export at from, and exits.
+// The geometry comes from the mount.
+func runRepair(k, n, lost int, from, sink string) error {
 	if n == 0 {
-		return fmt.Errorf("-repair-chain needs -group k,n")
+		return fmt.Errorf("-repair-from needs -group k,n")
 	}
-	if lost < 0 || lost >= n {
-		return fmt.Errorf("-repair-lost %d out of group [0,%d)", lost, n)
+	fromAddr, fromExport, err := splitEndpoint(from)
+	if err != nil {
+		return fmt.Errorf("-repair-from: %w", err)
 	}
 	sinkAddr, sinkExport, err := splitEndpoint(sink)
 	if err != nil {
 		return fmt.Errorf("-repair-sink: %w", err)
 	}
-	var survivors []prins.GroupMember
-	for _, ep := range strings.Split(survivorList, ",") {
-		at := strings.LastIndex(ep, "@")
-		if at <= 0 || at == len(ep)-1 {
-			return fmt.Errorf("bad survivor %q (want host:port/export@unit)", ep)
-		}
-		unit, err := strconv.Atoi(ep[at+1:])
-		if err != nil || unit < 0 || unit >= n {
-			return fmt.Errorf("bad survivor unit in %q", ep)
-		}
-		addr, export, err := splitEndpoint(ep[:at])
-		if err != nil {
-			return err
-		}
-		survivors = append(survivors, prins.GroupMember{Addr: addr, Export: export, Unit: unit})
+	src, err := prins.Dial(fromAddr, fromExport)
+	if err != nil {
+		return fmt.Errorf("mount %s: %w", from, err)
 	}
-	if len(survivors) != k {
-		return fmt.Errorf("-repair-chain lists %d survivors, group needs exactly k=%d", len(survivors), k)
-	}
+	defer src.Close()
 	start := time.Now()
-	st, err := prins.RepairChain(k, n, lost, size, survivors,
-		prins.GroupMember{Addr: sinkAddr, Export: sinkExport, Unit: lost})
+	st, err := prins.RepairGroupUnit(src, k, n, lost, sinkAddr, sinkExport)
 	if err != nil {
 		return err
 	}
-	log.Printf("prinsd: rebuilt unit %d: %d blocks in %d chain rounds, %s on the wire (%s ingested) in %s",
-		lost, st.Blocks, st.Chains, formatBytes(st.WireBytes), formatBytes(st.IngestBytes),
+	log.Printf("prinsd: rebuilt unit %d: scanned %d blocks, repaired %d in %d writes, %s on the wire in %s",
+		lost, st.BlocksScanned, st.BlocksRepaired, st.RepairWrites, formatBytes(st.WireBytes),
 		time.Since(start).Round(time.Millisecond))
 	return nil
 }

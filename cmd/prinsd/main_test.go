@@ -1,10 +1,13 @@
 package main
 
 import (
+	"bytes"
+	"math/rand"
 	"path/filepath"
 	"testing"
 
 	"prins"
+	"prins/internal/parity"
 )
 
 func TestParseMode(t *testing.T) {
@@ -106,6 +109,88 @@ func TestFormatBytes(t *testing.T) {
 		if got := formatBytes(tt.n); got != tt.want {
 			t.Errorf("formatBytes(%d) = %q, want %q", tt.n, got, tt.want)
 		}
+	}
+}
+
+// TestRunRepairFrom drives the one-shot rebuild: a 2-of-4 group
+// primary serves its logical device, a blank replica for unit 1
+// serves its unit device, and -repair-from resyncs the unit from the
+// primary's export. The replica must end up holding exactly unit 1 of
+// the RS encoding of every block.
+func TestRunRepairFrom(t *testing.T) {
+	const (
+		k, n = 2, 4
+		bs   = 4096
+		nb   = 64
+		lost = 1
+	)
+	local, err := prins.NewMemStore(bs, nb)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(3))
+	blk := make([]byte, bs)
+	for lba := uint64(0); lba < nb; lba++ {
+		rng.Read(blk)
+		if err := local.WriteBlock(lba, blk); err != nil {
+			t.Fatal(err)
+		}
+	}
+	primary, err := prins.NewPrimary(local, prins.Config{Mode: prins.ModePRINS, GroupK: k, GroupN: n})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer primary.Close()
+	paddr, err := primary.Serve("127.0.0.1:0", "vol")
+	if err != nil {
+		t.Fatal(err)
+	}
+	unit, err := prins.NewMemStore(primary.GroupUnitSize(), nb)
+	if err != nil {
+		t.Fatal(err)
+	}
+	replica := prins.NewReplica(unit)
+	defer replica.Close()
+	if err := replica.SetGroupUnit(k, n, lost); err != nil {
+		t.Fatal(err)
+	}
+	raddr, err := replica.Serve("127.0.0.1:0", "u")
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	if err := run([]string{"-group", "2,4", "-repair-lost", "1",
+		"-repair-from", paddr.String() + "/vol", "-repair-sink", raddr.String() + "/u"}); err != nil {
+		t.Fatal(err)
+	}
+	rs, err := parity.NewRS(k, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := make([]byte, primary.GroupUnitSize())
+	for lba := uint64(0); lba < nb; lba++ {
+		if err := local.ReadBlock(lba, blk); err != nil {
+			t.Fatal(err)
+		}
+		units, err := rs.Encode(blk)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := unit.ReadBlock(lba, got); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, units[lost]) {
+			t.Fatalf("lba %d: unit %d not rebuilt", lba, lost)
+		}
+	}
+
+	if err := run([]string{"-repair-lost", "1", "-repair-from", paddr.String() + "/vol",
+		"-repair-sink", raddr.String() + "/u"}); err == nil {
+		t.Error("-repair-from without -group accepted")
+	}
+	if err := run([]string{"-group", "2,4", "-repair-lost", "1", "-repair-from", paddr.String() + "/vol",
+		"-repair-sink", "nosink"}); err == nil {
+		t.Error("bad -repair-sink accepted")
 	}
 }
 

@@ -34,19 +34,7 @@ type ResyncStats struct {
 // device is the export served at addr. With dryRun the divergence is
 // only counted.
 func Resync(local Store, addr, exportName string, dryRun bool) (ResyncStats, error) {
-	remote, err := iscsi.Dial(addr)
-	if err != nil {
-		return ResyncStats{}, err
-	}
-	defer remote.Close()
-	if err := remote.Login(exportName); err != nil {
-		return ResyncStats{}, err
-	}
-	s, err := resync.Run(local, remote, resync.Config{DryRun: dryRun})
-	if err != nil {
-		return ResyncStats{}, err
-	}
-	return resyncStats(s), nil
+	return ResyncRanges(local, addr, exportName, dryRun, Range{Start: 0, Count: local.NumBlocks()})
 }
 
 // ResyncRanges is Resync restricted to the given LBA runs — the
@@ -54,6 +42,12 @@ func Resync(local Store, addr, exportName string, dryRun bool) (ResyncStats, err
 // exactly the blocks the primary knows are suspect (dropped, failed,
 // or diverged) without scanning the rest of the device.
 func ResyncRanges(local Store, addr, exportName string, dryRun bool, ranges ...Range) (ResyncStats, error) {
+	return resyncTo(local, addr, exportName, resync.Config{DryRun: dryRun}, toBlockRanges(ranges))
+}
+
+// resyncTo runs one ranged resync from local to the replica serving
+// exportName at addr, over a session of its own.
+func resyncTo(local Store, addr, exportName string, cfg resync.Config, ranges []block.Range) (ResyncStats, error) {
 	remote, err := iscsi.Dial(addr)
 	if err != nil {
 		return ResyncStats{}, err
@@ -62,11 +56,20 @@ func ResyncRanges(local Store, addr, exportName string, dryRun bool, ranges ...R
 	if err := remote.Login(exportName); err != nil {
 		return ResyncStats{}, err
 	}
-	s, err := resync.RunRanges(local, remote, resync.Config{DryRun: dryRun}, toBlockRanges(ranges)...)
+	s, err := resync.RunRanges(local, remote, cfg, ranges...)
 	if err != nil {
 		return ResyncStats{}, err
 	}
 	return resyncStats(s), nil
+}
+
+// wholeIfNone converts ranges, or returns local's whole device when
+// there are none.
+func wholeIfNone(local Store, ranges []Range) []block.Range {
+	if len(ranges) == 0 {
+		return []block.Range{{Start: 0, Count: local.NumBlocks()}}
+	}
+	return toBlockRanges(ranges)
 }
 
 func resyncStats(s resync.Stats) ResyncStats {

@@ -21,42 +21,79 @@ type groupNode struct {
 	export  string
 }
 
-func (n *groupNode) member(unit int) prins.GroupMember {
-	return prins.GroupMember{Addr: n.addr, Export: n.export, Unit: unit}
-}
-
-// serveGroupNode builds a unit-sized replica for unit idx of a k-of-n
-// group and serves it on loopback TCP.
-func serveGroupNode(t *testing.T, k, n, idx, unitSize int, nb uint64) *groupNode {
-	t.Helper()
+// blankUnit returns a zeroed unit-sized store of nb blocks.
+func blankUnit(tb testing.TB, unitSize int, nb uint64) prins.Store {
+	tb.Helper()
 	store, err := prins.NewMemStore(unitSize, nb)
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
+	return store
+}
+
+// serveGroupNode serves store as the replica of unit idx of a k-of-n
+// group on loopback TCP until the test ends.
+func serveGroupNode(tb testing.TB, store prins.Store, k, n, idx int) *groupNode {
+	tb.Helper()
 	rep := prins.NewReplica(store)
 	if err := rep.SetGroupUnit(k, n, idx); err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	export := fmt.Sprintf("unit%d", idx)
 	addr, err := rep.Serve("127.0.0.1:0", export)
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
+	tb.Cleanup(func() { rep.Close() })
 	return &groupNode{store: store, replica: rep, addr: addr.String(), export: export}
 }
 
-// TestGroupChaosKillReplicasMidStripeThenChainRepair is the
-// end-to-end robustness drill for erasure-coded groups: a 2-of-4
-// group takes a sync write workload over real TCP sessions, n-k=2
-// replicas are killed while writes are in flight, quorum commit keeps
-// the workload succeeding on the two survivors, and the two lost
-// units are then rebuilt onto fresh replacements with pipelined
-// partial-sum chains. Afterwards every unit — survivor and
-// replacement alike — must hold exactly the Reed-Solomon encoding of
-// the final primary content, and the modelled chain traffic must
-// undercut what a full-copy mirror deployment would pay to re-seed
-// the same number of lost replicas.
-func TestGroupChaosKillReplicasMidStripeThenChainRepair(t *testing.T) {
+// assertGroupEncodes checks that each given unit store holds, at every
+// LBA, exactly its unit of the k-of-n RS encoding of local's block.
+func assertGroupEncodes(tb testing.TB, local prins.Store, k, n int, units map[int]prins.Store) {
+	tb.Helper()
+	rs, err := parity.NewRS(k, n)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	u := rs.UnitSize(local.BlockSize())
+	want := make([][]byte, n)
+	for i := range want {
+		want[i] = make([]byte, u)
+	}
+	blk := make([]byte, local.BlockSize())
+	got := make([]byte, u)
+	for lba := uint64(0); lba < local.NumBlocks(); lba++ {
+		if err := local.ReadBlock(lba, blk); err != nil {
+			tb.Fatal(err)
+		}
+		if err := rs.EncodeInto(want, blk); err != nil {
+			tb.Fatal(err)
+		}
+		for i, store := range units {
+			if err := store.ReadBlock(lba, got); err != nil {
+				tb.Fatal(err)
+			}
+			if !bytes.Equal(got, want[i]) {
+				tb.Fatalf("lba %d: unit %d is not the RS encoding of the primary's block", lba, i)
+			}
+		}
+	}
+}
+
+// TestGroupChaosKillReplicasMidStripeThenResync is the end-to-end
+// robustness drill for erasure-coded groups: a 2-of-4 group takes a
+// sync write workload over real TCP sessions, n-k=2 replicas are
+// killed while writes are in flight, quorum commit keeps the workload
+// succeeding on the two survivors, and the two lost units are then
+// rebuilt onto fresh replacements by the primary's resync, projected
+// onto each unit. Afterwards every unit — survivor and replacement
+// alike — must hold exactly the Reed-Solomon encoding of the final
+// primary content, each rebuild must have shipped one unit per block,
+// and the two rebuilds together must cost about half the modelled wire
+// bytes a full-copy mirror deployment pays to re-seed one lost replica
+// per unit.
+func TestGroupChaosKillReplicasMidStripeThenResync(t *testing.T) {
 	const (
 		k  = 2
 		n  = 4
@@ -87,7 +124,7 @@ func TestGroupChaosKillReplicasMidStripeThenChainRepair(t *testing.T) {
 	}
 	nodes := make([]*groupNode, n)
 	for i := 0; i < n; i++ {
-		nodes[i] = serveGroupNode(t, k, n, i, u, nb)
+		nodes[i] = serveGroupNode(t, blankUnit(t, u, nb), k, n, i)
 		if err := primary.AttachReplicaAddr(nodes[i].addr, nodes[i].export); err != nil {
 			t.Fatalf("attach unit %d: %v", i, err)
 		}
@@ -145,67 +182,32 @@ func TestGroupChaosKillReplicasMidStripeThenChainRepair(t *testing.T) {
 		t.Fatal("primary not degraded after killing two replicas")
 	}
 
-	// Rebuild each lost unit onto a fresh replacement through a chain
-	// of the two survivors.
-	survivors := []prins.GroupMember{nodes[0].member(0), nodes[3].member(3)}
-	replacements := make(map[int]*groupNode, len(lost))
-	var chainModel, chainWire int64
+	// Rebuild each lost unit onto a fresh replacement. The primary holds
+	// every block, so it ships exactly one unit per block.
+	units := make(map[int]prins.Store, n)
+	for i, node := range nodes {
+		units[i] = node.store
+	}
+	var unitWire int64
 	for _, li := range lost {
-		sink := serveGroupNode(t, k, n, li, u, nb)
-		replacements[li] = sink
-		st, err := primary.RepairGroupUnit(li, survivors, sink.member(li))
+		sink := serveGroupNode(t, blankUnit(t, u, nb), k, n, li)
+		units[li] = sink.store
+		st, err := primary.ResyncReplica(li, sink.addr, sink.export)
 		if err != nil {
-			t.Fatalf("repair unit %d: %v", li, err)
+			t.Fatalf("rebuild unit %d: %v", li, err)
 		}
-		if st.Blocks != nb {
-			t.Fatalf("repair unit %d rebuilt %d blocks, want %d", li, st.Blocks, nb)
+		if st.BlocksRepaired != nb || st.DataBytes != int64(nb*u) {
+			t.Fatalf("rebuild of unit %d repaired %d blocks with %d data bytes, want %d with %d",
+				li, st.BlocksRepaired, st.DataBytes, nb, nb*u)
 		}
-		if st.WireBytes <= 0 || st.ModelWireBytes <= 0 {
-			t.Fatalf("repair unit %d stats: %+v", li, st)
-		}
-		chainModel += st.ModelWireBytes
-		chainWire += st.WireBytes
+		unitWire += st.WireBytes
 	}
-
-	// Byte-identity: every unit, survivor or rebuilt, must equal the
-	// RS encoding of the final primary content. (Valid because every
-	// store started zeroed: the group invariant is unit = encode of
-	// the current block.)
-	rs, err := parity.NewRS(k, n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := make([][]byte, n)
-	for i := range want {
-		want[i] = make([]byte, u)
-	}
-	blk := make([]byte, bs)
-	got := make([]byte, u)
-	for lba := uint64(0); lba < nb; lba++ {
-		if err := local.ReadBlock(lba, blk); err != nil {
-			t.Fatal(err)
-		}
-		if err := rs.EncodeInto(want, blk); err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < n; i++ {
-			store := nodes[i].store
-			if r, ok := replacements[i]; ok {
-				store = r.store
-			}
-			if err := store.ReadBlock(lba, got); err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(got, want[i]) {
-				t.Fatalf("lba %d unit %d diverged after repair", lba, i)
-			}
-		}
-	}
+	assertGroupEncodes(t, local, k, n, units)
 
 	// Bandwidth: a mirror deployment losing the same two replicas
-	// re-seeds each with a full-device delta resync. Chain repair of
-	// both lost units must cost fewer modelled wire bytes. Both sides
-	// use the same discrete packet model, so this is deterministic.
+	// re-seeds each with a full-device delta resync of whole blocks, k
+	// units' worth each. Both sides use the same discrete packet model,
+	// so the ratio is deterministic: about 1/k.
 	mirrorStore, err := prins.NewMemStore(bs, nb)
 	if err != nil {
 		t.Fatal(err)
@@ -224,10 +226,10 @@ func TestGroupChaosKillReplicasMidStripeThenChainRepair(t *testing.T) {
 		t.Fatalf("mirror baseline repaired %d blocks, want %d (workload must dirty every block)", rst.BlocksRepaired, nb)
 	}
 	mirrorWire := int64(len(lost)) * rst.WireBytes
-	if chainModel >= mirrorWire {
-		t.Fatalf("chain repair modelled %d wire bytes >= mirror resync %d for the same loss", chainModel, mirrorWire)
+	if ratio := float64(unitWire) / float64(mirrorWire); ratio > 0.51 {
+		t.Fatalf("unit rebuilds modelled %d wire bytes, %.3f of the mirror re-seed's %d; want <= 0.51",
+			unitWire, ratio, mirrorWire)
 	}
-	t.Logf("chain: model=%d measured=%d; mirror resync x%d: %d (saved %.1f%%)",
-		chainModel, chainWire, len(lost), mirrorWire,
-		100*(1-float64(chainModel)/float64(mirrorWire)))
+	t.Logf("unit rebuilds: %d modelled wire bytes; mirror resync x%d: %d (%.3f)",
+		unitWire, len(lost), mirrorWire, float64(unitWire)/float64(mirrorWire))
 }

@@ -687,12 +687,6 @@ func (r *ReplicaEngine) SetGroupUnit(k, n, idx int) error {
 	return nil
 }
 
-// GroupUnit returns the replica's group geometry and whether it is a
-// group member.
-func (r *ReplicaEngine) GroupUnit() (iscsi.StripeHeader, bool) {
-	return r.gHdr, r.inGroup
-}
-
 // HandleReplicaStripe implements iscsi.StripeBackend: the wire entry
 // point for k-of-n stripe pushes. After the geometry gate, a stripe
 // push is exactly a batched push of unit-sized frames — same per-
@@ -774,7 +768,7 @@ func (r *ReplicaEngine) HandleRead(lba uint64, blocks uint32) ([]byte, iscsi.Sta
 }
 
 // HandleWrite implements iscsi.Backend. Direct writes are used by the
-// initial sync, resync repairs and the repair chain's terminal hop;
+// initial sync and resync repairs, a group unit's rebuild included;
 // they bypass replication (a replica does not re-replicate). data may
 // carry a run of consecutive blocks (Initiator.WriteBlocks): every
 // block of the run is written and indexed, in LBA order, under one

@@ -615,10 +615,9 @@ func (i *Initiator) WriteBlock(lba uint64, data []byte) error {
 
 // WriteBlocks is the multi-block write: it lands the consecutive blocks
 // in data (a whole number of them) at lba in one PDU and one round
-// trip, all-or-error. Both recovery paths ship runs with it rather than
-// pay a round trip per block: the repair chain's terminal hop lands a
-// rebuilt run on the replacement replica, and resync ships each run of
-// contiguous differing blocks (internal/resync).
+// trip, all-or-error. Resync ships each run of contiguous differing
+// blocks with it rather than pay a round trip per block
+// (internal/resync); a rebuilt group unit arrives the same way.
 func (i *Initiator) WriteBlocks(lba uint64, data []byte) error {
 	bs := i.BlockSize()
 	if bs <= 0 || len(data) == 0 || len(data)%bs != 0 {

@@ -58,12 +58,10 @@ const (
 	// vol) ride in the header as in v5. Only GroupMode traffic uses
 	// this opcode — v3-v5 framing is untouched when striping is off.
 	OpReplicaWriteStripe
-	// OpRepairChain carries one hop of a pipelined repair chain (proto
-	// v6): an opaque request the repair coordinator or the previous
-	// survivor built (see internal/repair), containing the accumulating
-	// partial sums plus the remaining hop list. The response payload
-	// reports downstream wire/ingest accounting.
-	OpRepairChain
+	// Opcode 14, a proto-v6 repair-chain hop, is retired. Its slot stays
+	// reserved so later opcodes keep their wire values; a target answers
+	// it StatusBadRequest like any unknown opcode.
+	_
 	// OpReplicaWriteByRef ships replication pushes by content reference
 	// (proto v7): a count-prefixed sequence of {seq, lba, hash,
 	// frameLen, frame} entries where a zero frameLen means "the replica
@@ -105,8 +103,6 @@ func (o Opcode) String() string {
 		return "REPLICA-WRITE-BATCH"
 	case OpReplicaWriteStripe:
 		return "REPLICA-WRITE-STRIPE"
-	case OpRepairChain:
-		return "REPAIR-CHAIN"
 	case OpReplicaWriteByRef:
 		return "REPLICA-WRITE-BYREF"
 	default:
@@ -216,11 +212,11 @@ const (
 	// byte-identical to v3/v4 framing, so un-sharded nodes interoperate
 	// until the first tagged push.
 	streamVersion = 5
-	// stripeVersion (v6) adds the k-of-n replica-group opcodes
-	// (OpReplicaWriteStripe, OpRepairChain). Only those opcodes are
-	// stamped 6; every pre-stripe opcode keeps its v3-v5 framing
-	// byte-identically, so mixed-version nodes interoperate until the
-	// first stripe push.
+	// stripeVersion (v6) adds the k-of-n replica-group opcode
+	// OpReplicaWriteStripe (v6's repair-chain opcode 14 is retired).
+	// Only that opcode is stamped 6; every pre-stripe opcode keeps its
+	// v3-v5 framing byte-identically, so mixed-version nodes
+	// interoperate until the first stripe push.
 	stripeVersion = 6
 	// dedupeVersion (v7) adds the content-addressed by-ref push
 	// (OpReplicaWriteByRef). Only that opcode is stamped 7; every
@@ -328,7 +324,7 @@ func (p *PDU) putHeader(hdr []byte, dataLen int) {
 	if p.Shard != 0 || p.Vol != 0 {
 		hdr[1] = streamVersion
 	}
-	if p.Op == OpReplicaWriteStripe || p.Op == OpRepairChain {
+	if p.Op == OpReplicaWriteStripe {
 		hdr[1] = stripeVersion
 	}
 	if p.Op == OpReplicaWriteByRef {

@@ -47,14 +47,6 @@ type StripeBackend interface {
 	HandleReplicaStripe(mode, shard uint8, vol uint16, hdr StripeHeader, entries []BatchEntry) []Status
 }
 
-// ChainBackend is the pipelined-repair extension of Backend: one hop
-// of a repair chain hands the opaque request to the node's repair
-// logic (see internal/repair) and returns the response payload.
-type ChainBackend interface {
-	Backend
-	HandleRepairChain(req []byte) ([]byte, Status)
-}
-
 // StripeWireLen returns the data-segment bytes a stripe of entries
 // occupies on the wire (PDU header excluded); used for modelled wire
 // accounting.
@@ -123,17 +115,4 @@ func (i *Initiator) ReplicaWriteStripe(mode, shard uint8, vol uint16, shdr Strip
 		return nil, err
 	}
 	return i.pushEntryList(PDU{Op: OpReplicaWriteStripe, Mode: mode, Shard: shard, Vol: vol}, prefix, entries)
-}
-
-// RepairChain sends one pipelined-repair hop request (an opaque
-// payload built by internal/repair) and returns the response payload.
-func (i *Initiator) RepairChain(req []byte) ([]byte, error) {
-	resp, err := i.roundTrip(&PDU{Op: OpRepairChain, Data: req})
-	if err != nil {
-		return nil, err
-	}
-	if resp.Status != StatusOK {
-		return nil, fmt.Errorf("%w: repair-chain: %v", ErrStatus, resp.Status)
-	}
-	return resp.Data, nil
 }

@@ -2,6 +2,7 @@ package iscsi
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"net"
 	"testing"
@@ -160,6 +161,71 @@ func TestStripeRefusedByPlainBackend(t *testing.T) {
 		[]BatchEntry{{Seq: 1, LBA: 0, Frame: []byte("x")}})
 	if err == nil {
 		t.Fatal("plain backend accepted a stripe push")
+	}
+}
+
+// Opcode 14, the retired v6 repair-chain hop, keeps its slot — later
+// opcodes do not move — and a target answers it like any unknown
+// opcode: StatusBadRequest, with the session still serving the next
+// command.
+func TestRetiredOpcode14(t *testing.T) {
+	if OpReplicaWriteByRef != 15 {
+		t.Fatalf("OpReplicaWriteByRef = %d, want 15: opcode 14's slot must stay reserved", OpReplicaWriteByRef)
+	}
+	store, err := block.NewMem(512, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	target := NewTarget()
+	target.Export("r", &StoreBackend{Store: store})
+	client, server := net.Pipe()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		target.ServeConn(server)
+	}()
+	defer func() {
+		client.Close()
+		<-done
+	}()
+	roundTrip := func(bufs net.Buffers) *PDU {
+		t.Helper()
+		if _, err := writeOnce(client, bufs); err != nil {
+			t.Fatal(err)
+		}
+		resp, err := ReadPDU(client)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp
+	}
+	frame := func(p *PDU) net.Buffers {
+		t.Helper()
+		bufs, err := p.buffers()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return bufs
+	}
+	if resp := roundTrip(frame(&PDU{Op: OpLoginReq, ITT: 1, Data: encodeLoginReq("r")})); resp.Status != StatusOK {
+		t.Fatalf("login: %v", resp.Status)
+	}
+
+	// A v6 PDU with opcode 14 and an opaque payload, as a chain
+	// coordinator framed it.
+	chain := &PDU{Op: Opcode(14), ITT: 2, Data: bytes.Repeat([]byte{0xaa}, 22)}
+	bufs := frame(chain)
+	hdr := bufs[0]
+	hdr[1] = stripeVersion
+	binary.BigEndian.PutUint32(hdr[44:], 0)
+	binary.BigEndian.PutUint32(hdr[44:], digest(hdr, chain.Data))
+	if resp := roundTrip(bufs); resp.ITT != 2 || resp.Status != StatusBadRequest {
+		t.Fatalf("opcode 14: ITT %d status %v, want 2 BAD-REQUEST", resp.ITT, resp.Status)
+	}
+
+	resp := roundTrip(frame(&PDU{Op: OpHashCmd, ITT: 3, LBA: 0, Blocks: 2}))
+	if resp.ITT != 3 || resp.Status != StatusOK || len(resp.Data) != 2*HashSize {
+		t.Fatalf("HASH after opcode 14: ITT %d status %v, %d bytes", resp.ITT, resp.Status, len(resp.Data))
 	}
 }
 

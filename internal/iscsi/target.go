@@ -18,8 +18,8 @@ import (
 //
 // Buffer lifetime: every []byte and []BatchEntry a target hands a
 // Backend method (this interface's and its extensions': data, frame,
-// entries, entries[i].Frame, a repair-chain request) is the session's
-// own request storage, which the next PDU of the session overwrites. A
+// entries, entries[i].Frame) is the session's own request storage,
+// which the next PDU of the session overwrites. A
 // Backend must not retain any of it, or a slice of it, after the method
 // returns; what it needs later it copies.
 type Backend interface {
@@ -437,23 +437,6 @@ func (t *Target) ServeConn(conn net.Conn) {
 			}
 			resp.Status = StatusOK
 			resp.Data = EncodeBatchStatuses(statuses)
-
-		case OpRepairChain:
-			resp.Op = OpResp
-			if backend == nil {
-				resp.Status = StatusNotLoggedIn
-				break
-			}
-			cb, ok := backend.(ChainBackend)
-			if !ok {
-				resp.Status = StatusBadRequest
-				break
-			}
-			data, st := cb.HandleRepairChain(pdu.Data)
-			resp.Status = st
-			if st == StatusOK {
-				resp.Data = data
-			}
 
 		case OpHashCmd:
 			resp.Op = OpResp

@@ -507,53 +507,6 @@ func (s ScrubSnapshot) String() string {
 		s.Passes, s.Scanned, s.Diverged, s.Repaired)
 }
 
-// Repair accumulates pipelined-repair statistics: how many chain
-// rounds ran, how many blocks were rebuilt, and — the first-class
-// figure — how many bytes actually crossed the wire to do it, split
-// into the chain's hop traffic and the rebuilt bytes written to the
-// replacement. The zero value is ready to use and all methods are safe
-// for concurrent use.
-type Repair struct {
-	chains    atomic.Int64 // chain rounds completed
-	blocks    atomic.Int64 // blocks rebuilt on the replacement replica
-	wireBytes atomic.Int64 // measured bytes on the wire, all hops + sink
-	ingest    atomic.Int64 // rebuilt unit bytes written to the replacement
-}
-
-// AddChain records one completed chain round that rebuilt blocks
-// blocks with wireBytes measured bytes on the wire, ingestBytes of
-// which were written to the replacement replica as rebuilt units.
-func (r *Repair) AddChain(blocks, wireBytes, ingestBytes int64) {
-	r.chains.Add(1)
-	r.blocks.Add(blocks)
-	r.wireBytes.Add(wireBytes)
-	r.ingest.Add(ingestBytes)
-}
-
-// RepairSnapshot is a point-in-time copy of the repair counters.
-type RepairSnapshot struct {
-	Chains      int64
-	Blocks      int64
-	WireBytes   int64
-	IngestBytes int64
-}
-
-// Snapshot returns the current repair counter values.
-func (r *Repair) Snapshot() RepairSnapshot {
-	return RepairSnapshot{
-		Chains:      r.chains.Load(),
-		Blocks:      r.blocks.Load(),
-		WireBytes:   r.wireBytes.Load(),
-		IngestBytes: r.ingest.Load(),
-	}
-}
-
-// String renders a compact repair summary.
-func (r RepairSnapshot) String() string {
-	return fmt.Sprintf("chains=%d blocks=%d wire=%s ingest=%s",
-		r.Chains, r.Blocks, FormatBytes(r.WireBytes), FormatBytes(r.IngestBytes))
-}
-
 // FormatBytes renders n in a human unit (KB/MB/GB, powers of 1024).
 func FormatBytes(n int64) string {
 	switch {

@@ -20,15 +20,9 @@ import "fmt"
 // that a replica folds into its stored unit with one XOR, exactly like
 // the full-block backward computation.
 //
-// Repair of a single lost unit r from a survivor set A = {i_1..i_k} is
-// a GF-linear combination
-//
-//	unit_r = Σ c_m · unit_{i_m},  c = G_r · A⁻¹
-//
-// (RepairCoeffs), so a rebuilding chain can pass one accumulating
-// block-sized partial sum from survivor to survivor — RapidRAID-style
-// pipelined repair — instead of fanning k full reads into the
-// rebuilder.
+// A lost unit is rebuilt by re-encoding: the primary holds every
+// logical block, so unit r of block b is row r of Encode(b), shipped by
+// resync at u bytes per block rather than gathered from k survivors.
 
 // gfPoly is the AES field polynomial x^8+x^4+x^3+x+1.
 const gfPoly = 0x11d
@@ -37,7 +31,7 @@ var (
 	gfExp [512]byte // generator powers, doubled to skip a mod
 	gfLog [256]byte
 	// gfMulTab[a][b] = a·b in GF(256); 64 KiB buys table-speed
-	// multiply-accumulate kernels for encode and chain repair.
+	// multiply-accumulate kernels for encode and reconstruct.
 	gfMulTab [256][256]byte
 )
 
@@ -69,8 +63,8 @@ func gfInv(a byte) byte {
 }
 
 // GFMulAdd folds c·src into dst byte-wise: dst[i] ^= c·src[i]. It is
-// the multiply-accumulate kernel the encoder and the repair chain
-// share. c==0 is a no-op; c==1 degenerates to XOR. Lengths must match.
+// the multiply-accumulate kernel the encoder and the decoder share.
+// c==0 is a no-op; c==1 degenerates to XOR. Lengths must match.
 func GFMulAdd(dst, src []byte, c byte) error {
 	if len(dst) != len(src) {
 		return fmt.Errorf("parity: gfmuladd length mismatch: %d != %d", len(dst), len(src))
@@ -292,38 +286,4 @@ func (r *RS) ReconstructInto(dst []byte, survivors []int, units [][]byte) error 
 		copy(dst[lo:], scratch)
 	}
 	return nil
-}
-
-// RepairCoeffs returns the chain-repair coefficient vector for the
-// lost unit given a survivor set of exactly k distinct unit indices:
-//
-//	unit_lost = Σ coeffs[m] · unit_{survivors[m]}
-//
-// Each survivor in a repair chain folds coeffs[m]·unit into one
-// accumulating block-sized partial (GFMulAdd) and forwards it, so the
-// rebuilder receives the finished unit having moved only one unit-size
-// payload per link.
-func (r *RS) RepairCoeffs(lost int, survivors []int) ([]byte, error) {
-	if lost < 0 || lost >= r.n {
-		return nil, fmt.Errorf("parity: lost unit %d out of range", lost)
-	}
-	for _, s := range survivors {
-		if s == lost {
-			return nil, fmt.Errorf("parity: lost unit %d in survivor set", lost)
-		}
-	}
-	ainv, err := r.decodeMatrix(survivors)
-	if err != nil {
-		return nil, err
-	}
-	g := r.row(lost)
-	coeffs := make([]byte, r.k)
-	for m := 0; m < r.k; m++ {
-		var c byte
-		for i := 0; i < r.k; i++ {
-			c ^= gfMul(g[i], ainv[i][m])
-		}
-		coeffs[m] = c
-	}
-	return coeffs, nil
 }

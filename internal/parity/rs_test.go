@@ -84,51 +84,6 @@ func TestRSLinearity(t *testing.T) {
 	}
 }
 
-// Chain repair: the coefficient vector must rebuild the lost unit as a
-// running partial sum, survivor by survivor, for every (lost,
-// survivors) choice.
-func TestRSRepairCoeffsChain(t *testing.T) {
-	rs, err := NewRS(2, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(13))
-	block := make([]byte, 1024)
-	rng.Read(block)
-	units, err := rs.Encode(block)
-	if err != nil {
-		t.Fatal(err)
-	}
-	u := rs.UnitSize(len(block))
-	for lost := 0; lost < 4; lost++ {
-		for _, set := range subsets(4, 2) {
-			skip := false
-			for _, s := range set {
-				if s == lost {
-					skip = true
-				}
-			}
-			if skip {
-				continue
-			}
-			coeffs, err := rs.RepairCoeffs(lost, set)
-			if err != nil {
-				t.Fatalf("coeffs lost=%d set=%v: %v", lost, set, err)
-			}
-			// Simulate the chain: one accumulating partial.
-			partial := make([]byte, u)
-			for m, s := range set {
-				if err := GFMulAdd(partial, units[s], coeffs[m]); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if !bytes.Equal(partial, units[lost]) {
-				t.Fatalf("lost=%d set=%v: chained partial != lost unit", lost, set)
-			}
-		}
-	}
-}
-
 func TestRSRejectsBadShapes(t *testing.T) {
 	if _, err := NewRS(0, 4); err == nil {
 		t.Fatal("NewRS(0,4) accepted")
@@ -140,14 +95,12 @@ func TestRSRejectsBadShapes(t *testing.T) {
 		t.Fatal("NewRS(2,300) accepted")
 	}
 	rs, _ := NewRS(2, 3)
-	if _, err := rs.RepairCoeffs(1, []int{1, 2}); err == nil {
-		t.Fatal("lost unit in survivor set accepted")
-	}
-	if _, err := rs.RepairCoeffs(0, []int{1, 1}); err == nil {
+	units := [][]byte{make([]byte, 4), make([]byte, 4)}
+	if err := rs.ReconstructInto(make([]byte, 8), []int{1, 1}, units); err == nil {
 		t.Fatal("duplicate survivor accepted")
 	}
-	if _, err := rs.RepairCoeffs(3, []int{1, 2}); err == nil {
-		t.Fatal("out-of-range lost unit accepted")
+	if err := rs.ReconstructInto(make([]byte, 8), []int{1, 3}, units); err == nil {
+		t.Fatal("out-of-range survivor accepted")
 	}
 	if err := GFMulAdd(make([]byte, 3), make([]byte, 4), 2); err == nil {
 		t.Fatal("length mismatch accepted")

@@ -11,7 +11,6 @@ import (
 	"prins/internal/iscsi"
 	"prins/internal/journal"
 	"prins/internal/parity"
-	"prins/internal/repair"
 	"prins/internal/resync"
 )
 
@@ -146,11 +145,12 @@ type Config struct {
 	// unit-index order; each must be a unit-sized device (block size
 	// GroupUnitSize, not the primary's block size) whose replica
 	// engine was told its unit index (Replica.SetGroupUnit). The group
-	// survives GroupN-GroupK replica losses: reads reconstruct from
-	// any GroupK survivors and a lost unit is rebuilt with a
-	// bandwidth-efficient pipelined repair chain (internal/repair).
-	// Zero GroupN keeps classic full-copy mirroring. A VolumeManager
-	// mirrors only and refuses a group.
+	// survives GroupN-GroupK replica losses: any GroupK units
+	// reconstruct a block, and a lost or stale unit is rebuilt from the
+	// primary's own device by ResyncReplica, which ships one unit per
+	// differing block (RepairGroupUnit). Zero GroupN keeps classic
+	// full-copy mirroring. A VolumeManager mirrors only and refuses a
+	// group.
 	GroupK int
 	GroupN int
 }
@@ -365,7 +365,7 @@ type Range struct {
 // DirtyRanges returns the merged runs of blocks replica i (attach
 // order) is not known to hold correctly — dropped while degraded,
 // failed past the retry budget, or refused as diverged. Repair them
-// with ResyncRanges and then forget them with ClearDirty.
+// with ResyncReplica and then forget them with ClearDirty.
 func (p *Primary) DirtyRanges(i int) []Range {
 	rs := p.engine.DirtyRanges(i)
 	out := make([]Range, len(rs))
@@ -390,31 +390,19 @@ func (p *Primary) ClearDirty(i int, ranges ...Range) {
 // the index (nothing about a dropped replica's content can be
 // assumed), so resyncing through this method re-warms the
 // ship-by-reference fast path as a free side effect of the comparison
-// it does anyway. Quiesce writes first (Drain) and follow with
-// ClearDirty / ClearDegraded as usual.
+// it does anyway. On a group primary (Config.GroupN) replica i holds
+// stripe unit i, and the comparison runs against that unit of the
+// primary's blocks (RepairGroupUnit). Quiesce writes first (Drain) and
+// follow with ClearDirty / ClearDegraded as usual.
 func (p *Primary) ResyncReplica(i int, addr, exportName string, ranges ...Range) (ResyncStats, error) {
-	remote, err := iscsi.Dial(addr)
-	if err != nil {
-		return ResyncStats{}, err
-	}
-	defer remote.Close()
-	if err := remote.Login(exportName); err != nil {
-		return ResyncStats{}, err
+	if g := p.engine.Group(); g.N > 0 {
+		return RepairGroupUnit(p.engine, g.K, g.N, i, addr, exportName, ranges...)
 	}
 	cfg := resync.Config{}
 	if idx := p.engine.ReplicaDedupe(i); idx != nil {
 		cfg.Learn = idx.Put
 	}
-	var s resync.Stats
-	if len(ranges) == 0 {
-		s, err = resync.Run(p.engine, remote, cfg)
-	} else {
-		s, err = resync.RunRanges(p.engine, remote, cfg, toBlockRanges(ranges)...)
-	}
-	if err != nil {
-		return ResyncStats{}, err
-	}
-	return resyncStats(s), nil
+	return resyncTo(p.engine, addr, exportName, cfg, wholeIfNone(p.engine, ranges))
 }
 
 // Shards returns how many LBA-range shards the primary's write path
@@ -538,81 +526,68 @@ func (p *Primary) Group() (k, n int) {
 // as their block size, or zero when the primary mirrors.
 func (p *Primary) GroupUnitSize() int { return p.engine.GroupUnitSize() }
 
-// GroupMember names one group replica's export for repair.
-type GroupMember struct {
-	// Addr and Export locate the replica's served unit device.
-	Addr   string
-	Export string
-	// Unit is the replica's stripe-unit index in [0, GroupN).
-	Unit int
-}
-
-// RepairStats summarizes one pipelined group repair.
-type RepairStats struct {
-	// Chains counts chain rounds run.
-	Chains int64
-	// Blocks counts unit blocks rebuilt onto the replacement.
-	Blocks uint64
-	// WireBytes is the measured bytes sent across every chain link.
-	WireBytes int64
-	// IngestBytes is the rebuilt unit bytes the replacement absorbed.
-	IngestBytes int64
-	// ModelWireBytes is the wan-model estimate of the chain traffic,
-	// comparable with resync wire modelling.
-	ModelWireBytes int64
-}
-
-// RepairGroupUnit rebuilds group unit lost onto the replacement
-// replica at sink by threading a pipelined partial-sum chain through
-// exactly GroupK survivor replicas: each survivor folds its
-// coefficient-scaled unit into one accumulating payload and forwards
-// it, so no link ever carries more than unit-sized traffic and the
-// total wire cost per rebuilt block is about one logical block —
-// versus a full mirror resync per block. With no ranges the whole
-// device is rebuilt; pass DirtyRanges output to rebuild only what a
-// partially-synced replacement is missing. The survivors and sink
-// must already be serving (Replica.Serve after SetGroupUnit).
-func (p *Primary) RepairGroupUnit(lost int, survivors []GroupMember, sink GroupMember, ranges ...Range) (RepairStats, error) {
-	g := p.engine.Group()
-	if g.N == 0 {
-		return RepairStats{}, errors.New("prins: RepairGroupUnit on a mirroring primary")
-	}
-	_, nb := p.engine.Geometry()
-	return RepairChain(g.K, g.N, lost, nb, survivors, sink, ranges...)
-}
-
-// RepairChain is RepairGroupUnit without a Primary: any node that
-// knows the group shape (k, n) and the logical device size in blocks
-// can drive the rebuild of unit lost through GroupK serving survivors
-// onto the serving replacement at sink.
-func RepairChain(k, n, lost int, numBlocks uint64, survivors []GroupMember, sink GroupMember, ranges ...Range) (RepairStats, error) {
+// RepairGroupUnit rebuilds stripe unit lost of a k-of-n group onto the
+// group replica serving exportName at addr. local is the group's
+// logical device: the primary's own store, or its served export
+// mounted with Dial. The rebuild is a resync from local projected onto
+// the unit: each compared block is read from local and RS-encoded, and
+// only unit blocks whose hash differs from the replica's are shipped,
+// one unit (not k of them) per block. With no ranges the whole device
+// is compared; pass DirtyRanges output to rebuild only what the
+// replica missed. Quiesce writes to local first.
+func RepairGroupUnit(local Store, k, n, lost int, addr, exportName string, ranges ...Range) (ResyncStats, error) {
 	rs, err := parity.NewRS(k, n)
 	if err != nil {
-		return RepairStats{}, err
+		return ResyncStats{}, err
 	}
-	hops := make([]repair.Hop, len(survivors))
-	for i, m := range survivors {
-		hops[i] = repair.Hop{Addr: m.Addr, Export: m.Export, Unit: m.Unit}
+	if lost < 0 || lost >= n {
+		return ResyncStats{}, fmt.Errorf("prins: unit %d outside a %d-unit group", lost, n)
 	}
-	c := &repair.Chain{
-		RS:        rs,
-		Lost:      lost,
-		Survivors: hops,
-		Sink:      repair.Hop{Addr: sink.Addr, Export: sink.Export, Unit: sink.Unit},
-	}
-	rgs := make([]block.Range, len(ranges))
-	for i, r := range ranges {
-		rgs[i] = block.Range{Start: r.Start, Count: r.Count}
-	}
-	st, err := c.Run(numBlocks, rgs...)
-	return RepairStats{
-		Chains:         st.Chains,
-		Blocks:         st.Blocks,
-		WireBytes:      st.WireBytes,
-		IngestBytes:    st.IngestBytes,
-		ModelWireBytes: st.ModelWireBytes,
-	}, err
+	return resyncTo(newGroupUnit(local, rs, lost), addr, exportName, resync.Config{}, wholeIfNone(local, ranges))
 }
+
+// groupUnit is the read-only view of a logical device as one unit of
+// its stripe: block lba of the view is unit `unit` of the RS encoding
+// of block lba of src. It reuses one set of buffers, so it serves one
+// reader at a time, as a resync's comparer is.
+type groupUnit struct {
+	src   Store
+	rs    *parity.RS
+	unit  int
+	blk   []byte
+	units [][]byte
+}
+
+func newGroupUnit(src Store, rs *parity.RS, unit int) *groupUnit {
+	g := &groupUnit{src: src, rs: rs, unit: unit, blk: make([]byte, src.BlockSize()), units: make([][]byte, rs.N())}
+	for i := range g.units {
+		g.units[i] = make([]byte, rs.UnitSize(src.BlockSize()))
+	}
+	return g
+}
+
+func (g *groupUnit) ReadBlock(lba uint64, buf []byte) error {
+	if len(buf) != g.BlockSize() {
+		return block.ErrBadBufSize
+	}
+	if err := g.src.ReadBlock(lba, g.blk); err != nil {
+		return err
+	}
+	if err := g.rs.EncodeInto(g.units, g.blk); err != nil {
+		return err
+	}
+	copy(buf, g.units[g.unit])
+	return nil
+}
+
+// WriteBlock refuses: the view is a resync source, never a target.
+func (g *groupUnit) WriteBlock(uint64, []byte) error {
+	return errors.New("prins: a group unit view is read-only")
+}
+
+func (g *groupUnit) BlockSize() int    { return len(g.units[g.unit]) }
+func (g *groupUnit) NumBlocks() uint64 { return g.src.NumBlocks() }
+func (g *groupUnit) Close() error      { return nil }
 
 // ReplicaStat is one attached replica's pipeline health and delivery
 // counters.
@@ -771,28 +746,22 @@ func NewReplicaJournaled(local Store, journalPath string) (*Replica, error) {
 
 // SetGroupUnit declares this replica a member of a k-of-n
 // erasure-coded group holding the unit at index idx (0-based, in the
-// primary's attach order). Call it before the first push and before
-// Serve: a group replica only accepts stripe pushes whose geometry
-// matches, and serving after SetGroupUnit additionally exports the
-// repair-chain hop handler so the replica can participate in
-// pipelined rebuilds of a lost sibling.
+// primary's attach order). Call it before the first push: a group
+// replica only accepts stripe pushes whose geometry matches. A lost or
+// stale unit is healed like any replica, by the primary's resync
+// (Primary.ResyncReplica), which writes it whole unit blocks.
 func (r *Replica) SetGroupUnit(k, n, idx int) error {
 	return r.engine.SetGroupUnit(k, n, idx)
 }
 
 // Serve exposes the replica on the network: primaries replicate to it
-// and clients may mount it (read-mostly) for verification or failover.
-// A group replica (SetGroupUnit) is additionally served as a
-// repair-chain hop.
+// (stripe pushes too, for a group unit) and resync it, and clients may
+// mount it (read-mostly) for verification or failover.
 func (r *Replica) Serve(addr, exportName string) (net.Addr, error) {
 	if r.target == nil {
 		r.target = iscsi.NewTarget()
 	}
-	var backend iscsi.Backend = r.engine
-	if _, grouped := r.engine.GroupUnit(); grouped {
-		backend = repair.NewChainedReplica(r.engine, nil)
-	}
-	r.target.Export(exportName, backend)
+	r.target.Export(exportName, r.engine)
 	return r.target.Listen(addr)
 }
 
