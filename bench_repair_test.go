@@ -41,7 +41,7 @@ func groupRepairCell(tb testing.TB) (local, sink prins.Store, repair func() prin
 		}
 	}
 	const u = repairBS / repairK
-	node := serveGroupNode(tb, blankUnit(tb, u, repairNB), repairK, repairN, repairLost)
+	node := serveGroupNode(tb, blankUnit(tb, u, repairNB), repairLost)
 	blank := make([]byte, u)
 	return local, node.store, func() prins.ResyncStats {
 		for lba := uint64(0); lba < repairNB; lba++ {

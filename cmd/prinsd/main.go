@@ -64,10 +64,9 @@ func run(args []string) error {
 		dedupe     = fs.Int("dedupe", 0, "primary role: enable ship-by-reference dedupe with this many index entries per replica (0 = off, negative = default bound); replica role: resize its content index (0 = keep the default, negative = disable)")
 		dedupeWarm = fs.Bool("dedupe-warm", false, "replica role: scan the device into the content index at startup so by-ref pushes resolve immediately after a restart")
 
-		group     = fs.String("group", "", "erasure-coded replica group shape k,n: writes stripe k-of-n across the replicas and commit on a k quorum (empty = mirror full copies)")
-		groupUnit = fs.Int("group-unit", -1, "replica role with -group: this replica's stripe-unit index in [0,n); its device must be unit-sized")
+		group = fs.String("group", "", "primary role: erasure-coded replica group shape k,n: writes stripe k-of-n across the replicas, replica i (in -replica order) storing unit i on a plain replica of block size ceil(bs/k), and commit on a k quorum (empty = mirror full copies)")
 
-		repairFrom = fs.String("repair-from", "", "one-shot group-unit rebuild then exit: resync the unit from the primary's served logical export host:port/export (requires -group, -repair-lost, -repair-sink)")
+		repairFrom = fs.String("repair-from", "", "one-shot rebuild of a group unit, then exit: resync the unit from the primary's served logical export host:port/export (requires -group, -repair-lost, -repair-sink)")
 		repairLost = fs.Int("repair-lost", -1, "unit index to rebuild with -repair-from")
 		repairSink = fs.String("repair-sink", "", "group replica endpoint host:port/export to rebuild with -repair-from")
 	)
@@ -139,13 +138,7 @@ func run(args []string) error {
 			replica = prins.NewReplica(store)
 		}
 		if groupN > 0 {
-			if *groupUnit < 0 {
-				return fmt.Errorf("-group %s needs -group-unit on the replica role", *group)
-			}
-			if err := replica.SetGroupUnit(groupK, groupN, *groupUnit); err != nil {
-				return err
-			}
-			log.Printf("prinsd: group unit %d of %d-of-%d", *groupUnit, groupK, groupN)
+			return fmt.Errorf("-group is a primary-role flag: a group member is a plain replica of a unit-sized device")
 		}
 		if *dedupe != 0 {
 			replica.SetDedupe(*dedupe)

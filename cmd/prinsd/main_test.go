@@ -151,9 +151,6 @@ func TestRunRepairFrom(t *testing.T) {
 	}
 	replica := prins.NewReplica(unit)
 	defer replica.Close()
-	if err := replica.SetGroupUnit(k, n, lost); err != nil {
-		t.Fatal(err)
-	}
 	raddr, err := replica.Serve("127.0.0.1:0", "u")
 	if err != nil {
 		t.Fatal(err)

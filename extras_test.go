@@ -223,3 +223,28 @@ func TestAttachReplicaResilient(t *testing.T) {
 		t.Error("bad export accepted")
 	}
 }
+
+// TestAttachReplicaResilientGroup: a group primary refuses a resilient
+// replica of either size. A whole-block device would be counted toward
+// the quorum as a unit it does not hold, and the client's heal resyncs
+// whole logical blocks, which a unit-sized device cannot take.
+func TestAttachReplicaResilientGroup(t *testing.T) {
+	local, _ := prins.NewMemStore(512, 32)
+	primary, err := prins.NewPrimary(local, prins.Config{Mode: prins.ModePRINS, GroupK: 2, GroupN: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer primary.Close()
+	for _, bs := range []int{512, 256} {
+		disk, _ := prins.NewMemStore(bs, 32)
+		replica := prins.NewReplica(disk)
+		addr, err := replica.Serve("127.0.0.1:0", "vol0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := primary.AttachReplicaResilient(addr.String(), "vol0"); err == nil {
+			t.Errorf("a 2-of-3 primary attached a resilient %d-byte replica", bs)
+		}
+		replica.Close()
+	}
+}

@@ -31,14 +31,11 @@ func blankUnit(tb testing.TB, unitSize int, nb uint64) prins.Store {
 	return store
 }
 
-// serveGroupNode serves store as the replica of unit idx of a k-of-n
-// group on loopback TCP until the test ends.
-func serveGroupNode(tb testing.TB, store prins.Store, k, n, idx int) *groupNode {
+// serveGroupNode serves store, a plain replica of a unit-sized device,
+// on loopback TCP as export "unit<idx>" until the test ends.
+func serveGroupNode(tb testing.TB, store prins.Store, idx int) *groupNode {
 	tb.Helper()
 	rep := prins.NewReplica(store)
-	if err := rep.SetGroupUnit(k, n, idx); err != nil {
-		tb.Fatal(err)
-	}
 	export := fmt.Sprintf("unit%d", idx)
 	addr, err := rep.Serve("127.0.0.1:0", export)
 	if err != nil {
@@ -124,7 +121,7 @@ func TestGroupChaosKillReplicasMidStripeThenResync(t *testing.T) {
 	}
 	nodes := make([]*groupNode, n)
 	for i := 0; i < n; i++ {
-		nodes[i] = serveGroupNode(t, blankUnit(t, u, nb), k, n, i)
+		nodes[i] = serveGroupNode(t, blankUnit(t, u, nb), i)
 		if err := primary.AttachReplicaAddr(nodes[i].addr, nodes[i].export); err != nil {
 			t.Fatalf("attach unit %d: %v", i, err)
 		}
@@ -190,7 +187,7 @@ func TestGroupChaosKillReplicasMidStripeThenResync(t *testing.T) {
 	}
 	var unitWire int64
 	for _, li := range lost {
-		sink := serveGroupNode(t, blankUnit(t, u, nb), k, n, li)
+		sink := serveGroupNode(t, blankUnit(t, u, nb), li)
 		units[li] = sink.store
 		st, err := primary.ResyncReplica(li, sink.addr, sink.export)
 		if err != nil {

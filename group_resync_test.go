@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"prins"
+	"prins/internal/iscsi"
 	"prins/internal/parity"
 )
 
@@ -73,7 +74,7 @@ func TestGroupResyncReplica(t *testing.T) {
 				unit = &offlineStore{Store: store}
 				store = unit
 			}
-			nd := serveGroupNode(t, store, k, n, i)
+			nd := serveGroupNode(t, store, i)
 			if err := primary.AttachReplicaAddr(nd.addr, nd.export); err != nil {
 				t.Fatalf("attach unit %d: %v", i, err)
 			}
@@ -181,7 +182,7 @@ func TestGroupResyncReplica(t *testing.T) {
 			t.Fatal(err)
 		}
 		u := rs.UnitSize(bs)
-		sink := serveGroupNode(t, blankUnit(t, u, nb), k, n, lost)
+		sink := serveGroupNode(t, blankUnit(t, u, nb), lost)
 
 		st, err := prins.RepairGroupUnit(local, k, n, lost, sink.addr, sink.export,
 			prins.Range{Start: 20, Count: 100},
@@ -223,4 +224,182 @@ func TestGroupResyncReplica(t *testing.T) {
 			t.Fatal("k > n accepted")
 		}
 	})
+}
+
+// servedGroup builds a sync k-of-n PRINS primary over local whose units
+// are plain replicas of blank unit-sized devices served on loopback TCP
+// and attached in unit order.
+func servedGroup(t *testing.T, local prins.Store, k, n int, cfg prins.Config) (*prins.Primary, []*groupNode) {
+	t.Helper()
+	cfg.Mode, cfg.GroupK, cfg.GroupN = prins.ModePRINS, k, n
+	primary, err := prins.NewPrimary(local, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { primary.Close() })
+	nodes := make([]*groupNode, n)
+	for i := range nodes {
+		nodes[i] = serveGroupNode(t, blankUnit(t, primary.GroupUnitSize(), local.NumBlocks()), i)
+		if err := primary.AttachReplicaAddr(nodes[i].addr, nodes[i].export); err != nil {
+			t.Fatalf("attach unit %d: %v", i, err)
+		}
+	}
+	return primary, nodes
+}
+
+// nodeUnits maps each node's unit index to its store.
+func nodeUnits(nodes []*groupNode) map[int]prins.Store {
+	units := make(map[int]prins.Store, len(nodes))
+	for i, nd := range nodes {
+		units[i] = nd.store
+	}
+	return units
+}
+
+// TestGroupSwappedUnitsDiverge: a group member carries no unit index of
+// its own — the attach order is its index — so what guards a unit
+// mounted at the wrong index is the hash of the new unit every PRINS
+// entry carries. With units 1 and 2 of a 2-of-3 group holding each
+// other's (non-zero) content, the next write to such an LBA is refused
+// as diverged by both, which loses the quorum, and lands in both dirty
+// maps; a resync of each swapped unit then converges the group.
+func TestGroupSwappedUnitsDiverge(t *testing.T) {
+	const (
+		k, n = 2, 3
+		bs   = 1024
+		nb   = 16
+	)
+	local, err := prins.NewMemStore(bs, nb)
+	if err != nil {
+		t.Fatal(err)
+	}
+	primary, nodes := servedGroup(t, local, k, n, prins.Config{})
+	rng := rand.New(rand.NewSource(9))
+	buf := make([]byte, bs)
+	for lba := uint64(0); lba < nb; lba++ {
+		rng.Read(buf)
+		if err := primary.WriteBlock(lba, buf); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := primary.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	units := nodeUnits(nodes)
+	assertGroupEncodes(t, local, k, n, units)
+
+	// Swap the contents of units 1 and 2 under their replicas.
+	a, b := make([]byte, primary.GroupUnitSize()), make([]byte, primary.GroupUnitSize())
+	for lba := uint64(0); lba < nb; lba++ {
+		if err := units[1].ReadBlock(lba, a); err != nil {
+			t.Fatal(err)
+		}
+		if err := units[2].ReadBlock(lba, b); err != nil {
+			t.Fatal(err)
+		}
+		if err := units[1].WriteBlock(lba, b); err != nil {
+			t.Fatal(err)
+		}
+		if err := units[2].WriteBlock(lba, a); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	const lba = 5
+	rng.Read(buf)
+	if err := primary.WriteBlock(lba, buf); !errors.Is(err, iscsi.ErrDiverged) {
+		t.Fatalf("write over swapped units: %v, want the quorum lost to diverged units", err)
+	}
+	if err := primary.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	for _, i := range []int{1, 2} {
+		dirty := primary.DirtyRanges(i)
+		if len(dirty) != 1 || dirty[0] != (prins.Range{Start: lba, Count: 1}) {
+			t.Fatalf("unit %d dirty ranges %v, want lba %d", i, dirty, lba)
+		}
+	}
+
+	for _, i := range []int{1, 2} {
+		st, err := primary.ResyncReplica(i, nodes[i].addr, nodes[i].export)
+		if err != nil {
+			t.Fatalf("resync unit %d: %v", i, err)
+		}
+		if st.BlocksRepaired != nb {
+			t.Fatalf("resync of unit %d repaired %d blocks, want all %d", i, st.BlocksRepaired, nb)
+		}
+		primary.ClearDirty(i)
+	}
+	assertGroupEncodes(t, local, k, n, units)
+}
+
+// TestGroupDedupe: ship-by-reference composes with groups. Two LBAs
+// holding one block hold one unit at every index, so each unit's
+// replica can materialize a copied block from its own store: a copy
+// through a 2-of-4 primary ships by reference to every unit, and a
+// unit's resync feeds the blocks it proves present into that unit's
+// index exactly as a mirror's does.
+func TestGroupDedupe(t *testing.T) {
+	const (
+		k, n = 2, 4
+		bs   = 2048
+		nb   = 32
+	)
+	local, err := prins.NewMemStore(bs, nb)
+	if err != nil {
+		t.Fatal(err)
+	}
+	primary, nodes := servedGroup(t, local, k, n, prins.Config{DedupeEntries: -1})
+	rng := rand.New(rand.NewSource(4))
+	blocks := make([][]byte, 8)
+	for i := range blocks {
+		blocks[i] = make([]byte, bs)
+		rng.Read(blocks[i])
+		if err := primary.WriteBlock(uint64(i), blocks[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Copy every block to a new LBA, as a cp or a tar extract would.
+	for i, blk := range blocks {
+		if err := primary.WriteBlock(uint64(16+i), blk); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := primary.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	hits := primary.Stats().DedupeHits
+	if hits == 0 {
+		t.Fatal("no copy shipped by reference")
+	}
+	units := nodeUnits(nodes)
+	assertGroupEncodes(t, local, k, n, units)
+
+	// A block that reached the units only through a resync: written under
+	// the primary, then repaired onto every unit. Copying it ships by
+	// reference only if each resync taught its unit's index the unit.
+	learned := make([]byte, bs)
+	rng.Read(learned)
+	if err := local.WriteBlock(10, learned); err != nil {
+		t.Fatal(err)
+	}
+	for i, nd := range nodes {
+		st, err := primary.ResyncReplica(i, nd.addr, nd.export, prins.Range{Start: 10, Count: 1})
+		if err != nil {
+			t.Fatalf("resync unit %d: %v", i, err)
+		}
+		if st.BlocksRepaired != 1 {
+			t.Fatalf("resync of unit %d repaired %d blocks, want 1", i, st.BlocksRepaired)
+		}
+	}
+	if err := primary.WriteBlock(30, learned); err != nil {
+		t.Fatal(err)
+	}
+	if err := primary.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	if got := primary.Stats().DedupeHits - hits; got != n {
+		t.Fatalf("copy of a resynced block: %d by-reference hits, want one per unit (%d)", got, n)
+	}
+	assertGroupEncodes(t, local, k, n, units)
 }

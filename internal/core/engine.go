@@ -76,19 +76,6 @@ type FramedReplicaClient interface {
 
 var _ FramedReplicaClient = (*iscsi.Initiator)(nil)
 
-// StripeReplicaClient is the k-of-n replica-group extension of
-// ReplicaClient: ship the stripe units queued for one replica in one
-// round trip, tagged with the group geometry, and get one status per
-// entry back. A GroupMode engine requires it — unit frames decode to
-// unit-sized payloads a plain replica push would misapply — so
-// AttachReplica refuses clients without it when Config.Group is set.
-type StripeReplicaClient interface {
-	ReplicaClient
-	ReplicaWriteStripe(mode, shard uint8, vol uint16, hdr iscsi.StripeHeader, entries []iscsi.BatchEntry) ([]iscsi.Status, error)
-}
-
-var _ StripeReplicaClient = (*iscsi.Initiator)(nil)
-
 // ByRefReplicaClient is the content-addressed extension of
 // ReplicaClient: ship a mixed by-ref/by-value batch for one (vol,
 // shard) stream — entries whose content the replica is believed to
@@ -125,13 +112,15 @@ const MaxShards = 256
 //     (attach order) stores unit i. Each replica's store is unit-sized
 //     (parity.RS.UnitSize of the primary block size), so the group's
 //     total replica footprint is N/K blocks instead of N.
+//   - Pipe i ships unit i of each write through the mirror's own verbs,
+//     so a replica of unit i is an ordinary ReplicaEngine over a
+//     unit-sized store: RS is linear over XOR, so in ModePRINS unit i of
+//     RS(P') is the forward parity of unit i, and the replica's usual
+//     backward XOR against its old unit recovers its new unit exactly.
 //   - A synchronous write acknowledges at quorum: it succeeds once any
-//     K of the N stripe units are durably applied (journaled, when the
+//     K of the N units are durably applied (journaled, when the
 //     replicas journal); the remaining units settle asynchronously and
 //     per-replica lag/dirty tracking names what is still owed.
-//   - In ModePRINS the stripe carries RS(P'), the code applied to the
-//     forward parity — RS is linear over XOR, so the replica's usual
-//     backward XOR against its old unit recovers its new unit exactly.
 type GroupConfig struct {
 	K, N int
 }
@@ -213,8 +202,8 @@ type Config struct {
 	// miss falls back to re-shipping the frame, so correctness never
 	// depends on the index. Zero (the default) disables the fast path
 	// entirely; the index is advisory and ineffective when batching is
-	// disabled (BatchFrames: 1) or in GroupMode (unit frames are
-	// replica-specific stripes, not content-addressable blocks).
+	// disabled (BatchFrames: 1). In GroupMode each replica's index
+	// addresses its own unit's content, which is what its replica holds.
 	// Negative selects the default bound (dedupe.DefaultEntries).
 	DedupeEntries int
 }
@@ -259,20 +248,15 @@ var ErrEngineClosed = errors.New("core: engine closed")
 // multi-volume engine without stream-tagging support.
 var ErrStreamClient = errors.New("core: sharded engine requires a stream-capable replica client")
 
-// ErrStripeClient reports a replica client attached to a GroupMode
-// engine without stripe support.
-var ErrStripeClient = errors.New("core: GroupMode engine requires a stripe-capable replica client")
-
 // ErrGroupReplicas reports a GroupMode write attempted without exactly
 // N attached replicas, or an attach beyond the group size.
 var ErrGroupReplicas = errors.New("core: GroupMode engine requires exactly n attached replicas")
 
 // errDropped marks a frame elided because its replica is degraded. A
-// mirror-mode drop settles its write nil — the block still lands whole
-// on every healthy replica — but a dropped stripe unit is redundancy
-// the group genuinely lost, so a synchronous GroupMode writer gets this
-// error and counts it against the quorum instead of treating the unit
-// as delivered.
+// synchronous writer gets it, and await decides what it costs: nothing
+// to a mirror — the block still lands whole on every healthy replica —
+// but a dropped unit is redundancy the group genuinely lost, so it
+// counts against the quorum instead of as delivered.
 var errDropped = errors.New("core: frame dropped (replica degraded)")
 
 // shard is one contiguous LBA range's independent write path: its own
@@ -458,17 +442,9 @@ func (e *Engine) AttachReplica(rc ReplicaClient) error {
 	if e.needsStream() && rs.stream == nil {
 		return ErrStreamClient
 	}
-	if e.rsCodec != nil {
-		if len(e.replicas) >= e.cfg.Group.N {
-			return fmt.Errorf("%w: group is n=%d, replica %d refused",
-				ErrGroupReplicas, e.cfg.Group.N, len(e.replicas))
-		}
-		stc, ok := rc.(StripeReplicaClient)
-		if !ok {
-			return ErrStripeClient
-		}
-		rs.stripeC = stc
-		rs.unitIdx = uint8(len(e.replicas)) // attach order = unit index
+	if e.rsCodec != nil && len(e.replicas) >= e.cfg.Group.N {
+		return fmt.Errorf("%w: group is n=%d, replica %d refused",
+			ErrGroupReplicas, e.cfg.Group.N, len(e.replicas))
 	}
 	if e.retry.Timeout > 0 {
 		if rt, ok := rc.(requestTimeouter); ok {
@@ -486,11 +462,7 @@ func (e *Engine) AttachReplica(rc ReplicaClient) error {
 	}
 	if brc, ok := rc.(ByRefReplicaClient); ok {
 		rs.byref = brc
-		// The by-ref fast path lives on the batched ship path (the
-		// fallback re-ship needs the batch extension too) and addresses
-		// whole-block content hashes, which GroupMode's unit frames are
-		// not; outside those conditions the index would only go stale.
-		if e.cfg.DedupeEntries != 0 && e.rsCodec == nil {
+		if e.cfg.DedupeEntries != 0 {
 			rs.dedupe = dedupe.New(e.cfg.DedupeEntries)
 		}
 	}
@@ -507,7 +479,7 @@ func (e *Engine) AttachReplica(rc ReplicaClient) error {
 		if e.tagged(p) {
 			canBatch = rs.sbatch != nil
 		}
-		p.batches = e.rsCodec != nil || (e.cfg.BatchFrames > 1 && canBatch)
+		p.batches = e.cfg.BatchFrames > 1 && canBatch
 		if e.cfg.Async {
 			p.sq = new(squeezer)
 		}
@@ -736,8 +708,10 @@ func (e *Engine) commit(s *shard, lba uint64, data []byte) (chan error, error) {
 
 // await collects a synchronous write's acks, outside every lock. A
 // mirrored write needs all n of them and reports the first error once
-// every replica has settled. A GroupMode write waits at the quorum, not
-// the fan-out — a mirror is the k = n group: it succeeds once any k
+// every replica has settled; a copy that was dropped or refused as
+// diverged is not one, since the primary still holds the block whole
+// and the replica's dirty map names the copy it is owed. A GroupMode
+// write waits at the quorum, not the fan-out: it succeeds once any k
 // units acknowledge durably applied, and fails as soon as more than n-k
 // units are lost (dropped, diverged, or undeliverable), at which point
 // no k-survivor subset can ever reconstruct this write. Units that
@@ -756,6 +730,9 @@ func (e *Engine) await(ack <-chan error, lba uint64) error {
 	oks, fails := 0, 0
 	for i := 0; i < n; i++ {
 		err := <-ack
+		if !unit && (errors.Is(err, errDropped) || errors.Is(err, iscsi.ErrDiverged)) {
+			err = nil
+		}
 		if err == nil {
 			if oks++; oks >= k {
 				return nil

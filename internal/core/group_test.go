@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"prins/internal/block"
-	"prins/internal/iscsi"
 	"prins/internal/parity"
 )
 
@@ -40,9 +39,6 @@ func newGroupRig(t *testing.T, cfg Config, bs int, nb uint64) *groupRig {
 			t.Fatal(err)
 		}
 		r := NewReplicaEngine(store)
-		if err := r.SetGroupUnit(cfg.Group.K, cfg.Group.N, i); err != nil {
-			t.Fatal(err)
-		}
 		if err := e.AttachReplica(&Loopback{Replica: r}); err != nil {
 			t.Fatalf("attach unit %d: %v", i, err)
 		}
@@ -139,17 +135,6 @@ func TestGroupSkipUnchanged(t *testing.T) {
 	rig.verifyReconstruct(t)
 }
 
-// stripeFailClient is a stripe-capable client whose deliveries fail.
-type stripeFailClient struct{}
-
-func (stripeFailClient) ReplicaWrite(uint8, uint64, uint64, uint64, []byte) error {
-	return errors.New("synthetic replica failure")
-}
-
-func (stripeFailClient) ReplicaWriteStripe(uint8, uint8, uint16, iscsi.StripeHeader, []iscsi.BatchEntry) ([]iscsi.Status, error) {
-	return nil, errors.New("synthetic replica failure")
-}
-
 // groupCfgDown builds a k-of-n group config with fast retries for
 // failure-path tests.
 func groupCfgDown(k, n int, degraded bool) Config {
@@ -177,7 +162,7 @@ func newGroupRigDown(t *testing.T, cfg Config, bs int, nb uint64, down int) *gro
 	rig := &groupRig{e: e, primary: primary}
 	for i := 0; i < cfg.Group.N; i++ {
 		if i >= cfg.Group.N-down {
-			if err := e.AttachReplica(stripeFailClient{}); err != nil {
+			if err := e.AttachReplica(&failClient{err: errors.New("synthetic replica failure")}); err != nil {
 				t.Fatal(err)
 			}
 			continue
@@ -187,9 +172,6 @@ func newGroupRigDown(t *testing.T, cfg Config, bs int, nb uint64, down int) *gro
 			t.Fatal(err)
 		}
 		r := NewReplicaEngine(store)
-		if err := r.SetGroupUnit(cfg.Group.K, cfg.Group.N, i); err != nil {
-			t.Fatal(err)
-		}
 		if err := e.AttachReplica(&Loopback{Replica: r}); err != nil {
 			t.Fatal(err)
 		}
@@ -372,11 +354,6 @@ func TestGroupConfigValidation(t *testing.T) {
 	}
 	defer e.Close()
 
-	// A stripe-less client is refused.
-	type plainClient struct{ ReplicaClient }
-	if err := e.AttachReplica(plainClient{}); !errors.Is(err, ErrStripeClient) {
-		t.Fatalf("plain client attach: %v", err)
-	}
 	// Writes before the group is fully attached are refused.
 	buf := make([]byte, 512)
 	if err := e.WriteBlock(0, buf); !errors.Is(err, ErrGroupReplicas) {
@@ -388,9 +365,6 @@ func TestGroupConfigValidation(t *testing.T) {
 			t.Fatal(err)
 		}
 		r := NewReplicaEngine(us)
-		if err := r.SetGroupUnit(1, 2, i); err != nil {
-			t.Fatal(err)
-		}
 		if err := e.AttachReplica(&Loopback{Replica: r}); err != nil {
 			t.Fatal(err)
 		}
@@ -401,23 +375,88 @@ func TestGroupConfigValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	extra := NewReplicaEngine(us)
-	if err := extra.SetGroupUnit(1, 2, 0); err != nil {
-		t.Fatal(err)
-	}
 	if err := e.AttachReplica(&Loopback{Replica: extra}); !errors.Is(err, ErrGroupReplicas) {
 		t.Fatalf("overpopulated attach: %v", err)
 	}
 	if err := e.WriteBlock(0, buf); err != nil {
 		t.Fatal(err)
 	}
+}
 
-	// A replica refuses stripes whose geometry does not match its own.
-	if err := extra.SetGroupUnit(0, 2, 0); err == nil {
-		t.Fatal("SetGroupUnit accepted k=0")
-	}
-	sts := extra.HandleReplicaStripe(uint8(ModePRINS), 0, 0,
-		iscsi.StripeHeader{K: 2, N: 2, Idx: 0}, []iscsi.BatchEntry{{Seq: 1}})
-	if len(sts) != 1 || sts[0] != iscsi.StatusBadRequest {
-		t.Fatalf("geometry mismatch statuses: %v", sts)
+// TestGroupWireCeiling holds the modelled wire bytes per write a 2-of-4
+// PRINS group ships to what it cost when every unit push carried the
+// stripe verb's group header and list framing. A sync write with one
+// writer ships each unit alone, as a plain replica write; an async
+// write's backlog ships as batches, here of a fixed composition: the
+// first write's four pushes are held at the gate until the other 199
+// writes have queued behind them. The totals are counts, so they need a
+// ceiling, not a timed comparison.
+func TestGroupWireCeiling(t *testing.T) {
+	const k, n, bs, nb, writes = 2, 4, 4096, 64, 200
+	for _, tc := range []struct {
+		name    string
+		async   bool
+		ceiling float64
+	}{
+		{"sync", false, 1862.31},
+		{"async", true, 1419.19},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			primary, err := block.NewMem(bs, nb)
+			if err != nil {
+				t.Fatal(err)
+			}
+			e, err := NewEngine(primary, Config{Mode: ModePRINS, Async: tc.async, Group: GroupConfig{K: k, N: n}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			rig := &groupRig{e: e, primary: primary}
+			var gates []*gatedClient
+			for i := 0; i < n; i++ {
+				store, err := block.NewMem(e.GroupUnitSize(), nb)
+				if err != nil {
+					t.Fatal(err)
+				}
+				r := NewReplicaEngine(store)
+				g := newGatedClient(r)
+				if err := e.AttachReplica(g); err != nil {
+					t.Fatal(err)
+				}
+				gates = append(gates, g)
+				rig.replicas = append(rig.replicas, r)
+				rig.units = append(rig.units, store)
+			}
+			open := func() {
+				for _, g := range gates {
+					close(g.gate)
+				}
+			}
+			if !tc.async {
+				open()
+			}
+			writeWorkload(t, e, 1, 1)
+			if tc.async {
+				for _, g := range gates {
+					<-g.started
+				}
+			}
+			writeWorkload(t, e, 2, writes-1)
+			if tc.async {
+				open()
+			}
+			if err := e.Drain(); err != nil {
+				t.Fatal(err)
+			}
+			s := e.Traffic().Snapshot()
+			perWrite := float64(s.WireBytes) / float64(s.Writes)
+			t.Logf("%d writes, %d wire bytes, %.2f per write", s.Writes, s.WireBytes, perWrite)
+			if perWrite > tc.ceiling {
+				t.Errorf("%.2f wire bytes per write, ceiling %.2f", perWrite, tc.ceiling)
+			}
+			if err := e.Close(); err != nil {
+				t.Fatal(err)
+			}
+			rig.verifyReconstruct(t)
+		})
 	}
 }

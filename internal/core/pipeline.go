@@ -70,11 +70,6 @@ type replicaState struct {
 	// ship whose pipeline holds the pooled buffer exclusively hands the
 	// whole pre-assembled PDU over instead of staging a copy.
 	framed FramedReplicaClient
-	// stripeC is client's k-of-n stripe extension; required (non-nil)
-	// when the engine runs in GroupMode, in which case unitIdx is the
-	// stripe unit this replica stores (= attach order).
-	stripeC StripeReplicaClient
-	unitIdx uint8
 	// byref is client's content-addressed extension; dedupe, when
 	// non-nil (Config.DedupeEntries set and the client supports by-ref
 	// pushes), is the bounded (lba -> content hash) index of what the
@@ -167,11 +162,10 @@ type pipe struct {
 	queue chan repMsg
 	dirty *dirtyMap
 	// batches reports whether this pipe ships its drained backlog as
-	// entry-list pushes: always in GroupMode (the stripe PDU is
-	// inherently batched; one entry is just a batch of one), otherwise
-	// when BatchFrames allows it (1 disables batching everywhere) and
-	// the client has the batching extension this pipe's framing needs —
-	// stream-batch when tagged, plain batch when not. Fixed at attach.
+	// entry-list pushes: when BatchFrames allows it (1 disables batching
+	// everywhere) and the client has the batching extension this pipe's
+	// framing needs — stream-batch when tagged, plain batch when not.
+	// Fixed at attach.
 	batches bool
 	// sq squeezes this pipe's backlog runs (see squeeze.go). Set on an
 	// async pipe only, whose shipper runs its one push itself and is sq's
@@ -420,16 +414,15 @@ func singleGroup(one []repMsg) batchGroup {
 // successful) or the error is the settlement. DirtyRanges therefore
 // always names exactly what recovery must re-ship.
 //
-// A GroupMode pipe carries stripe units: the same path (RS is linear
-// over XOR, so the XOR of two writes' delta units is the delta unit of
-// the combined delta, and units coalesce exactly like whole-block
-// parities), except that a synchronous writer counts settlements
-// toward a quorum, so a unit that was dropped or refused as diverged —
-// redundancy the group genuinely lost — settles as an error instead of
-// masquerading as delivered. In async mode those outcomes settle nil
-// exactly like mirroring: the dirty maps and lag gauges carry the
-// signal, and AllowDegraded's contract (writes keep succeeding; heal
-// via Drain → repair → ClearDegraded) holds for groups too.
+// A GroupMode pipe carries one unit of each write down exactly this
+// path: RS is linear over XOR, so the XOR of two writes' delta units is
+// the delta unit of the combined delta, and units coalesce exactly like
+// whole-block parities. A dropped or diverged entry settles a
+// synchronous writer with its error, and await decides what that costs
+// (nothing to a mirror, one unit of a group's quorum); in async mode it
+// settles nil: the dirty maps and lag gauges carry the signal, and
+// AllowDegraded's contract (writes keep succeeding; heal via Drain →
+// repair → ClearDegraded) holds for groups too.
 //
 // On an async pipe, a run that came off a backlog may have its by-value
 // entries squeezed before the push, and is timed for the pipe's gate
@@ -442,12 +435,11 @@ func singleGroup(one []repMsg) batchGroup {
 // length of.
 func (e *Engine) process(p *pipe, msgs []repMsg, backlog bool) {
 	rs := p.rs
-	unit := e.rsCodec != nil
 	if p.batches {
 		e.traffic.ObserveBatch(len(msgs))
 	}
 	degraded := rs.degraded.Load()
-	single := !p.batches || (!unit && len(msgs) == 1 && rs.dedupe == nil)
+	single := !p.batches || (len(msgs) == 1 && rs.dedupe == nil)
 
 	var one [1]batchGroup
 	groups := one[:0] // a run of one stays off the heap
@@ -494,11 +486,11 @@ func (e *Engine) process(p *pipe, msgs []repMsg, backlog bool) {
 		// as it says, and timed from here to the acknowledgement.
 		var sr squeezeRun
 		if backlog && p.sq != nil {
-			sr = p.sq.begin(entries, groups, e.listWireLen(entries))
+			sr = p.sq.begin(entries, groups, iscsi.BatchWireLen(entries))
 		}
 		statuses, tries, err := e.push(p, nil, entries, refs)
 		listed = err == nil
-		wire = int64(wan.WireBytesDiscrete(e.listWireLen(entries)))
+		wire = int64(wan.WireBytesDiscrete(iscsi.BatchWireLen(entries)))
 		missAt := len(groups)
 		for k, st := range statuses {
 			if st == iscsi.StatusRefMiss {
@@ -532,7 +524,7 @@ func (e *Engine) process(p *pipe, msgs []repMsg, backlog bool) {
 				fberr = fmt.Errorf("core: by-ref fallback batch of %d: %w", len(groups)-missAt, ferr)
 			} else {
 				copy(statuses[missAt:], fstat)
-				wire += int64(wan.WireBytesDiscrete(e.listWireLen(entries[missAt:])))
+				wire += int64(wan.WireBytesDiscrete(iscsi.BatchWireLen(entries[missAt:])))
 			}
 		}
 		for k := range groups {
@@ -606,7 +598,7 @@ func (e *Engine) process(p *pipe, msgs []repMsg, backlog bool) {
 			p.markDirty(g.entry.LBA)
 			rs.m.AddDiverged()
 			e.traffic.AddDiverged()
-			if !unit || e.cfg.Async {
+			if e.cfg.Async {
 				g.err = nil
 			}
 		default:
@@ -621,7 +613,7 @@ func (e *Engine) process(p *pipe, msgs []repMsg, backlog bool) {
 				e.dropFrame(p, m.lba)
 			}
 			g.err = nil
-			if unit && !e.cfg.Async {
+			if !e.cfg.Async {
 				g.err = errDropped
 			}
 		}
@@ -657,16 +649,6 @@ func (e *Engine) process(p *pipe, msgs []repMsg, backlog bool) {
 	}
 }
 
-// listWireLen returns the modelled data-segment bytes of one entry-list
-// push on this engine's verb: the stripe push carries the group header
-// ahead of the list.
-func (e *Engine) listWireLen(entries []iscsi.BatchEntry) int {
-	if e.rsCodec != nil {
-		return iscsi.StripeWireLen(entries)
-	}
-	return iscsi.BatchWireLen(entries)
-}
-
 // finish settles one queued message exactly once: report the delivery
 // result (to the waiting writer in sync mode, to the sticky
 // per-replica error in async mode), release its frame reference, and
@@ -691,9 +673,8 @@ func (e *Engine) finish(rs *replicaState, msg repMsg, err error) {
 // reference, and the pool cannot reuse the buffer while we still hold
 // ours) — the client stamps the header into the buffer's headroom and
 // writes it whole; the bytes on the wire are identical either way.
-// Otherwise entries ship as one list: a stripe in GroupMode, a by-ref
-// push when refs says some entry is a reference, else a batch (stream-
-// batch on a tagged pipe).
+// Otherwise entries ship as one list: a by-ref push when refs says some
+// entry is a reference, else a batch (stream-batch on a tagged pipe).
 //
 // Transport failures retry the whole push — entries the replica
 // already applied dedupe by seq in the stream's window and come back
@@ -719,9 +700,6 @@ func (e *Engine) push(p *pipe, one *repMsg, entries []iscsi.BatchEntry, refs boo
 			err = rs.stream.ReplicaWriteStream(mode, shard, vol, one.seq, one.lba, one.hash, one.frame.frame())
 		case one != nil:
 			err = rs.client.ReplicaWrite(mode, one.seq, one.lba, one.hash, one.frame.frame())
-		case e.rsCodec != nil:
-			hdr := iscsi.StripeHeader{K: uint8(e.cfg.Group.K), N: uint8(e.cfg.Group.N), Idx: rs.unitIdx}
-			statuses, err = rs.stripeC.ReplicaWriteStripe(mode, shard, vol, hdr, entries)
 		case refs:
 			statuses, err = rs.byref.ReplicaWriteByRef(mode, shard, vol, entries)
 		case tagged:

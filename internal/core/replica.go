@@ -12,7 +12,6 @@ import (
 	"prins/internal/iscsi"
 	"prins/internal/journal"
 	"prins/internal/metrics"
-	"prins/internal/parity"
 	"prins/internal/xcode"
 )
 
@@ -172,12 +171,6 @@ type ReplicaEngine struct {
 	// Guarded by jmu.
 	replay bool
 
-	// Replica-group membership (SetGroupUnit): the k-of-n geometry and
-	// unit index stripe pushes must match to be applied. Set before the
-	// engine is shared; read-only afterwards.
-	gHdr    iscsi.StripeHeader
-	inGroup bool
-
 	// dedupe, when non-nil, is the content-addressed index over this
 	// replica's own store: every verified apply records (lba -> hash),
 	// so a by-ref push (proto v7) can be materialized by local copy.
@@ -192,7 +185,6 @@ var _ iscsi.Backend = (*ReplicaEngine)(nil)
 var _ iscsi.BatchBackend = (*ReplicaEngine)(nil)
 var _ iscsi.StreamBackend = (*ReplicaEngine)(nil)
 var _ iscsi.StreamBatchBackend = (*ReplicaEngine)(nil)
-var _ iscsi.StripeBackend = (*ReplicaEngine)(nil)
 var _ iscsi.ByRefBackend = (*ReplicaEngine)(nil)
 
 // NewReplicaEngine wraps the replica's local store with no journal;
@@ -672,32 +664,6 @@ func (r *ReplicaEngine) stage(mode Mode, st *replicaStream, e *iscsi.BatchEntry,
 	return newBlock, nil
 }
 
-// SetGroupUnit declares this replica a member of a k-of-n replica
-// group storing unit idx. Its store must be unit-sized (the primary's
-// Engine.GroupUnitSize), and a stripe push whose geometry does not
-// match is refused wholesale — applying unit bytes under the wrong
-// code would silently corrupt the copy. Call before the engine is
-// shared; a replica that never calls it refuses every stripe push.
-func (r *ReplicaEngine) SetGroupUnit(k, n, idx int) error {
-	if k < 1 || k > n || n > parity.MaxGroupUnits || idx < 0 || idx >= n {
-		return fmt.Errorf("core: invalid group unit k=%d n=%d idx=%d", k, n, idx)
-	}
-	r.gHdr = iscsi.StripeHeader{K: uint8(k), N: uint8(n), Idx: uint8(idx)}
-	r.inGroup = true
-	return nil
-}
-
-// HandleReplicaStripe implements iscsi.StripeBackend: the wire entry
-// point for k-of-n stripe pushes. After the geometry gate, a stripe
-// push is exactly a batched push of unit-sized frames — same per-
-// stream seq-dedupe, same group journaling, same per-entry statuses.
-func (r *ReplicaEngine) HandleReplicaStripe(mode, shard uint8, vol uint16, hdr iscsi.StripeHeader, entries []iscsi.BatchEntry) []iscsi.Status {
-	if !r.inGroup || hdr != r.gHdr {
-		return refuseAll(len(entries), iscsi.StatusBadRequest)
-	}
-	return r.applyStatuses(Mode(mode), shard, vol, entries, false)
-}
-
 // HandleReplicaBatch implements iscsi.BatchBackend: the wire entry
 // point for untagged batched pushes from the primary's engine.
 func (r *ReplicaEngine) HandleReplicaBatch(mode uint8, entries []iscsi.BatchEntry) []iscsi.Status {
@@ -817,7 +783,6 @@ var _ ReplicaClient = (*Loopback)(nil)
 var _ BatchReplicaClient = (*Loopback)(nil)
 var _ StreamReplicaClient = (*Loopback)(nil)
 var _ StreamBatchReplicaClient = (*Loopback)(nil)
-var _ StripeReplicaClient = (*Loopback)(nil)
 var _ ByRefReplicaClient = (*Loopback)(nil)
 
 // ReplicaWrite implements ReplicaClient.
@@ -838,11 +803,6 @@ func (l *Loopback) ReplicaWriteStream(mode, shard uint8, vol uint16, seq, lba, h
 // ReplicaWriteBatchStream implements StreamReplicaClient.
 func (l *Loopback) ReplicaWriteBatchStream(mode, shard uint8, vol uint16, entries []iscsi.BatchEntry) ([]iscsi.Status, error) {
 	return l.Replica.HandleReplicaBatchStream(mode, shard, vol, entries), nil
-}
-
-// ReplicaWriteStripe implements StripeReplicaClient.
-func (l *Loopback) ReplicaWriteStripe(mode, shard uint8, vol uint16, hdr iscsi.StripeHeader, entries []iscsi.BatchEntry) ([]iscsi.Status, error) {
-	return l.Replica.HandleReplicaStripe(mode, shard, vol, hdr, entries), nil
 }
 
 // ReplicaWriteByRef implements ByRefReplicaClient.

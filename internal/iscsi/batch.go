@@ -65,18 +65,17 @@ type StreamBatchBackend interface {
 }
 
 // entryListLen validates an entry list against the protocol bounds and
-// returns its data-segment length, prefix (the stripe group header,
-// when there is one) included. With refs set the list is a by-ref
+// returns its data-segment length. With refs set the list is a by-ref
 // push, where an entry without a frame must carry a nonzero content
 // hash — the hash is the only thing the replica can materialize from.
-func entryListLen(prefixLen int, entries []BatchEntry, refs bool) (int, error) {
+func entryListLen(entries []BatchEntry, refs bool) (int, error) {
 	if len(entries) == 0 {
 		return 0, fmt.Errorf("iscsi: empty replica batch")
 	}
 	if len(entries) > MaxBatchFrames {
 		return 0, fmt.Errorf("%w: batch of %d entries", ErrTooLarge, len(entries))
 	}
-	n := prefixLen + BatchWireLen(entries)
+	n := BatchWireLen(entries)
 	if n > MaxDataSegment {
 		return 0, fmt.Errorf("%w: batch of %d bytes", ErrTooLarge, n)
 	}
@@ -100,14 +99,13 @@ func BatchWireLen(entries []BatchEntry) int {
 }
 
 // entryListMeta builds everything of an entry list's data segment but
-// the frames, contiguously: prefix, count, and every fixed-size entry
-// header. Entry k's header starts at len(prefix) + batchCountLen +
-// k*batchEntryLen; the frames interleave from the caller's buffers.
-func entryListMeta(prefix []byte, entries []BatchEntry) []byte {
-	meta := make([]byte, len(prefix)+batchCountLen+batchEntryLen*len(entries))
-	off := copy(meta, prefix)
-	binary.BigEndian.PutUint32(meta[off:], uint32(len(entries)))
-	off += batchCountLen
+// the frames, contiguously: the count and every fixed-size entry
+// header. Entry k's header starts at batchCountLen + k*batchEntryLen;
+// the frames interleave from the caller's buffers.
+func entryListMeta(entries []BatchEntry) []byte {
+	meta := make([]byte, batchCountLen+batchEntryLen*len(entries))
+	binary.BigEndian.PutUint32(meta, uint32(len(entries)))
+	off := batchCountLen
 	for _, e := range entries {
 		binary.BigEndian.PutUint64(meta[off:], e.Seq)
 		binary.BigEndian.PutUint64(meta[off+8:], e.LBA)
@@ -121,7 +119,7 @@ func entryListMeta(prefix []byte, entries []BatchEntry) []byte {
 // entryListBufs lays an entry list's data segment out in wire order
 // without copying a frame: meta (see entryListMeta) is cut at the entry
 // header boundaries and the caller's frames slot in between. The first
-// piece carries the prefix and the count with entry 0's header.
+// piece carries the count with entry 0's header.
 func entryListBufs(bufs net.Buffers, meta []byte, entries []BatchEntry) net.Buffers {
 	start, end := 0, len(meta)-batchEntryLen*(len(entries)-1)
 	for _, e := range entries {
@@ -138,13 +136,13 @@ func entryListBufs(bufs net.Buffers, meta []byte, entries []BatchEntry) net.Buff
 // list. The initiator's send path does not use it (it writes the same
 // pieces vectored, without assembling a copy); it serves tests, fuzz
 // seeds, and callers that need the segment as one buffer.
-func encodeEntryList(prefix []byte, entries []BatchEntry, refs bool) ([]byte, error) {
-	dataLen, err := entryListLen(len(prefix), entries, refs)
+func encodeEntryList(entries []BatchEntry, refs bool) ([]byte, error) {
+	dataLen, err := entryListLen(entries, refs)
 	if err != nil {
 		return nil, err
 	}
 	buf := make([]byte, 0, dataLen)
-	for _, piece := range entryListBufs(nil, entryListMeta(prefix, entries), entries) {
+	for _, piece := range entryListBufs(nil, entryListMeta(entries), entries) {
 		buf = append(buf, piece...)
 	}
 	return buf, nil
@@ -204,7 +202,7 @@ func decodeEntryList(entries []BatchEntry, data []byte, refs bool) ([]BatchEntry
 
 // EncodeBatch assembles the contiguous data segment for a batch.
 func EncodeBatch(entries []BatchEntry) ([]byte, error) {
-	return encodeEntryList(nil, entries, false)
+	return encodeEntryList(entries, false)
 }
 
 // DecodeBatch parses the data segment of an OpReplicaWriteBatch PDU
@@ -243,15 +241,14 @@ func ReplicaStatusErr(lba uint64, st Status) error {
 }
 
 // entryListPDU frames one entry-list PDU for the wire — p names the
-// opcode, mode, stream tag and task tag; OpReplicaWriteBatch,
-// OpReplicaWriteStripe (prefix = the group header) and
-// OpReplicaWriteByRef all frame here — without assembling a contiguous
+// opcode, mode, stream tag and task tag; OpReplicaWriteBatch and
+// OpReplicaWriteByRef both frame here — without assembling a contiguous
 // copy of the payload: the header, the entry metadata, and the caller's
 // frames are returned as pieces in wire order. The digest streams over
 // the pieces, so the bytes are indistinguishable from a
 // contiguously-built PDU.
-func entryListPDU(p *PDU, prefix []byte, entries []BatchEntry) (net.Buffers, error) {
-	dataLen, err := entryListLen(len(prefix), entries, p.Op == OpReplicaWriteByRef)
+func entryListPDU(p *PDU, entries []BatchEntry) (net.Buffers, error) {
+	dataLen, err := entryListLen(entries, p.Op == OpReplicaWriteByRef)
 	if err != nil {
 		return nil, err
 	}
@@ -259,7 +256,7 @@ func entryListPDU(p *PDU, prefix []byte, entries []BatchEntry) (net.Buffers, err
 	p.putHeader(hdr, dataLen)
 	bufs := make(net.Buffers, 1, 1+2*len(entries))
 	bufs[0] = hdr
-	bufs = entryListBufs(bufs, entryListMeta(prefix, entries), entries)
+	bufs = entryListBufs(bufs, entryListMeta(entries), entries)
 
 	crc := uint32(0)
 	for _, piece := range bufs { // putHeader left the digest field zero, as digest() requires
@@ -276,13 +273,13 @@ func entryListPDU(p *PDU, prefix []byte, entries []BatchEntry) (net.Buffers, err
 // — convert them with ReplicaStatusErr. Like every request, the push
 // is resent once over a fresh session when reconnection is armed
 // (replica seq-dedupe makes redelivery safe).
-func (i *Initiator) pushEntryList(p PDU, prefix []byte, entries []BatchEntry) ([]Status, error) {
+func (i *Initiator) pushEntryList(p PDU, entries []BatchEntry) ([]Status, error) {
 	if len(entries) == 0 {
 		return nil, fmt.Errorf("iscsi: empty %v push", p.Op)
 	}
 	resp, err := i.exchange(nil, func(itt uint32) (net.Buffers, error) {
 		p.ITT = itt
-		return entryListPDU(&p, prefix, entries)
+		return entryListPDU(&p, entries)
 	})
 	if err != nil {
 		return nil, err
@@ -316,5 +313,5 @@ func (i *Initiator) ReplicaWriteBatchStream(mode, shard uint8, vol uint16, entri
 		}
 		return []Status{resp.Status}, nil
 	}
-	return i.pushEntryList(PDU{Op: OpReplicaWriteBatch, Mode: mode, Shard: shard, Vol: vol}, nil, entries)
+	return i.pushEntryList(PDU{Op: OpReplicaWriteBatch, Mode: mode, Shard: shard, Vol: vol}, entries)
 }

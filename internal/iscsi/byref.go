@@ -56,7 +56,7 @@ func ByRefWireLen(entries []BatchEntry) int {
 // EncodeByRef assembles the contiguous data segment for a by-ref
 // push; every by-ref entry must carry a nonzero content hash.
 func EncodeByRef(entries []BatchEntry) ([]byte, error) {
-	return encodeEntryList(nil, entries, true)
+	return encodeEntryList(entries, true)
 }
 
 // DecodeByRef parses the data segment of an OpReplicaWriteByRef PDU:
@@ -69,5 +69,5 @@ func DecodeByRef(data []byte) ([]BatchEntry, error) { return decodeEntryList(nil
 // status per entry, in entry order (see pushEntryList); StatusRefMiss
 // marks references the replica could not resolve.
 func (i *Initiator) ReplicaWriteByRef(mode, shard uint8, vol uint16, entries []BatchEntry) ([]Status, error) {
-	return i.pushEntryList(PDU{Op: OpReplicaWriteByRef, Mode: mode, Shard: shard, Vol: vol}, nil, entries)
+	return i.pushEntryList(PDU{Op: OpReplicaWriteByRef, Mode: mode, Shard: shard, Vol: vol}, entries)
 }

@@ -74,61 +74,6 @@ func FuzzDecodeBatch(f *testing.F) {
 	})
 }
 
-// FuzzDecodeStripe feeds arbitrary byte streams to the stripe-segment
-// decoder: it must never panic or over-allocate, failures must be the
-// two documented sentinels, and anything accepted must be internally
-// consistent (valid group geometry, bounded entries, strict round
-// trip).
-func FuzzDecodeStripe(f *testing.F) {
-	seed, err := EncodeStripe(StripeHeader{K: 2, N: 4, Idx: 3}, []BatchEntry{
-		{Seq: 1, LBA: 2, Hash: 3, Frame: []byte("unit one")},
-		{Seq: 2, LBA: 9, Hash: 0, Frame: nil},
-	})
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Add(seed)
-	f.Add(seed[:len(seed)-3])                     // truncated frame
-	f.Add(append([]byte(nil), seed[:5]...))       // truncated count
-	f.Add([]byte{})                               // no prefix
-	f.Add([]byte{2, 4, 3, 1, 0, 0, 0, 1})         // nonzero reserved byte
-	f.Add([]byte{0, 4, 1, 0, 0, 0, 0, 1})         // k=0
-	f.Add([]byte{5, 4, 1, 0, 0, 0, 0, 1})         // k>n
-	f.Add([]byte{2, 4, 4, 0, 0, 0, 0, 1})         // idx>=n
-	f.Add([]byte{2, 4, 0, 0, 0, 0, 0, 0})         // zero entry count
-	f.Add(append(seed, 0xAB))                     // trailing byte
-	f.Add([]byte{2, 4, 1, 0, 255, 255, 255, 255}) // absurd count, tiny buffer
-	f.Fuzz(func(t *testing.T, data []byte) {
-		hdr, entries, err := DecodeStripe(data)
-		if err != nil {
-			if !errors.Is(err, ErrBadFrame) && !errors.Is(err, ErrShortFrame) {
-				t.Fatalf("unexpected error class: %v", err)
-			}
-			return
-		}
-		if !hdr.valid() {
-			t.Fatalf("accepted invalid group k=%d n=%d idx=%d", hdr.K, hdr.N, hdr.Idx)
-		}
-		if len(entries) == 0 || len(entries) > MaxBatchFrames {
-			t.Fatalf("accepted %d entries", len(entries))
-		}
-		total := 0
-		for _, e := range entries {
-			total += len(e.Frame)
-		}
-		if total > len(data) {
-			t.Fatalf("frames total %d bytes from a %d-byte segment", total, len(data))
-		}
-		again, err := EncodeStripe(hdr, entries)
-		if err != nil {
-			t.Fatalf("re-encode of accepted stripe: %v", err)
-		}
-		if !bytes.Equal(again, data) {
-			t.Fatal("decode/encode round trip changed the segment")
-		}
-	})
-}
-
 // FuzzLoginPayloads exercises the login codec pair.
 func FuzzLoginPayloads(f *testing.F) {
 	f.Add([]byte("vol0"))

@@ -30,10 +30,6 @@ func (s *goldenSink) HandleReplicaBatchStream(mode, shard uint8, vol uint16, ent
 	return make([]Status, len(entries))
 }
 
-func (s *goldenSink) HandleReplicaStripe(mode, shard uint8, vol uint16, hdr StripeHeader, entries []BatchEntry) []Status {
-	return make([]Status, len(entries))
-}
-
 func (s *goldenSink) HandleReplicaByRef(mode, shard uint8, vol uint16, entries []BatchEntry) []Status {
 	return make([]Status, len(entries))
 }
@@ -88,9 +84,9 @@ func readGolden(t *testing.T) map[string]string {
 
 // TestWireGolden pins the bytes every replication push verb puts on the
 // connection: for OpReplicaWrite (untagged v3, tagged v5, and the
-// zero-copy framed send), OpReplicaWriteBatch (untagged v4, tagged v5),
-// OpReplicaWriteStripe (v6) and OpReplicaWriteByRef (v7, mixed by-ref
-// and by-value entries), each with 1, 2 and 7 entries, the initiator's
+// zero-copy framed send), OpReplicaWriteBatch (untagged v4, tagged v5)
+// and OpReplicaWriteByRef (v7, mixed by-ref and by-value entries), each
+// with 1, 2 and 7 entries, the initiator's
 // send must equal both a contiguously built PDU written with
 // PDU.WriteTo over the Encode* segment and the committed hex fixture.
 // The fixtures are the wire contract: a refactor of the send paths must
@@ -103,7 +99,6 @@ func TestWireGolden(t *testing.T) {
 		// The login round trip consumed ITT 1 on every fresh session.
 		firstITT = 2
 	)
-	shdr := StripeHeader{K: 2, N: 4, Idx: 3}
 
 	type verb struct {
 		name string
@@ -190,13 +185,6 @@ func TestWireGolden(t *testing.T) {
 				return statusesOK(init.ReplicaWriteBatchStream(mode, shard, vol, entries))
 			},
 			want: list(OpReplicaWriteBatch, shard, vol, true, EncodeBatch)},
-		{name: "stripe-v6",
-			send: func(init *Initiator, entries []BatchEntry) error {
-				return statusesOK(init.ReplicaWriteStripe(mode, shard, vol, shdr, entries))
-			},
-			want: list(OpReplicaWriteStripe, shard, vol, false, func(entries []BatchEntry) ([]byte, error) {
-				return EncodeStripe(shdr, entries)
-			})},
 		{name: "byref-v7", mixed: true,
 			send: func(init *Initiator, entries []BatchEntry) error {
 				return statusesOK(init.ReplicaWriteByRef(mode, shard, vol, entries))

@@ -497,6 +497,145 @@ func TestInitiatorReconnect(t *testing.T) {
 	}
 }
 
+// TestReconnectBackoffSchedule drives reconnect on a failed session
+// with a failing dialer under injected clock hooks: the first reconnect
+// of a streak is immediate, consecutive failures back off exponentially
+// to the cap, and a successful cycle resets the streak. Deterministic —
+// the jitter hook is the identity and the sleeper only records.
+func TestReconnectBackoffSchedule(t *testing.T) {
+	store, err := block.NewMem(512, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	target := NewTarget()
+	target.Export("vol", &StoreBackend{Store: store})
+	defer target.Close()
+
+	c1, c2 := net.Pipe()
+	go target.ServeConn(c2)
+	init := NewInitiator(c1)
+	if err := init.Login("vol"); err != nil {
+		t.Fatal(err)
+	}
+	defer init.Close()
+
+	var slept []time.Duration
+	fail := true
+	init.EnableReconnect("vol", func() (net.Conn, error) {
+		if fail {
+			return nil, errors.New("synthetic dial failure")
+		}
+		a, b := net.Pipe()
+		go target.ServeConn(b)
+		return a, nil
+	})
+	init.SetReconnectBackoff(10*time.Millisecond, 80*time.Millisecond)
+	init.rbJitter = func(d time.Duration) time.Duration { return d }
+	init.rbSleep = func(d time.Duration) { slept = append(slept, d) }
+
+	down := init.sess
+	init.fail(down, errors.New("synthetic session failure"))
+	for n := 0; n < 6; n++ {
+		if _, err := init.reconnect(down); err == nil {
+			t.Fatal("reconnect unexpectedly succeeded")
+		}
+	}
+
+	// First attempt immediate, then 10, 20, 40, 80 (cap), 80 (cap).
+	want := []time.Duration{
+		10 * time.Millisecond, 20 * time.Millisecond, 40 * time.Millisecond,
+		80 * time.Millisecond, 80 * time.Millisecond,
+	}
+	if len(slept) != len(want) {
+		t.Fatalf("slept %v, want %v", slept, want)
+	}
+	for i := range want {
+		if slept[i] != want[i] {
+			t.Fatalf("sleep %d was %v, want %v (full schedule %v)", i, slept[i], want[i], slept)
+		}
+	}
+
+	// A successful reconnect resets the streak: the next failure's first
+	// attempt is immediate again.
+	fail = false
+	down, err = init.reconnect(down)
+	if err != nil {
+		t.Fatalf("healing reconnect: %v", err)
+	}
+	fail = true
+	slept = nil
+	init.fail(down, errors.New("synthetic session failure"))
+	for n := 0; n < 2; n++ {
+		if _, err := init.reconnect(down); err == nil {
+			t.Fatal("reconnect unexpectedly succeeded")
+		}
+	}
+	// Note the post-reset sleep before the cap-but-one attempt: the
+	// first retry after success slept 0 (recorded nothing), the second
+	// slept base again.
+	if len(slept) != 1 || slept[0] != 10*time.Millisecond {
+		t.Fatalf("post-reset schedule %v, want [10ms]", slept)
+	}
+}
+
+// TestRetiredOpcode14, named for the first of them: opcodes 13 (the
+// proto-v6 stripe push) and 14 (the v6 repair-chain hop) are retired
+// but keep their slots — later opcodes do not move — and a target
+// answers each like any unknown opcode: StatusBadRequest, with the
+// session still serving the next command. Version 6 itself is retired
+// too, so the probes are framed as v3.
+func TestRetiredOpcode14(t *testing.T) {
+	if OpReplicaWriteByRef != 15 {
+		t.Fatalf("OpReplicaWriteByRef = %d, want 15: opcodes 13 and 14 must stay reserved", OpReplicaWriteByRef)
+	}
+	store, err := block.NewMem(512, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	target := NewTarget()
+	target.Export("r", &StoreBackend{Store: store})
+	client, server := net.Pipe()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		target.ServeConn(server)
+	}()
+	defer func() {
+		client.Close()
+		<-done
+	}()
+	roundTrip := func(p *PDU) *PDU {
+		t.Helper()
+		if _, err := p.WriteTo(client); err != nil {
+			t.Fatal(err)
+		}
+		resp, err := ReadPDU(client)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp
+	}
+	if resp := roundTrip(&PDU{Op: OpLoginReq, ITT: 1, Data: encodeLoginReq("r")}); resp.Status != StatusOK {
+		t.Fatalf("login: %v", resp.Status)
+	}
+
+	itt := uint32(1)
+	for _, op := range []Opcode{13, 14} {
+		t.Run(op.String(), func(t *testing.T) {
+			// An opaque payload, as the retired verb's sender framed one.
+			itt++
+			if resp := roundTrip(&PDU{Op: op, ITT: itt, Data: bytes.Repeat([]byte{0xaa}, 22)}); resp.ITT != itt || resp.Status != StatusBadRequest {
+				t.Fatalf("opcode %d: ITT %d status %v, want %d BAD-REQUEST", op, resp.ITT, resp.Status, itt)
+			}
+			itt++
+			resp := roundTrip(&PDU{Op: OpHashCmd, ITT: itt, LBA: 0, Blocks: 2})
+			if resp.ITT != itt || resp.Status != StatusOK || len(resp.Data) != 2*HashSize {
+				t.Fatalf("HASH after opcode %d: ITT %d status %v, %d bytes", op, resp.ITT, resp.Status, len(resp.Data))
+			}
+		})
+	}
+}
+
 // TestShortResponseRejected: a peer answering with a data segment that
 // does not match the length the request implies is a protocol error
 // (ErrShortFrame), never a partial result handed to the caller.

@@ -49,18 +49,12 @@ const (
 	// batch-mates. The only proto-v4 opcode; a batch of one is sent as
 	// a plain OpReplicaWrite so v3 peers interoperate.
 	OpReplicaWriteBatch
-	// OpReplicaWriteStripe ships erasure-coded stripe units for a
-	// k-of-n replica group (proto v6): a {k, n, idx} group prefix
-	// followed by batch-style {seq, lba, hash, frameLen, frame}
-	// entries, each frame an xcode-encoded stripe unit for this
-	// replica's unit index (see DecodeStripe). The response carries one
-	// status byte per entry, exactly like a batch. Stream tags (shard,
-	// vol) ride in the header as in v5. Only GroupMode traffic uses
-	// this opcode — v3-v5 framing is untouched when striping is off.
-	OpReplicaWriteStripe
-	// Opcode 14, a proto-v6 repair-chain hop, is retired. Its slot stays
-	// reserved so later opcodes keep their wire values; a target answers
-	// it StatusBadRequest like any unknown opcode.
+	// Opcodes 13 and 14, proto v6's stripe push and repair-chain hop,
+	// are retired: a k-of-n group member is an ordinary replica of its
+	// unit, fed by the verbs above. Their slots stay reserved so later
+	// opcodes keep their wire values; a target answers either
+	// StatusBadRequest like any unknown opcode.
+	_
 	_
 	// OpReplicaWriteByRef ships replication pushes by content reference
 	// (proto v7): a count-prefixed sequence of {seq, lba, hash,
@@ -101,8 +95,6 @@ func (o Opcode) String() string {
 		return "HASH"
 	case OpReplicaWriteBatch:
 		return "REPLICA-WRITE-BATCH"
-	case OpReplicaWriteStripe:
-		return "REPLICA-WRITE-STRIPE"
 	case OpReplicaWriteByRef:
 		return "REPLICA-WRITE-BYREF"
 	default:
@@ -212,15 +204,12 @@ const (
 	// byte-identical to v3/v4 framing, so un-sharded nodes interoperate
 	// until the first tagged push.
 	streamVersion = 5
-	// stripeVersion (v6) adds the k-of-n replica-group opcode
-	// OpReplicaWriteStripe (v6's repair-chain opcode 14 is retired).
-	// Only that opcode is stamped 6; every pre-stripe opcode keeps its
-	// v3-v5 framing byte-identically, so mixed-version nodes
-	// interoperate until the first stripe push.
-	stripeVersion = 6
+	// Version 6 (the k-of-n stripe push and repair chain) is retired; a
+	// header stamped 6 is refused like any unknown version.
+	//
 	// dedupeVersion (v7) adds the content-addressed by-ref push
 	// (OpReplicaWriteByRef). Only that opcode is stamped 7; every
-	// pre-dedupe opcode keeps its v3-v6 framing byte-identically, so
+	// pre-dedupe opcode keeps its v3-v5 framing byte-identically, so
 	// mixed-version nodes interoperate until the first by-ref push —
 	// which the engine only attempts against a by-ref-capable client.
 	dedupeVersion = 7
@@ -323,9 +312,6 @@ func (p *PDU) putHeader(hdr []byte, dataLen int) {
 	}
 	if p.Shard != 0 || p.Vol != 0 {
 		hdr[1] = streamVersion
-	}
-	if p.Op == OpReplicaWriteStripe {
-		hdr[1] = stripeVersion
 	}
 	if p.Op == OpReplicaWriteByRef {
 		hdr[1] = dedupeVersion
@@ -475,8 +461,7 @@ func (p *PDU) readHeader(r io.Reader, hdr []byte) error {
 	if hdr[0] != protoMagic {
 		return fmt.Errorf("%w: 0x%02x", ErrBadMagic, hdr[0])
 	}
-	if hdr[1] != baseVersion && hdr[1] != protoVersion && hdr[1] != streamVersion &&
-		hdr[1] != stripeVersion && hdr[1] != dedupeVersion {
+	if hdr[1] != baseVersion && hdr[1] != protoVersion && hdr[1] != streamVersion && hdr[1] != dedupeVersion {
 		return fmt.Errorf("%w: %d", ErrBadVersion, hdr[1])
 	}
 	if dataLen := binary.BigEndian.Uint32(hdr[24:]); dataLen > MaxDataSegment {

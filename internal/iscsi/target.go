@@ -304,39 +304,24 @@ func (rq *request) read(r io.Reader) error {
 // applyEntryList decodes the entry-list push rq holds and hands it to
 // the backend extension its opcode needs. It reports false — the PDU is
 // refused with StatusBadRequest — for a malformed segment, and for a
-// stripe or by-ref push at a backend without the extension: a stripe
-// unit stored as if it were a block, or a reference no content index
-// can materialize, must be refused rather than guessed at.
+// by-ref push at a backend without the extension: a reference no
+// content index can materialize must be refused rather than guessed at.
 func (rq *request) applyEntryList(backend Backend) ([]Status, bool) {
-	pdu, data := &rq.pdu, rq.pdu.Data
-	var shdr StripeHeader
-	if pdu.Op == OpReplicaWriteStripe {
-		var err error
-		if shdr, data, err = splitStripe(data); err != nil {
-			return nil, false
-		}
-	}
-	entries, err := decodeEntryList(rq.entries, data, pdu.Op == OpReplicaWriteByRef)
+	pdu := &rq.pdu
+	refs := pdu.Op == OpReplicaWriteByRef
+	entries, err := decodeEntryList(rq.entries, pdu.Data, refs)
 	if err != nil {
 		return nil, false
 	}
 	rq.entries = entries
-	switch pdu.Op {
-	case OpReplicaWriteStripe:
-		sb, ok := backend.(StripeBackend)
-		if !ok {
-			return nil, false
-		}
-		return sb.HandleReplicaStripe(pdu.Mode, pdu.Shard, pdu.Vol, shdr, entries), true
-	case OpReplicaWriteByRef:
-		brb, ok := backend.(ByRefBackend)
-		if !ok {
-			return nil, false
-		}
-		return brb.HandleReplicaByRef(pdu.Mode, pdu.Shard, pdu.Vol, entries), true
-	default:
+	if !refs {
 		return applyBatch(backend, pdu.Mode, pdu.Shard, pdu.Vol, entries), true
 	}
+	brb, ok := backend.(ByRefBackend)
+	if !ok {
+		return nil, false
+	}
+	return brb.HandleReplicaByRef(pdu.Mode, pdu.Shard, pdu.Vol, entries), true
 }
 
 // ServeConn runs one session on conn until logout, EOF, a protocol
@@ -424,7 +409,7 @@ func (t *Target) ServeConn(conn net.Conn) {
 			}
 			resp.Status = applyReplica(backend, pdu.Mode, pdu.Shard, pdu.Vol, pdu.Seq, pdu.LBA, pdu.Hash, pdu.Data)
 
-		case OpReplicaWriteBatch, OpReplicaWriteStripe, OpReplicaWriteByRef:
+		case OpReplicaWriteBatch, OpReplicaWriteByRef:
 			resp.Op = OpResp
 			if backend == nil {
 				resp.Status = StatusNotLoggedIn

@@ -82,8 +82,8 @@ func GFMulAdd(dst, src []byte, c byte) error {
 	return nil
 }
 
-// MaxGroupUnits bounds n: the stripe wire format carries unit indices
-// as a uint8 and the Cauchy point set x_j = j needs j <= 255.
+// MaxGroupUnits bounds n: the Cauchy point set x_j = j needs
+// j <= 255.
 const MaxGroupUnits = 255
 
 // RS is a k-of-n systematic Reed–Solomon code over GF(256).

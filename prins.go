@@ -133,8 +133,10 @@ type Config struct {
 	// the frame by value, so dedupe never affects correctness, only
 	// bytes. DedupeEntries bounds the per-replica index (LRU beyond it);
 	// zero disables dedupe, negative selects a default bound. Dedupe is
-	// ineffective with BatchFrames: 1 (by-ref rides the batch path) and
-	// in group mode (stripe units are not whole blocks).
+	// ineffective with BatchFrames: 1 (by-ref rides the batch path). In
+	// group mode each replica's index addresses its own unit's content:
+	// two LBAs holding one block hold one unit at every index, so a copy
+	// ships by reference to every unit.
 	DedupeEntries int
 
 	// GroupK and GroupN (both set) turn the replica set into an
@@ -142,9 +144,12 @@ type Config struct {
 	// GroupN unit frames of which any GroupK reconstruct the block,
 	// and a synchronous write commits once any GroupK units are
 	// acknowledged (quorum commit). Attach exactly GroupN replicas, in
-	// unit-index order; each must be a unit-sized device (block size
-	// GroupUnitSize, not the primary's block size) whose replica
-	// engine was told its unit index (Replica.SetGroupUnit). The group
+	// unit-index order; each is an ordinary Replica over a unit-sized
+	// device (block size GroupUnitSize, not the primary's block size),
+	// and the attach order is what makes it unit i. Only ModePRINS
+	// checks that order, through the hash of the new unit a write
+	// carries; in the other modes a unit attached out of order goes
+	// unnoticed and the attach order is trusted. The group
 	// survives GroupN-GroupK replica losses: any GroupK units
 	// reconstruct a block, and a lost or stale unit is rebuilt from the
 	// primary's own device by ResyncReplica, which ships one unit per
@@ -270,16 +275,9 @@ func (p *Primary) AttachReplicaAddr(addr, exportName string) error {
 		_ = init.Close()
 		return err
 	}
-	bs, nb := p.engine.Geometry()
-	// A group member stores stripe units, not whole blocks: its block
-	// size must match the unit size, one unit block per logical block.
-	if u := p.engine.GroupUnitSize(); u > 0 {
-		bs = u
-	}
-	if init.BlockSize() != bs || init.NumBlocks() < nb {
+	if err := p.checkGeometry(addr, init); err != nil {
 		_ = init.Close()
-		return fmt.Errorf("prins: replica %s geometry %dx%d incompatible with primary %dx%d",
-			addr, init.NumBlocks(), init.BlockSize(), nb, bs)
+		return err
 	}
 	if err := p.engine.AttachReplica(init); err != nil {
 		_ = init.Close()
@@ -289,16 +287,45 @@ func (p *Primary) AttachReplicaAddr(addr, exportName string) error {
 	return nil
 }
 
-// AttachReplica attaches an in-process replica.
+// AttachReplica attaches an in-process replica. Its device is held to
+// the same geometry as AttachReplicaAddr's.
 func (p *Primary) AttachReplica(r *Replica) error {
+	if err := p.checkGeometry("in-process", r.Store()); err != nil {
+		return err
+	}
 	return p.engine.AttachReplica(&core.Loopback{Replica: r.engine})
+}
+
+// checkGeometry refuses a replica device that cannot hold what this
+// primary ships it: one block per logical block, of the primary's block
+// size — or, for a group member, of the unit size, since it stores one
+// unit per logical block. It is the only geometry guard a group member
+// has: the unit index is the attach order, which only a ModePRINS
+// group checks, through the unit hash of a write that finds the wrong
+// unit in place (GroupK's doc).
+func (p *Primary) checkGeometry(name string, dev Store) error {
+	bs, nb := p.engine.Geometry()
+	if u := p.engine.GroupUnitSize(); u > 0 {
+		bs = u
+	}
+	if dev.BlockSize() != bs || dev.NumBlocks() < nb {
+		return fmt.Errorf("prins: replica %s geometry %dx%d incompatible with primary %dx%d",
+			name, dev.NumBlocks(), dev.BlockSize(), nb, bs)
+	}
+	return nil
 }
 
 // AttachReplicaResilient connects to a replica like AttachReplicaAddr
 // but survives session loss: on a failed push it reconnects, runs a
 // hash-based delta resync to heal the writes lost while disconnected,
-// and resumes. Use it when the WAN is expected to flap.
+// and resumes. Use it when the WAN is expected to flap. A group primary
+// refuses it: its heal resyncs whole logical blocks, and a group member
+// holds one unit of each (attach with AttachReplicaAddr and heal with
+// ResyncReplica instead).
 func (p *Primary) AttachReplicaResilient(addr, exportName string) error {
+	if p.engine.Group().N > 0 {
+		return errors.New("prins: a resilient replica resyncs whole blocks; a group member holds units")
+	}
 	rc, err := resync.NewResilientClient(p.engine, addr, exportName)
 	if err != nil {
 		return err
@@ -392,17 +419,23 @@ func (p *Primary) ClearDirty(i int, ranges ...Range) {
 // ship-by-reference fast path as a free side effect of the comparison
 // it does anyway. On a group primary (Config.GroupN) replica i holds
 // stripe unit i, and the comparison runs against that unit of the
-// primary's blocks (RepairGroupUnit). Quiesce writes first (Drain) and
-// follow with ClearDirty / ClearDegraded as usual.
+// primary's blocks (RepairGroupUnit); that source is the only thing
+// group-specific about it. Quiesce writes first (Drain) and follow with
+// ClearDirty / ClearDegraded as usual.
 func (p *Primary) ResyncReplica(i int, addr, exportName string, ranges ...Range) (ResyncStats, error) {
+	var src Store = p.engine
 	if g := p.engine.Group(); g.N > 0 {
-		return RepairGroupUnit(p.engine, g.K, g.N, i, addr, exportName, ranges...)
+		unit, err := newGroupUnit(p.engine, g.K, g.N, i)
+		if err != nil {
+			return ResyncStats{}, err
+		}
+		src = unit
 	}
 	cfg := resync.Config{}
 	if idx := p.engine.ReplicaDedupe(i); idx != nil {
 		cfg.Learn = idx.Put
 	}
-	return resyncTo(p.engine, addr, exportName, cfg, wholeIfNone(p.engine, ranges))
+	return resyncTo(src, addr, exportName, cfg, wholeIfNone(p.engine, ranges))
 }
 
 // Shards returns how many LBA-range shards the primary's write path
@@ -536,14 +569,11 @@ func (p *Primary) GroupUnitSize() int { return p.engine.GroupUnitSize() }
 // is compared; pass DirtyRanges output to rebuild only what the
 // replica missed. Quiesce writes to local first.
 func RepairGroupUnit(local Store, k, n, lost int, addr, exportName string, ranges ...Range) (ResyncStats, error) {
-	rs, err := parity.NewRS(k, n)
+	unit, err := newGroupUnit(local, k, n, lost)
 	if err != nil {
 		return ResyncStats{}, err
 	}
-	if lost < 0 || lost >= n {
-		return ResyncStats{}, fmt.Errorf("prins: unit %d outside a %d-unit group", lost, n)
-	}
-	return resyncTo(newGroupUnit(local, rs, lost), addr, exportName, resync.Config{}, wholeIfNone(local, ranges))
+	return resyncTo(unit, addr, exportName, resync.Config{}, wholeIfNone(local, ranges))
 }
 
 // groupUnit is the read-only view of a logical device as one unit of
@@ -558,12 +588,20 @@ type groupUnit struct {
 	units [][]byte
 }
 
-func newGroupUnit(src Store, rs *parity.RS, unit int) *groupUnit {
-	g := &groupUnit{src: src, rs: rs, unit: unit, blk: make([]byte, src.BlockSize()), units: make([][]byte, rs.N())}
+// newGroupUnit returns src viewed as unit `unit` of its k-of-n stripe.
+func newGroupUnit(src Store, k, n, unit int) (*groupUnit, error) {
+	rs, err := parity.NewRS(k, n)
+	if err != nil {
+		return nil, err
+	}
+	if unit < 0 || unit >= n {
+		return nil, fmt.Errorf("prins: unit %d outside a %d-unit group", unit, n)
+	}
+	g := &groupUnit{src: src, rs: rs, unit: unit, blk: make([]byte, src.BlockSize()), units: make([][]byte, n)}
 	for i := range g.units {
 		g.units[i] = make([]byte, rs.UnitSize(src.BlockSize()))
 	}
-	return g
+	return g, nil
 }
 
 func (g *groupUnit) ReadBlock(lba uint64, buf []byte) error {
@@ -744,19 +782,9 @@ func NewReplicaJournaled(local Store, journalPath string) (*Replica, error) {
 	return &Replica{engine: engine, jrnl: jrnl}, nil
 }
 
-// SetGroupUnit declares this replica a member of a k-of-n
-// erasure-coded group holding the unit at index idx (0-based, in the
-// primary's attach order). Call it before the first push: a group
-// replica only accepts stripe pushes whose geometry matches. A lost or
-// stale unit is healed like any replica, by the primary's resync
-// (Primary.ResyncReplica), which writes it whole unit blocks.
-func (r *Replica) SetGroupUnit(k, n, idx int) error {
-	return r.engine.SetGroupUnit(k, n, idx)
-}
-
 // Serve exposes the replica on the network: primaries replicate to it
-// (stripe pushes too, for a group unit) and resync it, and clients may
-// mount it (read-mostly) for verification or failover.
+// and resync it, and clients may mount it (read-mostly) for
+// verification or failover.
 func (r *Replica) Serve(addr, exportName string) (net.Addr, error) {
 	if r.target == nil {
 		r.target = iscsi.NewTarget()

@@ -206,3 +206,42 @@ func TestDialErrors(t *testing.T) {
 		t.Error("dial to wrong export succeeded")
 	}
 }
+
+// TestAttachReplicaGeometry: an in-process replica is held to the same
+// geometry as one attached by address — the primary's block size for a
+// mirror, the unit size for a group member, and at least the primary's
+// block count — so a mis-sized device is refused at attach instead of
+// attaching and then refusing every push it is sent.
+func TestAttachReplicaGeometry(t *testing.T) {
+	for _, tc := range []struct {
+		name       string
+		k, n       int
+		bs, wantBS int
+	}{
+		{"mirror", 0, 0, 512, 512},
+		{"2-of-3 group", 2, 3, 512, 256},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			const nb = 16
+			local, _ := prins.NewMemStore(tc.bs, nb)
+			primary, err := prins.NewPrimary(local, prins.Config{Mode: prins.ModePRINS, GroupK: tc.k, GroupN: tc.n})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer primary.Close()
+			for _, bad := range []struct {
+				bs int
+				nb uint64
+			}{{tc.wantBS * 2, nb}, {tc.wantBS / 2, nb}, {tc.wantBS, nb - 1}} {
+				store, _ := prins.NewMemStore(bad.bs, bad.nb)
+				if err := primary.AttachReplica(prins.NewReplica(store)); err == nil {
+					t.Errorf("replica of %dx%d attached to a primary that ships %dx%d", bad.nb, bad.bs, nb, tc.wantBS)
+				}
+			}
+			store, _ := prins.NewMemStore(tc.wantBS, nb)
+			if err := primary.AttachReplica(prins.NewReplica(store)); err != nil {
+				t.Fatalf("well-sized replica refused: %v", err)
+			}
+		})
+	}
+}
