@@ -121,15 +121,13 @@ func (l *Log) Recover(store block.Store, toSeq uint64) error {
 	buf := make([]byte, l.blockSize)
 	for i := len(undo) - 1; i >= 0; i-- {
 		rec := undo[i]
-		fp, err := xcode.Decode(rec.Frame)
-		if err != nil {
-			return fmt.Errorf("cdp: decode seq %d: %w", rec.Seq, err)
-		}
 		if err := store.ReadBlock(rec.LBA, buf); err != nil {
 			return fmt.Errorf("cdp: read lba %d: %w", rec.LBA, err)
 		}
-		if err := parity.XORInPlace(buf, fp); err != nil {
-			return err
+		// Fold the parity straight into the block: no decoded copy, and a
+		// frame declaring any size but the block's is refused.
+		if err := xcode.XORInto(buf, rec.Frame); err != nil {
+			return fmt.Errorf("cdp: decode seq %d: %w", rec.Seq, err)
 		}
 		if err := store.WriteBlock(rec.LBA, buf); err != nil {
 			return fmt.Errorf("cdp: write lba %d: %w", rec.LBA, err)

@@ -66,7 +66,7 @@ func byrefPair(t *testing.T, cfg Config, bs int, nb uint64) (*Engine, *ReplicaEn
 
 // TestByRefShipsReferencesForKnownContent is the dedupe fast path end
 // to end: once the replica has acknowledged holding some content, every
-// later queued frame with that content ships as a 28-byte reference
+// later queued frame with that content ships as a reference
 // instead of the parity frame, the replica materializes the blocks by
 // local copy, and both saved bytes and hit counters record it.
 func TestByRefShipsReferencesForKnownContent(t *testing.T) {
@@ -193,8 +193,12 @@ func TestByRefMissStormFallsBackByValue(t *testing.T) {
 		t.Errorf("DedupeHits = %d, DedupeMisses = %d, want 0, 4", s.DedupeHits, s.DedupeMisses)
 	}
 	// Delivered-only accounting: nothing was saved, and each of the four
-	// failed references cost its 28-byte wire overhead.
-	if want := int64(-4 * iscsi.BatchEntryOverhead); s.DedupeSavedWire != want {
+	// failed references cost the entry header it went out as.
+	var want int64
+	for k := range g.byrefs[0] {
+		want -= int64(entryHeaderLen(g.byrefs[0], k))
+	}
+	if s.DedupeSavedWire != want {
 		t.Errorf("DedupeSavedWire = %d, want %d (miss storms read negative)", s.DedupeSavedWire, want)
 	}
 	if got := replica.Traffic().Snapshot().ReplicaWrites; got != 5 {
@@ -203,9 +207,18 @@ func TestByRefMissStormFallsBackByValue(t *testing.T) {
 	mustEqual(t, "replica after miss-storm fallback", replicaStore, primaryStore)
 }
 
+// entryHeaderLen is the header bytes entries[k] cost in the entry list
+// entries went out as.
+func entryHeaderLen(entries []iscsi.BatchEntry, k int) int {
+	if k == 0 {
+		return iscsi.EntryHeaderLen(nil, &entries[0])
+	}
+	return iscsi.EntryHeaderLen(&entries[k-1], &entries[k])
+}
+
 // scriptedByRef is a by-ref-capable client whose replica side is
 // scripted: it can resolve exactly the content hashes in resolvable,
-// refuses the rest per the v7 suffix rule, and accepts every by-value
+// refuses the rest per the by-ref suffix rule, and accepts every by-value
 // entry. It exists to pin the savings accounting on mixed status
 // vectors without a real replica's behaviour in the way.
 type scriptedByRef struct {
@@ -264,7 +277,7 @@ func (c *scriptedByRef) ReplicaWriteByRef(mode, shard uint8, vol uint16, entries
 	statuses := make([]iscsi.Status, len(entries))
 	for k := range entries {
 		if entries[k].ByRef() && !c.resolvable[entries[k].Hash] {
-			// v7 suffix rule: the first unresolvable reference refuses
+			// By-ref suffix rule: the first unresolvable reference refuses
 			// everything after it, applied or not.
 			for j := k; j < len(entries); j++ {
 				statuses[j] = iscsi.StatusRefMiss
@@ -360,10 +373,10 @@ func TestDedupeSavedWireMixedStatuses(t *testing.T) {
 	if s.DedupeHits != 1 || s.DedupeMisses != 1 {
 		t.Errorf("DedupeHits = %d, DedupeMisses = %d, want 1, 1", s.DedupeHits, s.DedupeMisses)
 	}
-	// A saved its frame; C's failed reference cost one entry overhead;
-	// D's whole first attempt (overhead + frame) was wasted. B is
-	// neutral.
-	want := frameX - int64(iscsi.BatchEntryOverhead) - (int64(iscsi.BatchEntryOverhead) + frameD)
+	// A saved its frame; C's failed reference cost its entry header;
+	// D's whole first attempt (header + frame) was wasted. B is neutral.
+	first := c.byrefs[0]
+	want := frameX - int64(entryHeaderLen(first, 2)) - (int64(entryHeaderLen(first, 3)) + frameD)
 	if s.DedupeSavedWire != want {
 		t.Errorf("DedupeSavedWire = %d, want %d", s.DedupeSavedWire, want)
 	}

@@ -79,9 +79,10 @@ var _ FramedReplicaClient = (*iscsi.Initiator)(nil)
 // ByRefReplicaClient is the content-addressed extension of
 // ReplicaClient: ship a mixed by-ref/by-value batch for one (vol,
 // shard) stream — entries whose content the replica is believed to
-// already hold travel as 28-byte references instead of frames — and
-// get one status per entry back, StatusRefMiss marking references the
-// replica could not resolve (the primary re-ships those by value).
+// already hold travel as references, entry headers alone, instead of
+// frames — and get one status per entry back, StatusRefMiss marking
+// references the replica could not resolve (the primary re-ships those
+// by value).
 // The dedupe fast path engages only for clients that implement it.
 type ByRefReplicaClient interface {
 	ReplicaClient
@@ -197,13 +198,14 @@ type Config struct {
 	// attached by-ref-capable replica the engine tracks up to this many
 	// (lba -> content hash) pairs it believes the replica holds, fed by
 	// acknowledged ships and resync scans. A batched ship whose entry's
-	// content hash is already indexed sends the 28-byte reference
-	// instead of the parity frame (wire protocol v7); a replica-side
-	// miss falls back to re-shipping the frame, so correctness never
-	// depends on the index. Zero (the default) disables the fast path
-	// entirely; the index is advisory and ineffective when batching is
-	// disabled (BatchFrames: 1). In GroupMode each replica's index
-	// addresses its own unit's content, which is what its replica holds.
+	// content hash is already indexed sends a reference, its entry
+	// header alone, instead of the parity frame (wire protocol v8); a
+	// replica-side miss falls back to re-shipping the frame, so
+	// correctness never depends on the index. Zero (the default)
+	// disables the fast path entirely; the index is advisory and
+	// ineffective when batching is disabled (BatchFrames: 1). In
+	// GroupMode each replica's index addresses its own unit's content,
+	// which is what its replica holds.
 	// Negative selects the default bound (dedupe.DefaultEntries).
 	DedupeEntries int
 }

@@ -384,13 +384,16 @@ func TestGroupConfigValidation(t *testing.T) {
 }
 
 // TestGroupWireCeiling holds the modelled wire bytes per write a 2-of-4
-// PRINS group ships to what it cost when every unit push carried the
-// stripe verb's group header and list framing. A sync write with one
-// writer ships each unit alone, as a plain replica write; an async
-// write's backlog ships as batches, here of a fixed composition: the
-// first write's four pushes are held at the gate until the other 199
-// writes have queued behind them. The totals are counts, so they need a
-// ceiling, not a timed comparison.
+// PRINS group ships. A sync write with one writer ships each unit alone,
+// as a plain replica write, and its ceiling is what it cost when every
+// unit push carried the stripe verb's group header and list framing
+// (1862.31; it now reads about 1530-1575, varying with how the two
+// off-quorum units batch). An async write's backlog ships as batches, here of a
+// fixed composition: the first write's four pushes are held at the gate
+// until the other 199 writes have queued behind them. Its ceiling is the
+// delta-varint entry list's cost, 1362.80 (1419.19 with the stripe verb,
+// 1417.91 with fixed 28-byte entry headers). The totals are counts, so
+// they need a ceiling, not a timed comparison.
 func TestGroupWireCeiling(t *testing.T) {
 	const k, n, bs, nb, writes = 2, 4, 4096, 64, 200
 	for _, tc := range []struct {
@@ -399,7 +402,7 @@ func TestGroupWireCeiling(t *testing.T) {
 		ceiling float64
 	}{
 		{"sync", false, 1862.31},
-		{"async", true, 1419.19},
+		{"async", true, 1362.80},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			primary, err := block.NewMem(bs, nb)

@@ -393,13 +393,14 @@ func singleGroup(one []repMsg) batchGroup {
 // its own status — one diverged block marks its LBA dirty without
 // failing its batch-mates. With a dedupe index even a run of one goes
 // through the entry path: a consult hit turns the whole frame into a
-// 28-byte reference (wire protocol v7), which dwarfs what the
-// single-frame fast path saves. Per v7, the first reference the replica
-// cannot resolve refuses the entire remaining suffix with
-// StatusRefMiss — entries applied ahead of it keep their own statuses —
-// and the refused suffix is transparently re-shipped by value as one
-// ordinary batch (replica seq-dedupe makes the overlap safe, and the
-// queued frames were retained exactly for this).
+// reference — its entry header alone (wire protocol v8), 11 bytes for
+// the next seq at a nearby LBA — which dwarfs what the single-frame
+// fast path saves. The first reference the replica cannot resolve
+// refuses the entire remaining suffix with StatusRefMiss — entries
+// applied ahead of it keep their own statuses — and the refused suffix
+// is transparently re-shipped by value as one ordinary batch (replica
+// seq-dedupe makes the overlap safe, and the queued frames were
+// retained exactly for this).
 //
 // An entry's outcome is one of three. Delivered: traffic is counted
 // only then, so PayloadBytes/WireBytes measure what the replica
@@ -577,12 +578,12 @@ func (e *Engine) process(p *pipe, msgs []repMsg, backlog bool) {
 				// Fallback re-ship: the first attempt's reference was
 				// pure overhead.
 				payload += frameCost
-				dSaved -= iscsi.BatchEntryOverhead
+				dSaved -= firstHeaderLen(groups, k)
 			case g.reshipped:
 				// A by-value entry dragged into the refused suffix: its
 				// whole first attempt was overhead.
 				payload += frameCost
-				dSaved -= iscsi.BatchEntryOverhead + frameCost
+				dSaved -= firstHeaderLen(groups, k) + frameCost
 			default:
 				payload += frameCost
 			}
@@ -647,6 +648,20 @@ func (e *Engine) process(p *pipe, msgs []repMsg, backlog bool) {
 			e.finish(rs, m, groups[k].err)
 		}
 	}
+}
+
+// firstHeaderLen is the entry header groups[k] cost in its run's first
+// push, where it followed groups[k-1] and a reference carried no frame.
+func firstHeaderLen(groups []batchGroup, k int) int64 {
+	var prev *iscsi.BatchEntry
+	if k > 0 {
+		prev = &groups[k-1].entry
+	}
+	e := groups[k].entry
+	if groups[k].ref {
+		e.Frame = nil
+	}
+	return int64(iscsi.EntryHeaderLen(prev, &e))
 }
 
 // finish settles one queued message exactly once: report the delivery
@@ -733,6 +748,10 @@ func (e *Engine) push(p *pipe, one *repMsg, entries []iscsi.BatchEntry, refs boo
 func (e *Engine) coalesce(groups []batchGroup, msgs []repMsg) []batchGroup {
 	idx := make(map[uint64]int, len(msgs)) // lba -> open group index
 	parities := make(map[int][]byte)       // group index -> decoded XOR accumulator
+	size := e.GroupUnitSize()              // what every frame decodes to: the unit, or the block
+	if size == 0 {
+		size = e.local.BlockSize()
+	}
 	for i := range msgs {
 		m := &msgs[i]
 		gi, seen := idx[m.lba]
@@ -746,10 +765,13 @@ func (e *Engine) coalesce(groups []batchGroup, msgs []repMsg) []batchGroup {
 		// decode or fold (cannot happen for frames we encoded ourselves)
 		// may leave the accumulator half-folded, so the whole run ships
 		// uncoalesced — the replica applies same-LBA entries in seq order
-		// regardless.
+		// regardless. The accumulator is sized by the engine, not by what
+		// the first frame declares, so a frame of any other size is
+		// refused rather than sized from.
 		acc, err := parities[gi], error(nil)
 		if acc == nil {
-			acc, err = xcode.Decode(groups[gi].entry.Frame)
+			acc = make([]byte, size)
+			err = xcode.DecodeInto(acc, groups[gi].entry.Frame)
 		}
 		if err == nil {
 			err = xcode.XORInto(acc, m.frame.frame())

@@ -16,7 +16,7 @@ import (
 )
 
 // streamKey packs a (vol, shard) replication stream tag into one map
-// key. The zero key is the default stream untagged (v3/v4) pushes
+// key. The zero key is the default stream untagged pushes
 // apply against.
 func streamKey(shard uint8, vol uint16) uint32 {
 	return uint32(vol)<<8 | uint32(shard)
@@ -173,7 +173,7 @@ type ReplicaEngine struct {
 
 	// dedupe, when non-nil, is the content-addressed index over this
 	// replica's own store: every verified apply records (lba -> hash),
-	// so a by-ref push (proto v7) can be materialized by local copy.
+	// so a by-ref push can be materialized by local copy.
 	// The index is advisory — a candidate block is re-hashed before it
 	// is copied, so a stale entry costs a StatusRefMiss, never a wrong
 	// block. Set before the engine is shared (SetDedupe); the Index has
@@ -372,7 +372,7 @@ func (r *ReplicaEngine) ApplyBatchStream(mode Mode, shard uint8, vol uint16, ent
 }
 
 // applyStatuses is applyGroup at the wire boundary: statuses for
-// errors. refs marks a proto-v7 push, where an entry without a frame is
+// errors. refs marks a by-ref push, where an entry without a frame is
 // a content reference. The status vector is the one allocation of a
 // steady-state push.
 func (r *ReplicaEngine) applyStatuses(mode Mode, shard uint8, vol uint16, entries []iscsi.BatchEntry, refs bool) []iscsi.Status {
@@ -677,7 +677,7 @@ func (r *ReplicaEngine) HandleReplicaBatchStream(mode, shard uint8, vol uint16, 
 }
 
 // HandleReplicaByRef implements iscsi.ByRefBackend: the wire entry
-// point for content-addressed (proto v7) pushes. A by-ref entry (nil
+// point for content-addressed pushes. A by-ref entry (nil
 // frame) is materialized by verified local copy via the content index;
 // a by-value entry applies exactly like its batch counterpart.
 func (r *ReplicaEngine) HandleReplicaByRef(mode, shard uint8, vol uint16, entries []iscsi.BatchEntry) []iscsi.Status {

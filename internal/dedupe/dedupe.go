@@ -1,13 +1,13 @@
 // Package dedupe provides the content-addressed block index behind
-// PRINS's ship-by-reference fast path (wire protocol v7). Both ends of
+// PRINS's ship-by-reference fast path (wire protocol v8). Both ends of
 // the replication path run one:
 //
 //   - The primary keeps an Index per attached replica recording which
 //     (lba -> content hash) pairs it believes the replica holds — fed
 //     by acknowledged ships and resync scans, invalidated by degraded
 //     / diverged / dirty events. A hot-path Contains hit lets the
-//     shipper send the 28-byte by-ref entry instead of the parity
-//     frame.
+//     shipper send a by-ref entry, an entry header of about 11
+//     bytes, instead of the parity frame.
 //   - The replica keeps an Index over its own store so a by-ref push
 //     can be materialized by local copy: Lookup resolves the shipped
 //     hash to some LBA verifiably holding that content.

@@ -4,39 +4,47 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"math/bits"
 	"net"
 	"slices"
 )
 
-// Batch wire format (proto v4). The data segment of an
-// OpReplicaWriteBatch PDU is a count-prefixed sequence of replication
-// pushes, each the {seq, lba, hash, frame} tuple a single
-// OpReplicaWrite would have carried in its header and data segment:
+// Entry-list wire format (proto v8). The data segment of an
+// OpReplicaWriteBatch or OpReplicaWriteByRef PDU is a count-prefixed
+// sequence of replication pushes, each the {seq, lba, hash, frame}
+// tuple a single OpReplicaWrite would have carried in its header and
+// data segment, with seq and LBA coded as deltas from the previous
+// entry's:
 //
-//	off 0: count (uint32)
+//	count    (uvarint)
 //	then, per entry:
-//	  off +0 : seq      (uint64)
-//	  off +8 : lba      (uint64)
-//	  off +16: hash     (uint64)  content hash of the decoded new block
-//	  off +24: frameLen (uint32)
-//	  off +28: frame    (frameLen bytes, an xcode frame)
+//	  seq      (varint)  seq - the previous entry's seq (the first entry's: - 0)
+//	  lba      (varint)  lba - the previous entry's lba (the first entry's: - 0)
+//	  hash     (uint64)  content hash of the decoded new block
+//	  frameLen (uvarint) 0 = no frame (by-ref: the hash is the payload)
+//	  frame    (frameLen bytes, an xcode frame)
+//
+// The deltas are zigzag varints of the difference modulo 2^64, so a
+// list imposes no order on its seqs or LBAs, and a seq that wraps costs
+// one byte like any other step. A coalesced run — ascending seqs, LBAs
+// of one working set — pays 11 to 15 header bytes per entry, which is
+// all a by-ref entry costs. Every varint is in its shortest form, so a
+// list has exactly one encoding.
 //
 // The response is an OpResp whose data segment holds one status byte
 // per entry, in entry order, so a single diverged block reports its
 // own StatusDiverged without failing its batch-mates. The response's
 // header-level Status covers the transport/decode layer only.
 const (
-	// batchCountLen prefixes the data segment with the entry count.
-	batchCountLen = 4
-	// batchEntryLen is the fixed per-entry header: seq, lba, hash,
-	// frameLen.
-	batchEntryLen = 28
-	// MaxBatchFrames bounds the entries in one OpReplicaWriteBatch.
+	// minEntryLen is the smallest entry on the wire: one-byte deltas,
+	// the hash, and a one-byte zero frame length.
+	minEntryLen = 1 + 1 + HashSize + 1
+	// MaxBatchFrames bounds the entries in one entry list.
 	MaxBatchFrames = 4096
 )
 
-// BatchEntry is one replication push inside an OpReplicaWriteBatch:
-// the same seq/lba/hash/frame tuple ReplicaWrite ships one at a time.
+// BatchEntry is one replication push inside an entry list: the same
+// seq/lba/hash/frame tuple ReplicaWrite ships one at a time.
 type BatchEntry struct {
 	Seq   uint64
 	LBA   uint64
@@ -64,70 +72,102 @@ type StreamBatchBackend interface {
 	HandleReplicaBatchStream(mode, shard uint8, vol uint16, entries []BatchEntry) []Status
 }
 
+// uvarintLen returns the bytes binary.AppendUvarint spends on v.
+func uvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
+
+// deltaLen returns the bytes binary.AppendVarint spends on the delta
+// from prev to cur.
+func deltaLen(prev, cur uint64) int {
+	d := int64(cur - prev)
+	return uvarintLen(uint64(d<<1) ^ uint64(d>>63))
+}
+
+// EntryHeaderLen returns the bytes entry e occupies in an entry list
+// right after prev (nil for the list's first entry), its frame
+// excluded: the seq and LBA deltas, the hash, and the frame length. It
+// is all a by-ref entry (no frame) costs.
+func EntryHeaderLen(prev, e *BatchEntry) int {
+	var seq, lba uint64
+	if prev != nil {
+		seq, lba = prev.Seq, prev.LBA
+	}
+	return deltaLen(seq, e.Seq) + deltaLen(lba, e.LBA) + HashSize + uvarintLen(uint64(len(e.Frame)))
+}
+
+// appendEntryHeader appends e's entry header, coded against prev.
+func appendEntryHeader(dst []byte, prev, e *BatchEntry) []byte {
+	dst = binary.AppendVarint(dst, int64(e.Seq-prev.Seq))
+	dst = binary.AppendVarint(dst, int64(e.LBA-prev.LBA))
+	dst = binary.BigEndian.AppendUint64(dst, e.Hash)
+	return binary.AppendUvarint(dst, uint64(len(e.Frame)))
+}
+
+// entryListSize returns an entry list's data-segment bytes as meta,
+// the count and every entry header, and frames, the frames' total.
+func entryListSize(entries []BatchEntry) (meta, frames int) {
+	meta = uvarintLen(uint64(len(entries)))
+	var prev *BatchEntry
+	for k := range entries {
+		meta += EntryHeaderLen(prev, &entries[k])
+		frames += len(entries[k].Frame)
+		prev = &entries[k]
+	}
+	return meta, frames
+}
+
+// BatchWireLen returns the data-segment bytes an entry list occupies on
+// the wire (header PDU excluded); used for modelled wire accounting.
+func BatchWireLen(entries []BatchEntry) int {
+	meta, frames := entryListSize(entries)
+	return meta + frames
+}
+
 // entryListLen validates an entry list against the protocol bounds and
-// returns its data-segment length. With refs set the list is a by-ref
-// push, where an entry without a frame must carry a nonzero content
-// hash — the hash is the only thing the replica can materialize from.
-func entryListLen(entries []BatchEntry, refs bool) (int, error) {
+// returns its data-segment length and the part of it that is not
+// frames. With refs set the list is a by-ref push, where an entry
+// without a frame must carry a nonzero content hash — the hash is the
+// only thing the replica can materialize from.
+func entryListLen(entries []BatchEntry, refs bool) (dataLen, metaLen int, err error) {
 	if len(entries) == 0 {
-		return 0, fmt.Errorf("iscsi: empty replica batch")
+		return 0, 0, fmt.Errorf("iscsi: empty replica batch")
 	}
 	if len(entries) > MaxBatchFrames {
-		return 0, fmt.Errorf("%w: batch of %d entries", ErrTooLarge, len(entries))
+		return 0, 0, fmt.Errorf("%w: batch of %d entries", ErrTooLarge, len(entries))
 	}
-	n := BatchWireLen(entries)
-	if n > MaxDataSegment {
-		return 0, fmt.Errorf("%w: batch of %d bytes", ErrTooLarge, n)
+	metaLen, frames := entryListSize(entries)
+	if metaLen+frames > MaxDataSegment {
+		return 0, 0, fmt.Errorf("%w: batch of %d bytes", ErrTooLarge, metaLen+frames)
 	}
 	for k := range entries {
 		if refs && entries[k].ByRef() && entries[k].Hash == 0 {
-			return 0, fmt.Errorf("%w: by-ref entry %d without content hash", ErrBadFrame, k)
+			return 0, 0, fmt.Errorf("%w: by-ref entry %d without content hash", ErrBadFrame, k)
 		}
 	}
-	return n, nil
+	return metaLen + frames, metaLen, nil
 }
 
-// BatchWireLen returns the data-segment bytes a batch of entries
-// occupies on the wire (header PDU excluded); used for modelled wire
-// accounting.
-func BatchWireLen(entries []BatchEntry) int {
-	n := batchCountLen
-	for _, e := range entries {
-		n += batchEntryLen + len(e.Frame)
-	}
-	return n
-}
-
-// entryListMeta builds everything of an entry list's data segment but
-// the frames, contiguously: the count and every fixed-size entry
-// header. Entry k's header starts at batchCountLen + k*batchEntryLen;
-// the frames interleave from the caller's buffers.
-func entryListMeta(entries []BatchEntry) []byte {
-	meta := make([]byte, batchCountLen+batchEntryLen*len(entries))
-	binary.BigEndian.PutUint32(meta, uint32(len(entries)))
-	off := batchCountLen
-	for _, e := range entries {
-		binary.BigEndian.PutUint64(meta[off:], e.Seq)
-		binary.BigEndian.PutUint64(meta[off+8:], e.LBA)
-		binary.BigEndian.PutUint64(meta[off+16:], e.Hash)
-		binary.BigEndian.PutUint32(meta[off+24:], uint32(len(e.Frame)))
-		off += batchEntryLen
-	}
-	return meta
-}
-
-// entryListBufs lays an entry list's data segment out in wire order
-// without copying a frame: meta (see entryListMeta) is cut at the entry
-// header boundaries and the caller's frames slot in between. The first
-// piece carries the count with entry 0's header.
-func entryListBufs(bufs net.Buffers, meta []byte, entries []BatchEntry) net.Buffers {
-	start, end := 0, len(meta)-batchEntryLen*(len(entries)-1)
-	for _, e := range entries {
-		bufs = append(bufs, meta[start:end])
+// appendEntryList lays an entry list's data segment out in wire order
+// without copying a frame: the count and the entry headers are appended
+// to meta, and each frame slots in after its header as a piece of its
+// own, from the caller's buffer. meta's existing bytes (a PDU header,
+// say) lead the first piece, and the headers of entries without a frame
+// between them share a piece. meta must have room for everything
+// appended, so the pieces are cut from one allocation.
+func appendEntryList(bufs net.Buffers, meta []byte, entries []BatchEntry) net.Buffers {
+	meta = binary.AppendUvarint(meta, uint64(len(entries)))
+	start := 0
+	prev := &BatchEntry{}
+	for k := range entries {
+		e := &entries[k]
+		meta = appendEntryHeader(meta, prev, e)
+		prev = e
 		if len(e.Frame) > 0 {
-			bufs = append(bufs, e.Frame)
+			bufs = append(bufs, meta[start:], e.Frame)
+			start = len(meta)
 		}
-		start, end = end, end+batchEntryLen
+	}
+	if start < len(meta) {
+		bufs = append(bufs, meta[start:])
 	}
 	return bufs
 }
@@ -137,62 +177,96 @@ func entryListBufs(bufs net.Buffers, meta []byte, entries []BatchEntry) net.Buff
 // pieces vectored, without assembling a copy); it serves tests, fuzz
 // seeds, and callers that need the segment as one buffer.
 func encodeEntryList(entries []BatchEntry, refs bool) ([]byte, error) {
-	dataLen, err := entryListLen(entries, refs)
+	dataLen, metaLen, err := entryListLen(entries, refs)
 	if err != nil {
 		return nil, err
 	}
 	buf := make([]byte, 0, dataLen)
-	for _, piece := range entryListBufs(nil, entryListMeta(entries), entries) {
+	for _, piece := range appendEntryList(nil, make([]byte, 0, metaLen), entries) {
 		buf = append(buf, piece...)
 	}
 	return buf, nil
 }
 
+// decodeUvarint decodes the uvarint at data[off:] and returns it with
+// the offset just past it. A truncated varint is ErrShortFrame; one
+// that overflows 64 bits, or is not in its shortest form (a final byte
+// of zero), is ErrBadFrame — a list has exactly one encoding.
+func decodeUvarint(data []byte, off int) (uint64, int, error) {
+	if off >= len(data) {
+		return 0, 0, ErrShortFrame
+	}
+	v, n := binary.Uvarint(data[off:])
+	if n <= 0 {
+		if n == 0 {
+			return 0, 0, ErrShortFrame
+		}
+		return 0, 0, ErrBadFrame
+	}
+	if n > 1 && data[off+n-1] == 0 {
+		return 0, 0, ErrBadFrame
+	}
+	return v, off + n, nil
+}
+
+// decodeDelta decodes the zigzag varint at data[off:] (see
+// decodeUvarint) and returns from plus it, modulo 2^64.
+func decodeDelta(data []byte, off int, from uint64) (uint64, int, error) {
+	ux, off, err := decodeUvarint(data, off)
+	return from + uint64(int64(ux>>1)^-int64(ux&1)), off, err
+}
+
 // decodeEntryList parses the count-prefixed entry sequence every
 // entry-list opcode carries, into entries' backing array when it has
 // room (a session reuses one from PDU to PDU; nil allocates). Frames
-// alias data (no copies); the caller
-// owns data until the entries are consumed. Decoding is strict and
-// bounded: the declared count must be in (0, MaxBatchFrames] and
-// plausible for the buffer size before anything is allocated, every
-// entry must be fully present, trailing bytes are rejected, and with
-// refs set (a by-ref push) an entry without a frame must name a nonzero
-// content hash. Truncation reports ErrShortFrame and structural
-// violations report ErrBadFrame — hostile input never panics or
-// over-allocates.
+// alias data (no copies); the caller owns data until the entries are
+// consumed. Decoding is strict and bounded: the declared count must be
+// in (0, MaxBatchFrames], and count minimal entries must fit in the
+// rest of the buffer, before anything is allocated; every entry must be
+// fully present; every varint must be minimal; trailing bytes are
+// rejected; and with refs set (a by-ref push) an entry without a frame
+// must name a nonzero content hash. Truncation reports ErrShortFrame
+// and structural violations report ErrBadFrame — hostile input never
+// panics or over-allocates.
 func decodeEntryList(entries []BatchEntry, data []byte, refs bool) ([]BatchEntry, error) {
-	if len(data) < batchCountLen {
-		return nil, fmt.Errorf("%w: batch segment of %d bytes", ErrShortFrame, len(data))
+	count, off, err := decodeUvarint(data, 0)
+	if err != nil {
+		return nil, fmt.Errorf("%w: batch count of a %d-byte segment", err, len(data))
 	}
-	count := binary.BigEndian.Uint32(data)
 	if count == 0 || count > MaxBatchFrames {
 		return nil, fmt.Errorf("%w: batch count %d", ErrBadFrame, count)
 	}
-	if uint64(len(data)-batchCountLen) < uint64(count)*batchEntryLen {
+	if uint64(len(data)-off) < count*minEntryLen {
 		return nil, fmt.Errorf("%w: %d entries cannot fit in %d bytes", ErrShortFrame, count, len(data))
 	}
 	entries = slices.Grow(entries[:0], int(count))
-	off := batchCountLen
-	for k := uint32(0); k < count; k++ {
-		if len(data)-off < batchEntryLen {
-			return nil, fmt.Errorf("%w: batch entry %d header", ErrShortFrame, k)
+	var prev BatchEntry
+	for k := range int(count) {
+		var e BatchEntry
+		var frameLen uint64
+		if e.Seq, off, err = decodeDelta(data, off, prev.Seq); err != nil {
+			return nil, fmt.Errorf("%w: batch entry %d seq", err, k)
 		}
-		e := BatchEntry{
-			Seq:  binary.BigEndian.Uint64(data[off:]),
-			LBA:  binary.BigEndian.Uint64(data[off+8:]),
-			Hash: binary.BigEndian.Uint64(data[off+16:]),
+		if e.LBA, off, err = decodeDelta(data, off, prev.LBA); err != nil {
+			return nil, fmt.Errorf("%w: batch entry %d lba", err, k)
 		}
-		frameLen := binary.BigEndian.Uint32(data[off+24:])
-		off += batchEntryLen
+		if len(data)-off < HashSize {
+			return nil, fmt.Errorf("%w: batch entry %d hash", ErrShortFrame, k)
+		}
+		e.Hash = binary.BigEndian.Uint64(data[off:])
+		if frameLen, off, err = decodeUvarint(data, off+HashSize); err != nil {
+			return nil, fmt.Errorf("%w: batch entry %d frame length", err, k)
+		}
 		if refs && frameLen == 0 && e.Hash == 0 {
 			return nil, fmt.Errorf("%w: by-ref entry %d without content hash", ErrBadFrame, k)
 		}
-		if uint64(frameLen) > uint64(len(data)-off) {
+		if frameLen > uint64(len(data)-off) {
 			return nil, fmt.Errorf("%w: batch entry %d frame of %d bytes", ErrShortFrame, k, frameLen)
 		}
 		e.Frame = data[off : off+int(frameLen)]
 		off += int(frameLen)
 		entries = append(entries, e)
+		prev = e
 	}
 	if off != len(data) {
 		return nil, fmt.Errorf("%w: %d trailing bytes after batch", ErrBadFrame, len(data)-off)
@@ -243,26 +317,24 @@ func ReplicaStatusErr(lba uint64, st Status) error {
 // entryListPDU frames one entry-list PDU for the wire — p names the
 // opcode, mode, stream tag and task tag; OpReplicaWriteBatch and
 // OpReplicaWriteByRef both frame here — without assembling a contiguous
-// copy of the payload: the header, the entry metadata, and the caller's
-// frames are returned as pieces in wire order. The digest streams over
-// the pieces, so the bytes are indistinguishable from a
-// contiguously-built PDU.
+// copy of the payload: the PDU header with the count and the entry
+// headers, and the caller's frames, are returned as pieces in wire
+// order. The digest streams over the pieces, so the bytes are
+// indistinguishable from a contiguously-built PDU.
 func entryListPDU(p *PDU, entries []BatchEntry) (net.Buffers, error) {
-	dataLen, err := entryListLen(entries, p.Op == OpReplicaWriteByRef)
+	dataLen, metaLen, err := entryListLen(entries, p.Op == OpReplicaWriteByRef)
 	if err != nil {
 		return nil, err
 	}
-	hdr := make([]byte, headerLen)
-	p.putHeader(hdr, dataLen)
-	bufs := make(net.Buffers, 1, 1+2*len(entries))
-	bufs[0] = hdr
-	bufs = entryListBufs(bufs, entryListMeta(entries), entries)
+	meta := make([]byte, headerLen, headerLen+metaLen)
+	p.putHeader(meta, dataLen)
+	bufs := appendEntryList(make(net.Buffers, 0, 2+2*len(entries)), meta, entries)
 
 	crc := uint32(0)
 	for _, piece := range bufs { // putHeader left the digest field zero, as digest() requires
 		crc = crc32.Update(crc, castagnoli, piece)
 	}
-	binary.BigEndian.PutUint32(hdr[44:], crc)
+	binary.BigEndian.PutUint32(meta[44:], crc)
 	return bufs, nil
 }
 
@@ -293,8 +365,7 @@ func (i *Initiator) pushEntryList(p PDU, entries []BatchEntry) ([]Status, error)
 // ReplicaWriteBatch pushes several replication frames in one round
 // trip and returns one status per entry, in entry order (see
 // pushEntryList). A batch of one is sent as a plain v3 OpReplicaWrite,
-// byte-identical to unbatched shipping, so un-upgraded replicas
-// interoperate.
+// byte-identical to unbatched shipping.
 func (i *Initiator) ReplicaWriteBatch(mode uint8, entries []BatchEntry) ([]Status, error) {
 	return i.ReplicaWriteBatchStream(mode, 0, 0, entries)
 }

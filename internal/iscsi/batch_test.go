@@ -61,37 +61,103 @@ func TestEncodeBatchBounds(t *testing.T) {
 	}
 }
 
+// countOf is the data segment of an entry list that declares n entries
+// and holds nothing else.
+func countOf(n uint64) []byte { return binary.AppendUvarint(nil, n) }
+
+// overlong is a 10-byte encoding of 1: a uvarint binary.Uvarint reads,
+// in no shortest form.
+var overlong = []byte{0x81, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x00}
+
+// decodeCase is a malformed segment and the sentinel its decoder must
+// report.
+type decodeCase struct {
+	name string
+	data []byte
+	want error
+}
+
+// entryListErrorCases are the malformed segments both entry-list
+// decoders refuse.
+func entryListErrorCases(valid []byte) []decodeCase {
+	// One entry whose seq delta takes three bytes and whose frame length
+	// is missing: it passes the count's fit check and is cut short.
+	noFrameLen := append(countOf(1), 0x80, 0x80, 0x01, 0x02)
+	noFrameLen = append(noFrameLen, make([]byte, HashSize)...)
+	nonMinimalSeq := append(countOf(1), 0x82, 0x00, 0x02)
+	nonMinimalSeq = append(nonMinimalSeq, make([]byte, HashSize+1)...)
+	return []decodeCase{
+		{"nil", nil, ErrShortFrame},
+		{"short count", []byte{0x80}, ErrShortFrame},
+		{"zero count", countOf(0), ErrBadFrame},
+		{"count over cap", countOf(MaxBatchFrames + 1), ErrBadFrame},
+		{"huge count", countOf(0xFFFFFFFF), ErrBadFrame},
+		{"overlong count", overlong, ErrBadFrame},
+		{"overflowing count", bytes.Repeat([]byte{0xFF}, 11), ErrBadFrame},
+		{"count without entries", countOf(2), ErrShortFrame},
+		{"count whose minimal body cannot fit", append(countOf(2), make([]byte, 2*minEntryLen-1)...), ErrShortFrame},
+		{"truncated entry header", noFrameLen, ErrShortFrame},
+		{"non-minimal seq delta", nonMinimalSeq, ErrBadFrame},
+		{"truncated frame", valid[:len(valid)-1], ErrShortFrame},
+		{"trailing bytes", append(append([]byte(nil), valid...), 0xEE), ErrBadFrame},
+	}
+}
+
 func TestDecodeBatchErrors(t *testing.T) {
 	valid, err := EncodeBatch(testEntries())
 	if err != nil {
 		t.Fatal(err)
 	}
-	countOf := func(n uint32) []byte {
-		buf := make([]byte, batchCountLen)
-		binary.BigEndian.PutUint32(buf, n)
-		return buf
-	}
-	tests := []struct {
-		name string
-		data []byte
-		want error
-	}{
-		{"nil", nil, ErrShortFrame},
-		{"short count", []byte{0, 0, 1}, ErrShortFrame},
-		{"zero count", countOf(0), ErrBadFrame},
-		{"count over cap", countOf(MaxBatchFrames + 1), ErrBadFrame},
-		{"huge count", countOf(0xFFFFFFFF), ErrBadFrame},
-		{"count without entries", countOf(2), ErrShortFrame},
-		{"truncated entry header", append(countOf(1), make([]byte, batchEntryLen-1)...), ErrShortFrame},
-		{"truncated frame", valid[:len(valid)-1], ErrShortFrame},
-		{"trailing bytes", append(append([]byte(nil), valid...), 0xEE), ErrBadFrame},
-	}
-	for _, tt := range tests {
+	for _, tt := range entryListErrorCases(valid) {
 		t.Run(tt.name, func(t *testing.T) {
 			if _, err := DecodeBatch(tt.data); !errors.Is(err, tt.want) {
 				t.Errorf("err = %v, want %v", err, tt.want)
 			}
 		})
+	}
+}
+
+// TestEntryListDeltaCoding: seq and LBA ride as signed deltas from the
+// previous entry, so a seq that wraps and LBAs that descend round-trip,
+// a run of consecutive seqs at nearby LBAs costs minEntryLen per
+// reference, and EntryHeaderLen is what the encoder spends.
+func TestEntryListDeltaCoding(t *testing.T) {
+	entries := []BatchEntry{
+		{Seq: ^uint64(0), LBA: 1 << 40, Hash: 1, Frame: []byte{9, 9}},
+		{Seq: 0, LBA: 1<<40 - 3, Hash: 2},
+		{Seq: 1, LBA: 7, Hash: 3},
+		{Seq: 2, LBA: 8, Hash: 4},
+	}
+	data, err := EncodeByRef(entries)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := DecodeByRef(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, e := range entries {
+		if g := got[i]; g.Seq != e.Seq || g.LBA != e.LBA || g.Hash != e.Hash || !bytes.Equal(g.Frame, e.Frame) {
+			t.Errorf("entry %d: got %+v, want %+v", i, g, e)
+		}
+	}
+	want := uvarintLen(uint64(len(entries)))
+	for k := range entries {
+		var prev *BatchEntry
+		if k > 0 {
+			prev = &entries[k-1]
+		}
+		want += EntryHeaderLen(prev, &entries[k]) + len(entries[k].Frame)
+	}
+	if len(data) != want || len(data) != BatchWireLen(entries) {
+		t.Errorf("encoded %d bytes; EntryHeaderLen sums to %d, BatchWireLen says %d", len(data), want, BatchWireLen(entries))
+	}
+	// The wrap (2^64-1 -> 0) and the next seq each cost a one-byte delta.
+	if n := EntryHeaderLen(&entries[0], &entries[1]); n != minEntryLen {
+		t.Errorf("wrapping seq, LBA 3 back: %d header bytes, want %d", n, minEntryLen)
+	}
+	if n := EntryHeaderLen(&entries[2], &entries[3]); n != minEntryLen {
+		t.Errorf("next seq, next LBA: %d header bytes, want %d", n, minEntryLen)
 	}
 }
 
@@ -333,7 +399,7 @@ func TestBatchMalformedSegmentRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	bad := &PDU{Op: OpReplicaWriteBatch, ITT: 2, Data: []byte{0, 0, 0, 0}} // count == 0
+	bad := &PDU{Op: OpReplicaWriteBatch, ITT: 2, Data: countOf(0)}
 	if _, err := bad.WriteTo(client); err != nil {
 		t.Fatal(err)
 	}

@@ -1,21 +1,14 @@
 package iscsi
 
-// By-ref wire format (proto v7). The data segment of an
-// OpReplicaWriteByRef PDU carries the same count-prefixed entry
-// sequence an OpReplicaWriteBatch does, except an entry with a zero
-// frameLen ships no frame at all: the 64-bit content hash IS the
+// By-ref pushes. An OpReplicaWriteByRef PDU carries the same entry
+// list an OpReplicaWriteBatch does (see batch.go), except an entry with
+// a zero frameLen ships no frame at all: the 64-bit content hash IS the
 // payload, and the replica materializes the block by copying one it
 // already verifiably holds with that content. Entries with a nonzero
 // frameLen carry normal xcode frames, so one PDU mixes by-ref and
-// by-value pushes while preserving the stream's seq order:
-//
-//	off 0: count (uint32)
-//	then, per entry:
-//	  off +0 : seq      (uint64)
-//	  off +8 : lba      (uint64)
-//	  off +16: hash     (uint64)  content hash of the new block
-//	  off +24: frameLen (uint32)  0 = by-ref, no frame follows
-//	  off +28: frame    (frameLen bytes, an xcode frame)
+// by-value pushes while preserving the stream's seq order. A by-ref
+// entry costs only its entry header (EntryHeaderLen): 11 bytes for the
+// next seq at a nearby LBA.
 //
 // The response is an OpResp whose data segment holds one status byte
 // per entry, in entry order. A by-ref entry whose hash the replica
@@ -29,12 +22,6 @@ package iscsi
 // materialize from the content hash).
 func (e *BatchEntry) ByRef() bool { return len(e.Frame) == 0 }
 
-// BatchEntryOverhead is the fixed per-entry metadata cost of a batch
-// or by-ref entry on the wire (seq, lba, hash, frameLen) — what a
-// by-ref push costs in place of its frame. Exported for the engine's
-// dedupe savings accounting.
-const BatchEntryOverhead = batchEntryLen
-
 // ByRefBackend is the content-addressed extension of Backend: a
 // replica that keeps a hash -> LBA-set index of its own contents and
 // can materialize a pushed block by local copy. A by-ref push routed
@@ -43,14 +30,6 @@ const BatchEntryOverhead = batchEntryLen
 type ByRefBackend interface {
 	Backend
 	HandleReplicaByRef(mode, shard uint8, vol uint16, entries []BatchEntry) []Status
-}
-
-// ByRefWireLen returns the data-segment bytes a by-ref batch of
-// entries occupies on the wire (PDU header excluded); used for
-// modelled wire accounting. A pure by-ref entry costs batchEntryLen
-// (28) bytes instead of a frame.
-func ByRefWireLen(entries []BatchEntry) int {
-	return BatchWireLen(entries)
 }
 
 // EncodeByRef assembles the contiguous data segment for a by-ref

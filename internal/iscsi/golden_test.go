@@ -36,8 +36,8 @@ func (s *goldenSink) HandleReplicaByRef(mode, shard uint8, vol uint16, entries [
 
 // goldenEntries builds n deterministic entries with frames of varied
 // lengths (one empty-frame-free run for by-value verbs). With mixed
-// set, every even entry ships by reference (nil frame), as a v7 push
-// mixes them.
+// set, every even entry ships by reference (nil frame), as a by-ref
+// push mixes them.
 func goldenEntries(n int, mixed bool) []BatchEntry {
 	entries := make([]BatchEntry, n)
 	for k := range entries {
@@ -84,13 +84,15 @@ func readGolden(t *testing.T) map[string]string {
 
 // TestWireGolden pins the bytes every replication push verb puts on the
 // connection: for OpReplicaWrite (untagged v3, tagged v5, and the
-// zero-copy framed send), OpReplicaWriteBatch (untagged v4, tagged v5)
-// and OpReplicaWriteByRef (v7, mixed by-ref and by-value entries), each
-// with 1, 2 and 7 entries, the initiator's
-// send must equal both a contiguously built PDU written with
-// PDU.WriteTo over the Encode* segment and the committed hex fixture.
-// The fixtures are the wire contract: a refactor of the send paths must
-// leave testdata/wire_golden.hex untouched.
+// zero-copy framed send), OpReplicaWriteBatch (untagged and tagged) and
+// OpReplicaWriteByRef (mixed by-ref and by-value entries), each with 1,
+// 2 and 7 entries, the initiator's send must equal both a contiguously
+// built PDU written with PDU.WriteTo over the Encode* segment and the
+// committed hex fixture. A case is named for the protocol version that
+// introduced its verb; both entry-list verbs now go out as v8 lists, and
+// a batch of one as the v3/v5 single write. The fixtures are the wire
+// contract: a refactor of the send paths must leave
+// testdata/wire_golden.hex untouched.
 func TestWireGolden(t *testing.T) {
 	const (
 		mode  = 3

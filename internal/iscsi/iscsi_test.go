@@ -2,6 +2,7 @@ package iscsi
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"io"
 	"math/rand"
@@ -78,7 +79,7 @@ func TestReadPDUErrors(t *testing.T) {
 		}
 	})
 	t.Run("truncated header", func(t *testing.T) {
-		if _, err := ReadPDU(bytes.NewReader([]byte{protoMagic, protoVersion, 1})); err == nil {
+		if _, err := ReadPDU(bytes.NewReader([]byte{protoMagic, entryListVersion, 1})); err == nil {
 			t.Error("want error")
 		}
 	})
@@ -633,6 +634,58 @@ func TestRetiredOpcode14(t *testing.T) {
 				t.Fatalf("HASH after opcode %d: ITT %d status %v, %d bytes", op, resp.ITT, resp.Status, len(resp.Data))
 			}
 		})
+	}
+}
+
+// TestHeaderVersions: the header check accepts exactly versions 3, 5
+// and 8 — 4 and 7 (the entry lists with fixed 28-byte entry headers)
+// and 6 (the stripe verb) are retired and refused with ErrBadVersion —
+// and both entry-list opcodes go out as v8, tagged or not, while a
+// single write keeps v3, or v5 when tagged.
+func TestHeaderVersions(t *testing.T) {
+	for v := 0; v < 256; v++ {
+		hdr := make([]byte, headerLen)
+		(&PDU{Op: OpNop}).putHeader(hdr, 0)
+		hdr[1] = byte(v)
+		binary.BigEndian.PutUint32(hdr[44:], digest(hdr, nil))
+		_, err := ReadPDU(bytes.NewReader(hdr))
+		switch v {
+		case 3, 5, 8:
+			if err != nil {
+				t.Errorf("version %d refused: %v", v, err)
+			}
+		default:
+			if !errors.Is(err, ErrBadVersion) {
+				t.Errorf("version %d: err = %v, want ErrBadVersion", v, err)
+			}
+		}
+	}
+
+	init, rec := startRecordedPair(t, &goldenSink{})
+	entries := goldenEntries(3, false)
+	refs := goldenEntries(3, true)
+	for _, tc := range []struct {
+		name string
+		want byte
+		send func() error
+	}{
+		{"write", baseVersion, func() error { return init.ReplicaWrite(1, 1, 1, 1, []byte{1}) }},
+		{"write tagged", streamVersion, func() error { return init.ReplicaWriteStream(1, 1, 0, 2, 1, 1, []byte{1}) }},
+		{"batch", entryListVersion, func() error { _, err := init.ReplicaWriteBatch(1, entries); return err }},
+		{"batch tagged", entryListVersion, func() error { _, err := init.ReplicaWriteBatchStream(1, 0, 4, entries); return err }},
+		{"by-ref", entryListVersion, func() error { _, err := init.ReplicaWriteByRef(1, 0, 0, refs); return err }},
+		{"by-ref tagged", entryListVersion, func() error { _, err := init.ReplicaWriteByRef(1, 2, 4, refs); return err }},
+	} {
+		if err := tc.send(); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		wire := rec.take()
+		if len(wire) < headerLen {
+			t.Fatalf("%s: captured %d wire bytes", tc.name, len(wire))
+		}
+		if wire[1] != tc.want {
+			t.Errorf("%s stamped version %d, want %d", tc.name, wire[1], tc.want)
+		}
 	}
 }
 

@@ -43,11 +43,11 @@ const (
 	OpLogoutResp
 	OpHashCmd // per-block content hashes for delta resync
 	// OpReplicaWriteBatch ships several replication pushes in one PDU:
-	// a count-prefixed sequence of {seq, lba, hash, frameLen, frame}
-	// entries (see DecodeBatch). The response carries one status byte
-	// per entry, so a single diverged block does not fail its
-	// batch-mates. The only proto-v4 opcode; a batch of one is sent as
-	// a plain OpReplicaWrite so v3 peers interoperate.
+	// an entry list (proto v8), a count-prefixed sequence of {seq, lba,
+	// hash, frameLen, frame} entries with seq and LBA delta-coded (see
+	// DecodeBatch). The response carries one status byte per entry, so a
+	// single diverged block does not fail its batch-mates. A batch of one
+	// is sent as a plain OpReplicaWrite.
 	OpReplicaWriteBatch
 	// Opcodes 13 and 14, proto v6's stripe push and repair-chain hop,
 	// are retired: a k-of-n group member is an ordinary replica of its
@@ -56,13 +56,12 @@ const (
 	// StatusBadRequest like any unknown opcode.
 	_
 	_
-	// OpReplicaWriteByRef ships replication pushes by content reference
-	// (proto v7): a count-prefixed sequence of {seq, lba, hash,
-	// frameLen, frame} entries where a zero frameLen means "the replica
-	// already holds a block with this content hash — materialize it by
-	// local copy" and a nonzero frameLen carries a normal xcode frame,
-	// so one PDU mixes by-ref and by-value entries in seq order (see
-	// DecodeByRef). The response carries one status byte per entry; an
+	// OpReplicaWriteByRef ships replication pushes by content reference:
+	// the entry list OpReplicaWriteBatch carries (proto v8), where a zero
+	// frameLen means "the replica already holds a block with this content
+	// hash — materialize it by local copy" and a nonzero frameLen carries
+	// a normal xcode frame, so one PDU mixes by-ref and by-value entries
+	// in seq order (see DecodeByRef). The response carries one status byte per entry; an
 	// entry whose hash the replica's index cannot resolve reports
 	// StatusRefMiss and the initiator re-ships it by value.
 	OpReplicaWriteByRef
@@ -185,34 +184,27 @@ const (
 	headerLen = 48
 	// protoMagic guards against desynchronized or foreign streams.
 	protoMagic = 0x69 // 'i'
-	// protoVersion is bumped on incompatible changes. v3 widened the
-	// header from 40 to 48 bytes for the replica-apply content hash; v4
-	// added OpReplicaWriteBatch. Every pre-batch opcode is still
-	// stamped baseVersion on the wire — byte-identical to a v3 peer's
-	// framing — so mixed-version nodes interoperate until the first
-	// batched push, and a batch of one is sent as a v3 OpReplicaWrite.
-	protoVersion = 4
-	// baseVersion is the framing version of all single-command opcodes.
+	// baseVersion is the framing version of every single-command
+	// opcode. v3 widened the header from 40 to 48 bytes for the
+	// replica-apply content hash. The version byte has one rule (see
+	// putHeader), and a header stamped anything but 3, 5 or 8 is refused
+	// with ErrBadVersion.
 	baseVersion = 3
 	// streamVersion (v5) carries a replication stream tag in the
 	// previously-reserved header bytes: off 5 is the shard index and
 	// off 6-7 the volume id. Each (vol, shard) pair is an independent
 	// sequence space on the replica, so a sharded primary can ship N
 	// interleaved seq streams over one session without breaking
-	// seq-dedupe. The version byte is stamped 5 only when the tag is
-	// nonzero — an untagged push from a sharded-capable peer is
-	// byte-identical to v3/v4 framing, so un-sharded nodes interoperate
-	// until the first tagged push.
+	// seq-dedupe. A single-command PDU is stamped 5 only when the tag is
+	// nonzero — an untagged one is byte-identical to v3 framing.
 	streamVersion = 5
-	// Version 6 (the k-of-n stripe push and repair chain) is retired; a
-	// header stamped 6 is refused like any unknown version.
-	//
-	// dedupeVersion (v7) adds the content-addressed by-ref push
-	// (OpReplicaWriteByRef). Only that opcode is stamped 7; every
-	// pre-dedupe opcode keeps its v3-v5 framing byte-identically, so
-	// mixed-version nodes interoperate until the first by-ref push —
-	// which the engine only attempts against a by-ref-capable client.
-	dedupeVersion = 7
+	// entryListVersion (v8) stamps both entry-list opcodes,
+	// OpReplicaWriteBatch and OpReplicaWriteByRef, tagged or not: their
+	// data segment is the delta-varint entry list of batch.go. Versions 4
+	// and 7, the same two opcodes with fixed 28-byte entry headers, and
+	// version 6, the k-of-n stripe push and repair chain, are retired and
+	// refused like any unknown version.
+	entryListVersion = 8
 	// MaxDataSegment bounds a PDU's data segment; larger is rejected
 	// before allocation.
 	MaxDataSegment = 17 << 20
@@ -302,19 +294,17 @@ type PDU struct {
 // putHeader encodes the PDU's header fields into hdr (headerLen bytes)
 // for a data segment of dataLen bytes, leaving the digest field zero
 // for the caller to stamp. Every send path frames its header here, so
-// the version byte has one rule: v3 unless the opcode or a nonzero
-// stream tag says otherwise.
+// the version byte has one rule: v8 for an entry list, else v5 for a
+// nonzero stream tag, else v3.
 func (p *PDU) putHeader(hdr []byte, dataLen int) {
 	hdr[0] = protoMagic
-	hdr[1] = baseVersion
-	if p.Op == OpReplicaWriteBatch {
-		hdr[1] = protoVersion
-	}
-	if p.Shard != 0 || p.Vol != 0 {
+	switch {
+	case p.Op == OpReplicaWriteBatch || p.Op == OpReplicaWriteByRef:
+		hdr[1] = entryListVersion
+	case p.Shard != 0 || p.Vol != 0:
 		hdr[1] = streamVersion
-	}
-	if p.Op == OpReplicaWriteByRef {
-		hdr[1] = dedupeVersion
+	default:
+		hdr[1] = baseVersion
 	}
 	hdr[2] = byte(p.Op)
 	hdr[3] = byte(p.Status)
@@ -461,7 +451,7 @@ func (p *PDU) readHeader(r io.Reader, hdr []byte) error {
 	if hdr[0] != protoMagic {
 		return fmt.Errorf("%w: 0x%02x", ErrBadMagic, hdr[0])
 	}
-	if hdr[1] != baseVersion && hdr[1] != protoVersion && hdr[1] != streamVersion && hdr[1] != dedupeVersion {
+	if hdr[1] != baseVersion && hdr[1] != streamVersion && hdr[1] != entryListVersion {
 		return fmt.Errorf("%w: %d", ErrBadVersion, hdr[1])
 	}
 	if dataLen := binary.BigEndian.Uint32(hdr[24:]); dataLen > MaxDataSegment {

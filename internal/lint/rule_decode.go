@@ -3,6 +3,7 @@ package lint
 import (
 	"fmt"
 	"go/ast"
+	"go/constant"
 	"go/token"
 	"go/types"
 	"strings"
@@ -15,17 +16,24 @@ import (
 // Without one, a truncated or hostile frame turns into a bounds panic
 // in the replication path instead of a protocol error.
 //
+// The same goes for varints: the length n that binary.Uvarint or
+// binary.Varint returns is 0 for a truncated varint and negative for
+// one that overflows, so a decode path must test it (n <= 0) before n
+// indexes or slices a buffer — unchecked, a short frame misparses or
+// panics.
+//
 // The dominance test is a source-order approximation: some expression
-// mentioning len(buf) must appear in the function before the access.
-// That matches the codebase's guard idioms (early short-buffer
-// returns, len-bounded loop conditions) while staying a from-scratch
-// AST pass; annotate the rare intentional exception with lint:ignore.
+// mentioning len(buf), or testing n, must appear in the function before
+// the access. That matches the codebase's guard idioms (early
+// short-buffer returns, len-bounded loop conditions) while staying a
+// from-scratch AST pass; annotate the rare intentional exception with
+// lint:ignore.
 type unboundedDecodeRule struct{}
 
 func (unboundedDecodeRule) Name() string { return "unbounded-decode" }
 
 func (unboundedDecodeRule) Doc() string {
-	return "wire-buffer decode paths must length-check the buffer before fixed-offset access"
+	return "wire-buffer decode paths must length-check the buffer before fixed-offset access, and test a varint's length before using it"
 }
 
 // decodeScopePkgs are the package names holding wire decoders. The
@@ -74,9 +82,17 @@ func (unboundedDecodeRule) Check(p *Package, r *Reporter) {
 }
 
 func checkDecodeBody(p *Package, r *Reporter, fd *ast.FuncDecl, params map[types.Object]bool) {
-	// Pass 1: positions where len(param) is consulted.
+	// Pass 1: positions where len(param) is consulted, and where a
+	// varint length is tested.
+	counts := varintLengths(p, fd.Body)
 	guards := make(map[types.Object][]token.Pos)
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
+		if b, ok := n.(*ast.BinaryExpr); ok {
+			if obj := testedLength(p, counts, b); obj != nil {
+				guards[obj] = append(guards[obj], b.Pos())
+			}
+			return true
+		}
 		call, ok := n.(*ast.CallExpr)
 		if !ok || len(call.Args) != 1 {
 			return true
@@ -113,17 +129,33 @@ func checkDecodeBody(p *Package, r *Reporter, fd *ast.FuncDecl, params map[types
 				how, obj.Name(), obj.Name()))
 	}
 
-	// Pass 2: raw accesses to the parameters.
+	// flagLength reports an index or slice at pos whose bounds ix use a
+	// varint length not yet tested.
+	flagLength := func(pos token.Pos, how string, ix ...ast.Expr) {
+		for _, x := range ix {
+			if obj := untestedLength(p, counts, x, guardedBefore); obj != nil {
+				r.Report(pos, "unbounded-decode",
+					fmt.Sprintf("%s by varint length %s without a preceding %s <= 0 test; a truncated or overflowing varint misparses or panics here",
+						how, obj.Name(), obj.Name()))
+				return
+			}
+		}
+	}
+
+	// Pass 2: raw accesses to the parameters, and varint lengths used as
+	// bounds.
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
 		switch e := n.(type) {
 		case *ast.IndexExpr:
 			if obj := paramObj(p, params, e.X); obj != nil {
 				flag(obj, e.Pos(), "index")
 			}
+			flagLength(e.Pos(), "index", e.Index)
 		case *ast.SliceExpr:
 			if obj := paramObj(p, params, e.X); obj != nil {
 				flag(obj, e.Pos(), "slice")
 			}
+			flagLength(e.Pos(), "slice", e.Low, e.High, e.Max)
 		case *ast.CallExpr:
 			// binary.BigEndian.UintNN(param) / PutUintNN-style reads.
 			if isEndianAccessor(p, e) {
@@ -165,4 +197,97 @@ func isEndianAccessor(p *Package, call *ast.CallExpr) bool {
 	}
 	fn, ok := p.Info.Uses[sel.Sel].(*types.Func)
 	return ok && fn.Pkg() != nil && fn.Pkg().Path() == "encoding/binary"
+}
+
+// varintLengths returns the objects body assigns the length result of
+// binary.Uvarint or binary.Varint to (n in v, n := binary.Uvarint(b)).
+func varintLengths(p *Package, body *ast.BlockStmt) map[types.Object]bool {
+	out := make(map[types.Object]bool)
+	ast.Inspect(body, func(n ast.Node) bool {
+		as, ok := n.(*ast.AssignStmt)
+		if !ok || len(as.Lhs) != 2 || len(as.Rhs) != 1 {
+			return true
+		}
+		call, ok := ast.Unparen(as.Rhs[0]).(*ast.CallExpr)
+		if !ok || !isVarintCall(p, call) {
+			return true
+		}
+		id, ok := as.Lhs[1].(*ast.Ident)
+		if !ok {
+			return true
+		}
+		obj := p.Info.Defs[id]
+		if obj == nil {
+			obj = p.Info.Uses[id]
+		}
+		if obj != nil {
+			out[obj] = true
+		}
+		return true
+	})
+	return out
+}
+
+// isVarintCall reports calls to encoding/binary's Uvarint and Varint.
+func isVarintCall(p *Package, call *ast.CallExpr) bool {
+	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
+	if !ok || (sel.Sel.Name != "Uvarint" && sel.Sel.Name != "Varint") {
+		return false
+	}
+	fn, ok := p.Info.Uses[sel.Sel].(*types.Func)
+	return ok && fn.Pkg() != nil && fn.Pkg().Path() == "encoding/binary"
+}
+
+// testedLength returns the varint length b tests for positivity — n <=
+// 0, n < 1, n > 0 or n >= 1, either way round, which rules out both a
+// truncated (0) and an overflowing (negative) varint — or nil.
+func testedLength(p *Package, counts map[types.Object]bool, b *ast.BinaryExpr) types.Object {
+	x, y, op := b.X, b.Y, b.Op
+	obj := paramObj(p, counts, x)
+	if obj == nil {
+		obj = paramObj(p, counts, y)
+		x, y = y, x
+		switch op {
+		case token.LSS:
+			op = token.GTR
+		case token.GTR:
+			op = token.LSS
+		case token.LEQ:
+			op = token.GEQ
+		case token.GEQ:
+			op = token.LEQ
+		}
+	}
+	tv, ok := p.Info.Types[y]
+	if obj == nil || !ok || tv.Value == nil {
+		return nil
+	}
+	c, exact := constant.Int64Val(constant.ToInt(tv.Value))
+	if !exact {
+		return nil
+	}
+	switch {
+	case op == token.LEQ && c == 0, op == token.LSS && c == 1,
+		op == token.GTR && c == 0, op == token.GEQ && c == 1:
+		return obj
+	}
+	return nil
+}
+
+// untestedLength returns a varint length x mentions at a point no test
+// of it precedes, or nil.
+func untestedLength(p *Package, counts map[types.Object]bool, x ast.Expr, tested func(types.Object, token.Pos) bool) types.Object {
+	if x == nil {
+		return nil
+	}
+	var found types.Object
+	ast.Inspect(x, func(n ast.Node) bool {
+		if id, ok := n.(*ast.Ident); ok && found == nil {
+			if obj := p.Info.Uses[id]; obj != nil && counts[obj] && !tested(obj, id.Pos()) {
+				found = obj
+			}
+		}
+		return found == nil
+	})
+	return found
 }

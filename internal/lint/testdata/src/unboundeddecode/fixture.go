@@ -21,3 +21,22 @@ func decodeGuarded(buf []byte) (uint32, error) {
 	}
 	return binary.BigEndian.Uint32(buf[4:]), nil // ok: dominated by the len check
 }
+
+func decodeCount(buf []byte) []byte {
+	if len(buf) == 0 {
+		return nil
+	}
+	_, n := binary.Uvarint(buf)
+	return buf[n:] // finding: the varint length slices before its n <= 0 test
+}
+
+func decodeCountTested(buf []byte) ([]byte, error) {
+	if len(buf) == 0 {
+		return nil, errShort
+	}
+	_, n := binary.Uvarint(buf)
+	if n <= 0 {
+		return nil, errShort
+	}
+	return buf[n:], nil // ok: n tested first
+}

@@ -124,10 +124,10 @@ type Config struct {
 	AllowDegraded bool
 
 	// DedupeEntries enables content-addressed dedupe on the ship path
-	// (wire protocol v7): the primary tracks which (lba, content hash)
+	// (wire protocol v8): the primary tracks which (lba, content hash)
 	// pairs each replica provably holds, and when a queued frame's
-	// content is already present on the replica it ships a 28-byte
-	// by-ref entry instead of the parity frame. The replica materializes
+	// content is already present on the replica it ships a by-ref entry,
+	// an entry header of about 11 bytes, instead of the parity frame. The replica materializes
 	// the block by local copy after re-hashing the source, and answers
 	// REF-MISS when it cannot — the primary then transparently re-ships
 	// the frame by value, so dedupe never affects correctness, only
@@ -201,7 +201,7 @@ type Stats struct {
 	// what their batches cost.
 	BatchSavedWireBytes int64
 	// DedupeHits counts frames delivered by reference: the replica held
-	// the content already and the wire carried a 28-byte entry instead
+	// the content already and the wire carried an entry header instead
 	// of the frame (requires Config.DedupeEntries).
 	DedupeHits int64
 	// DedupeMisses counts by-ref attempts the replica refused with
@@ -798,7 +798,7 @@ func (r *Replica) Store() Store { return r.engine.Store() }
 
 // SetDedupe bounds (entries > 0) or disables (entries <= 0) the
 // replica's content-addressed index — the table that lets a by-ref
-// push (wire protocol v7) be materialized by local copy. Replicas run
+// push (wire protocol v8) be materialized by local copy. Replicas run
 // a default-sized index out of the box; disabling it forces every
 // by-ref push into a REF-MISS fallback, which the primary heals by
 // re-shipping the frame by value, so it is always safe, just slower.
