@@ -106,18 +106,24 @@ STRESSCOUNT ?= 3
 stress:
 	$(GO) test -race -count=$(STRESSCOUNT) -run 'Shard|Volume|Group|Session|Window|Squeeze|Resync' ./internal/core ./internal/iscsi ./internal/xcode ./internal/resync ./internal/window .
 
-# Short fuzz passes over the wire-facing decoders, the frame walker's
-# decode-into and XOR-into forms (differential against Decode) and the
-# ZRL encoder (differential against its bytewise oracle), seeded from the
-# checked-in corpora (regenerate with PRINS_REGEN_CORPUS=1 go test
-# -run TestRegenerateFuzzCorpus ./internal/core).
+# Short fuzz passes over the wire-facing decoders (the repair span's
+# strict decoder included), the login codec, the frame walker's
+# decode-into and XOR-into forms (differential against Decode), the
+# codecs' encode/decode round trip and the ZRL encoder (differential
+# against its bytewise oracle), seeded from the checked-in corpora
+# (regenerate with PRINS_REGEN_CORPUS=1 go test -run
+# TestRegenerateFuzzCorpus ./internal/core). Every Fuzz function in the
+# tree is listed here: TestMakeFuzzListsEveryFuzzer fails otherwise.
 fuzz:
 	$(GO) test -run='^$$' -fuzz='^FuzzReadPDU$$' -fuzztime=$(FUZZTIME) ./internal/iscsi
 	$(GO) test -run='^$$' -fuzz='^FuzzDecodeBatch$$' -fuzztime=$(FUZZTIME) ./internal/iscsi
 	$(GO) test -run='^$$' -fuzz='^FuzzDecodeByRef$$' -fuzztime=$(FUZZTIME) ./internal/iscsi
+	$(GO) test -run='^$$' -fuzz='^FuzzDecodeSpan$$' -fuzztime=$(FUZZTIME) ./internal/iscsi
+	$(GO) test -run='^$$' -fuzz='^FuzzLoginPayloads$$' -fuzztime=$(FUZZTIME) ./internal/iscsi
 	$(GO) test -run='^$$' -fuzz='^FuzzDecodeSnapshot$$' -fuzztime=$(FUZZTIME) ./internal/dedupe
 	$(GO) test -run='^$$' -fuzz='^FuzzDecode$$' -fuzztime=$(FUZZTIME) ./internal/xcode
 	$(GO) test -run='^$$' -fuzz='^FuzzDecodeInto$$' -fuzztime=$(FUZZTIME) ./internal/xcode
+	$(GO) test -run='^$$' -fuzz='^FuzzRoundTrip$$' -fuzztime=$(FUZZTIME) ./internal/xcode
 	$(GO) test -run='^$$' -fuzz='^FuzzZRLEncode$$' -fuzztime=$(FUZZTIME) ./internal/xcode
 
 # The fault-injection suites under the race detector: connection and

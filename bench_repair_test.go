@@ -96,11 +96,14 @@ func BenchmarkGroupRepair(b *testing.B) {
 // for the repair cell to what it was when written, and checks the
 // rebuilt unit byte for byte. The total is a count of what the model
 // charges for a fixed geometry, the same on every run and every host,
-// so it needs a ceiling, not a timed comparison.
+// so it needs a ceiling, not a timed comparison. It was 1129248 when a
+// repair was one raw multi-block write per run; a repair span adds its
+// framing, 16 spans x (2 B mask + 5 B frame header), so 1129360 (the
+// random units do not compress and go raw).
 func TestGroupRepairWireCeiling(t *testing.T) {
 	local, sink, repair := groupRepairCell(t)
 	st := repair()
-	if got, ceiling := st.WireBytes, int64(1129248); got > ceiling {
+	if got, ceiling := st.WireBytes, int64(1129360); got > ceiling {
 		t.Errorf("unit rebuild models %d wire bytes, ceiling %d", got, ceiling)
 	}
 	if want := int64(repairNB * (repairBS / repairK)); st.DataBytes != want {

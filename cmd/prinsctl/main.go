@@ -114,9 +114,9 @@ func run(args []string) error {
 		if err != nil {
 			return err
 		}
-		fmt.Printf("scanned %d blocks in %d hash fetches, repaired %d in %d writes (hashes %dB, data %dB, wire ~%dB) in %v\n",
+		fmt.Printf("scanned %d blocks in %d hash fetches, repaired %d in %d writes (hashes %dB, data %dB, sent %dB, wire ~%dB) in %v\n",
 			stats.BlocksScanned, stats.HashFetches, stats.BlocksRepaired, stats.RepairWrites,
-			stats.HashBytes, stats.DataBytes, stats.WireBytes, time.Since(start).Round(time.Millisecond))
+			stats.HashBytes, stats.DataBytes, stats.SentBytes, stats.WireBytes, time.Since(start).Round(time.Millisecond))
 		return dev.Logout()
 
 	case "verify":

@@ -473,9 +473,9 @@ func runRepair(k, n, lost int, from, sink string) error {
 	if err != nil {
 		return err
 	}
-	log.Printf("prinsd: rebuilt unit %d: scanned %d blocks, repaired %d in %d writes, %s on the wire in %s",
-		lost, st.BlocksScanned, st.BlocksRepaired, st.RepairWrites, formatBytes(st.WireBytes),
-		time.Since(start).Round(time.Millisecond))
+	log.Printf("prinsd: rebuilt unit %d: scanned %d blocks, repaired %d in %d writes (data %s, sent %s), %s on the wire in %s",
+		lost, st.BlocksScanned, st.BlocksRepaired, st.RepairWrites, formatBytes(st.DataBytes), formatBytes(st.SentBytes),
+		formatBytes(st.WireBytes), time.Since(start).Round(time.Millisecond))
 	return nil
 }
 

@@ -15,15 +15,20 @@ type ResyncStats struct {
 	BlocksRepaired uint64
 	// HashBytes is the hash traffic fetched from the replica.
 	HashBytes int64
-	// DataBytes is the block data shipped to repair divergence.
+	// DataBytes is the block data repaired: BlocksRepaired x block size.
 	DataBytes int64
-	// WireBytes is the modelled total on-the-wire cost.
+	// SentBytes is what the repair spans carrying DataBytes put on the
+	// wire: their presence masks and frames, DEFLATE-compressed when
+	// the repaired data compresses, raw otherwise.
+	SentBytes int64
+	// WireBytes is the modelled total on-the-wire cost of HashBytes and
+	// SentBytes.
 	WireBytes int64
 	// HashFetches is how many hash commands the replica answered.
 	HashFetches int64
-	// RepairWrites is how many repair writes the replica acknowledged,
-	// each one run of contiguous differing blocks: BlocksRepaired /
-	// RepairWrites is the mean run length.
+	// RepairWrites is how many repair spans the replica acknowledged,
+	// one write each: BlocksRepaired / RepairWrites is the mean number
+	// of blocks a span carried.
 	RepairWrites int64
 }
 
@@ -78,6 +83,7 @@ func resyncStats(s resync.Stats) ResyncStats {
 		BlocksRepaired: s.BlocksRepaired,
 		HashBytes:      s.HashBytes,
 		DataBytes:      s.DataBytes,
+		SentBytes:      s.SentBytes,
 		WireBytes:      s.WireBytes,
 		HashFetches:    s.HashFetches,
 		RepairWrites:   s.RepairWrites,

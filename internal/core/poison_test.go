@@ -178,15 +178,38 @@ func TestPoisonedRequestBuffers(t *testing.T) {
 	mode := uint8(ModePRINS)
 	ok := func(n int) []iscsi.Status { return make([]iscsi.Status, n) } // StatusOK is zero
 
-	// Initial sync: one multi-block direct write.
-	sync := make([]byte, bs*nb)
-	r.rng.Read(sync)
+	// Initial sync: two repair spans. The first half is random and goes
+	// raw, landed from the request buffer in place; the second half is
+	// text and goes DEFLATE, landed from the session's decode scratch in
+	// three extents (blocks 30 and 37 are left out and stay zero).
+	raw := iscsi.Span{LBA: 0, Blocks: nb / 2, Mask: bytes.Repeat([]byte{0xff}, nb/16)}
+	text := iscsi.Span{LBA: nb / 2, Blocks: nb / 2, Mask: bytes.Repeat([]byte{0xff}, nb/16), Compress: true}
+	text.Mask[(30-nb/2)/8] &^= 1 << ((30 - nb/2) % 8)
+	text.Mask[(37-nb/2)/8] &^= 1 << ((37 - nb/2) % 8)
 	for lba := 0; lba < nb; lba++ {
-		r.image = append(r.image, bytes.Clone(sync[lba*bs:(lba+1)*bs]))
+		b := make([]byte, bs)
+		switch {
+		case lba < nb/2:
+			r.rng.Read(b)
+			raw.Data = append(raw.Data, b...)
+		case lba != 30 && lba != 37:
+			for i := range b {
+				b[i] = "acgt"[r.rng.Intn(4)]
+			}
+			text.Data = append(text.Data, b...)
+		}
+		r.image = append(r.image, b)
 	}
-	if err := in.WriteBlocks(0, sync); err != nil {
-		t.Fatal(err)
+	for _, s := range []*iscsi.Span{&raw, &text} {
+		sent, err := in.WriteSpan(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if shrank := sent < len(s.Data); shrank != s.Compress {
+			t.Fatalf("span at %d: sent %d bytes for %d, want it compressed: %v", s.LBA, sent, len(s.Data), s.Compress)
+		}
 	}
+	r.check("initial sync", inner, rep.DedupeIndex())
 
 	// Journaled single pushes, sparse and dense, some LBAs twice.
 	for i := 0; i < 24; i++ {

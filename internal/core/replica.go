@@ -736,9 +736,9 @@ func (r *ReplicaEngine) HandleRead(lba uint64, blocks uint32) ([]byte, iscsi.Sta
 // HandleWrite implements iscsi.Backend. Direct writes are used by the
 // initial sync and resync repairs, a group unit's rebuild included;
 // they bypass replication (a replica does not re-replicate). data may
-// carry a run of consecutive blocks (Initiator.WriteBlocks): every
-// block of the run is written and indexed, in LBA order, under one
-// hold of the lock.
+// carry a run of consecutive blocks (one extent of a repair span,
+// Initiator.WriteSpan): every block of the run is written and indexed,
+// in LBA order, under one hold of the lock.
 func (r *ReplicaEngine) HandleWrite(lba uint64, data []byte) iscsi.Status {
 	bs := r.store.BlockSize()
 	if len(data) == 0 || len(data)%bs != 0 {

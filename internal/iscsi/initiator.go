@@ -610,25 +610,6 @@ func (i *Initiator) WriteBlock(lba uint64, data []byte) error {
 	if len(data) != i.BlockSize() {
 		return block.ErrBadBufSize
 	}
-	return i.write(lba, data)
-}
-
-// WriteBlocks is the multi-block write: it lands the consecutive blocks
-// in data (a whole number of them) at lba in one PDU and one round
-// trip, all-or-error. Resync ships each run of contiguous differing
-// blocks with it rather than pay a round trip per block
-// (internal/resync); a rebuilt group unit arrives the same way.
-func (i *Initiator) WriteBlocks(lba uint64, data []byte) error {
-	bs := i.BlockSize()
-	if bs <= 0 || len(data) == 0 || len(data)%bs != 0 {
-		return fmt.Errorf("iscsi: write-blocks payload of %d bytes, block size %d", len(data), bs)
-	}
-	return i.write(lba, data)
-}
-
-// write is the one OpWriteCmd round trip behind WriteBlock and
-// WriteBlocks.
-func (i *Initiator) write(lba uint64, data []byte) error {
 	resp, err := i.roundTrip(&PDU{Op: OpWriteCmd, LBA: lba, Data: data})
 	if err != nil {
 		return err

@@ -65,6 +65,10 @@ const (
 	// entry whose hash the replica's index cannot resolve reports
 	// StatusRefMiss and the initiator re-ships it by value.
 	OpReplicaWriteByRef
+	// OpWriteSpan is a resync's repair span: the differing blocks of a
+	// stretch of the device as a presence mask and one xcode frame (see
+	// span.go).
+	OpWriteSpan
 )
 
 // String returns the opcode mnemonic.
@@ -96,6 +100,8 @@ func (o Opcode) String() string {
 		return "REPLICA-WRITE-BATCH"
 	case OpReplicaWriteByRef:
 		return "REPLICA-WRITE-BYREF"
+	case OpWriteSpan:
+		return "WRITE-SPAN"
 	default:
 		return fmt.Sprintf("OP(%d)", uint8(o))
 	}

@@ -276,9 +276,10 @@ func applyBatch(backend Backend, mode, shard uint8, vol uint16, entries []BatchE
 }
 
 // request is a session's request storage: ServeConn reads every PDU of
-// the session into the same header, PDU and data-segment buffer, and
-// decodes every entry list into the same entries, so a steady stream of
-// pushes allocates nothing on the way in. All of it starts empty and
+// the session into the same header, PDU and data-segment buffer,
+// decodes every entry list into the same entries and inflates every
+// compressed repair span into the same span buffer, so a steady stream
+// of pushes allocates nothing on the way in. All of it starts empty and
 // grows to the largest request the session has carried; none of it
 // outlives the handling of the PDU it holds (see Backend).
 type request struct {
@@ -286,6 +287,7 @@ type request struct {
 	pdu     PDU
 	seg     []byte
 	entries []BatchEntry
+	span    []byte
 }
 
 // read reads the session's next PDU from r; rq.pdu holds it, its Data
@@ -400,6 +402,14 @@ func (t *Target) ServeConn(conn net.Conn) {
 				break
 			}
 			resp.Status = backend.HandleWrite(pdu.LBA, pdu.Data)
+
+		case OpWriteSpan:
+			resp.Op = OpResp
+			if backend == nil {
+				resp.Status = StatusNotLoggedIn
+				break
+			}
+			resp.Status = rq.applySpan(backend)
 
 		case OpReplicaWrite:
 			resp.Op = OpResp

@@ -323,8 +323,20 @@ func TestResyncPipelineMatchesSerial(t *testing.T) {
 
 			want, got := stats[0], stats[1]
 			if got.BlocksScanned != want.BlocksScanned || got.BlocksRepaired != want.BlocksRepaired ||
-				got.HashBytes != want.HashBytes || got.DataBytes != want.DataBytes || got.WireBytes != want.WireBytes {
+				got.HashBytes != want.HashBytes || got.DataBytes != want.DataBytes {
 				t.Errorf("pipelined stats %+v, serial %+v", got, want)
+			}
+			// The oracle sends bare blocks; a repair span adds its framing,
+			// a mask of at most maxRunBytes/bs bits and a frame header, and
+			// the random blocks go raw. That framing is all WireBytes may
+			// add.
+			const frameHeader = 5 // an xcode frame's codec byte and length
+			framing := got.SentBytes - got.DataBytes
+			if lo, hi := got.RepairWrites*(1+frameHeader), got.RepairWrites*int64(maxRunBytes/bs/8+frameHeader); framing < lo || framing > hi {
+				t.Errorf("%d spans framed in %d bytes, want %d..%d", got.RepairWrites, framing, lo, hi)
+			}
+			if wire := int64(wan.WireBytesDiscrete(int(got.HashBytes))) + int64(wan.WireBytesDiscrete(int(want.DataBytes+framing))); got.WireBytes != wire || got.WireBytes < want.WireBytes {
+				t.Errorf("pipelined wire bytes %d, serial %d: want the serial count plus the framing, %d", got.WireBytes, want.WireBytes, wire)
 			}
 			if eq, err := block.Equal(replicas[0], replicas[1]); err != nil || !eq {
 				t.Errorf("replica images differ between the two implementations (err %v)", err)

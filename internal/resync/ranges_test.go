@@ -127,10 +127,10 @@ func TestResyncCancel(t *testing.T) {
 
 	// Cancel fired in the middle of the first batch: the run stops at the
 	// next block, not at the batch boundary, with stats counting exactly
-	// the completed work. After 6 reads the run holding lba 5 is still
-	// being gathered and is dropped; after 10 it has been issued (lba 6
-	// matched and closed it) and is waited out.
-	for _, tc := range []struct{ after, repaired int }{{6, 0}, {10, 1}} {
+	// the completed work. After 6 reads, and still after 10, the span
+	// holding lba 5 is being gathered and is dropped: a matching block
+	// (lba 6) no longer closes a span, which ends with its batch.
+	for _, tc := range []struct{ after, repaired int }{{6, 0}, {10, 0}} {
 		cancel := make(chan struct{})
 		gated := &cancelStore{Store: local, after: tc.after, cancel: cancel}
 		stats, err = Run(gated, remote, Config{Batch: batch, Cancel: cancel})

@@ -20,16 +20,26 @@
 //     once per window, not once per batch.
 //  2. Compare. The comparer — the only goroutine that touches Stats or
 //     calls Config.Learn — hashes the local blocks in LBA order and
-//     gathers contiguous differing blocks into runs of at most
-//     maxRunBytes. A run holds copies made at compare time, so the
-//     compare buffer is free for the next block while the run is on the
-//     wire.
-//  3. Repair. Each run goes out as one multi-block write
-//     (Initiator.WriteBlocks) on a window of repairWindowRuns runs and
-//     repairWindowBytes bytes, settled in any order. Runs need no
-//     ordering among themselves: they cover disjoint LBAs and each
-//     write replaces whole blocks. A block is counted and learned only
-//     once the comparer settles its run's acknowledged write.
+//     gathers the differing ones into repair spans. A span starts at a
+//     differing block and takes every later differing block within
+//     maxRunBytes of its start, whatever batch or range it lies in,
+//     stepping over the matching blocks and the unscanned gaps between
+//     them; it leaves once the comparison has passed that stretch. A
+//     span holds copies made at compare time, so the compare buffer is
+//     free for the next block while the span is on the wire.
+//  3. Repair. Each span goes out as one iscsi.OpWriteSpan PDU — a
+//     presence mask and one xcode frame of the present blocks — on a
+//     window of repairWindowRuns spans and repairWindowBytes block
+//     bytes, settled in any order. The frame is DEFLATE (floored at
+//     raw) when the pass's first differing block shrinks under a
+//     Huffman-only probe (xcode.Compressible), and raw otherwise: the
+//     probe runs once per pass, because data that does not compress
+//     (random, encrypted, already compressed) would pay DEFLATE's CPU
+//     on every span for nothing. Spans need no ordering among
+//     themselves: they cover disjoint blocks, each frame is
+//     self-contained and each write replaces whole blocks. A block is
+//     counted and learned only once the comparer settles its span's
+//     acknowledged write.
 //
 // The first error or a cancel stops both issuing stages; the run then
 // drains both windows and returns Stats for exactly the acknowledged
@@ -45,6 +55,7 @@ import (
 	"prins/internal/iscsi"
 	"prins/internal/wan"
 	"prins/internal/window"
+	"prins/internal/xcode"
 )
 
 // Stats reports what a resync did.
@@ -55,15 +66,20 @@ type Stats struct {
 	BlocksRepaired uint64
 	// HashBytes is the hash traffic fetched from the replica.
 	HashBytes int64
-	// DataBytes is the block data shipped to repair divergence.
+	// DataBytes is the block data repaired: BlocksRepaired x block size.
 	DataBytes int64
-	// WireBytes models the total on-the-wire cost (paper packet model).
+	// SentBytes is what the repair spans carrying DataBytes put in their
+	// data segments: the presence masks and the frames, compressed or
+	// raw.
+	SentBytes int64
+	// WireBytes models the total on-the-wire cost (paper packet model)
+	// of HashBytes and SentBytes.
 	WireBytes int64
 	// HashFetches is how many hash commands the replica answered.
 	HashFetches int64
-	// RepairWrites is how many repair writes the replica acknowledged;
-	// each carries one run of contiguous differing blocks, so
-	// BlocksRepaired / RepairWrites is the mean run length.
+	// RepairWrites is how many repair spans the replica acknowledged,
+	// one write each, so BlocksRepaired / RepairWrites is the mean
+	// number of blocks a span carried.
 	RepairWrites int64
 }
 
@@ -82,10 +98,10 @@ type Config struct {
 	// Cancel, when non-nil, aborts the run between two blocks of the
 	// comparison (it is polled per block, not per Batch: a batch of 4096
 	// large blocks is a long time to ignore a cancel): nothing more is
-	// issued — a differing run still being gathered included — what is
-	// in flight is waited out, and Run and RunRanges return ErrCanceled
-	// with Stats counting exactly the work completed so far. A nil
-	// channel never cancels.
+	// issued — a repair span still being gathered included, unless the
+	// cancel lands between two batches — what is in flight is waited
+	// out, and Run and RunRanges return ErrCanceled with Stats counting
+	// exactly the work completed so far. A nil channel never cancels.
 	Cancel <-chan struct{}
 	// Learn, when non-nil, is invoked with (lba, content hash) for
 	// every block the replica provably holds after the scan: blocks
@@ -130,21 +146,23 @@ const (
 	// whole-device audit pays the link's latency once per 2048 blocks.
 	hashWindow = 8
 
-	// maxRunBytes caps one repair write (a single block larger than the
-	// cap still ships, alone): far under iscsi.MaxDataSegment, and small
-	// enough that several runs fit the byte window and a long divergent
+	// maxRunBytes caps the stretch of device one repair span covers, and
+	// so the block bytes it carries (a single block larger than the cap
+	// still ships, alone): far under iscsi.MaxDataSegment, and small
+	// enough that several spans fit the byte window and a long divergent
 	// stretch starts leaving while it is still being compared.
 	maxRunBytes = 64 << 10
 
-	// repairWindowBytes and repairWindowRuns bound the repair writes in
-	// flight. The link carries a bandwidth-delay product of data per
-	// round trip — T3 x 4 ms = 18 KB — so 256 KiB is some fourteen of
-	// those and keeps a T3 full even when acknowledgements come back in
-	// bursts, while on a T1 it is 1.7 s of line time: the last write
-	// issued is acknowledged well inside the 10 s default request
-	// timeout. The run count covers isolated small blocks, where bytes
-	// never bind: 32 writes of one 512 B block are one T3
-	// bandwidth-delay product.
+	// repairWindowBytes and repairWindowRuns bound the repair spans in
+	// flight. The byte bound counts block bytes, not what a span's frame
+	// compressed them to, so it holds for data that does not compress.
+	// The link carries a bandwidth-delay product of data per round trip
+	// — T3 x 4 ms = 18 KB — so 256 KiB is some fourteen of those and
+	// keeps a T3 full even when acknowledgements come back in bursts,
+	// while on a T1 it is 1.7 s of line time: the last span issued is
+	// acknowledged well inside the 10 s default request timeout. The
+	// span count covers isolated small blocks, where bytes never bind:
+	// 32 spans of one 512 B block are one T3 bandwidth-delay product.
 	repairWindowBytes = 256 << 10
 	repairWindowRuns  = 32
 )
@@ -181,8 +199,8 @@ func runRanges(local block.Store, remote *iscsi.Initiator, cfg Config, stop <-ch
 	p.fetches = window.New(hashWindow, 0, func(f *hashFetch) {
 		f.hashes, f.err = remote.ReadHashes(f.base, f.count)
 	}, p.fetched)
-	p.repairs = window.New(repairWindowRuns, repairWindowBytes, func(r *run) {
-		r.err = remote.WriteBlocks(r.lba, r.data)
+	p.repairs = window.New(repairWindowRuns, repairWindowBytes, func(s *span) {
+		s.sent, s.err = remote.WriteSpan(&s.Span)
 	}, p.settle)
 	err := p.compare()
 
@@ -195,7 +213,7 @@ func runRanges(local block.Store, remote *iscsi.Initiator, cfg Config, stop <-ch
 		err = p.err
 	}
 	p.stats.WireBytes = int64(wan.WireBytesDiscrete(int(p.stats.HashBytes))) +
-		int64(wan.WireBytesDiscrete(int(p.stats.DataBytes)))
+		int64(wan.WireBytesDiscrete(int(p.stats.SentBytes)))
 	return p.stats, err
 }
 
@@ -213,7 +231,7 @@ func canceled(cancel, stop <-chan struct{}) bool {
 }
 
 // pipeline is the state of one run. Everything in it belongs to the
-// comparer goroutine; a fetch or a run is the command's while it is in
+// comparer goroutine; a fetch or a span is the command's while it is in
 // its window.
 type pipeline struct {
 	local block.Store
@@ -226,9 +244,11 @@ type pipeline struct {
 	fetches *window.Window[*hashFetch]
 	ahead   []*hashFetch // issued and not yet compared, oldest first; at most hashWindow
 
-	open    *run   // the differing run being gathered, not yet issued
-	free    []*run // acknowledged runs, kept for their buffers
-	repairs *window.Window[*run]
+	probed   bool    // the pass's first differing block has been probed
+	compress bool    // ... and shrank: spans ship DEFLATE frames
+	open     *span   // the span being gathered, not yet issued
+	free     []*span // acknowledged spans, kept for their buffers
+	repairs  *window.Window[*span]
 }
 
 // hashFetch is one ReadHashes command. settled is the comparer's, set
@@ -241,23 +261,43 @@ type hashFetch struct {
 	settled bool
 }
 
-// run is one repair write: the differing blocks [lba, lba+len(hashes)),
-// copied out of the compare buffer, and their content hashes.
-type run struct {
-	lba    uint64
-	data   []byte
+// span is one repair write: the differing blocks of [LBA, LBA+Blocks)
+// its mask marks, copied out of the compare buffer into Data, with
+// their LBAs and content hashes, and the data-segment bytes its write
+// sent.
+type span struct {
+	iscsi.Span
+	lbas   []uint64
 	hashes []uint64
+	sent   int
 	err    error
 }
 
-// takes reports whether the block of n bytes at lba extends the run:
-// it is the next LBA and fits under the cap.
-func (r *run) takes(lba uint64, n int) bool {
-	return lba == r.lba+uint64(len(r.hashes)) && len(r.data)+n <= maxRunBytes
+// takes reports whether the differing block at lba joins the span: the
+// span's stretch of maxRunBytes of device, counted from its first
+// block, reaches it.
+func (s *span) takes(lba uint64, blockSize int) bool {
+	return (lba-s.LBA+1)*uint64(blockSize) <= maxRunBytes
+}
+
+// add puts the differing block at lba, with content data and hash
+// hash, into the span.
+func (s *span) add(lba uint64, data []byte, hash uint64) {
+	i := lba - s.LBA
+	if need := iscsi.SpanMaskLen(uint32(i + 1)); len(s.Mask) < need {
+		s.Mask = append(s.Mask, make([]byte, need-len(s.Mask))...)
+	}
+	s.Mask[i/8] |= 1 << (i % 8)
+	s.Blocks = uint32(i + 1)
+	// A copy, not data itself: the compare buffer holds the next block
+	// long before this span's write has left.
+	s.Data = append(s.Data, data...)
+	s.lbas = append(s.lbas, lba)
+	s.hashes = append(s.hashes, hash)
 }
 
 // compare is stages one and two: keep the hash window full, compare
-// each batch in order, gather and issue the differing runs. It returns
+// each batch in order, gather and issue the repair spans. It returns
 // with fetches and repair writes possibly still in flight.
 func (p *pipeline) compare() error {
 	buf := make([]byte, p.local.BlockSize())
@@ -265,7 +305,12 @@ func (p *pipeline) compare() error {
 		if len(p.ahead) == 0 && len(p.todo) == 0 {
 			return p.issue()
 		}
+		// Between batches a cancel still lets the open span go: every
+		// block in it was compared in a finished batch.
 		if canceled(p.cfg.Cancel, p.stop) {
+			if err := p.issue(); err != nil {
+				return err
+			}
 			return ErrCanceled
 		}
 		p.fetchAhead()
@@ -287,29 +332,27 @@ func (p *pipeline) compare() error {
 				return fmt.Errorf("resync: local read %d: %w", lba, err)
 			}
 			p.stats.BlocksScanned++
-			localHash := iscsi.HashBlock(buf)
-			differs := localHash != remoteHash
-
-			// A run is contiguous differing blocks only: a matching
-			// block, a gap between ranges or the size cap ends it.
-			if p.open != nil && !(differs && p.open.takes(lba, len(buf))) {
+			// The open span leaves once the comparison has passed the end
+			// of its stretch: nothing later can join it.
+			if p.open != nil && !p.open.takes(lba, len(buf)) {
 				if err := p.issue(); err != nil {
 					return err
 				}
 			}
+			localHash := iscsi.HashBlock(buf)
 			switch {
-			case !differs:
+			case localHash == remoteHash:
 				p.learn(lba, localHash)
 			case p.cfg.DryRun:
 				p.stats.BlocksRepaired++
 			default:
-				if p.open == nil {
-					p.open = p.newRun(lba)
+				if !p.probed {
+					p.probed, p.compress = true, xcode.Compressible(buf)
 				}
-				// A copy, not buf itself: buf holds the next block long
-				// before this run's write has left.
-				p.open.data = append(p.open.data, buf...)
-				p.open.hashes = append(p.open.hashes, localHash)
+				if p.open == nil {
+					p.open = p.newSpan(lba)
+				}
+				p.open.add(lba, buf, localHash)
 			}
 		}
 	}
@@ -339,55 +382,59 @@ func (p *pipeline) fetched(f *hashFetch) {
 	}
 }
 
-// newRun starts a run at lba, on an acknowledged run's buffers when
-// there is one: a long repair allocates a window's worth of runs, not
+// newSpan starts a span at lba, on an acknowledged span's buffers when
+// there is one: a long repair allocates a window's worth of spans, not
 // a device's.
-func (p *pipeline) newRun(lba uint64) *run {
+func (p *pipeline) newSpan(lba uint64) *span {
+	s := &span{}
 	if n := len(p.free); n > 0 {
-		r := p.free[n-1]
+		s = p.free[n-1]
 		p.free = p.free[:n-1]
-		r.lba, r.data, r.hashes = lba, r.data[:0], r.hashes[:0]
-		return r
 	}
-	return &run{lba: lba}
+	s.LBA, s.Blocks, s.Compress = lba, 0, p.compress
+	s.Mask, s.Data = s.Mask[:0], s.Data[:0]
+	s.lbas, s.hashes = s.lbas[:0], s.hashes[:0]
+	return s
 }
 
-// issue is stage three's sending half: it puts the open run, if any, on
-// the wire, first settling acknowledged writes until the window has
-// room for it. A run larger than the byte window goes alone.
+// issue is stage three's sending half: it puts the open span, if any,
+// on the wire, first settling acknowledged writes until the window has
+// room for its block bytes. A span larger than the byte window goes
+// alone.
 func (p *pipeline) issue() error {
-	r := p.open
-	if r == nil {
+	s := p.open
+	if s == nil {
 		return nil
 	}
 	p.open = nil
-	for p.err == nil && !p.repairs.Room(len(r.data)) {
+	for p.err == nil && !p.repairs.Room(len(s.Data)) {
 		p.repairs.Wait()
 	}
 	if p.err != nil {
 		return p.err
 	}
-	p.repairs.Go(r, len(r.data))
+	p.repairs.Go(s, len(s.Data))
 	return nil
 }
 
-// settle is stage three's receiving half: an acknowledged run is
+// settle is stage three's receiving half: an acknowledged span is
 // counted and learned — the replica now provably holds those blocks —
 // and a failed one is neither, and the first failure is kept in p.err.
-func (p *pipeline) settle(r *run) {
-	if r.err != nil {
+func (p *pipeline) settle(s *span) {
+	if s.err != nil {
 		if p.err == nil {
-			p.err = fmt.Errorf("resync: repair %d+%d: %w", r.lba, len(r.hashes), r.err)
+			p.err = fmt.Errorf("resync: repair span %d+%d: %w", s.LBA, s.Blocks, s.err)
 		}
 		return
 	}
 	p.stats.RepairWrites++
-	p.stats.BlocksRepaired += uint64(len(r.hashes))
-	p.stats.DataBytes += int64(len(r.data))
-	for i, h := range r.hashes {
-		p.learn(r.lba+uint64(i), h)
+	p.stats.BlocksRepaired += uint64(len(s.hashes))
+	p.stats.DataBytes += int64(len(s.Data))
+	p.stats.SentBytes += int64(s.sent)
+	for i, h := range s.hashes {
+		p.learn(s.lbas[i], h)
 	}
-	p.free = append(p.free, r)
+	p.free = append(p.free, s)
 }
 
 func (p *pipeline) learn(lba, hash uint64) {

@@ -92,6 +92,7 @@ func (s *Scrubber) pass(stop <-chan struct{}) (Stats, error) {
 		stats.BlocksRepaired += part.BlocksRepaired
 		stats.HashBytes += part.HashBytes
 		stats.DataBytes += part.DataBytes
+		stats.SentBytes += part.SentBytes
 		stats.WireBytes += part.WireBytes
 		stats.HashFetches += part.HashFetches
 		stats.RepairWrites += part.RepairWrites

@@ -168,3 +168,27 @@ func TestScrubberStartStop(t *testing.T) {
 		t.Error("replica diverged after background scrub")
 	}
 }
+
+// TestScrubberPassSumsSentBytes: a paused pass runs one pipeline per
+// batch, and its stats sum what each one's repair spans sent. Four
+// batches each find random blocks to repair — {2}, {33, 34}, {90},
+// {127} — so four raw spans, each one mask byte and a 5-byte frame
+// header over its blocks.
+func TestScrubberPassSumsSentBytes(t *testing.T) {
+	const (
+		bs    = 512
+		nb    = 128
+		batch = 32
+	)
+	local, replica := seededPair(t, bs, nb, 8, []uint64{2, 33, 34, 90, 127})
+	s := NewScrubber(local, remoteFor(t, replica, "r"), Config{Batch: batch}, time.Millisecond)
+	s.Sleep = func(time.Duration) {}
+
+	stats, err := s.Pass()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.RepairWrites != 4 || stats.DataBytes != 5*bs || stats.SentBytes != 5*bs+4*(1+5) {
+		t.Errorf("pass stats %+v, want 4 spans sending %d bytes for %d", stats, 5*bs+4*(1+5), 5*bs)
+	}
+}

@@ -13,7 +13,9 @@ import (
 // and the shipper's squeeze of an already-encoded CodecZRL frame
 // (Deflater.AppendSqueezed). All three write through Deflater.deflate
 // and read through inflater.inflate, so there is one encode path and
-// one decode path, both reusing their large internal tables.
+// one decode path, both reusing their large internal tables. Beside
+// them, Compressible runs a Huffman-only pass that counts bytes and
+// keeps none, to tell a caller whether DEFLATE is worth trying.
 
 // flateLevel is the one compression level in use. On TPC-C parities
 // level 6 takes ~30% off a ZRL frame (BenchmarkAblationSqueeze) and
@@ -95,6 +97,54 @@ func appendDeflate(dst, data []byte) ([]byte, error) {
 	defer deflaterPool.Put(d)
 	return d.deflate(dst, data)
 }
+
+// Compressible reports whether data shrinks under a Huffman-only
+// DEFLATE pass: literal coding with no match search, so it costs a
+// small fraction of a flateLevel encode and answers whether the bytes
+// carry any redundancy at all. Random or already-compressed data does
+// not shrink, and a caller that gets false skips DEFLATE on data like
+// it. The pass writes nothing but a byte count.
+//
+// One writer serves every caller, under a lock: it is some 700 KiB of
+// tables, and a pooled one would be dropped by the next collection and
+// rebuilt, zeroed, by the next caller — which costs more than the pass.
+func Compressible(data []byte) bool {
+	theProbe.mu.Lock()
+	defer theProbe.mu.Unlock()
+	p := &theProbe
+	p.n = 0
+	if p.w == nil {
+		w, err := flate.NewWriter(p, flate.HuffmanOnly)
+		if err != nil {
+			return false
+		}
+		p.w = w
+	} else {
+		p.w.Reset(p)
+	}
+	if _, err := p.w.Write(data); err != nil {
+		return false
+	}
+	if err := p.w.Close(); err != nil {
+		return false
+	}
+	return p.n < len(data)
+}
+
+// probe is Compressible's Huffman-only writer and the byte count it
+// drains into.
+type probe struct {
+	mu sync.Mutex
+	w  *flate.Writer
+	n  int
+}
+
+func (p *probe) Write(b []byte) (int, error) {
+	p.n += len(b)
+	return len(b), nil
+}
+
+var theProbe probe
 
 // inflater is a reusable DEFLATE decoder: the flate reader (about
 // 44 KiB) is Reset from frame to frame, and mid is the scratch a

@@ -115,6 +115,26 @@ func AppendEncode(dst []byte, c Codec, block []byte) ([]byte, error) {
 	return dst, nil
 }
 
+// AppendRawHeader appends the header of a CodecRaw frame whose body is
+// the n bytes that follow it: header and body together are the frame
+// AppendEncode(dst, CodecRaw, body) builds, so a sender can put the
+// body on the wire from where it lies instead of copying it behind the
+// header.
+func AppendRawHeader(dst []byte, n int) []byte {
+	return binary.BigEndian.AppendUint32(append(dst, byte(CodecRaw)), uint32(n))
+}
+
+// RawBody returns the body of a CodecRaw frame in place, no copy, and
+// false for a frame in any other codec or whose body is not exactly its
+// declared length.
+func RawBody(frame []byte) ([]byte, bool) {
+	c, n, body, err := splitFrame(frame)
+	if err != nil || c != CodecRaw || len(body) != n {
+		return nil, false
+	}
+	return body, true
+}
+
 // EncodeBest encodes block with every candidate codec and returns the
 // smallest frame, never larger than the raw framing of the block:
 // CodecRaw is always considered as a floor, because every candidate

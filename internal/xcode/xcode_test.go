@@ -501,3 +501,51 @@ func TestZRLEncodeMatchesBytewise(t *testing.T) {
 		checkZRLAgainstBytewise(t, randBlock(rng, 1+rng.Intn(100)), "short random")
 	}
 }
+
+// TestRawFrameInPlace: a raw header followed by the body is the frame
+// AppendEncode builds for CodecRaw, and RawBody hands that body back
+// without a copy; a frame in another codec, or one whose body is not
+// its declared length, is refused.
+func TestRawFrameInPlace(t *testing.T) {
+	body := bytes.Repeat([]byte("spanned "), 100)
+	frame := append(AppendRawHeader([]byte{0xee}, len(body)), body...)[1:]
+	want, err := Encode(CodecRaw, body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(frame, want) {
+		t.Fatalf("raw header + body = %x..., AppendEncode = %x...", frame[:8], want[:8])
+	}
+	got, ok := RawBody(frame)
+	if !ok || !bytes.Equal(got, body) || &got[0] != &frame[headerLen] {
+		t.Fatalf("RawBody = %d bytes, ok %v, in place %v", len(got), ok, ok && &got[0] == &frame[headerLen])
+	}
+	flate, err := Encode(CodecFlate, body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, bad := range map[string][]byte{
+		"flate": flate, "short": frame[:len(frame)-1], "long": append(bytes.Clone(frame), 0), "header only": frame[:3],
+	} {
+		if _, ok := RawBody(bad); ok {
+			t.Errorf("%s frame: RawBody accepted it", name)
+		}
+	}
+}
+
+// TestCompressible: the probe passes text and zeros, and fails random
+// bytes, whatever the block size.
+func TestCompressible(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for _, n := range []int{512, 4096, 64 << 10} {
+		random := make([]byte, n)
+		rng.Read(random)
+		text := bytes.Repeat([]byte("the parity of a block is mostly zeros\n"), n/38+1)[:n]
+		if Compressible(random) {
+			t.Errorf("%d random bytes pass the probe", n)
+		}
+		if !Compressible(text) || !Compressible(make([]byte, n)) {
+			t.Errorf("%d bytes of text or zeros fail the probe", n)
+		}
+	}
+}
