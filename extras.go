@@ -13,7 +13,8 @@ type ResyncStats struct {
 	BlocksScanned uint64
 	// BlocksRepaired is how many blocks differed and were rewritten.
 	BlocksRepaired uint64
-	// HashBytes is the hash traffic fetched from the replica.
+	// HashBytes is the hash bytes the replica sent back: 8 B per block
+	// of a batch that differs, 0 for a batch settled by its digest.
 	HashBytes int64
 	// DataBytes is the block data repaired: BlocksRepaired x block size.
 	DataBytes int64

@@ -10,6 +10,8 @@ import (
 	"sort"
 	"strings"
 	"testing"
+
+	"prins/internal/block"
 )
 
 // goldenSink accepts every replication push verb and answers OK, so a
@@ -86,9 +88,10 @@ func readGolden(t *testing.T) map[string]string {
 // connection: for OpReplicaWrite (untagged v3, tagged v5, and the
 // zero-copy framed send), OpReplicaWriteBatch (untagged and tagged) and
 // OpReplicaWriteByRef (mixed by-ref and by-value entries), each with 1,
-// 2 and 7 entries, the initiator's send must equal both a contiguously
-// built PDU written with PDU.WriteTo over the Encode* segment and the
-// committed hex fixture. A case is named for the protocol version that
+// 2 and 7 entries, and for an OpHashCmd request carrying a digest, the
+// initiator's send must equal both a contiguously built PDU written with
+// PDU.WriteTo (over the Encode* segment, for a push) and the committed
+// hex fixture. A case is named for the protocol version that
 // introduced its verb; both entry-list verbs now go out as v8 lists, and
 // a batch of one as the v3/v5 single write. The fixtures are the wire
 // contract: a refactor of the send paths must leave
@@ -231,6 +234,31 @@ func TestWireGolden(t *testing.T) {
 			})
 		}
 	}
+	// A HASH request carrying the digest of the answer it expects: a
+	// bare request whose hash field holds the digest.
+	t.Run("hash-digest", func(t *testing.T) {
+		const digest = 0xD16E57C0FFEE0001
+		store, err := block.NewMem(512, 16)
+		if err != nil {
+			t.Fatal(err)
+		}
+		init, rec := startRecordedPair(t, &StoreBackend{Store: store})
+		if _, _, err := init.ReadHashes(3, 5, digest); err != nil {
+			t.Fatal(err)
+		}
+		sent := rec.take()
+		var ref bytes.Buffer
+		if _, err := (&PDU{Op: OpHashCmd, ITT: firstITT, LBA: 3, Blocks: 5, Hash: digest}).WriteTo(&ref); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(sent, ref.Bytes()) {
+			t.Errorf("initiator bytes differ from the contiguously built PDU:\n sent %x\n want %x", sent, ref.Bytes())
+		}
+		got["hash-digest"] = hex.EncodeToString(sent)
+		if !update && got["hash-digest"] != golden["hash-digest"] {
+			t.Errorf("wire bytes differ from %s:\n sent %s\n want %s", goldenFile, got["hash-digest"], golden["hash-digest"])
+		}
+	})
 	if !update {
 		if len(golden) != len(got) {
 			t.Errorf("%s holds %d cases, the test ran %d", goldenFile, len(golden), len(got))

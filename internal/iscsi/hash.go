@@ -111,18 +111,38 @@ func DecodeHashes(data []byte) ([]uint64, error) {
 	return out, nil
 }
 
+// AppendHashes appends hashes to dst in the OpHashCmd response
+// encoding, the inverse of DecodeHashes. HashBlock of the result is
+// the digest a ReadHashes request carries for that answer.
+func AppendHashes(dst []byte, hashes []uint64) []byte {
+	for _, h := range hashes {
+		dst = binary.BigEndian.AppendUint64(dst, h)
+	}
+	return dst
+}
+
 // ReadHashes fetches the content hashes of count blocks starting at
-// lba from the remote device.
-func (i *Initiator) ReadHashes(lba uint64, count uint32) ([]uint64, error) {
-	resp, err := i.roundTrip(&PDU{Op: OpHashCmd, LBA: lba, Blocks: count})
+// lba from the remote device. digest, when nonzero, is the caller's
+// digest of the answer it expects: HashBlock of the count big-endian
+// hashes of its own copy of the blocks. A replica whose answer digests
+// to the same value sends an empty data segment instead, and
+// ReadHashes reports match with nil hashes; otherwise, and always for
+// a zero digest, it returns the replica's count hashes. Any other
+// segment length is ErrShortFrame.
+func (i *Initiator) ReadHashes(lba uint64, count uint32, digest uint64) (hashes []uint64, match bool, err error) {
+	resp, err := i.roundTrip(&PDU{Op: OpHashCmd, LBA: lba, Blocks: count, Hash: digest})
 	if err != nil {
-		return nil, err
+		return nil, false, err
 	}
 	if resp.Status != StatusOK {
-		return nil, statusErr("hash", lba, resp.Status)
+		return nil, false, statusErr("hash", lba, resp.Status)
+	}
+	if digest != 0 && len(resp.Data) == 0 {
+		return nil, true, nil
 	}
 	if got, want := len(resp.Data), int(count)*HashSize; got != want {
-		return nil, fmt.Errorf("%w: hash response carries %d bytes, want %d", ErrShortFrame, got, want)
+		return nil, false, fmt.Errorf("%w: hash response carries %d bytes, want %d", ErrShortFrame, got, want)
 	}
-	return DecodeHashes(resp.Data)
+	hashes, err = DecodeHashes(resp.Data)
+	return hashes, false, err
 }

@@ -2,8 +2,12 @@ package iscsi
 
 import (
 	"encoding/binary"
+	"errors"
 	"math/rand"
+	"net"
 	"testing"
+
+	"prins/internal/block"
 )
 
 // xxh64Naive is XXH64 (seed 0) transcribed step by step from the
@@ -120,3 +124,140 @@ func TestHashBlockXXH64Vectors(t *testing.T) {
 }
 
 var hashSink uint64
+
+// TestReadHashesStrictDecoding: with a digest, ReadHashes accepts
+// exactly an empty segment (a match) or count hashes; without one, only
+// count hashes. Every other length is ErrShortFrame. The peer answers
+// each HASH request with as many bytes as its LBA names.
+func TestReadHashesStrictDecoding(t *testing.T) {
+	client, server := net.Pipe()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for {
+			req, err := ReadPDU(server)
+			if err != nil {
+				return
+			}
+			resp := &PDU{ITT: req.ITT, Status: StatusOK, Op: OpResp}
+			switch req.Op {
+			case OpLoginReq:
+				resp.Op = OpLoginResp
+				resp.Data = encodeLoginResp(512, 1<<20)
+			case OpHashCmd:
+				resp.Data = make([]byte, req.LBA)
+			}
+			if _, err := resp.WriteTo(server); err != nil {
+				return
+			}
+		}
+	}()
+	init := NewInitiator(client)
+	t.Cleanup(func() {
+		init.Close()
+		<-done
+	})
+	if err := init.Login("disk0"); err != nil {
+		t.Fatal(err)
+	}
+
+	const count = 4
+	for _, digest := range []uint64{0, 0xD16E57} {
+		for _, n := range []uint64{0, 3, HashSize, count*HashSize - 1, count * HashSize, count*HashSize + HashSize} {
+			hashes, match, err := init.ReadHashes(n, count, digest)
+			switch {
+			case n == 0 && digest != 0:
+				if err != nil || !match || hashes != nil {
+					t.Errorf("digest %x, empty answer: %v, %v, %v; want a match", digest, hashes, match, err)
+				}
+			case n == count*HashSize:
+				if err != nil || match || len(hashes) != count {
+					t.Errorf("digest %x, %d bytes: %d hashes, match %v, %v; want %d hashes", digest, n, len(hashes), match, err, count)
+				}
+			default:
+				if !errors.Is(err, ErrShortFrame) || match || hashes != nil {
+					t.Errorf("digest %x, %d bytes: %v, %v, %v; want ErrShortFrame", digest, n, hashes, match, err)
+				}
+			}
+		}
+	}
+}
+
+// TestTargetAnswersDigest: a target answers a HASH request with an
+// empty data segment exactly when the request's digest equals its own
+// digest of the answer, and with the full hash vector to a request
+// without a digest or with a wrong one.
+func TestTargetAnswersDigest(t *testing.T) {
+	const (
+		bs    = 512
+		nb    = 16
+		count = 8
+	)
+	store, err := block.NewMem(bs, nb)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(5))
+	buf := make([]byte, bs)
+	want := make([]uint64, count)
+	for lba := uint64(0); lba < nb; lba++ {
+		rng.Read(buf)
+		if err := store.WriteBlock(lba, buf); err != nil {
+			t.Fatal(err)
+		}
+		if lba >= 2 && lba < 2+count {
+			want[lba-2] = HashBlock(buf)
+		}
+	}
+	vec := AppendHashes(nil, want)
+	own := HashBlock(vec)
+
+	target := NewTarget()
+	target.Export("r", &StoreBackend{Store: store})
+	client, server := net.Pipe()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		target.ServeConn(server)
+	}()
+	defer func() {
+		client.Close()
+		<-done
+	}()
+	itt := uint32(1)
+	roundTrip := func(p *PDU) *PDU {
+		t.Helper()
+		p.ITT = itt
+		itt++
+		if _, err := p.WriteTo(client); err != nil {
+			t.Fatal(err)
+		}
+		resp, err := ReadPDU(client)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.Status != StatusOK {
+			t.Fatalf("%v: status %v", p.Op, resp.Status)
+		}
+		return resp
+	}
+	roundTrip(&PDU{Op: OpLoginReq, Data: encodeLoginReq("r")})
+
+	for _, tc := range []struct {
+		name   string
+		digest uint64
+		empty  bool
+	}{
+		{"no digest", 0, false},
+		{"own digest", own, true},
+		{"wrong digest", own ^ 1, false},
+	} {
+		resp := roundTrip(&PDU{Op: OpHashCmd, LBA: 2, Blocks: count, Hash: tc.digest})
+		switch {
+		case tc.empty && len(resp.Data) != 0:
+			t.Errorf("%s: %d bytes back, want an empty segment", tc.name, len(resp.Data))
+		case !tc.empty && string(resp.Data) != string(vec):
+			t.Errorf("%s: answer %x, want the hash vector %x", tc.name, resp.Data, vec)
+		}
+	}
+}

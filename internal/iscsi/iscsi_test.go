@@ -729,7 +729,7 @@ func TestShortResponseRejected(t *testing.T) {
 	if _, err := init.ReadBlocks(0, 2); !errors.Is(err, ErrShortFrame) {
 		t.Errorf("short read response: err = %v, want ErrShortFrame", err)
 	}
-	if _, err := init.ReadHashes(0, 4); !errors.Is(err, ErrShortFrame) {
+	if _, _, err := init.ReadHashes(0, 4, 0); !errors.Is(err, ErrShortFrame) {
 		t.Errorf("misaligned hash response: err = %v, want ErrShortFrame", err)
 	}
 	if err := init.ReadBlock(0, make([]byte, 512)); !errors.Is(err, ErrShortFrame) {

@@ -274,7 +274,8 @@ var (
 //	off 20 : blocks (uint32) block count for READ
 //	off 24 : data length (uint32)
 //	off 28 : sequence (uint64) engine-assigned replication sequence
-//	off 36 : hash (uint64) content hash of the decoded new block
+//	off 36 : hash (uint64) content hash of the decoded new block;
+//	         on OpHashCmd, the digest of the expected hash vector
 //	off 44 : digest (uint32) CRC-32C over header (digest zeroed) + data
 //
 // The digest plays the role of iSCSI's header+data digests: corrupted
@@ -282,7 +283,10 @@ var (
 // to a replica. The hash field rides on OpReplicaWrite: it is the
 // 64-bit content hash (HashBlock) of the block the replica must hold
 // after applying the frame, letting the replica verify the backward
-// parity computation end to end; zero means "unverified push".
+// parity computation end to end; zero means "unverified push". On
+// OpHashCmd it carries the initiator's digest of the hash vector it
+// expects (see Initiator.ReadHashes): the target answers a match with
+// an empty data segment; zero means "send the hashes".
 type PDU struct {
 	Op     Opcode
 	Status Status

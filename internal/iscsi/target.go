@@ -455,7 +455,11 @@ func (t *Target) ServeConn(conn net.Conn) {
 					hashes = binary.BigEndian.AppendUint64(hashes, HashBlock(data))
 				}
 			}
-			if resp.Status == StatusOK {
+			// A request carrying the primary's digest of this answer is
+			// settled by the digest alone when they agree: the empty
+			// segment says "the same", and a clean batch costs its two
+			// headers. A zero digest asks for the hashes unconditionally.
+			if resp.Status == StatusOK && (pdu.Hash == 0 || HashBlock(hashes) != pdu.Hash) {
 				resp.Data = hashes
 			}
 

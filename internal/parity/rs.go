@@ -138,44 +138,54 @@ func (r *RS) row(j int) []byte {
 
 // EncodeInto splits block into k data units and computes the n-k
 // parity units, writing all n units into units (each exactly
-// UnitSize(len(block)) bytes, caller-allocated). Data units are copied
-// with zero padding; parity units are Cauchy combinations of them.
+// UnitSize(len(block)) bytes, caller-allocated): unit j is
+// EncodeUnit's unit j.
 func (r *RS) EncodeInto(units [][]byte, block []byte) error {
-	u := r.UnitSize(len(block))
 	if len(units) != r.n {
 		return fmt.Errorf("parity: encode wants %d unit buffers, got %d", r.n, len(units))
 	}
 	for j := range units {
-		if len(units[j]) != u {
-			return fmt.Errorf("parity: unit %d is %d bytes, want %d", j, len(units[j]), u)
-		}
-	}
-	for i := 0; i < r.k; i++ {
-		lo := i * u
-		hi := lo + u
-		if hi > len(block) {
-			hi = len(block)
-		}
-		var n int
-		if lo < hi {
-			n = copy(units[i], block[lo:hi])
-		}
-		for b := n; b < u; b++ {
-			units[i][b] = 0
-		}
-	}
-	for j, row := range r.parityRows {
-		p := units[r.k+j]
-		for b := range p {
-			p[b] = 0
-		}
-		for i := 0; i < r.k; i++ {
-			if err := GFMulAdd(p, units[i], row[i]); err != nil {
-				return err
-			}
+		if err := r.EncodeUnit(units[j], block, j); err != nil {
+			return err
 		}
 	}
 	return nil
+}
+
+// EncodeUnit writes unit j of block's encoding into dst (exactly
+// UnitSize(len(block)) bytes) without computing the others: a data
+// unit is its slice of block copied with zero padding, a parity unit
+// the Cauchy combination of the k data slices. It is what a rebuild of
+// one lost unit needs per block.
+func (r *RS) EncodeUnit(dst, block []byte, j int) error {
+	u := r.UnitSize(len(block))
+	if j < 0 || j >= r.n {
+		return fmt.Errorf("parity: unit %d outside a %d-unit group", j, r.n)
+	}
+	if len(dst) != u {
+		return fmt.Errorf("parity: unit %d is %d bytes, want %d", j, len(dst), u)
+	}
+	if j < r.k {
+		n := copy(dst, dataUnit(block, j, u))
+		clear(dst[n:])
+		return nil
+	}
+	clear(dst)
+	for i, c := range r.parityRows[j-r.k] {
+		// The padding past the block's end is zero and adds nothing.
+		src := dataUnit(block, i, u)
+		if err := GFMulAdd(dst[:len(src)], src, c); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// dataUnit returns data unit i's bytes of block, u bytes or fewer: the
+// last unit's zero padding is not there.
+func dataUnit(block []byte, i, u int) []byte {
+	lo := min(i*u, len(block))
+	return block[lo:min(lo+u, len(block))]
 }
 
 // Encode is EncodeInto with freshly allocated unit buffers.

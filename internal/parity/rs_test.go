@@ -130,6 +130,58 @@ func TestRSUnitSizePadding(t *testing.T) {
 	}
 }
 
+// TestRSEncodeUnit: the one-unit encoder equals unit j of EncodeInto
+// for every (k, n, j), block sizes that do not divide by k included,
+// and both equal the generator-row definition computed bytewise over a
+// zero-padded copy of the block. The destination starts dirty, so a
+// unit that is not wholly written shows.
+func TestRSEncodeUnit(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	for k := 1; k <= 5; k++ {
+		for n := k; n <= k+4; n++ {
+			rs, err := NewRS(k, n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, bs := range []int{1, k, 4*k + 1, 512, 1000, 4099} {
+				block := make([]byte, bs)
+				rng.Read(block)
+				u := rs.UnitSize(bs)
+				units := make([][]byte, n)
+				for j := range units {
+					units[j] = make([]byte, u)
+				}
+				if err := rs.EncodeInto(units, block); err != nil {
+					t.Fatal(err)
+				}
+				padded := make([]byte, k*u)
+				copy(padded, block)
+				for j := 0; j < n; j++ {
+					want := make([]byte, u)
+					for i, c := range rs.row(j) {
+						for b := range want {
+							want[b] ^= gfMul(c, padded[i*u+b])
+						}
+					}
+					got := bytes.Repeat([]byte{0xA5}, u)
+					if err := rs.EncodeUnit(got, block, j); err != nil {
+						t.Fatal(err)
+					}
+					if !bytes.Equal(got, want) || !bytes.Equal(units[j], want) {
+						t.Fatalf("k=%d n=%d bs=%d unit %d: EncodeUnit %x, EncodeInto %x, generator row %x", k, n, bs, j, got, units[j], want)
+					}
+				}
+			}
+			if err := rs.EncodeUnit(make([]byte, rs.UnitSize(8)), make([]byte, 8), n); err == nil {
+				t.Errorf("k=%d n=%d: unit %d encoded", k, n, n)
+			}
+			if err := rs.EncodeUnit(make([]byte, rs.UnitSize(8)+1), make([]byte, 8), 0); err == nil {
+				t.Errorf("k=%d n=%d: oversized unit buffer accepted", k, n)
+			}
+		}
+	}
+}
+
 func BenchmarkRSEncode(b *testing.B) {
 	rs, _ := NewRS(2, 4)
 	block := make([]byte, 64<<10)

@@ -19,10 +19,11 @@ import (
 )
 
 // runRangesSerial is the stop-and-wait resync the pipeline replaced,
-// kept as its oracle: one ReadHashes round trip per batch, then one
-// WriteBlock round trip per differing block, nothing overlapped. A
-// pipelined run over the same devices must leave the same replica image
-// and report the same counts.
+// kept as its oracle: per batch, hash the local blocks, one ReadHashes
+// round trip carrying their digest, then compare, with one WriteBlock
+// round trip per differing block, nothing overlapped. A pipelined run
+// over the same devices must leave the same replica image and report
+// the same counts.
 func runRangesSerial(local block.Store, remote *iscsi.Initiator, cfg Config, ranges ...block.Range) (stats Stats, err error) {
 	cfg = cfg.withDefaults()
 	defer func() {
@@ -34,22 +35,28 @@ func runRangesSerial(local block.Store, remote *iscsi.Initiator, cfg Config, ran
 	for _, r := range block.NormalizeRanges(ranges, local.NumBlocks()) {
 		for base := r.Start; base < r.End(); base += uint64(cfg.Batch) {
 			count := uint32(min(r.End()-base, uint64(cfg.Batch)))
-			remoteHashes, err := remote.ReadHashes(base, count)
+			localHashes := make([]uint64, count)
+			for i := range localHashes {
+				if err := local.ReadBlock(base+uint64(i), buf); err != nil {
+					return stats, err
+				}
+				localHashes[i] = iscsi.HashBlock(buf)
+			}
+			remoteHashes, match, err := remote.ReadHashes(base, count, iscsi.HashBlock(iscsi.AppendHashes(nil, localHashes)))
 			if err != nil {
 				return stats, err
 			}
-			stats.HashBytes += int64(count) * iscsi.HashSize
-			for i := uint32(0); i < count; i++ {
+			stats.HashBytes += int64(len(remoteHashes)) * iscsi.HashSize
+			for i, localHash := range localHashes {
 				lba := base + uint64(i)
-				if err := local.ReadBlock(lba, buf); err != nil {
-					return stats, err
-				}
 				stats.BlocksScanned++
-				localHash := iscsi.HashBlock(buf)
-				if localHash != remoteHashes[i] {
+				if !match && localHash != remoteHashes[i] {
 					stats.BlocksRepaired++
 					if cfg.DryRun {
 						continue
+					}
+					if err := local.ReadBlock(lba, buf); err != nil {
+						return stats, err
 					}
 					if err := remote.WriteBlock(lba, buf); err != nil {
 						return stats, err

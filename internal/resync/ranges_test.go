@@ -7,6 +7,8 @@ import (
 	"testing"
 
 	"prins/internal/block"
+	"prins/internal/iscsi"
+	"prins/internal/wan"
 )
 
 // seededPair builds identical local/replica stores of random content
@@ -125,46 +127,27 @@ func TestResyncCancel(t *testing.T) {
 		t.Errorf("pre-canceled run did work: %+v", stats)
 	}
 
-	// Cancel fired in the middle of the first batch: the run stops at the
-	// next block, not at the batch boundary, with stats counting exactly
-	// the completed work. After 6 reads, and still after 10, the span
-	// holding lba 5 is being gathered and is dropped: a matching block
-	// (lba 6) no longer closes a span, which ends with its batch.
-	for _, tc := range []struct{ after, repaired int }{{6, 0}, {10, 0}} {
+	// Cancel fired while the first batches are hashed: the run stops
+	// before its next local read, with stats counting exactly the
+	// completed work. After 6 reads nothing was issued. After a whole
+	// batch of reads its fetch went out — the cancel is polled before a
+	// read, not before a fetch — and is answered, with the batch's
+	// hashes since lba 5 differs, but nothing was compared.
+	for _, tc := range []struct {
+		after   int
+		fetches int64
+	}{{6, 0}, {batch, 1}} {
 		cancel := make(chan struct{})
 		gated := &cancelStore{Store: local, after: tc.after, cancel: cancel}
 		stats, err = Run(gated, remote, Config{Batch: batch, Cancel: cancel})
 		if !errors.Is(err, ErrCanceled) {
 			t.Fatalf("cancel after %d reads: err = %v, want ErrCanceled", tc.after, err)
 		}
-		if stats.BlocksScanned != uint64(tc.after) {
-			t.Errorf("cancel after %d reads: scanned %d blocks, want no block compared after the cancel fired", tc.after, stats.BlocksScanned)
+		want := Stats{HashFetches: tc.fetches, HashBytes: tc.fetches * batch * iscsi.HashSize}
+		want.WireBytes = int64(wan.WireBytesDiscrete(int(want.HashBytes)))
+		if stats != want {
+			t.Errorf("cancel after %d reads: stats %+v, want %+v", tc.after, stats, want)
 		}
-		if stats.BlocksRepaired != uint64(tc.repaired) || stats.RepairWrites != int64(tc.repaired) ||
-			stats.DataBytes != int64(tc.repaired*bs) || stats.HashFetches == 0 {
-			t.Errorf("cancel after %d reads: inconsistent stats %+v", tc.after, stats)
-		}
-	}
-	if err := replica.WriteBlock(5, make([]byte, bs)); err != nil { // diverge lba 5 again for the next case
-		t.Fatal(err)
-	}
-
-	// Cancel fired on the last block of the first batch: the run stops
-	// before the second.
-	cancel := make(chan struct{})
-	gated := &cancelStore{Store: local, after: batch, cancel: cancel}
-	stats, err = Run(gated, remote, Config{Batch: batch, Cancel: cancel})
-	if !errors.Is(err, ErrCanceled) {
-		t.Fatalf("err = %v, want ErrCanceled", err)
-	}
-	if stats.BlocksScanned != batch {
-		t.Errorf("scanned = %d, want exactly one batch (%d)", stats.BlocksScanned, batch)
-	}
-	if stats.BlocksRepaired != 1 { // only lba 5 lies in the first batch
-		t.Errorf("repaired = %d, want 1", stats.BlocksRepaired)
-	}
-	if stats.HashBytes == 0 || stats.WireBytes == 0 {
-		t.Errorf("canceled run lost its wire accounting: %+v", stats)
 	}
 
 	// Resuming without a cancel finishes the job.
@@ -172,8 +155,8 @@ func TestResyncCancel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats.BlocksScanned != nb || stats.BlocksRepaired != 2 {
-		t.Errorf("resumed run scanned=%d repaired=%d, want %d/2", stats.BlocksScanned, stats.BlocksRepaired, nb)
+	if stats.BlocksScanned != nb || stats.BlocksRepaired != 3 {
+		t.Errorf("resumed run scanned=%d repaired=%d, want %d/3", stats.BlocksScanned, stats.BlocksRepaired, nb)
 	}
 	if eq, _ := block.Equal(local, replica); !eq {
 		t.Error("replica still diverged after resumed run")

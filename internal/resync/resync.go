@@ -14,19 +14,29 @@
 // and settles:
 //
 //  1. Hash fetches. The normalized ranges are cut into Config.Batch
-//     sized ReadHashes commands issued on a window of hashWindow and
-//     compared in issue order, so the replica hashes the batches ahead while
-//     the primary hashes the current one and the link's latency is paid
-//     once per window, not once per batch.
+//     sized batches. The comparer reads and hashes a batch's local
+//     blocks first, then issues its ReadHashes command carrying the
+//     digest of those hashes (iscsi.HashBlock of their big-endian
+//     vector), on a window of hashWindow fetches compared in issue
+//     order. A replica whose own hashes digest to the same value
+//     answers with an empty segment, so a clean batch costs two bare
+//     headers instead of 8 B per block; a batch that differs brings
+//     back its hashes, exactly as a fetch without a digest would. The
+//     replica hashes the batches ahead while the primary hashes the
+//     next one, and the link's latency is paid once per window, not
+//     once per batch.
 //  2. Compare. The comparer — the only goroutine that touches Stats or
-//     calls Config.Learn — hashes the local blocks in LBA order and
-//     gathers the differing ones into repair spans. A span starts at a
-//     differing block and takes every later differing block within
-//     maxRunBytes of its start, whatever batch or range it lies in,
-//     stepping over the matching blocks and the unscanned gaps between
-//     them; it leaves once the comparison has passed that stretch. A
-//     span holds copies made at compare time, so the compare buffer is
-//     free for the next block while the span is on the wire.
+//     calls Config.Learn — settles the oldest fetch. A batch the digest
+//     matched is learned whole from its local hashes. A batch that
+//     differs is compared block by block against the replica's hashes,
+//     and each differing block is read again (and hashed again) into a
+//     repair span. A span starts at a differing block and takes every
+//     later differing block within maxRunBytes of its start, whatever
+//     batch or range it lies in, stepping over the matching blocks and
+//     the unscanned gaps between them; it leaves once the comparison
+//     has passed that stretch. A span holds copies made at compare
+//     time, so the compare buffer is free for the next block while the
+//     span is on the wire.
 //  3. Repair. Each span goes out as one iscsi.OpWriteSpan PDU — a
 //     presence mask and one xcode frame of the present blocks — on a
 //     window of repairWindowRuns spans and repairWindowBytes block
@@ -60,11 +70,12 @@ import (
 
 // Stats reports what a resync did.
 type Stats struct {
-	// BlocksScanned is the total device size compared.
+	// BlocksScanned is how many blocks were compared.
 	BlocksScanned uint64
 	// BlocksRepaired is how many blocks differed and were rewritten.
 	BlocksRepaired uint64
-	// HashBytes is the hash traffic fetched from the replica.
+	// HashBytes is the hash bytes the replica sent back: Batch x 8 B for
+	// a batch that differs, 0 for a batch settled by its digest.
 	HashBytes int64
 	// DataBytes is the block data repaired: BlocksRepaired x block size.
 	DataBytes int64
@@ -95,13 +106,14 @@ type Config struct {
 	Batch uint32
 	// DryRun compares and counts but repairs nothing.
 	DryRun bool
-	// Cancel, when non-nil, aborts the run between two blocks of the
-	// comparison (it is polled per block, not per Batch: a batch of 4096
-	// large blocks is a long time to ignore a cancel): nothing more is
-	// issued — a repair span still being gathered included, unless the
-	// cancel lands between two batches — what is in flight is waited
-	// out, and Run and RunRanges return ErrCanceled with Stats counting
-	// exactly the work completed so far. A nil channel never cancels.
+	// Cancel, when non-nil, aborts the run before its next local block
+	// read (it is polled per block, not per Batch: a batch of 4096 large
+	// blocks is a long time to ignore a cancel): nothing more is hashed
+	// or issued — a repair span still being gathered included — the
+	// fetches in flight are waited out but not compared, the repair
+	// writes in flight are waited out and counted, and Run and RunRanges
+	// return ErrCanceled with Stats counting exactly the work completed
+	// so far. A nil channel never cancels.
 	Cancel <-chan struct{}
 	// Learn, when non-nil, is invoked with (lba, content hash) for
 	// every block the replica provably holds after the scan: blocks
@@ -130,7 +142,7 @@ var ErrGeometry = errors.New("resync: geometry mismatch")
 
 // ErrCanceled reports a run aborted through Config.Cancel. The Stats
 // returned alongside it are consistent: they count exactly the blocks
-// compared, and the hash fetches and repair writes acknowledged, before
+// compared, and the hash fetches and repair writes answered, before
 // the run returned.
 var ErrCanceled = errors.New("resync: canceled")
 
@@ -140,10 +152,12 @@ var ErrCanceled = errors.New("resync: canceled")
 // second value for is a configuration nobody tests.
 const (
 	// hashWindow is how many hash fetches are in flight, the one the
-	// comparer waits on included. A fetch is a bare header out and
-	// Batch x 8 B back (2 KiB by default, 32 KiB at the Batch cap), so
-	// the window holds at most 256 KiB of hashes; eight deep, a
-	// whole-device audit pays the link's latency once per 2048 blocks.
+	// comparer waits on included. A fetch is a bare header out and a
+	// bare header back when its digest matches, Batch x 8 B more (2 KiB
+	// by default, 32 KiB at the Batch cap) when it does not, so the
+	// window holds at most 256 KiB of hashes, and the comparer keeps
+	// each fetch's local hashes beside it; eight deep, a whole-device
+	// audit pays the link's latency once per 2048 blocks.
 	hashWindow = 8
 
 	// maxRunBytes caps the stretch of device one repair span covers, and
@@ -197,7 +211,7 @@ func runRanges(local block.Store, remote *iscsi.Initiator, cfg Config, stop <-ch
 		todo:  block.NormalizeRanges(ranges, local.NumBlocks()),
 	}
 	p.fetches = window.New(hashWindow, 0, func(f *hashFetch) {
-		f.hashes, f.err = remote.ReadHashes(f.base, f.count)
+		f.hashes, f.match, f.err = remote.ReadHashes(f.base, f.count, f.digest)
 	}, p.fetched)
 	p.repairs = window.New(repairWindowRuns, repairWindowBytes, func(s *span) {
 		s.sent, s.err = remote.WriteSpan(&s.Span)
@@ -243,6 +257,7 @@ type pipeline struct {
 	todo    []block.Range // normalized ranges not yet cut into fetches
 	fetches *window.Window[*hashFetch]
 	ahead   []*hashFetch // issued and not yet compared, oldest first; at most hashWindow
+	vec     []byte       // a batch's local hashes in wire order, to digest
 
 	probed   bool    // the pass's first differing block has been probed
 	compress bool    // ... and shrank: spans ship DEFLATE frames
@@ -251,12 +266,17 @@ type pipeline struct {
 	repairs  *window.Window[*span]
 }
 
-// hashFetch is one ReadHashes command. settled is the comparer's, set
-// when the window hands the fetch back.
+// hashFetch is one ReadHashes command with the local side of its
+// batch: the blocks' hashes and their digest, taken before it was
+// issued. settled is the comparer's, set when the window hands the
+// fetch back.
 type hashFetch struct {
 	base    uint64
 	count   uint32
-	hashes  []uint64
+	local   []uint64
+	digest  uint64
+	hashes  []uint64 // the replica's; nil when the digest matched
+	match   bool
 	err     error
 	settled bool
 }
@@ -302,18 +322,14 @@ func (s *span) add(lba uint64, data []byte, hash uint64) {
 func (p *pipeline) compare() error {
 	buf := make([]byte, p.local.BlockSize())
 	for {
-		if len(p.ahead) == 0 && len(p.todo) == 0 {
-			return p.issue()
-		}
-		// Between batches a cancel still lets the open span go: every
-		// block in it was compared in a finished batch.
-		if canceled(p.cfg.Cancel, p.stop) {
-			if err := p.issue(); err != nil {
+		for len(p.ahead) < hashWindow && len(p.todo) > 0 {
+			if err := p.fetchNext(buf); err != nil {
 				return err
 			}
-			return ErrCanceled
 		}
-		p.fetchAhead()
+		if len(p.ahead) == 0 {
+			return p.issue()
+		}
 		f := p.ahead[0] // batches are compared in issue order
 		p.ahead = p.ahead[1:]
 		for !f.settled {
@@ -322,63 +338,98 @@ func (p *pipeline) compare() error {
 		if f.err != nil {
 			return fmt.Errorf("resync: fetch hashes at %d: %w", f.base, f.err)
 		}
-
-		for i, remoteHash := range f.hashes {
-			if canceled(p.cfg.Cancel, p.stop) {
-				return ErrCanceled
-			}
-			lba := f.base + uint64(i)
-			if err := p.local.ReadBlock(lba, buf); err != nil {
-				return fmt.Errorf("resync: local read %d: %w", lba, err)
-			}
-			p.stats.BlocksScanned++
-			// The open span leaves once the comparison has passed the end
-			// of its stretch: nothing later can join it.
-			if p.open != nil && !p.open.takes(lba, len(buf)) {
-				if err := p.issue(); err != nil {
-					return err
-				}
-			}
-			localHash := iscsi.HashBlock(buf)
-			switch {
-			case localHash == remoteHash:
-				p.learn(lba, localHash)
-			case p.cfg.DryRun:
-				p.stats.BlocksRepaired++
-			default:
-				if !p.probed {
-					p.probed, p.compress = true, xcode.Compressible(buf)
-				}
-				if p.open == nil {
-					p.open = p.newSpan(lba)
-				}
-				p.open.add(lba, buf, localHash)
-			}
+		if err := p.compareBatch(f, buf); err != nil {
+			return err
 		}
 	}
 }
 
-// fetchAhead tops the hash window up from the ranges still to scan.
-func (p *pipeline) fetchAhead() {
-	for len(p.ahead) < hashWindow && len(p.todo) > 0 {
-		r := &p.todo[0]
-		f := &hashFetch{base: r.Start, count: uint32(min(r.Count, uint64(p.cfg.Batch)))}
-		r.Start += uint64(f.count)
-		r.Count -= uint64(f.count)
-		if r.Count == 0 {
-			p.todo = p.todo[1:]
-		}
-		p.ahead = append(p.ahead, f)
-		p.fetches.Go(f, 0)
+// fetchNext is stage one: it cuts the next batch off the ranges still
+// to scan, hashes its local blocks and issues its fetch with their
+// digest.
+func (p *pipeline) fetchNext(buf []byte) error {
+	r := &p.todo[0]
+	f := &hashFetch{base: r.Start, count: uint32(min(r.Count, uint64(p.cfg.Batch)))}
+	r.Start += uint64(f.count)
+	r.Count -= uint64(f.count)
+	if r.Count == 0 {
+		p.todo = p.todo[1:]
 	}
+	f.local = make([]uint64, f.count)
+	for i := range f.local {
+		if err := p.read(f.base+uint64(i), buf); err != nil {
+			return err
+		}
+		f.local[i] = iscsi.HashBlock(buf)
+	}
+	p.vec = iscsi.AppendHashes(p.vec[:0], f.local)
+	f.digest = iscsi.HashBlock(p.vec)
+	p.ahead = append(p.ahead, f)
+	p.fetches.Go(f, 0)
+	return nil
 }
 
-// fetched settles a fetch: it is counted if the replica answered it.
+// compareBatch is stage two for one answered fetch: block by block
+// against the replica's hashes, or against the local ones when the
+// digest vouched for the whole batch, each differing block read again
+// into the open span.
+func (p *pipeline) compareBatch(f *hashFetch, buf []byte) error {
+	remote := f.hashes
+	if f.match {
+		remote = f.local
+	}
+	for i, remoteHash := range remote {
+		lba := f.base + uint64(i)
+		// The open span leaves once the comparison has passed the end of
+		// its stretch: nothing later can join it.
+		if p.open != nil && !p.open.takes(lba, len(buf)) {
+			if err := p.issue(); err != nil {
+				return err
+			}
+		}
+		switch {
+		case f.local[i] == remoteHash:
+			p.learn(lba, f.local[i])
+		case p.cfg.DryRun:
+			p.stats.BlocksRepaired++
+		default:
+			if err := p.read(lba, buf); err != nil {
+				return err
+			}
+			if !p.probed {
+				p.probed, p.compress = true, xcode.Compressible(buf)
+			}
+			if p.open == nil {
+				p.open = p.newSpan(lba)
+			}
+			// Hashed again: the span ships, and the replica learns, what
+			// this read returned.
+			p.open.add(lba, buf, iscsi.HashBlock(buf))
+		}
+		p.stats.BlocksScanned++
+	}
+	return nil
+}
+
+// read reads local block lba into buf, first polling the cancel: every
+// local read, hashing or re-reading, is a point a run stops at.
+func (p *pipeline) read(lba uint64, buf []byte) error {
+	if canceled(p.cfg.Cancel, p.stop) {
+		return ErrCanceled
+	}
+	if err := p.local.ReadBlock(lba, buf); err != nil {
+		return fmt.Errorf("resync: local read %d: %w", lba, err)
+	}
+	return nil
+}
+
+// fetched settles a fetch: it is counted if the replica answered it,
+// with the hashes it sent back.
 func (p *pipeline) fetched(f *hashFetch) {
 	f.settled = true
 	if f.err == nil {
 		p.stats.HashFetches++
-		p.stats.HashBytes += int64(f.count) * iscsi.HashSize
+		p.stats.HashBytes += int64(len(f.hashes)) * iscsi.HashSize
 	}
 }
 

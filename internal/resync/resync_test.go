@@ -165,13 +165,13 @@ func TestHashHelpers(t *testing.T) {
 func TestReadHashesValidation(t *testing.T) {
 	store, _ := block.NewMem(512, 8)
 	remote := remoteFor(t, store, "r")
-	if _, err := remote.ReadHashes(0, 0); err == nil {
+	if _, _, err := remote.ReadHashes(0, 0, 0); err == nil {
 		t.Error("0-block hash accepted")
 	}
-	if _, err := remote.ReadHashes(0, 100000); err == nil {
+	if _, _, err := remote.ReadHashes(0, 100000, 0); err == nil {
 		t.Error("oversized hash batch accepted")
 	}
-	hashes, err := remote.ReadHashes(0, 8)
+	hashes, _, err := remote.ReadHashes(0, 8, 0)
 	if err != nil || len(hashes) != 8 {
 		t.Errorf("full-device hash = %d,%v", len(hashes), err)
 	}

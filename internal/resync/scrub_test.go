@@ -192,3 +192,28 @@ func TestScrubberPassSumsSentBytes(t *testing.T) {
 		t.Errorf("pass stats %+v, want 4 spans sending %d bytes for %d", stats, 5*bs+4*(1+5), 5*bs)
 	}
 }
+
+// TestScrubberCleanPassFetchesNoHashes: over identical devices every
+// hash fetch of a scrub pass is settled by its digest, so the pass
+// reports no hash bytes, with a pause (one batch per run) and without
+// one (the whole device in one pipelined run).
+func TestScrubberCleanPassFetchesNoHashes(t *testing.T) {
+	const (
+		bs    = 512
+		nb    = 1024
+		batch = 64
+	)
+	local, replica := seededPair(t, bs, nb, 27, nil)
+	remote := remoteFor(t, replica, "r")
+	for _, pause := range []time.Duration{0, time.Millisecond} {
+		s := NewScrubber(local, remote, Config{Batch: batch}, pause)
+		s.Sleep = func(time.Duration) {}
+		stats, err := s.Pass()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if stats.HashBytes != 0 || stats.HashFetches != nb/batch || stats.BlocksScanned != nb || stats.BlocksRepaired != 0 {
+			t.Errorf("pause %v: clean pass %+v, want %d fetches and no hash bytes", pause, stats, nb/batch)
+		}
+	}
+}

@@ -578,14 +578,13 @@ func RepairGroupUnit(local Store, k, n, lost int, addr, exportName string, range
 
 // groupUnit is the read-only view of a logical device as one unit of
 // its stripe: block lba of the view is unit `unit` of the RS encoding
-// of block lba of src. It reuses one set of buffers, so it serves one
-// reader at a time, as a resync's comparer is.
+// of block lba of src, encoded alone. It reuses one block buffer, so it
+// serves one reader at a time, as a resync's comparer is.
 type groupUnit struct {
-	src   Store
-	rs    *parity.RS
-	unit  int
-	blk   []byte
-	units [][]byte
+	src  Store
+	rs   *parity.RS
+	unit int
+	blk  []byte
 }
 
 // newGroupUnit returns src viewed as unit `unit` of its k-of-n stripe.
@@ -597,11 +596,7 @@ func newGroupUnit(src Store, k, n, unit int) (*groupUnit, error) {
 	if unit < 0 || unit >= n {
 		return nil, fmt.Errorf("prins: unit %d outside a %d-unit group", unit, n)
 	}
-	g := &groupUnit{src: src, rs: rs, unit: unit, blk: make([]byte, src.BlockSize()), units: make([][]byte, n)}
-	for i := range g.units {
-		g.units[i] = make([]byte, rs.UnitSize(src.BlockSize()))
-	}
-	return g, nil
+	return &groupUnit{src: src, rs: rs, unit: unit, blk: make([]byte, src.BlockSize())}, nil
 }
 
 func (g *groupUnit) ReadBlock(lba uint64, buf []byte) error {
@@ -611,11 +606,7 @@ func (g *groupUnit) ReadBlock(lba uint64, buf []byte) error {
 	if err := g.src.ReadBlock(lba, g.blk); err != nil {
 		return err
 	}
-	if err := g.rs.EncodeInto(g.units, g.blk); err != nil {
-		return err
-	}
-	copy(buf, g.units[g.unit])
-	return nil
+	return g.rs.EncodeUnit(buf, g.blk, g.unit)
 }
 
 // WriteBlock refuses: the view is a resync source, never a target.
@@ -623,7 +614,7 @@ func (g *groupUnit) WriteBlock(uint64, []byte) error {
 	return errors.New("prins: a group unit view is read-only")
 }
 
-func (g *groupUnit) BlockSize() int    { return len(g.units[g.unit]) }
+func (g *groupUnit) BlockSize() int    { return g.rs.UnitSize(len(g.blk)) }
 func (g *groupUnit) NumBlocks() uint64 { return g.src.NumBlocks() }
 func (g *groupUnit) Close() error      { return nil }
 
