@@ -107,7 +107,7 @@ stress:
 	$(GO) test -race -count=$(STRESSCOUNT) -run 'Shard|Volume|Group|Session|Window|Squeeze|Resync' ./internal/core ./internal/iscsi ./internal/xcode ./internal/resync ./internal/window .
 
 # Short fuzz passes over the wire-facing decoders (the repair span's
-# strict decoder included), the login codec, the frame walker's
+# and the squeezed entry list's strict decoders included), the login codec, the frame walker's
 # decode-into and XOR-into forms (differential against Decode), the
 # codecs' encode/decode round trip and the ZRL encoder (differential
 # against its bytewise oracle), seeded from the checked-in corpora
@@ -119,6 +119,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz='^FuzzDecodeBatch$$' -fuzztime=$(FUZZTIME) ./internal/iscsi
 	$(GO) test -run='^$$' -fuzz='^FuzzDecodeByRef$$' -fuzztime=$(FUZZTIME) ./internal/iscsi
 	$(GO) test -run='^$$' -fuzz='^FuzzDecodeSpan$$' -fuzztime=$(FUZZTIME) ./internal/iscsi
+	$(GO) test -run='^$$' -fuzz='^FuzzDecodeSqueezed$$' -fuzztime=$(FUZZTIME) ./internal/iscsi
 	$(GO) test -run='^$$' -fuzz='^FuzzLoginPayloads$$' -fuzztime=$(FUZZTIME) ./internal/iscsi
 	$(GO) test -run='^$$' -fuzz='^FuzzDecodeSnapshot$$' -fuzztime=$(FUZZTIME) ./internal/dedupe
 	$(GO) test -run='^$$' -fuzz='^FuzzDecode$$' -fuzztime=$(FUZZTIME) ./internal/xcode

@@ -561,13 +561,20 @@ func tpccParities(tb testing.TB, seed int64, txns int) [][]byte {
 
 // squeezeCorpus is one corpus of BenchmarkAblationSqueeze: its
 // parities, their ZRL frames, and the bytes each stage ships for the
-// whole corpus — zrlB the ZRL frames, squeezedB what the squeeze keeps
-// of them (a frame DEFLATE does not shrink ships as it is).
+// whole corpus — zrlB the ZRL frames, squeezedB what a per-frame
+// squeeze keeps of them (a frame DEFLATE does not shrink ships as it
+// is), streamB what they cost as the stream segments of squeezed lists:
+// runs of streamRun frames through one stream's history, as a
+// backlogged pipe now ships them.
 type squeezeCorpus struct {
-	name             string
-	parities, frames [][]byte
-	zrlB, squeezedB  int64
+	name                     string
+	parities, frames         [][]byte
+	zrlB, squeezedB, streamB int64
 }
+
+// streamRun is how many frames squeezeCorpora packs in one stream
+// segment: a full run at the default BatchFrames.
+const streamRun = 32
 
 // squeezeCorpora builds the two corpora: the parities of TPC-C on
 // minidb, where the changed bytes are rows and log records and DEFLATE
@@ -605,6 +612,23 @@ func squeezeCorpora(tb testing.TB) []squeezeCorpus {
 			}
 			corpus.squeezedB += int64(len(frame))
 		}
+		var sd xcode.StreamDeflater
+		var seg []byte
+		for i := 0; i < len(corpus.frames); i += streamRun {
+			if err := sd.Start(seg[:0]); err != nil {
+				tb.Fatal(err)
+			}
+			for _, frame := range corpus.frames[i:min(i+streamRun, len(corpus.frames))] {
+				if err := sd.Write(frame); err != nil {
+					tb.Fatal(err)
+				}
+			}
+			var err error
+			if seg, err = sd.End(); err != nil {
+				tb.Fatal(err)
+			}
+			corpus.streamB += int64(len(seg))
+		}
 	}
 	return corpora
 }
@@ -613,11 +637,18 @@ func squeezeCorpora(tb testing.TB) []squeezeCorpus {
 // BenchmarkAblationSqueeze ships to what it was when written (465.65
 // and 321.15 bytes on TPC-C, 868.63 on the incompressible corpus). Both
 // are counts over seeded corpora, the same on every run and every host.
+// The stream column, what a frame costs in the stream segment of a
+// squeezed list, is held to what it was when written: 251.39 bytes on
+// TPC-C, 22% under the per-frame squeeze, and 867.16 on the
+// incompressible corpus, where DEFLATE over 32 frames at once finds a
+// byte and a half per frame in their run headers that it could not
+// find in one.
 func TestSqueezeFrameCeiling(t *testing.T) {
 	ceilings := map[string]struct{ zrl, squeezed float64 }{
 		"tpcc":           {465.7, 321.2},
 		"incompressible": {868.7, 868.7},
 	}
+	streamCeilings := map[string]float64{"tpcc": 251.4, "incompressible": 867.2}
 	for _, c := range squeezeCorpora(t) {
 		n, want := float64(len(c.frames)), ceilings[c.name]
 		if got := float64(c.zrlB) / n; got > want.zrl {
@@ -626,16 +657,21 @@ func TestSqueezeFrameCeiling(t *testing.T) {
 		if got := float64(c.squeezedB) / n; got > want.squeezed {
 			t.Errorf("%s: squeezed frames average %.2f bytes, ceiling %.1f", c.name, got, want.squeezed)
 		}
+		if got := float64(c.streamB) / n; got > streamCeilings[c.name] {
+			t.Errorf("%s: frames in runs of %d through one stream average %.2f bytes, ceiling %.1f", c.name, streamRun, got, streamCeilings[c.name])
+		}
 	}
 }
 
 // BenchmarkAblationSqueeze prices the second encoding stage where it
 // now runs. zrl is the write path: one parity encoded ZRL-only under
-// the shard lock. squeeze is what a backlogged pipe's shipper adds on
-// top: the finished ZRL frame transcoded to ZRL+DEFLATE and kept only
-// when smaller. frameB is the mean frame that ships, over the whole
-// corpus (a count, held by TestSqueezeFrameCeiling); ns/frame is the
-// stage's own cost. On the incompressible corpus the squeeze is pure
+// the shard lock. stream is what a backlogged pipe adds on top: the
+// finished ZRL frames of a run of streamRun as one DEFLATE segment
+// primed with the runs before it (iscsi's squeezed lists). squeeze is
+// the per-frame form it replaced, each ZRL frame transcoded to
+// ZRL+DEFLATE on its own and kept only when smaller. frameB is the mean
+// frame that ships, over the whole corpus (a count, held by
+// TestSqueezeFrameCeiling); ns/frame is the stage's own cost. On the incompressible corpus the squeeze is pure
 // cost — the pipe's gate, not this bench, decides which of the two a
 // live pipe is looking at.
 func BenchmarkAblationSqueeze(b *testing.B) {
@@ -660,6 +696,22 @@ func BenchmarkAblationSqueeze(b *testing.B) {
 				arena, _ = d.AppendSqueezed(arena[:0], corpus.frames[i%len(corpus.frames)])
 			}
 			b.ReportMetric(float64(corpus.squeezedB)/n, "frameB")
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/frame")
+		})
+		b.Run(corpus.name+"/stream", func(b *testing.B) {
+			var d xcode.StreamDeflater
+			seg := make([]byte, 0, 64<<10)
+			for i := 0; i < b.N; i++ {
+				if i%streamRun == 0 {
+					if i > 0 {
+						seg, _ = d.End() // a healthy writer into memory: cannot fail
+					}
+					_ = d.Start(seg[:0])
+				}
+				_ = d.Write(corpus.frames[i%len(corpus.frames)])
+			}
+			_, _ = d.End()
+			b.ReportMetric(float64(corpus.streamB)/n, "frameB")
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/frame")
 		})
 	}

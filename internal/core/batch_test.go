@@ -26,6 +26,14 @@ type gatedClient struct {
 	mu      sync.Mutex
 	singles int
 	batches [][]iscsi.BatchEntry
+	// sent holds, per squeezed push, the data-segment bytes it shipped
+	// and the plain list's.
+	sent [][2]int
+	// tx and rx are the two ends of the one stream's squeeze history a
+	// squeezed push goes through, as it would through a session.
+	tx      iscsi.SqueezeSender
+	rx      iscsi.SqueezeReceiver
+	decoded []iscsi.BatchEntry
 }
 
 func newGatedClient(r *ReplicaEngine) *gatedClient {
@@ -60,6 +68,57 @@ func (g *gatedClient) ReplicaWriteBatch(mode uint8, entries []iscsi.BatchEntry) 
 	g.batches = append(g.batches, copied)
 	g.mu.Unlock()
 	return g.inner.ReplicaWriteBatch(mode, entries)
+}
+
+// ReplicaWriteSqueezed records a squeezed push among the batches, its
+// entries with their frames as encoded, and the bytes it shipped.
+func (g *gatedClient) ReplicaWriteSqueezed(mode, shard uint8, vol uint16, entries []iscsi.BatchEntry, refs bool) ([]iscsi.Status, int, error) {
+	g.block()
+	st, sent, err := g.squeeze(mode, shard, vol, entries, refs)
+	g.mu.Lock()
+	g.batches = append(g.batches, copyEntries(entries))
+	g.sent = append(g.sent, [2]int{sent, iscsi.BatchWireLen(entries)})
+	g.mu.Unlock()
+	return st, sent, err
+}
+
+// squeeze ships a squeezed push through both ends of the client's
+// stream history, as a session would, and applies what the receiving
+// end decodes. The stream's pushes are one at a time, as an async
+// pipe's are.
+func (g *gatedClient) squeeze(mode, shard uint8, vol uint16, entries []iscsi.BatchEntry, refs bool) ([]iscsi.Status, int, error) {
+	seg, tag, ok, err := g.tx.Encode(entries, refs)
+	if err != nil {
+		return nil, 0, err
+	}
+	sent := iscsi.BatchWireLen(entries)
+	if ok {
+		if entries, err = g.rx.Decode(g.decoded, seg, tag, refs); err != nil {
+			g.tx.Reset()
+			return nil, 0, err
+		}
+		g.tx.Commit()
+		g.decoded, sent = entries, len(seg)
+	}
+	var st []iscsi.Status
+	if refs {
+		st, err = g.inner.ReplicaWriteByRef(mode, shard, vol, entries)
+	} else {
+		st, err = g.inner.ReplicaWriteBatchStream(mode, shard, vol, entries)
+	}
+	return st, sent, err
+}
+
+func (g *gatedClient) ResetSqueeze(uint8, uint16) { g.tx.Reset() }
+
+// copyEntries deep-copies a push's entries, frames included.
+func copyEntries(entries []iscsi.BatchEntry) []iscsi.BatchEntry {
+	copied := make([]iscsi.BatchEntry, len(entries))
+	for i, e := range entries {
+		copied[i] = e
+		copied[i].Frame = append([]byte(nil), e.Frame...)
+	}
+	return copied
 }
 
 // batchPair builds a PRINS async engine whose single replica sits

@@ -41,6 +41,21 @@ func (g *byrefGated) ReplicaWriteByRef(mode, shard uint8, vol uint16, entries []
 	return g.inner.ReplicaWriteByRef(mode, shard, vol, entries)
 }
 
+// ReplicaWriteSqueezed records a squeezed by-ref push among the by-ref
+// pushes (a by-value one among the batches, as gatedClient does).
+func (g *byrefGated) ReplicaWriteSqueezed(mode, shard uint8, vol uint16, entries []iscsi.BatchEntry, refs bool) ([]iscsi.Status, int, error) {
+	if !refs {
+		return g.gatedClient.ReplicaWriteSqueezed(mode, shard, vol, entries, refs)
+	}
+	g.block()
+	st, sent, err := g.squeeze(mode, shard, vol, entries, refs)
+	g.mu.Lock()
+	g.byrefs = append(g.byrefs, copyEntries(entries))
+	g.sent = append(g.sent, [2]int{sent, iscsi.BatchWireLen(entries)})
+	g.mu.Unlock()
+	return st, sent, err
+}
+
 // byrefPair builds a PRINS async dedupe engine whose single replica
 // sits behind a gated by-ref-capable loopback client.
 func byrefPair(t *testing.T, cfg Config, bs int, nb uint64) (*Engine, *ReplicaEngine, block.Store, block.Store, *byrefGated) {

@@ -91,6 +91,24 @@ type ByRefReplicaClient interface {
 
 var _ ByRefReplicaClient = (*iscsi.Initiator)(nil)
 
+// SqueezeReplicaClient is the compressing extension of an entry-list
+// client: ship a list with its by-value CodecZRL frames as one DEFLATE
+// segment primed with what the (vol, shard) stream already carried
+// (iscsi's squeezed lists), and say how many data-segment bytes went
+// out — the plain list's when the client shipped it plain. The client
+// owns the stream's history and resets it itself when a push fails;
+// ResetSqueeze makes it forget the history, encoder included, so the
+// next squeezed push is fresh. A stream's squeezed pushes go one at a
+// time: an async pipe's shipper, the only caller, has one push in
+// flight.
+type SqueezeReplicaClient interface {
+	ReplicaClient
+	ReplicaWriteSqueezed(mode, shard uint8, vol uint16, entries []iscsi.BatchEntry, refs bool) (statuses []iscsi.Status, sent int, err error)
+	ResetSqueeze(shard uint8, vol uint16)
+}
+
+var _ SqueezeReplicaClient = (*iscsi.Initiator)(nil)
+
 // ParityWriter is the optional fast path a RAID array provides: a
 // write that returns the forward parity it computed anyway while
 // updating the parity disk. When the primary store implements it and
@@ -468,6 +486,9 @@ func (e *Engine) AttachReplica(rc ReplicaClient) error {
 			rs.dedupe = dedupe.New(e.cfg.DedupeEntries)
 		}
 	}
+	if sc, ok := rc.(SqueezeReplicaClient); ok {
+		rs.squeeze = sc
+	}
 	e.replicas = append(e.replicas, rs)
 	rs.pipes = make([]*pipe, len(e.shards))
 	for i, s := range e.shards {
@@ -482,7 +503,7 @@ func (e *Engine) AttachReplica(rc ReplicaClient) error {
 			canBatch = rs.sbatch != nil
 		}
 		p.batches = e.cfg.BatchFrames > 1 && canBatch
-		if e.cfg.Async {
+		if e.cfg.Async && p.batches && rs.squeeze != nil {
 			p.sq = new(squeezer)
 		}
 		rs.pipes[i] = p

@@ -78,6 +78,9 @@ type replicaState struct {
 	// invalidated wherever an LBA goes dirty or the replica degrades.
 	byref  ByRefReplicaClient
 	dedupe *dedupe.Index
+	// squeeze is client's compressing extension; an async pipe squeezes
+	// its backlog runs only through it.
+	squeeze SqueezeReplicaClient
 
 	m     metrics.Replica
 	pipes []*pipe // one per shard, shard order
@@ -167,9 +170,10 @@ type pipe struct {
 	// framing needs — stream-batch when tagged, plain batch when not.
 	// Fixed at attach.
 	batches bool
-	// sq squeezes this pipe's backlog runs (see squeeze.go). Set on an
-	// async pipe only, whose shipper runs its one push itself and is sq's
-	// sole user: a sync pipe has at most one frame per writer queued, so
+	// sq decides whether this pipe's backlog runs ship squeezed (see
+	// squeeze.go). Set on an async pipe that batches through a client
+	// that squeezes; its shipper runs its one push itself and is sq's
+	// sole user. A sync pipe has at most one frame per writer queued, so
 	// it seldom has a backlog to squeeze, and its shipWindow overlapping
 	// pushes share the link, so no one push's duration is the pipe's
 	// goodput.
@@ -183,6 +187,23 @@ func (p *pipe) markDirty(lba uint64) {
 	p.dirty.mark(lba)
 	if d := p.rs.dedupe; d != nil {
 		d.Forget(lba)
+	}
+}
+
+// streamTag returns the (shard, vol) tag this pipe's pushes carry:
+// zero when untagged.
+func (e *Engine) streamTag(p *pipe) (shard uint8, vol uint16) {
+	if e.tagged(p) {
+		return p.shard.id, e.cfg.Volume
+	}
+	return 0, 0
+}
+
+// resetSqueeze makes the client forget p's stream's squeeze history,
+// when p squeezes at all.
+func (e *Engine) resetSqueeze(p *pipe) {
+	if p.sq != nil {
+		p.rs.squeeze.ResetSqueeze(e.streamTag(p))
 	}
 }
 
@@ -352,9 +373,12 @@ type batchGroup struct {
 	// reshipped: the entry sat in a by-ref push's refused REF-MISS
 	// suffix and was re-shipped by value.
 	ref, reshipped bool
-	// squeezed is how many bytes the shipper's squeeze took off the
-	// entry's frame; 0 when it shipped as encoded.
-	squeezed int
+	// streamed: the push that delivered the entry carried its frame in
+	// a squeezed list's stream, and squeezed is the entry's share of
+	// what squeezing took off that push (see shareSqueeze); first is
+	// that share in the run's first push, for an entry shipped twice.
+	streamed        bool
+	squeezed, first int
 	// err is the entry's delivery outcome, then its messages'
 	// settlement: nil delivered, wrapping iscsi.ErrDiverged refused by
 	// the replica's hash check, anything else not delivered.
@@ -425,10 +449,11 @@ func singleGroup(one []repMsg) batchGroup {
 // AllowDegraded's contract (writes keep succeeding; heal via Drain →
 // repair → ClearDegraded) holds for groups too.
 //
-// On an async pipe, a run that came off a backlog may have its by-value
-// entries squeezed before the push, and is timed for the pipe's gate
-// (squeeze.go): the entry then ships, and is accounted as, the smaller
-// frame, including in a refused suffix's re-ship.
+// On an async pipe, a run that came off a backlog may ship as a
+// squeezed list, and is timed for the pipe's gate (squeeze.go); each
+// entry whose frame rode in the list's stream is then accounted at its
+// share of the push's bytes (shareSqueeze), in the push that delivered
+// it.
 //
 // Every counter is booked before any message is finished: finish drops
 // the replica's pending count (so Drain returns and a caller reads the
@@ -468,7 +493,7 @@ func (e *Engine) process(p *pipe, msgs []repMsg, backlog bool) {
 		}
 	case single:
 		m := &msgs[0]
-		if _, _, err := e.push(p, m, nil, false); err != nil {
+		if _, _, _, err := e.push(p, m, nil, false, false); err != nil {
 			groups[0].err = fmt.Errorf("core: replicate seq %d lba %d: %w", m.seq, m.lba, err)
 		}
 	default:
@@ -487,11 +512,15 @@ func (e *Engine) process(p *pipe, msgs []repMsg, backlog bool) {
 		// as it says, and timed from here to the acknowledgement.
 		var sr squeezeRun
 		if backlog && p.sq != nil {
-			sr = p.sq.begin(entries, groups, iscsi.BatchWireLen(entries))
+			sr = p.sq.begin(entries, iscsi.BatchWireLen(entries))
 		}
-		statuses, tries, err := e.push(p, nil, entries, refs)
+		statuses, tries, sent, err := e.push(p, nil, entries, refs, sr.squeezed)
 		listed = err == nil
-		wire = int64(wan.WireBytesDiscrete(iscsi.BatchWireLen(entries)))
+		wire = int64(wan.WireBytesDiscrete(sent))
+		shareSqueeze(groups, entries, iscsi.BatchWireLen(entries)-sent)
+		for k := range groups {
+			groups[k].first = groups[k].squeezed
+		}
 		missAt := len(groups)
 		for k, st := range statuses {
 			if st == iscsi.StatusRefMiss {
@@ -502,8 +531,10 @@ func (e *Engine) process(p *pipe, msgs []repMsg, backlog bool) {
 		// Only a push that went through whole on its first attempt says
 		// anything about the link: a retry's backoff, a failure's timeout
 		// and a refused suffix's second push are not what squeezing
-		// changes.
-		if sr.end(err == nil && tries == 1 && missAt == len(groups)) {
+		// changes. A gate that is off after the run leaves the stream's
+		// history nothing to be kept for.
+		switched, forget := sr.end(err == nil && tries == 1 && missAt == len(groups))
+		if switched {
 			rs.m.AddSqueezeSwitch()
 		}
 		var fberr error
@@ -512,7 +543,8 @@ func (e *Engine) process(p *pipe, msgs []repMsg, backlog bool) {
 			// re-ships by value. Only that first refusal is a genuine miss
 			// verdict — the rest of the suffix is refused unexamined, so
 			// the whole repair is one push — so only its hash is provably
-			// stale.
+			// stale. A squeezed run's re-ship starts its stream's history
+			// over.
 			if groups[missAt].ref {
 				rs.dedupe.ForgetHash(entries[missAt].Hash)
 			}
@@ -520,13 +552,21 @@ func (e *Engine) process(p *pipe, msgs []repMsg, backlog bool) {
 				groups[k].reshipped = true
 				entries[k].Frame = groups[k].entry.Frame
 			}
-			fstat, _, ferr := e.push(p, nil, entries[missAt:], false)
+			if sr.squeezed {
+				e.resetSqueeze(p)
+			}
+			suffix := entries[missAt:]
+			fstat, _, fsent, ferr := e.push(p, nil, suffix, false, sr.squeezed)
 			if ferr != nil {
 				fberr = fmt.Errorf("core: by-ref fallback batch of %d: %w", len(groups)-missAt, ferr)
 			} else {
 				copy(statuses[missAt:], fstat)
-				wire += int64(wan.WireBytesDiscrete(iscsi.BatchWireLen(entries[missAt:])))
+				wire += int64(wan.WireBytesDiscrete(fsent))
+				shareSqueeze(groups[missAt:], suffix, iscsi.BatchWireLen(suffix)-fsent)
 			}
+		}
+		if forget {
+			e.resetSqueeze(p)
 		}
 		for k := range groups {
 			g := &groups[k]
@@ -564,8 +604,8 @@ func (e *Engine) process(p *pipe, msgs []repMsg, backlog bool) {
 		switch {
 		case g.err == nil:
 			okMsgs += len(g.msgs)
-			frameCost := int64(len(g.entry.Frame)) // the squeezed frame, where one shipped
-			if g.squeezed > 0 {
+			frameCost := int64(len(g.entry.Frame) - g.squeezed) // its share of a squeezed push, where one shipped it
+			if g.streamed {
 				squeezed++
 				sqSaved += int64(g.squeezed)
 			}
@@ -583,7 +623,7 @@ func (e *Engine) process(p *pipe, msgs []repMsg, backlog bool) {
 				// A by-value entry dragged into the refused suffix: its
 				// whole first attempt was overhead.
 				payload += frameCost
-				dSaved -= firstHeaderLen(groups, k) + frameCost
+				dSaved -= firstHeaderLen(groups, k) + int64(len(g.entry.Frame)-g.first)
 			default:
 				payload += frameCost
 			}
@@ -609,6 +649,9 @@ func (e *Engine) process(p *pipe, msgs []repMsg, backlog bool) {
 			}
 			if !degraded {
 				rs.degrade()
+				for _, q := range rs.pipes {
+					e.resetSqueeze(q)
+				}
 			}
 			for _, m := range g.msgs {
 				e.dropFrame(p, m.lba)
@@ -647,6 +690,38 @@ func (e *Engine) process(p *pipe, msgs []repMsg, backlog bool) {
 		for _, m := range groups[k].msgs {
 			e.finish(rs, m, groups[k].err)
 		}
+	}
+}
+
+// shareSqueeze attributes what squeezing took off one list push, saved
+// bytes (the plain list's data segment less the squeezed one's; none
+// when the push shipped plain), to the entries whose frames rode in its
+// stream (iscsi.BatchEntry.Streamed), in proportion to their frame
+// lengths. The shares are cut from running totals, so they add up to
+// saved exactly, and the frames' booked costs to what the push carried
+// beyond the plain list's headers and inline frames.
+func shareSqueeze(groups []batchGroup, entries []iscsi.BatchEntry, saved int) {
+	for k := range groups {
+		groups[k].streamed, groups[k].squeezed = false, 0
+	}
+	total := 0
+	for k := range entries {
+		if entries[k].Streamed() {
+			total += len(entries[k].Frame)
+		}
+	}
+	if saved <= 0 || total == 0 {
+		return
+	}
+	cum, given := 0, 0
+	for k := range entries {
+		if !entries[k].Streamed() {
+			continue
+		}
+		cum += len(entries[k].Frame)
+		share := saved*cum/total - given
+		given += share
+		groups[k].streamed, groups[k].squeezed = true, share
 	}
 }
 
@@ -691,6 +766,10 @@ func (e *Engine) finish(rs *replicaState, msg repMsg, err error) {
 // Otherwise entries ship as one list: a by-ref push when refs says some
 // entry is a reference, else a batch (stream-batch on a tagged pipe).
 //
+// squeeze ships the list through the client's compressing extension;
+// sent is the data-segment bytes the list push that settled put on the
+// wire (see SqueezeReplicaClient).
+//
 // Transport failures retry the whole push — entries the replica
 // already applied dedupe by seq in the stream's window and come back
 // StatusOK, so redelivery cannot double-XOR — while per-entry refusals
@@ -699,15 +778,13 @@ func (e *Engine) finish(rs *replicaState, msg repMsg, err error) {
 // way: the replica verified the frame against its own block and said
 // no — redelivering the identical frame is deterministic failure, not
 // transient loss. tries is how many attempts the push took.
-func (e *Engine) push(p *pipe, one *repMsg, entries []iscsi.BatchEntry, refs bool) (statuses []iscsi.Status, tries int, err error) {
+func (e *Engine) push(p *pipe, one *repMsg, entries []iscsi.BatchEntry, refs, squeeze bool) (statuses []iscsi.Status, tries, sent int, err error) {
 	rs, mode := p.rs, uint8(e.cfg.Mode)
-	var shard uint8
-	var vol uint16
-	if e.tagged(p) {
-		shard, vol = p.shard.id, e.cfg.Volume
-	}
+	shard, vol := e.streamTag(p)
 	tagged := shard != 0 || vol != 0
+	plain := iscsi.BatchWireLen(entries)
 	for attempt := 1; ; attempt++ {
+		sent = plain
 		switch {
 		case one != nil && rs.framed != nil && one.frame.refs.Load() == 1:
 			err = rs.framed.ReplicaWriteFramed(mode, shard, vol, one.seq, one.lba, one.hash, one.frame.buf)
@@ -715,6 +792,8 @@ func (e *Engine) push(p *pipe, one *repMsg, entries []iscsi.BatchEntry, refs boo
 			err = rs.stream.ReplicaWriteStream(mode, shard, vol, one.seq, one.lba, one.hash, one.frame.frame())
 		case one != nil:
 			err = rs.client.ReplicaWrite(mode, one.seq, one.lba, one.hash, one.frame.frame())
+		case squeeze:
+			statuses, sent, err = rs.squeeze.ReplicaWriteSqueezed(mode, shard, vol, entries, refs)
 		case refs:
 			statuses, err = rs.byref.ReplicaWriteByRef(mode, shard, vol, entries)
 		case tagged:
@@ -723,7 +802,7 @@ func (e *Engine) push(p *pipe, one *repMsg, entries []iscsi.BatchEntry, refs boo
 			statuses, err = rs.batch.ReplicaWriteBatch(mode, entries)
 		}
 		if err == nil || errors.Is(err, iscsi.ErrDiverged) || attempt >= e.retry.Attempts {
-			return statuses, attempt, err
+			return statuses, attempt, sent, err
 		}
 		rs.m.AddRetry()
 		e.traffic.AddRetry()

@@ -774,7 +774,8 @@ func (r *ReplicaEngine) HandleReplicaStream(mode, shard uint8, vol uint16, seq, 
 
 // Loopback adapts a ReplicaEngine into a ReplicaClient, replicating
 // in-process with no transport. Benchmarks use it to measure pure
-// engine behaviour; it also models co-located replicas.
+// engine behaviour; it also models co-located replicas, which have no
+// wire for a squeeze to shorten.
 type Loopback struct {
 	Replica *ReplicaEngine
 }

@@ -11,12 +11,12 @@ import (
 //
 // The write path encodes ZRL alone, under the shard lock. A pipe whose
 // queue has backed up behind a slow link has CPU to spare and bytes to
-// shed, so its shipper may run the second stage there: each by-value
-// CodecZRL entry of a backlog run is transcoded to CodecZRLFlate —
-// DEFLATE over the ZRL body, no decode — and kept only when smaller.
-// The replica decodes either codec already; no PDU changes. Whether a
-// pipe squeezes is its squeezeGate's call, made from what the shipper
-// measures and nothing else.
+// shed, so its shipper may run the second stage there: a backlog run
+// ships as a squeezed list (SqueezeReplicaClient), its by-value CodecZRL
+// frames one DEFLATE segment primed with what the pipe's stream already
+// carried, which the replica inflates and slices back into the frames
+// its stage path folds. Whether a pipe squeezes is its squeezeGate's
+// call, made from what the shipper measures and nothing else.
 
 // Gate constants. Not knobs: a pipe on which they are wrong is a pipe
 // the gate's rule is wrong for.
@@ -93,18 +93,24 @@ func (g *squeezeGate) observe(squeezed bool, srcBytes int, took time.Duration) (
 		g.since++
 		return false
 	}
-	g.since = 0
 	if g.predict(x) < squeezeWin*y {
-		g.wins = 0
-		g.spacing = min(2*max(g.spacing, squeezeMinSpacing), squeezeMaxSpacing)
+		g.lose()
 		return false
 	}
+	g.since = 0
 	if g.wins++; g.wins < squeezeConfirm {
 		return false
 	}
 	*g = squeezeGate{on: !g.on}
 	g.learn(x, y)
 	return true
+}
+
+// lose records a probe that lost: the next one is due twice as many
+// incumbent runs later, up to squeezeMaxSpacing.
+func (g *squeezeGate) lose() {
+	g.since, g.wins = 0, 0
+	g.spacing = min(2*max(g.spacing, squeezeMinSpacing), squeezeMaxSpacing)
 }
 
 // learn adds one run of the incumbent mode to its cost model.
@@ -132,37 +138,34 @@ func (g *squeezeGate) predict(x float64) float64 {
 }
 
 // squeezer is what an async pipe's one shipper owns to squeeze with:
-// the gate, the DEFLATE encoder and the arena the squeezed frames of
-// the run in flight live in (reused from run to run, so a pipe that
-// squeezes allocates nothing in the steady state; one that does not
-// holds neither between probes — see end). The shared, reference-counted
-// frameBufs are never written.
+// the gate. The encoder and the stream's history belong to the client
+// (iscsi's squeezed lists keep them per session), which builds the
+// encoder on a stream's first squeezed push and drops it when the pipe
+// asks (resetSqueeze): after a squeezed run that leaves the gate off,
+// so only pipes that squeeze hold one.
 type squeezer struct {
 	gate  squeezeGate
-	def   xcode.Deflater
-	arena []byte
+	probe []byte // compressible's scratch
 }
 
-// squeeze transcodes the by-value entries of one run in place: an
-// entry whose frame got smaller ships (and is accounted as) the
-// squeezed frame, and its group remembers how many bytes that saved.
-// References, raw-floored frames and frames DEFLATE cannot shrink are
-// left as they are.
-func (sq *squeezer) squeeze(entries []iscsi.BatchEntry, groups []batchGroup) {
-	sq.arena = sq.arena[:0]
-	for k := range entries {
-		src := entries[k].Frame
-		at := len(sq.arena)
-		var ok bool
-		if sq.arena, ok = sq.def.AppendSqueezed(sq.arena, src); !ok {
-			continue
-		}
-		// Capped, so nothing appended later can run into it; a grown
-		// arena leaves earlier frames valid in the array it outgrew.
-		out := sq.arena[at:len(sq.arena):len(sq.arena)]
-		entries[k].Frame, groups[k].entry.Frame = out, out
-		groups[k].squeezed = len(src) - len(out)
+// probeBytes is how much of a probe run's by-value frames the
+// compressibility check reads. One ZRL frame of a few hundred bytes is
+// too short for a Huffman pass to shrink even when it is text: of
+// TPC-C's frames (squeezeCorpora), 2506 of 6073 pass on their own,
+// while the first 4 KiB of every one of its 189 runs of 32 passes, and
+// none of the incompressible corpus's does.
+const probeBytes = 4 << 10
+
+// compressible reports whether the first probeBytes of the run's
+// by-value frames shrink under xcode.Compressible's Huffman-only pass
+// (a run without one has nothing to tell, and passes).
+func (sq *squeezer) compressible(entries []iscsi.BatchEntry) bool {
+	buf := sq.probe[:0]
+	for k := 0; k < len(entries) && len(buf) < probeBytes; k++ {
+		buf = append(buf, entries[k].Frame...)
 	}
+	sq.probe = buf[:0]
+	return len(buf) == 0 || xcode.Compressible(buf[:min(len(buf), probeBytes)])
 }
 
 // squeezeRun is one backlog run's passage through its pipe's squeezer,
@@ -176,32 +179,32 @@ type squeezeRun struct {
 }
 
 // begin starts the clock on a backlog run of srcBytes on the wire and
-// squeezes it if the gate says so.
-func (sq *squeezer) begin(entries []iscsi.BatchEntry, groups []batchGroup, srcBytes int) squeezeRun {
+// reports, in the run's squeezed, whether it ships squeezed: the gate's
+// call, except that a probe whose first by-value bytes do not compress
+// (see compressible) is lost on the spot. It ships plain, as an
+// incumbent run, and the gate spaces its next probe as for any lost
+// probe; no encoder is built for it.
+func (sq *squeezer) begin(entries []iscsi.BatchEntry, srcBytes int) squeezeRun {
 	r := squeezeRun{sq: sq, squeezed: sq.gate.next(), srcBytes: srcBytes, start: time.Now()}
-	if r.squeezed {
-		sq.squeeze(entries, groups)
+	if r.squeezed && !sq.gate.on && !sq.compressible(entries) {
+		sq.gate.lose()
+		r.squeezed = false
 	}
 	return r
 }
 
 // end is called when the run's push has returned: a clean push teaches
-// the gate, and switched reports that the pipe changed mode on it. A
-// squeezed run that leaves the gate off was a probe on a pipe that does
-// not squeeze: the encoder's tables (about 800 KiB) and the arena go
-// back to the collector until the next probe, so only pipes that
-// squeeze hold them. (The run's squeezed frames stay alive through its
-// entries.)
-func (r squeezeRun) end(clean bool) (switched bool) {
+// the gate, and switched reports that the pipe changed mode on it.
+// forget reports that the gate is off after a run that squeezed, or
+// that switched it off: the stream's history, and the encoder, are no
+// longer worth keeping.
+func (r squeezeRun) end(clean bool) (switched, forget bool) {
 	sq := r.sq
 	if sq == nil {
-		return false
+		return false, false
 	}
 	if clean {
 		switched = sq.gate.observe(r.squeezed, r.srcBytes, time.Since(r.start))
 	}
-	if r.squeezed && !sq.gate.on {
-		sq.def, sq.arena = xcode.Deflater{}, nil
-	}
-	return switched
+	return switched, !sq.gate.on && (r.squeezed || switched)
 }

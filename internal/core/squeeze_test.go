@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"errors"
 	"math/rand"
 	"net"
@@ -343,12 +344,14 @@ func frameCodecs(t *testing.T, entries []iscsi.BatchEntry) []xcode.Codec {
 
 // TestSqueezeRefMissAndCoalesce drives one squeezed backlog run through
 // everything else the entry-list path does to a run: two parities for
-// one LBA coalesce into a fresh frame and that frame is squeezed; a
+// one LBA coalesce into a fresh frame, which rides in the stream; a
 // stale index entry ships a reference the replica refuses, and the
-// refused suffix re-ships by value with its by-value entries still
-// squeezed and the failed reference as encoded; a frame DEFLATE cannot
-// shrink ships as encoded and is not counted. The replica converges and
-// the counters say what went over the wire.
+// refused suffix re-ships by value, squeezed again on a fresh history;
+// a frame of random literals rides in the stream too and takes its
+// share of the saving. The replica converges, and the counters say
+// what went over the wire: each delivered entry is booked at its frame
+// less its share of its push's saving, and the wire at what the pushes
+// carried.
 func TestSqueezeRefMissAndCoalesce(t *testing.T) {
 	const bs, nb = 4096, 32
 	e, replica, primaryStore, replicaStore, g := byrefPair(t, Config{
@@ -387,38 +390,47 @@ func TestSqueezeRefMissAndCoalesce(t *testing.T) {
 	}
 	mustEqual(t, "replica after a squeezed run with a refused reference", replicaStore, primaryStore)
 
-	const zf, z = xcode.CodecZRLFlate, xcode.CodecZRL
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	if len(g.byrefs) != 1 || len(g.batches) != 2 {
-		t.Fatalf("%d by-ref pushes and %d by-value pushes, want 1 and 2 (warm-up, fallback)", len(g.byrefs), len(g.batches))
+	if len(g.byrefs) != 1 || len(g.batches) != 2 || len(g.sent) != 2 {
+		t.Fatalf("%d by-ref pushes, %d by-value pushes, %d squeezed; want 1, 2 (warm-up, fallback), 2 (run, fallback)", len(g.byrefs), len(g.batches), len(g.sent))
 	}
-	first, fallback := frameCodecs(t, g.byrefs[0]), frameCodecs(t, g.batches[1])
-	if want := []xcode.Codec{zf, zf, z, 0, zf, zf, zf}; !slices.Equal(first, want) {
-		t.Errorf("first push codecs %v, want %v (lba 2 coalesced and squeezed, noise as encoded, lba 4 a reference)", first, want)
+	const z = xcode.CodecZRL
+	if first, want := frameCodecs(t, g.byrefs[0]), []xcode.Codec{z, z, z, 0, z, z, z}; !slices.Equal(first, want) {
+		t.Errorf("first push codecs %v, want %v (lba 2 coalesced, lba 4 a reference)", first, want)
 	}
-	if want := []xcode.Codec{z, zf, zf, zf}; !slices.Equal(fallback, want) {
-		t.Errorf("fallback push codecs %v, want %v (the failed reference as encoded, the rest still squeezed)", fallback, want)
+	for k, s := range g.sent {
+		if s[0] >= s[1] {
+			t.Errorf("squeezed push %d shipped %d bytes, %d plain", k, s[0], s[1])
+		}
 	}
 
 	m := e.ReplicaStats()[0].Metrics
-	if m.Squeezed != 5 {
-		t.Errorf("Squeezed = %d, want 5 (lba 1, 2, 5, 6, 7)", m.Squeezed)
+	if m.Squeezed != 7 {
+		t.Errorf("Squeezed = %d, want 7 (lba 1, 2, 3 in the run's push, 4 to 7 in the fallback)", m.Squeezed)
 	}
 	// PayloadBytes is what the replica acknowledged: the warm-up frame,
-	// then each entry of the run in the form that finally arrived.
-	payload := int64(len(g.batches[0][0].Frame))
+	// then each entry of the run in the push that delivered it, at its
+	// frame less its share of that push's saving.
+	plain := int64(len(g.batches[0][0].Frame))
 	for _, be := range g.byrefs[0][:3] {
-		payload += int64(len(be.Frame))
+		plain += int64(len(be.Frame))
 	}
 	for _, be := range g.batches[1] {
-		payload += int64(len(be.Frame))
+		plain += int64(len(be.Frame))
 	}
-	if m.PayloadBytes != payload {
-		t.Errorf("PayloadBytes = %d, want %d (the frames as shipped)", m.PayloadBytes, payload)
+	if m.PayloadBytes != plain-m.SqueezeSavedWire {
+		t.Errorf("PayloadBytes = %d, want %d: the frames as encoded, %d, less the %d bytes squeezing saved on them", m.PayloadBytes, plain-m.SqueezeSavedWire, plain, m.SqueezeSavedWire)
 	}
 	if m.SqueezeSavedWire < 5*200 {
 		t.Errorf("SqueezeSavedWire = %d, want well over 1000: five prose literals of 400+ bytes", m.SqueezeSavedWire)
+	}
+	wire := int64(wan.WireBytesDiscrete(iscsi.BatchWireLen(g.batches[0])))
+	for _, s := range g.sent {
+		wire += int64(wan.WireBytesDiscrete(s[0]))
+	}
+	if m.WireBytes != wire {
+		t.Errorf("WireBytes = %d, want %d: the warm-up and the two squeezed pushes as shipped", m.WireBytes, wire)
 	}
 	if m.Coalesced != 1 || m.DedupeMisses != 1 {
 		t.Errorf("Coalesced = %d, DedupeMisses = %d, want 1, 1", m.Coalesced, m.DedupeMisses)
@@ -494,6 +506,17 @@ func (c *flakyBatchClient) ReplicaWriteBatch(mode uint8, entries []iscsi.BatchEn
 		return nil, errFlaky
 	}
 	return c.gatedClient.ReplicaWriteBatch(mode, entries)
+}
+
+func (c *flakyBatchClient) ReplicaWriteSqueezed(mode, shard uint8, vol uint16, entries []iscsi.BatchEntry, refs bool) ([]iscsi.Status, int, error) {
+	c.mu.Lock()
+	c.calls++
+	first := c.calls%2 == 1
+	c.mu.Unlock()
+	if first {
+		return nil, 0, errFlaky
+	}
+	return c.gatedClient.ReplicaWriteSqueezed(mode, shard, vol, entries, refs)
 }
 
 // TestSqueezeGateLearnsFromCleanPushesOnly: a backlog run that needed a
@@ -610,46 +633,104 @@ func TestSqueezeGateLearnsFromCleanPushesOnly(t *testing.T) {
 	})
 }
 
-// TestSqueezeSteadyStateAllocs: once its encoder and arena have grown
-// to the pipe's runs, squeezing a run and consulting the gate allocate
-// nothing.
+// TestSqueezeSteadyStateAllocs: once the stream's encoder and buffers
+// have grown to the pipe's runs, consulting the gate and squeezing a run
+// against the stream's history, at both ends, allocate nothing.
 func TestSqueezeSteadyStateAllocs(t *testing.T) {
 	const bs, frames = 4096, 32
 	entries := make([]iscsi.BatchEntry, frames)
-	groups := make([]batchGroup, frames)
-	src := make([][]byte, frames)
 	for k := range entries {
 		frame, err := xcode.Encode(xcode.CodecZRL, textBlock(bs, 300+20*k, byte(k)))
 		if err != nil {
 			t.Fatal(err)
 		}
-		src[k] = frame
+		entries[k] = iscsi.BatchEntry{Seq: uint64(k + 1), LBA: uint64(k), Hash: uint64(k), Frame: frame}
 	}
 	sq := &squeezer{gate: squeezeGate{on: true}}
+	var tx iscsi.SqueezeSender
+	var rx iscsi.SqueezeReceiver
+	var decoded []iscsi.BatchEntry
+	plain := iscsi.BatchWireLen(entries)
+	var sent int
 	run := func() {
-		for k := range entries {
-			entries[k].Frame, groups[k] = src[k], batchGroup{}
-			groups[k].entry.Frame = src[k]
-		}
 		sq.gate.next()
-		sq.squeeze(entries, groups)
-		sq.gate.observe(true, 15000, 70*time.Millisecond)
+		seg, tag, ok, err := tx.Encode(entries, false)
+		if err != nil || !ok {
+			t.Fatalf("encode ok %v: %v", ok, err)
+		}
+		if decoded, err = rx.Decode(decoded, seg, tag, false); err != nil {
+			t.Fatal(err)
+		}
+		tx.Commit()
+		sent = len(seg)
+		sq.gate.observe(true, plain, 70*time.Millisecond)
 	}
 	run()
 	if got := testing.AllocsPerRun(50, run); got != 0 {
 		t.Errorf("steady-state squeeze of a %d-frame run: %.1f allocs, want 0", frames, got)
 	}
+	if sent >= plain {
+		t.Fatalf("a run of %d prose parities squeezed to %d bytes from %d", frames, sent, plain)
+	}
 	for k := range entries {
-		if groups[k].squeezed <= 0 || len(entries[k].Frame) >= len(src[k]) {
-			t.Fatalf("entry %d not squeezed: %d -> %d bytes", k, len(src[k]), len(entries[k].Frame))
+		if !bytes.Equal(decoded[k].Frame, entries[k].Frame) {
+			t.Fatalf("entry %d: the squeezed run decodes to a different frame", k)
 		}
-		got, err := xcode.Decode(entries[k].Frame)
-		if err != nil {
+	}
+}
+
+// TestSqueezeProbeAbortsIncompressible replays the incompressible corpus
+// of the root squeezeCorpora (clustered runs of random bytes, seed 17:
+// 64 parities of 8 KiB) as writes on a zero device through an async pipe
+// whose gate is live. Every probe the gate calls for is lost on the
+// spot, its first bytes failing the Huffman-only check: no run ships
+// squeezed, so no encoder is ever built, and the gate's spacing doubles
+// per lost probe as observe doubles it for a probe that lost on time.
+func TestSqueezeProbeAbortsIncompressible(t *testing.T) {
+	const bs, nb = 8 << 10, 80
+	rng := rand.New(rand.NewSource(17))
+	random := make([][]byte, 64)
+	for i := range random {
+		fp := make([]byte, bs)
+		for changed := 0; changed < len(fp)/10; {
+			run := 8 + rng.Intn(48)
+			off := rng.Intn(len(fp) - run)
+			rng.Read(fp[off : off+run])
+			changed += run
+		}
+		random[i] = fp
+	}
+	e, _, primaryStore, replicaStore, g := batchPair(t, Config{Mode: ModePRINS, Async: true, BatchFrames: 8}, bs, nb)
+	if err := e.WriteBlock(nb-1, random[0]); err != nil {
+		t.Fatal(err)
+	}
+	<-g.started // the warm-up is in flight; the 64 writes behind it are eight full runs
+	for lba, data := range random {
+		if err := e.WriteBlock(uint64(lba), data); err != nil {
 			t.Fatal(err)
 		}
-		want, _ := xcode.Decode(src[k])
-		if string(got) != string(want) {
-			t.Fatalf("entry %d: squeezed frame decodes to a different block", k)
-		}
+	}
+	close(g.gate)
+	if err := e.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	mustEqual(t, "replica", replicaStore, primaryStore)
+
+	// Eight incumbent runs with a probe due after 2, then after 4: the
+	// third and the seventh run were probes, both lost.
+	lost := squeezeGate{}
+	lost.lose()
+	lost.lose()
+	gate := e.replicas[0].pipes[0].sq.gate
+	if gate.on || gate.spacing != lost.spacing || gate.spacing != 4*squeezeMinSpacing {
+		t.Errorf("gate after eight runs with two lost probes: %+v, want off with spacing %d", gate, 4*squeezeMinSpacing)
+	}
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if len(g.sent) != 0 {
+		t.Errorf("%d runs shipped squeezed: a probe that cannot pay built an encoder", len(g.sent))
+	}
+	if m := e.ReplicaStats()[0].Metrics; m.Squeezed != 0 {
+		t.Errorf("Squeezed = %d, want 0", m.Squeezed)
 	}
 }

@@ -96,10 +96,17 @@ func EntryHeaderLen(prev, e *BatchEntry) int {
 
 // appendEntryHeader appends e's entry header, coded against prev.
 func appendEntryHeader(dst []byte, prev, e *BatchEntry) []byte {
+	return appendEntryFields(dst, prev, e, uint64(len(e.Frame)))
+}
+
+// appendEntryFields appends an entry header whose length field holds
+// field: the frame length in a plain list (a squeezed list's reads
+// frameLen<<1 | inStream).
+func appendEntryFields(dst []byte, prev, e *BatchEntry, field uint64) []byte {
 	dst = binary.AppendVarint(dst, int64(e.Seq-prev.Seq))
 	dst = binary.AppendVarint(dst, int64(e.LBA-prev.LBA))
 	dst = binary.BigEndian.AppendUint64(dst, e.Hash)
-	return binary.AppendUvarint(dst, uint64(len(e.Frame)))
+	return binary.AppendUvarint(dst, field)
 }
 
 // entryListSize returns an entry list's data-segment bytes as meta,
@@ -229,49 +236,76 @@ func decodeDelta(data []byte, off int, from uint64) (uint64, int, error) {
 // and structural violations report ErrBadFrame — hostile input never
 // panics or over-allocates.
 func decodeEntryList(entries []BatchEntry, data []byte, refs bool) ([]BatchEntry, error) {
+	entries, rest, err := decodeEntries(entries, data, refs, nil)
+	if err != nil {
+		return nil, err
+	}
+	if len(rest) != 0 {
+		return nil, fmt.Errorf("%w: %d trailing bytes after batch", ErrBadFrame, len(rest))
+	}
+	return entries, nil
+}
+
+// decodeEntries parses an entry list's count and entries (see
+// decodeEntryList) and returns the bytes after the last entry.
+// With streamed non-nil the list is a squeezed one (squeeze.go): a
+// length field with its low bit set names a frame in the stream, of
+// the nonzero length in its other bits, which decodeEntries leaves nil
+// and appends to *streamed instead, its declared bytes held to
+// MaxDataSegment in all.
+func decodeEntries(entries []BatchEntry, data []byte, refs bool, streamed *[]streamedFrame) ([]BatchEntry, []byte, error) {
 	count, off, err := decodeUvarint(data, 0)
 	if err != nil {
-		return nil, fmt.Errorf("%w: batch count of a %d-byte segment", err, len(data))
+		return nil, nil, fmt.Errorf("%w: batch count of a %d-byte segment", err, len(data))
 	}
 	if count == 0 || count > MaxBatchFrames {
-		return nil, fmt.Errorf("%w: batch count %d", ErrBadFrame, count)
+		return nil, nil, fmt.Errorf("%w: batch count %d", ErrBadFrame, count)
 	}
 	if uint64(len(data)-off) < count*minEntryLen {
-		return nil, fmt.Errorf("%w: %d entries cannot fit in %d bytes", ErrShortFrame, count, len(data))
+		return nil, nil, fmt.Errorf("%w: %d entries cannot fit in %d bytes", ErrShortFrame, count, len(data))
 	}
 	entries = slices.Grow(entries[:0], int(count))
+	total := 0
 	var prev BatchEntry
 	for k := range int(count) {
 		var e BatchEntry
 		var frameLen uint64
 		if e.Seq, off, err = decodeDelta(data, off, prev.Seq); err != nil {
-			return nil, fmt.Errorf("%w: batch entry %d seq", err, k)
+			return nil, nil, fmt.Errorf("%w: batch entry %d seq", err, k)
 		}
 		if e.LBA, off, err = decodeDelta(data, off, prev.LBA); err != nil {
-			return nil, fmt.Errorf("%w: batch entry %d lba", err, k)
+			return nil, nil, fmt.Errorf("%w: batch entry %d lba", err, k)
 		}
 		if len(data)-off < HashSize {
-			return nil, fmt.Errorf("%w: batch entry %d hash", ErrShortFrame, k)
+			return nil, nil, fmt.Errorf("%w: batch entry %d hash", ErrShortFrame, k)
 		}
 		e.Hash = binary.BigEndian.Uint64(data[off:])
 		if frameLen, off, err = decodeUvarint(data, off+HashSize); err != nil {
-			return nil, fmt.Errorf("%w: batch entry %d frame length", err, k)
+			return nil, nil, fmt.Errorf("%w: batch entry %d frame length", err, k)
 		}
-		if refs && frameLen == 0 && e.Hash == 0 {
-			return nil, fmt.Errorf("%w: by-ref entry %d without content hash", ErrBadFrame, k)
+		inStream := false
+		if streamed != nil {
+			inStream, frameLen = frameLen&1 == 1, frameLen>>1
 		}
-		if frameLen > uint64(len(data)-off) {
-			return nil, fmt.Errorf("%w: batch entry %d frame of %d bytes", ErrShortFrame, k, frameLen)
+		switch {
+		case inStream:
+			if frameLen == 0 || frameLen > uint64(MaxDataSegment-total) {
+				return nil, nil, fmt.Errorf("%w: batch entry %d streams %d bytes after %d", ErrBadFrame, k, frameLen, total)
+			}
+			total += int(frameLen)
+			*streamed = append(*streamed, streamedFrame{k, int(frameLen)})
+		case refs && frameLen == 0 && e.Hash == 0:
+			return nil, nil, fmt.Errorf("%w: by-ref entry %d without content hash", ErrBadFrame, k)
+		case frameLen > uint64(len(data)-off):
+			return nil, nil, fmt.Errorf("%w: batch entry %d frame of %d bytes", ErrShortFrame, k, frameLen)
+		default:
+			e.Frame = data[off : off+int(frameLen)]
+			off += int(frameLen)
 		}
-		e.Frame = data[off : off+int(frameLen)]
-		off += int(frameLen)
 		entries = append(entries, e)
 		prev = e
 	}
-	if off != len(data) {
-		return nil, fmt.Errorf("%w: %d trailing bytes after batch", ErrBadFrame, len(data)-off)
-	}
-	return entries, nil
+	return entries, data[off:], nil
 }
 
 // EncodeBatch assembles the contiguous data segment for a batch.
@@ -349,7 +383,7 @@ func (i *Initiator) pushEntryList(p PDU, entries []BatchEntry) ([]Status, error)
 	if len(entries) == 0 {
 		return nil, fmt.Errorf("iscsi: empty %v push", p.Op)
 	}
-	resp, err := i.exchange(nil, func(itt uint32) (net.Buffers, error) {
+	resp, err := i.exchange(nil, func(_ *session, itt uint32) (net.Buffers, error) {
 		p.ITT = itt
 		return entryListPDU(&p, entries)
 	})

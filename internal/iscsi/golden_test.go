@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"prins/internal/block"
+	"prins/internal/xcode"
 )
 
 // goldenSink accepts every replication push verb and answers OK, so a
@@ -60,6 +61,26 @@ func goldenEntries(n int, mixed bool) []BatchEntry {
 	return entries
 }
 
+// squeezeGoldenEntries builds push p of a squeezed golden stream: five
+// CodecZRL frames of prose-like parities the two pushes share most of.
+func squeezeGoldenEntries(t *testing.T, p int) []BatchEntry {
+	t.Helper()
+	const words = "order line stock district "
+	entries := make([]BatchEntry, 5)
+	for k := range entries {
+		parity := make([]byte, 256)
+		for j := 0; j < 40+8*k; j++ {
+			parity[16*k+j] = words[(j+k+p)%len(words)]
+		}
+		frame, err := xcode.Encode(xcode.CodecZRL, parity)
+		if err != nil {
+			t.Fatal(err)
+		}
+		entries[k] = BatchEntry{Seq: uint64(10*p + k + 1), LBA: uint64(2 * k), Hash: 0x5EED0000 | uint64(k), Frame: frame}
+	}
+	return entries
+}
+
 const goldenFile = "testdata/wire_golden.hex"
 
 func readGolden(t *testing.T) map[string]string {
@@ -88,8 +109,9 @@ func readGolden(t *testing.T) map[string]string {
 // connection: for OpReplicaWrite (untagged v3, tagged v5, and the
 // zero-copy framed send), OpReplicaWriteBatch (untagged and tagged) and
 // OpReplicaWriteByRef (mixed by-ref and by-value entries), each with 1,
-// 2 and 7 entries, and for an OpHashCmd request carrying a digest, the
-// initiator's send must equal both a contiguously built PDU written with
+// 2 and 7 entries, for an OpHashCmd request carrying a digest, and for
+// a fresh and a primed squeezed list (squeeze.go), the initiator's send
+// must equal both a contiguously built PDU written with
 // PDU.WriteTo (over the Encode* segment, for a push) and the committed
 // hex fixture. A case is named for the protocol version that
 // introduced its verb; both entry-list verbs now go out as v8 lists, and
@@ -257,6 +279,39 @@ func TestWireGolden(t *testing.T) {
 		got["hash-digest"] = hex.EncodeToString(sent)
 		if !update && got["hash-digest"] != golden["hash-digest"] {
 			t.Errorf("wire bytes differ from %s:\n sent %s\n want %s", goldenFile, got["hash-digest"], golden["hash-digest"])
+		}
+	})
+	// Two squeezed lists on one stream of a fresh session: the first is
+	// fresh (tag 1), the second is compressed against the first's
+	// plaintext (tag 2).
+	t.Run("squeeze", func(t *testing.T) {
+		init, rec := startRecordedPair(t, &goldenSink{})
+		var ref SqueezeSender
+		for p, name := range []string{"squeeze-fresh", "squeeze-primed"} {
+			entries := squeezeGoldenEntries(t, p)
+			if err := statusesOK(func() ([]Status, error) {
+				st, _, err := init.ReplicaWriteSqueezed(mode, shard, vol, entries, false)
+				return st, err
+			}()); err != nil {
+				t.Fatal(err)
+			}
+			sent := rec.take()
+			seg, tag, ok, err := ref.Encode(entries, false)
+			if err != nil || !ok || tag != uint64(p+1) {
+				t.Fatalf("%s: reference encode: tag %d, ok %v, %v", name, tag, ok, err)
+			}
+			ref.Commit()
+			var want bytes.Buffer
+			if _, err := (&PDU{Op: OpReplicaWriteBatch, Mode: mode, Shard: shard, Vol: vol, ITT: uint32(firstITT + p), Seq: tag, Data: seg}).WriteTo(&want); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(sent, want.Bytes()) {
+				t.Errorf("%s: initiator bytes differ from the contiguously built PDU:\n sent %x\n want %x", name, sent, want.Bytes())
+			}
+			got[name] = hex.EncodeToString(sent)
+			if !update && got[name] != golden[name] {
+				t.Errorf("%s: wire bytes differ from %s:\n sent %s\n want %s", name, goldenFile, got[name], golden[name])
+			}
 		}
 	})
 	if !update {

@@ -97,6 +97,9 @@ type session struct {
 	reading *call
 	err     error         // why the session is down; set once, by fail
 	done    chan struct{} // closed when the reader has exited
+	// squeeze holds the session's per-stream squeeze histories (see
+	// squeeze.go), keyed by streamID.
+	squeeze map[uint32]*squeezeStream
 }
 
 // call is one command in flight: the slot its caller parks on and the
@@ -127,10 +130,10 @@ type reconnectAttempt struct {
 	done chan struct{}
 }
 
-// framer builds one request for the wire under the task tag it is
-// given: the PDU's pieces in wire order, digest stamped. A resend calls
-// it again with a new tag.
-type framer func(itt uint32) (net.Buffers, error)
+// framer builds one request for the wire on session s under the task
+// tag it is given: the PDU's pieces in wire order, digest stamped. A
+// resend calls it again on the new session with a new tag.
+type framer func(s *session, itt uint32) (net.Buffers, error)
 
 // Dial connects to a target over TCP. Call Login before issuing I/O.
 func Dial(addr string) (*Initiator, error) {
@@ -301,7 +304,7 @@ func (i *Initiator) roundTripInto(req *PDU, dst []byte) (PDU, error) {
 }
 
 // frame is the framer of a request built as a PDU.
-func (p *PDU) frame(itt uint32) (net.Buffers, error) {
+func (p *PDU) frame(_ *session, itt uint32) (net.Buffers, error) {
 	p.ITT = itt
 	return p.buffers()
 }
@@ -339,7 +342,7 @@ func (i *Initiator) exchange(dst []byte, frame framer) (PDU, error) {
 // reader (or a teardown) completes the call.
 func (i *Initiator) do(s *session, dst []byte, frame framer) (PDU, error) {
 	itt := i.itt.Add(1)
-	bufs, err := frame(itt)
+	bufs, err := frame(s, itt)
 	if err != nil {
 		return PDU{}, err
 	}
@@ -658,7 +661,7 @@ func (i *Initiator) ReplicaWriteStream(mode, shard uint8, vol uint16, seq, lba, 
 // modified (its first FrameHeadroom bytes are overwritten), so the
 // caller must hold exclusive ownership of the buffer for the call.
 func (i *Initiator) ReplicaWriteFramed(mode, shard uint8, vol uint16, seq, lba, hash uint64, pdu []byte) error {
-	resp, err := i.exchange(nil, func(itt uint32) (net.Buffers, error) {
+	resp, err := i.exchange(nil, func(_ *session, itt uint32) (net.Buffers, error) {
 		if err := StampReplicaHeader(pdu, mode, shard, vol, itt, seq, lba, hash); err != nil {
 			return nil, err
 		}

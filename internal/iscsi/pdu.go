@@ -136,6 +136,11 @@ const (
 	// the retained parity frame by value, so correctness never depends
 	// on the two indexes agreeing.
 	StatusRefMiss
+	// StatusStaleHistory refuses a squeezed entry list built on a
+	// history the target's end of its stream does not hold (see
+	// squeeze.go). Nothing was applied; the initiator resets the
+	// stream's history and re-ships the list fresh.
+	StatusStaleHistory
 )
 
 // String returns the status mnemonic.
@@ -161,6 +166,8 @@ func (s Status) String() string {
 		return "STORE-ERROR"
 	case StatusRefMiss:
 		return "REF-MISS"
+	case StatusStaleHistory:
+		return "STALE-HISTORY"
 	default:
 		return fmt.Sprintf("STATUS(%d)", uint8(s))
 	}
@@ -273,7 +280,8 @@ var (
 //	off 12 : LBA  (uint64)
 //	off 20 : blocks (uint32) block count for READ
 //	off 24 : data length (uint32)
-//	off 28 : sequence (uint64) engine-assigned replication sequence
+//	off 28 : sequence (uint64) engine-assigned replication sequence;
+//	         on an entry list, zero, or a squeezed list's history tag
 //	off 36 : hash (uint64) content hash of the decoded new block;
 //	         on OpHashCmd, the digest of the expected hash vector
 //	off 44 : digest (uint32) CRC-32C over header (digest zeroed) + data

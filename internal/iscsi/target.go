@@ -277,17 +277,20 @@ func applyBatch(backend Backend, mode, shard uint8, vol uint16, entries []BatchE
 
 // request is a session's request storage: ServeConn reads every PDU of
 // the session into the same header, PDU and data-segment buffer,
-// decodes every entry list into the same entries and inflates every
-// compressed repair span into the same span buffer, so a steady stream
-// of pushes allocates nothing on the way in. All of it starts empty and
-// grows to the largest request the session has carried; none of it
-// outlives the handling of the PDU it holds (see Backend).
+// decodes every entry list into the same entries, inflates every
+// compressed repair span into the same span buffer and every squeezed
+// list into its stream's buffer, so a steady stream of pushes
+// allocates nothing on the way in. All of it starts empty and grows to
+// the largest request the session has carried; none of it outlives the
+// handling of the PDU it holds (see Backend). squeeze also keeps each
+// stream's squeeze history, which lives as long as the session.
 type request struct {
 	hdr     [headerLen]byte
 	pdu     PDU
 	seg     []byte
 	entries []BatchEntry
 	span    []byte
+	squeeze map[uint32]*SqueezeReceiver
 }
 
 // read reads the session's next PDU from r; rq.pdu holds it, its Data
@@ -303,27 +306,39 @@ func (rq *request) read(r io.Reader) error {
 	return rq.pdu.readData(r, rq.hdr[:], rq.seg[:n])
 }
 
-// applyEntryList decodes the entry-list push rq holds and hands it to
-// the backend extension its opcode needs. It reports false — the PDU is
-// refused with StatusBadRequest — for a malformed segment, and for a
-// by-ref push at a backend without the extension: a reference no
-// content index can materialize must be refused rather than guessed at.
-func (rq *request) applyEntryList(backend Backend) ([]Status, bool) {
+// applyEntryList decodes the entry-list push rq holds, plain or
+// squeezed (a nonzero Seq field is a squeezed list's history tag), and
+// hands it to the backend extension its opcode needs. The header status
+// it returns refuses the whole PDU, nothing applied: StatusBadRequest
+// for a malformed segment, and for a by-ref push at a backend without
+// the extension (a reference no content index can materialize must be
+// refused rather than guessed at); StatusStaleHistory for a squeezed
+// list built on a history this end of its stream does not hold.
+func (rq *request) applyEntryList(backend Backend) ([]Status, Status) {
 	pdu := &rq.pdu
 	refs := pdu.Op == OpReplicaWriteByRef
-	entries, err := decodeEntryList(rq.entries, pdu.Data, refs)
-	if err != nil {
-		return nil, false
+	brb, byRef := backend.(ByRefBackend)
+	if refs && !byRef {
+		return nil, StatusBadRequest
+	}
+	var entries []BatchEntry
+	var err error
+	if pdu.Seq == 0 {
+		entries, err = decodeEntryList(rq.entries, pdu.Data, refs)
+	} else {
+		entries, err = rq.unsqueeze(refs)
+	}
+	switch {
+	case errors.Is(err, ErrStaleHistory):
+		return nil, StatusStaleHistory
+	case err != nil:
+		return nil, StatusBadRequest
 	}
 	rq.entries = entries
 	if !refs {
-		return applyBatch(backend, pdu.Mode, pdu.Shard, pdu.Vol, entries), true
+		return applyBatch(backend, pdu.Mode, pdu.Shard, pdu.Vol, entries), StatusOK
 	}
-	brb, ok := backend.(ByRefBackend)
-	if !ok {
-		return nil, false
-	}
-	return brb.HandleReplicaByRef(pdu.Mode, pdu.Shard, pdu.Vol, entries), true
+	return brb.HandleReplicaByRef(pdu.Mode, pdu.Shard, pdu.Vol, entries), StatusOK
 }
 
 // ServeConn runs one session on conn until logout, EOF, a protocol
@@ -425,13 +440,11 @@ func (t *Target) ServeConn(conn net.Conn) {
 				resp.Status = StatusNotLoggedIn
 				break
 			}
-			statuses, ok := rq.applyEntryList(backend)
-			if !ok {
-				resp.Status = StatusBadRequest
-				break
+			statuses, st := rq.applyEntryList(backend)
+			resp.Status = st
+			if st == StatusOK {
+				resp.Data = EncodeBatchStatuses(statuses)
 			}
-			resp.Status = StatusOK
-			resp.Data = EncodeBatchStatuses(statuses)
 
 		case OpHashCmd:
 			resp.Op = OpResp

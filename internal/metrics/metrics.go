@@ -319,8 +319,8 @@ type Replica struct {
 	dedupeMisses atomic.Int64 // by-ref pushes this replica refused (ref miss)
 	dedupeSaved  atomic.Int64 // wire bytes dedupe saved shipping to this replica
 	admitWaits   atomic.Int64 // runs whose admission to the ship window had to wait
-	squeezed     atomic.Int64 // entries delivered transcoded ZRL -> ZRL+DEFLATE by the shipper
-	squeezeSaved atomic.Int64 // frame bytes that transcoding took off them
+	squeezed     atomic.Int64 // entries delivered in a squeezed list's DEFLATE stream
+	squeezeSaved atomic.Int64 // their shares of the bytes squeezing took off their pushes
 	squeezeFlips atomic.Int64 // times a pipe's gate turned squeezing on or off
 }
 
@@ -366,11 +366,14 @@ func (r *Replica) AddRetry() { r.retries.Add(1) }
 // had reached its sequence span.
 func (r *Replica) AddAdmitWait() { r.admitWaits.Add(1) }
 
-// AddSqueezed records n entries delivered to this replica as frames the
-// shipper squeezed (see core's squeeze.go), saved bytes smaller in all
-// than as encoded. PayloadBytes and WireBytes already count the squeezed
-// frames — they are what the replica acknowledged — and BatchSavedWire
-// excludes this saving.
+// AddSqueezed records n entries delivered to this replica with their
+// frames in a squeezed list's stream (see core's squeeze.go), and saved,
+// their shares of what squeezing took off those pushes: a push's saving
+// (its plain list's bytes less its squeezed list's) is split among the
+// frames in its stream in proportion to their lengths. PayloadBytes
+// already counts each such frame at its length less its share, and
+// WireBytes the squeezed lists as they went out; BatchSavedWire excludes
+// this saving.
 func (r *Replica) AddSqueezed(n, saved int64) {
 	r.squeezed.Add(n)
 	r.squeezeSaved.Add(saved)
@@ -423,9 +426,11 @@ type ReplicaSnapshot struct {
 	// and every in-flight seq inside the replica's dedupe window, costs
 	// a synchronous pipeline. Always zero on an async engine.
 	AdmitWaits int64
-	// Squeezed counts entries this replica acknowledged as frames the
-	// shipper transcoded from ZRL to ZRL+DEFLATE on a backlogged async
-	// pipe, SqueezeSavedWire the frame bytes that took off the wire, and
+	// Squeezed counts entries this replica acknowledged with their frames
+	// in the DEFLATE stream of a squeezed list, which a backlogged async
+	// pipe ships against its stream's history, SqueezeSavedWire those
+	// entries' shares of the bytes squeezing took off their pushes (see
+	// AddSqueezed for the rule), and
 	// SqueezeSwitches how often a pipe's gate turned squeezing on or off
 	// (a handful over a pipe's life is the gate learning its link; a
 	// steady climb is a gate flapping).

@@ -8,14 +8,16 @@ import (
 	"sync"
 )
 
-// DEFLATE, used three ways: the traditional-with-compression baseline
-// (whole data blocks, CodecFlate), the second stage of CodecZRLFlate,
-// and the shipper's squeeze of an already-encoded CodecZRL frame
-// (Deflater.AppendSqueezed). All three write through Deflater.deflate
-// and read through inflater.inflate, so there is one encode path and
-// one decode path, both reusing their large internal tables. Beside
-// them, Compressible runs a Huffman-only pass that counts bytes and
-// keeps none, to tell a caller whether DEFLATE is worth trying.
+// DEFLATE on single frames, used three ways: the
+// traditional-with-compression baseline (whole data blocks,
+// CodecFlate), the second stage of CodecZRLFlate, and the per-frame
+// squeeze of an already-encoded CodecZRL frame (Deflater.AppendSqueezed,
+// which BenchmarkAblationSqueeze prices against the stream a shipper now
+// uses, stream.go). All three write through Deflater.deflate and read
+// through inflater.inflate, so there is one encode path and one decode
+// path, both reusing their large internal tables. Beside them,
+// Compressible runs a Huffman-only pass that counts bytes and keeps
+// none, to tell a caller whether DEFLATE is worth trying.
 
 // flateLevel is the one compression level in use. On TPC-C parities
 // level 6 takes ~30% off a ZRL frame (BenchmarkAblationSqueeze) and

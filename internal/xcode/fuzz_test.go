@@ -18,8 +18,8 @@ func addDecodeSeeds(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{byte(CodecRaw), 0, 0, 0, 4, 1, 2, 3, 4})
 	f.Add([]byte{byte(CodecFlate), 0, 0, 0, 16, 0xde, 0xad})
-	// Frames as a squeezing shipper puts them on the wire: transcoded
-	// from the ZRL frame, not encoded from the block.
+	// Frames as the per-frame squeeze writes them: transcoded from the
+	// ZRL frame, not encoded from the block.
 	var d Deflater
 	for _, n := range []int{40, 600, 2000} {
 		zrl, _ := Encode(CodecZRL, proseParity(4096, n))
@@ -109,7 +109,7 @@ func FuzzDecodeInto(f *testing.F) {
 }
 
 // FuzzRoundTrip checks that every input encodes and decodes back to
-// itself under every codec, and that its ZRL frame, when the shipper's
+// itself under every codec, and that its ZRL frame, when the per-frame
 // squeeze keeps the transcoded form, got smaller and still decodes to
 // the input.
 func FuzzRoundTrip(f *testing.F) {

@@ -141,7 +141,8 @@ func RawBody(frame []byte) ([]byte, bool) {
 // codec can expand on dense, high-entropy input (ZRL's worst case is
 // ~3x) and shipping a frame larger than the block itself defeats the
 // point of encoding. The engine's write path passes ZRL alone; the
-// second stage, where it pays, is the shipper's (Deflater.AppendSqueezed).
+// second stage, where it pays, is the shipper's (StreamDeflater, over a
+// run's ZRL frames at once).
 func EncodeBest(block []byte, candidates ...Codec) ([]byte, error) {
 	return AppendEncodeBest(nil, block, candidates...)
 }

@@ -1,0 +1,190 @@
+package prins_test
+
+import (
+	"encoding/binary"
+	"net"
+	"sync"
+	"testing"
+
+	"prins/internal/block"
+	"prins/internal/core"
+	"prins/internal/iscsi"
+	"prins/internal/minidb"
+	"prins/internal/tpcc"
+	"prins/internal/wan"
+)
+
+// pduMeter reads the PDUs an initiator writes to its connection: it
+// counts the bytes, the headers, the data-segment bytes, and the
+// data segments as the engine models them on the wire
+// (wan.WireBytesDiscrete of each segment). The initiator hands a
+// connection without WriteBuffers each PDU in one Write; the meter
+// parses the stream all the same, so a PDU split across writes would be
+// counted whole.
+type pduMeter struct {
+	net.Conn
+	mu                   sync.Mutex
+	pending              []byte
+	bytes, pdus, data    int64
+	modelled, squeezedTo int64
+}
+
+func (m *pduMeter) Write(p []byte) (int, error) {
+	m.mu.Lock()
+	m.bytes += int64(len(p))
+	m.pending = append(m.pending, p...)
+	for len(m.pending) >= 48 {
+		n := int(binary.BigEndian.Uint32(m.pending[24:]))
+		if len(m.pending) < 48+n {
+			break
+		}
+		m.pdus++
+		m.data += int64(n)
+		m.modelled += int64(wan.WireBytesDiscrete(n))
+		if seq := binary.BigEndian.Uint64(m.pending[28:]); seq != 0 && m.pending[2] != byte(iscsi.OpReplicaWrite) {
+			m.squeezedTo += int64(n) // an entry list with a history tag: squeezed
+		}
+		m.pending = m.pending[48+n:]
+	}
+	m.mu.Unlock()
+	return m.Conn.Write(p)
+}
+
+// pageWrite is one block write of a replayed workload.
+type pageWrite struct {
+	lba  uint64
+	data []byte
+}
+
+// tpccBlockWrites loads a TPC-C database on a fresh 4 KiB-page device
+// the way bench/ populates tpcc-t1 and runs txns transactions on it. It
+// returns a copy of the loaded image and every block write the
+// transactions made, in order.
+func tpccBlockWrites(tb testing.TB, seed int64, txns int) (block.Store, []pageWrite) {
+	tb.Helper()
+	const pageSize, pages = 4 << 10, 4096
+	cfg := minidb.DBConfig{CacheBytes: 256 << 10, WALPages: 32, CheckpointEvery: 16}
+	scale := tpcc.DefaultScale(1)
+	dev, err := block.NewMem(pageSize, pages)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	db, err := minidb.Create(dev, cfg)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if _, err := tpcc.Load(db, scale, seed); err != nil {
+		tb.Fatal(err)
+	}
+	if err := db.Close(); err != nil {
+		tb.Fatal(err)
+	}
+	image, err := block.NewMem(pageSize, pages)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if err := block.Copy(image, dev); err != nil {
+		tb.Fatal(err)
+	}
+	var writes []pageWrite
+	db, err = minidb.Open(block.NewObserved(dev, func(lba uint64, _, data []byte) {
+		writes = append(writes, pageWrite{lba, append([]byte(nil), data...)})
+	}), cfg)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	client, err := tpcc.Open(db, scale, seed+1)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if err := client.Run(txns); err != nil {
+		tb.Fatal(err)
+	}
+	if err := db.Close(); err != nil {
+		tb.Fatal(err)
+	}
+	return image, writes
+}
+
+// TestSqueezeWireAccounting replays TPC-C's writes through an async
+// primary whose replica sits behind a T1-shaped net.Pipe, where the
+// pipe's gate turns squeezing on, and holds the engine's books to the
+// bytes the connection carried: the modelled WireBytes is exactly the
+// modelled cost of every data segment the initiator wrote, the
+// connection's bytes less the 48-byte PDU header of each PDU on it.
+func TestSqueezeWireAccounting(t *testing.T) {
+	image, writes := tpccBlockWrites(t, 7, 60)
+	if len(writes) > 420 {
+		writes = writes[:420] // ~13 full runs behind T1
+	}
+	primary, replica := cloneMem(t, image), cloneMem(t, image)
+
+	target := iscsi.NewTarget()
+	target.Export("r", core.NewReplicaEngine(replica))
+	client, server := net.Pipe()
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		target.ServeConn(server)
+	}()
+	meter := &pduMeter{Conn: wan.Shape(client, wan.T1Link())}
+	init := iscsi.NewInitiator(meter)
+	t.Cleanup(func() {
+		init.Close()
+		wg.Wait()
+	})
+	if err := init.Login("r"); err != nil {
+		t.Fatal(err)
+	}
+	e, err := core.NewEngine(primary, core.Config{Mode: core.ModePRINS, Async: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	if err := e.AttachReplica(init); err != nil {
+		t.Fatal(err)
+	}
+	meter.mu.Lock()
+	meter.bytes, meter.pdus, meter.data, meter.modelled, meter.squeezedTo = 0, 0, 0, 0, 0 // the login is not the engine's
+	meter.mu.Unlock()
+	for _, w := range writes {
+		if err := e.WriteBlock(w.lba, w.data); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := e.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	if eq, err := block.Equal(primary, replica); err != nil || !eq {
+		t.Fatalf("replica differs from the primary (%v)", err)
+	}
+
+	m := e.ReplicaStats()[0].Metrics
+	meter.mu.Lock()
+	defer meter.mu.Unlock()
+	if meter.squeezedTo == 0 || m.Squeezed == 0 || m.SqueezeSavedWire <= 0 {
+		t.Fatalf("no squeezed run: %d squeezed bytes on the wire, %d entries, %d bytes saved", meter.squeezedTo, m.Squeezed, m.SqueezeSavedWire)
+	}
+	if len(meter.pending) != 0 || meter.bytes-48*meter.pdus != meter.data {
+		t.Fatalf("the meter read %d bytes as %d PDUs of %d data bytes, %d left over", meter.bytes, meter.pdus, meter.data, len(meter.pending))
+	}
+	if m.WireBytes != meter.modelled {
+		t.Errorf("engine WireBytes %d, the connection's %d PDUs carried %d data bytes modelled as %d", m.WireBytes, meter.pdus, meter.data, meter.modelled)
+	}
+	t.Logf("%d writes in %d PDUs: %d bytes on the connection, %d of them in squeezed lists; %d entries squeezed, %d bytes saved",
+		len(writes), meter.pdus, meter.bytes, meter.squeezedTo, m.Squeezed, m.SqueezeSavedWire)
+}
+
+// cloneMem returns a fresh in-memory copy of src.
+func cloneMem(t *testing.T, src block.Store) *block.MemStore {
+	t.Helper()
+	dst, err := block.NewMem(src.BlockSize(), src.NumBlocks())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := block.Copy(dst, src); err != nil {
+		t.Fatal(err)
+	}
+	return dst
+}
