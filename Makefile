@@ -108,7 +108,8 @@ stress:
 
 # Short fuzz passes over the wire-facing decoders (the repair span's
 # and the squeezed entry list's strict decoders included), the login codec, the frame walker's
-# decode-into and XOR-into forms (differential against Decode), the
+# decode-into and XOR-into forms (differential against Decode), its
+# mask form (differential against the XOR form of the same stream), the
 # codecs' encode/decode round trip and the ZRL encoder (differential
 # against its bytewise oracle), seeded from the checked-in corpora
 # (regenerate with PRINS_REGEN_CORPUS=1 go test -run
@@ -124,6 +125,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz='^FuzzDecodeSnapshot$$' -fuzztime=$(FUZZTIME) ./internal/dedupe
 	$(GO) test -run='^$$' -fuzz='^FuzzDecode$$' -fuzztime=$(FUZZTIME) ./internal/xcode
 	$(GO) test -run='^$$' -fuzz='^FuzzDecodeInto$$' -fuzztime=$(FUZZTIME) ./internal/xcode
+	$(GO) test -run='^$$' -fuzz='^FuzzMaskInto$$' -fuzztime=$(FUZZTIME) ./internal/xcode
 	$(GO) test -run='^$$' -fuzz='^FuzzRoundTrip$$' -fuzztime=$(FUZZTIME) ./internal/xcode
 	$(GO) test -run='^$$' -fuzz='^FuzzZRLEncode$$' -fuzztime=$(FUZZTIME) ./internal/xcode
 

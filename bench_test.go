@@ -6,6 +6,8 @@
 package prins_test
 
 import (
+	"bytes"
+	"crypto/subtle"
 	"fmt"
 	"math/rand"
 	"net"
@@ -515,8 +517,9 @@ func BenchmarkMVAvsSimulation(b *testing.B) {
 // tpccParities loads a TPC-C database on a fresh 16 MiB device exactly
 // as bench/ populates its tpcc-t1 device (4 KiB pages, 256 KiB page
 // cache, scale 1), runs txns transactions on it and returns the forward
-// parity of every block write they made, in order.
-func tpccParities(tb testing.TB, seed int64, txns int) [][]byte {
+// parity of every block write they made, in order, and the block each
+// of them left.
+func tpccParities(tb testing.TB, seed int64, txns int) (parities, news [][]byte) {
 	tb.Helper()
 	const pageSize, pages = 4 << 10, 4096
 	cfg := minidb.DBConfig{CacheBytes: 256 << 10, WALPages: 32, CheckpointEvery: 16}
@@ -535,13 +538,12 @@ func tpccParities(tb testing.TB, seed int64, txns int) [][]byte {
 	if err := db.Close(); err != nil {
 		tb.Fatal(err)
 	}
-	var parities [][]byte
 	db, err = minidb.Open(block.NewObserved(dev, func(_ uint64, old, data []byte) {
 		fp := make([]byte, len(data))
 		if err := parity.ForwardInto(fp, data, old); err != nil {
 			tb.Fatal(err)
 		}
-		parities = append(parities, fp)
+		parities, news = append(parities, fp), append(news, bytes.Clone(data))
 	}), cfg)
 	if err != nil {
 		tb.Fatal(err)
@@ -556,20 +558,23 @@ func tpccParities(tb testing.TB, seed int64, txns int) [][]byte {
 	if err := db.Close(); err != nil {
 		tb.Fatal(err)
 	}
-	return parities
+	return parities, news
 }
 
 // squeezeCorpus is one corpus of BenchmarkAblationSqueeze: its
-// parities, their ZRL frames, and the bytes each stage ships for the
-// whole corpus — zrlB the ZRL frames, squeezedB what a per-frame
-// squeeze keeps of them (a frame DEFLATE does not shrink ships as it
-// is), streamB what they cost as the stream segments of squeezed lists:
-// runs of streamRun frames through one stream's history, as a
-// backlogged pipe now ships them.
+// parities, the block each write left (A_new), their ZRL frames, and
+// the bytes each stage ships for the whole corpus — zrlB the ZRL
+// frames, squeezedB what a per-frame squeeze keeps of them (a frame
+// DEFLATE does not shrink ships as it is), streamB what they cost as
+// the stream segments of squeezed lists: runs of streamRun frames
+// through one stream's history; maskB the same for the frames' masked
+// twins (xcode.AppendMask: A_new's bytes on the parity's literals),
+// which is what a backlogged pipe now streams, a raw-floored frame
+// going as it is.
 type squeezeCorpus struct {
-	name                     string
-	parities, frames         [][]byte
-	zrlB, squeezedB, streamB int64
+	name                            string
+	parities, news, frames          [][]byte
+	zrlB, squeezedB, streamB, maskB int64
 }
 
 // streamRun is how many frames squeezeCorpora packs in one stream
@@ -593,44 +598,79 @@ func squeezeCorpora(tb testing.TB) []squeezeCorpus {
 		}
 		random[i] = fp
 	}
+	// The incompressible corpus's writes land on random pre-images, so
+	// their new bytes are as random as their parities. Drawn after the
+	// parities, which keep the bytes they always had.
+	randomNews := make([][]byte, len(random))
+	for i, fp := range random {
+		randomNews[i] = make([]byte, len(fp))
+		rng.Read(randomNews[i])
+		subtle.XORBytes(randomNews[i], randomNews[i], fp)
+	}
+	tpccFP, tpccNews := tpccParities(tb, 17, 700)
 	corpora := []squeezeCorpus{
-		{name: "tpcc", parities: tpccParities(tb, 17, 700)},
-		{name: "incompressible", parities: random},
+		{name: "tpcc", parities: tpccFP, news: tpccNews},
+		{name: "incompressible", parities: random, news: randomNews},
 	}
 	var d xcode.Deflater
 	for c := range corpora {
 		corpus := &corpora[c]
-		for _, fp := range corpus.parities {
+		var masks [][]byte
+		for i, fp := range corpus.parities {
 			frame, err := xcode.EncodeBest(fp, xcode.CodecZRL)
 			if err != nil {
 				tb.Fatal(err)
 			}
 			corpus.frames = append(corpus.frames, frame)
+			masks = append(masks, maskOf(tb, frame, corpus.news[i]))
 			corpus.zrlB += int64(len(frame))
 			if out, ok := d.AppendSqueezed(nil, frame); ok {
 				frame = out
 			}
 			corpus.squeezedB += int64(len(frame))
 		}
-		var sd xcode.StreamDeflater
-		var seg []byte
-		for i := 0; i < len(corpus.frames); i += streamRun {
-			if err := sd.Start(seg[:0]); err != nil {
-				tb.Fatal(err)
-			}
-			for _, frame := range corpus.frames[i:min(i+streamRun, len(corpus.frames))] {
-				if err := sd.Write(frame); err != nil {
-					tb.Fatal(err)
-				}
-			}
-			var err error
-			if seg, err = sd.End(); err != nil {
-				tb.Fatal(err)
-			}
-			corpus.streamB += int64(len(seg))
-		}
+		corpus.streamB = streamBytes(tb, corpus.frames)
+		corpus.maskB = streamBytes(tb, masks)
 	}
 	return corpora
+}
+
+// maskOf returns what a squeezed list streams for a frame: its masked
+// twin over the block the write left, or the frame itself when it is
+// raw-floored.
+func maskOf(tb testing.TB, frame, news []byte) []byte {
+	if xcode.Codec(frame[0]) != xcode.CodecZRL {
+		return frame
+	}
+	twin, err := xcode.AppendMask(nil, frame, news)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return twin
+}
+
+// streamBytes returns what frames cost as the stream segments of
+// squeezed lists: runs of streamRun through one stream's history.
+func streamBytes(tb testing.TB, frames [][]byte) int64 {
+	var sd xcode.StreamDeflater
+	var seg []byte
+	var total int64
+	for i := 0; i < len(frames); i += streamRun {
+		if err := sd.Start(seg[:0]); err != nil {
+			tb.Fatal(err)
+		}
+		for _, frame := range frames[i:min(i+streamRun, len(frames))] {
+			if err := sd.Write(frame); err != nil {
+				tb.Fatal(err)
+			}
+		}
+		var err error
+		if seg, err = sd.End(); err != nil {
+			tb.Fatal(err)
+		}
+		total += int64(len(seg))
+	}
+	return total
 }
 
 // TestSqueezeFrameCeiling holds the mean frame each stage of
@@ -643,12 +683,24 @@ func squeezeCorpora(tb testing.TB) []squeezeCorpus {
 // incompressible corpus, where DEFLATE over 32 frames at once finds a
 // byte and a half per frame in their run headers that it could not
 // find in one.
+//
+// The mask column is what the same runs cost with each ZRL frame's
+// masked twin streamed in its place, as a backlogged pipe now streams
+// them: TPC-C's new bytes repeat what the stream carried where their
+// XOR against changing old bytes does not, so it is held to 166.5
+// bytes, a third under the parities' stream (166.39 when written). On
+// the incompressible corpus the new bytes are as random as the
+// parities, and a twin costs a little more than its frame: the short
+// zero gaps a ZRL literal absorbs are zeros in the parity and random
+// pre-image bytes in the twin. It was 867.25 bytes when written, 0.09
+// over the parities' stream, and is held to 867.3.
 func TestSqueezeFrameCeiling(t *testing.T) {
 	ceilings := map[string]struct{ zrl, squeezed float64 }{
 		"tpcc":           {465.7, 321.2},
 		"incompressible": {868.7, 868.7},
 	}
 	streamCeilings := map[string]float64{"tpcc": 251.4, "incompressible": 867.2}
+	maskCeilings := map[string]float64{"tpcc": 166.5, "incompressible": 867.3}
 	for _, c := range squeezeCorpora(t) {
 		n, want := float64(len(c.frames)), ceilings[c.name]
 		if got := float64(c.zrlB) / n; got > want.zrl {
@@ -660,6 +712,11 @@ func TestSqueezeFrameCeiling(t *testing.T) {
 		if got := float64(c.streamB) / n; got > streamCeilings[c.name] {
 			t.Errorf("%s: frames in runs of %d through one stream average %.2f bytes, ceiling %.1f", c.name, streamRun, got, streamCeilings[c.name])
 		}
+		if got := float64(c.maskB) / n; got > maskCeilings[c.name] {
+			t.Errorf("%s: masked twins in runs of %d through one stream average %.2f bytes, ceiling %.1f", c.name, streamRun, got, maskCeilings[c.name])
+		}
+		t.Logf("%s: B/frame zrl %.2f, squeezed %.2f, stream %.2f, mask %.2f", c.name,
+			float64(c.zrlB)/n, float64(c.squeezedB)/n, float64(c.streamB)/n, float64(c.maskB)/n)
 	}
 }
 
@@ -667,7 +724,10 @@ func TestSqueezeFrameCeiling(t *testing.T) {
 // now runs. zrl is the write path: one parity encoded ZRL-only under
 // the shard lock. stream is what a backlogged pipe adds on top: the
 // finished ZRL frames of a run of streamRun as one DEFLATE segment
-// primed with the runs before it (iscsi's squeezed lists). squeeze is
+// primed with the runs before it (iscsi's squeezed lists). mask is what
+// such a pipe streams now: each frame's masked twin, built from the
+// frame and the new block (the write path's added walk, timed here
+// with it) and streamed in the frame's place. squeeze is
 // the per-frame form it replaced, each ZRL frame transcoded to
 // ZRL+DEFLATE on its own and kept only when smaller. frameB is the mean
 // frame that ships, over the whole corpus (a count, held by
@@ -712,6 +772,32 @@ func BenchmarkAblationSqueeze(b *testing.B) {
 			}
 			_, _ = d.End()
 			b.ReportMetric(float64(corpus.streamB)/n, "frameB")
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/frame")
+		})
+		b.Run(corpus.name+"/mask", func(b *testing.B) {
+			var d xcode.StreamDeflater
+			seg := make([]byte, 0, 64<<10)
+			var twin []byte
+			for i := 0; i < b.N; i++ {
+				if i%streamRun == 0 {
+					if i > 0 {
+						seg, _ = d.End() // a healthy writer into memory: cannot fail
+					}
+					_ = d.Start(seg[:0])
+				}
+				k := i % len(corpus.frames)
+				frame := corpus.frames[k]
+				if xcode.Codec(frame[0]) == xcode.CodecZRL {
+					var err error
+					if twin, err = xcode.AppendMask(twin[:0], frame, corpus.news[k]); err != nil {
+						b.Fatal(err)
+					}
+					frame = twin
+				}
+				_ = d.Write(frame)
+			}
+			_, _ = d.End()
+			b.ReportMetric(float64(corpus.maskB)/n, "frameB")
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/frame")
 		})
 	}

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -799,6 +800,13 @@ func (s *shard) hold(i int, fb *frameBuf, hash uint64) { s.frames[i], s.hashes[i
 // frame of unit i of the k-of-n RS stripe of src, since every unit's
 // bytes differ. On error no frame is held. Called with s.mu held.
 //
+// Where a pipe of the shard may squeeze, each CodecZRL frame also gets
+// its CodecMask twin (xcode.AppendMask) from the bytes the hash covers,
+// and the twin's check, the hash XOR the frame's own hash, kept beside
+// it in the frameBuf: a squeezed list ships them in place of the frame
+// and the hash (iscsi's squeezed lists). They cost a walk over the
+// frame and a hash of it; a raw-floored frame gets none.
+//
 // The hash is the contract the replica verifies before writing in
 // place: the decoded new block must equal data in every mode (PRINS
 // recovers it as P' XOR A_old), so a mirror hashes data. A unit replica
@@ -830,6 +838,7 @@ func (e *Engine) encodeFrames(s *shard, src, data []byte) error {
 	case ModeCompressed:
 		codec = xcode.CodecFlate
 	}
+	twins := slices.ContainsFunc(s.pipes, func(p *pipe) bool { return p.sq != nil })
 	for i := range s.pipes {
 		if i > 0 && !unit {
 			s.hold(i, s.frames[0], s.hashes[0])
@@ -848,6 +857,11 @@ func (e *Engine) encodeFrames(s *shard, src, data []byte) error {
 			// no raw floor.
 			fb.buf, err = xcode.AppendEncode(fb.buf, codec, payload)
 		}
+		hash := iscsi.HashBlock(verify)
+		if err == nil && twins && xcode.Codec(fb.frame()[0]) == xcode.CodecZRL {
+			fb.twin, err = xcode.AppendMask(fb.twin[:0], fb.frame(), verify)
+			fb.check = hash ^ iscsi.HashBlock(fb.frame())
+		}
 		if err != nil {
 			framePool.Put(fb)
 			for _, held := range s.frames[:i] {
@@ -856,7 +870,7 @@ func (e *Engine) encodeFrames(s *shard, src, data []byte) error {
 			return fmt.Errorf("core: encode: %w", err)
 		}
 		fb.refs.Store(refs)
-		s.hold(i, fb, iscsi.HashBlock(verify))
+		s.hold(i, fb, hash)
 	}
 	e.shardM.AddEncodeTime(int(s.id), time.Since(start))
 	return nil

@@ -224,9 +224,15 @@ func (e *Engine) tagged(p *pipe) bool {
 // encode path appends the frame after the headroom, frame() exposes
 // just the frame, and a FramedReplicaClient stamps the header into the
 // headroom and sends buf whole — zero copies between encode and wire.
+//
+// twin is the frame's CodecMask twin and check its check, which a
+// squeezed list ships in place of the frame and its hash (see
+// encodeFrames); twin is empty when the frame has none.
 type frameBuf struct {
-	buf  []byte
-	refs atomic.Int32
+	buf   []byte
+	twin  []byte
+	check uint64
+	refs  atomic.Int32
 }
 
 var framePool = sync.Pool{New: func() any { return new(frameBuf) }}
@@ -243,6 +249,7 @@ func getFrame() *frameBuf {
 	} else {
 		fb.buf = fb.buf[:iscsi.FrameHeadroom]
 	}
+	fb.twin, fb.check = fb.twin[:0], 0
 	return fb
 }
 
@@ -398,7 +405,7 @@ func plainGroups(groups []batchGroup, msgs []repMsg) []batchGroup {
 func singleGroup(one []repMsg) batchGroup {
 	m := &one[0]
 	return batchGroup{
-		entry: iscsi.BatchEntry{Seq: m.seq, LBA: m.lba, Hash: m.hash, Frame: m.frame.frame()},
+		entry: iscsi.BatchEntry{Seq: m.seq, LBA: m.lba, Hash: m.hash, Frame: m.frame.frame(), Mask: m.frame.twin, Check: m.frame.check},
 		msgs:  one,
 	}
 }
@@ -505,7 +512,7 @@ func (e *Engine) process(p *pipe, msgs []repMsg, backlog bool) {
 			// push) never hits: there is nothing to address it by.
 			if h := entries[k].Hash; rs.dedupe != nil && rs.byref != nil && h != 0 && rs.dedupe.Contains(h) {
 				groups[k].ref, refs = true, true
-				entries[k].Frame = nil
+				entries[k].Frame, entries[k].Mask = nil, nil
 			}
 		}
 		// A backlog run on an async pipe is the gate's: squeezed or not
@@ -550,7 +557,7 @@ func (e *Engine) process(p *pipe, msgs []repMsg, backlog bool) {
 			}
 			for k := missAt; k < len(groups); k++ {
 				groups[k].reshipped = true
-				entries[k].Frame = groups[k].entry.Frame
+				entries[k] = groups[k].entry
 			}
 			if sr.squeezed {
 				e.resetSqueeze(p)
@@ -864,16 +871,50 @@ func (e *Engine) coalesce(groups []batchGroup, msgs []repMsg) []batchGroup {
 		g.msgs = append(g.msgs, *m)
 	}
 	for gi, acc := range parities {
-		frame, err := xcode.EncodeBest(acc, xcode.CodecZRL)
-		if err != nil {
+		g := &groups[gi]
+		var err error
+		if g.entry.Frame, g.entry.Mask, g.entry.Check, err = mergedFrames(acc, g.msgs); err != nil {
 			// Cannot happen for a block we decoded; rather than ship a
 			// wrong frame, fall back to the uncoalesced batch.
 			return plainGroups(groups[:0], msgs)
 		}
-		groups[gi].entry.Frame = frame
 	}
 	slices.SortFunc(groups, func(a, b batchGroup) int { return cmp.Compare(a.entry.Seq, b.entry.Seq) })
 	return groups
+}
+
+// mergedFrames encodes a coalesced group's merged parity acc, and a
+// masked twin with its check when every member has a twin. The
+// members' twins, landed on each other in seq order, hold the block
+// after the group's last write at every byte some member's frame
+// carried as a literal, which covers every byte the merged parity
+// changed, but not the zero gaps a ZRL frame absorbs between changes,
+// whose new value the primary no longer holds. So the twin is made from
+// the merged parity's exact frame (xcode.EncodeExact: only changed
+// bytes for literals), and its check hashes that frame; the frame that
+// ships plain is the usual one. A group with a member without a twin,
+// or whose frame is raw-floored, gets no twin.
+func mergedFrames(acc []byte, members []repMsg) (frame, twin []byte, check uint64, err error) {
+	frame, err = xcode.EncodeBest(acc, xcode.CodecZRL)
+	if err != nil || xcode.Codec(frame[0]) != xcode.CodecZRL ||
+		slices.ContainsFunc(members, func(m repMsg) bool { return len(m.frame.twin) == 0 }) {
+		return frame, nil, 0, err
+	}
+	exact, err := xcode.EncodeExact(acc)
+	if err != nil || xcode.Codec(exact[0]) != xcode.CodecZRL {
+		return frame, nil, 0, err
+	}
+	over := make([]byte, len(acc))
+	var rebuilt []byte
+	for _, m := range members {
+		if rebuilt, err = xcode.MaskInto(over, m.frame.twin, rebuilt[:0]); err != nil {
+			return nil, nil, 0, err
+		}
+	}
+	if twin, err = xcode.AppendMask(nil, exact, over); err != nil {
+		return nil, nil, 0, err
+	}
+	return frame, twin, members[len(members)-1].hash ^ iscsi.HashBlock(exact), nil
 }
 
 // dropFrame accounts one frame elided because the pipe's replica is

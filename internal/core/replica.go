@@ -109,6 +109,7 @@ type replicaStream struct {
 	pass       []staged
 	pendingNew map[uint64]int // lba -> index into pass of its newest staged block
 	jes        []journal.Entry
+	rebuilt    []byte // the parity frame a mask frame's landing rebuilds
 }
 
 // stagingSlot returns staging slot i, a buffer of one block, allocating
@@ -398,6 +399,7 @@ func refuseAll(n int, st iscsi.Status) []iscsi.Status {
 type staged struct {
 	k     int // index into the push's entries
 	block []byte
+	hash  uint64 // block's content hash, what the journal and the index record
 }
 
 // applyGroup is the replica's one apply path: it applies a push of
@@ -503,6 +505,7 @@ func (r *ReplicaEngine) applyGroup(mode Mode, shard uint8, vol uint16, entries [
 			continue
 		}
 		var newBlock []byte
+		hash := e.Hash
 		if refs && e.ByRef() {
 			newBlock = st.stagingSlot(len(pass), r.store.BlockSize())
 			if !r.resolveRef(e.Hash, newBlock) {
@@ -523,7 +526,7 @@ func (r *ReplicaEngine) applyGroup(mode Mode, shard uint8, vol uint16, entries [
 				pre = pass[p].block
 			}
 			var err error
-			if newBlock, err = r.stage(mode, st, e, len(pass), pre); err != nil {
+			if newBlock, hash, err = r.stage(mode, st, e, len(pass), pre); err != nil {
 				fail(k, err)
 				continue
 			}
@@ -532,7 +535,7 @@ func (r *ReplicaEngine) applyGroup(mode Mode, shard uint8, vol uint16, entries [
 		if order != nil {
 			st.pendingNew[e.LBA] = len(pass)
 		}
-		pass = append(pass, staged{k: k, block: newBlock})
+		pass = append(pass, staged{k: k, block: newBlock, hash: hash})
 	}
 	st.pass = pass // keep what it grew to
 	if len(pass) == 0 {
@@ -552,12 +555,12 @@ func (r *ReplicaEngine) applyGroup(mode Mode, shard uint8, vol uint16, entries [
 		var err error
 		if len(pass) == 1 {
 			e := &entries[pass[0].k]
-			err = r.jrnl.BeginStream(shard, vol, e.Seq, e.LBA, e.Hash, pass[0].block)
+			err = r.jrnl.BeginStream(shard, vol, e.Seq, e.LBA, pass[0].hash, pass[0].block)
 		} else {
 			jes := st.jes[:0]
 			for _, p := range pass {
 				e := &entries[p.k]
-				jes = append(jes, journal.Entry{Seq: e.Seq, LBA: e.LBA, Hash: e.Hash, Shard: shard, Vol: vol, Block: p.block})
+				jes = append(jes, journal.Entry{Seq: e.Seq, LBA: e.LBA, Hash: p.hash, Shard: shard, Vol: vol, Block: p.block})
 			}
 			st.jes = jes
 			err = r.jrnl.BeginGroupStream(shard, vol, jes)
@@ -606,7 +609,7 @@ func (r *ReplicaEngine) applyGroup(mode Mode, shard uint8, vol uint16, entries [
 		}
 		e := &entries[p.k]
 		r.traffic.AddReplicaWrite()
-		r.indexApply(e.LBA, e.Hash)
+		r.indexApply(e.LBA, p.hash)
 		st.win.mark(e.Seq)
 	}
 }
@@ -618,50 +621,75 @@ var errFrameSize = fmt.Errorf("core: replica: frame's declared length is not the
 
 // stage recovers and verifies the full new block a by-value entry
 // leaves at its LBA into the stream's staging slot slot, without
-// touching the store, and returns it. The frame's declared length is
-// checked against the block size before a slot is taken or a byte is
-// decoded: the length field of a five-byte frame may claim anything up
-// to xcode.MaxBlockLen. A ModePRINS entry's pre-image — pre, the block a
-// same-LBA predecessor of the same push staged, or else the store's — is
-// read straight into the slot and the frame folded into it: the
-// backward parity computation A_new = P' XOR A_old, at a cost
-// proportional to the bytes the write changed. Called with st.mu held.
+// touching the store, and returns it with its content hash. The frame's
+// declared length is checked against the block size before a slot is
+// taken or a byte is decoded: the length field of a five-byte frame may
+// claim anything up to xcode.MaxBlockLen. A ModePRINS entry's pre-image
+// — pre, the block a same-LBA predecessor of the same push staged, or
+// else the store's — is read straight into the slot and the frame
+// folded into it: the backward parity computation A_new = P' XOR A_old,
+// at a cost proportional to the bytes the write changed. Called with
+// st.mu held.
 //
 // A hash mismatch returns an error wrapping iscsi.ErrDiverged: in
 // ModePRINS it means the replica's pre-image already differs from what
 // the primary XORed against, so writing the recovered block would
 // replace silent corruption with fresh silent corruption. The primary
 // marks the LBA dirty and repairs it with a ranged resync instead.
-func (r *ReplicaEngine) stage(mode Mode, st *replicaStream, e *iscsi.BatchEntry, slot int, pre []byte) ([]byte, error) {
+//
+// A CodecMask frame (a squeezed list's masked twin of a parity frame)
+// lands A_new's bytes on the pre-image instead of XORing, and rebuilds
+// the parity frame from the bytes it overwrote (xcode.MaskInto). Its
+// entry's hash is the check HashBlock(A_new) XOR HashBlock(the parity
+// frame the primary built), so the new block must hash to the check
+// XOR the rebuilt frame's hash: a pre-image byte that differs under the
+// mask changes the rebuilt frame, one that differs elsewhere changes
+// the block, and either is diverged, exactly as under the XOR. A mask
+// is always verified — a zero check is no escape — and the hash
+// returned is the block's, never the check.
+func (r *ReplicaEngine) stage(mode Mode, st *replicaStream, e *iscsi.BatchEntry, slot int, pre []byte) ([]byte, uint64, error) {
 	n, err := xcode.DecodedLen(e.Frame)
 	if err != nil {
-		return nil, fmt.Errorf("core: replica decode seq %d: %w: %w", e.Seq, iscsi.ErrReplicaDecode, err)
+		return nil, 0, fmt.Errorf("core: replica decode seq %d: %w: %w", e.Seq, iscsi.ErrReplicaDecode, err)
 	}
 	if n != r.store.BlockSize() {
-		return nil, errFrameSize
+		return nil, 0, errFrameSize
+	}
+	mask := xcode.Codec(e.Frame[0]) == xcode.CodecMask // a frame with a length has a codec
+	if mask && mode != ModePRINS {
+		return nil, 0, fmt.Errorf("core: replica decode seq %d: %w: a mask frame in mode %v", e.Seq, iscsi.ErrReplicaDecode, mode)
 	}
 	newBlock := st.stagingSlot(slot, n)
 	if mode == ModePRINS {
 		if pre != nil {
 			copy(newBlock, pre)
 		} else if err := r.store.ReadBlock(e.LBA, newBlock); err != nil {
-			return nil, fmt.Errorf("core: replica read old seq %d: %w", e.Seq, err)
+			return nil, 0, fmt.Errorf("core: replica read old seq %d: %w", e.Seq, err)
 		}
-		err = xcode.XORInto(newBlock, e.Frame)
+		if mask {
+			st.rebuilt, err = xcode.MaskInto(newBlock, e.Frame, st.rebuilt[:0])
+		} else {
+			err = xcode.XORInto(newBlock, e.Frame)
+		}
 	} else {
 		err = xcode.DecodeInto(newBlock, e.Frame)
 	}
 	if err != nil {
-		return nil, fmt.Errorf("core: replica decode seq %d: %w: %w", e.Seq, iscsi.ErrReplicaDecode, err)
+		return nil, 0, fmt.Errorf("core: replica decode seq %d: %w: %w", e.Seq, iscsi.ErrReplicaDecode, err)
 	}
-	if e.Hash != 0 {
-		if got := iscsi.HashBlock(newBlock); got != e.Hash {
-			r.traffic.AddDiverged()
-			return nil, fmt.Errorf("core: replica apply seq %d lba %d: %w: hash %016x, primary sent %016x",
-				e.Seq, e.LBA, iscsi.ErrDiverged, got, e.Hash)
-		}
+	if !mask && e.Hash == 0 {
+		return newBlock, 0, nil // unverified
 	}
-	return newBlock, nil
+	got, want := iscsi.HashBlock(newBlock), e.Hash
+	if mask {
+		want ^= iscsi.HashBlock(st.rebuilt)
+	}
+	if got != want {
+		r.traffic.AddDiverged()
+		return nil, 0, fmt.Errorf("core: replica apply seq %d lba %d: %w: hash %016x, primary sent %016x",
+			e.Seq, e.LBA, iscsi.ErrDiverged, got, want)
+	}
+	return newBlock, got, nil
 }
 
 // HandleReplicaBatch implements iscsi.BatchBackend: the wire entry

@@ -15,8 +15,11 @@ import (
 // ships as a squeezed list (SqueezeReplicaClient), its by-value CodecZRL
 // frames one DEFLATE segment primed with what the pipe's stream already
 // carried, which the replica inflates and slices back into the frames
-// its stage path folds. Whether a pipe squeezes is its squeezeGate's
-// call, made from what the shipper measures and nothing else.
+// its stage path lands. A frame with a masked twin (encodeFrames) goes
+// in the stream as the twin: the new bytes repeat the stream's history
+// where their XOR against the old ones does not. Whether a pipe
+// squeezes is its squeezeGate's call, made from what the shipper
+// measures and nothing else.
 
 // Gate constants. Not knobs: a pipe on which they are wrong is a pipe
 // the gate's rule is wrong for.
@@ -148,7 +151,7 @@ type squeezer struct {
 	probe []byte // compressible's scratch
 }
 
-// probeBytes is how much of a probe run's by-value frames the
+// probeBytes is how much of a probe run's streamed frames the
 // compressibility check reads. One ZRL frame of a few hundred bytes is
 // too short for a Huffman pass to shrink even when it is text: of
 // TPC-C's frames (squeezeCorpora), 2506 of 6073 pass on their own,
@@ -156,13 +159,16 @@ type squeezer struct {
 // none of the incompressible corpus's does.
 const probeBytes = 4 << 10
 
-// compressible reports whether the first probeBytes of the run's
-// by-value frames shrink under xcode.Compressible's Huffman-only pass
-// (a run without one has nothing to tell, and passes).
+// compressible reports whether the first probeBytes of what the run's
+// squeezed list would stream (iscsi.BatchEntry.InStream: the masked
+// twins, where the frames have them) shrink under xcode.Compressible's
+// Huffman-only pass. Inline frames are not read, since DEFLATE never
+// sees them; a run that streams nothing has nothing to tell, and
+// passes.
 func (sq *squeezer) compressible(entries []iscsi.BatchEntry) bool {
 	buf := sq.probe[:0]
 	for k := 0; k < len(entries) && len(buf) < probeBytes; k++ {
-		buf = append(buf, entries[k].Frame...)
+		buf = append(buf, entries[k].InStream()...)
 	}
 	sq.probe = buf[:0]
 	return len(buf) == 0 || xcode.Compressible(buf[:min(len(buf), probeBytes)])
@@ -180,7 +186,7 @@ type squeezeRun struct {
 
 // begin starts the clock on a backlog run of srcBytes on the wire and
 // reports, in the run's squeezed, whether it ships squeezed: the gate's
-// call, except that a probe whose first by-value bytes do not compress
+// call, except that a probe whose first streamed bytes do not compress
 // (see compressible) is lost on the spot. It ships plain, as an
 // incumbent run, and the gate spaces its next probe as for any lost
 // probe; no encoder is built for it.

@@ -45,11 +45,19 @@ const (
 
 // BatchEntry is one replication push inside an entry list: the same
 // seq/lba/hash/frame tuple ReplicaWrite ships one at a time.
+//
+// Mask, when set, is a masked redo of the write Frame ships
+// (xcode.AppendMask: a parity frame's zero runs with A_new's bytes for
+// literals) and Check the hash it is verified against; a squeezed list
+// ships them in place of Frame and Hash (see squeeze.go). Every other
+// encoding ignores them, and a decoded entry never has them.
 type BatchEntry struct {
 	Seq   uint64
 	LBA   uint64
 	Hash  uint64
 	Frame []byte
+	Mask  []byte
+	Check uint64
 }
 
 // BatchBackend is the optional batching extension of Backend. A target

@@ -81,6 +81,39 @@ func squeezeGoldenEntries(t *testing.T, p int) []BatchEntry {
 	return entries
 }
 
+// maskGoldenEntries builds a squeezed golden push whose five frames
+// have masked twins: each write rewrites a stretch of a prose-like block
+// with other words, and its check is its hash XOR its frame's.
+func maskGoldenEntries(t *testing.T) []BatchEntry {
+	t.Helper()
+	const words = "order line stock district "
+	entries := make([]BatchEntry, 5)
+	for k := range entries {
+		oldBlock, newBlock, parity := make([]byte, 256), make([]byte, 256), make([]byte, 256)
+		for j := range oldBlock {
+			oldBlock[j] = words[(j+k)%len(words)]
+			newBlock[j] = oldBlock[j]
+		}
+		for j := 16 * k; j < 16*k+40+8*k; j++ {
+			newBlock[j] = words[(j+k+5)%len(words)]
+		}
+		for j := range parity {
+			parity[j] = oldBlock[j] ^ newBlock[j]
+		}
+		frame, err := xcode.Encode(xcode.CodecZRL, parity)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mask, err := xcode.AppendMask(nil, frame, newBlock)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hash := HashBlock(newBlock)
+		entries[k] = BatchEntry{Seq: uint64(k + 1), LBA: uint64(2 * k), Hash: hash, Frame: frame, Mask: mask, Check: hash ^ HashBlock(frame)}
+	}
+	return entries
+}
+
 const goldenFile = "testdata/wire_golden.hex"
 
 func readGolden(t *testing.T) map[string]string {
@@ -110,7 +143,8 @@ func readGolden(t *testing.T) map[string]string {
 // zero-copy framed send), OpReplicaWriteBatch (untagged and tagged) and
 // OpReplicaWriteByRef (mixed by-ref and by-value entries), each with 1,
 // 2 and 7 entries, for an OpHashCmd request carrying a digest, and for
-// a fresh and a primed squeezed list (squeeze.go), the initiator's send
+// a fresh and a primed squeezed list and a fresh one streaming masked
+// twins (squeeze.go), the initiator's send
 // must equal both a contiguously built PDU written with
 // PDU.WriteTo (over the Encode* segment, for a push) and the committed
 // hex fixture. A case is named for the protocol version that
@@ -312,6 +346,35 @@ func TestWireGolden(t *testing.T) {
 			if !update && got[name] != golden[name] {
 				t.Errorf("%s: wire bytes differ from %s:\n sent %s\n want %s", name, goldenFile, got[name], golden[name])
 			}
+		}
+	})
+	// A squeezed list whose frames have masked twins streams the twins
+	// and carries their checks in the hash fields.
+	t.Run("squeeze-mask", func(t *testing.T) {
+		init, rec := startRecordedPair(t, &goldenSink{})
+		entries := maskGoldenEntries(t)
+		if err := statusesOK(func() ([]Status, error) {
+			st, _, err := init.ReplicaWriteSqueezed(mode, shard, vol, entries, false)
+			return st, err
+		}()); err != nil {
+			t.Fatal(err)
+		}
+		sent := rec.take()
+		var ref SqueezeSender
+		seg, tag, ok, err := ref.Encode(entries, false)
+		if err != nil || !ok || tag != 1 {
+			t.Fatalf("reference encode: tag %d, ok %v, %v", tag, ok, err)
+		}
+		var want bytes.Buffer
+		if _, err := (&PDU{Op: OpReplicaWriteBatch, Mode: mode, Shard: shard, Vol: vol, ITT: firstITT, Seq: tag, Data: seg}).WriteTo(&want); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(sent, want.Bytes()) {
+			t.Errorf("initiator bytes differ from the contiguously built PDU:\n sent %x\n want %x", sent, want.Bytes())
+		}
+		got["squeeze-mask"] = hex.EncodeToString(sent)
+		if !update && got["squeeze-mask"] != golden["squeeze-mask"] {
+			t.Errorf("wire bytes differ from %s:\n sent %s\n want %s", goldenFile, got["squeeze-mask"], golden["squeeze-mask"])
 		}
 	})
 	if !update {

@@ -36,6 +36,18 @@ import (
 // working set rewrites; references carry no frame, and raw-floored
 // frames, which DEFLATE finds nothing in, stay inline.
 //
+// Masks. An entry whose ZRL frame has a masked twin (BatchEntry.Mask)
+// streams the twin instead: a parity frame's zero runs with A_new's
+// bytes for literals, which repeat what the stream already carried
+// where the parity's XOR against changing old bytes does not. Its hash
+// field then carries the twin's check (BatchEntry.Check),
+// HashBlock(A_new) XOR HashBlock(the parity frame the twin was made
+// from), and the replica verifies it by landing the mask on its
+// pre-image and rebuilding that frame from the bytes it overwrote
+// (xcode.MaskInto): a wrong pre-image byte under the mask changes the
+// rebuilt frame, one elsewhere changes A_new, so the check catches
+// exactly what the parity's own hash check does.
+//
 // History. Each (shard, vol) stream of a session keeps, at both ends,
 // the last xcode.StreamWindow bytes of squeezed plaintext it carried,
 // and a segment may refer back into them. The tag names the history a
@@ -62,9 +74,28 @@ const maxDeflateRatio = 1032
 var ErrStaleHistory = errors.New("iscsi: squeezed push built on a stale history")
 
 // Streamed reports whether a squeezed list carries e's frame in its
-// stream segment rather than inline: a by-value CodecZRL frame.
+// stream segment rather than inline: a by-value CodecZRL or CodecMask
+// frame.
 func (e *BatchEntry) Streamed() bool {
-	return len(e.Frame) > 0 && xcode.Codec(e.Frame[0]) == xcode.CodecZRL
+	if len(e.Frame) == 0 {
+		return false
+	}
+	c := xcode.Codec(e.Frame[0])
+	return c == xcode.CodecZRL || c == xcode.CodecMask
+}
+
+// InStream returns what a squeezed list's stream segment carries for e:
+// its mask twin when it has one, else its frame, and nil when e is not
+// Streamed.
+func (e *BatchEntry) InStream() []byte {
+	switch {
+	case !e.Streamed():
+		return nil
+	case len(e.Mask) > 0:
+		return e.Mask
+	default:
+		return e.Frame
+	}
 }
 
 // SqueezeSender is the initiator's end of one stream's squeeze
@@ -102,8 +133,12 @@ func (s *SqueezeSender) Encode(entries []BatchEntry, refs bool) (seg []byte, tag
 	prev := &BatchEntry{}
 	for k := range entries {
 		e := &entries[k]
-		if e.Streamed() {
-			seg = appendEntryFields(seg, prev, e, uint64(len(e.Frame))<<1|1)
+		if in := e.InStream(); in != nil {
+			w := BatchEntry{Seq: e.Seq, LBA: e.LBA, Hash: e.Hash}
+			if len(e.Mask) > 0 {
+				w.Hash = e.Check // a streamed twin carries its check
+			}
+			seg = appendEntryFields(seg, prev, &w, uint64(len(in))<<1|1)
 		} else {
 			seg = append(appendEntryFields(seg, prev, e, uint64(len(e.Frame))<<1), e.Frame...)
 		}
@@ -111,8 +146,8 @@ func (s *SqueezeSender) Encode(entries []BatchEntry, refs bool) (seg []byte, tag
 	}
 	if err = s.def.Start(seg); err == nil {
 		for k := range entries {
-			if err == nil && entries[k].Streamed() {
-				err = s.def.Write(entries[k].Frame)
+			if in := entries[k].InStream(); err == nil && in != nil {
+				err = s.def.Write(in)
 			}
 		}
 	}

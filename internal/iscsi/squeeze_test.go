@@ -102,6 +102,69 @@ func TestSqueezeListRoundTrip(t *testing.T) {
 	}
 }
 
+// TestSqueezeMaskList: an entry with a masked twin streams the twin in
+// its frame's place and its check in its hash's, so the target decodes
+// the twin and the check; entries without one, references and inline
+// frames ship as before; a frame that is itself a mask streams too; and
+// the plain encodings ignore masks.
+func TestSqueezeMaskList(t *testing.T) {
+	entries := squeezeEntries(t, 0, 6, true)
+	masked := map[int]bool{0: true, 3: true}
+	for k := range masked {
+		e := &entries[k]
+		newBlock, err := xcode.Decode(e.Frame)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range newBlock {
+			newBlock[i] ^= byte(i%26) + 'a' // the block the parity leaves over a pre-image of letters
+		}
+		if e.Mask, err = xcode.AppendMask(nil, e.Frame, newBlock); err != nil {
+			t.Fatal(err)
+		}
+		e.Check = e.Hash ^ 0xF00D
+	}
+	var tx SqueezeSender
+	var rx SqueezeReceiver
+	seg, tag, ok, err := tx.Encode(entries, true)
+	if err != nil || !ok {
+		t.Fatalf("encode: ok %v, %v", ok, err)
+	}
+	got, err := rx.Decode(nil, append([]byte(nil), seg...), tag, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k, e := range entries {
+		wantFrame, wantHash := e.Frame, e.Hash
+		if masked[k] {
+			wantFrame, wantHash = e.Mask, e.Check
+		}
+		if got[k].Hash != wantHash || !bytes.Equal(got[k].Frame, wantFrame) || got[k].Mask != nil {
+			t.Errorf("entry %d (masked %v): decoded hash %x, frame %d bytes; want %x, %d bytes", k, masked[k], got[k].Hash, len(got[k].Frame), wantHash, len(wantFrame))
+		}
+	}
+
+	maskFrame := BatchEntry{Frame: entries[0].Mask}
+	if !maskFrame.Streamed() || !bytes.Equal(maskFrame.InStream(), entries[0].Mask) {
+		t.Error("a mask frame does not go in the stream")
+	}
+	bare := make([]BatchEntry, len(entries))
+	for k, e := range entries {
+		bare[k] = BatchEntry{Seq: e.Seq, LBA: e.LBA, Hash: e.Hash, Frame: e.Frame}
+	}
+	withMasks, err := EncodeByRef(entries)
+	if err != nil {
+		t.Fatal(err)
+	}
+	without, err := EncodeByRef(bare)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(withMasks, without) {
+		t.Error("a plain list carries masks")
+	}
+}
+
 // TestSqueezeStaleHistoryRefused: a receiver refuses a push whose tag
 // names a history it does not hold, before decoding anything, and keeps
 // its own; a fresh push (tag 1) always decodes and resets it; a push

@@ -49,8 +49,10 @@ var decodeScopePkgs = map[string]bool{
 	"dedupe": true, "dedupe_test": true,
 }
 
-// decodeNameFragments mark a function as a decode path.
-var decodeNameFragments = []string{"decode", "parse", "split", "unmarshal", "readpdu"}
+// decodeNameFragments mark a function as a decode path. The frame
+// walkers count too: the ZRL walker and the mask decoder that lands a
+// frame on a pre-image (xcode.MaskInto) read wire bytes like any parser.
+var decodeNameFragments = []string{"decode", "parse", "split", "unmarshal", "readpdu", "mask", "walk"}
 
 func isDecodeFunc(name string) bool {
 	lower := strings.ToLower(name)

@@ -40,3 +40,17 @@ func decodeCountTested(buf []byte) ([]byte, error) {
 	}
 	return buf[n:], nil // ok: n tested first
 }
+
+// maskInto stands for a frame walker that lands a mask frame's literals
+// on a pre-image: a decode path by its name.
+func maskInto(dst, frame []byte) {
+	copy(dst, frame[5:]) // finding: slice without a len guard
+}
+
+func walkGuarded(dst, frame []byte) error {
+	if len(frame) < 5 || len(frame)-5 > len(dst) {
+		return errShort
+	}
+	copy(dst, frame[5:]) // ok: dominated by the len check
+	return nil
+}

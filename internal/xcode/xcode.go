@@ -37,6 +37,12 @@ const (
 	// it from a block, Deflater.AppendSqueezed from a CodecZRL frame;
 	// the two are the same bytes.
 	CodecZRLFlate
+	// CodecMask is a masked redo: a CodecZRL frame's zero-run structure
+	// with A_new's bytes for its literals (AppendMask builds it from the
+	// parity's frame and the new block). It means nothing without the
+	// pre-image it lands on (MaskInto), so Decode, DecodeInto and
+	// XORInto refuse it.
+	CodecMask
 )
 
 // String returns the codec's short name.
@@ -50,6 +56,8 @@ func (c Codec) String() string {
 		return "flate"
 	case CodecZRLFlate:
 		return "zrl+flate"
+	case CodecMask:
+		return "mask"
 	default:
 		return fmt.Sprintf("codec(%d)", uint8(c))
 	}
@@ -57,7 +65,7 @@ func (c Codec) String() string {
 
 // Valid reports whether c names a supported codec.
 func (c Codec) Valid() bool {
-	return c >= CodecRaw && c <= CodecZRLFlate
+	return c >= CodecRaw && c <= CodecMask
 }
 
 // Frame layout constants.
@@ -98,7 +106,7 @@ func AppendEncode(dst []byte, c Codec, block []byte) ([]byte, error) {
 	case CodecRaw:
 		dst = append(dst, block...)
 	case CodecZRL:
-		dst = zrlAppend(dst, block)
+		dst = zrlAppend(dst, block, zrlMaxGap)
 	case CodecFlate, CodecZRLFlate:
 		src := block
 		if c == CodecZRLFlate {
@@ -108,6 +116,8 @@ func AppendEncode(dst []byte, c Codec, block []byte) ([]byte, error) {
 		if dst, err = appendDeflate(dst, src); err != nil {
 			return nil, err
 		}
+	case CodecMask:
+		return nil, fmt.Errorf("%w: a mask frame is built from a zrl frame (AppendMask)", ErrBadFrame)
 	default:
 		return nil, fmt.Errorf("%w: %d", ErrUnknownCode, uint8(c))
 	}
@@ -175,6 +185,22 @@ func AppendEncodeBest(dst []byte, block []byte, candidates ...Codec) ([]byte, er
 	return dst, nil
 }
 
+// EncodeExact encodes block as a CodecZRL frame whose literals are
+// exactly block's nonzero bytes — no zero gap is absorbed into a
+// literal, as Encode's would be — floored at CodecRaw like EncodeBest.
+// A coalesced parity is framed this way where it gets a masked twin:
+// every byte under the twin's literals is then one some write changed.
+func EncodeExact(block []byte) ([]byte, error) {
+	if len(block) > MaxBlockLen {
+		return nil, fmt.Errorf("%w: %d bytes", ErrTooLarge, len(block))
+	}
+	dst := binary.BigEndian.AppendUint32([]byte{byte(CodecZRL)}, uint32(len(block)))
+	if dst = zrlAppend(dst, block, 1); len(dst) > headerLen+len(block) {
+		return Encode(CodecRaw, block)
+	}
+	return dst, nil
+}
+
 // Decode decodes a frame produced by Encode, returning the original
 // block in a fresh buffer. Corrupt or truncated frames yield
 // ErrBadFrame; unregistered codec bytes yield ErrUnknownCode. The buffer
@@ -229,7 +255,9 @@ func decodeBody(dst []byte, c Codec, body []byte, xor bool) error {
 	case CodecRaw:
 		return putBlock(dst, body, xor)
 	case CodecZRL:
-		return zrlWalk(dst, body, xor)
+		return zrlWalk(dst, body, walkOf(xor), nil)
+	case CodecMask:
+		return errMaskDecode
 	case CodecFlate, CodecZRLFlate:
 		// A CodecZRLFlate frame's inner ZRL stream length is unknown
 		// until inflated; bound it by the worst-case ZRL expansion of
@@ -246,13 +274,17 @@ func decodeBody(dst []byte, c Codec, body []byte, xor bool) error {
 		}
 		f.mid = mid
 		if c == CodecZRLFlate {
-			return zrlWalk(dst, mid, xor)
+			return zrlWalk(dst, mid, walkOf(xor), nil)
 		}
 		return putBlock(dst, mid, xor)
 	default:
 		return fmt.Errorf("%w: %d", ErrUnknownCode, uint8(c))
 	}
 }
+
+// errMaskDecode refuses a mask frame where a block is expected: its
+// zero runs stand for the pre-image's bytes, not for zeros.
+var errMaskDecode = fmt.Errorf("%w: a mask frame decodes only onto its pre-image (MaskInto)", ErrBadFrame)
 
 // putBlock lands a whole decoded block: dst = block, or dst ^= block.
 func putBlock(dst, block []byte, xor bool) error {
@@ -265,6 +297,64 @@ func putBlock(dst, block []byte, xor bool) error {
 		copy(dst, block)
 	}
 	return nil
+}
+
+// AppendMask appends the CodecMask twin of a CodecZRL frame to dst: the
+// frame with its codec byte changed and each literal replaced by the
+// bytes of src at the literal's positions. With frame the ZRL frame of
+// P' = A_new XOR A_old and src A_new, the twin is the masked redo of the
+// write, exactly as long as the frame: A_new's bytes wherever the
+// parity's frame carries a literal. src must be exactly as long as the
+// frame's declared length. On error dst is returned unextended.
+func AppendMask(dst, frame, src []byte) ([]byte, error) {
+	c, n, body, err := splitFrame(frame)
+	if err != nil {
+		return dst, err
+	}
+	if c != CodecZRL {
+		return dst, fmt.Errorf("%w: a mask twins a zrl frame, not %v", ErrBadFrame, c)
+	}
+	if n != len(src) {
+		return dst, fmt.Errorf("%w: frame declares %d bytes, source holds %d", ErrBadFrame, n, len(src))
+	}
+	base := len(dst)
+	dst = append(dst, frame...)
+	dst[base] = byte(CodecMask)
+	if err := zrlWalk(src, body, walkGather, dst[base+headerLen:]); err != nil {
+		return dst[:base], err
+	}
+	return dst, nil
+}
+
+// MaskInto lands a CodecMask frame on the pre-image in dst — each
+// literal overwrites dst at its positions, zero runs leave dst alone —
+// and appends to rebuilt the CodecZRL frame the mask was made from as
+// this pre-image would have it: the same bytes, with each literal XORed
+// with the pre-image bytes it overwrote. On the pre-image the primary
+// held, that is the parity frame it built; a pre-image byte that differs
+// under a literal changes the rebuilt frame, and one that differs
+// elsewhere survives into dst. dst must be exactly as long as the
+// frame's declared length; the rebuilt frame is exactly as long as the
+// mask frame. It allocates nothing beyond what rebuilt needs to grow.
+// On error dst holds garbage and rebuilt is returned unextended.
+func MaskInto(dst, frame, rebuilt []byte) ([]byte, error) {
+	c, n, body, err := splitFrame(frame)
+	if err != nil {
+		return rebuilt, err
+	}
+	if c != CodecMask {
+		return rebuilt, fmt.Errorf("%w: %v frame is not a mask", ErrBadFrame, c)
+	}
+	if len(dst) != n {
+		return rebuilt, fmt.Errorf("%w: frame declares %d bytes, buffer holds %d", ErrBadFrame, n, len(dst))
+	}
+	base := len(rebuilt)
+	rebuilt = append(rebuilt, frame...)
+	rebuilt[base] = byte(CodecZRL)
+	if err := zrlWalk(dst, body, walkMask, rebuilt[base+headerLen:]); err != nil {
+		return rebuilt[:base], err
+	}
+	return rebuilt, nil
 }
 
 // FrameCodec returns the codec identifier of a frame without decoding

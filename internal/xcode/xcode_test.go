@@ -422,7 +422,7 @@ func zrlAppendBytewise(out, block []byte) []byte {
 // zrlDecode decodes a ZRL stream into a fresh block of decodedLen bytes.
 func zrlDecode(stream []byte, decodedLen int) ([]byte, error) {
 	out := make([]byte, decodedLen)
-	if err := zrlWalk(out, stream, false); err != nil {
+	if err := zrlWalk(out, stream, walkSet, nil); err != nil {
 		return nil, err
 	}
 	return out, nil
@@ -433,13 +433,43 @@ func zrlDecode(stream []byte, decodedLen int) ([]byte, error) {
 // decodes back to the block.
 func checkZRLAgainstBytewise(t *testing.T, block []byte, what string) {
 	t.Helper()
-	got := zrlAppend(nil, block)
+	got := zrlAppend(nil, block, zrlMaxGap)
 	if want := zrlAppendBytewise(nil, block); !bytes.Equal(got, want) {
 		t.Fatalf("%s: stream differs from bytewise oracle\n got %x\nwant %x", what, got, want)
 	}
 	back, err := zrlDecode(got, len(block))
 	if err != nil || !bytes.Equal(back, block) {
 		t.Fatalf("%s: decode(encode) != block: %v", what, err)
+	}
+	checkExact(t, block, what)
+}
+
+// checkExact asserts EncodeExact's contract on block: the frame decodes
+// back to it, and a ZRL one carries no zero byte in a literal (gathered
+// over a stream-long buffer of 0xEE, only a zero literal byte shows as
+// a zero).
+func checkExact(t *testing.T, block []byte, what string) {
+	t.Helper()
+	frame, err := EncodeExact(block)
+	if err != nil {
+		t.Fatalf("%s: EncodeExact: %v", what, err)
+	}
+	if back, err := Decode(frame); err != nil || !bytes.Equal(back, block) {
+		t.Fatalf("%s: decode(EncodeExact) != block: %v", what, err)
+	}
+	if len(frame) > headerLen+len(block) {
+		t.Fatalf("%s: exact frame of %d bytes for a %d-byte block", what, len(frame), len(block))
+	}
+	if Codec(frame[0]) != CodecZRL {
+		return
+	}
+	stream := frame[headerLen:]
+	lits := bytes.Repeat([]byte{0xEE}, len(stream))
+	if err := zrlWalk(block, stream, walkGather, lits); err != nil {
+		t.Fatal(err)
+	}
+	if i := bytes.IndexByte(lits, 0); i >= 0 {
+		t.Fatalf("%s: exact frame has a zero literal byte at stream offset %d", what, i)
 	}
 }
 

@@ -23,16 +23,23 @@ import (
 func zrlEncode(block []byte) []byte {
 	// Worst case (alternating zero/non-zero) the output is bounded by
 	// zrlMaxEncodedLen; start smaller and let append grow as needed.
-	return zrlAppend(make([]byte, 0, len(block)/4+16), block)
+	return zrlAppend(make([]byte, 0, len(block)/4+16), block, zrlMaxGap)
 }
 
-// zrlAppend appends the ZRL stream for block to out. It reads the block
+// zrlMaxGap is one more than the longest zero gap zrlAppend absorbs
+// into a literal: a gap of 1-3 zero bytes costs at most as much inline
+// as the two varints of a new segment.
+const zrlMaxGap = 4
+
+// zrlAppend appends the ZRL stream for block to out, absorbing zero gaps
+// shorter than maxGap into the literals around them (maxGap 1 absorbs
+// none: every literal byte is then a nonzero byte). It reads the block
 // a 64-bit word at a time: a zero run costs one compare per eight
 // bytes, and a literal run costs one SWAR has-zero-byte test per eight
 // bytes, so an incompressible block is scanned in about n/8 steps. Only
 // a word that holds a zero byte drops to byte steps, for the gap-merge
 // decision below.
-func zrlAppend(out, block []byte) []byte {
+func zrlAppend(out, block []byte, maxGap int) []byte {
 	const (
 		lows  = 0x0101010101010101
 		highs = 0x8080808080808080
@@ -58,7 +65,7 @@ func zrlAppend(out, block []byte) []byte {
 
 		// Count the literal run. Extending a literal across a short
 		// interior zero gap is cheaper than starting a new segment
-		// (two varints); merge gaps shorter than 4 bytes.
+		// (two varints); merge gaps shorter than maxGap bytes.
 		litStart := i
 		for i < n {
 			// Advance i to the next zero byte. (w-lows)&^w&highs has
@@ -81,15 +88,15 @@ func zrlAppend(out, block []byte) []byte {
 					break
 				}
 			}
-			// block[i] == 0. Look ahead: absorb a zero gap of 1-3 bytes
-			// into the literal if a non-zero byte follows it; a longer
-			// gap, or one that runs to the end of the block, ends the
-			// literal here.
+			// block[i] == 0. Look ahead: absorb a zero gap shorter than
+			// maxGap into the literal if a non-zero byte follows it; a
+			// longer gap, or one that runs to the end of the block, ends
+			// the literal here.
 			j := i + 1
-			for j < n && block[j] == 0 && j-i < 4 {
+			for j < n && block[j] == 0 && j-i < maxGap {
 				j++
 			}
-			if j == n || block[j] == 0 || j-i == 4 {
+			if j == n || block[j] == 0 || j-i == maxGap {
 				break
 			}
 			i = j
@@ -107,13 +114,43 @@ func zrlAppend(out, block []byte) []byte {
 	return out
 }
 
-// zrlWalk is the one ZRL stream decoder. It walks stream over dst, the
-// whole decoded block: with xor false it writes the block (zero runs
-// cleared, literals copied), with xor true it XORs the block into dst,
-// which leaves zero runs alone and touches literal bytes only. A
-// segment that would overrun dst or the stream is ErrBadFrame; dst then
-// holds garbage.
-func zrlWalk(dst, stream []byte, xor bool) error {
+// walkOp is what zrlWalk does with each segment of a stream.
+type walkOp uint8
+
+const (
+	// walkSet writes the block over dst: zero runs cleared, literals
+	// copied.
+	walkSet walkOp = iota
+	// walkXOR XORs the block into dst, which leaves zero runs alone and
+	// touches literal bytes only.
+	walkXOR
+	// walkMask lands a mask's literals on dst, leaving zero runs alone,
+	// after writing each literal XOR the dst bytes it overwrites to out,
+	// at the literal's place in the stream.
+	walkMask
+	// walkGather leaves dst alone and copies the dst bytes under each
+	// literal to out, at the literal's place in the stream.
+	walkGather
+)
+
+// walkOf is the walk DecodeInto (xor false) or XORInto (xor true) runs.
+func walkOf(xor bool) walkOp {
+	if xor {
+		return walkXOR
+	}
+	return walkSet
+}
+
+// zrlWalk is the one ZRL stream walker, and so the one decoder of every
+// frame with a zero-run structure: it walks stream over dst, the whole
+// decoded block, doing op at each segment. out, which walkMask and
+// walkGather write, is exactly as long as stream and lines up with it
+// byte for byte; the other ops ignore it. A segment that would overrun
+// dst or the stream is ErrBadFrame; dst and out then hold garbage.
+func zrlWalk(dst, stream []byte, op walkOp, out []byte) error {
+	if (op == walkMask || op == walkGather) && len(out) != len(stream) {
+		return fmt.Errorf("%w: %d-byte output for a %d-byte stream", ErrBadFrame, len(out), len(stream))
+	}
 	pos := 0
 	i := 0
 	for i < len(stream) {
@@ -131,7 +168,7 @@ func zrlWalk(dst, stream []byte, xor bool) error {
 		if skip > uint64(len(dst)-pos) {
 			return fmt.Errorf("%w: zrl skip overruns block", ErrBadFrame)
 		}
-		if !xor {
+		if op == walkSet {
 			clear(dst[pos : pos+int(skip)])
 		}
 		pos += int(skip)
@@ -140,18 +177,25 @@ func zrlWalk(dst, stream []byte, xor bool) error {
 			return fmt.Errorf("%w: zrl literal overruns", ErrBadFrame)
 		}
 		lit, at := stream[i:i+int(litLen)], dst[pos:pos+int(litLen)]
-		if xor {
-			subtle.XORBytes(at, at, lit)
-		} else {
+		switch op {
+		case walkSet:
 			copy(at, lit)
+		case walkXOR:
+			subtle.XORBytes(at, at, lit)
+		case walkMask:
+			subtle.XORBytes(out[i:i+len(lit)], lit, at)
+			copy(at, lit)
+		case walkGather:
+			copy(out[i:i+len(lit)], at)
 		}
 		pos += int(litLen)
 		i += int(litLen)
 	}
 	// Trailing-zeros contract: a stream may end with pos < len(dst), and
-	// the remaining bytes are implied zeros. Streams that would overrun
-	// dst were rejected above, so pos never exceeds it.
-	if !xor {
+	// the remaining bytes are implied zeros (under a mask, the
+	// pre-image's own). Streams that would overrun dst were rejected
+	// above, so pos never exceeds it.
+	if op == walkSet {
 		clear(dst[pos:])
 	}
 	return nil
