@@ -110,8 +110,9 @@ stress:
 # and the squeezed entry list's strict decoders included), the login codec, the frame walker's
 # decode-into and XOR-into forms (differential against Decode), its
 # mask form (differential against the XOR form of the same stream), the
-# codecs' encode/decode round trip and the ZRL encoder (differential
-# against its bytewise oracle), seeded from the checked-in corpora
+# codecs' encode/decode round trip, the ZRL encoder (differential
+# against its bytewise oracle) and the squeeze stream's rebuild of a
+# segment against a primed history, seeded from the checked-in corpora
 # (regenerate with PRINS_REGEN_CORPUS=1 go test -run
 # TestRegenerateFuzzCorpus ./internal/core). Every Fuzz function in the
 # tree is listed here: TestMakeFuzzListsEveryFuzzer fails otherwise.
@@ -128,6 +129,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz='^FuzzMaskInto$$' -fuzztime=$(FUZZTIME) ./internal/xcode
 	$(GO) test -run='^$$' -fuzz='^FuzzRoundTrip$$' -fuzztime=$(FUZZTIME) ./internal/xcode
 	$(GO) test -run='^$$' -fuzz='^FuzzZRLEncode$$' -fuzztime=$(FUZZTIME) ./internal/xcode
+	$(GO) test -run='^$$' -fuzz='^FuzzStreamInflate$$' -fuzztime=$(FUZZTIME) ./internal/xcode
 
 # The fault-injection suites under the race detector: connection and
 # store chaos, torn-write journal recovery, divergence detection and

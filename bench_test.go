@@ -7,6 +7,7 @@ package prins_test
 
 import (
 	"bytes"
+	"compress/flate"
 	"crypto/subtle"
 	"fmt"
 	"math/rand"
@@ -566,15 +567,17 @@ func tpccParities(tb testing.TB, seed int64, txns int) (parities, news [][]byte)
 // the bytes each stage ships for the whole corpus — zrlB the ZRL
 // frames, squeezedB what a per-frame squeeze keeps of them (a frame
 // DEFLATE does not shrink ships as it is), streamB what they cost as
-// the stream segments of squeezed lists: runs of streamRun frames
-// through one stream's history; maskB the same for the frames' masked
-// twins (xcode.AppendMask: A_new's bytes on the parity's literals),
-// which is what a backlogged pipe now streams, a raw-floored frame
-// going as it is.
+// the stream segments of squeezed lists before the long-range match
+// pass (deflateOnly): runs of streamRun frames through one stream's
+// 32 KiB of DEFLATE history; maskB the same for the frames' masked
+// twins (xcode.AppendMask: A_new's bytes on the parity's literals), a
+// raw-floored frame going as it is; longB the same twins through
+// xcode.StreamDeflater, whose repeats reach back a StreamWindow of
+// plaintext, which is what a backlogged pipe now streams.
 type squeezeCorpus struct {
-	name                            string
-	parities, news, frames          [][]byte
-	zrlB, squeezedB, streamB, maskB int64
+	name                                   string
+	parities, news, frames                 [][]byte
+	zrlB, squeezedB, streamB, maskB, longB int64
 }
 
 // streamRun is how many frames squeezeCorpora packs in one stream
@@ -629,8 +632,9 @@ func squeezeCorpora(tb testing.TB) []squeezeCorpus {
 			}
 			corpus.squeezedB += int64(len(frame))
 		}
-		corpus.streamB = streamBytes(tb, corpus.frames)
-		corpus.maskB = streamBytes(tb, masks)
+		corpus.streamB = streamBytes(tb, new(deflateOnly), corpus.frames)
+		corpus.maskB = streamBytes(tb, new(deflateOnly), masks)
+		corpus.longB = streamBytes(tb, new(xcode.StreamDeflater), masks)
 	}
 	return corpora
 }
@@ -649,10 +653,60 @@ func maskOf(tb testing.TB, frame, news []byte) []byte {
 	return twin
 }
 
+// segmenter is the writing end of one stream of segments.
+type segmenter interface {
+	Start(dst []byte) error
+	Write(p []byte) error
+	End() ([]byte, error)
+	Reset()
+}
+
+// deflateOnly is the writing end of a stream as squeezed lists built
+// it before the long-range match pass: one DEFLATE stream flushed per
+// segment, so a segment refers back only as far as DEFLATE's 32 KiB
+// window.
+type deflateOnly struct {
+	w    *flate.Writer
+	sink appendTo
+}
+
+// appendTo is an io.Writer that appends to buf.
+type appendTo struct{ buf []byte }
+
+func (a *appendTo) Write(p []byte) (int, error) {
+	a.buf = append(a.buf, p...)
+	return len(p), nil
+}
+
+func (d *deflateOnly) Start(dst []byte) error {
+	d.sink.buf = dst
+	if d.w != nil {
+		return nil
+	}
+	var err error
+	d.w, err = flate.NewWriter(&d.sink, 6) // xcode's level
+	return err
+}
+
+func (d *deflateOnly) Write(p []byte) error {
+	_, err := d.w.Write(p)
+	return err
+}
+
+func (d *deflateOnly) End() ([]byte, error) {
+	err := d.w.Flush()
+	return d.sink.buf, err
+}
+
+func (d *deflateOnly) Reset() {
+	if d.w != nil {
+		d.w.Reset(&d.sink)
+	}
+}
+
 // streamBytes returns what frames cost as the stream segments of
-// squeezed lists: runs of streamRun through one stream's history.
-func streamBytes(tb testing.TB, frames [][]byte) int64 {
-	var sd xcode.StreamDeflater
+// squeezed lists: runs of streamRun through sd's history.
+func streamBytes(tb testing.TB, sd segmenter, frames [][]byte) int64 {
 	var seg []byte
 	var total int64
 	for i := 0; i < len(frames); i += streamRun {
@@ -701,6 +755,7 @@ func TestSqueezeFrameCeiling(t *testing.T) {
 	}
 	streamCeilings := map[string]float64{"tpcc": 251.4, "incompressible": 867.2}
 	maskCeilings := map[string]float64{"tpcc": 166.5, "incompressible": 867.3}
+	longCeilings := map[string]float64{"tpcc": 124.5, "incompressible": 867.3}
 	for _, c := range squeezeCorpora(t) {
 		n, want := float64(len(c.frames)), ceilings[c.name]
 		if got := float64(c.zrlB) / n; got > want.zrl {
@@ -715,19 +770,25 @@ func TestSqueezeFrameCeiling(t *testing.T) {
 		if got := float64(c.maskB) / n; got > maskCeilings[c.name] {
 			t.Errorf("%s: masked twins in runs of %d through one stream average %.2f bytes, ceiling %.1f", c.name, streamRun, got, maskCeilings[c.name])
 		}
-		t.Logf("%s: B/frame zrl %.2f, squeezed %.2f, stream %.2f, mask %.2f", c.name,
-			float64(c.zrlB)/n, float64(c.squeezedB)/n, float64(c.streamB)/n, float64(c.maskB)/n)
+		if got := float64(c.longB) / n; got > longCeilings[c.name] {
+			t.Errorf("%s: masked twins in runs of %d through one long-window stream average %.2f bytes, ceiling %.1f", c.name, streamRun, got, longCeilings[c.name])
+		}
+		t.Logf("%s: B/frame zrl %.2f, squeezed %.2f, stream %.2f, mask %.2f, long %.2f", c.name,
+			float64(c.zrlB)/n, float64(c.squeezedB)/n, float64(c.streamB)/n, float64(c.maskB)/n, float64(c.longB)/n)
 	}
 }
 
 // BenchmarkAblationSqueeze prices the second encoding stage where it
 // now runs. zrl is the write path: one parity encoded ZRL-only under
-// the shard lock. stream is what a backlogged pipe adds on top: the
-// finished ZRL frames of a run of streamRun as one DEFLATE segment
-// primed with the runs before it (iscsi's squeezed lists). mask is what
-// such a pipe streams now: each frame's masked twin, built from the
-// frame and the new block (the write path's added walk, timed here
-// with it) and streamed in the frame's place. squeeze is
+// the shard lock. stream is what a backlogged pipe added on top before
+// the long-range match pass: the finished ZRL frames of a run of
+// streamRun as one DEFLATE segment primed with the runs before it
+// (iscsi's squeezed lists). mask is the same for each frame's masked
+// twin, built from the frame and the new block (the write path's added
+// walk, timed here with it) and streamed in the frame's place. long is
+// what such a pipe streams now: the twins through xcode.StreamDeflater,
+// whose match pass finds their repeats a StreamWindow back before
+// DEFLATE; its ns/frame less mask's is the match pass. squeeze is
 // the per-frame form it replaced, each ZRL frame transcoded to
 // ZRL+DEFLATE on its own and kept only when smaller. frameB is the mean
 // frame that ships, over the whole corpus (a count, held by
@@ -759,48 +820,49 @@ func BenchmarkAblationSqueeze(b *testing.B) {
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/frame")
 		})
 		b.Run(corpus.name+"/stream", func(b *testing.B) {
-			var d xcode.StreamDeflater
-			seg := make([]byte, 0, 64<<10)
-			for i := 0; i < b.N; i++ {
-				if i%streamRun == 0 {
-					if i > 0 {
-						seg, _ = d.End() // a healthy writer into memory: cannot fail
-					}
-					_ = d.Start(seg[:0])
-				}
-				_ = d.Write(corpus.frames[i%len(corpus.frames)])
-			}
-			_, _ = d.End()
-			b.ReportMetric(float64(corpus.streamB)/n, "frameB")
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/frame")
+			benchStream(b, new(deflateOnly), corpus, false, corpus.streamB)
 		})
 		b.Run(corpus.name+"/mask", func(b *testing.B) {
-			var d xcode.StreamDeflater
-			seg := make([]byte, 0, 64<<10)
-			var twin []byte
-			for i := 0; i < b.N; i++ {
-				if i%streamRun == 0 {
-					if i > 0 {
-						seg, _ = d.End() // a healthy writer into memory: cannot fail
-					}
-					_ = d.Start(seg[:0])
-				}
-				k := i % len(corpus.frames)
-				frame := corpus.frames[k]
-				if xcode.Codec(frame[0]) == xcode.CodecZRL {
-					var err error
-					if twin, err = xcode.AppendMask(twin[:0], frame, corpus.news[k]); err != nil {
-						b.Fatal(err)
-					}
-					frame = twin
-				}
-				_ = d.Write(frame)
-			}
-			_, _ = d.End()
-			b.ReportMetric(float64(corpus.maskB)/n, "frameB")
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/frame")
+			benchStream(b, new(deflateOnly), corpus, true, corpus.maskB)
+		})
+		b.Run(corpus.name+"/long", func(b *testing.B) {
+			benchStream(b, new(xcode.StreamDeflater), corpus, true, corpus.longB)
 		})
 	}
+}
+
+// benchStream streams corpus's frames, or with masks their masked
+// twins, through sd in runs of streamRun, and reports bytes, the
+// corpus's mean streamed frame. Each pass over the corpus starts the
+// stream afresh, as its count does: a second pass would otherwise
+// repeat the first, which a long history finds whole.
+func benchStream(b *testing.B, sd segmenter, corpus squeezeCorpus, masks bool, bytes int64) {
+	seg := make([]byte, 0, 64<<10)
+	var twin []byte
+	for i := 0; i < b.N; i++ {
+		k := i % len(corpus.frames)
+		if k%streamRun == 0 {
+			if i > 0 {
+				seg, _ = sd.End() // a healthy writer into memory: cannot fail
+			}
+			if k == 0 {
+				sd.Reset()
+			}
+			_ = sd.Start(seg[:0])
+		}
+		frame := corpus.frames[k]
+		if masks && xcode.Codec(frame[0]) == xcode.CodecZRL {
+			var err error
+			if twin, err = xcode.AppendMask(twin[:0], frame, corpus.news[k]); err != nil {
+				b.Fatal(err)
+			}
+			frame = twin
+		}
+		_ = sd.Write(frame)
+	}
+	_, _ = sd.End()
+	b.ReportMetric(float64(bytes)/float64(len(corpus.frames)), "frameB")
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/frame")
 }
 
 // hotpathEncode is the primary's per-write encode work exactly as the

@@ -11,7 +11,9 @@ import (
 )
 
 // Squeezed entry lists: a backlogged stream's by-value frames as one
-// DEFLATE segment, compressed against what the stream already carried.
+// compressed segment, built against what the stream already carried: a
+// match pass that names the repeats of its last 1 MiB, then DEFLATE
+// (xcode/stream.go).
 //
 // A squeezed list is an entry-list PDU (either opcode, v8) whose header
 // Seq field (off 28), which a plain list leaves zero, is nonzero: the
@@ -49,8 +51,9 @@ import (
 // exactly what the parity's own hash check does.
 //
 // History. Each (shard, vol) stream of a session keeps, at both ends,
-// the last xcode.StreamWindow bytes of squeezed plaintext it carried,
-// and a segment may refer back into them. The tag names the history a
+// the last xcode.StreamWindow (1 MiB) bytes of squeezed plaintext it
+// carried and the last 32 KiB its DEFLATE carried, and a segment may
+// refer back into both (xcode/stream.go). The tag names the history a
 // push was built on: 1 + the squeezed pushes the stream took in since
 // its history was last reset. Tag 1 is a fresh push, built on nothing,
 // and resets the target's history before it is read; any other tag
@@ -61,12 +64,6 @@ import (
 // target answers it StatusOK, and the history lives with the session,
 // so a redial starts both ends empty. The replica never inflates
 // against a history it does not hold.
-
-// maxDeflateRatio bounds how many bytes one byte of DEFLATE can
-// inflate to (a 258-byte match in two one-bit codes): a list that
-// declares more stream bytes than its segment could carry is refused
-// before anything is allocated for them.
-const maxDeflateRatio = 1032
 
 // ErrStaleHistory reports a squeezed push built on a history the
 // target does not hold: nothing was applied, and the push re-ships
@@ -185,6 +182,7 @@ type SqueezeReceiver struct {
 	pushes uint64 // squeezed pushes taken in since the last reset
 	plain  []byte // the last push's stream plaintext; its frames alias it
 	frames []streamedFrame
+	used   uint64 // the session's squeezed-push count at this stream's last push
 }
 
 // streamedFrame is a squeezed list's entry whose frame is in the stream:
@@ -198,10 +196,12 @@ type streamedFrame struct{ k, n int }
 // does not match is ErrStaleHistory, with nothing decoded. Decoding is
 // strict and bounded like a plain list's, and besides: an entry whose
 // frame is in the stream declares a nonzero length; the stream's
-// declared bytes must fit MaxDataSegment, and what maxDeflateRatio lets
-// the segment carry, before anything is allocated for them; and the
-// segment must inflate to exactly those bytes (xcode.StreamInflater).
-// On success the history takes the push in.
+// declared bytes must fit MaxDataSegment; and the segment must rebuild
+// exactly those bytes (xcode.StreamInflater), which is checked before
+// anything is allocated for them. A segment's repeats may rebuild far
+// more than DEFLATE alone could carry, so the bound on what one byte
+// of it may inflate to holds its match list and literals, not the
+// bytes they rebuild. On success the history takes the push in.
 func (r *SqueezeReceiver) Decode(entries []BatchEntry, data []byte, tag uint64, refs bool) ([]BatchEntry, error) {
 	switch {
 	case tag == 1:
@@ -219,14 +219,14 @@ func (r *SqueezeReceiver) Decode(entries []BatchEntry, data []byte, tag uint64, 
 	for _, f := range r.frames {
 		total += f.n
 	}
-	if total == 0 || total > maxDeflateRatio*len(z) {
-		return nil, fmt.Errorf("%w: a %d-byte stream segment declared to carry %d bytes", ErrBadFrame, len(z), total)
+	if err := r.inf.Load(z, total); err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrBadFrame, err)
 	}
 	if cap(r.plain) < total {
 		r.plain = make([]byte, total)
 	}
 	plain := r.plain[:total]
-	if err := r.inf.Inflate(plain, z); err != nil {
+	if err := r.inf.Rebuild(plain); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadFrame, err)
 	}
 	for _, f := range r.frames {
@@ -367,6 +367,13 @@ func (i *Initiator) ResetSqueeze(shard uint8, vol uint16) {
 	}
 }
 
+// maxSqueezeStreams caps the squeeze histories one target session
+// keeps, each some 1.1 MiB once its stream has pushed: a stream past
+// the cap takes over the history of the one that pushed least
+// recently, whose next push then comes back StatusStaleHistory and
+// re-ships fresh.
+const maxSqueezeStreams = 64
+
 // unsqueeze decodes the squeezed list rq holds against its stream's
 // history on this session.
 func (rq *request) unsqueeze(refs bool) ([]BatchEntry, error) {
@@ -377,8 +384,30 @@ func (rq *request) unsqueeze(refs bool) ([]BatchEntry, error) {
 	}
 	rx := rq.squeeze[key]
 	if rx == nil {
-		rx = new(SqueezeReceiver)
+		rx = rq.evictSqueeze()
 		rq.squeeze[key] = rx
 	}
+	rq.squeezed++
+	rx.used = rq.squeezed
 	return rx.Decode(rq.entries, pdu.Data, pdu.Seq, refs)
+}
+
+// evictSqueeze returns a receiver with no history for a stream new to
+// the session: a new one under the cap, else the least recently used
+// one, forgotten by its stream.
+func (rq *request) evictSqueeze() *SqueezeReceiver {
+	if len(rq.squeeze) < maxSqueezeStreams {
+		return new(SqueezeReceiver)
+	}
+	var lru uint32
+	var rx *SqueezeReceiver
+	for key, r := range rq.squeeze {
+		if rx == nil || r.used < rx.used {
+			lru, rx = key, r
+		}
+	}
+	delete(rq.squeeze, lru)
+	rx.pushes = 0
+	rx.inf.Reset()
+	return rx
 }

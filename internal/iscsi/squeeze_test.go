@@ -2,9 +2,11 @@ package iscsi
 
 import (
 	"bytes"
+	"compress/flate"
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"testing"
 
 	"prins/internal/xcode"
@@ -372,9 +374,9 @@ func TestSqueezedPushOverSession(t *testing.T) {
 
 // FuzzDecodeSqueezed feeds arbitrary segments and tags to a receiver
 // that holds a history: it never panics, never allocates more for the
-// stream than MaxDataSegment or the segment could carry, refuses only
-// with the documented sentinels, and whatever it accepts carries exactly
-// the stream bytes it declared.
+// stream than MaxDataSegment or what an accepted push carries, refuses
+// only with the documented sentinels, and whatever it accepts carries
+// exactly the stream bytes it declared.
 func FuzzDecodeSqueezed(f *testing.F) {
 	var tx SqueezeSender
 	var warm SqueezeReceiver
@@ -386,6 +388,7 @@ func FuzzDecodeSqueezed(f *testing.F) {
 	if _, err := warm.Decode(nil, first, 1, false); err != nil {
 		f.Fatal(err)
 	}
+	firstLen := len(warm.plain)
 	tx.Commit()
 	second, _, _, err := tx.Encode(squeezeEntries(f, 1, 6, true), true)
 	if err != nil {
@@ -414,7 +417,7 @@ func FuzzDecodeSqueezed(f *testing.F) {
 		for _, f := range rx.frames {
 			streamed += f.n
 		}
-		if streamed > MaxDataSegment || streamed > maxDeflateRatio*len(data) || cap(rx.plain) > max(streamed, len(first)*maxDeflateRatio) {
+		if streamed > MaxDataSegment || cap(rx.plain) > max(streamed, firstLen) {
 			t.Fatalf("streamed %d bytes from a %d-byte segment into %d", streamed, len(data), cap(rx.plain))
 		}
 		for _, e := range entries {
@@ -423,4 +426,168 @@ func FuzzDecodeSqueezed(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestSqueezeRepeatPastRatio: a push that repeats an earlier push's
+// frames rebuilds far more than DEFLATE alone could carry in its
+// segment, and decodes byte-exact; a hand-built run-length repeat that
+// would rebuild past the bytes its list declares is refused, leaving the
+// history to decode the next push.
+func TestSqueezeRepeatPastRatio(t *testing.T) {
+	const words = "warehouse district customer order line stock item history payment "
+	entries := make([]BatchEntry, 8)
+	total := 0
+	for k := range entries {
+		block := make([]byte, 32<<10)
+		for i := range block {
+			block[i] = words[(i*7+k*131+i/97)%len(words)]
+		}
+		frame, err := xcode.Encode(xcode.CodecZRL, block)
+		if err != nil {
+			t.Fatal(err)
+		}
+		entries[k] = BatchEntry{Seq: uint64(k + 1), LBA: uint64(k), Hash: uint64(k), Frame: frame}
+		total += len(frame)
+	}
+	var tx SqueezeSender
+	var rx SqueezeReceiver
+	pushSqueezed(t, &tx, &rx, entries, false)
+	for k := range entries {
+		entries[k].Seq += 100
+	}
+	seg, tag := pushSqueezed(t, &tx, &rx, entries, false)
+	if total <= 1032*len(seg) {
+		t.Fatalf("a repeated push of %d stream bytes took %d bytes: not past DEFLATE's ratio", total, len(seg))
+	}
+	t.Logf("a repeated push of %d stream bytes in a %d-byte data segment", total, len(seg))
+
+	// One in-stream frame of 100 bytes whose segment repeats 'a' a
+	// thousand times from one byte back.
+	list := binary.AppendUvarint(nil, 1)
+	list = append(list, 2, 2)
+	list = binary.BigEndian.AppendUint64(list, 9)
+	list = binary.AppendUvarint(list, 100<<1|1)
+	run := bytes.Repeat([]byte{'a'}, 1001)
+	body := binary.BigEndian.AppendUint32(nil, crc32.Checksum(run, crc32.MakeTable(crc32.Castagnoli)))
+	body = append(body, 1, 1)                         // one repeat, one literal before it
+	body = binary.AppendUvarint(body, 1000)           // 1000 bytes
+	body = append(binary.AppendUvarint(body, 1), 'a') // from 1 back, after the literal 'a'
+	var z bytes.Buffer
+	fw, err := flate.NewWriter(&z, flate.BestSpeed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fw.Write(body)
+	fw.Flush()
+	if _, err := rx.Decode(nil, append(list, z.Bytes()...), tag+1, false); !errors.Is(err, ErrBadFrame) {
+		t.Errorf("a run-length repeat past its list's 100 bytes: %v, want ErrBadFrame", err)
+	}
+	for k := range entries {
+		entries[k].Seq += 100
+	}
+	pushSqueezed(t, &tx, &rx, entries, false)
+}
+
+// imageBackend keeps the last frame each (vol, shard, lba) was sent:
+// the image the pushes it applied built.
+type imageBackend struct {
+	replicaSink
+	image map[[3]uint64][]byte
+}
+
+func (b *imageBackend) HandleReplicaBatchStream(mode, shard uint8, vol uint16, entries []BatchEntry) []Status {
+	statuses := make([]Status, len(entries))
+	for k, e := range entries {
+		statuses[k] = b.HandleReplicaStream(mode, shard, vol, e.Seq, e.LBA, e.Hash, e.Frame)
+	}
+	return statuses
+}
+
+func (b *imageBackend) HandleReplicaStream(mode, shard uint8, vol uint16, seq, lba, hash uint64, frame []byte) Status {
+	b.image[[3]uint64{uint64(vol), uint64(shard), lba}] = bytes.Clone(frame)
+	return StatusOK
+}
+
+// TestSqueezeHistoryCap: a session whose pushes come from ten times
+// maxSqueezeStreams streams keeps no more than that many histories. A
+// stream that keeps pushing keeps its history while hundreds of others
+// come and go; one that stops is forgotten, and its next push comes back
+// StatusStaleHistory and re-ships fresh; and the image the pushes built
+// holds exactly the frames last sent to every block.
+func TestSqueezeHistoryCap(t *testing.T) {
+	backend := &imageBackend{image: make(map[[3]uint64][]byte)}
+	want := make(map[[3]uint64][]byte)
+	rq := new(request)
+	stale := 0
+	push := func(tx *SqueezeSender, shard uint8, vol uint16, p int) (tag uint64) {
+		t.Helper()
+		entries := squeezeEntries(t, p, 4, false)
+		for fresh := false; ; fresh = true {
+			seg, tag, ok, err := tx.Encode(entries, false)
+			if err != nil || !ok {
+				t.Fatalf("encode: ok %v, %v", ok, err)
+			}
+			rq.pdu = PDU{Op: OpReplicaWriteBatch, Mode: 1, Shard: shard, Vol: vol, Seq: tag, Data: bytes.Clone(seg)}
+			_, status := rq.applyEntryList(backend)
+			if len(rq.squeeze) > maxSqueezeStreams {
+				t.Fatalf("%d squeeze histories held", len(rq.squeeze))
+			}
+			if status == StatusStaleHistory && !fresh {
+				stale++
+				tx.Reset()
+				continue
+			}
+			if status != StatusOK {
+				t.Fatalf("stream (%d, %d) push %d: %v", shard, vol, p, status)
+			}
+			tx.Commit()
+			for _, e := range entries {
+				want[[3]uint64{uint64(vol), uint64(shard), e.LBA}] = e.Frame
+			}
+			return tag
+		}
+	}
+	// Eight hot streams push between every few of 632 streams that push
+	// once each, fresh.
+	var hot [8]SqueezeSender
+	var once SqueezeSender
+	var hotTags, hotPushes [len(hot)]uint64
+	for k := range 10*maxSqueezeStreams - len(hot) {
+		once.Reset()
+		push(&once, uint8(k%256), uint16(100+k/256), k)
+		if k%4 == 0 {
+			h := k / 4 % len(hot)
+			hotTags[h] = push(&hot[h], uint8(h), 1, k)
+			hotPushes[h]++
+		}
+	}
+	if stale != 0 {
+		t.Errorf("hot streams refused as stale %d times", stale)
+	}
+	if hotTags != hotPushes {
+		t.Errorf("hot streams ended on tags %v after %v pushes: a history was dropped", hotTags, hotPushes)
+	}
+	// Now the one-shot streams alone, past the cap: the hot streams are
+	// forgotten, and each one's next push re-ships fresh.
+	for k := range maxSqueezeStreams {
+		once.Reset()
+		push(&once, uint8(k), 2000, k)
+	}
+	for h := range hot {
+		if tag := push(&hot[h], uint8(h), 1, 7000+h); tag != 1 {
+			t.Errorf("forgotten hot stream %d: tag %d, want a fresh push", h, tag)
+		}
+		push(&hot[h], uint8(h), 1, 8000+h)
+	}
+	if stale != len(hot) {
+		t.Errorf("%d pushes refused as stale, want %d", stale, len(hot))
+	}
+	if len(backend.image) != len(want) {
+		t.Fatalf("image holds %d blocks, %d sent", len(backend.image), len(want))
+	}
+	for key, frame := range want {
+		if !bytes.Equal(backend.image[key], frame) {
+			t.Fatalf("block %v differs from the frame last sent to it", key)
+		}
+	}
 }

@@ -282,15 +282,17 @@ func applyBatch(backend Backend, mode, shard uint8, vol uint16, entries []BatchE
 // list into its stream's buffer, so a steady stream of pushes
 // allocates nothing on the way in. All of it starts empty and grows to
 // the largest request the session has carried; none of it outlives the
-// handling of the PDU it holds (see Backend). squeeze also keeps each
-// stream's squeeze history, which lives as long as the session.
+// handling of the PDU it holds (see Backend). squeeze also keeps the
+// squeeze history of up to maxSqueezeStreams streams, which lives as
+// long as the session.
 type request struct {
-	hdr     [headerLen]byte
-	pdu     PDU
-	seg     []byte
-	entries []BatchEntry
-	span    []byte
-	squeeze map[uint32]*SqueezeReceiver
+	hdr      [headerLen]byte
+	pdu      PDU
+	seg      []byte
+	entries  []BatchEntry
+	span     []byte
+	squeeze  map[uint32]*SqueezeReceiver
+	squeezed uint64 // squeezed pushes the session took: squeeze's clock
 }
 
 // read reads the session's next PDU from r; rq.pdu holds it, its Data

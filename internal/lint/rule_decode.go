@@ -52,7 +52,10 @@ var decodeScopePkgs = map[string]bool{
 // decodeNameFragments mark a function as a decode path. The frame
 // walkers count too: the ZRL walker and the mask decoder that lands a
 // frame on a pre-image (xcode.MaskInto) read wire bytes like any parser.
-var decodeNameFragments = []string{"decode", "parse", "split", "unmarshal", "readpdu", "mask", "walk"}
+// So do the squeeze stream's readers, which inflate a segment and
+// rebuild its plaintext from the repeats it lists
+// (xcode.StreamInflater's Inflate and Rebuild).
+var decodeNameFragments = []string{"decode", "parse", "split", "unmarshal", "readpdu", "mask", "walk", "inflate", "rebuild"}
 
 func isDecodeFunc(name string) bool {
 	lower := strings.ToLower(name)

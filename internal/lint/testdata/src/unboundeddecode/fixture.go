@@ -54,3 +54,17 @@ func walkGuarded(dst, frame []byte) error {
 	copy(dst, frame[5:]) // ok: dominated by the len check
 	return nil
 }
+
+// rebuildRun stands for a stream reader that rebuilds plaintext from a
+// segment's repeats: a decode path by its name.
+func rebuildRun(dst, list []byte) {
+	copy(dst, list[4:]) // finding: slice without a len guard
+}
+
+func inflateGuarded(dst, seg []byte) error {
+	if len(seg) < 4 {
+		return errShort
+	}
+	copy(dst, seg[4:]) // ok: dominated by the len check
+	return nil
+}

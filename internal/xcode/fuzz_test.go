@@ -3,6 +3,8 @@ package xcode
 import (
 	"bytes"
 	"errors"
+	"hash/crc32"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -167,4 +169,68 @@ func FuzzZRLEncode(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		checkZRLAgainstBytewise(t, data, "fuzz input")
 	})
+}
+
+// FuzzStreamInflate throws arbitrary segments at a reader that holds a
+// primed history, for a dst of any length: nothing is written outside
+// dst; a segment is refused, leaving both histories as they were, or
+// fills dst exactly (two readers in the same state, handed buffers of
+// different contents, rebuild the same bytes); and the writer's own
+// segments of arbitrary plaintext, the second repeating the first,
+// round-trip.
+func FuzzStreamInflate(f *testing.F) {
+	var w StreamDeflater
+	var primed, a, b, c StreamInflater
+	primeStream(f, &w, &primed)
+	rng := rand.New(rand.NewSource(6))
+	f.Add(streamSegment(f, &w, streamText(rng, 3000)), uint16(3000), []byte("warehouse district"))
+	run := bytes.Repeat([]byte{'a'}, 1001)
+	f.Add(handSegment(f, crc32.Checksum(run, castagnoli), append(triples(1, 1000, 1), 'a')), uint16(1001), []byte{})
+	f.Add(handSegment(f, 0, append(triples(1, 1000, 1), 'a')), uint16(500), []byte{0})
+	f.Add(handSegment(f, 0, triples(0, 40, 90000)), uint16(40), streamText(rng, 200))
+	f.Add([]byte{0, 0, 0xff, 0xff}, uint16(1), []byte(nil))
+	const guard = 32
+	f.Fuzz(func(t *testing.T, seg []byte, n uint16, plain []byte) {
+		var dsts [2][]byte
+		var errs [2]error
+		for k, r := range []*StreamInflater{&a, &b} {
+			r.copyHistory(&primed)
+			buf := bytes.Repeat([]byte{byte(k) * 0xff}, guard+int(n)+guard)
+			dsts[k] = buf[guard : guard+int(n) : guard+int(n)]
+			errs[k] = r.Inflate(dsts[k], seg)
+			for _, g := range [][]byte{buf[:guard], buf[guard+int(n):]} {
+				if !bytes.Equal(g, bytes.Repeat([]byte{byte(k) * 0xff}, guard)) {
+					t.Fatal("wrote outside dst")
+				}
+			}
+		}
+		switch {
+		case (errs[0] == nil) != (errs[1] == nil):
+			t.Fatalf("two readers in one state: %v and %v", errs[0], errs[1])
+		case errs[0] != nil && !errors.Is(errs[0], ErrBadFrame):
+			t.Fatalf("refused as %v, want ErrBadFrame", errs[0])
+		case errs[0] != nil && !sameHistory(&a, &primed):
+			t.Fatal("a refused segment changed the history")
+		case errs[0] == nil && !bytes.Equal(dsts[0], dsts[1]):
+			t.Fatal("an accepted segment left bytes of dst unwritten")
+		}
+		if len(plain) == 0 {
+			return
+		}
+		w.Reset()
+		c.Reset()
+		for range 2 {
+			got := make([]byte, len(plain))
+			if err := c.Inflate(got, streamSegment(t, &w, plain)); err != nil || !bytes.Equal(got, plain) {
+				t.Fatalf("round trip of %d bytes: %v", len(plain), err)
+			}
+		}
+	})
+}
+
+// copyHistory gives f the histories of from.
+func (f *StreamInflater) copyHistory(from *StreamInflater) {
+	f.hist = append(f.hist[:0], from.hist...)
+	f.end, f.held = from.end, from.held
+	f.dict = append(f.dict[:0], from.dict...)
 }
