@@ -26,6 +26,7 @@ import (
 	"time"
 
 	"prins"
+	"prins/internal/metrics"
 )
 
 func main() {
@@ -230,14 +231,14 @@ func run(args []string) error {
 							}
 						}
 						log.Printf("prinsd: DEGRADED lag=%d frames (%s); writes=%d shipped=%s saved=%.1fx retries=%d",
-							primary.ReplicaLag(), strings.Join(lagged, " "), s.Writes, formatBytes(s.PayloadBytes), s.SavingsVsRaw, s.Retries)
+							primary.ReplicaLag(), strings.Join(lagged, " "), s.Writes, metrics.FormatBytes(s.PayloadBytes), s.SavingsVsRaw, s.Retries)
 					} else {
 						log.Printf("prinsd: writes=%d shipped=%s saved=%.1fx",
-							s.Writes, formatBytes(s.PayloadBytes), s.SavingsVsRaw)
+							s.Writes, metrics.FormatBytes(s.PayloadBytes), s.SavingsVsRaw)
 					}
 					if s.DedupeHits+s.DedupeMisses > 0 {
 						log.Printf("prinsd: dedupe hits=%d misses=%d saved=%s",
-							s.DedupeHits, s.DedupeMisses, formatBytes(s.DedupeSavedWireBytes))
+							s.DedupeHits, s.DedupeMisses, metrics.FormatBytes(s.DedupeSavedWireBytes))
 					}
 					if *scrubEvery > 0 {
 						var sc prins.ScrubStats
@@ -392,10 +393,10 @@ func runVolumes(o volumeOpts) error {
 							state = " DEGRADED"
 						}
 						log.Printf("prinsd: vol%d%s writes=%d shipped=%s saved=%.1fx",
-							id, state, s.Writes, formatBytes(s.PayloadBytes), s.SavingsVsRaw)
+							id, state, s.Writes, metrics.FormatBytes(s.PayloadBytes), s.SavingsVsRaw)
 						if s.DedupeHits+s.DedupeMisses > 0 {
 							log.Printf("prinsd: vol%d dedupe hits=%d misses=%d saved=%s",
-								id, s.DedupeHits, s.DedupeMisses, formatBytes(s.DedupeSavedWireBytes))
+								id, s.DedupeHits, s.DedupeMisses, metrics.FormatBytes(s.DedupeSavedWireBytes))
 						}
 					}
 				case <-o.stop:
@@ -474,8 +475,8 @@ func runRepair(k, n, lost int, from, sink string) error {
 		return err
 	}
 	log.Printf("prinsd: rebuilt unit %d: scanned %d blocks, repaired %d in %d writes (data %s, sent %s), %s on the wire in %s",
-		lost, st.BlocksScanned, st.BlocksRepaired, st.RepairWrites, formatBytes(st.DataBytes), formatBytes(st.SentBytes),
-		formatBytes(st.WireBytes), time.Since(start).Round(time.Millisecond))
+		lost, st.BlocksScanned, st.BlocksRepaired, st.RepairWrites, metrics.FormatBytes(st.DataBytes), metrics.FormatBytes(st.SentBytes),
+		metrics.FormatBytes(st.WireBytes), time.Since(start).Round(time.Millisecond))
 	return nil
 }
 
@@ -485,17 +486,4 @@ func splitEndpoint(ep string) (addr, export string, err error) {
 		return "", "", fmt.Errorf("bad replica endpoint %q (want host:port/export)", ep)
 	}
 	return ep[:i], ep[i+1:], nil
-}
-
-func formatBytes(n int64) string {
-	switch {
-	case n >= 1<<30:
-		return fmt.Sprintf("%.2fGB", float64(n)/float64(1<<30))
-	case n >= 1<<20:
-		return fmt.Sprintf("%.2fMB", float64(n)/float64(1<<20))
-	case n >= 1<<10:
-		return fmt.Sprintf("%.1fKB", float64(n)/float64(1<<10))
-	default:
-		return fmt.Sprintf("%dB", n)
-	}
 }

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"prins"
+	"prins/internal/metrics"
 	"prins/internal/parity"
 )
 
@@ -95,6 +96,8 @@ func TestOpenStore(t *testing.T) {
 	}
 }
 
+// TestFormatBytes pins the byte figures prinsd prints in its status
+// and repair lines.
 func TestFormatBytes(t *testing.T) {
 	tests := []struct {
 		n    int64
@@ -106,8 +109,8 @@ func TestFormatBytes(t *testing.T) {
 		{3 << 30, "3.00GB"},
 	}
 	for _, tt := range tests {
-		if got := formatBytes(tt.n); got != tt.want {
-			t.Errorf("formatBytes(%d) = %q, want %q", tt.n, got, tt.want)
+		if got := metrics.FormatBytes(tt.n); got != tt.want {
+			t.Errorf("metrics.FormatBytes(%d) = %q, want %q", tt.n, got, tt.want)
 		}
 	}
 }

@@ -303,6 +303,10 @@ type shard struct {
 	// the delta, but the replica verifies the unit it recovers).
 	gUnits [][]byte
 	gNew   [][]byte
+
+	// m is the shard's write-path counter bank; its pipes book their
+	// deliveries on their own.
+	m metrics.Bank
 }
 
 // Engine is the primary-side PRINS engine. It wraps the local block
@@ -325,10 +329,9 @@ type Engine struct {
 	local block.Store
 	pw    ParityWriter // non-nil if local supports the RAID fast path
 	//lint:lockorder core.shard.mu < core.Engine.pwMu the fast path is entered from inside a shard's critical section
-	pwMu    sync.Mutex // serializes the shared fast path across shards
-	traffic *metrics.Traffic
+	pwMu    sync.Mutex      // serializes the shared fast path across shards
+	traffic metrics.Traffic // snapshot, bound once so reading it allocates nothing
 	density *parity.DensityStats
-	shardM  *metrics.ShardSet
 
 	// rsCodec is the group's Reed-Solomon code; non-nil exactly when
 	// Config.Group is set, and doubles as the GroupMode discriminator
@@ -370,14 +373,12 @@ func NewEngine(local block.Store, cfg Config) (*Engine, error) {
 		cfg:       cfg,
 		retry:     cfg.Retry.withDefaults(),
 		local:     local,
-		traffic:   &metrics.Traffic{},
 		density:   &parity.DensityStats{},
-		shardM:    metrics.NewShardSet(n),
 		shards:    make([]*shard, n),
 		shardSize: shardSize,
 		done:      make(chan struct{}),
 	}
-	e.traffic.AttachShards(e.shardM)
+	e.traffic = e.snapshot
 	if cfg.Group.enabled() {
 		rs, err := parity.NewRS(cfg.Group.K, cfg.Group.N)
 		if err != nil {
@@ -440,9 +441,15 @@ func (e *Engine) ShardRange(s int) block.Range {
 	return block.Range{Start: start, Count: count}
 }
 
-// ShardStats snapshots the per-shard write-path counters, indexed by
-// shard id.
-func (e *Engine) ShardStats() []metrics.ShardSnapshot { return e.shardM.Snapshot() }
+// ShardStats snapshots every shard's counters, indexed by shard id: its
+// own bank folded with its pipes' to every replica.
+func (e *Engine) ShardStats() []metrics.ShardSnapshot {
+	out := make([]metrics.ShardSnapshot, len(e.shards))
+	for i, s := range e.shards {
+		out[i] = fold(s.pipes).Add(&s.m).ShardSnapshot()
+	}
+	return out
+}
 
 // AttachReplica adds a replication destination and starts one ship
 // pipeline per shard for it, each drained by one shipper goroutine whose
@@ -521,8 +528,9 @@ func (e *Engine) AttachReplica(rc ReplicaClient) error {
 
 // Degraded reports whether any attached replica has exhausted its
 // retry budget and been taken out of the ship path. Writes still
-// succeed locally; the dropped-frame gap is visible in
-// Traffic().Snapshot().ReplicaLag and per replica in ReplicaStats.
+// succeed locally; the dropped-frame gap is visible per replica in
+// ReplicaStats (each replica's Lag sums its pipes' gauges) and, for the
+// worst replica, in Traffic().Snapshot().ReplicaLag.
 func (e *Engine) Degraded() bool {
 	for _, rs := range e.replicas {
 		if rs.degraded.Load() {
@@ -533,17 +541,10 @@ func (e *Engine) Degraded() bool {
 }
 
 // ReplicaLag returns the largest number of frames any degraded replica
-// is behind the primary — zero when all replicas are healthy. The
-// Traffic snapshot's ReplicaLag gauge reports the same maximum.
-func (e *Engine) ReplicaLag() int64 {
-	var lag int64
-	for _, rs := range e.replicas {
-		if d := rs.m.Lag(); d > lag {
-			lag = d
-		}
-	}
-	return lag
-}
+// is behind the primary — zero when all replicas are healthy. A
+// replica's lag is the sum of its pipes' gauges; the Traffic snapshot's
+// ReplicaLag is this same maximum.
+func (e *Engine) ReplicaLag() int64 { return e.snapshot().ReplicaLag }
 
 // ReplicaStat describes one attached replica's pipeline health.
 type ReplicaStat struct {
@@ -552,12 +553,13 @@ type ReplicaStat struct {
 }
 
 // ReplicaStats returns a point-in-time snapshot of every attached
-// replica's pipeline, in attach order. The engine-wide Traffic view
-// aggregates the same counters across replicas.
+// replica's pipelines, in attach order: replica i's view is the fold of
+// its pipes' banks, one per shard. The engine-wide Traffic view folds
+// the same banks, so its delivery totals are these views' sums.
 func (e *Engine) ReplicaStats() []ReplicaStat {
 	out := make([]ReplicaStat, len(e.replicas))
 	for i, rs := range e.replicas {
-		out[i] = ReplicaStat{Degraded: rs.degraded.Load(), Metrics: rs.m.Snapshot()}
+		out[i] = ReplicaStat{Degraded: rs.degraded.Load(), Metrics: fold(rs.pipes).ReplicaSnapshot()}
 	}
 	return out
 }
@@ -614,10 +616,10 @@ func (e *Engine) ClearDirty(i int, ranges ...block.Range) {
 	}
 }
 
-// ClearDegraded reinstates every degraded replica, zeroes the lag
-// gauges, and forgets any sticky replication error a previous Drain
-// reported — after the recovery lifecycle completes, the engine
-// reports healthy again. Call it only after the gap has been healed —
+// ClearDegraded reinstates every degraded replica, zeroes every pipe's
+// lag gauge (Dropped keeps its historical total), and forgets any
+// sticky replication error a previous Drain reported — after the
+// recovery lifecycle completes, the engine reports healthy again. Call it only after the gap has been healed —
 // quiesce writes (Drain), run a resync against each degraded replica,
 // then clear; clearing with writes in flight or an unhealed replica
 // re-ships new parities on top of stale blocks and silently corrupts
@@ -625,10 +627,11 @@ func (e *Engine) ClearDirty(i int, ranges ...block.Range) {
 func (e *Engine) ClearDegraded() {
 	for _, rs := range e.replicas {
 		rs.degraded.Store(false)
-		rs.m.ResetLag()
+		for _, p := range rs.pipes {
+			p.m.Store(metrics.Lag, 0)
+		}
 		rs.clearErr()
 	}
-	e.traffic.ResetReplicaLag()
 }
 
 // ReplicaDedupe returns replica i's primary-side dedupe index, or nil
@@ -642,8 +645,23 @@ func (e *Engine) ReplicaDedupe(i int) *dedupe.Index {
 	return e.replicas[i].dedupe
 }
 
-// Traffic returns the engine's traffic counters.
-func (e *Engine) Traffic() *metrics.Traffic { return e.traffic }
+// Traffic returns the engine's traffic view. Its Snapshot folds every
+// shard's and pipe's bank when called: delivery totals are the sums of
+// ReplicaStats, and ReplicaLag is the worst replica's lag.
+func (e *Engine) Traffic() metrics.Traffic { return e.traffic }
+
+// snapshot is the fold behind Traffic: each replica's pipes fold first,
+// so the engine-wide lag is a maximum over replicas, not a sum.
+func (e *Engine) snapshot() metrics.Snapshot {
+	var c metrics.Counts
+	for _, s := range e.shards {
+		c = c.Add(&s.m)
+	}
+	for _, rs := range e.replicas {
+		c = c.Merge(fold(rs.pipes))
+	}
+	return c.Snapshot()
+}
 
 // Density returns the change-density statistics (populated only when
 // Config.RecordDensity is set and the mode computes parity).
@@ -872,7 +890,7 @@ func (e *Engine) encodeFrames(s *shard, src, data []byte) error {
 		fb.refs.Store(refs)
 		s.hold(i, fb, hash)
 	}
-	e.shardM.AddEncodeTime(int(s.id), time.Since(start))
+	s.m.Add(metrics.EncodeNanos, int64(time.Since(start)))
 	return nil
 }
 
@@ -887,10 +905,11 @@ func (e *Engine) localApply(s *shard, lba uint64, data []byte) ([]byte, error) {
 	if len(data) != bs {
 		return nil, fmt.Errorf("%w: %d != %d", block.ErrBadBufSize, len(data), bs)
 	}
-	// Hot-path counters live in the shard's own cache-line-sized bank;
+	// Hot-path counters live in the shard's own cache-line-padded bank;
 	// Traffic folds the banks into its totals on Snapshot, so the write
 	// path never touches a cache line shared with another shard.
-	e.shardM.AddWrite(int(s.id), bs)
+	s.m.Add(metrics.Writes, 1)
+	s.m.Add(metrics.RawBytes, int64(bs))
 	if e.cfg.Mode != ModePRINS {
 		return data, e.local.WriteBlock(lba, data)
 	}
@@ -939,9 +958,9 @@ func (e *Engine) localApply(s *shard, lba uint64, data []byte) ([]byte, error) {
 	if e.cfg.RecordDensity {
 		e.density.Record(parity.Density{ChangedBytes: nz, BlockBytes: bs})
 	}
-	e.shardM.AddEncodeTime(int(s.id), time.Since(start))
+	s.m.Add(metrics.EncodeNanos, int64(time.Since(start)))
 	if e.cfg.SkipUnchanged && nz == 0 {
-		e.shardM.AddSkipped(int(s.id))
+		s.m.Add(metrics.Skipped, 1)
 		return nil, nil
 	}
 	return fp, nil

@@ -36,10 +36,10 @@ import (
 // which the replica's per-stream seq window dedupes and the same-LBA
 // admission rule keeps correct.
 //
-// Degraded state, retry accounting, and sticky async errors live on
-// the replica (shared across its pipes — a dead session is dead for
-// every shard); dirty maps live on the pipe, so recovery can resync
-// shard ranges independently.
+// Degraded state and sticky async errors live on the replica (shared
+// across its pipes — a dead session is dead for every shard); dirty maps
+// live on the pipe, so recovery can resync shard ranges independently,
+// and so do the delivery counters, so no two shippers share one.
 
 // repMsg is one queued replication job for one replica.
 type repMsg struct {
@@ -52,9 +52,9 @@ type repMsg struct {
 	ack chan<- error
 }
 
-// replicaState is one attached replica's shared delivery health and
-// counters; the per-shard queues hang off its pipes. The degraded flag
-// is atomic because shippers race with ClearDegraded and the Degraded
+// replicaState is one attached replica's shared delivery health; the
+// per-shard queues and counters hang off its pipes. The degraded flag is
+// atomic because shippers race with ClearDegraded and the Degraded
 // accessors.
 type replicaState struct {
 	client ReplicaClient
@@ -82,7 +82,6 @@ type replicaState struct {
 	// its backlog runs only through it.
 	squeeze SqueezeReplicaClient
 
-	m     metrics.Replica
 	pipes []*pipe // one per shard, shard order
 
 	degraded atomic.Bool
@@ -178,6 +177,19 @@ type pipe struct {
 	// pushes share the link, so no one push's duration is the pipe's
 	// goodput.
 	sq *squeezer
+	// m is the pipe's counter bank: every delivery, retry, drop and
+	// admission wait of this pipe is booked here and nowhere else, and
+	// the replica, shard and engine views fold it on read.
+	m metrics.Bank
+}
+
+// fold sums the banks of pipes: a replica's view of its ship path when
+// they are its pipes, a shard's view of its deliveries when its own.
+func fold(pipes []*pipe) (c metrics.Counts) {
+	for _, p := range pipes {
+		c = c.Add(&p.m)
+	}
+	return c
 }
 
 // markDirty records lba as not-known-held by this pipe's replica and
@@ -296,7 +308,7 @@ func (e *Engine) shipper(p *pipe) {
 		run, backlog := e.drain(p, spare, first)
 		spare = nil
 		if !p.admissible(w, run) {
-			p.rs.m.AddAdmitWait() // counted when the wait begins, so a stalled window shows while it is stalled
+			p.m.Add(metrics.AdmitWaits, 1) // counted when the wait begins, so a stalled window shows while it is stalled
 			for !p.admissible(w, run) {
 				w.Wait()
 			}
@@ -468,10 +480,10 @@ func singleGroup(one []repMsg) batchGroup {
 // length of.
 func (e *Engine) process(p *pipe, msgs []repMsg, backlog bool) {
 	rs := p.rs
-	if p.batches {
-		e.traffic.ObserveBatch(len(msgs))
-	}
 	degraded := rs.degraded.Load()
+	if p.batches && !degraded { // a degraded pipe's run never reaches the wire
+		p.m.Add(metrics.Bucket(len(msgs)), 1)
+	}
 	single := !p.batches || (len(msgs) == 1 && rs.dedupe == nil)
 
 	var one [1]batchGroup
@@ -484,8 +496,7 @@ func (e *Engine) process(p *pipe, msgs []repMsg, backlog bool) {
 	} else {
 		groups = e.coalesce(groups, msgs)
 		if merged := int64(len(msgs) - len(groups)); merged > 0 {
-			rs.m.AddCoalesced(merged)
-			e.traffic.AddCoalesced(merged)
+			p.m.Add(metrics.Coalesced, merged)
 		}
 	}
 
@@ -542,7 +553,7 @@ func (e *Engine) process(p *pipe, msgs []repMsg, backlog bool) {
 		// history nothing to be kept for.
 		switched, forget := sr.end(err == nil && tries == 1 && missAt == len(groups))
 		if switched {
-			rs.m.AddSqueezeSwitch()
+			p.m.Add(metrics.SqueezeSwitches, 1)
 		}
 		var fberr error
 		if missAt < len(groups) {
@@ -602,7 +613,7 @@ func (e *Engine) process(p *pipe, msgs []repMsg, backlog bool) {
 	// against the saving, so a miss storm reads negative rather than
 	// flattering.
 	var okMsgs int
-	var payload, unbatchedOK, dHits, dMisses, dSaved, squeezed, sqSaved int64
+	var payload, unbatchedOK, dHits, dMisses, dSaved, squeezed, sqSaved, dropped int64
 	for k := range groups {
 		g := &groups[k]
 		if g.ref && g.reshipped {
@@ -644,8 +655,7 @@ func (e *Engine) process(p *pipe, msgs []repMsg, backlog bool) {
 			}
 		case errors.Is(g.err, iscsi.ErrDiverged):
 			p.markDirty(g.entry.LBA)
-			rs.m.AddDiverged()
-			e.traffic.AddDiverged()
+			p.m.Add(metrics.Diverged, 1)
 			if e.cfg.Async {
 				g.err = nil
 			}
@@ -660,9 +670,7 @@ func (e *Engine) process(p *pipe, msgs []repMsg, backlog bool) {
 					e.resetSqueeze(q)
 				}
 			}
-			for _, m := range g.msgs {
-				e.dropFrame(p, m.lba)
-			}
+			dropped += int64(len(g.msgs)) // all at the LBA just marked dirty
 			g.err = nil
 			if !e.cfg.Async {
 				g.err = errDropped
@@ -670,28 +678,31 @@ func (e *Engine) process(p *pipe, msgs []repMsg, backlog bool) {
 		}
 	}
 
-	// Batch wire accounting covers every entry the replica processed
-	// (matching the single-frame convention of modelling the data
-	// segment, not the PDU header).
-	switch {
-	case listed:
-		// What the squeeze took off the frames is its own saving, not
-		// batching's.
-		rs.m.AddBatch(okMsgs, payload, wire, unbatchedOK-wire-sqSaved)
-		e.traffic.AddBatch(okMsgs, payload, wire, unbatchedOK-wire-sqSaved)
-		if squeezed > 0 {
-			rs.m.AddSqueezed(squeezed, sqSaved)
-		}
-		if refs {
-			rs.m.AddDedupe(dHits, dMisses, dSaved)
-			e.traffic.AddDedupe(dHits, dMisses, dSaved)
-		}
-		e.shardM.AddShipped(int(p.shard.id), int64(okMsgs))
-	case single && okMsgs == 1: // the plain replica-write op, delivered
-		rs.m.AddShipped(int(payload), int(unbatchedOK))
-		e.traffic.AddReplicated(int(payload), int(unbatchedOK))
-		e.shardM.AddShipped(int(p.shard.id), 1)
+	// Book the run on the pipe's bank. Batch wire accounting covers every
+	// entry the replica processed (matching the single-frame convention
+	// of modelling the data segment, not the PDU header), and what the
+	// squeeze took off the frames is its own saving, not batching's. A
+	// run that was not listed put one frame on the wire as its own PDU,
+	// or delivered nothing, and then every sum but dropped is zero.
+	if listed {
+		p.m.Add(metrics.Batches, 1)
+		p.m.Add(metrics.BatchSaved, unbatchedOK-wire-sqSaved)
+	} else {
+		wire = unbatchedOK
 	}
+	p.m.Add(metrics.Shipped, int64(okMsgs))
+	p.m.Add(metrics.PayloadBytes, payload)
+	p.m.Add(metrics.WireBytes, wire)
+	p.m.Add(metrics.Squeezed, squeezed)
+	p.m.Add(metrics.SqueezeSaved, sqSaved)
+	p.m.Add(metrics.DedupeHits, dHits)
+	p.m.Add(metrics.DedupeMisses, dMisses)
+	p.m.Add(metrics.DedupeSaved, dSaved)
+	// A dropped frame is one more the replica is behind: the replica's
+	// lag is its pipes' sum, the engine's the worst replica's (see
+	// metrics.Counts.Merge).
+	p.m.Add(metrics.Dropped, dropped)
+	p.m.Add(metrics.Lag, dropped)
 
 	for k := range groups {
 		for _, m := range groups[k].msgs {
@@ -811,8 +822,7 @@ func (e *Engine) push(p *pipe, one *repMsg, entries []iscsi.BatchEntry, refs, sq
 		if err == nil || errors.Is(err, iscsi.ErrDiverged) || attempt >= e.retry.Attempts {
 			return statuses, attempt, sent, err
 		}
-		rs.m.AddRetry()
-		e.traffic.AddRetry()
+		p.m.Add(metrics.Retries, 1)
 		if d := e.retry.backoff(attempt); d > 0 {
 			e.retry.Sleep(d)
 		}
@@ -915,17 +925,4 @@ func mergedFrames(acc []byte, members []repMsg) (frame, twin []byte, check uint6
 		return nil, nil, 0, err
 	}
 	return frame, twin, members[len(members)-1].hash ^ iscsi.HashBlock(exact), nil
-}
-
-// dropFrame accounts one frame elided because the pipe's replica is
-// degraded: the LBA goes in the pipe's dirty map, the replica's own
-// dropped/lag counters advance, the engine-wide dropped total
-// advances, and the engine-wide lag gauge is raised to the worst
-// per-replica lag (max, not sum — see metrics.Traffic.RaiseReplicaLag).
-func (e *Engine) dropFrame(p *pipe, lba uint64) {
-	p.markDirty(lba)
-	lag := p.rs.m.AddDropped()
-	e.traffic.AddDropped()
-	e.traffic.RaiseReplicaLag(lag)
-	e.shardM.AddDropped(int(p.shard.id))
 }

@@ -139,8 +139,8 @@ func (st *replicaStream) stagingSlot(i, blockSize int) []byte {
 // replica node simply exports it through a target; it also applies
 // frames directly via Apply for in-process (loopback) replication.
 type ReplicaEngine struct {
-	store   block.Store
-	traffic *metrics.Traffic
+	store block.Store
+	m     metrics.Bank // applies, decode time, duplicates, by-ref outcomes, diverged applies
 
 	// mu serializes direct (non-replication) writes: the initial sync
 	// and resync repairs. Stream applies do not take it — repairs must
@@ -194,7 +194,6 @@ var _ iscsi.ByRefBackend = (*ReplicaEngine)(nil)
 func NewReplicaEngine(store block.Store) *ReplicaEngine {
 	return &ReplicaEngine{
 		store:   store,
-		traffic: &metrics.Traffic{},
 		streams: make(map[uint32]*replicaStream),
 		dedupe:  dedupe.New(0),
 	}
@@ -320,14 +319,15 @@ func (r *ReplicaEngine) replayJournal() error {
 		st.mu.Lock()
 		st.win.mark(e.Seq)
 		st.mu.Unlock()
-		r.traffic.AddReplicaWrite()
+		r.m.Add(metrics.ReplicaWrites, 1)
 		r.indexApply(e.LBA, e.Hash)
 	}
 	return nil
 }
 
-// Traffic returns the replica's counters (decode time, applied writes).
-func (r *ReplicaEngine) Traffic() *metrics.Traffic { return r.traffic }
+// Traffic returns the replica's traffic view (decode time, applied
+// writes, duplicates, by-ref outcomes, diverged applies).
+func (r *ReplicaEngine) Traffic() metrics.Traffic { return r.m.Traffic() }
 
 // LastSeq returns the highest sequence number applied on the default
 // (zero) stream.
@@ -471,7 +471,7 @@ func (r *ReplicaEngine) applyGroup(mode Mode, shard uint8, vol uint16, entries [
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	start := time.Now()
-	defer func() { r.traffic.AddDecodeTime(time.Since(start)) }()
+	defer func() { r.m.Add(metrics.DecodeNanos, int64(time.Since(start))) }()
 
 	// Phase 1: stage. Entries stage in ascending seq, so an in-push
 	// duplicate sits right behind its first copy: prev, the seq staged
@@ -501,7 +501,7 @@ func (r *ReplicaEngine) applyGroup(mode Mode, shard uint8, vol uint16, entries [
 		}
 		e := &entries[k]
 		if e.Seq != 0 && (e.Seq == prev || st.win.seen(e.Seq)) {
-			r.traffic.AddDuplicate()
+			r.m.Add(metrics.Duplicates, 1)
 			continue
 		}
 		var newBlock []byte
@@ -509,7 +509,7 @@ func (r *ReplicaEngine) applyGroup(mode Mode, shard uint8, vol uint16, entries [
 		if refs && e.ByRef() {
 			newBlock = st.stagingSlot(len(pass), r.store.BlockSize())
 			if !r.resolveRef(e.Hash, newBlock) {
-				r.traffic.AddDedupeMiss()
+				r.m.Add(metrics.DedupeMisses, 1)
 				miss := fmt.Errorf("core: replica seq %d lba %d: %w", e.Seq, e.LBA, iscsi.ErrRefMiss)
 				fail(k, miss)
 				if order != nil {
@@ -519,7 +519,7 @@ func (r *ReplicaEngine) applyGroup(mode Mode, shard uint8, vol uint16, entries [
 				}
 				break
 			}
-			r.traffic.AddDedupeHit()
+			r.m.Add(metrics.DedupeHits, 1)
 		} else {
 			var pre []byte
 			if p, ok := st.pendingNew[e.LBA]; ok {
@@ -608,7 +608,7 @@ func (r *ReplicaEngine) applyGroup(mode Mode, shard uint8, vol uint16, entries [
 			continue
 		}
 		e := &entries[p.k]
-		r.traffic.AddReplicaWrite()
+		r.m.Add(metrics.ReplicaWrites, 1)
 		r.indexApply(e.LBA, p.hash)
 		st.win.mark(e.Seq)
 	}
@@ -685,7 +685,7 @@ func (r *ReplicaEngine) stage(mode Mode, st *replicaStream, e *iscsi.BatchEntry,
 		want ^= iscsi.HashBlock(st.rebuilt)
 	}
 	if got != want {
-		r.traffic.AddDiverged()
+		r.m.Add(metrics.Diverged, 1)
 		return nil, 0, fmt.Errorf("core: replica apply seq %d lba %d: %w: hash %016x, primary sent %016x",
 			e.Seq, e.LBA, iscsi.ErrDiverged, got, want)
 	}

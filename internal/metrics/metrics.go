@@ -1,9 +1,16 @@
-// Package metrics provides the atomic counters the replication engines
-// use to account for replication traffic — the quantity every figure in
-// the paper's evaluation measures. Counters distinguish raw payload
-// bytes from modelled wire bytes (payload plus per-packet protocol
-// headers) so both the measured figures (4-7) and the queueing model
-// inputs (8-10) come from one source.
+// Package metrics provides the counters the replication engines use to
+// account for replication traffic — the quantity every figure in the
+// paper's evaluation measures. Counters distinguish raw payload bytes
+// from modelled wire bytes (payload plus per-packet protocol headers) so
+// both the measured figures (4-7) and the queueing model inputs (8-10)
+// come from one source.
+//
+// There is one counter type, Bank, and every owner of work has its own:
+// each shard of a primary engine (the write path), each pipe (one
+// shard's ship path to one replica), each replica engine and each
+// scrubber. An event is booked once, on the bank of the goroutine that
+// saw it; every view — engine-wide, per replica, per shard — is a fold
+// of banks into Counts at the moment it is read.
 package metrics
 
 import (
@@ -12,168 +19,114 @@ import (
 	"time"
 )
 
-// Traffic accumulates replication statistics for one engine. The zero
-// value is ready to use. All methods are safe for concurrent use.
-type Traffic struct {
-	writes        atomic.Int64 // block writes intercepted
-	replicated    atomic.Int64 // replication messages delivered
-	skipped       atomic.Int64 // writes skipped (no-change parity)
-	payloadBytes  atomic.Int64 // encoded payload bytes delivered
-	wireBytes     atomic.Int64 // payload + modelled packet headers
-	rawBytes      atomic.Int64 // block bytes that traditional would ship
-	encodeNanos   atomic.Int64 // time in parity+encode
-	decodeNanos   atomic.Int64 // time in decode+backward parity (replica)
-	replicaWrites atomic.Int64 // in-place writes applied at a replica
-	retries       atomic.Int64 // replication delivery retries
-	dropped       atomic.Int64 // frames dropped across all degraded replicas
-	replicaLag    atomic.Int64 // gauge: frames the most-lagged replica is behind
-	duplicates    atomic.Int64 // duplicate pushes deduplicated at a replica
-	diverged      atomic.Int64 // verified applies a replica refused (hash mismatch)
-	batches       atomic.Int64 // multi-frame batch PDUs delivered
-	coalesced     atomic.Int64 // frames XOR-merged away inside batches
-	batchSaved    atomic.Int64 // modelled wire bytes saved vs single-frame shipping
+// Counter names one counter of a Bank.
+type Counter int
 
-	dedupeHits   atomic.Int64 // pushes shipped (or applied) by content reference
-	dedupeMisses atomic.Int64 // by-ref pushes refused (ref miss) and fallen back
-	dedupeSaved  atomic.Int64 // modelled wire bytes saved by shipping by reference
+// The counters. Which bank books which counter is the owner's business:
+// a shard books the write path's, a pipe the delivery ones, a replica
+// engine the apply ones and a scrubber its audit's.
+const (
+	Writes      Counter = iota // block writes intercepted
+	Skipped                    // writes elided (no-change parity)
+	RawBytes                   // block bytes traditional replication would ship
+	EncodeNanos                // time in parity+encode
 
-	// batchHist is the frames-per-delivery histogram of the batching
-	// shippers, power-of-two buckets: 1, 2, ≤4, ≤8, ≤16, ≤32, ≤64, >64.
-	batchHist [BatchHistBuckets]atomic.Int64
+	Shipped         // logical pushes delivered and acknowledged (a coalesced entry counts each source write)
+	PayloadBytes    // encoded payload bytes delivered
+	WireBytes       // payload + modelled packet headers
+	Retries         // delivery retries
+	Dropped         // frames dropped while degraded (historical total)
+	Lag             // gauge: frames dropped since the replica was last cleared
+	Diverged        // verified applies refused (hash mismatch); blocks a scrub found differing
+	Batches         // multi-frame list PDUs delivered
+	Coalesced       // frames XOR-merged away inside lists
+	BatchSaved      // modelled wire bytes saved vs single-frame shipping
+	DedupeHits      // pushes shipped (or applied) by content reference
+	DedupeMisses    // by-ref pushes refused (ref miss) and fallen back
+	DedupeSaved     // modelled wire bytes saved by shipping by reference
+	AdmitWaits      // runs whose admission to the ship window had to wait
+	Squeezed        // entries delivered in a squeezed list's DEFLATE stream
+	SqueezeSaved    // their shares of the bytes squeezing took off their pushes
+	SqueezeSwitches // times a pipe's squeeze gate turned on or off
 
-	// shards, when attached, holds the per-shard counter banks the
-	// sharded engine's write path bumps instead of the shared counters
-	// above. Snapshot folds the banks into the engine-wide totals, so
-	// readers see one view while writers never share a cache line.
-	shards atomic.Pointer[ShardSet]
-}
+	ReplicaWrites // in-place writes applied at a replica
+	DecodeNanos   // time in decode+backward parity (replica)
+	Duplicates    // duplicate pushes deduplicated at a replica
 
-// AttachShards hands Traffic the per-shard counter banks to fold into
-// its totals on Snapshot. The engine attaches its ShardSet once at
-// construction; per-shard Writes/RawBytes/Skipped/EncodeTime then live
-// only in the banks.
-func (t *Traffic) AttachShards(s *ShardSet) { t.shards.Store(s) }
+	Passes   // completed scrub passes
+	Scanned  // blocks a scrub hash-compared
+	Repaired // blocks a scrub rewrote
+
+	// FramesPerBatch is the first of the BatchHistBuckets buckets of the
+	// frames-per-delivery histogram; see Bucket.
+	FramesPerBatch
+	numCounters = FramesPerBatch + BatchHistBuckets
+)
 
 // BatchHistBuckets is the number of power-of-two buckets in the
 // frames-per-batch histogram: 1, 2, ≤4, ≤8, ≤16, ≤32, ≤64, >64.
 const BatchHistBuckets = 8
 
-// AddWrite records one intercepted block write of blockBytes.
-func (t *Traffic) AddWrite(blockBytes int) {
-	t.writes.Add(1)
-	t.rawBytes.Add(int64(blockBytes))
-}
-
-// AddReplicated records one successfully delivered replication message
-// of payloadBytes encoded payload and wireBytes modelled on-the-wire
-// size. Failed or dropped deliveries are never counted here — they go
-// through AddDropped — so PayloadBytes/WireBytes measure what actually
-// crossed the wire and was acknowledged.
-func (t *Traffic) AddReplicated(payloadBytes, wireBytes int) {
-	t.replicated.Add(1)
-	t.payloadBytes.Add(int64(payloadBytes))
-	t.wireBytes.Add(int64(wireBytes))
-}
-
-// AddSkipped records a write whose parity was all zeros, which the
-// engine did not ship.
-func (t *Traffic) AddSkipped() { t.skipped.Add(1) }
-
-// AddEncodeTime accumulates primary-side compute time.
-func (t *Traffic) AddEncodeTime(d time.Duration) { t.encodeNanos.Add(int64(d)) }
-
-// AddDecodeTime accumulates replica-side compute time.
-func (t *Traffic) AddDecodeTime(d time.Duration) { t.decodeNanos.Add(int64(d)) }
-
-// AddReplicaWrite records one in-place write applied at a replica.
-func (t *Traffic) AddReplicaWrite() { t.replicaWrites.Add(1) }
-
-// AddRetry records one re-delivery attempt of a replication frame.
-func (t *Traffic) AddRetry() { t.retries.Add(1) }
-
-// AddDropped records one frame not delivered because its replica was
-// degraded. The ReplicaLag gauge is maintained separately (see
-// RaiseReplicaLag): summing drops across replicas would overstate how
-// far behind any one replica is.
-func (t *Traffic) AddDropped() { t.dropped.Add(1) }
-
-// RaiseReplicaLag lifts the lag gauge to v if it is currently lower.
-// The engine calls it with each replica's own lag after a drop, so the
-// gauge always reads the worst (max) per-replica lag — the gap resync
-// must close before the slowest replica is current again — rather than
-// a sum across replicas.
-func (t *Traffic) RaiseReplicaLag(v int64) {
-	for {
-		cur := t.replicaLag.Load()
-		if v <= cur || t.replicaLag.CompareAndSwap(cur, v) {
-			return
-		}
-	}
-}
-
-// ResetReplicaLag zeroes the lag gauge — called once a resync has
-// re-established the replica (Dropped stays as the historical total).
-func (t *Traffic) ResetReplicaLag() { t.replicaLag.Store(0) }
-
-// AddDuplicate records a pushed frame the replica had already applied
-// (a retried delivery whose first copy succeeded) and deduplicated.
-func (t *Traffic) AddDuplicate() { t.duplicates.Add(1) }
-
-// AddDiverged records a verified apply a replica refused because the
-// recovered block failed the shipped content hash — detected
-// corruption, repaired later by a ranged resync of the dirty region.
-func (t *Traffic) AddDiverged() { t.diverged.Add(1) }
-
-// AddBatch records one delivered multi-frame batch PDU: frames queued
-// messages acknowledged OK (coalesced messages count individually, so
-// Replicated keeps meaning "logical pushes delivered"), their encoded
-// payload bytes, the batch's modelled wire bytes, and the wire bytes
-// saved versus shipping each frame as its own PDU. saved can dip
-// negative for frames sitting just under a packet boundary, where the
-// per-entry headers cost more than the saved packets; it is recorded
-// as-is so the gauge stays honest.
-func (t *Traffic) AddBatch(frames int, payloadBytes, wireBytes, saved int64) {
-	t.batches.Add(1)
-	t.replicated.Add(int64(frames))
-	t.payloadBytes.Add(payloadBytes)
-	t.wireBytes.Add(wireBytes)
-	t.batchSaved.Add(saved)
-}
-
-// AddCoalesced records n frames XOR-merged away inside batches (hot
-// same-LBA parities combined into one wire frame).
-func (t *Traffic) AddCoalesced(n int64) { t.coalesced.Add(n) }
-
-// AddDedupeHit records one push shipped (primary) or materialized
-// (replica) by content reference instead of a frame.
-func (t *Traffic) AddDedupeHit() { t.dedupeHits.Add(1) }
-
-// AddDedupeMiss records one by-ref push the replica could not resolve
-// (StatusRefMiss) — on the primary, the entry was re-shipped by value.
-func (t *Traffic) AddDedupeMiss() { t.dedupeMisses.Add(1) }
-
-// AddDedupe records the dedupe outcome of one primary push in one
-// call; see Replica.AddDedupe for the field semantics (saved is the
-// modelled wire bytes the references saved net of fallback re-ships,
-// and may be negative).
-func (t *Traffic) AddDedupe(hits, misses, saved int64) {
-	t.dedupeHits.Add(hits)
-	t.dedupeMisses.Add(misses)
-	t.dedupeSaved.Add(saved)
-}
-
-// ObserveBatch records one shipper delivery of n frames in the
-// frames-per-batch histogram (single-frame deliveries included, so the
-// histogram shows how often batching actually engages).
-func (t *Traffic) ObserveBatch(n int) {
+// Bucket returns the histogram counter that one delivery of n frames
+// counts in.
+func Bucket(n int) Counter {
 	b := 0
 	for b < BatchHistBuckets-1 && n > 1<<b {
 		b++
 	}
-	t.batchHist[b].Add(1)
+	return FramesPerBatch + Counter(b)
 }
 
-// Snapshot is a consistent-enough point-in-time copy of the counters.
+// cacheLine is the padding around a bank's counters, so that two banks
+// owned by different goroutines never share a cache line, whatever the
+// alignment of the structs they sit in.
+const cacheLine = 64
+
+// Bank is one owner's counters. The zero value is ready to use and all
+// methods are safe for concurrent use; a bank must not be copied.
+type Bank struct {
+	_ [cacheLine]byte
+	c [numCounters]atomic.Int64
+	_ [cacheLine]byte
+}
+
+// Add adds n to counter c.
+func (b *Bank) Add(c Counter, n int64) { b.c[c].Add(n) }
+
+// Store sets counter c to v: how a gauge is cleared.
+func (b *Bank) Store(c Counter, v int64) { b.c[c].Store(v) }
+
+// Counts is a plain copy of a bank's counters, or the total of several:
+// the value every view is folded into.
+type Counts [numCounters]int64
+
+// Counts returns b's current values.
+func (b *Bank) Counts() Counts { return Counts{}.Add(b) }
+
+// Add returns c with b's current values folded in.
+func (c Counts) Add(b *Bank) Counts {
+	for i := range c {
+		c[i] += b.c[i].Load()
+	}
+	return c
+}
+
+// Merge returns the engine-wide c with one replica's totals o folded
+// in. Counters sum, but the Lag gauge keeps the larger: the engine is as
+// far behind as its worst replica — the gap resync must close before
+// the slowest replica is current again — not as the sum of the
+// replicas' gaps.
+func (c Counts) Merge(o Counts) Counts {
+	lag := max(c[Lag], o[Lag])
+	for i := range c {
+		c[i] += o[i]
+	}
+	c[Lag] = lag
+	return c
+}
+
+// Snapshot is a consistent-enough point-in-time copy of an engine's
+// counters.
 type Snapshot struct {
 	Writes        int64
 	Replicated    int64
@@ -192,7 +145,9 @@ type Snapshot struct {
 	Batches       int64
 	Coalesced     int64
 	// BatchSavedWire is the modelled wire bytes batching saved versus
-	// single-frame shipping.
+	// single-frame shipping. It can dip negative for frames sitting just
+	// under a packet boundary, where the per-entry headers cost more than
+	// the saved packets.
 	BatchSavedWire int64
 	// DedupeHits counts pushes shipped/applied by content reference,
 	// DedupeMisses the by-ref pushes that missed and fell back, and
@@ -200,78 +155,50 @@ type Snapshot struct {
 	DedupeHits      int64
 	DedupeMisses    int64
 	DedupeSavedWire int64
-	// FramesPerBatch is the delivery-size histogram; see ObserveBatch.
+	// FramesPerBatch is the delivery-size histogram of the batching
+	// shippers: how many runs that went on the wire carried 1, 2, ≤4 …
+	// >64 frames (single-frame deliveries included, so it shows how
+	// often batching actually engages).
 	FramesPerBatch [BatchHistBuckets]int64
 }
 
-// Snapshot returns the current counter values.
-func (t *Traffic) Snapshot() Snapshot {
+// Snapshot reads c as an engine's traffic view.
+func (c Counts) Snapshot() Snapshot {
 	s := Snapshot{
-		Writes:         t.writes.Load(),
-		Replicated:     t.replicated.Load(),
-		Skipped:        t.skipped.Load(),
-		PayloadBytes:   t.payloadBytes.Load(),
-		WireBytes:      t.wireBytes.Load(),
-		RawBytes:       t.rawBytes.Load(),
-		EncodeTime:     time.Duration(t.encodeNanos.Load()),
-		DecodeTime:     time.Duration(t.decodeNanos.Load()),
-		ReplicaWrites:  t.replicaWrites.Load(),
-		Retries:        t.retries.Load(),
-		Dropped:        t.dropped.Load(),
-		ReplicaLag:     t.replicaLag.Load(),
-		Duplicates:     t.duplicates.Load(),
-		Diverged:       t.diverged.Load(),
-		Batches:        t.batches.Load(),
-		Coalesced:      t.coalesced.Load(),
-		BatchSavedWire: t.batchSaved.Load(),
-
-		DedupeHits:      t.dedupeHits.Load(),
-		DedupeMisses:    t.dedupeMisses.Load(),
-		DedupeSavedWire: t.dedupeSaved.Load(),
+		Writes:          c[Writes],
+		Replicated:      c[Shipped],
+		Skipped:         c[Skipped],
+		PayloadBytes:    c[PayloadBytes],
+		WireBytes:       c[WireBytes],
+		RawBytes:        c[RawBytes],
+		EncodeTime:      time.Duration(c[EncodeNanos]),
+		DecodeTime:      time.Duration(c[DecodeNanos]),
+		ReplicaWrites:   c[ReplicaWrites],
+		Retries:         c[Retries],
+		Dropped:         c[Dropped],
+		ReplicaLag:      c[Lag],
+		Duplicates:      c[Duplicates],
+		Diverged:        c[Diverged],
+		Batches:         c[Batches],
+		Coalesced:       c[Coalesced],
+		BatchSavedWire:  c[BatchSaved],
+		DedupeHits:      c[DedupeHits],
+		DedupeMisses:    c[DedupeMisses],
+		DedupeSavedWire: c[DedupeSaved],
 	}
-	for i := 0; i < BatchHistBuckets; i++ {
-		s.FramesPerBatch[i] = t.batchHist[i].Load()
-	}
-	if banks := t.shards.Load(); banks != nil {
-		for _, b := range banks.Snapshot() {
-			s.Writes += b.Writes
-			s.Skipped += b.Skipped
-			s.RawBytes += b.RawBytes
-			s.EncodeTime += b.EncodeTime
-		}
-	}
+	copy(s.FramesPerBatch[:], c[FramesPerBatch:])
 	return s
 }
 
-// Reset zeroes all counters.
-func (t *Traffic) Reset() {
-	t.writes.Store(0)
-	t.replicated.Store(0)
-	t.skipped.Store(0)
-	t.payloadBytes.Store(0)
-	t.wireBytes.Store(0)
-	t.rawBytes.Store(0)
-	t.encodeNanos.Store(0)
-	t.decodeNanos.Store(0)
-	t.replicaWrites.Store(0)
-	t.retries.Store(0)
-	t.dropped.Store(0)
-	t.replicaLag.Store(0)
-	t.duplicates.Store(0)
-	t.diverged.Store(0)
-	t.batches.Store(0)
-	t.coalesced.Store(0)
-	t.batchSaved.Store(0)
-	t.dedupeHits.Store(0)
-	t.dedupeMisses.Store(0)
-	t.dedupeSaved.Store(0)
-	for i := 0; i < BatchHistBuckets; i++ {
-		t.batchHist[i].Store(0)
-	}
-	if banks := t.shards.Load(); banks != nil {
-		banks.reset()
-	}
-}
+// Traffic is an engine's traffic view: Snapshot folds the engine's
+// banks at the moment it is called.
+type Traffic func() Snapshot
+
+// Snapshot returns the current totals.
+func (t Traffic) Snapshot() Snapshot { return t() }
+
+// Traffic returns the view of b alone: an owner with one bank.
+func (b *Bank) Traffic() Traffic { return func() Snapshot { return b.Counts().Snapshot() } }
 
 // MeanPayload returns the mean encoded payload bytes per replication
 // message — the S_d the queueing model needs per technique.
@@ -300,108 +227,8 @@ func (s Snapshot) String() string {
 		s.MeanPayload())
 }
 
-// Replica accumulates delivery statistics for one attached replica.
-// Each replica's shipper pipeline owns one; the engine aggregates them
-// into the engine-wide Traffic view. The zero value is ready to use
-// and all methods are safe for concurrent use.
-type Replica struct {
-	shipped      atomic.Int64 // frames delivered and acknowledged
-	payloadBytes atomic.Int64 // encoded payload bytes delivered
-	wireBytes    atomic.Int64 // payload + modelled packet headers
-	retries      atomic.Int64 // delivery retries to this replica
-	dropped      atomic.Int64 // frames dropped while degraded (historical total)
-	lag          atomic.Int64 // gauge: frames this replica is behind the primary
-	diverged     atomic.Int64 // verified applies this replica refused
-	batches      atomic.Int64 // multi-frame batch PDUs delivered to this replica
-	coalesced    atomic.Int64 // frames XOR-merged away en route to this replica
-	batchSaved   atomic.Int64 // modelled wire bytes saved vs single-frame shipping
-	dedupeHits   atomic.Int64 // pushes this replica accepted by content reference
-	dedupeMisses atomic.Int64 // by-ref pushes this replica refused (ref miss)
-	dedupeSaved  atomic.Int64 // wire bytes dedupe saved shipping to this replica
-	admitWaits   atomic.Int64 // runs whose admission to the ship window had to wait
-	squeezed     atomic.Int64 // entries delivered in a squeezed list's DEFLATE stream
-	squeezeSaved atomic.Int64 // their shares of the bytes squeezing took off their pushes
-	squeezeFlips atomic.Int64 // times a pipe's gate turned squeezing on or off
-}
-
-// AddDedupe records the dedupe outcome of one push to this replica:
-// hits entries delivered by content reference, misses by-ref entries
-// the replica refused (and the primary re-shipped by value), and the
-// data-segment bytes the references saved net of the fallback cost.
-// Only delivered entries are credited toward saved; a miss storm can
-// drive it negative (the references were pure overhead) and it is
-// recorded as-is so the gauge stays honest.
-func (r *Replica) AddDedupe(hits, misses, saved int64) {
-	r.dedupeHits.Add(hits)
-	r.dedupeMisses.Add(misses)
-	r.dedupeSaved.Add(saved)
-}
-
-// AddShipped records one successfully delivered frame.
-func (r *Replica) AddShipped(payloadBytes, wireBytes int) {
-	r.shipped.Add(1)
-	r.payloadBytes.Add(int64(payloadBytes))
-	r.wireBytes.Add(int64(wireBytes))
-}
-
-// AddBatch records one delivered multi-frame batch PDU to this
-// replica; see Traffic.AddBatch for the field semantics.
-func (r *Replica) AddBatch(frames int, payloadBytes, wireBytes, saved int64) {
-	r.batches.Add(1)
-	r.shipped.Add(int64(frames))
-	r.payloadBytes.Add(payloadBytes)
-	r.wireBytes.Add(wireBytes)
-	r.batchSaved.Add(saved)
-}
-
-// AddCoalesced records n frames XOR-merged away inside batches bound
-// for this replica.
-func (r *Replica) AddCoalesced(n int64) { r.coalesced.Add(n) }
-
-// AddRetry records one re-delivery attempt to this replica.
-func (r *Replica) AddRetry() { r.retries.Add(1) }
-
-// AddAdmitWait records one run that could not join a pipe's ship window
-// at once: a run still in flight carried one of its LBAs, or the window
-// had reached its sequence span.
-func (r *Replica) AddAdmitWait() { r.admitWaits.Add(1) }
-
-// AddSqueezed records n entries delivered to this replica with their
-// frames in a squeezed list's stream (see core's squeeze.go), and saved,
-// their shares of what squeezing took off those pushes: a push's saving
-// (its plain list's bytes less its squeezed list's) is split among the
-// frames in its stream in proportion to their lengths. PayloadBytes
-// already counts each such frame at its length less its share, and
-// WireBytes the squeezed lists as they went out; BatchSavedWire excludes
-// this saving.
-func (r *Replica) AddSqueezed(n, saved int64) {
-	r.squeezed.Add(n)
-	r.squeezeSaved.Add(saved)
-}
-
-// AddSqueezeSwitch records one pipe's gate changing its mind.
-func (r *Replica) AddSqueezeSwitch() { r.squeezeFlips.Add(1) }
-
-// AddDropped records one frame not delivered because this replica was
-// degraded, advances the replica's lag gauge, and returns the new lag —
-// the value the engine feeds into Traffic.RaiseReplicaLag.
-func (r *Replica) AddDropped() int64 {
-	r.dropped.Add(1)
-	return r.lag.Add(1)
-}
-
-// AddDiverged records a verified apply this replica refused because
-// the recovered block failed the shipped content hash.
-func (r *Replica) AddDiverged() { r.diverged.Add(1) }
-
-// Lag returns how many frames this replica is behind the primary.
-func (r *Replica) Lag() int64 { return r.lag.Load() }
-
-// ResetLag zeroes the lag gauge after a resync has healed the replica
-// (Dropped stays as the historical total).
-func (r *Replica) ResetLag() { r.lag.Store(0) }
-
-// ReplicaSnapshot is a point-in-time copy of one replica's counters.
+// ReplicaSnapshot is a point-in-time copy of one replica's counters,
+// summed over its pipes.
 type ReplicaSnapshot struct {
 	Shipped      int64
 	PayloadBytes int64
@@ -416,8 +243,10 @@ type ReplicaSnapshot struct {
 	// replica versus single-frame shipping.
 	BatchSavedWire int64
 	// DedupeHits counts pushes delivered to this replica by content
-	// reference, DedupeMisses the by-ref pushes it refused, and
-	// DedupeSavedWire the data-segment bytes the references saved.
+	// reference, DedupeMisses the by-ref pushes it refused (and the
+	// primary re-shipped by value), and DedupeSavedWire the data-segment
+	// bytes the delivered references saved net of the fallback cost — a
+	// miss storm can drive it negative.
 	DedupeHits      int64
 	DedupeMisses    int64
 	DedupeSavedWire int64
@@ -428,67 +257,77 @@ type ReplicaSnapshot struct {
 	AdmitWaits int64
 	// Squeezed counts entries this replica acknowledged with their frames
 	// in the DEFLATE stream of a squeezed list, which a backlogged async
-	// pipe ships against its stream's history, SqueezeSavedWire those
-	// entries' shares of the bytes squeezing took off their pushes (see
-	// AddSqueezed for the rule), and
-	// SqueezeSwitches how often a pipe's gate turned squeezing on or off
-	// (a handful over a pipe's life is the gate learning its link; a
+	// pipe ships against its stream's history. SqueezeSavedWire is those
+	// entries' shares of the bytes squeezing took off their pushes: a
+	// push's saving (its plain list's bytes less its squeezed list's) is
+	// split among the frames in its stream in proportion to their
+	// lengths; PayloadBytes already counts each such frame at its length
+	// less its share, and BatchSavedWire excludes this saving.
+	// SqueezeSwitches is how often a pipe's gate turned squeezing on or
+	// off (a handful over a pipe's life is the gate learning its link; a
 	// steady climb is a gate flapping).
 	Squeezed         int64
 	SqueezeSavedWire int64
 	SqueezeSwitches  int64
 }
 
-// Snapshot returns the current per-replica counter values.
-func (r *Replica) Snapshot() ReplicaSnapshot {
+// ReplicaSnapshot reads c as one replica's view.
+func (c Counts) ReplicaSnapshot() ReplicaSnapshot {
 	return ReplicaSnapshot{
-		Shipped:        r.shipped.Load(),
-		PayloadBytes:   r.payloadBytes.Load(),
-		WireBytes:      r.wireBytes.Load(),
-		Retries:        r.retries.Load(),
-		Dropped:        r.dropped.Load(),
-		Lag:            r.lag.Load(),
-		Diverged:       r.diverged.Load(),
-		Batches:        r.batches.Load(),
-		Coalesced:      r.coalesced.Load(),
-		BatchSavedWire: r.batchSaved.Load(),
-
-		DedupeHits:      r.dedupeHits.Load(),
-		DedupeMisses:    r.dedupeMisses.Load(),
-		DedupeSavedWire: r.dedupeSaved.Load(),
-
-		AdmitWaits: r.admitWaits.Load(),
-
-		Squeezed:         r.squeezed.Load(),
-		SqueezeSavedWire: r.squeezeSaved.Load(),
-		SqueezeSwitches:  r.squeezeFlips.Load(),
+		Shipped:          c[Shipped],
+		PayloadBytes:     c[PayloadBytes],
+		WireBytes:        c[WireBytes],
+		Retries:          c[Retries],
+		Dropped:          c[Dropped],
+		Lag:              c[Lag],
+		Diverged:         c[Diverged],
+		Batches:          c[Batches],
+		Coalesced:        c[Coalesced],
+		BatchSavedWire:   c[BatchSaved],
+		DedupeHits:       c[DedupeHits],
+		DedupeMisses:     c[DedupeMisses],
+		DedupeSavedWire:  c[DedupeSaved],
+		AdmitWaits:       c[AdmitWaits],
+		Squeezed:         c[Squeezed],
+		SqueezeSavedWire: c[SqueezeSaved],
+		SqueezeSwitches:  c[SqueezeSwitches],
 	}
 }
 
-// Scrub accumulates background-scrubber statistics: how much of the
-// device has been hash-compared, how much divergence was found, and
-// how much of it was repaired. The zero value is ready to use and all
-// methods are safe for concurrent use.
-type Scrub struct {
-	passes   atomic.Int64 // completed full scrub passes
-	scanned  atomic.Int64 // blocks hash-compared
-	diverged atomic.Int64 // blocks found differing
-	repaired atomic.Int64 // blocks rewritten to heal divergence
+// ShardSnapshot is a point-in-time copy of one shard's counters.
+type ShardSnapshot struct {
+	// Writes is the number of block writes routed to this shard.
+	Writes int64
+	// Skipped counts writes the shard elided because nothing changed.
+	Skipped int64
+	// Shipped counts frames this shard's pipelines delivered (across
+	// all replicas).
+	Shipped int64
+	// Dropped counts frames this shard's pipelines elided while a
+	// replica was degraded.
+	Dropped int64
+	// RawBytes is the block bytes written to this shard — what
+	// traditional replication would ship.
+	RawBytes int64
+	// EncodeTime is the parity+encode compute time spent on this shard.
+	EncodeTime time.Duration
 }
 
-// AddPass records one completed scrub pass over the device.
-func (s *Scrub) AddPass() { s.passes.Add(1) }
+// ShardSnapshot reads c as one shard's view.
+func (c Counts) ShardSnapshot() ShardSnapshot {
+	return ShardSnapshot{
+		Writes:     c[Writes],
+		Skipped:    c[Skipped],
+		Shipped:    c[Shipped],
+		Dropped:    c[Dropped],
+		RawBytes:   c[RawBytes],
+		EncodeTime: time.Duration(c[EncodeNanos]),
+	}
+}
 
-// AddScanned records n blocks hash-compared.
-func (s *Scrub) AddScanned(n int64) { s.scanned.Add(n) }
-
-// AddDiverged records n blocks found differing from the primary.
-func (s *Scrub) AddDiverged(n int64) { s.diverged.Add(n) }
-
-// AddRepaired records n diverged blocks rewritten.
-func (s *Scrub) AddRepaired(n int64) { s.repaired.Add(n) }
-
-// ScrubSnapshot is a point-in-time copy of the scrubber counters.
+// ScrubSnapshot is a point-in-time copy of a scrubber's counters: how
+// much of the device has been hash-compared, how much divergence was
+// found, and how much of it was repaired.
 type ScrubSnapshot struct {
 	Passes   int64
 	Scanned  int64
@@ -496,14 +335,9 @@ type ScrubSnapshot struct {
 	Repaired int64
 }
 
-// Snapshot returns the current scrub counter values.
-func (s *Scrub) Snapshot() ScrubSnapshot {
-	return ScrubSnapshot{
-		Passes:   s.passes.Load(),
-		Scanned:  s.scanned.Load(),
-		Diverged: s.diverged.Load(),
-		Repaired: s.repaired.Load(),
-	}
+// ScrubSnapshot reads c as a scrubber's view.
+func (c Counts) ScrubSnapshot() ScrubSnapshot {
+	return ScrubSnapshot{Passes: c[Passes], Scanned: c[Scanned], Diverged: c[Diverged], Repaired: c[Repaired]}
 }
 
 // String renders a compact scrub summary.

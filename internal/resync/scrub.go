@@ -32,7 +32,7 @@ type Scrubber struct {
 	// passes instantly. Defaults to time.Sleep.
 	Sleep func(time.Duration)
 
-	m metrics.Scrub
+	m metrics.Bank // passes, blocks scanned, diverged and repaired
 
 	mu     sync.Mutex
 	stop   chan struct{}
@@ -54,7 +54,7 @@ func NewScrubber(local block.Store, remote *iscsi.Initiator, cfg Config, pause t
 }
 
 // Metrics returns a snapshot of the scrub counters.
-func (s *Scrubber) Metrics() metrics.ScrubSnapshot { return s.m.Snapshot() }
+func (s *Scrubber) Metrics() metrics.ScrubSnapshot { return s.m.Counts().ScrubSnapshot() }
 
 // Pass runs one full scrub of the device, repairing every diverged
 // block, and records the work in the scrub counters. cfg.Cancel (and
@@ -96,10 +96,10 @@ func (s *Scrubber) pass(stop <-chan struct{}) (Stats, error) {
 		stats.WireBytes += part.WireBytes
 		stats.HashFetches += part.HashFetches
 		stats.RepairWrites += part.RepairWrites
-		s.m.AddScanned(int64(part.BlocksScanned))
-		s.m.AddDiverged(int64(part.BlocksRepaired))
+		s.m.Add(metrics.Scanned, int64(part.BlocksScanned))
+		s.m.Add(metrics.Diverged, int64(part.BlocksRepaired))
 		if !cfg.DryRun {
-			s.m.AddRepaired(int64(part.BlocksRepaired))
+			s.m.Add(metrics.Repaired, int64(part.BlocksRepaired))
 		}
 		if err != nil {
 			return stats, err
@@ -108,7 +108,7 @@ func (s *Scrubber) pass(stop <-chan struct{}) (Stats, error) {
 			s.Sleep(s.pause)
 		}
 	}
-	s.m.AddPass()
+	s.m.Add(metrics.Passes, 1)
 	return stats, nil
 }
 
