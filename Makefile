@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race bench bench-json bench-guard bench-check loc stress fuzz chaos lint check repro examples fmt fmt-check vet clean
+.PHONY: all build test race bench bench-json bench-guard bench-check loc stress fuzz chaos lint check repro repro-check examples fmt fmt-check vet clean
 
 # How long each fuzzer runs under `make fuzz` / `make check`.
 FUZZTIME ?= 10s
@@ -163,9 +163,19 @@ check: fmt-check vet lint race bench-check fuzz
 loc:
 	@cat $$(ls internal/core/*.go internal/iscsi/*.go internal/resync/*.go internal/window/*.go | grep -v _test.go) | grep -vcE '^\s*(//.*)?$$'
 
-# Regenerate every figure of the paper's evaluation.
+# Regenerate every figure of the paper's evaluation: rewrites each
+# `<!-- prinsbench NAME -->` block of EXPERIMENTS.md in place.
 repro:
-	$(GO) run ./cmd/prinsbench all
+	$(GO) run ./cmd/prinsbench -doc EXPERIMENTS.md all
+
+# The check on EXPERIMENTS.md: regenerates every block but the
+# wall-clock `overhead` one into a copy and fails, printing the diff,
+# when the copy differs from the committed file.
+repro-check:
+	@set -e; tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
+	cp EXPERIMENTS.md "$$tmp/EXPERIMENTS.md"; \
+	$(GO) run ./cmd/prinsbench -doc "$$tmp/EXPERIMENTS.md" density fig4 fig5 fig6 fig7 fig8 fig9 fig10 fanout; \
+	diff -u EXPERIMENTS.md "$$tmp/EXPERIMENTS.md"
 
 examples:
 	$(GO) run ./examples/quickstart

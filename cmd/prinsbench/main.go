@@ -1,175 +1,130 @@
 // Command prinsbench regenerates the paper's evaluation: every figure
-// (4-10) plus the overhead and change-density measurements, printed as
-// text tables.
+// (4-10) plus the overhead, change-density and fan-out measurements,
+// each as a markdown table between `<!-- prinsbench NAME -->` and
+// `<!-- /prinsbench -->`, the blocks EXPERIMENTS.md is made of.
 //
 // Usage:
 //
-//	prinsbench [-effort N] [-measured] [fig4|fig5|fig6|fig7|fig8|fig9|fig10|overhead|density|all]...
+//	prinsbench [-effort N] [-doc PATH] [density|fig4|...|fig10|overhead|fanout|all]...
 //
 // -effort scales how long the measured workload phases run (the
 // reported quantities are ratios and stabilize quickly; the paper's
-// hour-long runs correspond to large efforts). -measured derives the
-// queueing-model payload parameters from a live TPC-C run instead of
-// the calibrated defaults.
+// hour-long runs correspond to large efforts). -doc rewrites the named
+// blocks of the markdown file at PATH in place instead of printing
+// them; `make repro` runs it on EXPERIMENTS.md and `make repro-check`
+// fails when a regenerated copy differs from the committed one. Each
+// measured cell runs once per invocation, however many tables read it.
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
-	"time"
+	"strings"
 
 	"prins/internal/experiments"
+	"prins/internal/wan"
 )
 
 func main() {
-	if err := run(os.Args[1:]); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "prinsbench:", err)
 		os.Exit(1)
 	}
 }
 
-func run(args []string) error {
+// order is the tables prinsbench makes for `all`.
+var order = []string{"density", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10", "overhead", "fanout"}
+
+// targets make each table, by name.
+var targets = map[string]func(*experiments.Runner) (*experiments.Table, error){
+	"density":  (*experiments.Runner).Density,
+	"fig4":     func(r *experiments.Runner) (*experiments.Table, error) { return r.Traffic(experiments.Fig4(r.Effort)) },
+	"fig5":     func(r *experiments.Runner) (*experiments.Table, error) { return r.Traffic(experiments.Fig5(r.Effort)) },
+	"fig6":     func(r *experiments.Runner) (*experiments.Table, error) { return r.Traffic(experiments.Fig6(r.Effort)) },
+	"fig7":     func(r *experiments.Runner) (*experiments.Table, error) { return r.Traffic(experiments.Fig7(r.Effort)) },
+	"fig8":     func(r *experiments.Runner) (*experiments.Table, error) { return r.Response(wan.T1) },
+	"fig9":     func(r *experiments.Runner) (*experiments.Table, error) { return r.Response(wan.T3) },
+	"fig10":    (*experiments.Runner).Saturation,
+	"overhead": (*experiments.Runner).Overhead,
+	"fanout":   (*experiments.Runner).Fanout,
+}
+
+const closing = "<!-- /prinsbench -->"
+
+func opening(name string) string { return "<!-- prinsbench " + name + " -->\n" }
+
+// splice returns doc with the body of its block name replaced by body,
+// and whether doc has that block.
+func splice(doc, name, body string) (string, bool) {
+	i := strings.Index(doc, opening(name))
+	if i < 0 {
+		return doc, false
+	}
+	i += len(opening(name))
+	j := strings.Index(doc[i:], closing)
+	if j < 0 {
+		return doc, false
+	}
+	return doc[:i] + body + doc[i+j:], true
+}
+
+func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("prinsbench", flag.ContinueOnError)
 	effort := fs.Int("effort", 1, "workload length multiplier")
-	measured := fs.Bool("measured", false, "derive queueing parameters from a live TPC-C run")
+	docPath := fs.String("doc", "", "rewrite this markdown file's prinsbench blocks in place instead of printing them")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	targets := fs.Args()
-	if len(targets) == 0 {
-		targets = []string{"all"}
+	names := expand(fs.Args())
+	if len(names) == 0 {
+		names = order
+	}
+	var doc string
+	if *docPath != "" {
+		b, err := os.ReadFile(*docPath)
+		if err != nil {
+			return err
+		}
+		doc = string(b)
+	}
+	for _, name := range names {
+		if targets[name] == nil {
+			return fmt.Errorf("unknown target %q (want density, fig4..fig10, overhead, fanout, all)", name)
+		}
+		if _, ok := splice(doc, name, ""); *docPath != "" && !ok {
+			return fmt.Errorf("%s has no %q block", *docPath, name)
+		}
 	}
 
-	e := experiments.Effort(*effort)
-	var params *experiments.ModelParams
-	queueParams := func() (*experiments.ModelParams, error) {
-		if params != nil {
-			return params, nil
+	r := &experiments.Runner{Effort: experiments.Effort(*effort)}
+	for _, name := range names {
+		t, err := targets[name](r)
+		if err != nil {
+			return fmt.Errorf("%s: %w", name, err)
 		}
-		var err error
-		if *measured {
-			fmt.Println("measuring queueing-model parameters from TPC-C at 8KB ...")
-			params, err = experiments.MeasureModelParams(e)
-		} else {
-			params = experiments.DefaultModelParams()
+		if *docPath == "" {
+			fmt.Fprintf(out, "%s%s%s\n\n", opening(name), t.Markdown(), closing)
+			continue
 		}
-		return params, err
+		doc, _ = splice(doc, name, t.Markdown())
 	}
-
-	out := os.Stdout
-	for _, target := range expand(targets) {
-		switch target {
-		case "fig4":
-			fig, err := experiments.Fig4TPCCOracle(e)
-			if err != nil {
-				return err
-			}
-			if err := fig.Table("Figure 4: TPC-C (Oracle config) replication traffic vs block size").Render(out); err != nil {
-				return err
-			}
-		case "fig5":
-			fig, err := experiments.Fig5TPCCPostgres(e)
-			if err != nil {
-				return err
-			}
-			if err := fig.Table("Figure 5: TPC-C (Postgres config) replication traffic vs block size").Render(out); err != nil {
-				return err
-			}
-		case "fig6":
-			fig, err := experiments.Fig6TPCW(e)
-			if err != nil {
-				return err
-			}
-			if err := fig.Table("Figure 6: TPC-W (MySQL config) replication traffic vs block size").Render(out); err != nil {
-				return err
-			}
-		case "fig7":
-			fig, err := experiments.Fig7Ext2Micro(e)
-			if err != nil {
-				return err
-			}
-			if err := fig.Table("Figure 7: Ext2 tar micro-benchmark replication traffic vs block size").Render(out); err != nil {
-				return err
-			}
-		case "fig8":
-			p, err := queueParams()
-			if err != nil {
-				return err
-			}
-			fig, err := experiments.Fig8ResponseT1(p)
-			if err != nil {
-				return err
-			}
-			if err := fig.Table("Figure 8: response time vs population, T1, 2 routers, 8KB").Render(out); err != nil {
-				return err
-			}
-		case "fig9":
-			p, err := queueParams()
-			if err != nil {
-				return err
-			}
-			fig, err := experiments.Fig9ResponseT3(p)
-			if err != nil {
-				return err
-			}
-			if err := fig.Table("Figure 9: response time vs population, T3, 2 routers, 8KB").Render(out); err != nil {
-				return err
-			}
-		case "fig10":
-			p, err := queueParams()
-			if err != nil {
-				return err
-			}
-			fig, err := experiments.Fig10MM1(p)
-			if err != nil {
-				return err
-			}
-			if err := fig.Table("Figure 10: router queueing time vs write rate, T1, 8KB").Render(out); err != nil {
-				return err
-			}
-		case "overhead":
-			res, err := experiments.MeasureOverhead(8<<10, 500*max(1, *effort), 200*time.Microsecond)
-			if err != nil {
-				return err
-			}
-			if err := res.Table().Render(out); err != nil {
-				return err
-			}
-		case "fanout":
-			fig, err := experiments.FanoutSweep(e, experiments.ReplicaCounts)
-			if err != nil {
-				return err
-			}
-			if err := fig.Table("Extension: replication traffic vs replica fan-out").Render(out); err != nil {
-				return err
-			}
-		case "density":
-			res, err := experiments.MeasureDensity(e)
-			if err != nil {
-				return err
-			}
-			if err := experiments.DensityTable(res).Render(out); err != nil {
-				return err
-			}
-		default:
-			return fmt.Errorf("unknown target %q (want fig4..fig10, overhead, density, fanout, all)", target)
-		}
+	if *docPath == "" {
+		return nil
 	}
-	return nil
+	return os.WriteFile(*docPath, []byte(doc), 0o644)
 }
 
 // expand replaces "all" with every target.
-func expand(targets []string) []string {
+func expand(names []string) []string {
 	var out []string
-	for _, t := range targets {
-		if t == "all" {
-			out = append(out,
-				"density", "fig4", "fig5", "fig6", "fig7",
-				"fig8", "fig9", "fig10", "overhead", "fanout")
-			continue
+	for _, n := range names {
+		if n == "all" {
+			out = append(out, order...)
+		} else {
+			out = append(out, n)
 		}
-		out = append(out, t)
 	}
 	return out
 }

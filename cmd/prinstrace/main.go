@@ -8,6 +8,10 @@
 //	prinstrace info   -in tpcc.trace
 //	prinstrace replay -in tpcc.trace -mode prins
 //	prinstrace replay -in tpcc.trace -mode traditional
+//
+// A replay is a cell of internal/experiments' runner: the trace
+// replays onto a blank device replicating to -replicas in-process
+// replicas, each of which must end identical to the primary.
 package main
 
 import (
@@ -18,7 +22,6 @@ import (
 	"os"
 	"time"
 
-	"prins/internal/block"
 	"prins/internal/core"
 	"prins/internal/experiments"
 	"prins/internal/memfs"
@@ -55,27 +58,13 @@ func run(args []string) error {
 func pickWorkload(name string, n int, seed int64) (experiments.Workload, error) {
 	switch name {
 	case "tpcc":
-		return &experiments.TPCCWorkload{
-			Label:        "tpcc",
-			Scale:        tpcc.DefaultScale(2),
-			Transactions: n,
-			Seed:         seed,
-		}, nil
+		return experiments.TPCCWorkload{Label: "tpcc", Scale: tpcc.DefaultScale(2), Transactions: n, Seed: seed}, nil
 	case "tpcw":
-		return &experiments.TPCWWorkload{
-			Config:       tpcw.DefaultConfig(),
-			Interactions: n,
-			Seed:         seed,
-		}, nil
+		return experiments.TPCWWorkload{Config: tpcw.DefaultConfig(), Interactions: n, Seed: seed}, nil
 	case "micro":
-		return &experiments.MicroWorkload{
-			Config: memfs.DefaultMicroBenchmark(),
-			Rounds: n,
-			Seed:   seed,
-		}, nil
-	default:
-		return nil, fmt.Errorf("unknown workload %q (want tpcc, tpcw, micro)", name)
+		return experiments.MicroWorkload{Config: memfs.DefaultMicroBenchmark(), Rounds: n, Seed: seed}, nil
 	}
+	return nil, fmt.Errorf("unknown workload %q (want tpcc, tpcw, micro)", name)
 }
 
 func record(args []string) error {
@@ -94,43 +83,25 @@ func record(args []string) error {
 	if err != nil {
 		return err
 	}
-
-	store, err := block.NewSparse(*bs, (512<<20)/uint64(*bs))
-	if err != nil {
-		return err
-	}
-	if err := w.Setup(store); err != nil {
-		return fmt.Errorf("setup: %w", err)
-	}
-
 	f, err := os.Create(*out)
 	if err != nil {
 		return err
 	}
 	defer f.Close()
-	tw, err := trace.NewWriter(f, *bs)
-	if err != nil {
-		return err
-	}
-	hook, hookErr := tw.Hook()
-	observed := block.NewObserved(store, hook)
-
 	start := time.Now()
-	if err := w.Run(observed); err != nil {
-		return fmt.Errorf("run: %w", err)
-	}
-	if err := hookErr(); err != nil {
-		return err
-	}
-	if err := tw.Close(); err != nil {
+	count, err := experiments.Record(w, *bs, f)
+	if err != nil {
 		return err
 	}
 	st, err := f.Stat()
 	if err != nil {
 		return err
 	}
+	if err := f.Close(); err != nil {
+		return err
+	}
 	fmt.Printf("recorded %d writes (%dB blocks) in %v -> %s (%d bytes compressed)\n",
-		tw.Count(), *bs, time.Since(start).Round(time.Millisecond), *out, st.Size())
+		count, *bs, time.Since(start).Round(time.Millisecond), *out, st.Size())
 	return nil
 }
 
@@ -140,47 +111,49 @@ func info(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	f, err := os.Open(*in)
+	var count int64
+	var maxLBA uint64
+	touched := make(map[uint64]bool)
+	bs, err := scan(*in, func(lba uint64) {
+		count++
+		touched[lba] = true
+		maxLBA = max(maxLBA, lba)
+	})
 	if err != nil {
 		return err
+	}
+	rewrites := count - int64(len(touched))
+	fmt.Printf("%s: block size %dB, %d writes over %d distinct blocks (max LBA %d)\n",
+		*in, bs, count, len(touched), maxLBA)
+	fmt.Printf("rewrites (same block written again): %d (%.1f%% of writes)\n",
+		rewrites, 100*float64(rewrites)/float64(count))
+	return nil
+}
+
+// scan reads the trace at path, calls each with the LBA of every write
+// in it unless each is nil, and returns the trace's block size.
+func scan(path string, each func(lba uint64)) (int, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return 0, err
 	}
 	defer f.Close()
 	r, err := trace.NewReader(f)
 	if err != nil {
-		return err
+		return 0, err
 	}
 	defer r.Close()
-
-	var (
-		count   int64
-		maxLBA  uint64
-		touched = make(map[uint64]int64)
-	)
-	for {
+	for each != nil {
 		lba, _, err := r.Next()
 		if errors.Is(err, io.EOF) {
 			break
 		}
 		if err != nil {
-			return err
+			return 0, err
 		}
-		count++
-		touched[lba]++
-		if lba > maxLBA {
-			maxLBA = lba
-		}
+		each(lba)
 	}
-	fmt.Printf("%s: block size %dB, %d writes over %d distinct blocks (max LBA %d)\n",
-		*in, r.BlockSize(), count, len(touched), maxLBA)
-	rewrites := int64(0)
-	for _, c := range touched {
-		if c > 1 {
-			rewrites += c - 1
-		}
-	}
-	fmt.Printf("rewrites (same block written again): %d (%.1f%% of writes)\n",
-		rewrites, 100*float64(rewrites)/float64(count))
-	return nil
+	return r.BlockSize(), nil
 }
 
 func replay(args []string) error {
@@ -194,72 +167,33 @@ func replay(args []string) error {
 		return err
 	}
 	var m core.Mode
-	switch *mode {
-	case "prins":
-		m = core.ModePRINS
-	case "traditional":
-		m = core.ModeTraditional
-	case "compressed":
-		m = core.ModeCompressed
-	default:
+	for _, c := range core.AllModes() {
+		if c.String() == *mode {
+			m = c
+		}
+	}
+	if m == 0 {
 		return fmt.Errorf("unknown mode %q", *mode)
 	}
-
-	f, err := os.Open(*in)
+	if *replicas < 1 {
+		return fmt.Errorf("replicas %d < 1", *replicas)
+	}
+	bs, err := scan(*in, nil)
 	if err != nil {
 		return err
 	}
-	defer f.Close()
-	r, err := trace.NewReader(f)
+	// The trace replays onto a blank device through the harness's
+	// engine and replicas, which must converge.
+	var r experiments.Runner
+	res, err := r.Run(experiments.Cell{Workload: experiments.TraceWorkload{Path: *in}, Mode: m, BlockSize: bs, Replicas: *replicas})
 	if err != nil {
 		return err
 	}
-	defer r.Close()
-
-	snap, n, err := ReplayTraffic(r, m, *replicas)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("replayed %d writes in %s mode to %d replica(s)\n", n, m, *replicas)
+	snap := res.Traffic
+	fmt.Printf("replayed %d writes in %s mode to %d replica(s)\n", snap.Writes, m, *replicas)
 	fmt.Printf("payload shipped: %s  (raw blocks: %s, %.1fx savings)\n",
-		metrics.FormatBytes(snap.PayloadBytes), metrics.FormatBytes(snap.RawBytes),
-		snap.SavingsVsRaw())
+		metrics.FormatBytes(snap.PayloadBytes), metrics.FormatBytes(snap.RawBytes), snap.SavingsVsRaw())
 	fmt.Printf("modelled wire:   %s  mean payload/write: %.0fB\n",
 		metrics.FormatBytes(snap.WireBytes), snap.MeanPayload())
 	return nil
-}
-
-// ReplayTraffic pushes every trace record through a replication engine
-// with in-process replicas and returns the traffic snapshot.
-func ReplayTraffic(r *trace.Reader, mode core.Mode, replicas int) (metrics.Snapshot, int64, error) {
-	var zero metrics.Snapshot
-	if replicas < 1 {
-		return zero, 0, fmt.Errorf("replicas %d < 1", replicas)
-	}
-	// The trace holds absolute LBAs; size the device generously.
-	store, err := block.NewSparse(r.BlockSize(), (1<<40)/uint64(r.BlockSize()))
-	if err != nil {
-		return zero, 0, err
-	}
-	engine, err := core.NewEngine(store, core.Config{Mode: mode})
-	if err != nil {
-		return zero, 0, err
-	}
-	defer engine.Close()
-	for i := 0; i < replicas; i++ {
-		sink, err := block.NewSparse(r.BlockSize(), store.NumBlocks())
-		if err != nil {
-			return zero, 0, err
-		}
-		engine.AttachReplica(&core.Loopback{Replica: core.NewReplicaEngine(sink)})
-	}
-
-	n, err := trace.Replay(r, engine)
-	if err != nil {
-		return zero, n, err
-	}
-	if err := engine.Drain(); err != nil {
-		return zero, n, err
-	}
-	return engine.Traffic().Snapshot(), n, nil
 }

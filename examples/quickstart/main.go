@@ -48,7 +48,9 @@ func run() error {
 		return err
 	}
 	defer primary.Close()
-	primary.AttachReplica(replica)
+	if err := primary.AttachReplica(replica); err != nil {
+		return err
+	}
 
 	// An application updating records in place: each write changes
 	// ~10% of one block.

@@ -59,7 +59,9 @@ func run() error {
 		return err
 	}
 	defer engine.Close()
-	engine.AttachReplica(&core.Loopback{Replica: replicaEngine})
+	if err := engine.AttachReplica(&core.Loopback{Replica: replicaEngine}); err != nil {
+		return err
+	}
 
 	rng := rand.New(rand.NewSource(11))
 	buf := make([]byte, blockSize)

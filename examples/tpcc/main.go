@@ -77,7 +77,9 @@ func runMode(mode prins.Mode, blockSize int, numBlocks uint64, scale tpcc.Scale,
 	if err := primary.InitialSync(replica); err != nil {
 		return prins.Stats{}, err
 	}
-	primary.AttachReplica(replica)
+	if err := primary.AttachReplica(replica); err != nil {
+		return prins.Stats{}, err
+	}
 
 	// Reopen the database over the replicating device and run the mix.
 	db, err = minidb.Open(primary, dbCfg)

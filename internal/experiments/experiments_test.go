@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"bytes"
 	"strings"
 	"testing"
 	"time"
@@ -15,7 +14,7 @@ import (
 
 // quickTPCC is a fast cell for harness tests.
 func quickTPCC() Workload {
-	return &TPCCWorkload{
+	return TPCCWorkload{
 		Label: "tpcc-test",
 		Scale: tpcc.Scale{
 			Warehouses: 1, Districts: 2, CustomersPerDistrict: 10,
@@ -26,73 +25,78 @@ func quickTPCC() Workload {
 	}
 }
 
+// quickCells runs quickTPCC at bs to the given replica count in every
+// mode, in core.AllModes order.
+func quickCells(t *testing.T, r *Runner, bs, replicas int) []Result {
+	t.Helper()
+	res, err := r.modeCells(quickTPCC(), bs, replicas)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
 func TestMeasureCellConvergesAndCounts(t *testing.T) {
-	var payloads [4]int64
-	for _, mode := range core.AllModes() {
-		snap, density, err := MeasureCell(quickTPCC(), mode, 4096)
-		if err != nil {
-			t.Fatalf("mode %v: %v", mode, err)
-		}
+	r := &Runner{}
+	res := quickCells(t, r, 4096, 1)
+	for i, mode := range core.AllModes() {
+		snap := res[i].Traffic
 		if snap.Writes == 0 || snap.Replicated == 0 {
 			t.Errorf("mode %v: no traffic recorded: %+v", mode, snap)
 		}
-		payloads[mode] = snap.PayloadBytes
-		if mode == core.ModePRINS {
-			if density.Count() == 0 {
-				t.Error("PRINS cell recorded no density samples")
-			}
-			if m := density.Mean(); m <= 0 || m > 0.9 {
-				t.Errorf("mean density = %.3f", m)
-			}
-		}
+	}
+	density := res[2].Density
+	if density.Count() == 0 {
+		t.Error("PRINS cell recorded no density samples")
+	}
+	if m := density.Mean(); m <= 0 || m > 0.9 {
+		t.Errorf("mean density = %.3f", m)
 	}
 	// The paper's headline ordering.
-	if !(payloads[core.ModePRINS] < payloads[core.ModeCompressed] &&
-		payloads[core.ModeCompressed] < payloads[core.ModeTraditional]) {
-		t.Errorf("payload ordering violated: prins=%d comp=%d trad=%d",
-			payloads[core.ModePRINS], payloads[core.ModeCompressed], payloads[core.ModeTraditional])
+	trad, comp, prins := res[0].Traffic.PayloadBytes, res[1].Traffic.PayloadBytes, res[2].Traffic.PayloadBytes
+	if !(prins < comp && comp < trad) {
+		t.Errorf("payload ordering violated: prins=%d comp=%d trad=%d", prins, comp, trad)
+	}
+	// A cell runs once per runner: asking again returns the memoized
+	// result, density samples and all, without another run.
+	again, err := r.Run(Cell{Workload: quickTPCC(), Mode: core.ModePRINS, BlockSize: 4096, Replicas: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again.Density != density || len(r.done) != 3 {
+		t.Errorf("a cell ran twice: %d cells held", len(r.done))
 	}
 }
 
 func TestTrafficFigureShape(t *testing.T) {
-	// Two block sizes keep this quick while testing the sweep logic.
-	fig, err := runTrafficFigure("test", func(bs int) Workload { return quickTPCC() },
-		[]int{4096, 16384})
+	r := &Runner{}
+	tbl, err := r.Traffic(quickTPCC())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(fig.Cells) != 6 {
-		t.Fatalf("cells = %d, want 6", len(fig.Cells))
+	if len(tbl.Rows) != len(BlockSizes) {
+		t.Fatalf("rows = %d, want %d", len(tbl.Rows), len(BlockSizes))
+	}
+	if md := tbl.Markdown(); !strings.Contains(md, "| 4 KB |") || !strings.Contains(md, "| 64 KB |") {
+		t.Errorf("table missing rows:\n%s", md)
 	}
 
 	// Traditional traffic grows with block size; PRINS stays roughly
 	// flat (the paper's block-size-independence claim).
-	tradSmall, _ := fig.cell(core.ModeTraditional, 4096)
-	tradBig, _ := fig.cell(core.ModeTraditional, 16384)
-	if tradBig.Snapshot.PayloadBytes <= tradSmall.Snapshot.PayloadBytes {
+	small, big := quickCells(t, r, 4096, 1), quickCells(t, r, 16384, 1)
+	tradSmall, tradBig := small[0].Traffic.PayloadBytes, big[0].Traffic.PayloadBytes
+	if tradBig <= tradSmall {
 		t.Error("traditional traffic did not grow with block size")
 	}
-	prinsSmall, _ := fig.cell(core.ModePRINS, 4096)
-	prinsBig, _ := fig.cell(core.ModePRINS, 16384)
-	growth := float64(prinsBig.Snapshot.PayloadBytes) / float64(prinsSmall.Snapshot.PayloadBytes)
-	tradGrowth := float64(tradBig.Snapshot.PayloadBytes) / float64(tradSmall.Snapshot.PayloadBytes)
+	growth := float64(big[2].Traffic.PayloadBytes) / float64(small[2].Traffic.PayloadBytes)
+	tradGrowth := float64(tradBig) / float64(tradSmall)
 	if growth > tradGrowth*0.75 {
 		t.Errorf("PRINS growth %.2fx not clearly flatter than traditional %.2fx", growth, tradGrowth)
-	}
-
-	// Table renders all rows.
-	var buf bytes.Buffer
-	if err := fig.Table("test figure").Render(&buf); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	if !strings.Contains(out, "4KB") || !strings.Contains(out, "16KB") {
-		t.Errorf("table missing rows:\n%s", out)
 	}
 }
 
 func TestMicroWorkloadCell(t *testing.T) {
-	w := &MicroWorkload{
+	w := MicroWorkload{
 		Config: memfs.MicroBenchmark{
 			Dirs: 2, FilesPerDir: 3, FileSize: 4096,
 			ChangeFraction: 0.5, EditFraction: 0.1,
@@ -100,138 +104,136 @@ func TestMicroWorkloadCell(t *testing.T) {
 		Rounds: 2,
 		Seed:   1,
 	}
-	snap, _, err := MeasureCell(w, core.ModePRINS, 4096)
+	res, err := new(Runner).Run(Cell{Workload: w, Mode: core.ModePRINS, BlockSize: 4096, Replicas: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if snap.Writes == 0 {
+	if res.Traffic.Writes == 0 {
 		t.Error("micro workload produced no writes")
 	}
 }
 
 func TestTPCWWorkloadCell(t *testing.T) {
-	w := &TPCWWorkload{
+	w := TPCWWorkload{
 		Config:       tpcw.Config{Items: 40, Authors: 10, Customers: 10, Browsers: 4},
 		Interactions: 80,
 		Seed:         1,
 	}
-	snap, _, err := MeasureCell(w, core.ModeTraditional, 4096)
+	res, err := new(Runner).Run(Cell{Workload: w, Mode: core.ModeTraditional, BlockSize: 4096, Replicas: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if snap.Writes == 0 {
+	if res.Traffic.Writes == 0 {
 		t.Error("tpcw workload produced no writes")
 	}
 }
 
-func TestQueueingFigures(t *testing.T) {
-	params := DefaultModelParams()
-
-	fig8, err := Fig8ResponseT1(params)
-	if err != nil {
-		t.Fatal(err)
+// measuredPayloads are the mean payloads of quickTPCC's 8 KB cells, in
+// core.AllModes order: measured inputs for the queueing figures.
+func measuredPayloads(t *testing.T) []float64 {
+	t.Helper()
+	var p []float64
+	for _, res := range quickCells(t, &Runner{}, 8<<10, 1) {
+		p = append(p, res.Traffic.MeanPayload())
 	}
-	if len(fig8.Points) != len(Populations) {
-		t.Fatalf("points = %d", len(fig8.Points))
+	return p
+}
+
+func TestQueueingFigures(t *testing.T) {
+	p := measuredPayloads(t)
+	resp := func(line wan.Line, payload float64, pop int) time.Duration {
+		t.Helper()
+		d, err := response(payload, line, pop)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return d
 	}
 	// At population 100 the paper's ordering and separation hold.
-	last := fig8.Points[len(fig8.Points)-1]
-	trad := last.Response[core.ModeTraditional]
-	comp := last.Response[core.ModeCompressed]
-	prins := last.Response[core.ModePRINS]
+	trad, comp, prins := resp(wan.T1, p[0], 100), resp(wan.T1, p[1], 100), resp(wan.T1, p[2], 100)
 	if !(prins < comp && comp < trad) {
 		t.Errorf("ordering violated: trad=%v comp=%v prins=%v", trad, comp, prins)
 	}
 	if trad < 10*prins {
 		t.Errorf("separation too small: trad=%v prins=%v", trad, prins)
 	}
-
 	// T3 is faster but keeps the ordering.
-	fig9, err := Fig9ResponseT3(params)
-	if err != nil {
-		t.Fatal(err)
-	}
-	last9 := fig9.Points[len(fig9.Points)-1]
-	if last9.Response[core.ModeTraditional] >= trad {
+	if resp(wan.T3, p[0], 100) >= trad {
 		t.Error("T3 should be faster than T1 for traditional")
 	}
-	if last9.Response[core.ModePRINS] >= last9.Response[core.ModeTraditional] {
+	if resp(wan.T3, p[2], 100) >= resp(wan.T3, p[0], 100) {
 		t.Error("T3 ordering violated")
 	}
 
-	var buf bytes.Buffer
-	if err := fig8.Table("fig8").Render(&buf); err != nil {
+	tbl, err := queueTable(p, "note", "population", Populations, func(payload, pop float64) (time.Duration, error) {
+		return response(payload, wan.T1, int(pop))
+	})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(buf.String(), "population") {
-		t.Error("fig8 table missing header")
+	if md := tbl.Markdown(); len(tbl.Rows) != len(Populations) || !strings.Contains(md, "population") {
+		t.Errorf("response table:\n%s", md)
 	}
 }
 
 func TestFig10MM1(t *testing.T) {
-	fig, err := Fig10MM1(DefaultModelParams())
+	p := measuredPayloads(t)
+	tbl, err := queueTable(p, "note", "writes/s", Rates, wait)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(fig.Points) == 0 {
-		t.Fatal("no points")
-	}
 	// Traditional saturates within the sweep; PRINS does not.
 	sawTradSaturation := false
-	for _, pt := range fig.Points {
-		if pt.WaitTime[core.ModeTraditional] == time.Duration(1<<63-1) {
+	for _, row := range tbl.Rows {
+		if row[1] == "saturated" {
 			sawTradSaturation = true
 		}
-		if pt.WaitTime[core.ModePRINS] == time.Duration(1<<63-1) {
-			t.Errorf("PRINS saturated at %.0f writes/s", pt.Rate)
+		if row[3] == "saturated" {
+			t.Errorf("PRINS saturated at %s writes/s", row[0])
 		}
 	}
 	if !sawTradSaturation {
 		t.Error("traditional never saturated in the Fig 10 sweep")
 	}
-
-	var buf bytes.Buffer
-	if err := fig.Table("fig10").Render(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "saturated") {
-		t.Error("fig10 table should show saturation")
+	if d, err := wait(p[0], 1e3); err != nil || d != time.Duration(1<<63-1) {
+		t.Errorf("traditional at 1000 writes/s: %v, %v; want saturated", d, err)
 	}
 }
 
 func TestMeasureOverhead(t *testing.T) {
 	// A 200us device makes I/O dominate compute, like the paper's
 	// disks; a modest write count keeps the test quick.
-	res, err := MeasureOverhead(4096, 50, 200*time.Microsecond)
+	o, err := MeasureOverhead(4096, 50, 200*time.Microsecond)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.PlainNsPerWrite <= 0 || res.PRINSNsPerWrite <= 0 || res.TraditionalNsPerWrite <= 0 {
-		t.Fatalf("bad timings: %+v", res)
+	if len(o) != len(overheadPaths) {
+		t.Fatalf("%d timings for %d paths", len(o), len(overheadPaths))
+	}
+	for i, ns := range o {
+		if ns <= 0 {
+			t.Fatalf("%s: %v ns/write", overheadPaths[i].name, ns)
+		}
 	}
 	// The paper's claim: PRINS's extra compute is under 10% of a
 	// traditional replication. The bound here is deliberately loose:
 	// short timed runs are noisy and the race detector slows compute
 	// ~10x while leaving the simulated device time unchanged. The tight
 	// measurement lives in `prinsbench overhead`.
-	if pct := res.OverheadVsTraditionalPct(); pct > 60 {
+	if pct := o.Pct(2, 1); pct > 60 {
 		t.Errorf("overhead vs traditional = %.1f%%, want small on a realistic device", pct)
 	}
 	// The RAID-coupled path must not cost much more than the RAID
 	// write itself (the zero-extra-overhead claim).
-	if pct := res.RAIDOverheadPct(); pct > 60 {
+	if pct := o.Pct(5, 4); pct > 60 {
 		t.Errorf("RAID-coupled overhead = %.1f%%, want small", pct)
-	}
-	var buf bytes.Buffer
-	if err := res.Table().Render(&buf); err != nil {
-		t.Fatal(err)
 	}
 }
 
 func TestWANServiceTimesFeedModel(t *testing.T) {
 	// Glue check: the service time the model uses for an 8KB payload on
 	// T1 is in the right ballpark (paper: ~57ms transmission + ~1ms).
-	svc := wan.RouterServiceTime(8192, wan.T1)
+	svc := service(8192, wan.T1)
 	if svc < 50*time.Millisecond || svc > 70*time.Millisecond {
 		t.Errorf("T1 8KB service time = %v, want ~58ms", svc)
 	}
@@ -245,59 +247,29 @@ func TestEffortScale(t *testing.T) {
 
 func TestTableRender(t *testing.T) {
 	tbl := &Table{
-		Title:   "t",
 		Note:    "n",
 		Columns: []string{"a", "long-column"},
 		Rows:    [][]string{{"wide-cell-content", "x"}},
 	}
-	var buf bytes.Buffer
-	if err := tbl.Render(&buf); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	for _, want := range []string{"t\n", "n\n", "long-column", "wide-cell-content"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("missing %q in:\n%s", want, out)
-		}
+	want := "n\n\n| a | long-column |\n|---|---|\n| wide-cell-content | x |\n"
+	if got := tbl.Markdown(); got != want {
+		t.Errorf("got:\n%s\nwant:\n%s", got, want)
 	}
 }
 
 func TestFanoutSweep(t *testing.T) {
-	fig, err := FanoutSweep(1, []int{1, 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(fig.Cells) != 6 {
-		t.Fatalf("cells = %d, want 6", len(fig.Cells))
-	}
-	get := func(mode core.Mode, replicas int) int64 {
-		for _, c := range fig.Cells {
-			if c.Mode == mode && c.Replicas == replicas {
-				return c.Snapshot.PayloadBytes
-			}
-		}
-		t.Fatalf("missing cell %v/%d", mode, replicas)
-		return 0
-	}
+	r := &Runner{}
+	one, three := quickCells(t, r, 8<<10, 1), quickCells(t, r, 8<<10, 3)
 	// Traffic scales linearly with fan-out for every technique...
-	for _, mode := range core.AllModes() {
-		one := get(mode, 1)
-		three := get(mode, 3)
-		if ratio := float64(three) / float64(one); ratio < 2.9 || ratio > 3.1 {
+	for i, mode := range core.AllModes() {
+		if ratio := float64(three[i].Traffic.PayloadBytes) / float64(one[i].Traffic.PayloadBytes); ratio < 2.9 || ratio > 3.1 {
 			t.Errorf("%v fan-out scaling = %.2fx, want ~3x", mode, ratio)
 		}
 	}
 	// ...so the absolute savings compound with replicas.
-	saved1 := get(core.ModeTraditional, 1) - get(core.ModePRINS, 1)
-	saved3 := get(core.ModeTraditional, 3) - get(core.ModePRINS, 3)
+	saved1 := one[0].Traffic.PayloadBytes - one[2].Traffic.PayloadBytes
+	saved3 := three[0].Traffic.PayloadBytes - three[2].Traffic.PayloadBytes
 	if saved3 < 2*saved1 {
 		t.Errorf("absolute savings did not compound: %d -> %d", saved1, saved3)
-	}
-	var buf bytes.Buffer
-	if err := fig.Table("fanout").Render(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "replicas") {
-		t.Error("table missing header")
 	}
 }

@@ -98,8 +98,9 @@ type session struct {
 	err     error         // why the session is down; set once, by fail
 	done    chan struct{} // closed when the reader has exited
 	// squeeze holds the session's per-stream squeeze histories (see
-	// squeeze.go), keyed by streamID.
-	squeeze map[uint32]*squeezeStream
+	// squeeze.go), keyed by streamID, at most maxSqueezeStreams of them.
+	squeeze  map[uint32]*squeezeStream
+	squeezed uint64 // squeeze claims the session made: squeeze's clock
 }
 
 // call is one command in flight: the slot its caller parks on and the

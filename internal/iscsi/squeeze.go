@@ -243,16 +243,18 @@ type squeezeStream struct {
 	tx   SqueezeSender
 	sess *session
 	key  uint32
-	busy bool // a push has claimed tx
-	drop bool // ResetSqueeze came while busy: forget the stream when the push settles
+	used uint64 // the session's claim count at this stream's last claim
+	busy bool   // a push has claimed tx
+	drop bool   // ResetSqueeze came while busy: forget the stream when the push settles
 }
 
 // streamID packs a (shard, vol) stream tag.
 func streamID(shard uint8, vol uint16) uint32 { return uint32(vol)<<8 | uint32(shard) }
 
 // claimSqueeze returns session s's history for the stream key, claimed
-// for one push, or nil when another push holds it (that push then
-// ships plain).
+// for one push, or nil when another push holds it or, for a stream new
+// to the session, when pushes hold every history the cap allows (that
+// push then ships plain).
 func (i *Initiator) claimSqueeze(s *session, key uint32) *squeezeStream {
 	i.mu.Lock()
 	defer i.mu.Unlock()
@@ -261,14 +263,39 @@ func (i *Initiator) claimSqueeze(s *session, key uint32) *squeezeStream {
 	}
 	st := s.squeeze[key]
 	if st == nil {
-		st = &squeezeStream{sess: s, key: key}
+		if st = s.evictSqueeze(); st == nil {
+			return nil
+		}
+		st.key = key
 		s.squeeze[key] = st
 	}
 	if st.busy {
 		return nil
 	}
-	st.busy = true
+	s.squeezed++
+	st.used, st.busy = s.squeezed, true
 	return st
+}
+
+// evictSqueeze returns a history for a stream new to the session: a
+// new one under maxSqueezeStreams, else the least recently claimed one
+// no push holds, forgotten by its stream, whose next push goes out
+// fresh; nil when pushes hold them all. Called with Initiator.mu held.
+func (s *session) evictSqueeze() *squeezeStream {
+	if len(s.squeeze) < maxSqueezeStreams {
+		return &squeezeStream{sess: s}
+	}
+	var lru *squeezeStream
+	for _, st := range s.squeeze {
+		if !st.busy && (lru == nil || st.used < lru.used) {
+			lru = st
+		}
+	}
+	if lru != nil {
+		delete(s.squeeze, lru.key)
+		lru.tx.Reset()
+	}
+	return lru
 }
 
 // settleSqueeze releases a claim. A squeezed push the target answered
@@ -367,11 +394,13 @@ func (i *Initiator) ResetSqueeze(shard uint8, vol uint16) {
 	}
 }
 
-// maxSqueezeStreams caps the squeeze histories one target session
-// keeps, each some 1.1 MiB once its stream has pushed: a stream past
-// the cap takes over the history of the one that pushed least
-// recently, whose next push then comes back StatusStaleHistory and
-// re-ships fresh.
+// maxSqueezeStreams caps the squeeze histories one session keeps at
+// each end, some 1.1 MiB each at the target and 2.3 MiB at the
+// initiator once its stream has pushed. At the target a stream past the
+// cap takes over the history of the one that pushed least recently,
+// whose next push then comes back StatusStaleHistory and re-ships
+// fresh. The initiator evicts the same way, but never a history a
+// push holds, and an evicted stream's next push goes out fresh.
 const maxSqueezeStreams = 64
 
 // unsqueeze decodes the squeezed list rq holds against its stream's

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"net"
 	"testing"
 
 	"prins/internal/xcode"
@@ -589,5 +590,109 @@ func TestSqueezeHistoryCap(t *testing.T) {
 		if !bytes.Equal(backend.image[key], frame) {
 			t.Fatalf("block %v differs from the frame last sent to it", key)
 		}
+	}
+}
+
+// TestSqueezeStreamCapOverSession: 256 streams, a volume's worth of
+// shards, squeeze over one Initiator-Target session, round after round,
+// while one hot stream pushes between every few of them. After every
+// push neither end holds more than maxSqueezeStreams histories; the hot
+// stream keeps its history throughout while each of the others is
+// evicted before it comes round again, so its next push goes out fresh
+// and is never refused as stale; every block ends holding the frame
+// last sent to it. A stream new to the session when pushes hold every
+// history the cap allows ships plain, and takes over the first history
+// a push releases.
+func TestSqueezeStreamCapOverSession(t *testing.T) {
+	backend := &imageBackend{image: make(map[[3]uint64][]byte)}
+	target := NewTarget()
+	target.Export("r", backend)
+	client, server := net.Pipe()
+	rq := new(request)
+	served := make(chan struct{})
+	go func() {
+		defer close(served)
+		target.serve(server, rq)
+	}()
+	rec := &recordingConn{Conn: client}
+	init := NewInitiator(rec)
+	t.Cleanup(func() {
+		init.Close()
+		<-served
+	})
+	if err := init.Login("r"); err != nil {
+		t.Fatal(err)
+	}
+	rec.take()
+
+	want := make(map[[3]uint64][]byte)
+	push := func(shard uint8, vol uint16, p int) (tag uint64) {
+		t.Helper()
+		entries := squeezeEntries(t, p, 4, false)
+		_, sent, err := init.ReplicaWriteSqueezed(1, shard, vol, entries, false)
+		if err != nil {
+			t.Fatalf("stream (%d, %d) push %d: %v", shard, vol, p, err)
+		}
+		if sent >= BatchWireLen(entries) {
+			t.Fatalf("stream (%d, %d) push %d shipped plain", shard, vol, p)
+		}
+		init.mu.Lock()
+		held := len(init.sess.squeeze)
+		init.mu.Unlock()
+		if held > maxSqueezeStreams || len(rq.squeeze) > maxSqueezeStreams {
+			t.Fatalf("after stream (%d, %d) push %d: %d histories held at the initiator, %d at the target",
+				shard, vol, p, held, len(rq.squeeze))
+		}
+		wire := rec.take()
+		if len(wire) > headerLen+int(binary.BigEndian.Uint32(wire[24:])) {
+			t.Fatalf("stream (%d, %d) push %d went out twice: refused as stale", shard, vol, p)
+		}
+		for _, e := range entries {
+			want[[3]uint64{uint64(vol), uint64(shard), e.LBA}] = e.Frame
+		}
+		return binary.BigEndian.Uint64(wire[28:])
+	}
+	const hot = 9
+	var hotPushes uint64
+	for round := range 3 {
+		for shard := range 256 {
+			if tag := push(uint8(shard), 1, 256*round+shard); tag != 1 {
+				t.Fatalf("round %d stream %d went out on tag %d, want a fresh push", round, shard, tag)
+			}
+			if shard%4 == 0 {
+				hotPushes++
+				if tag := push(0, hot, 1000+shard); tag != hotPushes {
+					t.Fatalf("hot stream went out on tag %d after %d pushes: its history was dropped", tag, hotPushes-1)
+				}
+			}
+		}
+	}
+	if len(backend.image) != len(want) {
+		t.Fatalf("image holds %d blocks, %d sent", len(backend.image), len(want))
+	}
+	for key, frame := range want {
+		if !bytes.Equal(backend.image[key], frame) {
+			t.Fatalf("block %v differs from the frame last sent to it", key)
+		}
+	}
+
+	// Pushes hold every history: a new stream gets none until one is
+	// released, then takes that one over.
+	s := init.sess
+	var claimed []*squeezeStream
+	for key := range uint32(maxSqueezeStreams) {
+		if st := init.claimSqueeze(s, 0x10000+key); st != nil {
+			claimed = append(claimed, st)
+		}
+	}
+	if len(claimed) != maxSqueezeStreams {
+		t.Fatalf("%d of %d fresh streams claimed a history", len(claimed), maxSqueezeStreams)
+	}
+	if st := init.claimSqueeze(s, 0x20000); st != nil {
+		t.Fatal("a stream took over a history a push holds")
+	}
+	init.settleSqueeze(claimed[5], false, false)
+	if st := init.claimSqueeze(s, 0x20000); st != claimed[5] || len(s.squeeze) != maxSqueezeStreams {
+		t.Fatalf("the released history was not taken over (%d held)", len(s.squeeze))
 	}
 }

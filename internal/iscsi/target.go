@@ -345,14 +345,16 @@ func (rq *request) applyEntryList(backend Backend) ([]Status, Status) {
 
 // ServeConn runs one session on conn until logout, EOF, a protocol
 // error, or target shutdown. It owns conn and closes it on return.
-func (t *Target) ServeConn(conn net.Conn) {
+func (t *Target) ServeConn(conn net.Conn) { t.serve(conn, new(request)) }
+
+// serve is ServeConn with the session's request storage rq.
+func (t *Target) serve(conn net.Conn, rq *request) {
 	defer conn.Close()
 	if !t.track(conn) {
 		return
 	}
 	defer t.untrack(conn)
 	var backend Backend
-	rq := new(request)
 	pdu := &rq.pdu
 
 	for {

@@ -10,8 +10,11 @@ import (
 // uncheckedErrorRule flags statements that drop an error returned by
 // the I/O surfaces PRINS correctness depends on: block.Store methods,
 // io.Reader/io.Writer-shaped Read/Write, Close, connection deadline
-// setters, WriteTo, Flush, and the xcode encode/decode API. A dropped
-// store or wire error silently diverges a replica; every one must be
+// setters, WriteTo, Flush, the xcode encode/decode API, and the
+// replica attach calls (AttachReplica, AttachReplicaAddr,
+// AttachReplicaResilient). A dropped store or wire error silently
+// diverges a replica, and a dropped attach error leaves the caller
+// believing a replica is there that never was; every one must be
 // handled or explicitly discarded with `_ =`.
 //
 // Deferred and `go` calls are exempt (cleanup-path convention), as are
@@ -90,6 +93,8 @@ func droppedErrorCallee(p *Package, call *ast.CallExpr) string {
 		interesting = params == 1 && results == 1
 	case "WriteTo": // io.WriterTo (PDU framing)
 		interesting = params == 1 && results == 2
+	case "AttachReplica", "AttachReplicaAddr", "AttachReplicaResilient":
+		interesting = results == 1 // the engines' and primaries' attach
 	}
 	if !interesting {
 		return ""

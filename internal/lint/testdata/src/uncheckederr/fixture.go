@@ -7,6 +7,7 @@ import (
 	"net"
 
 	"prins/internal/block"
+	"prins/internal/core"
 	"prins/internal/xcode"
 )
 
@@ -28,4 +29,12 @@ func dropWireErrors(c net.Conn, frame []byte) {
 
 	var b bytes.Buffer
 	b.Write(frame) // ok: bytes.Buffer cannot fail
+}
+
+func dropAttachErrors(e *core.Engine, rc core.ReplicaClient) {
+	e.AttachReplica(rc) // finding: dropped AttachReplica error
+
+	if err := e.AttachReplica(rc); err != nil {
+		_ = err // ok: handled
+	}
 }
