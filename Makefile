@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race bench bench-json bench-guard bench-check loc stress fuzz chaos lint check repro repro-check examples fmt fmt-check vet clean
+.PHONY: all build test race bench bench-json bench-guard e2e-guard bench-check loc stress fuzz chaos lint check repro repro-check examples fmt fmt-check vet clean
 
 # How long each fuzzer runs under `make fuzz` / `make check`.
 FUZZTIME ?= 10s
@@ -87,6 +87,37 @@ bench-guard:
 		done; \
 	done; \
 	$(GO) run ./cmd/benchjson -compare "$$tmp/parent.txt" "$$tmp/change.txt"
+
+# The end-to-end A/B: the benchmark itself (bench/run.sh), run on the
+# working tree and on its parent commit (chosen and exported as
+# bench-guard does) in PAIRS pairs per workload and seed, the side that
+# goes first swapping every pair. Each run's result line, tagged with
+# its workload and seed, goes to that side's file, and `benchjson -e2e`
+# judges every end-to-end metric of BENCHMARK.json by the median of its
+# per-pair change/parent ratios against the metric's bound, printing
+# how many pairs the change won. A pair's two runs are back to back, so
+# a host whose speed drifts between pairs slows both alike. Each run
+# also builds its tree's benchmark first (bench/run.sh), which is not
+# timed. The runs' own reports go to a log beside the result files.
+WORKLOADS ?= sync-sparse-t3 async-dense-cpu tpcc-t1 tar-dedupe-outage-t3
+SEEDS ?= 1
+PAIRS ?= 3
+SECONDS ?= 20
+e2e-guard:
+	@set -e; tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
+	if [ -n "$$(git status --porcelain)" ]; then parent=HEAD; else parent=HEAD~1; fi; \
+	echo "e2e-guard: the working tree against $$parent ($$(git rev-parse --short $$parent))"; \
+	mkdir "$$tmp/parent"; git archive "$$parent" | tar -x -C "$$tmp/parent"; \
+	for pair in $$(seq $(PAIRS)); do \
+		order="parent change"; [ $$((pair % 2)) = 1 ] || order="change parent"; \
+		for w in $(WORKLOADS); do for s in $(SEEDS); do for side in $$order; do \
+			dir=.; [ $$side = change ] || dir="$$tmp/parent"; \
+			line=$$(cd "$$dir" && bash bench/run.sh --workload $$w --seed $$s --seconds $(SECONDS) --trace 0 2>>"$$tmp/$$side.log" | tail -n 1) || true; \
+			echo "e2e-guard: pair $$pair $$side $$w seed $$s: $$line"; \
+			echo "$$line" | sed "s/^{/{\"workload\":\"$$w\",\"seed\":$$s,/" >> "$$tmp/$$side.jsonl"; \
+		done; done; done; \
+	done; \
+	$(GO) run ./cmd/benchjson -e2e "$$tmp/parent.jsonl" "$$tmp/change.jsonl"
 
 # The sharded-engine and multi-volume concurrency battery, repeated
 # under the race detector: cross-shard parallel writers, same-LBA

@@ -29,6 +29,14 @@
 // bound times its median, better or within bound otherwise. Only a
 // regression fails. A benchmark one file lacks is reported, not judged.
 //
+// With -e2e it judges a change by the benchmark's end-to-end runs
+// instead: two files of bench/run.sh result lines recorded in pairs
+// (`make e2e-guard`), each metric by the median of its per-pair
+// change/parent ratios against the bound BENCHMARK.json gives it (see
+// e2e.go):
+//
+//	go run ./cmd/benchjson -e2e parent.jsonl change.jsonl
+//
 // Every benchmark records the GOMAXPROCS it ran under (the "-N" suffix
 // stripped from its name; -compare reads it from each file, a report
 // from its own process), and -compare refuses to judge a benchmark
@@ -75,7 +83,21 @@ type Report struct {
 func main() {
 	out := flag.String("out", "", "file to write the JSON report to (empty = stdout only)")
 	compareMode := flag.Bool("compare", false, "judge `parent.txt change.txt`, two files of go test -bench output, instead of reading stdin")
+	e2eMode := flag.Bool("e2e", false, "judge `parent.jsonl change.jsonl`, two files of paired bench/run.sh result lines, instead of reading stdin")
+	spec := flag.String("spec", "BENCHMARK.json", "the benchmark declaration whose end-to-end bounds -e2e judges by")
 	flag.Parse()
+
+	if *e2eMode {
+		if flag.NArg() != 2 {
+			fmt.Fprintln(os.Stderr, "benchjson: -e2e takes two files: parent.jsonl change.jsonl")
+			os.Exit(2)
+		}
+		if err := e2eCompareFiles(*spec, flag.Arg(0), flag.Arg(1), os.Stdout); err != nil {
+			fmt.Fprintln(os.Stderr, "benchjson:", err)
+			os.Exit(1)
+		}
+		return
+	}
 
 	if *compareMode {
 		if flag.NArg() != 2 {

@@ -240,6 +240,7 @@ func run(args []string) error {
 						log.Printf("prinsd: dedupe hits=%d misses=%d saved=%s",
 							s.DedupeHits, s.DedupeMisses, metrics.FormatBytes(s.DedupeSavedWireBytes))
 					}
+					logSqueeze("", primary.ReplicaStats())
 					if *scrubEvery > 0 {
 						var sc prins.ScrubStats
 						for _, one := range primary.ScrubStats() {
@@ -398,6 +399,7 @@ func runVolumes(o volumeOpts) error {
 							log.Printf("prinsd: vol%d dedupe hits=%d misses=%d saved=%s",
 								id, s.DedupeHits, s.DedupeMisses, metrics.FormatBytes(s.DedupeSavedWireBytes))
 						}
+						logSqueeze(fmt.Sprintf("vol%d ", id), v.ReplicaStats())
 					}
 				case <-o.stop:
 					return vm.Drain()
@@ -420,6 +422,18 @@ func openStore(file string, bs int, size uint64) (prins.Store, error) {
 		return prins.OpenFileStore(file, bs)
 	}
 	return prins.NewFileStore(file, bs, size)
+}
+
+// logSqueeze logs, for each replica whose pipelines shipped squeezed
+// entries, how many, what squeezing saved on the wire and how often a
+// gate switched; prefix names the volume, if any.
+func logSqueeze(prefix string, stats []prins.ReplicaStat) {
+	for i, rs := range stats {
+		if rs.Squeezed > 0 {
+			log.Printf("prinsd: %sr%d squeeze entries=%d saved=%s switches=%d",
+				prefix, i, rs.Squeezed, metrics.FormatBytes(rs.SqueezeSavedWireBytes), rs.SqueezeSwitches)
+		}
+	}
 }
 
 func parseMode(s string) (prins.Mode, error) {

@@ -27,8 +27,10 @@ type gatedClient struct {
 	singles int
 	batches [][]iscsi.BatchEntry
 	// sent holds, per squeezed push, the data-segment bytes it shipped
-	// and the plain list's.
+	// and the plain list's, and tags the history tag of each that
+	// shipped squeezed.
 	sent [][2]int
+	tags []uint64
 	// tx and rx are the two ends of the one stream's squeeze history a
 	// squeezed push goes through, as it would through a session.
 	tx      iscsi.SqueezeSender
@@ -99,6 +101,9 @@ func (g *gatedClient) squeeze(mode, shard uint8, vol uint16, entries []iscsi.Bat
 		}
 		g.tx.Commit()
 		g.decoded, sent = entries, len(seg)
+		g.mu.Lock()
+		g.tags = append(g.tags, tag)
+		g.mu.Unlock()
 	}
 	var st []iscsi.Status
 	if refs {

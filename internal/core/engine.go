@@ -98,10 +98,9 @@ var _ ByRefReplicaClient = (*iscsi.Initiator)(nil)
 // (iscsi's squeezed lists), and say how many data-segment bytes went
 // out — the plain list's when the client shipped it plain. The client
 // owns the stream's history and resets it itself when a push fails;
-// ResetSqueeze makes it forget the history, encoder included, so the
-// next squeezed push is fresh. A stream's squeezed pushes go one at a
-// time: an async pipe's shipper, the only caller, has one push in
-// flight.
+// ResetSqueeze makes it forget the history, so the next squeezed push is
+// fresh. A stream's squeezed pushes go one at a time: an async pipe's
+// shipper, the only caller, has one push in flight.
 type SqueezeReplicaClient interface {
 	ReplicaClient
 	ReplicaWriteSqueezed(mode, shard uint8, vol uint16, entries []iscsi.BatchEntry, refs bool) (statuses []iscsi.Status, sent int, err error)

@@ -535,7 +535,8 @@ func (e *Engine) process(p *pipe, msgs []repMsg, backlog bool) {
 		statuses, tries, sent, err := e.push(p, nil, entries, refs, sr.squeezed)
 		listed = err == nil
 		wire = int64(wan.WireBytesDiscrete(sent))
-		shareSqueeze(groups, entries, iscsi.BatchWireLen(entries)-sent)
+		saved := squeezeSaved(sr.squeezed, entries, sent)
+		shareSqueeze(groups, entries, saved)
 		for k := range groups {
 			groups[k].first = groups[k].squeezed
 		}
@@ -549,9 +550,10 @@ func (e *Engine) process(p *pipe, msgs []repMsg, backlog bool) {
 		// Only a push that went through whole on its first attempt says
 		// anything about the link: a retry's backoff, a failure's timeout
 		// and a refused suffix's second push are not what squeezing
-		// changes. A gate that is off after the run leaves the stream's
-		// history nothing to be kept for.
-		switched, forget := sr.end(err == nil && tries == 1 && missAt == len(groups))
+		// changes. A squeezed push that came out no smaller shipped
+		// plain, and teaches the gate so. A squeeze probe that lost
+		// leaves the stream's history nothing to be kept for.
+		switched, forget := sr.end(err == nil && tries == 1 && missAt == len(groups), saved > 0)
 		if switched {
 			p.m.Add(metrics.SqueezeSwitches, 1)
 		}
@@ -580,7 +582,7 @@ func (e *Engine) process(p *pipe, msgs []repMsg, backlog bool) {
 			} else {
 				copy(statuses[missAt:], fstat)
 				wire += int64(wan.WireBytesDiscrete(fsent))
-				shareSqueeze(groups[missAt:], suffix, iscsi.BatchWireLen(suffix)-fsent)
+				shareSqueeze(groups[missAt:], suffix, squeezeSaved(sr.squeezed, suffix, fsent))
 			}
 		}
 		if forget {
@@ -711,6 +713,17 @@ func (e *Engine) process(p *pipe, msgs []repMsg, backlog bool) {
 	}
 }
 
+// squeezeSaved is what squeezing took off a list push of entries that
+// put sent bytes on the wire: none for a push not asked to squeeze,
+// whose verb may ship a list of one as a shorter single-frame push (see
+// push).
+func squeezeSaved(squeezed bool, entries []iscsi.BatchEntry, sent int) int {
+	if !squeezed {
+		return 0
+	}
+	return iscsi.BatchWireLen(entries) - sent
+}
+
 // shareSqueeze attributes what squeezing took off one list push, saved
 // bytes (the plain list's data segment less the squeezed one's; none
 // when the push shipped plain), to the entries whose frames rode in its
@@ -786,7 +799,9 @@ func (e *Engine) finish(rs *replicaState, msg repMsg, err error) {
 //
 // squeeze ships the list through the client's compressing extension;
 // sent is the data-segment bytes the list push that settled put on the
-// wire (see SqueezeReplicaClient).
+// wire (see SqueezeReplicaClient). A plain list of one by-value entry
+// goes out as a single-frame push, the frame alone: that is what
+// iscsi's batch verbs make of it.
 //
 // Transport failures retry the whole push — entries the replica
 // already applied dedupe by seq in the stream's window and come back
@@ -801,6 +816,9 @@ func (e *Engine) push(p *pipe, one *repMsg, entries []iscsi.BatchEntry, refs, sq
 	shard, vol := e.streamTag(p)
 	tagged := shard != 0 || vol != 0
 	plain := iscsi.BatchWireLen(entries)
+	if len(entries) == 1 && !refs && !squeeze {
+		plain = len(entries[0].Frame) // the batch verbs ship a list of one as a single-frame push
+	}
 	for attempt := 1; ; attempt++ {
 		sent = plain
 		switch {

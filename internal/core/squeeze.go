@@ -24,11 +24,15 @@ import (
 // Gate constants. Not knobs: a pipe on which they are wrong is a pipe
 // the gate's rule is wrong for.
 const (
-	// squeezeWin is by how much a probe's goodput must beat the
-	// incumbent mode's to count as a win, and squeezeConfirm how many
-	// probes in a row must win before the pipe switches. One 10% sample
-	// is within run-to-run noise on a CPU-bound pipe; two in a row are
-	// not.
+	// squeezeWin is the margin by which the gate favours bytes: a
+	// plain probe wins only when its goodput beats the squeezed
+	// incumbent's by it, and a squeeze probe wins unless the plain
+	// incumbent's beats its own by it. So a pipe squeezes unless
+	// plain is a tenth faster: on a latency-bound link, where the two
+	// take about as long, it sheds the bytes. squeezeConfirm is how
+	// many probes in a row must win before the pipe switches. One 10%
+	// sample is within run-to-run noise on a CPU-bound pipe; two in a
+	// row are not.
 	squeezeWin     = 1.10
 	squeezeConfirm = 2
 	// A probe is due after squeezeMinSpacing incumbent runs at first,
@@ -52,7 +56,9 @@ const (
 // mode and a probe run in the other one. Source bytes, not frames or
 // wire bytes: frames per second moves with the write mix (a WAL run and
 // a checkpoint run differ in frame size), and wire bytes per second is
-// the link rate in either mode.
+// the link rate in either mode. The comparison leans to squeezing (see
+// squeezeWin): bytes off the wire are what the second stage is for, so
+// a squeezed run that costs no more than a tenth over plain is worth it.
 //
 // The incumbent's goodput is read off a cost model of its recent runs,
 // took = a + b*bytes by least squares, at the probe's own size. A plain
@@ -85,7 +91,10 @@ func (g *squeezeGate) next() bool {
 // observe feeds one delivered backlog run — shipped squeezed or not,
 // srcBytes its wire length before any squeeze, took from the start of
 // the squeeze to the push's acknowledgement — and reports whether the
-// pipe switched mode on it.
+// pipe switched mode on it. A squeeze probe loses when it took more
+// than squeezeWin times what the plain model predicts; a plain probe,
+// unless it took less than the squeeze model's prediction by that
+// factor.
 func (g *squeezeGate) observe(squeezed bool, srcBytes int, took time.Duration) (switched bool) {
 	if srcBytes <= 0 || took <= 0 {
 		return false
@@ -96,7 +105,7 @@ func (g *squeezeGate) observe(squeezed bool, srcBytes int, took time.Duration) (
 		g.since++
 		return false
 	}
-	if g.predict(x) < squeezeWin*y {
+	if squeezed && squeezeWin*g.predict(x) < y || !squeezed && g.predict(x) < squeezeWin*y {
 		g.lose()
 		return false
 	}
@@ -143,12 +152,23 @@ func (g *squeezeGate) predict(x float64) float64 {
 // squeezer is what an async pipe's one shipper owns to squeeze with:
 // the gate. The encoder and the stream's history belong to the client
 // (iscsi's squeezed lists keep them per session), which builds the
-// encoder on a stream's first squeezed push and drops it when the pipe
-// asks (resetSqueeze): after a squeezed run that leaves the gate off,
-// so only pipes that squeeze hold one.
+// encoder on a stream's first squeezed push and forgets the stream's
+// history when the pipe asks (resetSqueeze): after a squeeze probe that
+// lost. A pipe the gate switches off keeps the history: its plain
+// pushes leave both ends' as they were, so a probe that wins takes the
+// stream up at its next tag, not cold.
 type squeezer struct {
 	gate  squeezeGate
-	probe []byte // compressible's scratch
+	probe []byte           // compressible's scratch
+	now   func() time.Time // a test's clock; nil: the wall clock
+}
+
+// clock returns the time the squeezer's runs are timed by.
+func (sq *squeezer) clock() time.Time {
+	if sq.now != nil {
+		return sq.now()
+	}
+	return time.Now()
 }
 
 // probeBytes is how much of a probe run's streamed frames the
@@ -163,15 +183,14 @@ const probeBytes = 4 << 10
 // squeezed list would stream (iscsi.BatchEntry.InStream: the masked
 // twins, where the frames have them) shrink under xcode.Compressible's
 // Huffman-only pass. Inline frames are not read, since DEFLATE never
-// sees them; a run that streams nothing has nothing to tell, and
-// passes.
+// sees them. The run streams enough to tell (see begin).
 func (sq *squeezer) compressible(entries []iscsi.BatchEntry) bool {
 	buf := sq.probe[:0]
 	for k := 0; k < len(entries) && len(buf) < probeBytes; k++ {
 		buf = append(buf, entries[k].InStream()...)
 	}
 	sq.probe = buf[:0]
-	return len(buf) == 0 || xcode.Compressible(buf[:min(len(buf), probeBytes)])
+	return xcode.Compressible(buf[:min(len(buf), probeBytes)])
 }
 
 // squeezeRun is one backlog run's passage through its pipe's squeezer,
@@ -179,9 +198,31 @@ func (sq *squeezer) compressible(entries []iscsi.BatchEntry) bool {
 // end does nothing.
 type squeezeRun struct {
 	sq       *squeezer
-	squeezed bool
+	squeezed bool // the gate asked for a squeezed push
+	lost     bool // a squeeze probe the compressibility check stopped
 	srcBytes int
 	start    time.Time
+}
+
+// squeezeMinStream is the fewest bytes a run must put in a squeezed
+// list's stream for the gate to see it. A shorter stream (all
+// references, raw-floored frames, or the tar workload's runs whose one
+// streamed frame is a metadata block's 12 changed bytes) cannot pay for
+// the segment's own framing, its 4-byte check, the match list and
+// DEFLATE's block header and 5-byte sync flush: squeezed, such a list
+// comes out no smaller, ships plain, and restarts the stream's history.
+const squeezeMinStream = 64
+
+// streamsEnough reports whether entries put at least squeezeMinStream
+// bytes in a squeezed list's stream.
+func streamsEnough(entries []iscsi.BatchEntry) bool {
+	n := 0
+	for k := range entries {
+		if n += len(entries[k].InStream()); n >= squeezeMinStream {
+			return true
+		}
+	}
+	return false
 }
 
 // begin starts the clock on a backlog run of srcBytes on the wire and
@@ -189,28 +230,49 @@ type squeezeRun struct {
 // call, except that a probe whose first streamed bytes do not compress
 // (see compressible) is lost on the spot. It ships plain, as an
 // incumbent run, and the gate spaces its next probe as for any lost
-// probe; no encoder is built for it.
+// probe; no encoder is built for it. A run that streams too little to
+// shrink (see squeezeMinStream) is not the gate's: it ships plain and
+// teaches nothing, and a probe due waits for a run that can tell.
 func (sq *squeezer) begin(entries []iscsi.BatchEntry, srcBytes int) squeezeRun {
-	r := squeezeRun{sq: sq, squeezed: sq.gate.next(), srcBytes: srcBytes, start: time.Now()}
+	if !streamsEnough(entries) {
+		return squeezeRun{}
+	}
+	r := squeezeRun{sq: sq, squeezed: sq.gate.next(), srcBytes: srcBytes, start: sq.clock()}
 	if r.squeezed && !sq.gate.on && !sq.compressible(entries) {
 		sq.gate.lose()
-		r.squeezed = false
+		r.squeezed, r.lost = false, true
 	}
 	return r
 }
 
-// end is called when the run's push has returned: a clean push teaches
-// the gate, and switched reports that the pipe changed mode on it.
-// forget reports that the gate is off after a run that squeezed, or
-// that switched it off: the stream's history, and the encoder, are no
-// longer worth keeping.
-func (r squeezeRun) end(clean bool) (switched, forget bool) {
+// end is called when the run's push has returned; shrank reports that
+// the push shipped a squeezed list, which a client does only when it
+// comes out smaller than the plain one (SqueezeReplicaClient). A clean
+// push teaches the gate the mode the run shipped in: a squeeze probe
+// that shrank nothing is a lost probe, and an incumbent squeezed run
+// that shrank nothing teaches the cost model nothing. switched reports
+// that the pipe changed mode on the run, and forget that a squeeze probe
+// lost on it: the stream's history is no longer worth keeping (see
+// squeezer).
+func (r squeezeRun) end(clean, shrank bool) (switched, forget bool) {
 	sq := r.sq
 	if sq == nil {
 		return false, false
 	}
-	if clean {
-		switched = sq.gate.observe(r.squeezed, r.srcBytes, time.Since(r.start))
+	g := &sq.gate
+	probe := r.squeezed && !g.on
+	switch {
+	case !clean:
+	case r.squeezed && !shrank && probe:
+		g.lose()
+		return false, true
+	case r.squeezed && !shrank:
+		g.since++
+	default:
+		switched = g.observe(r.squeezed, r.srcBytes, sq.clock().Sub(r.start))
+		if probe && !g.on && g.wins == 0 {
+			return false, true
+		}
 	}
-	return switched, !sq.gate.on && (r.squeezed || switched)
+	return switched, r.lost
 }

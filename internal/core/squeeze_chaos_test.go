@@ -156,7 +156,9 @@ func newSqueezeChaos(t *testing.T, cfg Config, first func(client, server net.Con
 	if err := e.AttachReplica(in); err != nil {
 		t.Fatal(err)
 	}
-	e.replicas[0].pipes[0].sq.gate.on = true
+	// On, its first plain probe a full spacing away: every backlog run
+	// of the replay squeezes, the one a fault or a refusal lands on too.
+	e.replicas[0].pipes[0].sq.gate = squeezeGate{on: true, spacing: squeezeMaxSpacing}
 	c.e = e
 	t.Cleanup(func() {
 		e.Close()

@@ -138,6 +138,82 @@ func TestSqueezeGateStaysOff(t *testing.T) {
 	}
 }
 
+// t3TarLink is the tar workload's pipe, sized from what its shipper
+// measured: a push of a few KB behind T3 takes about 3 ms, squeezing a
+// run takes 0.4 ms and a third of its bytes off, and the durations
+// spread by a fifth either way (the measured runs' sd is 16% about
+// either mode's fit). Squeezing costs a little time on a small run and
+// saves a little on a big one: about a wash, so the gate squeezes.
+var t3TarLink = linkModel{alpha: 3 * time.Millisecond, rate: wan.T3.BytesPerSecond, cpu: 400 * time.Microsecond, shrink: 0.65, jitter: 0.20}
+
+// tarRunSizes are the tar pipe's backlog runs, in plain wire bytes.
+var tarRunSizes = []int{1600, 2400, 3300, 4500, 6000, 8000, 10000}
+
+// TestSqueezeGateTurnsOnBehindT3Tar: on a latency-bound link where
+// squeezing takes about as long as shipping plain, the gate leans to the
+// bytes. Noise-free, each of ten pipes is on within one lost probe's
+// worth of runs (a first probe is judged against a model of two runs,
+// which may have been of one size); with a fifth of noise on every
+// duration a lost probe or two can hold a pipe off longer, but each
+// squeezes at least 98% of its runs, turn-on included.
+func TestSqueezeGateTurnsOnBehindT3Tar(t *testing.T) {
+	const pipes, runs = 10, 20000
+	// Two incumbent runs, a probe that wins and a confirmation that
+	// loses, twice the spacing, a probe and its confirmation.
+	const within = squeezeMinSpacing + squeezeConfirm + 2*squeezeMinSpacing + squeezeConfirm
+	for _, noisy := range []bool{false, true} {
+		link := t3TarLink
+		if !noisy {
+			link.jitter = 0
+		}
+		var turnOn []int
+		for seed := int64(1); seed <= pipes; seed++ {
+			rng := rand.New(rand.NewSource(seed))
+			var g squeezeGate
+			n, squeezed := 0, 0
+			for ; n < runs && !g.on; n++ {
+				squeezed += driveGate(&g, link, tarRunSizes, 1, rng)
+			}
+			turnOn = append(turnOn, n)
+			if !noisy && n > within {
+				t.Errorf("noise-free pipe %d: gate on after %d runs, want <= %d", seed, n, within)
+			}
+			squeezed += driveGate(&g, link, tarRunSizes, runs-n, rng)
+			if squeezed*100 < 98*runs {
+				t.Errorf("noisy=%v pipe %d: %d of %d runs squeezed on the tar pipe, want >= 98%%", noisy, seed, squeezed, runs)
+			}
+		}
+		t.Logf("noisy=%v: gate on after %v runs", noisy, turnOn)
+	}
+}
+
+// TestSqueezeGateStaysOffWhenSlower: the lean to bytes is a tenth, not
+// more. Where squeezing makes a push a fifth slower, the gate stays off
+// and squeezes its probes only.
+func TestSqueezeGateStaysOffWhenSlower(t *testing.T) {
+	// 3 ms a push of 1600 bytes plain, 0.76 ms more squeezed: 3.29 ms
+	// against 3.95.
+	slower := linkModel{alpha: 3 * time.Millisecond, rate: wan.T3.BytesPerSecond, cpu: 760 * time.Microsecond, shrink: 0.65}
+	noisy := slower
+	noisy.jitter = 0.05
+	for _, tc := range []struct {
+		name string
+		link linkModel
+	}{{"steady", slower}, {"noisy", noisy}} {
+		t.Run(tc.name, func(t *testing.T) {
+			const runs = 20000
+			var g squeezeGate
+			squeezed := driveGate(&g, tc.link, []int{1600}, runs, rand.New(rand.NewSource(5)))
+			if g.on {
+				t.Errorf("gate ended on: %+v", g)
+			}
+			if squeezed*100 > runs {
+				t.Errorf("%d of %d runs squeezed where squeezing is a fifth slower, want <= 1%%", squeezed, runs)
+			}
+		})
+	}
+}
+
 // TestSqueezeGateFollowsLinkChange: a pipe that has squeezed behind T1
 // for long enough to space its probes out fully finds out that the link
 // became loopback within one spacing plus the confirmation, and the
@@ -425,7 +501,7 @@ func TestSqueezeRefMissAndCoalesce(t *testing.T) {
 	if m.SqueezeSavedWire < 5*200 {
 		t.Errorf("SqueezeSavedWire = %d, want well over 1000: five prose literals of 400+ bytes", m.SqueezeSavedWire)
 	}
-	wire := int64(wan.WireBytesDiscrete(iscsi.BatchWireLen(g.batches[0])))
+	wire := int64(wan.WireBytesDiscrete(len(g.batches[0][0].Frame))) // the warm-up, a list of one, goes out as its frame
 	for _, s := range g.sent {
 		wire += int64(wan.WireBytesDiscrete(s[0]))
 	}
@@ -540,24 +616,7 @@ func TestSqueezeGateLearnsFromCleanPushesOnly(t *testing.T) {
 		_ = e.Drain() // the failing case reports its delivery error here; the gate is what is checked
 	}
 	pair := func(t *testing.T, cfg Config, wrap func(*gatedClient) ReplicaClient) (*Engine, *gatedClient) {
-		t.Helper()
-		primaryStore, err := block.NewMem(bs, nb)
-		if err != nil {
-			t.Fatal(err)
-		}
-		replicaStore, err := block.NewMem(bs, nb)
-		if err != nil {
-			t.Fatal(err)
-		}
-		e, err := NewEngine(primaryStore, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { e.Close() })
-		g := newGatedClient(NewReplicaEngine(replicaStore))
-		if err := e.AttachReplica(wrap(g)); err != nil {
-			t.Fatal(err)
-		}
+		e, g, _, _ := wrappedPair(t, cfg, bs, nb, wrap)
 		return e, g
 	}
 	base := Config{Mode: ModePRINS, Async: true, BatchFrames: 8}
@@ -633,6 +692,186 @@ func TestSqueezeGateLearnsFromCleanPushesOnly(t *testing.T) {
 	})
 }
 
+// wrappedPair builds an engine on a fresh pair of stores whose replica
+// sits behind a gated loopback client, as wrap presents it to the
+// engine.
+func wrappedPair(t *testing.T, cfg Config, bs int, nb uint64, wrap func(*gatedClient) ReplicaClient) (*Engine, *gatedClient, block.Store, block.Store) {
+	t.Helper()
+	primaryStore, err := block.NewMem(bs, nb)
+	if err != nil {
+		t.Fatal(err)
+	}
+	replicaStore, err := block.NewMem(bs, nb)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := NewEngine(primaryStore, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { e.Close() })
+	g := newGatedClient(NewReplicaEngine(replicaStore))
+	if err := e.AttachReplica(wrap(g)); err != nil {
+		t.Fatal(err)
+	}
+	return e, g, primaryStore, replicaStore
+}
+
+// gatedRuns writes a warm-up block, which the gated client holds, then
+// runs full runs of text blocks behind it, opens the gate and drains:
+// with Config.BatchFrames 8, the writes ship as runs backlog runs of 8.
+func gatedRuns(t *testing.T, e *Engine, g *gatedClient, bs, runs int) {
+	t.Helper()
+	if err := e.WriteBlock(uint64(8*runs), textBlock(bs, 300, 0)); err != nil {
+		t.Fatal(err)
+	}
+	<-g.started
+	for lba := 0; lba < 8*runs; lba++ {
+		if err := e.WriteBlock(uint64(lba), textBlock(bs, 400+50*(lba%7), byte(lba))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	close(g.gate)
+	if err := e.Drain(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// stepClock is a clock for a pipe's squeezer that moves only when a
+// test's client pushes: a push takes what the client says it takes.
+type stepClock struct {
+	mu sync.Mutex
+	t  time.Time
+}
+
+func (c *stepClock) now() time.Time {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.t
+}
+
+func (c *stepClock) advance(d time.Duration) {
+	c.mu.Lock()
+	c.t = c.t.Add(d)
+	c.mu.Unlock()
+}
+
+// clockedPair is wrappedPair with the pipe's squeezer timed by a
+// stepClock, which the returned engine's client advances.
+func clockedPair(t *testing.T, bs int, nb uint64, wrap func(*gatedClient, *stepClock) ReplicaClient) (*Engine, *gatedClient, block.Store, block.Store) {
+	t.Helper()
+	clock := new(stepClock)
+	e, g, primaryStore, replicaStore := wrappedPair(t, Config{Mode: ModePRINS, Async: true, BatchFrames: 8}, bs, nb,
+		func(g *gatedClient) ReplicaClient { return wrap(g, clock) })
+	e.replicas[0].pipes[0].sq.now = clock.now
+	return e, g, primaryStore, replicaStore
+}
+
+// plainSqueezer is a squeezing client whose lists never come out
+// smaller: every squeezed push claims the stream's history, as a
+// session's does, and ships the list plain. Every list push takes 2 ms
+// on the pipe's clock, squeezed or not.
+type plainSqueezer struct {
+	*gatedClient
+	clock *stepClock
+	mu    sync.Mutex
+	asked int  // squeezed pushes asked for
+	held  bool // a history claimed since the last ResetSqueeze
+}
+
+func (c *plainSqueezer) ReplicaWriteBatch(mode uint8, entries []iscsi.BatchEntry) ([]iscsi.Status, error) {
+	c.clock.advance(2 * time.Millisecond)
+	return c.gatedClient.ReplicaWriteBatch(mode, entries)
+}
+
+func (c *plainSqueezer) ReplicaWriteSqueezed(mode, shard uint8, vol uint16, entries []iscsi.BatchEntry, refs bool) ([]iscsi.Status, int, error) {
+	c.mu.Lock()
+	c.asked++
+	c.held = true
+	c.mu.Unlock()
+	st, err := c.ReplicaWriteBatch(mode, entries)
+	return st, iscsi.BatchWireLen(entries), err
+}
+
+func (c *plainSqueezer) ResetSqueeze(uint8, uint16) {
+	c.mu.Lock()
+	c.held = false
+	c.mu.Unlock()
+}
+
+// TestSqueezeGateLearnsShippedMode: a squeeze probe whose list came out
+// no smaller shipped plain, and the gate learns it so. Each such probe
+// is lost, the gate never switches on, and the pipe drops the stream's
+// history after every one.
+func TestSqueezeGateLearnsShippedMode(t *testing.T) {
+	const bs, runs = 4096, 24
+	var c *plainSqueezer
+	e, g, primaryStore, replicaStore := clockedPair(t, bs, 8*runs+1, func(g *gatedClient, clock *stepClock) ReplicaClient {
+		c = &plainSqueezer{gatedClient: g, clock: clock}
+		return c
+	})
+	gatedRuns(t, e, g, bs, runs)
+	mustEqual(t, "replica", replicaStore, primaryStore)
+
+	// 24 runs: probes after 2, 4 and 8 incumbent runs, each lost.
+	gate := e.replicas[0].pipes[0].sq.gate
+	m := e.ReplicaStats()[0].Metrics
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.asked != 3 || gate.spacing != 8*squeezeMinSpacing {
+		t.Errorf("%d squeezed pushes asked for, gate spacing %d; want 3 probes, all lost (spacing %d)", c.asked, gate.spacing, 8*squeezeMinSpacing)
+	}
+	if gate.on || m.SqueezeSwitches != 0 || m.Squeezed != 0 {
+		t.Errorf("gate on=%v after %d switches, %d entries booked squeezed: probes that shipped plain won", gate.on, m.SqueezeSwitches, m.Squeezed)
+	}
+	if c.held {
+		t.Error("the stream's history is held after lost probes")
+	}
+}
+
+// slowSqueezer is a link on which a pipe that squeezes switches its
+// gate off: a plain list push takes 1 ms on the pipe's clock, a
+// squeezed one 11.
+type slowSqueezer struct {
+	*gatedClient
+	clock *stepClock
+}
+
+func (c slowSqueezer) ReplicaWriteBatch(mode uint8, entries []iscsi.BatchEntry) ([]iscsi.Status, error) {
+	c.clock.advance(time.Millisecond)
+	return c.gatedClient.ReplicaWriteBatch(mode, entries)
+}
+
+func (c slowSqueezer) ReplicaWriteSqueezed(mode, shard uint8, vol uint16, entries []iscsi.BatchEntry, refs bool) ([]iscsi.Status, int, error) {
+	c.clock.advance(11 * time.Millisecond)
+	return c.gatedClient.ReplicaWriteSqueezed(mode, shard, vol, entries, refs)
+}
+
+// TestSqueezeSwitchOffKeepsHistory: a pipe whose gate switches off keeps
+// its stream's history at both ends, so its next squeeze probe is built
+// on that history, its tag continuing the stream's count, not a fresh
+// push's 1.
+func TestSqueezeSwitchOffKeepsHistory(t *testing.T) {
+	const bs, runs = 4096, 8
+	e, g, primaryStore, replicaStore := clockedPair(t, bs, 8*runs+1, func(g *gatedClient, clock *stepClock) ReplicaClient {
+		return slowSqueezer{g, clock}
+	})
+	e.replicas[0].pipes[0].sq.gate.on = true
+	gatedRuns(t, e, g, bs, runs)
+	mustEqual(t, "replica", replicaStore, primaryStore)
+
+	// Two squeezed runs; two plain probes, far faster, switch the gate
+	// off; two plain runs; a squeeze probe, which loses; a plain run.
+	if m := e.ReplicaStats()[0].Metrics; m.SqueezeSwitches != 1 {
+		t.Fatalf("%d gate switches, want 1 (off)", m.SqueezeSwitches)
+	}
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if !slices.Equal(g.tags, []uint64{1, 2, 3}) {
+		t.Errorf("squeezed pushes' history tags %v, want [1 2 3]: the probe after the switch off is built on the stream's history", g.tags)
+	}
+}
+
 // TestSqueezeSteadyStateAllocs: once the stream's encoder and buffers
 // have grown to the pipe's runs, consulting the gate and squeezing a run
 // against the stream's history, at both ends, allocate nothing.
@@ -676,6 +915,38 @@ func TestSqueezeSteadyStateAllocs(t *testing.T) {
 		if !bytes.Equal(decoded[k].Frame, entries[k].Frame) {
 			t.Fatalf("entry %d: the squeezed run decodes to a different frame", k)
 		}
+	}
+}
+
+// TestSqueezeGateSkipsShortStreams: a run that puts fewer than
+// squeezeMinStream bytes in a squeezed list's stream (references only,
+// or one frame of a few changed bytes) is not the gate's, even with a
+// probe due: it ships plain and leaves the gate as it was. One more
+// streamed frame makes it a probe.
+func TestSqueezeGateSkipsShortStreams(t *testing.T) {
+	const bs = 4096
+	few := make([]byte, bs)
+	copy(few[100:], "mtime+size")
+	frame, err := xcode.Encode(xcode.CodecZRL, few)
+	if err != nil {
+		t.Fatal(err)
+	}
+	short := []iscsi.BatchEntry{{Seq: 1, LBA: 1, Hash: 1}, {Seq: 2, LBA: 2, Hash: 2, Frame: frame}} // a reference and a 10-byte change
+	if len(short[1].InStream()) >= squeezeMinStream {
+		t.Fatalf("a 10-byte change streams %d bytes", len(short[1].InStream()))
+	}
+	due := squeezeGate{since: squeezeMinSpacing} // off, a probe due
+	sq := &squeezer{gate: due}
+	if r := sq.begin(short, iscsi.BatchWireLen(short)); r.sq != nil || r.squeezed || sq.gate != due {
+		t.Errorf("a run streaming %d bytes: seen %v, squeezed %v, gate %+v; want unseen and the gate as it was", len(short[1].InStream()), r.sq != nil, r.squeezed, sq.gate)
+	}
+	text, err := xcode.Encode(xcode.CodecZRL, textBlock(bs, 400, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	long := append(short, iscsi.BatchEntry{Seq: 3, LBA: 3, Hash: 3, Frame: text})
+	if r := sq.begin(long, iscsi.BatchWireLen(long)); r.sq == nil || !r.squeezed {
+		t.Errorf("a run streaming a 400-byte text frame: seen %v, squeezed %v; want a squeeze probe", r.sq != nil, r.squeezed)
 	}
 }
 

@@ -245,7 +245,7 @@ type squeezeStream struct {
 	key  uint32
 	used uint64 // the session's claim count at this stream's last claim
 	busy bool   // a push has claimed tx
-	drop bool   // ResetSqueeze came while busy: forget the stream when the push settles
+	drop bool   // ResetSqueeze came while busy: forget the history when the push settles
 }
 
 // streamID packs a (shard, vol) stream tag.
@@ -301,7 +301,7 @@ func (s *session) evictSqueeze() *squeezeStream {
 // settleSqueeze releases a claim. A squeezed push the target answered
 // StatusOK (took) was taken in at both ends; any other squeezed push
 // resets the history, and a push that went plain leaves it as it was.
-// A stream ResetSqueeze asked to forget is forgotten.
+// A history ResetSqueeze asked to forget is forgotten.
 func (i *Initiator) settleSqueeze(st *squeezeStream, squeezed, took bool) {
 	if st == nil {
 		return
@@ -315,8 +315,9 @@ func (i *Initiator) settleSqueeze(st *squeezeStream, squeezed, took bool) {
 		st.tx.Reset()
 	}
 	st.busy = false
-	if st.drop && st.sess.squeeze[st.key] == st {
-		delete(st.sess.squeeze, st.key)
+	if st.drop {
+		st.tx.Reset()
+		st.drop = false
 	}
 }
 
@@ -378,19 +379,22 @@ func (i *Initiator) ReplicaWriteSqueezed(mode, shard uint8, vol uint16, entries 
 }
 
 // ResetSqueeze forgets the (vol, shard) stream's squeeze history on the
-// current session, encoder included: its next squeezed push is fresh.
-// A push in flight keeps the history until it settles.
+// current session: its next squeezed push is fresh. A push in flight
+// keeps the history until it settles. The stream keeps its encoder's
+// memory, as the target keeps its receiver's: building an encoder takes
+// 0.4-1.6 ms, a third of a push behind T3, and a stream's next squeezed
+// push, a probe of whether squeezing pays, would be timed with it.
+// maxSqueezeStreams bounds what the session holds.
 func (i *Initiator) ResetSqueeze(shard uint8, vol uint16) {
 	i.mu.Lock()
 	defer i.mu.Unlock()
-	key := streamID(shard, vol)
-	st := i.sess.squeeze[key]
+	st := i.sess.squeeze[streamID(shard, vol)]
 	switch {
 	case st == nil:
 	case st.busy:
 		st.drop = true
 	default:
-		delete(i.sess.squeeze, key)
+		st.tx.Reset()
 	}
 }
 

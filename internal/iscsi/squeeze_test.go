@@ -300,7 +300,8 @@ func (s *squeezeBackend) HandleReplicaStream(mode, shard uint8, vol uint16, seq,
 // initiator and a target: the target applies exactly the entries sent;
 // the pushes after the first carry growing tags; a stream whose
 // initiator-side history has gone stale is refused and re-shipped fresh,
-// applied once; ResetSqueeze makes the next push fresh; and the bytes
+// applied once; ResetSqueeze makes the next push fresh, on the stream's
+// own encoder; and the bytes
 // ReplicaWriteSqueezed reports are the data segments that crossed the
 // connection.
 func TestSqueezedPushOverSession(t *testing.T) {
@@ -365,11 +366,20 @@ func TestSqueezedPushOverSession(t *testing.T) {
 	}
 
 	tags = nil
+	init.mu.Lock()
+	held := init.sess.squeeze[streamID(shard, vol)]
+	init.mu.Unlock()
 	init.ResetSqueeze(shard, vol)
 	push(4)
 	push(5)
 	if want := []uint64{1, 2}; fmt.Sprint(tags) != fmt.Sprint(want) {
 		t.Errorf("after ResetSqueeze: tags %v, want %v", tags, want)
+	}
+	init.mu.Lock()
+	kept := init.sess.squeeze[streamID(shard, vol)] == held
+	init.mu.Unlock()
+	if !kept {
+		t.Error("ResetSqueeze dropped the stream's encoder: its next push built a new one")
 	}
 }
 

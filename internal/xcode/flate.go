@@ -21,8 +21,9 @@ import (
 
 // flateLevel is the one compression level in use. On TPC-C parities
 // level 6 takes ~30% off a ZRL frame (BenchmarkAblationSqueeze) and
-// level 1 about four points less; the pipe that squeezes is the one
-// with idle CPU, so it buys the bytes.
+// level 1 about four points less. A pipe squeezes because the bytes are
+// what its link charges for, and keeps squeezing unless shipping plain
+// is a tenth faster (internal/core's gate), so it buys the bytes.
 const flateLevel = 6
 
 // Deflater is a reusable DEFLATE encoder that appends into the caller's

@@ -61,9 +61,9 @@ const (
 	ModeCompressed = Mode(core.ModeCompressed)
 	// ModePRINS ships the zero-run-length-encoded forward parity. There
 	// is no compression option on top: an Async primary's ship pipeline
-	// adds DEFLATE to the frames of a backlog by itself, for as long as
-	// its own measured goodput says the link, not the CPU, is what it is
-	// waiting for (DESIGN.md section 4, "Squeezing a backlog").
+	// adds DEFLATE to the frames of a backlog by itself, unless its own
+	// measured goodput says shipping them plain is a tenth faster
+	// (DESIGN.md section 4, "Squeezing a backlog").
 	ModePRINS = Mode(core.ModePRINS)
 )
 
@@ -649,11 +649,23 @@ type ReplicaStat struct {
 	// DedupeSavedWireBytes is the net data-segment bytes dedupe saved
 	// on this replica's wire, crediting delivered writes only.
 	DedupeSavedWireBytes int64
+	// Squeezed counts entries this replica acknowledged from a squeezed
+	// list's stream (an Async primary's backlog runs; DESIGN.md section
+	// 4, "Squeezing a backlog"), SqueezeSavedWireBytes the bytes
+	// squeezing took off their pushes, and SqueezeSwitches how often a
+	// ship pipeline's gate turned squeezing on or off.
+	Squeezed              int64
+	SqueezeSavedWireBytes int64
+	SqueezeSwitches       int64
 }
 
 // ReplicaStats reports each attached replica's state in attach order.
-func (p *Primary) ReplicaStats() []ReplicaStat {
-	stats := p.engine.ReplicaStats()
+func (p *Primary) ReplicaStats() []ReplicaStat { return replicaStats(p.engine) }
+
+// replicaStats reports one engine's replicas; a Primary and a Volume
+// report the same set.
+func replicaStats(e *core.Engine) []ReplicaStat {
+	stats := e.ReplicaStats()
 	out := make([]ReplicaStat, len(stats))
 	for i, rs := range stats {
 		out[i] = ReplicaStat{
@@ -669,6 +681,10 @@ func (p *Primary) ReplicaStats() []ReplicaStat {
 			DedupeHits:           rs.Metrics.DedupeHits,
 			DedupeMisses:         rs.Metrics.DedupeMisses,
 			DedupeSavedWireBytes: rs.Metrics.DedupeSavedWire,
+
+			Squeezed:              rs.Metrics.Squeezed,
+			SqueezeSavedWireBytes: rs.Metrics.SqueezeSavedWire,
+			SqueezeSwitches:       rs.Metrics.SqueezeSwitches,
 		}
 	}
 	return out

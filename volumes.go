@@ -62,6 +62,10 @@ func (v *Volume) Degraded() bool { return v.eng.Degraded() }
 // Stats snapshots this volume's replication counters.
 func (v *Volume) Stats() Stats { return engineStats(v.eng) }
 
+// ReplicaStats reports this volume's state on each replica of its set,
+// in attach order.
+func (v *Volume) ReplicaStats() []ReplicaStat { return replicaStats(v.eng) }
+
 // ShardStats reports this volume's per-shard counters.
 func (v *Volume) ShardStats() []ShardStat {
 	snaps := v.eng.ShardStats()
