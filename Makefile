@@ -127,7 +127,7 @@ e2e-guard:
 # reset/timeout/Close with commands in flight), the ship window
 # (overlapping pushes landed out of order, the same-LBA and span
 # admission rules, the replica's sliding seq window), and the shipper's
-# squeeze (the gate on synthetic links, a squeezed run through coalesce
+# squeeze (the gate's byte rule, a squeezed run through coalesce
 # and a refused reference, TPC-C over a shaped T1 link), the pipelined
 # resync (the differential test against the serial oracle, cancel,
 # reset and Stop with a window of writes in flight, the window bounds,

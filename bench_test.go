@@ -42,7 +42,7 @@ func BenchmarkAblationCodec(b *testing.B) {
 		rng.Read(fp[off : off+run])
 		changed += run
 	}
-	for _, codec := range []xcode.Codec{xcode.CodecRaw, xcode.CodecZRL, xcode.CodecFlate, xcode.CodecZRLFlate} {
+	for _, codec := range []xcode.Codec{xcode.CodecRaw, xcode.CodecZRL, xcode.CodecFlate} {
 		b.Run(codec.String(), func(b *testing.B) {
 			b.SetBytes(int64(len(fp)))
 			var frameLen int
@@ -565,19 +565,18 @@ func tpccParities(tb testing.TB, seed int64, txns int) (parities, news [][]byte)
 // squeezeCorpus is one corpus of BenchmarkAblationSqueeze: its
 // parities, the block each write left (A_new), their ZRL frames, and
 // the bytes each stage ships for the whole corpus — zrlB the ZRL
-// frames, squeezedB what a per-frame squeeze keeps of them (a frame
-// DEFLATE does not shrink ships as it is), streamB what they cost as
-// the stream segments of squeezed lists before the long-range match
-// pass (deflateOnly): runs of streamRun frames through one stream's
-// 32 KiB of DEFLATE history; maskB the same for the frames' masked
-// twins (xcode.AppendMask: A_new's bytes on the parity's literals), a
-// raw-floored frame going as it is; longB the same twins through
-// xcode.StreamDeflater, whose repeats reach back a StreamWindow of
-// plaintext, which is what a backlogged pipe now streams.
+// frames, streamB what they cost as the stream segments of squeezed
+// lists before the long-range match pass (deflateOnly): runs of
+// streamRun frames through one stream's 32 KiB of DEFLATE history;
+// maskB the same for the frames' masked twins (xcode.AppendMask: A_new's
+// bytes on the parity's literals), a raw-floored frame going as it is;
+// longB the same twins through xcode.StreamDeflater, whose repeats
+// reach back a StreamWindow of plaintext, which is what a backlogged
+// pipe now streams.
 type squeezeCorpus struct {
-	name                                   string
-	parities, news, frames                 [][]byte
-	zrlB, squeezedB, streamB, maskB, longB int64
+	name                        string
+	parities, news, frames      [][]byte
+	zrlB, streamB, maskB, longB int64
 }
 
 // streamRun is how many frames squeezeCorpora packs in one stream
@@ -615,7 +614,6 @@ func squeezeCorpora(tb testing.TB) []squeezeCorpus {
 		{name: "tpcc", parities: tpccFP, news: tpccNews},
 		{name: "incompressible", parities: random, news: randomNews},
 	}
-	var d xcode.Deflater
 	for c := range corpora {
 		corpus := &corpora[c]
 		var masks [][]byte
@@ -627,10 +625,6 @@ func squeezeCorpora(tb testing.TB) []squeezeCorpus {
 			corpus.frames = append(corpus.frames, frame)
 			masks = append(masks, maskOf(tb, frame, corpus.news[i]))
 			corpus.zrlB += int64(len(frame))
-			if out, ok := d.AppendSqueezed(nil, frame); ok {
-				frame = out
-			}
-			corpus.squeezedB += int64(len(frame))
 		}
 		corpus.streamB = streamBytes(tb, new(deflateOnly), corpus.frames)
 		corpus.maskB = streamBytes(tb, new(deflateOnly), masks)
@@ -729,14 +723,14 @@ func streamBytes(tb testing.TB, sd segmenter, frames [][]byte) int64 {
 
 // TestSqueezeFrameCeiling holds the mean frame each stage of
 // BenchmarkAblationSqueeze ships to what it was when written (465.65
-// and 321.15 bytes on TPC-C, 868.63 on the incompressible corpus). Both
-// are counts over seeded corpora, the same on every run and every host.
-// The stream column, what a frame costs in the stream segment of a
-// squeezed list, is held to what it was when written: 251.39 bytes on
-// TPC-C, 22% under the per-frame squeeze, and 867.16 on the
-// incompressible corpus, where DEFLATE over 32 frames at once finds a
-// byte and a half per frame in their run headers that it could not
-// find in one.
+// bytes of ZRL frame on TPC-C, 868.63 on the incompressible corpus).
+// Both are counts over seeded corpora, the same on every run and every
+// host. The stream column, what a frame costs in the stream segment of
+// a squeezed list, is held to what it was when written: 251.39 bytes on
+// TPC-C, 22% under each frame deflated on its own (321.15 bytes, a
+// form since retired), and 867.16 on the incompressible corpus, where
+// DEFLATE over 32 frames at once finds a byte and a half per frame in
+// their run headers that it could not find in one.
 //
 // The mask column is what the same runs cost with each ZRL frame's
 // masked twin streamed in its place, as a backlogged pipe now streams
@@ -749,20 +743,14 @@ func streamBytes(tb testing.TB, sd segmenter, frames [][]byte) int64 {
 // pre-image bytes in the twin. It was 867.25 bytes when written, 0.09
 // over the parities' stream, and is held to 867.3.
 func TestSqueezeFrameCeiling(t *testing.T) {
-	ceilings := map[string]struct{ zrl, squeezed float64 }{
-		"tpcc":           {465.7, 321.2},
-		"incompressible": {868.7, 868.7},
-	}
+	ceilings := map[string]float64{"tpcc": 465.7, "incompressible": 868.7}
 	streamCeilings := map[string]float64{"tpcc": 251.4, "incompressible": 867.2}
 	maskCeilings := map[string]float64{"tpcc": 166.5, "incompressible": 867.3}
 	longCeilings := map[string]float64{"tpcc": 124.5, "incompressible": 867.3}
 	for _, c := range squeezeCorpora(t) {
-		n, want := float64(len(c.frames)), ceilings[c.name]
-		if got := float64(c.zrlB) / n; got > want.zrl {
-			t.Errorf("%s: ZRL frames average %.2f bytes, ceiling %.1f", c.name, got, want.zrl)
-		}
-		if got := float64(c.squeezedB) / n; got > want.squeezed {
-			t.Errorf("%s: squeezed frames average %.2f bytes, ceiling %.1f", c.name, got, want.squeezed)
+		n := float64(len(c.frames))
+		if got := float64(c.zrlB) / n; got > ceilings[c.name] {
+			t.Errorf("%s: ZRL frames average %.2f bytes, ceiling %.1f", c.name, got, ceilings[c.name])
 		}
 		if got := float64(c.streamB) / n; got > streamCeilings[c.name] {
 			t.Errorf("%s: frames in runs of %d through one stream average %.2f bytes, ceiling %.1f", c.name, streamRun, got, streamCeilings[c.name])
@@ -773,8 +761,8 @@ func TestSqueezeFrameCeiling(t *testing.T) {
 		if got := float64(c.longB) / n; got > longCeilings[c.name] {
 			t.Errorf("%s: masked twins in runs of %d through one long-window stream average %.2f bytes, ceiling %.1f", c.name, streamRun, got, longCeilings[c.name])
 		}
-		t.Logf("%s: B/frame zrl %.2f, squeezed %.2f, stream %.2f, mask %.2f, long %.2f", c.name,
-			float64(c.zrlB)/n, float64(c.squeezedB)/n, float64(c.streamB)/n, float64(c.maskB)/n, float64(c.longB)/n)
+		t.Logf("%s: B/frame zrl %.2f, stream %.2f, mask %.2f, long %.2f", c.name,
+			float64(c.zrlB)/n, float64(c.streamB)/n, float64(c.maskB)/n, float64(c.longB)/n)
 	}
 }
 
@@ -788,13 +776,11 @@ func TestSqueezeFrameCeiling(t *testing.T) {
 // walk, timed here with it) and streamed in the frame's place. long is
 // what such a pipe streams now: the twins through xcode.StreamDeflater,
 // whose match pass finds their repeats a StreamWindow back before
-// DEFLATE; its ns/frame less mask's is the match pass. squeeze is
-// the per-frame form it replaced, each ZRL frame transcoded to
-// ZRL+DEFLATE on its own and kept only when smaller. frameB is the mean
-// frame that ships, over the whole corpus (a count, held by
-// TestSqueezeFrameCeiling); ns/frame is the stage's own cost. On the incompressible corpus the squeeze is pure
-// cost — the pipe's gate, not this bench, decides which of the two a
-// live pipe is looking at.
+// DEFLATE; its ns/frame less mask's is the match pass. frameB is the
+// mean frame that ships, over the whole corpus (a count, held by
+// TestSqueezeFrameCeiling); ns/frame is the stage's own cost. On the
+// incompressible corpus the squeeze is pure cost — the pipe's gate,
+// not this bench, decides which of the two a live pipe is looking at.
 func BenchmarkAblationSqueeze(b *testing.B) {
 	for _, corpus := range squeezeCorpora(b) {
 		n := float64(len(corpus.frames))
@@ -807,16 +793,6 @@ func BenchmarkAblationSqueeze(b *testing.B) {
 				}
 			}
 			b.ReportMetric(float64(corpus.zrlB)/n, "frameB")
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/frame")
-		})
-		b.Run(corpus.name+"/squeeze", func(b *testing.B) {
-			var d xcode.Deflater
-			arena, _ := d.AppendSqueezed(nil, corpus.frames[0]) // warm the compressor
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				arena, _ = d.AppendSqueezed(arena[:0], corpus.frames[i%len(corpus.frames)])
-			}
-			b.ReportMetric(float64(corpus.squeezedB)/n, "frameB")
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/frame")
 		})
 		b.Run(corpus.name+"/stream", func(b *testing.B) {

@@ -173,9 +173,8 @@ type pipe struct {
 	// squeeze.go). Set on an async pipe that batches through a client
 	// that squeezes; its shipper runs its one push itself and is sq's
 	// sole user. A sync pipe has at most one frame per writer queued, so
-	// it seldom has a backlog to squeeze, and its shipWindow overlapping
-	// pushes share the link, so no one push's duration is the pipe's
-	// goodput.
+	// it seldom has a backlog to squeeze, and its shipWindow overlaps
+	// pushes where a stream's squeezed pushes go one at a time.
 	sq *squeezer
 	// m is the pipe's counter bank: every delivery, retry, drop and
 	// admission wait of this pipe is booked here and nowhere else, and
@@ -469,7 +468,7 @@ func singleGroup(one []repMsg) batchGroup {
 // repair → ClearDegraded) holds for groups too.
 //
 // On an async pipe, a run that came off a backlog may ship as a
-// squeezed list, and is timed for the pipe's gate (squeeze.go); each
+// squeezed list, as the pipe's gate says (squeeze.go); each
 // entry whose frame rode in the list's stream is then accounted at its
 // share of the push's bytes (shareSqueeze), in the push that delivered
 // it.
@@ -511,7 +510,7 @@ func (e *Engine) process(p *pipe, msgs []repMsg, backlog bool) {
 		}
 	case single:
 		m := &msgs[0]
-		if _, _, _, err := e.push(p, m, nil, false, false); err != nil {
+		if _, _, err := e.push(p, m, nil, false, false); err != nil {
 			groups[0].err = fmt.Errorf("core: replicate seq %d lba %d: %w", m.seq, m.lba, err)
 		}
 	default:
@@ -527,12 +526,12 @@ func (e *Engine) process(p *pipe, msgs []repMsg, backlog bool) {
 			}
 		}
 		// A backlog run on an async pipe is the gate's: squeezed or not
-		// as it says, and timed from here to the acknowledgement.
+		// as it says.
 		var sr squeezeRun
 		if backlog && p.sq != nil {
 			sr = p.sq.begin(entries, iscsi.BatchWireLen(entries))
 		}
-		statuses, tries, sent, err := e.push(p, nil, entries, refs, sr.squeezed)
+		statuses, sent, err := e.push(p, nil, entries, refs, sr.squeezed)
 		listed = err == nil
 		wire = int64(wan.WireBytesDiscrete(sent))
 		saved := squeezeSaved(sr.squeezed, entries, sent)
@@ -547,13 +546,11 @@ func (e *Engine) process(p *pipe, msgs []repMsg, backlog bool) {
 				break
 			}
 		}
-		// Only a push that went through whole on its first attempt says
-		// anything about the link: a retry's backoff, a failure's timeout
-		// and a refused suffix's second push are not what squeezing
-		// changes. A squeezed push that came out no smaller shipped
-		// plain, and teaches the gate so. A squeeze probe that lost
-		// leaves the stream's history nothing to be kept for.
-		switched, forget := sr.end(err == nil && tries == 1 && missAt == len(groups), saved > 0)
+		// A push that went through teaches the gate what its list's
+		// bytes came to; a failed one teaches nothing. A squeezed run
+		// that could not pay leaves the stream's history nothing to be
+		// kept for.
+		switched, forget := sr.end(err == nil, sent)
 		if switched {
 			p.m.Add(metrics.SqueezeSwitches, 1)
 		}
@@ -576,7 +573,7 @@ func (e *Engine) process(p *pipe, msgs []repMsg, backlog bool) {
 				e.resetSqueeze(p)
 			}
 			suffix := entries[missAt:]
-			fstat, _, fsent, ferr := e.push(p, nil, suffix, false, sr.squeezed)
+			fstat, fsent, ferr := e.push(p, nil, suffix, false, sr.squeezed)
 			if ferr != nil {
 				fberr = fmt.Errorf("core: by-ref fallback batch of %d: %w", len(groups)-missAt, ferr)
 			} else {
@@ -810,8 +807,8 @@ func (e *Engine) finish(rs *replicaState, msg repMsg, err error) {
 // diverged refusal of a single frame short-circuits the loop the same
 // way: the replica verified the frame against its own block and said
 // no — redelivering the identical frame is deterministic failure, not
-// transient loss. tries is how many attempts the push took.
-func (e *Engine) push(p *pipe, one *repMsg, entries []iscsi.BatchEntry, refs, squeeze bool) (statuses []iscsi.Status, tries, sent int, err error) {
+// transient loss.
+func (e *Engine) push(p *pipe, one *repMsg, entries []iscsi.BatchEntry, refs, squeeze bool) (statuses []iscsi.Status, sent int, err error) {
 	rs, mode := p.rs, uint8(e.cfg.Mode)
 	shard, vol := e.streamTag(p)
 	tagged := shard != 0 || vol != 0
@@ -838,7 +835,7 @@ func (e *Engine) push(p *pipe, one *repMsg, entries []iscsi.BatchEntry, refs, sq
 			statuses, err = rs.batch.ReplicaWriteBatch(mode, entries)
 		}
 		if err == nil || errors.Is(err, iscsi.ErrDiverged) || attempt >= e.retry.Attempts {
-			return statuses, attempt, sent, err
+			return statuses, sent, err
 		}
 		p.m.Add(metrics.Retries, 1)
 		if d := e.retry.backoff(attempt); d > 0 {

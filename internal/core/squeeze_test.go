@@ -2,13 +2,11 @@ package core
 
 import (
 	"bytes"
-	"errors"
 	"math/rand"
 	"net"
 	"slices"
 	"sync"
 	"testing"
-	"time"
 
 	"prins/internal/block"
 	"prins/internal/iscsi"
@@ -20,232 +18,71 @@ import (
 
 // --- the gate, as a pure type ---
 
-// linkModel is a pipe's cost for the gate tests: a push of n wire bytes
-// takes alpha + n/rate, and squeezing a run first costs cpu and leaves
-// shrink of its bytes. jitter, when set, scales every duration by a
-// seeded factor within ±jitter.
-type linkModel struct {
-	alpha  time.Duration
-	rate   float64 // wire bytes per second; 0: the bytes cost nothing
-	cpu    time.Duration
-	shrink float64
-	jitter float64
-}
-
-func (m linkModel) took(squeezed bool, srcBytes int, rng *rand.Rand) time.Duration {
-	wire, d := float64(srcBytes), m.alpha
-	if squeezed {
-		wire *= m.shrink
-		d += m.cpu
-	}
-	if m.rate > 0 {
-		d += time.Duration(wire / m.rate * float64(time.Second))
-	}
-	if m.jitter > 0 {
-		d = time.Duration(float64(d) * (1 + m.jitter*(2*rng.Float64()-1)))
-	}
-	return d
-}
-
-// The links of the benchmark's workloads, as the shipper sees them: 32
-// TPC-C frames of ~470 bytes behind T1 with DEFLATE taking 30% off at
-// ~47 us a frame; the same run over loopback TCP; 64 frames of ~53
-// bytes behind T3, which DEFLATE cannot shrink and still has to try.
-var (
-	t1Link       = linkModel{alpha: 2 * time.Millisecond, rate: wan.T1.BytesPerSecond, cpu: 1500 * time.Microsecond, shrink: 0.70}
-	loopbackLink = linkModel{alpha: 80 * time.Microsecond, cpu: 1500 * time.Microsecond, shrink: 0.70}
-	t3SmallLink  = linkModel{alpha: 2500 * time.Microsecond, rate: wan.T3.BytesPerSecond, cpu: 1600 * time.Microsecond, shrink: 0.98}
-)
-
-// driveGate feeds g runs backlog runs over m, each of a size drawn from
-// sizes, and returns how many of them the gate had squeezed.
-func driveGate(g *squeezeGate, m linkModel, sizes []int, runs int, rng *rand.Rand) (squeezed int) {
-	for i := 0; i < runs; i++ {
-		n := sizes[rng.Intn(len(sizes))]
-		sq := g.next()
-		if sq {
-			squeezed++
+// TestSqueezeGateByteRule drives a pipe's squeezer through backlog runs
+// of a compressible list. Each run's outcome is a letter: y its
+// squeezed list came out smaller, n it came out no smaller (and shipped
+// plain), - a plain run went through, x the push failed. want is the
+// mode the gate asked each run for, S squeezed or p plain.
+func TestSqueezeGateByteRule(t *testing.T) {
+	var entries []iscsi.BatchEntry
+	for k := range 4 {
+		frame, err := xcode.Encode(xcode.CodecZRL, textBlock(4096, 400, byte(k)))
+		if err != nil {
+			t.Fatal(err)
 		}
-		g.observe(sq, n, m.took(sq, n, rng))
+		entries = append(entries, iscsi.BatchEntry{Seq: uint64(k + 1), LBA: uint64(k), Hash: 1, Frame: frame})
 	}
-	return squeezed
-}
-
-// TestSqueezeGateTurnsOnBehindT1: on a link whose cost is its bytes the
-// gate is on within four backlog runs and stays on; its plain probes
-// thin out to the maximum spacing.
-func TestSqueezeGateTurnsOnBehindT1(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	sizes := []int{15000, 9000, 22000} // WAL runs and checkpoint runs differ in size
-	var g squeezeGate
-	driveGate(&g, t1Link, sizes, 4, rng)
-	if !g.on {
-		t.Fatalf("gate still off after 4 backlog runs behind T1: %+v", g)
-	}
-	const runs = 20000
-	var switches int
-	plain := 0
-	for i := 0; i < runs; i++ {
-		n := sizes[rng.Intn(len(sizes))]
-		sq := g.next()
-		if !sq {
-			plain++
-		}
-		if g.observe(sq, n, t1Link.took(sq, n, rng)) {
-			switches++
-		}
-	}
-	if !g.on || switches != 0 {
-		t.Errorf("gate on=%v after %d switches behind T1, want on and none", g.on, switches)
-	}
-	if plain*100 > runs {
-		t.Errorf("%d of %d runs shipped plain behind T1, want <= 1%% (probes only)", plain, runs)
-	}
-	if g.spacing != squeezeMaxSpacing {
-		t.Errorf("probe spacing %d after %d runs of losing probes, want %d", g.spacing, runs, squeezeMaxSpacing)
-	}
-}
-
-// TestSqueezeGateStaysOff: where the bytes are not the cost, squeezed
-// runs are the probes and nothing else — under 1% of the runs — with
-// and without noise on the durations, and with runs of mixed sizes on
-// the latency-bound link, where bytes per second alone would make a
-// probe on a big run look like a win.
-func TestSqueezeGateStaysOff(t *testing.T) {
-	noisy := func(m linkModel) linkModel { m.jitter = 0.08; return m }
+	plain := iscsi.BatchWireLen(entries)
 	for _, tc := range []struct {
-		name  string
-		link  linkModel
-		sizes []int
+		name              string
+		from              squeezeGate
+		outcomes, want    string
+		to                squeezeGate
+		switches, forgets int
 	}{
-		{"loopback", loopbackLink, []int{15000, 9000, 22000}},
-		{"loopback-noisy", noisy(loopbackLink), []int{15000, 9000, 22000}},
-		{"t3-53-byte-frames", t3SmallLink, []int{3400}},
-		{"t3-mixed-sizes", t3SmallLink, []int{1600, 3100, 4500, 6000, 10400}},
-		{"t3-mixed-sizes-noisy", noisy(t3SmallLink), []int{1600, 3100, 4500, 6000, 10400}},
+		{"turn-on", squeezeGate{}, "--yyy", "ppSSS", squeezeGate{on: true}, 1, 0},
+		{"turn-off", squeezeGate{on: true}, "yn----y", "SSppppS", squeezeGate{on: true}, 2, 1},
+		{"spacing-doubles-and-resets", squeezeGate{},
+			"--n----n--------yn----y",
+			"ppSppppSppppppppSSppppS", squeezeGate{on: true}, 3, 3},
+		{"spacing-caps", squeezeGate{spacing: squeezeMaxSpacing, since: squeezeMaxSpacing},
+			"n-", "Sp", squeezeGate{spacing: squeezeMaxSpacing, since: 1}, 0, 1},
+		{"failed-plain", squeezeGate{}, "xxxx", "pppp", squeezeGate{}, 0, 0},
+		{"failed-probe", squeezeGate{since: squeezeMinSpacing}, "xxy", "SSS", squeezeGate{on: true}, 1, 0},
+		{"failed-on", squeezeGate{on: true}, "xxx", "SSS", squeezeGate{on: true}, 0, 0},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			const runs = 20000
-			var g squeezeGate
-			squeezed := driveGate(&g, tc.link, tc.sizes, runs, rand.New(rand.NewSource(2)))
-			if g.on {
-				t.Errorf("gate ended on: %+v", g)
+			sq := &squeezer{gate: tc.from}
+			var asked []byte
+			switches, forgets := 0, 0
+			for _, o := range tc.outcomes {
+				r := sq.begin(entries, plain)
+				sent := plain
+				switch {
+				case o == 'x':
+					sent = 0
+				case r.squeezed && o == 'y':
+					sent = plain - 1
+				}
+				mode := byte('p')
+				if r.squeezed {
+					mode = 'S'
+				}
+				asked = append(asked, mode)
+				switched, forget := r.end(o != 'x', sent)
+				if switched {
+					switches++
+				}
+				if forget {
+					forgets++
+				}
 			}
-			if squeezed*100 > runs {
-				t.Errorf("%d of %d runs squeezed, want <= 1%%", squeezed, runs)
+			if string(asked) != tc.want || sq.gate != tc.to {
+				t.Errorf("runs asked %s ending at %+v, want %s ending at %+v", asked, sq.gate, tc.want, tc.to)
 			}
-		})
-	}
-}
-
-// t3TarLink is the tar workload's pipe, sized from what its shipper
-// measured: a push of a few KB behind T3 takes about 3 ms, squeezing a
-// run takes 0.4 ms and a third of its bytes off, and the durations
-// spread by a fifth either way (the measured runs' sd is 16% about
-// either mode's fit). Squeezing costs a little time on a small run and
-// saves a little on a big one: about a wash, so the gate squeezes.
-var t3TarLink = linkModel{alpha: 3 * time.Millisecond, rate: wan.T3.BytesPerSecond, cpu: 400 * time.Microsecond, shrink: 0.65, jitter: 0.20}
-
-// tarRunSizes are the tar pipe's backlog runs, in plain wire bytes.
-var tarRunSizes = []int{1600, 2400, 3300, 4500, 6000, 8000, 10000}
-
-// TestSqueezeGateTurnsOnBehindT3Tar: on a latency-bound link where
-// squeezing takes about as long as shipping plain, the gate leans to the
-// bytes. Noise-free, each of ten pipes is on within one lost probe's
-// worth of runs (a first probe is judged against a model of two runs,
-// which may have been of one size); with a fifth of noise on every
-// duration a lost probe or two can hold a pipe off longer, but each
-// squeezes at least 98% of its runs, turn-on included.
-func TestSqueezeGateTurnsOnBehindT3Tar(t *testing.T) {
-	const pipes, runs = 10, 20000
-	// Two incumbent runs, a probe that wins and a confirmation that
-	// loses, twice the spacing, a probe and its confirmation.
-	const within = squeezeMinSpacing + squeezeConfirm + 2*squeezeMinSpacing + squeezeConfirm
-	for _, noisy := range []bool{false, true} {
-		link := t3TarLink
-		if !noisy {
-			link.jitter = 0
-		}
-		var turnOn []int
-		for seed := int64(1); seed <= pipes; seed++ {
-			rng := rand.New(rand.NewSource(seed))
-			var g squeezeGate
-			n, squeezed := 0, 0
-			for ; n < runs && !g.on; n++ {
-				squeezed += driveGate(&g, link, tarRunSizes, 1, rng)
+			if switches != tc.switches || forgets != tc.forgets {
+				t.Errorf("%d switches and %d histories forgotten, want %d and %d", switches, forgets, tc.switches, tc.forgets)
 			}
-			turnOn = append(turnOn, n)
-			if !noisy && n > within {
-				t.Errorf("noise-free pipe %d: gate on after %d runs, want <= %d", seed, n, within)
-			}
-			squeezed += driveGate(&g, link, tarRunSizes, runs-n, rng)
-			if squeezed*100 < 98*runs {
-				t.Errorf("noisy=%v pipe %d: %d of %d runs squeezed on the tar pipe, want >= 98%%", noisy, seed, squeezed, runs)
-			}
-		}
-		t.Logf("noisy=%v: gate on after %v runs", noisy, turnOn)
-	}
-}
-
-// TestSqueezeGateStaysOffWhenSlower: the lean to bytes is a tenth, not
-// more. Where squeezing makes a push a fifth slower, the gate stays off
-// and squeezes its probes only.
-func TestSqueezeGateStaysOffWhenSlower(t *testing.T) {
-	// 3 ms a push of 1600 bytes plain, 0.76 ms more squeezed: 3.29 ms
-	// against 3.95.
-	slower := linkModel{alpha: 3 * time.Millisecond, rate: wan.T3.BytesPerSecond, cpu: 760 * time.Microsecond, shrink: 0.65}
-	noisy := slower
-	noisy.jitter = 0.05
-	for _, tc := range []struct {
-		name string
-		link linkModel
-	}{{"steady", slower}, {"noisy", noisy}} {
-		t.Run(tc.name, func(t *testing.T) {
-			const runs = 20000
-			var g squeezeGate
-			squeezed := driveGate(&g, tc.link, []int{1600}, runs, rand.New(rand.NewSource(5)))
-			if g.on {
-				t.Errorf("gate ended on: %+v", g)
-			}
-			if squeezed*100 > runs {
-				t.Errorf("%d of %d runs squeezed where squeezing is a fifth slower, want <= 1%%", squeezed, runs)
-			}
-		})
-	}
-}
-
-// TestSqueezeGateFollowsLinkChange: a pipe that has squeezed behind T1
-// for long enough to space its probes out fully finds out that the link
-// became loopback within one spacing plus the confirmation, and the
-// other way round. (Plus one: a probe that falls on the first run after
-// the change is judged against the old link's model and may lose.)
-func TestSqueezeGateFollowsLinkChange(t *testing.T) {
-	const bound = squeezeMaxSpacing + squeezeConfirm + 1
-	sizes := []int{15000, 9000, 22000}
-	for _, tc := range []struct {
-		name         string
-		first, then  linkModel
-		wantOn, toOn bool
-	}{
-		{"t1-to-loopback", t1Link, loopbackLink, true, false},
-		{"loopback-to-t1", loopbackLink, t1Link, false, true},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			rng := rand.New(rand.NewSource(3))
-			var g squeezeGate
-			driveGate(&g, tc.first, sizes, 5000, rng)
-			if g.on != tc.wantOn || g.spacing != squeezeMaxSpacing {
-				t.Fatalf("before the change: on=%v spacing=%d, want on=%v spacing=%d", g.on, g.spacing, tc.wantOn, squeezeMaxSpacing)
-			}
-			runs := 0
-			for g.on != tc.toOn && runs <= bound {
-				driveGate(&g, tc.then, sizes, 1, rng)
-				runs++
-			}
-			if g.on != tc.toOn {
-				t.Fatalf("gate on=%v still, %d runs after the link changed (bound %d)", g.on, runs, bound)
-			}
-			t.Logf("switched %d runs after the change", runs)
 		})
 	}
 }
@@ -564,134 +401,6 @@ func TestSqueezeBatchSavedWireExcludesSqueeze(t *testing.T) {
 
 type metricsOf struct{ batchSaved, sqSaved, wire, squeezed int64 }
 
-// flakyBatchClient fails the first attempt of every batch push.
-type flakyBatchClient struct {
-	*gatedClient
-	mu    sync.Mutex
-	calls int
-}
-
-var errFlaky = errors.New("flaky: first attempt lost")
-
-func (c *flakyBatchClient) ReplicaWriteBatch(mode uint8, entries []iscsi.BatchEntry) ([]iscsi.Status, error) {
-	c.mu.Lock()
-	c.calls++
-	first := c.calls%2 == 1
-	c.mu.Unlock()
-	if first {
-		return nil, errFlaky
-	}
-	return c.gatedClient.ReplicaWriteBatch(mode, entries)
-}
-
-func (c *flakyBatchClient) ReplicaWriteSqueezed(mode, shard uint8, vol uint16, entries []iscsi.BatchEntry, refs bool) ([]iscsi.Status, int, error) {
-	c.mu.Lock()
-	c.calls++
-	first := c.calls%2 == 1
-	c.mu.Unlock()
-	if first {
-		return nil, 0, errFlaky
-	}
-	return c.gatedClient.ReplicaWriteSqueezed(mode, shard, vol, entries, refs)
-}
-
-// TestSqueezeGateLearnsFromCleanPushesOnly: a backlog run that needed a
-// retry, one that failed into degraded mode, one dropped while degraded
-// and one whose refused suffix took a second push leave the gate exactly
-// as it was; the same backlog through a clean client teaches it.
-func TestSqueezeGateLearnsFromCleanPushesOnly(t *testing.T) {
-	const bs, nb = 4096, 64
-	backlog := func(t *testing.T, e *Engine, started <-chan struct{}, open func()) {
-		t.Helper()
-		if err := e.WriteBlock(0, textBlock(bs, 300, 1)); err != nil {
-			t.Fatal(err)
-		}
-		<-started
-		for lba := uint64(1); lba <= 24; lba++ { // three full runs of 8
-			if err := e.WriteBlock(lba, textBlock(bs, 500, byte(lba))); err != nil {
-				t.Fatal(err)
-			}
-		}
-		open()
-		_ = e.Drain() // the failing case reports its delivery error here; the gate is what is checked
-	}
-	pair := func(t *testing.T, cfg Config, wrap func(*gatedClient) ReplicaClient) (*Engine, *gatedClient) {
-		e, g, _, _ := wrappedPair(t, cfg, bs, nb, wrap)
-		return e, g
-	}
-	base := Config{Mode: ModePRINS, Async: true, BatchFrames: 8}
-
-	t.Run("clean", func(t *testing.T) {
-		e, g := pair(t, base, func(g *gatedClient) ReplicaClient { return g })
-		backlog(t, e, g.started, func() { close(g.gate) })
-		if gate := e.replicas[0].pipes[0].sq.gate; gate.n == 0 {
-			t.Errorf("three clean backlog runs taught the gate nothing: %+v", gate)
-		}
-	})
-	t.Run("retried", func(t *testing.T) {
-		cfg := base
-		cfg.Retry = RetryPolicy{Attempts: 2}
-		var flaky *flakyBatchClient
-		e, g := pair(t, cfg, func(g *gatedClient) ReplicaClient {
-			flaky = &flakyBatchClient{gatedClient: g}
-			return flaky
-		})
-		backlog(t, e, g.started, func() { close(g.gate) })
-		if got := e.ReplicaStats()[0].Metrics; got.Retries < 3 || got.Shipped != 25 {
-			t.Fatalf("retries %d, shipped %d: the flaky client did not make every batch retry", got.Retries, got.Shipped)
-		}
-		if gate := e.replicas[0].pipes[0].sq.gate; gate != (squeezeGate{}) {
-			t.Errorf("retried pushes taught the gate: %+v", gate)
-		}
-	})
-	t.Run("failed-then-degraded", func(t *testing.T) {
-		cfg := base
-		cfg.AllowDegraded = true
-		var flaky *flakyBatchClient
-		e, g := pair(t, cfg, func(g *gatedClient) ReplicaClient {
-			flaky = &flakyBatchClient{gatedClient: g}
-			return flaky
-		})
-		backlog(t, e, g.started, func() { close(g.gate) })
-		if !e.Degraded() {
-			t.Fatal("a failed batch with no retry budget did not degrade the replica")
-		}
-		if gate := e.replicas[0].pipes[0].sq.gate; gate != (squeezeGate{}) {
-			t.Errorf("failed and dropped runs taught the gate: %+v", gate)
-		}
-	})
-	t.Run("ref-miss", func(t *testing.T) {
-		cfg := base
-		cfg.DedupeEntries = 1024
-		e, replica, _, _, g := byrefPair(t, cfg, bs, nb)
-		replica.SetDedupe(0)
-		known := textBlock(bs, 300, 1)
-		if err := e.WriteBlock(0, known); err != nil {
-			t.Fatal(err)
-		}
-		<-g.started
-		for lba := uint64(1); lba <= 8; lba++ { // one full run, its first entry a reference
-			data := textBlock(bs, 500, byte(lba))
-			if lba == 1 {
-				data = known
-			}
-			if err := e.WriteBlock(lba, data); err != nil {
-				t.Fatal(err)
-			}
-		}
-		close(g.gate)
-		if err := e.Drain(); err != nil {
-			t.Fatal(err)
-		}
-		if got := e.ReplicaStats()[0].Metrics.DedupeMisses; got != 1 {
-			t.Fatalf("DedupeMisses = %d, want 1", got)
-		}
-		if gate := e.replicas[0].pipes[0].sq.gate; gate != (squeezeGate{}) {
-			t.Errorf("a run that needed a fallback push taught the gate: %+v", gate)
-		}
-	})
-}
-
 // wrappedPair builds an engine on a fresh pair of stores whose replica
 // sits behind a gated loopback client, as wrap presents it to the
 // engine.
@@ -737,51 +446,14 @@ func gatedRuns(t *testing.T, e *Engine, g *gatedClient, bs, runs int) {
 	}
 }
 
-// stepClock is a clock for a pipe's squeezer that moves only when a
-// test's client pushes: a push takes what the client says it takes.
-type stepClock struct {
-	mu sync.Mutex
-	t  time.Time
-}
-
-func (c *stepClock) now() time.Time {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.t
-}
-
-func (c *stepClock) advance(d time.Duration) {
-	c.mu.Lock()
-	c.t = c.t.Add(d)
-	c.mu.Unlock()
-}
-
-// clockedPair is wrappedPair with the pipe's squeezer timed by a
-// stepClock, which the returned engine's client advances.
-func clockedPair(t *testing.T, bs int, nb uint64, wrap func(*gatedClient, *stepClock) ReplicaClient) (*Engine, *gatedClient, block.Store, block.Store) {
-	t.Helper()
-	clock := new(stepClock)
-	e, g, primaryStore, replicaStore := wrappedPair(t, Config{Mode: ModePRINS, Async: true, BatchFrames: 8}, bs, nb,
-		func(g *gatedClient) ReplicaClient { return wrap(g, clock) })
-	e.replicas[0].pipes[0].sq.now = clock.now
-	return e, g, primaryStore, replicaStore
-}
-
 // plainSqueezer is a squeezing client whose lists never come out
 // smaller: every squeezed push claims the stream's history, as a
-// session's does, and ships the list plain. Every list push takes 2 ms
-// on the pipe's clock, squeezed or not.
+// session's does, and ships the list plain.
 type plainSqueezer struct {
 	*gatedClient
-	clock *stepClock
 	mu    sync.Mutex
 	asked int  // squeezed pushes asked for
 	held  bool // a history claimed since the last ResetSqueeze
-}
-
-func (c *plainSqueezer) ReplicaWriteBatch(mode uint8, entries []iscsi.BatchEntry) ([]iscsi.Status, error) {
-	c.clock.advance(2 * time.Millisecond)
-	return c.gatedClient.ReplicaWriteBatch(mode, entries)
 }
 
 func (c *plainSqueezer) ReplicaWriteSqueezed(mode, shard uint8, vol uint16, entries []iscsi.BatchEntry, refs bool) ([]iscsi.Status, int, error) {
@@ -806,14 +478,15 @@ func (c *plainSqueezer) ResetSqueeze(uint8, uint16) {
 func TestSqueezeGateLearnsShippedMode(t *testing.T) {
 	const bs, runs = 4096, 24
 	var c *plainSqueezer
-	e, g, primaryStore, replicaStore := clockedPair(t, bs, 8*runs+1, func(g *gatedClient, clock *stepClock) ReplicaClient {
-		c = &plainSqueezer{gatedClient: g, clock: clock}
-		return c
-	})
+	e, g, primaryStore, replicaStore := wrappedPair(t, Config{Mode: ModePRINS, Async: true, BatchFrames: 8}, bs, 8*runs+1,
+		func(g *gatedClient) ReplicaClient {
+			c = &plainSqueezer{gatedClient: g}
+			return c
+		})
 	gatedRuns(t, e, g, bs, runs)
 	mustEqual(t, "replica", replicaStore, primaryStore)
 
-	// 24 runs: probes after 2, 4 and 8 incumbent runs, each lost.
+	// 24 runs: probes after 2, 4 and 8 plain runs, each lost.
 	gate := e.replicas[0].pipes[0].sq.gate
 	m := e.ReplicaStats()[0].Metrics
 	c.mu.Lock()
@@ -826,49 +499,6 @@ func TestSqueezeGateLearnsShippedMode(t *testing.T) {
 	}
 	if c.held {
 		t.Error("the stream's history is held after lost probes")
-	}
-}
-
-// slowSqueezer is a link on which a pipe that squeezes switches its
-// gate off: a plain list push takes 1 ms on the pipe's clock, a
-// squeezed one 11.
-type slowSqueezer struct {
-	*gatedClient
-	clock *stepClock
-}
-
-func (c slowSqueezer) ReplicaWriteBatch(mode uint8, entries []iscsi.BatchEntry) ([]iscsi.Status, error) {
-	c.clock.advance(time.Millisecond)
-	return c.gatedClient.ReplicaWriteBatch(mode, entries)
-}
-
-func (c slowSqueezer) ReplicaWriteSqueezed(mode, shard uint8, vol uint16, entries []iscsi.BatchEntry, refs bool) ([]iscsi.Status, int, error) {
-	c.clock.advance(11 * time.Millisecond)
-	return c.gatedClient.ReplicaWriteSqueezed(mode, shard, vol, entries, refs)
-}
-
-// TestSqueezeSwitchOffKeepsHistory: a pipe whose gate switches off keeps
-// its stream's history at both ends, so its next squeeze probe is built
-// on that history, its tag continuing the stream's count, not a fresh
-// push's 1.
-func TestSqueezeSwitchOffKeepsHistory(t *testing.T) {
-	const bs, runs = 4096, 8
-	e, g, primaryStore, replicaStore := clockedPair(t, bs, 8*runs+1, func(g *gatedClient, clock *stepClock) ReplicaClient {
-		return slowSqueezer{g, clock}
-	})
-	e.replicas[0].pipes[0].sq.gate.on = true
-	gatedRuns(t, e, g, bs, runs)
-	mustEqual(t, "replica", replicaStore, primaryStore)
-
-	// Two squeezed runs; two plain probes, far faster, switch the gate
-	// off; two plain runs; a squeeze probe, which loses; a plain run.
-	if m := e.ReplicaStats()[0].Metrics; m.SqueezeSwitches != 1 {
-		t.Fatalf("%d gate switches, want 1 (off)", m.SqueezeSwitches)
-	}
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if !slices.Equal(g.tags, []uint64{1, 2, 3}) {
-		t.Errorf("squeezed pushes' history tags %v, want [1 2 3]: the probe after the switch off is built on the stream's history", g.tags)
 	}
 }
 
@@ -902,7 +532,6 @@ func TestSqueezeSteadyStateAllocs(t *testing.T) {
 		}
 		tx.Commit()
 		sent = len(seg)
-		sq.gate.observe(true, plain, 70*time.Millisecond)
 	}
 	run()
 	if got := testing.AllocsPerRun(50, run); got != 0 {

@@ -381,9 +381,9 @@ func (i *Initiator) ReplicaWriteSqueezed(mode, shard uint8, vol uint16, entries 
 // ResetSqueeze forgets the (vol, shard) stream's squeeze history on the
 // current session: its next squeezed push is fresh. A push in flight
 // keeps the history until it settles. The stream keeps its encoder's
-// memory, as the target keeps its receiver's: building an encoder takes
-// 0.4-1.6 ms, a third of a push behind T3, and a stream's next squeezed
-// push, a probe of whether squeezing pays, would be timed with it.
+// memory, as the target keeps its receiver's, to save the CPU of
+// building another: that takes 0.4-1.6 ms, a third of a push behind T3,
+// and a stream whose history was reset is likely to squeeze again.
 // maxSqueezeStreams bounds what the session holds.
 func (i *Initiator) ResetSqueeze(shard uint8, vol uint16) {
 	i.mu.Lock()

@@ -264,8 +264,10 @@ type ReplicaSnapshot struct {
 	// lengths; PayloadBytes already counts each such frame at its length
 	// less its share, and BatchSavedWire excludes this saving.
 	// SqueezeSwitches is how often a pipe's gate turned squeezing on or
-	// off (a handful over a pipe's life is the gate learning its link; a
-	// steady climb is a gate flapping).
+	// off: on when a probe's list came out smaller, off when a squeezed
+	// list did not (a handful over a pipe's life is the gate finding
+	// what its traffic compresses to; a steady climb is traffic that
+	// shrinks on some runs and not on others).
 	Squeezed         int64
 	SqueezeSavedWire int64
 	SqueezeSwitches  int64

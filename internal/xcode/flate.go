@@ -8,34 +8,31 @@ import (
 	"sync"
 )
 
-// DEFLATE on single frames, used three ways: the
-// traditional-with-compression baseline (whole data blocks,
-// CodecFlate), the second stage of CodecZRLFlate, and the per-frame
-// squeeze of an already-encoded CodecZRL frame (Deflater.AppendSqueezed,
-// which BenchmarkAblationSqueeze prices against the stream a shipper now
-// uses, stream.go). All three write through Deflater.deflate and read
-// through inflater.inflate, so there is one encode path and one decode
-// path, both reusing their large internal tables. Beside them,
-// Compressible runs a Huffman-only pass that counts bytes and keeps
-// none, to tell a caller whether DEFLATE is worth trying.
+// DEFLATE on single frames: the traditional-with-compression baseline
+// (whole data blocks, CodecFlate), written through deflater.deflate and
+// read through inflater.inflate, both reusing their large internal
+// tables. The second stage of PRINS's own encoding runs over a whole
+// list's stream instead (stream.go). Beside them, Compressible runs a
+// Huffman-only pass that counts bytes and keeps none, to tell a caller
+// whether DEFLATE is worth trying.
 
 // flateLevel is the one compression level in use. On TPC-C parities
-// level 6 takes ~30% off a ZRL frame (BenchmarkAblationSqueeze) and
-// level 1 about four points less. A pipe squeezes because the bytes are
-// what its link charges for, and keeps squeezing unless shipping plain
-// is a tenth faster (internal/core's gate), so it buys the bytes.
+// level 6 takes ~30% off a ZRL frame and level 1 about four points
+// less. A pipe squeezes because the bytes are what its link charges
+// for, and keeps squeezing for as long as its lists come out smaller
+// (internal/core's gate, which reads no clock), so it buys the bytes.
 const flateLevel = 6
 
-// Deflater is a reusable DEFLATE encoder that appends into the caller's
+// deflater is a reusable DEFLATE encoder that appends into the caller's
 // buffer. The zero value is ready to use; it builds its flate.Writer
 // (about 800 KiB of tables at flateLevel) on first use. Not safe for
-// concurrent use: a shipper owns one, Encode borrows pooled ones.
-type Deflater struct {
+// concurrent use: Encode borrows pooled ones.
+type deflater struct {
 	w    *flate.Writer
 	sink appendSink
 }
 
-// appendSink is the io.Writer a Deflater's flate.Writer drains into.
+// appendSink is the io.Writer a deflater's flate.Writer drains into.
 type appendSink struct{ buf []byte }
 
 func (s *appendSink) Write(p []byte) (int, error) {
@@ -44,7 +41,7 @@ func (s *appendSink) Write(p []byte) (int, error) {
 }
 
 // deflate appends the DEFLATE stream of data to dst.
-func (d *Deflater) deflate(dst, data []byte) ([]byte, error) {
+func (d *deflater) deflate(dst, data []byte) ([]byte, error) {
 	d.sink.buf = dst
 	if d.w == nil {
 		w, err := flate.NewWriter(&d.sink, flateLevel)
@@ -66,36 +63,14 @@ func (d *Deflater) deflate(dst, data []byte) ([]byte, error) {
 	return dst, nil
 }
 
-// AppendSqueezed transcodes an encoded CodecZRL frame to CodecZRLFlate
-// without decoding it — same header, DEFLATE over the ZRL body — and
-// appends the result to dst. The squeezed frame is kept only when it is
-// strictly smaller: ok reports that, and when false dst comes back at
-// its original length. Frames in any other codec (a raw-floored dense
-// parity, say) are refused before any work is done.
-func (d *Deflater) AppendSqueezed(dst, frame []byte) (out []byte, ok bool) {
-	if len(frame) <= headerLen || Codec(frame[0]) != CodecZRL {
-		return dst, false
-	}
-	base := len(dst)
-	out = append(dst, byte(CodecZRLFlate), frame[1], frame[2], frame[3], frame[4])
-	out, err := d.deflate(out, frame[headerLen:])
-	if err != nil {
-		return dst, false
-	}
-	if len(out)-base >= len(frame) {
-		return out[:base], false
-	}
-	return out, true
-}
-
-var deflaterPool = sync.Pool{New: func() any { return new(Deflater) }}
+var deflaterPool = sync.Pool{New: func() any { return new(deflater) }}
 
 // appendDeflate appends the DEFLATE stream of data to dst through a
-// pooled Deflater.
+// pooled deflater.
 func appendDeflate(dst, data []byte) ([]byte, error) {
-	d, ok := deflaterPool.Get().(*Deflater)
+	d, ok := deflaterPool.Get().(*deflater)
 	if !ok {
-		d = new(Deflater)
+		d = new(deflater)
 	}
 	defer deflaterPool.Put(d)
 	return d.deflate(dst, data)
@@ -151,7 +126,7 @@ var theProbe probe
 
 // inflater is a reusable DEFLATE decoder: the flate reader (about
 // 44 KiB) is Reset from frame to frame, and mid is the scratch a
-// CodecZRLFlate frame's inner ZRL stream inflates into.
+// CodecFlate frame's block inflates into.
 type inflater struct {
 	r   io.ReadCloser
 	src bytes.Reader

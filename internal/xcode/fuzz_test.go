@@ -13,22 +13,21 @@ import (
 )
 
 // addDecodeSeeds seeds a frame-decoder fuzzer: hand-built frames of
-// every codec, and frames as a squeezing shipper puts them on the wire.
+// every codec, DEFLATE frames of parities, and a frame naming the
+// retired codec 4, built as it was: DEFLATE over a ZRL frame's body.
 func addDecodeSeeds(f *testing.F) {
 	seed, _ := Encode(CodecZRL, []byte("seed parity block"))
 	f.Add(seed)
 	f.Add([]byte{})
 	f.Add([]byte{byte(CodecRaw), 0, 0, 0, 4, 1, 2, 3, 4})
 	f.Add([]byte{byte(CodecFlate), 0, 0, 0, 16, 0xde, 0xad})
-	// Frames as the per-frame squeeze writes them: transcoded from the
-	// ZRL frame, not encoded from the block.
-	var d Deflater
-	for _, n := range []int{40, 600, 2000} {
-		zrl, _ := Encode(CodecZRL, proseParity(4096, n))
-		if squeezed, ok := d.AppendSqueezed(nil, zrl); ok {
-			f.Add(squeezed)
-		}
+	for _, n := range []int{600, 2000} {
+		deflated, _ := Encode(CodecFlate, proseParity(4096, n))
+		f.Add(deflated)
 	}
+	zrl, _ := Encode(CodecZRL, proseParity(4096, 600))
+	retired, _ := appendDeflate(append([]byte{4}, zrl[1:headerLen]...), zrl[headerLen:])
+	f.Add(retired)
 }
 
 // FuzzDecode throws arbitrary bytes at the frame decoder: it must
@@ -111,37 +110,18 @@ func FuzzDecodeInto(f *testing.F) {
 }
 
 // FuzzRoundTrip checks that every input encodes and decodes back to
-// itself under every codec, and that its ZRL frame, when the per-frame
-// squeeze keeps the transcoded form, got smaller and still decodes to
-// the input.
+// itself under every codec.
 func FuzzRoundTrip(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte("hello world"))
 	f.Add(bytes.Repeat([]byte{0}, 512))
-	f.Add(proseParity(4096, 600)) // a frame the squeeze keeps
-	f.Add(proseParity(512, 40))   // and one too small for it to
-	var d Deflater
+	f.Add(proseParity(4096, 600)) // a parity DEFLATE shrinks
+	f.Add(proseParity(512, 40))   // and one too short for it to
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > MaxBlockLen {
 			return
 		}
-		zrl, err := Encode(CodecZRL, data)
-		if err != nil {
-			t.Fatalf("zrl encode: %v", err)
-		}
-		if squeezed, ok := d.AppendSqueezed(nil, zrl); ok {
-			if len(squeezed) >= len(zrl) {
-				t.Fatalf("squeeze kept %d bytes for a %d-byte frame", len(squeezed), len(zrl))
-			}
-			got, err := Decode(squeezed)
-			if err != nil {
-				t.Fatalf("squeezed decode: %v", err)
-			}
-			if !bytes.Equal(got, data) {
-				t.Fatal("squeezed round trip mismatch")
-			}
-		}
-		for _, c := range []Codec{CodecRaw, CodecZRL, CodecFlate, CodecZRLFlate} {
+		for _, c := range allCodecs {
 			frame, err := Encode(c, data)
 			if err != nil {
 				t.Fatalf("%v encode: %v", c, err)

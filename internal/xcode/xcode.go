@@ -24,25 +24,23 @@ import (
 type Codec uint8
 
 // Supported codecs. The zero value is invalid on the wire so that an
-// all-zero (corrupt) frame never decodes silently.
+// all-zero (corrupt) frame never decodes silently, and so is 4, which
+// once named a per-frame ZRL+DEFLATE codec: the second stage now runs
+// over a whole list's stream (StreamDeflater), and a frame naming 4 is
+// refused as unknown.
 const (
 	// CodecRaw stores the payload verbatim (traditional replication).
-	CodecRaw Codec = iota + 1
+	CodecRaw Codec = 1
 	// CodecZRL zero-run-length encodes sparse parity blocks.
-	CodecZRL
+	CodecZRL Codec = 2
 	// CodecFlate DEFLATE-compresses the payload (compression baseline).
-	CodecFlate
-	// CodecZRLFlate applies ZRL then DEFLATE, squeezing residual
-	// redundancy out of the changed bytes themselves. Encode produces
-	// it from a block, Deflater.AppendSqueezed from a CodecZRL frame;
-	// the two are the same bytes.
-	CodecZRLFlate
+	CodecFlate Codec = 3
 	// CodecMask is a masked redo: a CodecZRL frame's zero-run structure
 	// with A_new's bytes for its literals (AppendMask builds it from the
 	// parity's frame and the new block). It means nothing without the
 	// pre-image it lands on (MaskInto), so Decode, DecodeInto and
 	// XORInto refuse it.
-	CodecMask
+	CodecMask Codec = 5
 )
 
 // String returns the codec's short name.
@@ -54,8 +52,6 @@ func (c Codec) String() string {
 		return "zrl"
 	case CodecFlate:
 		return "flate"
-	case CodecZRLFlate:
-		return "zrl+flate"
 	case CodecMask:
 		return "mask"
 	default:
@@ -65,7 +61,7 @@ func (c Codec) String() string {
 
 // Valid reports whether c names a supported codec.
 func (c Codec) Valid() bool {
-	return c >= CodecRaw && c <= CodecMask
+	return c >= CodecRaw && c <= CodecFlate || c == CodecMask
 }
 
 // Frame layout constants.
@@ -107,13 +103,9 @@ func AppendEncode(dst []byte, c Codec, block []byte) ([]byte, error) {
 		dst = append(dst, block...)
 	case CodecZRL:
 		dst = zrlAppend(dst, block, zrlMaxGap)
-	case CodecFlate, CodecZRLFlate:
-		src := block
-		if c == CodecZRLFlate {
-			src = zrlEncode(block)
-		}
+	case CodecFlate:
 		var err error
-		if dst, err = appendDeflate(dst, src); err != nil {
+		if dst, err = appendDeflate(dst, block); err != nil {
 			return nil, err
 		}
 	case CodecMask:
@@ -248,8 +240,8 @@ func decodeFrame(dst, frame []byte, xor bool) error {
 
 // decodeBody is the one frame-body decoder: it writes the block a
 // codec-c body decodes to over dst, or XORs it into dst, where len(dst)
-// is the frame's declared length. The flate codecs inflate into a
-// pooled inflater's scratch and go on from there.
+// is the frame's declared length. CodecFlate inflates into a pooled
+// inflater's scratch and goes on from there.
 func decodeBody(dst []byte, c Codec, body []byte, xor bool) error {
 	switch c {
 	case CodecRaw:
@@ -258,24 +250,14 @@ func decodeBody(dst []byte, c Codec, body []byte, xor bool) error {
 		return zrlWalk(dst, body, walkOf(xor), nil)
 	case CodecMask:
 		return errMaskDecode
-	case CodecFlate, CodecZRLFlate:
-		// A CodecZRLFlate frame's inner ZRL stream length is unknown
-		// until inflated; bound it by the worst-case ZRL expansion of
-		// the block.
-		maxLen := len(dst)
-		if c == CodecZRLFlate {
-			maxLen = zrlMaxEncodedLen(len(dst))
-		}
+	case CodecFlate:
 		f := getInflater()
 		defer inflaterPool.Put(f)
-		mid, err := f.inflate(f.mid[:0], body, maxLen)
+		mid, err := f.inflate(f.mid[:0], body, len(dst))
 		if err != nil {
 			return err
 		}
 		f.mid = mid
-		if c == CodecZRLFlate {
-			return zrlWalk(dst, mid, walkOf(xor), nil)
-		}
 		return putBlock(dst, mid, xor)
 	default:
 		return fmt.Errorf("%w: %d", ErrUnknownCode, uint8(c))

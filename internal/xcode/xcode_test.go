@@ -10,7 +10,7 @@ import (
 	"testing/quick"
 )
 
-var allCodecs = []Codec{CodecRaw, CodecZRL, CodecFlate, CodecZRLFlate}
+var allCodecs = []Codec{CodecRaw, CodecZRL, CodecFlate}
 
 // sparseBlock builds a block of size n with the given fraction of bytes
 // changed (non-zero), clustered in short runs the way real page writes
@@ -146,6 +146,37 @@ func TestDecodeRejectsCorruptFrames(t *testing.T) {
 	}
 }
 
+// TestRetiredCodecRefused pins the wire value 4, which a per-frame
+// ZRL+DEFLATE codec used to carry: a frame naming it, built as that
+// codec built it, is an unknown codec to every decoder, and the masked
+// redo keeps its value 5.
+func TestRetiredCodecRefused(t *testing.T) {
+	block := make([]byte, 4096)
+	copy(block[100:], "warehouse district customer order line stock item history")
+	zrl, err := Encode(CodecZRL, block)
+	if err != nil {
+		t.Fatal(err)
+	}
+	frame, err := appendDeflate(append([]byte{4}, zrl[1:headerLen]...), zrl[headerLen:])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if Codec(4).Valid() || !CodecMask.Valid() || CodecMask != 5 {
+		t.Fatalf("Codec(4).Valid() = %v, CodecMask = %d valid %v; want 4 invalid and the mask valid at 5", Codec(4).Valid(), CodecMask, CodecMask.Valid())
+	}
+	dst := make([]byte, len(block))
+	for name, err := range map[string]error{
+		"Decode":     func() error { _, err := Decode(frame); return err }(),
+		"DecodeInto": DecodeInto(dst, frame),
+		"XORInto":    XORInto(dst, frame),
+		"FrameCodec": func() error { _, err := FrameCodec(frame); return err }(),
+	} {
+		if !errors.Is(err, ErrUnknownCode) {
+			t.Errorf("%s of a codec-4 frame: err %v, want ErrUnknownCode", name, err)
+		}
+	}
+}
+
 func TestZRLDecodeRejectsOverruns(t *testing.T) {
 	// Hand-built ZRL streams that overrun their declared block.
 	tests := []struct {
@@ -238,7 +269,7 @@ func TestEncodeBest(t *testing.T) {
 		t.Error("EncodeBest with no candidates: want error")
 	}
 
-	best, err := EncodeBest(block, CodecRaw, CodecZRL, CodecZRLFlate)
+	best, err := EncodeBest(block, CodecRaw, CodecZRL, CodecFlate)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,7 +309,7 @@ func TestEncodeBestRawFloor(t *testing.T) {
 	for name, block := range blocks {
 		for _, candidates := range [][]Codec{
 			{CodecZRL},
-			{CodecZRL, CodecZRLFlate},
+			{CodecZRL, CodecFlate},
 		} {
 			frame, err := EncodeBest(block, candidates...)
 			if err != nil {
@@ -321,7 +352,7 @@ func TestAppendEncode(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	block := sparseBlock(rng, 4096, 0.10)
 
-	for _, c := range []Codec{CodecRaw, CodecZRL, CodecFlate, CodecZRLFlate} {
+	for _, c := range allCodecs {
 		want, err := Encode(c, block)
 		if err != nil {
 			t.Fatal(err)
@@ -337,12 +368,12 @@ func TestAppendEncode(t *testing.T) {
 	}
 
 	// best-of append matches EncodeBest.
-	want, err := EncodeBest(block, CodecZRL, CodecZRLFlate)
+	want, err := EncodeBest(block, CodecZRL, CodecFlate)
 	if err != nil {
 		t.Fatal(err)
 	}
-	buf := make([]byte, 0, zrlMaxEncodedLen(len(block)))
-	got, err := AppendEncodeBest(buf, block, CodecZRL, CodecZRLFlate)
+	buf := make([]byte, 0, 3*len(block))
+	got, err := AppendEncodeBest(buf, block, CodecZRL, CodecFlate)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -366,7 +397,8 @@ func TestCodecString(t *testing.T) {
 		{CodecRaw, "raw"},
 		{CodecZRL, "zrl"},
 		{CodecFlate, "flate"},
-		{CodecZRLFlate, "zrl+flate"},
+		{CodecMask, "mask"},
+		{Codec(4), "codec(4)"},
 		{Codec(42), "codec(42)"},
 	}
 	for _, tt := range tests {

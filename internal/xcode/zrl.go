@@ -19,13 +19,6 @@ import (
 // litLen == 0, so every stream explicitly accounts for the whole block
 // and decoding is unambiguous given the declared decoded length.
 
-// zrlEncode encodes block into a fresh buffer.
-func zrlEncode(block []byte) []byte {
-	// Worst case (alternating zero/non-zero) the output is bounded by
-	// zrlMaxEncodedLen; start smaller and let append grow as needed.
-	return zrlAppend(make([]byte, 0, len(block)/4+16), block, zrlMaxGap)
-}
-
 // zrlMaxGap is one more than the longest zero gap zrlAppend absorbs
 // into a literal: a gap of 1-3 zero bytes costs at most as much inline
 // as the two varints of a new segment.
@@ -199,12 +192,4 @@ func zrlWalk(dst, stream []byte, op walkOp, out []byte) error {
 		clear(dst[pos:])
 	}
 	return nil
-}
-
-// zrlMaxEncodedLen bounds the encoded size of a block of length n.
-// Every encoder segment carries at least one literal byte (except a
-// single trailing zero-run segment), so 3 bytes of output per input
-// byte plus slack is a safe ceiling.
-func zrlMaxEncodedLen(n int) int {
-	return 3*n + 2*binary.MaxVarintLen64 + 16
 }

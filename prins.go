@@ -61,9 +61,9 @@ const (
 	ModeCompressed = Mode(core.ModeCompressed)
 	// ModePRINS ships the zero-run-length-encoded forward parity. There
 	// is no compression option on top: an Async primary's ship pipeline
-	// adds DEFLATE to the frames of a backlog by itself, unless its own
-	// measured goodput says shipping them plain is a tenth faster
-	// (DESIGN.md section 4, "Squeezing a backlog").
+	// adds DEFLATE to the frames of a backlog by itself, for as long as
+	// that makes its lists smaller (DESIGN.md section 4, "Squeezing a
+	// backlog").
 	ModePRINS = Mode(core.ModePRINS)
 )
 
