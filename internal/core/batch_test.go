@@ -2,6 +2,7 @@ package core
 
 import (
 	"net"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -36,6 +37,9 @@ type gatedClient struct {
 	tx      iscsi.SqueezeSender
 	rx      iscsi.SqueezeReceiver
 	decoded []iscsi.BatchEntry
+	// unverified counts the squeezed pushes the replica answered
+	// unverified, each re-shipped plain.
+	unverified int
 }
 
 func newGatedClient(r *ReplicaEngine) *gatedClient {
@@ -86,32 +90,43 @@ func (g *gatedClient) ReplicaWriteSqueezed(mode, shard uint8, vol uint16, entrie
 
 // squeeze ships a squeezed push through both ends of the client's
 // stream history, as a session would, and applies what the receiving
-// end decodes. The stream's pushes are one at a time, as an async
-// pipe's are.
+// end decodes, verified against its digest; a list the replica answers
+// unverified is re-shipped plain, as iscsi.Initiator does. The stream's
+// pushes are one at a time, as an async pipe's are.
 func (g *gatedClient) squeeze(mode, shard uint8, vol uint16, entries []iscsi.BatchEntry, refs bool) ([]iscsi.Status, int, error) {
+	plain := func() ([]iscsi.Status, error) {
+		if refs {
+			return g.inner.ReplicaWriteByRef(mode, shard, vol, entries)
+		}
+		return g.inner.ReplicaWriteBatchStream(mode, shard, vol, entries)
+	}
 	seg, tag, ok, err := g.tx.Encode(entries, refs)
 	if err != nil {
 		return nil, 0, err
 	}
-	sent := iscsi.BatchWireLen(entries)
-	if ok {
-		if entries, err = g.rx.Decode(g.decoded, seg, tag, refs); err != nil {
-			g.tx.Reset()
-			return nil, 0, err
-		}
-		g.tx.Commit()
-		g.decoded, sent = entries, len(seg)
-		g.mu.Lock()
-		g.tags = append(g.tags, tag)
-		g.mu.Unlock()
+	if !ok {
+		st, err := plain()
+		return st, iscsi.BatchWireLen(entries), err
 	}
-	var st []iscsi.Status
-	if refs {
-		st, err = g.inner.ReplicaWriteByRef(mode, shard, vol, entries)
-	} else {
-		st, err = g.inner.ReplicaWriteBatchStream(mode, shard, vol, entries)
+	decoded, err := g.rx.Decode(g.decoded, seg, tag, refs)
+	if err != nil {
+		g.tx.Reset()
+		return nil, 0, err
 	}
-	return st, sent, err
+	g.tx.Commit()
+	g.decoded = decoded
+	g.mu.Lock()
+	g.tags = append(g.tags, tag)
+	g.mu.Unlock()
+	st := g.inner.Replica.HandleReplicaSqueezed(mode, shard, vol, decoded, refs, g.rx.Digest())
+	if slices.ContainsFunc(st, func(s iscsi.Status) bool { return s != iscsi.StatusUnverified }) {
+		return st, len(seg), nil
+	}
+	g.mu.Lock()
+	g.unverified++
+	g.mu.Unlock()
+	st, err = plain()
+	return st, len(seg) + iscsi.BatchWireLen(entries), err
 }
 
 func (g *gatedClient) ResetSqueeze(uint8, uint16) { g.tx.Reset() }

@@ -93,10 +93,12 @@ type ByRefReplicaClient interface {
 var _ ByRefReplicaClient = (*iscsi.Initiator)(nil)
 
 // SqueezeReplicaClient is the compressing extension of an entry-list
-// client: ship a list with its by-value CodecZRL frames as one DEFLATE
-// segment primed with what the (vol, shard) stream already carried
+// client: ship a list as one DEFLATE segment primed with what the
+// (vol, shard) stream already carried and one digest for its hashes
 // (iscsi's squeezed lists), and say how many data-segment bytes went
-// out — the plain list's when the client shipped it plain. The client
+// out — the plain list's when the client shipped it plain, both lists'
+// when the replica could not verify the squeezed one and the client
+// re-shipped it plain. The client
 // owns the stream's history and resets it itself when a push fails;
 // ResetSqueeze makes it forget the history, so the next squeezed push is
 // fresh. A stream's squeezed pushes go one at a time: an async pipe's
@@ -1059,6 +1061,8 @@ func statusOf(err error) iscsi.Status {
 		return iscsi.StatusDecodeError
 	case errors.Is(err, iscsi.ErrRefMiss):
 		return iscsi.StatusRefMiss
+	case errors.Is(err, iscsi.ErrUnverified):
+		return iscsi.StatusUnverified
 	case errors.Is(err, block.ErrOutOfRange):
 		return iscsi.StatusOutOfRange
 	case errors.Is(err, block.ErrBadBufSize):

@@ -391,10 +391,10 @@ type batchGroup struct {
 	// reshipped: the entry sat in a by-ref push's refused REF-MISS
 	// suffix and was re-shipped by value.
 	ref, reshipped bool
-	// streamed: the push that delivered the entry carried its frame in
-	// a squeezed list's stream, and squeezed is the entry's share of
-	// what squeezing took off that push (see shareSqueeze); first is
-	// that share in the run's first push, for an entry shipped twice.
+	// streamed: the push that delivered the entry was a squeezed list,
+	// and squeezed is the entry's share of what squeezing took off that
+	// push (see shareSqueeze); first is that share in the run's first
+	// push, for an entry shipped twice.
 	streamed        bool
 	squeezed, first int
 	// err is the entry's delivery outcome, then its messages'
@@ -468,10 +468,9 @@ func singleGroup(one []repMsg) batchGroup {
 // repair → ClearDegraded) holds for groups too.
 //
 // On an async pipe, a run that came off a backlog may ship as a
-// squeezed list, as the pipe's gate says (squeeze.go); each
-// entry whose frame rode in the list's stream is then accounted at its
-// share of the push's bytes (shareSqueeze), in the push that delivered
-// it.
+// squeezed list, as the pipe's gate says (squeeze.go); each entry of a
+// squeezed push is then accounted at its share of the push's bytes
+// (shareSqueeze), in the push that delivered it.
 //
 // Every counter is booked before any message is finished: finish drops
 // the replica's pending count (so Drain returns and a caller reads the
@@ -510,7 +509,7 @@ func (e *Engine) process(p *pipe, msgs []repMsg, backlog bool) {
 		}
 	case single:
 		m := &msgs[0]
-		if _, _, err := e.push(p, m, nil, false, false); err != nil {
+		if _, _, err := e.push(p, m, nil, 0, false, false); err != nil {
 			groups[0].err = fmt.Errorf("core: replicate seq %d lba %d: %w", m.seq, m.lba, err)
 		}
 	default:
@@ -527,15 +526,15 @@ func (e *Engine) process(p *pipe, msgs []repMsg, backlog bool) {
 		}
 		// A backlog run on an async pipe is the gate's: squeezed or not
 		// as it says.
+		plain := iscsi.BatchWireLen(entries)
 		var sr squeezeRun
 		if backlog && p.sq != nil {
-			sr = p.sq.begin(entries, iscsi.BatchWireLen(entries))
+			sr = p.sq.begin(entries, plain)
 		}
-		statuses, sent, err := e.push(p, nil, entries, refs, sr.squeezed)
+		statuses, sent, err := e.push(p, nil, entries, plain, refs, sr.squeezed)
 		listed = err == nil
 		wire = int64(wan.WireBytesDiscrete(sent))
-		saved := squeezeSaved(sr.squeezed, entries, sent)
-		shareSqueeze(groups, entries, saved)
+		shareSqueeze(groups, entries, squeezeSaved(sr.squeezed, plain, sent))
 		for k := range groups {
 			groups[k].first = groups[k].squeezed
 		}
@@ -573,13 +572,14 @@ func (e *Engine) process(p *pipe, msgs []repMsg, backlog bool) {
 				e.resetSqueeze(p)
 			}
 			suffix := entries[missAt:]
-			fstat, fsent, ferr := e.push(p, nil, suffix, false, sr.squeezed)
+			splain := iscsi.BatchWireLen(suffix)
+			fstat, fsent, ferr := e.push(p, nil, suffix, splain, false, sr.squeezed)
 			if ferr != nil {
 				fberr = fmt.Errorf("core: by-ref fallback batch of %d: %w", len(groups)-missAt, ferr)
 			} else {
 				copy(statuses[missAt:], fstat)
 				wire += int64(wan.WireBytesDiscrete(fsent))
-				shareSqueeze(groups[missAt:], suffix, squeezeSaved(sr.squeezed, suffix, fsent))
+				shareSqueeze(groups[missAt:], suffix, squeezeSaved(sr.squeezed, splain, fsent))
 			}
 		}
 		if forget {
@@ -628,9 +628,11 @@ func (e *Engine) process(p *pipe, msgs []repMsg, backlog bool) {
 			}
 			switch {
 			case g.ref && !g.reshipped:
-				// Delivered as a reference: the frame stayed home.
+				// Delivered as a reference: the frame stayed home. A
+				// squeezed push's share of the reference is the squeeze's
+				// saving, not dedupe's.
 				dHits++
-				dSaved += frameCost
+				dSaved += int64(len(g.entry.Frame))
 			case g.ref:
 				// Fallback re-ship: the first attempt's reference was
 				// pure overhead.
@@ -710,43 +712,42 @@ func (e *Engine) process(p *pipe, msgs []repMsg, backlog bool) {
 	}
 }
 
-// squeezeSaved is what squeezing took off a list push of entries that
-// put sent bytes on the wire: none for a push not asked to squeeze,
-// whose verb may ship a list of one as a shorter single-frame push (see
-// push).
-func squeezeSaved(squeezed bool, entries []iscsi.BatchEntry, sent int) int {
+// squeezeSaved is what squeezing took off a list push whose plain list
+// is plain bytes and which put sent bytes on the wire: none for a push
+// not asked to squeeze, whose verb may ship a list of one as a shorter
+// single-frame push (see push).
+func squeezeSaved(squeezed bool, plain, sent int) int {
 	if !squeezed {
 		return 0
 	}
-	return iscsi.BatchWireLen(entries) - sent
+	return plain - sent
 }
 
 // shareSqueeze attributes what squeezing took off one list push, saved
 // bytes (the plain list's data segment less the squeezed one's; none
-// when the push shipped plain), to the entries whose frames rode in its
-// stream (iscsi.BatchEntry.Streamed), in proportion to their frame
-// lengths. The shares are cut from running totals, so they add up to
-// saved exactly, and the frames' booked costs to what the push carried
-// beyond the plain list's headers and inline frames.
+// when the push shipped plain, or squeezed and then plain), to the
+// entries of the push: a squeezed list streams every entry, header and
+// frame, so each takes a share in proportion to what it cost the plain
+// list. The shares are cut from running totals, so they add up to saved
+// exactly.
 func shareSqueeze(groups []batchGroup, entries []iscsi.BatchEntry, saved int) {
 	for k := range groups {
 		groups[k].streamed, groups[k].squeezed = false, 0
 	}
-	total := 0
-	for k := range entries {
-		if entries[k].Streamed() {
-			total += len(entries[k].Frame)
-		}
-	}
-	if saved <= 0 || total == 0 {
+	if saved <= 0 {
 		return
 	}
-	cum, given := 0, 0
+	total := 0
+	var prev *iscsi.BatchEntry
 	for k := range entries {
-		if !entries[k].Streamed() {
-			continue
-		}
-		cum += len(entries[k].Frame)
+		total += iscsi.EntryHeaderLen(prev, &entries[k]) + len(entries[k].Frame)
+		prev = &entries[k]
+	}
+	cum, given := 0, 0
+	prev = nil
+	for k := range entries {
+		cum += iscsi.EntryHeaderLen(prev, &entries[k]) + len(entries[k].Frame)
+		prev = &entries[k]
 		share := saved*cum/total - given
 		given += share
 		groups[k].streamed, groups[k].squeezed = true, share
@@ -796,9 +797,10 @@ func (e *Engine) finish(rs *replicaState, msg repMsg, err error) {
 //
 // squeeze ships the list through the client's compressing extension;
 // sent is the data-segment bytes the list push that settled put on the
-// wire (see SqueezeReplicaClient). A plain list of one by-value entry
-// goes out as a single-frame push, the frame alone: that is what
-// iscsi's batch verbs make of it.
+// wire (see SqueezeReplicaClient), and plain is what the list costs
+// plain (iscsi.BatchWireLen), which its caller has already counted. A
+// plain list of one by-value entry goes out as a single-frame push, the
+// frame alone: that is what iscsi's batch verbs make of it.
 //
 // Transport failures retry the whole push — entries the replica
 // already applied dedupe by seq in the stream's window and come back
@@ -808,11 +810,10 @@ func (e *Engine) finish(rs *replicaState, msg repMsg, err error) {
 // way: the replica verified the frame against its own block and said
 // no — redelivering the identical frame is deterministic failure, not
 // transient loss.
-func (e *Engine) push(p *pipe, one *repMsg, entries []iscsi.BatchEntry, refs, squeeze bool) (statuses []iscsi.Status, sent int, err error) {
+func (e *Engine) push(p *pipe, one *repMsg, entries []iscsi.BatchEntry, plain int, refs, squeeze bool) (statuses []iscsi.Status, sent int, err error) {
 	rs, mode := p.rs, uint8(e.cfg.Mode)
 	shard, vol := e.streamTag(p)
 	tagged := shard != 0 || vol != 0
-	plain := iscsi.BatchWireLen(entries)
 	if len(entries) == 1 && !refs && !squeeze {
 		plain = len(entries[0].Frame) // the batch verbs ship a list of one as a single-frame push
 	}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"cmp"
+	"encoding/binary"
 	"fmt"
 	"slices"
 	"sync"
@@ -109,7 +110,9 @@ type replicaStream struct {
 	pass       []staged
 	pendingNew map[uint64]int // lba -> index into pass of its newest staged block
 	jes        []journal.Entry
-	rebuilt    []byte // the parity frame a mask frame's landing rebuilds
+	rebuilt    []byte   // the parity frame a mask frame's landing rebuilds
+	checks     []uint64 // a squeezed push's recomputed checks, by entry
+	digest     []byte   // and the digest's input
 }
 
 // stagingSlot returns staging slot i, a buffer of one block, allocating
@@ -360,7 +363,7 @@ func (r *ReplicaEngine) Apply(mode Mode, seq, lba, hash uint64, frame []byte) er
 func (r *ReplicaEngine) ApplyStream(mode Mode, shard uint8, vol uint16, seq, lba, hash uint64, frame []byte) error {
 	entries := [1]iscsi.BatchEntry{{Seq: seq, LBA: lba, Hash: hash, Frame: frame}}
 	var failed error
-	r.applyGroup(mode, shard, vol, entries[:], false, func(_ int, err error) { failed = err })
+	r.applyGroup(mode, shard, vol, entries[:], false, nil, func(_ int, err error) { failed = err })
 	return failed
 }
 
@@ -369,16 +372,17 @@ func (r *ReplicaEngine) ApplyStream(mode Mode, shard uint8, vol uint16, seq, lba
 // refused entry (diverged, decode, store) reports its own status
 // without failing its batch-mates. See applyGroup.
 func (r *ReplicaEngine) ApplyBatchStream(mode Mode, shard uint8, vol uint16, entries []iscsi.BatchEntry) []iscsi.Status {
-	return r.applyStatuses(mode, shard, vol, entries, false)
+	return r.applyStatuses(mode, shard, vol, entries, false, nil)
 }
 
 // applyStatuses is applyGroup at the wire boundary: statuses for
 // errors. refs marks a by-ref push, where an entry without a frame is
-// a content reference. The status vector is the one allocation of a
+// a content reference, and digest a squeezed one's digest (nil for a
+// plain push). The status vector is the one allocation of a
 // steady-state push.
-func (r *ReplicaEngine) applyStatuses(mode Mode, shard uint8, vol uint16, entries []iscsi.BatchEntry, refs bool) []iscsi.Status {
+func (r *ReplicaEngine) applyStatuses(mode Mode, shard uint8, vol uint16, entries []iscsi.BatchEntry, refs bool, digest *uint64) []iscsi.Status {
 	statuses := make([]iscsi.Status, len(entries)) // StatusOK until an entry fails
-	r.applyGroup(mode, shard, vol, entries, refs, func(k int, err error) { statuses[k] = statusOf(err) })
+	r.applyGroup(mode, shard, vol, entries, refs, digest, func(k int, err error) { statuses[k] = statusOf(err) })
 	return statuses
 }
 
@@ -442,10 +446,24 @@ type staged struct {
 // Those seqs were never marked, so the repair reads as new however far
 // other pushes have moved the window's maximum meanwhile.
 //
+// A squeezed push (digest non-nil; iscsi's squeeze.go) carries no
+// per-entry hashes: phase 1 stages every by-value entry, those behind a
+// reference it could not resolve included, recomputing each one's
+// check from the block it staged — its hash, or for a twin its hash
+// XOR the rebuilt frame's — and the push goes on to phase 2 only when
+// HashBlock of those checks, in entry order, is the digest sent. A
+// push it cannot verify — a mismatch, a duplicate (whose pre-image is
+// gone), an entry that does not stage, or one whose pre-image is a
+// reference it could not resolve — is refused whole with
+// iscsi.ErrUnverified, before the store, the journal or the window is
+// touched, and the primary re-ships it plain. A verified push with a
+// reference miss applies its prefix and refuses its suffix as a plain
+// push does.
+//
 // Nothing of entries — the slice or a Frame — is referenced once
 // applyGroup has returned: a staged block is a copy in a slot, and the
 // journal and the store copy what they are given.
-func (r *ReplicaEngine) applyGroup(mode Mode, shard uint8, vol uint16, entries []iscsi.BatchEntry, refs bool, fail func(k int, err error)) {
+func (r *ReplicaEngine) applyGroup(mode Mode, shard uint8, vol uint16, entries []iscsi.BatchEntry, refs bool, digest *uint64, fail func(k int, err error)) {
 	failAll := func(err error) {
 		for k := range entries {
 			fail(k, err)
@@ -479,8 +497,9 @@ func (r *ReplicaEngine) applyGroup(mode Mode, shard uint8, vol uint16, entries [
 	// push of its own; the window itself is only marked once the push
 	// is durable. pendingNew serves a staged same-LBA predecessor as
 	// the PRINS pre-image, exactly as if it had already been applied.
+	squeezed := digest != nil
 	var order []int
-	if len(entries) > 1 {
+	if len(entries) > 1 || squeezed {
 		order = st.order[:0]
 		for i := range entries {
 			order = append(order, i)
@@ -492,24 +511,49 @@ func (r *ReplicaEngine) applyGroup(mode Mode, shard uint8, vol uint16, entries [
 		}
 	}
 	clear(st.pendingNew) // the previous push's
+	checks := st.checks
+	if squeezed {
+		checks = slices.Grow(checks[:0], len(entries))[:len(entries)]
+		st.checks = checks
+	}
 	pass := st.pass[:0]
 	var prev uint64
+	var dups, hits, misses int64
+	missAt, kept := len(entries), 0 // a squeezed push's first reference miss, in stage order, and the entries staged before it
 	for i := range entries {
 		k := i
 		if order != nil {
 			k = order[i]
 		}
 		e := &entries[k]
+		ref := refs && e.ByRef()
+		if i > missAt && ref {
+			st.pendingNew[e.LBA] = -1 // refused with the miss: its block is unknown
+			continue
+		}
 		if e.Seq != 0 && (e.Seq == prev || st.win.seen(e.Seq)) {
-			r.m.Add(metrics.Duplicates, 1)
+			if squeezed {
+				failAll(errUnverified)
+				return
+			}
+			dups++
 			continue
 		}
 		var newBlock []byte
 		hash := e.Hash
-		if refs && e.ByRef() {
+		if ref {
 			newBlock = st.stagingSlot(len(pass), r.store.BlockSize())
 			if !r.resolveRef(e.Hash, newBlock) {
-				r.m.Add(metrics.DedupeMisses, 1)
+				misses++
+				if squeezed {
+					// The by-value entries behind the miss still stage,
+					// for their checks; none of them is applied.
+					missAt, kept = i, len(pass)
+					if order != nil {
+						st.pendingNew[e.LBA] = -1
+					}
+					continue
+				}
 				miss := fmt.Errorf("core: replica seq %d lba %d: %w", e.Seq, e.LBA, iscsi.ErrRefMiss)
 				fail(k, miss)
 				if order != nil {
@@ -519,16 +563,28 @@ func (r *ReplicaEngine) applyGroup(mode Mode, shard uint8, vol uint16, entries [
 				}
 				break
 			}
-			r.m.Add(metrics.DedupeHits, 1)
+			hits++
 		} else {
 			var pre []byte
 			if p, ok := st.pendingNew[e.LBA]; ok {
+				if p < 0 { // only a squeezed push's miss marks an LBA unknown
+					failAll(errUnverified)
+					return
+				}
 				pre = pass[p].block
 			}
+			var check uint64
 			var err error
-			if newBlock, hash, err = r.stage(mode, st, e, len(pass), pre); err != nil {
+			if newBlock, hash, check, err = r.stage(mode, st, e, len(pass), pre, squeezed); err != nil {
+				if squeezed {
+					failAll(errUnverified)
+					return
+				}
 				fail(k, err)
 				continue
+			}
+			if squeezed {
+				checks[k] = check
 			}
 		}
 		prev = e.Seq
@@ -538,6 +594,30 @@ func (r *ReplicaEngine) applyGroup(mode Mode, shard uint8, vol uint16, entries [
 		pass = append(pass, staged{k: k, block: newBlock, hash: hash})
 	}
 	st.pass = pass // keep what it grew to
+	if squeezed {
+		in := st.digest[:0]
+		for k := range entries {
+			if !(refs && entries[k].ByRef()) {
+				in = binary.BigEndian.AppendUint64(in, checks[k])
+			}
+		}
+		st.digest = in
+		if iscsi.HashBlock(in) != *digest {
+			failAll(errUnverified)
+			return
+		}
+		if missAt < len(entries) {
+			e := &entries[order[missAt]]
+			miss := fmt.Errorf("core: replica seq %d lba %d: %w", e.Seq, e.LBA, iscsi.ErrRefMiss)
+			for _, rest := range order[missAt:] {
+				fail(rest, miss)
+			}
+			pass = pass[:kept]
+		}
+	}
+	r.m.Add(metrics.Duplicates, dups)
+	r.m.Add(metrics.DedupeHits, hits)
+	r.m.Add(metrics.DedupeMisses, misses)
 	if len(pass) == 0 {
 		return
 	}
@@ -619,52 +699,60 @@ func (r *ReplicaEngine) applyGroup(mode Mode, shard uint8, vol uint16, entries [
 // frames is refused entry by entry without allocating.
 var errFrameSize = fmt.Errorf("core: replica: frame's declared length is not the block size: %w", block.ErrBadBufSize)
 
-// stage recovers and verifies the full new block a by-value entry
-// leaves at its LBA into the stream's staging slot slot, without
-// touching the store, and returns it with its content hash. The frame's
-// declared length is checked against the block size before a slot is
-// taken or a byte is decoded: the length field of a five-byte frame may
-// claim anything up to xcode.MaxBlockLen. A ModePRINS entry's pre-image
-// — pre, the block a same-LBA predecessor of the same push staged, or
-// else the store's — is read straight into the slot and the frame
-// folded into it: the backward parity computation A_new = P' XOR A_old,
-// at a cost proportional to the bytes the write changed. Called with
-// st.mu held.
+// errUnverified refuses every entry of a squeezed push the replica
+// could not verify against its digest (see applyGroup).
+var errUnverified = fmt.Errorf("core: replica: squeezed push not verified: %w", iscsi.ErrUnverified)
+
+// stage recovers the full new block a by-value entry leaves at its LBA
+// into the stream's staging slot slot, without touching the store, and
+// returns it with its content hash and its check, the value a squeezed
+// push's digest folds for it. The frame's declared length is checked
+// against the block size before a slot is taken or a byte is decoded:
+// the length field of a five-byte frame may claim anything up to
+// xcode.MaxBlockLen. A ModePRINS entry's pre-image — pre, the block a
+// same-LBA predecessor of the same push staged, or else the store's —
+// is read straight into the slot and the frame folded into it: the
+// backward parity computation A_new = P' XOR A_old, at a cost
+// proportional to the bytes the write changed. Called with st.mu held.
 //
-// A hash mismatch returns an error wrapping iscsi.ErrDiverged: in
-// ModePRINS it means the replica's pre-image already differs from what
-// the primary XORed against, so writing the recovered block would
-// replace silent corruption with fresh silent corruption. The primary
-// marks the LBA dirty and repairs it with a ranged resync instead.
+// An entry of a plain push is verified here against its hash: a
+// mismatch returns an error wrapping iscsi.ErrDiverged. In ModePRINS it
+// means the replica's pre-image already differs from what the primary
+// XORed against, so writing the recovered block would replace silent
+// corruption with fresh silent corruption. The primary marks the LBA
+// dirty and repairs it with a ranged resync instead. An entry of a
+// squeezed push (squeezed set) carries no hash; its check is returned
+// for applyGroup to fold into the digest, and nothing is compared here.
 //
 // A CodecMask frame (a squeezed list's masked twin of a parity frame)
 // lands A_new's bytes on the pre-image instead of XORing, and rebuilds
 // the parity frame from the bytes it overwrote (xcode.MaskInto). Its
-// entry's hash is the check HashBlock(A_new) XOR HashBlock(the parity
-// frame the primary built), so the new block must hash to the check
-// XOR the rebuilt frame's hash: a pre-image byte that differs under the
-// mask changes the rebuilt frame, one that differs elsewhere changes
-// the block, and either is diverged, exactly as under the XOR. A mask
-// is always verified — a zero check is no escape — and the hash
-// returned is the block's, never the check.
-func (r *ReplicaEngine) stage(mode Mode, st *replicaStream, e *iscsi.BatchEntry, slot int, pre []byte) ([]byte, uint64, error) {
+// check is HashBlock(A_new) XOR HashBlock(the rebuilt frame), which
+// equals the primary's HashBlock(A_new) XOR HashBlock(the parity frame
+// it built) only when the pre-image was right: a pre-image byte that
+// differs under the mask changes the rebuilt frame, one that differs
+// elsewhere changes the block, and either is diverged, exactly as under
+// the XOR. A plain push's mask is verified against its hash field as a
+// check — a zero check is no escape — and the hash returned is always
+// the block's, never the check.
+func (r *ReplicaEngine) stage(mode Mode, st *replicaStream, e *iscsi.BatchEntry, slot int, pre []byte, squeezed bool) (newBlock []byte, hash, check uint64, err error) {
 	n, err := xcode.DecodedLen(e.Frame)
 	if err != nil {
-		return nil, 0, fmt.Errorf("core: replica decode seq %d: %w: %w", e.Seq, iscsi.ErrReplicaDecode, err)
+		return nil, 0, 0, fmt.Errorf("core: replica decode seq %d: %w: %w", e.Seq, iscsi.ErrReplicaDecode, err)
 	}
 	if n != r.store.BlockSize() {
-		return nil, 0, errFrameSize
+		return nil, 0, 0, errFrameSize
 	}
 	mask := xcode.Codec(e.Frame[0]) == xcode.CodecMask // a frame with a length has a codec
 	if mask && mode != ModePRINS {
-		return nil, 0, fmt.Errorf("core: replica decode seq %d: %w: a mask frame in mode %v", e.Seq, iscsi.ErrReplicaDecode, mode)
+		return nil, 0, 0, fmt.Errorf("core: replica decode seq %d: %w: a mask frame in mode %v", e.Seq, iscsi.ErrReplicaDecode, mode)
 	}
-	newBlock := st.stagingSlot(slot, n)
+	newBlock = st.stagingSlot(slot, n)
 	if mode == ModePRINS {
 		if pre != nil {
 			copy(newBlock, pre)
 		} else if err := r.store.ReadBlock(e.LBA, newBlock); err != nil {
-			return nil, 0, fmt.Errorf("core: replica read old seq %d: %w", e.Seq, err)
+			return nil, 0, 0, fmt.Errorf("core: replica read old seq %d: %w", e.Seq, err)
 		}
 		if mask {
 			st.rebuilt, err = xcode.MaskInto(newBlock, e.Frame, st.rebuilt[:0])
@@ -675,33 +763,34 @@ func (r *ReplicaEngine) stage(mode Mode, st *replicaStream, e *iscsi.BatchEntry,
 		err = xcode.DecodeInto(newBlock, e.Frame)
 	}
 	if err != nil {
-		return nil, 0, fmt.Errorf("core: replica decode seq %d: %w: %w", e.Seq, iscsi.ErrReplicaDecode, err)
+		return nil, 0, 0, fmt.Errorf("core: replica decode seq %d: %w: %w", e.Seq, iscsi.ErrReplicaDecode, err)
 	}
-	if !mask && e.Hash == 0 {
-		return newBlock, 0, nil // unverified
+	if !squeezed && !mask && e.Hash == 0 {
+		return newBlock, 0, 0, nil // unverified
 	}
-	got, want := iscsi.HashBlock(newBlock), e.Hash
+	hash = iscsi.HashBlock(newBlock)
+	check = hash
 	if mask {
-		want ^= iscsi.HashBlock(st.rebuilt)
+		check ^= iscsi.HashBlock(st.rebuilt)
 	}
-	if got != want {
+	if !squeezed && check != e.Hash {
 		r.m.Add(metrics.Diverged, 1)
-		return nil, 0, fmt.Errorf("core: replica apply seq %d lba %d: %w: hash %016x, primary sent %016x",
-			e.Seq, e.LBA, iscsi.ErrDiverged, got, want)
+		return nil, 0, 0, fmt.Errorf("core: replica apply seq %d lba %d: %w: check %016x, primary sent %016x",
+			e.Seq, e.LBA, iscsi.ErrDiverged, check, e.Hash)
 	}
-	return newBlock, got, nil
+	return newBlock, hash, check, nil
 }
 
 // HandleReplicaBatch implements iscsi.BatchBackend: the wire entry
 // point for untagged batched pushes from the primary's engine.
 func (r *ReplicaEngine) HandleReplicaBatch(mode uint8, entries []iscsi.BatchEntry) []iscsi.Status {
-	return r.applyStatuses(Mode(mode), 0, 0, entries, false)
+	return r.applyStatuses(Mode(mode), 0, 0, entries, false, nil)
 }
 
 // HandleReplicaBatchStream implements iscsi.StreamBatchBackend: the
 // wire entry point for stream-tagged batched pushes.
 func (r *ReplicaEngine) HandleReplicaBatchStream(mode, shard uint8, vol uint16, entries []iscsi.BatchEntry) []iscsi.Status {
-	return r.applyStatuses(Mode(mode), shard, vol, entries, false)
+	return r.applyStatuses(Mode(mode), shard, vol, entries, false, nil)
 }
 
 // HandleReplicaByRef implements iscsi.ByRefBackend: the wire entry
@@ -709,7 +798,14 @@ func (r *ReplicaEngine) HandleReplicaBatchStream(mode, shard uint8, vol uint16, 
 // frame) is materialized by verified local copy via the content index;
 // a by-value entry applies exactly like its batch counterpart.
 func (r *ReplicaEngine) HandleReplicaByRef(mode, shard uint8, vol uint16, entries []iscsi.BatchEntry) []iscsi.Status {
-	return r.applyStatuses(Mode(mode), shard, vol, entries, true)
+	return r.applyStatuses(Mode(mode), shard, vol, entries, true, nil)
+}
+
+// HandleReplicaSqueezed implements iscsi.SqueezeBackend: the wire entry
+// point for squeezed lists, whose by-value entries carry no hashes and
+// are verified together against the list's digest (see applyGroup).
+func (r *ReplicaEngine) HandleReplicaSqueezed(mode, shard uint8, vol uint16, entries []iscsi.BatchEntry, refs bool, digest uint64) []iscsi.Status {
+	return r.applyStatuses(Mode(mode), shard, vol, entries, refs, &digest)
 }
 
 // resolveRef materializes the block whose content hash is hash into

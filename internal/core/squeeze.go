@@ -10,10 +10,11 @@ import (
 // The write path encodes ZRL alone, under the shard lock. A pipe whose
 // queue has backed up behind a slow link has CPU to spare and bytes to
 // shed, so its shipper may run the second stage there: a backlog run
-// ships as a squeezed list (SqueezeReplicaClient), its by-value CodecZRL
-// frames one DEFLATE segment primed with what the pipe's stream already
-// carried, which the replica inflates and slices back into the frames
-// its stage path lands. A frame with a masked twin (encodeFrames) goes
+// ships as a squeezed list (SqueezeReplicaClient), the whole entry list
+// — headers, references and frames — one DEFLATE segment primed with
+// what the pipe's stream already carried, and one digest in place of
+// the by-value entries' hashes, which the replica inflates, parses and
+// verifies as one push. A frame with a masked twin (encodeFrames) goes
 // in the stream as the twin: the new bytes repeat the stream's history
 // where their XOR against the old ones does not. Whether a pipe
 // squeezes is its squeezeGate's call, made from the bytes its squeezed
@@ -92,26 +93,26 @@ type squeezer struct {
 	probe []byte // compressible's scratch
 }
 
-// probeBytes is how much of a probe run's streamed frames the
+// probeBytes is how much of a probe run's squeezed plaintext the
 // compressibility check reads. One ZRL frame of a few hundred bytes is
 // too short for a Huffman pass to shrink even when it is text: of
 // TPC-C's frames (squeezeCorpora), 2506 of 6073 pass on their own,
-// while the first 4 KiB of every one of its 189 runs of 32 passes, and
-// none of the incompressible corpus's does.
+// while a 4 KiB sample (compressible) of every one of its 190 runs of
+// up to 32 passes, twins or none, and none of the incompressible
+// corpus's does.
 const probeBytes = 4 << 10
 
-// compressible reports whether the first probeBytes of what the run's
-// squeezed list would stream (iscsi.BatchEntry.InStream: the masked
-// twins, where the frames have them) shrink under xcode.Compressible's
-// Huffman-only pass. Inline frames are not read, since DEFLATE never
-// sees them. The run streams enough to tell (see begin).
+// compressible reports whether a sample of what the run's squeezed list
+// would stream (iscsi.AppendStream: every entry's header, a
+// reference's hash, and the first bytes of each frame, or of its masked
+// twin where it has one) shrinks under xcode.Compressible's Huffman-only
+// pass. The sample is some probeBytes, cut evenly across the run's
+// entries, so that a run led by frames that do not compress (raw
+// floors of random bytes, say) is judged by the rest of it too. The run
+// streams enough to tell (see begin).
 func (sq *squeezer) compressible(entries []iscsi.BatchEntry) bool {
-	buf := sq.probe[:0]
-	for k := 0; k < len(entries) && len(buf) < probeBytes; k++ {
-		buf = append(buf, entries[k].InStream()...)
-	}
-	sq.probe = buf[:0]
-	return xcode.Compressible(buf[:min(len(buf), probeBytes)])
+	sq.probe = iscsi.AppendStream(sq.probe[:0], entries, probeBytes/len(entries))
+	return xcode.Compressible(sq.probe)
 }
 
 // squeezeRun is one backlog run's passage through its pipe's squeezer,
@@ -125,36 +126,31 @@ type squeezeRun struct {
 }
 
 // squeezeMinStream is the fewest bytes a run must put in a squeezed
-// list's stream for the gate to see it. A shorter stream (all
-// references, raw-floored frames, or the tar workload's runs whose one
-// streamed frame is a metadata block's 12 changed bytes) cannot pay for
-// the segment's own framing, its 4-byte check, the match list and
+// list's stream for the gate to see it. A shorter stream (a few
+// references, or the tar workload's runs whose one frame is a metadata
+// block's 12 changed bytes) cannot pay for the list's digest and the
+// segment's own framing, its 4-byte check, the match list and
 // DEFLATE's block header and 5-byte sync flush: squeezed, such a list
 // comes out no smaller, ships plain, and restarts the stream's history.
 const squeezeMinStream = 64
 
-// streamsEnough reports whether entries put at least squeezeMinStream
-// bytes in a squeezed list's stream.
-func streamsEnough(entries []iscsi.BatchEntry) bool {
-	n := 0
-	for k := range entries {
-		if n += len(entries[k].InStream()); n >= squeezeMinStream {
-			return true
-		}
-	}
-	return false
+// streamsEnough reports whether entries, whose plain list is plain
+// bytes, put at least squeezeMinStream bytes in a squeezed list's
+// stream.
+func streamsEnough(entries []iscsi.BatchEntry, plain int) bool {
+	return iscsi.StreamLen(entries, plain) >= squeezeMinStream
 }
 
 // begin starts a backlog run whose list is plain wire bytes unsqueezed
 // and reports, in the run's squeezed, whether it ships squeezed: the
-// gate's call, except that a probe whose first streamed bytes do not
+// gate's call, except that a probe whose sampled stream does not
 // compress (see compressible) is lost on the spot. It ships plain, as
 // any plain run, and the gate spaces its next probe as for any lost
 // probe; no encoder is built for it. A run that streams too little to
 // shrink (see squeezeMinStream) is not the gate's: it ships plain and
 // teaches nothing, and a probe due waits for a run that can tell.
 func (sq *squeezer) begin(entries []iscsi.BatchEntry, plain int) squeezeRun {
-	if !streamsEnough(entries) {
+	if !streamsEnough(entries, plain) {
 		return squeezeRun{}
 	}
 	r := squeezeRun{sq: sq, squeezed: sq.gate.next(), plain: plain}

@@ -29,12 +29,21 @@ type squeezeLink struct {
 	mu    sync.Mutex
 	dials int
 	down  bool
-	tags  [][]uint64 // per session dialed, the history tags of the squeezed lists it carried
+	tags  [][]uint64  // per session dialed, the history tags of the squeezed lists it carried
+	lists [][]listPDU // and every entry list it carried
 	wg    sync.WaitGroup
 }
 
+// listPDU is an entry-list PDU as a link saw it go out: its history tag
+// (0 for a plain list), its entry count and its task tag.
+type listPDU struct {
+	tag, count uint64
+	itt        uint32
+}
+
 // tagConn records the history tag of every squeezed list an initiator
-// writes (each PDU arrives in one Write: see iscsi's writeOnce).
+// writes, and every entry list (each PDU arrives in one Write: see
+// iscsi's writeOnce).
 type tagConn struct {
 	net.Conn
 	link    *squeezeLink
@@ -42,12 +51,15 @@ type tagConn struct {
 }
 
 func (c *tagConn) Write(p []byte) (int, error) {
-	if len(p) >= 48 && (iscsi.Opcode(p[2]) == iscsi.OpReplicaWriteBatch || iscsi.Opcode(p[2]) == iscsi.OpReplicaWriteByRef) {
-		if tag := binary.BigEndian.Uint64(p[28:]); tag != 0 {
-			c.link.mu.Lock()
+	if len(p) > 48 && (iscsi.Opcode(p[2]) == iscsi.OpReplicaWriteBatch || iscsi.Opcode(p[2]) == iscsi.OpReplicaWriteByRef) {
+		tag := binary.BigEndian.Uint64(p[28:])
+		count, _ := binary.Uvarint(p[48:]) // both layouts lead with the count
+		c.link.mu.Lock()
+		if tag != 0 {
 			c.link.tags[c.session] = append(c.link.tags[c.session], tag)
-			c.link.mu.Unlock()
 		}
+		c.link.lists[c.session] = append(c.link.lists[c.session], listPDU{tag, count, binary.BigEndian.Uint32(p[8:])})
+		c.link.mu.Unlock()
 	}
 	return c.Conn.Write(p)
 }
@@ -60,6 +72,16 @@ func (l *squeezeLink) sessionTags(n int) []uint64 {
 		return nil
 	}
 	return append([]uint64(nil), l.tags[n]...)
+}
+
+// sessionLists returns the entry lists session n carried.
+func (l *squeezeLink) sessionLists(n int) []listPDU {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if n >= len(l.lists) {
+		return nil
+	}
+	return append([]listPDU(nil), l.lists[n]...)
 }
 
 // primedThenFresh reports whether tags holds a push built on a history
@@ -87,7 +109,7 @@ func (l *squeezeLink) dial() (net.Conn, error) {
 	n, down := l.dials, l.down
 	l.dials++
 	if !down {
-		l.tags = append(l.tags, nil)
+		l.tags, l.lists = append(l.tags, nil), append(l.lists, nil)
 	}
 	session := len(l.tags) - 1
 	l.mu.Unlock()
@@ -156,9 +178,9 @@ func newSqueezeChaos(t *testing.T, cfg Config, first func(client, server net.Con
 	if err := e.AttachReplica(in); err != nil {
 		t.Fatal(err)
 	}
-	// On, its first plain probe a full spacing away: every backlog run
-	// of the replay squeezes, the one a fault or a refusal lands on too.
-	e.replicas[0].pipes[0].sq.gate = squeezeGate{on: true, spacing: squeezeMaxSpacing}
+	// On: every backlog run of the replay squeezes, the one a fault or a
+	// refusal lands on too, until a squeezed list comes out no smaller.
+	e.replicas[0].pipes[0].sq.gate = squeezeGate{on: true}
 	c.e = e
 	t.Cleanup(func() {
 		e.Close()

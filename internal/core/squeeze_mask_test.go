@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"crypto/subtle"
+	"encoding/binary"
 	"errors"
 	"math/rand"
 	"slices"
@@ -306,9 +307,10 @@ func (u *unitView) NumBlocks() uint64               { return u.src.NumBlocks() }
 func (u *unitView) Close() error                    { return nil }
 
 // maskList returns the entries of a squeezed list of one mask entry as
-// its target decodes them: the write of newBlock over oldBlock at lba,
-// streamed as its masked twin with its check.
-func maskList(t *testing.T, seq, lba uint64, oldBlock, newBlock []byte) []iscsi.BatchEntry {
+// its target decodes them, and the list's digest: the write of newBlock
+// over oldBlock at lba, streamed as its masked twin, whose check the
+// digest folds.
+func maskList(t *testing.T, seq, lba uint64, oldBlock, newBlock []byte) ([]iscsi.BatchEntry, uint64) {
 	t.Helper()
 	fp := make([]byte, len(newBlock))
 	if err := parity.ForwardInto(fp, newBlock, oldBlock); err != nil {
@@ -334,10 +336,15 @@ func maskList(t *testing.T, seq, lba uint64, oldBlock, newBlock []byte) []iscsi.
 	if err != nil {
 		t.Fatal(err)
 	}
-	if xcode.Codec(got[0].Frame[0]) != xcode.CodecMask || got[0].Hash == hash {
-		t.Fatal("the list did not carry the mask and its check")
+	if xcode.Codec(got[0].Frame[0]) != xcode.CodecMask || got[0].Hash != 0 {
+		t.Fatal("the list did not carry the mask without a hash")
 	}
-	return got
+	var checks [8]byte
+	binary.BigEndian.PutUint64(checks[:], sent[0].Check)
+	if rx.Digest() != iscsi.HashBlock(checks[:]) {
+		t.Fatal("the list's digest is not the hash of its check")
+	}
+	return got, rx.Digest()
 }
 
 // TestSqueezeMaskJournalKeepsBlockHash: a mask entry's hash field is its
@@ -437,7 +444,8 @@ func TestSqueezeMaskJournalKeepsBlockHash(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if st := rep.ApplyBatchStream(ModePRINS, 0, 0, maskList(t, 1, lba, oldBlock, newBlock)); st[0] != iscsi.StatusStoreError {
+		list, digest := maskList(t, 1, lba, oldBlock, newBlock)
+		if st := rep.HandleReplicaSqueezed(uint8(ModePRINS), 0, 0, list, false, digest); st[0] != iscsi.StatusStoreError {
 			t.Fatalf("torn mask apply: status %v", st[0])
 		}
 		pending, err := journal.New(backing).PendingEntries()
@@ -466,11 +474,12 @@ func TestSqueezeMaskJournalKeepsBlockHash(t *testing.T) {
 }
 
 // TestSqueezeProbeReadsTheStream: the probe that decides whether a run
-// is worth squeezing reads only what the squeezed list would stream. A
-// run led by raw-floored frames of random bytes, which stay inline and
-// which DEFLATE never sees, keeps its probe when the ZRL frames behind
-// them compress; and of a frame with a masked twin the probe reads the
-// twin, which compresses where the parity's own literals do not.
+// is worth squeezing reads a sample of what the squeezed list would
+// stream, cut across all its entries. A run led by raw-floored frames
+// of random bytes, which cost a squeezed list next to nothing, keeps its
+// probe when the ZRL frames behind them compress; and of a frame with a
+// masked twin the probe reads the twin, which compresses where the
+// parity's own literals do not.
 func TestSqueezeProbeReadsTheStream(t *testing.T) {
 	const bs = 4096
 	rng := rand.New(rand.NewSource(3))

@@ -548,10 +548,10 @@ func TestSqueezeSteadyStateAllocs(t *testing.T) {
 }
 
 // TestSqueezeGateSkipsShortStreams: a run that puts fewer than
-// squeezeMinStream bytes in a squeezed list's stream (references only,
-// or one frame of a few changed bytes) is not the gate's, even with a
-// probe due: it ships plain and leaves the gate as it was. One more
-// streamed frame makes it a probe.
+// squeezeMinStream bytes in a squeezed list's stream (a reference and
+// one frame of a few changed bytes, headers and all) is not the gate's,
+// even with a probe due: it ships plain and leaves the gate as it was.
+// One more frame of text makes it a probe.
 func TestSqueezeGateSkipsShortStreams(t *testing.T) {
 	const bs = 4096
 	few := make([]byte, bs)

@@ -104,17 +104,10 @@ func EntryHeaderLen(prev, e *BatchEntry) int {
 
 // appendEntryHeader appends e's entry header, coded against prev.
 func appendEntryHeader(dst []byte, prev, e *BatchEntry) []byte {
-	return appendEntryFields(dst, prev, e, uint64(len(e.Frame)))
-}
-
-// appendEntryFields appends an entry header whose length field holds
-// field: the frame length in a plain list (a squeezed list's reads
-// frameLen<<1 | inStream).
-func appendEntryFields(dst []byte, prev, e *BatchEntry, field uint64) []byte {
 	dst = binary.AppendVarint(dst, int64(e.Seq-prev.Seq))
 	dst = binary.AppendVarint(dst, int64(e.LBA-prev.LBA))
 	dst = binary.BigEndian.AppendUint64(dst, e.Hash)
-	return binary.AppendUvarint(dst, field)
+	return binary.AppendUvarint(dst, uint64(len(e.Frame)))
 }
 
 // entryListSize returns an entry list's data-segment bytes as meta,
@@ -244,68 +237,72 @@ func decodeDelta(data []byte, off int, from uint64) (uint64, int, error) {
 // and structural violations report ErrBadFrame — hostile input never
 // panics or over-allocates.
 func decodeEntryList(entries []BatchEntry, data []byte, refs bool) ([]BatchEntry, error) {
-	entries, rest, err := decodeEntries(entries, data, refs, nil)
-	if err != nil {
-		return nil, err
-	}
-	if len(rest) != 0 {
-		return nil, fmt.Errorf("%w: %d trailing bytes after batch", ErrBadFrame, len(rest))
-	}
-	return entries, nil
-}
-
-// decodeEntries parses an entry list's count and entries (see
-// decodeEntryList) and returns the bytes after the last entry.
-// With streamed non-nil the list is a squeezed one (squeeze.go): a
-// length field with its low bit set names a frame in the stream, of
-// the nonzero length in its other bits, which decodeEntries leaves nil
-// and appends to *streamed instead, its declared bytes held to
-// MaxDataSegment in all.
-func decodeEntries(entries []BatchEntry, data []byte, refs bool, streamed *[]streamedFrame) ([]BatchEntry, []byte, error) {
 	count, off, err := decodeUvarint(data, 0)
 	if err != nil {
-		return nil, nil, fmt.Errorf("%w: batch count of a %d-byte segment", err, len(data))
+		return nil, fmt.Errorf("%w: batch count of a %d-byte segment", err, len(data))
 	}
+	return decodeEntries(entries, data[off:], count, refs, false)
+}
+
+// minPlainEntryLen is the smallest entry of a squeezed list's
+// plaintext: one-byte deltas, a one-byte length and a one-byte frame.
+const minPlainEntryLen = 1 + 1 + 1 + 1
+
+// decodeEntries parses exactly count entries from data, which they
+// must fill (see decodeEntryList). With squeezed set, data is a
+// squeezed list's plaintext (squeeze.go): an entry's hash follows its
+// length field, and only when that length is zero, a reference, which
+// a list without refs may not carry; a by-value entry decodes with a
+// zero Hash, its check being the list's digest's business.
+func decodeEntries(entries []BatchEntry, data []byte, count uint64, refs, squeezed bool) ([]BatchEntry, error) {
 	if count == 0 || count > MaxBatchFrames {
-		return nil, nil, fmt.Errorf("%w: batch count %d", ErrBadFrame, count)
+		return nil, fmt.Errorf("%w: batch count %d", ErrBadFrame, count)
 	}
-	if uint64(len(data)-off) < count*minEntryLen {
-		return nil, nil, fmt.Errorf("%w: %d entries cannot fit in %d bytes", ErrShortFrame, count, len(data))
+	minLen := uint64(minEntryLen)
+	if squeezed {
+		minLen = minPlainEntryLen
+	}
+	if uint64(len(data)) < count*minLen {
+		return nil, fmt.Errorf("%w: %d entries cannot fit in %d bytes", ErrShortFrame, count, len(data))
 	}
 	entries = slices.Grow(entries[:0], int(count))
-	total := 0
+	off := 0
 	var prev BatchEntry
 	for k := range int(count) {
 		var e BatchEntry
 		var frameLen uint64
+		var err error
 		if e.Seq, off, err = decodeDelta(data, off, prev.Seq); err != nil {
-			return nil, nil, fmt.Errorf("%w: batch entry %d seq", err, k)
+			return nil, fmt.Errorf("%w: batch entry %d seq", err, k)
 		}
 		if e.LBA, off, err = decodeDelta(data, off, prev.LBA); err != nil {
-			return nil, nil, fmt.Errorf("%w: batch entry %d lba", err, k)
+			return nil, fmt.Errorf("%w: batch entry %d lba", err, k)
 		}
-		if len(data)-off < HashSize {
-			return nil, nil, fmt.Errorf("%w: batch entry %d hash", ErrShortFrame, k)
+		if !squeezed {
+			if len(data)-off < HashSize {
+				return nil, fmt.Errorf("%w: batch entry %d hash", ErrShortFrame, k)
+			}
+			e.Hash = binary.BigEndian.Uint64(data[off:])
+			off += HashSize
 		}
-		e.Hash = binary.BigEndian.Uint64(data[off:])
-		if frameLen, off, err = decodeUvarint(data, off+HashSize); err != nil {
-			return nil, nil, fmt.Errorf("%w: batch entry %d frame length", err, k)
+		if frameLen, off, err = decodeUvarint(data, off); err != nil {
+			return nil, fmt.Errorf("%w: batch entry %d frame length", err, k)
 		}
-		inStream := false
-		if streamed != nil {
-			inStream, frameLen = frameLen&1 == 1, frameLen>>1
+		if squeezed && frameLen == 0 {
+			if !refs {
+				return nil, fmt.Errorf("%w: reference %d in a by-value list", ErrBadFrame, k)
+			}
+			if len(data)-off < HashSize {
+				return nil, fmt.Errorf("%w: batch entry %d hash", ErrShortFrame, k)
+			}
+			e.Hash = binary.BigEndian.Uint64(data[off:])
+			off += HashSize
 		}
 		switch {
-		case inStream:
-			if frameLen == 0 || frameLen > uint64(MaxDataSegment-total) {
-				return nil, nil, fmt.Errorf("%w: batch entry %d streams %d bytes after %d", ErrBadFrame, k, frameLen, total)
-			}
-			total += int(frameLen)
-			*streamed = append(*streamed, streamedFrame{k, int(frameLen)})
 		case refs && frameLen == 0 && e.Hash == 0:
-			return nil, nil, fmt.Errorf("%w: by-ref entry %d without content hash", ErrBadFrame, k)
+			return nil, fmt.Errorf("%w: by-ref entry %d without content hash", ErrBadFrame, k)
 		case frameLen > uint64(len(data)-off):
-			return nil, nil, fmt.Errorf("%w: batch entry %d frame of %d bytes", ErrShortFrame, k, frameLen)
+			return nil, fmt.Errorf("%w: batch entry %d frame of %d bytes", ErrShortFrame, k, frameLen)
 		default:
 			e.Frame = data[off : off+int(frameLen)]
 			off += int(frameLen)
@@ -313,7 +310,10 @@ func decodeEntries(entries []BatchEntry, data []byte, refs bool, streamed *[]str
 		entries = append(entries, e)
 		prev = e
 	}
-	return entries, data[off:], nil
+	if off != len(data) {
+		return nil, fmt.Errorf("%w: %d trailing bytes after batch", ErrBadFrame, len(data)-off)
+	}
+	return entries, nil
 }
 
 // EncodeBatch assembles the contiguous data segment for a batch.

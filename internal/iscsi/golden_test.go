@@ -37,6 +37,10 @@ func (s *goldenSink) HandleReplicaByRef(mode, shard uint8, vol uint16, entries [
 	return make([]Status, len(entries))
 }
 
+func (s *goldenSink) HandleReplicaSqueezed(mode, shard uint8, vol uint16, entries []BatchEntry, refs bool, digest uint64) []Status {
+	return make([]Status, len(entries))
+}
+
 // goldenEntries builds n deterministic entries with frames of varied
 // lengths (one empty-frame-free run for by-value verbs). With mixed
 // set, every even entry ships by reference (nil frame), as a by-ref
@@ -143,8 +147,8 @@ func readGolden(t *testing.T) map[string]string {
 // zero-copy framed send), OpReplicaWriteBatch (untagged and tagged) and
 // OpReplicaWriteByRef (mixed by-ref and by-value entries), each with 1,
 // 2 and 7 entries, for an OpHashCmd request carrying a digest, and for
-// a fresh and a primed squeezed list and a fresh one streaming masked
-// twins (squeeze.go), the initiator's send
+// a fresh and a primed squeezed list, a fresh one streaming masked twins
+// and a fresh by-ref one (squeeze.go), the initiator's send
 // must equal both a contiguously built PDU written with
 // PDU.WriteTo (over the Encode* segment, for a push) and the committed
 // hex fixture. A case is named for the protocol version that
@@ -321,7 +325,7 @@ func TestWireGolden(t *testing.T) {
 	t.Run("squeeze", func(t *testing.T) {
 		init, rec := startRecordedPair(t, &goldenSink{})
 		var ref SqueezeSender
-		for p, name := range []string{"squeeze-fresh", "squeeze-primed"} {
+		for p, name := range []string{"squeeze-list-fresh", "squeeze-list-primed"} {
 			entries := squeezeGoldenEntries(t, p)
 			if err := statusesOK(func() ([]Status, error) {
 				st, _, err := init.ReplicaWriteSqueezed(mode, shard, vol, entries, false)
@@ -348,35 +352,55 @@ func TestWireGolden(t *testing.T) {
 			}
 		}
 	})
-	// A squeezed list whose frames have masked twins streams the twins
-	// and carries their checks in the hash fields.
-	t.Run("squeeze-mask", func(t *testing.T) {
-		init, rec := startRecordedPair(t, &goldenSink{})
-		entries := maskGoldenEntries(t)
-		if err := statusesOK(func() ([]Status, error) {
-			st, _, err := init.ReplicaWriteSqueezed(mode, shard, vol, entries, false)
-			return st, err
-		}()); err != nil {
-			t.Fatal(err)
-		}
-		sent := rec.take()
-		var ref SqueezeSender
-		seg, tag, ok, err := ref.Encode(entries, false)
-		if err != nil || !ok || tag != 1 {
-			t.Fatalf("reference encode: tag %d, ok %v, %v", tag, ok, err)
-		}
-		var want bytes.Buffer
-		if _, err := (&PDU{Op: OpReplicaWriteBatch, Mode: mode, Shard: shard, Vol: vol, ITT: firstITT, Seq: tag, Data: seg}).WriteTo(&want); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(sent, want.Bytes()) {
-			t.Errorf("initiator bytes differ from the contiguously built PDU:\n sent %x\n want %x", sent, want.Bytes())
-		}
-		got["squeeze-mask"] = hex.EncodeToString(sent)
-		if !update && got["squeeze-mask"] != golden["squeeze-mask"] {
-			t.Errorf("wire bytes differ from %s:\n sent %s\n want %s", goldenFile, got["squeeze-mask"], golden["squeeze-mask"])
-		}
-	})
+	// A squeezed list whose frames have masked twins streams the twins,
+	// and its digest folds their checks; a squeezed by-ref list streams
+	// its references' hashes with the headers.
+	for _, c := range []struct {
+		run, name string
+		refs      bool
+		entries   func(*testing.T) []BatchEntry
+	}{
+		{"squeeze-mask", "squeeze-list-mask", false, maskGoldenEntries},
+		{"squeeze-byref", "squeeze-list-byref", true, func(t *testing.T) []BatchEntry {
+			entries := squeezeGoldenEntries(t, 0)
+			for k := 0; k < len(entries); k += 2 {
+				entries[k].Frame = nil
+			}
+			return entries
+		}},
+	} {
+		t.Run(c.run, func(t *testing.T) {
+			init, rec := startRecordedPair(t, &goldenSink{})
+			entries := c.entries(t)
+			if err := statusesOK(func() ([]Status, error) {
+				st, _, err := init.ReplicaWriteSqueezed(mode, shard, vol, entries, c.refs)
+				return st, err
+			}()); err != nil {
+				t.Fatal(err)
+			}
+			sent := rec.take()
+			var ref SqueezeSender
+			seg, tag, ok, err := ref.Encode(entries, c.refs)
+			if err != nil || !ok || tag != 1 {
+				t.Fatalf("reference encode: tag %d, ok %v, %v", tag, ok, err)
+			}
+			op := OpReplicaWriteBatch
+			if c.refs {
+				op = OpReplicaWriteByRef
+			}
+			var want bytes.Buffer
+			if _, err := (&PDU{Op: op, Mode: mode, Shard: shard, Vol: vol, ITT: firstITT, Seq: tag, Data: seg}).WriteTo(&want); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(sent, want.Bytes()) {
+				t.Errorf("initiator bytes differ from the contiguously built PDU:\n sent %x\n want %x", sent, want.Bytes())
+			}
+			got[c.name] = hex.EncodeToString(sent)
+			if !update && got[c.name] != golden[c.name] {
+				t.Errorf("wire bytes differ from %s:\n sent %s\n want %s", goldenFile, got[c.name], golden[c.name])
+			}
+		})
+	}
 	if !update {
 		if len(golden) != len(got) {
 			t.Errorf("%s holds %d cases, the test ran %d", goldenFile, len(golden), len(got))

@@ -141,6 +141,13 @@ const (
 	// squeeze.go). Nothing was applied; the initiator resets the
 	// stream's history and re-ships the list fresh.
 	StatusStaleHistory
+	// StatusUnverified answers every entry of a squeezed list the
+	// replica could not verify against its digest: a check that did not
+	// match, a duplicate seq, or anything else that kept it from
+	// recomputing every by-value entry's check (see squeeze.go). Nothing
+	// was applied; the initiator re-ships the list plain, whose
+	// per-entry hashes give each entry its own verdict.
+	StatusUnverified
 )
 
 // String returns the status mnemonic.
@@ -168,6 +175,8 @@ func (s Status) String() string {
 		return "REF-MISS"
 	case StatusStaleHistory:
 		return "STALE-HISTORY"
+	case StatusUnverified:
+		return "UNVERIFIED"
 	default:
 		return fmt.Sprintf("STATUS(%d)", uint8(s))
 	}
@@ -186,6 +195,8 @@ func (s Status) sentinel() error {
 		return ErrReplicaStore
 	case StatusRefMiss:
 		return ErrRefMiss
+	case StatusUnverified:
+		return ErrUnverified
 	default:
 		return nil
 	}
@@ -262,6 +273,9 @@ var (
 	// ErrRefMiss: a by-ref push named a content hash the replica could
 	// not resolve. Nothing was stored; re-ship the entry by value.
 	ErrRefMiss = errors.New("iscsi: replica dedupe reference miss")
+	// ErrUnverified: a squeezed list the replica could not verify
+	// against its digest; nothing of it was applied.
+	ErrUnverified = errors.New("iscsi: squeezed list not verified")
 )
 
 // PDU is one protocol data unit: the decoded header fields plus the

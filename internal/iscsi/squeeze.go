@@ -10,45 +10,68 @@ import (
 	"prins/internal/xcode"
 )
 
-// Squeezed entry lists: a backlogged stream's by-value frames as one
+// Squeezed entry lists: a backlogged stream's entry list as one
 // compressed segment, built against what the stream already carried: a
 // match pass that names the repeats of its last 1 MiB, then DEFLATE
 // (xcode/stream.go).
 //
 // A squeezed list is an entry-list PDU (either opcode, v8) whose header
 // Seq field (off 28), which a plain list leaves zero, is nonzero: the
-// push's history tag (below). Its data segment is batch.go's entry list
-// with two changes. An entry's length field is frameLen<<1 | s, where
-// s = 1 says the frame is not inline but in the list's stream segment;
-// and that segment, the s-frames' bytes in entry order as one
-// xcode.StreamDeflater segment, fills the data segment after the last
-// entry:
+// push's history tag (below). Its data segment is
 //
-//	count    (uvarint)
-//	then, per entry:
-//	  seq      (varint)  as in a plain list
-//	  lba      (varint)  as in a plain list
-//	  hash     (uint64)  as in a plain list
-//	  len      (uvarint) frameLen<<1 | s
-//	  frame    (frameLen bytes, only when s = 0)
+//	count    (uvarint)  entries in the list
+//	plainLen (uvarint)  bytes the stream segment rebuilds
+//	digest   (uint64)   HashBlock of the by-value entries' checks
 //	stream segment (to the end of the data segment)
 //
-// The frames that go in the stream are the by-value CodecZRL frames, a
-// parity's zero-run form, whose literals are the rows and log records a
-// working set rewrites; references carry no frame, and raw-floored
-// frames, which DEFLATE finds nothing in, stay inline.
+// and the segment's plaintext, plainLen bytes, is the whole entry
+// list, batch.go's with the hashes taken out:
+//
+//	per entry:
+//	  seq      (varint)  as in a plain list
+//	  lba      (varint)  as in a plain list
+//	  len      (uvarint) the frame's length; 0 = a reference
+//	  hash     (uint64)  a reference's content hash, its address
+//	                     (byref.go); only when len = 0
+//	  frame    (len bytes) the entry's frame, or its masked twin
+//
+// Every entry's header streams, so do the references' hashes, which
+// repeat wherever a working set's copies repeat, and every frame, a
+// raw-floored one too: the bytes ZRL could not shrink are often text
+// that DEFLATE can. What stays out is each by-value entry's 8-byte
+// hash, which no compressor shrinks: the list carries one digest for
+// all of them instead.
 //
 // Masks. An entry whose ZRL frame has a masked twin (BatchEntry.Mask)
 // streams the twin instead: a parity frame's zero runs with A_new's
 // bytes for literals, which repeat what the stream already carried
-// where the parity's XOR against changing old bytes does not. Its hash
-// field then carries the twin's check (BatchEntry.Check),
-// HashBlock(A_new) XOR HashBlock(the parity frame the twin was made
-// from), and the replica verifies it by landing the mask on its
-// pre-image and rebuilding that frame from the bytes it overwrote
+// where the parity's XOR against changing old bytes does not. Its
+// check is BatchEntry.Check, HashBlock(A_new) XOR HashBlock(the parity
+// frame the twin was made from); the replica lands the mask on its
+// pre-image and rebuilds that frame from the bytes it overwrote
 // (xcode.MaskInto): a wrong pre-image byte under the mask changes the
 // rebuilt frame, one elsewhere changes A_new, so the check catches
 // exactly what the parity's own hash check does.
+//
+// The digest. An entry's check is its Hash, or a twin's Check; the
+// digest is HashBlock of the list's by-value entries' checks, 8 bytes
+// big-endian each, laid end to end in entry order. The replica stages
+// the whole list before it writes anything, recomputing each check
+// from the block it staged (and a twin's rebuilt frame), and applies
+// the list only when the digest of its checks is the one sent. One
+// digest is as strong as the checks it folds: a diverged entry changes
+// its check, and a changed check changes the digest but for a
+// collision of HashBlock, which a pre-image damaged by a torn write or
+// bit rot does not choose (DESIGN.md §6, "The push digest"). A list
+// the replica cannot verify — a digest that does not match, a
+// duplicate seq whose pre-image is gone, a by-value entry behind an
+// unresolved reference at its LBA, an entry that does not stage — is
+// answered StatusUnverified entry by entry, with nothing applied, and
+// the initiator re-ships it plain, whose per-entry hashes give each
+// entry its own verdict. A reference the replica cannot resolve is not that:
+// the by-value entries around it stage and verify, and the list is
+// answered as a plain one would be, the prefix applied and the suffix
+// from the miss on StatusRefMiss.
 //
 // History. Each (shard, vol) stream of a session keeps, at both ends,
 // the last xcode.StreamWindow (1 MiB) bytes of squeezed plaintext it
@@ -61,38 +84,84 @@ import (
 // target refuses the push whole, before anything is applied, with
 // StatusStaleHistory, and the initiator resets its history and
 // re-ships the push fresh. Both ends take a push in only when the
-// target answers it StatusOK, and the history lives with the session,
-// so a redial starts both ends empty. The replica never inflates
-// against a history it does not hold.
+// target answers it StatusOK — an unverified list too, since its
+// statuses, not its header, refuse it — and the history lives with the
+// session, so a redial starts both ends empty. The replica never
+// inflates against a history it does not hold.
 
 // ErrStaleHistory reports a squeezed push built on a history the
 // target does not hold: nothing was applied, and the push re-ships
 // fresh.
 var ErrStaleHistory = errors.New("iscsi: squeezed push built on a stale history")
 
-// Streamed reports whether a squeezed list carries e's frame in its
-// stream segment rather than inline: a by-value CodecZRL or CodecMask
-// frame.
-func (e *BatchEntry) Streamed() bool {
-	if len(e.Frame) == 0 {
-		return false
-	}
-	c := xcode.Codec(e.Frame[0])
-	return c == xcode.CodecZRL || c == xcode.CodecMask
+// SqueezeBackend is the extension of Backend a squeezed list needs: its
+// by-value entries arrive without hashes (their Hash is zero), so the
+// backend stages them all and verifies the list's digest itself, as
+// the top of squeeze.go says, answering StatusUnverified for every
+// entry when it cannot. A squeezed list at a backend without it is
+// answered so by the target, and the initiator re-ships it plain.
+// Implementations return exactly one status per entry, in entry order.
+type SqueezeBackend interface {
+	Backend
+	HandleReplicaSqueezed(mode, shard uint8, vol uint16, entries []BatchEntry, refs bool, digest uint64) []Status
 }
 
-// InStream returns what a squeezed list's stream segment carries for e:
-// its mask twin when it has one, else its frame, and nil when e is not
-// Streamed.
+// InStream returns the frame a squeezed list streams for e: its mask
+// twin when it has one, else its frame (nil for a reference).
 func (e *BatchEntry) InStream() []byte {
-	switch {
-	case !e.Streamed():
-		return nil
-	case len(e.Mask) > 0:
+	if len(e.Mask) > 0 {
 		return e.Mask
-	default:
-		return e.Frame
 	}
+	return e.Frame
+}
+
+// check returns what a squeezed list's digest folds for by-value entry
+// e: its twin's check when it streams a twin, else its hash.
+func (e *BatchEntry) check() uint64 {
+	if len(e.Mask) > 0 {
+		return e.Check
+	}
+	return e.Hash
+}
+
+// appendStreamEntry appends e's part of a squeezed list's plaintext,
+// coded against prev, with at most frameMax bytes of its frame.
+func appendStreamEntry(dst []byte, prev, e *BatchEntry, frameMax int) []byte {
+	in := e.InStream()
+	dst = binary.AppendVarint(dst, int64(e.Seq-prev.Seq))
+	dst = binary.AppendVarint(dst, int64(e.LBA-prev.LBA))
+	dst = binary.AppendUvarint(dst, uint64(len(in)))
+	if len(in) == 0 {
+		return binary.BigEndian.AppendUint64(dst, e.Hash)
+	}
+	return append(dst, in[:min(len(in), frameMax)]...)
+}
+
+// StreamLen returns the plaintext bytes a squeezed list of entries
+// streams, given plain, the data-segment bytes of their plain list
+// (BatchWireLen): the plain list less its count and the by-value
+// entries' hashes. A twin is as long as its frame.
+func StreamLen(entries []BatchEntry, plain int) int {
+	n := plain - uvarintLen(uint64(len(entries)))
+	for k := range entries {
+		if !entries[k].ByRef() {
+			n -= HashSize
+		}
+	}
+	return n
+}
+
+// AppendStream appends to dst what a squeezed list of entries streams,
+// each entry's part of the plaintext with at most frameMax bytes of its
+// frame: the whole plaintext when no frame is longer, and otherwise a
+// sample of it that reads every entry.
+func AppendStream(dst []byte, entries []BatchEntry, frameMax int) []byte {
+	prev := &BatchEntry{}
+	for k := range entries {
+		dst = appendStreamEntry(dst, prev, &entries[k], frameMax)
+		prev = &entries[k]
+	}
+	return dst
 }
 
 // SqueezeSender is the initiator's end of one stream's squeeze
@@ -105,19 +174,22 @@ type SqueezeSender struct {
 	pushes uint64 // squeezed pushes the target took in since the last Reset
 	open   bool   // an Encode awaits its Commit or Reset
 	seg    []byte
+	plain  []byte // the list's plaintext
+	checks []byte // its by-value entries' checks, the digest's input
 }
 
 // Encode lays entries out as a squeezed list built on the stream's
 // history and returns its data segment, valid until the next Encode,
-// and its tag. ok is false when the list should ship plain: no entry
-// has a frame for the stream, or the squeezed list came out no smaller
-// than the plain one (the history then starts over).
+// and its tag. ok is false when the list should ship plain: it came
+// out no smaller than the plain one (the history then starts over), or
+// it is a by-value list with an entry of no frame, which the squeezed
+// layout reads as a reference.
 func (s *SqueezeSender) Encode(entries []BatchEntry, refs bool) (seg []byte, tag uint64, ok bool, err error) {
 	plainLen, _, err := entryListLen(entries, refs)
 	if err != nil {
 		return nil, 0, false, err
 	}
-	if !slices.ContainsFunc(entries, func(e BatchEntry) bool { return e.Streamed() }) {
+	if !refs && slices.ContainsFunc(entries, func(e BatchEntry) bool { return e.ByRef() }) {
 		return nil, 0, false, nil
 	}
 	if s.open { // the last push was never settled: its history is unknown
@@ -126,27 +198,18 @@ func (s *SqueezeSender) Encode(entries []BatchEntry, refs bool) (seg []byte, tag
 	if s.pushes == 0 {
 		s.def.Reset()
 	}
-	seg = binary.AppendUvarint(s.seg[:0], uint64(len(entries)))
-	prev := &BatchEntry{}
+	s.plain = AppendStream(s.plain[:0], entries, MaxDataSegment)
+	s.checks = s.checks[:0]
 	for k := range entries {
-		e := &entries[k]
-		if in := e.InStream(); in != nil {
-			w := BatchEntry{Seq: e.Seq, LBA: e.LBA, Hash: e.Hash}
-			if len(e.Mask) > 0 {
-				w.Hash = e.Check // a streamed twin carries its check
-			}
-			seg = appendEntryFields(seg, prev, &w, uint64(len(in))<<1|1)
-		} else {
-			seg = append(appendEntryFields(seg, prev, e, uint64(len(e.Frame))<<1), e.Frame...)
+		if !entries[k].ByRef() {
+			s.checks = binary.BigEndian.AppendUint64(s.checks, entries[k].check())
 		}
-		prev = e
 	}
+	seg = binary.AppendUvarint(s.seg[:0], uint64(len(entries)))
+	seg = binary.AppendUvarint(seg, uint64(len(s.plain)))
+	seg = binary.BigEndian.AppendUint64(seg, HashBlock(s.checks))
 	if err = s.def.Start(seg); err == nil {
-		for k := range entries {
-			if in := entries[k].InStream(); err == nil && in != nil {
-				err = s.def.Write(in)
-			}
-		}
+		err = s.def.Write(s.plain)
 	}
 	if err == nil {
 		seg, err = s.def.End()
@@ -180,28 +243,27 @@ func (s *SqueezeSender) Reset() { s.pushes, s.open = 0, false }
 type SqueezeReceiver struct {
 	inf    xcode.StreamInflater
 	pushes uint64 // squeezed pushes taken in since the last reset
-	plain  []byte // the last push's stream plaintext; its frames alias it
-	frames []streamedFrame
+	plain  []byte // the last push's plaintext; its frames alias it
+	digest uint64 // the last push's digest
 	used   uint64 // the session's squeezed-push count at this stream's last push
 }
-
-// streamedFrame is a squeezed list's entry whose frame is in the stream:
-// its index and frame length.
-type streamedFrame struct{ k, n int }
 
 // Decode checks tag against the stream's history and parses a squeezed
 // list into entries' backing array (see decodeEntryList), inflating its
 // stream segment into the receiver's buffer: the returned frames alias
-// data and that buffer, which the next Decode overwrites. A tag that
-// does not match is ErrStaleHistory, with nothing decoded. Decoding is
-// strict and bounded like a plain list's, and besides: an entry whose
-// frame is in the stream declares a nonzero length; the stream's
-// declared bytes must fit MaxDataSegment; and the segment must rebuild
-// exactly those bytes (xcode.StreamInflater), which is checked before
-// anything is allocated for them. A segment's repeats may rebuild far
-// more than DEFLATE alone could carry, so the bound on what one byte
-// of it may inflate to holds its match list and literals, not the
-// bytes they rebuild. On success the history takes the push in.
+// that buffer, which the next Decode overwrites, and Digest returns the
+// list's digest. A tag that does not match is ErrStaleHistory, with
+// nothing decoded. Decoding is strict and bounded: the count must be in
+// (0, MaxBatchFrames]; the declared plaintext must fit MaxDataSegment
+// and hold count minimal entries; the segment must rebuild exactly
+// those bytes (xcode.StreamInflater), which is checked before anything
+// is allocated for them; and the plaintext must parse as exactly count
+// entries, as strictly as a plain list. A segment's repeats may rebuild
+// far more than DEFLATE alone could carry, so the bound on what one
+// byte of it may inflate to holds its match list and literals, not the
+// bytes they rebuild. On success the history takes the push in; a
+// segment that fails to inflate leaves the history as it was, and one
+// that rebuilds a plaintext that does not parse resets it.
 func (r *SqueezeReceiver) Decode(entries []BatchEntry, data []byte, tag uint64, refs bool) ([]BatchEntry, error) {
 	switch {
 	case tag == 1:
@@ -210,31 +272,44 @@ func (r *SqueezeReceiver) Decode(entries []BatchEntry, data []byte, tag uint64, 
 	case tag != r.pushes+1:
 		return nil, fmt.Errorf("%w: tag %d, %d pushes held", ErrStaleHistory, tag, r.pushes)
 	}
-	r.frames = r.frames[:0]
-	entries, z, err := decodeEntries(entries, data, refs, &r.frames)
+	count, off, err := decodeUvarint(data, 0)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("%w: squeezed count of a %d-byte segment", err, len(data))
 	}
-	total := 0
-	for _, f := range r.frames {
-		total += f.n
+	plainLen, off, err := decodeUvarint(data, off)
+	if err != nil {
+		return nil, fmt.Errorf("%w: squeezed plaintext length", err)
 	}
-	if err := r.inf.Load(z, total); err != nil {
+	if count == 0 || count > MaxBatchFrames || plainLen > MaxDataSegment || plainLen < count*minPlainEntryLen {
+		return nil, fmt.Errorf("%w: %d entries in %d bytes of plaintext", ErrBadFrame, count, plainLen)
+	}
+	if len(data)-off < HashSize {
+		return nil, fmt.Errorf("%w: squeezed digest", ErrShortFrame)
+	}
+	digest := binary.BigEndian.Uint64(data[off:])
+	if err := r.inf.Load(data[off+HashSize:], int(plainLen)); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadFrame, err)
 	}
-	if cap(r.plain) < total {
-		r.plain = make([]byte, total)
+	if cap(r.plain) < int(plainLen) {
+		r.plain = make([]byte, plainLen)
 	}
-	plain := r.plain[:total]
+	plain := r.plain[:plainLen]
 	if err := r.inf.Rebuild(plain); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadFrame, err)
 	}
-	for _, f := range r.frames {
-		entries[f.k].Frame, plain = plain[:f.n:f.n], plain[f.n:]
+	if entries, err = decodeEntries(entries, plain, count, refs, true); err != nil {
+		r.pushes = 0 // the history took in a plaintext the sender cannot have built
+		r.inf.Reset()
+		return nil, err
 	}
+	r.digest = digest
 	r.pushes++
 	return entries, nil
 }
+
+// Digest returns the digest of the list the last successful Decode
+// returned.
+func (r *SqueezeReceiver) Digest() uint64 { return r.digest }
 
 // squeezeStream is one (shard, vol) stream's sending history on one
 // session of an Initiator. Its fields other than tx are guarded by
@@ -322,16 +397,17 @@ func (i *Initiator) settleSqueeze(st *squeezeStream, squeezed, took bool) {
 }
 
 // ReplicaWriteSqueezed is ReplicaWriteBatchStream (or, with refs set,
-// ReplicaWriteByRef) with the entries' by-value CodecZRL frames
-// compressed as one segment against the (vol, shard) stream's history
-// on this session (see the top of squeeze.go), and it also returns the
-// data-segment bytes the push put on the wire. The list ships plain —
-// the same PDU the plain verb sends, multi-entry framing even for one
-// entry — when nothing in it is for the stream, when squeezing did not
-// make it smaller, or when another push of the stream's is in flight: a
-// stream's squeezed pushes are meant to go one at a time, as an async
-// pipe's do. A push the target refuses as built on a stale history is
-// re-shipped once, fresh.
+// ReplicaWriteByRef) with the entry list compressed as one segment
+// against the (vol, shard) stream's history on this session (see the
+// top of squeeze.go), and it also returns the data-segment bytes the
+// push put on the wire. The list ships plain — the same PDU the plain
+// verb sends, multi-entry framing even for one entry — when squeezing
+// did not make it smaller, or when another push of the stream's is in
+// flight: a stream's squeezed pushes are meant to go one at a time, as
+// an async pipe's do. A push the target refuses as built on a stale
+// history is re-shipped once, fresh; one it answers StatusUnverified
+// entry by entry is re-shipped once, plain, and the bytes returned
+// count both pushes.
 func (i *Initiator) ReplicaWriteSqueezed(mode, shard uint8, vol uint16, entries []BatchEntry, refs bool) ([]Status, int, error) {
 	if len(entries) == 0 {
 		return nil, 0, fmt.Errorf("iscsi: empty squeezed push")
@@ -374,7 +450,11 @@ func (i *Initiator) ReplicaWriteSqueezed(mode, shard uint8, vol uint16, entries 
 			return nil, 0, fmt.Errorf("%w: squeezed %v of %d: %v", ErrStatus, op, len(entries), resp.Status)
 		}
 		statuses, err := DecodeBatchStatuses(resp.Data, len(entries))
-		return statuses, sent, err
+		if err != nil || !squeezed || slices.ContainsFunc(statuses, func(s Status) bool { return s != StatusUnverified }) {
+			return statuses, sent, err
+		}
+		statuses, err = i.pushEntryList(PDU{Op: op, Mode: mode, Shard: shard, Vol: vol}, entries)
+		return statuses, sent + BatchWireLen(entries), err
 	}
 }
 
@@ -408,8 +488,8 @@ func (i *Initiator) ResetSqueeze(shard uint8, vol uint16) {
 const maxSqueezeStreams = 64
 
 // unsqueeze decodes the squeezed list rq holds against its stream's
-// history on this session.
-func (rq *request) unsqueeze(refs bool) ([]BatchEntry, error) {
+// history on this session, and returns its entries and digest.
+func (rq *request) unsqueeze(refs bool) ([]BatchEntry, uint64, error) {
 	pdu := &rq.pdu
 	key := streamID(pdu.Shard, pdu.Vol)
 	if rq.squeeze == nil {
@@ -422,7 +502,8 @@ func (rq *request) unsqueeze(refs bool) ([]BatchEntry, error) {
 	}
 	rq.squeezed++
 	rx.used = rq.squeezed
-	return rx.Decode(rq.entries, pdu.Data, pdu.Seq, refs)
+	entries, err := rx.Decode(rq.entries, pdu.Data, pdu.Seq, refs)
+	return entries, rx.digest, err
 }
 
 // evictSqueeze returns a receiver with no history for a stream new to

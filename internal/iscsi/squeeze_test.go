@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"net"
+	"slices"
 	"testing"
 
 	"prins/internal/xcode"
@@ -15,8 +16,8 @@ import (
 
 // squeezeEntries builds n entries from push p of a stream whose frames
 // are CodecZRL parities with prose-like literals that repeat across
-// pushes (a working set's rows), plus one raw-floored frame, which stays
-// inline, and one reference when refs is set.
+// pushes (a working set's rows), plus one raw-floored frame and, when
+// refs is set, one reference.
 func squeezeEntries(t testing.TB, p, n int, refs bool) []BatchEntry {
 	t.Helper()
 	const words = "warehouse district customer order line stock item history payment "
@@ -41,8 +42,23 @@ func squeezeEntries(t testing.TB, p, n int, refs bool) []BatchEntry {
 	return entries
 }
 
+// listDigest is the digest a squeezed list of entries carries: the
+// hash of its by-value entries' checks, 8 bytes big-endian each, in
+// entry order.
+func listDigest(entries []BatchEntry) uint64 {
+	var in []byte
+	for _, e := range entries {
+		if !e.ByRef() {
+			in = binary.BigEndian.AppendUint64(in, e.check())
+		}
+	}
+	return HashBlock(in)
+}
+
 // pushSqueezed encodes entries on tx and decodes them on rx, as the two
-// ends of a session would, and checks the list survives intact.
+// ends of a session would, and checks the list survives intact: every
+// entry's seq, LBA and streamed frame, a reference's hash, no hash for
+// a by-value entry, and the list's digest.
 func pushSqueezed(t *testing.T, tx *SqueezeSender, rx *SqueezeReceiver, entries []BatchEntry, refs bool) (seg []byte, tag uint64) {
 	t.Helper()
 	seg, tag, ok, err := tx.Encode(entries, refs)
@@ -57,19 +73,26 @@ func pushSqueezed(t *testing.T, tx *SqueezeSender, rx *SqueezeReceiver, entries 
 	if len(got) != len(entries) {
 		t.Fatalf("%d entries decoded, %d sent", len(got), len(entries))
 	}
-	for k := range got {
-		if got[k].Seq != entries[k].Seq || got[k].LBA != entries[k].LBA || got[k].Hash != entries[k].Hash || !bytes.Equal(got[k].Frame, entries[k].Frame) {
-			t.Fatalf("entry %d: got %+v, sent %+v", k, got[k], entries[k])
+	for k, e := range entries {
+		hash := uint64(0)
+		if e.ByRef() {
+			hash = e.Hash
 		}
+		if got[k].Seq != e.Seq || got[k].LBA != e.LBA || got[k].Hash != hash || !bytes.Equal(got[k].Frame, e.InStream()) {
+			t.Fatalf("entry %d: got %+v, sent %+v", k, got[k], e)
+		}
+	}
+	if rx.Digest() != listDigest(entries) {
+		t.Fatalf("digest %x, want %x", rx.Digest(), listDigest(entries))
 	}
 	return seg, tag
 }
 
 // TestSqueezeListRoundTrip: a stream's squeezed lists decode to exactly
-// the entries sent, references and inline frames included; the tags
-// count the pushes; a push primed with the stream's history ships in
-// fewer bytes than the same push would fresh; and a list with nothing
-// for the stream is left to ship plain.
+// the entries sent, references and raw-floored frames included; the
+// tags count the pushes; a push primed with the stream's history ships
+// in fewer bytes than the same push would fresh; and a list too short
+// to shrink is left to ship plain.
 func TestSqueezeListRoundTrip(t *testing.T) {
 	for _, refs := range []bool{false, true} {
 		t.Run(fmt.Sprintf("refs=%v", refs), func(t *testing.T) {
@@ -101,15 +124,18 @@ func TestSqueezeListRoundTrip(t *testing.T) {
 	var tx SqueezeSender
 	raw := []BatchEntry{{Seq: 1, LBA: 2, Hash: 3, Frame: []byte{byte(xcode.CodecRaw), 1, 2}}, {Seq: 2, LBA: 3, Hash: 4}}
 	if _, _, ok, err := tx.Encode(raw, true); ok || err != nil {
-		t.Errorf("a list with nothing for the stream: ok %v, %v; want it left plain", ok, err)
+		t.Errorf("a list of a reference and a 3-byte frame: ok %v, %v; want it left plain", ok, err)
+	}
+	if _, _, ok, err := tx.Encode(squeezeEntries(t, 0, 6, true), false); ok || err != nil {
+		t.Errorf("a by-value list with an entry of no frame: ok %v, %v; want it left plain", ok, err)
 	}
 }
 
 // TestSqueezeMaskList: an entry with a masked twin streams the twin in
-// its frame's place and its check in its hash's, so the target decodes
-// the twin and the check; entries without one, references and inline
-// frames ship as before; a frame that is itself a mask streams too; and
-// the plain encodings ignore masks.
+// its frame's place, and the list's digest folds the twin's check in
+// its hash's place; entries without one, references and raw-floored
+// frames ship as before; a frame that is itself a mask streams as it
+// is; and the plain encodings ignore masks.
 func TestSqueezeMaskList(t *testing.T) {
 	entries := squeezeEntries(t, 0, 6, true)
 	masked := map[int]bool{0: true, 3: true}
@@ -129,37 +155,24 @@ func TestSqueezeMaskList(t *testing.T) {
 	}
 	var tx SqueezeSender
 	var rx SqueezeReceiver
-	seg, tag, ok, err := tx.Encode(entries, true)
-	if err != nil || !ok {
-		t.Fatalf("encode: ok %v, %v", ok, err)
-	}
-	got, err := rx.Decode(nil, append([]byte(nil), seg...), tag, true)
-	if err != nil {
-		t.Fatal(err)
-	}
+	pushSqueezed(t, &tx, &rx, entries, true)
+	unmasked := make([]BatchEntry, len(entries))
 	for k, e := range entries {
-		wantFrame, wantHash := e.Frame, e.Hash
-		if masked[k] {
-			wantFrame, wantHash = e.Mask, e.Check
-		}
-		if got[k].Hash != wantHash || !bytes.Equal(got[k].Frame, wantFrame) || got[k].Mask != nil {
-			t.Errorf("entry %d (masked %v): decoded hash %x, frame %d bytes; want %x, %d bytes", k, masked[k], got[k].Hash, len(got[k].Frame), wantHash, len(wantFrame))
-		}
+		unmasked[k] = BatchEntry{Seq: e.Seq, LBA: e.LBA, Hash: e.Hash, Frame: e.Frame}
+	}
+	if listDigest(unmasked) == listDigest(entries) {
+		t.Error("the digest does not fold the twins' checks")
 	}
 
 	maskFrame := BatchEntry{Frame: entries[0].Mask}
-	if !maskFrame.Streamed() || !bytes.Equal(maskFrame.InStream(), entries[0].Mask) {
-		t.Error("a mask frame does not go in the stream")
-	}
-	bare := make([]BatchEntry, len(entries))
-	for k, e := range entries {
-		bare[k] = BatchEntry{Seq: e.Seq, LBA: e.LBA, Hash: e.Hash, Frame: e.Frame}
+	if !bytes.Equal(maskFrame.InStream(), entries[0].Mask) {
+		t.Error("a mask frame does not stream as it is")
 	}
 	withMasks, err := EncodeByRef(entries)
 	if err != nil {
 		t.Fatal(err)
 	}
-	without, err := EncodeByRef(bare)
+	without, err := EncodeByRef(unmasked)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,11 +218,35 @@ func TestSqueezeStaleHistoryRefused(t *testing.T) {
 	pushSqueezed(t, &tx, &rx, squeezeEntries(t, 4, 8, false), false)
 }
 
+// squeezedList lays out a squeezed list by hand: its count, plaintext
+// length and digest, and a fresh stream segment that rebuilds plain,
+// whatever it holds.
+func squeezedList(t *testing.T, count, plainLen int, plain []byte) []byte {
+	t.Helper()
+	var def xcode.StreamDeflater
+	seg := binary.AppendUvarint(nil, uint64(count))
+	seg = binary.AppendUvarint(seg, uint64(plainLen))
+	seg = binary.BigEndian.AppendUint64(seg, 0xD16E57)
+	if err := def.Start(seg); err != nil {
+		t.Fatal(err)
+	}
+	if err := def.Write(plain); err != nil {
+		t.Fatal(err)
+	}
+	seg, err := def.End()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return seg
+}
+
 // TestSqueezeDecodeStrict: the squeezed-list decoder refuses, as
-// ErrBadFrame or ErrShortFrame and before allocating for them, streams
-// declared larger than their segment could carry; refuses truncated and
-// trailing stream bytes and an in-stream entry of no length; and never
-// inflates past what was declared.
+// ErrBadFrame or ErrShortFrame and before allocating for them, counts
+// and plaintexts declared beyond the protocol's bounds or beyond what
+// their plaintext could hold; refuses truncated and trailing segment
+// bytes and a segment that rebuilds another length than declared; and
+// parses the plaintext as strictly as a plain list: no trailing bytes,
+// no reference in a by-value list, no reference without a hash.
 func TestSqueezeDecodeStrict(t *testing.T) {
 	var tx SqueezeSender
 	entries := squeezeEntries(t, 0, 6, false)
@@ -218,42 +255,48 @@ func TestSqueezeDecodeStrict(t *testing.T) {
 		t.Fatal(ok, err)
 	}
 	seg = append([]byte(nil), seg...)
-	meta, _ := entryListSize(entries) // the headers run as long in both forms for these frames
-	inline := len(entries[len(entries)-1].Frame)
-	stream := meta + inline
+	count, n := binary.Uvarint(seg)
+	plainLen, w := binary.Uvarint(seg[n:])
+	head := n + w + HashSize // the segment starts here
+	plain := AppendStream(nil, entries, MaxDataSegment)
+	if count != 6 || int(plainLen) != len(plain) {
+		t.Fatalf("list declares %d entries in %d bytes, want 6 in %d", count, plainLen, len(plain))
+	}
 
 	cases := map[string][]byte{
-		"truncated stream":   seg[:len(seg)-1],
-		"stream cut to sync": append(append([]byte(nil), seg[:stream+2]...), 0, 0, 0xff, 0xff),
-		"trailing byte":      append(append([]byte(nil), seg...), 0),
-		"trailing garbage":   append(append([]byte(nil), seg...), 0xff, 0, 0, 0xff, 0xff),
-		"no stream":          seg[:stream],
+		"truncated stream":                seg[:len(seg)-1],
+		"stream cut to sync":              append(append([]byte(nil), seg[:head+2]...), 0, 0, 0xff, 0xff),
+		"trailing byte":                   append(append([]byte(nil), seg...), 0),
+		"trailing garbage":                append(append([]byte(nil), seg...), 0xff, 0, 0, 0xff, 0xff),
+		"no stream":                       seg[:head],
+		"no digest":                       seg[:n+w+3],
+		"no count":                        nil,
+		"count of zero":                   squeezedList(t, 0, len(plain), plain),
+		"count over the cap":              squeezedList(t, MaxBatchFrames+1, len(plain), plain),
+		"count past the plaintext's room": squeezedList(t, len(plain)/minPlainEntryLen+1, len(plain), plain),
+		"plaintext over MaxDataSegment":   squeezedList(t, 6, MaxDataSegment+1, plain),
+		"plaintext declared one longer":   squeezedList(t, 6, len(plain)+1, plain),
+		"plaintext declared one shorter":  squeezedList(t, 6, len(plain)-1, plain),
+		"fewer entries than declared":     squeezedList(t, 7, len(plain), plain),
+		"more entries than declared":      squeezedList(t, 5, len(plain), plain),
 	}
-	// One more byte declared for the first frame than the stream holds,
-	// and one fewer.
-	for name, delta := range map[string]int{"stream longer than declared": -1, "stream shorter than declared": 1} {
-		mut := append([]byte(nil), seg...)
-		lenAt := 1 + 1 + 1 + HashSize // count, seq, lba, hash of entry 0
-		n, w := binary.Uvarint(mut[lenAt:])
-		fixed := binary.AppendUvarint(nil, uint64(int(n>>1)+delta)<<1|1)
-		if len(fixed) != w {
-			t.Fatalf("%s: length varint changed size", name)
-		}
-		copy(mut[lenAt:], fixed)
-		cases[name] = mut
-	}
-	// An in-stream entry of zero length.
-	cases["in-stream entry of zero length"] = zeroStreamList([]BatchEntry{{Seq: 1, LBA: 1, Hash: 1}})
-	// A stream declared far beyond what its segment could carry.
+	// A reference in a by-value list, and one without a hash.
+	ref := AppendStream(nil, []BatchEntry{{Seq: 1, LBA: 1, Hash: 9}}, 0)
+	cases["reference in a by-value list"] = squeezedList(t, 1, len(ref), ref)
+	hashless := AppendStream(nil, []BatchEntry{{Seq: 1, LBA: 1}}, 0)
+	cases["reference without a hash"] = squeezedList(t, 1, len(hashless), hashless)
+	// A plaintext that ends in the middle of an entry.
+	cases["entry cut short"] = squeezedList(t, 6, len(plain)-1, plain[:len(plain)-1])
+	// A list declaring the most plaintext it may, over a segment that
+	// rebuilds nothing.
 	huge := binary.AppendUvarint(nil, 1)
-	huge = append(huge, 2, 2)
+	huge = binary.AppendUvarint(huge, MaxDataSegment)
 	huge = binary.BigEndian.AppendUint64(huge, 9)
-	huge = binary.AppendUvarint(huge, uint64(MaxDataSegment)<<1|1)
 	cases["declared past the ratio bound"] = append(huge, 0, 0, 0, 0xff, 0xff)
 
 	for name, data := range cases {
 		var rx SqueezeReceiver
-		got, err := rx.Decode(nil, data, 1, false)
+		got, err := rx.Decode(nil, data, 1, name == "reference without a hash")
 		if err == nil {
 			t.Errorf("%s: accepted %d entries", name, len(got))
 			continue
@@ -265,35 +308,33 @@ func TestSqueezeDecodeStrict(t *testing.T) {
 			t.Errorf("%s: allocated %d bytes", name, cap(rx.plain))
 		}
 	}
+	var rx SqueezeReceiver
+	if _, err := rx.Decode(nil, seg, 1, false); err != nil {
+		t.Errorf("the intact list: %v", err)
+	}
 }
 
-// zeroStreamList lays entries out as a squeezed list whose entries all
-// declare in-stream frames of no length, over an empty stream segment:
-// a hand-built malformed list.
-func zeroStreamList(entries []BatchEntry) []byte {
-	seg := binary.AppendUvarint(nil, uint64(len(entries)))
-	prev := BatchEntry{}
-	for _, e := range entries {
-		seg = binary.AppendVarint(seg, int64(e.Seq-prev.Seq))
-		seg = binary.AppendVarint(seg, int64(e.LBA-prev.LBA))
-		seg = binary.BigEndian.AppendUint64(seg, e.Hash)
-		seg = binary.AppendUvarint(seg, 1) // frameLen 0, in the stream
-		prev = e
-	}
-	return append(seg, 0, 0, 0, 0xff, 0xff)
+// streamBackend records the stream-tagged pushes a target applied; it
+// cannot verify a squeezed list.
+type streamBackend struct {
+	batchSink
+}
+
+func (s *streamBackend) HandleReplicaBatchStream(mode, shard uint8, vol uint16, entries []BatchEntry) []Status {
+	return s.HandleReplicaBatch(mode, entries)
+}
+
+func (s *streamBackend) HandleReplicaStream(mode, shard uint8, vol uint16, seq, lba, hash uint64, frame []byte) Status {
+	return s.HandleReplica(mode, seq, lba, hash, frame)
 }
 
 // squeezeBackend records what a target applied from squeezed pushes.
 type squeezeBackend struct {
-	batchSink
+	streamBackend
 }
 
-func (s *squeezeBackend) HandleReplicaBatchStream(mode, shard uint8, vol uint16, entries []BatchEntry) []Status {
+func (s *squeezeBackend) HandleReplicaSqueezed(mode, shard uint8, vol uint16, entries []BatchEntry, refs bool, digest uint64) []Status {
 	return s.HandleReplicaBatch(mode, entries)
-}
-
-func (s *squeezeBackend) HandleReplicaStream(mode, shard uint8, vol uint16, seq, lba, hash uint64, frame []byte) Status {
-	return s.HandleReplica(mode, seq, lba, hash, frame)
 }
 
 // TestSqueezedPushOverSession drives squeezed pushes through an
@@ -385,9 +426,11 @@ func TestSqueezedPushOverSession(t *testing.T) {
 
 // FuzzDecodeSqueezed feeds arbitrary segments and tags to a receiver
 // that holds a history: it never panics, never allocates more for the
-// stream than MaxDataSegment or what an accepted push carries, refuses
-// only with the documented sentinels, and whatever it accepts carries
-// exactly the stream bytes it declared.
+// plaintext than MaxDataSegment or what an accepted push carries,
+// refuses only with the documented sentinels, and whatever it accepts
+// parses as a plain list would: no more entries than MaxBatchFrames,
+// frames that fit the plaintext declared, no hashless reference, and a
+// hash on references alone.
 func FuzzDecodeSqueezed(f *testing.F) {
 	var tx SqueezeSender
 	var warm SqueezeReceiver
@@ -409,6 +452,19 @@ func FuzzDecodeSqueezed(f *testing.F) {
 	f.Add(append([]byte(nil), second...), uint64(2), true)
 	f.Add(first[:len(first)-2], uint64(1), false)
 	f.Add(append(countOf(3), make([]byte, 3*minEntryLen-1)...), uint64(1), false)
+	// The new layout's edges: a plaintext declared past MaxDataSegment,
+	// one declared a byte longer than its segment rebuilds, and a list
+	// whose count its plaintext has no room for.
+	count, n := binary.Uvarint(first)
+	plainLen, w := binary.Uvarint(first[n:])
+	relen := func(count, plainLen uint64) []byte {
+		out := binary.AppendUvarint(nil, count)
+		out = binary.AppendUvarint(out, plainLen)
+		return append(out, first[n+w:]...)
+	}
+	f.Add(relen(count, MaxDataSegment+1), uint64(1), false)
+	f.Add(relen(count, plainLen+1), uint64(1), false)
+	f.Add(relen(plainLen/minPlainEntryLen+1, plainLen), uint64(1), false)
 	f.Fuzz(func(t *testing.T, data []byte, tag uint64, refs bool) {
 		var rx SqueezeReceiver
 		if _, err := rx.Decode(nil, first, 1, false); err != nil {
@@ -419,22 +475,26 @@ func FuzzDecodeSqueezed(f *testing.F) {
 			if !errors.Is(err, ErrBadFrame) && !errors.Is(err, ErrShortFrame) && !errors.Is(err, ErrStaleHistory) {
 				t.Fatalf("unexpected error class: %v", err)
 			}
+			if cap(rx.plain) > max(MaxDataSegment, firstLen) {
+				t.Fatalf("a refused push allocated %d bytes", cap(rx.plain))
+			}
 			return
 		}
 		if len(entries) == 0 || len(entries) > MaxBatchFrames {
 			t.Fatalf("accepted %d entries", len(entries))
 		}
-		streamed := 0
-		for _, f := range rx.frames {
-			streamed += f.n
-		}
-		if streamed > MaxDataSegment || cap(rx.plain) > max(streamed, firstLen) {
-			t.Fatalf("streamed %d bytes from a %d-byte segment into %d", streamed, len(data), cap(rx.plain))
-		}
+		frames := 0
 		for _, e := range entries {
-			if refs && e.ByRef() && e.Hash == 0 {
-				t.Fatal("accepted a hashless reference")
+			frames += len(e.Frame)
+			switch {
+			case e.ByRef() && (!refs || e.Hash == 0):
+				t.Fatalf("accepted a reference with hash %x in a list with refs %v", e.Hash, refs)
+			case !e.ByRef() && e.Hash != 0:
+				t.Fatal("accepted a by-value entry with a hash")
 			}
+		}
+		if frames > MaxDataSegment || cap(rx.plain) > max(frames+len(entries)*(3*binary.MaxVarintLen64+HashSize), firstLen) {
+			t.Fatalf("%d frame bytes from a %d-byte segment into %d", frames, len(data), cap(rx.plain))
 		}
 	})
 }
@@ -442,8 +502,8 @@ func FuzzDecodeSqueezed(f *testing.F) {
 // TestSqueezeRepeatPastRatio: a push that repeats an earlier push's
 // frames rebuilds far more than DEFLATE alone could carry in its
 // segment, and decodes byte-exact; a hand-built run-length repeat that
-// would rebuild past the bytes its list declares is refused, leaving the
-// history to decode the next push.
+// would rebuild past the plaintext its list declares is refused,
+// leaving the history to decode the next push.
 func TestSqueezeRepeatPastRatio(t *testing.T) {
 	const words = "warehouse district customer order line stock item history payment "
 	entries := make([]BatchEntry, 8)
@@ -472,12 +532,11 @@ func TestSqueezeRepeatPastRatio(t *testing.T) {
 	}
 	t.Logf("a repeated push of %d stream bytes in a %d-byte data segment", total, len(seg))
 
-	// One in-stream frame of 100 bytes whose segment repeats 'a' a
-	// thousand times from one byte back.
+	// A list declaring 100 bytes of plaintext whose segment repeats 'a'
+	// a thousand times from one byte back.
 	list := binary.AppendUvarint(nil, 1)
-	list = append(list, 2, 2)
+	list = binary.AppendUvarint(list, 100)
 	list = binary.BigEndian.AppendUint64(list, 9)
-	list = binary.AppendUvarint(list, 100<<1|1)
 	run := bytes.Repeat([]byte{'a'}, 1001)
 	body := binary.BigEndian.AppendUint32(nil, crc32.Checksum(run, crc32.MakeTable(crc32.Castagnoli)))
 	body = append(body, 1, 1)                         // one repeat, one literal before it
@@ -512,6 +571,10 @@ func (b *imageBackend) HandleReplicaBatchStream(mode, shard uint8, vol uint16, e
 		statuses[k] = b.HandleReplicaStream(mode, shard, vol, e.Seq, e.LBA, e.Hash, e.Frame)
 	}
 	return statuses
+}
+
+func (b *imageBackend) HandleReplicaSqueezed(mode, shard uint8, vol uint16, entries []BatchEntry, refs bool, digest uint64) []Status {
+	return b.HandleReplicaBatchStream(mode, shard, vol, entries)
 }
 
 func (b *imageBackend) HandleReplicaStream(mode, shard uint8, vol uint16, seq, lba, hash uint64, frame []byte) Status {
@@ -704,5 +767,53 @@ func TestSqueezeStreamCapOverSession(t *testing.T) {
 	init.settleSqueeze(claimed[5], false, false)
 	if st := init.claimSqueeze(s, 0x20000); st != claimed[5] || len(s.squeeze) != maxSqueezeStreams {
 		t.Fatalf("the released history was not taken over (%d held)", len(s.squeeze))
+	}
+}
+
+// TestSqueezeUnverifiedReshipsPlain: a target whose backend cannot
+// verify a squeezed list answers it StatusUnverified entry by entry,
+// and the initiator re-ships it once, plain, inside the same call: its
+// statuses are the plain list's, the bytes reported count both data
+// segments, and the stream's history kept the unverified push, so the
+// next one goes out primed.
+func TestSqueezeUnverifiedReshipsPlain(t *testing.T) {
+	sink := &streamBackend{}
+	init, rec := startRecordedPair(t, sink)
+	const shard, vol = 1, 2
+	for p := range 2 {
+		entries := squeezeEntries(t, p, 8, false)
+		sink.mu.Lock()
+		sink.status = map[uint64]Status{entries[2].LBA: StatusDiverged}
+		sink.mu.Unlock()
+		st, sent, err := init.ReplicaWriteSqueezed(1, shard, vol, entries, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for k, s := range st {
+			if want := map[bool]Status{true: StatusDiverged, false: StatusOK}[k == 2]; s != want {
+				t.Errorf("push %d entry %d: %v, want %v", p, k, s, want)
+			}
+		}
+		wire := rec.take()
+		var tags []uint64
+		data := 0
+		for off := 0; off < len(wire); {
+			n := int(binary.BigEndian.Uint32(wire[off+24:]))
+			tags = append(tags, binary.BigEndian.Uint64(wire[off+28:]))
+			data += n
+			off += headerLen + n
+		}
+		if want := []uint64{uint64(p + 1), 0}; !slices.Equal(tags, want) {
+			t.Errorf("push %d went out with tags %v, want %v: squeezed, then plain", p, tags, want)
+		}
+		if sent != data {
+			t.Errorf("push %d reported %d bytes, %d crossed", p, sent, data)
+		}
+		sink.mu.Lock()
+		got := sink.batches[len(sink.batches)-1]
+		sink.mu.Unlock()
+		if len(got) != len(entries) || got[0].Hash != entries[0].Hash {
+			t.Errorf("push %d: the plain re-ship applied %d entries", p, len(got))
+		}
 	}
 }

@@ -315,7 +315,9 @@ func (rq *request) read(r io.Reader) error {
 // for a malformed segment, and for a by-ref push at a backend without
 // the extension (a reference no content index can materialize must be
 // refused rather than guessed at); StatusStaleHistory for a squeezed
-// list built on a history this end of its stream does not hold.
+// list built on a history this end of its stream does not hold. A
+// squeezed list goes to a SqueezeBackend, which verifies its digest; a
+// backend without one cannot, and every entry is StatusUnverified.
 func (rq *request) applyEntryList(backend Backend) ([]Status, Status) {
 	pdu := &rq.pdu
 	refs := pdu.Op == OpReplicaWriteByRef
@@ -324,11 +326,13 @@ func (rq *request) applyEntryList(backend Backend) ([]Status, Status) {
 		return nil, StatusBadRequest
 	}
 	var entries []BatchEntry
+	var digest uint64
 	var err error
-	if pdu.Seq == 0 {
-		entries, err = decodeEntryList(rq.entries, pdu.Data, refs)
+	squeezed := pdu.Seq != 0
+	if squeezed {
+		entries, digest, err = rq.unsqueeze(refs)
 	} else {
-		entries, err = rq.unsqueeze(refs)
+		entries, err = decodeEntryList(rq.entries, pdu.Data, refs)
 	}
 	switch {
 	case errors.Is(err, ErrStaleHistory):
@@ -337,10 +341,20 @@ func (rq *request) applyEntryList(backend Backend) ([]Status, Status) {
 		return nil, StatusBadRequest
 	}
 	rq.entries = entries
-	if !refs {
-		return applyBatch(backend, pdu.Mode, pdu.Shard, pdu.Vol, entries), StatusOK
+	if squeezed {
+		if sb, ok := backend.(SqueezeBackend); ok {
+			return sb.HandleReplicaSqueezed(pdu.Mode, pdu.Shard, pdu.Vol, entries, refs, digest), StatusOK
+		}
+		statuses := make([]Status, len(entries))
+		for k := range statuses {
+			statuses[k] = StatusUnverified
+		}
+		return statuses, StatusOK
 	}
-	return brb.HandleReplicaByRef(pdu.Mode, pdu.Shard, pdu.Vol, entries), StatusOK
+	if refs {
+		return brb.HandleReplicaByRef(pdu.Mode, pdu.Shard, pdu.Vol, entries), StatusOK
+	}
+	return applyBatch(backend, pdu.Mode, pdu.Shard, pdu.Vol, entries), StatusOK
 }
 
 // ServeConn runs one session on conn until logout, EOF, a protocol

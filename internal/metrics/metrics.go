@@ -45,7 +45,7 @@ const (
 	DedupeMisses    // by-ref pushes refused (ref miss) and fallen back
 	DedupeSaved     // modelled wire bytes saved by shipping by reference
 	AdmitWaits      // runs whose admission to the ship window had to wait
-	Squeezed        // entries delivered in a squeezed list's DEFLATE stream
+	Squeezed        // entries delivered in a squeezed list
 	SqueezeSaved    // their shares of the bytes squeezing took off their pushes
 	SqueezeSwitches // times a pipe's squeeze gate turned on or off
 
@@ -255,14 +255,15 @@ type ReplicaSnapshot struct {
 	// and every in-flight seq inside the replica's dedupe window, costs
 	// a synchronous pipeline. Always zero on an async engine.
 	AdmitWaits int64
-	// Squeezed counts entries this replica acknowledged with their frames
-	// in the DEFLATE stream of a squeezed list, which a backlogged async
-	// pipe ships against its stream's history. SqueezeSavedWire is those
-	// entries' shares of the bytes squeezing took off their pushes: a
-	// push's saving (its plain list's bytes less its squeezed list's) is
-	// split among the frames in its stream in proportion to their
-	// lengths; PayloadBytes already counts each such frame at its length
-	// less its share, and BatchSavedWire excludes this saving.
+	// Squeezed counts entries this replica acknowledged in a squeezed
+	// list, the whole entry list in one DEFLATE stream, which a
+	// backlogged async pipe ships against its stream's history.
+	// SqueezeSavedWire is those entries' shares of the bytes squeezing
+	// took off their pushes: a push's saving (its plain list's bytes less
+	// its squeezed list's) is split among its entries in proportion to
+	// what each cost the plain list, header and frame; PayloadBytes
+	// already counts each by-value frame at its length less its share,
+	// and BatchSavedWire excludes this saving.
 	// SqueezeSwitches is how often a pipe's gate turned squeezing on or
 	// off: on when a probe's list came out smaller, off when a squeezed
 	// list did not (a handful over a pipe's life is the gate finding

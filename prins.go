@@ -649,8 +649,8 @@ type ReplicaStat struct {
 	// DedupeSavedWireBytes is the net data-segment bytes dedupe saved
 	// on this replica's wire, crediting delivered writes only.
 	DedupeSavedWireBytes int64
-	// Squeezed counts entries this replica acknowledged from a squeezed
-	// list's stream (an Async primary's backlog runs; DESIGN.md section
+	// Squeezed counts entries this replica acknowledged in a squeezed
+	// list (an Async primary's backlog runs; DESIGN.md section
 	// 4, "Squeezing a backlog"), SqueezeSavedWireBytes the bytes
 	// squeezing took off their pushes, and SqueezeSwitches how often a
 	// ship pipeline's gate turned squeezing on or off.
