@@ -126,9 +126,9 @@ type wanDelayClient struct {
 	inner core.ReplicaClient
 }
 
-func (c *wanDelayClient) ReplicaWrite(mode uint8, seq, lba, hash uint64, frame []byte) error {
+func (c *wanDelayClient) ReplicaWriteStream(mode, shard uint8, vol uint16, seq, lba, hash uint64, frame []byte) error {
 	time.Sleep(c.delay)
-	return c.inner.ReplicaWrite(mode, seq, lba, hash, frame)
+	return c.inner.ReplicaWriteStream(mode, shard, vol, seq, lba, hash, frame)
 }
 
 // BenchmarkFanoutLatency measures synchronous write latency against 1,
@@ -1045,7 +1045,7 @@ func BenchmarkHotpathApply(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		seq := uint64(i + 1) // odd seqs land newData, even seqs oldData
-		if err := replica.Apply(core.ModePRINS, seq, 3, hashes[seq%2], frame); err != nil {
+		if err := replica.ApplyStream(core.ModePRINS, 0, 0, seq, 3, hashes[seq%2], frame); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -221,7 +221,7 @@ func TestHostileFrameLength(t *testing.T) {
 	if got := testing.AllocsPerRun(20, push); got > 1 {
 		t.Errorf("refusing 64 hostile frames allocates %.1f times, want 1 (the status vector)", got)
 	}
-	if err := rep.Apply(ModePRINS, 1, 0, 0, hostile); !errors.Is(err, block.ErrBadBufSize) {
+	if err := rep.ApplyStream(ModePRINS, 0, 0, 1, 0, 0, hostile); !errors.Is(err, block.ErrBadBufSize) {
 		t.Errorf("single apply: %v, want block.ErrBadBufSize", err)
 	}
 	if got := rep.Traffic().Snapshot().ReplicaWrites; got != 0 {

@@ -55,15 +55,15 @@ func (g *gatedClient) block() {
 	<-g.gate
 }
 
-func (g *gatedClient) ReplicaWrite(mode uint8, seq, lba, hash uint64, frame []byte) error {
+func (g *gatedClient) ReplicaWriteStream(mode, shard uint8, vol uint16, seq, lba, hash uint64, frame []byte) error {
 	g.block()
 	g.mu.Lock()
 	g.singles++
 	g.mu.Unlock()
-	return g.inner.ReplicaWrite(mode, seq, lba, hash, frame)
+	return g.inner.ReplicaWriteStream(mode, shard, vol, seq, lba, hash, frame)
 }
 
-func (g *gatedClient) ReplicaWriteBatch(mode uint8, entries []iscsi.BatchEntry) ([]iscsi.Status, error) {
+func (g *gatedClient) ReplicaWriteBatchStream(mode, shard uint8, vol uint16, entries []iscsi.BatchEntry) ([]iscsi.Status, error) {
 	g.block()
 	copied := make([]iscsi.BatchEntry, len(entries))
 	for i, e := range entries {
@@ -73,14 +73,14 @@ func (g *gatedClient) ReplicaWriteBatch(mode uint8, entries []iscsi.BatchEntry) 
 	g.mu.Lock()
 	g.batches = append(g.batches, copied)
 	g.mu.Unlock()
-	return g.inner.ReplicaWriteBatch(mode, entries)
+	return g.inner.ReplicaWriteBatchStream(mode, shard, vol, entries)
 }
 
 // ReplicaWriteSqueezed records a squeezed push among the batches, its
 // entries with their frames as encoded, and the bytes it shipped.
-func (g *gatedClient) ReplicaWriteSqueezed(mode, shard uint8, vol uint16, entries []iscsi.BatchEntry, refs bool) ([]iscsi.Status, int, error) {
+func (g *gatedClient) ReplicaWriteSqueezed(mode, shard uint8, vol uint16, entries []iscsi.BatchEntry) ([]iscsi.Status, int, error) {
 	g.block()
-	st, sent, err := g.squeeze(mode, shard, vol, entries, refs)
+	st, sent, err := g.squeeze(mode, shard, vol, entries)
 	g.mu.Lock()
 	g.batches = append(g.batches, copyEntries(entries))
 	g.sent = append(g.sent, [2]int{sent, iscsi.BatchWireLen(entries)})
@@ -93,14 +93,11 @@ func (g *gatedClient) ReplicaWriteSqueezed(mode, shard uint8, vol uint16, entrie
 // end decodes, verified against its digest; a list the replica answers
 // unverified is re-shipped plain, as iscsi.Initiator does. The stream's
 // pushes are one at a time, as an async pipe's are.
-func (g *gatedClient) squeeze(mode, shard uint8, vol uint16, entries []iscsi.BatchEntry, refs bool) ([]iscsi.Status, int, error) {
+func (g *gatedClient) squeeze(mode, shard uint8, vol uint16, entries []iscsi.BatchEntry) ([]iscsi.Status, int, error) {
 	plain := func() ([]iscsi.Status, error) {
-		if refs {
-			return g.inner.ReplicaWriteByRef(mode, shard, vol, entries)
-		}
 		return g.inner.ReplicaWriteBatchStream(mode, shard, vol, entries)
 	}
-	seg, tag, ok, err := g.tx.Encode(entries, refs)
+	seg, tag, ok, err := g.tx.Encode(entries)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -108,7 +105,7 @@ func (g *gatedClient) squeeze(mode, shard uint8, vol uint16, entries []iscsi.Bat
 		st, err := plain()
 		return st, iscsi.BatchWireLen(entries), err
 	}
-	decoded, err := g.rx.Decode(g.decoded, seg, tag, refs)
+	decoded, err := g.rx.Decode(g.decoded, seg, tag)
 	if err != nil {
 		g.tx.Reset()
 		return nil, 0, err
@@ -118,7 +115,7 @@ func (g *gatedClient) squeeze(mode, shard uint8, vol uint16, entries []iscsi.Bat
 	g.mu.Lock()
 	g.tags = append(g.tags, tag)
 	g.mu.Unlock()
-	st := g.inner.Replica.HandleReplicaSqueezed(mode, shard, vol, decoded, refs, g.rx.Digest())
+	st := g.inner.Replica.HandleReplicaSqueezed(mode, shard, vol, decoded, g.rx.Digest())
 	if slices.ContainsFunc(st, func(s iscsi.Status) bool { return s != iscsi.StatusUnverified }) {
 		return st, len(seg), nil
 	}
@@ -339,12 +336,12 @@ func TestBatchMixedResultMarksOnlyDivergedDirty(t *testing.T) {
 // pre-batching replica client.
 type singleOnlyClient struct{ inner *Loopback }
 
-func (c *singleOnlyClient) ReplicaWrite(mode uint8, seq, lba, hash uint64, frame []byte) error {
-	return c.inner.ReplicaWrite(mode, seq, lba, hash, frame)
+func (c *singleOnlyClient) ReplicaWriteStream(mode, shard uint8, vol uint16, seq, lba, hash uint64, frame []byte) error {
+	return c.inner.ReplicaWriteStream(mode, shard, vol, seq, lba, hash, frame)
 }
 
 // TestBatchFallsBackForSingleFrameClients: a client without
-// ReplicaWriteBatch keeps the v3 single-frame ship path even with
+// ReplicaWriteBatchStream keeps the v3 single-frame ship path even with
 // batching configured, and still converges.
 func TestBatchFallsBackForSingleFrameClients(t *testing.T) {
 	const bs, nb = 512, 32

@@ -102,7 +102,7 @@ type seqCheckClient struct {
 	calls      int
 }
 
-func (c *seqCheckClient) ReplicaWrite(mode uint8, seq, lba, hash uint64, frame []byte) error {
+func (c *seqCheckClient) ReplicaWriteStream(mode, shard uint8, vol uint16, seq, lba, hash uint64, frame []byte) error {
 	c.mu.Lock()
 	if seq <= c.last {
 		c.violations++
@@ -110,7 +110,7 @@ func (c *seqCheckClient) ReplicaWrite(mode uint8, seq, lba, hash uint64, frame [
 	c.last = seq
 	c.calls++
 	c.mu.Unlock()
-	return c.inner.ReplicaWrite(mode, seq, lba, hash, frame)
+	return c.inner.ReplicaWriteStream(mode, shard, vol, seq, lba, hash, frame)
 }
 
 func (c *seqCheckClient) stats() (violations, calls int) {
@@ -217,10 +217,10 @@ type gateClient struct {
 	release chan struct{} // close to let all deliveries proceed
 }
 
-func (g *gateClient) ReplicaWrite(mode uint8, seq, lba, hash uint64, frame []byte) error {
+func (g *gateClient) ReplicaWriteStream(mode, shard uint8, vol uint16, seq, lba, hash uint64, frame []byte) error {
 	g.arrived <- struct{}{}
 	<-g.release
-	return g.inner.ReplicaWrite(mode, seq, lba, hash, frame)
+	return g.inner.ReplicaWriteStream(mode, shard, vol, seq, lba, hash, frame)
 }
 
 // TestSyncShipsFanOutInParallel proves the tentpole property without

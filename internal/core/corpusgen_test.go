@@ -20,7 +20,7 @@ type capturingClient struct {
 	pdus   [][]byte
 }
 
-func (c *capturingClient) ReplicaWrite(mode uint8, seq, lba, hash uint64, frame []byte) error {
+func (c *capturingClient) ReplicaWriteStream(mode, shard uint8, vol uint16, seq, lba, hash uint64, frame []byte) error {
 	cp := append([]byte(nil), frame...)
 	c.frames = append(c.frames, cp)
 	var buf bytes.Buffer
@@ -29,7 +29,7 @@ func (c *capturingClient) ReplicaWrite(mode uint8, seq, lba, hash uint64, frame 
 	if _, err := p.WriteTo(&buf); err == nil {
 		c.pdus = append(c.pdus, buf.Bytes())
 	}
-	return c.inner.ReplicaWrite(mode, seq, lba, hash, frame)
+	return c.inner.ReplicaWriteStream(mode, shard, vol, seq, lba, hash, frame)
 }
 
 // writeCorpusFile emits one seed in the "go test fuzz v1" format the

@@ -19,20 +19,6 @@ type downClient struct {
 	down  atomic.Bool
 }
 
-func (c *downClient) ReplicaWrite(mode uint8, seq, lba, hash uint64, frame []byte) error {
-	if c.down.Load() {
-		return errDown
-	}
-	return c.inner.ReplicaWrite(mode, seq, lba, hash, frame)
-}
-
-func (c *downClient) ReplicaWriteBatch(mode uint8, entries []iscsi.BatchEntry) ([]iscsi.Status, error) {
-	if c.down.Load() {
-		return nil, errDown
-	}
-	return c.inner.ReplicaWriteBatch(mode, entries)
-}
-
 func (c *downClient) ReplicaWriteStream(mode, shard uint8, vol uint16, seq, lba, hash uint64, frame []byte) error {
 	if c.down.Load() {
 		return errDown

@@ -3,6 +3,7 @@ package core
 import (
 	"math/rand"
 	"net"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -12,9 +13,10 @@ import (
 	"prins/internal/resync"
 )
 
-// byrefGated extends the gated loopback client with the by-ref side,
-// so a test can pile a deterministic backlog behind the gate and watch
-// exactly which deliveries go out as references.
+// byrefGated is the gated loopback client that records the lists that
+// carry a reference apart from the others, so a test can pile a
+// deterministic backlog behind the gate and watch exactly which
+// deliveries go out as references.
 type byrefGated struct {
 	gatedClient
 	byrefs [][]iscsi.BatchEntry
@@ -28,7 +30,15 @@ func newByrefGated(r *ReplicaEngine) *byrefGated {
 	}}
 }
 
-func (g *byrefGated) ReplicaWriteByRef(mode, shard uint8, vol uint16, entries []iscsi.BatchEntry) ([]iscsi.Status, error) {
+// hasRef reports whether a list carries a reference.
+func hasRef(entries []iscsi.BatchEntry) bool {
+	return slices.ContainsFunc(entries, func(e iscsi.BatchEntry) bool { return e.ByRef() })
+}
+
+func (g *byrefGated) ReplicaWriteBatchStream(mode, shard uint8, vol uint16, entries []iscsi.BatchEntry) ([]iscsi.Status, error) {
+	if !hasRef(entries) {
+		return g.gatedClient.ReplicaWriteBatchStream(mode, shard, vol, entries)
+	}
 	g.block()
 	copied := make([]iscsi.BatchEntry, len(entries))
 	for i, e := range entries {
@@ -38,17 +48,17 @@ func (g *byrefGated) ReplicaWriteByRef(mode, shard uint8, vol uint16, entries []
 	g.mu.Lock()
 	g.byrefs = append(g.byrefs, copied)
 	g.mu.Unlock()
-	return g.inner.ReplicaWriteByRef(mode, shard, vol, entries)
+	return g.inner.ReplicaWriteBatchStream(mode, shard, vol, entries)
 }
 
 // ReplicaWriteSqueezed records a squeezed by-ref push among the by-ref
 // pushes (a by-value one among the batches, as gatedClient does).
-func (g *byrefGated) ReplicaWriteSqueezed(mode, shard uint8, vol uint16, entries []iscsi.BatchEntry, refs bool) ([]iscsi.Status, int, error) {
-	if !refs {
-		return g.gatedClient.ReplicaWriteSqueezed(mode, shard, vol, entries, refs)
+func (g *byrefGated) ReplicaWriteSqueezed(mode, shard uint8, vol uint16, entries []iscsi.BatchEntry) ([]iscsi.Status, int, error) {
+	if !hasRef(entries) {
+		return g.gatedClient.ReplicaWriteSqueezed(mode, shard, vol, entries)
 	}
 	g.block()
-	st, sent, err := g.squeeze(mode, shard, vol, entries, refs)
+	st, sent, err := g.squeeze(mode, shard, vol, entries)
 	g.mu.Lock()
 	g.byrefs = append(g.byrefs, copyEntries(entries))
 	g.sent = append(g.sent, [2]int{sent, iscsi.BatchWireLen(entries)})
@@ -57,7 +67,7 @@ func (g *byrefGated) ReplicaWriteSqueezed(mode, shard uint8, vol uint16, entries
 }
 
 // byrefPair builds a PRINS async dedupe engine whose single replica
-// sits behind a gated by-ref-capable loopback client.
+// sits behind a gated loopback client that tells by-ref lists apart.
 func byrefPair(t *testing.T, cfg Config, bs int, nb uint64) (*Engine, *ReplicaEngine, block.Store, block.Store, *byrefGated) {
 	t.Helper()
 	primaryStore, err := block.NewMem(bs, nb)
@@ -275,19 +285,17 @@ func (c *scriptedByRef) record(dst *[][]iscsi.BatchEntry, entries []iscsi.BatchE
 	c.mu.Unlock()
 }
 
-func (c *scriptedByRef) ReplicaWrite(mode uint8, seq, lba, hash uint64, frame []byte) error {
+func (c *scriptedByRef) ReplicaWriteStream(uint8, uint8, uint16, uint64, uint64, uint64, []byte) error {
 	c.block()
 	return nil
 }
 
-func (c *scriptedByRef) ReplicaWriteBatch(mode uint8, entries []iscsi.BatchEntry) ([]iscsi.Status, error) {
+func (c *scriptedByRef) ReplicaWriteBatchStream(mode, shard uint8, vol uint16, entries []iscsi.BatchEntry) ([]iscsi.Status, error) {
 	c.block()
-	c.record(&c.batches, entries)
-	return make([]iscsi.Status, len(entries)), nil // all OK
-}
-
-func (c *scriptedByRef) ReplicaWriteByRef(mode, shard uint8, vol uint16, entries []iscsi.BatchEntry) ([]iscsi.Status, error) {
-	c.block()
+	if !hasRef(entries) {
+		c.record(&c.batches, entries)
+		return make([]iscsi.Status, len(entries)), nil // all OK
+	}
 	c.record(&c.byrefs, entries)
 	statuses := make([]iscsi.Status, len(entries))
 	for k := range entries {
@@ -407,7 +415,7 @@ func TestDedupeSavedWireMixedStatuses(t *testing.T) {
 }
 
 // TestDedupeIndexGating: the primary-side index only exists where the
-// fast path can work — a by-ref-capable client, outside group mode.
+// fast path can work — a client that ships entry lists, outside group mode.
 func TestDedupeIndexGating(t *testing.T) {
 	newStore := func() block.Store {
 		s, err := block.NewMem(512, 16)

@@ -18,49 +18,40 @@ import (
 
 // ReplicaClient transports one encoded replication frame to a replica
 // node. iscsi.Initiator implements it for remote replicas; Loopback
-// implements it in-process for tests and benchmarks. hash is the
-// content hash of the decoded new block (iscsi.HashBlock); zero means
-// the primary did not verify and the replica applies unchecked.
+// implements it in-process for tests and benchmarks. The push carries
+// the (vol, shard) replication stream it belongs to, and the replica
+// dedupes per stream; an untagged push is stream (0, 0), byte for byte.
+// hash is the content hash of the decoded new block (iscsi.HashBlock);
+// zero means the primary did not verify and the replica applies
+// unchecked.
 type ReplicaClient interface {
-	ReplicaWrite(mode uint8, seq, lba, hash uint64, frame []byte) error
+	ReplicaWriteStream(mode, shard uint8, vol uint16, seq, lba, hash uint64, frame []byte) error
 }
 
 var _ ReplicaClient = (*iscsi.Initiator)(nil)
 
-// BatchReplicaClient is the optional batching extension of
-// ReplicaClient: ship several frames in one round trip and get one
-// status per entry back, so a single diverged block cannot fail its
-// batch-mates. iscsi.Initiator and Loopback implement it; the pipeline
-// falls back to single-frame shipping for clients that don't.
-type BatchReplicaClient interface {
-	ReplicaClient
-	ReplicaWriteBatch(mode uint8, entries []iscsi.BatchEntry) ([]iscsi.Status, error)
-}
-
-var _ BatchReplicaClient = (*iscsi.Initiator)(nil)
-
-// StreamReplicaClient is the stream-tagging extension of
-// ReplicaClient: a push carries the (vol, shard) replication stream it
-// belongs to, and the replica dedupes per stream. A sharded or
-// multi-volume engine requires it — interleaving independent per-shard
-// seq spaces into a replica's single dedupe window would silently drop
-// frames — so AttachReplica refuses plain clients when the engine has
-// more than one shard or a nonzero volume id.
-type StreamReplicaClient interface {
-	ReplicaClient
-	ReplicaWriteStream(mode, shard uint8, vol uint16, seq, lba, hash uint64, frame []byte) error
-}
-
-var _ StreamReplicaClient = (*iscsi.Initiator)(nil)
-
-// StreamBatchReplicaClient combines stream tagging with batching: one
-// wire batch whose entries all belong to one (vol, shard) stream.
+// StreamBatchReplicaClient is the entry-list extension of
+// ReplicaClient: ship several entries of one (vol, shard) stream in one
+// round trip and get one status per entry back, so a single diverged
+// block cannot fail its batch-mates. Any entry may be a reference —
+// no frame, its content hash the payload — for content the replica is
+// believed to already hold; StatusRefMiss marks references the replica
+// could not resolve (the primary re-ships those by value). The
+// pipeline ships single frames, and keeps no dedupe index, for clients
+// without it.
 type StreamBatchReplicaClient interface {
-	StreamReplicaClient
+	ReplicaClient
 	ReplicaWriteBatchStream(mode, shard uint8, vol uint16, entries []iscsi.BatchEntry) ([]iscsi.Status, error)
 }
 
 var _ StreamBatchReplicaClient = (*iscsi.Initiator)(nil)
+
+// BatchReplicaClient and ByRefReplicaClient are StreamBatchReplicaClient
+// under its old names, kept only for the benchmark module.
+type (
+	BatchReplicaClient = StreamBatchReplicaClient
+	ByRefReplicaClient = StreamBatchReplicaClient
+)
 
 // FramedReplicaClient is the zero-copy extension of ReplicaClient: the
 // engine hands over the pre-assembled PDU — iscsi.FrameHeadroom
@@ -69,28 +60,13 @@ var _ StreamBatchReplicaClient = (*iscsi.Initiator)(nil)
 // single-frame ship performs no staging copy of the frame. The client
 // overwrites the headroom bytes, so the pipeline only takes this path
 // while it holds the buffer exclusively. The wire bytes are identical
-// to ReplicaWriteStream (v3 framing for a zero shard/vol tag).
+// to ReplicaWriteStream.
 type FramedReplicaClient interface {
 	ReplicaClient
 	ReplicaWriteFramed(mode, shard uint8, vol uint16, seq, lba, hash uint64, pdu []byte) error
 }
 
 var _ FramedReplicaClient = (*iscsi.Initiator)(nil)
-
-// ByRefReplicaClient is the content-addressed extension of
-// ReplicaClient: ship a mixed by-ref/by-value batch for one (vol,
-// shard) stream — entries whose content the replica is believed to
-// already hold travel as references, entry headers alone, instead of
-// frames — and get one status per entry back, StatusRefMiss marking
-// references the replica could not resolve (the primary re-ships those
-// by value).
-// The dedupe fast path engages only for clients that implement it.
-type ByRefReplicaClient interface {
-	ReplicaClient
-	ReplicaWriteByRef(mode, shard uint8, vol uint16, entries []iscsi.BatchEntry) ([]iscsi.Status, error)
-}
-
-var _ ByRefReplicaClient = (*iscsi.Initiator)(nil)
 
 // SqueezeReplicaClient is the compressing extension of an entry-list
 // client: ship a list as one DEFLATE segment primed with what the
@@ -105,7 +81,7 @@ var _ ByRefReplicaClient = (*iscsi.Initiator)(nil)
 // shipper, the only caller, has one push in flight.
 type SqueezeReplicaClient interface {
 	ReplicaClient
-	ReplicaWriteSqueezed(mode, shard uint8, vol uint16, entries []iscsi.BatchEntry, refs bool) (statuses []iscsi.Status, sent int, err error)
+	ReplicaWriteSqueezed(mode, shard uint8, vol uint16, entries []iscsi.BatchEntry) (statuses []iscsi.Status, sent int, err error)
 	ResetSqueeze(shard uint8, vol uint16)
 }
 
@@ -190,7 +166,7 @@ type Config struct {
 	// forms batches. Zero means the default (32); 1 disables batching
 	// entirely (every frame ships as a single-frame op, byte-identical
 	// to the pre-batching wire format). Ignored for replica clients
-	// that do not implement BatchReplicaClient.
+	// that do not implement StreamBatchReplicaClient.
 	BatchFrames int
 	// Shards splits the device into that many contiguous LBA ranges,
 	// each with its own write lock, sequence space, dirty maps, and
@@ -198,16 +174,14 @@ type Config struct {
 	// contend. Same-LBA ordering is preserved (an LBA always maps to
 	// the same shard); cross-shard ordering is undefined, which is safe
 	// because shards own disjoint LBA ranges. Zero or one keeps the
-	// historical single-lock engine with untagged wire framing; more
-	// than one requires stream-capable replica clients (see
-	// StreamReplicaClient). Maximum MaxShards.
+	// historical single-lock engine with untagged wire framing (stream
+	// (0, 0)). Maximum MaxShards.
 	Shards int
 	// Volume tags every replication stream this engine ships with a
 	// volume id, so several logical volumes can multiplex their pushes
 	// over one shared replica session (see VolumeManager). Zero — the
 	// default for a standalone engine — leaves single-shard framing
-	// untagged and wire-compatible with pre-sharding peers; nonzero
-	// requires stream-capable replica clients.
+	// untagged and wire-compatible with pre-sharding peers.
 	Volume uint16
 	// Group, when set (N > 0), runs the engine in GroupMode: writes are
 	// RS-striped K-of-N across the replica set with quorum commit and
@@ -215,11 +189,12 @@ type Config struct {
 	Group GroupConfig
 	// DedupeEntries enables the content-addressed ship-by-reference
 	// fast path and bounds the per-replica index backing it: for each
-	// attached by-ref-capable replica the engine tracks up to this many
-	// (lba -> content hash) pairs it believes the replica holds, fed by
-	// acknowledged ships and resync scans. A batched ship whose entry's
-	// content hash is already indexed sends a reference, its entry
-	// header alone, instead of the parity frame (wire protocol v8); a
+	// attached replica whose client ships entry lists the engine tracks
+	// up to this many (lba -> content hash) pairs it believes the
+	// replica holds, fed by acknowledged ships and resync scans. A
+	// batched ship whose entry's content hash is already indexed sends
+	// a reference, its entry header alone, instead of the parity frame
+	// (wire protocol v8); a
 	// replica-side miss falls back to re-shipping the frame, so
 	// correctness never depends on the index. Zero (the default)
 	// disables the fast path entirely; the index is advisory and
@@ -265,10 +240,6 @@ func (c Config) Validate() error {
 
 // ErrEngineClosed is returned for writes after Close.
 var ErrEngineClosed = errors.New("core: engine closed")
-
-// ErrStreamClient reports a replica client attached to a sharded or
-// multi-volume engine without stream-tagging support.
-var ErrStreamClient = errors.New("core: sharded engine requires a stream-capable replica client")
 
 // ErrGroupReplicas reports a GroupMode write attempted without exactly
 // N attached replicas, or an attach beyond the group size.
@@ -410,12 +381,6 @@ func NewEngine(local block.Store, cfg Config) (*Engine, error) {
 	return e, nil
 }
 
-// needsStream reports whether this engine's pushes must carry stream
-// tags: more than one shard, or a volume id to multiplex under.
-func (e *Engine) needsStream() bool {
-	return len(e.shards) > 1 || e.cfg.Volume != 0
-}
-
 // shardOf routes an LBA to its shard. Out-of-range LBAs clamp to the
 // last shard; the store rejects them with ErrOutOfRange anyway.
 func (e *Engine) shardOf(lba uint64) *shard {
@@ -456,21 +421,11 @@ func (e *Engine) ShardStats() []metrics.ShardSnapshot {
 // pipeline per shard for it, each drained by one shipper goroutine whose
 // window keeps one push in flight on an async engine and shipWindow on a
 // sync one. Not safe to call concurrently with
-// writes; attach replicas before serving I/O. When the engine is
-// sharded or volume-tagged the client must implement
-// StreamReplicaClient — per-shard seq spaces folded into a replica's
-// single dedupe window would silently drop frames — so plain clients
-// are refused with ErrStreamClient. When the retry policy carries a
-// per-attempt timeout and the client supports request deadlines, the
-// timeout is installed here.
+// writes; attach replicas before serving I/O. When the retry policy
+// carries a per-attempt timeout and the client supports request
+// deadlines, the timeout is installed here.
 func (e *Engine) AttachReplica(rc ReplicaClient) error {
 	rs := &replicaState{client: rc}
-	if sc, ok := rc.(StreamReplicaClient); ok {
-		rs.stream = sc
-	}
-	if e.needsStream() && rs.stream == nil {
-		return ErrStreamClient
-	}
 	if e.rsCodec != nil && len(e.replicas) >= e.cfg.Group.N {
 		return fmt.Errorf("%w: group is n=%d, replica %d refused",
 			ErrGroupReplicas, e.cfg.Group.N, len(e.replicas))
@@ -480,20 +435,14 @@ func (e *Engine) AttachReplica(rc ReplicaClient) error {
 			rt.SetRequestTimeout(e.retry.Timeout)
 		}
 	}
-	if bc, ok := rc.(BatchReplicaClient); ok {
-		rs.batch = bc
-	}
-	if sbc, ok := rc.(StreamBatchReplicaClient); ok {
-		rs.sbatch = sbc
-	}
-	if fc, ok := rc.(FramedReplicaClient); ok {
-		rs.framed = fc
-	}
-	if brc, ok := rc.(ByRefReplicaClient); ok {
-		rs.byref = brc
+	if lc, ok := rc.(StreamBatchReplicaClient); ok {
+		rs.lists = lc
 		if e.cfg.DedupeEntries != 0 {
 			rs.dedupe = dedupe.New(e.cfg.DedupeEntries)
 		}
+	}
+	if fc, ok := rc.(FramedReplicaClient); ok {
+		rs.framed = fc
 	}
 	if sc, ok := rc.(SqueezeReplicaClient); ok {
 		rs.squeeze = sc
@@ -507,11 +456,7 @@ func (e *Engine) AttachReplica(rc ReplicaClient) error {
 			queue: make(chan repMsg, e.cfg.QueueDepth),
 			dirty: newDirtyMap(),
 		}
-		canBatch := rs.batch != nil
-		if e.tagged(p) {
-			canBatch = rs.sbatch != nil
-		}
-		p.batches = e.cfg.BatchFrames > 1 && canBatch
+		p.batches = e.cfg.BatchFrames > 1 && rs.lists != nil
 		if e.cfg.Async && p.batches && rs.squeeze != nil {
 			p.sq = new(squeezer)
 		}
@@ -637,7 +582,7 @@ func (e *Engine) ClearDegraded() {
 
 // ReplicaDedupe returns replica i's primary-side dedupe index, or nil
 // when the fast path is off for it (DedupeEntries unset or the client
-// lacks by-ref support). Resync warms it through this handle: a block
+// ships no entry lists). Resync warms it through this handle: a block
 // confirmed equal or repaired is content the replica provably holds.
 func (e *Engine) ReplicaDedupe(i int) *dedupe.Index {
 	if i < 0 || i >= len(e.replicas) {
@@ -1040,9 +985,9 @@ func (e *Engine) HandleWrite(lba uint64, data []byte) iscsi.Status {
 	return iscsi.StatusOK
 }
 
-// HandleReplica implements iscsi.Backend. A primary engine does not
-// accept pushes; use ReplicaEngine on replica nodes.
-func (e *Engine) HandleReplica(uint8, uint64, uint64, uint64, []byte) iscsi.Status {
+// HandleReplicaStream implements iscsi.Backend. A primary engine does
+// not accept pushes; use ReplicaEngine on replica nodes.
+func (e *Engine) HandleReplicaStream(uint8, uint8, uint16, uint64, uint64, uint64, []byte) iscsi.Status {
 	return iscsi.StatusBadRequest
 }
 

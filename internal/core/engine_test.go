@@ -283,7 +283,7 @@ func TestReplicaRejectsBadFrames(t *testing.T) {
 	store, _ := block.NewMem(512, 8)
 	r := NewReplicaEngine(store)
 
-	if err := r.Apply(ModePRINS, 1, 0, 0, []byte{0xFF, 0xFF}); err == nil {
+	if err := r.ApplyStream(ModePRINS, 0, 0, 1, 0, 0, []byte{0xFF, 0xFF}); err == nil {
 		t.Error("corrupt frame accepted")
 	}
 
@@ -292,7 +292,7 @@ func TestReplicaRejectsBadFrames(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := r.Apply(ModeTraditional, 1, 0, 0, frame); !errors.Is(err, block.ErrBadBufSize) {
+	if err := r.ApplyStream(ModeTraditional, 0, 0, 1, 0, 0, frame); !errors.Is(err, block.ErrBadBufSize) {
 		t.Errorf("wrong-size frame: err = %v, want ErrBadBufSize", err)
 	}
 
@@ -301,12 +301,12 @@ func TestReplicaRejectsBadFrames(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := r.Apply(Mode(99), 1, 0, 0, frame); err == nil {
+	if err := r.ApplyStream(Mode(99), 0, 0, 1, 0, 0, frame); err == nil {
 		t.Error("invalid mode accepted")
 	}
 
 	// Out-of-range LBA.
-	if err := r.Apply(ModeTraditional, 1, 999, 0, frame); !errors.Is(err, block.ErrOutOfRange) {
+	if err := r.ApplyStream(ModeTraditional, 0, 0, 1, 999, 0, frame); !errors.Is(err, block.ErrOutOfRange) {
 		t.Errorf("OOB apply: err = %v, want ErrOutOfRange", err)
 	}
 }
@@ -383,7 +383,9 @@ func TestMultipleReplicas(t *testing.T) {
 // failClient is a ReplicaClient whose deliveries always fail.
 type failClient struct{ err error }
 
-func (f *failClient) ReplicaWrite(uint8, uint64, uint64, uint64, []byte) error { return f.err }
+func (f *failClient) ReplicaWriteStream(uint8, uint8, uint16, uint64, uint64, uint64, []byte) error {
+	return f.err
+}
 
 // TestTrafficCountsOnlyDeliveredFrames is the accounting regression:
 // ship used to count a frame as replicated payload/wire bytes before
@@ -509,7 +511,7 @@ func TestEngineBackendStatuses(t *testing.T) {
 	if _, st := e.HandleRead(7, 2); st.String() != "OUT-OF-RANGE" {
 		t.Errorf("OOB HandleRead = %v", st)
 	}
-	if st := e.HandleReplica(1, 1, 0, 0, nil); st.String() != "BAD-REQUEST" {
-		t.Errorf("primary HandleReplica = %v", st)
+	if st := e.HandleReplicaStream(1, 0, 0, 1, 0, 0, nil); st.String() != "BAD-REQUEST" {
+		t.Errorf("primary HandleReplicaStream = %v", st)
 	}
 }

@@ -205,7 +205,7 @@ func tornApplySetup(t *testing.T) (inner block.Store, faulted *faults.Store, bac
 		t.Fatal(err)
 	}
 
-	err = rep.Apply(ModePRINS, 1, lba, hash, frame)
+	err = rep.ApplyStream(ModePRINS, 0, 0, 1, lba, hash, frame)
 	if !errors.Is(err, iscsi.ErrReplicaStore) || !errors.Is(err, faults.ErrTornWrite) {
 		t.Fatalf("torn apply err = %v, want ErrReplicaStore wrapping ErrTornWrite", err)
 	}
@@ -231,7 +231,7 @@ func TestTornWriteJournalReplay(t *testing.T) {
 	t.Run("retry", func(t *testing.T) {
 		inner, _, _, rep, aNew, hash, frame := tornApplySetup(t)
 		// The primary retries the same seq: replay-then-dedupe.
-		if err := rep.Apply(ModePRINS, 1, lba, hash, frame); err != nil {
+		if err := rep.ApplyStream(ModePRINS, 0, 0, 1, lba, hash, frame); err != nil {
 			t.Fatalf("retry after torn write: %v", err)
 		}
 		cur := make([]byte, len(aNew))
@@ -268,7 +268,7 @@ func TestTornWriteJournalReplay(t *testing.T) {
 			t.Errorf("LastSeq after replay = %d, want 1", rep2.LastSeq())
 		}
 		// The primary redelivers the frame it never saw acked.
-		if err := rep2.Apply(ModePRINS, 1, lba, hash, frame); err != nil {
+		if err := rep2.ApplyStream(ModePRINS, 0, 0, 1, lba, hash, frame); err != nil {
 			t.Fatalf("redelivery after restart: %v", err)
 		}
 		if got := rep2.Traffic().Snapshot().Duplicates; got != 1 {
@@ -309,13 +309,13 @@ func TestTornWriteDetectedWithoutJournal(t *testing.T) {
 	faulted := faults.NewPlan(2).WrapStore(inner, faults.StoreFaults{TornWriteAt: 1})
 	rep := NewReplicaEngine(faulted)
 
-	err = rep.Apply(ModePRINS, 1, lba, hash, frame)
+	err = rep.ApplyStream(ModePRINS, 0, 0, 1, lba, hash, frame)
 	if !errors.Is(err, iscsi.ErrReplicaStore) || !errors.Is(err, faults.ErrTornWrite) {
 		t.Fatalf("torn apply err = %v", err)
 	}
 	// Retry re-applies (nothing journaled, nothing deduped): the hash
 	// check catches the poisoned pre-image before any store write.
-	err = rep.Apply(ModePRINS, 1, lba, hash, frame)
+	err = rep.ApplyStream(ModePRINS, 0, 0, 1, lba, hash, frame)
 	if !errors.Is(err, iscsi.ErrDiverged) {
 		t.Fatalf("retry err = %v, want ErrDiverged", err)
 	}
@@ -412,7 +412,7 @@ func BenchmarkReplicaApply(b *testing.B) {
 						hash = hashEven
 					}
 				}
-				if err := rep.Apply(ModePRINS, uint64(i+1), 0, hash, frame); err != nil {
+				if err := rep.ApplyStream(ModePRINS, 0, 0, uint64(i+1), 0, hash, frame); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -22,14 +22,14 @@ func (c *flakyClient) setFail(v bool) {
 	c.mu.Unlock()
 }
 
-func (c *flakyClient) ReplicaWrite(mode uint8, seq, lba, hash uint64, frame []byte) error {
+func (c *flakyClient) ReplicaWriteStream(mode, shard uint8, vol uint16, seq, lba, hash uint64, frame []byte) error {
 	c.mu.Lock()
 	fail := c.fail
 	c.mu.Unlock()
 	if fail {
 		return errors.New("flaky: injected delivery failure")
 	}
-	return c.inner.ReplicaWrite(mode, seq, lba, hash, frame)
+	return c.inner.ReplicaWriteStream(mode, shard, vol, seq, lba, hash, frame)
 }
 
 // TestDrainErrorClearsOnRecovery is the sticky-error regression: an

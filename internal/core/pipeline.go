@@ -58,25 +58,18 @@ type repMsg struct {
 // accessors.
 type replicaState struct {
 	client ReplicaClient
-	// batch is client's batching extension when it has one; nil keeps
-	// the single-frame ship path. Used for untagged pipes only.
-	batch BatchReplicaClient
-	// stream is client's stream-tagging extension; required (non-nil)
-	// when the engine is sharded or volume-tagged.
-	stream StreamReplicaClient
-	// sbatch combines both; nil disables batching on tagged pipes.
-	sbatch StreamBatchReplicaClient
+	// lists is client's entry-list extension when it has one; nil keeps
+	// the single-frame ship path.
+	lists StreamBatchReplicaClient
 	// framed is client's zero-copy extension; when set, a single-frame
 	// ship whose pipeline holds the pooled buffer exclusively hands the
 	// whole pre-assembled PDU over instead of staging a copy.
 	framed FramedReplicaClient
-	// byref is client's content-addressed extension; dedupe, when
-	// non-nil (Config.DedupeEntries set and the client supports by-ref
-	// pushes), is the bounded (lba -> content hash) index of what the
-	// engine believes this replica holds — the ship-by-reference fast
-	// path's consult source, fed by acknowledged ships and resync,
+	// dedupe, when non-nil (Config.DedupeEntries set and the client
+	// ships lists), is the bounded (lba -> content hash) index of what
+	// the engine believes this replica holds — the ship-by-reference
+	// fast path's consult source, fed by acknowledged ships and resync,
 	// invalidated wherever an LBA goes dirty or the replica degrades.
-	byref  ByRefReplicaClient
 	dedupe *dedupe.Index
 	// squeeze is client's compressing extension; an async pipe squeezes
 	// its backlog runs only through it.
@@ -165,9 +158,8 @@ type pipe struct {
 	dirty *dirtyMap
 	// batches reports whether this pipe ships its drained backlog as
 	// entry-list pushes: when BatchFrames allows it (1 disables batching
-	// everywhere) and the client has the batching extension this pipe's
-	// framing needs — stream-batch when tagged, plain batch when not.
-	// Fixed at attach.
+	// everywhere) and the client has the entry-list extension. Fixed at
+	// attach.
 	batches bool
 	// sq decides whether this pipe's backlog runs ship squeezed (see
 	// squeeze.go). Set on an async pipe that batches through a client
@@ -201,13 +193,11 @@ func (p *pipe) markDirty(lba uint64) {
 	}
 }
 
-// streamTag returns the (shard, vol) tag this pipe's pushes carry:
-// zero when untagged.
+// streamTag returns the (shard, vol) tag this pipe's pushes carry.
+// Shard 0 of a volume-0 engine is stream (0, 0), which ships untagged,
+// byte-identical to the pre-sharding wire format.
 func (e *Engine) streamTag(p *pipe) (shard uint8, vol uint16) {
-	if e.tagged(p) {
-		return p.shard.id, e.cfg.Volume
-	}
-	return 0, 0
+	return p.shard.id, e.cfg.Volume
 }
 
 // resetSqueeze makes the client forget p's stream's squeeze history,
@@ -216,14 +206,6 @@ func (e *Engine) resetSqueeze(p *pipe) {
 	if p.sq != nil {
 		p.rs.squeeze.ResetSqueeze(e.streamTag(p))
 	}
-}
-
-// tagged reports whether this pipe's wire frames carry a stream tag.
-// Shard 0 of a volume-0 engine ships untagged, byte-identical to the
-// pre-sharding wire format — which is consistent, because the replica
-// folds the untagged stream and stream (0,0) into the same window.
-func (e *Engine) tagged(p *pipe) bool {
-	return p.shard.id != 0 || e.cfg.Volume != 0
 }
 
 // frameBuf is a pooled, reference-counted encode buffer. One frame is
@@ -501,7 +483,7 @@ func (e *Engine) process(p *pipe, msgs []repMsg, backlog bool) {
 	// Deliver. wire is the modelled cost of what went out; listed says
 	// a status vector came back, so the run is booked as a batch.
 	var wire int64
-	listed, refs := false, false
+	listed := false
 	switch {
 	case degraded:
 		for k := range groups {
@@ -509,7 +491,7 @@ func (e *Engine) process(p *pipe, msgs []repMsg, backlog bool) {
 		}
 	case single:
 		m := &msgs[0]
-		if _, _, err := e.push(p, m, nil, 0, false, false); err != nil {
+		if _, _, err := e.push(p, m, nil, 0, false); err != nil {
 			groups[0].err = fmt.Errorf("core: replicate seq %d lba %d: %w", m.seq, m.lba, err)
 		}
 	default:
@@ -519,8 +501,8 @@ func (e *Engine) process(p *pipe, msgs []repMsg, backlog bool) {
 			// Consult the dedupe index: content the replica is believed
 			// to already hold ships by reference. A zero hash (unverified
 			// push) never hits: there is nothing to address it by.
-			if h := entries[k].Hash; rs.dedupe != nil && rs.byref != nil && h != 0 && rs.dedupe.Contains(h) {
-				groups[k].ref, refs = true, true
+			if h := entries[k].Hash; rs.dedupe != nil && h != 0 && rs.dedupe.Contains(h) {
+				groups[k].ref = true
 				entries[k].Frame, entries[k].Mask = nil, nil
 			}
 		}
@@ -531,9 +513,9 @@ func (e *Engine) process(p *pipe, msgs []repMsg, backlog bool) {
 		if backlog && p.sq != nil {
 			sr = p.sq.begin(entries, plain)
 		}
-		statuses, sent, err := e.push(p, nil, entries, plain, refs, sr.squeezed)
+		statuses, sent, err := e.push(p, nil, entries, plain, sr.squeezed)
 		listed = err == nil
-		wire = int64(wan.WireBytesDiscrete(sent))
+		wire = listWire(sr.squeezed, plain, sent)
 		shareSqueeze(groups, entries, squeezeSaved(sr.squeezed, plain, sent))
 		for k := range groups {
 			groups[k].first = groups[k].squeezed
@@ -573,12 +555,12 @@ func (e *Engine) process(p *pipe, msgs []repMsg, backlog bool) {
 			}
 			suffix := entries[missAt:]
 			splain := iscsi.BatchWireLen(suffix)
-			fstat, fsent, ferr := e.push(p, nil, suffix, splain, false, sr.squeezed)
+			fstat, fsent, ferr := e.push(p, nil, suffix, splain, sr.squeezed)
 			if ferr != nil {
 				fberr = fmt.Errorf("core: by-ref fallback batch of %d: %w", len(groups)-missAt, ferr)
 			} else {
 				copy(statuses[missAt:], fstat)
-				wire += int64(wan.WireBytesDiscrete(fsent))
+				wire += listWire(sr.squeezed, splain, fsent)
 				shareSqueeze(groups[missAt:], suffix, squeezeSaved(sr.squeezed, splain, fsent))
 			}
 		}
@@ -712,6 +694,19 @@ func (e *Engine) process(p *pipe, msgs []repMsg, backlog bool) {
 	}
 }
 
+// listWire is the modelled wire cost of a list push whose plain list is
+// plain bytes and which put sent data-segment bytes on the wire. A
+// squeezed list ships only when it is smaller than the plain one, so on
+// a squeezed push sent > plain means two PDUs: the squeezed list the
+// replica answered StatusUnverified, sent-plain bytes, and its plain
+// re-ship, each with its own packet headers.
+func listWire(squeezed bool, plain, sent int) int64 {
+	if squeezed && sent > plain {
+		return int64(wan.WireBytesDiscrete(sent-plain) + wan.WireBytesDiscrete(plain))
+	}
+	return int64(wan.WireBytesDiscrete(sent))
+}
+
 // squeezeSaved is what squeezing took off a list push whose plain list
 // is plain bytes and which put sent bytes on the wire: none for a push
 // not asked to squeeze, whose verb may ship a list of one as a shorter
@@ -784,16 +779,15 @@ func (e *Engine) finish(rs *replicaState, msg repMsg, err error) {
 
 // push performs the delivery attempts for one wire push under the
 // retry policy — the only retry loop — and picks the verb. one, when
-// set, ships a single frame as the plain replica-write op: through the
-// stream client on a tagged pipe, so the frame lands on this pipe's
-// (vol, shard) dedupe window, and zero-copy when the client supports
+// set, ships a single frame as the plain replica-write op on this
+// pipe's (vol, shard) stream, zero-copy when the client supports
 // framed sends and this pipeline holds the pooled buffer exclusively
 // (refs == 1: every other replica's shipper already released its
 // reference, and the pool cannot reuse the buffer while we still hold
 // ours) — the client stamps the header into the buffer's headroom and
 // writes it whole; the bytes on the wire are identical either way.
-// Otherwise entries ship as one list: a by-ref push when refs says some
-// entry is a reference, else a batch (stream-batch on a tagged pipe).
+// Otherwise entries ship as one list, references and all: the client
+// picks the opcode from the content.
 //
 // squeeze ships the list through the client's compressing extension;
 // sent is the data-segment bytes the list push that settled put on the
@@ -810,11 +804,10 @@ func (e *Engine) finish(rs *replicaState, msg repMsg, err error) {
 // way: the replica verified the frame against its own block and said
 // no — redelivering the identical frame is deterministic failure, not
 // transient loss.
-func (e *Engine) push(p *pipe, one *repMsg, entries []iscsi.BatchEntry, plain int, refs, squeeze bool) (statuses []iscsi.Status, sent int, err error) {
+func (e *Engine) push(p *pipe, one *repMsg, entries []iscsi.BatchEntry, plain int, squeeze bool) (statuses []iscsi.Status, sent int, err error) {
 	rs, mode := p.rs, uint8(e.cfg.Mode)
 	shard, vol := e.streamTag(p)
-	tagged := shard != 0 || vol != 0
-	if len(entries) == 1 && !refs && !squeeze {
+	if len(entries) == 1 && !entries[0].ByRef() && !squeeze {
 		plain = len(entries[0].Frame) // the batch verbs ship a list of one as a single-frame push
 	}
 	for attempt := 1; ; attempt++ {
@@ -822,18 +815,12 @@ func (e *Engine) push(p *pipe, one *repMsg, entries []iscsi.BatchEntry, plain in
 		switch {
 		case one != nil && rs.framed != nil && one.frame.refs.Load() == 1:
 			err = rs.framed.ReplicaWriteFramed(mode, shard, vol, one.seq, one.lba, one.hash, one.frame.buf)
-		case one != nil && tagged:
-			err = rs.stream.ReplicaWriteStream(mode, shard, vol, one.seq, one.lba, one.hash, one.frame.frame())
 		case one != nil:
-			err = rs.client.ReplicaWrite(mode, one.seq, one.lba, one.hash, one.frame.frame())
+			err = rs.client.ReplicaWriteStream(mode, shard, vol, one.seq, one.lba, one.hash, one.frame.frame())
 		case squeeze:
-			statuses, sent, err = rs.squeeze.ReplicaWriteSqueezed(mode, shard, vol, entries, refs)
-		case refs:
-			statuses, err = rs.byref.ReplicaWriteByRef(mode, shard, vol, entries)
-		case tagged:
-			statuses, err = rs.sbatch.ReplicaWriteBatchStream(mode, shard, vol, entries)
+			statuses, sent, err = rs.squeeze.ReplicaWriteSqueezed(mode, shard, vol, entries)
 		default:
-			statuses, err = rs.batch.ReplicaWriteBatch(mode, entries)
+			statuses, err = rs.lists.ReplicaWriteBatchStream(mode, shard, vol, entries)
 		}
 		if err == nil || errors.Is(err, iscsi.ErrDiverged) || attempt >= e.retry.Attempts {
 			return statuses, sent, err

@@ -40,29 +40,14 @@ func (b poisonBackend) HandleWrite(lba uint64, data []byte) iscsi.Status {
 	return b.ReplicaEngine.HandleWrite(lba, data)
 }
 
-func (b poisonBackend) HandleReplica(mode uint8, seq, lba, hash uint64, frame []byte) iscsi.Status {
-	defer poison(frame)
-	return b.ReplicaEngine.HandleReplica(mode, seq, lba, hash, frame)
-}
-
 func (b poisonBackend) HandleReplicaStream(mode, shard uint8, vol uint16, seq, lba, hash uint64, frame []byte) iscsi.Status {
 	defer poison(frame)
 	return b.ReplicaEngine.HandleReplicaStream(mode, shard, vol, seq, lba, hash, frame)
 }
 
-func (b poisonBackend) HandleReplicaBatch(mode uint8, entries []iscsi.BatchEntry) []iscsi.Status {
-	defer poisonEntries(entries)
-	return b.ReplicaEngine.HandleReplicaBatch(mode, entries)
-}
-
 func (b poisonBackend) HandleReplicaBatchStream(mode, shard uint8, vol uint16, entries []iscsi.BatchEntry) []iscsi.Status {
 	defer poisonEntries(entries)
 	return b.ReplicaEngine.HandleReplicaBatchStream(mode, shard, vol, entries)
-}
-
-func (b poisonBackend) HandleReplicaByRef(mode, shard uint8, vol uint16, entries []iscsi.BatchEntry) []iscsi.Status {
-	defer poisonEntries(entries)
-	return b.ReplicaEngine.HandleReplicaByRef(mode, shard, vol, entries)
 }
 
 // poisonRig drives a poisoned replica by hand-built pushes and keeps the
@@ -244,7 +229,7 @@ func TestPoisonedRequestBuffers(t *testing.T) {
 	byRef = append(byRef, r.entry(42, true), r.entry(43, false))
 	held := byRef[2].Frame
 	byRef[2].Frame = nil // the replica holds nothing that hashes to this
-	st, err = in.ReplicaWriteByRef(mode, poisonShard, 0, byRef)
+	st, err = in.ReplicaWriteBatchStream(mode, poisonShard, 0, byRef)
 	wantStatuses(t, "by-ref push", st, err, iscsi.StatusOK, iscsi.StatusOK, iscsi.StatusRefMiss, iscsi.StatusRefMiss)
 	byRef[2].Frame = held
 	st, err = in.ReplicaWriteBatchStream(mode, poisonShard, 0, byRef[2:])

@@ -138,9 +138,10 @@ func (st *replicaStream) stagingSlot(i, blockSize int) []byte {
 // seq-dedupe. Untagged pushes apply against the zero stream, which is
 // exactly the pre-sharding behaviour.
 //
-// It implements iscsi.Backend (and the stream/batch extensions) so a
-// replica node simply exports it through a target; it also applies
-// frames directly via Apply for in-process (loopback) replication.
+// It implements iscsi.Backend and both its push extensions, entry
+// lists and squeezed lists, so a replica node simply exports it through
+// a target; it also applies frames directly via ApplyStream for
+// in-process (loopback) replication.
 type ReplicaEngine struct {
 	store block.Store
 	m     metrics.Bank // applies, decode time, duplicates, by-ref outcomes, diverged applies
@@ -185,11 +186,11 @@ type ReplicaEngine struct {
 	dedupe *dedupe.Index
 }
 
-var _ iscsi.Backend = (*ReplicaEngine)(nil)
-var _ iscsi.BatchBackend = (*ReplicaEngine)(nil)
-var _ iscsi.StreamBackend = (*ReplicaEngine)(nil)
-var _ iscsi.StreamBatchBackend = (*ReplicaEngine)(nil)
-var _ iscsi.ByRefBackend = (*ReplicaEngine)(nil)
+var (
+	_ iscsi.Backend            = (*ReplicaEngine)(nil)
+	_ iscsi.StreamBatchBackend = (*ReplicaEngine)(nil)
+	_ iscsi.SqueezeBackend     = (*ReplicaEngine)(nil)
+)
 
 // NewReplicaEngine wraps the replica's local store with no journal;
 // applies are not crash-safe. Use NewReplicaEngineJournaled for the
@@ -204,7 +205,7 @@ func NewReplicaEngine(store block.Store) *ReplicaEngine {
 
 // SetDedupe bounds (entries > 0) or disables (entries <= 0) the
 // replica's content-addressed index. Call before the engine is shared.
-// A replica without an index refuses every by-ref push with
+// A replica without an index refuses every reference with
 // StatusRefMiss, which the primary transparently repairs by re-shipping
 // the frame — so disabling dedupe is always safe, just slower.
 func (r *ReplicaEngine) SetDedupe(entries int) {
@@ -348,41 +349,37 @@ func (r *ReplicaEngine) StreamLastSeq(shard uint8, vol uint16) uint64 {
 // Store returns the underlying replica store (read-only use expected).
 func (r *ReplicaEngine) Store() block.Store { return r.store }
 
-// Apply applies one replication frame against the default stream. See
-// ApplyStream.
-func (r *ReplicaEngine) Apply(mode Mode, seq, lba, hash uint64, frame []byte) error {
-	return r.ApplyStream(mode, 0, 0, seq, lba, hash, frame)
-}
-
 // ApplyStream applies one replication frame against the (vol, shard)
 // stream's sequence space — a push of one entry; see applyGroup for
-// what an apply does. The error wraps the failure class
+// what an apply does. A single-frame push has no reference form, so an
+// empty frame is a decode failure. The error wraps the failure class
 // (iscsi.ErrDiverged, iscsi.ErrReplicaDecode, iscsi.ErrReplicaStore,
 // block.ErrBadBufSize, block.ErrOutOfRange) that statusOf maps onto
 // the wire.
 func (r *ReplicaEngine) ApplyStream(mode Mode, shard uint8, vol uint16, seq, lba, hash uint64, frame []byte) error {
+	if len(frame) == 0 {
+		return fmt.Errorf("core: replica decode seq %d: %w: empty frame", seq, iscsi.ErrReplicaDecode)
+	}
 	entries := [1]iscsi.BatchEntry{{Seq: seq, LBA: lba, Hash: hash, Frame: frame}}
 	var failed error
-	r.applyGroup(mode, shard, vol, entries[:], false, nil, func(_ int, err error) { failed = err })
+	r.applyGroup(mode, shard, vol, entries[:], nil, func(_ int, err error) { failed = err })
 	return failed
 }
 
 // ApplyBatchStream applies a batched push against the (vol, shard)
 // stream and returns one status per entry, in the caller's order: one
-// refused entry (diverged, decode, store) reports its own status
-// without failing its batch-mates. See applyGroup.
+// refused entry (diverged, decode, store, ref-miss) reports its own
+// status without failing its batch-mates. See applyGroup.
 func (r *ReplicaEngine) ApplyBatchStream(mode Mode, shard uint8, vol uint16, entries []iscsi.BatchEntry) []iscsi.Status {
-	return r.applyStatuses(mode, shard, vol, entries, false, nil)
+	return r.applyStatuses(mode, shard, vol, entries, nil)
 }
 
 // applyStatuses is applyGroup at the wire boundary: statuses for
-// errors. refs marks a by-ref push, where an entry without a frame is
-// a content reference, and digest a squeezed one's digest (nil for a
-// plain push). The status vector is the one allocation of a
-// steady-state push.
-func (r *ReplicaEngine) applyStatuses(mode Mode, shard uint8, vol uint16, entries []iscsi.BatchEntry, refs bool, digest *uint64) []iscsi.Status {
+// errors. digest is a squeezed push's digest (nil for a plain push).
+// The status vector is the one allocation of a steady-state push.
+func (r *ReplicaEngine) applyStatuses(mode Mode, shard uint8, vol uint16, entries []iscsi.BatchEntry, digest *uint64) []iscsi.Status {
 	statuses := make([]iscsi.Status, len(entries)) // StatusOK until an entry fails
-	r.applyGroup(mode, shard, vol, entries, refs, digest, func(k int, err error) { statuses[k] = statusOf(err) })
+	r.applyGroup(mode, shard, vol, entries, digest, func(k int, err error) { statuses[k] = statusOf(err) })
 	return statuses
 }
 
@@ -424,7 +421,7 @@ type staged struct {
 //     A seq below the stream's highest that is NOT marked is new: a
 //     synchronous primary keeps several pushes of a stream in flight
 //     and they land in any order. Then recover the full new block (see
-//     stage) or, for a by-ref entry, materialize it from the content
+//     stage) or, for a reference, materialize it from the content
 //     index, into the stream's next staging slot. Refused entries are
 //     reported here and drop out, and their slot is reused; nothing has
 //     touched the store or the journal yet.
@@ -439,7 +436,7 @@ type staged struct {
 // an idempotent whole-block rewrite, so the store can never be left
 // holding a torn block or a torn suffix of the push.
 //
-// The by-ref rule is ref-miss poisoning: the first entry whose hash the
+// The reference rule is ref-miss poisoning: the first entry whose hash the
 // index cannot verifiably resolve is refused with iscsi.ErrRefMiss —
 // and so is every later entry of the push: the initiator re-ships the
 // refused suffix as one by-value push with the SAME sequence numbers.
@@ -463,7 +460,7 @@ type staged struct {
 // Nothing of entries — the slice or a Frame — is referenced once
 // applyGroup has returned: a staged block is a copy in a slot, and the
 // journal and the store copy what they are given.
-func (r *ReplicaEngine) applyGroup(mode Mode, shard uint8, vol uint16, entries []iscsi.BatchEntry, refs bool, digest *uint64, fail func(k int, err error)) {
+func (r *ReplicaEngine) applyGroup(mode Mode, shard uint8, vol uint16, entries []iscsi.BatchEntry, digest *uint64, fail func(k int, err error)) {
 	failAll := func(err error) {
 		for k := range entries {
 			fail(k, err)
@@ -526,7 +523,7 @@ func (r *ReplicaEngine) applyGroup(mode Mode, shard uint8, vol uint16, entries [
 			k = order[i]
 		}
 		e := &entries[k]
-		ref := refs && e.ByRef()
+		ref := e.ByRef()
 		if i > missAt && ref {
 			st.pendingNew[e.LBA] = -1 // refused with the miss: its block is unknown
 			continue
@@ -597,7 +594,7 @@ func (r *ReplicaEngine) applyGroup(mode Mode, shard uint8, vol uint16, entries [
 	if squeezed {
 		in := st.digest[:0]
 		for k := range entries {
-			if !(refs && entries[k].ByRef()) {
+			if !entries[k].ByRef() {
 				in = binary.BigEndian.AppendUint64(in, checks[k])
 			}
 		}
@@ -781,31 +778,37 @@ func (r *ReplicaEngine) stage(mode Mode, st *replicaStream, e *iscsi.BatchEntry,
 	return newBlock, hash, check, nil
 }
 
-// HandleReplicaBatch implements iscsi.BatchBackend: the wire entry
-// point for untagged batched pushes from the primary's engine.
-func (r *ReplicaEngine) HandleReplicaBatch(mode uint8, entries []iscsi.BatchEntry) []iscsi.Status {
-	return r.applyStatuses(Mode(mode), 0, 0, entries, false, nil)
-}
-
 // HandleReplicaBatchStream implements iscsi.StreamBatchBackend: the
-// wire entry point for stream-tagged batched pushes.
+// wire entry point for entry lists. A reference (no frame) is
+// materialized by verified local copy via the content index; a
+// by-value entry is recovered from its frame.
 func (r *ReplicaEngine) HandleReplicaBatchStream(mode, shard uint8, vol uint16, entries []iscsi.BatchEntry) []iscsi.Status {
-	return r.applyStatuses(Mode(mode), shard, vol, entries, false, nil)
-}
-
-// HandleReplicaByRef implements iscsi.ByRefBackend: the wire entry
-// point for content-addressed pushes. A by-ref entry (nil
-// frame) is materialized by verified local copy via the content index;
-// a by-value entry applies exactly like its batch counterpart.
-func (r *ReplicaEngine) HandleReplicaByRef(mode, shard uint8, vol uint16, entries []iscsi.BatchEntry) []iscsi.Status {
-	return r.applyStatuses(Mode(mode), shard, vol, entries, true, nil)
+	return r.applyStatuses(Mode(mode), shard, vol, entries, nil)
 }
 
 // HandleReplicaSqueezed implements iscsi.SqueezeBackend: the wire entry
 // point for squeezed lists, whose by-value entries carry no hashes and
 // are verified together against the list's digest (see applyGroup).
-func (r *ReplicaEngine) HandleReplicaSqueezed(mode, shard uint8, vol uint16, entries []iscsi.BatchEntry, refs bool, digest uint64) []iscsi.Status {
-	return r.applyStatuses(Mode(mode), shard, vol, entries, refs, &digest)
+func (r *ReplicaEngine) HandleReplicaSqueezed(mode, shard uint8, vol uint16, entries []iscsi.BatchEntry, digest uint64) []iscsi.Status {
+	return r.applyStatuses(Mode(mode), shard, vol, entries, &digest)
+}
+
+// HandleReplica is HandleReplicaStream on stream (0, 0), kept only for
+// the benchmark module; nothing in this module calls it.
+func (r *ReplicaEngine) HandleReplica(mode uint8, seq, lba, hash uint64, frame []byte) iscsi.Status {
+	return r.HandleReplicaStream(mode, 0, 0, seq, lba, hash, frame)
+}
+
+// HandleReplicaBatch is HandleReplicaBatchStream on stream (0, 0), kept
+// only for the benchmark module; nothing in this module calls it.
+func (r *ReplicaEngine) HandleReplicaBatch(mode uint8, entries []iscsi.BatchEntry) []iscsi.Status {
+	return r.HandleReplicaBatchStream(mode, 0, 0, entries)
+}
+
+// HandleReplicaByRef is HandleReplicaBatchStream, kept only for the
+// benchmark module; nothing in this module calls it.
+func (r *ReplicaEngine) HandleReplicaByRef(mode, shard uint8, vol uint16, entries []iscsi.BatchEntry) []iscsi.Status {
+	return r.HandleReplicaBatchStream(mode, shard, vol, entries)
 }
 
 // resolveRef materializes the block whose content hash is hash into
@@ -884,14 +887,8 @@ func (r *ReplicaEngine) HandleWrite(lba uint64, data []byte) iscsi.Status {
 	return iscsi.StatusOK
 }
 
-// HandleReplica implements iscsi.Backend: the wire entry point for
-// untagged pushes from the primary's engine.
-func (r *ReplicaEngine) HandleReplica(mode uint8, seq, lba, hash uint64, frame []byte) iscsi.Status {
-	return statusOf(r.ApplyStream(Mode(mode), 0, 0, seq, lba, hash, frame))
-}
-
-// HandleReplicaStream implements iscsi.StreamBackend: the wire entry
-// point for stream-tagged pushes.
+// HandleReplicaStream implements iscsi.Backend: the wire entry point
+// for single-frame pushes.
 func (r *ReplicaEngine) HandleReplicaStream(mode, shard uint8, vol uint16, seq, lba, hash uint64, frame []byte) iscsi.Status {
 	return statusOf(r.ApplyStream(Mode(mode), shard, vol, seq, lba, hash, frame))
 }
@@ -904,33 +901,17 @@ type Loopback struct {
 	Replica *ReplicaEngine
 }
 
-var _ ReplicaClient = (*Loopback)(nil)
-var _ BatchReplicaClient = (*Loopback)(nil)
-var _ StreamReplicaClient = (*Loopback)(nil)
-var _ StreamBatchReplicaClient = (*Loopback)(nil)
-var _ ByRefReplicaClient = (*Loopback)(nil)
+var (
+	_ ReplicaClient            = (*Loopback)(nil)
+	_ StreamBatchReplicaClient = (*Loopback)(nil)
+)
 
-// ReplicaWrite implements ReplicaClient.
-func (l *Loopback) ReplicaWrite(mode uint8, seq, lba, hash uint64, frame []byte) error {
-	return l.Replica.ApplyStream(Mode(mode), 0, 0, seq, lba, hash, frame)
-}
-
-// ReplicaWriteBatch implements BatchReplicaClient.
-func (l *Loopback) ReplicaWriteBatch(mode uint8, entries []iscsi.BatchEntry) ([]iscsi.Status, error) {
-	return l.Replica.HandleReplicaBatch(mode, entries), nil
-}
-
-// ReplicaWriteStream implements StreamReplicaClient.
+// ReplicaWriteStream implements ReplicaClient.
 func (l *Loopback) ReplicaWriteStream(mode, shard uint8, vol uint16, seq, lba, hash uint64, frame []byte) error {
 	return l.Replica.ApplyStream(Mode(mode), shard, vol, seq, lba, hash, frame)
 }
 
-// ReplicaWriteBatchStream implements StreamReplicaClient.
+// ReplicaWriteBatchStream implements StreamBatchReplicaClient.
 func (l *Loopback) ReplicaWriteBatchStream(mode, shard uint8, vol uint16, entries []iscsi.BatchEntry) ([]iscsi.Status, error) {
 	return l.Replica.HandleReplicaBatchStream(mode, shard, vol, entries), nil
-}
-
-// ReplicaWriteByRef implements ByRefReplicaClient.
-func (l *Loopback) ReplicaWriteByRef(mode, shard uint8, vol uint16, entries []iscsi.BatchEntry) ([]iscsi.Status, error) {
-	return l.Replica.HandleReplicaByRef(mode, shard, vol, entries), nil
 }

@@ -63,37 +63,6 @@ func TestShardMapping(t *testing.T) {
 	}
 }
 
-// TestShardedAttachRequiresStreamClient: a sharded (or volume-tagged)
-// engine must refuse replica clients that cannot tag their pushes —
-// folding independent per-shard seq spaces into one dedupe cursor
-// would silently drop frames.
-func TestShardedAttachRequiresStreamClient(t *testing.T) {
-	store, _ := block.NewMem(512, 64)
-	rep, _ := block.NewMem(512, 64)
-	plain := &seqCheckClient{inner: &Loopback{Replica: NewReplicaEngine(rep)}} // no stream methods
-
-	e, err := NewEngine(store, Config{Mode: ModePRINS, Shards: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e.Close()
-	if err := e.AttachReplica(plain); !errors.Is(err, ErrStreamClient) {
-		t.Fatalf("sharded AttachReplica(plain) = %v, want ErrStreamClient", err)
-	}
-	if err := e.AttachReplica(&Loopback{Replica: NewReplicaEngine(rep)}); err != nil {
-		t.Fatalf("stream-capable client refused: %v", err)
-	}
-
-	ve, err := NewEngine(store, Config{Mode: ModePRINS, Volume: 7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ve.Close()
-	if err := ve.AttachReplica(plain); !errors.Is(err, ErrStreamClient) {
-		t.Fatalf("volume-tagged AttachReplica(plain) = %v, want ErrStreamClient", err)
-	}
-}
-
 // TestShardedCrossShardParallelWriters is the tentpole stress: many
 // goroutines spread across the whole device of a sharded engine, every
 // mode, sync and async. The replica must converge byte-identically and
@@ -191,7 +160,7 @@ func TestShardedCrossShardParallelWriters(t *testing.T) {
 // merge-layer contract is strictly increasing seq within each
 // (vol, shard) stream, with no cross-stream constraint.
 type streamSeqCheckClient struct {
-	inner StreamReplicaClient
+	inner ReplicaClient
 
 	mu         sync.Mutex
 	last       map[uint32]uint64 // streamKey -> last seq
@@ -199,7 +168,7 @@ type streamSeqCheckClient struct {
 	calls      int
 }
 
-func newStreamSeqCheckClient(inner StreamReplicaClient) *streamSeqCheckClient {
+func newStreamSeqCheckClient(inner ReplicaClient) *streamSeqCheckClient {
 	return &streamSeqCheckClient{inner: inner, last: make(map[uint32]uint64)}
 }
 
@@ -212,11 +181,6 @@ func (c *streamSeqCheckClient) observe(shard uint8, vol uint16, seq uint64) {
 	c.last[key] = seq
 	c.calls++
 	c.mu.Unlock()
-}
-
-func (c *streamSeqCheckClient) ReplicaWrite(mode uint8, seq, lba, hash uint64, frame []byte) error {
-	c.observe(0, 0, seq)
-	return c.inner.ReplicaWrite(mode, seq, lba, hash, frame)
 }
 
 func (c *streamSeqCheckClient) ReplicaWriteStream(mode, shard uint8, vol uint16, seq, lba, hash uint64, frame []byte) error {
@@ -379,49 +343,6 @@ func TestShardedOverTCP(t *testing.T) {
 	mustEqual(t, "sharded replica over TCP", primary, replicaStore)
 }
 
-// TestStreamPushRequiresStreamBackend: a tagged push arriving at a
-// backend without stream support must be refused, not silently folded
-// into the backend's single seq space.
-func TestStreamPushRequiresStreamBackend(t *testing.T) {
-	store, _ := block.NewMem(512, 8)
-	node := startNode(t, "plain", &plainBackend{re: NewReplicaEngine(store)})
-
-	conn, err := iscsi.Dial(node.addr.String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	if err := conn.Login("plain"); err != nil {
-		t.Fatal(err)
-	}
-
-	frame := encodeTestFrame(t, make([]byte, 512))
-	if err := conn.ReplicaWriteStream(uint8(ModeTraditional), 3, 0, 1, 0, 0, frame); err == nil {
-		t.Fatal("tagged push accepted by a stream-unaware backend")
-	}
-	// The untagged path must still work.
-	if err := conn.ReplicaWrite(uint8(ModeTraditional), 1, 0, 0, frame); err != nil {
-		t.Fatalf("untagged push refused: %v", err)
-	}
-}
-
-// plainBackend hides ReplicaEngine's stream extensions, modelling a
-// pre-sharding replica node.
-type plainBackend struct {
-	re *ReplicaEngine
-}
-
-func (b *plainBackend) Geometry() (int, uint64) { return b.re.Geometry() }
-func (b *plainBackend) HandleRead(lba uint64, blocks uint32) ([]byte, iscsi.Status) {
-	return b.re.HandleRead(lba, blocks)
-}
-func (b *plainBackend) HandleWrite(lba uint64, data []byte) iscsi.Status {
-	return b.re.HandleWrite(lba, data)
-}
-func (b *plainBackend) HandleReplica(mode uint8, seq, lba, hash uint64, frame []byte) iscsi.Status {
-	return b.re.HandleReplica(mode, seq, lba, hash, frame)
-}
-
 // encodeTestFrame produces a raw-codec frame for a block.
 func encodeTestFrame(t *testing.T, blockData []byte) []byte {
 	t.Helper()
@@ -432,19 +353,12 @@ func encodeTestFrame(t *testing.T, blockData []byte) []byte {
 	return frame
 }
 
-// flakyStreamClient wraps a stream-capable client with a switchable
+// flakyStreamClient wraps a client with a switchable
 // total-failure mode, modelling a replica session that crashes and is
 // later restored.
 type flakyStreamClient struct {
-	inner   StreamReplicaClient
+	inner   ReplicaClient
 	failing atomic.Bool
-}
-
-func (c *flakyStreamClient) ReplicaWrite(mode uint8, seq, lba, hash uint64, frame []byte) error {
-	if c.failing.Load() {
-		return errInjectedCrash
-	}
-	return c.inner.ReplicaWrite(mode, seq, lba, hash, frame)
 }
 
 func (c *flakyStreamClient) ReplicaWriteStream(mode, shard uint8, vol uint16, seq, lba, hash uint64, frame []byte) error {

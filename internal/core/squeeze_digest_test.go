@@ -14,6 +14,7 @@ import (
 	"prins/internal/iscsi"
 	"prins/internal/journal"
 	"prins/internal/parity"
+	"prins/internal/wan"
 	"prins/internal/xcode"
 )
 
@@ -82,15 +83,15 @@ func newDigestRun(t *testing.T, bs int, nb uint64, lbas ...uint64) *digestRun {
 
 // squeeze returns the run's entries as the replica decodes them from a
 // fresh squeezed list, and the list's digest.
-func (r *digestRun) squeeze(t *testing.T, refs bool) ([]iscsi.BatchEntry, uint64) {
+func (r *digestRun) squeeze(t *testing.T) ([]iscsi.BatchEntry, uint64) {
 	t.Helper()
 	var tx iscsi.SqueezeSender
 	var rx iscsi.SqueezeReceiver
-	seg, tag, ok, err := tx.Encode(r.entries, refs)
+	seg, tag, ok, err := tx.Encode(r.entries)
 	if err != nil || !ok {
 		t.Fatalf("squeeze: ok %v, %v", ok, err)
 	}
-	got, err := rx.Decode(nil, seg, tag, refs)
+	got, err := rx.Decode(nil, seg, tag)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,9 +117,9 @@ func TestChaosSqueezeDigestFlippedBit(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		entries, digest := run.squeeze(t, false)
+		entries, digest := run.squeeze(t)
 		for bit := range 64 {
-			st := r.HandleReplicaSqueezed(uint8(ModePRINS), 0, 0, entries, false, digest^1<<bit)
+			st := r.HandleReplicaSqueezed(uint8(ModePRINS), 0, 0, entries, digest^1<<bit)
 			if slices.ContainsFunc(st, func(s iscsi.Status) bool { return s != iscsi.StatusUnverified }) {
 				t.Fatalf("digest bit %d flipped: statuses %v, want every entry unverified", bit, st)
 			}
@@ -130,7 +131,7 @@ func TestChaosSqueezeDigestFlippedBit(t *testing.T) {
 		if m := r.Traffic().Snapshot(); m.ReplicaWrites != 0 || m.Diverged != 0 {
 			t.Fatalf("unverified pushes counted %d applies, %d diverged", m.ReplicaWrites, m.Diverged)
 		}
-		st := r.HandleReplicaSqueezed(uint8(ModePRINS), 0, 0, entries, false, digest)
+		st := r.HandleReplicaSqueezed(uint8(ModePRINS), 0, 0, entries, digest)
 		if slices.ContainsFunc(st, func(s iscsi.Status) bool { return s != iscsi.StatusOK }) {
 			t.Fatalf("the intact digest: statuses %v", st)
 		}
@@ -169,11 +170,14 @@ func TestChaosSqueezeDigestFlippedBit(t *testing.T) {
 }
 
 // digestFlip flips one bit of the digest of the third squeezed list an
-// initiator writes, and makes the PDU's CRC-32C match again.
+// initiator writes, or with odd set of the first, third, fifth and so
+// on, and makes the PDU's CRC-32C match again.
 type digestFlip struct {
+	odd     bool
 	mu      sync.Mutex
 	seen    int
-	flipped uint32 // the task tag of the list flipped
+	flips   int
+	flipped uint32 // the task tag of the last list flipped
 }
 
 func (f *digestFlip) itt() uint32 {
@@ -192,7 +196,8 @@ func (c *digestFlipConn) Write(p []byte) (int, error) {
 		(iscsi.Opcode(p[2]) == iscsi.OpReplicaWriteBatch || iscsi.Opcode(p[2]) == iscsi.OpReplicaWriteByRef) {
 		c.f.mu.Lock()
 		c.f.seen++
-		if c.f.seen == 3 {
+		if c.f.seen == 3 || c.f.odd && c.f.seen%2 == 1 {
+			c.f.flips++
 			c.f.flipped = binary.BigEndian.Uint32(p[8:])
 			p = bytes.Clone(p)
 			_, n := binary.Uvarint(p[48:])
@@ -277,12 +282,12 @@ func TestChaosSqueezeDigestWrongPreImage(t *testing.T) {
 // a squeezed list of plain ZRL frames.
 type unmaskedClient struct{ *gatedClient }
 
-func (c *unmaskedClient) ReplicaWriteSqueezed(mode, shard uint8, vol uint16, entries []iscsi.BatchEntry, refs bool) ([]iscsi.Status, int, error) {
+func (c *unmaskedClient) ReplicaWriteSqueezed(mode, shard uint8, vol uint16, entries []iscsi.BatchEntry) ([]iscsi.Status, int, error) {
 	bare := slices.Clone(entries)
 	for k := range bare {
 		bare[k].Mask, bare[k].Check = nil, 0
 	}
-	return c.gatedClient.ReplicaWriteSqueezed(mode, shard, vol, bare, refs)
+	return c.gatedClient.ReplicaWriteSqueezed(mode, shard, vol, bare)
 }
 
 // TestChaosSqueezeDigestRedelivered: the answer to a squeezed push the
@@ -387,9 +392,9 @@ func TestChaosSqueezeDigestRefMiss(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	plain := plainReplica.HandleReplicaByRef(uint8(ModePRINS), 0, 0, run.entries)
-	entries, digest := run.squeeze(t, true)
-	squeezed := squeezedReplica.HandleReplicaSqueezed(uint8(ModePRINS), 0, 0, entries, true, digest)
+	plain := plainReplica.HandleReplicaBatchStream(uint8(ModePRINS), 0, 0, run.entries)
+	entries, digest := run.squeeze(t)
+	squeezed := squeezedReplica.HandleReplicaSqueezed(uint8(ModePRINS), 0, 0, entries, digest)
 	want := []iscsi.Status{iscsi.StatusOK, iscsi.StatusOK, iscsi.StatusOK, iscsi.StatusRefMiss, iscsi.StatusRefMiss}
 	if !slices.Equal(plain, want) || !slices.Equal(squeezed, want) {
 		t.Fatalf("statuses: plain %v, squeezed %v, want %v", plain, squeezed, want)
@@ -410,13 +415,63 @@ func TestChaosSqueezeDigestRefMiss(t *testing.T) {
 	if err := r.WarmDedupe(); err != nil {
 		t.Fatal(err)
 	}
-	entries, digest = run.squeeze(t, true)
-	st := r.HandleReplicaSqueezed(uint8(ModePRINS), 0, 0, entries, true, digest)
+	entries, digest = run.squeeze(t)
+	st := r.HandleReplicaSqueezed(uint8(ModePRINS), 0, 0, entries, digest)
 	if slices.ContainsFunc(st, func(s iscsi.Status) bool { return s != iscsi.StatusUnverified }) {
 		t.Fatalf("an entry on the missed reference's block: statuses %v, want every entry unverified", st)
 	}
 	mustEqual(t, "replica after an unverified push", fresh, run.image)
 	if m := r.Traffic().Snapshot(); r.StreamLastSeq(0, 0) != 0 || m.DedupeMisses != 0 || m.ReplicaWrites != 0 {
 		t.Errorf("an unverified push moved the window to %d, counted %d misses", r.StreamLastSeq(0, 0), m.DedupeMisses)
+	}
+}
+
+// segmentMeter models the data segments an initiator writes to its
+// connection as the engine books them on the wire: wan.WireBytesDiscrete
+// of each PDU's segment, each PDU arriving in one Write.
+type segmentMeter struct {
+	net.Conn
+	mu       sync.Mutex
+	pdus     int
+	modelled int64
+}
+
+func (m *segmentMeter) Write(p []byte) (int, error) {
+	if len(p) >= 48 {
+		m.mu.Lock()
+		m.pdus++
+		m.modelled += int64(wan.WireBytesDiscrete(int(binary.BigEndian.Uint32(p[24:]))))
+		m.mu.Unlock()
+	}
+	return m.Conn.Write(p)
+}
+
+// TestSqueezeUnverifiedWireAccounting: every other squeezed list has
+// its digest flipped in flight, comes back unverified and is re-shipped
+// plain inside the same call: two PDUs, each with its own packet
+// headers. The engine's modelled WireBytes is still exactly the
+// modelled cost of every data segment the connection carried.
+func TestSqueezeUnverifiedWireAccounting(t *testing.T) {
+	flipped := digestFlip{odd: true}
+	meter := &segmentMeter{}
+	c := newSqueezeChaos(t, Config{}, func(client, server net.Conn) (net.Conn, net.Conn) {
+		meter.Conn = &digestFlipConn{Conn: client, f: &flipped}
+		return meter, server
+	})
+	meter.mu.Lock()
+	meter.pdus, meter.modelled = 0, 0 // the login is not the engine's
+	meter.mu.Unlock()
+	c.write(t, 0, len(c.writes))
+	st := c.check(t)
+	flipped.mu.Lock()
+	flips := flipped.flips
+	flipped.mu.Unlock()
+	if flips < 2 {
+		t.Fatalf("%d squeezed lists had their digests flipped, want the gate's probes too", flips)
+	}
+	meter.mu.Lock()
+	defer meter.mu.Unlock()
+	if st.Metrics.WireBytes != meter.modelled {
+		t.Errorf("engine WireBytes %d, the connection's %d PDUs modelled as %d", st.Metrics.WireBytes, meter.pdus, meter.modelled)
 	}
 }

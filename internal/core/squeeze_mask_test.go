@@ -328,11 +328,11 @@ func maskList(t *testing.T, seq, lba uint64, oldBlock, newBlock []byte) ([]iscsi
 	sent := []iscsi.BatchEntry{{Seq: seq, LBA: lba, Hash: hash, Frame: frame, Mask: mask, Check: hash ^ iscsi.HashBlock(frame)}}
 	var tx iscsi.SqueezeSender
 	var rx iscsi.SqueezeReceiver
-	seg, tag, ok, err := tx.Encode(sent, false)
+	seg, tag, ok, err := tx.Encode(sent)
 	if err != nil || !ok {
 		t.Fatalf("squeeze: ok %v, %v", ok, err)
 	}
-	got, err := rx.Decode(nil, seg, tag, false)
+	got, err := rx.Decode(nil, seg, tag)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -445,7 +445,7 @@ func TestSqueezeMaskJournalKeepsBlockHash(t *testing.T) {
 			t.Fatal(err)
 		}
 		list, digest := maskList(t, 1, lba, oldBlock, newBlock)
-		if st := rep.HandleReplicaSqueezed(uint8(ModePRINS), 0, 0, list, false, digest); st[0] != iscsi.StatusStoreError {
+		if st := rep.HandleReplicaSqueezed(uint8(ModePRINS), 0, 0, list, digest); st[0] != iscsi.StatusStoreError {
 			t.Fatalf("torn mask apply: status %v", st[0])
 		}
 		pending, err := journal.New(backing).PendingEntries()

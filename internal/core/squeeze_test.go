@@ -456,12 +456,12 @@ type plainSqueezer struct {
 	held  bool // a history claimed since the last ResetSqueeze
 }
 
-func (c *plainSqueezer) ReplicaWriteSqueezed(mode, shard uint8, vol uint16, entries []iscsi.BatchEntry, refs bool) ([]iscsi.Status, int, error) {
+func (c *plainSqueezer) ReplicaWriteSqueezed(mode, shard uint8, vol uint16, entries []iscsi.BatchEntry) ([]iscsi.Status, int, error) {
 	c.mu.Lock()
 	c.asked++
 	c.held = true
 	c.mu.Unlock()
-	st, err := c.ReplicaWriteBatch(mode, entries)
+	st, err := c.ReplicaWriteBatchStream(mode, shard, vol, entries)
 	return st, iscsi.BatchWireLen(entries), err
 }
 
@@ -523,11 +523,11 @@ func TestSqueezeSteadyStateAllocs(t *testing.T) {
 	var sent int
 	run := func() {
 		sq.gate.next()
-		seg, tag, ok, err := tx.Encode(entries, false)
+		seg, tag, ok, err := tx.Encode(entries)
 		if err != nil || !ok {
 			t.Fatalf("encode ok %v: %v", ok, err)
 		}
-		if decoded, err = rx.Decode(decoded, seg, tag, false); err != nil {
+		if decoded, err = rx.Decode(decoded, seg, tag); err != nil {
 			t.Fatal(err)
 		}
 		tx.Commit()

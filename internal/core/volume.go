@@ -15,7 +15,7 @@ import (
 // storage serves many logical volumes to many clients over shared WAN
 // sessions. VolumeManager is the primary-side multiplexer — one Engine
 // per logical volume, every engine tagged with its volume id, all of
-// them shipping through the same shared StreamReplicaClients (and,
+// them shipping through the same shared ReplicaClients (and,
 // implicitly, the same process-wide frame pool). ReplicaSet is the
 // replica-side counterpart: it fans stream-tagged pushes out to the
 // right per-volume ReplicaEngine by the vol field of the wire tag.
@@ -36,7 +36,7 @@ type VolumeManager struct {
 	mu      sync.Mutex
 	base    Config
 	vols    map[uint16]*Engine
-	clients []StreamReplicaClient
+	clients []ReplicaClient
 }
 
 // NewVolumeManager validates the per-volume config template. The
@@ -94,11 +94,11 @@ func (vm *VolumeManager) addVolumeLocked(id uint16, store block.Store) (*Engine,
 	return eng, nil
 }
 
-// AttachReplica shares one stream-capable replica client with every
+// AttachReplica shares one replica client with every
 // volume, present and future. All volumes' pipelines push through it
 // concurrently; the replica side demultiplexes by the (vol, shard)
 // stream tag.
-func (vm *VolumeManager) AttachReplica(rc StreamReplicaClient) error {
+func (vm *VolumeManager) AttachReplica(rc ReplicaClient) error {
 	vm.mu.Lock()
 	defer vm.mu.Unlock()
 	for _, id := range vm.idsLocked() {
@@ -188,9 +188,9 @@ func (vm *VolumeManager) Close() error {
 
 // ReplicaSet is the replica-side volume demultiplexer: one
 // ReplicaEngine per volume id, exported through a single target
-// backend. Stream-tagged pushes route to their volume's engine by the
-// wire tag; untagged operations (plain pushes, and the READ/WRITE
-// control path an initial sync or resync drives) route to volume 0, so
+// backend. Pushes of every shape route to their volume's engine by the
+// wire tag, an untagged push to volume 0's stream (0, 0); the READ/WRITE
+// control path an initial sync or resync drives routes to volume 0, so
 // register a volume 0 engine — or, for multi-volume nodes, export each
 // volume's engine separately for control-path access (prinsd uses
 // "<export>.<id>").
@@ -204,11 +204,11 @@ type ReplicaSet struct {
 	nb   uint64
 }
 
-var _ iscsi.Backend = (*ReplicaSet)(nil)
-var _ iscsi.BatchBackend = (*ReplicaSet)(nil)
-var _ iscsi.StreamBackend = (*ReplicaSet)(nil)
-var _ iscsi.StreamBatchBackend = (*ReplicaSet)(nil)
-var _ iscsi.ByRefBackend = (*ReplicaSet)(nil)
+var (
+	_ iscsi.Backend            = (*ReplicaSet)(nil)
+	_ iscsi.StreamBatchBackend = (*ReplicaSet)(nil)
+	_ iscsi.SqueezeBackend     = (*ReplicaSet)(nil)
+)
 
 // NewReplicaSet returns an empty set; add volumes before serving.
 func NewReplicaSet() *ReplicaSet {
@@ -289,15 +289,10 @@ func (s *ReplicaSet) HandleWrite(lba uint64, data []byte) iscsi.Status {
 	return re.HandleWrite(lba, data)
 }
 
-// HandleReplica implements iscsi.Backend: an untagged push is the
-// (0, 0) stream of volume 0.
-func (s *ReplicaSet) HandleReplica(mode uint8, seq, lba, hash uint64, frame []byte) iscsi.Status {
-	return s.HandleReplicaStream(mode, 0, 0, seq, lba, hash, frame)
-}
-
-// HandleReplicaStream implements iscsi.StreamBackend, routing by the
-// wire tag's volume id. A push for an unregistered volume is refused
-// (not silently applied elsewhere).
+// HandleReplicaStream implements iscsi.Backend, routing by the wire
+// tag's volume id; an untagged push is the (0, 0) stream of volume 0.
+// A push for an unregistered volume is refused (not silently applied
+// elsewhere).
 func (s *ReplicaSet) HandleReplicaStream(mode, shard uint8, vol uint16, seq, lba, hash uint64, frame []byte) iscsi.Status {
 	re := s.Volume(vol)
 	if re == nil {
@@ -306,14 +301,9 @@ func (s *ReplicaSet) HandleReplicaStream(mode, shard uint8, vol uint16, seq, lba
 	return re.HandleReplicaStream(mode, shard, vol, seq, lba, hash, frame)
 }
 
-// HandleReplicaBatch implements iscsi.BatchBackend against volume 0's
-// default stream.
-func (s *ReplicaSet) HandleReplicaBatch(mode uint8, entries []iscsi.BatchEntry) []iscsi.Status {
-	return s.HandleReplicaBatchStream(mode, 0, 0, entries)
-}
-
 // HandleReplicaBatchStream implements iscsi.StreamBatchBackend,
-// routing by the wire tag's volume id.
+// routing by the wire tag's volume id: a reference resolves against its
+// own volume's content index, never another volume's.
 func (s *ReplicaSet) HandleReplicaBatchStream(mode, shard uint8, vol uint16, entries []iscsi.BatchEntry) []iscsi.Status {
 	re := s.Volume(vol)
 	if re == nil {
@@ -322,13 +312,12 @@ func (s *ReplicaSet) HandleReplicaBatchStream(mode, shard uint8, vol uint16, ent
 	return re.HandleReplicaBatchStream(mode, shard, vol, entries)
 }
 
-// HandleReplicaByRef implements iscsi.ByRefBackend, routing by the wire
-// tag's volume id: a reference resolves against its own volume's
-// content index, never another volume's.
-func (s *ReplicaSet) HandleReplicaByRef(mode, shard uint8, vol uint16, entries []iscsi.BatchEntry) []iscsi.Status {
+// HandleReplicaSqueezed implements iscsi.SqueezeBackend, routing by the
+// wire tag's volume id, as the other two shapes are routed.
+func (s *ReplicaSet) HandleReplicaSqueezed(mode, shard uint8, vol uint16, entries []iscsi.BatchEntry, digest uint64) []iscsi.Status {
 	re := s.Volume(vol)
 	if re == nil {
 		return refuseAll(len(entries), iscsi.StatusBadRequest)
 	}
-	return re.HandleReplicaByRef(mode, shard, vol, entries)
+	return re.HandleReplicaSqueezed(mode, shard, vol, entries, digest)
 }

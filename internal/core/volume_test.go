@@ -1,18 +1,22 @@
 package core
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"math/rand"
+	"net"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
 
 	"prins/internal/block"
 	"prins/internal/iscsi"
+	"prins/internal/xcode"
 )
 
-// setClient adapts a ReplicaSet into a shared StreamReplicaClient, the
+// setClient adapts a ReplicaSet into a shared list client, the
 // in-process equivalent of one TCP session carrying several volumes'
 // push streams to one replica node.
 type setClient struct {
@@ -24,10 +28,6 @@ func setStatusErr(st iscsi.Status, lba uint64) error {
 		return nil
 	}
 	return iscsi.ReplicaStatusErr(lba, st)
-}
-
-func (c *setClient) ReplicaWrite(mode uint8, seq, lba, hash uint64, frame []byte) error {
-	return setStatusErr(c.set.HandleReplica(mode, seq, lba, hash, frame), lba)
 }
 
 func (c *setClient) ReplicaWriteStream(mode, shard uint8, vol uint16, seq, lba, hash uint64, frame []byte) error {
@@ -149,16 +149,12 @@ func TestVolumeManagerLifecycle(t *testing.T) {
 // exactly one volume — the in-process model of a replica node that
 // lost one volume's disk while the session stays up.
 type volFaultClient struct {
-	inner   StreamReplicaClient
+	inner   ReplicaClient
 	failVol uint16
 	failing atomic.Bool
 }
 
 var errVolFault = errors.New("injected volume fault")
-
-func (c *volFaultClient) ReplicaWrite(mode uint8, seq, lba, hash uint64, frame []byte) error {
-	return c.inner.ReplicaWrite(mode, seq, lba, hash, frame)
-}
 
 func (c *volFaultClient) ReplicaWriteStream(mode, shard uint8, vol uint16, seq, lba, hash uint64, frame []byte) error {
 	if c.failing.Load() && vol == c.failVol {
@@ -338,4 +334,108 @@ func blockOf(b byte, n int) []byte {
 		buf[i] = b
 	}
 	return buf
+}
+
+// TestReplicaSetEveryPushShape drives each kind of push through a
+// target to a ReplicaSet: an untagged single frame (volume 0's stream
+// (0, 0)), a tagged one, a list, a list with a reference, and a
+// squeezed list. Every push lands in its own volume's image, and the
+// squeezed list reaches its volume's engine, which verifies it, so what
+// went on the wire for it is less than the plain list.
+func TestReplicaSetEveryPushShape(t *testing.T) {
+	const bs, nb, vol = 4096, 128, 3
+	mode := uint8(ModePRINS)
+	set := NewReplicaSet()
+	stores := map[uint16]*block.MemStore{}
+	for _, id := range []uint16{0, vol} {
+		store, err := block.NewMem(bs, nb)
+		if err != nil {
+			t.Fatal(err)
+		}
+		stores[id] = store
+		if err := set.AddVolume(id, NewReplicaEngine(store)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	target := iscsi.NewTarget()
+	target.Export("set", set)
+	client, server := net.Pipe()
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		target.ServeConn(server)
+	}()
+	init := iscsi.NewInitiator(client)
+	t.Cleanup(func() {
+		init.Close()
+		wg.Wait()
+	})
+	if err := init.Login("set"); err != nil {
+		t.Fatal(err)
+	}
+
+	// Every block starts zero, so a block's PRINS parity is the block.
+	want := map[uint16]map[uint64][]byte{0: {}, vol: {}}
+	entry := func(id uint16, seq, lba uint64, k int) iscsi.BatchEntry {
+		t.Helper()
+		data := textBlock(bs, 300+40*(k%8), byte(k))
+		frame, err := xcode.EncodeBest(data, xcode.CodecZRL)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[id][lba] = data
+		return iscsi.BatchEntry{Seq: seq, LBA: lba, Hash: iscsi.HashBlock(data), Frame: frame}
+	}
+	allOK := func(what string, st []iscsi.Status, err error) {
+		t.Helper()
+		if err != nil || slices.ContainsFunc(st, func(s iscsi.Status) bool { return s != iscsi.StatusOK }) {
+			t.Fatalf("%s: statuses %v, %v", what, st, err)
+		}
+	}
+
+	e := entry(0, 1, 1, 1)
+	if err := init.ReplicaWriteStream(mode, 0, 0, e.Seq, e.LBA, e.Hash, e.Frame); err != nil {
+		t.Fatalf("untagged single: %v", err)
+	}
+	e = entry(vol, 1, 2, 2)
+	if err := init.ReplicaWriteStream(mode, 2, vol, e.Seq, e.LBA, e.Hash, e.Frame); err != nil {
+		t.Fatalf("tagged single: %v", err)
+	}
+	var list []iscsi.BatchEntry
+	for k := range 4 {
+		list = append(list, entry(vol, uint64(k+1), uint64(10+k), 10+k))
+	}
+	st, err := init.ReplicaWriteBatchStream(mode, 1, vol, list)
+	allOK("list", st, err)
+	// A reference to the content the list left at lba 10, and a frame.
+	ref := iscsi.BatchEntry{Seq: 5, LBA: 20, Hash: list[0].Hash}
+	want[vol][20] = want[vol][10]
+	st, err = init.ReplicaWriteBatchStream(mode, 1, vol, []iscsi.BatchEntry{ref, entry(vol, 6, 21, 21)})
+	allOK("list with a reference", st, err)
+	list = list[:0]
+	for k := range 32 {
+		list = append(list, entry(vol, uint64(7+k), uint64(30+k), 30+k))
+	}
+	st, sent, err := init.ReplicaWriteSqueezed(mode, 1, vol, list)
+	allOK("squeezed list", st, err)
+	if plain := iscsi.BatchWireLen(list); sent >= plain {
+		t.Errorf("squeezed list put %d data-segment bytes on the wire, the plain list is %d", sent, plain)
+	}
+
+	cur := make([]byte, bs)
+	for id, blocks := range want {
+		for lba := range uint64(nb) {
+			if err := stores[id].ReadBlock(lba, cur); err != nil {
+				t.Fatal(err)
+			}
+			exp, ok := blocks[lba]
+			if !ok {
+				exp = make([]byte, bs)
+			}
+			if !bytes.Equal(cur, exp) {
+				t.Errorf("volume %d lba %d does not hold what was pushed", id, lba)
+			}
+		}
+	}
 }

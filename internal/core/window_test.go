@@ -155,7 +155,7 @@ func TestSeqWindowCases(t *testing.T) {
 		r := newWindowRig(t, 1, 512, 8, nil)
 		hi, lo := r.entry(t, 9, 1), r.entry(t, 4, 2)
 		for _, e := range []iscsi.BatchEntry{hi, lo, lo, hi} {
-			if err := r.rep.Apply(ModePRINS, e.Seq, e.LBA, e.Hash, e.Frame); err != nil {
+			if err := r.rep.ApplyStream(ModePRINS, 0, 0, e.Seq, e.LBA, e.Hash, e.Frame); err != nil {
 				t.Fatalf("seq %d: %v", e.Seq, err)
 			}
 		}
@@ -170,7 +170,7 @@ func TestSeqWindowCases(t *testing.T) {
 	t.Run("in-push-equal-seq", func(t *testing.T) {
 		r := newWindowRig(t, 2, 512, 8, nil)
 		e := r.entry(t, 3, 1)
-		mustOK(t, "push", r.rep.HandleReplicaBatch(uint8(ModePRINS), []iscsi.BatchEntry{e, e}))
+		mustOK(t, "push", r.rep.HandleReplicaBatchStream(uint8(ModePRINS), 0, 0, []iscsi.BatchEntry{e, e}))
 		if w, d := r.counts(); w != 1 || d != 1 {
 			t.Errorf("writes = %d, duplicates = %d, want 1 and 1", w, d)
 		}
@@ -178,12 +178,12 @@ func TestSeqWindowCases(t *testing.T) {
 
 	t.Run("seq-zero-never-dedupes", func(t *testing.T) {
 		r := newWindowRig(t, 3, 512, 8, nil)
-		if e := r.entry(t, 2*seqWindowSize, 1); r.rep.Apply(ModePRINS, e.Seq, e.LBA, e.Hash, e.Frame) != nil {
+		if e := r.entry(t, 2*seqWindowSize, 1); r.rep.ApplyStream(ModePRINS, 0, 0, e.Seq, e.LBA, e.Hash, e.Frame) != nil {
 			t.Fatal("sequenced apply failed")
 		}
 		for _, lba := range []uint64{2, 3} {
 			e := r.entry(t, 0, lba)
-			if err := r.rep.Apply(ModePRINS, 0, e.LBA, e.Hash, e.Frame); err != nil {
+			if err := r.rep.ApplyStream(ModePRINS, 0, 0, 0, e.LBA, e.Hash, e.Frame); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -203,16 +203,16 @@ func TestSeqWindowCases(t *testing.T) {
 			return faults.NewPlan(1).WrapStore(s, faults.StoreFaults{TornWriteAt: 2})
 		})
 		e10, e7, e11 := r.entry(t, 10, 1), r.entry(t, 7, 2), r.entry(t, 11, 3)
-		if err := r.rep.Apply(ModePRINS, 10, e10.LBA, e10.Hash, e10.Frame); err != nil {
+		if err := r.rep.ApplyStream(ModePRINS, 0, 0, 10, e10.LBA, e10.Hash, e10.Frame); err != nil {
 			t.Fatal(err)
 		}
-		if err := r.rep.Apply(ModePRINS, 7, e7.LBA, e7.Hash, e7.Frame); !errors.Is(err, faults.ErrTornWrite) {
+		if err := r.rep.ApplyStream(ModePRINS, 0, 0, 7, e7.LBA, e7.Hash, e7.Frame); !errors.Is(err, faults.ErrTornWrite) {
 			t.Fatalf("torn apply err = %v", err)
 		}
-		if err := r.rep.Apply(ModePRINS, 11, e11.LBA, e11.Hash, e11.Frame); err != nil {
+		if err := r.rep.ApplyStream(ModePRINS, 0, 0, 11, e11.LBA, e11.Hash, e11.Frame); err != nil {
 			t.Fatal(err)
 		}
-		if err := r.rep.Apply(ModePRINS, 7, e7.LBA, e7.Hash, e7.Frame); err != nil {
+		if err := r.rep.ApplyStream(ModePRINS, 0, 0, 7, e7.LBA, e7.Hash, e7.Frame); err != nil {
 			t.Fatalf("redelivery of the replayed seq: %v", err)
 		}
 		if w, d := r.counts(); w != 3 || d != 1 {
@@ -236,15 +236,15 @@ func TestSeqWindowCases(t *testing.T) {
 		head, ref, tail := r.entry(t, 1, 1), r.entry(t, 2, 2), r.entry(t, 3, 3)
 		asRef := ref
 		asRef.Frame = nil
-		st := r.rep.HandleReplicaByRef(uint8(ModePRINS), 0, 0, []iscsi.BatchEntry{head, asRef, tail})
+		st := r.rep.HandleReplicaBatchStream(uint8(ModePRINS), 0, 0, []iscsi.BatchEntry{head, asRef, tail})
 		if st[0] != iscsi.StatusOK || st[1] != iscsi.StatusRefMiss || st[2] != iscsi.StatusRefMiss {
 			t.Fatalf("by-ref push statuses = %v, want OK, REF-MISS, REF-MISS", st)
 		}
 		other := r.entry(t, 4, 4)
-		if err := r.rep.Apply(ModePRINS, 4, other.LBA, other.Hash, other.Frame); err != nil {
+		if err := r.rep.ApplyStream(ModePRINS, 0, 0, 4, other.LBA, other.Hash, other.Frame); err != nil {
 			t.Fatal(err)
 		}
-		mustOK(t, "re-shipped suffix", r.rep.HandleReplicaBatch(uint8(ModePRINS), []iscsi.BatchEntry{ref, tail}))
+		mustOK(t, "re-shipped suffix", r.rep.HandleReplicaBatchStream(uint8(ModePRINS), 0, 0, []iscsi.BatchEntry{ref, tail}))
 		if w, d := r.counts(); w != 4 || d != 0 {
 			t.Errorf("writes = %d, duplicates = %d, want 4 and 0 (the repair was deduped away)", w, d)
 		}
@@ -366,7 +366,7 @@ type meetClient struct {
 	both   chan struct{}
 }
 
-func (c *meetClient) ReplicaWrite(mode uint8, seq, lba, hash uint64, frame []byte) error {
+func (c *meetClient) ReplicaWriteStream(mode, shard uint8, vol uint16, seq, lba, hash uint64, frame []byte) error {
 	if c.inside.Add(1) == 2 {
 		close(c.both)
 	}
@@ -375,7 +375,7 @@ func (c *meetClient) ReplicaWrite(mode uint8, seq, lba, hash uint64, frame []byt
 	case <-c.ctx.Done():
 		return errors.New("meetClient: a second push never came while the first was in flight")
 	}
-	return c.inner.ReplicaWrite(mode, seq, lba, hash, frame)
+	return c.inner.ReplicaWriteStream(mode, shard, vol, seq, lba, hash, frame)
 }
 
 // TestShipWindowOverlap: two synchronous writers on one shard have
@@ -422,13 +422,13 @@ type swapClient struct {
 	swaps   int
 }
 
-func (c *swapClient) ReplicaWrite(mode uint8, seq, lba, hash uint64, frame []byte) error {
+func (c *swapClient) ReplicaWriteStream(mode, shard uint8, vol uint16, seq, lba, hash uint64, frame []byte) error {
 	c.mu.Lock()
 	if first := c.waiting; first != nil {
 		c.waiting = nil
 		c.swaps++
 		c.mu.Unlock()
-		err := c.inner.ReplicaWrite(mode, seq, lba, hash, frame)
+		err := c.inner.ReplicaWriteStream(mode, shard, vol, seq, lba, hash, frame)
 		close(first)
 		return err
 	}
@@ -438,7 +438,7 @@ func (c *swapClient) ReplicaWrite(mode uint8, seq, lba, hash uint64, frame []byt
 	for i := 0; i < 200; i++ {
 		select {
 		case <-me:
-			return c.inner.ReplicaWrite(mode, seq, lba, hash, frame)
+			return c.inner.ReplicaWriteStream(mode, shard, vol, seq, lba, hash, frame)
 		default:
 			runtime.Gosched()
 		}
@@ -452,7 +452,7 @@ func (c *swapClient) ReplicaWrite(mode uint8, seq, lba, hash uint64, frame []byt
 	if !alone {
 		<-me // a partner took the slot and is applying ahead of us
 	}
-	return c.inner.ReplicaWrite(mode, seq, lba, hash, frame)
+	return c.inner.ReplicaWriteStream(mode, shard, vol, seq, lba, hash, frame)
 }
 
 // TestShipWindowReorder: four synchronous writers hammer eight LBAs of
@@ -534,7 +534,7 @@ type holdClient struct {
 	reached  chan struct{}
 }
 
-func (c *holdClient) ReplicaWrite(mode uint8, seq, lba, hash uint64, frame []byte) error {
+func (c *holdClient) ReplicaWriteStream(mode, shard uint8, vol uint16, seq, lba, hash uint64, frame []byte) error {
 	c.mu.Lock()
 	healed := c.healed
 	if !healed && seq > seqWindowSize/2 {
@@ -544,7 +544,7 @@ func (c *holdClient) ReplicaWrite(mode uint8, seq, lba, hash uint64, frame []byt
 	if seq == 1 && !healed {
 		return errors.New("holdClient: injected delivery failure")
 	}
-	err := c.inner.ReplicaWrite(mode, seq, lba, hash, frame)
+	err := c.inner.ReplicaWriteStream(mode, shard, vol, seq, lba, hash, frame)
 	c.mu.Lock()
 	if c.done++; c.done == seqWindowSize/2-1 {
 		close(c.reached)
@@ -668,16 +668,6 @@ func (c *flightClient) enter(shard uint8) func() {
 		runtime.Gosched()
 	}
 	return func() { c.inside[shard].Add(-1) }
-}
-
-func (c *flightClient) ReplicaWrite(mode uint8, seq, lba, hash uint64, frame []byte) error {
-	defer c.enter(0)()
-	return c.Loopback.ReplicaWrite(mode, seq, lba, hash, frame)
-}
-
-func (c *flightClient) ReplicaWriteBatch(mode uint8, entries []iscsi.BatchEntry) ([]iscsi.Status, error) {
-	defer c.enter(0)()
-	return c.Loopback.ReplicaWriteBatch(mode, entries)
 }
 
 func (c *flightClient) ReplicaWriteStream(mode, shard uint8, vol uint16, seq, lba, hash uint64, frame []byte) error {

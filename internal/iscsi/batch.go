@@ -21,8 +21,15 @@ import (
 //	  seq      (varint)  seq - the previous entry's seq (the first entry's: - 0)
 //	  lba      (varint)  lba - the previous entry's lba (the first entry's: - 0)
 //	  hash     (uint64)  content hash of the decoded new block
-//	  frameLen (uvarint) 0 = no frame (by-ref: the hash is the payload)
+//	  frameLen (uvarint) 0 = a reference: no frame, the hash is the payload
 //	  frame    (frameLen bytes, an xcode frame)
+//
+// Both opcodes carry this one list, under one rule: an entry with no
+// frame is a reference (byref.go), whose hash must be nonzero, and any
+// other entry carries its frame. The opcode follows the content: an
+// initiator sends OpReplicaWriteByRef for a list that holds a
+// reference and OpReplicaWriteBatch for one that does not, and a
+// target decodes and applies both alike.
 //
 // The deltas are zigzag varints of the difference modulo 2^64, so a
 // list imposes no order on its seqs or LBAs, and a seq that wraps costs
@@ -44,7 +51,7 @@ const (
 )
 
 // BatchEntry is one replication push inside an entry list: the same
-// seq/lba/hash/frame tuple ReplicaWrite ships one at a time.
+// seq/lba/hash/frame tuple ReplicaWriteStream ships one at a time.
 //
 // Mask, when set, is a masked redo of the write Frame ships
 // (xcode.AppendMask: a parity frame's zero runs with A_new's bytes for
@@ -60,25 +67,23 @@ type BatchEntry struct {
 	Check uint64
 }
 
-// BatchBackend is the optional batching extension of Backend. A target
-// hands a decoded batch to HandleReplicaBatch when the backend
-// implements it; otherwise it falls back to per-entry HandleReplica
-// calls, so an un-upgraded backend behind an upgraded target still
-// works. Implementations return exactly one status per entry, in
-// entry order.
-type BatchBackend interface {
-	Backend
-	HandleReplicaBatch(mode uint8, entries []BatchEntry) []Status
-}
-
-// StreamBatchBackend extends BatchBackend with stream-tagged batches:
-// the whole batch belongs to one (vol, shard) replication stream — a
-// sharded primary ships each shard's pipeline as its own batches, so
-// the tag rides once in the PDU header rather than per entry.
+// StreamBatchBackend is the entry-list extension of Backend: the
+// target hands it every decoded plain list, either opcode. The whole
+// list belongs to one (vol, shard) replication stream — a sharded
+// primary ships each shard's pipeline as its own lists, so the tag
+// rides once in the PDU header rather than per entry — and any entry
+// may be a reference (byref.go). A list at a backend without it is
+// refused with StatusBadRequest. Implementations return exactly one
+// status per entry, in entry order.
 type StreamBatchBackend interface {
-	StreamBackend
+	Backend
 	HandleReplicaBatchStream(mode, shard uint8, vol uint16, entries []BatchEntry) []Status
 }
+
+// BatchBackend is StreamBatchBackend under its old name, kept only
+// for the benchmark module, which may not change in step with this
+// package.
+type BatchBackend = StreamBatchBackend
 
 // uvarintLen returns the bytes binary.AppendUvarint spends on v.
 func uvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
@@ -132,10 +137,9 @@ func BatchWireLen(entries []BatchEntry) int {
 
 // entryListLen validates an entry list against the protocol bounds and
 // returns its data-segment length and the part of it that is not
-// frames. With refs set the list is a by-ref push, where an entry
-// without a frame must carry a nonzero content hash — the hash is the
-// only thing the replica can materialize from.
-func entryListLen(entries []BatchEntry, refs bool) (dataLen, metaLen int, err error) {
+// frames. A reference must carry a nonzero content hash — the hash is
+// the only thing the replica can materialize from.
+func entryListLen(entries []BatchEntry) (dataLen, metaLen int, err error) {
 	if len(entries) == 0 {
 		return 0, 0, fmt.Errorf("iscsi: empty replica batch")
 	}
@@ -147,8 +151,8 @@ func entryListLen(entries []BatchEntry, refs bool) (dataLen, metaLen int, err er
 		return 0, 0, fmt.Errorf("%w: batch of %d bytes", ErrTooLarge, metaLen+frames)
 	}
 	for k := range entries {
-		if refs && entries[k].ByRef() && entries[k].Hash == 0 {
-			return 0, 0, fmt.Errorf("%w: by-ref entry %d without content hash", ErrBadFrame, k)
+		if entries[k].ByRef() && entries[k].Hash == 0 {
+			return 0, 0, fmt.Errorf("%w: reference %d without content hash", ErrBadFrame, k)
 		}
 	}
 	return metaLen + frames, metaLen, nil
@@ -184,8 +188,8 @@ func appendEntryList(bufs net.Buffers, meta []byte, entries []BatchEntry) net.Bu
 // list. The initiator's send path does not use it (it writes the same
 // pieces vectored, without assembling a copy); it serves tests, fuzz
 // seeds, and callers that need the segment as one buffer.
-func encodeEntryList(entries []BatchEntry, refs bool) ([]byte, error) {
-	dataLen, metaLen, err := entryListLen(entries, refs)
+func encodeEntryList(entries []BatchEntry) ([]byte, error) {
+	dataLen, metaLen, err := entryListLen(entries)
 	if err != nil {
 		return nil, err
 	}
@@ -232,16 +236,16 @@ func decodeDelta(data []byte, off int, from uint64) (uint64, int, error) {
 // in (0, MaxBatchFrames], and count minimal entries must fit in the
 // rest of the buffer, before anything is allocated; every entry must be
 // fully present; every varint must be minimal; trailing bytes are
-// rejected; and with refs set (a by-ref push) an entry without a frame
-// must name a nonzero content hash. Truncation reports ErrShortFrame
-// and structural violations report ErrBadFrame — hostile input never
-// panics or over-allocates.
-func decodeEntryList(entries []BatchEntry, data []byte, refs bool) ([]BatchEntry, error) {
+// rejected; and a reference (an entry without a frame) must name a
+// nonzero content hash. Truncation reports ErrShortFrame and structural
+// violations report ErrBadFrame — hostile input never panics or
+// over-allocates.
+func decodeEntryList(entries []BatchEntry, data []byte) ([]BatchEntry, error) {
 	count, off, err := decodeUvarint(data, 0)
 	if err != nil {
 		return nil, fmt.Errorf("%w: batch count of a %d-byte segment", err, len(data))
 	}
-	return decodeEntries(entries, data[off:], count, refs, false)
+	return decodeEntries(entries, data[off:], count, false)
 }
 
 // minPlainEntryLen is the smallest entry of a squeezed list's
@@ -251,10 +255,10 @@ const minPlainEntryLen = 1 + 1 + 1 + 1
 // decodeEntries parses exactly count entries from data, which they
 // must fill (see decodeEntryList). With squeezed set, data is a
 // squeezed list's plaintext (squeeze.go): an entry's hash follows its
-// length field, and only when that length is zero, a reference, which
-// a list without refs may not carry; a by-value entry decodes with a
-// zero Hash, its check being the list's digest's business.
-func decodeEntries(entries []BatchEntry, data []byte, count uint64, refs, squeezed bool) ([]BatchEntry, error) {
+// length field, and only when that length is zero, a reference; a
+// by-value entry decodes with a zero Hash, its check being the list's
+// digest's business.
+func decodeEntries(entries []BatchEntry, data []byte, count uint64, squeezed bool) ([]BatchEntry, error) {
 	if count == 0 || count > MaxBatchFrames {
 		return nil, fmt.Errorf("%w: batch count %d", ErrBadFrame, count)
 	}
@@ -289,9 +293,6 @@ func decodeEntries(entries []BatchEntry, data []byte, count uint64, refs, squeez
 			return nil, fmt.Errorf("%w: batch entry %d frame length", err, k)
 		}
 		if squeezed && frameLen == 0 {
-			if !refs {
-				return nil, fmt.Errorf("%w: reference %d in a by-value list", ErrBadFrame, k)
-			}
 			if len(data)-off < HashSize {
 				return nil, fmt.Errorf("%w: batch entry %d hash", ErrShortFrame, k)
 			}
@@ -299,8 +300,8 @@ func decodeEntries(entries []BatchEntry, data []byte, count uint64, refs, squeez
 			off += HashSize
 		}
 		switch {
-		case refs && frameLen == 0 && e.Hash == 0:
-			return nil, fmt.Errorf("%w: by-ref entry %d without content hash", ErrBadFrame, k)
+		case frameLen == 0 && e.Hash == 0:
+			return nil, fmt.Errorf("%w: reference %d without content hash", ErrBadFrame, k)
 		case frameLen > uint64(len(data)-off):
 			return nil, fmt.Errorf("%w: batch entry %d frame of %d bytes", ErrShortFrame, k, frameLen)
 		default:
@@ -316,14 +317,13 @@ func decodeEntries(entries []BatchEntry, data []byte, count uint64, refs, squeez
 	return entries, nil
 }
 
-// EncodeBatch assembles the contiguous data segment for a batch.
-func EncodeBatch(entries []BatchEntry) ([]byte, error) {
-	return encodeEntryList(entries, false)
-}
+// EncodeBatch assembles the contiguous data segment of an entry list,
+// references included.
+func EncodeBatch(entries []BatchEntry) ([]byte, error) { return encodeEntryList(entries) }
 
-// DecodeBatch parses the data segment of an OpReplicaWriteBatch PDU
-// (see decodeEntryList for the bounds it enforces).
-func DecodeBatch(data []byte) ([]BatchEntry, error) { return decodeEntryList(nil, data, false) }
+// DecodeBatch parses the data segment of an entry-list PDU, either
+// opcode (see decodeEntryList for the bounds it enforces).
+func DecodeBatch(data []byte) ([]BatchEntry, error) { return decodeEntryList(nil, data) }
 
 // EncodeBatchStatuses packs a batch response's per-entry status
 // vector: one status byte per entry, in entry order.
@@ -349,7 +349,7 @@ func DecodeBatchStatuses(data []byte, want int) ([]Status, error) {
 }
 
 // ReplicaStatusErr converts a per-entry batch status into the same
-// error a single-frame ReplicaWrite round trip would have returned,
+// error a single-frame ReplicaWriteStream round trip would have returned,
 // typed sentinel included, so engines treat batched and unbatched
 // apply failures uniformly. Only meaningful for non-OK statuses.
 func ReplicaStatusErr(lba uint64, st Status) error {
@@ -364,7 +364,7 @@ func ReplicaStatusErr(lba uint64, st Status) error {
 // order. The digest streams over the pieces, so the bytes are
 // indistinguishable from a contiguously-built PDU.
 func entryListPDU(p *PDU, entries []BatchEntry) (net.Buffers, error) {
-	dataLen, metaLen, err := entryListLen(entries, p.Op == OpReplicaWriteByRef)
+	dataLen, metaLen, err := entryListLen(entries)
 	if err != nil {
 		return nil, err
 	}
@@ -404,21 +404,37 @@ func (i *Initiator) pushEntryList(p PDU, entries []BatchEntry) ([]Status, error)
 	return DecodeBatchStatuses(resp.Data, len(entries))
 }
 
-// ReplicaWriteBatch pushes several replication frames in one round
-// trip and returns one status per entry, in entry order (see
-// pushEntryList). A batch of one is sent as a plain v3 OpReplicaWrite,
-// byte-identical to unbatched shipping.
+// ReplicaWriteBatch is ReplicaWriteBatchStream on stream (0, 0). Nothing
+// in this module calls it; it stays for the benchmark module only.
 func (i *Initiator) ReplicaWriteBatch(mode uint8, entries []BatchEntry) ([]Status, error) {
 	return i.ReplicaWriteBatchStream(mode, 0, 0, entries)
 }
 
-// ReplicaWriteBatchStream is ReplicaWriteBatch tagged with a
-// (vol, shard) replication stream: the whole batch applies against
-// that stream's sequence space on the replica, so a sharded primary
-// can interleave per-shard batches over one session. A zero tag is
-// byte-identical to ReplicaWriteBatch.
+// listOp is the opcode an entry list goes out under: it follows the
+// content, OpReplicaWriteByRef for a list that holds a reference and
+// OpReplicaWriteBatch for one that does not.
+func listOp(entries []BatchEntry) Opcode {
+	for k := range entries {
+		if entries[k].ByRef() {
+			return OpReplicaWriteByRef
+		}
+	}
+	return OpReplicaWriteBatch
+}
+
+// ReplicaWriteBatchStream pushes several replication entries of the
+// (vol, shard) stream in one round trip and returns one status per
+// entry, in entry order (see pushEntryList): the whole list applies
+// against that stream's sequence space on the replica, so a sharded
+// primary can interleave per-shard lists over one session, and an
+// untagged list is stream (0, 0). Any entry may be a reference, which
+// then ships under OpReplicaWriteByRef (see listOp); StatusRefMiss
+// marks references the replica could not resolve. A list of one
+// by-value entry is sent as a plain OpReplicaWrite, byte-identical to
+// ReplicaWriteStream.
 func (i *Initiator) ReplicaWriteBatchStream(mode, shard uint8, vol uint16, entries []BatchEntry) ([]Status, error) {
-	if len(entries) == 1 {
+	op := listOp(entries)
+	if len(entries) == 1 && op == OpReplicaWriteBatch {
 		e := entries[0]
 		resp, err := i.roundTrip(&PDU{Op: OpReplicaWrite, Mode: mode, Shard: shard, Vol: vol, Seq: e.Seq, LBA: e.LBA, Hash: e.Hash, Data: e.Frame})
 		if err != nil {
@@ -426,5 +442,5 @@ func (i *Initiator) ReplicaWriteBatchStream(mode, shard uint8, vol uint16, entri
 		}
 		return []Status{resp.Status}, nil
 	}
-	return i.pushEntryList(PDU{Op: OpReplicaWriteBatch, Mode: mode, Shard: shard, Vol: vol}, entries)
+	return i.pushEntryList(PDU{Op: op, Mode: mode, Shard: shard, Vol: vol}, entries)
 }

@@ -128,11 +128,11 @@ func TestEntryListDeltaCoding(t *testing.T) {
 		{Seq: 1, LBA: 7, Hash: 3},
 		{Seq: 2, LBA: 8, Hash: 4},
 	}
-	data, err := EncodeByRef(entries)
+	data, err := EncodeBatch(entries)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := DecodeByRef(data)
+	got, err := DecodeBatch(data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,9 +187,8 @@ func TestReplicaStatusErr(t *testing.T) {
 	}
 }
 
-// replicaSink is a v3-era Backend: it handles single replica pushes
-// only and does not implement BatchBackend, standing in for an
-// un-upgraded replica engine.
+// replicaSink is a Backend that handles single replica pushes only and
+// does not implement StreamBatchBackend.
 type replicaSink struct {
 	mu      sync.Mutex
 	applied []BatchEntry
@@ -201,7 +200,7 @@ func (s *replicaSink) Geometry() (int, uint64)                    { return 512, 
 func (s *replicaSink) HandleRead(uint64, uint32) ([]byte, Status) { return nil, StatusBadRequest }
 func (s *replicaSink) HandleWrite(uint64, []byte) Status          { return StatusBadRequest }
 
-func (s *replicaSink) HandleReplica(mode uint8, seq, lba, hash uint64, frame []byte) Status {
+func (s *replicaSink) HandleReplicaStream(mode, _ uint8, _ uint16, seq, lba, hash uint64, frame []byte) Status {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.applied = append(s.applied, BatchEntry{Seq: seq, LBA: lba, Hash: hash, Frame: append([]byte(nil), frame...)})
@@ -212,14 +211,14 @@ func (s *replicaSink) HandleReplica(mode uint8, seq, lba, hash uint64, frame []b
 	return StatusOK
 }
 
-// batchSink additionally implements BatchBackend and records whole
-// batches.
+// batchSink additionally implements StreamBatchBackend and records
+// whole batches.
 type batchSink struct {
 	replicaSink
 	batches [][]BatchEntry
 }
 
-func (s *batchSink) HandleReplicaBatch(mode uint8, entries []BatchEntry) []Status {
+func (s *batchSink) HandleReplicaBatchStream(mode, _ uint8, _ uint16, entries []BatchEntry) []Status {
 	s.mu.Lock()
 	copied := make([]BatchEntry, len(entries))
 	for i, e := range entries {
@@ -297,14 +296,14 @@ func TestBatchOfOneByteIdenticalToV3(t *testing.T) {
 
 	sinkA := &replicaSink{}
 	initA, recA := startRecordedPair(t, sinkA)
-	if err := initA.ReplicaWrite(2, entry.Seq, entry.LBA, entry.Hash, entry.Frame); err != nil {
+	if err := initA.ReplicaWriteStream(2, 0, 0, entry.Seq, entry.LBA, entry.Hash, entry.Frame); err != nil {
 		t.Fatal(err)
 	}
 	single := recA.take()
 
 	sinkB := &replicaSink{}
 	initB, recB := startRecordedPair(t, sinkB)
-	statuses, err := initB.ReplicaWriteBatch(2, []BatchEntry{entry})
+	statuses, err := initB.ReplicaWriteBatchStream(2, 0, 0, []BatchEntry{entry})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -321,44 +320,14 @@ func TestBatchOfOneByteIdenticalToV3(t *testing.T) {
 	}
 }
 
-// TestBatchAgainstLegacyBackend: a multi-frame batch served to a
-// backend that never learned about batching is unpacked by the target
-// into per-entry v3 applies, in entry order, and the per-entry
-// statuses still come back in the vector.
-func TestBatchAgainstLegacyBackend(t *testing.T) {
-	sink := &replicaSink{status: map[uint64]Status{11: StatusDiverged}}
-	init, _ := startRecordedPair(t, sink)
-
-	entries := testEntries()
-	statuses, err := init.ReplicaWriteBatch(3, entries)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []Status{StatusOK, StatusDiverged, StatusOK}
-	for i := range want {
-		if statuses[i] != want[i] {
-			t.Errorf("status %d = %v, want %v", i, statuses[i], want[i])
-		}
-	}
-	if len(sink.applied) != len(entries) {
-		t.Fatalf("legacy backend saw %d applies, want %d", len(sink.applied), len(entries))
-	}
-	for i, e := range entries {
-		a := sink.applied[i]
-		if a.Seq != e.Seq || a.LBA != e.LBA || a.Hash != e.Hash || !bytes.Equal(a.Frame, e.Frame) || sink.modes[i] != 3 {
-			t.Errorf("apply %d: got %+v mode %d, want %+v mode 3", i, a, sink.modes[i], e)
-		}
-	}
-}
-
 // TestBatchBackendDispatch: a batch-aware backend receives the whole
-// batch in one HandleReplicaBatch call, not per-entry fallbacks.
+// batch in one HandleReplicaBatchStream call.
 func TestBatchBackendDispatch(t *testing.T) {
 	sink := &batchSink{}
 	init, _ := startRecordedPair(t, sink)
 
 	entries := testEntries()
-	statuses, err := init.ReplicaWriteBatch(3, entries)
+	statuses, err := init.ReplicaWriteBatchStream(3, 0, 0, entries)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -461,7 +430,7 @@ func TestBatchChargesLatencyOnce(t *testing.T) {
 	}
 
 	before := count()
-	if _, err := init.ReplicaWriteBatch(1, entries); err != nil {
+	if _, err := init.ReplicaWriteBatchStream(1, 0, 0, entries); err != nil {
 		t.Fatal(err)
 	}
 	if got := count() - before; got != 1 {
@@ -470,7 +439,7 @@ func TestBatchChargesLatencyOnce(t *testing.T) {
 
 	before = count()
 	for _, e := range entries {
-		if err := init.ReplicaWrite(1, e.Seq, e.LBA, e.Hash, e.Frame); err != nil {
+		if err := init.ReplicaWriteStream(1, 0, 0, e.Seq, e.LBA, e.Hash, e.Frame); err != nil {
 			t.Fatal(err)
 		}
 	}

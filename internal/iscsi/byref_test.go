@@ -7,8 +7,8 @@ import (
 	"testing"
 )
 
-// mixedEntries builds a by-ref batch interleaving by-value frames and
-// pure references, the shape one by-ref PDU carries when only some queued
+// mixedEntries builds an entry list interleaving by-value frames and
+// pure references, the shape one list carries when only some queued
 // frames hit the primary's dedupe index.
 func mixedEntries() []BatchEntry {
 	return []BatchEntry{
@@ -21,14 +21,14 @@ func mixedEntries() []BatchEntry {
 
 func TestByRefSegmentRoundTrip(t *testing.T) {
 	entries := mixedEntries()
-	data, err := EncodeByRef(entries)
+	data, err := EncodeBatch(entries)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(data) != BatchWireLen(entries) {
 		t.Errorf("encoded %d bytes, BatchWireLen says %d", len(data), BatchWireLen(entries))
 	}
-	got, err := DecodeByRef(data)
+	got, err := DecodeBatch(data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,11 +48,11 @@ func TestByRefSegmentRoundTrip(t *testing.T) {
 
 func TestEncodeByRefRejectsHashlessRef(t *testing.T) {
 	// A by-ref entry with no content hash is unmaterializable.
-	if _, err := EncodeByRef([]BatchEntry{{Seq: 1, LBA: 2, Hash: 0, Frame: nil}}); !errors.Is(err, ErrBadFrame) {
+	if _, err := EncodeBatch([]BatchEntry{{Seq: 1, LBA: 2, Hash: 0, Frame: nil}}); !errors.Is(err, ErrBadFrame) {
 		t.Errorf("hashless by-ref entry: err = %v, want ErrBadFrame", err)
 	}
 	// A by-value entry with hash 0 (unverified push) stays legal.
-	if _, err := EncodeByRef([]BatchEntry{{Seq: 1, LBA: 2, Hash: 0, Frame: []byte{9}}}); err != nil {
+	if _, err := EncodeBatch([]BatchEntry{{Seq: 1, LBA: 2, Hash: 0, Frame: []byte{9}}}); err != nil {
 		t.Errorf("hashless by-value entry: err = %v", err)
 	}
 }
@@ -64,22 +64,17 @@ func hashlessRef() []byte {
 }
 
 func TestDecodeByRefErrors(t *testing.T) {
-	valid, err := EncodeByRef(mixedEntries())
+	valid, err := EncodeBatch(mixedEntries())
 	if err != nil {
 		t.Fatal(err)
 	}
 	tests := append(entryListErrorCases(valid), decodeCase{"hashless by-ref entry", hashlessRef(), ErrBadFrame})
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			if _, err := DecodeByRef(tt.data); !errors.Is(err, tt.want) {
+			if _, err := DecodeBatch(tt.data); !errors.Is(err, tt.want) {
 				t.Errorf("err = %v, want %v", err, tt.want)
 			}
 		})
-	}
-	// The same segment is a legal batch: there a frameless entry is an
-	// empty frame, not a reference.
-	if _, err := DecodeBatch(hashlessRef()); err != nil {
-		t.Errorf("DecodeBatch refused an empty-frame entry: %v", err)
 	}
 }
 
@@ -93,8 +88,8 @@ func TestRefMissStatusErr(t *testing.T) {
 	}
 }
 
-// byRefSink implements ByRefBackend and records the by-ref batches it
-// is handed, with optional per-LBA status overrides.
+// byRefSink implements StreamBatchBackend and records the lists it is
+// handed, with optional per-LBA status overrides.
 type byRefSink struct {
 	replicaSink
 	byref  [][]BatchEntry
@@ -102,7 +97,7 @@ type byRefSink struct {
 	vols   []uint16
 }
 
-func (s *byRefSink) HandleReplicaByRef(mode, shard uint8, vol uint16, entries []BatchEntry) []Status {
+func (s *byRefSink) HandleReplicaBatchStream(mode, shard uint8, vol uint16, entries []BatchEntry) []Status {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	copied := make([]BatchEntry, len(entries))
@@ -122,15 +117,15 @@ func (s *byRefSink) HandleReplicaByRef(mode, shard uint8, vol uint16, entries []
 	return statuses
 }
 
-// TestByRefDispatch: a by-ref-aware backend receives the whole mixed
-// batch in one HandleReplicaByRef call with the stream tag intact, and
-// the per-entry status vector comes back in entry order.
+// TestByRefDispatch: a list backend receives the whole mixed batch in
+// one HandleReplicaBatchStream call with the stream tag intact, and the
+// per-entry status vector comes back in entry order.
 func TestByRefDispatch(t *testing.T) {
 	sink := &byRefSink{replicaSink: replicaSink{status: map[uint64]Status{11: StatusRefMiss}}}
 	init, _ := startRecordedPair(t, sink)
 
 	entries := mixedEntries()
-	statuses, err := init.ReplicaWriteByRef(2, 3, 7, entries)
+	statuses, err := init.ReplicaWriteBatchStream(2, 3, 7, entries)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,14 +152,14 @@ func TestByRefDispatch(t *testing.T) {
 	}
 }
 
-// TestByRefAgainstLegacyBackend: a replica without a content index
-// cannot materialize references — the target refuses the whole PDU
-// rather than guessing, and nothing reaches the backend.
+// TestByRefAgainstLegacyBackend: a backend that takes no entry lists
+// cannot materialize references or apply a list — the target refuses
+// the whole PDU rather than guessing, and nothing reaches the backend.
 func TestByRefAgainstLegacyBackend(t *testing.T) {
 	sink := &replicaSink{}
 	init, _ := startRecordedPair(t, sink)
 
-	_, err := init.ReplicaWriteByRef(2, 0, 0, mixedEntries())
+	_, err := init.ReplicaWriteBatchStream(2, 0, 0, mixedEntries())
 	if !errors.Is(err, ErrStatus) {
 		t.Fatalf("by-ref push at a v4 backend: err = %v, want ErrStatus", err)
 	}
@@ -182,7 +177,7 @@ func TestByRefWireStampedV8(t *testing.T) {
 	init, rec := startRecordedPair(t, sink)
 
 	entries := mixedEntries()
-	if _, err := init.ReplicaWriteByRef(2, 1, 5, entries); err != nil {
+	if _, err := init.ReplicaWriteBatchStream(2, 1, 5, entries); err != nil {
 		t.Fatal(err)
 	}
 	wire := rec.take()
@@ -193,7 +188,7 @@ func TestByRefWireStampedV8(t *testing.T) {
 		t.Errorf("header = magic %#x version %d op %d, want magic %#x version %d op %d",
 			wire[0], wire[1], wire[2], protoMagic, entryListVersion, byte(OpReplicaWriteByRef))
 	}
-	seg, err := EncodeByRef(entries)
+	seg, err := EncodeBatch(entries)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,14 +218,70 @@ func TestByRefMalformedSegmentRejected(t *testing.T) {
 	// A hashless by-ref entry is refused by the initiator's own encoder
 	// and, fed raw, by the decoder the target runs.
 	bad := hashlessRef()
-	_, err := init.ReplicaWriteByRef(2, 0, 0, []BatchEntry{{Seq: 1, LBA: 2, Hash: 0, Frame: nil}})
+	_, err := init.ReplicaWriteBatchStream(2, 0, 0, []BatchEntry{{Seq: 1, LBA: 2, Hash: 0, Frame: nil}})
 	if !errors.Is(err, ErrBadFrame) {
 		t.Errorf("initiator accepted a hashless by-ref entry: %v", err)
 	}
-	if got, derr := DecodeByRef(bad); derr == nil {
+	if got, derr := DecodeBatch(bad); derr == nil {
 		t.Errorf("decoder accepted hashless by-ref segment: %+v", got)
 	}
 	if len(sink.byref) != 0 {
 		t.Errorf("malformed by-ref push reached the backend")
+	}
+}
+
+// TestEntryListOneRule: both list opcodes carry the one entry list, so
+// the target decodes them alike. Under either opcode a reference in a
+// plain list reaches the backend as a reference, hash and all; a
+// reference without a hash refuses the whole PDU before the backend
+// sees it, as the decoder's ErrBadFrame; and a squeezed list's
+// reference is accepted and handed on with its hash.
+func TestEntryListOneRule(t *testing.T) {
+	if _, err := DecodeBatch(hashlessRef()); !errors.Is(err, ErrBadFrame) {
+		t.Errorf("hashless reference: err = %v, want ErrBadFrame", err)
+	}
+	plain, err := EncodeBatch(mixedEntries())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, op := range []Opcode{OpReplicaWriteBatch, OpReplicaWriteByRef} {
+		t.Run(op.String(), func(t *testing.T) {
+			sink := &squeezeBackend{}
+			init, _ := startRecordedPair(t, sink)
+
+			resp, err := init.roundTrip(&PDU{Op: op, Mode: 1, Data: plain})
+			if err != nil || resp.Status != StatusOK {
+				t.Fatalf("plain list with references: %v, %v", resp.Status, err)
+			}
+			got := sink.batches[0]
+			for k, e := range mixedEntries() {
+				if got[k].ByRef() != e.ByRef() || got[k].Hash != e.Hash || !bytes.Equal(got[k].Frame, e.Frame) {
+					t.Errorf("entry %d: got %+v, sent %+v", k, got[k], e)
+				}
+			}
+
+			resp, err = init.roundTrip(&PDU{Op: op, Mode: 1, Data: hashlessRef()})
+			if err != nil || resp.Status != StatusBadRequest {
+				t.Errorf("hashless reference: %v, %v; want BAD-REQUEST", resp.Status, err)
+			}
+			if len(sink.batches) != 1 {
+				t.Errorf("a refused list reached the backend")
+			}
+
+			var tx SqueezeSender
+			entries := squeezeEntries(t, 0, 6, true)
+			seg, tag, ok, err := tx.Encode(entries)
+			if err != nil || !ok {
+				t.Fatalf("squeezed encode: ok %v, %v", ok, err)
+			}
+			resp, err = init.roundTrip(&PDU{Op: op, Mode: 1, Seq: tag, Data: seg})
+			if err != nil || resp.Status != StatusOK {
+				t.Fatalf("squeezed list with a reference: %v, %v", resp.Status, err)
+			}
+			got = sink.batches[len(sink.batches)-1]
+			if !got[1].ByRef() || got[1].Hash != entries[1].Hash {
+				t.Errorf("squeezed reference arrived as %+v", got[1])
+			}
+		})
 	}
 }

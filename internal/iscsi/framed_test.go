@@ -28,16 +28,6 @@ func (c *recordConn) bytes() []byte {
 	return append([]byte(nil), c.buf.Bytes()...)
 }
 
-// streamSink extends the v3 replicaSink with stream-tagged pushes, so
-// v5 frames can be exercised against it.
-type streamSink struct {
-	replicaSink
-}
-
-func (s *streamSink) HandleReplicaStream(mode, shard uint8, vol uint16, seq, lba, hash uint64, frame []byte) Status {
-	return s.HandleReplica(mode, seq, lba, hash, frame)
-}
-
 // TestFramedWireEquality is the zero-copy send path's golden-bytes
 // proof: a ReplicaWriteFramed push (header stamped in place into the
 // caller's buffer, one Write) must put exactly the same bytes on the
@@ -49,7 +39,7 @@ func TestFramedWireEquality(t *testing.T) {
 	transcript := func(t *testing.T, send func(init *Initiator) error) []byte {
 		t.Helper()
 		target := NewTarget()
-		target.Export("r", &streamSink{})
+		target.Export("r", &replicaSink{})
 		client, server := net.Pipe()
 		rec := &recordConn{Conn: client}
 		var wg sync.WaitGroup
@@ -106,7 +96,7 @@ func TestFramedBatchOfOneWireEquality(t *testing.T) {
 	transcript := func(t *testing.T, send func(init *Initiator) error) []byte {
 		t.Helper()
 		target := NewTarget()
-		target.Export("r", &streamSink{})
+		target.Export("r", &replicaSink{})
 		client, server := net.Pipe()
 		rec := &recordConn{Conn: client}
 		var wg sync.WaitGroup

@@ -3,6 +3,7 @@ package iscsi
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"testing"
 )
 
@@ -25,10 +26,10 @@ func FuzzReadPDU(f *testing.F) {
 	})
 }
 
-// FuzzDecodeBatch and FuzzDecodeByRef fuzz the one entry-list decoder
-// through the one property, checkEntryList; they differ only in their
-// seeds. FuzzDecodeBatch starts from well-formed lists and degenerate
-// counts, FuzzDecodeByRef from a by-ref push and its malformed variants.
+// FuzzDecodeBatch fuzzes the one entry-list decoder both list opcodes
+// share, seeded from well-formed lists (references among them),
+// degenerate counts, and a list with references in its malformed
+// variants.
 func FuzzDecodeBatch(f *testing.F) {
 	for _, entries := range [][]BatchEntry{
 		testEntries(),
@@ -47,11 +48,27 @@ func FuzzDecodeBatch(f *testing.F) {
 	f.Add([]byte{})            // no count
 	f.Add(countOf(0))          // zero count
 	f.Add(countOf(0xFFFFFFFF)) // absurd count, tiny buffer
+	seed, err := EncodeBatch(mixedEntries())
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(seed[:len(seed)-3])                                    // truncated frame
+	f.Add(append([]byte(nil), seed[:7]...))                      // truncated entry header
+	f.Add(append(seed, 0xAB))                                    // trailing byte
+	f.Add(append(countOf(5), seed[1:]...))                       // one entry fewer than counted
+	f.Add(append(countOf(3), make([]byte, 3*minEntryLen-1)...))  // a count whose minimal body cannot fit
+	f.Add(append(append([]byte(nil), overlong...), seed[1:]...)) // a 10-byte overlong varint
+	f.Add(hashlessRef())                                         // a reference with zero hash
 	f.Fuzz(checkEntryList)
 }
 
+// FuzzDecodeByRef hands one segment to a target session under each list
+// opcode, from a list with references and its malformed variants: the
+// opcode only follows the content (batch.go), so the target must answer
+// both alike — the same header status, the same statuses, and for an
+// accepted list the same entries handed to the backend.
 func FuzzDecodeByRef(f *testing.F) {
-	seed, err := EncodeByRef(mixedEntries())
+	seed, err := EncodeBatch(mixedEntries())
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -62,46 +79,47 @@ func FuzzDecodeByRef(f *testing.F) {
 	f.Add(append(countOf(5), seed[1:]...))                       // one entry fewer than counted
 	f.Add(append(countOf(3), make([]byte, 3*minEntryLen-1)...))  // a count whose minimal body cannot fit
 	f.Add(append(append([]byte(nil), overlong...), seed[1:]...)) // a 10-byte overlong varint
-	f.Add(hashlessRef())                                         // by-ref entry with zero hash
-	f.Fuzz(checkEntryList)
+	f.Add(hashlessRef())                                         // a reference with zero hash
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var answers [2]string
+		for k, op := range []Opcode{OpReplicaWriteBatch, OpReplicaWriteByRef} {
+			rq, sink := &request{pdu: PDU{Op: op, Data: data}}, &batchSink{}
+			statuses, st := rq.applyEntryList(sink)
+			answers[k] = fmt.Sprint(st, statuses, sink.batches)
+		}
+		if answers[0] != answers[1] {
+			t.Fatalf("the opcodes were answered differently:\n batch  %s\n by-ref %s", answers[0], answers[1])
+		}
+	})
 }
 
-// checkEntryList decodes data as both verbs do: it must never panic or
-// over-allocate, failures must be the two documented sentinels, anything
-// accepted must be internally consistent (bounded entry count, frames
-// aliasing the input, no hashless reference in a by-ref push), the
-// by-ref decoder must accept exactly the batches without a hashless
-// frameless entry, and accepted input must re-encode to the identical
-// segment — decoding is strict, minimal varints included, so the mapping
-// is bijective.
+// checkEntryList decodes data as both list opcodes do: it must never
+// panic or over-allocate, failures must be the two documented
+// sentinels, anything accepted must be internally consistent (bounded
+// entry count, frames aliasing the input, no reference without a
+// content hash), and accepted input must re-encode to the identical
+// segment — decoding is strict, minimal varints included, so the
+// mapping is bijective.
 func checkEntryList(t *testing.T, data []byte) {
 	entries, err := DecodeBatch(data)
-	refs, refErr := DecodeByRef(data)
 	if err != nil {
 		if !errors.Is(err, ErrBadFrame) && !errors.Is(err, ErrShortFrame) {
 			t.Fatalf("unexpected error class: %v", err)
-		}
-		if refErr == nil {
-			t.Fatal("DecodeByRef accepted a segment DecodeBatch refused")
 		}
 		return
 	}
 	if len(entries) == 0 || len(entries) > MaxBatchFrames {
 		t.Fatalf("accepted %d entries", len(entries))
 	}
-	total, hashless := 0, false
+	total := 0
 	for _, e := range entries {
-		hashless = hashless || e.ByRef() && e.Hash == 0
+		if e.ByRef() && e.Hash == 0 {
+			t.Fatal("accepted a reference without a content hash")
+		}
 		total += len(e.Frame)
 	}
 	if total > len(data) {
 		t.Fatalf("frames total %d bytes from a %d-byte segment", total, len(data))
-	}
-	if (refErr == nil) == hashless {
-		t.Fatalf("DecodeByRef err = %v on a batch with hashless references: %v", refErr, hashless)
-	}
-	if refErr != nil && !errors.Is(refErr, ErrBadFrame) {
-		t.Fatalf("hashless reference refused as %v, want ErrBadFrame", refErr)
 	}
 	again, err := EncodeBatch(entries)
 	if err != nil {
@@ -109,11 +127,6 @@ func checkEntryList(t *testing.T, data []byte) {
 	}
 	if !bytes.Equal(again, data) {
 		t.Fatal("decode/encode round trip changed the segment")
-	}
-	if refErr == nil {
-		if again, err = EncodeByRef(refs); err != nil || !bytes.Equal(again, data) {
-			t.Fatalf("by-ref re-encode: %v, identical %v", err, bytes.Equal(again, data))
-		}
 	}
 }
 

@@ -25,19 +25,11 @@ func (s *goldenSink) HandleReplicaStream(mode, shard uint8, vol uint16, seq, lba
 	return StatusOK
 }
 
-func (s *goldenSink) HandleReplicaBatch(mode uint8, entries []BatchEntry) []Status {
-	return make([]Status, len(entries))
-}
-
 func (s *goldenSink) HandleReplicaBatchStream(mode, shard uint8, vol uint16, entries []BatchEntry) []Status {
 	return make([]Status, len(entries))
 }
 
-func (s *goldenSink) HandleReplicaByRef(mode, shard uint8, vol uint16, entries []BatchEntry) []Status {
-	return make([]Status, len(entries))
-}
-
-func (s *goldenSink) HandleReplicaSqueezed(mode, shard uint8, vol uint16, entries []BatchEntry, refs bool, digest uint64) []Status {
+func (s *goldenSink) HandleReplicaSqueezed(mode, shard uint8, vol uint16, entries []BatchEntry, digest uint64) []Status {
 	return make([]Status, len(entries))
 }
 
@@ -212,7 +204,7 @@ func TestWireGolden(t *testing.T) {
 		{name: "write-v3",
 			send: func(init *Initiator, entries []BatchEntry) error {
 				for _, e := range entries {
-					if err := init.ReplicaWrite(mode, e.Seq, e.LBA, e.Hash, e.Frame); err != nil {
+					if err := init.ReplicaWriteStream(mode, 0, 0, e.Seq, e.LBA, e.Hash, e.Frame); err != nil {
 						return err
 					}
 				}
@@ -242,7 +234,7 @@ func TestWireGolden(t *testing.T) {
 			want: single(shard, vol)},
 		{name: "batch-v4",
 			send: func(init *Initiator, entries []BatchEntry) error {
-				return statusesOK(init.ReplicaWriteBatch(mode, entries))
+				return statusesOK(init.ReplicaWriteBatchStream(mode, 0, 0, entries))
 			},
 			want: list(OpReplicaWriteBatch, 0, 0, true, EncodeBatch)},
 		{name: "batch-stream-v5",
@@ -252,9 +244,9 @@ func TestWireGolden(t *testing.T) {
 			want: list(OpReplicaWriteBatch, shard, vol, true, EncodeBatch)},
 		{name: "byref-v7", mixed: true,
 			send: func(init *Initiator, entries []BatchEntry) error {
-				return statusesOK(init.ReplicaWriteByRef(mode, shard, vol, entries))
+				return statusesOK(init.ReplicaWriteBatchStream(mode, shard, vol, entries))
 			},
-			want: list(OpReplicaWriteByRef, shard, vol, false, EncodeByRef)},
+			want: list(OpReplicaWriteByRef, shard, vol, false, EncodeBatch)},
 	}
 
 	update := os.Getenv("PRINS_UPDATE_GOLDEN") != ""
@@ -328,13 +320,13 @@ func TestWireGolden(t *testing.T) {
 		for p, name := range []string{"squeeze-list-fresh", "squeeze-list-primed"} {
 			entries := squeezeGoldenEntries(t, p)
 			if err := statusesOK(func() ([]Status, error) {
-				st, _, err := init.ReplicaWriteSqueezed(mode, shard, vol, entries, false)
+				st, _, err := init.ReplicaWriteSqueezed(mode, shard, vol, entries)
 				return st, err
 			}()); err != nil {
 				t.Fatal(err)
 			}
 			sent := rec.take()
-			seg, tag, ok, err := ref.Encode(entries, false)
+			seg, tag, ok, err := ref.Encode(entries)
 			if err != nil || !ok || tag != uint64(p+1) {
 				t.Fatalf("%s: reference encode: tag %d, ok %v, %v", name, tag, ok, err)
 			}
@@ -373,14 +365,14 @@ func TestWireGolden(t *testing.T) {
 			init, rec := startRecordedPair(t, &goldenSink{})
 			entries := c.entries(t)
 			if err := statusesOK(func() ([]Status, error) {
-				st, _, err := init.ReplicaWriteSqueezed(mode, shard, vol, entries, c.refs)
+				st, _, err := init.ReplicaWriteSqueezed(mode, shard, vol, entries)
 				return st, err
 			}()); err != nil {
 				t.Fatal(err)
 			}
 			sent := rec.take()
 			var ref SqueezeSender
-			seg, tag, ok, err := ref.Encode(entries, c.refs)
+			seg, tag, ok, err := ref.Encode(entries)
 			if err != nil || !ok || tag != 1 {
 				t.Fatalf("reference encode: tag %d, ok %v, %v", tag, ok, err)
 			}

@@ -624,22 +624,23 @@ func (i *Initiator) WriteBlock(lba uint64, data []byte) error {
 	return nil
 }
 
-// ReplicaWrite pushes an encoded replication frame for the block at
-// lba; used engine-to-engine. hash is the content hash of the block
-// the replica must hold after the apply (HashBlock of A_new); zero
-// disables replica-side verification. Apply failures come back as
-// typed errors: ErrDiverged when the replica's recovered block failed
-// the hash check, ErrReplicaDecode and ErrReplicaStore for decode and
-// device failures — all of them still matching ErrStatus.
+// ReplicaWrite is ReplicaWriteStream on stream (0, 0). Nothing in this
+// module calls it; it stays for the benchmark module only.
 func (i *Initiator) ReplicaWrite(mode uint8, seq, lba, hash uint64, frame []byte) error {
 	return i.ReplicaWriteStream(mode, 0, 0, seq, lba, hash, frame)
 }
 
-// ReplicaWriteStream is ReplicaWrite tagged with a (vol, shard)
-// replication stream: seq is assigned within that stream's own
-// sequence space and the replica dedupes per stream, so a sharded
-// primary can interleave independent seq streams over one session. A
-// zero tag is byte-identical to ReplicaWrite.
+// ReplicaWriteStream pushes an encoded replication frame for the block
+// at lba on the (vol, shard) replication stream; used engine-to-engine.
+// seq is assigned within that stream's own sequence space and the
+// replica dedupes per stream, so a sharded primary can interleave
+// independent seq streams over one session; the zero tag goes out
+// untagged, in v3 framing. hash is the content hash of the block the
+// replica must hold after the apply (HashBlock of A_new); zero disables
+// replica-side verification. Apply failures come back as typed errors:
+// ErrDiverged when the replica's recovered block failed the hash check,
+// ErrReplicaDecode and ErrReplicaStore for decode and device failures
+// — all of them still matching ErrStatus.
 func (i *Initiator) ReplicaWriteStream(mode, shard uint8, vol uint16, seq, lba, hash uint64, frame []byte) error {
 	resp, err := i.roundTrip(&PDU{Op: OpReplicaWrite, Mode: mode, Shard: shard, Vol: vol, Seq: seq, LBA: lba, Hash: hash, Data: frame})
 	if err != nil {
@@ -658,7 +659,7 @@ func (i *Initiator) ReplicaWriteStream(mode, shard uint8, vol uint16, seq, lba, 
 // pdu per attempt (see StampReplicaHeader), and the whole PDU goes out
 // as one write. The bytes on the wire are identical to
 // ReplicaWriteStream with the same tuple; a zero (shard, vol) tag
-// produces the v3 framing ReplicaWrite would have sent. pdu is
+// produces the v3 framing. pdu is
 // modified (its first FrameHeadroom bytes are overwritten), so the
 // caller must hold exclusive ownership of the buffer for the call.
 func (i *Initiator) ReplicaWriteFramed(mode, shard uint8, vol uint16, seq, lba, hash uint64, pdu []byte) error {

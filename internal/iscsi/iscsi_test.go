@@ -265,7 +265,7 @@ func TestReplicaWriteAgainstPlainStore(t *testing.T) {
 		t.Fatal(err)
 	}
 	// A plain store backend rejects replica pushes.
-	if err := init.ReplicaWrite(1, 1, 0, 0, []byte{1}); !errors.Is(err, ErrStatus) {
+	if err := init.ReplicaWriteStream(1, 0, 0, 1, 0, 0, []byte{1}); !errors.Is(err, ErrStatus) {
 		t.Errorf("replica write: err = %v, want ErrStatus", err)
 	}
 }
@@ -669,12 +669,12 @@ func TestHeaderVersions(t *testing.T) {
 		want byte
 		send func() error
 	}{
-		{"write", baseVersion, func() error { return init.ReplicaWrite(1, 1, 1, 1, []byte{1}) }},
+		{"write", baseVersion, func() error { return init.ReplicaWriteStream(1, 0, 0, 1, 1, 1, []byte{1}) }},
 		{"write tagged", streamVersion, func() error { return init.ReplicaWriteStream(1, 1, 0, 2, 1, 1, []byte{1}) }},
-		{"batch", entryListVersion, func() error { _, err := init.ReplicaWriteBatch(1, entries); return err }},
+		{"batch", entryListVersion, func() error { _, err := init.ReplicaWriteBatchStream(1, 0, 0, entries); return err }},
 		{"batch tagged", entryListVersion, func() error { _, err := init.ReplicaWriteBatchStream(1, 0, 4, entries); return err }},
-		{"by-ref", entryListVersion, func() error { _, err := init.ReplicaWriteByRef(1, 0, 0, refs); return err }},
-		{"by-ref tagged", entryListVersion, func() error { _, err := init.ReplicaWriteByRef(1, 2, 4, refs); return err }},
+		{"by-ref", entryListVersion, func() error { _, err := init.ReplicaWriteBatchStream(1, 0, 0, refs); return err }},
+		{"by-ref tagged", entryListVersion, func() error { _, err := init.ReplicaWriteBatchStream(1, 2, 4, refs); return err }},
 	} {
 		if err := tc.send(); err != nil {
 			t.Fatalf("%s: %v", tc.name, err)

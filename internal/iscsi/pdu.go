@@ -46,8 +46,8 @@ const (
 	// an entry list (proto v8), a count-prefixed sequence of {seq, lba,
 	// hash, frameLen, frame} entries with seq and LBA delta-coded (see
 	// DecodeBatch). The response carries one status byte per entry, so a
-	// single diverged block does not fail its batch-mates. A batch of one
-	// is sent as a plain OpReplicaWrite.
+	// single diverged block does not fail its batch-mates. A list of one
+	// by-value entry is sent as a plain OpReplicaWrite.
 	OpReplicaWriteBatch
 	// Opcodes 13 and 14, proto v6's stripe push and repair-chain hop,
 	// are retired: a k-of-n group member is an ordinary replica of its
@@ -56,12 +56,12 @@ const (
 	// StatusBadRequest like any unknown opcode.
 	_
 	_
-	// OpReplicaWriteByRef ships replication pushes by content reference:
-	// the entry list OpReplicaWriteBatch carries (proto v8), where a zero
-	// frameLen means "the replica already holds a block with this content
-	// hash — materialize it by local copy" and a nonzero frameLen carries
-	// a normal xcode frame, so one PDU mixes by-ref and by-value entries
-	// in seq order (see DecodeByRef). The response carries one status byte per entry; an
+	// OpReplicaWriteByRef carries the entry list OpReplicaWriteBatch
+	// carries (proto v8), under the same rule: a zero frameLen means
+	// "the replica already holds a block with this content hash —
+	// materialize it by local copy" (byref.go). The initiator picks it
+	// for a list that holds such a reference, so a packet trace tells
+	// the two apart; the target decodes and applies both alike. An
 	// entry whose hash the replica's index cannot resolve reports
 	// StatusRefMiss and the initiator re-ships it by value.
 	OpReplicaWriteByRef
@@ -183,7 +183,7 @@ func (s Status) String() string {
 }
 
 // sentinel returns the typed error a replica-apply status maps to, or
-// nil for statuses without one. Initiator.ReplicaWrite wraps it so
+// nil for statuses without one. Initiator.ReplicaWriteStream wraps it so
 // callers can switch on the failure class with errors.Is.
 func (s Status) sentinel() error {
 	switch s {
@@ -257,7 +257,7 @@ var (
 
 // Typed replica-apply failures. The replica engine wraps its apply
 // errors with these so the target can map them to distinct statuses,
-// and Initiator.ReplicaWrite wraps the status back into the same
+// and Initiator.ReplicaWriteStream wraps the status back into the same
 // sentinel — errors.Is sees the identical failure class on both sides
 // of the wire (and through in-process loopback clients).
 var (

@@ -27,7 +27,7 @@ type extent struct {
 
 func (s *extentSink) Geometry() (int, uint64)                    { return s.bs, s.nb }
 func (s *extentSink) HandleRead(uint64, uint32) ([]byte, Status) { return nil, StatusBadRequest }
-func (s *extentSink) HandleReplica(uint8, uint64, uint64, uint64, []byte) Status {
+func (s *extentSink) HandleReplicaStream(uint8, uint8, uint16, uint64, uint64, uint64, []byte) Status {
 	return StatusBadRequest
 }
 

@@ -103,7 +103,7 @@ var ErrStaleHistory = errors.New("iscsi: squeezed push built on a stale history"
 // Implementations return exactly one status per entry, in entry order.
 type SqueezeBackend interface {
 	Backend
-	HandleReplicaSqueezed(mode, shard uint8, vol uint16, entries []BatchEntry, refs bool, digest uint64) []Status
+	HandleReplicaSqueezed(mode, shard uint8, vol uint16, entries []BatchEntry, digest uint64) []Status
 }
 
 // InStream returns the frame a squeezed list streams for e: its mask
@@ -181,16 +181,11 @@ type SqueezeSender struct {
 // Encode lays entries out as a squeezed list built on the stream's
 // history and returns its data segment, valid until the next Encode,
 // and its tag. ok is false when the list should ship plain: it came
-// out no smaller than the plain one (the history then starts over), or
-// it is a by-value list with an entry of no frame, which the squeezed
-// layout reads as a reference.
-func (s *SqueezeSender) Encode(entries []BatchEntry, refs bool) (seg []byte, tag uint64, ok bool, err error) {
-	plainLen, _, err := entryListLen(entries, refs)
+// out no smaller than the plain one (the history then starts over).
+func (s *SqueezeSender) Encode(entries []BatchEntry) (seg []byte, tag uint64, ok bool, err error) {
+	plainLen, _, err := entryListLen(entries)
 	if err != nil {
 		return nil, 0, false, err
-	}
-	if !refs && slices.ContainsFunc(entries, func(e BatchEntry) bool { return e.ByRef() }) {
-		return nil, 0, false, nil
 	}
 	if s.open { // the last push was never settled: its history is unknown
 		s.Reset()
@@ -264,7 +259,7 @@ type SqueezeReceiver struct {
 // bytes they rebuild. On success the history takes the push in; a
 // segment that fails to inflate leaves the history as it was, and one
 // that rebuilds a plaintext that does not parse resets it.
-func (r *SqueezeReceiver) Decode(entries []BatchEntry, data []byte, tag uint64, refs bool) ([]BatchEntry, error) {
+func (r *SqueezeReceiver) Decode(entries []BatchEntry, data []byte, tag uint64) ([]BatchEntry, error) {
 	switch {
 	case tag == 1:
 		r.pushes = 0
@@ -297,7 +292,7 @@ func (r *SqueezeReceiver) Decode(entries []BatchEntry, data []byte, tag uint64, 
 	if err := r.inf.Rebuild(plain); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadFrame, err)
 	}
-	if entries, err = decodeEntries(entries, plain, count, refs, true); err != nil {
+	if entries, err = decodeEntries(entries, plain, count, true); err != nil {
 		r.pushes = 0 // the history took in a plaintext the sender cannot have built
 		r.inf.Reset()
 		return nil, err
@@ -396,26 +391,23 @@ func (i *Initiator) settleSqueeze(st *squeezeStream, squeezed, took bool) {
 	}
 }
 
-// ReplicaWriteSqueezed is ReplicaWriteBatchStream (or, with refs set,
-// ReplicaWriteByRef) with the entry list compressed as one segment
-// against the (vol, shard) stream's history on this session (see the
-// top of squeeze.go), and it also returns the data-segment bytes the
-// push put on the wire. The list ships plain — the same PDU the plain
-// verb sends, multi-entry framing even for one entry — when squeezing
+// ReplicaWriteSqueezed is ReplicaWriteBatchStream with the entry list
+// compressed as one segment against the (vol, shard) stream's history
+// on this session (see the top of squeeze.go), under the opcode the
+// content picks (listOp), and it also returns the data-segment bytes
+// the push put on the wire. The list ships plain — the same PDU the
+// plain verb sends, multi-entry framing even for one entry — when squeezing
 // did not make it smaller, or when another push of the stream's is in
 // flight: a stream's squeezed pushes are meant to go one at a time, as
 // an async pipe's do. A push the target refuses as built on a stale
 // history is re-shipped once, fresh; one it answers StatusUnverified
 // entry by entry is re-shipped once, plain, and the bytes returned
 // count both pushes.
-func (i *Initiator) ReplicaWriteSqueezed(mode, shard uint8, vol uint16, entries []BatchEntry, refs bool) ([]Status, int, error) {
+func (i *Initiator) ReplicaWriteSqueezed(mode, shard uint8, vol uint16, entries []BatchEntry) ([]Status, int, error) {
 	if len(entries) == 0 {
 		return nil, 0, fmt.Errorf("iscsi: empty squeezed push")
 	}
-	op := OpReplicaWriteBatch
-	if refs {
-		op = OpReplicaWriteByRef
-	}
+	op := listOp(entries)
 	key := streamID(shard, vol)
 	for fresh := false; ; fresh = true {
 		var st *squeezeStream
@@ -426,7 +418,7 @@ func (i *Initiator) ReplicaWriteSqueezed(mode, shard uint8, vol uint16, entries 
 			st, squeezed = i.claimSqueeze(s, key), false
 			p := PDU{Op: op, Mode: mode, Shard: shard, Vol: vol, ITT: itt}
 			if st != nil {
-				seg, tag, ok, err := st.tx.Encode(entries, refs)
+				seg, tag, ok, err := st.tx.Encode(entries)
 				if err != nil {
 					return nil, err
 				}
@@ -489,7 +481,7 @@ const maxSqueezeStreams = 64
 
 // unsqueeze decodes the squeezed list rq holds against its stream's
 // history on this session, and returns its entries and digest.
-func (rq *request) unsqueeze(refs bool) ([]BatchEntry, uint64, error) {
+func (rq *request) unsqueeze() ([]BatchEntry, uint64, error) {
 	pdu := &rq.pdu
 	key := streamID(pdu.Shard, pdu.Vol)
 	if rq.squeeze == nil {
@@ -502,7 +494,7 @@ func (rq *request) unsqueeze(refs bool) ([]BatchEntry, uint64, error) {
 	}
 	rq.squeezed++
 	rx.used = rq.squeezed
-	entries, err := rx.Decode(rq.entries, pdu.Data, pdu.Seq, refs)
+	entries, err := rx.Decode(rq.entries, pdu.Data, pdu.Seq)
 	return entries, rx.digest, err
 }
 

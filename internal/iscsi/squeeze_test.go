@@ -17,8 +17,8 @@ import (
 // squeezeEntries builds n entries from push p of a stream whose frames
 // are CodecZRL parities with prose-like literals that repeat across
 // pushes (a working set's rows), plus one raw-floored frame and, when
-// refs is set, one reference.
-func squeezeEntries(t testing.TB, p, n int, refs bool) []BatchEntry {
+// withRef is set, one reference.
+func squeezeEntries(t testing.TB, p, n int, withRef bool) []BatchEntry {
 	t.Helper()
 	const words = "warehouse district customer order line stock item history payment "
 	entries := make([]BatchEntry, n)
@@ -36,7 +36,7 @@ func squeezeEntries(t testing.TB, p, n int, refs bool) []BatchEntry {
 		entries[k] = BatchEntry{Seq: uint64(100*p + k + 1), LBA: uint64(3 * k), Hash: 0xABC0 + uint64(k), Frame: frame}
 	}
 	entries[n-1].Frame = append([]byte{byte(xcode.CodecRaw)}, bytes.Repeat([]byte{0x5A, 0xC3, 0x11}, 30)...)
-	if refs {
+	if withRef {
 		entries[1].Frame = nil
 	}
 	return entries
@@ -59,13 +59,13 @@ func listDigest(entries []BatchEntry) uint64 {
 // ends of a session would, and checks the list survives intact: every
 // entry's seq, LBA and streamed frame, a reference's hash, no hash for
 // a by-value entry, and the list's digest.
-func pushSqueezed(t *testing.T, tx *SqueezeSender, rx *SqueezeReceiver, entries []BatchEntry, refs bool) (seg []byte, tag uint64) {
+func pushSqueezed(t *testing.T, tx *SqueezeSender, rx *SqueezeReceiver, entries []BatchEntry) (seg []byte, tag uint64) {
 	t.Helper()
-	seg, tag, ok, err := tx.Encode(entries, refs)
+	seg, tag, ok, err := tx.Encode(entries)
 	if err != nil || !ok {
 		t.Fatalf("encode: ok %v, %v", ok, err)
 	}
-	got, err := rx.Decode(nil, append([]byte(nil), seg...), tag, refs)
+	got, err := rx.Decode(nil, append([]byte(nil), seg...), tag)
 	if err != nil {
 		t.Fatalf("decode of tag %d: %v", tag, err)
 	}
@@ -94,14 +94,14 @@ func pushSqueezed(t *testing.T, tx *SqueezeSender, rx *SqueezeReceiver, entries 
 // in fewer bytes than the same push would fresh; and a list too short
 // to shrink is left to ship plain.
 func TestSqueezeListRoundTrip(t *testing.T) {
-	for _, refs := range []bool{false, true} {
-		t.Run(fmt.Sprintf("refs=%v", refs), func(t *testing.T) {
+	for _, withRef := range []bool{false, true} {
+		t.Run(fmt.Sprintf("refs=%v", withRef), func(t *testing.T) {
 			var tx SqueezeSender
 			var rx SqueezeReceiver
 			var primed []int
 			for p := range 4 {
-				entries := squeezeEntries(t, p, 12, refs)
-				seg, tag := pushSqueezed(t, &tx, &rx, entries, refs)
+				entries := squeezeEntries(t, p, 12, withRef)
+				seg, tag := pushSqueezed(t, &tx, &rx, entries)
 				if tag != uint64(p+1) {
 					t.Errorf("push %d: tag %d", p, tag)
 				}
@@ -111,7 +111,7 @@ func TestSqueezeListRoundTrip(t *testing.T) {
 				primed = append(primed, len(seg))
 			}
 			var fresh SqueezeSender
-			seg, tag, ok, err := fresh.Encode(squeezeEntries(t, 3, 12, refs), refs)
+			seg, tag, ok, err := fresh.Encode(squeezeEntries(t, 3, 12, withRef))
 			if err != nil || !ok || tag != 1 {
 				t.Fatalf("fresh encode: tag %d, ok %v, %v", tag, ok, err)
 			}
@@ -123,11 +123,8 @@ func TestSqueezeListRoundTrip(t *testing.T) {
 	}
 	var tx SqueezeSender
 	raw := []BatchEntry{{Seq: 1, LBA: 2, Hash: 3, Frame: []byte{byte(xcode.CodecRaw), 1, 2}}, {Seq: 2, LBA: 3, Hash: 4}}
-	if _, _, ok, err := tx.Encode(raw, true); ok || err != nil {
+	if _, _, ok, err := tx.Encode(raw); ok || err != nil {
 		t.Errorf("a list of a reference and a 3-byte frame: ok %v, %v; want it left plain", ok, err)
-	}
-	if _, _, ok, err := tx.Encode(squeezeEntries(t, 0, 6, true), false); ok || err != nil {
-		t.Errorf("a by-value list with an entry of no frame: ok %v, %v; want it left plain", ok, err)
 	}
 }
 
@@ -155,7 +152,7 @@ func TestSqueezeMaskList(t *testing.T) {
 	}
 	var tx SqueezeSender
 	var rx SqueezeReceiver
-	pushSqueezed(t, &tx, &rx, entries, true)
+	pushSqueezed(t, &tx, &rx, entries)
 	unmasked := make([]BatchEntry, len(entries))
 	for k, e := range entries {
 		unmasked[k] = BatchEntry{Seq: e.Seq, LBA: e.LBA, Hash: e.Hash, Frame: e.Frame}
@@ -168,11 +165,11 @@ func TestSqueezeMaskList(t *testing.T) {
 	if !bytes.Equal(maskFrame.InStream(), entries[0].Mask) {
 		t.Error("a mask frame does not stream as it is")
 	}
-	withMasks, err := EncodeByRef(entries)
+	withMasks, err := EncodeBatch(entries)
 	if err != nil {
 		t.Fatal(err)
 	}
-	without, err := EncodeByRef(unmasked)
+	without, err := EncodeBatch(unmasked)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,34 +185,34 @@ func TestSqueezeMaskList(t *testing.T) {
 func TestSqueezeStaleHistoryRefused(t *testing.T) {
 	var tx SqueezeSender
 	var rx SqueezeReceiver
-	pushSqueezed(t, &tx, &rx, squeezeEntries(t, 0, 8, false), false)
-	pushSqueezed(t, &tx, &rx, squeezeEntries(t, 1, 8, false), false)
+	pushSqueezed(t, &tx, &rx, squeezeEntries(t, 0, 8, false))
+	pushSqueezed(t, &tx, &rx, squeezeEntries(t, 1, 8, false))
 
 	// The sender believes the receiver took one more push than it did.
-	seg, tag, _, err := tx.Encode(squeezeEntries(t, 2, 8, false), false)
+	seg, tag, _, err := tx.Encode(squeezeEntries(t, 2, 8, false))
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, bad := range []uint64{tag + 1, tag - 1, 0} {
-		if _, err := rx.Decode(nil, seg, bad, false); !errors.Is(err, ErrStaleHistory) && bad != 0 {
+		if _, err := rx.Decode(nil, seg, bad); !errors.Is(err, ErrStaleHistory) && bad != 0 {
 			t.Errorf("tag %d against 2 pushes held: %v, want ErrStaleHistory", bad, err)
 		}
 	}
 	// A corrupt push with the right tag fails and leaves the history.
 	corrupt := append([]byte(nil), seg...)
 	corrupt[len(corrupt)-8] ^= 0x55
-	if _, err := rx.Decode(nil, corrupt, tag, false); !errors.Is(err, ErrBadFrame) {
+	if _, err := rx.Decode(nil, corrupt, tag); !errors.Is(err, ErrBadFrame) {
 		t.Errorf("corrupt segment: %v, want ErrBadFrame", err)
 	}
-	if _, err := rx.Decode(nil, seg, tag, false); err != nil {
+	if _, err := rx.Decode(nil, seg, tag); err != nil {
 		t.Errorf("the intact push after a corrupt one: %v", err)
 	}
 	tx.Commit()
 
 	// A fresh push from a sender that started over resets the receiver.
 	tx.Reset()
-	pushSqueezed(t, &tx, &rx, squeezeEntries(t, 3, 8, false), false)
-	pushSqueezed(t, &tx, &rx, squeezeEntries(t, 4, 8, false), false)
+	pushSqueezed(t, &tx, &rx, squeezeEntries(t, 3, 8, false))
+	pushSqueezed(t, &tx, &rx, squeezeEntries(t, 4, 8, false))
 }
 
 // squeezedList lays out a squeezed list by hand: its count, plaintext
@@ -246,11 +243,12 @@ func squeezedList(t *testing.T, count, plainLen int, plain []byte) []byte {
 // their plaintext could hold; refuses truncated and trailing segment
 // bytes and a segment that rebuilds another length than declared; and
 // parses the plaintext as strictly as a plain list: no trailing bytes,
-// no reference in a by-value list, no reference without a hash.
+// no reference without a hash. A reference with one is accepted, as in
+// any list.
 func TestSqueezeDecodeStrict(t *testing.T) {
 	var tx SqueezeSender
 	entries := squeezeEntries(t, 0, 6, false)
-	seg, _, ok, err := tx.Encode(entries, false)
+	seg, _, ok, err := tx.Encode(entries)
 	if err != nil || !ok {
 		t.Fatal(ok, err)
 	}
@@ -280,9 +278,7 @@ func TestSqueezeDecodeStrict(t *testing.T) {
 		"fewer entries than declared":     squeezedList(t, 7, len(plain), plain),
 		"more entries than declared":      squeezedList(t, 5, len(plain), plain),
 	}
-	// A reference in a by-value list, and one without a hash.
-	ref := AppendStream(nil, []BatchEntry{{Seq: 1, LBA: 1, Hash: 9}}, 0)
-	cases["reference in a by-value list"] = squeezedList(t, 1, len(ref), ref)
+	// A reference without a hash.
 	hashless := AppendStream(nil, []BatchEntry{{Seq: 1, LBA: 1}}, 0)
 	cases["reference without a hash"] = squeezedList(t, 1, len(hashless), hashless)
 	// A plaintext that ends in the middle of an entry.
@@ -296,7 +292,7 @@ func TestSqueezeDecodeStrict(t *testing.T) {
 
 	for name, data := range cases {
 		var rx SqueezeReceiver
-		got, err := rx.Decode(nil, data, 1, name == "reference without a hash")
+		got, err := rx.Decode(nil, data, 1)
 		if err == nil {
 			t.Errorf("%s: accepted %d entries", name, len(got))
 			continue
@@ -309,32 +305,22 @@ func TestSqueezeDecodeStrict(t *testing.T) {
 		}
 	}
 	var rx SqueezeReceiver
-	if _, err := rx.Decode(nil, seg, 1, false); err != nil {
+	if _, err := rx.Decode(nil, seg, 1); err != nil {
 		t.Errorf("the intact list: %v", err)
 	}
-}
-
-// streamBackend records the stream-tagged pushes a target applied; it
-// cannot verify a squeezed list.
-type streamBackend struct {
-	batchSink
-}
-
-func (s *streamBackend) HandleReplicaBatchStream(mode, shard uint8, vol uint16, entries []BatchEntry) []Status {
-	return s.HandleReplicaBatch(mode, entries)
-}
-
-func (s *streamBackend) HandleReplicaStream(mode, shard uint8, vol uint16, seq, lba, hash uint64, frame []byte) Status {
-	return s.HandleReplica(mode, seq, lba, hash, frame)
+	ref := AppendStream(nil, []BatchEntry{{Seq: 1, LBA: 1, Hash: 9}}, 0)
+	if got, err := rx.Decode(nil, squeezedList(t, 1, len(ref), ref), 1); err != nil || len(got) != 1 || !got[0].ByRef() || got[0].Hash != 9 {
+		t.Errorf("a list of one reference: %+v, %v", got, err)
+	}
 }
 
 // squeezeBackend records what a target applied from squeezed pushes.
 type squeezeBackend struct {
-	streamBackend
+	batchSink
 }
 
-func (s *squeezeBackend) HandleReplicaSqueezed(mode, shard uint8, vol uint16, entries []BatchEntry, refs bool, digest uint64) []Status {
-	return s.HandleReplicaBatch(mode, entries)
+func (s *squeezeBackend) HandleReplicaSqueezed(mode, shard uint8, vol uint16, entries []BatchEntry, digest uint64) []Status {
+	return s.HandleReplicaBatchStream(mode, shard, vol, entries)
 }
 
 // TestSqueezedPushOverSession drives squeezed pushes through an
@@ -353,7 +339,7 @@ func TestSqueezedPushOverSession(t *testing.T) {
 	push := func(p int) {
 		t.Helper()
 		entries := squeezeEntries(t, p, 10, false)
-		st, sent, err := init.ReplicaWriteSqueezed(1, shard, vol, entries, false)
+		st, sent, err := init.ReplicaWriteSqueezed(1, shard, vol, entries)
 		if err != nil {
 			t.Fatalf("push %d: %v", p, err)
 		}
@@ -434,24 +420,24 @@ func TestSqueezedPushOverSession(t *testing.T) {
 func FuzzDecodeSqueezed(f *testing.F) {
 	var tx SqueezeSender
 	var warm SqueezeReceiver
-	first, _, _, err := tx.Encode(squeezeEntries(f, 0, 6, false), false)
+	first, _, _, err := tx.Encode(squeezeEntries(f, 0, 6, false))
 	if err != nil {
 		f.Fatal(err)
 	}
 	first = append([]byte(nil), first...)
-	if _, err := warm.Decode(nil, first, 1, false); err != nil {
+	if _, err := warm.Decode(nil, first, 1); err != nil {
 		f.Fatal(err)
 	}
 	firstLen := len(warm.plain)
 	tx.Commit()
-	second, _, _, err := tx.Encode(squeezeEntries(f, 1, 6, true), true)
+	second, _, _, err := tx.Encode(squeezeEntries(f, 1, 6, true))
 	if err != nil {
 		f.Fatal(err)
 	}
-	f.Add(first, uint64(1), false)
-	f.Add(append([]byte(nil), second...), uint64(2), true)
-	f.Add(first[:len(first)-2], uint64(1), false)
-	f.Add(append(countOf(3), make([]byte, 3*minEntryLen-1)...), uint64(1), false)
+	f.Add(first, uint64(1))
+	f.Add(append([]byte(nil), second...), uint64(2))
+	f.Add(first[:len(first)-2], uint64(1))
+	f.Add(append(countOf(3), make([]byte, 3*minEntryLen-1)...), uint64(1))
 	// The new layout's edges: a plaintext declared past MaxDataSegment,
 	// one declared a byte longer than its segment rebuilds, and a list
 	// whose count its plaintext has no room for.
@@ -462,15 +448,15 @@ func FuzzDecodeSqueezed(f *testing.F) {
 		out = binary.AppendUvarint(out, plainLen)
 		return append(out, first[n+w:]...)
 	}
-	f.Add(relen(count, MaxDataSegment+1), uint64(1), false)
-	f.Add(relen(count, plainLen+1), uint64(1), false)
-	f.Add(relen(plainLen/minPlainEntryLen+1, plainLen), uint64(1), false)
-	f.Fuzz(func(t *testing.T, data []byte, tag uint64, refs bool) {
+	f.Add(relen(count, MaxDataSegment+1), uint64(1))
+	f.Add(relen(count, plainLen+1), uint64(1))
+	f.Add(relen(plainLen/minPlainEntryLen+1, plainLen), uint64(1))
+	f.Fuzz(func(t *testing.T, data []byte, tag uint64) {
 		var rx SqueezeReceiver
-		if _, err := rx.Decode(nil, first, 1, false); err != nil {
+		if _, err := rx.Decode(nil, first, 1); err != nil {
 			t.Fatal(err)
 		}
-		entries, err := rx.Decode(nil, data, tag, refs)
+		entries, err := rx.Decode(nil, data, tag)
 		if err != nil {
 			if !errors.Is(err, ErrBadFrame) && !errors.Is(err, ErrShortFrame) && !errors.Is(err, ErrStaleHistory) {
 				t.Fatalf("unexpected error class: %v", err)
@@ -487,8 +473,8 @@ func FuzzDecodeSqueezed(f *testing.F) {
 		for _, e := range entries {
 			frames += len(e.Frame)
 			switch {
-			case e.ByRef() && (!refs || e.Hash == 0):
-				t.Fatalf("accepted a reference with hash %x in a list with refs %v", e.Hash, refs)
+			case e.ByRef() && e.Hash == 0:
+				t.Fatal("accepted a reference without a hash")
 			case !e.ByRef() && e.Hash != 0:
 				t.Fatal("accepted a by-value entry with a hash")
 			}
@@ -522,11 +508,11 @@ func TestSqueezeRepeatPastRatio(t *testing.T) {
 	}
 	var tx SqueezeSender
 	var rx SqueezeReceiver
-	pushSqueezed(t, &tx, &rx, entries, false)
+	pushSqueezed(t, &tx, &rx, entries)
 	for k := range entries {
 		entries[k].Seq += 100
 	}
-	seg, tag := pushSqueezed(t, &tx, &rx, entries, false)
+	seg, tag := pushSqueezed(t, &tx, &rx, entries)
 	if total <= 1032*len(seg) {
 		t.Fatalf("a repeated push of %d stream bytes took %d bytes: not past DEFLATE's ratio", total, len(seg))
 	}
@@ -549,13 +535,13 @@ func TestSqueezeRepeatPastRatio(t *testing.T) {
 	}
 	fw.Write(body)
 	fw.Flush()
-	if _, err := rx.Decode(nil, append(list, z.Bytes()...), tag+1, false); !errors.Is(err, ErrBadFrame) {
+	if _, err := rx.Decode(nil, append(list, z.Bytes()...), tag+1); !errors.Is(err, ErrBadFrame) {
 		t.Errorf("a run-length repeat past its list's 100 bytes: %v, want ErrBadFrame", err)
 	}
 	for k := range entries {
 		entries[k].Seq += 100
 	}
-	pushSqueezed(t, &tx, &rx, entries, false)
+	pushSqueezed(t, &tx, &rx, entries)
 }
 
 // imageBackend keeps the last frame each (vol, shard, lba) was sent:
@@ -573,7 +559,7 @@ func (b *imageBackend) HandleReplicaBatchStream(mode, shard uint8, vol uint16, e
 	return statuses
 }
 
-func (b *imageBackend) HandleReplicaSqueezed(mode, shard uint8, vol uint16, entries []BatchEntry, refs bool, digest uint64) []Status {
+func (b *imageBackend) HandleReplicaSqueezed(mode, shard uint8, vol uint16, entries []BatchEntry, digest uint64) []Status {
 	return b.HandleReplicaBatchStream(mode, shard, vol, entries)
 }
 
@@ -597,7 +583,7 @@ func TestSqueezeHistoryCap(t *testing.T) {
 		t.Helper()
 		entries := squeezeEntries(t, p, 4, false)
 		for fresh := false; ; fresh = true {
-			seg, tag, ok, err := tx.Encode(entries, false)
+			seg, tag, ok, err := tx.Encode(entries)
 			if err != nil || !ok {
 				t.Fatalf("encode: ok %v, %v", ok, err)
 			}
@@ -702,7 +688,7 @@ func TestSqueezeStreamCapOverSession(t *testing.T) {
 	push := func(shard uint8, vol uint16, p int) (tag uint64) {
 		t.Helper()
 		entries := squeezeEntries(t, p, 4, false)
-		_, sent, err := init.ReplicaWriteSqueezed(1, shard, vol, entries, false)
+		_, sent, err := init.ReplicaWriteSqueezed(1, shard, vol, entries)
 		if err != nil {
 			t.Fatalf("stream (%d, %d) push %d: %v", shard, vol, p, err)
 		}
@@ -777,7 +763,7 @@ func TestSqueezeStreamCapOverSession(t *testing.T) {
 // segments, and the stream's history kept the unverified push, so the
 // next one goes out primed.
 func TestSqueezeUnverifiedReshipsPlain(t *testing.T) {
-	sink := &streamBackend{}
+	sink := &batchSink{} // cannot verify a squeezed list
 	init, rec := startRecordedPair(t, sink)
 	const shard, vol = 1, 2
 	for p := range 2 {
@@ -785,7 +771,7 @@ func TestSqueezeUnverifiedReshipsPlain(t *testing.T) {
 		sink.mu.Lock()
 		sink.status = map[uint64]Status{entries[2].LBA: StatusDiverged}
 		sink.mu.Unlock()
-		st, sent, err := init.ReplicaWriteSqueezed(1, shard, vol, entries, false)
+		st, sent, err := init.ReplicaWriteSqueezed(1, shard, vol, entries)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -29,25 +29,12 @@ type Backend interface {
 	HandleRead(lba uint64, blocks uint32) ([]byte, Status)
 	// HandleWrite applies a whole-block write at lba.
 	HandleWrite(lba uint64, data []byte) Status
-	// HandleReplica applies a replication push: an xcode frame for the
-	// block at lba, produced by a peer engine in the given mode with
-	// the given sequence number. hash, when non-zero, is the content
-	// hash the decoded new block must verify against before the
-	// in-place write (StatusDiverged on mismatch).
-	HandleReplica(mode uint8, seq, lba, hash uint64, frame []byte) Status
-}
-
-// StreamBackend is the optional stream-aware extension of Backend: a
-// replica that keeps one sequence space per (vol, shard) replication
-// stream. A v5 stream-tagged push routed at a backend that does not
-// implement StreamBackend is refused with StatusBadRequest — folding
-// tagged streams into a single sequence space would make the replica's
-// seq-dedupe silently drop frames from other shards.
-type StreamBackend interface {
-	Backend
-	// HandleReplicaStream applies a replication push against the
-	// (vol, shard) stream's sequence space. A zero tag is the default
-	// stream and behaves exactly like HandleReplica.
+	// HandleReplicaStream applies a replication push: an xcode frame
+	// for the block at lba, produced by a peer engine in the given mode
+	// with the given sequence number in the (vol, shard) stream's
+	// sequence space. An untagged push is stream (0, 0). hash, when
+	// non-zero, is the content hash the decoded new block must verify
+	// against before the in-place write (StatusDiverged on mismatch).
 	HandleReplicaStream(mode, shard uint8, vol uint16, seq, lba, hash uint64, frame []byte) Status
 }
 
@@ -90,8 +77,9 @@ func (b *StoreBackend) HandleWrite(lba uint64, data []byte) Status {
 	return StatusOK
 }
 
-// HandleReplica implements Backend; a plain store is not a replica.
-func (b *StoreBackend) HandleReplica(uint8, uint64, uint64, uint64, []byte) Status {
+// HandleReplicaStream implements Backend; a plain store is not a
+// replica.
+func (b *StoreBackend) HandleReplicaStream(uint8, uint8, uint16, uint64, uint64, uint64, []byte) Status {
 	return StatusBadRequest
 }
 
@@ -240,41 +228,6 @@ func (t *Target) logf(format string, args ...any) {
 	}
 }
 
-// applyReplica dispatches one replication push: stream-tagged pushes
-// require a StreamBackend (refused otherwise — see StreamBackend),
-// untagged pushes prefer the stream handler's default stream but fall
-// back to the v3 handler for un-upgraded backends.
-func applyReplica(backend Backend, mode, shard uint8, vol uint16, seq, lba, hash uint64, frame []byte) Status {
-	if sb, ok := backend.(StreamBackend); ok {
-		return sb.HandleReplicaStream(mode, shard, vol, seq, lba, hash, frame)
-	}
-	if shard != 0 || vol != 0 {
-		return StatusBadRequest
-	}
-	return backend.HandleReplica(mode, seq, lba, hash, frame)
-}
-
-// applyBatch dispatches a decoded batch to the backend: natively when
-// it implements the (stream) batch interface, otherwise entry by entry
-// through the single-frame handlers, so an un-upgraded backend behind
-// an upgraded target still serves batched sessions. Stream-tagged
-// batches require stream support end to end.
-func applyBatch(backend Backend, mode, shard uint8, vol uint16, entries []BatchEntry) []Status {
-	if sbb, ok := backend.(StreamBatchBackend); ok {
-		return sbb.HandleReplicaBatchStream(mode, shard, vol, entries)
-	}
-	if shard == 0 && vol == 0 {
-		if bb, ok := backend.(BatchBackend); ok {
-			return bb.HandleReplicaBatch(mode, entries)
-		}
-	}
-	statuses := make([]Status, len(entries))
-	for i, e := range entries {
-		statuses[i] = applyReplica(backend, mode, shard, vol, e.Seq, e.LBA, e.Hash, e.Frame)
-	}
-	return statuses
-}
-
 // request is a session's request storage: ServeConn reads every PDU of
 // the session into the same header, PDU and data-segment buffer,
 // decodes every entry list into the same entries, inflates every
@@ -310,29 +263,24 @@ func (rq *request) read(r io.Reader) error {
 
 // applyEntryList decodes the entry-list push rq holds, plain or
 // squeezed (a nonzero Seq field is a squeezed list's history tag), and
-// hands it to the backend extension its opcode needs. The header status
-// it returns refuses the whole PDU, nothing applied: StatusBadRequest
-// for a malformed segment, and for a by-ref push at a backend without
-// the extension (a reference no content index can materialize must be
-// refused rather than guessed at); StatusStaleHistory for a squeezed
-// list built on a history this end of its stream does not hold. A
-// squeezed list goes to a SqueezeBackend, which verifies its digest; a
-// backend without one cannot, and every entry is StatusUnverified.
+// hands it to the backend. Both list opcodes carry the same entry list
+// (batch.go), so both go to the same method. The header status it
+// returns refuses the whole PDU, nothing applied: StatusBadRequest for
+// a malformed segment or a backend that takes no lists;
+// StatusStaleHistory for a squeezed list built on a history this end of
+// its stream does not hold. A squeezed list goes to a SqueezeBackend,
+// which verifies its digest; a backend without one cannot, and every
+// entry is StatusUnverified.
 func (rq *request) applyEntryList(backend Backend) ([]Status, Status) {
 	pdu := &rq.pdu
-	refs := pdu.Op == OpReplicaWriteByRef
-	brb, byRef := backend.(ByRefBackend)
-	if refs && !byRef {
-		return nil, StatusBadRequest
-	}
 	var entries []BatchEntry
 	var digest uint64
 	var err error
 	squeezed := pdu.Seq != 0
 	if squeezed {
-		entries, digest, err = rq.unsqueeze(refs)
+		entries, digest, err = rq.unsqueeze()
 	} else {
-		entries, err = decodeEntryList(rq.entries, pdu.Data, refs)
+		entries, err = decodeEntryList(rq.entries, pdu.Data)
 	}
 	switch {
 	case errors.Is(err, ErrStaleHistory):
@@ -343,7 +291,7 @@ func (rq *request) applyEntryList(backend Backend) ([]Status, Status) {
 	rq.entries = entries
 	if squeezed {
 		if sb, ok := backend.(SqueezeBackend); ok {
-			return sb.HandleReplicaSqueezed(pdu.Mode, pdu.Shard, pdu.Vol, entries, refs, digest), StatusOK
+			return sb.HandleReplicaSqueezed(pdu.Mode, pdu.Shard, pdu.Vol, entries, digest), StatusOK
 		}
 		statuses := make([]Status, len(entries))
 		for k := range statuses {
@@ -351,10 +299,10 @@ func (rq *request) applyEntryList(backend Backend) ([]Status, Status) {
 		}
 		return statuses, StatusOK
 	}
-	if refs {
-		return brb.HandleReplicaByRef(pdu.Mode, pdu.Shard, pdu.Vol, entries), StatusOK
+	if lb, ok := backend.(StreamBatchBackend); ok {
+		return lb.HandleReplicaBatchStream(pdu.Mode, pdu.Shard, pdu.Vol, entries), StatusOK
 	}
-	return applyBatch(backend, pdu.Mode, pdu.Shard, pdu.Vol, entries), StatusOK
+	return nil, StatusBadRequest
 }
 
 // ServeConn runs one session on conn until logout, EOF, a protocol
@@ -450,7 +398,7 @@ func (t *Target) serve(conn net.Conn, rq *request) {
 				resp.Status = StatusNotLoggedIn
 				break
 			}
-			resp.Status = applyReplica(backend, pdu.Mode, pdu.Shard, pdu.Vol, pdu.Seq, pdu.LBA, pdu.Hash, pdu.Data)
+			resp.Status = backend.HandleReplicaStream(pdu.Mode, pdu.Shard, pdu.Vol, pdu.Seq, pdu.LBA, pdu.Hash, pdu.Data)
 
 		case OpReplicaWriteBatch, OpReplicaWriteByRef:
 			resp.Op = OpResp

@@ -56,27 +56,18 @@ func (c *ResilientClient) dial() (*iscsi.Initiator, error) {
 	return conn, nil
 }
 
-// ReplicaWrite implements the engine's ReplicaClient contract. On
-// transport failure it reconnects, resyncs, and retries the push once.
-// A diverged refusal is healed in place: the replica verified the
+// ReplicaWriteStream implements the engine's ReplicaClient contract.
+// On transport failure it reconnects, resyncs, and retries the push
+// once. A diverged refusal is healed in place: the replica verified the
 // frame and found its own block wrong, so the session is fine — the
 // block is repaired with a one-block ranged resync on the live
 // connection (the local store already holds the new content, making
 // the refused push redundant; it must NOT be re-applied on top of the
 // repair in PRINS mode, where the extra XOR would corrupt the block).
-func (c *ResilientClient) ReplicaWrite(mode uint8, seq, lba, hash uint64, frame []byte) error {
-	return c.push(lba, func(conn *iscsi.Initiator) error {
-		return conn.ReplicaWrite(mode, seq, lba, hash, frame)
-	})
-}
-
-// ReplicaWriteStream implements the engine's StreamReplicaClient
-// contract with the same reconnect-resync-resume behaviour as
-// ReplicaWrite, so sharded and multi-volume engines can attach a
-// resilient session. The post-reconnect resync covers the whole local
-// device, which heals every stream's gap at once; the per-stream
-// dedupe cursors on the replica make the subsequent redeliveries
-// no-ops.
+// The post-reconnect resync covers the whole local device, which heals
+// every stream's gap at once, so sharded and multi-volume engines can
+// attach a resilient session too; the per-stream dedupe cursors on the
+// replica make the subsequent redeliveries no-ops.
 func (c *ResilientClient) ReplicaWriteStream(mode, shard uint8, vol uint16, seq, lba, hash uint64, frame []byte) error {
 	return c.push(lba, func(conn *iscsi.Initiator) error {
 		return conn.ReplicaWriteStream(mode, shard, vol, seq, lba, hash, frame)
@@ -86,7 +77,7 @@ func (c *ResilientClient) ReplicaWriteStream(mode, shard uint8, vol uint16, seq,
 // push runs one delivery attempt through the live session, healing a
 // diverged refusal in place and a transport failure by
 // reconnect + full resync (after which the push is redundant — see
-// ReplicaWrite).
+// ReplicaWriteStream).
 func (c *ResilientClient) push(lba uint64, send func(*iscsi.Initiator) error) error {
 	// Closing an initiator joins its reader goroutine, so the sessions
 	// this push gives up on are closed after c.mu is released (deferred

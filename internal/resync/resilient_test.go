@@ -114,7 +114,7 @@ func TestResilientClientFailsWhenReplicaGone(t *testing.T) {
 	client.conn = nil
 	client.mu.Unlock()
 
-	if err := client.ReplicaWrite(uint8(core.ModePRINS), 1, 0, 0, []byte{1}); err == nil {
+	if err := client.ReplicaWriteStream(uint8(core.ModePRINS), 0, 0, 1, 0, 0, []byte{1}); err == nil {
 		t.Error("push to dead replica succeeded")
 	}
 }

@@ -304,20 +304,16 @@ func tarBlockWrites(tb testing.TB, seed int64, rounds int) (block.Store, []pageW
 // so its pipe ships every run as a plain list.
 type unsqueezed struct{ in *iscsi.Initiator }
 
-func (u unsqueezed) ReplicaWrite(mode uint8, seq, lba, hash uint64, frame []byte) error {
-	return u.in.ReplicaWrite(mode, seq, lba, hash, frame)
+func (u unsqueezed) ReplicaWriteStream(mode, shard uint8, vol uint16, seq, lba, hash uint64, frame []byte) error {
+	return u.in.ReplicaWriteStream(mode, shard, vol, seq, lba, hash, frame)
 }
 
 func (u unsqueezed) ReplicaWriteFramed(mode, shard uint8, vol uint16, seq, lba, hash uint64, pdu []byte) error {
 	return u.in.ReplicaWriteFramed(mode, shard, vol, seq, lba, hash, pdu)
 }
 
-func (u unsqueezed) ReplicaWriteBatch(mode uint8, entries []iscsi.BatchEntry) ([]iscsi.Status, error) {
-	return u.in.ReplicaWriteBatch(mode, entries)
-}
-
-func (u unsqueezed) ReplicaWriteByRef(mode, shard uint8, vol uint16, entries []iscsi.BatchEntry) ([]iscsi.Status, error) {
-	return u.in.ReplicaWriteByRef(mode, shard, vol, entries)
+func (u unsqueezed) ReplicaWriteBatchStream(mode, shard uint8, vol uint16, entries []iscsi.BatchEntry) ([]iscsi.Status, error) {
+	return u.in.ReplicaWriteBatchStream(mode, shard, vol, entries)
 }
 
 // TestSqueezeTarOverT3 replays the tar workload's writes through an
