@@ -330,10 +330,57 @@ func BenchmarkShardScaling(b *testing.B) {
 // dirty ranges, as a tar outage leaves them. It reports repair-ms (wall
 // time of one ranged resync, which `make bench-guard` times) and
 // blocks/write (the run length the pipeline shipped). A group unit is
-// rebuilt by the same pipeline (BenchmarkGroupRepair).
+// rebuilt by the same pipeline (BenchmarkGroupRepair). The audit arm
+// is the whole-device hash exchange a resync of an identical replica
+// is: 8192 blocks of 8 KiB behind a core.ReplicaEngine over unshaped
+// loopback, every batch settled by its digest. Its MB/s is device bytes
+// audited per second (`make bench-guard` times it), and its allocations
+// are both ends' per audit.
 func BenchmarkResync(b *testing.B) {
 	b.Run("loopback-5pct", benchResyncLoopback)
 	b.Run("t3-ranges", benchResyncT3Ranges)
+	b.Run("audit", benchResyncAudit)
+}
+
+func benchResyncAudit(b *testing.B) {
+	const (
+		blockSize = 8 << 10
+		numBlocks = 8192
+	)
+	local, err := block.NewMem(blockSize, numBlocks)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(5))
+	buf := make([]byte, blockSize)
+	for lba := uint64(0); lba < numBlocks; lba++ {
+		rng.Read(buf)
+		if err := local.WriteBlock(lba, buf); err != nil {
+			b.Fatal(err)
+		}
+	}
+	replicaStore, err := block.NewMem(blockSize, numBlocks)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := block.Copy(replicaStore, local); err != nil {
+		b.Fatal(err)
+	}
+	remote := dialReplica(b, core.NewReplicaEngine(replicaStore), wan.LinkConfig{})
+
+	b.SetBytes(blockSize * numBlocks)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		stats, err := resync.Run(local, remote, resync.Config{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if stats.BlocksScanned != numBlocks || stats.BlocksRepaired != 0 || stats.HashBytes != 0 {
+			b.Fatalf("audit scanned %d, repaired %d, fetched %d hash bytes; want %d, 0, 0",
+				stats.BlocksScanned, stats.BlocksRepaired, stats.HashBytes, numBlocks)
+		}
+	}
 }
 
 func benchResyncLoopback(b *testing.B) {

@@ -78,12 +78,12 @@ func (g *gatedClient) ReplicaWriteBatchStream(mode, shard uint8, vol uint16, ent
 
 // ReplicaWriteSqueezed records a squeezed push among the batches, its
 // entries with their frames as encoded, and the bytes it shipped.
-func (g *gatedClient) ReplicaWriteSqueezed(mode, shard uint8, vol uint16, entries []iscsi.BatchEntry) ([]iscsi.Status, int, error) {
+func (g *gatedClient) ReplicaWriteSqueezed(mode, shard uint8, vol uint16, entries []iscsi.BatchEntry) ([]iscsi.Status, iscsi.Sent, error) {
 	g.block()
 	st, sent, err := g.squeeze(mode, shard, vol, entries)
 	g.mu.Lock()
 	g.batches = append(g.batches, copyEntries(entries))
-	g.sent = append(g.sent, [2]int{sent, iscsi.BatchWireLen(entries)})
+	g.sent = append(g.sent, [2]int{sent.Total(), iscsi.BatchWireLen(entries)})
 	g.mu.Unlock()
 	return st, sent, err
 }
@@ -93,22 +93,22 @@ func (g *gatedClient) ReplicaWriteSqueezed(mode, shard uint8, vol uint16, entrie
 // end decodes, verified against its digest; a list the replica answers
 // unverified is re-shipped plain, as iscsi.Initiator does. The stream's
 // pushes are one at a time, as an async pipe's are.
-func (g *gatedClient) squeeze(mode, shard uint8, vol uint16, entries []iscsi.BatchEntry) ([]iscsi.Status, int, error) {
+func (g *gatedClient) squeeze(mode, shard uint8, vol uint16, entries []iscsi.BatchEntry) ([]iscsi.Status, iscsi.Sent, error) {
 	plain := func() ([]iscsi.Status, error) {
 		return g.inner.ReplicaWriteBatchStream(mode, shard, vol, entries)
 	}
 	seg, tag, ok, err := g.tx.Encode(entries)
 	if err != nil {
-		return nil, 0, err
+		return nil, iscsi.Sent{}, err
 	}
 	if !ok {
 		st, err := plain()
-		return st, iscsi.BatchWireLen(entries), err
+		return st, iscsi.SentOne(iscsi.BatchWireLen(entries)), err
 	}
 	decoded, err := g.rx.Decode(g.decoded, seg, tag)
 	if err != nil {
 		g.tx.Reset()
-		return nil, 0, err
+		return nil, iscsi.Sent{}, err
 	}
 	g.tx.Commit()
 	g.decoded = decoded
@@ -117,13 +117,13 @@ func (g *gatedClient) squeeze(mode, shard uint8, vol uint16, entries []iscsi.Bat
 	g.mu.Unlock()
 	st := g.inner.Replica.HandleReplicaSqueezed(mode, shard, vol, decoded, g.rx.Digest())
 	if slices.ContainsFunc(st, func(s iscsi.Status) bool { return s != iscsi.StatusUnverified }) {
-		return st, len(seg), nil
+		return st, iscsi.SentOne(len(seg)), nil
 	}
 	g.mu.Lock()
 	g.unverified++
 	g.mu.Unlock()
 	st, err = plain()
-	return st, len(seg) + iscsi.BatchWireLen(entries), err
+	return st, iscsi.Sent{N: 2, Seg: [3]int{len(seg), iscsi.BatchWireLen(entries)}}, err
 }
 
 func (g *gatedClient) ResetSqueeze(uint8, uint16) { g.tx.Reset() }

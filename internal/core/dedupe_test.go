@@ -53,7 +53,7 @@ func (g *byrefGated) ReplicaWriteBatchStream(mode, shard uint8, vol uint16, entr
 
 // ReplicaWriteSqueezed records a squeezed by-ref push among the by-ref
 // pushes (a by-value one among the batches, as gatedClient does).
-func (g *byrefGated) ReplicaWriteSqueezed(mode, shard uint8, vol uint16, entries []iscsi.BatchEntry) ([]iscsi.Status, int, error) {
+func (g *byrefGated) ReplicaWriteSqueezed(mode, shard uint8, vol uint16, entries []iscsi.BatchEntry) ([]iscsi.Status, iscsi.Sent, error) {
 	if !hasRef(entries) {
 		return g.gatedClient.ReplicaWriteSqueezed(mode, shard, vol, entries)
 	}
@@ -61,7 +61,7 @@ func (g *byrefGated) ReplicaWriteSqueezed(mode, shard uint8, vol uint16, entries
 	st, sent, err := g.squeeze(mode, shard, vol, entries)
 	g.mu.Lock()
 	g.byrefs = append(g.byrefs, copyEntries(entries))
-	g.sent = append(g.sent, [2]int{sent, iscsi.BatchWireLen(entries)})
+	g.sent = append(g.sent, [2]int{sent.Total(), iscsi.BatchWireLen(entries)})
 	g.mu.Unlock()
 	return st, sent, err
 }

@@ -71,17 +71,18 @@ var _ FramedReplicaClient = (*iscsi.Initiator)(nil)
 // SqueezeReplicaClient is the compressing extension of an entry-list
 // client: ship a list as one DEFLATE segment primed with what the
 // (vol, shard) stream already carried and one digest for its hashes
-// (iscsi's squeezed lists), and say how many data-segment bytes went
-// out — the plain list's when the client shipped it plain, both lists'
-// when the replica could not verify the squeezed one and the client
-// re-shipped it plain. The client
+// (iscsi's squeezed lists), and say what data segment each PDU it put
+// on the wire carried — the plain list's when the client shipped it
+// plain; a refused list's and its re-ship's when the replica refused the
+// squeezed one as built on a stale history, or could not verify it and
+// the client re-shipped it plain. The client
 // owns the stream's history and resets it itself when a push fails;
 // ResetSqueeze makes it forget the history, so the next squeezed push is
 // fresh. A stream's squeezed pushes go one at a time: an async pipe's
 // shipper, the only caller, has one push in flight.
 type SqueezeReplicaClient interface {
 	ReplicaClient
-	ReplicaWriteSqueezed(mode, shard uint8, vol uint16, entries []iscsi.BatchEntry) (statuses []iscsi.Status, sent int, err error)
+	ReplicaWriteSqueezed(mode, shard uint8, vol uint16, entries []iscsi.BatchEntry) (statuses []iscsi.Status, sent iscsi.Sent, err error)
 	ResetSqueeze(shard uint8, vol uint16)
 }
 
@@ -958,16 +959,10 @@ func (e *Engine) Geometry() (int, uint64) {
 	return e.local.BlockSize(), e.local.NumBlocks()
 }
 
-// HandleRead implements iscsi.Backend.
-func (e *Engine) HandleRead(lba uint64, blocks uint32) ([]byte, iscsi.Status) {
-	bs := e.local.BlockSize()
-	out := make([]byte, int(blocks)*bs)
-	for i := uint32(0); i < blocks; i++ {
-		if err := e.local.ReadBlock(lba+uint64(i), out[int(i)*bs:int(i+1)*bs]); err != nil {
-			return nil, statusOf(err)
-		}
-	}
-	return out, iscsi.StatusOK
+// HandleRead implements iscsi.Backend: a read of the local copy, as a
+// plain store serves it.
+func (e *Engine) HandleRead(lba uint64, dst []byte) iscsi.Status {
+	return (&iscsi.StoreBackend{Store: e.local}).HandleRead(lba, dst)
 }
 
 // HandleWrite implements iscsi.Backend: writes arriving over the wire

@@ -505,10 +505,10 @@ func TestEngineBackendStatuses(t *testing.T) {
 	if st := e.HandleWrite(99, make([]byte, 512)); st.String() != "OUT-OF-RANGE" {
 		t.Errorf("OOB HandleWrite = %v", st)
 	}
-	if _, st := e.HandleRead(0, 2); st.String() != "OK" {
+	if st := e.HandleRead(0, make([]byte, 2*512)); st.String() != "OK" {
 		t.Errorf("HandleRead = %v", st)
 	}
-	if _, st := e.HandleRead(7, 2); st.String() != "OUT-OF-RANGE" {
+	if st := e.HandleRead(7, make([]byte, 2*512)); st.String() != "OUT-OF-RANGE" {
 		t.Errorf("OOB HandleRead = %v", st)
 	}
 	if st := e.HandleReplicaStream(1, 0, 0, 1, 0, 0, nil); st.String() != "BAD-REQUEST" {

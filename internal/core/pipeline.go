@@ -515,7 +515,7 @@ func (e *Engine) process(p *pipe, msgs []repMsg, backlog bool) {
 		}
 		statuses, sent, err := e.push(p, nil, entries, plain, sr.squeezed)
 		listed = err == nil
-		wire = listWire(sr.squeezed, plain, sent)
+		wire = pduWire(sent)
 		shareSqueeze(groups, entries, squeezeSaved(sr.squeezed, plain, sent))
 		for k := range groups {
 			groups[k].first = groups[k].squeezed
@@ -531,7 +531,7 @@ func (e *Engine) process(p *pipe, msgs []repMsg, backlog bool) {
 		// bytes came to; a failed one teaches nothing. A squeezed run
 		// that could not pay leaves the stream's history nothing to be
 		// kept for.
-		switched, forget := sr.end(err == nil, sent)
+		switched, forget := sr.end(err == nil, sent.Last())
 		if switched {
 			p.m.Add(metrics.SqueezeSwitches, 1)
 		}
@@ -560,7 +560,7 @@ func (e *Engine) process(p *pipe, msgs []repMsg, backlog bool) {
 				fberr = fmt.Errorf("core: by-ref fallback batch of %d: %w", len(groups)-missAt, ferr)
 			} else {
 				copy(statuses[missAt:], fstat)
-				wire += listWire(sr.squeezed, splain, fsent)
+				wire += pduWire(fsent)
 				shareSqueeze(groups[missAt:], suffix, squeezeSaved(sr.squeezed, splain, fsent))
 			}
 		}
@@ -694,28 +694,25 @@ func (e *Engine) process(p *pipe, msgs []repMsg, backlog bool) {
 	}
 }
 
-// listWire is the modelled wire cost of a list push whose plain list is
-// plain bytes and which put sent data-segment bytes on the wire. A
-// squeezed list ships only when it is smaller than the plain one, so on
-// a squeezed push sent > plain means two PDUs: the squeezed list the
-// replica answered StatusUnverified, sent-plain bytes, and its plain
-// re-ship, each with its own packet headers.
-func listWire(squeezed bool, plain, sent int) int64 {
-	if squeezed && sent > plain {
-		return int64(wan.WireBytesDiscrete(sent-plain) + wan.WireBytesDiscrete(plain))
+// pduWire is the modelled wire cost of a push that sent the PDUs sent
+// lists: each one's data segment with its own packet headers.
+func pduWire(sent iscsi.Sent) int64 {
+	var wire int64
+	for _, n := range sent.Seg[:sent.N] {
+		wire += int64(wan.WireBytesDiscrete(n))
 	}
-	return int64(wan.WireBytesDiscrete(sent))
+	return wire
 }
 
 // squeezeSaved is what squeezing took off a list push whose plain list
-// is plain bytes and which put sent bytes on the wire: none for a push
+// is plain bytes and which sent the PDUs sent lists: none for a push
 // not asked to squeeze, whose verb may ship a list of one as a shorter
 // single-frame push (see push).
-func squeezeSaved(squeezed bool, plain, sent int) int {
+func squeezeSaved(squeezed bool, plain int, sent iscsi.Sent) int {
 	if !squeezed {
 		return 0
 	}
-	return plain - sent
+	return plain - sent.Total()
 }
 
 // shareSqueeze attributes what squeezing took off one list push, saved
@@ -790,8 +787,9 @@ func (e *Engine) finish(rs *replicaState, msg repMsg, err error) {
 // picks the opcode from the content.
 //
 // squeeze ships the list through the client's compressing extension;
-// sent is the data-segment bytes the list push that settled put on the
-// wire (see SqueezeReplicaClient), and plain is what the list costs
+// sent is the data segment of every PDU the push put on the wire (see
+// SqueezeReplicaClient), one PDU of plain bytes for the other verbs,
+// and plain is what the list costs
 // plain (iscsi.BatchWireLen), which its caller has already counted. A
 // plain list of one by-value entry goes out as a single-frame push, the
 // frame alone: that is what iscsi's batch verbs make of it.
@@ -804,14 +802,14 @@ func (e *Engine) finish(rs *replicaState, msg repMsg, err error) {
 // way: the replica verified the frame against its own block and said
 // no — redelivering the identical frame is deterministic failure, not
 // transient loss.
-func (e *Engine) push(p *pipe, one *repMsg, entries []iscsi.BatchEntry, plain int, squeeze bool) (statuses []iscsi.Status, sent int, err error) {
+func (e *Engine) push(p *pipe, one *repMsg, entries []iscsi.BatchEntry, plain int, squeeze bool) (statuses []iscsi.Status, sent iscsi.Sent, err error) {
 	rs, mode := p.rs, uint8(e.cfg.Mode)
 	shard, vol := e.streamTag(p)
 	if len(entries) == 1 && !entries[0].ByRef() && !squeeze {
 		plain = len(entries[0].Frame) // the batch verbs ship a list of one as a single-frame push
 	}
 	for attempt := 1; ; attempt++ {
-		sent = plain
+		sent = iscsi.SentOne(plain)
 		switch {
 		case one != nil && rs.framed != nil && one.frame.refs.Load() == 1:
 			err = rs.framed.ReplicaWriteFramed(mode, shard, vol, one.seq, one.lba, one.hash, one.frame.buf)

@@ -848,16 +848,9 @@ func (r *ReplicaEngine) Geometry() (int, uint64) {
 }
 
 // HandleRead implements iscsi.Backend, serving reads off the replica
-// copy (e.g. for verification or failover).
-func (r *ReplicaEngine) HandleRead(lba uint64, blocks uint32) ([]byte, iscsi.Status) {
-	bs := r.store.BlockSize()
-	out := make([]byte, int(blocks)*bs)
-	for i := uint32(0); i < blocks; i++ {
-		if err := r.store.ReadBlock(lba+uint64(i), out[int(i)*bs:int(i+1)*bs]); err != nil {
-			return nil, statusOf(err)
-		}
-	}
-	return out, iscsi.StatusOK
+// copy (e.g. for verification, resync's hash exchange or failover).
+func (r *ReplicaEngine) HandleRead(lba uint64, dst []byte) iscsi.Status {
+	return (&iscsi.StoreBackend{Store: r.store}).HandleRead(lba, dst)
 }
 
 // HandleWrite implements iscsi.Backend. Direct writes are used by the

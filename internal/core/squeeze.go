@@ -162,8 +162,9 @@ func (sq *squeezer) begin(entries []iscsi.BatchEntry, plain int) squeezeRun {
 }
 
 // end is called when the run's push has returned: delivered reports
-// that it went through, sent the data-segment bytes it put on the wire.
-// A squeezed run shrank when sent is under its plain bytes: a client
+// that it went through, sent the data-segment bytes of the PDU that
+// settled it (a re-ship's, when a first one was refused). A squeezed
+// run shrank when sent is under its plain bytes: a client
 // ships a squeezed list only when it comes out smaller, and ships the
 // plain one otherwise (SqueezeReplicaClient). A delivered run teaches
 // the gate (learn); a failed one teaches it nothing. switched reports

@@ -282,7 +282,7 @@ func TestChaosSqueezeDigestWrongPreImage(t *testing.T) {
 // a squeezed list of plain ZRL frames.
 type unmaskedClient struct{ *gatedClient }
 
-func (c *unmaskedClient) ReplicaWriteSqueezed(mode, shard uint8, vol uint16, entries []iscsi.BatchEntry) ([]iscsi.Status, int, error) {
+func (c *unmaskedClient) ReplicaWriteSqueezed(mode, shard uint8, vol uint16, entries []iscsi.BatchEntry) ([]iscsi.Status, iscsi.Sent, error) {
 	bare := slices.Clone(entries)
 	for k := range bare {
 		bare[k].Mask, bare[k].Check = nil, 0
@@ -468,6 +468,78 @@ func TestSqueezeUnverifiedWireAccounting(t *testing.T) {
 	flipped.mu.Unlock()
 	if flips < 2 {
 		t.Fatalf("%d squeezed lists had their digests flipped, want the gate's probes too", flips)
+	}
+	meter.mu.Lock()
+	defer meter.mu.Unlock()
+	if st.Metrics.WireBytes != meter.modelled {
+		t.Errorf("engine WireBytes %d, the connection's %d PDUs modelled as %d", st.Metrics.WireBytes, meter.pdus, meter.modelled)
+	}
+}
+
+// tagSkip makes the target refuse squeezed lists as built on a stale
+// history: it adds one to the history tag of every third squeezed list
+// past a stream's first push that an initiator writes, and makes the
+// PDU's CRC-32C match again. The segment's length is unchanged.
+type tagSkip struct {
+	mu      sync.Mutex
+	seen    int
+	skipped int
+}
+
+type tagSkipConn struct {
+	net.Conn
+	s *tagSkip
+}
+
+func (c *tagSkipConn) Write(p []byte) (int, error) {
+	if len(p) > 48 && binary.BigEndian.Uint64(p[28:]) > 1 &&
+		(iscsi.Opcode(p[2]) == iscsi.OpReplicaWriteBatch || iscsi.Opcode(p[2]) == iscsi.OpReplicaWriteByRef) {
+		c.s.mu.Lock()
+		c.s.seen++
+		if c.s.seen%3 == 0 {
+			c.s.skipped++
+			p = bytes.Clone(p)
+			binary.BigEndian.PutUint64(p[28:], binary.BigEndian.Uint64(p[28:])+1)
+			binary.BigEndian.PutUint32(p[44:], 0)
+			binary.BigEndian.PutUint32(p[44:], crc32.Checksum(p, crc32.MakeTable(crc32.Castagnoli)))
+		}
+		c.s.mu.Unlock()
+	}
+	return c.Conn.Write(p)
+}
+
+// TestSqueezeStaleWireAccounting: squeezed lists are refused
+// STALE-HISTORY on a metered connection and re-shipped fresh inside the
+// same call: two PDUs, each with its own packet headers, and the
+// refused one is on the wire as much as its re-ship. The engine's
+// modelled WireBytes is exactly the modelled cost of every data segment
+// the connection carried.
+func TestSqueezeStaleWireAccounting(t *testing.T) {
+	var skip tagSkip
+	meter := &segmentMeter{}
+	c := newSqueezeChaos(t, Config{}, func(client, server net.Conn) (net.Conn, net.Conn) {
+		meter.Conn = &tagSkipConn{Conn: client, s: &skip}
+		return meter, server
+	})
+	meter.mu.Lock()
+	meter.pdus, meter.modelled = 0, 0 // the login is not the engine's
+	meter.mu.Unlock()
+	c.write(t, 0, len(c.writes))
+	st := c.check(t)
+	skip.mu.Lock()
+	skipped := skip.skipped
+	skip.mu.Unlock()
+	if skipped == 0 {
+		t.Fatal("no squeezed list was refused as stale")
+	}
+	stale := 0
+	for _, l := range c.link.sessionLists(0) {
+		if l.tag == 1 {
+			stale++
+		}
+	}
+	if stale <= skipped {
+		t.Errorf("%d fresh squeezed lists for %d refused as stale: the refusals did not re-ship fresh", stale, skipped)
 	}
 	meter.mu.Lock()
 	defer meter.mu.Unlock()

@@ -456,13 +456,23 @@ type plainSqueezer struct {
 	held  bool // a history claimed since the last ResetSqueeze
 }
 
-func (c *plainSqueezer) ReplicaWriteSqueezed(mode, shard uint8, vol uint16, entries []iscsi.BatchEntry) ([]iscsi.Status, int, error) {
+// The test doubles that squeeze: an engine takes the squeezed verb only
+// from a client that has it, so a double whose verb drifted from the
+// interface would quietly ship plain.
+var (
+	_ SqueezeReplicaClient = (*gatedClient)(nil)
+	_ SqueezeReplicaClient = (*byrefGated)(nil)
+	_ SqueezeReplicaClient = (*unmaskedClient)(nil)
+	_ SqueezeReplicaClient = (*plainSqueezer)(nil)
+)
+
+func (c *plainSqueezer) ReplicaWriteSqueezed(mode, shard uint8, vol uint16, entries []iscsi.BatchEntry) ([]iscsi.Status, iscsi.Sent, error) {
 	c.mu.Lock()
 	c.asked++
 	c.held = true
 	c.mu.Unlock()
 	st, err := c.ReplicaWriteBatchStream(mode, shard, vol, entries)
-	return st, iscsi.BatchWireLen(entries), err
+	return st, iscsi.SentOne(iscsi.BatchWireLen(entries)), err
 }
 
 func (c *plainSqueezer) ResetSqueeze(uint8, uint16) {

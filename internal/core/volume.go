@@ -272,12 +272,12 @@ func (s *ReplicaSet) Geometry() (int, uint64) {
 }
 
 // HandleRead implements iscsi.Backend against volume 0.
-func (s *ReplicaSet) HandleRead(lba uint64, blocks uint32) ([]byte, iscsi.Status) {
+func (s *ReplicaSet) HandleRead(lba uint64, dst []byte) iscsi.Status {
 	re := s.Volume(0)
 	if re == nil {
-		return nil, iscsi.StatusBadRequest
+		return iscsi.StatusBadRequest
 	}
-	return re.HandleRead(lba, blocks)
+	return re.HandleRead(lba, dst)
 }
 
 // HandleWrite implements iscsi.Backend against volume 0.

@@ -419,8 +419,8 @@ func TestReplicaSetEveryPushShape(t *testing.T) {
 	}
 	st, sent, err := init.ReplicaWriteSqueezed(mode, 1, vol, list)
 	allOK("squeezed list", st, err)
-	if plain := iscsi.BatchWireLen(list); sent >= plain {
-		t.Errorf("squeezed list put %d data-segment bytes on the wire, the plain list is %d", sent, plain)
+	if plain := iscsi.BatchWireLen(list); sent.Total() >= plain {
+		t.Errorf("squeezed list put %d data-segment bytes on the wire, the plain list is %d", sent.Total(), plain)
 	}
 
 	cur := make([]byte, bs)

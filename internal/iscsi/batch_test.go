@@ -196,9 +196,9 @@ type replicaSink struct {
 	status  map[uint64]Status // per-LBA status override; default OK
 }
 
-func (s *replicaSink) Geometry() (int, uint64)                    { return 512, 1024 }
-func (s *replicaSink) HandleRead(uint64, uint32) ([]byte, Status) { return nil, StatusBadRequest }
-func (s *replicaSink) HandleWrite(uint64, []byte) Status          { return StatusBadRequest }
+func (s *replicaSink) Geometry() (int, uint64)           { return 512, 1024 }
+func (s *replicaSink) HandleRead(uint64, []byte) Status  { return StatusBadRequest }
+func (s *replicaSink) HandleWrite(uint64, []byte) Status { return StatusBadRequest }
 
 func (s *replicaSink) HandleReplicaStream(mode, _ uint8, _ uint16, seq, lba, hash uint64, frame []byte) Status {
 	s.mu.Lock()

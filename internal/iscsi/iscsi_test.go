@@ -7,6 +7,7 @@ import (
 	"io"
 	"math/rand"
 	"net"
+	"runtime"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -278,6 +279,51 @@ func TestZeroBlockReadRejected(t *testing.T) {
 	}
 	if _, err := init.ReadBlocks(0, 0); !errors.Is(err, ErrStatus) {
 		t.Errorf("0-block read: err = %v, want ErrStatus", err)
+	}
+}
+
+// TestOversizedReadRejected: a read whose answer could not fit a data
+// segment is refused BAD-REQUEST before the target sizes anything for
+// it, a read past the end of the device is still OUT-OF-RANGE, and the
+// session goes on serving reads. The oversized request asks for one
+// block more than MaxDataSegment holds, so code that sized the answer
+// first would take 17 MiB, not exhaust the host.
+func TestOversizedReadRejected(t *testing.T) {
+	const bs, nb = 512, 8
+	store, _ := block.NewMem(bs, nb)
+	want := bytes.Repeat([]byte{0x5a}, bs)
+	if err := store.WriteBlock(3, want); err != nil {
+		t.Fatal(err)
+	}
+	init := startPair(t, "d", &StoreBackend{Store: store})
+	if err := init.Login("d"); err != nil {
+		t.Fatal(err)
+	}
+	read := func(blocks uint32) (Status, uint64) {
+		t.Helper()
+		runtime.GC()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		resp, err := init.roundTrip(&PDU{Op: OpReadCmd, LBA: 0, Blocks: blocks})
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatalf("read of %d blocks: %v", blocks, err)
+		}
+		if len(resp.Data) != 0 {
+			t.Errorf("read of %d blocks refused %v with %d bytes of data", blocks, resp.Status, len(resp.Data))
+		}
+		return resp.Status, after.TotalAlloc - before.TotalAlloc
+	}
+	over := uint32(MaxDataSegment/bs + 1)
+	if st, alloc := read(over); st != StatusBadRequest || alloc > 64<<10 {
+		t.Errorf("read of %d blocks: %v with %d bytes allocated, want BAD-REQUEST with nothing sized for it", over, st, alloc)
+	}
+	if st, _ := read(nb + 1); st != StatusOutOfRange {
+		t.Errorf("read of %d blocks on a %d-block device: %v, want OUT-OF-RANGE", nb+1, nb, st)
+	}
+	got, err := init.ReadBlocks(3, 1)
+	if err != nil || !bytes.Equal(got, want) {
+		t.Errorf("read after the refusals: %v, data intact %v", err, bytes.Equal(got, want))
 	}
 }
 

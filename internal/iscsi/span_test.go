@@ -25,8 +25,8 @@ type extent struct {
 	data []byte
 }
 
-func (s *extentSink) Geometry() (int, uint64)                    { return s.bs, s.nb }
-func (s *extentSink) HandleRead(uint64, uint32) ([]byte, Status) { return nil, StatusBadRequest }
+func (s *extentSink) Geometry() (int, uint64)          { return s.bs, s.nb }
+func (s *extentSink) HandleRead(uint64, []byte) Status { return StatusBadRequest }
 func (s *extentSink) HandleReplicaStream(uint8, uint8, uint16, uint64, uint64, uint64, []byte) Status {
 	return StatusBadRequest
 }

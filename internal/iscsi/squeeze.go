@@ -391,27 +391,64 @@ func (i *Initiator) settleSqueeze(st *squeezeStream, squeezed, took bool) {
 	}
 }
 
+// Sent is the data-segment length of each PDU one push put on the
+// wire, oldest first: Seg[:N]. A squeezed push crosses as at most
+// three: a list the target refused as built on a stale history, its
+// fresh re-ship, and the plain re-ship of a list it could not verify.
+type Sent struct {
+	N   int
+	Seg [3]int
+}
+
+// SentOne is a push that crossed as one PDU with an n-byte segment.
+func SentOne(n int) Sent { return Sent{N: 1, Seg: [3]int{n}} }
+
+// add books one more PDU with an n-byte segment.
+func (s *Sent) add(n int) {
+	s.Seg[s.N] = n
+	s.N++
+}
+
+// Total is the data-segment bytes of every PDU the push sent.
+func (s Sent) Total() int {
+	t := 0
+	for _, n := range s.Seg[:s.N] {
+		t += n
+	}
+	return t
+}
+
+// Last is the data-segment length of the PDU that settled the push,
+// zero when none did.
+func (s Sent) Last() int {
+	if s.N == 0 {
+		return 0
+	}
+	return s.Seg[s.N-1]
+}
+
 // ReplicaWriteSqueezed is ReplicaWriteBatchStream with the entry list
 // compressed as one segment against the (vol, shard) stream's history
 // on this session (see the top of squeeze.go), under the opcode the
-// content picks (listOp), and it also returns the data-segment bytes
-// the push put on the wire. The list ships plain — the same PDU the
+// content picks (listOp), and it also returns the data segment of each
+// PDU the push put on the wire. The list ships plain — the same PDU the
 // plain verb sends, multi-entry framing even for one entry — when squeezing
 // did not make it smaller, or when another push of the stream's is in
 // flight: a stream's squeezed pushes are meant to go one at a time, as
 // an async pipe's do. A push the target refuses as built on a stale
 // history is re-shipped once, fresh; one it answers StatusUnverified
-// entry by entry is re-shipped once, plain, and the bytes returned
-// count both pushes.
-func (i *Initiator) ReplicaWriteSqueezed(mode, shard uint8, vol uint16, entries []BatchEntry) ([]Status, int, error) {
+// entry by entry is re-shipped once, plain. Sent books every one of
+// those PDUs, the refused ones included.
+func (i *Initiator) ReplicaWriteSqueezed(mode, shard uint8, vol uint16, entries []BatchEntry) ([]Status, Sent, error) {
+	var sent Sent
 	if len(entries) == 0 {
-		return nil, 0, fmt.Errorf("iscsi: empty squeezed push")
+		return nil, sent, fmt.Errorf("iscsi: empty squeezed push")
 	}
 	op := listOp(entries)
 	key := streamID(shard, vol)
 	for fresh := false; ; fresh = true {
 		var st *squeezeStream
-		var sent int
+		var n int // this pass's data-segment bytes: a redial's resend replaces them
 		squeezed := false
 		resp, err := i.exchange(nil, func(s *session, itt uint32) (net.Buffers, error) {
 			i.settleSqueeze(st, squeezed, false) // a resend: the history went with the failed session
@@ -424,29 +461,31 @@ func (i *Initiator) ReplicaWriteSqueezed(mode, shard uint8, vol uint16, entries 
 				}
 				if ok {
 					p.Seq, p.Data = tag, seg
-					sent, squeezed = len(seg), true
+					n, squeezed = len(seg), true
 					return p.buffers()
 				}
 			}
-			sent = BatchWireLen(entries)
+			n = BatchWireLen(entries)
 			return entryListPDU(&p, entries)
 		})
 		i.settleSqueeze(st, squeezed, err == nil && resp.Status == StatusOK)
 		if err != nil {
-			return nil, 0, err
+			return nil, sent, err
 		}
+		sent.add(n)
 		if resp.Status == StatusStaleHistory && squeezed && !fresh {
 			continue // settled as a reset: the resend is fresh
 		}
 		if resp.Status != StatusOK {
-			return nil, 0, fmt.Errorf("%w: squeezed %v of %d: %v", ErrStatus, op, len(entries), resp.Status)
+			return nil, sent, fmt.Errorf("%w: squeezed %v of %d: %v", ErrStatus, op, len(entries), resp.Status)
 		}
 		statuses, err := DecodeBatchStatuses(resp.Data, len(entries))
 		if err != nil || !squeezed || slices.ContainsFunc(statuses, func(s Status) bool { return s != StatusUnverified }) {
 			return statuses, sent, err
 		}
 		statuses, err = i.pushEntryList(PDU{Op: op, Mode: mode, Shard: shard, Vol: vol}, entries)
-		return statuses, sent + BatchWireLen(entries), err
+		sent.add(BatchWireLen(entries))
+		return statuses, sent, err
 	}
 }
 

@@ -358,8 +358,8 @@ func TestSqueezedPushOverSession(t *testing.T) {
 			off += headerLen + n
 			hdrs += headerLen
 		}
-		if last := len(wire) - hdrs; sent != last && hdrs == headerLen {
-			t.Errorf("push %d: reported %d bytes, %d crossed", p, sent, last)
+		if crossed := len(wire) - hdrs; sent.Total() != crossed || sent.N*headerLen != hdrs {
+			t.Errorf("push %d: reported %d bytes in %d PDUs, %d crossed in %d", p, sent.Total(), sent.N, crossed, hdrs/headerLen)
 		}
 		sink.mu.Lock()
 		got := sink.batches[len(sink.batches)-1]
@@ -692,7 +692,7 @@ func TestSqueezeStreamCapOverSession(t *testing.T) {
 		if err != nil {
 			t.Fatalf("stream (%d, %d) push %d: %v", shard, vol, p, err)
 		}
-		if sent >= BatchWireLen(entries) {
+		if sent.Total() >= BatchWireLen(entries) {
 			t.Fatalf("stream (%d, %d) push %d shipped plain", shard, vol, p)
 		}
 		init.mu.Lock()
@@ -792,8 +792,8 @@ func TestSqueezeUnverifiedReshipsPlain(t *testing.T) {
 		if want := []uint64{uint64(p + 1), 0}; !slices.Equal(tags, want) {
 			t.Errorf("push %d went out with tags %v, want %v: squeezed, then plain", p, tags, want)
 		}
-		if sent != data {
-			t.Errorf("push %d reported %d bytes, %d crossed", p, sent, data)
+		if sent.Total() != data || sent.N != 2 {
+			t.Errorf("push %d reported %d bytes in %d PDUs, %d crossed in 2", p, sent.Total(), sent.N, data)
 		}
 		sink.mu.Lock()
 		got := sink.batches[len(sink.batches)-1]

@@ -18,15 +18,17 @@ import (
 //
 // Buffer lifetime: every []byte and []BatchEntry a target hands a
 // Backend method (this interface's and its extensions': data, frame,
-// entries, entries[i].Frame) is the session's own request storage,
-// which the next PDU of the session overwrites. A
+// entries, entries[i].Frame, and HandleRead's dst) is the session's own
+// storage, which the next PDU of the session overwrites. A
 // Backend must not retain any of it, or a slice of it, after the method
 // returns; what it needs later it copies.
 type Backend interface {
 	// Geometry returns the device shape advertised at login.
 	Geometry() (blockSize int, numBlocks uint64)
-	// HandleRead returns the contents of blocks [lba, lba+blocks).
-	HandleRead(lba uint64, blocks uint32) ([]byte, Status)
+	// HandleRead reads the blocks [lba, lba+len(dst)/blockSize) into
+	// dst, whose length is a whole number of blocks. On any status but
+	// StatusOK dst holds nothing the target sends.
+	HandleRead(lba uint64, dst []byte) Status
 	// HandleWrite applies a whole-block write at lba.
 	HandleWrite(lba uint64, data []byte) Status
 	// HandleReplicaStream applies a replication push: an xcode frame
@@ -52,15 +54,17 @@ func (b *StoreBackend) Geometry() (int, uint64) {
 }
 
 // HandleRead implements Backend.
-func (b *StoreBackend) HandleRead(lba uint64, blocks uint32) ([]byte, Status) {
+func (b *StoreBackend) HandleRead(lba uint64, dst []byte) Status {
 	bs := b.Store.BlockSize()
-	out := make([]byte, int(blocks)*bs)
-	for i := uint32(0); i < blocks; i++ {
-		if err := b.Store.ReadBlock(lba+uint64(i), out[int(i)*bs:int(i+1)*bs]); err != nil {
-			return nil, storeStatus(err)
+	if len(dst) == 0 || len(dst)%bs != 0 {
+		return StatusBadRequest
+	}
+	for i := 0; i*bs < len(dst); i++ {
+		if err := b.Store.ReadBlock(lba+uint64(i), dst[i*bs:(i+1)*bs]); err != nil {
+			return storeStatus(err)
 		}
 	}
-	return out, StatusOK
+	return StatusOK
 }
 
 // HandleWrite implements Backend.
@@ -233,17 +237,22 @@ func (t *Target) logf(format string, args ...any) {
 // decodes every entry list into the same entries, inflates every
 // compressed repair span into the same span buffer and every squeezed
 // list into its stream's buffer, so a steady stream of pushes
-// allocates nothing on the way in. All of it starts empty and grows to
-// the largest request the session has carried; none of it outlives the
-// handling of the PDU it holds (see Backend). squeeze also keeps the
-// squeeze history of up to maxSqueezeStreams streams, which lives as
-// long as the session.
+// allocates nothing on the way in. Reads and hash commands answer from
+// the session's blocks and hashes buffers, so they allocate nothing
+// either. All of it starts empty and grows to the largest request the
+// session has carried; none of it outlives the handling of the PDU it
+// holds (see Backend). blocks is its own buffer, never a slice of seg,
+// span or a squeeze buffer, so no command reads into bytes another
+// one's handling still holds. squeeze also keeps the squeeze history of
+// up to maxSqueezeStreams streams, which lives as long as the session.
 type request struct {
 	hdr      [headerLen]byte
 	pdu      PDU
 	seg      []byte
 	entries  []BatchEntry
 	span     []byte
+	blocks   []byte // what a read or hash command reads: HandleRead's dst
+	hashes   []byte // a hash command's answer
 	squeeze  map[uint32]*SqueezeReceiver
 	squeezed uint64 // squeezed pushes the session took: squeeze's clock
 }
@@ -259,6 +268,35 @@ func (rq *request) read(r io.Reader) error {
 		rq.seg = make([]byte, n+n/4) // a little over, so slightly larger batches do not each reallocate
 	}
 	return rq.pdu.readData(r, rq.hdr[:], rq.seg[:n])
+}
+
+// readBlocks reads n bytes of whole blocks at lba from backend into the
+// session's blocks buffer and returns them: valid until the next PDU.
+func (rq *request) readBlocks(backend Backend, lba uint64, n int) ([]byte, Status) {
+	if cap(rq.blocks) < n {
+		rq.blocks = make([]byte, n+n/4) // as seg grows
+	}
+	dst := rq.blocks[:n]
+	if st := backend.HandleRead(lba, dst); st != StatusOK {
+		return nil, st
+	}
+	return dst, StatusOK
+}
+
+// hashBlocks answers a hash command: the hashes of count blocks from
+// lba, read one block at a time into the blocks buffer and appended to
+// the session's hashes buffer (valid until the next PDU).
+func (rq *request) hashBlocks(backend Backend, lba uint64, count uint32, bs int) ([]byte, Status) {
+	hashes := rq.hashes[:0]
+	for k := uint32(0); k < count; k++ {
+		data, st := rq.readBlocks(backend, lba+uint64(k), bs)
+		if st != StatusOK {
+			return nil, st
+		}
+		hashes = binary.BigEndian.AppendUint64(hashes, HashBlock(data))
+	}
+	rq.hashes = hashes
+	return hashes, StatusOK
 }
 
 // applyEntryList decodes the entry-list push rq holds, plain or
@@ -317,6 +355,7 @@ func (t *Target) serve(conn net.Conn, rq *request) {
 	}
 	defer t.untrack(conn)
 	var backend Backend
+	var bs int // the backend's block size, from the login
 	pdu := &rq.pdu
 
 	for {
@@ -344,7 +383,8 @@ func (t *Target) serve(conn net.Conn, rq *request) {
 				break
 			}
 			backend = b
-			bs, nb := backend.Geometry()
+			var nb uint64
+			bs, nb = backend.Geometry()
 			resp.Status = StatusOK
 			resp.Data = encodeLoginResp(bs, nb)
 
@@ -366,15 +406,13 @@ func (t *Target) serve(conn net.Conn, rq *request) {
 				resp.Status = StatusNotLoggedIn
 				break
 			}
-			if pdu.Blocks == 0 {
+			// Bounded before anything is sized: Blocks is the peer's, and
+			// no answer may exceed what an initiator accepts.
+			if pdu.Blocks == 0 || uint64(pdu.Blocks)*uint64(bs) > MaxDataSegment {
 				resp.Status = StatusBadRequest
 				break
 			}
-			data, st := backend.HandleRead(pdu.LBA, pdu.Blocks)
-			resp.Status = st
-			if st == StatusOK {
-				resp.Data = data
-			}
+			resp.Data, resp.Status = rq.readBlocks(backend, pdu.LBA, int(pdu.Blocks)*bs)
 
 		case OpWriteCmd:
 			resp.Op = OpResp
@@ -422,23 +460,18 @@ func (t *Target) serve(conn net.Conn, rq *request) {
 				resp.Status = StatusBadRequest
 				break
 			}
-			// One block at a time: materializing the whole range first
-			// costs a blocks x blockSize buffer per request (MiBs), which
-			// a resync pass turns into a device-sized burst of large
-			// garbage on top of whatever the heap holds.
-			hashes := make([]byte, 0, int(pdu.Blocks)*HashSize)
-			for k := uint32(0); k < pdu.Blocks && resp.Status == StatusOK; k++ {
-				data, st := backend.HandleRead(pdu.LBA+uint64(k), 1)
-				resp.Status = st
-				if st == StatusOK {
-					hashes = binary.BigEndian.AppendUint64(hashes, HashBlock(data))
-				}
-			}
+			// One block at a time into the session's read buffer, hashed
+			// there, into its hashes buffer: a whole-device audit
+			// allocates nothing on this side, and the block it hashes is
+			// still in cache. Reading the range whole would cost a blocks
+			// x blockSize buffer per request.
+			hashes, st := rq.hashBlocks(backend, pdu.LBA, pdu.Blocks, bs)
+			resp.Status = st
 			// A request carrying the primary's digest of this answer is
 			// settled by the digest alone when they agree: the empty
 			// segment says "the same", and a clean batch costs its two
 			// headers. A zero digest asks for the hashes unconditionally.
-			if resp.Status == StatusOK && (pdu.Hash == 0 || HashBlock(hashes) != pdu.Hash) {
+			if st == StatusOK && (pdu.Hash == 0 || HashBlock(hashes) != pdu.Hash) {
 				resp.Data = hashes
 			}
 
