@@ -617,9 +617,10 @@ func tpccParities(tb testing.TB, seed int64, txns int) (parities, news [][]byte)
 // streamRun frames through one stream's 32 KiB of DEFLATE history;
 // maskB the same for the frames' masked twins (xcode.AppendMask: A_new's
 // bytes on the parity's literals), a raw-floored frame going as it is;
-// longB the same twins through xcode.StreamDeflater, whose repeats
-// reach back a StreamWindow of plaintext, which is what a backlogged
-// pipe now streams.
+// longB the same twins through xcode.StreamDeflater, whose matches
+// reach back a StreamWindow of plaintext and whose range coder's models
+// carry over from segment to segment, which is what a backlogged pipe
+// now streams.
 type squeezeCorpus struct {
 	name                        string
 	parities, news, frames      [][]byte
@@ -694,11 +695,11 @@ func maskOf(tb testing.TB, frame, news []byte) []byte {
 	return twin
 }
 
-// segmenter is the writing end of one stream of segments.
+// segmenter is the writing end of one stream of segments, into memory.
 type segmenter interface {
-	Start(dst []byte) error
-	Write(p []byte) error
-	End() ([]byte, error)
+	Start(dst []byte)
+	Write(p []byte)
+	End() []byte
 	Reset()
 }
 
@@ -719,24 +720,20 @@ func (a *appendTo) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
-func (d *deflateOnly) Start(dst []byte) error {
+// Its writes go to memory and its level is valid, so none of them can
+// fail.
+func (d *deflateOnly) Start(dst []byte) {
 	d.sink.buf = dst
-	if d.w != nil {
-		return nil
+	if d.w == nil {
+		d.w, _ = flate.NewWriter(&d.sink, 6) // xcode's level
 	}
-	var err error
-	d.w, err = flate.NewWriter(&d.sink, 6) // xcode's level
-	return err
 }
 
-func (d *deflateOnly) Write(p []byte) error {
-	_, err := d.w.Write(p)
-	return err
-}
+func (d *deflateOnly) Write(p []byte) { d.w.Write(p) }
 
-func (d *deflateOnly) End() ([]byte, error) {
-	err := d.w.Flush()
-	return d.sink.buf, err
+func (d *deflateOnly) End() []byte {
+	d.w.Flush()
+	return d.sink.buf
 }
 
 func (d *deflateOnly) Reset() {
@@ -751,18 +748,11 @@ func streamBytes(tb testing.TB, sd segmenter, frames [][]byte) int64 {
 	var seg []byte
 	var total int64
 	for i := 0; i < len(frames); i += streamRun {
-		if err := sd.Start(seg[:0]); err != nil {
-			tb.Fatal(err)
-		}
+		sd.Start(seg[:0])
 		for _, frame := range frames[i:min(i+streamRun, len(frames))] {
-			if err := sd.Write(frame); err != nil {
-				tb.Fatal(err)
-			}
+			sd.Write(frame)
 		}
-		var err error
-		if seg, err = sd.End(); err != nil {
-			tb.Fatal(err)
-		}
+		seg = sd.End()
 		total += int64(len(seg))
 	}
 	return total
@@ -789,11 +779,17 @@ func streamBytes(tb testing.TB, sd segmenter, frames [][]byte) int64 {
 // zero gaps a ZRL literal absorbs are zeros in the parity and random
 // pre-image bytes in the twin. It was 867.25 bytes when written, 0.09
 // over the parities' stream, and is held to 867.3.
+//
+// The long column is what the same twins cost through
+// xcode.StreamDeflater. On TPC-C it is held to 101.6 bytes (101.52
+// when written). On the incompressible corpus the coder finds the
+// frames' repeated headers and codes the random bytes at about 8.02
+// bits each, 866.34 bytes, held to the 867.3 of the mask column.
 func TestSqueezeFrameCeiling(t *testing.T) {
 	ceilings := map[string]float64{"tpcc": 465.7, "incompressible": 868.7}
 	streamCeilings := map[string]float64{"tpcc": 251.4, "incompressible": 867.2}
 	maskCeilings := map[string]float64{"tpcc": 166.5, "incompressible": 867.3}
-	longCeilings := map[string]float64{"tpcc": 124.5, "incompressible": 867.3}
+	longCeilings := map[string]float64{"tpcc": 101.6, "incompressible": 867.3}
 	for _, c := range squeezeCorpora(t) {
 		n := float64(len(c.frames))
 		if got := float64(c.zrlB) / n; got > ceilings[c.name] {
@@ -822,8 +818,7 @@ func TestSqueezeFrameCeiling(t *testing.T) {
 // twin, built from the frame and the new block (the write path's added
 // walk, timed here with it) and streamed in the frame's place. long is
 // what such a pipe streams now: the twins through xcode.StreamDeflater,
-// whose match pass finds their repeats a StreamWindow back before
-// DEFLATE; its ns/frame less mask's is the match pass. frameB is the
+// one LZ parse a StreamWindow back, range-coded. frameB is the
 // mean frame that ships, over the whole corpus (a count, held by
 // TestSqueezeFrameCeiling); ns/frame is the stage's own cost. On the
 // incompressible corpus the squeeze is pure cost — the pipe's gate,
@@ -866,12 +861,12 @@ func benchStream(b *testing.B, sd segmenter, corpus squeezeCorpus, masks bool, b
 		k := i % len(corpus.frames)
 		if k%streamRun == 0 {
 			if i > 0 {
-				seg, _ = sd.End() // a healthy writer into memory: cannot fail
+				seg = sd.End()
 			}
 			if k == 0 {
 				sd.Reset()
 			}
-			_ = sd.Start(seg[:0])
+			sd.Start(seg[:0])
 		}
 		frame := corpus.frames[k]
 		if masks && xcode.Codec(frame[0]) == xcode.CodecZRL {
@@ -881,9 +876,9 @@ func benchStream(b *testing.B, sd segmenter, corpus squeezeCorpus, masks bool, b
 			}
 			frame = twin
 		}
-		_ = sd.Write(frame)
+		sd.Write(frame)
 	}
-	_, _ = sd.End()
+	sd.End()
 	b.ReportMetric(float64(bytes)/float64(len(corpus.frames)), "frameB")
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/frame")
 }

@@ -528,11 +528,8 @@ func (e *Engine) process(p *pipe, msgs []repMsg, backlog bool) {
 			}
 		}
 		// A push that went through teaches the gate what its list's
-		// bytes came to; a failed one teaches nothing. A squeezed run
-		// that could not pay leaves the stream's history nothing to be
-		// kept for.
-		switched, forget := sr.end(err == nil, sent.Last())
-		if switched {
+		// bytes came to; a failed one teaches nothing.
+		if sr.end(err == nil, sent.Last()) {
 			p.m.Add(metrics.SqueezeSwitches, 1)
 		}
 		var fberr error
@@ -563,9 +560,6 @@ func (e *Engine) process(p *pipe, msgs []repMsg, backlog bool) {
 				wire += pduWire(fsent)
 				shareSqueeze(groups[missAt:], suffix, squeezeSaved(sr.squeezed, splain, fsent))
 			}
-		}
-		if forget {
-			e.resetSqueeze(p)
 		}
 		for k := range groups {
 			g := &groups[k]

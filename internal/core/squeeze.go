@@ -11,10 +11,10 @@ import (
 // queue has backed up behind a slow link has CPU to spare and bytes to
 // shed, so its shipper may run the second stage there: a backlog run
 // ships as a squeezed list (SqueezeReplicaClient), the whole entry list
-// — headers, references and frames — one DEFLATE segment primed with
-// what the pipe's stream already carried, and one digest in place of
-// the by-value entries' hashes, which the replica inflates, parses and
-// verifies as one push. A frame with a masked twin (encodeFrames) goes
+// — headers, references and frames — one range-coded segment primed
+// with what the pipe's stream already carried, and one digest in place
+// of the by-value entries' hashes, which the replica rebuilds, parses
+// and verifies as one push. A frame with a masked twin (encodeFrames) goes
 // in the stream as the twin: the new bytes repeat the stream's history
 // where their XOR against the old ones does not. Whether a pipe
 // squeezes is its squeezeGate's call, made from the bytes its squeezed
@@ -39,7 +39,7 @@ const (
 // list shrank turns it on, and one that lost doubles the spacing.
 //
 // No clock is read, so a pipe whose parities compress squeezes even
-// over a link that would carry them plain faster than DEFLATE can
+// over a link that would carry them plain faster than the coder can
 // shrink them. No workload has such a link; a per-pipe link estimate is
 // where the time would come back in.
 //
@@ -85,9 +85,9 @@ func (g *squeezeGate) lose() {
 // squeezer is what an async pipe's one shipper owns to squeeze with:
 // the gate. The encoder and the stream's history belong to the client
 // (iscsi's squeezed lists keep them per session), which builds the
-// encoder on a stream's first squeezed push and forgets the stream's
-// history when the pipe asks (resetSqueeze): after a squeezed run that
-// could not pay.
+// encoder on a stream's first squeezed push and rolls back a list that
+// did not shrink, so a run that could not pay leaves the history as it
+// was, to be built on by the next squeezed run.
 type squeezer struct {
 	gate  squeezeGate
 	probe []byte // compressible's scratch
@@ -121,7 +121,6 @@ func (sq *squeezer) compressible(entries []iscsi.BatchEntry) bool {
 type squeezeRun struct {
 	sq       *squeezer
 	squeezed bool // the gate asked for a squeezed push
-	lost     bool // a squeeze probe the compressibility check stopped
 	plain    int  // the run's list's wire bytes unsqueezed
 }
 
@@ -129,9 +128,8 @@ type squeezeRun struct {
 // list's stream for the gate to see it. A shorter stream (a few
 // references, or the tar workload's runs whose one frame is a metadata
 // block's 12 changed bytes) cannot pay for the list's digest and the
-// segment's own framing, its 4-byte check, the match list and
-// DEFLATE's block header and 5-byte sync flush: squeezed, such a list
-// comes out no smaller, ships plain, and restarts the stream's history.
+// segment's own framing, its 4-byte check and the coder's 4-byte flush:
+// squeezed, such a list comes out no smaller and ships plain.
 const squeezeMinStream = 64
 
 // streamsEnough reports whether entries, whose plain list is plain
@@ -156,7 +154,7 @@ func (sq *squeezer) begin(entries []iscsi.BatchEntry, plain int) squeezeRun {
 	r := squeezeRun{sq: sq, squeezed: sq.gate.next(), plain: plain}
 	if r.squeezed && !sq.gate.on && !sq.compressible(entries) {
 		sq.gate.lose()
-		r.squeezed, r.lost = false, true
+		r.squeezed = false
 	}
 	return r
 }
@@ -167,14 +165,11 @@ func (sq *squeezer) begin(entries []iscsi.BatchEntry, plain int) squeezeRun {
 // run shrank when sent is under its plain bytes: a client
 // ships a squeezed list only when it comes out smaller, and ships the
 // plain one otherwise (SqueezeReplicaClient). A delivered run teaches
-// the gate (learn); a failed one teaches it nothing. switched reports
-// that the pipe changed mode on the run, and forget that the stream's
-// history is no longer worth keeping: the run's squeezed list came out
-// no smaller, or the compressibility check stopped its probe.
-func (r squeezeRun) end(delivered bool, sent int) (switched, forget bool) {
+// the gate (learn); a failed one teaches it nothing. It reports whether
+// the pipe changed mode on the run.
+func (r squeezeRun) end(delivered bool, sent int) (switched bool) {
 	if r.sq == nil || !delivered {
-		return false, r.lost
+		return false
 	}
-	shrank := r.squeezed && sent < r.plain
-	return r.sq.gate.learn(r.squeezed, shrank), r.lost || r.squeezed && !shrank
+	return r.sq.gate.learn(r.squeezed, r.squeezed && sent < r.plain)
 }

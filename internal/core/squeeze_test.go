@@ -34,27 +34,27 @@ func TestSqueezeGateByteRule(t *testing.T) {
 	}
 	plain := iscsi.BatchWireLen(entries)
 	for _, tc := range []struct {
-		name              string
-		from              squeezeGate
-		outcomes, want    string
-		to                squeezeGate
-		switches, forgets int
+		name           string
+		from           squeezeGate
+		outcomes, want string
+		to             squeezeGate
+		switches       int
 	}{
-		{"turn-on", squeezeGate{}, "--yyy", "ppSSS", squeezeGate{on: true}, 1, 0},
-		{"turn-off", squeezeGate{on: true}, "yn----y", "SSppppS", squeezeGate{on: true}, 2, 1},
+		{"turn-on", squeezeGate{}, "--yyy", "ppSSS", squeezeGate{on: true}, 1},
+		{"turn-off", squeezeGate{on: true}, "yn----y", "SSppppS", squeezeGate{on: true}, 2},
 		{"spacing-doubles-and-resets", squeezeGate{},
 			"--n----n--------yn----y",
-			"ppSppppSppppppppSSppppS", squeezeGate{on: true}, 3, 3},
+			"ppSppppSppppppppSSppppS", squeezeGate{on: true}, 3},
 		{"spacing-caps", squeezeGate{spacing: squeezeMaxSpacing, since: squeezeMaxSpacing},
-			"n-", "Sp", squeezeGate{spacing: squeezeMaxSpacing, since: 1}, 0, 1},
-		{"failed-plain", squeezeGate{}, "xxxx", "pppp", squeezeGate{}, 0, 0},
-		{"failed-probe", squeezeGate{since: squeezeMinSpacing}, "xxy", "SSS", squeezeGate{on: true}, 1, 0},
-		{"failed-on", squeezeGate{on: true}, "xxx", "SSS", squeezeGate{on: true}, 0, 0},
+			"n-", "Sp", squeezeGate{spacing: squeezeMaxSpacing, since: 1}, 0},
+		{"failed-plain", squeezeGate{}, "xxxx", "pppp", squeezeGate{}, 0},
+		{"failed-probe", squeezeGate{since: squeezeMinSpacing}, "xxy", "SSS", squeezeGate{on: true}, 1},
+		{"failed-on", squeezeGate{on: true}, "xxx", "SSS", squeezeGate{on: true}, 0},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			sq := &squeezer{gate: tc.from}
 			var asked []byte
-			switches, forgets := 0, 0
+			switches := 0
 			for _, o := range tc.outcomes {
 				r := sq.begin(entries, plain)
 				sent := plain
@@ -69,19 +69,15 @@ func TestSqueezeGateByteRule(t *testing.T) {
 					mode = 'S'
 				}
 				asked = append(asked, mode)
-				switched, forget := r.end(o != 'x', sent)
-				if switched {
+				if r.end(o != 'x', sent) {
 					switches++
-				}
-				if forget {
-					forgets++
 				}
 			}
 			if string(asked) != tc.want || sq.gate != tc.to {
 				t.Errorf("runs asked %s ending at %+v, want %s ending at %+v", asked, sq.gate, tc.want, tc.to)
 			}
-			if switches != tc.switches || forgets != tc.forgets {
-				t.Errorf("%d switches and %d histories forgotten, want %d and %d", switches, forgets, tc.switches, tc.forgets)
+			if switches != tc.switches {
+				t.Errorf("%d switches, want %d", switches, tc.switches)
 			}
 		})
 	}
@@ -447,13 +443,13 @@ func gatedRuns(t *testing.T, e *Engine, g *gatedClient, bs, runs int) {
 }
 
 // plainSqueezer is a squeezing client whose lists never come out
-// smaller: every squeezed push claims the stream's history, as a
-// session's does, and ships the list plain.
+// smaller: every squeezed push ships its list plain and, as a session
+// does, leaves the stream's history as it was.
 type plainSqueezer struct {
 	*gatedClient
-	mu    sync.Mutex
-	asked int  // squeezed pushes asked for
-	held  bool // a history claimed since the last ResetSqueeze
+	mu     sync.Mutex
+	asked  int // squeezed pushes asked for
+	resets int // ResetSqueeze calls
 }
 
 // The test doubles that squeeze: an engine takes the squeezed verb only
@@ -469,7 +465,6 @@ var (
 func (c *plainSqueezer) ReplicaWriteSqueezed(mode, shard uint8, vol uint16, entries []iscsi.BatchEntry) ([]iscsi.Status, iscsi.Sent, error) {
 	c.mu.Lock()
 	c.asked++
-	c.held = true
 	c.mu.Unlock()
 	st, err := c.ReplicaWriteBatchStream(mode, shard, vol, entries)
 	return st, iscsi.SentOne(iscsi.BatchWireLen(entries)), err
@@ -477,14 +472,14 @@ func (c *plainSqueezer) ReplicaWriteSqueezed(mode, shard uint8, vol uint16, entr
 
 func (c *plainSqueezer) ResetSqueeze(uint8, uint16) {
 	c.mu.Lock()
-	c.held = false
+	c.resets++
 	c.mu.Unlock()
 }
 
 // TestSqueezeGateLearnsShippedMode: a squeeze probe whose list came out
 // no smaller shipped plain, and the gate learns it so. Each such probe
-// is lost, the gate never switches on, and the pipe drops the stream's
-// history after every one.
+// is lost and the gate never switches on; the pipe keeps the stream's
+// history, which the session rolled back to where it was.
 func TestSqueezeGateLearnsShippedMode(t *testing.T) {
 	const bs, runs = 4096, 24
 	var c *plainSqueezer
@@ -507,8 +502,8 @@ func TestSqueezeGateLearnsShippedMode(t *testing.T) {
 	if gate.on || m.SqueezeSwitches != 0 || m.Squeezed != 0 {
 		t.Errorf("gate on=%v after %d switches, %d entries booked squeezed: probes that shipped plain won", gate.on, m.SqueezeSwitches, m.Squeezed)
 	}
-	if c.held {
-		t.Error("the stream's history is held after lost probes")
+	if c.resets != 0 {
+		t.Errorf("the pipe reset the stream's history %d times over lost probes", c.resets)
 	}
 }
 

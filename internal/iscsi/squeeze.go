@@ -11,9 +11,9 @@ import (
 )
 
 // Squeezed entry lists: a backlogged stream's entry list as one
-// compressed segment, built against what the stream already carried: a
-// match pass that names the repeats of its last 1 MiB, then DEFLATE
-// (xcode/stream.go).
+// compressed segment, built against what the stream already carried:
+// one LZ parse against its last 1 MiB, range-coded with models the
+// stream keeps adapting (xcode/stream.go).
 //
 // A squeezed list is an entry-list PDU (either opcode, v8) whose header
 // Seq field (off 28), which a plain list leaves zero, is nonzero: the
@@ -38,7 +38,7 @@ import (
 // Every entry's header streams, so do the references' hashes, which
 // repeat wherever a working set's copies repeat, and every frame, a
 // raw-floored one too: the bytes ZRL could not shrink are often text
-// that DEFLATE can. What stays out is each by-value entry's 8-byte
+// that the coder can. What stays out is each by-value entry's 8-byte
 // hash, which no compressor shrinks: the list carries one digest for
 // all of them instead.
 //
@@ -75,10 +75,11 @@ import (
 //
 // History. Each (shard, vol) stream of a session keeps, at both ends,
 // the last xcode.StreamWindow (1 MiB) bytes of squeezed plaintext it
-// carried and the last 32 KiB its DEFLATE carried, and a segment may
-// refer back into both (xcode/stream.go). The tag names the history a
-// push was built on: 1 + the squeezed pushes the stream took in since
-// its history was last reset. Tag 1 is a fresh push, built on nothing,
+// carried and the coder's models, state and last distances as its last
+// segment left them: a segment's matches refer back into the first,
+// and its decisions are coded against the second (xcode/stream.go).
+// The tag names the history a push was built on: 1 + the squeezed
+// pushes the stream took in since its history was last reset. Tag 1 is a fresh push, built on nothing,
 // and resets the target's history before it is read; any other tag
 // must be exactly one more than the pushes the target took in, or the
 // target refuses the push whole, before anything is applied, with
@@ -87,7 +88,7 @@ import (
 // target answers it StatusOK — an unverified list too, since its
 // statuses, not its header, refuse it — and the history lives with the
 // session, so a redial starts both ends empty. The replica never
-// inflates against a history it does not hold.
+// rebuilds against a history it does not hold.
 
 // ErrStaleHistory reports a squeezed push built on a history the
 // target does not hold: nothing was applied, and the push re-ships
@@ -167,8 +168,9 @@ func AppendStream(dst []byte, entries []BatchEntry, frameMax int) []byte {
 // SqueezeSender is the initiator's end of one stream's squeeze
 // history. After every Encode that returned ok, exactly one of Commit
 // (the target answered the push StatusOK) or Reset (anything else)
-// must follow before the next Encode. The zero value is a stream with
-// no history.
+// must follow before the next Encode. A list Encode leaves to ship
+// plain is rolled back: the history is as it was, and the next push is
+// built on it. The zero value is a stream with no history.
 type SqueezeSender struct {
 	def    xcode.StreamDeflater
 	pushes uint64 // squeezed pushes the target took in since the last Reset
@@ -181,7 +183,9 @@ type SqueezeSender struct {
 // Encode lays entries out as a squeezed list built on the stream's
 // history and returns its data segment, valid until the next Encode,
 // and its tag. ok is false when the list should ship plain: it came
-// out no smaller than the plain one (the history then starts over).
+// out no smaller than the plain one. The history then rolls back to
+// where it was before the list (rollback), so the stream's next push
+// still carries the next tag.
 func (s *SqueezeSender) Encode(entries []BatchEntry) (seg []byte, tag uint64, ok bool, err error) {
 	plainLen, _, err := entryListLen(entries)
 	if err != nil {
@@ -203,19 +207,12 @@ func (s *SqueezeSender) Encode(entries []BatchEntry) (seg []byte, tag uint64, ok
 	seg = binary.AppendUvarint(s.seg[:0], uint64(len(entries)))
 	seg = binary.AppendUvarint(seg, uint64(len(s.plain)))
 	seg = binary.BigEndian.AppendUint64(seg, HashBlock(s.checks))
-	if err = s.def.Start(seg); err == nil {
-		err = s.def.Write(s.plain)
-	}
-	if err == nil {
-		seg, err = s.def.End()
-	}
-	if err != nil {
-		s.Reset()
-		return nil, 0, false, err
-	}
+	s.def.Start(seg)
+	s.def.Write(s.plain)
+	seg = s.def.End()
 	s.seg = seg
 	if len(seg) >= plainLen {
-		s.Reset()
+		s.rollback()
 		return nil, 0, false, nil
 	}
 	s.open = true
@@ -233,6 +230,13 @@ func (s *SqueezeSender) Commit() {
 // Reset forgets the history: the next push is fresh.
 func (s *SqueezeSender) Reset() { s.pushes, s.open = 0, false }
 
+// rollback takes back the last encoded push, which no target took in:
+// the stream's history is as it was before it.
+func (s *SqueezeSender) rollback() {
+	s.def.Drop()
+	s.open = false
+}
+
 // SqueezeReceiver is the target's end of one stream's squeeze history.
 // The zero value is a stream with no history.
 type SqueezeReceiver struct {
@@ -244,7 +248,7 @@ type SqueezeReceiver struct {
 }
 
 // Decode checks tag against the stream's history and parses a squeezed
-// list into entries' backing array (see decodeEntryList), inflating its
+// list into entries' backing array (see decodeEntryList), rebuilding its
 // stream segment into the receiver's buffer: the returned frames alias
 // that buffer, which the next Decode overwrites, and Digest returns the
 // list's digest. A tag that does not match is ErrStaleHistory, with
@@ -253,12 +257,12 @@ type SqueezeReceiver struct {
 // and hold count minimal entries; the segment must rebuild exactly
 // those bytes (xcode.StreamInflater), which is checked before anything
 // is allocated for them; and the plaintext must parse as exactly count
-// entries, as strictly as a plain list. A segment's repeats may rebuild
-// far more than DEFLATE alone could carry, so the bound on what one
-// byte of it may inflate to holds its match list and literals, not the
-// bytes they rebuild. On success the history takes the push in; a
-// segment that fails to inflate leaves the history as it was, and one
-// that rebuilds a plaintext that does not parse resets it.
+// entries, as strictly as a plain list. What one segment byte may
+// rebuild is bounded by the coder's cheapest token (xcode's
+// maxCodedRatio), far past what DEFLATE could carry. On success the
+// history takes the push in; a segment that fails to rebuild leaves the
+// history (ring and models) as it was, and one that rebuilds a
+// plaintext that does not parse resets it.
 func (r *SqueezeReceiver) Decode(entries []BatchEntry, data []byte, tag uint64) ([]BatchEntry, error) {
 	switch {
 	case tag == 1:
@@ -492,10 +496,9 @@ func (i *Initiator) ReplicaWriteSqueezed(mode, shard uint8, vol uint16, entries 
 // ResetSqueeze forgets the (vol, shard) stream's squeeze history on the
 // current session: its next squeezed push is fresh. A push in flight
 // keeps the history until it settles. The stream keeps its encoder's
-// memory, as the target keeps its receiver's, to save the CPU of
-// building another: that takes 0.4-1.6 ms, a third of a push behind T3,
-// and a stream whose history was reset is likely to squeeze again.
-// maxSqueezeStreams bounds what the session holds.
+// memory, as the target keeps its receiver's, to save allocating and
+// zeroing another 2 MiB, and a stream whose history was reset is likely
+// to squeeze again. maxSqueezeStreams bounds what the session holds.
 func (i *Initiator) ResetSqueeze(shard uint8, vol uint16) {
 	i.mu.Lock()
 	defer i.mu.Unlock()
@@ -510,9 +513,11 @@ func (i *Initiator) ResetSqueeze(shard uint8, vol uint16) {
 }
 
 // maxSqueezeStreams caps the squeeze histories one session keeps at
-// each end, some 1.1 MiB each at the target and 2.3 MiB at the
-// initiator once its stream has pushed. At the target a stream past the
-// cap takes over the history of the one that pushed least recently,
+// each end, some 1.03 MiB each at the target (the ring and two copies
+// of the models) and 2.03 MiB at the initiator (the ring, a 1 MiB
+// index and the models) once its stream has pushed, plus each end's
+// buffer of its largest plaintext. At the target a stream past the cap
+// takes over the history of the one that pushed least recently,
 // whose next push then comes back StatusStaleHistory and re-ships
 // fresh. The initiator evicts the same way, but never a history a
 // push holds, and an evicted stream's next push goes out fresh.

@@ -2,11 +2,10 @@ package iscsi
 
 import (
 	"bytes"
-	"compress/flate"
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
+	"math/rand"
 	"net"
 	"slices"
 	"testing"
@@ -224,17 +223,9 @@ func squeezedList(t *testing.T, count, plainLen int, plain []byte) []byte {
 	seg := binary.AppendUvarint(nil, uint64(count))
 	seg = binary.AppendUvarint(seg, uint64(plainLen))
 	seg = binary.BigEndian.AppendUint64(seg, 0xD16E57)
-	if err := def.Start(seg); err != nil {
-		t.Fatal(err)
-	}
-	if err := def.Write(plain); err != nil {
-		t.Fatal(err)
-	}
-	seg, err := def.End()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return seg
+	def.Start(seg)
+	def.Write(plain)
+	return def.End()
 }
 
 // TestSqueezeDecodeStrict: the squeezed-list decoder refuses, as
@@ -263,7 +254,7 @@ func TestSqueezeDecodeStrict(t *testing.T) {
 
 	cases := map[string][]byte{
 		"truncated stream":                seg[:len(seg)-1],
-		"stream cut to sync":              append(append([]byte(nil), seg[:head+2]...), 0, 0, 0xff, 0xff),
+		"stream cut to a coder tail":      append(append([]byte(nil), seg[:head+6]...), 0, 0, 0, 0),
 		"trailing byte":                   append(append([]byte(nil), seg...), 0),
 		"trailing garbage":                append(append([]byte(nil), seg...), 0xff, 0, 0, 0xff, 0xff),
 		"no stream":                       seg[:head],
@@ -410,6 +401,53 @@ func TestSqueezedPushOverSession(t *testing.T) {
 	}
 }
 
+// TestSqueezeRollbackOverSession: on one stream over a session, a list
+// that squeezing cannot shrink ships plain and leaves the stream's
+// history as it was: the next squeezed push carries the next tag, not a
+// fresh one, and the target rebuilds it byte-identical on the history
+// it holds.
+func TestSqueezeRollbackOverSession(t *testing.T) {
+	sink := &squeezeBackend{}
+	init, rec := startRecordedPair(t, sink)
+	const shard, vol = 1, 4
+	push := func(entries []BatchEntry) (tags []uint64) {
+		t.Helper()
+		if _, _, err := init.ReplicaWriteSqueezed(1, shard, vol, entries); err != nil {
+			t.Fatal(err)
+		}
+		wire := rec.take()
+		for off := 0; off < len(wire); {
+			var pdu PDU
+			if err := pdu.readHeader(bytes.NewReader(wire[off:]), make([]byte, headerLen)); err != nil {
+				t.Fatal(err)
+			}
+			tags = append(tags, pdu.Seq)
+			off += headerLen + int(binary.BigEndian.Uint32(wire[off+24:]))
+		}
+		sink.mu.Lock()
+		got := sink.batches[len(sink.batches)-1]
+		sink.mu.Unlock()
+		for k := range entries {
+			if got[k].Seq != entries[k].Seq || !bytes.Equal(got[k].Frame, entries[k].Frame) {
+				t.Fatalf("entry %d applied differently", k)
+			}
+		}
+		return tags
+	}
+	if tags := push(squeezeEntries(t, 0, 10, false)); fmt.Sprint(tags) != "[1]" {
+		t.Fatalf("a shrinking list went out with tags %v, want [1]", tags)
+	}
+	noise := make([]byte, 3000)
+	rand.New(rand.NewSource(7)).Read(noise)
+	random := []BatchEntry{{Seq: 500, LBA: 9, Hash: 77, Frame: append([]byte{byte(xcode.CodecRaw)}, noise...)}}
+	if tags := push(random); fmt.Sprint(tags) != "[0]" {
+		t.Fatalf("an incompressible list went out with tags %v, want it plain, [0]", tags)
+	}
+	if tags := push(squeezeEntries(t, 1, 10, false)); fmt.Sprint(tags) != "[2]" {
+		t.Fatalf("the list after a plain one went out with tags %v, want [2]", tags)
+	}
+}
+
 // FuzzDecodeSqueezed feeds arbitrary segments and tags to a receiver
 // that holds a history: it never panics, never allocates more for the
 // plaintext than MaxDataSegment or what an accepted push carries,
@@ -487,9 +525,9 @@ func FuzzDecodeSqueezed(f *testing.F) {
 
 // TestSqueezeRepeatPastRatio: a push that repeats an earlier push's
 // frames rebuilds far more than DEFLATE alone could carry in its
-// segment, and decodes byte-exact; a hand-built run-length repeat that
-// would rebuild past the plaintext its list declares is refused,
-// leaving the history to decode the next push.
+// segment (1032 bytes a byte), and decodes byte-exact; a run-length
+// repeat that would rebuild past the plaintext its list declares is
+// refused, leaving the history to decode the next push.
 func TestSqueezeRepeatPastRatio(t *testing.T) {
 	const words = "warehouse district customer order line stock item history payment "
 	entries := make([]BatchEntry, 8)
@@ -518,24 +556,20 @@ func TestSqueezeRepeatPastRatio(t *testing.T) {
 	}
 	t.Logf("a repeated push of %d stream bytes in a %d-byte data segment", total, len(seg))
 
-	// A list declaring 100 bytes of plaintext whose segment repeats 'a'
-	// a thousand times from one byte back.
-	list := binary.AppendUvarint(nil, 1)
-	list = binary.AppendUvarint(list, 100)
-	list = binary.BigEndian.AppendUint64(list, 9)
-	run := bytes.Repeat([]byte{'a'}, 1001)
-	body := binary.BigEndian.AppendUint32(nil, crc32.Checksum(run, crc32.MakeTable(crc32.Castagnoli)))
-	body = append(body, 1, 1)                         // one repeat, one literal before it
-	body = binary.AppendUvarint(body, 1000)           // 1000 bytes
-	body = append(binary.AppendUvarint(body, 1), 'a') // from 1 back, after the literal 'a'
-	var z bytes.Buffer
-	fw, err := flate.NewWriter(&z, flate.BestSpeed)
-	if err != nil {
-		t.Fatal(err)
+	// A list declaring 100 bytes of plaintext whose segment, built on the
+	// history both ends hold, rebuilds a 1000-byte frame of 'a'.
+	run := []BatchEntry{{Seq: 900, LBA: 1, Hash: 9, Frame: bytes.Repeat([]byte{'a'}, 1000)}}
+	seg, _, ok, err := tx.Encode(run)
+	if err != nil || !ok {
+		t.Fatalf("encode of a run: ok %v, %v", ok, err)
 	}
-	fw.Write(body)
-	fw.Flush()
-	if _, err := rx.Decode(nil, append(list, z.Bytes()...), tag+1); !errors.Is(err, ErrBadFrame) {
+	tx.rollback() // no target takes it in
+	count, n := binary.Uvarint(seg)
+	_, w := binary.Uvarint(seg[n:])
+	list := binary.AppendUvarint(nil, count)
+	list = binary.AppendUvarint(list, 100)
+	list = append(list, seg[n+w:]...)
+	if _, err := rx.Decode(nil, list, tag+1); !errors.Is(err, ErrBadFrame) {
 		t.Errorf("a run-length repeat past its list's 100 bytes: %v, want ErrBadFrame", err)
 	}
 	for k := range entries {

@@ -22,6 +22,13 @@ import (
 // indexes or slices a buffer — unchecked, a short frame misparses or
 // panics.
 //
+// So do the values a decode path reads out of a range coder (the
+// squeeze stream's match lengths, distances and the counts they make):
+// a coded value — one assigned from a call to a method of a type named
+// *Decoder — must be compared with something before it indexes or
+// slices a buffer or goes into a call, since a hostile segment codes
+// any value its decoder's trees and direct bits can hold.
+//
 // The dominance test is a source-order approximation: some expression
 // mentioning len(buf), or testing n, must appear in the function before
 // the access. That matches the codebase's guard idioms (early
@@ -77,11 +84,12 @@ func (unboundedDecodeRule) Check(p *Package, r *Reporter) {
 			if !ok || fd.Body == nil || !isDecodeFunc(fd.Name.Name) {
 				continue
 			}
-			params := byteSliceParams(p, fd)
-			if len(params) == 0 {
-				continue
+			if params := byteSliceParams(p, fd); len(params) > 0 {
+				checkDecodeBody(p, r, fd, params)
 			}
-			checkDecodeBody(p, r, fd, params)
+			// A decode path with no buffer of its own (a length or a
+			// distance read off the coder) still holds coded values.
+			checkCodedValues(p, r, fd.Body)
 		}
 	}
 }
@@ -173,6 +181,146 @@ func checkDecodeBody(p *Package, r *Reporter, fd *ast.FuncDecl, params map[types
 		}
 		return true
 	})
+
+	// Pass 3: values read out of a range coder.
+}
+
+// checkCodedValues reports a value read out of a range coder that
+// indexes or slices a buffer, or goes into a call, before any comparison
+// mentions it.
+func checkCodedValues(p *Package, r *Reporter, body *ast.BlockStmt) {
+	coded := codedValues(p, body)
+	if len(coded) == 0 {
+		return
+	}
+	compared := make(map[types.Object][]token.Pos)
+	ast.Inspect(body, func(n ast.Node) bool {
+		if b, ok := n.(*ast.BinaryExpr); ok && isComparison(b.Op) {
+			for _, obj := range mentions(p, coded, b) {
+				compared[obj] = append(compared[obj], b.Pos())
+			}
+		}
+		return true
+	})
+	flag := func(how string, xs ...ast.Expr) {
+		for _, x := range xs {
+			if x == nil {
+				continue
+			}
+			ast.Inspect(x, func(n ast.Node) bool {
+				id, ok := n.(*ast.Ident)
+				if !ok || !coded[p.Info.Uses[id]] {
+					return true
+				}
+				obj := p.Info.Uses[id]
+				for _, c := range compared[obj] {
+					if c < id.Pos() {
+						return true
+					}
+				}
+				r.Report(id.Pos(), "unbounded-decode",
+					fmt.Sprintf("%s by coded value %s, read out of a range coder, before any comparison bounds it; a hostile segment codes any value here",
+						how, obj.Name()))
+				return true
+			})
+		}
+	}
+	ast.Inspect(body, func(n ast.Node) bool {
+		switch e := n.(type) {
+		case *ast.IndexExpr:
+			flag("index", e.Index)
+		case *ast.SliceExpr:
+			flag("slice", e.Low, e.High, e.Max)
+		case *ast.CallExpr:
+			if tv, ok := p.Info.Types[e.Fun]; ok && tv.IsType() {
+				return true // a conversion
+			}
+			if id, ok := ast.Unparen(e.Fun).(*ast.Ident); ok {
+				if _, builtin := p.Info.Uses[id].(*types.Builtin); builtin {
+					return true
+				}
+			}
+			flag("call argument", e.Args...)
+		}
+		return true
+	})
+}
+
+// codedValues returns the objects body assigns the result of a call to
+// a method of a *Decoder type to (n := d.decodeLen(...)), converted or
+// not (n := int(d.tree(...))).
+func codedValues(p *Package, body *ast.BlockStmt) map[types.Object]bool {
+	out := make(map[types.Object]bool)
+	ast.Inspect(body, func(n ast.Node) bool {
+		as, ok := n.(*ast.AssignStmt)
+		if !ok || len(as.Rhs) != 1 || len(as.Lhs) != 1 {
+			return true
+		}
+		call, ok := ast.Unparen(as.Rhs[0]).(*ast.CallExpr)
+		if ok && len(call.Args) == 1 && p.Info.Types[call.Fun].IsType() {
+			call, ok = ast.Unparen(call.Args[0]).(*ast.CallExpr)
+		}
+		if !ok || !isDecoderMethod(p, call) {
+			return true
+		}
+		id, ok := as.Lhs[0].(*ast.Ident)
+		if !ok {
+			return true
+		}
+		obj := p.Info.Defs[id]
+		if obj == nil {
+			obj = p.Info.Uses[id]
+		}
+		if obj != nil {
+			out[obj] = true
+		}
+		return true
+	})
+	return out
+}
+
+// isDecoderMethod reports a call to a method of a named type whose name
+// ends in Decoder.
+func isDecoderMethod(p *Package, call *ast.CallExpr) bool {
+	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
+	if !ok {
+		return false
+	}
+	fn, ok := p.Info.Uses[sel.Sel].(*types.Func)
+	if !ok {
+		return false
+	}
+	recv := fn.Type().(*types.Signature).Recv()
+	if recv == nil {
+		return false
+	}
+	t := recv.Type()
+	if ptr, ok := t.(*types.Pointer); ok {
+		t = ptr.Elem()
+	}
+	named, ok := t.(*types.Named)
+	return ok && strings.HasSuffix(named.Obj().Name(), "Decoder")
+}
+
+// isComparison reports the comparison operators.
+func isComparison(op token.Token) bool {
+	switch op {
+	case token.EQL, token.NEQ, token.LSS, token.LEQ, token.GTR, token.GEQ:
+		return true
+	}
+	return false
+}
+
+// mentions returns the objects of set that e's identifiers use.
+func mentions(p *Package, set map[types.Object]bool, e ast.Expr) []types.Object {
+	var out []types.Object
+	ast.Inspect(e, func(n ast.Node) bool {
+		if id, ok := n.(*ast.Ident); ok && set[p.Info.Uses[id]] {
+			out = append(out, p.Info.Uses[id])
+		}
+		return true
+	})
+	return out
 }
 
 // paramObj resolves e to one of the tracked parameters, or nil.

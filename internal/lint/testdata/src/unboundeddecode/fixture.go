@@ -68,3 +68,57 @@ func inflateGuarded(dst, seg []byte) error {
 	copy(dst, seg[4:]) // ok: dominated by the len check
 	return nil
 }
+
+// rangeDecoder stands for the squeeze stream's range decoder: whatever
+// its methods return, a hostile segment chose.
+type rangeDecoder struct{ in []byte }
+
+func (d *rangeDecoder) decodeLen() int { return len(d.in) }
+
+func (d *rangeDecoder) tree() uint8 { return uint8(len(d.in)) }
+
+func (d *rangeDecoder) direct(n int) uint32 { return uint32(n) }
+
+func copyBack(dst []byte, dist int) { _ = dst[:dist] }
+
+func decodeRun(dst, body []byte, d *rangeDecoder) {
+	if len(body) < 4 {
+		return
+	}
+	n := d.decodeLen()
+	copy(dst, body[:n]) // finding: a coded length slices before any comparison
+	dist := d.decodeLen()
+	copyBack(dst, dist) // finding: a coded distance goes into a call unbounded
+}
+
+func decodeRunBounded(dst, body []byte, d *rangeDecoder) error {
+	if len(body) < 4 {
+		return errShort
+	}
+	n := d.decodeLen()
+	if n > len(body) || n > len(dst) {
+		return errShort
+	}
+	copy(dst, body[:n]) // ok: compared first
+	dist := d.decodeLen()
+	if dist > len(dst) {
+		return errShort
+	}
+	copyBack(dst, dist) // ok: compared first
+	return nil
+}
+
+// decodeExt has no buffer of its own, and the count it reads off the
+// coder, converted, still goes into a call unbounded.
+func decodeExt(d *rangeDecoder) uint32 {
+	n := int(d.tree())
+	return d.direct(n) // finding: a coded count goes into a call unbounded
+}
+
+func decodeExtBounded(d *rangeDecoder) uint32 {
+	n := int(d.tree())
+	if n > 12 {
+		return 0
+	}
+	return d.direct(n) // ok: compared first
+}

@@ -59,7 +59,10 @@ func (w *Window[T]) Room(size int) bool {
 // settling finished calls, waiting for them, until there is. A window
 // of one call runs it on the owner's goroutine: the owner could only
 // wait for it before issuing another, so starting a goroutine per call
-// would buy nothing.
+// would buy nothing. A call that panics there is taken out of flight
+// before the panic goes on up the owner's stack, so that a Drain the
+// owner deferred returns and the panic crashes the program, rather than
+// the Drain waiting forever for a call that will never finish.
 func (w *Window[T]) Go(v T, size int) {
 	for !w.Room(size) {
 		w.Wait()
@@ -71,7 +74,15 @@ func (w *Window[T]) Go(v T, size int) {
 		go w.run(v, w.lastID)
 		return
 	}
+	finished := false
+	defer func() {
+		if !finished {
+			w.fly = w.fly[:len(w.fly)-1]
+			w.bytes -= size
+		}
+	}()
 	w.run(v, w.lastID)
+	finished = true
 }
 
 // run is one call; the call's goroutine reads only fields the owner

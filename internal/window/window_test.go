@@ -246,3 +246,22 @@ func TestWindowNoGoroutineAfterDrain(t *testing.T) {
 	w.Drain()
 	eventually(t, "the calls' goroutines to exit", func() bool { return runtime.NumGoroutine() <= base })
 }
+
+// TestWindowInlinePanicLeavesDrain: a window of one runs its call on the
+// owner's goroutine, and a call that panics there is out of flight by
+// the time the panic reaches the owner's deferred Drain, which returns.
+func TestWindowInlinePanicLeavesDrain(t *testing.T) {
+	w := New(1, 0, func(int) { panic("call panicked") }, func(int) { t.Error("a panicked call was settled") })
+	func() {
+		defer func() {
+			if r := recover(); r != "call panicked" {
+				t.Errorf("recovered %v", r)
+			}
+		}()
+		defer w.Drain()
+		w.Go(1, 10)
+	}()
+	if w.Len() != 0 || !w.Room(1<<20) {
+		t.Errorf("%d calls in flight after the panic", w.Len())
+	}
+}

@@ -153,22 +153,27 @@ func FuzzZRLEncode(f *testing.F) {
 
 // FuzzStreamInflate throws arbitrary segments at a reader that holds a
 // primed history, for a dst of any length: nothing is written outside
-// dst; a segment is refused, leaving both histories as they were, or
-// fills dst exactly (two readers in the same state, handed buffers of
-// different contents, rebuild the same bytes); and the writer's own
-// segments of arbitrary plaintext, the second repeating the first,
-// round-trip.
+// dst; a segment is refused, leaving the history (ring and models) as
+// it was, or fills dst exactly (two readers in the same state, handed
+// buffers of different contents, rebuild the same bytes); and the
+// writer's own segments of arbitrary plaintext, the second repeating the
+// first, round-trip.
 func FuzzStreamInflate(f *testing.F) {
 	var w StreamDeflater
 	var primed, a, b, c StreamInflater
 	primeStream(f, &w, &primed)
 	rng := rand.New(rand.NewSource(6))
 	f.Add(streamSegment(f, &w, streamText(rng, 3000)), uint16(3000), []byte("warehouse district"))
-	run := bytes.Repeat([]byte{'a'}, 1001)
-	f.Add(handSegment(f, crc32.Checksum(run, castagnoli), append(triples(1, 1000, 1), 'a')), uint16(1001), []byte{})
-	f.Add(handSegment(f, 0, append(triples(1, 1000, 1), 'a')), uint16(500), []byte{0})
-	f.Add(handSegment(f, 0, triples(0, 40, 90000)), uint16(40), streamText(rng, 200))
-	f.Add([]byte{0, 0, 0xff, 0xff}, uint16(1), []byte(nil))
+	run, runPlain := checkedSegment(&primed, append(runTok(273), reps(2, 200)...)...)
+	f.Add(run, uint16(len(runPlain)), []byte{})
+	f.Add(run, uint16(500), []byte{0})
+	stored := streamText(rng, 90)
+	f.Add(handSegment(crc32.Checksum(stored, castagnoli), stored), uint16(len(stored)), []byte(nil))
+	chain, chainPlain := checkedSegment(&primed, mat(12, 100), mat(9, 2000), repTok(1, 6), shortRep(), lit('q'), repTok(0, 3))
+	f.Add(chain, uint16(len(chainPlain)), streamText(rng, 200))
+	past, _ := checkedSegment(&primed, mat(40, primed.lz.held+1))
+	f.Add(past, uint16(40), []byte(nil))
+	f.Add(run[:len(run)-2], uint16(len(runPlain)), []byte(nil))
 	const guard = 32
 	f.Fuzz(func(t *testing.T, seg []byte, n uint16, plain []byte) {
 		var dsts [2][]byte
@@ -208,9 +213,9 @@ func FuzzStreamInflate(f *testing.F) {
 	})
 }
 
-// copyHistory gives f the histories of from.
+// copyHistory gives f the history of from: ring and models.
 func (f *StreamInflater) copyHistory(from *StreamInflater) {
-	f.hist = append(f.hist[:0], from.hist...)
-	f.end, f.held = from.end, from.held
-	f.dict = append(f.dict[:0], from.dict...)
+	f.lz.hist = append(f.lz.hist[:0], from.lz.hist...)
+	f.lz.end, f.lz.held = from.lz.end, from.lz.held
+	f.lz.m = from.lz.m
 }
