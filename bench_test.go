@@ -9,6 +9,7 @@ import (
 	"bytes"
 	"compress/flate"
 	"crypto/subtle"
+	"errors"
 	"fmt"
 	"math/rand"
 	"net"
@@ -223,6 +224,70 @@ func dialReplica(tb testing.TB, backend iscsi.Backend, link wan.LinkConfig) *isc
 	return client
 }
 
+// cuttableLink dials a shaped session's connections and can take the
+// path away: cut closes the live connection and makes every redial fail
+// until restore.
+type cuttableLink struct {
+	addr string
+	cfg  wan.LinkConfig
+
+	mu   sync.Mutex
+	down bool
+	cur  net.Conn
+}
+
+func (l *cuttableLink) dial() (net.Conn, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.down {
+		return nil, errors.New("link is down")
+	}
+	raw, err := net.Dial("tcp", l.addr)
+	if err != nil {
+		return nil, err
+	}
+	l.cur = wan.Shape(raw, l.cfg)
+	return l.cur, nil
+}
+
+func (l *cuttableLink) cut() {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.down = true
+	_ = l.cur.Close() // the session is being cut on purpose
+}
+
+func (l *cuttableLink) restore() {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.down = false
+}
+
+// dialCuttableReplica is dialReplica over a cuttableLink: the session's
+// redial is armed on the link, which it also returns.
+func dialCuttableReplica(tb testing.TB, backend iscsi.Backend, cfg wan.LinkConfig) (*iscsi.Initiator, *cuttableLink) {
+	tb.Helper()
+	target := iscsi.NewTarget()
+	target.Export("r", backend)
+	addr, err := target.Listen("127.0.0.1:0")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(func() { target.Close() })
+	link := &cuttableLink{addr: addr.String(), cfg: cfg}
+	conn, err := link.dial()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	client := iscsi.NewInitiator(conn)
+	tb.Cleanup(func() { client.Close() })
+	if err := client.Login("r"); err != nil {
+		tb.Fatal(err)
+	}
+	client.EnableReconnect("r", link.dial)
+	return client, link
+}
+
 // runWriters times b.N block writes to random LBAs of engine issued by
 // exactly n closed-loop writer goroutines, which share b.N through a
 // countdown; dirty changes the writer's block before each write. It
@@ -338,7 +403,8 @@ func BenchmarkShardScaling(b *testing.B) {
 // are both ends' per audit.
 func BenchmarkResync(b *testing.B) {
 	b.Run("loopback-5pct", benchResyncLoopback)
-	b.Run("t3-ranges", benchResyncT3Ranges)
+	b.Run("t3-ranges", func(b *testing.B) { benchResyncT3Ranges(b, false) })
+	b.Run("t3-outage", func(b *testing.B) { benchResyncT3Ranges(b, true) })
 	b.Run("audit", benchResyncAudit)
 }
 
@@ -435,7 +501,21 @@ func benchResyncLoopback(b *testing.B) {
 	}
 }
 
-func benchResyncT3Ranges(b *testing.B) {
+// outageBackoff is the reconnect backoff base Resync/t3-outage sets,
+// the initiator's default. One failed redial owes the next at most this
+// much (equal jitter only shortens it), so the arm's outage stays quiet
+// for half as long again before the link comes back.
+const outageBackoff = 25 * time.Millisecond
+
+// benchResyncT3Ranges times a ranged repair of five diverged runs over
+// a T3-shaped session. With outage set it is the repair that ends a
+// link outage, over a cuttableLink: before each pass, untimed, the link
+// is cut, one command fails its redial, the link stays down past the
+// backoff that failure owes (outageBackoff) and comes back; the timed
+// pass then starts on the dead session, so its redial is part of the
+// repair. A redial that sleeps a backoff the quiet time already covered
+// shows as repair-ms.
+func benchResyncT3Ranges(b *testing.B, outage bool) {
 	const (
 		blockSize = 512
 		numBlocks = 16384
@@ -467,7 +547,17 @@ func benchResyncT3Ranges(b *testing.B) {
 		ranges = append(ranges, block.Range{Start: 1000 + i*3000, Count: 3 * runLen})
 	}
 
-	remote := dialReplica(b, &iscsi.StoreBackend{Store: replicaStore}, wan.T3Link())
+	backend := &iscsi.StoreBackend{Store: replicaStore}
+	var (
+		remote *iscsi.Initiator
+		link   *cuttableLink
+	)
+	if outage {
+		remote, link = dialCuttableReplica(b, backend, wan.T3Link())
+		remote.SetReconnectBackoff(outageBackoff, 0)
+	} else {
+		remote = dialReplica(b, backend, wan.T3Link())
+	}
 
 	var stats resync.Stats
 	b.ResetTimer()
@@ -481,6 +571,14 @@ func benchResyncT3Ranges(b *testing.B) {
 				}
 			}
 		}
+		if outage {
+			link.cut()
+			if _, err := remote.Ping(); err == nil {
+				b.Fatal("ping over a cut link succeeded")
+			}
+			time.Sleep(outageBackoff * 3 / 2)
+			link.restore()
+		}
 		b.StartTimer()
 		if stats, err = resync.RunRanges(local, remote, resync.Config{}, ranges...); err != nil {
 			b.Fatal(err)
@@ -489,6 +587,9 @@ func benchResyncT3Ranges(b *testing.B) {
 	b.StopTimer()
 	if stats.BlocksRepaired != 5*runLen {
 		b.Fatalf("repaired %d blocks, want %d", stats.BlocksRepaired, 5*runLen)
+	}
+	if n := remote.Reconnects(); outage && n != int64(b.N) {
+		b.Fatalf("%d redials in %d passes, want one each", n, b.N)
 	}
 	b.ReportMetric(b.Elapsed().Seconds()*1e3/float64(b.N), "repair-ms")
 	b.ReportMetric(float64(stats.BlocksRepaired)/float64(stats.RepairWrites), "blocks/write")

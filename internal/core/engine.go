@@ -496,7 +496,17 @@ func (e *Engine) ReplicaLag() int64 { return e.snapshot().ReplicaLag }
 // ReplicaStat describes one attached replica's pipeline health.
 type ReplicaStat struct {
 	Degraded bool
-	Metrics  metrics.ReplicaSnapshot
+	// Reconnects is how many times the replica's session was
+	// re-established, for a client that counts them (iscsi.Initiator,
+	// resync.ResilientClient); 0 for one that does not.
+	Reconnects int64
+	Metrics    metrics.ReplicaSnapshot
+}
+
+// reconnectCounter is the optional replica-client capability
+// ReplicaStats reads a session's redial count through.
+type reconnectCounter interface {
+	Reconnects() int64
 }
 
 // ReplicaStats returns a point-in-time snapshot of every attached
@@ -507,6 +517,9 @@ func (e *Engine) ReplicaStats() []ReplicaStat {
 	out := make([]ReplicaStat, len(e.replicas))
 	for i, rs := range e.replicas {
 		out[i] = ReplicaStat{Degraded: rs.degraded.Load(), Metrics: fold(rs.pipes).ReplicaSnapshot()}
+		if rc, ok := rs.client.(reconnectCounter); ok {
+			out[i].Reconnects = rc.Reconnects()
+		}
 	}
 	return out
 }

@@ -33,7 +33,7 @@ const (
 // remap it: a block whose hash happens to be 0 (one in 2^64) ships
 // unverified and is never indexed for dedupe, which is safe, only
 // unchecked. 64 bits detect corruption; they are not a collision-safe
-// content address (ROADMAP item 4(a)).
+// content address (ROADMAP item 10).
 //
 // Blocks of 32 bytes and more run four independent 64-bit lanes over
 // 32-byte stripes: two multiplies and a rotate per eight bytes, in four

@@ -37,7 +37,10 @@ import (
 // error, a response whose tag matches no command in flight, or a
 // command outliving the request timeout tears it down once — the conn
 // is closed and every command in flight fails with that causing error.
-// See EnableReconnect for what happens next.
+// See EnableReconnect for what happens next: with a redial armed, one
+// shared attempt replaces the session, and a streak of failed attempts
+// is spaced out from the end of the last one (SetReconnectBackoff), so
+// the first command after a quiet outage redials at once.
 //
 // After a successful Login, an Initiator satisfies block.Store, so a
 // filesystem or database pager can run directly on a remote device —
@@ -68,18 +71,22 @@ type Initiator struct {
 	reconnects   int64
 	attempt      *reconnectAttempt
 
-	// Reconnect backoff: the first reconnect after a healthy period is
-	// immediate, but CONSECUTIVE failed reconnect cycles back off
-	// exponentially (base << fails, capped, jittered) before redialing,
-	// so a dead peer is probed at a decaying rate instead of a tight
-	// dial loop. A successful reconnect resets the streak. rbJitter and
-	// rbSleep are test hooks (deterministic schedules); zero rbBase
-	// applies the defaults.
+	// Reconnect backoff, a spacing rule: the first reconnect after a
+	// healthy period is immediate, and after a streak of rbFails failed
+	// attempts the next one starts no sooner than a delay (base <<
+	// fails, capped, jittered) after rbLast, when the last of them
+	// ended. So a dead peer is probed at a decaying rate instead of in a
+	// tight dial loop, and a caller that comes after a quiet period at
+	// least that long redials at once. A successful reconnect resets the
+	// streak. rbJitter, rbSleep and rbNow are test hooks (deterministic
+	// schedules, no wall clock); zero rbBase applies the defaults.
 	rbFails  int
+	rbLast   time.Time
 	rbBase   time.Duration
 	rbCap    time.Duration
 	rbJitter func(time.Duration) time.Duration
 	rbSleep  func(time.Duration)
+	rbNow    func() time.Time
 }
 
 var _ block.Store = (*Initiator)(nil)
@@ -234,13 +241,16 @@ const (
 	defaultReconnectCap     = 2 * time.Second
 )
 
-// SetReconnectBackoff tunes the delay schedule between CONSECUTIVE
-// failed reconnect cycles: the first reconnect of a streak is
-// immediate, the next waits ~base, then ~2·base, doubling up to cap,
-// each delay equal-jittered (half fixed, half uniformly random) so
-// concurrent sessions do not redial a recovering peer in lockstep. A
-// successful reconnect resets the streak. Zero values keep the
-// defaults (25ms base, 2s cap).
+// SetReconnectBackoff tunes the spacing between CONSECUTIVE failed
+// reconnect cycles: the first reconnect of a streak is immediate, the
+// next starts ~base after the first failed, then ~2·base after the
+// second, doubling up to cap, each delay equal-jittered (half fixed,
+// half uniformly random) so concurrent sessions do not redial a
+// recovering peer in lockstep. A delay is counted from the end of the
+// failed attempt, not from the next caller's arrival: a caller that
+// comes after a quiet period at least that long redials at once, one
+// that comes sooner waits only the rest. A successful reconnect resets
+// the streak. Zero values keep the defaults (25ms base, 2s cap).
 func (i *Initiator) SetReconnectBackoff(base, cap time.Duration) {
 	i.mu.Lock()
 	defer i.mu.Unlock()
@@ -248,9 +258,9 @@ func (i *Initiator) SetReconnectBackoff(base, cap time.Duration) {
 	i.rbCap = cap
 }
 
-// reconnectDelay returns the pause owed before the next redial, given
-// the current streak of consecutive reconnect failures. Called with
-// i.mu held.
+// reconnectDelay returns the spacing owed between the last failed
+// redial and the next, given the current streak of consecutive
+// reconnect failures. Called with i.mu held.
 func (i *Initiator) reconnectDelay() time.Duration {
 	if i.rbFails == 0 {
 		return 0
@@ -274,6 +284,15 @@ func (i *Initiator) reconnectDelay() time.Duration {
 		return i.rbJitter(d)
 	}
 	return equalJitter(d)
+}
+
+// now reads the reconnect clock: rbNow under test, the wall clock
+// otherwise. Called with i.mu held.
+func (i *Initiator) now() time.Time {
+	if i.rbNow != nil {
+		return i.rbNow()
+	}
+	return time.Now()
 }
 
 // equalJitter perturbs a backoff delay: half fixed, half uniformly
@@ -478,9 +497,11 @@ func (i *Initiator) fail(s *session, cause error) {
 // one and returns it. Exactly one caller — the first to arrive — runs
 // the attempt (see redialOnce); callers arriving while it runs wait and
 // share its outcome, and callers arriving after it succeeded just pick
-// up the new session. Consecutive failed attempts back off
-// exponentially with jitter before the redial (see
-// SetReconnectBackoff); success resets the streak.
+// up the new session. Consecutive failed attempts are spaced
+// exponentially with jitter (see SetReconnectBackoff): the attempt
+// sleeps only what is left of its delay since the last failure ended,
+// so the first command after a quiet outage redials without a stale
+// pause; success resets the streak.
 func (i *Initiator) reconnect(down *session) (*session, error) {
 	i.mu.Lock()
 	if i.closed {
@@ -499,16 +520,20 @@ func (i *Initiator) reconnect(down *session) (*session, error) {
 	}
 	a := &reconnectAttempt{done: make(chan struct{})}
 	i.attempt = a
-	delay, sleep := i.reconnectDelay(), i.rbSleep
+	wait := i.reconnectDelay()
+	if wait > 0 {
+		wait -= i.now().Sub(i.rbLast) // the quiet time since the last failure counts
+	}
+	sleep := i.rbSleep
 	dial, target := i.redial, i.redialTarget // armed, or exchange would not be here
 	i.mu.Unlock()
 
 	<-down.done // its conn is closed; the reader is on its way out
-	if delay > 0 {
+	if wait > 0 {
 		if sleep == nil {
 			sleep = time.Sleep
 		}
-		sleep(delay)
+		sleep(wait)
 	}
 	bs, nb, err := i.redialOnce(a, dial, target)
 
@@ -528,6 +553,7 @@ func (i *Initiator) reconnect(down *session) (*session, error) {
 		i.rbFails = 0
 	} else if !errors.Is(err, net.ErrClosed) {
 		i.rbFails++
+		i.rbLast = i.now()
 	}
 	i.mu.Unlock()
 	if err != nil && a.sess != nil {

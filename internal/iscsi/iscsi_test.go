@@ -4,11 +4,13 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"io"
 	"math/rand"
 	"net"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 	"time"
@@ -548,7 +550,9 @@ func TestInitiatorReconnect(t *testing.T) {
 // with a failing dialer under injected clock hooks: the first reconnect
 // of a streak is immediate, consecutive failures back off exponentially
 // to the cap, and a successful cycle resets the streak. Deterministic —
-// the jitter hook is the identity and the sleeper only records.
+// the jitter hook is the identity, the sleeper only records and moves
+// the fake clock on, and the attempts come back to back, so each owes
+// its whole delay.
 func TestReconnectBackoffSchedule(t *testing.T) {
 	store, err := block.NewMem(512, 8)
 	if err != nil {
@@ -578,7 +582,9 @@ func TestReconnectBackoffSchedule(t *testing.T) {
 	})
 	init.SetReconnectBackoff(10*time.Millisecond, 80*time.Millisecond)
 	init.rbJitter = func(d time.Duration) time.Duration { return d }
-	init.rbSleep = func(d time.Duration) { slept = append(slept, d) }
+	clock := time.Unix(0, 0)
+	init.rbNow = func() time.Time { return clock }
+	init.rbSleep = func(d time.Duration) { slept = append(slept, d); clock = clock.Add(d) }
 
 	down := init.sess
 	init.fail(down, errors.New("synthetic session failure"))
@@ -623,6 +629,183 @@ func TestReconnectBackoffSchedule(t *testing.T) {
 	if len(slept) != 1 || slept[0] != 10*time.Millisecond {
 		t.Fatalf("post-reset schedule %v, want [10ms]", slept)
 	}
+}
+
+// reconnectRig is an initiator over an in-memory target whose redial
+// fails while fail is set, under a fake clock: the jitter hook is the
+// identity, and the sleeper records each pause and moves the clock on
+// by it.
+type reconnectRig struct {
+	init  *Initiator
+	clock time.Time
+	slept []time.Duration
+	dials atomic.Int32
+	fail  atomic.Bool
+}
+
+func newReconnectRig(t *testing.T, base, cap time.Duration) *reconnectRig {
+	t.Helper()
+	store, err := block.NewMem(512, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	target := NewTarget()
+	target.Export("vol", &StoreBackend{Store: store})
+	t.Cleanup(func() { target.Close() })
+	c1, c2 := net.Pipe()
+	go target.ServeConn(c2)
+	r := &reconnectRig{init: NewInitiator(c1), clock: time.Unix(0, 0)}
+	t.Cleanup(func() { r.init.Close() })
+	if err := r.init.Login("vol"); err != nil {
+		t.Fatal(err)
+	}
+	r.init.EnableReconnect("vol", func() (net.Conn, error) {
+		r.dials.Add(1)
+		if r.fail.Load() {
+			return nil, errors.New("synthetic dial failure")
+		}
+		a, b := net.Pipe()
+		go target.ServeConn(b)
+		return a, nil
+	})
+	r.init.SetReconnectBackoff(base, cap)
+	r.init.rbJitter = func(d time.Duration) time.Duration { return d }
+	r.init.rbNow = func() time.Time { return r.clock }
+	r.init.rbSleep = func(d time.Duration) { r.slept = append(r.slept, d); r.clock = r.clock.Add(d) }
+	return r
+}
+
+// down fails the live session and returns it, for reconnect to replace.
+func (r *reconnectRig) down() *session {
+	s := r.init.sess
+	r.init.fail(s, errors.New("synthetic session failure"))
+	return s
+}
+
+// TestReconnectSpacing pins the backoff as a spacing rule: a delay runs
+// from the end of the last failed attempt, so quiet time after it
+// counts. A caller that comes after a quiet period at least as long as
+// the delay redials without sleeping, a sooner one sleeps the rest,
+// back-to-back failures still double to the cap, a success resets the
+// streak, and callers that find the session down together share one
+// attempt.
+func TestReconnectSpacing(t *testing.T) {
+	const base, cap = 10 * time.Millisecond, 40 * time.Millisecond
+	t.Run("quiet-redials-at-once", func(t *testing.T) {
+		r := newReconnectRig(t, base, cap)
+		r.fail.Store(true)
+		down := r.down()
+		if _, err := r.init.reconnect(down); err == nil {
+			t.Fatal("reconnect unexpectedly succeeded")
+		}
+		r.clock = r.clock.Add(base) // quiet for exactly the delay owed
+		r.fail.Store(false)
+		if _, err := r.init.reconnect(down); err != nil {
+			t.Fatalf("healing reconnect: %v", err)
+		}
+		if len(r.slept) != 0 {
+			t.Fatalf("slept %v after a quiet period of the whole delay, want nothing", r.slept)
+		}
+	})
+	t.Run("short-quiet-sleeps-the-rest", func(t *testing.T) {
+		r := newReconnectRig(t, base, cap)
+		r.fail.Store(true)
+		down := r.down()
+		for n := 0; n < 2; n++ { // streak of 2: the next delay is 2·base
+			if _, err := r.init.reconnect(down); err == nil {
+				t.Fatal("reconnect unexpectedly succeeded")
+			}
+		}
+		r.slept = nil
+		r.clock = r.clock.Add(6 * time.Millisecond)
+		if _, err := r.init.reconnect(down); err == nil {
+			t.Fatal("reconnect unexpectedly succeeded")
+		}
+		if want := 2*base - 6*time.Millisecond; len(r.slept) != 1 || r.slept[0] != want {
+			t.Fatalf("slept %v after 6ms quiet, want [%v]", r.slept, want)
+		}
+	})
+	t.Run("back-to-back-doubles-to-cap", func(t *testing.T) {
+		r := newReconnectRig(t, base, cap)
+		r.fail.Store(true)
+		down := r.down()
+		for n := 0; n < 5; n++ {
+			if _, err := r.init.reconnect(down); err == nil {
+				t.Fatal("reconnect unexpectedly succeeded")
+			}
+		}
+		want := []time.Duration{base, 2 * base, 4 * base, cap}
+		if fmt.Sprint(r.slept) != fmt.Sprint(want) {
+			t.Fatalf("slept %v, want %v", r.slept, want)
+		}
+	})
+	t.Run("success-resets-streak", func(t *testing.T) {
+		r := newReconnectRig(t, base, cap)
+		r.fail.Store(true)
+		down := r.down()
+		for n := 0; n < 3; n++ {
+			if _, err := r.init.reconnect(down); err == nil {
+				t.Fatal("reconnect unexpectedly succeeded")
+			}
+		}
+		r.fail.Store(false)
+		if _, err := r.init.reconnect(down); err != nil {
+			t.Fatalf("healing reconnect: %v", err)
+		}
+		r.slept = nil
+		r.fail.Store(true)
+		down = r.down()
+		for n := 0; n < 2; n++ {
+			if _, err := r.init.reconnect(down); err == nil {
+				t.Fatal("reconnect unexpectedly succeeded")
+			}
+		}
+		if len(r.slept) != 1 || r.slept[0] != base {
+			t.Fatalf("post-reset schedule %v, want [%v]", r.slept, base)
+		}
+	})
+	t.Run("concurrent-callers-share-one-attempt", func(t *testing.T) {
+		const callers = 6
+		r := newReconnectRig(t, base, cap)
+		r.fail.Store(true)
+		down := r.down()
+		if _, err := r.init.reconnect(down); err == nil {
+			t.Fatal("reconnect unexpectedly succeeded")
+		}
+		r.clock = r.clock.Add(time.Hour) // the sleeper is idle: the clock is no one's to race on
+		r.dials.Store(0)
+		r.fail.Store(false)
+		got := make(chan *session, callers)
+		errs := make(chan error, callers)
+		for g := 0; g < callers; g++ {
+			go func() {
+				s, err := r.init.reconnect(down)
+				got <- s
+				errs <- err
+			}()
+		}
+		var first *session
+		for g := 0; g < callers; g++ {
+			if err := <-errs; err != nil {
+				t.Fatalf("reconnect: %v", err)
+			}
+			s := <-got
+			if first == nil {
+				first = s
+			} else if s != first {
+				t.Fatal("callers came back with different sessions")
+			}
+		}
+		if n := r.dials.Load(); n != 1 {
+			t.Errorf("dialed %d times for %d callers, want 1", n, callers)
+		}
+		if n := r.init.Reconnects(); n != 1 {
+			t.Errorf("Reconnects = %d, want 1", n)
+		}
+		if len(r.slept) != 0 {
+			t.Errorf("slept %v after an hour's quiet", r.slept)
+		}
+	})
 }
 
 // TestRetiredOpcode14, named for the first of them: opcodes 13 (the

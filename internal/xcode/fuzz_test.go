@@ -146,6 +146,22 @@ func FuzzZRLEncode(f *testing.F) {
 	f.Add([]byte("\x01\x00\x00\x00\x02\x00\x00\x00\x00\x03\x00"))
 	f.Add(append(bytes.Repeat([]byte{7}, 13), 0, 0, 0))
 	f.Add(bytes.Repeat([]byte{0, 0, 0, 0, 0, 0, 0, 9}, 5))
+	// The word scan's edges: a gap or a run ending in each of four
+	// words, a 3-byte gap straddling a word boundary, and tails short
+	// of a word after whole words.
+	for _, at := range []int{7, 15, 23, 31} {
+		lit := bytes.Repeat([]byte{5}, 40)
+		lit[at] = 0
+		f.Add(lit)
+		zeros := make([]byte, 40)
+		zeros[at] = 6
+		f.Add(zeros)
+	}
+	straddle := bytes.Repeat([]byte{3}, 64)
+	clear(straddle[30:33])
+	f.Add(straddle)
+	f.Add(append(bytes.Repeat([]byte{4}, 32), 0, 0, 4, 4, 4))
+	f.Add(append(make([]byte, 32), 8, 0, 0, 0, 8, 0, 0, 0, 0, 8, 0, 0, 0, 0, 0, 0, 0, 0, 0, 8))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		checkZRLAgainstBytewise(t, data, "fuzz input")
 	})

@@ -564,6 +564,43 @@ func TestZRLEncodeMatchesBytewise(t *testing.T) {
 	}
 }
 
+// TestZRLStrideEdges walks the edges of zrlAppend's word scan: over
+// every block length 0-96 (so tails shorter than a word, and runs that
+// end in each of twelve consecutive words), it
+// places a zero gap of 1-4 bytes (3 merges, 4 does not) and a zero run
+// of 5-33 bytes at every offset of a non-zero block, and a literal of
+// 1-4 bytes, alone or with a 1-4-byte gap inside it, at every offset of
+// a zero block.
+func TestZRLStrideEdges(t *testing.T) {
+	rng := rand.New(rand.NewSource(48))
+	full := make([]byte, 96)
+	for i := range full {
+		full[i] = byte(1 + rng.Intn(255))
+	}
+	for n := 0; n <= len(full); n++ {
+		block := make([]byte, n)
+		for off := 0; off < n; off++ {
+			for _, run := range []int{1, 2, 3, 4, 5, 7, 8, 9, 24, 31, 32, 33} {
+				end := min(off+run, n)
+				copy(block, full)
+				clear(block[off:end])
+				checkZRLAgainstBytewise(t, block, fmt.Sprintf("n=%d zeros [%d,%d)", n, off, end))
+			}
+			for lit := 1; lit <= 4 && off+lit <= n; lit++ {
+				clear(block)
+				copy(block[off:off+lit], full)
+				checkZRLAgainstBytewise(t, block, fmt.Sprintf("n=%d literal=%d at %d", n, lit, off))
+				for gap := 1; gap <= 4 && off+lit+gap < n; gap++ {
+					clear(block)
+					copy(block[off:off+lit], full)
+					block[off+lit+gap] = full[lit] // the literal resumes after the gap
+					checkZRLAgainstBytewise(t, block, fmt.Sprintf("n=%d literal=%d gap=%d at %d", n, lit, gap, off))
+				}
+			}
+		}
+	}
+}
+
 // TestRawFrameInPlace: a raw header followed by the body is the frame
 // AppendEncode builds for CodecRaw, and RawBody hands that body back
 // without a copy; a frame in another codec, or one whose body is not

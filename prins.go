@@ -632,6 +632,9 @@ type ReplicaStat struct {
 	WireBytes int64
 	// Retries counts delivery attempts beyond the first.
 	Retries int64
+	// Reconnects counts how many times the replica's session was
+	// re-established after it failed (0 for an in-process replica).
+	Reconnects int64
 	// Dropped counts frames elided while the replica was degraded.
 	Dropped int64
 	// Lag is how many frames behind this replica currently is; zeroed
@@ -674,6 +677,7 @@ func replicaStats(e *core.Engine) []ReplicaStat {
 			PayloadBytes: rs.Metrics.PayloadBytes,
 			WireBytes:    rs.Metrics.WireBytes,
 			Retries:      rs.Metrics.Retries,
+			Reconnects:   rs.Reconnects,
 			Dropped:      rs.Metrics.Dropped,
 			Lag:          rs.Metrics.Lag,
 			Diverged:     rs.Metrics.Diverged,

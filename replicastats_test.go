@@ -72,3 +72,97 @@ func TestReplicaStatsMirrorSqueeze(t *testing.T) {
 			got.Squeezed, got.SqueezeSavedWireBytes, got.SqueezeSwitches, m.Squeezed, m.SqueezeSavedWire, m.SqueezeSwitches)
 	}
 }
+
+// TestReplicaStatsReconnects: a Primary's ReplicaStats counts the
+// replica session's redials, for both clients that count them: an
+// initiator with its redial armed (AttachReplicaAddr arms none, so the
+// test attaches it to the engine itself) and AttachReplicaResilient's
+// client. The replica sits behind a link that is cut while writes
+// degrade it, then restored and healed (ResyncReplica, ClearDirty,
+// ClearDegraded). Each counts exactly one: the failed redial while the
+// link was down is not one, the next push's is.
+func TestReplicaStatsReconnects(t *testing.T) {
+	const bs, nb = 4096, 32
+	for _, tc := range []struct {
+		name   string
+		attach func(t *testing.T, p *Primary, addr string) error
+	}{
+		{"initiator", func(t *testing.T, p *Primary, addr string) error {
+			init, err := iscsi.Dial(addr)
+			if err != nil {
+				return err
+			}
+			t.Cleanup(func() { init.Close() })
+			if err := init.Login("r"); err != nil {
+				return err
+			}
+			init.EnableReconnectTCP(addr, "r")
+			return p.engine.AttachReplica(init)
+		}},
+		{"resilient", func(_ *testing.T, p *Primary, addr string) error {
+			return p.AttachReplicaResilient(addr, "r")
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			local, err := NewMemStore(bs, nb)
+			if err != nil {
+				t.Fatal(err)
+			}
+			replica, err := NewMemStore(bs, nb)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rep := NewReplica(replica)
+			addr, err := rep.Serve("127.0.0.1:0", "r")
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { rep.Close() })
+			proxy := newCutProxy(t, addr.String())
+			p, err := NewPrimary(local, Config{Mode: ModePRINS, AllowDegraded: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer p.Close()
+			if err := tc.attach(t, p, proxy.addr()); err != nil {
+				t.Fatal(err)
+			}
+			buf := make([]byte, bs)
+			write := func(lba uint64) {
+				t.Helper()
+				buf[0]++
+				if err := p.WriteBlock(lba, buf); err != nil {
+					t.Fatal(err)
+				}
+				if err := p.Drain(); err != nil {
+					t.Fatal(err)
+				}
+			}
+
+			write(0)
+			if n := p.ReplicaStats()[0].Reconnects; n != 0 {
+				t.Fatalf("Reconnects = %d on a healthy session, want 0", n)
+			}
+			proxy.cut()
+			write(1)
+			if !p.Degraded() {
+				t.Fatal("primary not degraded with the replica's link cut")
+			}
+			if n := p.ReplicaStats()[0].Reconnects; n != 0 {
+				t.Fatalf("Reconnects = %d with the link down, want 0", n)
+			}
+			proxy.restore()
+			dirty := p.DirtyRanges(0)
+			if _, err := p.ResyncReplica(0, proxy.addr(), "r", dirty...); err != nil {
+				t.Fatal(err)
+			}
+			p.ClearDirty(0, dirty...)
+			p.ClearDegraded()
+			write(2)
+			got, want := p.ReplicaStats()[0].Reconnects, p.engine.ReplicaStats()[0].Reconnects
+			if got != 1 || want != 1 {
+				t.Fatalf("Reconnects = %d (engine %d) after one cut and heal, want 1", got, want)
+			}
+		})
+	}
+}
