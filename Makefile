@@ -140,8 +140,9 @@ STRESSCOUNT ?= 3
 stress:
 	$(GO) test -race -count=$(STRESSCOUNT) -run 'Shard|Volume|Group|Session|Window|Squeeze|Resync' ./internal/core ./internal/iscsi ./internal/xcode ./internal/resync ./internal/window .
 
-# Short fuzz passes over the wire-facing decoders (the repair span's
-# and the squeezed entry list's strict decoders included), the login codec, the frame walker's
+# Short fuzz passes over the wire-facing decoders (the repair span's,
+# the hash command's unit list's and the squeezed entry list's strict
+# decoders included), the login codec, the frame walker's
 # decode-into and XOR-into forms (differential against Decode), its
 # mask form (differential against the XOR form of the same stream), the
 # codecs' encode/decode round trip, the ZRL encoder (differential
@@ -155,6 +156,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz='^FuzzDecodeBatch$$' -fuzztime=$(FUZZTIME) ./internal/iscsi
 	$(GO) test -run='^$$' -fuzz='^FuzzDecodeByRef$$' -fuzztime=$(FUZZTIME) ./internal/iscsi
 	$(GO) test -run='^$$' -fuzz='^FuzzDecodeSpan$$' -fuzztime=$(FUZZTIME) ./internal/iscsi
+	$(GO) test -run='^$$' -fuzz='^FuzzDecodeHashUnits$$' -fuzztime=$(FUZZTIME) ./internal/iscsi
 	$(GO) test -run='^$$' -fuzz='^FuzzDecodeSqueezed$$' -fuzztime=$(FUZZTIME) ./internal/iscsi
 	$(GO) test -run='^$$' -fuzz='^FuzzLoginPayloads$$' -fuzztime=$(FUZZTIME) ./internal/iscsi
 	$(GO) test -run='^$$' -fuzz='^FuzzDecodeSnapshot$$' -fuzztime=$(FUZZTIME) ./internal/dedupe

@@ -168,14 +168,14 @@ func TestSessionBuffersUnderReuse(t *testing.T) {
 			want[k] = iscsi.HashBlock(image[lba+uint64(k)])
 		}
 		digest := iscsi.HashBlock(iscsi.AppendHashes(nil, want))
-		got, match, err := in.ReadHashes(lba, count, 0)
+		got, match, err := readHashes(in, lba, count, 0)
 		if err != nil || match || !slices.Equal(got, want) {
 			t.Fatalf("hashes of %d at %d: %v, match %v, equal %v", count, lba, err, match, slices.Equal(got, want))
 		}
-		if _, match, err := in.ReadHashes(lba, count, digest); err != nil || !match {
+		if _, match, err := readHashes(in, lba, count, digest); err != nil || !match {
 			t.Fatalf("hashes of %d at %d under their digest: %v, match %v", count, lba, err, match)
 		}
-		got, match, err = in.ReadHashes(lba, count, digest^1)
+		got, match, err = readHashes(in, lba, count, digest^1)
 		if err != nil || match || !slices.Equal(got, want) {
 			t.Fatalf("hashes of %d at %d under a wrong digest: %v, match %v, equal %v", count, lba, err, match, slices.Equal(got, want))
 		}
@@ -242,13 +242,25 @@ func imageStore(t *testing.T, bs int, image [][]byte) block.Store {
 	return s
 }
 
+// readHashes fetches the hashes of count blocks at lba in a hash
+// command of one unit with digest: nil hashes and match when the
+// target's own hashes digest to it.
+func readHashes(in *iscsi.Initiator, lba uint64, count uint32, digest uint64) (hashes []uint64, match bool, err error) {
+	c := iscsi.HashCmd{Units: []iscsi.HashUnit{{LBA: lba, Count: count, Digest: digest}}}
+	if err := in.ReadHashUnits(&c); err != nil {
+		return nil, false, err
+	}
+	return c.Units[0].Hashes, c.Units[0].Hashes == nil, nil
+}
+
 // TestHashCommandAllocs: a hash command reads each block into the
 // session's read buffer and hashes it there, so on a warm session a
 // command over 4096 blocks allocates no more, in count or in bytes,
-// than one over 16, on both ends of a Target over a ReplicaEngine. The
-// commands carry their digest, as a resync's do, so the answer is an
-// empty segment at either size. A race-detector build compares counts
-// only (see raceBuild).
+// than one over 16, on both ends of a Target over a ReplicaEngine; nor
+// does a command of eight units spread over the device, framed, header
+// and unit list, in its HashCmd's buffer. The commands carry their
+// digests, as a resync's do, so the answer is an empty segment at every
+// size. A race-detector build compares counts only (see raceBuild).
 func TestHashCommandAllocs(t *testing.T) {
 	const bs, nb = 1024, 4096
 	store := mustMem(t, bs, nb)
@@ -271,14 +283,17 @@ func TestHashCommandAllocs(t *testing.T) {
 	if err := in.Login("replica"); err != nil {
 		t.Fatal(err)
 	}
+	unit := func(lba uint64, count uint32) iscsi.HashUnit {
+		return iscsi.HashUnit{LBA: lba, Count: count, Digest: iscsi.HashBlock(iscsi.AppendHashes(nil, local[lba:lba+uint64(count)]))}
+	}
 	// Bytes are the least over three passes of 20 commands: the runtime's
 	// own allocations land on one pass or another, never on all.
-	measure := func(count uint32) (allocs, bytes float64) {
+	measure := func(units ...iscsi.HashUnit) (allocs, bytes float64) {
 		t.Helper()
-		digest := iscsi.HashBlock(iscsi.AppendHashes(nil, local[:count]))
+		cmd := iscsi.HashCmd{Units: units}
 		hash := func() {
-			if _, match, err := in.ReadHashes(0, count, digest); err != nil || !match {
-				t.Fatalf("hashes of %d blocks: %v, match %v", count, err, match)
+			if err := in.ReadHashUnits(&cmd); err != nil || slices.ContainsFunc(units, func(u iscsi.HashUnit) bool { return u.Hashes != nil }) {
+				t.Fatalf("hashes of %d units: %v", len(units), err)
 			}
 		}
 		hash() // warm: the session's buffers grow to this command
@@ -296,12 +311,23 @@ func TestHashCommandAllocs(t *testing.T) {
 		}
 		return allocs, bytes
 	}
-	bigAllocs, bigBytes := measure(nb)
-	smallAllocs, smallBytes := measure(16)
-	t.Logf("hash command allocations: 4096 blocks %.0f (%.1f B), 16 blocks %.0f (%.1f B)", bigAllocs, bigBytes, smallAllocs, smallBytes)
-	if bigAllocs > smallAllocs || bigBytes > smallBytes && !raceBuild() {
-		t.Errorf("a 4096-block hash command allocates %.0f times (%.1f B), a 16-block one %.0f (%.1f B)",
-			bigAllocs, bigBytes, smallAllocs, smallBytes)
+	bigAllocs, bigBytes := measure(unit(0, nb))
+	var spread []iscsi.HashUnit
+	for k := range uint64(8) {
+		spread = append(spread, unit(k*512+uint64(k), 256+uint32(k)))
+	}
+	unitsAllocs, unitsBytes := measure(spread...)
+	smallAllocs, smallBytes := measure(unit(0, 16))
+	t.Logf("hash command allocations: 4096 blocks %.0f (%.1f B), 8 units %.0f (%.1f B), 16 blocks %.0f (%.1f B)",
+		bigAllocs, bigBytes, unitsAllocs, unitsBytes, smallAllocs, smallBytes)
+	for _, c := range []struct {
+		name          string
+		allocs, bytes float64
+	}{{"a 4096-block", bigAllocs, bigBytes}, {"an 8-unit", unitsAllocs, unitsBytes}} {
+		if c.allocs > smallAllocs || c.bytes > smallBytes && !raceBuild() {
+			t.Errorf("%s hash command allocates %.0f times (%.1f B), a 16-block one %.0f (%.1f B)",
+				c.name, c.allocs, c.bytes, smallAllocs, smallBytes)
+		}
 	}
 }
 

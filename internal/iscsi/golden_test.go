@@ -3,10 +3,12 @@ package iscsi
 import (
 	"bufio"
 	"bytes"
+	"encoding/binary"
 	"encoding/hex"
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -110,6 +112,41 @@ func maskGoldenEntries(t *testing.T) []BatchEntry {
 	return entries
 }
 
+// goldenSpanBS is the block size of the golden repair spans.
+const goldenSpanBS = 64
+
+// goldenSpan builds the golden repair span: blocks 0, 1, 2, 5, 9, 10
+// and 19 of a 20-block stretch at LBA 100, each filled from its own
+// offset, as prose-like text shipped DEFLATE or as pseudo-random bytes
+// shipped raw. With copies, blocks 9, 10 and 19 repeat blocks 1, 2 and
+// 0 and ship as copies of them.
+func goldenSpan(text, copies bool) Span {
+	const words = "resync the blocks that differ "
+	s := Span{LBA: 100, Blocks: 20, Mask: make([]byte, SpanMaskLen(20)), Compress: text}
+	repeats := map[uint32]uint32{}
+	if copies {
+		repeats = map[uint32]uint32{9: 1, 10: 2, 19: 0}
+	}
+	offsets := []uint32{0, 1, 2, 5, 9, 10, 19}
+	x := uint32(0x9E3779B9)
+	for o, i := range offsets {
+		s.Mask[i/8] |= 1 << (i % 8)
+		if src, ok := repeats[i]; ok {
+			s.Copies = append(s.Copies, SpanCopy{Block: uint32(o), Source: uint32(slices.Index(offsets, src))})
+			continue
+		}
+		for j := range goldenSpanBS {
+			x = x*1664525 + 1013904223
+			b := byte(x >> 24)
+			if text {
+				b = words[(int(i)*7+j)%len(words)]
+			}
+			s.Data = append(s.Data, b)
+		}
+	}
+	return s
+}
+
 const goldenFile = "testdata/wire_golden.hex"
 
 func readGolden(t *testing.T) map[string]string {
@@ -138,7 +175,9 @@ func readGolden(t *testing.T) map[string]string {
 // connection: for OpReplicaWrite (untagged v3, tagged v5, and the
 // zero-copy framed send), OpReplicaWriteBatch (untagged and tagged) and
 // OpReplicaWriteByRef (mixed by-ref and by-value entries), each with 1,
-// 2 and 7 entries, for an OpHashCmd request carrying a digest, and for
+// 2 and 7 entries, for an OpHashCmd request carrying a digest and one
+// of three units (hash.go), for OpWriteSpan repair spans sent raw, sent
+// DEFLATE and carrying copies (span.go), and for
 // a fresh and a primed squeezed list, a fresh one streaming masked twins
 // and a fresh by-ref one (squeeze.go), the initiator's send
 // must equal both a contiguously built PDU written with
@@ -295,7 +334,7 @@ func TestWireGolden(t *testing.T) {
 			t.Fatal(err)
 		}
 		init, rec := startRecordedPair(t, &StoreBackend{Store: store})
-		if _, _, err := init.ReadHashes(3, 5, digest); err != nil {
+		if _, _, err := readHashes(init, 3, 5, digest); err != nil {
 			t.Fatal(err)
 		}
 		sent := rec.take()
@@ -311,6 +350,72 @@ func TestWireGolden(t *testing.T) {
 			t.Errorf("wire bytes differ from %s:\n sent %s\n want %s", goldenFile, got["hash-digest"], golden["hash-digest"])
 		}
 	})
+	// A HASH request of three units, stamped v9: the header names the
+	// first, the data segment lists the other two, each as its gap from
+	// the one before, its count and its digest (zero: send the hashes).
+	t.Run("hash-units", func(t *testing.T) {
+		units := []HashUnit{{LBA: 3, Count: 5, Digest: 0xD16E57C0FFEE0001}, {LBA: 12, Count: 2, Digest: 0xD16E57C0FFEE0002}, {LBA: 14, Count: 1}}
+		store, err := block.NewMem(512, 16)
+		if err != nil {
+			t.Fatal(err)
+		}
+		init, rec := startRecordedPair(t, &StoreBackend{Store: store})
+		if err := init.ReadHashUnits(&HashCmd{Units: units}); err != nil {
+			t.Fatal(err)
+		}
+		sent := rec.take()
+		list := []byte{4, 2} // 12 is 4 past the first unit's end; 2 blocks
+		list = binary.BigEndian.AppendUint64(list, 0xD16E57C0FFEE0002)
+		list = append(list, 0, 1) // 14 follows 12+2 directly; 1 block
+		list = binary.BigEndian.AppendUint64(list, 0)
+		var ref bytes.Buffer
+		if _, err := (&PDU{Op: OpHashCmd, ITT: firstITT, LBA: 3, Blocks: 5, Hash: 0xD16E57C0FFEE0001, Data: list}).WriteTo(&ref); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(sent, ref.Bytes()) {
+			t.Errorf("initiator bytes differ from the contiguously built PDU:\n sent %x\n want %x", sent, ref.Bytes())
+		}
+		got["hash-units"] = hex.EncodeToString(sent)
+		if !update && got["hash-units"] != golden["hash-units"] {
+			t.Errorf("wire bytes differ from %s:\n sent %s\n want %s", goldenFile, got["hash-units"], golden["hash-units"])
+		}
+	})
+	// Repair spans: seven present blocks of a 20-block stretch, random
+	// bytes sent raw, text sent DEFLATE, and text three of whose blocks
+	// are copies of others: stamped v9, a copy count in the sequence
+	// field and a copy list between the mask and the frame.
+	for _, c := range []struct {
+		name string
+		span func() Span
+	}{
+		{"span-raw", func() Span { return goldenSpan(false, false) }},
+		{"span-flate", func() Span { return goldenSpan(true, false) }},
+		{"span-copies", func() Span { return goldenSpan(true, true) }},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			init, rec := startRecordedPair(t, &extentSink{bs: goldenSpanBS, nb: 1024})
+			s := c.span()
+			if _, err := init.WriteSpan(&s); err != nil {
+				t.Fatal(err)
+			}
+			sent := rec.take()
+			seg, err := encodeSpan(&s, goldenSpanBS)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var ref bytes.Buffer
+			if _, err := (&PDU{Op: OpWriteSpan, ITT: firstITT, LBA: s.LBA, Blocks: s.Blocks, Seq: uint64(len(s.Copies)), Data: seg}).WriteTo(&ref); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(sent, ref.Bytes()) {
+				t.Errorf("initiator bytes differ from the contiguously built PDU:\n sent %x\n want %x", sent, ref.Bytes())
+			}
+			got[c.name] = hex.EncodeToString(sent)
+			if !update && got[c.name] != golden[c.name] {
+				t.Errorf("wire bytes differ from %s:\n sent %s\n want %s", goldenFile, got[c.name], golden[c.name])
+			}
+		})
+	}
 	// Two squeezed lists on one stream of a fresh session: the first is
 	// fresh (tag 1), the second is compressed against the first's
 	// plaintext (tag 2).

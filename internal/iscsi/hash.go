@@ -3,7 +3,11 @@ package iscsi
 import (
 	"encoding/binary"
 	"fmt"
+	"hash/crc32"
+	"math"
 	"math/bits"
+	"net"
+	"slices"
 )
 
 // maxHashBatch bounds one OpHashCmd request: the blocks a target reads
@@ -94,11 +98,11 @@ func xxMergeRound(h, v uint64) uint64 {
 	return (h^xxRound(0, v))*xxPrime1 + xxPrime4
 }
 
-// DecodeHashes parses an OpHashCmd response: consecutive big-endian
-// block hashes (see HashBlock). The payload must be an exact multiple
-// of HashSize: a trailing partial hash means the frame was truncated,
-// and silently dropping it would let a delta resync skip the very
-// blocks it needed to compare.
+// DecodeHashes parses consecutive big-endian block hashes (see
+// HashBlock), a one-unit OpHashCmd answer. The payload must be an
+// exact multiple of HashSize: a trailing partial hash means the frame
+// was truncated, and silently dropping it would let a delta resync skip
+// the very blocks it needed to compare.
 func DecodeHashes(data []byte) ([]uint64, error) {
 	if len(data)%HashSize != 0 {
 		return nil, fmt.Errorf("%w: hash payload of %d bytes is not a multiple of %d",
@@ -111,9 +115,9 @@ func DecodeHashes(data []byte) ([]uint64, error) {
 	return out, nil
 }
 
-// AppendHashes appends hashes to dst in the OpHashCmd response
-// encoding, the inverse of DecodeHashes. HashBlock of the result is
-// the digest a ReadHashes request carries for that answer.
+// AppendHashes appends hashes to dst in the OpHashCmd answer encoding,
+// the inverse of DecodeHashes. HashBlock of the result is the digest a
+// hash unit carries for that answer.
 func AppendHashes(dst []byte, hashes []uint64) []byte {
 	for _, h := range hashes {
 		dst = binary.BigEndian.AppendUint64(dst, h)
@@ -121,28 +125,193 @@ func AppendHashes(dst []byte, hashes []uint64) []byte {
 	return dst
 }
 
-// ReadHashes fetches the content hashes of count blocks starting at
-// lba from the remote device. digest, when nonzero, is the caller's
-// digest of the answer it expects: HashBlock of the count big-endian
-// hashes of its own copy of the blocks. A replica whose answer digests
-// to the same value sends an empty data segment instead, and
-// ReadHashes reports match with nil hashes; otherwise, and always for
-// a zero digest, it returns the replica's count hashes. Any other
-// segment length is ErrShortFrame.
-func (i *Initiator) ReadHashes(lba uint64, count uint32, digest uint64) (hashes []uint64, match bool, err error) {
-	resp, err := i.roundTrip(&PDU{Op: OpHashCmd, LBA: lba, Blocks: count, Hash: digest})
+// Hash commands (OpHashCmd). A command names one or more units, runs
+// of blocks in ascending LBA order that do not overlap, each with the
+// initiator's digest of its hashes: HashBlock of its own copy's
+// big-endian hash vector, or zero for "send the hashes". The header
+// names the first unit — LBA its start, Blocks its count, Hash its
+// digest — and the data segment lists the rest, one entry each:
+//
+//	gap    (uvarint)  blocks from the end of the previous unit to this one's start
+//	count  (uvarint)  blocks in the unit, at least one
+//	digest (8 bytes)  big endian
+//
+// The units cover at most maxHashBatch blocks in all, and every varint
+// is minimal. A command of one unit has an empty data segment: a bare
+// v3 header, as a hash command was before it could carry more. A
+// command with a unit list is stamped v9 (packedVersion), so a target
+// that would read only its header refuses it rather than answering for
+// the first unit alone, and a target refuses a list under any other
+// version.
+//
+// The target hashes every unit and answers with an empty segment when
+// each digest matched its own hashes, so a clean command costs its two
+// headers. Otherwise the answer is a bitmap of one bit per unit
+// (ceil(units/8) bytes, unit k at byte k/8, bit k%8, LSB first) set for
+// each unit that differs, followed by the hashes of those units, in
+// unit order. A one-unit answer has no bitmap: it is its unit's hashes.
+// A unit with a zero digest always differs.
+
+// HashUnit is one unit of a hash command: Count blocks from LBA, with
+// Digest, the caller's digest of their hashes. Hashes is the target's
+// answer for the unit: nil when Digest matched, else its Count hashes.
+type HashUnit struct {
+	LBA    uint64
+	Count  uint32
+	Digest uint64
+	Hashes []uint64
+}
+
+// appendHashUnits appends to dst the unit list of a command whose
+// first unit is units[0]: every unit after it. The units must ascend
+// without overlapping: there is no gap to write for one that does not.
+func appendHashUnits(dst []byte, units []HashUnit) ([]byte, error) {
+	if len(units) == 0 || len(units) > maxHashBatch {
+		return nil, fmt.Errorf("iscsi: hash command of %d units", len(units))
+	}
+	end := units[0].LBA + uint64(units[0].Count)
+	for _, u := range units[1:] {
+		if u.LBA < end {
+			return nil, fmt.Errorf("iscsi: hash unit at %d overlaps or precedes the one ending at %d", u.LBA, end)
+		}
+		dst = binary.AppendUvarint(dst, u.LBA-end)
+		dst = binary.AppendUvarint(dst, uint64(u.Count))
+		dst = binary.BigEndian.AppendUint64(dst, u.Digest)
+		end = u.LBA + uint64(u.Count)
+	}
+	return dst, nil
+}
+
+// decodeHashUnits parses the units of a hash command — the first from
+// its header's lba, blocks and digest, the rest from list — into dst's
+// backing array (a session reuses one from command to command). It is
+// strict and bounded: every unit holds at least one block, the units
+// hold at most maxHashBatch blocks in all, no unit ends past 2^64, every
+// varint is minimal, and list holds whole entries and nothing after the
+// last; so hostile input never panics, and dst never grows past
+// maxHashBatch units.
+func decodeHashUnits(dst []HashUnit, lba uint64, blocks uint32, digest uint64, list []byte) ([]HashUnit, error) {
+	dst = dst[:0]
+	total := uint64(0)
+	for off := 0; ; {
+		if blocks == 0 || total+uint64(blocks) > maxHashBatch || lba > math.MaxUint64-uint64(blocks) {
+			return nil, fmt.Errorf("%w: hash unit of %d blocks at %d, %d blocks before it", ErrBadFrame, blocks, lba, total)
+		}
+		dst = append(dst, HashUnit{LBA: lba, Count: blocks, Digest: digest})
+		total += uint64(blocks)
+		if off == len(list) {
+			return dst, nil
+		}
+		end := lba + uint64(blocks)
+		gap, count, d, next, err := decodeHashUnit(list, off)
+		if err != nil {
+			return nil, err
+		}
+		if gap > math.MaxUint64-end || count > maxHashBatch {
+			return nil, fmt.Errorf("%w: hash unit of %d blocks %d past %d", ErrBadFrame, count, gap, end)
+		}
+		lba, blocks, digest, off = end+gap, uint32(count), d, next
+	}
+}
+
+// decodeHashUnit parses the unit list entry at list[off:] and returns
+// its fields with the offset just past it.
+func decodeHashUnit(list []byte, off int) (gap, count, digest uint64, next int, err error) {
+	if gap, next, err = decodeUvarint(list, off); err != nil {
+		return 0, 0, 0, 0, err
+	}
+	if count, next, err = decodeUvarint(list, next); err != nil {
+		return 0, 0, 0, 0, err
+	}
+	if len(list)-next < HashSize {
+		return 0, 0, 0, 0, fmt.Errorf("%w: hash unit digest cut at %d bytes", ErrShortFrame, len(list)-next)
+	}
+	return gap, count, binary.BigEndian.Uint64(list[next:]), next + HashSize, nil
+}
+
+// decodeHashAnswer parses the answer to a hash command over units into
+// their Hashes (see the wire format above): nil for a unit whose digest
+// matched, its Count hashes otherwise, all of them decoded into one
+// allocation. An answer that leaves a unit without a digest unanswered,
+// flags no unit or a unit that does not exist, or whose length is not
+// exactly the flagged units' hashes is ErrShortFrame, and sets none.
+func decodeHashAnswer(units []HashUnit, data []byte) error {
+	for k := range units {
+		units[k].Hashes = nil
+	}
+	// One unit: any answer is its hashes.
+	hashes, differs := data, func(int) bool { return len(data) > 0 }
+	if len(units) > 1 && len(data) > 0 {
+		n := (len(units) + 7) / 8
+		if len(data) < n {
+			return fmt.Errorf("%w: hash answer of %d bytes for %d units", ErrShortFrame, len(data), len(units))
+		}
+		bitmap := data[:n]
+		if tail := len(units) % 8; tail != 0 && bitmap[n-1]>>tail != 0 {
+			return fmt.Errorf("%w: hash answer flags units past its %d", ErrShortFrame, len(units))
+		}
+		hashes, differs = data[n:], func(k int) bool { return bitmap[k/8]&(1<<(k%8)) != 0 }
+	}
+	want := 0
+	for k, u := range units {
+		switch {
+		case differs(k):
+			want += int(u.Count)
+		case u.Digest == 0:
+			return fmt.Errorf("%w: hash answer leaves unit %d+%d, sent without a digest, unanswered", ErrShortFrame, u.LBA, u.Count)
+		}
+	}
+	if len(data) > 0 && want == 0 || len(hashes) != want*HashSize {
+		return fmt.Errorf("%w: hash answer carries %d bytes of hashes, want %d", ErrShortFrame, len(hashes), want*HashSize)
+	}
+	all, err := DecodeHashes(hashes)
 	if err != nil {
-		return nil, false, err
+		return err
+	}
+	for k := range units {
+		if c := units[k].Count; differs(k) {
+			units[k].Hashes, all = all[:c:c], all[c:]
+		}
+	}
+	return nil
+}
+
+// HashCmd is one hash command: its Units, each answered in its Hashes,
+// and the buffer the command was last framed in, header and unit list
+// together. A caller that sends its commands through one HashCmd after
+// another, as a Span's does, frames a command of many units without
+// allocating for its list.
+type HashCmd struct {
+	Units []HashUnit
+	seg   []byte
+}
+
+// ReadHashUnits fetches, in one command and one round trip, the hashes
+// of every unit of c whose digest does not match the target's copy,
+// into the units' Hashes (nil for a unit that matched). The units must
+// ascend without overlapping and hold at most 4096 blocks in all; the
+// target refuses a command that breaks the rule with StatusBadRequest.
+// A malformed answer is ErrShortFrame. A command of more than one unit
+// is stamped v9, which a target that predates unit lists refuses.
+func (i *Initiator) ReadHashUnits(c *HashCmd) error {
+	// The header goes in front of the list; putHeader writes all of it.
+	pdu, err := appendHashUnits(slices.Grow(c.seg[:0], headerLen)[:headerLen], c.Units)
+	if err != nil {
+		return err
+	}
+	c.seg = pdu
+	first := &c.Units[0]
+	resp, err := i.exchange(nil, func(_ *session, itt uint32) (net.Buffers, error) {
+		p := PDU{Op: OpHashCmd, ITT: itt, LBA: first.LBA, Blocks: first.Count, Hash: first.Digest}
+		p.putHeader(pdu, len(pdu)-headerLen)
+		binary.BigEndian.PutUint32(pdu[44:], crc32.Checksum(pdu, castagnoli)) // putHeader left the digest field zero
+		return net.Buffers{pdu}, nil
+	})
+	if err != nil {
+		return err
 	}
 	if resp.Status != StatusOK {
-		return nil, false, statusErr("hash", lba, resp.Status)
+		return statusErr("hash", first.LBA, resp.Status)
 	}
-	if digest != 0 && len(resp.Data) == 0 {
-		return nil, true, nil
-	}
-	if got, want := len(resp.Data), int(count)*HashSize; got != want {
-		return nil, false, fmt.Errorf("%w: hash response carries %d bytes, want %d", ErrShortFrame, got, want)
-	}
-	hashes, err = DecodeHashes(resp.Data)
-	return hashes, false, err
+	return decodeHashAnswer(c.Units, resp.Data)
 }

@@ -866,11 +866,12 @@ func TestRetiredOpcode14(t *testing.T) {
 	}
 }
 
-// TestHeaderVersions: the header check accepts exactly versions 3, 5
-// and 8 — 4 and 7 (the entry lists with fixed 28-byte entry headers)
+// TestHeaderVersions: the header check accepts exactly versions 3, 5,
+// 8 and 9 — 4 and 7 (the entry lists with fixed 28-byte entry headers)
 // and 6 (the stripe verb) are retired and refused with ErrBadVersion —
 // and both entry-list opcodes go out as v8, tagged or not, while a
-// single write keeps v3, or v5 when tagged.
+// single write keeps v3, or v5 when tagged. (TestPackedVersion pins
+// v9.)
 func TestHeaderVersions(t *testing.T) {
 	for v := 0; v < 256; v++ {
 		hdr := make([]byte, headerLen)
@@ -879,7 +880,7 @@ func TestHeaderVersions(t *testing.T) {
 		binary.BigEndian.PutUint32(hdr[44:], digest(hdr, nil))
 		_, err := ReadPDU(bytes.NewReader(hdr))
 		switch v {
-		case 3, 5, 8:
+		case 3, 5, 8, 9:
 			if err != nil {
 				t.Errorf("version %d refused: %v", v, err)
 			}
@@ -958,7 +959,7 @@ func TestShortResponseRejected(t *testing.T) {
 	if _, err := init.ReadBlocks(0, 2); !errors.Is(err, ErrShortFrame) {
 		t.Errorf("short read response: err = %v, want ErrShortFrame", err)
 	}
-	if _, _, err := init.ReadHashes(0, 4, 0); !errors.Is(err, ErrShortFrame) {
+	if _, _, err := readHashes(init, 0, 4, 0); !errors.Is(err, ErrShortFrame) {
 		t.Errorf("misaligned hash response: err = %v, want ErrShortFrame", err)
 	}
 	if err := init.ReadBlock(0, make([]byte, 512)); !errors.Is(err, ErrShortFrame) {

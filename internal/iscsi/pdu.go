@@ -211,8 +211,8 @@ const (
 	// baseVersion is the framing version of every single-command
 	// opcode. v3 widened the header from 40 to 48 bytes for the
 	// replica-apply content hash. The version byte has one rule (see
-	// putHeader), and a header stamped anything but 3, 5 or 8 is refused
-	// with ErrBadVersion.
+	// putHeader), and a header stamped anything but 3, 5, 8 or 9 is
+	// refused with ErrBadVersion.
 	baseVersion = 3
 	// streamVersion (v5) carries a replication stream tag in the
 	// previously-reserved header bytes: off 5 is the shard index and
@@ -229,6 +229,15 @@ const (
 	// version 6, the k-of-n stripe push and repair chain, are retired and
 	// refused like any unknown version.
 	entryListVersion = 8
+	// packedVersion (v9) stamps a resync command that packs a list
+	// behind its header: an OpHashCmd of more than one unit (its data
+	// segment lists the units after the first) and an OpWriteSpan with
+	// copies (a nonzero Seq; a copy list follows the mask). A target
+	// that predates the lists would answer for the first unit alone, or
+	// read the copy list as the frame; refusing the version, it fails
+	// the command instead. A one-unit command and a span without copies
+	// stay v3, and a target refuses either list under any other version.
+	packedVersion = 9
 	// MaxDataSegment bounds a PDU's data segment; larger is rejected
 	// before allocation.
 	MaxDataSegment = 17 << 20
@@ -295,9 +304,10 @@ var (
 //	off 20 : blocks (uint32) block count for READ
 //	off 24 : data length (uint32)
 //	off 28 : sequence (uint64) engine-assigned replication sequence;
-//	         on an entry list, zero, or a squeezed list's history tag
+//	         on an entry list, zero, or a squeezed list's history tag;
+//	         on OpWriteSpan, the number of copies the span lists
 //	off 36 : hash (uint64) content hash of the decoded new block;
-//	         on OpHashCmd, the digest of the expected hash vector
+//	         on OpHashCmd, the first unit's digest of its hash vector
 //	off 44 : digest (uint32) CRC-32C over header (digest zeroed) + data
 //
 // The digest plays the role of iSCSI's header+data digests: corrupted
@@ -307,8 +317,8 @@ var (
 // after applying the frame, letting the replica verify the backward
 // parity computation end to end; zero means "unverified push". On
 // OpHashCmd it carries the initiator's digest of the hash vector it
-// expects (see Initiator.ReadHashes): the target answers a match with
-// an empty data segment; zero means "send the hashes".
+// expects for the command's first unit (see hash.go): the target leaves
+// a unit that matches out of its answer; zero means "send the hashes".
 type PDU struct {
 	Op     Opcode
 	Status Status
@@ -326,13 +336,16 @@ type PDU struct {
 // putHeader encodes the PDU's header fields into hdr (headerLen bytes)
 // for a data segment of dataLen bytes, leaving the digest field zero
 // for the caller to stamp. Every send path frames its header here, so
-// the version byte has one rule: v8 for an entry list, else v5 for a
+// the version byte has one rule: v8 for an entry list, else v9 for a
+// hash command with a unit list or a span with copies, else v5 for a
 // nonzero stream tag, else v3.
 func (p *PDU) putHeader(hdr []byte, dataLen int) {
 	hdr[0] = protoMagic
 	switch {
 	case p.Op == OpReplicaWriteBatch || p.Op == OpReplicaWriteByRef:
 		hdr[1] = entryListVersion
+	case p.Op == OpHashCmd && dataLen > 0 || p.Op == OpWriteSpan && p.Seq != 0:
+		hdr[1] = packedVersion
 	case p.Shard != 0 || p.Vol != 0:
 		hdr[1] = streamVersion
 	default:
@@ -483,7 +496,9 @@ func (p *PDU) readHeader(r io.Reader, hdr []byte) error {
 	if hdr[0] != protoMagic {
 		return fmt.Errorf("%w: 0x%02x", ErrBadMagic, hdr[0])
 	}
-	if hdr[1] != baseVersion && hdr[1] != streamVersion && hdr[1] != entryListVersion {
+	switch hdr[1] {
+	case baseVersion, streamVersion, entryListVersion, packedVersion:
+	default:
 		return fmt.Errorf("%w: %d", ErrBadVersion, hdr[1])
 	}
 	if dataLen := binary.BigEndian.Uint32(hdr[24:]); dataLen > MaxDataSegment {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -170,6 +171,66 @@ func TestSpanWire(t *testing.T) {
 	}
 }
 
+// TestSpanCopies: a span whose repeated blocks ship as copies leaves
+// the initiator as the contiguously built PDU with its copy count in the
+// sequence field, sends less than the same span without copies, and
+// lands the same blocks the same way: one HandleWrite per run of present
+// blocks, each copy holding its source's bytes.
+func TestSpanCopies(t *testing.T) {
+	const bs = 512
+	rng := rand.New(rand.NewSource(35))
+	present := []uint32{0, 1, 2, 5, 9, 10, 19}
+	for _, compress := range []bool{false, true} {
+		t.Run(fmt.Sprintf("compress-%v", compress), func(t *testing.T) {
+			whole := testSpan(rng, bs, 100, 20, present, true, compress)
+			// Blocks 9 and 10 repeat 1 and 2, block 19 repeats 9.
+			for o, src := range map[int]int{4: 1, 5: 2, 6: 1} {
+				copy(whole.Data[o*bs:(o+1)*bs], whole.Data[src*bs:(src+1)*bs])
+			}
+			s := findCopies(whole, bs)
+			if want := []SpanCopy{{4, 1}, {5, 2}, {6, 1}}; !slices.Equal(s.Copies, want) {
+				t.Fatalf("copies %v, want %v", s.Copies, want)
+			}
+			var sent [2]int
+			var landed [2]map[uint64][]byte
+			for k, span := range []Span{whole, s} {
+				sink := &extentSink{bs: bs, nb: 1024}
+				init, rec := startRecordedPair(t, sink)
+				n, err := init.WriteSpan(&span)
+				if err != nil {
+					t.Fatal(err)
+				}
+				wire := rec.take()
+				seg, err := encodeSpan(&span, bs)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var ref bytes.Buffer
+				p := PDU{Op: OpWriteSpan, ITT: 2, LBA: span.LBA, Blocks: span.Blocks, Seq: uint64(len(span.Copies)), Data: seg}
+				if _, err := p.WriteTo(&ref); err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(wire, ref.Bytes()) {
+					t.Errorf("%d copies: initiator bytes differ from the contiguously built PDU", len(span.Copies))
+				}
+				if len(sink.extents) != 4 { // {0,1,2} {5} {9,10} {19}
+					t.Errorf("%d copies: %d HandleWrite calls, want one per run of present blocks (4)", len(span.Copies), len(sink.extents))
+				}
+				sent[k], landed[k] = n, sink.blocks()
+			}
+			if sent[1] >= sent[0] {
+				t.Errorf("the span sent %d bytes with copies, %d without", sent[1], sent[0])
+			}
+			want := spanBlocks(&whole, bs)
+			for k := range landed {
+				if fmt.Sprint(landed[k]) != fmt.Sprint(want) {
+					t.Errorf("span %d landed other blocks than it names", k)
+				}
+			}
+		})
+	}
+}
+
 // TestWriteSpanRejectsMalformed: the initiator refuses to frame a span
 // whose fields disagree, before anything reaches the wire.
 func TestWriteSpanRejectsMalformed(t *testing.T) {
@@ -182,6 +243,11 @@ func TestWriteSpanRejectsMalformed(t *testing.T) {
 		"short data":   {Blocks: 9, Mask: good.Mask, Data: good.Data[:512]},
 		"ragged data":  {Blocks: 9, Mask: good.Mask, Data: good.Data[:1000]},
 		"compress too": {Blocks: 9, Mask: good.Mask, Data: good.Data[:513], Compress: true},
+		"copy kept":    {Blocks: 9, Mask: good.Mask, Copies: []SpanCopy{{1, 0}}, Data: good.Data},
+		"all copies":   {Blocks: 9, Mask: good.Mask, Copies: []SpanCopy{{0, 0}, {1, 0}}},
+		"copy ahead":   {Blocks: 9, Mask: good.Mask, Copies: []SpanCopy{{0, 1}}, Data: good.Data[:512]},
+		"copy of self": {Blocks: 9, Mask: good.Mask, Copies: []SpanCopy{{1, 1}}, Data: good.Data[:512]},
+		"copy absent":  {Blocks: 17, Mask: []byte{1, 0, 1}, Copies: []SpanCopy{{2, 0}}, Data: good.Data[:512]},
 	} {
 		if _, err := init.WriteSpan(&s); err == nil {
 			t.Errorf("%s: WriteSpan framed it", name)
@@ -197,7 +263,43 @@ type spanCase struct {
 	name   string
 	lba    uint64
 	blocks uint32
+	copies uint64 // the header's copy count
 	seg    []byte
+}
+
+// withCopies turns the present blocks of s that copies names into
+// copies of their sources: their bytes become the sources', and Data
+// leaves them out.
+func withCopies(s Span, bs int, copies []SpanCopy) Span {
+	blocks := make([][]byte, len(s.Data)/bs)
+	for o := range blocks {
+		blocks[o] = s.Data[o*bs : (o+1)*bs]
+	}
+	s.Data, s.Copies = nil, copies
+	for o, b := range blocks {
+		if k := slices.IndexFunc(copies, func(c SpanCopy) bool { return c.Block == uint32(o) }); k >= 0 {
+			continue
+		}
+		s.Data = append(s.Data, b...)
+	}
+	return s
+}
+
+// findCopies names, in a span whose Data holds every present block, each
+// block that repeats an earlier one a copy of the first block with its
+// bytes, and leaves it out of Data.
+func findCopies(s Span, bs int) Span {
+	var copies []SpanCopy
+	first := map[string]uint32{}
+	for o := 0; o*bs < len(s.Data); o++ {
+		b := string(s.Data[o*bs : (o+1)*bs])
+		if src, ok := first[b]; ok {
+			copies = append(copies, SpanCopy{Block: uint32(o), Source: src})
+			continue
+		}
+		first[b] = uint32(o)
+	}
+	return withCopies(s, bs, copies)
 }
 
 // rawFrame is a CodecRaw frame that declares n bytes around body.
@@ -225,36 +327,73 @@ func malformedSpans(t testing.TB, bs int, nb uint64) (valid, bad []spanCase) {
 	if c, _ := xcode.FrameCodec(textSeg[2:]); c != xcode.CodecFlate {
 		t.Fatalf("text span went out as %v", c)
 	}
-	valid = []spanCase{{"raw", 40, 10, rawSeg}, {"flate", 40, 10, textSeg}}
+	// Blocks 6, 7 and 9 (present ordinals 5, 6 and 8) as copies of blocks
+	// 1, 2 and 0: the copy list is 5 4, 0 4, 1 8.
+	copies := []SpanCopy{{5, 1}, {6, 2}, {8, 0}}
+	copyRaw := withCopies(testSpan(rng, bs, 40, 10, present, false, false), bs, copies)
+	copyText := withCopies(testSpan(rng, bs, 40, 10, present, true, true), bs, copies)
+	copySeg, err := encodeSpan(&copyRaw, bs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	copyTextSeg, err := encodeSpan(&copyText, bs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if list := copySeg[2:8]; !bytes.Equal(list, []byte{5, 4, 0, 4, 1, 8}) {
+		t.Fatalf("copy list %x", list)
+	}
+	valid = []spanCase{{"raw", 40, 10, 0, rawSeg}, {"flate", 40, 10, 0, textSeg},
+		{"copies raw", 40, 10, 3, copySeg}, {"copies flate", 40, 10, 3, copyTextSeg}}
 	with := func(seg []byte, at int, b byte) []byte {
 		seg = bytes.Clone(seg)
 		seg[at] = b
 		return seg
 	}
+	// copyList is the copy span's segment with list in place of its copy
+	// list.
+	copyList := func(list ...byte) []byte {
+		return append(append(bytes.Clone(copySeg[:2]), list...), copySeg[8:]...)
+	}
 	n := len(present) * bs
+	distinct := n - len(copies)*bs
 	corrupt := bytes.Clone(textSeg)
 	for i := 2 + 5; i < len(corrupt); i += 3 {
 		corrupt[i] ^= 0x5a
 	}
 	bad = []spanCase{
-		{"zero blocks", 40, 0, rawSeg},
-		{"past the device", nb - 9, 10, rawSeg},
-		{"lba overflow", ^uint64(0) - 3, 10, rawSeg},
-		{"blocks past the device", 0, uint32(nb + 1), rawSeg},
-		{"no mask", 40, 10, rawSeg[:1]},
-		{"no frame", 40, 10, rawSeg[:2]},
-		{"empty mask", 40, 10, with(with(rawSeg, 0, 0), 1, 0)},
-		{"bit past blocks", 40, 10, with(rawSeg, 1, 0x07)},
-		{"mask one byte long", 40, 8, rawSeg},
-		{"raw declares a block more", 40, 10, append(rawSeg[:2:2], rawFrame(n+bs, rawSeg[7:])...)},
-		{"raw declares a block less", 40, 10, append(rawSeg[:2:2], rawFrame(n-bs, rawSeg[7:len(rawSeg)-bs])...)},
-		{"raw body short", 40, 10, rawSeg[:len(rawSeg)-1]},
-		{"raw body long", 40, 10, append(bytes.Clone(rawSeg), 0)},
-		{"flate declares a block more", 40, 10, with(textSeg, 2+3, byte((n+bs)>>8))},
-		{"flate truncated", 40, 10, textSeg[:len(textSeg)-4]},
-		{"flate corrupt", 40, 10, corrupt},
-		{"unknown codec", 40, 10, with(rawSeg, 2, 0x7f)},
-		{"zrl frame", 40, 10, with(rawSeg, 2, byte(xcode.CodecZRL))},
+		{"zero blocks", 40, 0, 0, rawSeg},
+		{"past the device", nb - 9, 10, 0, rawSeg},
+		{"lba overflow", ^uint64(0) - 3, 10, 0, rawSeg},
+		{"blocks past the device", 0, uint32(nb + 1), 0, rawSeg},
+		{"no mask", 40, 10, 0, rawSeg[:1]},
+		{"no frame", 40, 10, 0, rawSeg[:2]},
+		{"empty mask", 40, 10, 0, with(with(rawSeg, 0, 0), 1, 0)},
+		{"bit past blocks", 40, 10, 0, with(rawSeg, 1, 0x07)},
+		{"mask one byte long", 40, 8, 0, rawSeg},
+		{"raw declares a block more", 40, 10, 0, append(rawSeg[:2:2], rawFrame(n+bs, rawSeg[7:])...)},
+		{"raw declares a block less", 40, 10, 0, append(rawSeg[:2:2], rawFrame(n-bs, rawSeg[7:len(rawSeg)-bs])...)},
+		{"raw body short", 40, 10, 0, rawSeg[:len(rawSeg)-1]},
+		{"raw body long", 40, 10, 0, append(bytes.Clone(rawSeg), 0)},
+		{"flate declares a block more", 40, 10, 0, with(textSeg, 2+3, byte((n+bs)>>8))},
+		{"flate truncated", 40, 10, 0, textSeg[:len(textSeg)-4]},
+		{"flate corrupt", 40, 10, 0, corrupt},
+		{"unknown codec", 40, 10, 0, with(rawSeg, 2, 0x7f)},
+		{"zrl frame", 40, 10, 0, with(rawSeg, 2, byte(xcode.CodecZRL))},
+		{"copy count at the present count", 40, 10, uint64(len(present)), copySeg},
+		{"copy count past the present count", 40, 10, 1 << 40, copySeg},
+		{"copy count past the list", 40, 10, 4, copySeg[:2+6+1]},
+		{"copy list without a copy count", 40, 10, 0, copySeg},
+		{"copy list truncated", 40, 10, 3, copySeg[:2+5]},
+		{"copy of itself", 40, 10, 3, copyList(5, 0, 0, 4, 1, 8)},
+		{"copy of a block before the first", 40, 10, 3, copyList(5, 6, 0, 4, 1, 8)},
+		{"copy of a copy", 40, 10, 3, copyList(5, 4, 0, 4, 1, 2)},
+		{"copy past the present blocks", 40, 10, 3, copyList(5, 4, 0, 4, 2, 8)},
+		{"copy overlong uvarint", 40, 10, 3, copyList(0x85, 0x00, 4, 0, 4, 1, 8)},
+		{"copy count of one short", 40, 10, 2, copySeg},
+		{"copies frame declares a block more", 40, 10, 3, append(bytes.Clone(copySeg[:8]), rawFrame(distinct+bs, copySeg[13:])...)},
+		{"copies frame declares every present block", 40, 10, 3, append(bytes.Clone(copySeg[:8]), rawFrame(n, append(bytes.Clone(copySeg[13:]), make([]byte, len(copies)*bs)...))...)},
+		{"copies frame declares a block less", 40, 10, 3, append(bytes.Clone(copySeg[:8]), rawFrame(distinct-bs, copySeg[13:len(copySeg)-bs])...)},
 	}
 	return valid, bad
 }
@@ -265,13 +404,13 @@ func malformedSpans(t testing.TB, bs int, nb uint64) (valid, bad []spanCase) {
 func TestDecodeSpanStrict(t *testing.T) {
 	const bs, nb = 512, 64
 	valid, bad := malformedSpans(t, bs, nb)
-	for _, tc := range append(valid, bad...) {
+	for k, tc := range append(valid, bad...) {
 		want := StatusBadRequest
-		if tc.name == "raw" || tc.name == "flate" {
+		if k < len(valid) {
 			want = StatusOK
 		}
 		sink := &extentSink{bs: bs, nb: nb}
-		rq := request{pdu: PDU{Op: OpWriteSpan, LBA: tc.lba, Blocks: tc.blocks, Data: tc.seg}}
+		rq := request{pdu: PDU{Op: OpWriteSpan, LBA: tc.lba, Blocks: tc.blocks, Seq: tc.copies, Data: tc.seg}}
 		if st := rq.applySpan(sink); st != want {
 			t.Errorf("%s: status %v, want %v", tc.name, st, want)
 		}
@@ -283,7 +422,7 @@ func TestDecodeSpanStrict(t *testing.T) {
 		if err := init.Login("r"); err != nil {
 			t.Fatal(err)
 		}
-		resp, err := init.roundTrip(&PDU{Op: OpWriteSpan, LBA: tc.lba, Blocks: tc.blocks, Data: tc.seg})
+		resp, err := init.roundTrip(&PDU{Op: OpWriteSpan, LBA: tc.lba, Blocks: tc.blocks, Seq: tc.copies, Data: tc.seg})
 		if err != nil || resp.Status != want {
 			t.Errorf("%s over a session: %v, %v; want %v", tc.name, resp.Status, err, want)
 		}
@@ -315,22 +454,23 @@ const (
 	fuzzSpanNB = 1 << 20
 )
 
-// FuzzDecodeSpan feeds arbitrary span requests to the target's span
-// path. No input panics; the only refusal is StatusBadRequest, and a
-// refused span lands nothing; an accepted one lands exactly
-// popcount(mask) x block size bytes, within MaxDataSegment, at the LBAs
-// its mask names, one HandleWrite per run of them; and what it landed,
-// encoded again by the initiator's encoder, raw and DEFLATE, lands the
-// same blocks.
+// FuzzDecodeSpan feeds arbitrary span requests, copy counts included, to
+// the target's span path. No input panics; the only refusal is
+// StatusBadRequest, and a refused span lands nothing; an accepted one
+// lands exactly popcount(mask) x block size bytes, within
+// MaxDataSegment, at the LBAs its mask names, one HandleWrite per run of
+// them; and what it landed, encoded again by the initiator's encoder,
+// raw and DEFLATE, each with no copies and with every repeated block a
+// copy, lands the same blocks.
 func FuzzDecodeSpan(f *testing.F) {
 	valid, bad := malformedSpans(f, fuzzSpanBS, 256)
 	for _, tc := range append(valid, bad...) {
-		f.Add(tc.seg, tc.lba, tc.blocks)
+		f.Add(tc.seg, tc.lba, tc.blocks, tc.copies)
 	}
-	f.Add([]byte{}, uint64(0), uint32(1))
-	f.Fuzz(func(t *testing.T, seg []byte, lba uint64, blocks uint32) {
+	f.Add([]byte{}, uint64(0), uint32(1), uint64(0))
+	f.Fuzz(func(t *testing.T, seg []byte, lba uint64, blocks uint32, copies uint64) {
 		sink := &extentSink{bs: fuzzSpanBS, nb: fuzzSpanNB}
-		rq := request{pdu: PDU{Op: OpWriteSpan, LBA: lba, Blocks: blocks, Data: seg}}
+		rq := request{pdu: PDU{Op: OpWriteSpan, LBA: lba, Blocks: blocks, Seq: copies, Data: seg}}
 		switch st := rq.applySpan(sink); st {
 		case StatusBadRequest:
 			if len(sink.extents) != 0 {
@@ -370,19 +510,21 @@ func FuzzDecodeSpan(f *testing.F) {
 			t.Fatalf("landed %d bytes for %d present blocks", n, popcount(mask))
 		}
 
-		for _, compress := range []bool{false, true} {
-			landed.Compress = compress
-			again, err := encodeSpan(&landed, fuzzSpanBS)
-			if err != nil {
-				t.Fatalf("encode an accepted span (compress %v): %v", compress, err)
-			}
-			redo := &extentSink{bs: fuzzSpanBS, nb: fuzzSpanNB}
-			rq.pdu.Data = again
-			if st := rq.applySpan(redo); st != StatusOK {
-				t.Fatalf("re-encoded span (compress %v): %v", compress, st)
-			}
-			if fmt.Sprint(redo.extents) != fmt.Sprint(sink.extents) {
-				t.Fatalf("re-encoded span (compress %v) landed differently", compress)
+		for _, s := range []Span{landed, findCopies(landed, fuzzSpanBS)} {
+			for _, compress := range []bool{false, true} {
+				s.Compress = compress
+				again, err := encodeSpan(&s, fuzzSpanBS)
+				if err != nil {
+					t.Fatalf("encode an accepted span (compress %v, %d copies): %v", compress, len(s.Copies), err)
+				}
+				redo := &extentSink{bs: fuzzSpanBS, nb: fuzzSpanNB}
+				rq.pdu.Seq, rq.pdu.Data = uint64(len(s.Copies)), again
+				if st := rq.applySpan(redo); st != StatusOK {
+					t.Fatalf("re-encoded span (compress %v, %d copies): %v", compress, len(s.Copies), st)
+				}
+				if fmt.Sprint(redo.extents) != fmt.Sprint(sink.extents) {
+					t.Fatalf("re-encoded span (compress %v, %d copies) landed differently", compress, len(s.Copies))
+				}
 			}
 		}
 	})

@@ -234,10 +234,11 @@ func (t *Target) logf(format string, args ...any) {
 
 // request is a session's request storage: ServeConn reads every PDU of
 // the session into the same header, PDU and data-segment buffer,
-// decodes every entry list into the same entries, inflates every
-// compressed repair span into the same span buffer and every squeezed
-// list into its stream's buffer, so a steady stream of pushes
-// allocates nothing on the way in. Reads and hash commands answer from
+// decodes every entry list into the same entries and every hash
+// command's unit list into the same units, inflates every compressed
+// repair span (and expands every one with copies) into the same span
+// buffer and every squeezed list into its stream's buffer, so a steady
+// stream of pushes allocates nothing on the way in. Reads and hash commands answer from
 // the session's blocks and hashes buffers, so they allocate nothing
 // either. All of it starts empty and grows to the largest request the
 // session has carried; none of it outlives the handling of the PDU it
@@ -250,9 +251,10 @@ type request struct {
 	pdu      PDU
 	seg      []byte
 	entries  []BatchEntry
-	span     []byte
-	blocks   []byte // what a read or hash command reads: HandleRead's dst
-	hashes   []byte // a hash command's answer
+	span     spanScratch
+	blocks   []byte     // what a read or hash command reads: HandleRead's dst
+	hashes   []byte     // a hash command's answer
+	units    []HashUnit // a hash command's units
 	squeeze  map[uint32]*SqueezeReceiver
 	squeezed uint64 // squeezed pushes the session took: squeeze's clock
 }
@@ -283,20 +285,52 @@ func (rq *request) readBlocks(backend Backend, lba uint64, n int) ([]byte, Statu
 	return dst, StatusOK
 }
 
-// hashBlocks answers a hash command: the hashes of count blocks from
-// lba, read one block at a time into the blocks buffer and appended to
-// the session's hashes buffer (valid until the next PDU).
-func (rq *request) hashBlocks(backend Backend, lba uint64, count uint32, bs int) ([]byte, Status) {
-	hashes := rq.hashes[:0]
-	for k := uint32(0); k < count; k++ {
-		data, st := rq.readBlocks(backend, lba+uint64(k), bs)
-		if st != StatusOK {
-			return nil, st
-		}
-		hashes = binary.BigEndian.AppendUint64(hashes, HashBlock(data))
+// hashUnits answers the hash command rq holds (see hash.go): each
+// unit's hashes, read one block at a time into the blocks buffer and
+// appended to the session's hashes buffer behind the answer's bitmap,
+// and dropped again when the unit's digest matches them. The answer is
+// valid until the next PDU; it is empty when every unit matched.
+func (rq *request) hashUnits(backend Backend, bs int) ([]byte, Status) {
+	pdu := &rq.pdu
+	units, err := decodeHashUnits(rq.units, pdu.LBA, pdu.Blocks, pdu.Hash, pdu.Data)
+	if err != nil {
+		return nil, StatusBadRequest
 	}
-	rq.hashes = hashes
-	return hashes, StatusOK
+	rq.units = units
+	bitmap := 0
+	if len(units) > 1 {
+		bitmap = (len(units) + 7) / 8
+	}
+	answer := rq.hashes[:0]
+	for range bitmap {
+		answer = append(answer, 0)
+	}
+	differs := false
+	for k, u := range units {
+		start := len(answer)
+		for b := uint64(0); b < uint64(u.Count); b++ {
+			data, st := rq.readBlocks(backend, u.LBA+b, bs)
+			if st != StatusOK {
+				return nil, st
+			}
+			answer = binary.BigEndian.AppendUint64(answer, HashBlock(data))
+		}
+		// A unit whose digest is the target's own digest of its hashes is
+		// settled by it: its hashes leave the answer.
+		if u.Digest != 0 && HashBlock(answer[start:]) == u.Digest {
+			answer = answer[:start]
+			continue
+		}
+		differs = true
+		if bitmap > 0 {
+			answer[k/8] |= 1 << (k % 8)
+		}
+	}
+	rq.hashes = answer
+	if !differs {
+		return nil, StatusOK
+	}
+	return answer, StatusOK
 }
 
 // applyEntryList decodes the entry-list push rq holds, plain or
@@ -342,6 +376,12 @@ func (rq *request) applyEntryList(backend Backend) ([]Status, Status) {
 	}
 	return nil, StatusBadRequest
 }
+
+// packedAs reports whether the header of the PDU rq holds is stamped
+// v9 exactly when listed says the PDU packs a list behind it: a hash
+// command's units, a span's copies (see packedVersion). Either list
+// under another version, or v9 with neither, is refused.
+func (rq *request) packedAs(listed bool) bool { return listed == (rq.hdr[1] == packedVersion) }
 
 // ServeConn runs one session on conn until logout, EOF, a protocol
 // error, or target shutdown. It owns conn and closes it on return.
@@ -428,6 +468,10 @@ func (t *Target) serve(conn net.Conn, rq *request) {
 				resp.Status = StatusNotLoggedIn
 				break
 			}
+			if !rq.packedAs(pdu.Seq != 0) {
+				resp.Status = StatusBadRequest
+				break
+			}
 			resp.Status = rq.applySpan(backend)
 
 		case OpReplicaWrite:
@@ -456,24 +500,16 @@ func (t *Target) serve(conn net.Conn, rq *request) {
 				resp.Status = StatusNotLoggedIn
 				break
 			}
-			if pdu.Blocks == 0 || pdu.Blocks > maxHashBatch {
+			if !rq.packedAs(len(pdu.Data) > 0) {
 				resp.Status = StatusBadRequest
 				break
 			}
 			// One block at a time into the session's read buffer, hashed
 			// there, into its hashes buffer: a whole-device audit
 			// allocates nothing on this side, and the block it hashes is
-			// still in cache. Reading the range whole would cost a blocks
-			// x blockSize buffer per request.
-			hashes, st := rq.hashBlocks(backend, pdu.LBA, pdu.Blocks, bs)
-			resp.Status = st
-			// A request carrying the primary's digest of this answer is
-			// settled by the digest alone when they agree: the empty
-			// segment says "the same", and a clean batch costs its two
-			// headers. A zero digest asks for the hashes unconditionally.
-			if st == StatusOK && (pdu.Hash == 0 || HashBlock(hashes) != pdu.Hash) {
-				resp.Data = hashes
-			}
+			// still in cache. Reading a unit whole would cost a blocks x
+			// blockSize buffer per request.
+			resp.Data, resp.Status = rq.hashUnits(backend, bs)
 
 		default:
 			resp.Op = OpResp

@@ -19,8 +19,8 @@ import (
 )
 
 // runRangesSerial is the stop-and-wait resync the pipeline replaced,
-// kept as its oracle: per batch, hash the local blocks, one ReadHashes
-// round trip carrying their digest, then compare, with one WriteBlock
+// kept as its oracle: per batch, hash the local blocks, one one-unit
+// hash command carrying their digest, then compare, with one WriteBlock
 // round trip per differing block, nothing overlapped. A pipelined run
 // over the same devices must leave the same replica image and report
 // the same counts.
@@ -42,7 +42,7 @@ func runRangesSerial(local block.Store, remote *iscsi.Initiator, cfg Config, ran
 				}
 				localHashes[i] = iscsi.HashBlock(buf)
 			}
-			remoteHashes, match, err := remote.ReadHashes(base, count, iscsi.HashBlock(iscsi.AppendHashes(nil, localHashes)))
+			remoteHashes, match, err := readHashes(remote, base, count, iscsi.HashBlock(iscsi.AppendHashes(nil, localHashes)))
 			if err != nil {
 				return stats, err
 			}

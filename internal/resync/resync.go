@@ -13,32 +13,39 @@
 // that talk to the replica are each a window.Window of calls it issues
 // and settles:
 //
-//  1. Hash fetches. The normalized ranges are cut into Config.Batch
-//     sized batches. The comparer reads and hashes a batch's local
-//     blocks first, then issues its ReadHashes command carrying the
-//     digest of those hashes (iscsi.HashBlock of their big-endian
-//     vector), on a window of hashWindow fetches compared in issue
-//     order. A replica whose own hashes digest to the same value
-//     answers with an empty segment, so a clean batch costs two bare
-//     headers instead of 8 B per block; a batch that differs brings
-//     back its hashes, exactly as a fetch without a digest would. The
-//     replica hashes the batches ahead while the primary hashes the
+//  1. Hash fetches. Each normalized range is cut into Config.Batch
+//     sized units from its own start, and one hash command takes the
+//     next units, of one range or several, for as long as they fit its
+//     Batch blocks: a pass over short scattered ranges pays one command
+//     per Batch blocks, not one per range. The comparer reads and
+//     hashes each unit's local blocks first, then issues the command
+//     (iscsi.Initiator.ReadHashUnits) carrying each unit's digest of
+//     those hashes (iscsi.HashBlock of their big-endian vector), on a
+//     window of hashWindow fetches compared in issue order. The replica
+//     leaves out of its answer the hashes of every unit whose own
+//     hashes digest to the same value, so a clean command costs two
+//     bare headers instead of 8 B per block; a unit that differs brings
+//     back its hashes, exactly as a unit without a digest would. The
+//     replica hashes the commands ahead while the primary hashes the
 //     next one, and the link's latency is paid once per window, not
-//     once per batch.
+//     once per command.
 //  2. Compare. The comparer — the only goroutine that touches Stats or
-//     calls Config.Learn — settles the oldest fetch. A batch the digest
-//     matched is learned whole from its local hashes. A batch that
-//     differs is compared block by block against the replica's hashes,
-//     and each differing block is read again (and hashed again) into a
-//     repair span. A span starts at a differing block and takes every
-//     later differing block within maxRunBytes of its start, whatever
-//     batch or range it lies in, stepping over the matching blocks and
-//     the unscanned gaps between them; it leaves once the comparison
-//     has passed that stretch. A span holds copies made at compare
-//     time, so the compare buffer is free for the next block while the
-//     span is on the wire.
+//     calls Config.Learn — settles the oldest fetch, unit by unit. A
+//     unit the digest matched is learned whole from its local hashes. A
+//     unit that differs is compared block by block against the
+//     replica's hashes, and each differing block is read again (and
+//     hashed again) into a repair span. A span starts at a differing
+//     block and takes every later differing block within maxRunBytes of
+//     its start, whatever unit or range it lies in, stepping over the
+//     matching blocks and the unscanned gaps between them; it leaves
+//     once the comparison has passed that stretch. A span holds copies
+//     made at compare time, so the compare buffer is free for the next
+//     block while the span is on the wire; a block equal to one the
+//     span already holds (the same hash, then the same bytes) is held
+//     as a reference to it instead, and ships as a copy.
 //  3. Repair. Each span goes out as one iscsi.OpWriteSpan PDU — a
-//     presence mask and one xcode frame of the present blocks — on a
+//     presence mask, the list of its copies and one xcode frame of the
+//     present blocks that are not copies — on a
 //     window of repairWindowRuns spans and repairWindowBytes block
 //     bytes, settled in any order. The frame is DEFLATE (floored at
 //     raw) when the pass's first differing block shrinks under a
@@ -58,6 +65,7 @@
 package resync
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 
@@ -74,8 +82,8 @@ type Stats struct {
 	BlocksScanned uint64
 	// BlocksRepaired is how many blocks differed and were rewritten.
 	BlocksRepaired uint64
-	// HashBytes is the hash bytes the replica sent back: Batch x 8 B for
-	// a batch that differs, 0 for a batch settled by its digest.
+	// HashBytes is the hash bytes the replica sent back: 8 B per block of
+	// a unit that differs, 0 for a unit settled by its digest.
 	HashBytes int64
 	// DataBytes is the block data repaired: BlocksRepaired x block size.
 	DataBytes int64
@@ -101,8 +109,8 @@ func (s Stats) FullCopyBytes(blockSize int) int64 {
 
 // Config tunes a resync run.
 type Config struct {
-	// Batch is the number of blocks hashed per hash command (default
-	// 256).
+	// Batch is the most blocks one hash command hashes, and the size
+	// each range is cut into units at (default 256).
 	Batch uint32
 	// DryRun compares and counts but repairs nothing.
 	DryRun bool
@@ -152,12 +160,12 @@ var ErrCanceled = errors.New("resync: canceled")
 // second value for is a configuration nobody tests.
 const (
 	// hashWindow is how many hash fetches are in flight, the one the
-	// comparer waits on included. A fetch is a bare header out and a
-	// bare header back when its digest matches, Batch x 8 B more (2 KiB
-	// by default, 32 KiB at the Batch cap) when it does not, so the
-	// window holds at most 256 KiB of hashes, and the comparer keeps
-	// each fetch's local hashes beside it; eight deep, a whole-device
-	// audit pays the link's latency once per 2048 blocks.
+	// comparer waits on included. A fetch is a header and its unit list
+	// out and a bare header back when every digest matches, up to Batch
+	// x 8 B more (2 KiB by default, 32 KiB at the Batch cap) when they
+	// do not, so the window holds at most 256 KiB of hashes, and the
+	// comparer keeps each fetch's local hashes beside it; eight deep, a
+	// whole-device audit pays the link's latency once per 2048 blocks.
 	hashWindow = 8
 
 	// maxRunBytes caps the stretch of device one repair span covers, and
@@ -211,7 +219,7 @@ func runRanges(local block.Store, remote *iscsi.Initiator, cfg Config, stop <-ch
 		todo:  block.NormalizeRanges(ranges, local.NumBlocks()),
 	}
 	p.fetches = window.New(hashWindow, 0, func(f *hashFetch) {
-		f.hashes, f.match, f.err = remote.ReadHashes(f.base, f.count, f.digest)
+		f.err = remote.ReadHashUnits(&f.HashCmd)
 	}, p.fetched)
 	p.repairs = window.New(repairWindowRuns, repairWindowBytes, func(s *span) {
 		s.sent, s.err = remote.WriteSpan(&s.Span)
@@ -254,10 +262,11 @@ type pipeline struct {
 	stats Stats
 	err   error // the first repair write that failed
 
-	todo    []block.Range // normalized ranges not yet cut into fetches
+	todo    []block.Range // normalized ranges not yet cut into units
 	fetches *window.Window[*hashFetch]
 	ahead   []*hashFetch // issued and not yet compared, oldest first; at most hashWindow
-	vec     []byte       // a batch's local hashes in wire order, to digest
+	vec     []byte       // a unit's local hashes in wire order, to digest
+	spent   []*hashFetch // compared fetches, kept for their buffers
 
 	probed   bool    // the pass's first differing block has been probed
 	compress bool    // ... and shrank: spans ship DEFLATE frames
@@ -266,17 +275,14 @@ type pipeline struct {
 	repairs  *window.Window[*span]
 }
 
-// hashFetch is one ReadHashes command with the local side of its
-// batch: the blocks' hashes and their digest, taken before it was
-// issued. settled is the comparer's, set when the window hands the
+// hashFetch is one hash command: its units, each with its digest and,
+// once answered, the replica's hashes (nil when the digest matched),
+// and the local hashes of all their blocks, in order, taken before it
+// was issued. settled is the comparer's, set when the window hands the
 // fetch back.
 type hashFetch struct {
-	base    uint64
-	count   uint32
+	iscsi.HashCmd
 	local   []uint64
-	digest  uint64
-	hashes  []uint64 // the replica's; nil when the digest matched
-	match   bool
 	err     error
 	settled bool
 }
@@ -287,10 +293,11 @@ type hashFetch struct {
 // sent.
 type span struct {
 	iscsi.Span
-	lbas   []uint64
-	hashes []uint64
-	sent   int
-	err    error
+	lbas     []uint64
+	hashes   []uint64
+	distinct []uint32 // the ordinal of each block in Data
+	sent     int
+	err      error
 }
 
 // takes reports whether the differing block at lba joins the span: the
@@ -301,7 +308,8 @@ func (s *span) takes(lba uint64, blockSize int) bool {
 }
 
 // add puts the differing block at lba, with content data and hash
-// hash, into the span.
+// hash, into the span: as a copy of the earlier block of the span that
+// holds the same bytes, if one does, else into Data.
 func (s *span) add(lba uint64, data []byte, hash uint64) {
 	i := lba - s.LBA
 	if need := iscsi.SpanMaskLen(uint32(i + 1)); len(s.Mask) < need {
@@ -309,15 +317,26 @@ func (s *span) add(lba uint64, data []byte, hash uint64) {
 	}
 	s.Mask[i/8] |= 1 << (i % 8)
 	s.Blocks = uint32(i + 1)
+	ordinal := uint32(len(s.hashes))
+	s.lbas = append(s.lbas, lba)
+	s.hashes = append(s.hashes, hash)
+	// The hash finds the candidate; only the bytes make it a copy, so a
+	// collision costs a block's bytes, never a wrong block.
+	bs := len(data)
+	for d, o := range s.distinct {
+		if s.hashes[o] == hash && bytes.Equal(s.Data[d*bs:(d+1)*bs], data) {
+			s.Copies = append(s.Copies, iscsi.SpanCopy{Block: ordinal, Source: o})
+			return
+		}
+	}
 	// A copy, not data itself: the compare buffer holds the next block
 	// long before this span's write has left.
 	s.Data = append(s.Data, data...)
-	s.lbas = append(s.lbas, lba)
-	s.hashes = append(s.hashes, hash)
+	s.distinct = append(s.distinct, ordinal)
 }
 
 // compare is stages one and two: keep the hash window full, compare
-// each batch in order, gather and issue the repair spans. It returns
+// each fetch in order, gather and issue the repair spans. It returns
 // with fetches and repair writes possibly still in flight.
 func (p *pipeline) compare() error {
 	buf := make([]byte, p.local.BlockSize())
@@ -330,56 +349,85 @@ func (p *pipeline) compare() error {
 		if len(p.ahead) == 0 {
 			return p.issue()
 		}
-		f := p.ahead[0] // batches are compared in issue order
+		f := p.ahead[0] // fetches are compared in issue order
 		p.ahead = p.ahead[1:]
 		for !f.settled {
 			p.fetches.Wait()
 		}
 		if f.err != nil {
-			return fmt.Errorf("resync: fetch hashes at %d: %w", f.base, f.err)
+			return fmt.Errorf("resync: fetch hashes at %d: %w", f.Units[0].LBA, f.err)
 		}
 		if err := p.compareBatch(f, buf); err != nil {
 			return err
 		}
+		p.spent = append(p.spent, f)
 	}
 }
 
-// fetchNext is stage one: it cuts the next batch off the ranges still
-// to scan, hashes its local blocks and issues its fetch with their
-// digest.
+// fetchNext is stage one: it cuts units off the ranges still to scan,
+// each range in Batch-sized units from its own start, for as long as
+// the next one fits the command's Batch blocks, hashes each unit's local
+// blocks and issues the command with the units' digests, on a compared
+// fetch's buffers when there is one.
 func (p *pipeline) fetchNext(buf []byte) error {
-	r := &p.todo[0]
-	f := &hashFetch{base: r.Start, count: uint32(min(r.Count, uint64(p.cfg.Batch)))}
-	r.Start += uint64(f.count)
-	r.Count -= uint64(f.count)
-	if r.Count == 0 {
-		p.todo = p.todo[1:]
+	f := &hashFetch{}
+	if n := len(p.spent); n > 0 {
+		f = p.spent[n-1]
+		p.spent = p.spent[:n-1]
+		f.Units, f.local, f.settled = f.Units[:0], f.local[:0], false
 	}
-	f.local = make([]uint64, f.count)
-	for i := range f.local {
-		if err := p.read(f.base+uint64(i), buf); err != nil {
-			return err
+	for len(p.todo) > 0 {
+		r := &p.todo[0]
+		count := min(r.Count, uint64(p.cfg.Batch))
+		if uint64(len(f.local))+count > uint64(p.cfg.Batch) {
+			break
 		}
-		f.local[i] = iscsi.HashBlock(buf)
+		u := iscsi.HashUnit{LBA: r.Start, Count: uint32(count)}
+		r.Start += count
+		r.Count -= count
+		if r.Count == 0 {
+			p.todo = p.todo[1:]
+		}
+		from := len(f.local)
+		for lba := u.LBA; lba < u.LBA+count; lba++ {
+			if err := p.read(lba, buf); err != nil {
+				return err
+			}
+			f.local = append(f.local, iscsi.HashBlock(buf))
+		}
+		p.vec = iscsi.AppendHashes(p.vec[:0], f.local[from:])
+		u.Digest = iscsi.HashBlock(p.vec)
+		f.Units = append(f.Units, u)
 	}
-	p.vec = iscsi.AppendHashes(p.vec[:0], f.local)
-	f.digest = iscsi.HashBlock(p.vec)
 	p.ahead = append(p.ahead, f)
 	p.fetches.Go(f, 0)
 	return nil
 }
 
-// compareBatch is stage two for one answered fetch: block by block
-// against the replica's hashes, or against the local ones when the
-// digest vouched for the whole batch, each differing block read again
-// into the open span.
+// compareBatch is stage two for one answered fetch: unit by unit, block
+// by block against the replica's hashes, or against the local ones when
+// the digest vouched for the whole unit, each differing block read
+// again into the open span.
 func (p *pipeline) compareBatch(f *hashFetch, buf []byte) error {
-	remote := f.hashes
-	if f.match {
-		remote = f.local
+	local := f.local
+	for _, u := range f.Units {
+		if err := p.compareUnit(u, local[:u.Count], buf); err != nil {
+			return err
+		}
+		local = local[u.Count:]
+	}
+	return nil
+}
+
+// compareUnit compares one unit of an answered fetch, whose local hashes
+// are local.
+func (p *pipeline) compareUnit(u iscsi.HashUnit, local []uint64, buf []byte) error {
+	remote := u.Hashes
+	if remote == nil {
+		remote = local
 	}
 	for i, remoteHash := range remote {
-		lba := f.base + uint64(i)
+		lba := u.LBA + uint64(i)
 		// The open span leaves once the comparison has passed the end of
 		// its stretch: nothing later can join it.
 		if p.open != nil && !p.open.takes(lba, len(buf)) {
@@ -388,8 +436,8 @@ func (p *pipeline) compareBatch(f *hashFetch, buf []byte) error {
 			}
 		}
 		switch {
-		case f.local[i] == remoteHash:
-			p.learn(lba, f.local[i])
+		case local[i] == remoteHash:
+			p.learn(lba, local[i])
 		case p.cfg.DryRun:
 			p.stats.BlocksRepaired++
 		default:
@@ -429,7 +477,9 @@ func (p *pipeline) fetched(f *hashFetch) {
 	f.settled = true
 	if f.err == nil {
 		p.stats.HashFetches++
-		p.stats.HashBytes += int64(len(f.hashes)) * iscsi.HashSize
+		for _, u := range f.Units {
+			p.stats.HashBytes += int64(len(u.Hashes)) * iscsi.HashSize
+		}
 	}
 }
 
@@ -443,8 +493,8 @@ func (p *pipeline) newSpan(lba uint64) *span {
 		p.free = p.free[:n-1]
 	}
 	s.LBA, s.Blocks, s.Compress = lba, 0, p.compress
-	s.Mask, s.Data = s.Mask[:0], s.Data[:0]
-	s.lbas, s.hashes = s.lbas[:0], s.hashes[:0]
+	s.Mask, s.Copies, s.Data = s.Mask[:0], s.Copies[:0], s.Data[:0]
+	s.lbas, s.hashes, s.distinct = s.lbas[:0], s.hashes[:0], s.distinct[:0]
 	return s
 }
 
@@ -480,7 +530,7 @@ func (p *pipeline) settle(s *span) {
 	}
 	p.stats.RepairWrites++
 	p.stats.BlocksRepaired += uint64(len(s.hashes))
-	p.stats.DataBytes += int64(len(s.Data))
+	p.stats.DataBytes += int64(len(s.hashes)) * int64(p.local.BlockSize())
 	p.stats.SentBytes += int64(s.sent)
 	for i, h := range s.hashes {
 		p.learn(s.lbas[i], h)

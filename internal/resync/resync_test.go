@@ -162,16 +162,27 @@ func TestHashHelpers(t *testing.T) {
 	}
 }
 
+// readHashes fetches the hashes of count blocks at lba in a hash
+// command of one unit with digest: nil hashes and match when the
+// target's own hashes digest to it.
+func readHashes(init *iscsi.Initiator, lba uint64, count uint32, digest uint64) (hashes []uint64, match bool, err error) {
+	c := iscsi.HashCmd{Units: []iscsi.HashUnit{{LBA: lba, Count: count, Digest: digest}}}
+	if err := init.ReadHashUnits(&c); err != nil {
+		return nil, false, err
+	}
+	return c.Units[0].Hashes, c.Units[0].Hashes == nil, nil
+}
+
 func TestReadHashesValidation(t *testing.T) {
 	store, _ := block.NewMem(512, 8)
 	remote := remoteFor(t, store, "r")
-	if _, _, err := remote.ReadHashes(0, 0, 0); err == nil {
+	if _, _, err := readHashes(remote, 0, 0, 0); err == nil {
 		t.Error("0-block hash accepted")
 	}
-	if _, _, err := remote.ReadHashes(0, 100000, 0); err == nil {
+	if _, _, err := readHashes(remote, 0, 100000, 0); err == nil {
 		t.Error("oversized hash batch accepted")
 	}
-	hashes, _, err := remote.ReadHashes(0, 8, 0)
+	hashes, _, err := readHashes(remote, 0, 8, 0)
 	if err != nil || len(hashes) != 8 {
 		t.Errorf("full-device hash = %d,%v", len(hashes), err)
 	}

@@ -2,12 +2,16 @@ package prins_test
 
 import (
 	"math/rand"
+	"net"
 	"sort"
 	"sync"
 	"testing"
 
 	"prins"
+	"prins/internal/block"
+	"prins/internal/iscsi"
 	"prins/internal/memfs"
+	"prins/internal/resync"
 )
 
 // writeLog is a store that remembers which blocks were written: the
@@ -51,17 +55,13 @@ func serveReplica(t *testing.T, store prins.Store) string {
 	return addr.String()
 }
 
-// TestResyncTarSpanCeiling pins what a repair span saves on the
-// outage workload's data (bench/'s tar-dedupe-outage-t3): a memfs tree
-// of 512 B blocks, 2 directories of one 14 KiB text file, copied to a
-// replica; then 64 edit+tar rounds the replica misses, and a ranged
-// resync of the blocks they wrote. The repaired blocks are text, and
-// archive copies of file blocks repaired in the same pass, so their
-// spans go out DEFLATE-compressed. Sent bytes per repaired block are
-// held to the ceiling this run recorded, 121 blocks sent as 6748 B in
-// 2 spans (61952 B as raw blocks), and the replica must come out
-// byte-identical and fsck-clean.
-func TestResyncTarSpanCeiling(t *testing.T) {
+// tarOutage builds the outage workload's data (bench/'s
+// tar-dedupe-outage-t3): a memfs tree of 512 B blocks, 2 directories of
+// one 14 KiB text file, copied to a replica; then 64 edit+tar rounds the
+// replica misses. It returns the primary's device, the replica's and the
+// blocks the rounds wrote, as one-block ranges.
+func tarOutage(t *testing.T) (disk, replica prins.Store, dirty []prins.Range) {
+	t.Helper()
 	const bs, nb = 512, 16 << 10
 	disk, err := prins.NewMemStore(bs, nb)
 	if err != nil {
@@ -77,8 +77,7 @@ func TestResyncTarSpanCeiling(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	replica, err := prins.NewMemStore(bs, nb)
-	if err != nil {
+	if replica, err = prins.NewMemStore(bs, nb); err != nil {
 		t.Fatal(err)
 	}
 	if err := prins.CopyStore(replica, disk); err != nil {
@@ -90,8 +89,23 @@ func TestResyncTarSpanCeiling(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	return disk, replica, primary.ranges()
+}
 
-	st, err := prins.ResyncRanges(disk, serveReplica(t, replica), "vol", false, primary.ranges()...)
+// TestResyncTarSpanCeiling pins what a repair span saves on the
+// outage workload's data (tarOutage): a ranged resync of the blocks the
+// rounds wrote. The repaired blocks are text, so their spans go out
+// DEFLATE-compressed, and half of the big span's blocks are the
+// archive's copies of file blocks repaired in the same span, so they go
+// out as copies, named in the copy list and left out of the frame. Sent
+// bytes per repaired block are held to the ceiling this run recorded,
+// 121 blocks sent as 6182 B in 2 spans (61952 B as raw blocks; 6748 B
+// while every copy went out in the frame), and the replica must come out
+// byte-identical and fsck-clean.
+func TestResyncTarSpanCeiling(t *testing.T) {
+	const bs = 512
+	disk, replica, dirty := tarOutage(t)
+	st, err := prins.ResyncRanges(disk, serveReplica(t, replica), "vol", false, dirty...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +115,7 @@ func TestResyncTarSpanCeiling(t *testing.T) {
 	perBlock := float64(st.SentBytes) / float64(st.BlocksRepaired)
 	t.Logf("repaired %d of %d blocks in %d spans: %d data bytes sent as %d (%.1f B per block)",
 		st.BlocksRepaired, st.BlocksScanned, st.RepairWrites, st.DataBytes, st.SentBytes, perBlock)
-	if ceiling := 55.8; perBlock > ceiling {
+	if ceiling := 51.1; perBlock > ceiling {
 		t.Errorf("repair spans sent %.1f B per repaired block, ceiling %.1f", perBlock, ceiling)
 	}
 	if eq, err := prins.Equal(disk, replica); err != nil || !eq {
@@ -117,6 +131,67 @@ func TestResyncTarSpanCeiling(t *testing.T) {
 	}
 	if !rep.Clean() {
 		t.Fatalf("fsck on the replica: %v", rep.Problems)
+	}
+}
+
+// TestResyncTarPassWire meters the connection under the same ranged
+// resync of the outage workload (tarOutage), both ways: the hash
+// commands and their answers, the repair spans and their responses,
+// headers included. The pass's dirty ranges hold fewer blocks than one
+// command's batch, so they go out as the units of one hash command where
+// each range cost a command of its own before; and the whole pass is
+// held to the ceiling this run recorded, 7526 B: 8692 B while each of
+// the eight units went out as a command of its own and every copy in
+// its span's frame.
+func TestResyncTarPassWire(t *testing.T) {
+	disk, replica, dirty := tarOutage(t)
+	ranges := make([]block.Range, len(dirty))
+	for k, r := range dirty {
+		ranges[k] = block.Range{Start: r.Start, Count: r.Count}
+	}
+	if n := len(block.NormalizeRanges(ranges, disk.NumBlocks())); n < 2 {
+		t.Fatalf("the rounds left %d dirty range, want several", n)
+	}
+
+	target := iscsi.NewTarget()
+	target.Export("r", &iscsi.StoreBackend{Store: replica})
+	client, server := net.Pipe()
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		target.ServeConn(server)
+	}()
+	both := &meteredConn{Conn: client}
+	meter := &pduMeter{Conn: both}
+	remote := iscsi.NewInitiator(meter)
+	t.Cleanup(func() {
+		remote.Close()
+		wg.Wait()
+	})
+	if err := remote.Login("r"); err != nil {
+		t.Fatal(err)
+	}
+	wire, pdus := both.n.Load(), meter.pdus
+
+	st, err := resync.RunRanges(disk, remote, resync.Config{}, ranges...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wire, pdus = both.n.Load()-wire, meter.pdus-pdus
+	t.Logf("scanned %d blocks in %d hash commands (%d B of hashes), repaired %d in %d spans (%d B sent): %d B on the connection",
+		st.BlocksScanned, st.HashFetches, st.HashBytes, st.BlocksRepaired, st.RepairWrites, st.SentBytes, wire)
+	if st.HashFetches != 1 || pdus != st.HashFetches+st.RepairWrites {
+		t.Errorf("%d PDUs for %d hash commands and %d spans, want one hash command", pdus, st.HashFetches, st.RepairWrites)
+	}
+	if want := 2*48*pdus + st.SentBytes + st.HashBytes; wire < want {
+		t.Errorf("%d B on the connection, less than the %d B the commands and answers carry", wire, want)
+	}
+	if ceiling := int64(7526); wire > ceiling {
+		t.Errorf("the pass put %d B on the connection, ceiling %d", wire, ceiling)
+	}
+	if eq, err := prins.Equal(disk, replica); err != nil || !eq {
+		t.Fatalf("replica differs after the resync (err %v)", err)
 	}
 }
 
