@@ -5,6 +5,14 @@ GO ?= go
 # How long each fuzzer runs under `make fuzz` / `make check`.
 FUZZTIME ?= 10s
 
+# FUZZ runs the `go test` command line that follows it, echoes its
+# output, and fails it when the fuzzer's last `execs:` count is under
+# 100: Go's fuzz engine can stall on a small VM and still exit 0 having
+# run nothing.
+FUZZ = sh -c 'out=$$("$$@" 2>&1); st=$$?; printf "%s\n" "$$out"; [ $$st -eq 0 ] || exit $$st; \
+	n=$$(printf "%s\n" "$$out" | sed -n "s/.*execs: \([0-9]*\).*/\1/p" | tail -n 1); \
+	[ "$${n:-0}" -ge 100 ] || { echo "fuzz: $${n:-0} execs, under the floor of 100: the fuzzer stalled" >&2; exit 1; }' fuzz $(GO) test
+
 all: build test
 
 build:
@@ -152,20 +160,20 @@ stress:
 # TestRegenerateFuzzCorpus ./internal/core). Every Fuzz function in the
 # tree is listed here: TestMakeFuzzListsEveryFuzzer fails otherwise.
 fuzz:
-	$(GO) test -run='^$$' -fuzz='^FuzzReadPDU$$' -fuzztime=$(FUZZTIME) ./internal/iscsi
-	$(GO) test -run='^$$' -fuzz='^FuzzDecodeBatch$$' -fuzztime=$(FUZZTIME) ./internal/iscsi
-	$(GO) test -run='^$$' -fuzz='^FuzzDecodeByRef$$' -fuzztime=$(FUZZTIME) ./internal/iscsi
-	$(GO) test -run='^$$' -fuzz='^FuzzDecodeSpan$$' -fuzztime=$(FUZZTIME) ./internal/iscsi
-	$(GO) test -run='^$$' -fuzz='^FuzzDecodeHashUnits$$' -fuzztime=$(FUZZTIME) ./internal/iscsi
-	$(GO) test -run='^$$' -fuzz='^FuzzDecodeSqueezed$$' -fuzztime=$(FUZZTIME) ./internal/iscsi
-	$(GO) test -run='^$$' -fuzz='^FuzzLoginPayloads$$' -fuzztime=$(FUZZTIME) ./internal/iscsi
-	$(GO) test -run='^$$' -fuzz='^FuzzDecodeSnapshot$$' -fuzztime=$(FUZZTIME) ./internal/dedupe
-	$(GO) test -run='^$$' -fuzz='^FuzzDecode$$' -fuzztime=$(FUZZTIME) ./internal/xcode
-	$(GO) test -run='^$$' -fuzz='^FuzzDecodeInto$$' -fuzztime=$(FUZZTIME) ./internal/xcode
-	$(GO) test -run='^$$' -fuzz='^FuzzMaskInto$$' -fuzztime=$(FUZZTIME) ./internal/xcode
-	$(GO) test -run='^$$' -fuzz='^FuzzRoundTrip$$' -fuzztime=$(FUZZTIME) ./internal/xcode
-	$(GO) test -run='^$$' -fuzz='^FuzzZRLEncode$$' -fuzztime=$(FUZZTIME) ./internal/xcode
-	$(GO) test -run='^$$' -fuzz='^FuzzStreamInflate$$' -fuzztime=$(FUZZTIME) ./internal/xcode
+	$(FUZZ) -run='^$$' -fuzz='^FuzzReadPDU$$' -fuzztime=$(FUZZTIME) ./internal/iscsi
+	$(FUZZ) -run='^$$' -fuzz='^FuzzDecodeBatch$$' -fuzztime=$(FUZZTIME) ./internal/iscsi
+	$(FUZZ) -run='^$$' -fuzz='^FuzzDecodeByRef$$' -fuzztime=$(FUZZTIME) ./internal/iscsi
+	$(FUZZ) -run='^$$' -fuzz='^FuzzDecodeSpan$$' -fuzztime=$(FUZZTIME) ./internal/iscsi
+	$(FUZZ) -run='^$$' -fuzz='^FuzzDecodeHashUnits$$' -fuzztime=$(FUZZTIME) ./internal/iscsi
+	$(FUZZ) -run='^$$' -fuzz='^FuzzDecodeSqueezed$$' -fuzztime=$(FUZZTIME) ./internal/iscsi
+	$(FUZZ) -run='^$$' -fuzz='^FuzzLoginPayloads$$' -fuzztime=$(FUZZTIME) ./internal/iscsi
+	$(FUZZ) -run='^$$' -fuzz='^FuzzDecodeSnapshot$$' -fuzztime=$(FUZZTIME) ./internal/dedupe
+	$(FUZZ) -run='^$$' -fuzz='^FuzzDecode$$' -fuzztime=$(FUZZTIME) ./internal/xcode
+	$(FUZZ) -run='^$$' -fuzz='^FuzzDecodeInto$$' -fuzztime=$(FUZZTIME) ./internal/xcode
+	$(FUZZ) -run='^$$' -fuzz='^FuzzMaskInto$$' -fuzztime=$(FUZZTIME) ./internal/xcode
+	$(FUZZ) -run='^$$' -fuzz='^FuzzRoundTrip$$' -fuzztime=$(FUZZTIME) ./internal/xcode
+	$(FUZZ) -run='^$$' -fuzz='^FuzzZRLEncode$$' -fuzztime=$(FUZZTIME) ./internal/xcode
+	$(FUZZ) -run='^$$' -fuzz='^FuzzStreamInflate$$' -fuzztime=$(FUZZTIME) ./internal/xcode
 
 # The fault-injection suites under the race detector: connection and
 # store chaos, torn-write journal recovery, divergence detection and

@@ -391,7 +391,7 @@ func (i *Initiator) pushEntryList(p PDU, entries []BatchEntry) ([]Status, error)
 	if len(entries) == 0 {
 		return nil, fmt.Errorf("iscsi: empty %v push", p.Op)
 	}
-	resp, err := i.exchange(nil, func(_ *session, itt uint32) (net.Buffers, error) {
+	resp, err := i.exchange(nil, false, func(_ *session, itt uint32) (net.Buffers, error) {
 		p.ITT = itt
 		return entryListPDU(&p, entries)
 	})

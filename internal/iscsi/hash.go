@@ -301,7 +301,7 @@ func (i *Initiator) ReadHashUnits(c *HashCmd) error {
 	}
 	c.seg = pdu
 	first := &c.Units[0]
-	resp, err := i.exchange(nil, func(_ *session, itt uint32) (net.Buffers, error) {
+	resp, err := i.exchange(nil, true, func(_ *session, itt uint32) (net.Buffers, error) {
 		p := PDU{Op: OpHashCmd, ITT: itt, LBA: first.LBA, Blocks: first.Count, Hash: first.Digest}
 		p.putHeader(pdu, len(pdu)-headerLen)
 		binary.BigEndian.PutUint32(pdu[44:], crc32.Checksum(pdu, castagnoli)) // putHeader left the digest field zero

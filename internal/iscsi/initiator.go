@@ -17,8 +17,9 @@ import (
 // target and issues block commands. The session is multiplexed: any
 // number of goroutines may have a command in flight at once. Each
 // command is registered under a fresh initiator task tag (ITT), leaves
-// in exactly one conn call with no session lock held (see writeOnce),
-// and parks its caller; one reader goroutine per live connection
+// whole in one conn call with no session lock held (see writeOnce; a
+// redial's login shares its call with the commands that ride it), and
+// parks its caller; one reader goroutine per live connection
 // matches responses to parked callers by tag, in whatever order the
 // target answers. So a link's propagation delay is a delay centre that
 // concurrent commands overlap, not a server they queue behind — one
@@ -123,19 +124,35 @@ type call struct {
 	// done has room for the one completion a registered call gets
 	// (whoever removes it from the session's table completes it), so
 	// completing never blocks the reader.
-	done  chan struct{}
-	timer *time.Timer // runs expire; created on first use
+	done    chan struct{}
+	timer   *time.Timer   // runs expire; created on first use
+	timeout time.Duration // the timer is armed when positive
 }
 
 var callPool = sync.Pool{New: func() any { return &call{done: make(chan struct{}, 1)} }}
 
 // reconnectAttempt is one redial + re-login, shared by every caller
 // that found the same session down: one performs it, the rest wait on
-// done and take its outcome.
+// done and take its outcome. Until the login is written, a read-only
+// caller boards it as a rider (see redialOnce); once boarded is set,
+// callers only wait, and resend the old way.
 type reconnectAttempt struct {
-	sess *session // the session being logged in, once dialed; guarded by Initiator.mu
-	err  error    // written before done is closed
-	done chan struct{}
+	sess    *session // the session being logged in, once dialed; guarded by Initiator.mu
+	riders  []*rider // guarded by Initiator.mu
+	boarded bool     // riders taken for the login's write; guarded by Initiator.mu
+	err     error    // written before done is closed
+	done    chan struct{}
+}
+
+// rider is a read-only command parked on a reconnect attempt: the
+// attempt frames it on the new session and sends it in the login's conn
+// write. c is its call there, set before the attempt's done is closed
+// and nil if it never left; its answer stands only if the attempt
+// succeeded.
+type rider struct {
+	dst   []byte
+	frame framer
+	c     *call
 }
 
 // framer builds one request for the wire on session s under the task
@@ -215,10 +232,17 @@ func (i *Initiator) SetRequestTimeout(d time.Duration) {
 // caller to notice dials a fresh connection with dial and re-logs-in to
 // targetName, while every other caller whose command failed with the
 // session waits for that one attempt and shares its outcome; then each
-// resends its command once, under a new task tag. Retried block writes
-// are idempotent and retried replication pushes are deduplicated by
-// sequence number at the replica, so the recovery is safe for every
-// request type and for any number of commands in flight.
+// resends its command once, under a new task tag. A command that
+// changes nothing on the target (a read, a hash fetch, a NOP) and
+// arrives before the login is written rides it: it goes out in the
+// login's conn write, so the first commands after an outage pay one
+// flight, not two, and it keeps its answer only if the login succeeds
+// with the device's geometry unchanged. Every other command waits for
+// that check before it is resent, so no write reaches a refused or
+// reshaped device. Retried block writes are idempotent and retried
+// replication pushes are deduplicated by sequence number at the
+// replica, so the recovery is safe for every request type and for any
+// number of commands in flight.
 func (i *Initiator) EnableReconnect(targetName string, dial func() (net.Conn, error)) {
 	i.mu.Lock()
 	defer i.mu.Unlock()
@@ -314,13 +338,14 @@ func (i *Initiator) Reconnects() int64 {
 
 // roundTrip sends one request built as a PDU and returns its response.
 func (i *Initiator) roundTrip(req *PDU) (PDU, error) {
-	return i.roundTripInto(req, nil)
+	return i.exchange(nil, false, req.frame)
 }
 
-// roundTripInto is roundTrip with a caller-supplied destination buffer
-// for the response data segment (see ReadPDUInto).
-func (i *Initiator) roundTripInto(req *PDU, dst []byte) (PDU, error) {
-	return i.exchange(dst, req.frame)
+// query is roundTrip for a request that changes nothing on the target,
+// with a caller-supplied destination buffer for the response data
+// segment (see ReadPDUInto); it may ride a redial's login.
+func (i *Initiator) query(req *PDU, dst []byte) (PDU, error) {
+	return i.exchange(dst, true, req.frame)
 }
 
 // frame is the framer of a request built as a PDU.
@@ -335,8 +360,10 @@ func (p *PDU) frame(_ *session, itt uint32) (net.Buffers, error) {
 // exactly len(dst) bytes. If the session is down afterwards and
 // reconnection is armed, the command waits for one shared redial +
 // re-login (see reconnect) and is resent once; frame runs again with a
-// new tag, so it must re-stamp whatever it derived from the old one.
-func (i *Initiator) exchange(dst []byte, frame framer) (PDU, error) {
+// new tag, so it must re-stamp whatever it derived from the old one. A
+// readOnly command, one that changes nothing on the target, rides the
+// re-login when it can (see redialOnce) instead of following it.
+func (i *Initiator) exchange(dst []byte, readOnly bool, frame framer) (PDU, error) {
 	i.mu.Lock()
 	s := i.sess
 	i.mu.Unlock()
@@ -350,7 +377,17 @@ func (i *Initiator) exchange(dst []byte, frame framer) (PDU, error) {
 	if !resend {
 		return PDU{}, err
 	}
-	s, rerr := i.reconnect(s)
+	var r *rider
+	if readOnly {
+		r = &rider{dst: dst, frame: frame}
+	}
+	s, rerr := i.reconnect(s, r)
+	if r != nil && r.c != nil {
+		resp, cerr := r.c.wait() // completed already if the attempt failed
+		if rerr == nil {
+			return resp, cerr
+		}
+	}
 	if rerr != nil {
 		return PDU{}, fmt.Errorf("iscsi: reconnect after %v: %w", err, rerr)
 	}
@@ -361,10 +398,21 @@ func (i *Initiator) exchange(dst []byte, frame framer) (PDU, error) {
 // write the PDU in one conn call with no lock held, park until the
 // reader (or a teardown) completes the call.
 func (i *Initiator) do(s *session, dst []byte, frame framer) (PDU, error) {
+	c, bufs, err := i.start(s, dst, frame)
+	if err != nil {
+		return PDU{}, err
+	}
+	i.send(s, bufs)
+	return c.wait()
+}
+
+// start frames one command on session s under a fresh tag and registers
+// its call, timer armed, returning the pieces the caller must send.
+func (i *Initiator) start(s *session, dst []byte, frame framer) (*call, net.Buffers, error) {
 	itt := i.itt.Add(1)
 	bufs, err := frame(s, itt)
 	if err != nil {
-		return PDU{}, err
+		return nil, nil, err
 	}
 
 	c := callPool.Get().(*call) // the pool's New makes nothing else
@@ -374,31 +422,40 @@ func (i *Initiator) do(s *session, dst []byte, frame framer) (PDU, error) {
 		err := s.err
 		i.mu.Unlock()
 		c.release()
-		return PDU{}, err
+		return nil, nil, err
 	}
 	s.pending[itt] = c
-	timeout := i.timeout
+	c.timeout = i.timeout
 	i.mu.Unlock()
-	if timeout > 0 {
+	if c.timeout > 0 {
 		if c.timer == nil {
-			c.timer = time.AfterFunc(timeout, c.expire)
+			c.timer = time.AfterFunc(c.timeout, c.expire)
 		} else {
-			c.timer.Reset(timeout)
+			c.timer.Reset(c.timeout)
 		}
 	}
+	return c, bufs, nil
+}
 
+// send writes the pieces of one or more registered commands to session
+// s in one conn call, with no lock held. A failed write fails the
+// session, which completes every call still registered on it.
+func (i *Initiator) send(s *session, bufs net.Buffers) {
 	n, err := writeOnce(s.conn, bufs)
 	i.wireSent.Add(n)
 	if err != nil {
-		// Completes c, unless an earlier failure already has.
 		i.fail(s, fmt.Errorf("iscsi: write pdu: %w", err))
 	}
-	<-c.done
+}
 
+// wait parks until the reader (or a teardown) completes c, and returns
+// its outcome.
+func (c *call) wait() (PDU, error) {
+	<-c.done
 	resp, err := c.resp, c.err
 	// A timer that already fired may still be running expire against
 	// this slot: leave that slot to the collector.
-	if timeout <= 0 || c.timer.Stop() {
+	if c.timeout <= 0 || c.timer.Stop() {
 		c.release()
 	}
 	return resp, err
@@ -497,12 +554,14 @@ func (i *Initiator) fail(s *session, cause error) {
 // one and returns it. Exactly one caller — the first to arrive — runs
 // the attempt (see redialOnce); callers arriving while it runs wait and
 // share its outcome, and callers arriving after it succeeded just pick
-// up the new session. Consecutive failed attempts are spaced
-// exponentially with jitter (see SetReconnectBackoff): the attempt
-// sleeps only what is left of its delay since the last failure ended,
-// so the first command after a quiet outage redials without a stale
-// pause; success resets the streak.
-func (i *Initiator) reconnect(down *session) (*session, error) {
+// up the new session. A caller with a read-only command r boards it on
+// the attempt while its login is not yet written (the runner boards its
+// own first), and finds r.c set if it rode. Consecutive failed attempts
+// are spaced exponentially with jitter (see SetReconnectBackoff): the
+// attempt sleeps only what is left of its delay since the last failure
+// ended, so the first command after a quiet outage redials without a
+// stale pause; riders sleep with it; success resets the streak.
+func (i *Initiator) reconnect(down *session, r *rider) (*session, error) {
 	i.mu.Lock()
 	if i.closed {
 		i.mu.Unlock()
@@ -514,11 +573,17 @@ func (i *Initiator) reconnect(down *session) (*session, error) {
 		return s, nil
 	}
 	if a := i.attempt; a != nil {
+		if r != nil && !a.boarded {
+			a.riders = append(a.riders, r)
+		}
 		i.mu.Unlock()
 		<-a.done
 		return a.sess, a.err
 	}
 	a := &reconnectAttempt{done: make(chan struct{})}
+	if r != nil {
+		a.riders = append(a.riders, r)
+	}
 	i.attempt = a
 	wait := i.reconnectDelay()
 	if wait > 0 {
@@ -557,7 +622,7 @@ func (i *Initiator) reconnect(down *session) (*session, error) {
 	}
 	i.mu.Unlock()
 	if err != nil && a.sess != nil {
-		i.fail(a.sess, err)
+		i.fail(a.sess, err) // completes every rider's call with it
 		<-a.sess.done
 	}
 	a.err = err
@@ -567,7 +632,11 @@ func (i *Initiator) reconnect(down *session) (*session, error) {
 
 // redialOnce dials a fresh conn, starts a session on it — published in
 // a.sess, so Close can sever it mid-login — and logs in, returning the
-// geometry the target reports.
+// geometry the target reports. The login and every rider boarded so far
+// leave in one conn write, login first: the target serves a session's
+// commands in order, so the riders run on the session the login opens,
+// in the flight the login pays. A rider that does not register resends
+// after the attempt, the old way.
 func (i *Initiator) redialOnce(a *reconnectAttempt, dial func() (net.Conn, error), target string) (blockSize int, numBlocks uint64, err error) {
 	conn, err := dial()
 	if err != nil {
@@ -576,6 +645,8 @@ func (i *Initiator) redialOnce(a *reconnectAttempt, dial func() (net.Conn, error
 	s := i.startSession(conn)
 	i.mu.Lock()
 	a.sess = s
+	a.boarded = true
+	riders := a.riders
 	closed := i.closed
 	i.mu.Unlock()
 	if closed {
@@ -583,7 +654,20 @@ func (i *Initiator) redialOnce(a *reconnectAttempt, dial func() (net.Conn, error
 	}
 
 	login := PDU{Op: OpLoginReq, Data: encodeLoginReq(target)}
-	resp, err := i.do(s, nil, login.frame)
+	lc, bufs, err := i.start(s, nil, login.frame)
+	if err != nil {
+		return 0, 0, err
+	}
+	for _, r := range riders {
+		c, rb, err := i.start(s, r.dst, r.frame)
+		if err != nil {
+			continue
+		}
+		r.c = c
+		bufs = append(bufs, rb...)
+	}
+	i.send(s, bufs)
+	resp, err := lc.wait()
 	if err != nil {
 		return 0, 0, err
 	}
@@ -597,7 +681,7 @@ func (i *Initiator) ReadBlock(lba uint64, buf []byte) error {
 	if len(buf) != i.BlockSize() {
 		return block.ErrBadBufSize
 	}
-	resp, err := i.roundTripInto(&PDU{Op: OpReadCmd, LBA: lba, Blocks: 1}, buf)
+	resp, err := i.query(&PDU{Op: OpReadCmd, LBA: lba, Blocks: 1}, buf)
 	if err != nil {
 		return err
 	}
@@ -620,7 +704,7 @@ func (i *Initiator) ReadBlock(lba uint64, buf []byte) error {
 // short or oversized frame is an ErrShortFrame protocol error, never a
 // partial result.
 func (i *Initiator) ReadBlocks(lba uint64, count uint32) ([]byte, error) {
-	resp, err := i.roundTrip(&PDU{Op: OpReadCmd, LBA: lba, Blocks: count})
+	resp, err := i.query(&PDU{Op: OpReadCmd, LBA: lba, Blocks: count}, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -689,7 +773,7 @@ func (i *Initiator) ReplicaWriteStream(mode, shard uint8, vol uint16, seq, lba, 
 // modified (its first FrameHeadroom bytes are overwritten), so the
 // caller must hold exclusive ownership of the buffer for the call.
 func (i *Initiator) ReplicaWriteFramed(mode, shard uint8, vol uint16, seq, lba, hash uint64, pdu []byte) error {
-	resp, err := i.exchange(nil, func(_ *session, itt uint32) (net.Buffers, error) {
+	resp, err := i.exchange(nil, false, func(_ *session, itt uint32) (net.Buffers, error) {
 		if err := StampReplicaHeader(pdu, mode, shard, vol, itt, seq, lba, hash); err != nil {
 			return nil, err
 		}
@@ -707,7 +791,7 @@ func (i *Initiator) ReplicaWriteFramed(mode, shard uint8, vol uint16, seq, lba, 
 // Ping sends a NOP and returns the round-trip time.
 func (i *Initiator) Ping() (time.Duration, error) {
 	start := time.Now()
-	resp, err := i.roundTrip(&PDU{Op: OpNop})
+	resp, err := i.query(&PDU{Op: OpNop}, nil)
 	if err != nil {
 		return 0, err
 	}

@@ -589,7 +589,7 @@ func TestReconnectBackoffSchedule(t *testing.T) {
 	down := init.sess
 	init.fail(down, errors.New("synthetic session failure"))
 	for n := 0; n < 6; n++ {
-		if _, err := init.reconnect(down); err == nil {
+		if _, err := init.reconnect(down, nil); err == nil {
 			t.Fatal("reconnect unexpectedly succeeded")
 		}
 	}
@@ -611,7 +611,7 @@ func TestReconnectBackoffSchedule(t *testing.T) {
 	// A successful reconnect resets the streak: the next failure's first
 	// attempt is immediate again.
 	fail = false
-	down, err = init.reconnect(down)
+	down, err = init.reconnect(down, nil)
 	if err != nil {
 		t.Fatalf("healing reconnect: %v", err)
 	}
@@ -619,7 +619,7 @@ func TestReconnectBackoffSchedule(t *testing.T) {
 	slept = nil
 	init.fail(down, errors.New("synthetic session failure"))
 	for n := 0; n < 2; n++ {
-		if _, err := init.reconnect(down); err == nil {
+		if _, err := init.reconnect(down, nil); err == nil {
 			t.Fatal("reconnect unexpectedly succeeded")
 		}
 	}
@@ -695,12 +695,12 @@ func TestReconnectSpacing(t *testing.T) {
 		r := newReconnectRig(t, base, cap)
 		r.fail.Store(true)
 		down := r.down()
-		if _, err := r.init.reconnect(down); err == nil {
+		if _, err := r.init.reconnect(down, nil); err == nil {
 			t.Fatal("reconnect unexpectedly succeeded")
 		}
 		r.clock = r.clock.Add(base) // quiet for exactly the delay owed
 		r.fail.Store(false)
-		if _, err := r.init.reconnect(down); err != nil {
+		if _, err := r.init.reconnect(down, nil); err != nil {
 			t.Fatalf("healing reconnect: %v", err)
 		}
 		if len(r.slept) != 0 {
@@ -712,13 +712,13 @@ func TestReconnectSpacing(t *testing.T) {
 		r.fail.Store(true)
 		down := r.down()
 		for n := 0; n < 2; n++ { // streak of 2: the next delay is 2·base
-			if _, err := r.init.reconnect(down); err == nil {
+			if _, err := r.init.reconnect(down, nil); err == nil {
 				t.Fatal("reconnect unexpectedly succeeded")
 			}
 		}
 		r.slept = nil
 		r.clock = r.clock.Add(6 * time.Millisecond)
-		if _, err := r.init.reconnect(down); err == nil {
+		if _, err := r.init.reconnect(down, nil); err == nil {
 			t.Fatal("reconnect unexpectedly succeeded")
 		}
 		if want := 2*base - 6*time.Millisecond; len(r.slept) != 1 || r.slept[0] != want {
@@ -730,7 +730,7 @@ func TestReconnectSpacing(t *testing.T) {
 		r.fail.Store(true)
 		down := r.down()
 		for n := 0; n < 5; n++ {
-			if _, err := r.init.reconnect(down); err == nil {
+			if _, err := r.init.reconnect(down, nil); err == nil {
 				t.Fatal("reconnect unexpectedly succeeded")
 			}
 		}
@@ -744,19 +744,19 @@ func TestReconnectSpacing(t *testing.T) {
 		r.fail.Store(true)
 		down := r.down()
 		for n := 0; n < 3; n++ {
-			if _, err := r.init.reconnect(down); err == nil {
+			if _, err := r.init.reconnect(down, nil); err == nil {
 				t.Fatal("reconnect unexpectedly succeeded")
 			}
 		}
 		r.fail.Store(false)
-		if _, err := r.init.reconnect(down); err != nil {
+		if _, err := r.init.reconnect(down, nil); err != nil {
 			t.Fatalf("healing reconnect: %v", err)
 		}
 		r.slept = nil
 		r.fail.Store(true)
 		down = r.down()
 		for n := 0; n < 2; n++ {
-			if _, err := r.init.reconnect(down); err == nil {
+			if _, err := r.init.reconnect(down, nil); err == nil {
 				t.Fatal("reconnect unexpectedly succeeded")
 			}
 		}
@@ -769,7 +769,7 @@ func TestReconnectSpacing(t *testing.T) {
 		r := newReconnectRig(t, base, cap)
 		r.fail.Store(true)
 		down := r.down()
-		if _, err := r.init.reconnect(down); err == nil {
+		if _, err := r.init.reconnect(down, nil); err == nil {
 			t.Fatal("reconnect unexpectedly succeeded")
 		}
 		r.clock = r.clock.Add(time.Hour) // the sleeper is idle: the clock is no one's to race on
@@ -779,7 +779,7 @@ func TestReconnectSpacing(t *testing.T) {
 		errs := make(chan error, callers)
 		for g := 0; g < callers; g++ {
 			go func() {
-				s, err := r.init.reconnect(down)
+				s, err := r.init.reconnect(down, nil)
 				got <- s
 				errs <- err
 			}()

@@ -151,7 +151,7 @@ func (i *Initiator) WriteSpan(s *Span) (sent int, err error) {
 	if sent > MaxDataSegment {
 		return 0, fmt.Errorf("%w: span of %d bytes", ErrTooLarge, sent)
 	}
-	resp, err := i.exchange(nil, func(_ *session, itt uint32) (net.Buffers, error) {
+	resp, err := i.exchange(nil, false, func(_ *session, itt uint32) (net.Buffers, error) {
 		hdr := make([]byte, headerLen)
 		p := PDU{Op: OpWriteSpan, ITT: itt, LBA: s.LBA, Blocks: s.Blocks, Seq: uint64(len(s.Copies))}
 		p.putHeader(hdr, sent)

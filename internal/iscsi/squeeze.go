@@ -454,7 +454,7 @@ func (i *Initiator) ReplicaWriteSqueezed(mode, shard uint8, vol uint16, entries 
 		var st *squeezeStream
 		var n int // this pass's data-segment bytes: a redial's resend replaces them
 		squeezed := false
-		resp, err := i.exchange(nil, func(s *session, itt uint32) (net.Buffers, error) {
+		resp, err := i.exchange(nil, false, func(s *session, itt uint32) (net.Buffers, error) {
 			i.settleSqueeze(st, squeezed, false) // a resend: the history went with the failed session
 			st, squeezed = i.claimSqueeze(s, key), false
 			p := PDU{Op: op, Mode: mode, Shard: shard, Vol: vol, ITT: itt}
