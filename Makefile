@@ -68,10 +68,11 @@ bench-json:
 # -compare). It builds both root test binaries, the parent's from a
 # `git archive` export in a temporary directory, and times the arms
 # whose speed is the point — the kernels' MB/s, HotpathSyncShip
-# writes/s, Resync/t3-ranges repair-ms, the same repair ending a link
-# outage (Resync/t3-outage: its session redials first, so a stale
-# reconnect backoff shows as repair-ms) and the whole-device audit's
-# MB/s (Resync/audit) — in twenty pairs of single
+# writes/s, Resync/t3-ranges repair-ms, the same runs repaired from
+# marked dirty ranges with no hash exchange (Resync/t3-dirty), the same
+# repair ending a link outage (Resync/t3-outage: its session redials
+# first, so a stale reconnect backoff shows as repair-ms) and the
+# whole-device audit's MB/s (Resync/audit) — in twenty pairs of single
 # 50 ms runs. The two sides alternate arm by arm, the side that goes
 # first swapping every pair, so a busy neighbour on a shared host slows
 # both sides' samples of an arm alike. An arm whose change median is
@@ -90,7 +91,7 @@ bench-guard:
 	$(GO) test -c -trimpath -o "$$tmp/change.test" .; \
 	for pair in $$(seq 20); do \
 		order="parent change"; [ $$((pair % 2)) = 1 ] || order="change parent"; \
-		for arm in $(subst |, ,$(HOTKERNELS)) HotpathSyncShip Resync/t3-ranges Resync/t3-outage Resync/audit; do \
+		for arm in $(subst |, ,$(HOTKERNELS)) HotpathSyncShip Resync/t3-ranges Resync/t3-dirty Resync/t3-outage Resync/audit; do \
 			for side in $$order; do \
 				"$$tmp/$$side.test" -test.run='^$$' -test.bench="$$arm" -test.benchtime=50ms \
 					-test.timeout=1m >> "$$tmp/$$side.txt"; \

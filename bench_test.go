@@ -394,8 +394,11 @@ func BenchmarkShardScaling(b *testing.B) {
 // behind a shaped T3 link, ~110 dirty blocks in five runs inside five
 // dirty ranges, as a tar outage leaves them. It reports repair-ms (wall
 // time of one ranged resync, which `make bench-guard` times) and
-// blocks/write (the run length the pipeline shipped). A group unit is
-// rebuilt by the same pipeline (BenchmarkGroupRepair). The audit arm
+// blocks/write (the run length the pipeline shipped). The t3-dirty arm
+// repairs the same five runs named exactly and marked Dirty, as the
+// engine's dirty map hands them out, so they ship with no hash
+// exchange. A group unit is rebuilt by the same pipeline
+// (BenchmarkGroupRepair). The audit arm
 // is the whole-device hash exchange a resync of an identical replica
 // is: 8192 blocks of 8 KiB behind a core.ReplicaEngine over unshaped
 // loopback, every batch settled by its digest. Its MB/s is device bytes
@@ -403,8 +406,9 @@ func BenchmarkShardScaling(b *testing.B) {
 // are both ends' per audit.
 func BenchmarkResync(b *testing.B) {
 	b.Run("loopback-5pct", benchResyncLoopback)
-	b.Run("t3-ranges", func(b *testing.B) { benchResyncT3Ranges(b, false) })
-	b.Run("t3-outage", func(b *testing.B) { benchResyncT3Ranges(b, true) })
+	b.Run("t3-ranges", func(b *testing.B) { benchResyncT3Ranges(b, false, false) })
+	b.Run("t3-dirty", func(b *testing.B) { benchResyncT3Ranges(b, false, true) })
+	b.Run("t3-outage", func(b *testing.B) { benchResyncT3Ranges(b, true, false) })
 	b.Run("audit", benchResyncAudit)
 }
 
@@ -514,8 +518,9 @@ const outageBackoff = 25 * time.Millisecond
 // backoff that failure owes (outageBackoff) and comes back; the timed
 // pass then starts on the dead session, so its redial is part of the
 // repair. A redial that sleeps a backoff the quiet time already covered
-// shows as repair-ms.
-func benchResyncT3Ranges(b *testing.B, outage bool) {
+// shows as repair-ms. With dirty set the ranges are the diverged runs
+// themselves, marked Dirty.
+func benchResyncT3Ranges(b *testing.B, outage, dirty bool) {
 	const (
 		blockSize = 512
 		numBlocks = 16384
@@ -540,11 +545,19 @@ func benchResyncT3Ranges(b *testing.B, outage bool) {
 	if err := block.Copy(replicaStore, local); err != nil {
 		b.Fatal(err)
 	}
-	// Each dirty range is wider than the run inside it: the primary
-	// marks what it wrote, and part of that reached the replica.
-	var ranges []block.Range
+	// Five diverged runs. Asked about, each dirty range is wider than
+	// the run inside it: the primary marks what it wrote, and part of
+	// that reached the replica. Marked, the ranges are the runs.
+	var runs, ranges []block.Range
 	for i := uint64(0); i < 5; i++ {
-		ranges = append(ranges, block.Range{Start: 1000 + i*3000, Count: 3 * runLen})
+		run := block.Range{Start: 1000 + i*3000 + runLen, Count: runLen}
+		runs = append(runs, run)
+		if dirty {
+			run.Dirty = true
+			ranges = append(ranges, run)
+		} else {
+			ranges = append(ranges, block.Range{Start: run.Start - runLen, Count: 3 * runLen})
+		}
 	}
 
 	backend := &iscsi.StoreBackend{Store: replicaStore}
@@ -563,8 +576,8 @@ func benchResyncT3Ranges(b *testing.B, outage bool) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		for _, r := range ranges {
-			for lba := r.Start + runLen; lba < r.Start+2*runLen; lba++ {
+		for _, r := range runs {
+			for lba := r.Start; lba < r.End(); lba++ {
 				rng.Read(buf)
 				if err := replicaStore.WriteBlock(lba, buf); err != nil {
 					b.Fatal(err)

@@ -135,8 +135,8 @@ func TestGroupResyncReplica(t *testing.T) {
 		if err != nil {
 			t.Fatalf("resync unit %d: %v", flapped, err)
 		}
-		if st.BlocksScanned != nDirty || st.BlocksRepaired != nDirty || st.HashFetches == 0 {
-			t.Fatalf("resync scanned %d, repaired %d in %d hash fetches; want %d and %d, fetches > 0",
+		if st.BlocksScanned != nDirty || st.BlocksRepaired != nDirty || st.HashFetches != 0 {
+			t.Fatalf("resync scanned %d, repaired %d in %d hash fetches; want %d and %d, no fetch",
 				st.BlocksScanned, st.BlocksRepaired, st.HashFetches, nDirty, nDirty)
 		}
 		if st.DataBytes != int64(nDirty)*int64(u) {

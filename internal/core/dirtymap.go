@@ -15,8 +15,9 @@ import (
 // not the device.
 //
 // The map feeds incremental recovery: Engine.DirtyRanges hands the
-// merged runs to a ranged resync, which repairs only those blocks
-// instead of hash-scanning the whole device.
+// merged runs, marked Dirty, to a ranged resync, which ships only those
+// blocks — without asking the replica for their hashes first — instead
+// of hash-scanning the whole device.
 type dirtyMap struct {
 	mu   sync.Mutex
 	bits map[uint64]uint64 // word index (lba/64) -> bit mask
@@ -46,7 +47,8 @@ func (d *dirtyMap) count() uint64 {
 	return n
 }
 
-// ranges returns the dirty LBAs as sorted, merged runs.
+// ranges returns the dirty LBAs as sorted, merged runs, each marked
+// Dirty: a ranged resync ships their blocks without a hash exchange.
 func (d *dirtyMap) ranges() []block.Range {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -68,7 +70,7 @@ func (d *dirtyMap) ranges() []block.Range {
 			if n := len(out); n > 0 && out[n-1].End() == lba {
 				out[n-1].Count++
 			} else {
-				out = append(out, block.Range{Start: lba, Count: 1})
+				out = append(out, block.Range{Start: lba, Count: 1, Dirty: true})
 			}
 		}
 	}

@@ -527,10 +527,11 @@ func (e *Engine) ReplicaStats() []ReplicaStat {
 // DirtyRanges returns the merged runs of LBAs replica i (attach order)
 // is not known to hold correctly — frames dropped while degraded,
 // deliveries that failed past the retry budget, and applies the
-// replica refused as diverged — aggregated across every shard. A
-// ranged resync over exactly these runs (resync.RunRanges) heals the
-// replica without scanning the device; clear the map afterwards with
-// ClearDirty.
+// replica refused as diverged — aggregated across every shard, each
+// run marked Dirty. A ranged resync over exactly these runs
+// (resync.RunRanges) heals the replica without scanning the device, and
+// ships their blocks without a hash exchange; clear the map afterwards
+// with ClearDirty.
 func (e *Engine) DirtyRanges(i int) []block.Range {
 	if i < 0 || i >= len(e.replicas) {
 		return nil
@@ -543,7 +544,8 @@ func (e *Engine) DirtyRanges(i int) []block.Range {
 }
 
 // ShardDirtyRanges returns replica i's dirty runs restricted to shard
-// s — the unit a per-shard ranged resync repairs.
+// s, marked Dirty as DirtyRanges' are — the unit a per-shard ranged
+// resync repairs.
 func (e *Engine) ShardDirtyRanges(i, s int) []block.Range {
 	if i < 0 || i >= len(e.replicas) || s < 0 || s >= len(e.shards) {
 		return nil

@@ -337,7 +337,7 @@ func TestDirtyMapRanges(t *testing.T) {
 	if got := d.count(); got != 6 {
 		t.Errorf("count = %d, want 6", got)
 	}
-	want := []block.Range{{Start: 5, Count: 3}, {Start: 63, Count: 2}, {Start: 200, Count: 1}}
+	want := []block.Range{{Start: 5, Count: 3, Dirty: true}, {Start: 63, Count: 2, Dirty: true}, {Start: 200, Count: 1, Dirty: true}}
 	got := d.ranges()
 	if len(got) != len(want) {
 		t.Fatalf("ranges = %v, want %v", got, want)

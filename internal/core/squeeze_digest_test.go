@@ -254,7 +254,7 @@ func TestChaosSqueezeDigestWrongPreImage(t *testing.T) {
 		t.Fatalf("%d squeezed pushes unverified; want the run's, streaming lba %d's ZRL frame", unverified, bad)
 	}
 	m := e.ReplicaStats()[0].Metrics
-	if dirty := e.DirtyRanges(0); len(dirty) != 1 || dirty[0] != (block.Range{Start: bad, Count: 1}) || m.Diverged != 1 {
+	if dirty := e.DirtyRanges(0); len(dirty) != 1 || dirty[0] != (block.Range{Start: bad, Count: 1, Dirty: true}) || m.Diverged != 1 {
 		t.Fatalf("dirty %v, diverged %d; want lba %d alone, diverged once", dirty, m.Diverged, bad)
 	}
 	if got := g.inner.Replica.Traffic().Snapshot().Diverged; got != 1 {

@@ -236,7 +236,7 @@ func TestChaosSqueezeMaskWrongPreImage(t *testing.T) {
 					}
 					continue
 				}
-				if len(dirty) != 1 || dirty[0] != (block.Range{Start: lba, Count: 1}) || m.Diverged != 1 {
+				if len(dirty) != 1 || dirty[0] != (block.Range{Start: lba, Count: 1, Dirty: true}) || m.Diverged != 1 {
 					t.Fatalf("replica %d: dirty %v, diverged %d; want lba %d refused as diverged", i, dirty, m.Diverged, lba)
 				}
 				if got := rig.replicas[i].Traffic().Snapshot().Diverged; got != 1 {

@@ -61,9 +61,11 @@ func (c *ResilientClient) dial() (*iscsi.Initiator, error) {
 // once. A diverged refusal is healed in place: the replica verified the
 // frame and found its own block wrong, so the session is fine — the
 // block is repaired with a one-block ranged resync on the live
-// connection (the local store already holds the new content, making
-// the refused push redundant; it must NOT be re-applied on top of the
-// repair in PRINS mode, where the extra XOR would corrupt the block).
+// connection, marked Dirty: it differs by construction, so it ships
+// with no hash exchange (the local store already holds the new
+// content, making the refused push redundant; it must NOT be
+// re-applied on top of the repair in PRINS mode, where the extra XOR
+// would corrupt the block).
 // The post-reconnect resync covers the whole local device, which heals
 // every stream's gap at once, so sharded and multi-volume engines can
 // attach a resilient session too; the per-stream dedupe cursors on the
@@ -98,7 +100,7 @@ func (c *ResilientClient) push(lba uint64, send func(*iscsi.Initiator) error) er
 		}
 		if errors.Is(err, iscsi.ErrDiverged) {
 			//lint:ignore hold-blocking c.mu serializes push and heal on one session; repair I/O under it is the design
-			stats, rerr := RunRanges(c.local, c.conn, Config{}, block.Range{Start: lba, Count: 1})
+			stats, rerr := RunRanges(c.local, c.conn, Config{}, block.Range{Start: lba, Count: 1, Dirty: true})
 			if rerr == nil {
 				c.repaired += int64(stats.BlocksRepaired)
 				return nil

@@ -2,6 +2,7 @@ package resync
 
 import (
 	"math/rand"
+	"net"
 	"testing"
 
 	"prins/internal/block"
@@ -132,5 +133,60 @@ func TestResilientClientBadGeometry(t *testing.T) {
 	big, _ := block.NewMem(512, 64)
 	if _, err := NewResilientClient(big, addr.String(), "vol"); err == nil {
 		t.Error("mismatched geometry accepted")
+	}
+}
+
+// TestResilientClientHealsDivergedUnasked: a push the replica refuses
+// as diverged is healed in place, on the live session, by a one-block
+// resync of a marked range: the block differs by construction, so the
+// heal ships it with no hash command.
+func TestResilientClientHealsDivergedUnasked(t *testing.T) {
+	const blockSize, numBlocks = 512, 64
+	replicaStore, err := block.NewMem(blockSize, numBlocks)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var conn *opConn
+	remote := session(t, core.NewReplicaEngine(replicaStore), func(c net.Conn) net.Conn {
+		conn = &opConn{Conn: c, ops: map[iscsi.Opcode]int{}}
+		return conn
+	})
+	primary, err := block.NewMem(blockSize, numBlocks)
+	if err != nil {
+		t.Fatal(err)
+	}
+	client := &ResilientClient{local: primary, conn: remote}
+	engine, err := core.NewEngine(primary, core.Config{Mode: core.ModePRINS})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer engine.Close()
+	engine.AttachReplica(client)
+
+	buf := make([]byte, blockSize)
+	rng := rand.New(rand.NewSource(2))
+	rng.Read(buf)
+	if err := engine.WriteBlock(5, buf); err != nil {
+		t.Fatal(err)
+	}
+	rng.Read(buf)
+	if err := replicaStore.WriteBlock(5, buf); err != nil { // rot the replica's copy
+		t.Fatal(err)
+	}
+	rng.Read(buf)
+	if err := engine.WriteBlock(5, buf); err != nil {
+		t.Fatal(err)
+	}
+	if err := engine.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	if client.Repaired() != 1 || client.Reconnects() != 0 {
+		t.Errorf("repaired %d blocks after %d reconnects, want 1 in place", client.Repaired(), client.Reconnects())
+	}
+	if n := conn.count(iscsi.OpHashCmd); n != 0 {
+		t.Errorf("the heal sent %d hash commands, want none", n)
+	}
+	if eq, err := block.Equal(primary, replicaStore); err != nil || !eq {
+		t.Fatalf("replica differs after the heal (err %v)", err)
 	}
 }

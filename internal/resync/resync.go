@@ -17,7 +17,15 @@
 //     sized units from its own start, and one hash command takes the
 //     next units, of one range or several, for as long as they fit its
 //     Batch blocks: a pass over short scattered ranges pays one command
-//     per Batch blocks, not one per range. The comparer reads and
+//     per Batch blocks, not one per range. A range marked Dirty (the
+//     engine's dirty map named it: its blocks were written while the
+//     replica could not take them) is cut the same way, but its units
+//     go out in no command and take no local hashes: the comparer
+//     answers them itself, every block differing, in their place in the
+//     issue order. A block the replica happens to hold already costs
+//     its bytes in a span, where asking would have cost every block 8 B
+//     of hashes and the pass a round trip. A DryRun asks about every
+//     range, marked or not. For the asked units, the comparer reads and
 //     hashes each unit's local blocks first, then issues the command
 //     (iscsi.Initiator.ReadHashUnits) carrying each unit's digest of
 //     those hashes (iscsi.HashBlock of their big-endian vector), on a
@@ -34,11 +42,12 @@
 //     unit the digest matched is learned whole from its local hashes. A
 //     unit that differs is compared block by block against the
 //     replica's hashes, and each differing block is read again (and
-//     hashed again) into a repair span. A span starts at a differing
-//     block and takes every later differing block within maxRunBytes of
-//     its start, whatever unit or range it lies in, stepping over the
-//     matching blocks and the unscanned gaps between them; it leaves
-//     once the comparison has passed that stretch. A span holds copies
+//     hashed again) into a repair span; each block of an unasked unit
+//     is read, once, and hashed straight into one. A span starts at a
+//     differing block and takes every later differing block within
+//     maxRunBytes of its start, whatever unit or range it lies in,
+//     stepping over the matching blocks and the unscanned gaps between
+//     them; it leaves once the comparison has passed that stretch. A span holds copies
 //     made at compare time, so the compare buffer is free for the next
 //     block while the span is on the wire; a block equal to one the
 //     span already holds (the same hash, then the same bytes) is held
@@ -68,6 +77,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"slices"
 
 	"prins/internal/block"
 	"prins/internal/iscsi"
@@ -78,9 +88,12 @@ import (
 
 // Stats reports what a resync did.
 type Stats struct {
-	// BlocksScanned is how many blocks were compared.
+	// BlocksScanned is how many blocks the run covered: compared against
+	// the replica's hashes, or shipped unasked (a Dirty range's).
 	BlocksScanned uint64
-	// BlocksRepaired is how many blocks differed and were rewritten.
+	// BlocksRepaired is how many blocks were rewritten: those that
+	// differed, and every block shipped unasked, including any the
+	// replica already held.
 	BlocksRepaired uint64
 	// HashBytes is the hash bytes the replica sent back: 8 B per block of
 	// a unit that differs, 0 for a unit settled by its digest.
@@ -125,9 +138,9 @@ type Config struct {
 	Cancel <-chan struct{}
 	// Learn, when non-nil, is invoked with (lba, content hash) for
 	// every block the replica provably holds after the scan: blocks
-	// whose hashes already matched, and blocks the run repaired, once
-	// the repair is acknowledged. Every call comes from the goroutine
-	// that called Run, one at a time. The primary engine feeds this
+	// whose hashes already matched, and blocks the run repaired or
+	// shipped unasked, once the span is acknowledged. Every call comes
+	// from the goroutine that called Run, one at a time. The primary engine feeds this
 	// into its per-replica dedupe index (Engine.ReplicaDedupe), so a
 	// resync warms the ship-by-reference fast path as a free side effect
 	// of the comparison it does anyway. Repairs elided by DryRun are not
@@ -197,10 +210,12 @@ func Run(local block.Store, remote *iscsi.Initiator, cfg Config) (Stats, error) 
 
 // RunRanges is Run restricted to the given LBA runs — the incremental
 // repair path. Fed from Engine.DirtyRanges it heals a replica after a
-// drop, divergence, or outage by scanning only the blocks the primary
-// knows are suspect, instead of the whole device. Ranges are
-// normalized (sorted, merged, clamped to the device) first; an empty
-// set is a successful no-op.
+// drop, divergence, or outage by shipping only the blocks the primary
+// knows are suspect, instead of scanning the whole device: those
+// ranges are marked Dirty, so their blocks go out without a hash
+// exchange. Ranges are normalized (sorted, merged, clamped to the
+// device; block.NormalizeRanges) first; an empty set is a successful
+// no-op.
 func RunRanges(local block.Store, remote *iscsi.Initiator, cfg Config, ranges ...block.Range) (Stats, error) {
 	return runRanges(local, remote, cfg, nil, ranges)
 }
@@ -211,6 +226,14 @@ func runRanges(local block.Store, remote *iscsi.Initiator, cfg Config, stop <-ch
 	if remote.BlockSize() != local.BlockSize() || remote.NumBlocks() < local.NumBlocks() {
 		return Stats{}, fmt.Errorf("%w: local %dx%d, remote %dx%d", ErrGeometry,
 			local.NumBlocks(), local.BlockSize(), remote.NumBlocks(), remote.BlockSize())
+	}
+	if cfg.DryRun {
+		// A dry run repairs nothing, so it only counts: it asks about
+		// every block, exactly as over ranges nobody marked.
+		ranges = slices.Clone(ranges)
+		for i := range ranges {
+			ranges[i].Dirty = false
+		}
 	}
 	p := &pipeline{
 		local: local,
@@ -279,12 +302,14 @@ type pipeline struct {
 // once answered, the replica's hashes (nil when the digest matched),
 // and the local hashes of all their blocks, in order, taken before it
 // was issued. settled is the comparer's, set when the window hands the
-// fetch back.
+// fetch back. An unasked fetch holds units of Dirty ranges: it is never
+// issued, has no hashes either side, and is settled from the start.
 type hashFetch struct {
 	iscsi.HashCmd
 	local   []uint64
 	err     error
 	settled bool
+	unasked bool
 }
 
 // span is one repair write: the differing blocks of [LBA, LBA+Blocks)
@@ -366,9 +391,11 @@ func (p *pipeline) compare() error {
 
 // fetchNext is stage one: it cuts units off the ranges still to scan,
 // each range in Batch-sized units from its own start, for as long as
-// the next one fits the command's Batch blocks, hashes each unit's local
-// blocks and issues the command with the units' digests, on a compared
-// fetch's buffers when there is one.
+// the next one fits the command's Batch blocks and has the same mark,
+// hashes each unit's local blocks and issues the command with the
+// units' digests, on a compared fetch's buffers when there is one. The
+// units of Dirty ranges it only cuts: it queues them, unasked, for the
+// comparer.
 func (p *pipeline) fetchNext(buf []byte) error {
 	f := &hashFetch{}
 	if n := len(p.spent); n > 0 {
@@ -376,17 +403,24 @@ func (p *pipeline) fetchNext(buf []byte) error {
 		p.spent = p.spent[:n-1]
 		f.Units, f.local, f.settled = f.Units[:0], f.local[:0], false
 	}
-	for len(p.todo) > 0 {
+	f.unasked = p.todo[0].Dirty
+	var taken uint64
+	for len(p.todo) > 0 && p.todo[0].Dirty == f.unasked {
 		r := &p.todo[0]
 		count := min(r.Count, uint64(p.cfg.Batch))
-		if uint64(len(f.local))+count > uint64(p.cfg.Batch) {
+		if taken+count > uint64(p.cfg.Batch) {
 			break
 		}
+		taken += count
 		u := iscsi.HashUnit{LBA: r.Start, Count: uint32(count)}
 		r.Start += count
 		r.Count -= count
 		if r.Count == 0 {
 			p.todo = p.todo[1:]
+		}
+		if f.unasked {
+			f.Units = append(f.Units, u)
+			continue
 		}
 		from := len(f.local)
 		for lba := u.LBA; lba < u.LBA+count; lba++ {
@@ -400,6 +434,10 @@ func (p *pipeline) fetchNext(buf []byte) error {
 		f.Units = append(f.Units, u)
 	}
 	p.ahead = append(p.ahead, f)
+	if f.unasked {
+		f.settled = true
+		return nil
+	}
 	p.fetches.Go(f, 0)
 	return nil
 }
@@ -407,27 +445,30 @@ func (p *pipeline) fetchNext(buf []byte) error {
 // compareBatch is stage two for one answered fetch: unit by unit, block
 // by block against the replica's hashes, or against the local ones when
 // the digest vouched for the whole unit, each differing block read
-// again into the open span.
+// again into the open span. Every block of an unasked fetch differs.
 func (p *pipeline) compareBatch(f *hashFetch, buf []byte) error {
 	local := f.local
 	for _, u := range f.Units {
-		if err := p.compareUnit(u, local[:u.Count], buf); err != nil {
+		var hashes []uint64
+		if !f.unasked {
+			hashes, local = local[:u.Count], local[u.Count:]
+		}
+		if err := p.compareUnit(u, hashes, buf); err != nil {
 			return err
 		}
-		local = local[u.Count:]
 	}
 	return nil
 }
 
 // compareUnit compares one unit of an answered fetch, whose local hashes
-// are local.
+// are local; an unasked unit has none (nil), and differs in every block.
 func (p *pipeline) compareUnit(u iscsi.HashUnit, local []uint64, buf []byte) error {
 	remote := u.Hashes
 	if remote == nil {
 		remote = local
 	}
-	for i, remoteHash := range remote {
-		lba := u.LBA + uint64(i)
+	for i := range uint64(u.Count) {
+		lba := u.LBA + i
 		// The open span leaves once the comparison has passed the end of
 		// its stretch: nothing later can join it.
 		if p.open != nil && !p.open.takes(lba, len(buf)) {
@@ -436,7 +477,7 @@ func (p *pipeline) compareUnit(u iscsi.HashUnit, local []uint64, buf []byte) err
 			}
 		}
 		switch {
-		case local[i] == remoteHash:
+		case local != nil && local[i] == remote[i]:
 			p.learn(lba, local[i])
 		case p.cfg.DryRun:
 			p.stats.BlocksRepaired++

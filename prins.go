@@ -383,7 +383,9 @@ func (p *Primary) Degraded() bool { return p.engine.Degraded() }
 // degraded replica — how far behind the worst replica is.
 func (p *Primary) ReplicaLag() int64 { return p.engine.ReplicaLag() }
 
-// Range is a contiguous run of blocks [Start, Start+Count).
+// Range is a contiguous run of blocks [Start, Start+Count). It carries
+// no origin: which blocks of a resync's ranges ship without a hash
+// exchange is the engine's call, from its dirty map (ResyncReplica).
 type Range struct {
 	Start uint64
 	Count uint64
@@ -392,7 +394,8 @@ type Range struct {
 // DirtyRanges returns the merged runs of blocks replica i (attach
 // order) is not known to hold correctly — dropped while degraded,
 // failed past the retry budget, or refused as diverged. Repair them
-// with ResyncReplica and then forget them with ClearDirty.
+// with ResyncReplica, which ships them without asking the replica for
+// their hashes, and then forget them with ClearDirty.
 func (p *Primary) DirtyRanges(i int) []Range {
 	rs := p.engine.DirtyRanges(i)
 	out := make([]Range, len(rs))
@@ -417,7 +420,11 @@ func (p *Primary) ClearDirty(i int, ranges ...Range) {
 // the index (nothing about a dropped replica's content can be
 // assumed), so resyncing through this method re-warms the
 // ship-by-reference fast path as a free side effect of the comparison
-// it does anyway. On a group primary (Config.GroupN) replica i holds
+// it does anyway. The blocks of ranges that replica i's dirty map
+// holds (DirtyRanges) differ on the replica by construction, so they
+// are shipped without the hash exchange; the rest are compared, so
+// ResyncReplica(i, addr, name, p.DirtyRanges(i)...) asks the replica
+// nothing. On a group primary (Config.GroupN) replica i holds
 // stripe unit i, and the comparison runs against that unit of the
 // primary's blocks (RepairGroupUnit); that source is the only thing
 // group-specific about it. Quiesce writes first (Drain) and follow with
@@ -435,7 +442,9 @@ func (p *Primary) ResyncReplica(i int, addr, exportName string, ranges ...Range)
 	if idx := p.engine.ReplicaDedupe(i); idx != nil {
 		cfg.Learn = idx.Put
 	}
-	return resyncTo(src, addr, exportName, cfg, wholeIfNone(p.engine, ranges))
+	rs := block.NormalizeRanges(wholeIfNone(p.engine, ranges), p.engine.NumBlocks())
+	rs = append(rs, block.Intersect(rs, p.engine.DirtyRanges(i))...)
+	return resyncTo(src, addr, exportName, cfg, rs)
 }
 
 // Shards returns how many LBA-range shards the primary's write path
